@@ -59,10 +59,10 @@
 //	                      mapreduce, spmv
 //	internal/ispvol       distributed in-store processing over
 //	                      volume+sched+fabric: per-node engines admitted at
-//	                      the Accel class, fan-out/merge queries over volume
-//	                      ranges and over cluster-RFS files (Figure 8) —
-//	                      string search, table scan, nearest-neighbor
-//	                      (NearestNeighbor/-File + host twins) — and
+//	                      the Accel class, one query executor over source
+//	                      (volume Range or cluster-RFS File, Figure 8) ×
+//	                      kernel (Search, TableScan, NearestNeighbor) ×
+//	                      placement (InStore or HostMediated), and
 //	                      in-store graph traversal with walker migration
 //	                      (WalkMigrate: state moves to the data over the
 //	                      fabric instead of pages moving to a home node)

@@ -220,7 +220,7 @@ type appsStack struct {
 // for the measurement window, so the physical-address snapshots the
 // queries take stay valid.
 func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
-	c, err := core.NewCluster(ispParams(cfg.Nodes))
+	c, err := core.NewCluster(gcParams(cfg.Nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -375,6 +375,11 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 		case appsBase:
 			return
 		case appsNNDist, appsNNHost:
+			whole := ispvol.Range(0, st.v.Pages())
+			placement := ispvol.InStore
+			if mode == appsNNHost {
+				placement = ispvol.HostMediated
+			}
 			for qs := 0; qs < cfg.NNStreams; qs++ {
 				qs := qs
 				qi := qs % len(st.queries)
@@ -403,11 +408,7 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 						return
 					}
 					ids, lpns := st.queryCands[qi], st.queryLpns[qi]
-					if mode == appsNNDist {
-						st.sys.NearestNeighbor(0, st.queries[qi], ids, lpns, done)
-					} else {
-						st.sys.NearestNeighborHost(0, st.queries[qi], ids, lpns, done)
-					}
+					st.sys.NearestNeighbor(0, whole, st.queries[qi], ids, lpns, placement, done)
 				}
 				runQ()
 			}
@@ -486,12 +487,8 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	}
 	arm.Loop = loop
 	arm.Sched = st.s.Snapshot()
-	for _, cs := range arm.Sched.Classes {
-		if cs.Class == "realtime" {
-			arm.RealtimeP50Us = cs.P50Us
-			arm.RealtimeP99Us = cs.P99Us
-		}
-	}
+	rt := realtimeClass(arm.Sched)
+	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
 	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
 		arm.CmpPerSec = float64(arm.Comparisons) / secs
 		arm.LookupsPerSec = float64(arm.Lookups) / secs

@@ -73,31 +73,11 @@ func DefaultFault(short bool) FaultConfig {
 	return cfg
 }
 
-// faultParams shrinks flash capacity so seeding, churn, and a full
-// node rebuild run in seconds of wall-clock time.
-func faultParams(nodes int) core.Params {
-	p := core.DefaultParams(nodes)
-	p.Geometry.ChipsPerBus = 2
-	p.Geometry.BlocksPerChip = 2
-	p.Geometry.PagesPerBlock = 32
-	return p
-}
-
 // FaultPhase is one measured window.
 type FaultPhase struct {
 	Loop   workload.LoopResult `json:"loop"`
 	Sched  sched.Snapshot      `json:"sched"`
 	Volume volume.Stats        `json:"volume"`
-}
-
-// realtimeClass pulls the realtime class's snapshot out of a phase.
-func (p FaultPhase) realtimeClass() sched.ClassSnapshot {
-	for _, cs := range p.Sched.Classes {
-		if cs.Class == "realtime" {
-			return cs
-		}
-	}
-	return sched.ClassSnapshot{}
 }
 
 // FaultResult is the JSON-ready outcome.
@@ -176,7 +156,7 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 	if cfg.KillNode < 0 || cfg.KillNode >= cfg.Nodes {
 		return res, fmt.Errorf("kill node %d out of range (%d nodes)", cfg.KillNode, cfg.Nodes)
 	}
-	c, err := core.NewCluster(faultParams(cfg.Nodes))
+	c, err := core.NewCluster(gcParams(cfg.Nodes))
 	if err != nil {
 		return res, err
 	}
@@ -244,9 +224,9 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 		return res, fmt.Errorf("rebuild window: no pages rebuilt")
 	}
 
-	res.BaselineP99Us = res.Baseline.realtimeClass().P99Us
-	res.DegradedP99Us = res.Degraded.realtimeClass().P99Us
-	res.RebuildP99Us = res.Rebuild.realtimeClass().P99Us
+	res.BaselineP99Us = realtimeClass(res.Baseline.Sched).P99Us
+	res.DegradedP99Us = realtimeClass(res.Degraded.Sched).P99Us
+	res.RebuildP99Us = realtimeClass(res.Rebuild.Sched).P99Us
 	if res.BaselineP99Us > 0 {
 		res.DegradedX = res.DegradedP99Us / res.BaselineP99Us
 		res.RebuildX = res.RebuildP99Us / res.BaselineP99Us
@@ -272,7 +252,7 @@ func FormatFault(r FaultResult) string {
 		{"rebuild", r.Rebuild, r.RebuildX},
 	}
 	for _, row := range rows {
-		rt := row.p.realtimeClass()
+		rt := realtimeClass(row.p.Sched)
 		t.row(row.name, f1(rt.P50Us), f1(rt.P99Us), f2(row.x)+"x",
 			f1(row.p.Sched.TotalOpsPerSec/1e3),
 			fmt.Sprintf("%d", row.p.Volume.DegradedReads),

@@ -71,7 +71,7 @@ type FileStackConfig struct {
 	ISP        ispvol.Config     `json:"isp"`
 }
 
-// fsParams shrinks flash capacity (like gcParams/ispParams) so seeded
+// fsParams shrinks flash capacity (like gcParams) so seeded
 // files and repeated churn finish in seconds of wall-clock time.
 func fsParams(nodes int) core.Params {
 	p := core.DefaultParams(nodes)
@@ -296,12 +296,8 @@ func runFileChurn(c *core.Cluster, cfg FileStackConfig, ps int,
 
 // stampRealtime copies the realtime class latencies out of a snapshot.
 func (a *FileArm) stampRealtime() {
-	for _, cs := range a.Sched.Classes {
-		if cs.Class == "realtime" {
-			a.RealtimeP50Us = cs.P50Us
-			a.RealtimeP99Us = cs.P99Us
-		}
-	}
+	rt := realtimeClass(a.Sched)
+	a.RealtimeP50Us, a.RealtimeP99Us = rt.P50Us, rt.P99Us
 }
 
 // runBlockfsArm runs the compatibility path: blockfs formatted on a
@@ -454,6 +450,10 @@ func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
 	var queryErr error
 	matchesSet := false
 	needle := []byte(cfg.Needle)
+	placement := ispvol.InStore
+	if mode == fsArmRFSHostMed {
+		placement = ispvol.HostMediated
+	}
 	concurrent := func(live func() bool) {
 		if mode != fsArmRFSISP && mode != fsArmRFSHostMed {
 			return
@@ -485,11 +485,7 @@ func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
 				if !live() {
 					return
 				}
-				if mode == fsArmRFSHostMed {
-					sys.SearchFileHost(0, scanF, needle, done)
-				} else {
-					sys.SearchFile(0, scanF, needle, done)
-				}
+				sys.Search(0, ispvol.File(scanF), needle, placement, done)
 			}
 			runQ()
 		}

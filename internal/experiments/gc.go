@@ -67,9 +67,10 @@ func DefaultGCIsolation(short bool) GCIsolationConfig {
 	return cfg
 }
 
-// gcParams shrinks flash capacity further than scaledParams so the
-// volume can be seeded and churned to steady-state GC in seconds of
-// wall-clock time.
+// gcParams shrinks flash capacity further than scaledParams so a
+// volume can be seeded, churned to steady-state GC, scanned repeatedly
+// or rebuilt in seconds of wall-clock time; the GC, ISP, apps, cache
+// and fault harnesses all run on it.
 func gcParams(nodes int) core.Params {
 	p := core.DefaultParams(nodes)
 	// Small capacity so churn reaches steady-state GC quickly, but
@@ -90,9 +91,9 @@ type GCArm struct {
 	Volume volume.Stats        `json:"volume"`
 }
 
-// realtimeClass pulls the realtime class's snapshot out of an arm.
-func (a GCArm) realtimeClass() sched.ClassSnapshot {
-	for _, cs := range a.Sched.Classes {
+// realtimeClass pulls the realtime class out of a scheduler snapshot.
+func realtimeClass(s sched.Snapshot) sched.ClassSnapshot {
+	for _, cs := range s.Classes {
 		if cs.Class == "realtime" {
 			return cs
 		}
@@ -213,8 +214,8 @@ func GCIsolation(cfg GCIsolationConfig) (GCIsolationResult, error) {
 	if res.Oblivious, err = runGCArm(cfg, false); err != nil {
 		return res, fmt.Errorf("gc-oblivious arm: %w", err)
 	}
-	res.RealtimeP99AwareUs = res.Aware.realtimeClass().P99Us
-	res.RealtimeP99ObliviousUs = res.Oblivious.realtimeClass().P99Us
+	res.RealtimeP99AwareUs = realtimeClass(res.Aware.Sched).P99Us
+	res.RealtimeP99ObliviousUs = realtimeClass(res.Oblivious.Sched).P99Us
 	if res.RealtimeP99AwareUs > 0 {
 		res.ImprovementX = res.RealtimeP99ObliviousUs / res.RealtimeP99AwareUs
 	}
@@ -233,7 +234,7 @@ func FormatGCIsolation(r GCIsolationResult) string {
 		{"gc-oblivious", r.Oblivious},
 	}
 	for _, row := range rows {
-		rt := row.a.realtimeClass()
+		rt := realtimeClass(row.a.Sched)
 		t.row(row.name, f1(rt.P50Us), f1(rt.P99Us),
 			f1(row.a.Sched.TotalOpsPerSec/1e3),
 			fmt.Sprintf("%d", row.a.Volume.GCMoves),

@@ -85,16 +85,6 @@ func DefaultISPContention(short bool) ISPContentionConfig {
 	return cfg
 }
 
-// ispParams shrinks flash capacity (like gcParams) so a fully-seeded
-// volume and repeated scans finish in seconds of wall-clock time.
-func ispParams(nodes int) core.Params {
-	p := core.DefaultParams(nodes)
-	p.Geometry.ChipsPerBus = 2
-	p.Geometry.BlocksPerChip = 2
-	p.Geometry.PagesPerBlock = 32
-	return p
-}
-
 // ispHaystack seeds deterministic random pages with the needle
 // planted mid-page every 5th page and ACROSS the boundary between
 // every 7k+3rd and 7k+4th page — adjacent logical pages live on
@@ -213,7 +203,7 @@ func ispSpecs(cfg ISPContentionConfig) []workload.VolumeStreamSpec {
 // haystack, then drives the host mix with the arm's query load
 // co-running for exactly the measurement window.
 func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
-	c, err := core.NewCluster(ispParams(cfg.Nodes))
+	c, err := core.NewCluster(gcParams(cfg.Nodes))
 	if err != nil {
 		return ISPArm{}, err
 	}
@@ -242,6 +232,11 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 	sys, err := ispvol.New(c, s, v, icfg)
 	if err != nil {
 		return ISPArm{}, err
+	}
+
+	placement := ispvol.InStore
+	if mode == armHostMediated {
+		placement = ispvol.HostMediated
 	}
 
 	s.ResetStats()
@@ -279,11 +274,7 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 				if !live() {
 					return
 				}
-				if mode == armHostMediated {
-					sys.SearchHost(0, 0, cfg.QueryPages, needle, done)
-				} else {
-					sys.Search(0, 0, cfg.QueryPages, needle, done)
-				}
+				sys.Search(0, ispvol.Range(0, cfg.QueryPages), needle, placement, done)
 			}
 			runQ()
 		}
@@ -303,12 +294,8 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 	}
 	arm.Loop = loop
 	arm.Sched = s.Snapshot()
-	for _, cs := range arm.Sched.Classes {
-		if cs.Class == "realtime" {
-			arm.RealtimeP50Us = cs.P50Us
-			arm.RealtimeP99Us = cs.P99Us
-		}
-	}
+	rt := realtimeClass(arm.Sched)
+	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
 	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
 		arm.QueryMBps = float64(arm.QueryBytes) / secs / 1e6
 	}

@@ -186,16 +186,11 @@ func FormatBatchComparison(cmp BatchComparison) string {
 		{"depth1", cmp.Depth1},
 	}
 	for _, row := range rows {
-		rt := ""
-		for _, cs := range row.r.Sched.Classes {
-			if cs.Class == "realtime" {
-				rt = f1(cs.P99Us)
-			}
-		}
 		t.row(row.name,
 			fmt.Sprintf("%d", row.r.Config.Sched.BatchSize),
 			fmt.Sprintf("%d", row.r.Config.Sched.MaxInflight),
-			f1(row.r.Sched.TotalOpsPerSec/1e3), f1(row.r.Sched.TotalMBps), rt)
+			f1(row.r.Sched.TotalOpsPerSec/1e3), f1(row.r.Sched.TotalMBps),
+			f1(realtimeClass(row.r.Sched).P99Us))
 	}
 	return fmt.Sprintf("Scheduler submission disciplines (batched %.1fx vs nobatch, %.1fx vs depth1)\n",
 		cmp.SpeedupVsNoBatch, cmp.SpeedupVsDepth1) + t.String()

@@ -1,16 +1,13 @@
 package ispvol_test
 
-// Tests for the distributed application queries: cluster
-// nearest-neighbor (LSH candidate fan-out + inline Hamming compare)
-// and the migrating in-store graph traversal, cross-validated against
-// the in-memory references and the host-mediated twins.
+// Tests for the migrating in-store graph traversal, cross-validated
+// against the in-memory reference and the host-centric traversal.
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/accel/graph"
-	"repro/internal/accel/lsh"
 	"repro/internal/core"
 	"repro/internal/ispvol"
 	"repro/internal/sched"
@@ -18,111 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// nnFixture seeds nItems near-duplicate items into volume pages
-// [0, nItems) and returns the stack plus the dataset and query.
-func nnFixture(t *testing.T, nodes, nItems int) (*core.Cluster, *sched.Scheduler, *volume.Volume, *ispvol.System, map[int][]byte, []byte) {
-	t.Helper()
-	ps := core.DefaultParams(1).Geometry.PageSize
-	items, query, err := workload.NearDuplicateSet(nItems, ps, 7, 40, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := workload.RandomPages(99)
-	fill := func(idx int, page []byte) {
-		if idx < nItems {
-			copy(page, items[idx])
-		} else {
-			base(idx, page)
-		}
-	}
-	c, s, v, sys := testSystem(t, nodes, ispvol.DefaultConfig(), fill)
-	if nItems > v.Pages() {
-		t.Fatalf("%d items exceed the %d-page volume", nItems, v.Pages())
-	}
-	return c, s, v, sys, items, query
-}
-
-// TestDistributedNNMatchesBruteAndHost: the distributed engines, the
-// host-mediated software scan and the in-memory brute force must
-// agree on the best candidate (including the lowest-id tie-break),
-// and the distributed arm must finish the same candidate list faster.
-func TestDistributedNNMatchesBruteAndHost(t *testing.T) {
-	const nItems = 72
-	_, s, _, sys, items, query := nnFixture(t, 2, nItems)
-
-	// LSH candidates: the hash tables' union bucket for the query.
-	ix, err := lsh.NewIndex(len(query), 8, 6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < nItems; id++ {
-		if err := ix.Add(id, items[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, err := ix.Candidates(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) < 8 {
-		t.Fatalf("only %d LSH candidates; fixture too sparse to be meaningful", len(ids))
-	}
-	lpns := append([]int(nil), ids...) // item id == its volume page
-
-	dist, err := sys.NearestNeighborSync(0, query, ids, lpns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := sys.NearestNeighborHostSync(0, query, ids, lpns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := map[int][]byte{}
-	for _, id := range ids {
-		cand[id] = items[id]
-	}
-	bruteID, bruteDist := lsh.NearestBrute(query, cand)
-
-	for _, r := range []*ispvol.NNResult{dist, host} {
-		if r.FailedPages != 0 {
-			t.Fatalf("failed pages: %+v", r)
-		}
-		if r.Comparisons != int64(len(ids)) {
-			t.Fatalf("compared %d of %d candidates", r.Comparisons, len(ids))
-		}
-		if r.BestID != bruteID || r.BestDist != bruteDist {
-			t.Fatalf("best (%d, %d) != brute force (%d, %d)", r.BestID, r.BestDist, bruteID, bruteDist)
-		}
-	}
-	if dist.CmpPerSec <= host.CmpPerSec {
-		t.Fatalf("distributed NN (%.0f cmp/s) should beat host-mediated (%.0f cmp/s)",
-			dist.CmpPerSec, host.CmpPerSec)
-	}
-	// The engines' reads went through the scheduler's Accel class.
-	var accelOps int64
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" {
-			accelOps = cs.Ops
-		}
-	}
-	if accelOps < int64(len(ids)) {
-		t.Fatalf("accel class saw %d ops, want >= %d: engine reads bypassed admission", accelOps, len(ids))
-	}
-}
-
-// TestNNEmptyAndMismatchedCandidates: edge cases fail cleanly.
-func TestNNEmptyAndMismatchedCandidates(t *testing.T) {
-	_, _, _, sys, _, query := nnFixture(t, 2, 16)
-	res, err := sys.NearestNeighborSync(0, query, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestID != -1 || res.Comparisons != 0 {
-		t.Fatalf("empty candidate list produced %+v", res)
-	}
-	if _, err := sys.NearestNeighborSync(0, query, []int{1, 2}, []int{1}); err == nil {
-		t.Fatal("mismatched ids/pages accepted")
-	}
+// walkMigrate runs one migrating traversal to completion.
+func walkMigrate(sys *ispvol.System, origin int, g *graph.Graph, cfg graph.TraverseConfig) (*ispvol.WalkResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.WalkResult, error)) {
+		sys.WalkMigrate(origin, g, cfg, done)
+	})
 }
 
 // walkFixture stores a graph in volume pages [0, V) and returns the
@@ -165,7 +62,7 @@ func TestWalkMigrateMatchesReference(t *testing.T) {
 	gcfg := graph.Config{Vertices: 150, AvgDegree: 6, Seed: 7}
 	_, _, sys, g := walkFixture(t, 3, gcfg)
 	cfg := graph.TraverseConfig{Start: 4, Steps: 50, Seed: 13, Walkers: 3}
-	res, err := sys.WalkMigrateSync(0, g, cfg)
+	res, err := walkMigrate(sys, 0, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +90,7 @@ func TestWalkMigrateMatchesHostTraversal(t *testing.T) {
 	gcfg := graph.Config{Vertices: 120, AvgDegree: 5, Seed: 19}
 	c, _, sys, g := walkFixture(t, 2, gcfg)
 	cfg := graph.TraverseConfig{Start: 2, Steps: 40, Seed: 23, Walkers: 2, Mode: graph.ModeHRHF}
-	mig, err := sys.WalkMigrateSync(0, g, cfg)
+	mig, err := walkMigrate(sys, 0, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +137,7 @@ func TestWalkMigrateFailingRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.WalkMigrateSync(0, bad, graph.TraverseConfig{Start: 1, Steps: 20, Seed: 3, Walkers: 2})
+	_, err = walkMigrate(sys, 0, bad, graph.TraverseConfig{Start: 1, Steps: 20, Seed: 3, Walkers: 2})
 	if err == nil {
 		t.Fatal("failing reads reported success")
 	}

@@ -18,10 +18,10 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 	fill := plantedFiller(needle, ps)
 	c, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), fill)
 	lo, hi := 0, v.Pages()
-	want := referenceMatches(t, fill, lo, hi, ps, needle)
+	want := referenceMatches(fill, lo, hi, ps, needle)
 
 	c.Node(1).Card(0).Fail()
-	res, err := sys.SearchSync(0, lo, hi, needle)
+	res, err := search(sys, 0, ispvol.Range(lo, hi), needle, ispvol.InStore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,9 @@ type walkerMsg struct {
 	migrations int64
 }
 
-// walkDoneMsg reports a finished (or failed) walker to the origin.
-type walkDoneMsg struct {
-	query      uint64
+// walkDone reports a finished (or failed) walker to the origin, as
+// the body of a partMsg.
+type walkDone struct {
 	walker     int
 	steps      int64
 	sum        uint64
@@ -98,8 +98,8 @@ type walkQuery struct {
 // the engine. A failed lookup fails the run, exactly like
 // graph.Traverse.
 func (sys *System) WalkMigrate(origin int, g *graph.Graph, cfg graph.TraverseConfig, done func(*WalkResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
+	if err := sys.checkOrigin(origin); err != nil {
+		done(nil, err)
 		return
 	}
 	if cfg.Steps <= 0 {
@@ -157,12 +157,14 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 		panic(fmt.Sprintf("ispvol: walker %d for vertex %d (node %d) delivered to node %d",
 			m.walker, m.current, addr.Node, self))
 	}
-	fail := func(err error) {
-		sys.deliver(self, m.origin, 48, &walkDoneMsg{
-			query: m.query, walker: m.walker, steps: m.steps, sum: m.sum,
-			migrations: m.migrations,
-			err:        fmt.Sprintf("walker %d at vertex %d: %v", m.walker, m.current, err),
-		})
+	// report ships the walker's final state to the origin; err is the
+	// lookup failure that ended it early, if any.
+	report := func(err error) {
+		d := &walkDone{walker: m.walker, steps: m.steps, sum: m.sum, migrations: m.migrations}
+		if err != nil {
+			d.err = fmt.Sprintf("walker %d at vertex %d: %v", m.walker, m.current, err)
+		}
+		sys.deliver(self, m.origin, 48, &partMsg{query: m.query, body: d})
 	}
 	// The lookup holds an acceleration unit for the flash read, and
 	// the read itself is admitted through the node's Accel stream —
@@ -173,12 +175,12 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 		sys.readPage(self, pageRef{addr: addr}, func(data []byte, err error) {
 			unitDone()
 			if err != nil {
-				fail(err)
+				report(err)
 				return
 			}
 			nbs, derr := graph.DecodePage(data)
 			if derr != nil {
-				fail(derr)
+				report(derr)
 				return
 			}
 			m.steps++
@@ -187,10 +189,7 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 			m.rngState = rng.State()
 			m.stepsLeft--
 			if m.stepsLeft == 0 {
-				sys.deliver(self, m.origin, 48, &walkDoneMsg{
-					query: m.query, walker: m.walker, steps: m.steps, sum: m.sum,
-					migrations: m.migrations,
-				})
+				report(nil)
 				return
 			}
 			next := m.g.OwnerOf(m.current)
@@ -206,8 +205,8 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 }
 
 // part merges one walker's completion into the origin state.
-func (q *walkQuery) part(msg any) {
-	m := msg.(*walkDoneMsg)
+func (q *walkQuery) part(pm *partMsg) {
+	m := pm.body.(*walkDone)
 	q.res.Steps += m.steps
 	q.res.Migrations += m.migrations
 	q.res.VisitSums[m.walker] = m.sum
@@ -231,20 +230,4 @@ func (q *walkQuery) part(msg any) {
 		}
 		q.done(q.res, nil)
 	})
-}
-
-// WalkMigrateSync runs WalkMigrate and drains the engine; for tests
-// and examples with nothing else in flight.
-func (sys *System) WalkMigrateSync(origin int, g *graph.Graph, cfg graph.TraverseConfig) (*WalkResult, error) {
-	var res *WalkResult
-	var rerr error
-	fired := false
-	sys.WalkMigrate(origin, g, cfg, func(r *WalkResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: migrating traversal never completed")
-	}
-	return res, rerr
 }

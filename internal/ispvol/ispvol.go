@@ -4,51 +4,47 @@
 //
 // The paper's headline capability (§4, §6) is in-store processors
 // that read flash directly — no host software on the data path —
-// while SHARING the flash controller with host traffic. Before this
-// package, the accelerator stack attached to core.Node and issued
-// reads outside the request scheduler, so an ISP-heavy tenant could
-// starve realtime host streams: exactly the QoS violation the
-// scheduler exists to prevent. Here, every engine flash read is
-// admitted through sched's Accel class (window-accounted, capped by
-// the accel token budget) and then issues on the device-side ISP
-// path, keeping the zero-host-involvement data path.
+// while SHARING the flash controller with host traffic. Here every
+// engine flash read is admitted through sched's Accel class
+// (window-accounted, capped by the accel token budget) and then issues
+// on the device-side ISP path, so an ISP-heavy tenant cannot starve
+// realtime host streams.
 //
-// A query runs the way Figure 8 describes:
+// A scan query is three orthogonal choices, executed by one mechanism
+// (query.go):
 //
-//  1. the origin node's host resolves the logical range to physical
-//     pages (volume.PhysMap — the RFS-style physical address query)
-//     and partitions the list by owning node;
-//  2. one engine per node claims a hardware acceleration unit (the
-//     FIFO unit scheduler of internal/isp) and streams its partition
-//     off the local flash, window-deep, through the node's
-//     sched.AccelStream;
-//  3. each engine reduces its pages next to the flash (Morris-Pratt
-//     match offsets, predicate-filtered records) and ships only the
-//     results to the origin over the integrated storage network;
-//  4. the origin merges the partial results (stitching page-boundary
-//     junctions for string search) and DMAs the final answer into
-//     host memory.
+//   - a Source — which pages: Range, a logical range of the volume
+//     (volume.PhysMap), or File, a file of the cluster-wide RFS
+//     (rfs.File.PhysicalAddrs). The source resolves physical
+//     addresses, checks bounds, and hands out the host-path reader.
+//   - a kernel — what to compute: Search (Morris-Pratt match offsets,
+//     page junctions stitched at the origin), TableScan (predicate
+//     pushdown, qualifying records only) or NearestNeighbor (inline
+//     Hamming compare of LSH candidates, per-node bests only). A
+//     kernel is a per-page reduction into a partial, the partial's
+//     merge at the origin, and wire sizes and CPU costs; nothing else
+//     in the package knows which kernel is running.
+//   - a Placement — who computes. InStore runs the way Figure 8
+//     describes: (1) the origin host resolves the source to physical
+//     pages and partitions them by owning node; (2) one engine per
+//     node claims a hardware acceleration unit (the FIFO unit
+//     scheduler of internal/isp) and streams its partition off the
+//     local flash, window-deep, through the node's sched.AccelStream;
+//     (3) each engine reduces its pages next to the flash and ships
+//     only the partial to the origin over the integrated storage
+//     network; (4) the origin merges the partials and DMAs the answer
+//     into host memory. HostMediated is the comparison arm: every
+//     page crosses PCIe and the same kernel runs in host software.
 //
-// Queries run over two stores: logical ranges of the volume
-// (Search/TableScan) and, completing the paper's Figure 8 pipeline,
-// files of the cluster-wide RFS (SearchFile/TableScanFile) — the file
-// system's physical-address query feeds the same per-node engines, so
-// the whole appliance scans a file at flash bandwidth with the host
-// only resolving addresses and merging results.
+// Beside the scan queries sits in-store graph traversal with walker
+// migration (WalkMigrate), where the walk's state — vertex, steps,
+// checksum, RNG — hops node to node over the fabric so every
+// dependent lookup reads flash locally. Sync runs any of them to
+// completion.
 //
-// On top of the scan queries sit the paper's flagship applications:
-// nearest-neighbor search over LSH candidate lists (NearestNeighbor
-// and NearestNeighborFile, with host-mediated twins), where each
-// node's engine Hamming-compares its candidates inline and only
-// per-node bests cross the network, and in-store graph traversal
-// with walker migration (WalkMigrate), where the walk's state —
-// vertex, steps, checksum, RNG — hops node to node over the fabric
-// so every dependent lookup reads flash locally.
-//
-// The package also implements the two comparison arms the experiments
-// need: Bypass admission (the pre-fix bug path — raw device
-// interfaces, invisible to the scheduler) and host-mediated queries
-// (every page crosses PCIe and is reduced in host software).
+// Config.Admission selects a second comparison arm: Bypass (the
+// pre-fix bug path — raw device interfaces, invisible to the
+// scheduler).
 package ispvol
 
 import (
@@ -146,7 +142,6 @@ func (c Config) withDefaults() Config {
 // System is the distributed ISP runtime over one cluster + volume.
 type System struct {
 	c   *core.Cluster
-	s   *sched.Scheduler
 	v   *volume.Volume
 	cfg Config
 
@@ -165,24 +160,24 @@ type nodeISP struct {
 
 // queryState receives partial results at the origin.
 type queryState interface {
-	part(msg any)
+	part(m *partMsg)
 }
 
-// ErrNoVolume reports a logical-range query on a System built without
-// a volume.
-var ErrNoVolume = errors.New("ispvol: no volume attached; use the file-based queries")
+// ErrNoVolume reports a Range query on a System built without a
+// volume.
+var ErrNoVolume = errors.New("ispvol: no volume attached; query a File source")
 
 // New attaches the subsystem to a cluster, scheduler and volume (all
 // three must belong together). It binds MergeEP on every node. v may
 // be nil for deployments that run queries over files (an rfs cluster
-// file system instead of the logical volume); the volume-ranged entry
-// points then fail with ErrNoVolume.
+// file system instead of the logical volume); Range queries then fail
+// with ErrNoVolume.
 func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if cfg.HostClass >= sched.Accel {
 		return nil, fmt.Errorf("ispvol: host-mediated class %v not usable by tenants", cfg.HostClass)
 	}
-	sys := &System{c: c, s: s, v: v, cfg: cfg, pending: make(map[uint64]queryState)}
+	sys := &System{c: c, v: v, cfg: cfg, pending: make(map[uint64]queryState)}
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)
 		units, err := isp.NewScheduler(fmt.Sprintf("isp-n%d", i), cfg.UnitsPerNode)
@@ -206,36 +201,17 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	return sys, nil
 }
 
-// Cluster returns the underlying cluster.
-func (sys *System) Cluster() *core.Cluster { return sys.c }
-
 // Units exposes a node's acceleration-unit scheduler (for tests).
 func (sys *System) Units(node int) *isp.Scheduler { return sys.nodes[node].units }
 
 // receive dispatches an inbound fabric message on a node.
 func (sys *System) receive(ns *nodeISP, payload any) {
 	switch m := payload.(type) {
-	case *searchStartMsg:
-		sys.runSearchPart(ns, m)
-	case *scanStartMsg:
-		sys.runScanPart(ns, m)
-	case *nnStartMsg:
-		sys.runNNPart(ns, m)
+	case *startMsg:
+		sys.runPart(ns, m)
 	case *walkerMsg:
 		sys.runWalkStep(ns, m)
-	case *searchPartMsg:
-		if q, ok := sys.pending[m.query]; ok {
-			q.part(m)
-		}
-	case *scanPartMsg:
-		if q, ok := sys.pending[m.query]; ok {
-			q.part(m)
-		}
-	case *nnPartMsg:
-		if q, ok := sys.pending[m.query]; ok {
-			q.part(m)
-		}
-	case *walkDoneMsg:
+	case *partMsg:
 		if q, ok := sys.pending[m.query]; ok {
 			q.part(m)
 		}
@@ -258,33 +234,8 @@ func (sys *System) deliver(src, dst int, size int, msg any) {
 
 // pageRef is one page of a query partition.
 type pageRef struct {
-	qidx int // page index within the query range
+	qidx int // index into the query's page list
 	addr core.PageAddr
-}
-
-// partition resolves [lo, hi) through the volume's physical map
-// (Figure 8 step 1) and groups the pages by owning node.
-func (sys *System) partition(lo, hi int) ([][]pageRef, error) {
-	if sys.v == nil {
-		return nil, ErrNoVolume
-	}
-	addrs, err := sys.v.PhysMap(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return sys.partitionAddrs(addrs), nil
-}
-
-// partitionAddrs groups a resolved physical address list — a volume
-// PhysMap range or a file's PhysicalAddrs — by owning node: the
-// origin-side step that turns one query into per-node engine
-// partitions.
-func (sys *System) partitionAddrs(addrs []core.PageAddr) [][]pageRef {
-	parts := make([][]pageRef, sys.c.Nodes())
-	for i, a := range addrs {
-		parts[a.Node] = append(parts[a.Node], pageRef{qidx: i, addr: a})
-	}
-	return parts
 }
 
 // chipInterleave reorders a partition so consecutive reads target
@@ -347,9 +298,8 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 // runEngine claims one acceleration unit on node n, streams refs
 // window-deep through the node's flash data path, feeds every page to
 // scan (in completion order), then releases the unit and fires done.
-// scan's err is the page's read error (the page is skipped, not
-// fatal).
-func (sys *System) runEngine(n int, refs []pageRef, scan func(i int, ref pageRef, data []byte, err error), done func()) {
+// scan's err is the page's read error.
+func (sys *System) runEngine(n int, refs []pageRef, scan func(ref pageRef, data []byte, err error), done func()) {
 	refs = chipInterleave(refs)
 	sys.nodes[n].units.Submit(func(unitDone func()) {
 		if len(refs) == 0 {
@@ -365,7 +315,7 @@ func (sys *System) runEngine(n int, refs []pageRef, scan func(i int, ref pageRef
 				next++
 				inflight++
 				sys.readPage(n, refs[i], func(data []byte, err error) {
-					scan(i, refs[i], data, err)
+					scan(refs[i], data, err)
 					inflight--
 					if inflight == 0 && next >= len(refs) {
 						unitDone()
@@ -380,43 +330,12 @@ func (sys *System) runEngine(n int, refs []pageRef, scan func(i int, ref pageRef
 	})
 }
 
-// hostScanLoop is the depth-bounded closed loop every host-mediated
-// arm shares: read page i through the host path, hand the data (or
-// the read error) to onPage, and fire finish once every page has been
-// handled. The host arms get the same I/O concurrency budget the ISP
-// arms have (engines x window); each slot is read-then-process, so
-// slots overlap flash, PCIe and CPU work across each other. onPage
-// must call slotDone exactly once, synchronously or from a later
-// event (a worker-thread completion).
-func (sys *System) hostScanLoop(pages int, read func(i int, cb func([]byte, error)),
-	onPage func(i int, data []byte, err error, slotDone func()), finish func()) {
-	if pages == 0 {
-		finish()
-		return
+// checkOrigin validates a query's origin node.
+func (sys *System) checkOrigin(origin int) error {
+	if origin < 0 || origin >= sys.c.Nodes() {
+		return fmt.Errorf("ispvol: origin %d out of range", origin)
 	}
-	depth := sys.cfg.UnitsPerNode * sys.cfg.Window
-	if depth > pages {
-		depth = pages
-	}
-	next, inflight := 0, 0
-	var pump func()
-	slotDone := func() {
-		inflight--
-		if inflight == 0 && next >= pages {
-			finish()
-			return
-		}
-		pump()
-	}
-	pump = func() {
-		for inflight < depth && next < pages {
-			i := next
-			next++
-			inflight++
-			read(i, func(data []byte, err error) { onPage(i, data, err, slotDone) })
-		}
-	}
-	pump()
+	return nil
 }
 
 // startQuery registers origin-side query state and returns its id.
@@ -445,4 +364,20 @@ func (sys *System) dmaToHost(origin, size int, cb func()) {
 	}, func(buf int) {
 		h.DeviceWriteChunk(buf, size, true)
 	})
+}
+
+// Sync starts one asynchronous query (a closure over Search,
+// TableScan, NearestNeighbor or WalkMigrate), drains the engine and
+// returns the query's result; for tests and examples that have nothing
+// else in flight.
+func Sync[R any](sys *System, start func(done func(R, error))) (R, error) {
+	var res R
+	var rerr error
+	fired := false
+	start(func(r R, e error) { res, rerr, fired = r, e, true })
+	sys.c.Run()
+	if !fired {
+		return res, errors.New("ispvol: query never completed")
+	}
+	return res, rerr
 }

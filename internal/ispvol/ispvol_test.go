@@ -1,9 +1,9 @@
 package ispvol_test
 
 import (
+	"bytes"
 	"testing"
 
-	"repro/internal/accel/search"
 	"repro/internal/accel/tablescan"
 	"repro/internal/core"
 	"repro/internal/ispvol"
@@ -41,6 +41,36 @@ func testSystem(t *testing.T, nodes int, icfg ispvol.Config, fill workload.PageF
 	return c, s, v, sys
 }
 
+// search, tableScan and nearest run one query to completion.
+func search(sys *ispvol.System, origin int, src ispvol.Source, needle []byte, pl ispvol.Placement) (*ispvol.SearchResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.SearchResult, error)) {
+		sys.Search(origin, src, needle, pl, done)
+	})
+}
+
+func tableScan(sys *ispvol.System, origin int, src ispvol.Source, pred tablescan.Predicate, pl ispvol.Placement) (*ispvol.ScanResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.ScanResult, error)) {
+		sys.TableScan(origin, src, pred, pl, done)
+	})
+}
+
+func nearest(sys *ispvol.System, origin int, src ispvol.Source, item []byte, ids, pages []int, pl ispvol.Placement) (*ispvol.NNResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.NNResult, error)) {
+		sys.NearestNeighbor(origin, src, item, ids, pages, pl, done)
+	})
+}
+
+// accelOps is the number of reads the scheduler's Accel class has
+// completed: the engines' admitted flash reads.
+func accelOps(s *sched.Scheduler) int64 {
+	for _, cs := range s.Snapshot().Classes {
+		if cs.Class == "accel" {
+			return cs.Ops
+		}
+	}
+	return 0
+}
+
 // plantedFiller seeds deterministic bytes with `needle` planted
 // mid-page on every 3rd page and straddling every 4k+1|4k+2 page
 // boundary, so junction stitching has real work.
@@ -62,100 +92,21 @@ func plantedFiller(needle []byte, ps int) workload.PageFiller {
 }
 
 // referenceMatches rebuilds the logical byte range from the filler
-// and runs the reference matcher over the contiguous buffer.
-func referenceMatches(t *testing.T, fill workload.PageFiller, lo, hi, ps int, needle []byte) []int64 {
-	t.Helper()
-	buf := make([]byte, 0, (hi-lo)*ps)
-	page := make([]byte, ps)
+// and finds every occurrence by brute force over the contiguous
+// buffer, page junctions included.
+func referenceMatches(fill workload.PageFiller, lo, hi, ps int, needle []byte) []int64 {
+	buf := make([]byte, (hi-lo)*ps)
 	for idx := lo; idx < hi; idx++ {
-		fill(idx, page)
-		buf = append(buf, page...)
+		fill(idx, buf[(idx-lo)*ps:][:ps])
 	}
-	pat, err := search.Compile(needle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pat.FindAll(buf)
-}
-
-// TestDistributedSearchExact: the fanned-out engines plus junction
-// stitching find exactly the matches a flat scan of the contiguous
-// logical range finds — including occurrences straddling page
-// boundaries, whose two halves live on different nodes.
-func TestDistributedSearchExact(t *testing.T) {
-	needle := []byte("needle!")
-	var ps = core.DefaultParams(1).Geometry.PageSize
-	fill := plantedFiller(needle, ps)
-	_, s, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), fill)
-	lo, hi := 0, v.Pages()
-	want := referenceMatches(t, fill, lo, hi, ps, needle)
-	if len(want) == 0 {
-		t.Fatal("test content has no matches; nothing validated")
-	}
-	res, err := sys.SearchSync(0, lo, hi, needle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailedPages != 0 {
-		t.Fatalf("%d failed pages", res.FailedPages)
-	}
-	if len(res.Matches) != len(want) {
-		t.Fatalf("found %d matches, want %d", len(res.Matches), len(want))
-	}
-	for i := range want {
-		if res.Matches[i] != want[i] {
-			t.Fatalf("match %d at %d, want %d", i, res.Matches[i], want[i])
+	var out []int64
+	for at := 0; ; at++ {
+		i := bytes.Index(buf[at:], needle)
+		if i < 0 {
+			return out
 		}
-	}
-	// A straddler exists in the plant plan: prove the junction pass
-	// contributed (some match must start < a boundary and end past it).
-	straddlers := 0
-	for _, m := range want {
-		if m/int64(ps) != (m+int64(len(needle))-1)/int64(ps) {
-			straddlers++
-		}
-	}
-	if straddlers == 0 {
-		t.Fatal("no boundary-straddling matches planted; junction path untested")
-	}
-	// The engines' flash reads went through the scheduler.
-	accelOps := int64(0)
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" {
-			accelOps = cs.Ops
-		}
-	}
-	if accelOps < int64(hi-lo) {
-		t.Fatalf("accel class saw %d ops, want >= %d (ISP bypassing scheduler?)", accelOps, hi-lo)
-	}
-}
-
-// TestHostMediatedSearchAgrees: the host-mediated arm returns
-// byte-identical matches; only the data path differs.
-func TestHostMediatedSearchAgrees(t *testing.T) {
-	needle := []byte("agree?")
-	ps := core.DefaultParams(1).Geometry.PageSize
-	fill := plantedFiller(needle, ps)
-	_, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), fill)
-	lo, hi := 8, v.Pages()/2
-	ispRes, err := sys.SearchSync(1, lo, hi, needle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostRes, err := sys.SearchHostSync(1, lo, hi, needle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ispRes.Matches) != len(hostRes.Matches) {
-		t.Fatalf("isp %d matches, host-mediated %d", len(ispRes.Matches), len(hostRes.Matches))
-	}
-	for i := range ispRes.Matches {
-		if ispRes.Matches[i] != hostRes.Matches[i] {
-			t.Fatalf("match %d: isp %d vs host %d", i, ispRes.Matches[i], hostRes.Matches[i])
-		}
-	}
-	if len(ispRes.Matches) == 0 {
-		t.Fatal("no matches in range; nothing validated")
+		at += i
+		out = append(out, int64(at))
 	}
 }
 
@@ -176,62 +127,6 @@ func recordFiller(ps int) workload.PageFiller {
 	}
 }
 
-// TestDistributedTableScanExact: the pushed-down predicate returns
-// exactly the records the host-mediated scan returns, and exactly the
-// reference filter's rows.
-func TestDistributedTableScanExact(t *testing.T) {
-	ps := core.DefaultParams(1).Geometry.PageSize
-	fill := recordFiller(ps)
-	_, _, v, sys := testSystem(t, 3, ispvol.DefaultConfig(), fill)
-	pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 120}
-	lo, hi := 0, v.Pages()
-
-	res, err := sys.TableScanSync(2, lo, hi, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostRes, err := sys.TableScanHostSync(2, lo, hi, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: filter the generated pages directly.
-	var wantRows int64
-	var wantIDs []uint64
-	page := make([]byte, ps)
-	for idx := lo; idx < hi; idx++ {
-		fill(idx, page)
-		m, rows, err := tablescan.FilterPage(page, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRows += rows
-		for _, r := range m {
-			wantIDs = append(wantIDs, r.ID)
-		}
-	}
-	if len(wantIDs) == 0 {
-		t.Fatal("predicate selects nothing; nothing validated")
-	}
-	for name, got := range map[string]*ispvol.ScanResult{"isp": res, "host-mediated": hostRes} {
-		if got.Rows != wantRows {
-			t.Fatalf("%s scanned %d rows, want %d", name, got.Rows, wantRows)
-		}
-		if len(got.Matches) != len(wantIDs) {
-			t.Fatalf("%s returned %d records, want %d", name, len(got.Matches), len(wantIDs))
-		}
-		for i, r := range got.Matches {
-			if r.ID != wantIDs[i] {
-				t.Fatalf("%s record %d has ID %d, want %d", name, i, r.ID, wantIDs[i])
-			}
-		}
-	}
-	// Selection/projection pushdown: only matching records crossed to
-	// the origin host, vs every page for the host-mediated arm.
-	if res.BytesToHost >= hostRes.BytesToHost {
-		t.Fatalf("pushdown moved %d bytes, host-mediated %d", res.BytesToHost, hostRes.BytesToHost)
-	}
-}
-
 // TestUnitArbitration: more concurrent queries than acceleration
 // units — the FIFO unit scheduler must queue the excess (Waits > 0)
 // and every query must still complete.
@@ -245,7 +140,7 @@ func TestUnitArbitration(t *testing.T) {
 	const queries = 3
 	completed := 0
 	for i := 0; i < queries; i++ {
-		sys.TableScan(i%2, 0, v.Pages(), pred, func(res *ispvol.ScanResult, err error) {
+		sys.TableScan(i%2, ispvol.Range(0, v.Pages()), pred, ispvol.InStore, func(res *ispvol.ScanResult, err error) {
 			if err != nil {
 				t.Errorf("query: %v", err)
 			}
@@ -277,16 +172,14 @@ func TestBypassAdmissionInvisible(t *testing.T) {
 	icfg := ispvol.DefaultConfig()
 	icfg.Admission = ispvol.Bypass
 	_, s, v, sys := testSystem(t, 2, icfg, fill)
-	res, err := sys.SearchSync(0, 0, v.Pages(), needle)
+	res, err := search(sys, 0, ispvol.Range(0, v.Pages()), needle, ispvol.InStore)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) == 0 {
 		t.Fatal("bypass search found nothing")
 	}
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" && cs.Ops != 0 {
-			t.Fatalf("bypass arm leaked %d ops into the scheduler", cs.Ops)
-		}
+	if ops := accelOps(s); ops != 0 {
+		t.Fatalf("bypass arm leaked %d ops into the scheduler", ops)
 	}
 }

@@ -1,32 +1,27 @@
 package ispvol
 
-// Distributed nearest-neighbor search (paper §7.1 promoted to cluster
-// scale): the host-resident LSH index produces a candidate list — item
-// ids and the logical pages holding them — and the origin partitions
-// the RESOLVED physical pages by owning node, fans one Hamming engine
-// out per node over the fabric, and each engine streams its partition
-// off the local flash through the Accel admission path, comparing
-// every item against the query inline the way the single-node
+// Nearest-neighbor kernel (paper §7.1 at cluster scale): the
+// host-resident LSH index produces a candidate list — item ids and
+// the source pages holding them — and a Hamming engine compares every
+// candidate against the query inline the way the single-node
 // accelerator (accel/lsh.RunISP) does. Only each node's best
 // candidate crosses the network back to the origin, which keeps the
-// final merge. The host-mediated twin hauls every candidate page over
-// PCIe and compares in software at accel/lsh's calibrated per-page
-// CPU cost — Figures 16/19's software arm, now under the same QoS
-// roof as everything else.
+// final merge. The host-mediated placement hauls every candidate page
+// over PCIe and compares in software at accel/lsh's calibrated
+// per-page CPU cost — Figures 16/19's software arm, under the same
+// QoS roof as everything else.
 
 import (
 	"fmt"
 	"math"
 
 	"repro/internal/accel/lsh"
-	"repro/internal/hostmodel"
-	"repro/internal/rfs"
 	"repro/internal/sim"
 )
 
-// NNResult reports one distributed nearest-neighbor query.
+// NNResult reports one nearest-neighbor query.
 type NNResult struct {
-	BestID      int
+	BestID      int // -1 when no candidate could be compared
 	BestDist    int
 	Comparisons int64
 	Pages       int
@@ -35,360 +30,95 @@ type NNResult struct {
 	CmpPerSec   float64
 }
 
-// nnStartMsg fans a candidate partition out to one node's engine: the
-// query item plus the (id, physical page) list.
-type nnStartMsg struct {
-	query  uint64
-	origin int
-	item   []byte
-	ids    []int // candidate ids, parallel to refs
-	refs   []pageRef
-}
-
-// nnPartMsg returns a partition's reduction: the node's best candidate.
-type nnPartMsg struct {
-	query       uint64
-	node        int
-	bestID      int
-	bestDist    int
-	comparisons int64
-	failed      int
-}
-
-// nnQuery is the origin-side merge state.
-type nnQuery struct {
-	sys          *System
-	id           uint64
-	origin       int
-	pages        int
-	pendingParts int
-	bestID       int
-	bestDist     int
-	comparisons  int64
-	failed       int
-	start        sim.Time
-	done         func(*NNResult, error)
-}
-
-// nnBetter reports whether (id, d) beats the incumbent under the
-// deterministic ordering every arm uses: lowest distance, ties to the
-// lowest id — the same rule as lsh.NearestBrute, so all three
-// implementations agree even when distances tie.
-func nnBetter(d, id, bestDist, bestID int) bool {
-	return d < bestDist || (d == bestDist && id < bestID)
-}
-
-// NearestNeighbor runs the distributed ISP nearest-neighbor query:
-// candidate ids[i] lives in the volume's logical page lpns[i] (the
-// LSH index output), the origin resolves each page to its physical
-// address (Figure 8 step 1), and one engine per owning node
-// Hamming-compares its share next to the flash. Asynchronous like
-// Search: done fires once the merged best has DMA'd into the origin
-// host's memory.
+// NearestNeighbor finds the candidate closest to item in Hamming
+// distance, ties to the lowest id — the same rule as lsh.NearestBrute.
+// Candidate ids[i] lives in page pages[i] of src (the LSH index
+// output). Asynchronous like Search.
 //
 //simlint:once done
-func (sys *System) NearestNeighbor(origin int, item []byte, ids []int, lpns []int, done func(*NNResult, error)) {
-	if sys.v == nil {
-		done(nil, ErrNoVolume)
+func (sys *System) NearestNeighbor(origin int, src Source, item []byte, ids, pages []int, pl Placement, done func(*NNResult, error)) {
+	if len(ids) != len(pages) {
+		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(pages)))
 		return
 	}
-	if len(ids) != len(lpns) {
-		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(lpns)))
+	if len(item) == 0 || len(item) > sys.c.Params.PageSize() {
+		done(nil, fmt.Errorf("ispvol: query item of %d bytes (page is %d)", len(item), sys.c.Params.PageSize()))
 		return
 	}
-	refs := make([]pageRef, len(lpns))
-	for i, lpn := range lpns {
-		a, err := sys.v.Phys(lpn)
+	if pages == nil {
+		pages = []int{} // an empty candidate list, not "every page of src"
+	}
+	k := &nnKernel{nnPartial{item: item, ids: ids, bestID: -1, bestDist: math.MaxInt}}
+	sys.run(origin, src, pages, k, pl, func(st queryStats, err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
-		refs[i] = pageRef{qidx: i, addr: a}
-	}
-	sys.launchNN(origin, item, ids, refs, done)
-}
-
-// NearestNeighborFile is NearestNeighbor over a cluster-RFS file:
-// candidate ids[i] lives in file page pages[i]. The file must stay
-// read-stable for the query (the physical addresses are snapshots).
-//
-//simlint:once done
-func (sys *System) NearestNeighborFile(origin int, f *rfs.File, item []byte, ids []int, pages []int, done func(*NNResult, error)) {
-	if len(ids) != len(pages) {
-		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(pages)))
-		return
-	}
-	addrs, err := f.PhysicalAddrs()
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	refs := make([]pageRef, len(pages))
-	for i, p := range pages {
-		if p < 0 || p >= len(addrs) {
-			done(nil, fmt.Errorf("ispvol: candidate page %d outside the %d-page file", p, len(addrs)))
-			return
+		res := &NNResult{
+			BestID:      k.bestID,
+			BestDist:    k.bestDist,
+			Comparisons: k.comparisons,
+			Pages:       st.pages,
+			FailedPages: st.failed,
+			Elapsed:     st.elapsed,
+			CmpPerSec:   st.rate(float64(k.comparisons)),
 		}
-		refs[i] = pageRef{qidx: i, addr: addrs[p]}
-	}
-	sys.launchNN(origin, item, ids, refs, done)
-}
-
-// launchNN registers the origin-side merge state and fans candidate
-// partitions out to the per-node engines.
-//
-//simlint:once done
-func (sys *System) launchNN(origin int, item []byte, ids []int, refs []pageRef, done func(*NNResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	if len(item) == 0 || len(item) > sys.c.Params.PageSize() {
-		done(nil, fmt.Errorf("ispvol: query item of %d bytes (page is %d)", len(item), sys.c.Params.PageSize()))
-		return
-	}
-	q := &nnQuery{
-		sys:      sys,
-		origin:   origin,
-		pages:    len(refs),
-		bestID:   -1,
-		bestDist: math.MaxInt,
-		start:    sys.c.Eng.Now(),
-		done:     done,
-	}
-	q.id = sys.startQuery(q)
-
-	// Partition by owning node. Each ref's qidx indexes the
-	// partition's ids list — the engines chip-interleave (reorder)
-	// their partitions, so the id must travel keyed to the ref, not
-	// to scan order.
-	parts := make([][]pageRef, sys.c.Nodes())
-	partIDs := make([][]int, sys.c.Nodes())
-	for i, r := range refs {
-		n := r.addr.Node
-		parts[n] = append(parts[n], pageRef{qidx: len(partIDs[n]), addr: r.addr})
-		partIDs[n] = append(partIDs[n], ids[i])
-	}
-	for _, refs := range parts {
-		if len(refs) > 0 {
-			q.pendingParts++
-		}
-	}
-	if q.pendingParts == 0 {
-		q.finish()
-		return
-	}
-	// One software + RPC charge covers the fan-out: the host ships the
-	// query item and each partition's (id, address) list to its node's
-	// engine, then gets out of the way until the merge.
-	node := sys.nodes[origin].node
-	node.Host.ChargeSoftware(func() {
-		node.Host.RPC(func() {
-			for n := range parts {
-				if len(parts[n]) == 0 {
-					continue
-				}
-				msg := &nnStartMsg{query: q.id, origin: origin, item: item, ids: partIDs[n], refs: parts[n]}
-				sys.deliver(origin, n, 32+len(item)+20*len(parts[n]), msg)
-			}
-		})
-	})
-}
-
-// runNNPart executes one node's Hamming engine over its candidate
-// partition and ships the single best back to the origin.
-func (sys *System) runNNPart(ns *nodeISP, m *nnStartMsg) {
-	res := &nnPartMsg{query: m.query, node: ns.node.ID(), bestID: -1, bestDist: math.MaxInt}
-	sys.runEngine(ns.node.ID(), m.refs, func(_ int, ref pageRef, data []byte, err error) {
-		if err != nil {
-			res.failed++
-			return
-		}
-		// The engine compares at stream rate (hardware Hamming popcount
-		// beside the flash): no CPU charge, exactly like lsh.RunISP.
-		// ref.qidx keys the candidate id: the engine scans its
-		// partition chip-interleaved, not in fan-out order.
-		d := lsh.HammingDistance(m.item, data[:len(m.item)])
-		res.comparisons++
-		id := m.ids[ref.qidx]
-		if nnBetter(d, id, res.bestDist, res.bestID) {
-			res.bestID, res.bestDist = id, d
-		}
-	}, func() {
-		sys.deliver(ns.node.ID(), m.origin, 48, res)
-	})
-}
-
-// part merges one node's best into the origin state.
-func (q *nnQuery) part(msg any) {
-	m := msg.(*nnPartMsg)
-	q.comparisons += m.comparisons
-	q.failed += m.failed
-	if m.bestID >= 0 && nnBetter(m.bestDist, m.bestID, q.bestDist, q.bestID) {
-		q.bestID, q.bestDist = m.bestID, m.bestDist
-	}
-	q.pendingParts--
-	if q.pendingParts == 0 {
-		q.finish()
-	}
-}
-
-// finish DMAs the (tiny) answer into the origin host's memory and
-// stamps timing.
-func (q *nnQuery) finish() {
-	q.sys.finishQuery(q.id)
-	res := &NNResult{
-		BestID:      q.bestID,
-		BestDist:    q.bestDist,
-		Comparisons: q.comparisons,
-		Pages:       q.pages,
-		FailedPages: q.failed,
-	}
-	if res.BestID < 0 {
-		res.BestDist = -1
-	}
-	q.sys.dmaToHost(q.origin, 16, func() {
-		res.Elapsed = q.sys.c.Eng.Now() - q.start
-		if res.Elapsed > 0 {
-			res.CmpPerSec = float64(res.Comparisons) / res.Elapsed.Seconds()
-		}
-		q.done(res, nil)
-	})
-}
-
-// NearestNeighborHost runs the same query host-mediated: the origin
-// host reads every candidate page through the volume at
-// Config.HostClass (batched doorbells, PCIe DMA, read buffers) and
-// Hamming-compares in software on Config.HostThreads worker threads
-// at the calibrated lsh.HammingCPUPerPage cost. Identical result
-// shape and tie-breaking, so the two arms cross-validate; what
-// differs is who moves and touches the bytes.
-func (sys *System) NearestNeighborHost(origin int, item []byte, ids []int, lpns []int, done func(*NNResult, error)) {
-	if sys.v == nil {
-		done(nil, ErrNoVolume)
-		return
-	}
-	if len(ids) != len(lpns) {
-		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(lpns)))
-		return
-	}
-	st, err := sys.v.NewStream(fmt.Sprintf("nn-hostmed-n%d", origin), sys.cfg.HostClass)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.nnHostScan(origin, item, ids,
-		func(i int, cb func([]byte, error)) { st.Read(lpns[i], cb) }, done)
-}
-
-// NearestNeighborFileHost is NearestNeighborFile's host-mediated twin
-// over a cluster-RFS file.
-func (sys *System) NearestNeighborFileHost(origin int, f *rfs.File, item []byte, ids []int, pages []int, done func(*NNResult, error)) {
-	if len(ids) != len(pages) {
-		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(pages)))
-		return
-	}
-	// Same bounds check as the distributed twin: the two arms must
-	// fail identically on bad input, not have one error and the other
-	// report success with FailedPages.
-	for _, p := range pages {
-		if p < 0 || p >= f.Pages() {
-			done(nil, fmt.Errorf("ispvol: candidate page %d outside the %d-page file", p, f.Pages()))
-			return
-		}
-	}
-	h := f.At(sys.cfg.HostClass)
-	sys.nnHostScan(origin, item, ids,
-		func(i int, cb func([]byte, error)) { h.ReadPage(pages[i], cb) }, done)
-}
-
-// nnHostScan is the host-mediated compare core shared by the volume
-// and file entry points.
-func (sys *System) nnHostScan(origin int, item []byte, ids []int,
-	read func(i int, cb func([]byte, error)), done func(*NNResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	// Same guard as launchNN: the two arms must fail identically on
-	// bad input, not diverge into a slice-bounds panic here.
-	if len(item) == 0 || len(item) > sys.c.Params.PageSize() {
-		done(nil, fmt.Errorf("ispvol: query item of %d bytes (page is %d)", len(item), sys.c.Params.PageSize()))
-		return
-	}
-	node := sys.c.Node(origin)
-	start := sys.c.Eng.Now()
-	res := &NNResult{BestID: -1, BestDist: math.MaxInt, Pages: len(ids)}
-
-	threads := sys.cfg.HostThreads
-	workers := make([]*hostmodel.Thread, threads)
-	for i := range workers {
-		workers[i] = node.CPU.NewThread()
-	}
-	sys.hostScanLoop(len(ids), read, func(i int, data []byte, err error, slotDone func()) {
-		if err != nil {
-			res.FailedPages++
-			slotDone()
-			return
-		}
-		w := workers[i%threads]
-		w.Do(lsh.HammingCPUPerPage, func() {
-			d := lsh.HammingDistance(item, data[:len(item)])
-			res.Comparisons++
-			if nnBetter(d, ids[i], res.BestDist, res.BestID) {
-				res.BestID, res.BestDist = ids[i], d
-			}
-			slotDone()
-		})
-	}, func() {
 		if res.BestID < 0 {
 			res.BestDist = -1
-		}
-		res.Elapsed = sys.c.Eng.Now() - start
-		if res.Elapsed > 0 {
-			res.CmpPerSec = float64(res.Comparisons) / res.Elapsed.Seconds()
 		}
 		done(res, nil)
 	})
 }
 
-// NearestNeighborSync runs NearestNeighbor and drains the engine.
-func (sys *System) NearestNeighborSync(origin int, item []byte, ids []int, lpns []int) (*NNResult, error) {
-	return sys.nnSync("distributed", func(done func(*NNResult, error)) {
-		sys.NearestNeighbor(origin, item, ids, lpns, done)
-	})
+// nnPartial is the best candidate among the pages reduced so far.
+type nnPartial struct {
+	item        []byte
+	ids         []int // candidate ids, indexed by a page's qidx
+	bestID      int
+	bestDist    int
+	comparisons int64
 }
 
-// NearestNeighborHostSync runs NearestNeighborHost and drains the engine.
-func (sys *System) NearestNeighborHostSync(origin int, item []byte, ids []int, lpns []int) (*NNResult, error) {
-	return sys.nnSync("host-mediated", func(done func(*NNResult, error)) {
-		sys.NearestNeighborHost(origin, item, ids, lpns, done)
-	})
+// nnKernel's origin state is itself a partial: the best of the bests.
+type nnKernel struct{ nnPartial }
+
+// startBytes: the query item and a (4-byte id, 16-byte address) pair
+// per candidate.
+func (k *nnKernel) startBytes(refs int) int { return 32 + len(k.item) + 20*refs }
+
+func (k *nnKernel) newPartial(int) partial {
+	return &nnPartial{item: k.item, ids: k.ids, bestID: -1, bestDist: math.MaxInt}
 }
 
-// NearestNeighborFileSync runs NearestNeighborFile and drains the engine.
-func (sys *System) NearestNeighborFileSync(origin int, f *rfs.File, item []byte, ids []int, pages []int) (*NNResult, error) {
-	return sys.nnSync("file", func(done func(*NNResult, error)) {
-		sys.NearestNeighborFile(origin, f, item, ids, pages, done)
-	})
+func (k *nnKernel) hostCost(int) sim.Time { return lsh.HammingCPUPerPage }
+
+// scan compares one candidate. ref.qidx keys the candidate id: engines
+// scan their partitions chip-interleaved, not in fan-out order.
+func (p *nnPartial) scan(ref pageRef, data []byte) bool {
+	p.comparisons++
+	p.offer(lsh.HammingDistance(p.item, data[:len(p.item)]), p.ids[ref.qidx])
+	return true
 }
 
-// NearestNeighborFileHostSync runs NearestNeighborFileHost and drains
-// the engine.
-func (sys *System) NearestNeighborFileHostSync(origin int, f *rfs.File, item []byte, ids []int, pages []int) (*NNResult, error) {
-	return sys.nnSync("host-mediated file", func(done func(*NNResult, error)) {
-		sys.NearestNeighborFileHost(origin, f, item, ids, pages, done)
-	})
-}
-
-func (sys *System) nnSync(kind string, run func(done func(*NNResult, error))) (*NNResult, error) {
-	var res *NNResult
-	var rerr error
-	fired := false
-	run(func(r *NNResult, e error) { res, rerr, fired = r, e, true })
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: %s nearest-neighbor never completed", kind)
+// offer keeps (d, id) if it beats the incumbent: lowest distance, ties
+// to the lowest id, so every placement agrees with lsh.NearestBrute
+// even when distances tie.
+func (p *nnPartial) offer(d, id int) {
+	if d < p.bestDist || (d == p.bestDist && id < p.bestID) {
+		p.bestID, p.bestDist = id, d
 	}
-	return res, rerr
 }
+
+// wireBytes: one (id, distance, count) triple under the header.
+func (p *nnPartial) wireBytes() int { return 48 }
+
+func (k *nnKernel) merge(p partial) {
+	m := p.(*nnPartial)
+	k.comparisons += m.comparisons
+	if m.bestID >= 0 {
+		k.offer(m.bestDist, m.bestID)
+	}
+}
+
+// finish: the answer is one (id, distance) pair.
+func (k *nnKernel) finish(int, int) int { return 16 }

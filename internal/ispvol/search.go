@@ -1,12 +1,9 @@
 package ispvol
 
-// Distributed string search (paper §7.3 ported to the volume): the
-// origin resolves the logical range to physical pages, fans one
-// Morris-Pratt engine out per node over the fabric, each engine
-// streams its local pages off the flash through the Accel admission
-// path and scans them at line rate, and only match offsets plus tiny
-// page-edge residues return to the origin, which stitches the page
-// junctions no single engine could see (the striped volume puts
+// String search kernel (paper §7.3 at cluster scale): a Morris-Pratt
+// engine scans each page at line rate, and only match offsets plus
+// tiny page-edge residues return to the origin, which stitches the
+// page junctions no single engine could see (a striped source puts
 // adjacent logical pages on different nodes).
 
 import (
@@ -18,10 +15,10 @@ import (
 	"repro/internal/sim"
 )
 
-// SearchResult reports one distributed search query.
+// SearchResult reports one search query.
 type SearchResult struct {
 	// Matches holds the byte offsets of every occurrence, relative to
-	// the start of the query's logical range, sorted.
+	// the start of the source, sorted.
 	Matches     []int64
 	Pages       int
 	FailedPages int      // pages whose read failed (their matches are lost)
@@ -30,387 +27,126 @@ type SearchResult struct {
 	Throughput  float64  // bytes/second
 }
 
-// searchStartMsg fans a query partition out to one node's engine: the
-// compiled pattern plus the physical address list (Figure 8 step 2).
-type searchStartMsg struct {
-	query  uint64
-	origin int
-	ps     int // page size of the scanned store (volume or file system)
-	needle []byte
-	refs   []pageRef
+// Search finds every occurrence of needle in src, with the query
+// originating (and results merging) at node origin. It is
+// asynchronous: done fires in virtual time once the result is in the
+// origin host's memory; the caller drives the engine (Cluster.Run, an
+// enclosing workload window, or Sync). The result shape is the same
+// under both placements, so they cross-validate match-for-match; what
+// differs is who moves and touches the bytes.
+//
+//simlint:once done
+func (sys *System) Search(origin int, src Source, needle []byte, pl Placement, done func(*SearchResult, error)) {
+	pat, err := search.Compile(needle)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	k := &searchKernel{needle: needle, pat: pat}
+	sys.run(origin, src, nil, k, pl, func(st queryStats, err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		bytes := int64(st.pages) * int64(st.ps)
+		done(&SearchResult{
+			Matches:     k.matches,
+			Pages:       st.pages,
+			FailedPages: st.failed,
+			Bytes:       bytes,
+			Elapsed:     st.elapsed,
+			Throughput:  st.rate(float64(bytes)),
+		}, nil)
+	})
 }
 
-// searchPartMsg returns a partition's reduction to the origin: match
-// offsets and per-page edge residues for junction stitching.
-type searchPartMsg struct {
-	query   uint64
-	node    int
+// SearchFile is Search(origin, File(f), needle, InStore, done) under
+// the name the frozen benchmark (bench/) calls.
+func (sys *System) SearchFile(origin int, f *rfs.File, needle []byte, done func(*SearchResult, error)) {
+	sys.Search(origin, File(f), needle, InStore, done)
+}
+
+// searchKernel carries the pattern to the engines and stitches their
+// partials at the origin.
+type searchKernel struct {
+	needle  []byte
+	pat     *search.Pattern
+	parts   []*searchPartial
+	matches []int64
+}
+
+// searchPartial is the matches inside one engine's pages plus the
+// per-page edge residues for junction stitching.
+type searchPartial struct {
+	pat     *search.Pattern
+	sc      *search.Scanner
+	ps      int
 	matches []int64
 	qidx    []int
 	heads   [][]byte
 	tails   [][]byte
-	failed  int
 }
 
-// searchQuery is the origin-side merge state.
-type searchQuery struct {
-	sys          *System
-	id           uint64
-	origin       int
-	pat          *search.Pattern
-	pages        int
-	ps           int
-	pendingParts int
-	matches      []int64
-	heads        [][]byte // indexed by qidx
-	tails        [][]byte
-	failed       int
-	start        sim.Time
-	done         func(*SearchResult, error)
+// startBytes: the pattern (needle + MP failure table) and a 16-byte
+// address per page.
+func (k *searchKernel) startBytes(refs int) int {
+	return 32 + len(k.needle) + 4*(len(k.needle)+1) + 16*refs
 }
 
-// Search runs the distributed ISP-F string search over logical pages
-// [lo, hi) of the volume, with the query originating (and results
-// merging) at node origin. It is asynchronous: done fires in virtual
-// time once the merged result has DMA'd into the origin host's
-// memory; the caller drives the engine (Cluster.Run or an enclosing
-// workload window). Engine flash reads are admitted through the
-// scheduler's Accel class (or raw, under Bypass admission — the bug
-// reproduction arm).
-//
-//simlint:once done
-func (sys *System) Search(origin, lo, hi int, needle []byte, done func(*SearchResult, error)) {
-	pat, err := search.Compile(needle)
+// newPartial compiles the needle afresh, as the engine receiving the
+// wire pattern would.
+func (k *searchKernel) newPartial(ps int) partial {
+	pat, err := search.Compile(k.needle)
 	if err != nil {
-		done(nil, err)
-		return
-	}
-	// Figure 8 step 1: host software resolves the physical address
-	// list. This (plus the fan-out RPC below) is the only host work on
-	// the whole query.
-	parts, err := sys.partition(lo, hi)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.launchSearch(origin, hi-lo, sys.v.PageSize(), parts, needle, pat, done)
-}
-
-// SearchFile runs the distributed ISP-F string search over a file of
-// a cluster RFS — the paper's Figure 8 end-to-end at appliance scale:
-// the origin queries the file system for the cluster-wide physical
-// location of every page (step 1), partitions the list by owning
-// node, fans one engine per node out over the fabric (step 2), and
-// the engines stream their partitions directly off the flash through
-// the scheduler's Accel admission (steps 3-4), returning only match
-// offsets and page-edge residues for the origin's junction stitch.
-// The file must be read-stable for the duration of the query (the
-// physical addresses are snapshots; see rfs.File.PhysicalAddrs).
-//
-//simlint:once done
-func (sys *System) SearchFile(origin int, f *rfs.File, needle []byte, done func(*SearchResult, error)) {
-	pat, err := search.Compile(needle)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	addrs, err := f.PhysicalAddrs()
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.launchSearch(origin, len(addrs), f.PageSize(), sys.partitionAddrs(addrs), needle, pat, done)
-}
-
-// launchSearch registers the origin-side merge state and fans the
-// partitions out to the per-node engines.
-//
-//simlint:once done
-func (sys *System) launchSearch(origin, pages, ps int, parts [][]pageRef,
-	needle []byte, pat *search.Pattern, done func(*SearchResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	q := &searchQuery{
-		sys:    sys,
-		origin: origin,
-		pat:    pat,
-		pages:  pages,
-		ps:     ps,
-		heads:  make([][]byte, pages),
-		tails:  make([][]byte, pages),
-		start:  sys.c.Eng.Now(),
-		done:   done,
-	}
-	q.id = sys.startQuery(q)
-	for _, refs := range parts {
-		if len(refs) > 0 {
-			q.pendingParts++
-		}
-	}
-	if q.pendingParts == 0 {
-		q.finish()
-		return
-	}
-	// One software + RPC charge covers the whole fan-out: the host
-	// ships the pattern (needle + MP constants) and each partition's
-	// address list to its node's engine, then gets out of the way.
-	node := sys.nodes[origin].node
-	patBytes := len(needle) + 4*(len(needle)+1)
-	node.Host.ChargeSoftware(func() {
-		node.Host.RPC(func() {
-			for n, refs := range parts {
-				if len(refs) == 0 {
-					continue
-				}
-				msg := &searchStartMsg{query: q.id, origin: origin, ps: ps, needle: needle, refs: refs}
-				sys.deliver(origin, n, 32+patBytes+16*len(refs), msg)
-			}
-		})
-	})
-}
-
-// runSearchPart executes one node's engine: scan every local page of
-// the partition, collect in-page matches and edge residues, ship the
-// reduction to the origin.
-func (sys *System) runSearchPart(ns *nodeISP, m *searchStartMsg) {
-	pat, err := search.Compile(m.needle)
-	if err != nil {
-		// The origin compiled the same needle before fanning out.
+		// Search compiled the same needle before starting the query.
 		panic(fmt.Sprintf("ispvol: uncompilable needle reached an engine: %v", err))
 	}
-	res := &searchPartMsg{query: m.query, node: ns.node.ID()}
-	ps := m.ps
-	sc := pat.NewScanner()
-	sys.runEngine(ns.node.ID(), m.refs, func(_ int, ref pageRef, data []byte, err error) {
-		if err != nil {
-			res.failed++
-			return
+	return &searchPartial{pat: pat, sc: pat.NewScanner(), ps: ps}
+}
+
+func (k *searchKernel) hostCost(ps int) sim.Time {
+	return sim.Time(ps) * search.GrepCPUPerByte * sim.Nanosecond
+}
+
+// scan runs the page with fresh matcher state: a partition's pages are
+// not logically adjacent, so only matches fully inside a page can be
+// found here; straddlers are the origin's junction pass.
+func (p *searchPartial) scan(ref pageRef, data []byte) bool {
+	p.sc.Reset(int64(ref.qidx) * int64(p.ps))
+	p.sc.Feed(data, func(pos int64) {
+		p.matches = append(p.matches, pos)
+	})
+	h, t := p.pat.EdgeBytes(data)
+	p.qidx = append(p.qidx, ref.qidx)
+	p.heads = append(p.heads, append([]byte(nil), h...))
+	p.tails = append(p.tails, append([]byte(nil), t...))
+	return true
+}
+
+func (p *searchPartial) wireBytes() int {
+	size := 32 + 8*len(p.matches) + 4*len(p.qidx)
+	for i := range p.heads {
+		size += len(p.heads[i]) + len(p.tails[i])
+	}
+	return size
+}
+
+func (k *searchKernel) merge(p partial) { k.parts = append(k.parts, p.(*searchPartial)) }
+
+// finish stitches the page junctions from the collected edge residues
+// and sorts the match list.
+func (k *searchKernel) finish(pages, ps int) int {
+	heads, tails := make([][]byte, pages), make([][]byte, pages)
+	for _, p := range k.parts {
+		k.matches = append(k.matches, p.matches...)
+		for i, qi := range p.qidx {
+			heads[qi], tails[qi] = p.heads[i], p.tails[i]
 		}
-		// Per-page scan with fresh state: the partition's pages are not
-		// logically adjacent (the volume stripes them), so only matches
-		// fully inside a page can be found here; straddlers are the
-		// origin's junction pass.
-		sc.Reset(int64(ref.qidx) * int64(ps))
-		sc.Feed(data, func(pos int64) {
-			res.matches = append(res.matches, pos)
-		})
-		h, t := pat.EdgeBytes(data)
-		res.qidx = append(res.qidx, ref.qidx)
-		res.heads = append(res.heads, append([]byte(nil), h...))
-		res.tails = append(res.tails, append([]byte(nil), t...))
-	}, func() {
-		size := 32 + 8*len(res.matches) + 4*len(res.qidx)
-		for i := range res.heads {
-			size += len(res.heads[i]) + len(res.tails[i])
-		}
-		sys.deliver(ns.node.ID(), m.origin, size, res)
-	})
-}
-
-// part merges one node's reduction into the origin state.
-func (q *searchQuery) part(msg any) {
-	m := msg.(*searchPartMsg)
-	q.matches = append(q.matches, m.matches...)
-	for i, qi := range m.qidx {
-		q.heads[qi] = m.heads[i]
-		q.tails[qi] = m.tails[i]
 	}
-	q.failed += m.failed
-	q.pendingParts--
-	if q.pendingParts == 0 {
-		q.finish()
+	for b := 1; b < pages; b++ {
+		k.matches = append(k.matches,
+			k.pat.JunctionMatches(tails[b-1], heads[b], int64(b)*int64(ps))...)
 	}
-}
-
-// merge stitches the page junctions from the collected edge residues
-// and assembles the sorted result (Elapsed/Throughput are stamped by
-// the caller once the result has reached host memory). Both arms —
-// distributed and host-mediated — merge through this one path, so
-// their match sets can only diverge on the data path, which is what
-// the experiments' cross-validation is meant to test.
-func (q *searchQuery) merge() *SearchResult {
-	for b := 1; b < q.pages; b++ {
-		q.matches = append(q.matches,
-			q.pat.JunctionMatches(q.tails[b-1], q.heads[b], int64(b)*int64(q.ps))...)
-	}
-	sort.Slice(q.matches, func(i, j int) bool { return q.matches[i] < q.matches[j] })
-	return &SearchResult{
-		Matches:     q.matches,
-		Pages:       q.pages,
-		FailedPages: q.failed,
-		Bytes:       int64(q.pages) * int64(q.ps),
-	}
-}
-
-// stamp fills the timing fields at completion time.
-func (q *searchQuery) stamp(res *SearchResult) {
-	res.Elapsed = q.sys.c.Eng.Now() - q.start
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.Bytes) / res.Elapsed.Seconds()
-	}
-}
-
-// finish merges and DMAs the match list into the origin host's memory.
-func (q *searchQuery) finish() {
-	q.sys.finishQuery(q.id)
-	res := q.merge()
-	q.sys.dmaToHost(q.origin, 8*len(q.matches), func() {
-		q.stamp(res)
-		q.done(res, nil)
-	})
-}
-
-// SearchHost runs the same query host-mediated: the origin host reads
-// every page of the range through the volume at Config.HostClass
-// (batched doorbells, PCIe DMA, read buffers) and scans it in
-// software on Config.HostThreads worker threads at grep cost. The
-// result shape is identical to Search, so the two arms cross-validate
-// match-for-match; what differs is who moves and touches the bytes.
-func (sys *System) SearchHost(origin, lo, hi int, needle []byte, done func(*SearchResult, error)) {
-	if sys.v == nil {
-		done(nil, ErrNoVolume)
-		return
-	}
-	if lo < 0 || hi > sys.v.Pages() || lo > hi {
-		done(nil, fmt.Errorf("ispvol: range [%d,%d) out of volume", lo, hi))
-		return
-	}
-	st, err := sys.v.NewStream(fmt.Sprintf("isp-hostmed-n%d", origin), sys.cfg.HostClass)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.searchHostScan(origin, hi-lo, sys.v.PageSize(),
-		func(qidx int, cb func([]byte, error)) { st.Read(lo+qidx, cb) },
-		needle, done)
-}
-
-// SearchFileHost is SearchFile's host-mediated twin over a cluster
-// RFS file: the origin host reads every page of the file through the
-// file system at Config.HostClass (scheduler admission, batched
-// doorbells, PCIe DMA, read buffers) and scans it in software on
-// Config.HostThreads worker threads at grep cost. Identical result
-// shape to SearchFile, so the two arms cross-validate; what differs
-// is who moves and touches the bytes.
-func (sys *System) SearchFileHost(origin int, f *rfs.File, needle []byte, done func(*SearchResult, error)) {
-	h := f.At(sys.cfg.HostClass)
-	sys.searchHostScan(origin, f.Pages(), f.PageSize(),
-		func(qidx int, cb func([]byte, error)) { h.ReadPage(qidx, cb) },
-		needle, done)
-}
-
-// searchHostScan is the host-mediated scan core shared by the volume
-// and file entry points: read every page of the range through the
-// host path, scan on worker threads, merge through the same junction
-// logic as the distributed arm.
-func (sys *System) searchHostScan(origin, pages, ps int, read func(qidx int, cb func([]byte, error)),
-	needle []byte, done func(*SearchResult, error)) {
-	pat, err := search.Compile(needle)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	node := sys.c.Node(origin)
-	q := &searchQuery{sys: sys, origin: origin, pat: pat, pages: pages, ps: ps,
-		heads: make([][]byte, pages), tails: make([][]byte, pages),
-		start: sys.c.Eng.Now(), done: done}
-
-	threads := sys.cfg.HostThreads
-	workers := make([]*workerState, threads)
-	for i := range workers {
-		workers[i] = &workerState{th: node.CPU.NewThread(), sc: pat.NewScanner()}
-	}
-	scanCost := sim.Time(ps) * search.GrepCPUPerByte * sim.Nanosecond
-
-	// Same merge as the distributed arm; the pages are already in host
-	// memory, so there is no final DMA to pay.
-	sys.hostScanLoop(pages, read, func(qidx int, data []byte, err error, slotDone func()) {
-		if err != nil {
-			q.failed++
-			slotDone()
-			return
-		}
-		w := workers[qidx%threads]
-		w.th.Do(scanCost, func() {
-			w.sc.Reset(int64(qidx) * int64(ps))
-			w.sc.Feed(data, func(pos int64) {
-				q.matches = append(q.matches, pos)
-			})
-			h, t := pat.EdgeBytes(data)
-			q.heads[qidx] = append([]byte(nil), h...)
-			q.tails[qidx] = append([]byte(nil), t...)
-			slotDone()
-		})
-	}, func() {
-		res := q.merge()
-		q.stamp(res)
-		done(res, nil)
-	})
-}
-
-// SearchSync runs Search and drains the engine; for tests and
-// examples that have nothing else in flight.
-func (sys *System) SearchSync(origin, lo, hi int, needle []byte) (*SearchResult, error) {
-	var res *SearchResult
-	var rerr error
-	fired := false
-	sys.Search(origin, lo, hi, needle, func(r *SearchResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: search never completed")
-	}
-	return res, rerr
-}
-
-// SearchHostSync runs SearchHost and drains the engine.
-func (sys *System) SearchHostSync(origin, lo, hi int, needle []byte) (*SearchResult, error) {
-	var res *SearchResult
-	var rerr error
-	fired := false
-	sys.SearchHost(origin, lo, hi, needle, func(r *SearchResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: host-mediated search never completed")
-	}
-	return res, rerr
-}
-
-// SearchFileSync runs SearchFile and drains the engine.
-func (sys *System) SearchFileSync(origin int, f *rfs.File, needle []byte) (*SearchResult, error) {
-	var res *SearchResult
-	var rerr error
-	fired := false
-	sys.SearchFile(origin, f, needle, func(r *SearchResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: file search never completed")
-	}
-	return res, rerr
-}
-
-// SearchFileHostSync runs SearchFileHost and drains the engine.
-func (sys *System) SearchFileHostSync(origin int, f *rfs.File, needle []byte) (*SearchResult, error) {
-	var res *SearchResult
-	var rerr error
-	fired := false
-	sys.SearchFileHost(origin, f, needle, func(r *SearchResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: host-mediated file search never completed")
-	}
-	return res, rerr
+	sort.Slice(k.matches, func(i, j int) bool { return k.matches[i] < k.matches[j] })
+	return 8 * len(k.matches)
 }

@@ -1,31 +1,21 @@
 package ispvol
 
-// Distributed table scan (the paper's §8 "SQL Database Acceleration"
-// direction, ported to the volume): selection and projection pushed
-// down into every storage device that holds a shard of the table.
-// Each node's engine filters its local pages at line rate and only
-// qualifying records cross the network to the origin; the host
-// baseline hauls every page over PCIe and filters in software.
+// Table scan kernel (the paper's §8 "SQL Database Acceleration"
+// direction at cluster scale): selection and projection pushed down
+// into every storage device that holds a shard of the table. A filter
+// engine evaluates the predicate at line rate and only qualifying
+// records cross the network to the origin; the host-mediated
+// placement hauls every page over PCIe and filters in software.
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/accel/tablescan"
-	"repro/internal/hostmodel"
 	"repro/internal/rfs"
 	"repro/internal/sim"
-
-	"repro/internal/accel/search"
 )
 
-// workerState is one host worker thread of a host-mediated query.
-type workerState struct {
-	th *hostmodel.Thread
-	sc *search.Scanner
-}
-
-// ScanResult reports one distributed table-scan query.
+// ScanResult reports one table-scan query.
 type ScanResult struct {
 	Rows        int64 // rows scanned (all nodes)
 	Matches     []tablescan.Record
@@ -36,296 +26,74 @@ type ScanResult struct {
 	RowsPerSec  float64
 }
 
-// scanStartMsg fans a partition out to one node's filter engine.
-type scanStartMsg struct {
-	query  uint64
-	origin int
-	pred   tablescan.Predicate
-	refs   []pageRef
+// TableScan returns the records of src that satisfy pred, ordered by
+// ID. Asynchronous like Search.
+//
+//simlint:once done
+func (sys *System) TableScan(origin int, src Source, pred tablescan.Predicate, pl Placement, done func(*ScanResult, error)) {
+	k := &scanKernel{scanPartial{pred: pred}}
+	sys.run(origin, src, nil, k, pl, func(st queryStats, err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(&ScanResult{
+			Rows:        k.rows,
+			Matches:     k.matches,
+			Pages:       st.pages,
+			FailedPages: st.failed,
+			BytesToHost: st.toHost,
+			Elapsed:     st.elapsed,
+			RowsPerSec:  st.rate(float64(k.rows)),
+		}, nil)
+	})
 }
 
-// scanPartMsg returns a partition's qualifying records to the origin.
-type scanPartMsg struct {
-	query   uint64
-	node    int
+// TableScanFile is TableScan(origin, File(f), pred, InStore, done)
+// under the name the frozen benchmark (bench/) calls.
+func (sys *System) TableScanFile(origin int, f *rfs.File, pred tablescan.Predicate, done func(*ScanResult, error)) {
+	sys.TableScan(origin, File(f), pred, InStore, done)
+}
+
+// scanPartial is the qualifying records of the pages reduced so far.
+type scanPartial struct {
+	pred    tablescan.Predicate
 	rows    int64
 	matches []tablescan.Record
-	failed  int
 }
 
-// scanQuery is the origin-side merge state.
-type scanQuery struct {
-	sys          *System
-	id           uint64
-	origin       int
-	pages        int
-	pendingParts int
-	rows         int64
-	matches      []tablescan.Record
-	failed       int
-	start        sim.Time
-	done         func(*ScanResult, error)
+// scanKernel's origin state is itself a partial: the concatenation of
+// the engines'.
+type scanKernel struct{ scanPartial }
+
+// startBytes: the predicate fits the header; a 16-byte address per page.
+func (k *scanKernel) startBytes(refs int) int { return 32 + 16*refs }
+
+func (k *scanKernel) newPartial(int) partial { return &scanPartial{pred: k.pred} }
+
+func (k *scanKernel) hostCost(ps int) sim.Time {
+	return sim.Time(tablescan.RecordsPerPage(ps)) * tablescan.HostFilterCPUPerRow
 }
 
-// TableScan runs the distributed ISP-F table scan over logical pages
-// [lo, hi): one filter engine per node, predicate evaluated next to
-// the flash, only matching records shipped to the origin and DMA'd to
-// its host. Asynchronous like Search.
-//
-//simlint:once done
-func (sys *System) TableScan(origin, lo, hi int, pred tablescan.Predicate, done func(*ScanResult, error)) {
-	parts, err := sys.partition(lo, hi)
+func (p *scanPartial) scan(_ pageRef, data []byte) bool {
+	matches, rows, err := tablescan.FilterPage(data, p.pred)
 	if err != nil {
-		done(nil, err)
-		return
+		return false
 	}
-	sys.launchTableScan(origin, hi-lo, parts, pred, done)
+	p.rows += rows
+	p.matches = append(p.matches, matches...)
+	return true
 }
 
-// TableScanFile runs the distributed table scan over a file of a
-// cluster RFS: the origin resolves the file's cluster-wide physical
-// pages (Figure 8 step 1), and one filter engine per node evaluates
-// the predicate next to the flash through the scheduler's Accel
-// admission. Like SearchFile, the file must stay read-stable for the
-// query.
-//
-//simlint:once done
-func (sys *System) TableScanFile(origin int, f *rfs.File, pred tablescan.Predicate, done func(*ScanResult, error)) {
-	addrs, err := f.PhysicalAddrs()
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.launchTableScan(origin, len(addrs), sys.partitionAddrs(addrs), pred, done)
+func (p *scanPartial) wireBytes() int { return 32 + tablescan.RecordSize*len(p.matches) }
+
+func (k *scanKernel) merge(p partial) {
+	m := p.(*scanPartial)
+	k.rows += m.rows
+	k.matches = append(k.matches, m.matches...)
 }
 
-// launchTableScan registers the origin-side merge state and fans the
-// partitions out to the per-node filter engines.
-func (sys *System) launchTableScan(origin, pages int, parts [][]pageRef,
-	pred tablescan.Predicate, done func(*ScanResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	q := &scanQuery{
-		sys:    sys,
-		origin: origin,
-		pages:  pages,
-		start:  sys.c.Eng.Now(),
-		done:   done,
-	}
-	q.id = sys.startQuery(q)
-	for _, refs := range parts {
-		if len(refs) > 0 {
-			q.pendingParts++
-		}
-	}
-	if q.pendingParts == 0 {
-		q.finish()
-		return
-	}
-	node := sys.nodes[origin].node
-	node.Host.ChargeSoftware(func() {
-		node.Host.RPC(func() {
-			for n, refs := range parts {
-				if len(refs) == 0 {
-					continue
-				}
-				msg := &scanStartMsg{query: q.id, origin: origin, pred: pred, refs: refs}
-				sys.deliver(origin, n, 32+16*len(refs), msg)
-			}
-		})
-	})
-}
-
-// runScanPart executes one node's filter engine over its partition.
-func (sys *System) runScanPart(ns *nodeISP, m *scanStartMsg) {
-	res := &scanPartMsg{query: m.query, node: ns.node.ID()}
-	sys.runEngine(ns.node.ID(), m.refs, func(_ int, _ pageRef, data []byte, err error) {
-		if err != nil {
-			res.failed++
-			return
-		}
-		matches, rows, ferr := tablescan.FilterPage(data, m.pred)
-		if ferr != nil {
-			res.failed++
-			return
-		}
-		res.rows += rows
-		res.matches = append(res.matches, matches...)
-	}, func() {
-		size := 32 + tablescan.RecordSize*len(res.matches)
-		sys.deliver(ns.node.ID(), m.origin, size, res)
-	})
-}
-
-// part merges one node's records into the origin state.
-func (q *scanQuery) part(msg any) {
-	m := msg.(*scanPartMsg)
-	q.rows += m.rows
-	q.matches = append(q.matches, m.matches...)
-	q.failed += m.failed
-	q.pendingParts--
-	if q.pendingParts == 0 {
-		q.finish()
-	}
-}
-
-// finish orders the merged records and DMAs them to the origin host.
-func (q *scanQuery) finish() {
-	q.sys.finishQuery(q.id)
-	sort.Slice(q.matches, func(i, j int) bool { return q.matches[i].ID < q.matches[j].ID })
-	res := &ScanResult{
-		Rows:        q.rows,
-		Matches:     q.matches,
-		Pages:       q.pages,
-		FailedPages: q.failed,
-		BytesToHost: int64(len(q.matches)) * tablescan.RecordSize,
-	}
-	q.sys.dmaToHost(q.origin, int(res.BytesToHost), func() {
-		res.Elapsed = q.sys.c.Eng.Now() - q.start
-		if res.Elapsed > 0 {
-			res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
-		}
-		q.done(res, nil)
-	})
-}
-
-// TableScanHost runs the same query host-mediated: every page of the
-// range crosses PCIe into the origin host, where worker threads
-// evaluate the predicate in software.
-func (sys *System) TableScanHost(origin, lo, hi int, pred tablescan.Predicate, done func(*ScanResult, error)) {
-	if sys.v == nil {
-		done(nil, ErrNoVolume)
-		return
-	}
-	if lo < 0 || hi > sys.v.Pages() || lo > hi {
-		done(nil, fmt.Errorf("ispvol: range [%d,%d) out of volume", lo, hi))
-		return
-	}
-	st, err := sys.v.NewStream(fmt.Sprintf("scan-hostmed-n%d", origin), sys.cfg.HostClass)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	sys.tableScanHost(origin, hi-lo, sys.v.PageSize(),
-		func(qidx int, cb func([]byte, error)) { st.Read(lo+qidx, cb) },
-		pred, done)
-}
-
-// TableScanFileHost is TableScanFile's host-mediated twin: every page
-// of the file crosses PCIe into the origin host (read through the
-// file system at Config.HostClass), where worker threads evaluate the
-// predicate in software.
-func (sys *System) TableScanFileHost(origin int, f *rfs.File, pred tablescan.Predicate, done func(*ScanResult, error)) {
-	h := f.At(sys.cfg.HostClass)
-	sys.tableScanHost(origin, f.Pages(), f.PageSize(),
-		func(qidx int, cb func([]byte, error)) { h.ReadPage(qidx, cb) },
-		pred, done)
-}
-
-// tableScanHost is the host-mediated filter core shared by the volume
-// and file entry points.
-func (sys *System) tableScanHost(origin, pages, ps int, read func(qidx int, cb func([]byte, error)),
-	pred tablescan.Predicate, done func(*ScanResult, error)) {
-	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
-		return
-	}
-	node := sys.c.Node(origin)
-	start := sys.c.Eng.Now()
-	res := &ScanResult{Pages: pages}
-
-	threads := sys.cfg.HostThreads
-	workers := make([]*hostmodel.Thread, threads)
-	for i := range workers {
-		workers[i] = node.CPU.NewThread()
-	}
-	pageCost := sim.Time(tablescan.RecordsPerPage(ps)) * tablescan.HostFilterCPUPerRow
-
-	sys.hostScanLoop(pages, read, func(qidx int, data []byte, err error, slotDone func()) {
-		if err != nil {
-			res.FailedPages++
-			slotDone()
-			return
-		}
-		res.BytesToHost += int64(len(data))
-		w := workers[qidx%threads]
-		w.Do(pageCost, func() {
-			if matches, rows, ferr := tablescan.FilterPage(data, pred); ferr == nil {
-				res.Rows += rows
-				res.Matches = append(res.Matches, matches...)
-			} else {
-				res.FailedPages++
-			}
-			slotDone()
-		})
-	}, func() {
-		sort.Slice(res.Matches, func(i, j int) bool { return res.Matches[i].ID < res.Matches[j].ID })
-		res.Elapsed = sys.c.Eng.Now() - start
-		if res.Elapsed > 0 {
-			res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
-		}
-		done(res, nil)
-	})
-}
-
-// TableScanSync runs TableScan and drains the engine.
-func (sys *System) TableScanSync(origin, lo, hi int, pred tablescan.Predicate) (*ScanResult, error) {
-	var res *ScanResult
-	var rerr error
-	fired := false
-	sys.TableScan(origin, lo, hi, pred, func(r *ScanResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: table scan never completed")
-	}
-	return res, rerr
-}
-
-// TableScanHostSync runs TableScanHost and drains the engine.
-func (sys *System) TableScanHostSync(origin, lo, hi int, pred tablescan.Predicate) (*ScanResult, error) {
-	var res *ScanResult
-	var rerr error
-	fired := false
-	sys.TableScanHost(origin, lo, hi, pred, func(r *ScanResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: host-mediated table scan never completed")
-	}
-	return res, rerr
-}
-
-// TableScanFileSync runs TableScanFile and drains the engine.
-func (sys *System) TableScanFileSync(origin int, f *rfs.File, pred tablescan.Predicate) (*ScanResult, error) {
-	var res *ScanResult
-	var rerr error
-	fired := false
-	sys.TableScanFile(origin, f, pred, func(r *ScanResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: file table scan never completed")
-	}
-	return res, rerr
-}
-
-// TableScanFileHostSync runs TableScanFileHost and drains the engine.
-func (sys *System) TableScanFileHostSync(origin int, f *rfs.File, pred tablescan.Predicate) (*ScanResult, error) {
-	var res *ScanResult
-	var rerr error
-	fired := false
-	sys.TableScanFileHost(origin, f, pred, func(r *ScanResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: host-mediated file table scan never completed")
-	}
-	return res, rerr
+func (k *scanKernel) finish(int, int) int {
+	sort.Slice(k.matches, func(i, j int) bool { return k.matches[i].ID < k.matches[j].ID })
+	return tablescan.RecordSize * len(k.matches)
 }
