@@ -301,3 +301,60 @@ func TestSingleNodeCluster(t *testing.T) {
 		t.Fatal("single-node host round trip failed")
 	}
 }
+
+// TestWriteBufferOwnership pins who owns a write's page buffer, and
+// until when. The device-side write (WriteLocal, the local leg of
+// ISPWrite, SeedLinear's loop) snapshots inside the flash server before
+// returning, so the caller may overwrite its buffer at once. A host
+// write is different by design: the caller's buffer is the DMA source
+// the device pulls from after the doorbell, so it must hold still until
+// the callback — and is the caller's again from the callback on, with
+// nothing below still aliasing it.
+func TestWriteBufferOwnership(t *testing.T) {
+	c := mkCluster(t, 2)
+	n0 := c.Node(0)
+	ps := c.Params.PageSize()
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	readBack := func(a PageAddr) []byte {
+		var got []byte
+		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			got = d
+		})
+		c.Run()
+		return got
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xff
+		}
+	}
+
+	buf := make([]byte, ps)
+	dev := LinearPage(c.Params, 0, 0)
+	copy(buf, fill(1, ps))
+	n0.WriteLocal(dev.Card, dev.Addr, buf, ack)
+	scribble(buf) // immediately after the call returns
+	c.Run()
+	if !bytes.Equal(readBack(dev), fill(1, ps)) {
+		t.Fatal("WriteLocal: bytes written to the caller's buffer after the call reached flash")
+	}
+
+	for i, a := range []PageAddr{LinearPage(c.Params, 0, 1), LinearPage(c.Params, 1, 1)} {
+		copy(buf, fill(byte(2+i), ps))
+		n0.HostWrite(a, buf, func(err error) {
+			ack(err)
+			scribble(buf) // from the callback on the buffer is the caller's
+		})
+		c.Run()
+		if !bytes.Equal(readBack(a), fill(byte(2+i), ps)) {
+			t.Fatalf("HostWrite %v: flash aliases the caller's buffer after completion", a)
+		}
+	}
+}

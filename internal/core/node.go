@@ -179,7 +179,6 @@ func (n *Node) ReadLocal(card int, addr nand.Addr, cb func(data []byte, err erro
 	lanes := n.ispReadIfaces[card]
 	lane := n.ispReadRR[card] % len(lanes)
 	n.ispReadRR[card]++
-	//simlint:allow escapecheck (inlined flashserver read: the per-op completion record is audited at its declaration, hidden under NAND latency)
 	lanes[lane].ReadPhysical(addr, cb)
 }
 
@@ -607,6 +606,14 @@ func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []b
 // cluster: write buffer, RPC, PCIe DMA down, then flash (local) or
 // network (remote). Like HostRead, it routes through an installed
 // HostRouter so the scheduler sees all production host traffic.
+//
+// Ownership: data is the DMA source the device pulls from after the
+// doorbell, so the caller must leave it untouched until cb fires; the
+// flash server snapshots it once it has crossed PCIe (see
+// flashserver.Iface.WritePhysical), and from cb on nothing below
+// references it. Layers that promise their callers an immediate
+// snapshot (ftl, rfs, volume's mirror) take their own before calling
+// down.
 func (n *Node) HostWrite(a PageAddr, data []byte, cb func(err error)) {
 	if r := n.cluster.router; r != nil {
 		if err := r(n.id, HostReq{Addr: a, Write: true, Data: data,

@@ -243,3 +243,46 @@ func BenchmarkDecodePage8K(b *testing.B) {
 		}
 	}
 }
+
+// Property: EncodeInPlace writes, into the tail of a buffer that
+// already holds the page, exactly the image EncodePage builds in a
+// fresh one — and the two images stay byte-identical through a bit
+// flip and its in-place repair.
+func TestEncodeInPlaceMatchesEncodePage(t *testing.T) {
+	c, err := NewPageCodec(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := func(seed int64, flip uint32) bool {
+		data := make([]byte, c.PageSize())
+		sim.NewRNG(uint64(seed)).Bytes(data)
+		want, err := c.EncodePage(data)
+		if err != nil {
+			return false
+		}
+		got := make([]byte, c.StoredSize())
+		copy(got, data)
+		for i := c.PageSize(); i < len(got); i++ {
+			got[i] = 0xa5 // stale bytes in the OOB tail must be overwritten
+		}
+		if err := c.EncodeInPlace(got); err != nil || !bytes.Equal(got, want) {
+			return false
+		}
+		if !bytes.Equal(got[:c.PageSize()], data) {
+			return false // the page itself must not be touched
+		}
+		bit := int(flip) % (c.StoredSize() * 8)
+		FlipBit(got, bit)
+		FlipBit(want, bit)
+		rg, errG := c.DecodePageInPlace(got)
+		rw, errW := c.DecodePageInPlace(want)
+		return errG == nil && errW == nil && rg.Corrected == 1 && rw.Corrected == 1 &&
+			bytes.Equal(rg.Data, data) && bytes.Equal(got, want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EncodeInPlace(make([]byte, c.PageSize())); !errors.Is(err, ErrRawSize) {
+		t.Fatalf("page-sized buffer: %v, want ErrRawSize", err)
+	}
+}

@@ -2,8 +2,12 @@ package ecc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// ErrRawSize reports a raw image that is not StoredSize bytes long.
+var ErrRawSize = errors.New("ecc: raw image is not StoredSize bytes")
 
 // PageCodec protects a whole flash page by splitting it into 64-bit
 // words, each carrying one SEC-DED check byte stored in the page's
@@ -31,19 +35,35 @@ func (c *PageCodec) OOBSize() int { return c.pageSize / 8 }
 func (c *PageCodec) StoredSize() int { return c.pageSize + c.OOBSize() }
 
 // EncodePage appends check bytes to data and returns the raw stored
-// image (data || oob). data must be exactly PageSize bytes.
+// image (data || oob) in a fresh buffer; data is left untouched. data
+// must be exactly PageSize bytes. It is EncodeInPlace for callers that
+// do not already hold a StoredSize buffer.
 func (c *PageCodec) EncodePage(data []byte) ([]byte, error) {
 	if len(data) != c.pageSize {
 		return nil, fmt.Errorf("ecc: encode: page is %d bytes, want %d", len(data), c.pageSize)
 	}
-	out := make([]byte, c.StoredSize())
-	copy(out, data)
-	oob := out[c.pageSize:]
-	for i := 0; i < c.pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		oob[i/8] = Encode(w)
+	raw := make([]byte, c.StoredSize())
+	copy(raw, data)
+	return raw, c.EncodeInPlace(raw)
+}
+
+// EncodeInPlace completes a raw stored image whose first PageSize
+// bytes already hold the page: it writes the check bytes into the OOB
+// tail of raw and touches nothing else. raw must be exactly StoredSize
+// bytes (ErrRawSize otherwise). It is the write-side mirror of
+// DecodePageInPlace: the buffer a page was snapshotted into becomes
+// the image flash stores, with no second copy.
+//
+//simlint:hotpath
+func (c *PageCodec) EncodeInPlace(raw []byte) error {
+	if len(raw) != c.StoredSize() {
+		return ErrRawSize
 	}
-	return out, nil
+	oob := raw[c.pageSize:]
+	for i := 0; i < c.pageSize; i += 8 {
+		oob[i/8] = Encode(binary.LittleEndian.Uint64(raw[i:]))
+	}
+	return nil
 }
 
 // DecodeResult reports what page decoding found.

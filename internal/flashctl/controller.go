@@ -71,7 +71,16 @@ type Command struct {
 // nil handler is simply not invoked.
 type Handlers struct {
 	// ReadChunk delivers one burst of read data. Bursts belonging to
-	// different tags may interleave; bursts of one tag arrive in order.
+	// different tags may interleave; bursts of one tag arrive in order,
+	// offset by offset, with no gaps.
+	//
+	// Ownership: the chunks of one tag are consecutive views of one page
+	// buffer — the private snapshot nand.ReadPage took for this read,
+	// ECC-corrected in place — so chunk k+1 starts in memory where chunk
+	// k ends. The controller drops its reference after the last burst
+	// and never writes to the buffer again: a consumer may keep the
+	// views (and reslice the first one up to the whole page) instead of
+	// copying them.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
 	// ReadDone fires after the final burst (or on error, with no data).
 	// corrected is the number of ECC-corrected bit flips in the page.
@@ -104,6 +113,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// readState is the decoded page of one tag while it streams to the user.
+type readState struct {
+	data      []byte // view of the NAND snapshot; nil when not streaming
+	sent      int    // bytes delivered so far
+	corrected int
+}
+
 type tagState uint8
 
 const (
@@ -128,6 +144,12 @@ type Controller struct {
 	tags  []tagState
 	addrs []nand.Addr
 
+	// Per-tag read streaming state and the two callbacks that drive it,
+	// bound once at construction so a read schedules no closures.
+	reads   []readState
+	onPage  []func(raw []byte, err error) // NAND read completion
+	onBurst []func()                      // a burst reached the user
+
 	// stats
 	CorrectedBits sim.Counter
 	Uncorrectable sim.Counter
@@ -151,7 +173,7 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		return nil, fmt.Errorf("flashctl: invalid config %+v", cfg)
 	}
 	name := card.Name()
-	return &Controller{
+	c := &Controller{
 		eng:      eng,
 		card:     card,
 		codec:    codec,
@@ -161,7 +183,15 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		fromUser: sim.NewPipe(eng, name+"/link-down", cfg.LinkBytesPerSec, cfg.LinkLatency),
 		tags:     make([]tagState, cfg.Tags),
 		addrs:    make([]nand.Addr, cfg.Tags),
-	}, nil
+		reads:    make([]readState, cfg.Tags),
+		onPage:   make([]func([]byte, error), cfg.Tags),
+		onBurst:  make([]func(), cfg.Tags),
+	}
+	for tag := range c.tags {
+		c.onPage[tag] = func(raw []byte, err error) { c.pageRead(tag, raw, err) }
+		c.onBurst[tag] = func() { c.burstDelivered(tag) }
+	}
+	return c, nil
 }
 
 // Card returns the underlying nand card (for stats and geometry).
@@ -172,6 +202,10 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // PageSize returns the logical page size exposed to users.
 func (c *Controller) PageSize() int { return c.card.Geometry().PageSize }
+
+// StoredPageSize returns the size of the raw image WriteImage takes:
+// the page plus its ECC check bytes.
+func (c *Controller) StoredPageSize() int { return c.codec.StoredSize() }
 
 // FreeTags returns how many tags are currently idle.
 func (c *Controller) FreeTags() int {
@@ -199,7 +233,7 @@ func (c *Controller) Issue(cmd Command) error {
 	case OpRead:
 		c.tags[cmd.Tag] = tagReading
 		c.ReadsIssued.Inc()
-		c.startRead(cmd.Tag, cmd.Addr)
+		c.card.ReadPage(cmd.Addr, c.onPage[cmd.Tag])
 	case OpWrite:
 		c.tags[cmd.Tag] = tagAwaitingData
 		c.WritesIssued.Inc()
@@ -228,29 +262,42 @@ func (c *Controller) Issue(cmd Command) error {
 }
 
 // WriteData supplies the page for a pending write command. data must be
-// exactly one page.
+// exactly one page; it is copied, so the caller keeps its buffer. It is
+// WriteImage for users that do not already hold a StoredPageSize
+// buffer.
 func (c *Controller) WriteData(tag int, data []byte) error {
+	if len(data) != c.PageSize() {
+		return fmt.Errorf("%w: got %d, want %d", ErrDataSize, len(data), c.PageSize())
+	}
+	raw := make([]byte, c.StoredPageSize())
+	copy(raw, data)
+	return c.WriteImage(tag, raw)
+}
+
+// WriteImage supplies the page for a pending write command as the
+// buffer flash will store: raw is StoredPageSize bytes whose first
+// PageSize bytes hold the page. The controller takes ownership of raw:
+// it encodes the check bytes into the tail in place and hands the
+// image to the card, which adopts it (nand.ProgramPage) — the user's
+// one snapshot of the page is the only page-sized allocation of the
+// program path. The caller must not touch raw afterwards.
+func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
 	}
 	if c.tags[tag] != tagAwaitingData {
 		return fmt.Errorf("%w: tag %d is not awaiting data", ErrWrongState, tag)
 	}
-	if len(data) != c.PageSize() {
-		return fmt.Errorf("%w: got %d, want %d", ErrDataSize, len(data), c.PageSize())
+	// Encoding is pure, so it runs now; its only failure is the size.
+	if err := c.codec.EncodeInPlace(raw); err != nil {
+		return fmt.Errorf("%w: image is %d bytes, want %d", ErrDataSize, len(raw), c.StoredPageSize())
 	}
 	c.tags[tag] = tagWriting
 	addr := c.addrs[tag]
-	// Encoding is pure, so it runs now — EncodePage's output buffer
-	// doubles as the snapshot of data, replacing a separate defensive
-	// copy. Data crosses the serial link in 128-bit bursts (modelled as
-	// one serialized transfer), then is programmed.
-	raw, encErr := c.codec.EncodePage(data)
-	c.fromUser.Transfer(len(data), func() {
-		if encErr != nil {
-			c.finishWrite(tag, encErr)
-			return
-		}
+	// The page crosses the serial link in 128-bit bursts (modelled as
+	// one serialized transfer; the check bytes are generated card-side),
+	// then is programmed.
+	c.fromUser.Transfer(c.PageSize(), func() {
 		c.card.ProgramPage(addr, raw, func(err error) {
 			c.finishWrite(tag, err)
 		})
@@ -265,46 +312,62 @@ func (c *Controller) finishWrite(tag int, err error) {
 	}
 }
 
-func (c *Controller) startRead(tag int, addr nand.Addr) {
-	c.card.ReadPage(addr, func(raw []byte, err error) {
-		if err != nil {
-			c.finishRead(tag, 0, err)
-			return
-		}
-		// The card hands each read its own copy of the stored page, so
-		// the decode can correct bits in place instead of copying.
-		res, err := c.codec.DecodePageInPlace(raw)
-		if err != nil {
-			c.Uncorrectable.Inc()
-			c.finishRead(tag, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, addr, err))
-			return
-		}
-		c.CorrectedBits.Add(int64(res.Corrected))
-		c.streamBursts(tag, res.Data, 0, res.Corrected)
-	})
+// pageRead takes the card's private snapshot of a page, corrects it in
+// place and starts streaming it to the user.
+func (c *Controller) pageRead(tag int, raw []byte, err error) {
+	if err != nil {
+		c.finishRead(tag, 0, err)
+		return
+	}
+	res, err := c.codec.DecodePageInPlace(raw)
+	if err != nil {
+		c.Uncorrectable.Inc()
+		c.finishRead(tag, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, c.addrs[tag], err))
+		return
+	}
+	c.CorrectedBits.Add(int64(res.Corrected))
+	c.reads[tag] = readState{data: res.Data, corrected: res.Corrected}
+	c.sendBurst(tag)
 }
 
-// streamBursts ships the decoded page to the user in BurstBytes chunks
-// over the shared serial link. Chunks of concurrent reads interleave in
-// link-FIFO order — exactly the out-of-order behaviour §3.1.1 warns
-// users about.
-func (c *Controller) streamBursts(tag int, data []byte, offset, corrected int) {
-	end := offset + c.cfg.BurstBytes
-	if end > len(data) {
-		end = len(data)
+// sendBurst puts the tag's next BurstBytes on the shared serial link.
+// Bursts of concurrent reads interleave in link-FIFO order — exactly
+// the out-of-order behaviour §3.1.1 warns users about.
+//
+//simlint:hotpath
+func (c *Controller) sendBurst(tag int) {
+	c.toUser.Transfer(c.burstLen(tag), c.onBurst[tag])
+}
+
+// burstLen is the size of the tag's next burst: BurstBytes, or what is
+// left of the page.
+//
+//simlint:hotpath
+func (c *Controller) burstLen(tag int) int {
+	r := &c.reads[tag]
+	return min(c.cfg.BurstBytes, len(r.data)-r.sent)
+}
+
+// burstDelivered hands the burst that just crossed the link to the
+// user as a view of the page buffer, then sends the next one or, after
+// the last, drops the buffer and completes the read.
+//
+//simlint:hotpath
+func (c *Controller) burstDelivered(tag int) {
+	r := &c.reads[tag]
+	offset := r.sent
+	r.sent += c.burstLen(tag)
+	last := r.sent == len(r.data)
+	if c.h.ReadChunk != nil {
+		c.h.ReadChunk(tag, offset, r.data[offset:r.sent], last)
 	}
-	chunk := data[offset:end]
-	last := end == len(data)
-	c.toUser.Transfer(len(chunk), func() {
-		if c.h.ReadChunk != nil {
-			c.h.ReadChunk(tag, offset, chunk, last)
-		}
-		if last {
-			c.finishRead(tag, corrected, nil)
-			return
-		}
-		c.streamBursts(tag, data, end, corrected)
-	})
+	if !last {
+		c.sendBurst(tag)
+		return
+	}
+	corrected := r.corrected
+	*r = readState{}
+	c.finishRead(tag, corrected, nil)
 }
 
 func (c *Controller) finishRead(tag, corrected int, err error) {

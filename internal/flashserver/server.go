@@ -6,12 +6,18 @@ import (
 
 	"repro/internal/flashctl"
 	"repro/internal/nand"
+	"repro/internal/sim"
 )
 
 // Server errors.
 var (
 	ErrNoMapping   = errors.New("flashserver: file handle not mapped")
 	ErrOutOfBounds = errors.New("flashserver: offset beyond file mapping")
+	// ErrShortRead fails a read whose bursts did not assemble into one
+	// whole page: a burst went missing, arrived out of order or was not
+	// a view of the tag's page buffer, or the controller reported the
+	// read done before a page's worth had arrived.
+	ErrShortRead = errors.New("flashserver: read bursts did not assemble into a whole page")
 )
 
 // Server is the optional Flash Server module (paper §3.1.2): it turns
@@ -22,23 +28,38 @@ type Server struct {
 	port *Port
 	atu  *ATU
 
-	queueDepth    int
-	nextTag       int
-	inflight      map[int]*pageOp
-	pendingWrites map[int][]byte // write data waiting for the controller's pull
+	queueDepth int
+	pageSize   int
+	storedSize int
+
+	// ops holds every pageOp the server has made, indexed by its tag;
+	// free is the stack of those not in use. The pool grows to the most
+	// requests ever outstanding at once and is then reused forever.
+	ops  []*pageOp
+	free []*pageOp
 
 	ifaces []*Iface
 }
 
-// pageOp reassembles the bursts of one read and carries completion
-// plumbing for any op kind.
+// pageOp is one request from the moment an interface accepts it until
+// its callback fires: the page buffer of a read or write, the
+// completion status, and the place in its interface's FIFO.
+//
+//simlint:pool get=getOp put=putOp
 type pageOp struct {
 	iface *Iface
-	seq   uint64
-	buf   []byte
-	done  bool
-	err   error
+	tag   int // index in Server.ops, and the op's agent tag at the splitter
 	kind  flashctl.Op
+	addr  nand.Addr
+	// buf is, for a read, the page reassembled so far — a growing view
+	// of the controller's page buffer — and, for a write, the stored-size
+	// snapshot of the caller's page until the controller pulls it.
+	buf      []byte
+	credited bool // issued to the controller on one of the interface's queue-depth credits
+	done     bool
+	err      error
+	onRead   func(data []byte, err error)
+	onAck    func(err error)
 }
 
 // Iface is one in-order interface of the server. Responses on an
@@ -48,12 +69,9 @@ type Iface struct {
 	srv  *Server
 	name string
 
-	nextSeq  uint64
-	headSeq  uint64
-	complete map[uint64]*pageOp // finished ops waiting for FIFO order
-	cbs      map[uint64]any     // seq -> callback
-	pendingQ []func()           // ops waiting for queue-depth credit
-	credits  int
+	fifo    sim.Queue[*pageOp] // every undelivered op, in request order
+	waiting sim.Queue[*pageOp] // the tail of fifo still waiting for a credit
+	credits int
 }
 
 // NewServer attaches a Flash Server to a splitter. queueDepth bounds
@@ -64,41 +82,17 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 		queueDepth = 8
 	}
 	srv := &Server{
-		atu:           NewATU(),
-		queueDepth:    queueDepth,
-		inflight:      make(map[int]*pageOp),
-		pendingWrites: make(map[int][]byte),
+		atu:        NewATU(),
+		queueDepth: queueDepth,
+		pageSize:   sp.ctl.PageSize(),
+		storedSize: sp.ctl.StoredPageSize(),
 	}
 	srv.port = sp.NewPort(name, flashctl.Handlers{
-		ReadChunk: func(tag, offset int, chunk []byte, last bool) {
-			op := srv.inflight[tag]
-			if op == nil {
-				return
-			}
-			if op.buf == nil {
-				op.buf = make([]byte, 0, offset+len(chunk))
-			}
-			op.buf = append(op.buf, chunk...)
-		},
-		ReadDone: func(tag, corrected int, err error) {
-			srv.finish(tag, err)
-		},
-		WriteDataReq: func(tag int) {
-			data, ok := srv.pendingWrites[tag]
-			if !ok {
-				return
-			}
-			delete(srv.pendingWrites, tag)
-			if err := srv.port.WriteData(tag, data); err != nil {
-				srv.finish(tag, err)
-			}
-		},
-		WriteDone: func(tag int, err error) {
-			srv.finish(tag, err)
-		},
-		EraseDone: func(tag int, err error) {
-			srv.finish(tag, err)
-		},
+		ReadChunk:    func(tag, offset int, chunk []byte, _ bool) { srv.readChunk(tag, offset, chunk) },
+		ReadDone:     func(tag, _ int, err error) { srv.readDone(tag, err) },
+		WriteDataReq: srv.writeDataReq,
+		WriteDone:    srv.finish,
+		EraseDone:    srv.finish,
 	})
 	return srv
 }
@@ -110,153 +104,265 @@ func (s *Server) ATU() *ATU { return s.atu }
 // of interfaces a design-time parameter; here it is just a
 // constructor call.
 func (s *Server) NewIface(name string) *Iface {
-	f := &Iface{
-		srv:      s,
-		name:     name,
-		complete: make(map[uint64]*pageOp),
-		cbs:      make(map[uint64]any),
-		credits:  s.queueDepth,
-	}
+	f := &Iface{srv: s, name: name, credits: s.queueDepth}
 	s.ifaces = append(s.ifaces, f)
 	return f
 }
 
-func (s *Server) finish(tag int, err error) {
-	op := s.inflight[tag]
+// getOp takes a pageOp from the pool for a new request on f.
+//
+//simlint:hotpath
+func (s *Server) getOp(f *Iface, kind flashctl.Op, addr nand.Addr) *pageOp {
+	var op *pageOp
+	if n := len(s.free); n > 0 {
+		op = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		op = s.newOp()
+	}
+	op.iface, op.kind, op.addr = f, kind, addr
+	return op
+}
+
+// newOp grows the pool by one op, whose tag is its index for life. Kept
+// out of line so the pool-miss path stays out of the callers getOp
+// inlines into.
+//
+//go:noinline
+func (s *Server) newOp() *pageOp {
+	//simlint:allow hotcall (pool-miss path: the pool grows to the most requests ever outstanding and is recycled via putOp forever after)
+	op := &pageOp{tag: len(s.ops)}
+	s.ops = append(s.ops, op)
+	return op
+}
+
+// putOp recycles a delivered op. The caller has taken what it needs
+// from it: nothing is in flight under its tag and it is in no queue.
+//
+//simlint:hotpath
+func (s *Server) putOp(op *pageOp) {
+	*op = pageOp{tag: op.tag}
+	s.free = append(s.free, op)
+}
+
+// inflight returns the op at the controller under tag — issued and not
+// yet completed — or nil when the event is for a tag this server has
+// nothing outstanding on.
+//
+//simlint:hotpath
+func (s *Server) inflight(tag int) *pageOp {
+	if tag < 0 || tag >= len(s.ops) {
+		return nil
+	}
+	if op := s.ops[tag]; op.credited && !op.done {
+		return op
+	}
+	return nil
+}
+
+// readChunk reassembles a read by view: the controller's bursts for
+// one tag are consecutive slices of one page buffer, so the first
+// burst is kept and each later one extends it, with no copy. A burst
+// that does not continue the page — a gap, a repeat, a reordering, or
+// memory that is not the next bytes of the same buffer — poisons the
+// op, which then completes with ErrShortRead.
+//
+//simlint:hotpath
+func (s *Server) readChunk(tag, offset int, chunk []byte) {
+	op := s.inflight(tag)
+	if op == nil || op.err != nil || len(chunk) == 0 {
+		return
+	}
+	n := len(op.buf)
+	switch {
+	case offset != n:
+		op.err = ErrShortRead
+	case n == 0:
+		op.buf = chunk
+	case cap(op.buf)-n >= len(chunk) && &op.buf[:n+1][n] == &chunk[0]:
+		op.buf = op.buf[:n+len(chunk)]
+	default:
+		op.err = ErrShortRead
+	}
+}
+
+// readDone completes a read. A read the controller calls good must
+// have assembled into exactly one page.
+//
+//simlint:hotpath
+func (s *Server) readDone(tag int, err error) {
+	op := s.inflight(tag)
 	if op == nil {
 		return
 	}
-	delete(s.inflight, tag)
+	if err == nil {
+		err = op.err
+	}
+	if err == nil && len(op.buf) != s.pageSize {
+		err = ErrShortRead
+	}
+	if err == nil {
+		// Cap the view at the page so the requester cannot reach the
+		// check bytes behind it.
+		op.buf = op.buf[:s.pageSize:s.pageSize]
+	}
+	s.complete(op, err)
+}
+
+// writeDataReq gives the controller the snapshot WritePhysical took,
+// when its scheduler asks for it.
+func (s *Server) writeDataReq(tag int) {
+	op := s.inflight(tag)
+	if op == nil || op.buf == nil {
+		return
+	}
+	raw := op.buf
+	op.buf = nil // the controller owns the image from here
+	if err := s.port.WriteImage(tag, raw); err != nil {
+		s.complete(op, err)
+	}
+}
+
+// finish completes the write or erase issued under tag.
+//
+//simlint:hotpath
+func (s *Server) finish(tag int, err error) {
+	if op := s.inflight(tag); op != nil {
+		s.complete(op, err)
+	}
+}
+
+// complete records an op's outcome and delivers whatever that
+// unblocks at the head of its interface's FIFO.
+//
+//simlint:hotpath
+func (s *Server) complete(op *pageOp, err error) {
 	op.done = true
 	op.err = err
-	f := op.iface
-	f.complete[op.seq] = op
-	f.drainInOrder()
+	if err != nil {
+		op.buf = nil
+	}
+	op.iface.drainInOrder()
 }
 
 // ReadPhysical reads the page at a physical address. The callback
 // fires in FIFO order relative to other requests on this interface.
+//
+// Ownership: data is the callback's to keep and to modify. It is this
+// read's private page buffer (see nand.ReadPage); nothing below holds
+// a reference to it once the callback runs, and no other read, earlier,
+// concurrent or later, shares it.
+//
+//simlint:hotpath
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
-	seq := f.nextSeq
-	f.nextSeq++
-	f.cbs[seq] = cb
-	//simlint:allow hotcall (per-op credit continuation: one bounded closure per in-flight flash command, hidden under NAND latency)
-	f.withCredit(func() {
-		tag := f.srv.nextTag
-		f.srv.nextTag++
-		//simlint:allow escapecheck (per-op completion record keyed by tag and seq; one bounded allocation per in-flight command, hidden under NAND latency)
-		op := &pageOp{iface: f, seq: seq, kind: flashctl.OpRead}
-		f.srv.inflight[tag] = op
-		if err := f.srv.port.Issue(flashctl.Command{Op: flashctl.OpRead, Tag: tag, Addr: addr}); err != nil {
-			delete(f.srv.inflight, tag)
-			op.done, op.err = true, err
-			f.complete[seq] = op
-			f.drainInOrder()
-		}
-	})
+	op := f.srv.getOp(f, flashctl.OpRead, addr)
+	op.onRead = cb
+	f.submit(op)
 }
 
 // ReadFile reads page number pageOff of the file mapped under handle,
 // using the ATU (the in-store processor path of paper Figure 8).
 func (f *Iface) ReadFile(handle FileHandle, pageOff int, cb func(data []byte, err error)) {
 	addr, err := f.srv.atu.Translate(handle, pageOff)
+	op := f.srv.getOp(f, flashctl.OpRead, addr)
+	op.onRead = cb
 	if err != nil {
-		// Order must still hold: inject a completed-with-error op.
-		seq := f.nextSeq
-		f.nextSeq++
-		f.cbs[seq] = cb
-		f.complete[seq] = &pageOp{iface: f, seq: seq, done: true, err: err, kind: flashctl.OpRead}
-		f.drainInOrder()
+		f.reject(op, err)
 		return
 	}
-	f.ReadPhysical(addr, cb)
+	f.submit(op)
 }
 
 // WritePhysical programs a page. The ack callback fires in FIFO order.
+//
+// Ownership: data is snapshotted before WritePhysical returns, so the
+// caller may reuse its buffer at once. The snapshot is taken at stored
+// size — the page plus room for its check bytes — and is the buffer
+// the controller encodes in place and the card ends up storing: the
+// one page-sized allocation of the program path.
 func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
-	seq := f.nextSeq
-	f.nextSeq++
-	f.cbs[seq] = cb
-	// Snapshot the payload now: the credit callback may run later, and
-	// callers are free to reuse their buffer after this call returns.
-	buf := make([]byte, len(data))
+	op := f.srv.getOp(f, flashctl.OpWrite, addr)
+	op.onAck = cb
+	if len(data) != f.srv.pageSize {
+		f.reject(op, fmt.Errorf("%w: got %d, want %d", flashctl.ErrDataSize, len(data), f.srv.pageSize))
+		return
+	}
+	// A local, so that make+copy compiles to one allocate-and-copy that
+	// zeroes only the check-byte tail.
+	buf := make([]byte, f.srv.storedSize)
 	copy(buf, data)
-	f.withCredit(func() {
-		tag := f.srv.nextTag
-		f.srv.nextTag++
-		op := &pageOp{iface: f, seq: seq, kind: flashctl.OpWrite}
-		f.srv.inflight[tag] = op
-		// Stash the data first: the controller pulls it via WriteDataReq
-		// as soon as its scheduler is ready.
-		f.srv.pendingWrites[tag] = buf
-		if err := f.srv.port.Issue(flashctl.Command{Op: flashctl.OpWrite, Tag: tag, Addr: addr}); err != nil {
-			delete(f.srv.inflight, tag)
-			delete(f.srv.pendingWrites, tag)
-			op.done, op.err = true, err
-			f.complete[seq] = op
-			f.drainInOrder()
-		}
-	})
+	op.buf = buf
+	f.submit(op)
 }
 
 // Erase erases a block. The ack callback fires in FIFO order.
 func (f *Iface) Erase(addr nand.Addr, cb func(err error)) {
-	seq := f.nextSeq
-	f.nextSeq++
-	f.cbs[seq] = cb
-	f.withCredit(func() {
-		tag := f.srv.nextTag
-		f.srv.nextTag++
-		op := &pageOp{iface: f, seq: seq, kind: flashctl.OpErase}
-		f.srv.inflight[tag] = op
-		if err := f.srv.port.Issue(flashctl.Command{Op: flashctl.OpErase, Tag: tag, Addr: addr}); err != nil {
-			delete(f.srv.inflight, tag)
-			op.done, op.err = true, err
-			f.complete[seq] = op
-			f.drainInOrder()
-		}
-	})
+	op := f.srv.getOp(f, flashctl.OpErase, addr)
+	op.onAck = cb
+	f.submit(op)
 }
 
-// withCredit runs fn when a queue-depth credit is available.
-func (f *Iface) withCredit(fn func()) {
-	if f.credits > 0 {
-		f.credits--
-		fn()
+// submit queues op behind the interface's earlier requests and issues
+// it now if a queue-depth credit is free.
+//
+//simlint:hotpath
+func (f *Iface) submit(op *pageOp) {
+	f.fifo.Push(op)
+	if f.credits == 0 {
+		f.waiting.Push(op)
 		return
 	}
-	f.pendingQ = append(f.pendingQ, fn)
+	f.credits--
+	f.issue(op)
 }
 
+// reject fails op without sending it to the controller. Order must
+// still hold, so it completes through the FIFO like any other op; it
+// never held a credit and gives none back.
+func (f *Iface) reject(op *pageOp, err error) {
+	f.fifo.Push(op)
+	f.srv.complete(op, err)
+}
+
+// issue sends a credited op to the controller through the splitter.
+//
+//simlint:hotpath
+func (f *Iface) issue(op *pageOp) {
+	op.credited = true
+	//simlint:allow hotcall (the flash command itself: one page snapshot in nand.ReadPage and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
+	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr}); err != nil {
+		f.srv.complete(op, err)
+	}
+}
+
+// releaseCredit passes a delivered op's credit to the oldest waiting
+// op, or back to the interface.
+//
+//simlint:hotpath
 func (f *Iface) releaseCredit() {
-	if len(f.pendingQ) > 0 {
-		fn := f.pendingQ[0]
-		f.pendingQ = f.pendingQ[1:]
-		fn()
+	if f.waiting.Len() > 0 {
+		f.issue(f.waiting.Pop())
 		return
 	}
 	f.credits++
 }
 
 // drainInOrder delivers completed ops from the FIFO head.
+//
+//simlint:hotpath
 func (f *Iface) drainInOrder() {
-	for {
-		op, ok := f.complete[f.headSeq]
-		if !ok {
-			return
+	for f.fifo.Len() > 0 && f.fifo.Front().done {
+		op := f.fifo.Pop()
+		credited, onRead, onAck, buf, err := op.credited, op.onRead, op.onAck, op.buf, op.err
+		f.srv.putOp(op)
+		if credited {
+			f.releaseCredit()
 		}
-		delete(f.complete, f.headSeq)
-		cb := f.cbs[f.headSeq]
-		delete(f.cbs, f.headSeq)
-		f.headSeq++
-		f.releaseCredit()
-		switch c := cb.(type) {
-		case func(data []byte, err error):
-			c(op.buf, op.err)
-		case func(err error):
-			c(op.err)
-		default:
-			panic(fmt.Sprintf("flashserver: unknown callback type %T", cb))
+		if onRead != nil {
+			onRead(buf, err)
+		} else {
+			onAck(err)
 		}
 	}
 }

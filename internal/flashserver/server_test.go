@@ -18,7 +18,18 @@ func testGeometry() nand.Geometry {
 }
 
 // stack builds engine -> card -> controller -> splitter.
-func stack(t *testing.T) (*sim.Engine, *nand.Card, *Splitter) {
+func stack(t testing.TB) (*sim.Engine, *nand.Card, *Splitter) {
+	t.Helper()
+	return tamperedStack(t, nil)
+}
+
+// readChunkFn is the signature of flashctl.Handlers.ReadChunk.
+type readChunkFn func(tag, off int, chunk []byte, last bool)
+
+// tamperedStack is stack with tamper (when not nil) sitting on the
+// link between the controller and the splitter: it sees every read
+// burst and decides what, if anything, to pass on through deliver.
+func tamperedStack(t testing.TB, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Splitter) {
 	t.Helper()
 	eng := sim.NewEngine()
 	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{}, 3)
@@ -27,7 +38,13 @@ func stack(t *testing.T) (*sim.Engine, *nand.Card, *Splitter) {
 	}
 	var sp *Splitter
 	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
-		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
+		ReadChunk: func(tag, off int, chunk []byte, last bool) {
+			if tamper != nil {
+				tamper(sp.Handlers().ReadChunk, tag, off, chunk, last)
+				return
+			}
+			sp.Handlers().ReadChunk(tag, off, chunk, last)
+		},
 		ReadDone:     func(tag, corrected int, err error) { sp.Handlers().ReadDone(tag, corrected, err) },
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
@@ -396,7 +413,7 @@ func TestClosedPortRejects(t *testing.T) {
 	if err := p.Issue(flashctl.Command{Op: flashctl.OpRead, Tag: 0}); !errors.Is(err, ErrPortClosed) {
 		t.Fatalf("issue on closed port: %v", err)
 	}
-	if err := p.WriteData(0, nil); !errors.Is(err, ErrPortClosed) {
+	if err := p.WriteImage(0, nil); !errors.Is(err, ErrPortClosed) {
 		t.Fatalf("write data on closed port: %v", err)
 	}
 }

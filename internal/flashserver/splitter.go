@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/flashctl"
+	"repro/internal/sim"
 )
 
 // ErrPortClosed reports use of a released port.
@@ -26,8 +27,8 @@ var ErrPortClosed = errors.New("flashserver: port closed")
 type Splitter struct {
 	ctl      *flashctl.Controller
 	freeTags []int
-	queue    []*pendingCmd // waiting for a controller tag, FIFO
-	bindings []binding     // indexed by controller tag
+	queue    sim.Queue[pendingCmd] // waiting for a controller tag, FIFO
+	bindings []binding             // indexed by controller tag
 	h        flashctl.Handlers
 
 	// stats
@@ -126,9 +127,8 @@ func (sp *Splitter) release(tag int) binding {
 }
 
 func (sp *Splitter) drain() {
-	for len(sp.queue) > 0 && len(sp.freeTags) > 0 {
-		pc := sp.queue[0]
-		sp.queue = sp.queue[1:]
+	for sp.queue.Len() > 0 && len(sp.freeTags) > 0 {
+		pc := sp.queue.Pop()
 		sp.submit(pc.port, pc.cmd)
 	}
 }
@@ -172,15 +172,16 @@ func (p *Port) Issue(cmd flashctl.Command) error {
 	}
 	if len(p.sp.freeTags) == 0 {
 		p.sp.waits++
-		p.sp.queue = append(p.sp.queue, &pendingCmd{port: p, cmd: cmd})
+		p.sp.queue.Push(pendingCmd{port: p, cmd: cmd})
 		return nil
 	}
 	p.sp.submit(p, cmd)
 	return nil
 }
 
-// WriteData forwards page data for an agent-tagged pending write.
-func (p *Port) WriteData(agentTag int, data []byte) error {
+// WriteImage forwards the stored-size page image of an agent-tagged
+// pending write; like flashctl.Controller.WriteImage it gives raw away.
+func (p *Port) WriteImage(agentTag int, raw []byte) error {
 	if p.closed {
 		return ErrPortClosed
 	}
@@ -188,7 +189,7 @@ func (p *Port) WriteData(agentTag int, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: agent tag %d has no pending write", flashctl.ErrWrongState, agentTag)
 	}
-	return p.sp.ctl.WriteData(ctlTag, data)
+	return p.sp.ctl.WriteImage(ctlTag, raw)
 }
 
 // Close releases the port. In-flight completions for the port are

@@ -224,3 +224,70 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 }
+
+// TestPumpIsOneEventTimedAsBursts: a page handed to the DMA engine in
+// one DeviceWriteChunk goes out as one pipe reservation with one
+// landing event — not one per DMABurst — yet the completion interrupt
+// fires at exactly the virtual time the burst-by-burst transfers would
+// have produced: each burst's serialization is rounded down on its own,
+// so the sum differs from the serialization of the whole page whenever
+// the bandwidth does not divide evenly.
+func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
+	cases := []struct {
+		name        string
+		page, burst int
+		bytesPerSec int64
+	}{
+		{"default PCIe, 16 x 512 B", 8192, 512, 1_600_000_000},
+		{"burst does not divide the page", 8192, 500, 1_600_000_000},
+		{"burst larger than half the page", 8192, 3000, 1_600_000_000},
+		{"per-burst rounding matters", 8192, 512, 1_700_000_003},
+		{"rounding and a ragged tail", 8192, 731, 1_234_567_891},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PageBytes, cfg.DMABurst, cfg.ToHostBytesPerSec = tc.page, tc.burst, tc.bytesPerSec
+
+			// Reference: the same page as separate burst transfers, all
+			// queued at time zero on an identical pipe.
+			refEng := sim.NewEngine()
+			ref := sim.NewPipe(refEng, "ref", cfg.ToHostBytesPerSec, cfg.PCIeLatency)
+			var landed sim.Time
+			bursts := 0
+			for left := tc.page; left > 0; left -= tc.burst {
+				landed = ref.Transfer(min(tc.burst, left), nil)
+				bursts++
+			}
+			whole := sim.NewPipe(refEng, "whole", cfg.ToHostBytesPerSec, cfg.PCIeLatency).Transfer(tc.page, nil)
+			if tc.bytesPerSec != 1_600_000_000 && whole == landed {
+				t.Fatalf("case does not exercise per-burst rounding: %d bursts land at %v either way", bursts, landed)
+			}
+
+			eng := sim.NewEngine()
+			h, err := New(eng, "n0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doneAt sim.Time = -1
+			h.AcquireReadBuffer(tc.page, func(buf int) {
+				doneAt = eng.Now()
+				h.ReleaseReadBuffer(buf)
+			}, func(buf int) {
+				h.DeviceWriteChunk(buf, tc.page, true)
+			})
+			fired := eng.Fired()
+			eng.Run()
+			if want := landed + cfg.InterruptLatency; doneAt != want {
+				t.Fatalf("completed at %v, the %d separate bursts complete at %v", doneAt, bursts, want)
+			}
+			// One landing event and one interrupt, whatever the burst count.
+			if got := eng.Fired() - fired; got != 2 {
+				t.Fatalf("%d events for one page (%d bursts), want 2: one pipe event, one interrupt", got, bursts)
+			}
+			if h.ToHostBytes() != int64(tc.page) {
+				t.Fatalf("%d bytes crossed PCIe, want %d", h.ToHostBytes(), tc.page)
+			}
+		})
+	}
+}

@@ -171,7 +171,8 @@ type busState struct {
 }
 
 type chipState struct {
-	queue      []func(done func())
+	queue      sim.Queue[func(done func())]
+	next       func() // runs the chip's next queued op; bound once
 	running    bool
 	eraseCount []int64
 	bad        []bool
@@ -207,6 +208,7 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 				nextPage:   make([]int, geo.BlocksPerChip),
 				readSerial: make([]int64, geo.BlocksPerChip),
 			}
+			cs.next = func() { c.runNext(cs) }
 			for blk := 0; blk < geo.BlocksPerChip; blk++ {
 				if c.rng.Float64() < rel.FactoryBadBlockProb {
 					cs.bad[blk] = true
@@ -275,28 +277,35 @@ func (c *Card) AddrOf(idx int) Addr {
 // chip is free. The op must call done() when the chip can accept the
 // next operation (which may be before the op's data finishes moving:
 // NAND cache registers let a bus transfer overlap the next cell read).
+//
+//simlint:hotpath
 func (c *Card) enqueue(cs *chipState, op func(done func())) {
-	cs.queue = append(cs.queue, op)
+	cs.queue.Push(op)
 	if !cs.running {
 		cs.running = true
 		c.runNext(cs)
 	}
 }
 
+//simlint:hotpath
 func (c *Card) runNext(cs *chipState) {
-	if len(cs.queue) == 0 {
+	if cs.queue.Len() == 0 {
 		cs.running = false
 		return
 	}
-	op := cs.queue[0]
-	cs.queue = cs.queue[1:]
-	op(func() { c.runNext(cs) })
+	cs.queue.Pop()(cs.next)
 }
 
 // ReadPage reads the raw stored image (data+OOB) of a page. Timing:
 // cell read occupies the chip, then the image crosses the shared bus.
 // Bit errors are injected into the returned copy according to the
 // block's wear. The callback receives the raw image or an error.
+//
+// Ownership: raw is a private snapshot taken for this read — the one
+// payload allocation of the whole read path. The card keeps no
+// reference to it and never hands it to anyone else, so the caller
+// owns it outright: the controller corrects bit errors in it in place
+// and every layer above passes views of it up to the requester.
 func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
@@ -323,8 +332,11 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 		c.Reads.Inc()
 		c.eng.After(c.tim.ReadPage, func() {
 			done() // register drained into cache; chip can start next op
-			raw := make([]byte, len(c.data[idx]))
-			copy(raw, c.data[idx])
+			// make+copy of two plain variables compiles to one
+			// allocate-and-copy: the snapshot is never zeroed first.
+			stored := c.data[idx]
+			raw := make([]byte, len(stored))
+			copy(raw, stored)
 			serial := cs.readSerial[a.Block]
 			cs.readSerial[a.Block]++
 			c.corrupt(raw, c.globalBlock(a), cs.eraseCount[a.Block], serial)
@@ -339,6 +351,12 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // crosses the bus, then programming occupies the chip. NAND rules are
 // enforced: the page must be erased and must be the next page in its
 // block.
+//
+// Ownership: the card adopts raw. On success raw itself becomes the
+// stored image, so the caller must hand over a buffer nobody else
+// will write to again and must not touch it after the call; a caller
+// that wants to keep using its buffer passes a copy. (Reads never
+// expose the stored image: ReadPage snapshots it.)
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -371,12 +389,10 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 			cb(fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block]))
 			return
 		}
-		stored := make([]byte, len(raw))
-		copy(stored, raw)
 		c.buses[a.Bus].pipe.Transfer(len(raw), func() {
 			c.eng.After(c.tim.Program, func() {
 				c.state[idx] = PageWritten
-				c.data[idx] = stored
+				c.data[idx] = raw
 				cs.nextPage[a.Block]++
 				c.Programs.Inc()
 				done()

@@ -453,3 +453,49 @@ func TestProgramEraseOracleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProgramAdoptsReadSnapshots pins the two ownership rules the
+// zero-copy flash path rests on. ProgramPage adopts raw: the stored
+// image IS the caller's buffer (no copy), which is why callers must
+// give it away. ReadPage snapshots: every read gets a private buffer,
+// so nothing a reader does to its result can reach the stored image or
+// another reader.
+func TestProgramAdoptsReadSnapshots(t *testing.T) {
+	eng := sim.NewEngine()
+	c := perfectCard(t, eng)
+	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
+	raw := mkRaw(c, 0x3c)
+	c.ProgramPage(a, raw, func(err error) {
+		if err != nil {
+			t.Fatalf("program: %v", err)
+		}
+	})
+	eng.Run()
+	if stored := c.Peek(a); &stored[0] != &raw[0] {
+		t.Fatal("ProgramPage copied raw; it must adopt the caller's buffer as the stored image")
+	}
+
+	var first, second []byte
+	c.ReadPage(a, func(r []byte, err error) {
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		first = r
+		for i := range r {
+			r[i] = 0xff
+		}
+	})
+	c.ReadPage(a, func(r []byte, err error) {
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		second = r
+	})
+	eng.Run()
+	if &first[0] == &raw[0] || &second[0] == &raw[0] || &first[0] == &second[0] {
+		t.Fatal("ReadPage handed out the stored image or shared one snapshot between reads")
+	}
+	if !bytes.Equal(second, mkRaw(c, 0x3c)) || !bytes.Equal(c.Peek(a), mkRaw(c, 0x3c)) {
+		t.Fatal("scribbling over one read's snapshot changed another read or the stored image")
+	}
+}

@@ -55,15 +55,46 @@ func (p *Pipe) Transfer(size int, done func()) Time {
 	if size < 0 {
 		panic(fmt.Sprintf("sim: pipe %q: negative transfer size %d", p.name, size))
 	}
+	return p.reserve(p.serialization(size), int64(size), 1, done)
+}
+
+// TransferBursts enqueues total bytes as back-to-back bursts of at
+// most burst bytes — exactly the reservations that one Transfer call
+// per burst, all made in this instant, would make — and schedules done
+// once, at the delivery time of the last burst, which it returns. The
+// occupancy is the sum of the per-burst serializations (each rounded
+// down on its own), not the serialization of total, so the delivery
+// time is bit-identical to the per-burst form at one event instead of
+// ceil(total/burst).
+//
+//simlint:hotpath
+func (p *Pipe) TransferBursts(total, burst int, done func()) Time {
+	if total < 0 || burst <= 0 {
+		panic(fmt.Sprintf("sim: pipe %q: bad burst transfer: %d bytes in bursts of %d", p.name, total, burst))
+	}
+	full, tail := total/burst, total%burst
+	ser := Time(full) * p.serialization(burst)
+	n := int64(full)
+	if tail > 0 {
+		ser += p.serialization(tail)
+		n++
+	}
+	return p.reserve(ser, int64(total), n, done)
+}
+
+// reserve occupies the pipe for ser starting when it next falls free,
+// accounts bytes moved in n transfers, and schedules done at delivery.
+//
+//simlint:hotpath
+func (p *Pipe) reserve(ser Time, bytes, n int64, done func()) Time {
 	start := p.eng.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	ser := p.serialization(size)
 	p.busyUntil = start + ser
 	p.busyTotal += ser
-	p.transferred += int64(size)
-	p.transfers++
+	p.transferred += bytes
+	p.transfers += n
 	delivery := p.busyUntil + p.latency
 	if done != nil {
 		p.eng.At(delivery, done)

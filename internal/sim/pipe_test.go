@@ -309,3 +309,38 @@ func TestCounterRate(t *testing.T) {
 		t.Fatalf("rate at zero elapsed = %f, want 0", r)
 	}
 }
+
+// Property: TransferBursts leaves a pipe in exactly the state the
+// burst-by-burst Transfer calls leave it in — same busy horizon, same
+// delivery time, same byte and transfer counts — for any bandwidth,
+// burst size and total, including ones where each burst's truncated
+// serialization makes the sum differ from the whole.
+func TestPipeTransferBurstsMatchesTransfers(t *testing.T) {
+	prop := func(bw uint32, burstRaw, totalRaw uint16, busy uint16) bool {
+		bytesPerSec := int64(bw)%4_000_000_000 + 1_000
+		burst := int(burstRaw)%4096 + 1
+		total := int(totalRaw) % 20000
+		e1, e2 := NewEngine(), NewEngine()
+		a := NewPipe(e1, "bursts", bytesPerSec, 700*Nanosecond)
+		b := NewPipe(e2, "train", bytesPerSec, 700*Nanosecond)
+		// Start from a pipe that is already busy.
+		a.Transfer(int(busy), nil)
+		b.Transfer(int(busy), nil)
+
+		var want Time = a.NextFree() + a.Latency()
+		n := 0
+		for left := total; left > 0; left -= burst {
+			want = a.Transfer(min(burst, left), nil)
+			n++
+		}
+		fired := false
+		got := b.TransferBursts(total, burst, func() { fired = true })
+		e2.Run()
+		return got == want && fired && e2.Now() == want &&
+			a.busyUntil == b.busyUntil && a.busyTotal == b.busyTotal &&
+			a.Transferred() == b.Transferred() && a.Transfers() == b.Transfers()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,79 @@
+package sim
+
+import (
+	"testing"
+	"testing/quick"
+)
+
+// Property: against a plain slice as the model, any interleaving of
+// pushes and pops — across ring wraparound and growth — pops the same
+// values in the same order.
+func TestQueueFIFOProperty(t *testing.T) {
+	prop := func(ops []bool) bool {
+		var q Queue[int]
+		var model []int
+		next := 0
+		for _, push := range ops {
+			if push || len(model) == 0 {
+				q.Push(next)
+				model = append(model, next)
+				next++
+			} else {
+				if q.Front() != model[0] || q.Pop() != model[0] {
+					return false
+				}
+				model = model[1:]
+			}
+			if q.Len() != len(model) {
+				return false
+			}
+		}
+		for _, want := range model {
+			if q.Pop() != want {
+				return false
+			}
+		}
+		return q.Len() == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueueSteadyStateAllocFree: a queue that never empties — the case
+// a head index that only resets on empty cannot handle, and the case
+// `q = q[1:]` turns into an allocation every few pops — reuses its ring
+// forever once it has reached its high-water mark.
+func TestQueueSteadyStateAllocFree(t *testing.T) {
+	var q Queue[*int]
+	v := new(int)
+	for i := 0; i < 5; i++ {
+		q.Push(v)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		q.Push(v)
+		q.Push(v)
+		q.Pop()
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("steady-state push/pop allocates %.1f objects per cycle, want 0", n)
+	}
+	if q.Len() != 5 {
+		t.Fatalf("len = %d, want 5", q.Len())
+	}
+}
+
+func TestQueuePopDropsReference(t *testing.T) {
+	var q Queue[*int]
+	q.Push(new(int))
+	q.Pop()
+	if q.buf[0] != nil {
+		t.Fatal("popped slot still references its element")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pop on an empty queue did not panic")
+		}
+	}()
+	q.Pop()
+}

@@ -11,12 +11,10 @@ type TokenPool struct {
 	avail int
 	cap   int
 
-	// FIFO waiter ring: wn live entries starting at whead. The backing
-	// array is reused across block/unblock cycles so steady-state
-	// Acquire does not allocate.
-	waiters []waiter
-	whead   int
-	wn      int
+	// FIFO of blocked acquirers. The ring's backing array is reused
+	// across block/unblock cycles so steady-state Acquire does not
+	// allocate.
+	waiters Queue[waiter]
 
 	// stats
 	acquired int64
@@ -43,7 +41,7 @@ func (t *TokenPool) Available() int { return t.avail }
 func (t *TokenPool) Cap() int { return t.cap }
 
 // Waiting returns the number of queued acquirers.
-func (t *TokenPool) Waiting() int { return t.wn }
+func (t *TokenPool) Waiting() int { return t.waiters.Len() }
 
 // Blocked returns how many Acquire calls had to wait.
 func (t *TokenPool) Blocked() int64 { return t.blocked }
@@ -61,42 +59,14 @@ func (t *TokenPool) Acquire(n int, fn func()) {
 	if n > t.cap {
 		panic(fmt.Sprintf("sim: token pool %q: acquire %d exceeds capacity %d", t.name, n, t.cap))
 	}
-	if t.wn == 0 && t.avail >= n {
+	if t.waiters.Len() == 0 && t.avail >= n {
 		t.avail -= n
 		t.acquired++
 		fn()
 		return
 	}
 	t.blocked++
-	//simlint:allow escapecheck (inlined amortized ring growth: pushWaiter doubles the waiter ring, audited at its declaration)
-	t.pushWaiter(waiter{n: n, fn: fn})
-}
-
-// pushWaiter appends to the ring, growing the backing array only when
-// full (unwrapping the live entries into the new array).
-//
-//simlint:hotpath
-func (t *TokenPool) pushWaiter(w waiter) {
-	if t.wn == len(t.waiters) {
-		//simlint:allow hotpath (ring doubling on overflow only; amortized O(1) per waiter)
-		grown := make([]waiter, max(4, 2*len(t.waiters)))
-		for i := 0; i < t.wn; i++ {
-			grown[i] = t.waiters[(t.whead+i)%len(t.waiters)]
-		}
-		t.waiters = grown
-		t.whead = 0
-	}
-	t.waiters[(t.whead+t.wn)%len(t.waiters)] = w
-	t.wn++
-}
-
-//simlint:hotpath
-func (t *TokenPool) popWaiter() waiter {
-	w := t.waiters[t.whead]
-	t.waiters[t.whead] = waiter{} // drop the fn reference
-	t.whead = (t.whead + 1) % len(t.waiters)
-	t.wn--
-	return w
+	t.waiters.Push(waiter{n: n, fn: fn})
 }
 
 // TryAcquire takes n tokens if immediately available (and no waiter is
@@ -104,7 +74,7 @@ func (t *TokenPool) popWaiter() waiter {
 //
 //simlint:hotpath
 func (t *TokenPool) TryAcquire(n int) bool {
-	if t.wn == 0 && t.avail >= n {
+	if t.waiters.Len() == 0 && t.avail >= n {
 		t.avail -= n
 		t.acquired++
 		return true
@@ -123,8 +93,8 @@ func (t *TokenPool) Release(n int) {
 	if t.avail > t.cap {
 		panic(fmt.Sprintf("sim: token pool %q: released above capacity (%d > %d)", t.name, t.avail, t.cap))
 	}
-	for t.wn > 0 && t.avail >= t.waiters[t.whead].n {
-		w := t.popWaiter()
+	for t.waiters.Len() > 0 && t.avail >= t.waiters.Front().n {
+		w := t.waiters.Pop()
 		t.avail -= w.n
 		t.acquired++
 		w.fn()
