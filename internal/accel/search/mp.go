@@ -8,6 +8,7 @@
 package search
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -74,10 +75,26 @@ func (s *Scanner) Reset(offset int64) {
 
 // Feed scans one chunk, calling emit with the absolute start position
 // of every match.
+//
+// In state 0 (no prefix of the needle matched) a byte other than
+// needle[0] leaves the state at 0, so the scan jumps straight to the
+// next needle[0] with bytes.IndexByte instead of stepping the failure
+// function over every byte in between; from there on it is plain
+// Morris-Pratt, and the state carried across chunks is the same.
+//
+//simlint:hotpath
 func (s *Scanner) Feed(chunk []byte, emit func(pos int64)) {
 	needle, fail := s.p.needle, s.p.fail
 	k := s.state
-	for i, c := range chunk {
+	for i := 0; i < len(chunk); i++ {
+		if k == 0 {
+			skip := bytes.IndexByte(chunk[i:], needle[0])
+			if skip < 0 {
+				break
+			}
+			i += skip
+		}
+		c := chunk[i]
 		for k >= 0 && needle[k] != c {
 			k = fail[k]
 		}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,68 +51,194 @@ func TestOverlappingMatches(t *testing.T) {
 	}
 }
 
-func TestStreamingAcrossChunks(t *testing.T) {
-	p, _ := Compile([]byte("needle"))
-	hay := []byte("xxxneedlexxxneeneedlexx")
-	want := p.FindAll(hay)
-	// Feed in every possible split.
-	for cut := 1; cut < len(hay); cut++ {
-		sc := p.NewScanner()
-		var got []int64
-		sc.Feed(hay[:cut], func(pos int64) { got = append(got, pos) })
-		sc.Feed(hay[cut:], func(pos int64) { got = append(got, pos) })
-		if len(got) != len(want) {
-			t.Fatalf("cut %d: %v, want %v", cut, got, want)
+// naiveFind is the oracle Feed is checked against: every position where
+// needle occurs in hay, overlapping ones included, by bytes.Index alone.
+func naiveFind(hay, needle []byte) []int64 {
+	var out []int64
+	for from := 0; ; {
+		i := bytes.Index(hay[from:], needle)
+		if i < 0 {
+			return out
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cut %d: %v, want %v", cut, got, want)
+		out = append(out, int64(from+i))
+		from += i + 1
+	}
+}
+
+// feedChunked streams hay through a fresh scanner in chunks of random
+// length, empty ones included, and returns what it emitted.
+func feedChunked(p *Pattern, hay []byte, rng *sim.RNG) []int64 {
+	sc := p.NewScanner()
+	var got []int64
+	for rest := hay; len(rest) > 0; {
+		n := rng.Intn(len(rest) + 1)
+		if rng.Intn(4) == 0 {
+			n = rng.Intn(4) // short and empty chunks, often
+		}
+		n = min(n, len(rest))
+		sc.Feed(rest[:n], func(pos int64) { got = append(got, pos) })
+		rest = rest[n:]
+	}
+	return got
+}
+
+func equalPositions(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: random needles over random haystacks, streamed in random
+// chunkings, equal the bytes.Index oracle — same matches, same order.
+// The alphabets are small so that matches, partial matches and
+// overlaps happen: with two letters nearly every byte is needle[0]
+// (the scan never leaves Morris-Pratt), with eight most are not (it
+// mostly skips).
+func TestScannerOracleProperty(t *testing.T) {
+	prop := func(hay []byte, needleLen uint8, alphabet uint8, seed uint64) bool {
+		rng := sim.NewRNG(seed)
+		letters := 2 + int(alphabet%7)
+		for i := range hay {
+			hay[i] = 'a' + hay[i]%byte(letters)
+		}
+		needle := make([]byte, 1+int(needleLen%6))
+		for i := range needle {
+			needle[i] = 'a' + byte(rng.Intn(letters))
+		}
+		p, err := Compile(needle)
+		if err != nil {
+			return false
+		}
+		return equalPositions(feedChunked(p, hay, rng), naiveFind(hay, needle))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The named corners of the skip: overlapping matches, a match split
+// over two (and over three) chunks with the cut at every position, a
+// one-byte needle, and a nil emit, which must still carry the state
+// and the offset into the next chunk.
+func TestFeedCorners(t *testing.T) {
+	for _, tc := range []struct{ needle, hay string }{
+		{"aaa", "aaaaa"},
+		{"a", "abaab"},
+		{"needle", "xxxneedlexxxneeneedlexx"},
+		{"abab", "xabababxxababx"},
+		{"ab", "bbbbabbbbbbbbbbbbbbbbbbbab"},
+		{"x", ""},
+	} {
+		p, err := Compile([]byte(tc.needle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hay := []byte(tc.hay)
+		want := naiveFind(hay, []byte(tc.needle))
+		for a := 0; a <= len(hay); a++ {
+			for b := a; b <= len(hay); b++ {
+				sc := p.NewScanner()
+				var got []int64
+				emit := func(pos int64) { got = append(got, pos) }
+				sc.Feed(hay[:a], emit)
+				sc.Feed(hay[a:b], emit)
+				sc.Feed(hay[b:], emit)
+				if !equalPositions(got, want) {
+					t.Fatalf("%q in %q cut at %d,%d: %v, want %v", tc.needle, tc.hay, a, b, got, want)
+				}
+
+				// The same with the first chunk's matches dropped.
+				sc.Reset(0)
+				got = got[:0]
+				sc.Feed(hay[:a], nil)
+				sc.Feed(hay[a:], emit)
+				var wantTail []int64
+				for _, pos := range want {
+					if pos+int64(len(tc.needle)) > int64(a) {
+						wantTail = append(wantTail, pos)
+					}
+				}
+				if !equalPositions(got, wantTail) {
+					t.Fatalf("%q in %q, nil emit before %d: %v, want %v", tc.needle, tc.hay, a, got, wantTail)
+				}
 			}
 		}
 	}
 }
 
-// Property: streaming in random chunkings equals the bytes.Index oracle.
-func TestScannerOracleProperty(t *testing.T) {
-	prop := func(hay []byte, needleSeed uint8, splitSeed uint64) bool {
-		// Small alphabet so matches actually happen.
-		for i := range hay {
-			hay[i] = 'a' + hay[i]%3
-		}
-		needle := []byte(strings.Repeat(string('a'+needleSeed%3), int(needleSeed%3)+1))
-		p, err := Compile(needle)
-		if err != nil {
-			return false
-		}
-		// Oracle: scan with bytes.Index.
-		var want []int64
-		for i := 0; i+len(needle) <= len(hay); i++ {
-			if bytes.Equal(hay[i:i+len(needle)], needle) {
-				want = append(want, int64(i))
-			}
-		}
-		// Random chunking.
-		rng := sim.NewRNG(splitSeed)
+// Feed is the in-store engines' per-page kernel: it must not allocate.
+func TestFeedDoesNotAllocate(t *testing.T) {
+	hay, rare, common := benchHaystack()
+	for _, needle := range [][]byte{rare, common} {
+		p, _ := Compile(needle)
 		sc := p.NewScanner()
-		var got []int64
-		rest := hay
-		for len(rest) > 0 {
-			n := rng.Intn(len(rest)) + 1
-			sc.Feed(rest[:n], func(pos int64) { got = append(got, pos) })
-			rest = rest[n:]
+		matches := 0
+		emit := func(int64) { matches++ }
+		if n := testing.AllocsPerRun(100, func() { sc.Feed(hay, emit) }); n != 0 {
+			t.Fatalf("Feed(%q) allocates %.1f times per page", needle, n)
 		}
-		if len(got) != len(want) {
-			return false
+		if matches == 0 {
+			t.Fatalf("needle %q never matched", needle)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+}
+
+// benchHaystack is one 8 KiB page of lower-case text with a few
+// upper-case needles planted, the shape of the bench file-scan
+// workload, and two needles that occur in it equally often: the first
+// byte of rare occurs only where rare does, the first byte of common
+// is one haystack byte in eight.
+func benchHaystack() (hay, rare, common []byte) {
+	hay = make([]byte, 8192)
+	rng := sim.NewRNG(3)
+	for i := range hay {
+		hay[i] = 'a' + byte(rng.Intn(8))
+	}
+	rare, common = []byte("BLUEDBM"), []byte("aBLUEDB")
+	for _, at := range []int{100, 4000, 8100} {
+		copy(hay[at:], "aBLUEDBM")
+	}
+	return hay, rare, common
+}
+
+// BenchmarkFeed8K times the per-page kernel where the skip pays most
+// (rare), where it pays least on text (common), and on its worst
+// case: needle "ab" over "acac…" drops to state 0 on every other byte,
+// so each skip is a call that advances one byte.
+func BenchmarkFeed8K(b *testing.B) {
+	hay, rare, common := benchHaystack()
+	worst := bytes.Repeat([]byte("ac"), 4096)
+	copy(worst[100:], "ab")
+	for _, bc := range []struct {
+		name    string
+		needle  []byte
+		hay     []byte
+		perPage int
+	}{
+		{"first-byte-rare", rare, hay, 3},
+		{"first-byte-common", common, hay, 3},
+		{"first-byte-every-other", []byte("ab"), worst, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p, _ := Compile(bc.needle)
+			sc := p.NewScanner()
+			matches := 0
+			emit := func(int64) { matches++ }
+			b.SetBytes(int64(len(bc.hay)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.Feed(bc.hay, emit)
+			}
+			if matches != bc.perPage*b.N {
+				b.Fatalf("%d matches in %d pages", matches, b.N)
+			}
+		})
 	}
 }
 

@@ -50,31 +50,51 @@ func EncodeRecords(recs []Record, pageSize int) ([]byte, error) {
 	off := 4
 	for _, r := range recs {
 		binary.LittleEndian.PutUint64(page[off:], r.ID)
-		binary.LittleEndian.PutUint64(page[off+8:], uint64(r.ColA))
-		binary.LittleEndian.PutUint64(page[off+16:], uint64(r.ColB))
+		binary.LittleEndian.PutUint64(page[off+colAOffset:], uint64(r.ColA))
+		binary.LittleEndian.PutUint64(page[off+colBOffset:], uint64(r.ColB))
 		copy(page[off+24:], r.Payload[:])
 		off += RecordSize
 	}
 	return page, nil
 }
 
-// DecodeRecords unpacks a record page.
-func DecodeRecords(page []byte) ([]Record, error) {
+// recordCount checks a record page's header against its length and
+// returns the number of rows it holds.
+func recordCount(page []byte) (int, error) {
 	if len(page) < 4 {
-		return nil, ErrBadRecord
+		return 0, ErrBadRecord
 	}
 	n := int(binary.LittleEndian.Uint32(page))
 	if 4+n*RecordSize > len(page) {
-		return nil, fmt.Errorf("%w: count %d", ErrBadRecord, n)
+		return 0, fmt.Errorf("%w: count %d", ErrBadRecord, n)
+	}
+	return n, nil
+}
+
+// Byte offsets of the filterable columns inside a packed record.
+const (
+	colAOffset = 8
+	colBOffset = 16
+)
+
+// decodeRecord unpacks the row at the head of b.
+func decodeRecord(b []byte) (r Record) {
+	r.ID = binary.LittleEndian.Uint64(b)
+	r.ColA = int64(binary.LittleEndian.Uint64(b[colAOffset:]))
+	r.ColB = int64(binary.LittleEndian.Uint64(b[colBOffset:]))
+	copy(r.Payload[:], b[24:RecordSize])
+	return r
+}
+
+// DecodeRecords unpacks a record page.
+func DecodeRecords(page []byte) ([]Record, error) {
+	n, err := recordCount(page)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Record, n)
-	off := 4
 	for i := range out {
-		out[i].ID = binary.LittleEndian.Uint64(page[off:])
-		out[i].ColA = int64(binary.LittleEndian.Uint64(page[off+8:]))
-		out[i].ColB = int64(binary.LittleEndian.Uint64(page[off+16:]))
-		copy(out[i].Payload[:], page[off+24:off+64])
-		off += RecordSize
+		out[i] = decodeRecord(page[4+i*RecordSize:])
 	}
 	return out, nil
 }
@@ -113,15 +133,18 @@ type Predicate struct {
 
 // Eval applies the predicate to one record.
 func (p Predicate) Eval(r Record) (bool, error) {
-	var v int64
 	switch p.Col {
 	case ColA:
-		v = r.ColA
+		return p.compare(r.ColA)
 	case ColB:
-		v = r.ColB
+		return p.compare(r.ColB)
 	default:
 		return false, fmt.Errorf("tablescan: unknown column %d", p.Col)
 	}
+}
+
+// compare applies the predicate's operator to a value of its column.
+func (p Predicate) compare(v int64) (bool, error) {
 	switch p.Op {
 	case OpLT:
 		return v < p.Value, nil
@@ -153,26 +176,36 @@ type Result struct {
 // the distributed host-mediated arm in internal/ispvol).
 const HostFilterCPUPerRow = 60 * sim.Nanosecond
 
-// FilterPage decodes one record page and applies pred: the kernel an
-// in-store filter engine evaluates at line rate, shared by the
-// single-node ScanISP engines and the distributed ispvol engines.
-// It returns the matching records and the number of rows scanned. An
-// undecodable page is an error; a record the predicate cannot
-// evaluate (malformed Op/Col) is skipped but still counted as
-// scanned, like a hardware filter dropping a row it cannot parse —
-// one bad row must not discard the rest of the page.
+// FilterPage applies pred to one record page: the kernel an in-store
+// filter engine evaluates at line rate, shared by the single-node
+// ScanISP engines and the distributed ispvol engines. Like the engine,
+// it reads only the predicate's column of each row, in place, and
+// unpacks a row only when it matches. It returns the matching records
+// and the number of rows scanned. An undecodable page is an error; a
+// row the predicate cannot evaluate (malformed Op/Col) is skipped but
+// still counted as scanned, like a hardware filter dropping a row it
+// cannot parse — one bad row must not discard the rest of the page.
 func FilterPage(page []byte, pred Predicate) (matches []Record, rows int64, err error) {
-	recs, err := DecodeRecords(page)
+	n, err := recordCount(page)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, r := range recs {
-		rows++
-		if ok, perr := pred.Eval(r); perr == nil && ok {
-			matches = append(matches, r)
+	var col int
+	switch pred.Col {
+	case ColA:
+		col = colAOffset
+	case ColB:
+		col = colBOffset
+	default:
+		return nil, int64(n), nil
+	}
+	for off := 4; off < 4+n*RecordSize; off += RecordSize {
+		v := int64(binary.LittleEndian.Uint64(page[off+col:]))
+		if ok, perr := pred.compare(v); perr == nil && ok {
+			matches = append(matches, decodeRecord(page[off:]))
 		}
 	}
-	return matches, rows, nil
+	return matches, int64(n), nil
 }
 
 // ScanISP pushes the predicate into the storage device: in-store

@@ -103,6 +103,57 @@ func TestRecordsRoundTripProperty(t *testing.T) {
 	}
 }
 
+// FilterPage reads the predicate's column in place; it must select
+// exactly what decoding every row and calling Eval on it selects — a
+// row the predicate cannot evaluate skipped but counted — reject the
+// pages DecodeRecords rejects, and allocate only for matches.
+func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
+	rng := sim.NewRNG(5)
+	recs := make([]Record, RecordsPerPage(8192))
+	for i := range recs {
+		recs[i] = Record{ID: uint64(i), ColA: int64(rng.Intn(7)) - 3, ColB: int64(rng.Intn(7)) - 3}
+		rng.Bytes(recs[i].Payload[:])
+	}
+	page, err := EncodeRecords(recs, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col := Column(0); col <= ColB+1; col++ {
+		for op := Op(0); op <= OpGT+1; op++ {
+			pred := Predicate{Col: col, Op: op, Value: int64(rng.Intn(7)) - 3}
+			var want []Record
+			for _, r := range recs {
+				if ok, err := pred.Eval(r); err == nil && ok {
+					want = append(want, r)
+				}
+			}
+			got, rows, err := FilterPage(page, pred)
+			if err != nil || rows != int64(len(recs)) || len(got) != len(want) {
+				t.Fatalf("%+v: %d rows, %d matches, err %v; want %d rows, %d matches", pred, rows, len(got), err, len(recs), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v: match %d is %+v, want %+v", pred, i, got[i], want[i])
+				}
+			}
+			if (col > ColB || op > OpGT) && len(got) != 0 {
+				t.Fatalf("%+v selected %d rows", pred, len(got))
+			}
+		}
+	}
+	for _, bad := range [][]byte{{1}, {255, 255, 255, 255}, page[:4+RecordSize]} {
+		_, wantErr := DecodeRecords(bad)
+		_, rows, err := FilterPage(bad, Predicate{})
+		if !errors.Is(err, ErrBadRecord) || err.Error() != wantErr.Error() || rows != 0 {
+			t.Fatalf("%d-byte page: %d rows, err %v; want 0 rows, %v", len(bad), rows, err, wantErr)
+		}
+	}
+	none := Predicate{Col: ColA, Op: OpGT, Value: 100}
+	if n := testing.AllocsPerRun(20, func() { FilterPage(page, none) }); n != 0 {
+		t.Fatalf("a page with no match costs %.0f allocations", n)
+	}
+}
+
 func scanCluster(t *testing.T) *core.Cluster {
 	t.Helper()
 	p := core.DefaultParams(1)

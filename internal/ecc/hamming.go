@@ -54,27 +54,44 @@ func buildPosData() [72]int {
 	return out
 }
 
-// encTab[j][b] is the contribution of byte j of the data word holding
-// value b: the XOR of dataPos for its set bits in bits 0..6 (syndrome
-// positions are < 128) and the byte's parity in bit 7. XORing the
-// eight entries therefore yields the whole word's Hamming syndrome
-// and data parity in one pass — the encoder runs per flash page word
-// on every program AND every read (Decode recomputes it), so this
-// table is the single hottest path in the simulator.
+// The encoder reads a data word as six 11-bit chunks (the last holds
+// the nine bits that are left).
+const (
+	chunkBits = 11
+	chunks    = (64 + chunkBits - 1) / chunkBits
+	chunkMask = 1<<chunkBits - 1
+)
+
+// encTab[j][b] is the contribution of chunk j of the data word holding
+// value b to the word's check byte: the XOR of dataPos for its set bits
+// in bits 0..6 (syndrome positions are < 128) and, in bit 7, the
+// chunk's contribution to the overall parity bit. That bit covers the
+// data bits and the seven check bits, and the check bits are exactly
+// the syndrome bits, so an entry folds in the parity of its own
+// syndrome: bit 7 = parity(b) ^ parity(syndrome). Both halves are
+// linear over XOR, which makes a word's whole check byte the plain XOR
+// of its six entries — nothing is left to compute after the lookups.
+//
+// The encoder runs over every word of a flash page on every program
+// AND every read (decoding recomputes it), eight words per step in
+// encode8, so this table is the single hottest path in the simulator.
+// Its geometry was chosen by the bench ladder's flashserver.read rung
+// and the local-read workload, not by a microbenchmark that has the
+// cache to itself: six lookups per word from 12 KB beat eight from
+// 2 KB on both.
 var encTab = buildEncTab()
 
-func buildEncTab() [8][256]byte {
-	var tab [8][256]byte
-	for j := 0; j < 8; j++ {
-		for b := 0; b < 256; b++ {
+func buildEncTab() [chunks][1 << chunkBits]byte {
+	var tab [chunks][1 << chunkBits]byte
+	for j := range tab {
+		for b := range tab[j] {
 			syndrome := 0
-			parity := 0
-			for k := 0; k < 8; k++ {
+			for k := 0; k < chunkBits && chunkBits*j+k < 64; k++ {
 				if b>>uint(k)&1 == 1 {
-					syndrome ^= dataPos[8*j+k]
-					parity ^= 1
+					syndrome ^= dataPos[chunkBits*j+k]
 				}
 			}
+			parity := (bits.OnesCount(uint(b)) ^ bits.OnesCount(uint(syndrome))) & 1
 			tab[j][b] = byte(syndrome) | byte(parity)<<7
 		}
 	}
@@ -87,20 +104,12 @@ func buildEncTab() [8][256]byte {
 //
 //simlint:hotpath
 func Encode(data uint64) byte {
-	t := encTab[0][byte(data)] ^
-		encTab[1][byte(data>>8)] ^
-		encTab[2][byte(data>>16)] ^
-		encTab[3][byte(data>>24)] ^
-		encTab[4][byte(data>>32)] ^
-		encTab[5][byte(data>>40)] ^
-		encTab[6][byte(data>>48)] ^
-		encTab[7][byte(data>>56)]
-	syndrome := t & 0x7f
-	// Bit 7 of t is the data parity; the check bits at power-of-two
-	// positions are exactly the syndrome bits, and each set check bit
-	// also contributes to the overall parity.
-	parity := (t >> 7) ^ byte(bits.OnesCount8(syndrome)&1)
-	return syndrome | parity<<7
+	return encTab[0][data&chunkMask] ^
+		encTab[1][data>>(1*chunkBits)&chunkMask] ^
+		encTab[2][data>>(2*chunkBits)&chunkMask] ^
+		encTab[3][data>>(3*chunkBits)&chunkMask] ^
+		encTab[4][data>>(4*chunkBits)&chunkMask] ^
+		encTab[5][data>>(5*chunkBits)]
 }
 
 // Decode checks a received (data, check) pair, correcting a single
@@ -110,12 +119,16 @@ func Encode(data uint64) byte {
 //
 //simlint:hotpath
 func Decode(data uint64, check byte) (corrected uint64, fixed int, err error) {
-	// Syndrome: recomputed Hamming check bits XOR received check bits.
-	syndrome := int(Encode(data)^check) & 0x7f
-
-	// Overall parity of the received 72-bit codeword. A valid codeword
-	// has even total parity; odd parity pinpoints a single-bit error.
-	totalParity := parity64(data) ^ int(popcount8(check)&1)
+	// d is the recomputed check byte XOR the received one. Its low
+	// seven bits are the syndrome. Its eight bits together have the
+	// parity of the received 72-bit codeword: Encode's bit 7 is the
+	// parity of the data and of its own low seven bits, so the byte
+	// Encode returns has the data's parity, and XORing in check adds
+	// the received check bits'. A valid codeword has even total parity;
+	// odd parity pinpoints a single-bit error.
+	d := Encode(data) ^ check
+	syndrome := int(d & 0x7f)
+	totalParity := bits.OnesCount8(d) & 1
 
 	switch {
 	case syndrome == 0 && totalParity == 0:
@@ -141,14 +154,4 @@ func Decode(data uint64, check byte) (corrected uint64, fixed int, err error) {
 		// Non-zero syndrome with even overall parity: double-bit error.
 		return data, 0, ErrUncorrectable
 	}
-}
-
-// parity64 returns the XOR of all bits of v.
-func parity64(v uint64) int {
-	return bits.OnesCount64(v) & 1
-}
-
-// popcount8 counts set bits in a byte.
-func popcount8(b byte) int {
-	return bits.OnesCount8(b)
 }

@@ -59,11 +59,36 @@ func (c *PageCodec) EncodeInPlace(raw []byte) error {
 	if len(raw) != c.StoredSize() {
 		return ErrRawSize
 	}
-	oob := raw[c.pageSize:]
-	for i := 0; i < c.pageSize; i += 8 {
-		oob[i/8] = Encode(binary.LittleEndian.Uint64(raw[i:]))
+	data, oob := raw[:c.pageSize], raw[c.pageSize:]
+	full := len(oob) &^ 7
+	for g := 0; g < full; g += 8 {
+		binary.LittleEndian.PutUint64(oob[g:], encode8(data[8*g:]))
+	}
+	for w := full; w < len(oob); w++ {
+		oob[w] = Encode(binary.LittleEndian.Uint64(data[8*w:]))
 	}
 	return nil
+}
+
+// encode8 returns the check bytes of the eight words at the head of
+// data (at least 64 bytes), packed the way the OOB area stores them:
+// word k's check byte in byte k of the little-endian result. A clean
+// 64-byte group therefore costs the read path one compare and the
+// program path one store.
+//
+//simlint:hotpath
+func encode8(data []byte) uint64 {
+	_ = data[63]
+	// Written out: the compiler does not unroll a loop over the eight
+	// words, and the loop-carried shift count costs a third of the time.
+	return uint64(Encode(binary.LittleEndian.Uint64(data[0:]))) |
+		uint64(Encode(binary.LittleEndian.Uint64(data[8:])))<<8 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[16:])))<<16 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[24:])))<<24 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[32:])))<<32 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[40:])))<<40 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[48:])))<<48 |
+		uint64(Encode(binary.LittleEndian.Uint64(data[56:])))<<56
 }
 
 // DecodeResult reports what page decoding found.
@@ -72,56 +97,52 @@ type DecodeResult struct {
 	Corrected int    // number of single-bit corrections applied
 }
 
-// DecodePage verifies and corrects a raw stored image. It returns
-// ErrUncorrectable (wrapped, with the word offset) if any word has a
-// double-bit error.
+// DecodePage verifies and corrects a raw stored image, leaving raw
+// untouched and returning the page in a fresh buffer. It is
+// DecodePageInPlace for callers that do not own raw.
 func (c *PageCodec) DecodePage(raw []byte) (DecodeResult, error) {
-	if len(raw) != c.StoredSize() {
-		return DecodeResult{}, fmt.Errorf("ecc: decode: raw is %d bytes, want %d", len(raw), c.StoredSize())
-	}
-	data := make([]byte, c.pageSize)
-	copy(data, raw[:c.pageSize])
-	oob := raw[c.pageSize:]
-	fixed := 0
-	for i := 0; i < c.pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		cw, n, err := Decode(w, oob[i/8])
-		if err != nil {
-			return DecodeResult{}, fmt.Errorf("word at byte %d: %w", i, err)
-		}
-		if n > 0 && cw != w {
-			binary.LittleEndian.PutUint64(data[i:], cw)
-		}
-		fixed += n
-	}
-	return DecodeResult{Data: data, Corrected: fixed}, nil
+	return c.DecodePageInPlace(append([]byte(nil), raw...))
 }
 
 // DecodePageInPlace verifies and corrects a raw stored image, writing
 // corrections directly into raw's data region and returning it as a
 // sub-slice. The caller must own raw (the flash read path hands each
-// caller a private copy). Semantics otherwise match DecodePage.
+// caller a private copy). raw must be exactly StoredSize bytes
+// (ErrRawSize, wrapped, otherwise). It returns ErrUncorrectable
+// (wrapped, with the word offset) at the first word with a double-bit
+// error; words before it are already corrected in raw.
+//
+// Eight words are verified per step: their recomputed check bytes are
+// compared with the eight stored ones as one uint64, and only a group
+// that differs — or the tail of a page that is not a multiple of 64
+// bytes — goes word by word through Decode, which alone corrects,
+// counts and reports.
 //
 //simlint:hotpath
 func (c *PageCodec) DecodePageInPlace(raw []byte) (DecodeResult, error) {
 	if len(raw) != c.StoredSize() {
 		//simlint:allow hotpath (size-mismatch error path, never taken steady-state)
-		return DecodeResult{}, fmt.Errorf("ecc: decode: raw is %d bytes, want %d", len(raw), c.StoredSize())
+		return DecodeResult{}, fmt.Errorf("ecc: decode: raw is %d bytes, want %d: %w", len(raw), c.StoredSize(), ErrRawSize)
 	}
-	data := raw[:c.pageSize]
-	oob := raw[c.pageSize:]
+	data, oob := raw[:c.pageSize], raw[c.pageSize:]
 	fixed := 0
-	for i := 0; i < c.pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		cw, n, err := Decode(w, oob[i/8])
-		if err != nil {
-			//simlint:allow hotpath (uncorrectable-read error path, off the steady-state path)
-			return DecodeResult{}, fmt.Errorf("word at byte %d: %w", i, err)
+	for g := 0; g < len(oob); g += 8 {
+		end := min(g+8, len(oob))
+		if end-g == 8 && encode8(data[8*g:]) == binary.LittleEndian.Uint64(oob[g:]) {
+			continue
 		}
-		if n > 0 && cw != w {
-			binary.LittleEndian.PutUint64(data[i:], cw)
+		for w := g; w < end; w++ {
+			word := binary.LittleEndian.Uint64(data[8*w:])
+			cw, n, err := Decode(word, oob[w])
+			if err != nil {
+				//simlint:allow hotpath (uncorrectable-read error path, off the steady-state path)
+				return DecodeResult{}, fmt.Errorf("word at byte %d: %w", 8*w, err)
+			}
+			if cw != word {
+				binary.LittleEndian.PutUint64(data[8*w:], cw)
+			}
+			fixed += n
 		}
-		fixed += n
 	}
 	return DecodeResult{Data: data, Corrected: fixed}, nil
 }

@@ -2,32 +2,11 @@ package ecc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-// refDecodePage is a word-level reference decoder: it calls Decode on
-// every 64-bit word independently and reassembles the page, with none
-// of the page codec's batching. The page codec must match it
-// byte-for-byte on every outcome.
-func refDecodePage(raw []byte, pageSize int) (data []byte, corrected int, err error) {
-	data = make([]byte, pageSize)
-	copy(data, raw[:pageSize])
-	oob := raw[pageSize:]
-	for i := 0; i < pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		cw, n, derr := Decode(w, oob[i/8])
-		if derr != nil {
-			return nil, 0, derr
-		}
-		binary.LittleEndian.PutUint64(data[i:], cw)
-		corrected += n
-	}
-	return data, corrected, nil
-}
 
 // TestWearSweptBER sweeps the raw bit-error rate across the range a
 // wearing flash block traverses (fresh media through end-of-life) and
@@ -80,7 +59,8 @@ func TestWearSweptBER(t *testing.T) {
 			copy(refRaw, raw)
 
 			got, gotErr := codec.DecodePageInPlace(raw)
-			refData, refFixed, refErr := refDecodePage(refRaw, pageSize)
+			refFixed, refErr := refDecodeInPlace(refRaw, pageSize)
+			refData := refRaw[:pageSize]
 
 			switch {
 			case refErr != nil:
@@ -140,16 +120,23 @@ func TestDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodePageInPlaceAllocFree pins the page decoder at zero
-// allocations for clean and single-bit-corrected pages (the
-// steady-state read path; uncorrectable pages may allocate for the
-// wrapped error).
-func TestDecodePageInPlaceAllocFree(t *testing.T) {
-	codec, _ := NewPageCodec(512)
-	data := make([]byte, 512)
-	sim.NewRNG(21).Bytes(data)
-	clean, _ := codec.EncodePage(data)
+// TestPageKernelsAllocFree pins the page encoder, and the page decoder
+// for clean and single-bit-corrected pages, at zero allocations (the
+// steady-state program and read paths; uncorrectable pages may
+// allocate for the wrapped error).
+func TestPageKernelsAllocFree(t *testing.T) {
+	codec, _ := NewPageCodec(520) // eight groups and a one-word tail
+	clean := make([]byte, codec.StoredSize())
+	sim.NewRNG(21).Bytes(clean[:codec.PageSize()])
 	avg := testing.AllocsPerRun(200, func() {
+		if err := codec.EncodeInPlace(clean); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("page encode allocates %.1f per call, want 0", avg)
+	}
+	avg = testing.AllocsPerRun(200, func() {
 		if _, err := codec.DecodePageInPlace(clean); err != nil {
 			t.Fatal(err)
 		}
