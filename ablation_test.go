@@ -1,6 +1,7 @@
 package repro_test
 
-// Ablation benchmarks for the design decisions DESIGN.md §5 calls out.
+// Ablation benchmarks for the design decisions the README's subsystem
+// sections call out.
 // Each reports the metric a designer would compare, so `go test
 // -bench=Ablation` answers "what did this mechanism buy?".
 

@@ -67,222 +67,93 @@ func writeJSON(jsonPath string, v any) error {
 	return os.WriteFile(jsonPath, append(b, '\n'), 0o644)
 }
 
-// schedRunner drives the multi-stream scheduler comparison (batched
-// vs unbatched vs depth-1 submission) and optionally writes the full
-// JSON metrics — per-QoS-class p50/p99 latency and throughput for
-// every discipline — to jsonPath.
-func schedRunner(short bool, jsonPath string) func() (string, error) {
+// jsonRunner wraps one experiment that honours -short and -json: its
+// default config for the run size, the run, the optional JSON metrics
+// file, and its text rendering.
+func jsonRunner[C, R any](short bool, jsonPath string, def func(bool) C, run func(C) (R, error), format func(R) string) func() (string, error) {
 	return func() (string, error) {
-		cmp, err := experiments.MultiStreamBatchComparison(experiments.DefaultMultiStream(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, cmp); err != nil {
-			return "", err
-		}
-		return experiments.FormatMultiStream(cmp.Batched) + "\n" +
-			experiments.FormatBatchComparison(cmp), nil
-	}
-}
-
-// gcRunner drives the GC-isolation experiment: the same write-churn
-// workload over the logical volume layer under GC-aware and
-// GC-oblivious dispatch, comparing realtime tail latency.
-func gcRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.GCIsolation(experiments.DefaultGCIsolation(short))
+		res, err := run(def(short))
 		if err != nil {
 			return "", err
 		}
 		if err := writeJSON(jsonPath, res); err != nil {
 			return "", err
 		}
-		return experiments.FormatGCIsolation(res), nil
+		return format(res), nil
 	}
 }
 
-// ispRunner drives the ISP-contention experiment: distributed
-// in-store search queries sharing the appliance with 32 host streams,
-// compared across no-ISP / scheduler-bypass / Accel-admitted /
-// host-mediated arms.
-func ispRunner(short bool, jsonPath string) func() (string, error) {
+// figure wraps one paper figure: measure, then render.
+func figure[R any](measure func() (R, error), format func(R) string) func() (string, error) {
 	return func() (string, error) {
-		res, err := experiments.ISPContention(experiments.DefaultISPContention(short))
+		res, err := measure()
 		if err != nil {
 			return "", err
 		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatISPContention(res), nil
-	}
-}
-
-// fsRunner drives the file-stack experiment: blockfs-on-FTL vs the
-// cluster-wide RFS vs cluster RFS with distributed/host-mediated file
-// scans (the paper's Figure 8 pipeline end-to-end).
-func fsRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.FileStack(experiments.DefaultFileStack(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatFileStack(res), nil
-	}
-}
-
-// appsRunner drives the distributed-applications experiment: cluster
-// nearest-neighbor and migrating in-store graph traversal vs their
-// host-centric twins, under concurrent realtime foreground load.
-func appsRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.Apps(experiments.DefaultApps(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatApps(res), nil
-	}
-}
-
-// faultRunner drives the fault-scenario experiment: a mirrored volume
-// under realtime + churn load with a whole node killed mid-window,
-// served degraded, then rebuilt on the Background class.
-func faultRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.Fault(experiments.DefaultFault(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatFault(res), nil
-	}
-}
-
-// cacheRunner drives the cache-tier experiment: hot/cold readers
-// against the host-DRAM write-back cache at increasing capacity (plus
-// a DRAM-cluster strawman for perf-per-watt), and the
-// invalidation-heavy cross-node write pair.
-func cacheRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.CacheTier(experiments.DefaultCacheTier(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatCacheTier(res), nil
-	}
-}
-
-// engineRunner drives the event-engine benchmark: the synthetic
-// full-stack load swept over cluster sizes, measuring the simulation
-// substrate (events/sec, ns/event, allocs/event) rather than the
-// modeled hardware.
-func engineRunner(short bool, jsonPath string) func() (string, error) {
-	return func() (string, error) {
-		res, err := experiments.EngineBench(experiments.DefaultEngineBench(short))
-		if err != nil {
-			return "", err
-		}
-		if err := writeJSON(jsonPath, res); err != nil {
-			return "", err
-		}
-		return experiments.FormatEngineBench(res), nil
+		return format(res), nil
 	}
 }
 
 func allRunners(short bool, jsonPath string) []runner {
-	return []runner{
-		{"engine", "event-engine speed: events/sec, ns/event, allocs/event at 4/16/64 nodes", true, engineRunner(short, jsonPath)},
-		{"sched", "multi-stream scheduler: QoS latency and batched-submission throughput", true, schedRunner(short, jsonPath)},
-		{"gc", "logical volume + FTL garbage collection: GC-aware vs GC-oblivious realtime p99", true, gcRunner(short, jsonPath)},
-		{"isp", "distributed in-store processing: ISP-F vs host-mediated throughput + realtime p99 under contention", true, ispRunner(short, jsonPath)},
-		{"fs", "file stack: blockfs-on-FTL vs cluster RFS vs cluster RFS + distributed file scans (Figure 8 end-to-end)", true, fsRunner(short, jsonPath)},
-		{"apps", "distributed applications: cluster nearest-neighbor + migrating graph traversal vs host-centric twins", true, appsRunner(short, jsonPath)},
-		{"fault", "fault tolerance: node kill on a mirrored volume — degraded p99 and time-to-rebuild vs baseline", true, faultRunner(short, jsonPath)},
-		{"cache", "host-DRAM cache tier: hit regimes + DRAM strawman perf-per-watt + invalidation-heavy p99", true, cacheRunner(short, jsonPath)},
-		{"table1", "Artix-7 flash controller resources", false, func() (string, error) {
-			return experiments.FormatTable1(8), nil
-		}},
-		{"table2", "Virtex-7 host FPGA resources", false, func() (string, error) {
-			return experiments.FormatTable2(8), nil
-		}},
-		{"table3", "node power budget", false, func() (string, error) {
-			return experiments.FormatTable3(2), nil
-		}},
-		{"fig11", "integrated network bandwidth/latency vs hops", false, func() (string, error) {
-			pts, err := experiments.Fig11(5)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig11(pts), nil
-		}},
-		{"fig12", "remote access latency breakdown", false, func() (string, error) {
-			rows, err := experiments.Fig12()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig12(rows), nil
-		}},
-		{"fig13", "read bandwidth by access mix", false, func() (string, error) {
-			rows, err := experiments.Fig13()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig13(rows), nil
-		}},
-		{"fig16", "nearest neighbor: BlueDBM vs DRAM", false, func() (string, error) {
-			pts, err := experiments.Fig16(nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatNN("Figure 16: nearest neighbor, BlueDBM up to two nodes", pts), nil
-		}},
-		{"fig17", "nearest neighbor: mostly-DRAM configurations", false, func() (string, error) {
-			pts, err := experiments.Fig17(nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatNN("Figure 17: nearest neighbor with mostly DRAM", pts), nil
-		}},
-		{"fig18", "nearest neighbor: off-the-shelf SSD", false, func() (string, error) {
-			pts, err := experiments.Fig18(nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatNN("Figure 18: nearest neighbor with off-the-shelf SSD", pts), nil
-		}},
-		{"fig19", "nearest neighbor: in-store processing advantage", false, func() (string, error) {
-			pts, err := experiments.Fig19(nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatNN("Figure 19: nearest neighbor with in-store processing", pts), nil
-		}},
-		{"fig20", "graph traversal performance", false, func() (string, error) {
-			rows, err := experiments.Fig20()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig20(rows), nil
-		}},
-		{"fig21", "string search bandwidth and CPU utilization", false, func() (string, error) {
-			rows, err := experiments.Fig21()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig21(rows), nil
-		}},
+	// The four nearest-neighbor plots share a formatter and run their
+	// default thread sweep.
+	nn := func(title string, fig func([]int) ([]experiments.NNPoint, error)) func() (string, error) {
+		return figure(func() ([]experiments.NNPoint, error) { return fig(nil) },
+			func(pts []experiments.NNPoint) string { return experiments.FormatNN(title, pts) })
 	}
+	return []runner{
+		{"engine", "event-engine speed: events/sec, ns/event, allocs/event at 4/16/64 nodes", true,
+			jsonRunner(short, jsonPath, experiments.DefaultEngineBench, experiments.EngineBench, experiments.FormatEngineBench)},
+		{"sched", "multi-stream scheduler: QoS latency and batched-submission throughput", true,
+			jsonRunner(short, jsonPath, experiments.DefaultMultiStream, experiments.MultiStreamBatchComparison,
+				func(cmp experiments.BatchComparison) string {
+					return experiments.FormatMultiStream(cmp.Batched) + "\n" + experiments.FormatBatchComparison(cmp)
+				})},
+		{"gc", "logical volume + FTL garbage collection: GC-aware vs GC-oblivious realtime p99", true,
+			jsonRunner(short, jsonPath, experiments.DefaultGCIsolation, experiments.GCIsolation, experiments.FormatGCIsolation)},
+		{"isp", "distributed in-store processing: ISP-F vs host-mediated throughput + realtime p99 under contention", true,
+			jsonRunner(short, jsonPath, experiments.DefaultISPContention, experiments.ISPContention, experiments.FormatISPContention)},
+		{"fs", "file stack: blockfs-on-FTL vs cluster RFS vs cluster RFS + distributed file scans (Figure 8 end-to-end)", true,
+			jsonRunner(short, jsonPath, experiments.DefaultFileStack, experiments.FileStack, experiments.FormatFileStack)},
+		{"apps", "distributed applications: cluster nearest-neighbor + migrating graph traversal vs host-centric twins", true,
+			jsonRunner(short, jsonPath, experiments.DefaultApps, experiments.Apps, experiments.FormatApps)},
+		{"fault", "fault tolerance: node kill on a mirrored volume — degraded p99 and time-to-rebuild vs baseline", true,
+			jsonRunner(short, jsonPath, experiments.DefaultFault, experiments.Fault, experiments.FormatFault)},
+		{"cache", "host-DRAM cache tier: hit regimes + DRAM strawman perf-per-watt + invalidation-heavy p99", true,
+			jsonRunner(short, jsonPath, experiments.DefaultCacheTier, experiments.CacheTier, experiments.FormatCacheTier)},
+		{"table1", "Artix-7 flash controller resources", false,
+			func() (string, error) { return experiments.FormatTable1(8), nil }},
+		{"table2", "Virtex-7 host FPGA resources", false,
+			func() (string, error) { return experiments.FormatTable2(8), nil }},
+		{"table3", "node power budget", false,
+			func() (string, error) { return experiments.FormatTable3(2), nil }},
+		{"fig11", "integrated network bandwidth/latency vs hops", false,
+			figure(func() ([]experiments.Fig11Point, error) { return experiments.Fig11(5) }, experiments.FormatFig11)},
+		{"fig12", "remote access latency breakdown", false, figure(experiments.Fig12, experiments.FormatFig12)},
+		{"fig13", "read bandwidth by access mix", false, figure(experiments.Fig13, experiments.FormatFig13)},
+		{"fig16", "nearest neighbor: BlueDBM vs DRAM", false,
+			nn("Figure 16: nearest neighbor, BlueDBM up to two nodes", experiments.Fig16)},
+		{"fig17", "nearest neighbor: mostly-DRAM configurations", false,
+			nn("Figure 17: nearest neighbor with mostly DRAM", experiments.Fig17)},
+		{"fig18", "nearest neighbor: off-the-shelf SSD", false,
+			nn("Figure 18: nearest neighbor with off-the-shelf SSD", experiments.Fig18)},
+		{"fig19", "nearest neighbor: in-store processing advantage", false,
+			nn("Figure 19: nearest neighbor with in-store processing", experiments.Fig19)},
+		{"fig20", "graph traversal performance", false, figure(experiments.Fig20, experiments.FormatFig20)},
+		{"fig21", "string search bandwidth and CPU utilization", false, figure(experiments.Fig21, experiments.FormatFig21)},
+	}
+}
+
+// jsonIDs lists the experiments that honour -short and -json, joined
+// by sep, in table order.
+func jsonIDs(sep string) string {
+	var ids []string
+	for _, r := range allRunners(false, "") {
+		if r.writesJSON {
+			ids = append(ids, r.id)
+		}
+	}
+	return strings.Join(ids, sep)
 }
 
 func main() {
@@ -295,8 +166,8 @@ func main() {
 func run() int {
 	runFlag := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	short := flag.Bool("short", false, "reduced request counts for smoke runs (sched, gc)")
-	jsonPath := flag.String("json", "", "write the sched/gc experiment's JSON metrics to this file (run them separately)")
+	short := flag.Bool("short", false, "reduced request counts for smoke runs ("+jsonIDs(", ")+")")
+	jsonPath := flag.String("json", "", "write the "+jsonIDs("/")+" experiment's JSON metrics to this file (run them separately)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace of the selected experiments to this file")
@@ -383,7 +254,7 @@ func run() int {
 			}
 		}
 		if jsonRunners > 1 {
-			fmt.Fprintln(os.Stderr, "bluedbm-bench: -json selects one output file; run the sched/gc/isp/fs/apps/fault/cache/engine experiments separately")
+			fmt.Fprintf(os.Stderr, "bluedbm-bench: -json selects one output file; run the %s experiments separately\n", jsonIDs("/"))
 			return 2
 		}
 	}

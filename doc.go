@@ -66,7 +66,8 @@
 //	                      in-store graph traversal with walker migration
 //	                      (WalkMigrate: state moves to the data over the
 //	                      fabric instead of pages moving to a home node)
-//	internal/workload     deterministic generators and traffic drivers
+//	internal/workload     deterministic generators, the stack builder and
+//	                      the traffic drivers
 //	internal/experiments  the paper's tables and figures + the sched/gc/
 //	                      isp/fs/apps/fault/cache/engine benchmark
 //	                      experiments
@@ -78,9 +79,10 @@
 //	                      (maprange, walltime, noconcurrency, hotpath,
 //	                      errdrop); cmd/simlint is the CI driver
 //
-// Start with examples/quickstart, then see DESIGN.md for the system
-// inventory and EXPERIMENTS.md for measured-vs-paper results. The
-// bench harness in bench_test.go regenerates every table and figure of
+// Start with examples/quickstart, then see README.md for the system
+// inventory (its package map and one section per subsystem);
+// EXPERIMENTS.md, the measured-vs-paper results, is not yet written.
+// The bench harness in bench_test.go regenerates every table and figure of
 // the paper's evaluation; cmd/bluedbm-bench does the same from the
 // command line, including the beyond-the-paper experiments (-run
 // engine, -run sched, -run gc, -run isp, -run fs, -run apps, -run

@@ -9,7 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Calibrated host-software costs (DESIGN.md §4).
+// Calibrated host-software costs, each fitted to the paper figure its
+// comment names.
 const (
 	// HammingCPUPerPage is one core's cost to Hamming-compare an 8 KB
 	// item: with it, 4 host threads roughly match the 2.4 GB/s ISP

@@ -9,6 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
+// decodeCopy decodes a private copy of raw, for tests that flip bits in
+// one stored image and decode it more than once.
+func decodeCopy(c *PageCodec, raw []byte) (DecodeResult, error) {
+	return c.DecodePageInPlace(append([]byte(nil), raw...))
+}
+
 func TestEncodeDecodeClean(t *testing.T) {
 	for _, w := range []uint64{0, 1, 0xffffffffffffffff, 0xdeadbeefcafebabe, 1 << 63} {
 		c := Encode(w)
@@ -122,7 +128,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.DecodePage(raw)
+	res, err := decodeCopy(c, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +147,7 @@ func TestPageCodecScatteredErrors(t *testing.T) {
 	for _, word := range []int{0, 7, 33, 63} {
 		FlipBit(raw, word*64+word%64)
 	}
-	res, err := c.DecodePage(raw)
+	res, err := decodeCopy(c, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +165,7 @@ func TestPageCodecDoubleErrorInWord(t *testing.T) {
 	raw, _ := c.EncodePage(data)
 	FlipBit(raw, 100)
 	FlipBit(raw, 101) // same 64-bit word
-	_, err := c.DecodePage(raw)
+	_, err := decodeCopy(c, raw)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("err = %v, want ErrUncorrectable", err)
 	}
@@ -172,7 +178,7 @@ func TestPageCodecOOBErrors(t *testing.T) {
 	sim.NewRNG(13).Bytes(data)
 	raw, _ := c.EncodePage(data)
 	FlipBit(raw[512:], 9) // flip a check bit of word 1
-	res, err := c.DecodePage(raw)
+	res, err := decodeCopy(c, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +198,8 @@ func TestPageCodecSizeValidation(t *testing.T) {
 	if _, err := c.EncodePage(make([]byte, 63)); err == nil {
 		t.Fatal("wrong-length encode accepted")
 	}
-	if _, err := c.DecodePage(make([]byte, 10)); err == nil {
-		t.Fatal("wrong-length decode accepted")
+	if _, err := decodeCopy(c, make([]byte, 10)); !errors.Is(err, ErrRawSize) {
+		t.Fatalf("wrong-length decode: %v, want ErrRawSize", err)
 	}
 }
 
@@ -216,7 +222,7 @@ func TestPageCodecStormProperty(t *testing.T) {
 				flips++
 			}
 		}
-		res, err := codec.DecodePage(raw)
+		res, err := decodeCopy(codec, raw)
 		return err == nil && res.Corrected == flips && bytes.Equal(res.Data, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -297,7 +303,7 @@ func BenchmarkDecodePage8K(b *testing.B) {
 	b.SetBytes(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodePage(raw); err != nil {
+		if _, err := decodeCopy(c, raw); err != nil {
 			b.Fatal(err)
 		}
 	}

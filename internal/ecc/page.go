@@ -97,13 +97,6 @@ type DecodeResult struct {
 	Corrected int    // number of single-bit corrections applied
 }
 
-// DecodePage verifies and corrects a raw stored image, leaving raw
-// untouched and returning the page in a fresh buffer. It is
-// DecodePageInPlace for callers that do not own raw.
-func (c *PageCodec) DecodePage(raw []byte) (DecodeResult, error) {
-	return c.DecodePageInPlace(append([]byte(nil), raw...))
-}
-
 // DecodePageInPlace verifies and corrects a raw stored image, writing
 // corrections directly into raw's data region and returning it as a
 // sub-slice. The caller must own raw (the flash read path hands each

@@ -183,26 +183,3 @@ func TestPageKernelsMatchWordLoop(t *testing.T) {
 		}
 	}
 }
-
-// DecodePage is the copying wrapper: same result, raw left as it was.
-func TestDecodePageLeavesRawUntouched(t *testing.T) {
-	c, _ := NewPageCodec(72)
-	raw := make([]byte, c.StoredSize())
-	rand.New(rand.NewSource(3)).Read(raw)
-	if err := c.EncodeInPlace(raw); err != nil {
-		t.Fatal(err)
-	}
-	page := append([]byte(nil), raw[:c.PageSize()]...)
-	FlipBit(raw, 70)
-	before := append([]byte(nil), raw...)
-	res, err := c.DecodePage(raw)
-	if err != nil || res.Corrected != 1 || !bytes.Equal(res.Data, page) {
-		t.Fatalf("corrected %d, err %v", res.Corrected, err)
-	}
-	if !bytes.Equal(raw, before) {
-		t.Fatal("DecodePage wrote into raw")
-	}
-	if _, err := c.DecodePage(raw[:10]); !errors.Is(err, ErrRawSize) {
-		t.Fatalf("short raw: %v, want ErrRawSize", err)
-	}
-}

@@ -39,7 +39,6 @@ import (
 	"repro/internal/ispvol"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -192,12 +191,8 @@ type AppsResult struct {
 
 // appsStack is one arm's freshly built world.
 type appsStack struct {
-	c     *core.Cluster
-	s     *sched.Scheduler
-	v     *volume.Volume
-	sys   *ispvol.System
-	items map[int][]byte
-	g     *graph.Graph
+	*workload.Stack
+	g *graph.Graph
 	// queries[q] is a distinct NN query item; queryCands/queryLpns its
 	// LSH candidate ids and their volume pages, bestID/bestDist the
 	// brute-force answer.
@@ -220,20 +215,13 @@ type appsStack struct {
 // for the measurement window, so the physical-address snapshots the
 // queries take stay valid.
 func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
+	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
+	spec.ISP = &cfg.ISP
+	stack, err := workload.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return nil, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return nil, err
-	}
+	c, v := stack.C, stack.V
 	if cfg.Items+cfg.Vertices > v.Pages() {
 		return nil, fmt.Errorf("apps: %d items + %d vertices exceed the %d-page volume",
 			cfg.Items, cfg.Vertices, v.Pages())
@@ -272,11 +260,7 @@ func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
 		}
 		base(idx, page)
 	}
-	if err := workload.SeedVolumeWith(v, c, v.Pages(), 64, fill); err != nil {
-		return nil, err
-	}
-	sys, err := ispvol.New(c, s, v, cfg.ISP)
-	if err != nil {
+	if err := stack.Seed(fill); err != nil {
 		return nil, err
 	}
 	// Stored graph: vertex vx's page is volume lpn slotLpn(Items+vx),
@@ -306,7 +290,7 @@ func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
 			return nil, err
 		}
 	}
-	st := &appsStack{c: c, s: s, v: v, sys: sys, items: items, g: g}
+	st := &appsStack{Stack: stack, g: g}
 	rng := sim.NewRNG(cfg.Seed + 4)
 	for qi := 0; qi < cfg.NNQueries; qi++ {
 		q := append([]byte(nil), items[rng.Intn(cfg.Items)]...)
@@ -343,21 +327,14 @@ func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
 	return st, nil
 }
 
-// runAppsArm builds a fresh stack and drives the host mix with the
+// runAppsArm builds a fresh stack and measures the host mix with the
 // arm's application load co-running for exactly the host window.
 func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	st, err := buildAppsStack(cfg)
 	if err != nil {
 		return AppsArm{}, err
 	}
-	st.s.ResetStats()
 	var arm AppsArm
-	var appErr error
-	fail := func(err error) {
-		if appErr == nil {
-			appErr = err
-		}
-	}
 
 	tcfg := graph.TraverseConfig{
 		Start: 3, Steps: cfg.WalkSteps, Seed: cfg.Seed + 5,
@@ -370,110 +347,82 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	}
 	wantSum := graph.CombineVisitSums(wantSums)
 
-	concurrent := func(live func() bool) {
+	load := func(co *coRunner) {
 		switch mode {
-		case appsBase:
-			return
 		case appsNNDist, appsNNHost:
-			whole := ispvol.Range(0, st.v.Pages())
+			whole := ispvol.Range(0, st.V.Pages())
 			placement := ispvol.InStore
 			if mode == appsNNHost {
 				placement = ispvol.HostMediated
 			}
 			for qs := 0; qs < cfg.NNStreams; qs++ {
-				qs := qs
 				qi := qs % len(st.queries)
-				var runQ func()
-				done := func(res *ispvol.NNResult, err error) {
-					if err != nil {
-						fail(err)
-						return
-					}
-					if res.FailedPages > 0 {
-						fail(fmt.Errorf("%d NN candidate pages failed to read", res.FailedPages))
-						return
-					}
-					if res.BestID != st.bestID[qi] || res.BestDist != st.bestDist[qi] {
-						fail(fmt.Errorf("%v query %d answered (%d, %d), brute force says (%d, %d)",
-							mode, qi, res.BestID, res.BestDist, st.bestID[qi], st.bestDist[qi]))
-						return
-					}
-					arm.NNQueries++
-					arm.Comparisons += res.Comparisons
-					qi = (qi + cfg.NNStreams) % len(st.queries)
-					runQ()
-				}
-				runQ = func() {
-					if !live() || appErr != nil {
-						return
-					}
-					ids, lpns := st.queryCands[qi], st.queryLpns[qi]
-					st.sys.NearestNeighbor(0, whole, st.queries[qi], ids, lpns, placement, done)
-				}
-				runQ()
+				co.chain(func(next func()) {
+					st.ISP.NearestNeighbor(0, whole, st.queries[qi], st.queryCands[qi], st.queryLpns[qi], placement,
+						func(res *ispvol.NNResult, err error) {
+							switch {
+							case err != nil:
+							case res.FailedPages > 0:
+								err = fmt.Errorf("%d NN candidate pages failed to read", res.FailedPages)
+							case res.BestID != st.bestID[qi] || res.BestDist != st.bestDist[qi]:
+								err = fmt.Errorf("%v query %d answered (%d, %d), brute force says (%d, %d)",
+									mode, qi, res.BestID, res.BestDist, st.bestID[qi], st.bestDist[qi])
+							}
+							if err != nil {
+								co.fail(err)
+								return
+							}
+							arm.NNQueries++
+							arm.Comparisons += res.Comparisons
+							qi = (qi + cfg.NNStreams) % len(st.queries)
+							next()
+						})
+				})
 			}
 		case appsWalkMigrate:
-			var runW func()
-			done := func(res *ispvol.WalkResult, err error) {
-				if err != nil {
-					fail(err)
-					return
-				}
-				for w := range wantSums {
-					if res.VisitSums[w] != wantSums[w] {
-						fail(fmt.Errorf("migrating walker %d checksum %x != reference %x",
-							w, res.VisitSums[w], wantSums[w]))
+			co.chain(func(next func()) {
+				st.ISP.WalkMigrate(0, st.g, tcfg, func(res *ispvol.WalkResult, err error) {
+					for w := 0; err == nil && w < len(wantSums); w++ {
+						if res.VisitSums[w] != wantSums[w] {
+							err = fmt.Errorf("migrating walker %d checksum %x != reference %x",
+								w, res.VisitSums[w], wantSums[w])
+						}
+					}
+					if err != nil {
+						co.fail(err)
 						return
 					}
-				}
-				arm.Walks++
-				arm.Lookups += res.Steps
-				arm.Migrations += res.Migrations
-				runW()
-			}
-			runW = func() {
-				if !live() || appErr != nil {
-					return
-				}
-				st.sys.WalkMigrate(0, st.g, tcfg, done)
-			}
-			runW()
+					arm.Walks++
+					arm.Lookups += res.Steps
+					arm.Migrations += res.Migrations
+					next()
+				})
+			})
 		case appsWalkHome:
-			var runW func()
-			done := func(res *graph.Result, err error) {
-				if err != nil {
-					fail(err)
-					return
-				}
-				if res.VisitSum != wantSum {
-					fail(fmt.Errorf("home-node walk checksum %x != reference %x", res.VisitSum, wantSum))
-					return
-				}
-				arm.Walks++
-				arm.Lookups += res.Steps
-				runW()
-			}
-			runW = func() {
-				if !live() || appErr != nil {
-					return
-				}
-				graph.TraverseAsync(st.c, 0, st.g, tcfg, done)
-			}
-			runW()
+			co.chain(func(next func()) {
+				graph.TraverseAsync(st.C, 0, st.g, tcfg, func(res *graph.Result, err error) {
+					if err == nil && res.VisitSum != wantSum {
+						err = fmt.Errorf("home-node walk checksum %x != reference %x", res.VisitSum, wantSum)
+					}
+					if err != nil {
+						co.fail(err)
+						return
+					}
+					arm.Walks++
+					arm.Lookups += res.Steps
+					next()
+				})
+			})
 		}
 	}
 
-	loop, err := workload.RunVolumeClosedLoopWith(st.v, st.c, ispSpecs(ISPContentionConfig{
-		HostStreams: cfg.HostStreams, Seed: cfg.Seed,
-	}), cfg.Depth, cfg.Requests, concurrent)
+	specs, err := hostMix(st.Stack, cfg.HostStreams, cfg.Seed)
 	if err != nil {
 		return AppsArm{}, err
 	}
-	if appErr != nil {
-		return AppsArm{}, appErr
-	}
-	if loop.Errors > 0 {
-		return AppsArm{}, fmt.Errorf("%d host request errors", loop.Errors)
+	w, err := measure(st.Stack, specs, cfg.Depth, cfg.Requests, load)
+	if err != nil {
+		return AppsArm{}, err
 	}
 	switch mode {
 	case appsNNDist, appsNNHost:
@@ -485,8 +434,7 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 			return AppsArm{}, fmt.Errorf("no %v traversal completed inside the host window; raise Requests or shrink WalkSteps", mode)
 		}
 	}
-	arm.Loop = loop
-	arm.Sched = st.s.Snapshot()
+	arm.Loop, arm.Sched = w.Run.Loop, w.Sched
 	rt := realtimeClass(arm.Sched)
 	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
 	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
@@ -499,39 +447,17 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	return arm, nil
 }
 
-// hostOpsPerSec sums an arm's scheduler throughput over the host
-// classes only (accel ops are application traffic, not host load).
-func (a AppsArm) hostOpsPerSec() float64 {
-	var ops float64
-	for _, cs := range a.Sched.Classes {
-		if cs.Class != "accel" {
-			ops += cs.OpsPerSec
-		}
-	}
-	return ops
-}
-
 // Apps runs the five arms on identical offered load and reports the
 // cross-arm ratios. Every application answer is validated inline
 // against the in-memory references; a wrong answer fails the
 // experiment, not just the arm.
 func Apps(cfg AppsConfig) (AppsResult, error) {
 	res := AppsResult{Config: cfg}
-	var err error
-	if res.Base, err = runAppsArm(cfg, appsBase); err != nil {
-		return res, fmt.Errorf("base arm: %w", err)
-	}
-	if res.NNDist, err = runAppsArm(cfg, appsNNDist); err != nil {
-		return res, fmt.Errorf("nn-dist arm: %w", err)
-	}
-	if res.NNHost, err = runAppsArm(cfg, appsNNHost); err != nil {
-		return res, fmt.Errorf("nn-host arm: %w", err)
-	}
-	if res.WalkMigrate, err = runAppsArm(cfg, appsWalkMigrate); err != nil {
-		return res, fmt.Errorf("walk-migrate arm: %w", err)
-	}
-	if res.WalkHome, err = runAppsArm(cfg, appsWalkHome); err != nil {
-		return res, fmt.Errorf("walk-home arm: %w", err)
+	for m, arm := range []*AppsArm{&res.Base, &res.NNDist, &res.NNHost, &res.WalkMigrate, &res.WalkHome} {
+		var err error
+		if *arm, err = runAppsArm(cfg, appsArmMode(m)); err != nil {
+			return res, fmt.Errorf("%v arm: %w", appsArmMode(m), err)
+		}
 	}
 	if t := res.NNHost.CmpPerSec; t > 0 {
 		res.NNSpeedupX = res.NNDist.CmpPerSec / t
@@ -572,7 +498,7 @@ func FormatApps(r AppsResult) string {
 	for _, row := range rows {
 		t.row(row.name, f1(row.a.RealtimeP50Us), f1(row.a.RealtimeP99Us),
 			f2(row.p99x), row.work, row.rate,
-			f1(row.a.hostOpsPerSec()/1e3))
+			f1(hostOpsPerSec(row.a.Sched)/1e3))
 	}
 	head := fmt.Sprintf(
 		"Distributed applications: %d host streams + NN/traversal queries, %d nodes\n"+

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/hostmodel"
 	"repro/internal/power"
@@ -98,10 +97,10 @@ type CacheRegimeArm struct {
 	CapacityFrac  float64 `json:"capacity_frac"`
 	CapacityPages int     `json:"capacity_pages_per_node"`
 
-	Result workload.HotColdResult `json:"result"`
-	Cache  cache.Stats            `json:"cache"`
-	Host   hostmodel.Stats        `json:"host"`
-	Volume volume.Stats           `json:"volume"`
+	Result workload.RunResult `json:"result"`
+	Cache  cache.Stats        `json:"cache"`
+	Host   hostmodel.Stats    `json:"host"`
+	Volume volume.Stats       `json:"volume"`
 
 	Watts      float64 `json:"watts"`
 	KopsPerSec float64 `json:"kops_per_sec"`
@@ -110,10 +109,10 @@ type CacheRegimeArm struct {
 
 // CacheInvalArm is one side of the invalidation-heavy pair.
 type CacheInvalArm struct {
-	Name   string                 `json:"name"`
-	Result workload.HotColdResult `json:"result"`
-	Cache  cache.Stats            `json:"cache"`
-	P99Us  float64                `json:"probe_p99_us"`
+	Name   string             `json:"name"`
+	Result workload.RunResult `json:"result"`
+	Cache  cache.Stats        `json:"cache"`
+	P99Us  float64            `json:"probe_p99_us"`
 }
 
 // CacheTierResult is the JSON-ready outcome.
@@ -145,157 +144,57 @@ func cacheCapacity(frac float64, hot, pages int) int {
 	return n
 }
 
-// volumePages reports the logical page count the experiment geometry
-// yields, without seeding anything (arms size their hot set and cache
-// capacity from it before building their real stack).
-func volumePages(cfg CacheTierConfig) (int, error) {
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
+// cacheArmStack builds and seeds a fresh volume stack and reports its
+// hot-set size (the hot set and the cache capacity are fractions of
+// the real, post-overprovision page count, so the cache is attached
+// by the caller once that is known).
+func cacheArmStack(cfg CacheTierConfig) (st *workload.Stack, hot int, err error) {
+	st, err = seeded(volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL), workload.RandomPages(cfg.Seed))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return 0, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return 0, err
-	}
-	return v.Pages(), nil
+	return st, st.V.Pages() / cfg.HotDivisor, nil
 }
 
-// cacheStack builds a fresh fully seeded cluster + volume, plus the
-// cache when capacityPages > 0.
-func cacheStack(cfg CacheTierConfig, capacityPages int, withTier bool) (*core.Cluster, *volume.Volume, *cache.Cache, error) {
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
-	if err != nil {
-		return nil, nil, nil, err
+// readerMix builds the hot/cold reader mix on the stack's top surface
+// (one stream per reader, round-robin across nodes).
+func readerMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
+	m := mix{st: st}
+	for i := 0; i < cfg.Readers; i++ {
+		m.add(workload.ClientSpec{
+			Name:   fmt.Sprintf("rd%02d", i),
+			Pick:   workload.PickHotCold(st.V.Pages(), hot, cfg.HotFraction, 0),
+			Record: true,
+			Seed:   (cfg.Seed ^ seedSalt + uint64(i)*1299709) ^ hotSalt,
+		}, i%cfg.Nodes, sched.Interactive)
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := workload.SeedVolume(v, c, v.Pages(), 64, cfg.Seed); err != nil {
-		return nil, nil, nil, err
-	}
-	var ca *cache.Cache
-	if capacityPages > 0 {
-		ccfg := cache.DefaultConfig(capacityPages)
-		if withTier {
-			ccfg.Tier = cache.DefaultTier()
-		}
-		if ca, err = cache.New(c, v, ccfg); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return c, v, ca, nil
-}
-
-// readerSpecs builds the hot/cold reader mix over the given surfaces
-// (one per reader, round-robin across nodes).
-func readerSpecs(cfg CacheTierConfig, surfaces []workload.PageRW, pages, hot int, record bool, seedSalt uint64) []workload.HotColdSpec {
-	specs := make([]workload.HotColdSpec, len(surfaces))
-	for i, rw := range surfaces {
-		specs[i] = workload.HotColdSpec{
-			Name:        fmt.Sprintf("rd%02d", i),
-			RW:          rw,
-			Pages:       pages,
-			HotPages:    hot,
-			HotFraction: cfg.HotFraction,
-			Record:      record,
-			Seed:        cfg.Seed ^ seedSalt + uint64(i)*1299709,
-		}
-	}
-	return specs
-}
-
-// hostDelta sums the per-node host-envelope deltas.
-func hostDelta(c *core.Cluster, base []hostmodel.Stats) hostmodel.Stats {
-	var out hostmodel.Stats
-	for n := 0; n < c.Nodes(); n++ {
-		d := c.Node(n).CPU.Stats().Delta(base[n])
-		out.DRAMBytesMoved += d.DRAMBytesMoved
-		out.DRAMTransfers += d.DRAMTransfers
-		out.CoreBusyMs += d.CoreBusyMs
-	}
-	return out
-}
-
-func hostBase(c *core.Cluster) []hostmodel.Stats {
-	base := make([]hostmodel.Stats, c.Nodes())
-	for n := range base {
-		base[n] = c.Node(n).CPU.Stats()
-	}
-	return base
+	return m.specs, m.err
 }
 
 // runCacheRegime runs one hit-regime arm on a fresh stack.
 func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegimeArm, error) {
 	arm := CacheRegimeArm{Name: name, CapacityFrac: frac}
-	// Capacity is resolved against the real (post-overprovision)
-	// volume size, probed without seeding.
-	pages, err := volumePages(cfg)
+	st, hot, err := cacheArmStack(cfg)
 	if err != nil {
 		return arm, err
 	}
-	hot := pages / cfg.HotDivisor
 	if frac != 0 {
-		arm.CapacityPages = cacheCapacity(frac, hot, pages)
-	}
-	c, v, ca, err := cacheStack(cfg, arm.CapacityPages, true)
-	if err != nil {
-		return arm, err
-	}
-	surfaces := make([]workload.PageRW, cfg.Readers)
-	for i := range surfaces {
-		if ca != nil {
-			st, err := ca.NewStream(fmt.Sprintf("rd%02d", i), i%cfg.Nodes, sched.Interactive)
-			if err != nil {
-				return arm, err
-			}
-			surfaces[i] = st
-		} else {
-			st, err := v.NewStream(fmt.Sprintf("rd%02d", i), sched.Interactive)
-			if err != nil {
-				return arm, err
-			}
-			surfaces[i] = st
+		arm.CapacityPages = cacheCapacity(frac, hot, st.V.Pages())
+		ccfg := cache.DefaultConfig(arm.CapacityPages)
+		ccfg.Tier = cache.DefaultTier()
+		if err := st.AttachCache(ccfg); err != nil {
+			return arm, err
 		}
 	}
-	// Warm unmeasured: populates the caches (and, with the cache off,
+	// The warm-up populates the caches (and, with the cache off,
 	// equalizes FTL state across arms).
-	warm := readerSpecs(cfg, surfaces, v.Pages(), hot, false, 0x5eed)
-	if _, err := workload.RunHotCold(c, v.PageSize(), warm, cfg.Depth, cfg.Requests/4); err != nil {
-		return arm, err
-	}
-	volBase := v.Stats()
-	hBase := hostBase(c)
-	var cBase cache.Stats
-	if ca != nil {
-		cBase = ca.Stats()
-	}
-	res, err := workload.RunHotCold(c, v.PageSize(),
-		readerSpecs(cfg, surfaces, v.Pages(), hot, true, 0), cfg.Depth, cfg.Requests)
+	w, err := warmThenMeasure(st, cfg.Depth, cfg.Requests, func(seedSalt uint64) ([]workload.ClientSpec, error) {
+		return readerMix(cfg, st, hot, seedSalt)
+	})
 	if err != nil {
 		return arm, err
 	}
-	if res.Loop.Errors > 0 {
-		return arm, fmt.Errorf("%d request errors", res.Loop.Errors)
-	}
-	arm.Result = res
-	arm.Volume = v.Stats().Delta(volBase)
-	arm.Host = hostDelta(c, hBase)
-	if ca != nil {
-		arm.Cache = ca.Stats().Delta(cBase)
-	}
+	arm.Result, arm.Volume, arm.Host, arm.Cache = w.Run, w.Volume, w.Host, w.Cache
 	if frac < 0 {
 		// DRAM strawman: a RAM cloud holding the appliance's modeled
 		// dataset (per-node flash capacity x nodes).
@@ -303,8 +202,8 @@ func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegime
 	} else {
 		arm.Watts = power.ClusterBudget(cfg.Nodes, gcParams(cfg.Nodes).CardsPerNode).Total()
 	}
-	if res.ElapsedUs > 0 {
-		ops := float64(res.Loop.Completed) * 1e6 / res.ElapsedUs
+	if w.Run.ElapsedUs > 0 {
+		ops := float64(w.Run.Loop.Completed) * 1e6 / w.Run.ElapsedUs
 		arm.KopsPerSec = ops / 1e3
 		if arm.Watts > 0 {
 			arm.OpsPerSecW = ops / arm.Watts
@@ -313,92 +212,48 @@ func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegime
 	return arm, nil
 }
 
-// invalSpecs builds the invalidation-heavy mix: churn writers over a
+// invalMix builds the invalidation-heavy mix: churn writers over a
 // shared hot region plus one sparse realtime probe per node.
-func invalSpecs(cfg CacheTierConfig, writers, probes []workload.PageRW, hot int, record bool, seedSalt uint64) []workload.HotColdSpec {
-	var specs []workload.HotColdSpec
-	for i, rw := range writers {
-		specs = append(specs, workload.HotColdSpec{
-			Name:          fmt.Sprintf("wr%02d", i),
-			RW:            rw,
-			Pages:         hot,
-			WriteFraction: 1.0,
-			Depth:         2,
-			ThinkTime:     2 * sim.Millisecond,
-			Seed:          cfg.Seed ^ seedSalt + 7 + uint64(i)*15485863,
-		})
+func invalMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
+	m := mix{st: st}
+	for i := 0; i < cfg.InvalWriters; i++ {
+		m.add(workload.ClientSpec{
+			Name:      fmt.Sprintf("wr%02d", i),
+			Pick:      workload.PickUniform(hot, 1),
+			Depth:     2,
+			ThinkTime: 2 * sim.Millisecond,
+			Seed:      (cfg.Seed ^ seedSalt + 7 + uint64(i)*15485863) ^ hotSalt,
+		}, i%cfg.Nodes, sched.Interactive)
 	}
-	for i, rw := range probes {
-		specs = append(specs, workload.HotColdSpec{
-			Name:      fmt.Sprintf("rt%02d", i),
-			RW:        rw,
-			Pages:     hot,
-			Requests:  -1,
-			Depth:     1,
-			ThinkTime: 500 * sim.Microsecond,
-			Record:    record,
-			Seed:      cfg.Seed ^ seedSalt + 13 + uint64(i)*32452843,
-		})
+	for i := 0; i < cfg.Nodes; i++ {
+		sp := probe(fmt.Sprintf("rt%02d", i), workload.PickUniform(hot, 0),
+			(cfg.Seed^seedSalt+13+uint64(i)*32452843)^hotSalt)
+		sp.Record = true
+		m.add(sp, i, sched.Realtime)
 	}
-	return specs
+	return m.specs, m.err
 }
 
 // runCacheInval runs one side of the invalidation pair.
 func runCacheInval(cfg CacheTierConfig, cached bool) (CacheInvalArm, error) {
 	arm := CacheInvalArm{Name: "cache-off"}
-	capacity := 0
-	pages, err := volumePages(cfg)
+	st, hot, err := cacheArmStack(cfg)
 	if err != nil {
 		return arm, err
 	}
-	hot := pages / cfg.HotDivisor
 	if cached {
 		arm.Name = "cache-on"
-		capacity = cacheCapacity(0.9, hot, 0)
-	}
-	c, v, ca, err := cacheStack(cfg, capacity, false)
-	if err != nil {
-		return arm, err
-	}
-	newRW := func(name string, node int, class sched.Class) (workload.PageRW, error) {
-		if ca != nil {
-			return ca.NewStream(name, node, class)
-		}
-		return v.NewStream(name, class)
-	}
-	writers := make([]workload.PageRW, cfg.InvalWriters)
-	for i := range writers {
-		if writers[i], err = newRW(fmt.Sprintf("wr%02d", i), i%cfg.Nodes, sched.Interactive); err != nil {
+		if err := st.AttachCache(cache.DefaultConfig(cacheCapacity(0.9, hot, 0))); err != nil {
 			return arm, err
 		}
 	}
-	probes := make([]workload.PageRW, cfg.Nodes)
-	for i := range probes {
-		if probes[i], err = newRW(fmt.Sprintf("rt%02d", i), i, sched.Realtime); err != nil {
-			return arm, err
-		}
-	}
-	warm := invalSpecs(cfg, writers, probes, hot, false, 0x5eed)
-	if _, err := workload.RunHotCold(c, v.PageSize(), warm, 2, cfg.InvalRequests/4); err != nil {
-		return arm, err
-	}
-	var cBase cache.Stats
-	if ca != nil {
-		cBase = ca.Stats()
-	}
-	res, err := workload.RunHotCold(c, v.PageSize(),
-		invalSpecs(cfg, writers, probes, hot, true, 0), 2, cfg.InvalRequests)
+	w, err := warmThenMeasure(st, 2, cfg.InvalRequests, func(seedSalt uint64) ([]workload.ClientSpec, error) {
+		return invalMix(cfg, st, hot, seedSalt)
+	})
 	if err != nil {
 		return arm, err
 	}
-	if res.Loop.Errors > 0 {
-		return arm, fmt.Errorf("%d request errors", res.Loop.Errors)
-	}
-	arm.Result = res
-	if ca != nil {
-		arm.Cache = ca.Stats().Delta(cBase)
-	}
-	arm.P99Us = res.Combined.P99Us
+	arm.Result, arm.Cache, arm.P99Us = w.Run, w.Cache, w.Run.Combined.P99Us
 	return arm, nil
 }
 

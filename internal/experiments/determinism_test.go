@@ -2,9 +2,10 @@ package experiments
 
 import "testing"
 
-// TestExperimentsDeterministic backs EXPERIMENTS.md's reproducibility
-// claim: the simulation has no hidden nondeterminism, so running an
-// experiment twice yields bit-identical numbers.
+// TestExperimentsDeterministic backs the reproducibility claim
+// (EXPERIMENTS.md, not yet written, is to state it): the simulation
+// has no hidden nondeterminism, so running an experiment twice yields
+// bit-identical numbers.
 func TestExperimentsDeterministic(t *testing.T) {
 	run := func() ([]Fig12Row, []Fig20Row) {
 		f12, err := Fig12()

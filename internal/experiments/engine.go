@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -82,7 +81,7 @@ type EngineResult struct {
 	Points []EnginePoint `json:"points"`
 }
 
-// engineSpecs deals the class/pattern mix of multiStreamSpecs across
+// engineSpecs deals dealStream's class/pattern mix across
 // StreamsPerNode streams on every node, all addressing the whole
 // cluster so the fabric, remote host paths and device queues of every
 // node stay busy.
@@ -90,25 +89,12 @@ func engineSpecs(cfg EngineConfig, nodes int) []workload.StreamSpec {
 	specs := make([]workload.StreamSpec, 0, nodes*cfg.StreamsPerNode)
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < cfg.StreamsPerNode; i++ {
-			sp := workload.StreamSpec{
-				Node:   n,
-				Target: -1,
-				Seed:   cfg.Seed + uint64(n*cfg.StreamsPerNode+i)*7919,
-			}
-			switch i % 8 {
-			case 0:
-				sp.Class, sp.Pattern = sched.Realtime, workload.Uniform
-			case 1, 2:
-				sp.Class, sp.Pattern = sched.Interactive, workload.Zipfian
-			case 3:
-				sp.Class, sp.Pattern = sched.Interactive, workload.Uniform
-			case 4, 5:
-				sp.Class, sp.Pattern = sched.Batch, workload.Scan
-			default:
-				sp.Class, sp.Pattern = sched.Batch, workload.Mixed
-			}
-			sp.Name = fmt.Sprintf("n%02d-s%02d-%s-%s", n, i, sp.Class, sp.Pattern)
-			specs = append(specs, sp)
+			class, pattern := dealStream(i)
+			specs = append(specs, workload.StreamSpec{
+				Name: fmt.Sprintf("n%02d-s%02d-%s-%s", n, i, class, pattern),
+				Node: n, Target: -1, Class: class, Pattern: pattern,
+				Seed: cfg.Seed + uint64(n*cfg.StreamsPerNode+i)*7919,
+			})
 		}
 	}
 	return specs
@@ -132,20 +118,11 @@ func EngineBench(cfg EngineConfig) (EngineResult, error) {
 }
 
 func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
-	c, err := core.NewCluster(scaledParams(nodes))
+	st, err := physicalStack(nodes, cfg.Pages, cfg.Seed, cfg.Sched)
 	if err != nil {
 		return EnginePoint{}, err
 	}
-	for n := 0; n < nodes; n++ {
-		if err := c.SeedLinear(n, cfg.Pages, workload.RandomPages(cfg.Seed)); err != nil {
-			return EnginePoint{}, fmt.Errorf("seed node %d: %w", n, err)
-		}
-	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return EnginePoint{}, err
-	}
-	specs := engineSpecs(cfg, nodes)
+	c, specs := st.C, engineSpecs(cfg, nodes)
 
 	// Quiesce the allocator so the mallocs delta is the event loop's,
 	// not the cluster build's.
@@ -156,7 +133,7 @@ func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
 	v0 := c.Eng.Now()
 	start := time.Now()
 
-	loop, err := workload.RunClosedLoop(s, c, specs, cfg.Pages, cfg.Depth, cfg.Requests, 0)
+	loop, err := workload.RunClosedLoop(st.S, c, specs, cfg.Pages, cfg.Depth, cfg.Requests, 0)
 
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)

@@ -3,9 +3,10 @@
 // simulated appliance it needs, runs the paper's workload, and returns
 // typed rows; Format* helpers print them in the paper's layout.
 //
-// The per-experiment index (workload, parameters, modules, paper
-// numbers) lives in DESIGN.md §3; measured-vs-paper results are
-// recorded in EXPERIMENTS.md.
+// `bluedbm-bench -list` is the per-experiment index and the README's
+// subsystem sections describe each workload; EXPERIMENTS.md, the
+// measured-vs-paper record, is not yet written. harness.go holds what
+// the beyond-the-paper experiments share.
 package experiments
 
 import (

@@ -20,7 +20,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -103,121 +102,78 @@ type FaultResult struct {
 	DegradedWrites int64   `json:"degraded_writes"`
 }
 
-// faultSpecs builds the stream mix: sparse realtime probes (they
-// measure what the fault leaves of the device, not their own queueing)
-// plus paced churn writers — the GC experiment's shape, over a
-// mirrored volume.
-func faultSpecs(cfg FaultConfig) []workload.VolumeStreamSpec {
-	var specs []workload.VolumeStreamSpec
-	for i := 0; i < cfg.Readers; i++ {
-		specs = append(specs, workload.VolumeStreamSpec{
-			Name:      fmt.Sprintf("rt%02d", i),
-			Class:     sched.Realtime,
-			Requests:  -1,
-			Depth:     1,
-			ThinkTime: 500 * sim.Microsecond,
-			Seed:      cfg.Seed + uint64(i)*1299709,
-		})
-	}
-	for i := 0; i < cfg.Writers; i++ {
-		specs = append(specs, workload.VolumeStreamSpec{
-			Name:          fmt.Sprintf("wr%02d", i),
-			Class:         sched.Batch,
-			WriteFraction: 1.0,
-			Depth:         2,
-			ThinkTime:     4 * sim.Millisecond,
-			Seed:          cfg.Seed + 7 + uint64(i)*15485863,
-		})
-	}
-	return specs
-}
-
-// runFaultPhase measures one window: reset stats, drive the workload
-// (with an optional concurrent fault/rebuild action), snapshot.
-func runFaultPhase(cfg FaultConfig, s *sched.Scheduler, v *volume.Volume, c *core.Cluster,
-	concurrent func(live func() bool)) (FaultPhase, error) {
-	s.ResetStats()
-	base := v.Stats()
-	loop, err := workload.RunVolumeClosedLoopWith(v, c, faultSpecs(cfg), cfg.Depth, cfg.Requests, concurrent)
-	if err != nil {
-		return FaultPhase{}, err
-	}
-	if loop.Errors > 0 {
-		// The whole point of the mirror: a node loss is absorbed, not
-		// surfaced. Any workload-visible error is a failure.
-		return FaultPhase{}, fmt.Errorf("%d request errors leaked through the mirror", loop.Errors)
-	}
-	return FaultPhase{Loop: loop, Sched: s.Snapshot(), Volume: v.Stats().Delta(base)}, nil
-}
-
 // Fault runs the three-window fault scenario on one mirrored cluster.
 func Fault(cfg FaultConfig) (FaultResult, error) {
 	res := FaultResult{Config: cfg}
 	if cfg.KillNode < 0 || cfg.KillNode >= cfg.Nodes {
 		return res, fmt.Errorf("kill node %d out of range (%d nodes)", cfg.KillNode, cfg.Nodes)
 	}
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
+	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
+	spec.Mirror = true
+	st, err := seeded(spec, workload.RandomPages(cfg.Seed))
 	if err != nil {
 		return res, err
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return res, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	vcfg.Mirror = true
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return res, err
-	}
-	if err := workload.SeedVolume(v, c, v.Pages(), 64, cfg.Seed); err != nil {
-		return res, err
+	mixOf := func(seedSalt uint64) ([]workload.ClientSpec, error) {
+		return probesAndChurn(st, cfg.Readers, cfg.Writers, cfg.Seed, volSalt^seedSalt)
 	}
 	// Warm the FTLs toward steady-state churn, unmeasured.
-	warm := faultSpecs(cfg)
-	for i := range warm {
-		warm[i].Seed ^= 0x5eed
-	}
-	if _, err := workload.RunVolumeClosedLoop(v, c, warm, cfg.Depth, cfg.Requests/4); err != nil {
+	warm, err := mixOf(warmSalt)
+	if err != nil {
 		return res, err
 	}
+	if _, err := st.Run(warm, cfg.Depth, cfg.Requests/4, nil); err != nil {
+		return res, err
+	}
+	// Every window offers the same load. The whole point of the mirror
+	// is that a node loss is absorbed, not surfaced: a window fails on
+	// any workload-visible error.
+	window := func(name string, fault func(*coRunner)) (FaultPhase, error) {
+		specs, err := mixOf(0)
+		if err != nil {
+			return FaultPhase{}, err
+		}
+		w, err := measure(st, specs, cfg.Depth, cfg.Requests, fault)
+		if err != nil {
+			return FaultPhase{}, fmt.Errorf("%s window: %w", name, err)
+		}
+		return FaultPhase{Loop: w.Run.Loop, Sched: w.Sched, Volume: w.Volume}, nil
+	}
 
-	// Window 1: no-fault baseline.
-	if res.Baseline, err = runFaultPhase(cfg, s, v, c, nil); err != nil {
-		return res, fmt.Errorf("baseline window: %w", err)
+	if res.Baseline, err = window("baseline", nil); err != nil {
+		return res, err
 	}
 
 	// Window 2: the node dies mid-window; the mirror absorbs it.
-	if res.Degraded, err = runFaultPhase(cfg, s, v, c, func(func() bool) {
-		c.Eng.After(cfg.KillAfter, func() {
-			if kerr := v.KillNode(cfg.KillNode); kerr != nil {
-				panic(kerr) // config was validated; unreachable
+	if res.Degraded, err = window("degraded", func(co *coRunner) {
+		st.C.Eng.After(cfg.KillAfter, func() {
+			if kerr := st.V.KillNode(cfg.KillNode); kerr != nil {
+				co.fail(kerr)
 			}
 		})
 	}); err != nil {
-		return res, fmt.Errorf("degraded window: %w", err)
+		return res, err
 	}
 	if res.Degraded.Volume.DegradedReads == 0 {
 		return res, fmt.Errorf("degraded window: node kill produced no degraded reads")
 	}
 
 	// Window 3: replace the node's cards and rebuild them from the
-	// survivors while the same load runs. The closed-loop driver drains
-	// every event, so the window ends only after the rebuild completes.
+	// survivors while the same load runs. The driver drains every
+	// event, so the window ends only after the rebuild completes.
 	var rebuildStart, rebuildEnd sim.Time
-	if res.Rebuild, err = runFaultPhase(cfg, s, v, c, func(func() bool) {
-		rebuildStart = c.Eng.Now()
-		if rerr := v.RebuildNode(cfg.KillNode, func() { rebuildEnd = c.Eng.Now() }); rerr != nil {
-			panic(rerr) // the node was killed in window 2; unreachable
+	if res.Rebuild, err = window("rebuild", func(co *coRunner) {
+		rebuildStart = st.C.Eng.Now()
+		if rerr := st.V.RebuildNode(cfg.KillNode, func() { rebuildEnd = st.C.Eng.Now() }); rerr != nil {
+			co.fail(rerr)
 		}
 	}); err != nil {
-		return res, fmt.Errorf("rebuild window: %w", err)
+		return res, err
 	}
 	if rebuildEnd == 0 {
 		return res, fmt.Errorf("rebuild window: rebuild never completed")
 	}
-	if v.Rebuilding() {
+	if st.V.Rebuilding() {
 		return res, fmt.Errorf("rebuild window: volume still rebuilding after drain")
 	}
 	if res.Rebuild.Volume.PagesRebuilt == 0 {

@@ -27,7 +27,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/blockfs"
 	"repro/internal/core"
@@ -35,8 +34,6 @@ import (
 	"repro/internal/ispvol"
 	"repro/internal/rfs"
 	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -192,112 +189,49 @@ func (m fsArmMode) String() string {
 	}
 }
 
-// seedPager writes pages [0, n) with depth appends in flight. append
-// must add page idx = current length (both FSes append in call
-// order, so pipelining keeps content deterministic).
-func seedPager(c *core.Cluster, n, depth, ps int, gen workload.PageFiller,
-	appendPage func(data []byte, cb func(error))) error {
-	var firstErr error
-	next := 0
-	var issue func()
-	issue = func() {
-		if next >= n {
-			return
-		}
-		idx := next
-		next++
-		buf := make([]byte, ps)
-		gen(idx, buf)
-		appendPage(buf, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("seed page %d: %w", idx, err)
-			}
-			issue()
-		})
-	}
-	for i := 0; i < depth && i < n; i++ {
-		issue()
-	}
-	c.Run()
-	return firstErr
+// pageFuncs adapts a file's page calls (or any pair of closures) to
+// the driver's PageRW surface.
+type pageFuncs struct {
+	read  func(idx int, cb func([]byte, error))
+	write func(idx int, data []byte, cb func(error))
 }
 
-// runFileChurn drives the measurement window: one churn writer
-// (closed loop, cfg.Depth outstanding, cfg.Overwrites completions,
-// uniform over the churn file) plus cfg.Probes realtime point readers
-// (depth 1, 500 µs mean think time) that stay live until the writer
-// finishes. concurrent (when non-nil) is invoked before the engine
-// drains, with a live() probe — the hook the query arms schedule scan
-// queries through.
-func runFileChurn(c *core.Cluster, cfg FileStackConfig, ps int,
-	write func(idx int, data []byte, cb func(error)),
-	probeRead func(idx int, cb func([]byte, error)),
-	concurrent func(live func() bool)) error {
+func (p pageFuncs) Read(idx int, cb func([]byte, error))       { p.read(idx, cb) }
+func (p pageFuncs) Write(idx int, data []byte, cb func(error)) { p.write(idx, data, cb) }
 
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	writerLive := true
-	wrng := sim.NewRNG(cfg.Seed ^ 0xf11e57ac)
-	buf := make([]byte, ps)
-	wrng.Bytes(buf)
-	left := cfg.Overwrites
-	inflight := 0
-	var pump func()
-	pump = func() {
-		for inflight < cfg.Depth && left > 0 {
-			left--
-			inflight++
-			idx := wrng.Intn(cfg.ChurnPages)
-			write(idx, buf, func(err error) {
-				fail(err)
-				inflight--
-				if left == 0 && inflight == 0 {
-					writerLive = false
-				}
-				pump()
-			})
-		}
-	}
-	pump()
-
+// fileChurn is the measured mix: one churn writer (uniform over the
+// churn file; the window runs it cfg.Depth deep for cfg.Overwrites
+// completions) plus cfg.Probes realtime point readers that stay live
+// until the writer finishes.
+func fileChurn(cfg FileStackConfig, writer, reader workload.PageRW) []workload.ClientSpec {
+	specs := []workload.ClientSpec{{Name: "churn", RW: writer, Pick: workload.PickWrite(cfg.ChurnPages),
+		Seed: cfg.Seed ^ 0xf11e57ac}}
 	for p := 0; p < cfg.Probes; p++ {
-		rng := sim.NewRNG(cfg.Seed + uint64(p)*7919)
-		think := func() sim.Time {
-			ns := -math.Log(1-rng.Float64()) * float64(500*sim.Microsecond)
-			if ns < 1 {
-				ns = 1
-			}
-			return sim.Time(ns)
-		}
-		var probe func()
-		probe = func() {
-			if !writerLive {
-				return
-			}
-			probeRead(rng.Intn(cfg.ChurnPages), func(_ []byte, err error) {
-				fail(err)
-				c.Eng.After(think(), probe)
-			})
-		}
-		c.Eng.After(think(), probe)
+		sp := probe(fmt.Sprintf("rt%02d", p), workload.PickRead(cfg.ChurnPages), cfg.Seed+uint64(p)*7919)
+		sp.RW = reader
+		specs = append(specs, sp)
 	}
-
-	if concurrent != nil {
-		concurrent(func() bool { return writerLive })
-	}
-	c.Run()
-	return firstErr
+	return specs
 }
 
-// stampRealtime copies the realtime class latencies out of a snapshot.
-func (a *FileArm) stampRealtime() {
-	rt := realtimeClass(a.Sched)
-	a.RealtimeP50Us, a.RealtimeP99Us = rt.P50Us, rt.P99Us
+// seedFiles creates and fills the arm's two files through create (the
+// same population on both file systems): the scan file first, the
+// churn file second.
+func seedFiles[F interface {
+	AppendPage(data []byte, cb func(error))
+}](st *workload.Stack, cfg FileStackConfig, create func(name string) (F, error)) (scanF, churnF F, err error) {
+	if scanF, err = create("scan"); err != nil {
+		return
+	}
+	gen := ispHaystack(cfg.Seed, []byte(cfg.Needle), st.C.Params.PageSize())
+	if err = st.SeedFile(scanF.AppendPage, cfg.ScanPages, gen); err != nil {
+		return
+	}
+	if churnF, err = create("churn"); err != nil {
+		return
+	}
+	err = st.SeedFile(churnF.AppendPage, cfg.ChurnPages, workload.RandomPages(cfg.Seed^1))
+	return
 }
 
 // runBlockfsArm runs the compatibility path: blockfs formatted on a
@@ -306,20 +240,11 @@ func (a *FileArm) stampRealtime() {
 // class (blockfs allocates lowest-free LPNs, so the churn file is a
 // known contiguous range).
 func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
-	c, err := core.NewCluster(fsParams(cfg.Nodes))
+	st, err := workload.Build(workload.StackSpec{Params: fsParams(cfg.Nodes), Sched: cfg.Sched, FTL: &cfg.FTL})
 	if err != nil {
 		return FileArm{}, err
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return FileArm{}, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return FileArm{}, err
-	}
+	v := st.V
 	// +3: the format page and one inode-table page per file also live
 	// in the logical space.
 	if cfg.ScanPages+cfg.ChurnPages+3 > v.Pages() {
@@ -330,27 +255,10 @@ func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
 	if err != nil {
 		return FileArm{}, err
 	}
-	bfs := blockfs.New(dev)
-	ps := v.PageSize()
-
-	// Same file population as the rfs arms: scan file first (LPNs
-	// [0, ScanPages)), churn file second.
-	scanF, err := bfs.Create("scan")
+	_, churnF, err := seedFiles(st, cfg, blockfs.New(dev).Create)
 	if err != nil {
 		return FileArm{}, err
 	}
-	gen := ispHaystack(cfg.Seed, []byte(cfg.Needle), ps)
-	if err := seedPager(c, cfg.ScanPages, 64, ps, gen, scanF.AppendPage); err != nil {
-		return FileArm{}, err
-	}
-	churnF, err := bfs.Create("churn")
-	if err != nil {
-		return FileArm{}, err
-	}
-	if err := seedPager(c, cfg.ChurnPages, 64, ps, workload.RandomPages(cfg.Seed^1), churnF.AppendPage); err != nil {
-		return FileArm{}, err
-	}
-
 	probes, err := v.NewStream("probe", sched.Realtime)
 	if err != nil {
 		return FileArm{}, err
@@ -366,25 +274,19 @@ func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
 			return FileArm{}, err
 		}
 	}
-	s.ResetStats()
-	before := v.Stats()
-	err = runFileChurn(c, cfg, ps,
-		churnF.WritePage,
-		func(idx int, cb func([]byte, error)) { probes.Read(churnLPNs[idx], cb) },
-		nil)
+	w, err := measure(st, fileChurn(cfg, pageFuncs{write: churnF.WritePage},
+		pageFuncs{read: func(idx int, cb func([]byte, error)) { probes.Read(churnLPNs[idx], cb) }}),
+		cfg.Depth, cfg.Overwrites, nil)
 	if err != nil {
 		return FileArm{}, err
 	}
-	delta := v.Stats().Delta(before)
-	var arm FileArm
-	arm.Sched = s.Snapshot()
+	arm := FileArm{Sched: w.Sched, CleanMoves: w.Volume.GCMoves}
 	arm.stampRealtime()
 	// Write amplification per page of FILE DATA written: the blockfs
 	// arm's host writes include its metadata traffic (inode table,
 	// journal commits), which is amplification from the file layer's
 	// point of view, exactly like GC relocation is.
-	arm.WriteAmp = float64(delta.FlashPrograms) / float64(cfg.Overwrites)
-	arm.CleanMoves = delta.GCMoves
+	arm.WriteAmp = float64(w.Volume.FlashPrograms) / float64(cfg.Overwrites)
 	for i := 0; i < v.Cards(); i++ {
 		arm.MappingEntries += v.FTL(i).MappingEntries()
 	}
@@ -394,130 +296,64 @@ func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
 // runRFSArm runs one cluster-RFS arm: base (no queries), distributed
 // ISP scans, or host-mediated scans.
 func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
-	c, err := core.NewCluster(fsParams(cfg.Nodes))
+	spec := workload.StackSpec{Params: fsParams(cfg.Nodes), Sched: cfg.Sched, RFS: &cfg.RFS, RFSCluster: cfg.RFSCluster}
+	if mode != fsArmRFS {
+		spec.ISP = &cfg.ISP
+	}
+	st, err := workload.Build(spec)
 	if err != nil {
 		return FileArm{}, err
 	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return FileArm{}, err
-	}
-	fs, _, err := rfs.NewClusterFS(c, s, cfg.RFSCluster, cfg.RFS)
-	if err != nil {
-		return FileArm{}, err
-	}
+	fs := st.FS
 	lay := fs.Backend().Layout()
 	if cfg.ScanPages%(lay.Chips*lay.PagesPerSeg) != 0 {
 		return FileArm{}, fmt.Errorf("scan file (%d pages) must be whole stripe rounds (%d) to stay clean-stable",
 			cfg.ScanPages, lay.Chips*lay.PagesPerSeg)
 	}
-	ps := fs.PageSize()
-
 	// Scan file first: it fills exactly ScanPages/(chips*pagesPerSeg)
 	// segments on every chip, all fully valid, so the cleaner never
 	// relocates them and engine snapshots stay fresh.
-	scanF, err := fs.Create("scan")
+	scanF, churnF, err := seedFiles(st, cfg, fs.Create)
 	if err != nil {
 		return FileArm{}, err
 	}
-	gen := ispHaystack(cfg.Seed, []byte(cfg.Needle), ps)
-	if err := seedPager(c, cfg.ScanPages, 64, ps, gen, scanF.AppendPage); err != nil {
-		return FileArm{}, err
-	}
-	churnF, err := fs.Create("churn")
-	if err != nil {
-		return FileArm{}, err
-	}
-	if err := seedPager(c, cfg.ChurnPages, 64, ps, workload.RandomPages(cfg.Seed^1), churnF.AppendPage); err != nil {
-		return FileArm{}, err
-	}
-
-	var sys *ispvol.System
-	if mode != fsArmRFS {
-		icfg := cfg.ISP
-		sys, err = ispvol.New(c, s, nil, icfg)
-		if err != nil {
-			return FileArm{}, err
-		}
-	}
-
-	s.ResetStats()
-	wBefore, cmBefore := fs.PagesWritten, fs.CleanMoves
-	writer := churnF.At(sched.Batch)
-	probe := churnF.At(sched.Realtime)
-
-	var arm FileArm
-	var queryErr error
-	matchesSet := false
-	needle := []byte(cfg.Needle)
 	placement := ispvol.InStore
 	if mode == fsArmRFSHostMed {
 		placement = ispvol.HostMediated
 	}
-	concurrent := func(live func() bool) {
-		if mode != fsArmRFSISP && mode != fsArmRFSHostMed {
-			return
-		}
-		for qs := 0; qs < cfg.QueryStreams; qs++ {
-			var runQ func()
-			done := func(res *ispvol.SearchResult, err error) {
-				if err != nil {
-					if queryErr == nil {
-						queryErr = err
-					}
-					return
-				}
-				if res.FailedPages > 0 && queryErr == nil {
-					queryErr = fmt.Errorf("%d query pages failed to read", res.FailedPages)
-				}
-				arm.Queries++
-				arm.QueryBytes += res.Bytes
-				n := int64(len(res.Matches))
-				if !matchesSet {
-					arm.MatchesPerQuery = n
-					matchesSet = true
-				} else if arm.MatchesPerQuery != n && queryErr == nil {
-					queryErr = fmt.Errorf("query match counts diverge: %d vs %d", arm.MatchesPerQuery, n)
-				}
-				runQ()
+	var tally searchTally
+	w, err := measure(st, fileChurn(cfg, pageFuncs{write: churnF.At(sched.Batch).WritePage},
+		pageFuncs{read: churnF.At(sched.Realtime).ReadPage}),
+		cfg.Depth, cfg.Overwrites, func(co *coRunner) {
+			if mode != fsArmRFS {
+				searchLoad(co, st.ISP, ispvol.File(scanF), []byte(cfg.Needle), placement, cfg.QueryStreams, &tally)
 			}
-			runQ = func() {
-				if !live() {
-					return
-				}
-				sys.Search(0, ispvol.File(scanF), needle, placement, done)
-			}
-			runQ()
-		}
-	}
-
-	err = runFileChurn(c, cfg, ps, writer.WritePage, probe.ReadPage, concurrent)
+		})
 	if err != nil {
 		return FileArm{}, err
 	}
-	if queryErr != nil {
-		return FileArm{}, queryErr
-	}
-	if mode != fsArmRFS && arm.Queries == 0 {
+	if mode != fsArmRFS && tally.queries == 0 {
 		return FileArm{}, fmt.Errorf("no %v query completed inside the churn window; raise Overwrites or shrink ScanPages", mode)
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		return FileArm{}, err
 	}
-
-	hostWrites := fs.PagesWritten - wBefore
-	moves := fs.CleanMoves - cmBefore
-	if hostWrites > 0 {
-		arm.WriteAmp = float64(hostWrites+moves) / float64(hostWrites)
+	arm := FileArm{
+		Sched: w.Sched, CleanMoves: w.FSCleanMoves, MappingEntries: fs.LiveMappings(),
+		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
+		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
 	}
-	arm.CleanMoves = moves
-	arm.MappingEntries = fs.LiveMappings()
-	arm.Sched = s.Snapshot()
+	if w.FSWritten > 0 {
+		arm.WriteAmp = float64(w.FSWritten+w.FSCleanMoves) / float64(w.FSWritten)
+	}
 	arm.stampRealtime()
-	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
-		arm.QueryMBps = float64(arm.QueryBytes) / secs / 1e6
-	}
 	return arm, nil
+}
+
+// stampRealtime copies the realtime class latencies out of a snapshot.
+func (a *FileArm) stampRealtime() {
+	rt := realtimeClass(a.Sched)
+	a.RealtimeP50Us, a.RealtimeP99Us = rt.P50Us, rt.P99Us
 }
 
 // FileStack runs the four arms on identical offered load and reports

@@ -18,10 +18,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/volume"
 	"repro/internal/workload"
 )
@@ -67,38 +65,11 @@ func DefaultGCIsolation(short bool) GCIsolationConfig {
 	return cfg
 }
 
-// gcParams shrinks flash capacity further than scaledParams so a
-// volume can be seeded, churned to steady-state GC, scanned repeatedly
-// or rebuilt in seconds of wall-clock time; the GC, ISP, apps, cache
-// and fault harnesses all run on it.
-func gcParams(nodes int) core.Params {
-	p := core.DefaultParams(nodes)
-	// Small capacity so churn reaches steady-state GC quickly, but
-	// full-size blocks: the erase rate per written page falls with
-	// block size, keeping unavoidable read-behind-erase chip
-	// collisions (identical in both arms) out of the p99 quantile that
-	// the dispatch policies are being compared on.
-	p.Geometry.ChipsPerBus = 2
-	p.Geometry.BlocksPerChip = 2
-	p.Geometry.PagesPerBlock = 32
-	return p
-}
-
 // GCArm is one run (GC-aware or GC-oblivious).
 type GCArm struct {
 	Loop   workload.LoopResult `json:"loop"`
 	Sched  sched.Snapshot      `json:"sched"`
 	Volume volume.Stats        `json:"volume"`
-}
-
-// realtimeClass pulls the realtime class out of a scheduler snapshot.
-func realtimeClass(s sched.Snapshot) sched.ClassSnapshot {
-	for _, cs := range s.Classes {
-		if cs.Class == "realtime" {
-			return cs
-		}
-	}
-	return sched.ClassSnapshot{}
 }
 
 // GCIsolationResult is the JSON-ready outcome.
@@ -114,93 +85,25 @@ type GCIsolationResult struct {
 	ImprovementX           float64 `json:"p99_improvement_x"`
 }
 
-// gcSpecs builds the stream mix: realtime point readers over the
-// whole volume plus full-churn batch writers.
-func gcSpecs(cfg GCIsolationConfig) []workload.VolumeStreamSpec {
-	var specs []workload.VolumeStreamSpec
-	for i := 0; i < cfg.Readers; i++ {
-		specs = append(specs, workload.VolumeStreamSpec{
-			Name:  fmt.Sprintf("rt%02d", i),
-			Class: sched.Realtime,
-			// Latency probes: sparse point reads (depth 1, ~2 kreq/s
-			// per probe) that stay live for exactly the churn window.
-			// A saturating realtime loop would measure its own
-			// self-queueing; sparse arrivals measure what they should —
-			// how occupied GC leaves the device when a latency-critical
-			// read shows up.
-			Requests:  -1,
-			Depth:     1,
-			ThinkTime: 500 * sim.Microsecond,
-			Seed:      cfg.Seed + uint64(i)*1299709,
-		})
-	}
-	for i := 0; i < cfg.Writers; i++ {
-		specs = append(specs, workload.VolumeStreamSpec{
-			Name:          fmt.Sprintf("wr%02d", i),
-			Class:         sched.Batch,
-			WriteFraction: 1.0,
-			// Paced, not saturating: heavy-but-sustainable churn. A
-			// fully saturating writer pool drives the erase rate so
-			// high that unavoidable read-behind-erase chip collisions
-			// (identical under any dispatch policy) dominate the p99
-			// quantile and hide what scheduling can and cannot do.
-			Depth:     2,
-			ThinkTime: 4 * sim.Millisecond,
-			Seed:      cfg.Seed + 7 + uint64(i)*15485863,
-		})
-	}
-	return specs
-}
-
-// runGCArm builds a fresh cluster+scheduler+volume, seeds the whole
-// logical space, then drives the mixed workload with the given GC
-// dispatch policy.
+// runGCArm builds and seeds a fresh volume stack, warms it, then
+// measures the probes+churn mix under the given GC dispatch policy.
 func runGCArm(cfg GCIsolationConfig, gcDefer bool) (GCArm, error) {
 	scfg := cfg.Sched
 	scfg.GCDefer = gcDefer
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
+	st, err := seeded(volumeSpec(cfg.Nodes, scfg, cfg.FTL), workload.RandomPages(cfg.Seed))
 	if err != nil {
 		return GCArm{}, err
 	}
-	s, err := sched.New(c, scfg)
+	w, err := warmThenMeasure(st, cfg.Depth, cfg.Requests, func(seedSalt uint64) ([]workload.ClientSpec, error) {
+		return probesAndChurn(st, cfg.Readers, cfg.Writers, cfg.Seed, volSalt^seedSalt)
+	})
 	if err != nil {
 		return GCArm{}, err
 	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return GCArm{}, err
-	}
-	if err := workload.SeedVolume(v, c, v.Pages(), 64, cfg.Seed); err != nil {
-		return GCArm{}, err
-	}
-	// Warm the FTLs into churn before measuring: one unmeasured round
-	// of overwrites pushes the free pools toward the GC region.
-	warm := gcSpecs(cfg)
-	for i := range warm {
-		warm[i].Seed ^= 0x5eed
-	}
-	if _, err := workload.RunVolumeClosedLoop(v, c, warm, cfg.Depth, cfg.Requests/4); err != nil {
-		return GCArm{}, err
-	}
-	s.ResetStats()
-	base := v.Stats()
-	loop, err := workload.RunVolumeClosedLoop(v, c, gcSpecs(cfg), cfg.Depth, cfg.Requests)
-	if err != nil {
-		return GCArm{}, err
-	}
-	if loop.Errors > 0 {
-		return GCArm{}, fmt.Errorf("%d request errors", loop.Errors)
-	}
-	// Volume counters, like the scheduler snapshot, cover only the
-	// measured window — seeding and warm-up I/O are identical in both
-	// arms and would dilute the cross-arm deltas.
-	arm := GCArm{Loop: loop, Sched: s.Snapshot(), Volume: v.Stats().Delta(base)}
-	if arm.Volume.GCMoves == 0 {
+	if w.Volume.GCMoves == 0 {
 		return GCArm{}, fmt.Errorf("no garbage collection happened: the churn load is too light for the experiment to mean anything")
 	}
-	return arm, nil
+	return GCArm{Loop: w.Run.Loop, Sched: w.Sched, Volume: w.Volume}, nil
 }
 
 // GCIsolation runs the same write-churn workload under GC-aware and

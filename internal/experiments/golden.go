@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,19 +27,11 @@ func EngineGoldenDigest() (fired uint64, now sim.Time, digest string, err error)
 	cfg := DefaultEngineBench(false)
 	cfg.Requests = 48
 
-	c, err := core.NewCluster(scaledParams(nodes))
+	st, err := physicalStack(nodes, cfg.Pages, cfg.Seed, cfg.Sched)
 	if err != nil {
 		return 0, 0, "", err
 	}
-	for n := 0; n < nodes; n++ {
-		if err := c.SeedLinear(n, cfg.Pages, workload.RandomPages(cfg.Seed)); err != nil {
-			return 0, 0, "", err
-		}
-	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return 0, 0, "", err
-	}
+	c, s := st.C, st.S
 	loop, err := workload.RunClosedLoop(s, c, engineSpecs(cfg, nodes), cfg.Pages, cfg.Depth, cfg.Requests, 0)
 	if err != nil {
 		return 0, 0, "", err

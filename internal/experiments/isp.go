@@ -22,12 +22,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/ispvol"
 	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -165,141 +162,54 @@ type ISPContentionResult struct {
 	P99HostMedX float64 `json:"p99_hostmed_vs_base_x"`
 }
 
-// ispSpecs builds the host-side mix: a quarter of the streams are
-// realtime latency probes (sparse point reads alive for exactly the
-// contention window), the rest interactive and batch readers that
-// bound the run. Pure reads: the queries' physical-address snapshots
-// must stay valid for the whole window.
-func ispSpecs(cfg ISPContentionConfig) []workload.VolumeStreamSpec {
-	var specs []workload.VolumeStreamSpec
-	probes := cfg.HostStreams / 4
-	if probes < 1 {
-		probes = 1
-	}
-	for i := 0; i < cfg.HostStreams; i++ {
-		sp := workload.VolumeStreamSpec{
-			Seed: cfg.Seed + uint64(i)*1299709,
-		}
-		switch {
-		case i < probes:
-			sp.Name = fmt.Sprintf("rt%02d", i)
-			sp.Class = sched.Realtime
-			sp.Requests = -1
-			sp.Depth = 1
-			sp.ThinkTime = 500 * sim.Microsecond
-		case i%2 == 0:
-			sp.Name = fmt.Sprintf("ia%02d", i)
-			sp.Class = sched.Interactive
-		default:
-			sp.Name = fmt.Sprintf("bt%02d", i)
-			sp.Class = sched.Batch
-		}
-		specs = append(specs, sp)
-	}
-	return specs
-}
-
 // runISPArm builds a fresh cluster+scheduler+volume+ispvol, seeds the
-// haystack, then drives the host mix with the arm's query load
+// haystack, then measures the host mix with the arm's query load
 // co-running for exactly the measurement window.
 func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
-	c, err := core.NewCluster(gcParams(cfg.Nodes))
-	if err != nil {
-		return ISPArm{}, err
-	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return ISPArm{}, err
-	}
-	vcfg := volume.DefaultConfig()
-	vcfg.FTL = cfg.FTL
-	v, err := volume.New(c, s, vcfg)
-	if err != nil {
-		return ISPArm{}, err
-	}
-	if cfg.QueryPages > v.Pages() {
-		return ISPArm{}, fmt.Errorf("query range %d exceeds the %d-page volume", cfg.QueryPages, v.Pages())
-	}
-	needle := []byte(cfg.Needle)
-	ps := v.PageSize()
-	if err := workload.SeedVolumeWith(v, c, v.Pages(), 64, ispHaystack(cfg.Seed, needle, ps)); err != nil {
-		return ISPArm{}, err
-	}
+	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
 	icfg := cfg.ISP
 	if mode == armBypass {
 		icfg.Admission = ispvol.Bypass
 	}
-	sys, err := ispvol.New(c, s, v, icfg)
+	spec.ISP = &icfg
+	st, err := workload.Build(spec)
 	if err != nil {
 		return ISPArm{}, err
 	}
-
+	if cfg.QueryPages > st.V.Pages() {
+		return ISPArm{}, fmt.Errorf("query range %d exceeds the %d-page volume", cfg.QueryPages, st.V.Pages())
+	}
+	needle := []byte(cfg.Needle)
+	if err := st.Seed(ispHaystack(cfg.Seed, needle, st.V.PageSize())); err != nil {
+		return ISPArm{}, err
+	}
 	placement := ispvol.InStore
 	if mode == armHostMediated {
 		placement = ispvol.HostMediated
 	}
-
-	s.ResetStats()
-	var arm ISPArm
-	var queryErr error
-	matchesSet := false
-	concurrent := func(live func() bool) {
-		if mode == armBase {
-			return
-		}
-		for qs := 0; qs < cfg.QueryStreams; qs++ {
-			var runQ func()
-			done := func(res *ispvol.SearchResult, err error) {
-				if err != nil {
-					if queryErr == nil {
-						queryErr = err
-					}
-					return
-				}
-				if res.FailedPages > 0 && queryErr == nil {
-					queryErr = fmt.Errorf("%d query pages failed to read", res.FailedPages)
-				}
-				arm.Queries++
-				arm.QueryBytes += res.Bytes
-				n := int64(len(res.Matches))
-				if !matchesSet {
-					arm.MatchesPerQuery = n
-					matchesSet = true
-				} else if arm.MatchesPerQuery != n && queryErr == nil {
-					queryErr = fmt.Errorf("query match counts diverge: %d vs %d", arm.MatchesPerQuery, n)
-				}
-				runQ()
-			}
-			runQ = func() {
-				if !live() {
-					return
-				}
-				sys.Search(0, ispvol.Range(0, cfg.QueryPages), needle, placement, done)
-			}
-			runQ()
-		}
-	}
-	loop, err := workload.RunVolumeClosedLoopWith(v, c, ispSpecs(cfg), cfg.Depth, cfg.Requests, concurrent)
+	specs, err := hostMix(st, cfg.HostStreams, cfg.Seed)
 	if err != nil {
 		return ISPArm{}, err
 	}
-	if queryErr != nil {
-		return ISPArm{}, queryErr
+	var tally searchTally
+	w, err := measure(st, specs, cfg.Depth, cfg.Requests, func(co *coRunner) {
+		if mode != armBase {
+			searchLoad(co, st.ISP, ispvol.Range(0, cfg.QueryPages), needle, placement, cfg.QueryStreams, &tally)
+		}
+	})
+	if err != nil {
+		return ISPArm{}, err
 	}
-	if loop.Errors > 0 {
-		return ISPArm{}, fmt.Errorf("%d host request errors", loop.Errors)
-	}
-	if mode != armBase && arm.Queries == 0 {
+	if mode != armBase && tally.queries == 0 {
 		return ISPArm{}, fmt.Errorf("no %v query completed inside the host window; raise Requests or shrink QueryPages", mode)
 	}
-	arm.Loop = loop
-	arm.Sched = s.Snapshot()
-	rt := realtimeClass(arm.Sched)
-	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
-	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
-		arm.QueryMBps = float64(arm.QueryBytes) / secs / 1e6
-	}
-	return arm, nil
+	rt := realtimeClass(w.Sched)
+	return ISPArm{
+		Loop: w.Run.Loop, Sched: w.Sched,
+		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
+		QueryMBps:     tally.mbps(w.Sched.ElapsedMs),
+		RealtimeP50Us: rt.P50Us, RealtimeP99Us: rt.P99Us,
+	}, nil
 }
 
 // ISPContention runs the four arms on identical offered load and
@@ -308,18 +218,11 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 // the per-query match count, or the experiment fails.
 func ISPContention(cfg ISPContentionConfig) (ISPContentionResult, error) {
 	res := ISPContentionResult{Config: cfg}
-	var err error
-	if res.Base, err = runISPArm(cfg, armBase); err != nil {
-		return res, fmt.Errorf("base arm: %w", err)
-	}
-	if res.Bypass, err = runISPArm(cfg, armBypass); err != nil {
-		return res, fmt.Errorf("bypass arm: %w", err)
-	}
-	if res.ISPF, err = runISPArm(cfg, armISPF); err != nil {
-		return res, fmt.Errorf("isp-f arm: %w", err)
-	}
-	if res.HostMediated, err = runISPArm(cfg, armHostMediated); err != nil {
-		return res, fmt.Errorf("host-mediated arm: %w", err)
+	for m, arm := range []*ISPArm{&res.Base, &res.Bypass, &res.ISPF, &res.HostMediated} {
+		var err error
+		if *arm, err = runISPArm(cfg, ispArmMode(m)); err != nil {
+			return res, fmt.Errorf("%v arm: %w", ispArmMode(m), err)
+		}
 	}
 	if res.ISPF.MatchesPerQuery != res.Bypass.MatchesPerQuery ||
 		res.ISPF.MatchesPerQuery != res.HostMediated.MatchesPerQuery {
@@ -335,18 +238,6 @@ func ISPContention(cfg ISPContentionConfig) (ISPContentionResult, error) {
 		res.P99HostMedX = res.HostMediated.RealtimeP99Us / base
 	}
 	return res, nil
-}
-
-// hostOpsPerSec sums an arm's scheduler throughput over the host
-// classes only (accel ops are query traffic, not host load).
-func (a ISPArm) hostOpsPerSec() float64 {
-	var ops float64
-	for _, cs := range a.Sched.Classes {
-		if cs.Class != "accel" {
-			ops += cs.OpsPerSec
-		}
-	}
-	return ops
 }
 
 // FormatISPContention renders the comparison.
@@ -366,7 +257,7 @@ func FormatISPContention(r ISPContentionResult) string {
 	for _, row := range rows {
 		t.row(row.name, f1(row.a.RealtimeP50Us), f1(row.a.RealtimeP99Us),
 			f2(row.p99x), fmt.Sprintf("%d", row.a.Queries), f1(row.a.QueryMBps),
-			f1(row.a.hostOpsPerSec()/1e3))
+			f1(hostOpsPerSec(row.a.Sched)/1e3))
 	}
 	head := fmt.Sprintf(
 		"ISP contention: %d host streams + %d distributed search queries, %d nodes\n"+

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -50,32 +49,19 @@ type MultiStreamResult struct {
 	Sched  sched.Snapshot      `json:"sched"`
 }
 
-// multiStreamSpecs deals classes and patterns across the streams:
-// 1/8 realtime point reads, 3/8 interactive (zipfian/uniform), 4/8
-// batch (scans and mixed read/write), issued round-robin across nodes
-// and addressed across the whole cluster.
+// multiStreamSpecs deals dealStream's classes and patterns across the
+// streams — 1/8 realtime point reads, 3/8 interactive, 4/8 batch —
+// issued round-robin across nodes and addressed across the whole
+// cluster.
 func multiStreamSpecs(cfg MultiStreamConfig) []workload.StreamSpec {
 	specs := make([]workload.StreamSpec, cfg.Streams)
 	for i := range specs {
-		sp := workload.StreamSpec{
-			Node:   i % cfg.Nodes,
-			Target: -1,
-			Seed:   cfg.Seed + uint64(i)*7919,
+		class, pattern := dealStream(i)
+		specs[i] = workload.StreamSpec{
+			Name: fmt.Sprintf("s%02d-%s-%s", i, class, pattern),
+			Node: i % cfg.Nodes, Target: -1, Class: class, Pattern: pattern,
+			Seed: cfg.Seed + uint64(i)*7919,
 		}
-		switch i % 8 {
-		case 0:
-			sp.Class, sp.Pattern = sched.Realtime, workload.Uniform
-		case 1, 2:
-			sp.Class, sp.Pattern = sched.Interactive, workload.Zipfian
-		case 3:
-			sp.Class, sp.Pattern = sched.Interactive, workload.Uniform
-		case 4, 5:
-			sp.Class, sp.Pattern = sched.Batch, workload.Scan
-		default:
-			sp.Class, sp.Pattern = sched.Batch, workload.Mixed
-		}
-		sp.Name = fmt.Sprintf("s%02d-%s-%s", i, sp.Class, sp.Pattern)
-		specs[i] = sp
 	}
 	return specs
 }
@@ -83,27 +69,18 @@ func multiStreamSpecs(cfg MultiStreamConfig) []workload.StreamSpec {
 // MultiStream builds a cluster, seeds it, and drives cfg.Streams
 // closed-loop streams through the scheduler.
 func MultiStream(cfg MultiStreamConfig) (MultiStreamResult, error) {
-	c, err := core.NewCluster(scaledParams(cfg.Nodes))
+	st, err := physicalStack(cfg.Nodes, cfg.Pages, cfg.Seed, cfg.Sched)
 	if err != nil {
 		return MultiStreamResult{}, err
 	}
-	for n := 0; n < cfg.Nodes; n++ {
-		if err := c.SeedLinear(n, cfg.Pages, workload.RandomPages(cfg.Seed)); err != nil {
-			return MultiStreamResult{}, fmt.Errorf("seed node %d: %w", n, err)
-		}
-	}
-	s, err := sched.New(c, cfg.Sched)
-	if err != nil {
-		return MultiStreamResult{}, err
-	}
-	res, err := workload.RunClosedLoop(s, c, multiStreamSpecs(cfg), cfg.Pages, cfg.Depth, cfg.Requests, 0)
+	res, err := workload.RunClosedLoop(st.S, st.C, multiStreamSpecs(cfg), cfg.Pages, cfg.Depth, cfg.Requests, 0)
 	if err != nil {
 		return MultiStreamResult{}, err
 	}
 	if res.Errors > 0 {
 		return MultiStreamResult{}, fmt.Errorf("multistream: %d request errors", res.Errors)
 	}
-	return MultiStreamResult{Config: cfg, Loop: res, Sched: s.Snapshot()}, nil
+	return MultiStreamResult{Config: cfg, Loop: res, Sched: st.S.Snapshot()}, nil
 }
 
 // BatchComparison contrasts the same multi-stream workload under

@@ -261,19 +261,6 @@ func (c *Controller) Issue(cmd Command) error {
 	return nil
 }
 
-// WriteData supplies the page for a pending write command. data must be
-// exactly one page; it is copied, so the caller keeps its buffer. It is
-// WriteImage for users that do not already hold a StoredPageSize
-// buffer.
-func (c *Controller) WriteData(tag int, data []byte) error {
-	if len(data) != c.PageSize() {
-		return fmt.Errorf("%w: got %d, want %d", ErrDataSize, len(data), c.PageSize())
-	}
-	raw := make([]byte, c.StoredPageSize())
-	copy(raw, data)
-	return c.WriteImage(tag, raw)
-}
-
 // WriteImage supplies the page for a pending write command as the
 // buffer flash will store: raw is StoredPageSize bytes whose first
 // PageSize bytes hold the page. The controller takes ownership of raw:

@@ -83,13 +83,21 @@ func (r *rig) writePage(t *testing.T, tag int, addr nand.Addr, data []byte) {
 	if !found {
 		t.Fatalf("no WriteDataReq for tag %d", tag)
 	}
-	if err := r.ctl.WriteData(tag, data); err != nil {
+	if err := writePage(r.ctl, tag, data); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
 	if err, ok := r.writeDone[tag]; !ok || err != nil {
 		t.Fatalf("write tag %d: done=%v err=%v", tag, ok, err)
 	}
+}
+
+// writePage supplies data for a pending write the way flashserver does:
+// as a fresh StoredPageSize image the controller may adopt.
+func writePage(c *Controller, tag int, data []byte) error {
+	raw := make([]byte, c.StoredPageSize())
+	copy(raw, data)
+	return c.WriteImage(tag, raw)
 }
 
 func pattern(n int, seed byte) []byte {
@@ -220,23 +228,23 @@ func TestBadTagRejected(t *testing.T) {
 	if err := r.ctl.Issue(Command{Op: OpRead, Tag: 128}); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("tag 128: %v", err)
 	}
-	if err := r.ctl.WriteData(5, make([]byte, 8192)); !errors.Is(err, ErrWrongState) {
-		t.Fatalf("WriteData on idle tag: %v", err)
+	if err := writePage(r.ctl, 5, make([]byte, 8192)); !errors.Is(err, ErrWrongState) {
+		t.Fatalf("WriteImage on idle tag: %v", err)
 	}
 }
 
-func TestWriteDataSizeValidated(t *testing.T) {
+func TestWriteImageSizeValidated(t *testing.T) {
 	r := newRig(t, nand.Reliability{})
 	addr := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	if err := r.ctl.Issue(Command{Op: OpWrite, Tag: 1, Addr: addr}); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
-	if err := r.ctl.WriteData(1, make([]byte, 100)); !errors.Is(err, ErrDataSize) {
+	if err := r.ctl.WriteImage(1, make([]byte, 100)); !errors.Is(err, ErrDataSize) {
 		t.Fatalf("short write data: %v", err)
 	}
 	// Correct size still works afterwards.
-	if err := r.ctl.WriteData(1, make([]byte, 8192)); err != nil {
+	if err := writePage(r.ctl, 1, make([]byte, 8192)); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()

@@ -25,7 +25,7 @@ func TestUncorrectableErrorSurfaced(t *testing.T) {
 	var ctl *Controller
 	ctl, err = New(eng, card, DefaultConfig(), Handlers{
 		ReadDone:     func(tag, corrected int, err error) { results[tag] = err },
-		WriteDataReq: func(tag int) { ctl.WriteData(tag, make([]byte, 8192)) },
+		WriteDataReq: func(tag int) { writePage(ctl, tag, make([]byte, 8192)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestCorrectionRateGrowsWithWear(t *testing.T) {
 	var ctl *Controller
 	writeData := make(map[int][]byte)
 	ctl, err = New(eng, card, DefaultConfig(), Handlers{
-		WriteDataReq: func(tag int) { ctl.WriteData(tag, writeData[tag]) },
+		WriteDataReq: func(tag int) { writePage(ctl, tag, writeData[tag]) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ type Port struct {
 	sp     *Splitter
 	h      flashctl.Handlers
 	name   string
-	tagMap map[int]int // agent tag -> controller tag (for WriteData)
+	tagMap map[int]int // agent tag -> controller tag (for WriteImage)
 	closed bool
 }
 

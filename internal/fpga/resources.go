@@ -4,7 +4,7 @@
 // the Virtex-7 host design; here they are reproduced as a component
 // inventory whose per-module costs are the paper's published values,
 // scaled by the number of module instances the configured system
-// actually contains. This is a documented substitution (DESIGN.md):
+// actually contains. This is a deliberate substitution:
 // resource tables are datasheet arithmetic, not runtime behaviour.
 package fpga
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/accel/tablescan"
 	"repro/internal/core"
+	"repro/internal/ftl"
 	"repro/internal/ispvol"
 	"repro/internal/sched"
 	"repro/internal/volume"
@@ -19,26 +20,15 @@ func testSystem(t *testing.T, nodes int, icfg ispvol.Config, fill workload.PageF
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 4
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
+	fcfg := ftl.DefaultConfig()
+	st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig(), FTL: &fcfg, ISP: &icfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.New(c, sched.DefaultConfig())
-	if err != nil {
+	if err := st.Seed(fill); err != nil {
 		t.Fatal(err)
 	}
-	v, err := volume.New(c, s, volume.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.SeedVolumeWith(v, c, v.Pages(), 32, fill); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := ispvol.New(c, s, v, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, s, v, sys
+	return st.C, st.S, st.V, st.ISP
 }
 
 // search, tableScan and nearest run one query to completion.

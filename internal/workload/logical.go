@@ -1,0 +1,285 @@
+package workload
+
+// The logical closed-loop driver: the counterpart of the physical
+// driver in streams.go for everything above the flash address space.
+// It drives any page-granular read/write surface — a volume stream, a
+// cache stream, a file — so writes are overwrites of live logical
+// pages (write churn, which is what forces the FTLs and the RFS
+// cleaner into steady-state reclaim), and the exact same traffic can
+// run against a bare volume and a cached one. Latency is recorded
+// where the client sees it, issue to completion in virtual time: a
+// cache hit never enters the scheduler, so the scheduler's histograms
+// cannot see it.
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/sim"
+)
+
+// PageRW is a page-granular I/O surface: volume.Stream and
+// cache.Stream both satisfy it.
+type PageRW interface {
+	Read(lpn int, cb func(data []byte, err error))
+	Write(lpn int, data []byte, cb func(err error))
+}
+
+// Picker is a stream's target choice. The driver binds it once to the
+// stream's fresh RNG (a picker that writes draws its reused payload
+// there, before anything else is drawn) and calls the result once per
+// request: the page to touch and the payload to overwrite it with, nil
+// for a read. The committed BENCH artifacts pin every picker's draw
+// order; picker_test.go holds a golden for each.
+type Picker func(rng *sim.RNG, pageSize int) func() (lpn int, payload []byte)
+
+// PickHotCold sends hotFrac of the accesses (0.9 when zero) to
+// [0, hotPages) and the rest over [0, pages); each is an overwrite with
+// probability writeFrac. hotPages 0 is uniform.
+func PickHotCold(pages, hotPages int, hotFrac, writeFrac float64) Picker {
+	if hotFrac <= 0 {
+		hotFrac = 0.9
+	}
+	return func(rng *sim.RNG, pageSize int) func() (int, []byte) {
+		page := make([]byte, pageSize)
+		rng.Bytes(page)
+		return func() (int, []byte) {
+			span := pages
+			if hotPages > 0 && rng.Float64() < hotFrac {
+				span = hotPages
+			}
+			lpn := rng.Intn(span)
+			if rng.Float64() < writeFrac {
+				return lpn, page
+			}
+			return lpn, nil
+		}
+	}
+}
+
+// PickUniform spreads accesses over [0, pages), each an overwrite with
+// probability writeFrac.
+func PickUniform(pages int, writeFrac float64) Picker {
+	return PickHotCold(pages, 0, 0, writeFrac)
+}
+
+// PickRead reads uniformly over [0, pages): one draw per request, no
+// payload.
+func PickRead(pages int) Picker {
+	return func(rng *sim.RNG, _ int) func() (int, []byte) {
+		return func() (int, []byte) { return rng.Intn(pages), nil }
+	}
+}
+
+// PickWrite overwrites uniformly over [0, pages): one draw per request.
+func PickWrite(pages int) Picker {
+	return func(rng *sim.RNG, pageSize int) func() (int, []byte) {
+		page := make([]byte, pageSize)
+		rng.Bytes(page)
+		return func() (int, []byte) { return rng.Intn(pages), page }
+	}
+}
+
+// ClientSpec describes one closed-loop client stream.
+type ClientSpec struct {
+	Name string
+	// RW is the surface the stream drives.
+	RW   PageRW
+	Pick Picker
+	// Requests overrides the driver's per-stream completion count
+	// (0 = driver default). -1 marks a probe stream: it keeps issuing
+	// until every non-probe stream has finished, then stops — the shape
+	// for latency probes that must stay live for exactly the contention
+	// window.
+	Requests int
+	// Depth overrides the per-stream outstanding window (0 = driver
+	// default). Latency probes usually want 1.
+	Depth int
+	// ThinkTime, when non-zero, is the mean of an exponential pause
+	// between a completion and the next request: a sparse open-ish
+	// arrival process instead of a saturating closed loop.
+	ThinkTime sim.Time
+	// Record captures this stream's read latency client-side.
+	Record bool
+	// Seed seeds the stream's RNG as given; callers salt it.
+	Seed uint64
+}
+
+// LatencyStats summarises client-observed read latency.
+type LatencyStats struct {
+	Reads  int64   `json:"reads"`
+	MeanUs float64 `json:"mean_us"`
+	P50Us  float64 `json:"p50_us"`
+	P99Us  float64 `json:"p99_us"`
+	MaxUs  float64 `json:"max_us"`
+}
+
+// StreamLatency pairs one recorded stream with its stats, in spec
+// order (deterministic — no map iteration anywhere near results).
+type StreamLatency struct {
+	Name    string       `json:"name"`
+	Latency LatencyStats `json:"latency"`
+}
+
+// RunResult aggregates a logical driver run.
+type RunResult struct {
+	Loop LoopResult `json:"loop"`
+	// Recorded holds per-stream latency for every spec with Record
+	// set, in spec order.
+	Recorded []StreamLatency `json:"recorded,omitempty"`
+	// Combined merges every recorded stream's read samples.
+	Combined LatencyStats `json:"combined"`
+	// ElapsedUs is the virtual time the run took (drain included).
+	ElapsedUs float64 `json:"elapsed_us"`
+}
+
+// summarize folds raw samples (virtual-time durations) into stats.
+func summarize(samples []sim.Time) LatencyStats {
+	if len(samples) == 0 {
+		return LatencyStats{}
+	}
+	sorted := append([]sim.Time(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum float64
+	for _, s := range sorted {
+		sum += s.Micros()
+	}
+	q := func(p float64) float64 {
+		i := int(p * float64(len(sorted)-1))
+		return sorted[i].Micros()
+	}
+	return LatencyStats{
+		Reads:  int64(len(sorted)),
+		MeanUs: sum / float64(len(sorted)),
+		P50Us:  q(0.50),
+		P99Us:  q(0.99),
+		MaxUs:  sorted[len(sorted)-1].Micros(),
+	}
+}
+
+// Run drives every spec as a closed-loop client holding `depth`
+// requests outstanding until `requests` complete per stream (probe
+// streams — Requests -1 — until all others finish), then drains the
+// engine. The surfaces absorb scheduler backpressure internally, so
+// unlike the physical driver there are no retries to count: overload
+// shows up as latency.
+//
+// concurrent (when non-nil) is invoked once, before the drain, with a
+// live() probe reporting whether any primary stream is still issuing.
+// It is the hook for load that is not itself a page stream — in-store
+// queries, a node kill, a rebuild — sharing exactly the window the
+// streams define: schedule work, check live() before starting more.
+func (st *Stack) Run(specs []ClientSpec, depth, requests int, concurrent func(live func() bool)) (RunResult, error) {
+	if depth <= 0 || requests <= 0 {
+		return RunResult{}, fmt.Errorf("workload: depth %d, requests %d", depth, requests)
+	}
+	primariesLeft := 0
+	for i, sp := range specs {
+		if sp.RW == nil || sp.Pick == nil {
+			return RunResult{}, fmt.Errorf("workload: spec %d (%s): nil RW or Pick", i, sp.Name)
+		}
+		if sp.Requests >= 0 {
+			primariesLeft++
+		}
+	}
+	if primariesLeft == 0 {
+		return RunResult{}, fmt.Errorf("workload: all %d streams are probes; nothing bounds the run", len(specs))
+	}
+	eng := st.C.Eng
+	start := eng.Now()
+	var res RunResult
+	recorded := make([][]sim.Time, len(specs))
+	for i, sp := range specs {
+		rng := sim.NewRNG(sp.Seed)
+		pick := sp.Pick(rng, st.C.Params.PageSize())
+		probe := sp.Requests < 0
+		toIssue := requests
+		if sp.Requests > 0 {
+			toIssue = sp.Requests
+		}
+		myDepth := depth
+		if sp.Depth > 0 {
+			myDepth = sp.Depth
+		}
+		think := func() sim.Time {
+			// Exponential pause with mean ThinkTime; minimum 1 ns so
+			// the event queue always advances.
+			ns := -math.Log(1-rng.Float64()) * float64(sp.ThinkTime)
+			if ns < 1 {
+				ns = 1
+			}
+			return sim.Time(ns)
+		}
+		inflight := 0
+		finished := false
+		var issueOne func()
+		complete := func(err error) {
+			inflight--
+			res.Loop.Completed++
+			if err != nil {
+				res.Loop.Errors++
+			}
+			if !probe && !finished && toIssue == 0 && inflight == 0 {
+				finished = true
+				primariesLeft--
+			}
+			if sp.ThinkTime > 0 {
+				eng.After(think(), issueOne)
+			} else {
+				issueOne()
+			}
+		}
+		issueOne = func() {
+			for inflight < myDepth {
+				if probe {
+					// Probes stay live only for the contention window.
+					if primariesLeft == 0 {
+						return
+					}
+				} else if toIssue == 0 {
+					return
+				} else {
+					toIssue--
+				}
+				inflight++
+				lpn, payload := pick()
+				if payload != nil {
+					sp.RW.Write(lpn, payload, complete)
+				} else if sp.Record {
+					t0 := eng.Now()
+					sp.RW.Read(lpn, func(_ []byte, err error) {
+						recorded[i] = append(recorded[i], eng.Now()-t0)
+						complete(err)
+					})
+				} else {
+					sp.RW.Read(lpn, func(_ []byte, err error) { complete(err) })
+				}
+				if sp.ThinkTime > 0 {
+					return // one at a time; the pause paces the rest
+				}
+			}
+		}
+		if sp.ThinkTime > 0 {
+			for j := 0; j < myDepth; j++ {
+				eng.After(think(), issueOne)
+			}
+		} else {
+			issueOne()
+		}
+	}
+	if concurrent != nil {
+		concurrent(func() bool { return primariesLeft > 0 })
+	}
+	st.C.Run()
+	res.ElapsedUs = (eng.Now() - start).Micros()
+	var all []sim.Time
+	for i, sp := range specs {
+		if sp.Record {
+			res.Recorded = append(res.Recorded, StreamLatency{Name: sp.Name, Latency: summarize(recorded[i])})
+			all = append(all, recorded[i]...)
+		}
+	}
+	res.Combined = summarize(all)
+	return res, nil
+}

@@ -1,0 +1,182 @@
+package workload
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/ftl"
+	"repro/internal/ispvol"
+	"repro/internal/rfs"
+	"repro/internal/sched"
+	"repro/internal/sim"
+)
+
+// testSpec is a two-node appliance small enough to seed in
+// milliseconds; tests switch layers on from here.
+func testSpec() StackSpec {
+	p := core.DefaultParams(2)
+	p.Geometry.BlocksPerChip = 4
+	p.Geometry.PagesPerBlock = 8
+	return StackSpec{Params: p, Sched: sched.DefaultConfig()}
+}
+
+func withVolume(spec StackSpec) StackSpec {
+	fcfg := ftl.DefaultConfig()
+	spec.FTL = &fcfg
+	return spec
+}
+
+// seededVolumeStack is the stack the driver tests run on.
+func seededVolumeStack(t *testing.T) *Stack {
+	t.Helper()
+	st, err := Build(withVolume(testSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seed(RandomPages(3)); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestBuildCompositions: every layer combination the spec can name
+// builds, takes a seeding, and returns the seeded bytes through its
+// top surface — the stack's stream for page surfaces, the file for the
+// file system.
+func TestBuildCompositions(t *testing.T) {
+	cached := func(tier bool) *cache.Config {
+		ccfg := cache.DefaultConfig(64)
+		if tier {
+			ccfg.Tier = cache.DefaultTier()
+		}
+		return &ccfg
+	}
+	rcfg, icfg := rfs.DefaultConfig(), ispvol.DefaultConfig()
+	cases := []struct {
+		name string
+		edit func(*StackSpec)
+	}{
+		{"volume", func(s *StackSpec) {}},
+		{"volume+mirror", func(s *StackSpec) { s.Mirror = true }},
+		{"volume+cache", func(s *StackSpec) { s.Cache = cached(false) }},
+		{"volume+cache+tier", func(s *StackSpec) { s.Cache = cached(true) }},
+		{"volume+mirror+cache", func(s *StackSpec) { s.Mirror, s.Cache = true, cached(false) }},
+		{"volume+isp", func(s *StackSpec) { s.ISP = &icfg }},
+		{"rfs", func(s *StackSpec) { s.FTL, s.RFS = nil, &rcfg }},
+		{"rfs+isp", func(s *StackSpec) { s.FTL, s.RFS, s.ISP = nil, &rcfg, &icfg }},
+	}
+	fill := RandomPages(11)
+	const probe = 37
+	want := make([]byte, testSpec().Params.PageSize())
+	fill(probe, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := withVolume(testSpec())
+			tc.edit(&spec)
+			st, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (st.V != nil) != (spec.FTL != nil) || (st.Cache != nil) != (spec.Cache != nil) ||
+				(st.FS != nil) != (spec.RFS != nil) || (st.ISP != nil) != (spec.ISP != nil) {
+				t.Fatalf("built layers do not match the spec: %+v", st)
+			}
+			var got []byte
+			var rerr error
+			keep := func(data []byte, err error) { got, rerr = append([]byte(nil), data...), err }
+			if st.FS != nil {
+				f, err := st.FS.Create("data")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.SeedFile(f.AppendPage, 64, fill); err != nil {
+					t.Fatal(err)
+				}
+				f.ReadPage(probe, keep)
+			} else {
+				if err := st.Seed(fill); err != nil {
+					t.Fatal(err)
+				}
+				rw, err := st.Stream("check", 1, sched.Interactive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rw.Read(probe, keep)
+			}
+			st.C.Run()
+			if rerr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("page %d read back wrong (err %v)", probe, rerr)
+			}
+		})
+	}
+}
+
+// TestBuildRefusesImpossibleSpecs: a layer without the layer it stands
+// on is an error, not a panic.
+func TestBuildRefusesImpossibleSpecs(t *testing.T) {
+	ccfg, rcfg, icfg := cache.DefaultConfig(8), rfs.DefaultConfig(), ispvol.DefaultConfig()
+	for name, edit := range map[string]func(*StackSpec){
+		"cache without a volume":  func(s *StackSpec) { s.Cache = &ccfg },
+		"mirror without a volume": func(s *StackSpec) { s.Mirror = true },
+		"isp with neither source": func(s *StackSpec) { s.ISP = &icfg },
+		"volume beside rfs":       func(s *StackSpec) { *s = withVolume(*s); s.RFS = &rcfg },
+	} {
+		spec := testSpec()
+		edit(&spec)
+		if st, err := Build(spec); err == nil {
+			t.Errorf("%s: built %+v", name, st)
+		}
+	}
+	st, err := Build(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Stream("s", 0, sched.Interactive); err == nil {
+		t.Error("a stack with no volume opened a page stream")
+	}
+	if err := st.Seed(RandomPages(1)); err == nil {
+		t.Error("a stack with no volume was seeded")
+	}
+}
+
+// TestMeasureWindowsExcludeSetup: a window's per-layer numbers cover
+// the measured run only, and a run with failed requests is refused.
+func TestMeasureWindowsExcludeSetup(t *testing.T) {
+	spec := withVolume(testSpec())
+	ccfg := cache.DefaultConfig(32)
+	spec.Cache = &ccfg
+	st, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seed(RandomPages(3)); err != nil {
+		t.Fatal(err)
+	}
+	rw, err := st.Stream("rd", 0, sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := st.V.Pages()
+	w, err := st.Measure([]ClientSpec{{Name: "rd", RW: rw, Pick: PickRead(pages), Seed: 1}}, 2, 40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Volume.HostWrites != 0 {
+		t.Fatalf("window counted %d seeding writes", w.Volume.HostWrites)
+	}
+	if got := w.Cache.Hits + w.Cache.Misses; got != 40 {
+		t.Fatalf("cache saw %d reads in the window, want 40", got)
+	}
+	if w.Run.Loop.Completed != 40 || w.Sched.ElapsedMs <= 0 || w.Host.DRAMTransfers == 0 {
+		t.Fatalf("incomplete window: %+v", w)
+	}
+	// Reads beyond the volume fail; the window must say so.
+	if _, err := st.Measure([]ClientSpec{{Name: "oob", RW: rw,
+		Pick: func(*sim.RNG, int) func() (int, []byte) {
+			return func() (int, []byte) { return pages + 5, nil }
+		}}}, 1, 4, nil); err == nil {
+		t.Fatal("a window with failed requests was accepted")
+	}
+}

@@ -2,11 +2,9 @@ package workload
 
 // Multi-stream request generators: the traffic side of the scheduler
 // experiments. Each StreamSpec describes one tenant stream (QoS class,
-// access pattern, read/write mix); the drivers run every stream
-// against a sched.Scheduler either closed-loop (each client keeps a
-// fixed number of requests outstanding) or open-loop (requests arrive
-// at a Poisson rate regardless of completions, so overload is visible
-// as backpressure drops).
+// access pattern, read/write mix); RunClosedLoop runs every stream
+// against a sched.Scheduler, each client keeping a fixed number of
+// requests outstanding and retrying admissions that hit backpressure.
 //
 // Writes honour NAND program-once/in-order semantics: every (issuing
 // node, QoS class) pair owns a private block-aligned append region on
@@ -75,29 +73,29 @@ type StreamSpec struct {
 type LoopResult struct {
 	Completed int64 `json:"completed"`
 	Errors    int64 `json:"errors"`
-	// Backpressure counts ErrBackpressure events: retried (after a
-	// backoff) by the closed-loop driver, dropped by the open-loop one.
+	// Backpressure counts ErrBackpressure events, each retried after a
+	// backoff.
 	Backpressure int64 `json:"backpressure"`
 	// WriteFallbacks counts writes converted to reads because a
 	// class's append region ran out of erased pages.
 	WriteFallbacks int64 `json:"write_fallbacks"`
 }
 
-// Zipf samples ranks 1..n with probability proportional to
+// zipf samples ranks 1..n with probability proportional to
 // 1/rank^theta, via an explicit CDF (n is at most tens of thousands
 // here). Ranks are scrambled so the hot set is spread over the
 // address space instead of clustered at page 0.
-type Zipf struct {
+type zipf struct {
 	cdf []float64
 	n   int
 }
 
-// NewZipf builds a sampler over [0, n).
-func NewZipf(n int, theta float64) *Zipf {
+// newZipf builds a sampler over [0, n).
+func newZipf(n int, theta float64) *zipf {
 	if n <= 0 {
 		panic(fmt.Sprintf("workload: zipf over %d items", n))
 	}
-	z := &Zipf{cdf: make([]float64, n), n: n}
+	z := &zipf{cdf: make([]float64, n), n: n}
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), theta)
@@ -109,8 +107,8 @@ func NewZipf(n int, theta float64) *Zipf {
 	return z
 }
 
-// Sample draws one index using rng.
-func (z *Zipf) Sample(rng *sim.RNG) int {
+// sample draws one index using rng.
+func (z *zipf) sample(rng *sim.RNG) int {
 	u := rng.Float64()
 	rank := sort.SearchFloat64s(z.cdf, u)
 	if rank >= z.n {
@@ -255,7 +253,7 @@ type client struct {
 	spec   StreamSpec
 	stream *sched.Stream
 	rng    *sim.RNG
-	zipf   *Zipf
+	zipf   *zipf
 	page   []byte // write payload, reused
 
 	scanPos, scanLeft, scanNode int
@@ -277,7 +275,7 @@ func (d *driver) newClient(sp StreamSpec) (*client, error) {
 	}
 	cl := &client{d: d, spec: sp, stream: st, rng: sim.NewRNG(sp.Seed ^ 0xb1dbdb00)}
 	if sp.Pattern == Zipfian {
-		cl.zipf = NewZipf(d.readPages, sp.ZipfTheta)
+		cl.zipf = newZipf(d.readPages, sp.ZipfTheta)
 	}
 	if sp.Pattern == Mixed {
 		cl.page = make([]byte, d.c.Params.PageSize())
@@ -310,7 +308,7 @@ func (cl *client) nextRead() core.PageAddr {
 	node := cl.target()
 	switch cl.spec.Pattern {
 	case Zipfian:
-		return core.LinearPage(p, node, cl.zipf.Sample(cl.rng))
+		return core.LinearPage(p, node, cl.zipf.sample(cl.rng))
 	case Scan:
 		if cl.scanLeft == 0 {
 			cl.scanPos = cl.rng.Intn(cl.d.readPages)
@@ -383,64 +381,6 @@ func RunClosedLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec,
 			}
 		}
 		issue()
-	}
-	c.Run()
-	return d.res, nil
-}
-
-// RunOpenLoop drives every spec as an open-loop client with Poisson
-// arrivals at opsPerSec (virtual time) for `duration`, then drains.
-// Arrivals hitting backpressure are DROPPED and counted, which is how
-// overload shows up in an open system. The run leaves the engine
-// drained.
-func RunOpenLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec,
-	readPages int, opsPerSec float64, duration sim.Time) (LoopResult, error) {
-	if opsPerSec <= 0 || duration <= 0 {
-		return LoopResult{}, fmt.Errorf("workload: rate %v, duration %v", opsPerSec, duration)
-	}
-	d, err := newDriver(s, c, specs, readPages, 0)
-	if err != nil {
-		return LoopResult{}, err
-	}
-	deadline := c.Eng.Now() + duration
-	for _, sp := range specs {
-		cl, err := d.newClient(sp)
-		if err != nil {
-			return LoopResult{}, err
-		}
-		interarrival := func() sim.Time {
-			u := cl.rng.Float64()
-			ns := -math.Log(1-u) / opsPerSec * float64(sim.Second)
-			if ns < 1 {
-				ns = 1
-			}
-			return sim.Time(ns)
-		}
-		complete := func(err error) {
-			d.res.Completed++
-			if err != nil {
-				d.res.Errors++
-			}
-		}
-		var arrive func()
-		arrive = func() {
-			if c.Eng.Now() >= deadline {
-				return
-			}
-			// Log writes go through the sequencer and are queued, not
-			// dropped: an allocated NAND log index must be programmed.
-			// Reads are the droppable open-loop traffic.
-			if !(cl.wantWrite() && d.submitWrite(cl, complete)) {
-				serr := cl.stream.Read(cl.nextRead(), func(_ []byte, err error) { complete(err) })
-				if serr == sched.ErrBackpressure {
-					d.res.Backpressure++
-				} else if serr != nil {
-					d.res.Errors++
-				}
-			}
-			c.Eng.After(interarrival(), arrive)
-		}
-		c.Eng.After(interarrival(), arrive)
 	}
 	c.Run()
 	return d.res, nil

@@ -5,73 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-func TestZipfDeterministicAndSkewed(t *testing.T) {
-	z := workload.NewZipf(480, 0.99)
-	r1 := sim.NewRNG(9)
-	r2 := sim.NewRNG(9)
-	counts := map[int]int{}
-	for i := 0; i < 20000; i++ {
-		a := z.Sample(r1)
-		if b := z.Sample(r2); a != b {
-			t.Fatalf("sample %d: %d != %d with equal seeds", i, a, b)
-		}
-		if a < 0 || a >= 480 {
-			t.Fatalf("sample %d out of range", a)
-		}
-		counts[a]++
-	}
-	// The hottest page of a theta=0.99 Zipf over 480 items draws ~15%
-	// of traffic; uniform would give ~0.2% each.
-	max := 0
-	for _, n := range counts {
-		if n > max {
-			max = n
-		}
-	}
-	if max < 20000/50 {
-		t.Fatalf("distribution not skewed: hottest page got %d/20000", max)
-	}
-}
-
-func TestOpenLoopOverloadDropsReads(t *testing.T) {
-	p := core.DefaultParams(1)
-	p.Geometry.BlocksPerChip = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SeedLinear(0, 64, workload.RandomPages(3)); err != nil {
-		t.Fatal(err)
-	}
-	// A tiny queue and window under a heavy arrival rate must shed
-	// load as backpressure drops, yet still serve traffic.
-	s, err := sched.New(c, sched.Config{
-		QueueDepth: 4, MaxInflight: 2, BatchSize: 2, AgingRounds: 4, Coalesce: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []workload.StreamSpec{
-		{Name: "open", Node: 0, Target: 0, Class: sched.Interactive, Pattern: workload.Uniform, Seed: 5},
-	}
-	res, err := workload.RunOpenLoop(s, c, specs, 64, 200_000, 20*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backpressure == 0 {
-		t.Fatal("open-loop overload produced no drops")
-	}
-	if res.Completed == 0 {
-		t.Fatal("no requests completed under overload")
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d request errors", res.Errors)
-	}
-}
 
 func TestMixedWritesHonourNANDOrdering(t *testing.T) {
 	p := core.DefaultParams(2)

@@ -3,6 +3,12 @@
 // search, text documents and DNA-like sequences for string search, and
 // query/item sets with planted near-duplicates so that similarity
 // search has ground truth.
+//
+// It is also the experiment harness: Build composes an appliance from
+// a StackSpec (stack.go), Stack.Run drives closed-loop client streams
+// over its logical page surfaces and Stack.Measure does so inside one
+// measured window (logical.go); RunClosedLoop is the physical-address
+// driver (streams.go).
 package workload
 
 import (

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/volume"
 )
 
 func TestRandomPagesDeterministic(t *testing.T) {
@@ -101,59 +98,30 @@ func TestNearDuplicateSet(t *testing.T) {
 	}
 }
 
-// TestVolumeClosedLoopConcurrentHook: the concurrent hook fires
-// before the drain with a live() probe that tracks the primary
-// streams' lifetime — the seam the ISP contention experiments co-run
-// queries on.
-func TestVolumeClosedLoopConcurrentHook(t *testing.T) {
-	pr := core.DefaultParams(1)
-	pr.Geometry.BlocksPerChip = 8
-	pr.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.New(c, sched.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := volume.New(c, s, volume.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SeedVolume(v, c, v.Pages(), 16, 3); err != nil {
-		t.Fatal(err)
-	}
-	specs := []VolumeStreamSpec{{Name: "p", Class: sched.Interactive, Seed: 4}}
-	liveAtStart := false
-	checks := 0
-	var liveFn func() bool
-	hook := func(live func() bool) {
-		liveAtStart = live()
-		liveFn = live
-		var tick func()
-		tick = func() {
-			checks++
-			if live() {
-				c.Eng.After(50*sim.Microsecond, tick)
-			}
+func TestZipfDeterministicAndSkewed(t *testing.T) {
+	z := newZipf(480, 0.99)
+	r1 := sim.NewRNG(9)
+	r2 := sim.NewRNG(9)
+	counts := map[int]int{}
+	for i := 0; i < 20000; i++ {
+		a := z.sample(r1)
+		if b := z.sample(r2); a != b {
+			t.Fatalf("sample %d: %d != %d with equal seeds", i, a, b)
 		}
-		tick()
+		if a < 0 || a >= 480 {
+			t.Fatalf("sample %d out of range", a)
+		}
+		counts[a]++
 	}
-	res, rerr := RunVolumeClosedLoopWith(v, c, specs, 2, 32, hook)
-	if rerr != nil {
-		t.Fatal(rerr)
+	// The hottest page of a theta=0.99 Zipf over 480 items draws ~15%
+	// of traffic; uniform would give ~0.2% each.
+	max := 0
+	for _, n := range counts {
+		if n > max {
+			max = n
+		}
 	}
-	if res.Completed != 32 {
-		t.Fatalf("completed %d, want 32", res.Completed)
-	}
-	if !liveAtStart {
-		t.Fatal("live() false before the run started")
-	}
-	if checks < 2 {
-		t.Fatalf("hook ticked %d times; never observed the window", checks)
-	}
-	if liveFn() {
-		t.Fatal("live() still true after the drain")
+	if max < 20000/50 {
+		t.Fatalf("distribution not skewed: hottest page got %d/20000", max)
 	}
 }
