@@ -20,7 +20,8 @@
 //	bluedbm-bench -run fault -json BENCH_FAULT.json
 //	                               # node-kill on a mirrored volume: degraded p99 + rebuild
 //	bluedbm-bench -run engine -json BENCH_ENGINE.json
-//	                               # event-engine speed: events/sec at 4/16/64 nodes
+//	                               # event-engine speed: events/sec at 4/16/64 nodes,
+//	                               # appended to the file's trajectory of earlier runs
 //	bluedbm-bench -run cache -json BENCH_CACHE.json
 //	                               # host-DRAM cache tier: hit regimes, perf-per-watt, invalidation p99
 //	bluedbm-bench -list            # list experiment ids
@@ -33,15 +34,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -69,18 +75,68 @@ func writeJSON(jsonPath string, v any) error {
 
 // jsonRunner wraps one experiment that honours -short and -json: its
 // default config for the run size, the run, the optional JSON metrics
-// file, and its text rendering.
-func jsonRunner[C, R any](short bool, jsonPath string, def func(bool) C, run func(C) (R, error), format func(R) string) func() (string, error) {
+// file (written by write), and its text rendering.
+func jsonRunner[C, R any](short bool, jsonPath string, def func(bool) C, run func(C) (R, error),
+	write func(string, R) error, format func(R) string) func() (string, error) {
 	return func() (string, error) {
 		res, err := run(def(short))
 		if err != nil {
 			return "", err
 		}
-		if err := writeJSON(jsonPath, res); err != nil {
+		if err := write(jsonPath, res); err != nil {
 			return "", err
 		}
 		return format(res), nil
 	}
+}
+
+// overwrite is the JSON writer of the deterministic experiments: the
+// file is the result, regenerated byte for byte.
+func overwrite[R any](jsonPath string, res R) error { return writeJSON(jsonPath, res) }
+
+// appendEngineRun is the JSON writer of the engine experiment, whose
+// wall-clock figures are no regenerable artifact but a history: the
+// sweep is added to the trajectory already in jsonPath (a file that
+// does not exist yet starts one), stamped with the commit, the date and
+// the machine, so every recorded speed-up stays beside the one before.
+func appendEngineRun(jsonPath string, res experiments.EngineResult) error {
+	if jsonPath == "" {
+		return nil
+	}
+	var traj experiments.EngineTrajectory
+	switch old, err := os.ReadFile(jsonPath); {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return err
+	default:
+		dec := json.NewDecoder(bytes.NewReader(old))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&traj); err != nil {
+			return fmt.Errorf("%s holds no engine trajectory to append to (move it away to start a new one): %w", jsonPath, err)
+		}
+	}
+	traj.Runs = append(traj.Runs, experiments.EngineRun{
+		Commit:       headCommit(),
+		Date:         time.Now().UTC().Format("2006-01-02"),
+		Machine:      fmt.Sprintf("%s/%s, %d CPUs, GOMAXPROCS %d, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()),
+		EngineResult: res,
+	})
+	return writeJSON(jsonPath, traj)
+}
+
+// headCommit names the commit of the working tree the binary was run
+// in, with a trailing + when there are uncommitted changes on top, or
+// "unknown" outside a git checkout.
+func headCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(out))
+	if dirty, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(dirty) > 0 {
+		commit += "+"
+	}
+	return commit
 }
 
 // figure wraps one paper figure: measure, then render.
@@ -103,24 +159,24 @@ func allRunners(short bool, jsonPath string) []runner {
 	}
 	return []runner{
 		{"engine", "event-engine speed: events/sec, ns/event, allocs/event at 4/16/64 nodes", true,
-			jsonRunner(short, jsonPath, experiments.DefaultEngineBench, experiments.EngineBench, experiments.FormatEngineBench)},
+			jsonRunner(short, jsonPath, experiments.DefaultEngineBench, experiments.EngineBench, appendEngineRun, experiments.FormatEngineBench)},
 		{"sched", "multi-stream scheduler: QoS latency and batched-submission throughput", true,
-			jsonRunner(short, jsonPath, experiments.DefaultMultiStream, experiments.MultiStreamBatchComparison,
+			jsonRunner(short, jsonPath, experiments.DefaultMultiStream, experiments.MultiStreamBatchComparison, overwrite,
 				func(cmp experiments.BatchComparison) string {
 					return experiments.FormatMultiStream(cmp.Batched) + "\n" + experiments.FormatBatchComparison(cmp)
 				})},
 		{"gc", "logical volume + FTL garbage collection: GC-aware vs GC-oblivious realtime p99", true,
-			jsonRunner(short, jsonPath, experiments.DefaultGCIsolation, experiments.GCIsolation, experiments.FormatGCIsolation)},
+			jsonRunner(short, jsonPath, experiments.DefaultGCIsolation, experiments.GCIsolation, overwrite, experiments.FormatGCIsolation)},
 		{"isp", "distributed in-store processing: ISP-F vs host-mediated throughput + realtime p99 under contention", true,
-			jsonRunner(short, jsonPath, experiments.DefaultISPContention, experiments.ISPContention, experiments.FormatISPContention)},
+			jsonRunner(short, jsonPath, experiments.DefaultISPContention, experiments.ISPContention, overwrite, experiments.FormatISPContention)},
 		{"fs", "file stack: blockfs-on-FTL vs cluster RFS vs cluster RFS + distributed file scans (Figure 8 end-to-end)", true,
-			jsonRunner(short, jsonPath, experiments.DefaultFileStack, experiments.FileStack, experiments.FormatFileStack)},
+			jsonRunner(short, jsonPath, experiments.DefaultFileStack, experiments.FileStack, overwrite, experiments.FormatFileStack)},
 		{"apps", "distributed applications: cluster nearest-neighbor + migrating graph traversal vs host-centric twins", true,
-			jsonRunner(short, jsonPath, experiments.DefaultApps, experiments.Apps, experiments.FormatApps)},
+			jsonRunner(short, jsonPath, experiments.DefaultApps, experiments.Apps, overwrite, experiments.FormatApps)},
 		{"fault", "fault tolerance: node kill on a mirrored volume — degraded p99 and time-to-rebuild vs baseline", true,
-			jsonRunner(short, jsonPath, experiments.DefaultFault, experiments.Fault, experiments.FormatFault)},
+			jsonRunner(short, jsonPath, experiments.DefaultFault, experiments.Fault, overwrite, experiments.FormatFault)},
 		{"cache", "host-DRAM cache tier: hit regimes + DRAM strawman perf-per-watt + invalidation-heavy p99", true,
-			jsonRunner(short, jsonPath, experiments.DefaultCacheTier, experiments.CacheTier, experiments.FormatCacheTier)},
+			jsonRunner(short, jsonPath, experiments.DefaultCacheTier, experiments.CacheTier, overwrite, experiments.FormatCacheTier)},
 		{"table1", "Artix-7 flash controller resources", false,
 			func() (string, error) { return experiments.FormatTable1(8), nil }},
 		{"table2", "Virtex-7 host FPGA resources", false,

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/flashctl"
 	"repro/internal/sim"
 )
 
@@ -336,7 +338,9 @@ func TestWriteBufferOwnership(t *testing.T) {
 		}
 	}
 
-	buf := make([]byte, ps)
+	// The caller's buffer has the capacity of a page image: the public
+	// entries must copy it all the same, never adopt it.
+	buf := make([]byte, ps, 2*ps)
 	dev := LinearPage(c.Params, 0, 0)
 	copy(buf, fill(1, ps))
 	n0.WriteLocal(dev.Card, dev.Addr, buf, ack)
@@ -356,5 +360,48 @@ func TestWriteBufferOwnership(t *testing.T) {
 		if !bytes.Equal(readBack(a), fill(byte(2+i), ps)) {
 			t.Fatalf("HostWrite %v: flash aliases the caller's buffer after completion", a)
 		}
+	}
+}
+
+// TestSubmitHostBatchAdoptsImages: the batch path is below the
+// snapshotting entries. A write request carries a page image that the
+// node hands down by reference — the card ends up storing that very
+// buffer — and anything that is not an image fails with
+// flashctl.ErrDataSize instead of being copied or adopted.
+func TestSubmitHostBatchAdoptsImages(t *testing.T) {
+	c := mkCluster(t, 1)
+	n0 := c.Node(0)
+	geo := c.Params.Geometry
+	want := fill(7, geo.PageSize)
+	img := geo.PageImage(want)
+	good, bad := LinearPage(c.Params, 0, 0), LinearPage(c.Params, 0, 1)
+	var goodErr, badErr error = errors.New("never completed"), nil
+	n0.SubmitHostBatch([]HostReq{
+		{Addr: good, Write: true, Data: img, Done: func(_ []byte, err error) { goodErr = err }},
+		{Addr: bad, Write: true, Data: fill(8, geo.PageSize), Done: func(_ []byte, err error) { badErr = err }},
+	}, nil)
+	c.Run()
+	if goodErr != nil {
+		t.Fatal(goodErr)
+	}
+	if !errors.Is(badErr, flashctl.ErrDataSize) {
+		t.Fatalf("a page with no room for its check bytes: %v, want ErrDataSize", badErr)
+	}
+	if stored := n0.Card(good.Card).Peek(good.Addr); len(stored) == 0 || &stored[0] != &img[0] {
+		t.Fatal("the card does not store the image the batch carried")
+	}
+	if n0.Card(bad.Card).Peek(bad.Addr) != nil {
+		t.Fatal("a rejected write reached the card")
+	}
+	var got []byte
+	n0.ReadLocal(good.Card, good.Addr, func(d []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		got = d
+	})
+	c.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatal("adopted image reads back wrong")
 	}
 }

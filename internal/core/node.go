@@ -138,6 +138,8 @@ type Node struct {
 	// ownership of its reqs argument and parks the storage here once
 	// the RPC loop has consumed it; GetBatch hands it back out.
 	batchFree [][]HostReq
+	// freeOps recycles the per-request records of those batches.
+	freeOps []*hostOp
 }
 
 // ID returns the node index.
@@ -349,6 +351,14 @@ func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 // argument is nil. Erase requests (issued by the host-resident FTL's
 // garbage collector) erase the whole block containing Addr; for them
 // too Done's data argument is nil. Done fires exactly once.
+//
+// Ownership of Data differs by entry. A request handed to a HostRouter
+// (Node.HostWrite) carries the caller's own buffer, which the router
+// snapshots before it returns. A request handed to SubmitHostBatch
+// carries a page image (nand.Geometry.PageImage) that the node adopts:
+// it is the buffer the flash ends up storing, so the submitter gives it
+// away — until Done reports an error, after which nothing below holds
+// it. Anything but an image fails with flashctl.ErrDataSize.
 type HostReq struct {
 	Addr  PageAddr
 	Write bool
@@ -417,18 +427,7 @@ func (n *Node) SubmitHostBatch(reqs []HostReq, issued func()) {
 		//simlint:allow escapecheck (one RPC continuation per batch, amortized like the doorbell closure above)
 		n.Host.RPC(func() {
 			for i := range reqs {
-				r := reqs[i]
-				done := r.Done
-				switch {
-				case r.Erase:
-					//simlint:allow escapecheck (per-request error adapter inside the batch loop; bounded by batch size and hidden under flash latency)
-					n.issueHostErase(r.Addr, r.Background, func(err error) { done(nil, err) })
-				case r.Write:
-					//simlint:allow escapecheck (per-request error adapter inside the batch loop; bounded by batch size and hidden under flash latency)
-					n.issueHostWrite(r.Addr, r.Data, r.Background, func(err error) { done(nil, err) })
-				default:
-					n.issueHostRead(r.Addr, r.Background, r.Done)
-				}
+				n.issueHostOp(n.getHostOp(reqs[i]))
 				reqs[i] = HostReq{}
 			}
 			n.batchFree = append(n.batchFree, reqs[:0])
@@ -458,58 +457,149 @@ func (n *Node) hostIface(card int, bg bool) *flashserver.Iface {
 	return n.hostIfaces[card]
 }
 
-// issueHostRead is the device-side read path of a batch: flash or
-// network fetch, then DMA into a host read buffer and the completion
-// interrupt.
-func (n *Node) issueHostRead(a PageAddr, bg bool, cb func(data []byte, err error)) {
-	deliver := func(data []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		n.Host.AcquireReadBuffer(len(data), func(buf int) {
-			n.Host.ReleaseReadBuffer(buf)
-			cb(data, nil)
-		}, func(buf int) {
-			n.Host.DeviceWriteChunk(buf, len(data), true)
-		})
-	}
-	if a.Node == n.id {
-		n.hostIface(a.Card, bg).ReadPhysical(a.Addr, deliver)
-		return
-	}
-	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, bg: bg}, a.Node, deliver)
+// hostOp is one request of a doorbell batch from the moment the device
+// starts on it until its Done fires. Ops are pooled per node, and every
+// continuation of the device-side path — flash or network completion,
+// buffer grant, DMA landing, ack — is bound when the record is made, so
+// a batched request allocates nothing here.
+//
+//simlint:pool get=getHostOp put=putHostOp
+type hostOp struct {
+	req  HostReq
+	data []byte // read: the page on its way up to host memory
+
+	// bound once
+	onFlash  func(data []byte, err error) // the flash read, or any remote op, completed
+	onAck    func(err error)              // the local program or erase completed
+	onBuf    func(buf int)                // a host buffer was granted: start the DMA
+	onLanded func(buf int)                // the page reached host memory
+	onDown   func()                       // the write's page crossed PCIe
 }
 
-// issueHostWrite is the device-side write path of a batch: write
-// buffer, PCIe DMA down, then flash (local) or network (remote).
-func (n *Node) issueHostWrite(a PageAddr, data []byte, bg bool, done func(err error)) {
-	n.Host.AcquireWriteBuffer(func(_ int) {
-		n.Host.DeviceReadBuffer(len(data), func() {
-			fin := func(err error) {
-				n.Host.ReleaseWriteBuffer()
-				done(err)
-			}
-			if a.Node == n.id {
-				n.hostIface(a.Card, bg).WritePhysical(a.Addr, data, fin)
-				return
-			}
-			n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, write: true, data: data, bg: bg}, a.Node,
-				func(_ []byte, err error) { fin(err) })
-		})
-	})
+// getHostOp takes an op from the pool for req.
+//
+//simlint:hotpath
+func (n *Node) getHostOp(req HostReq) *hostOp {
+	var op *hostOp
+	if k := len(n.freeOps); k > 0 {
+		op = n.freeOps[k-1]
+		n.freeOps[k-1] = nil
+		n.freeOps = n.freeOps[:k-1]
+	} else {
+		//simlint:allow hotcall (pool-miss path: the pool grows to the most batched requests ever outstanding at the node and is recycled via putHostOp forever after)
+		op = n.newHostOp()
+	}
+	op.req = req
+	return op
 }
 
-// issueHostErase is the device-side erase path of a batch: no data
-// movement, just the flash command — local via the background host
-// interface, remote over the integrated network.
-func (n *Node) issueHostErase(a PageAddr, bg bool, done func(err error)) {
-	if a.Node == n.id {
-		n.hostIface(a.Card, bg).Erase(a.Addr, done)
+// newHostOp grows the pool by one op and binds its continuations. Kept
+// out of line so the pool-miss path stays out of getHostOp's callers.
+//
+//go:noinline
+func (n *Node) newHostOp() *hostOp {
+	op := &hostOp{}
+	op.onFlash = func(data []byte, err error) { n.hostFlashDone(op, data, err) }
+	op.onAck = func(err error) { n.hostAck(op, err) }
+	op.onBuf = func(buf int) { n.hostBufGranted(op, buf) }
+	op.onLanded = func(buf int) {
+		n.Host.ReleaseReadBuffer(buf)
+		n.finishHostOp(op, op.data, nil)
+	}
+	op.onDown = func() { n.hostWriteDown(op) }
+	return op
+}
+
+// putHostOp recycles an op whose Done is about to fire: nothing is in
+// flight on any of its continuations.
+//
+//simlint:hotpath
+func (n *Node) putHostOp(op *hostOp) {
+	op.req, op.data = HostReq{}, nil
+	n.freeOps = append(n.freeOps, op)
+}
+
+// finishHostOp recycles op and fires its request's Done.
+//
+//simlint:hotpath
+func (n *Node) finishHostOp(op *hostOp, data []byte, err error) {
+	done := op.req.Done
+	n.putHostOp(op)
+	done(data, err)
+}
+
+// issueHostOp starts the device-side path of one batched request. A
+// read goes to the flash (local) or the network (remote) and then up
+// through a host read buffer; a write takes a write buffer and crosses
+// PCIe first; an erase moves no data at all.
+//
+//simlint:hotpath
+func (n *Node) issueHostOp(op *hostOp) {
+	r := &op.req
+	switch {
+	case r.Write:
+		n.Host.AcquireWriteBuffer(op.onBuf)
+	case r.Addr.Node != n.id:
+		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, erase: r.Erase, bg: r.Background}, r.Addr.Node, op.onFlash)
+	case r.Erase:
+		n.hostIface(r.Addr.Card, r.Background).Erase(r.Addr.Addr, op.onAck)
+	default:
+		n.hostIface(r.Addr.Card, r.Background).ReadPhysical(r.Addr.Addr, op.onFlash)
+	}
+}
+
+// hostBufGranted starts the DMA a granted host buffer was wanted for:
+// a write's page down to the device, a read's page up into the buffer.
+//
+//simlint:hotpath
+func (n *Node) hostBufGranted(op *hostOp, buf int) {
+	if op.req.Write {
+		n.Host.DeviceReadBuffer(len(op.req.Data), op.onDown)
 		return
 	}
-	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, erase: true, bg: bg}, a.Node,
-		func(_ []byte, err error) { done(err) })
+	n.Host.DeviceWriteChunk(buf, len(op.data), true)
+}
+
+// hostWriteDown sends a write whose page has crossed PCIe on to the
+// flash (local, which adopts the image) or the network (remote).
+//
+//simlint:hotpath
+func (n *Node) hostWriteDown(op *hostOp) {
+	r := &op.req
+	img := r.Data
+	r.Data = nil // handed down: the op neither keeps nor touches it
+	if r.Addr.Node == n.id {
+		n.hostIface(r.Addr.Card, r.Background).WriteImage(r.Addr.Addr, img, op.onAck)
+		return
+	}
+	n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, write: true, data: img, bg: r.Background}, r.Addr.Node, op.onFlash)
+}
+
+// hostFlashDone takes a read's page from the flash or the network and
+// DMAs it into a host read buffer, the completion interrupt following;
+// for a remote write or erase it is the ack.
+//
+//simlint:hotpath
+func (n *Node) hostFlashDone(op *hostOp, data []byte, err error) {
+	switch {
+	case op.req.Write || op.req.Erase:
+		n.hostAck(op, err)
+	case err != nil:
+		n.finishHostOp(op, nil, err)
+	default:
+		op.data = data
+		n.Host.AcquireReadBuffer(len(data), op.onLanded, op.onBuf)
+	}
+}
+
+// hostAck completes a write (returning its write buffer) or an erase.
+//
+//simlint:hotpath
+func (n *Node) hostAck(op *hostOp, err error) {
+	if op.req.Write {
+		n.Host.ReleaseWriteBuffer()
+	}
+	n.finishHostOp(op, nil, err)
 }
 
 // HostRead fetches a page into host memory via the selected access
@@ -611,9 +701,9 @@ func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []b
 // doorbell, so the caller must leave it untouched until cb fires; the
 // flash server snapshots it once it has crossed PCIe (see
 // flashserver.Iface.WritePhysical), and from cb on nothing below
-// references it. Layers that promise their callers an immediate
-// snapshot (ftl, rfs, volume's mirror) take their own before calling
-// down.
+// references it. An installed router snapshots it before HostWrite
+// returns (sched.Scheduler.AttachRouter); either way data is copied,
+// never adopted, whatever its capacity.
 func (n *Node) HostWrite(a PageAddr, data []byte, cb func(err error)) {
 	if r := n.cluster.router; r != nil {
 		if err := r(n.id, HostReq{Addr: a, Write: true, Data: data,

@@ -69,6 +69,11 @@ type EnginePoint struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 	NsPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
+	// The same cost per completed request: the two machine-independent
+	// figures a simulator speed-up moves, and what the committed
+	// trajectory is read for.
+	EventsPerRequest float64 `json:"events_per_request"`
+	AllocsPerRequest float64 `json:"allocs_per_request"`
 
 	// Engine internals (see sim.EngineStats): how the timer structures
 	// absorbed the load.
@@ -79,6 +84,24 @@ type EnginePoint struct {
 type EngineResult struct {
 	Config EngineConfig  `json:"config"`
 	Points []EnginePoint `json:"points"`
+}
+
+// EngineRun is one sweep as BENCH_ENGINE.json keeps it: the result plus
+// where and when it was measured. Wall-clock figures compare only
+// between runs whose Machine matches; the per-request counts compare
+// across all of them.
+type EngineRun struct {
+	Commit  string `json:"commit"`  // the commit measured; a trailing + marks uncommitted changes on top
+	Date    string `json:"date"`    // UTC, YYYY-MM-DD
+	Machine string `json:"machine"` // what the sweep ran on
+	EngineResult
+}
+
+// EngineTrajectory is the committed BENCH_ENGINE.json: every recorded
+// sweep, oldest first, so each simulator speed-up stays visible beside
+// the one before it.
+type EngineTrajectory struct {
+	Runs []EngineRun `json:"runs"`
 }
 
 // engineSpecs deals dealStream's class/pattern mix across
@@ -159,6 +182,10 @@ func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
 		pt.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
 		pt.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(events)
 	}
+	if loop.Completed > 0 {
+		pt.EventsPerRequest = float64(events) / float64(loop.Completed)
+		pt.AllocsPerRequest = float64(m1.Mallocs-m0.Mallocs) / float64(loop.Completed)
+	}
 	return pt, nil
 }
 
@@ -166,7 +193,7 @@ func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
 func FormatEngineBench(res EngineResult) string {
 	var t table
 	t.row("engine: events/sec under the synthetic full-stack load")
-	t.row("nodes", "streams", "events", "events/sec", "ns/event", "allocs/event", "virt s")
+	t.row("nodes", "streams", "events", "events/sec", "ns/event", "allocs/event", "events/req", "allocs/req", "virt s")
 	for _, p := range res.Points {
 		t.row(
 			fmt.Sprintf("%d", p.Nodes),
@@ -175,6 +202,8 @@ func FormatEngineBench(res EngineResult) string {
 			f0(p.EventsPerSec),
 			f1(p.NsPerEvent),
 			f2(p.AllocsPerEvent),
+			f1(p.EventsPerRequest),
+			f1(p.AllocsPerRequest),
 			f2(p.VirtualSeconds),
 		)
 	}

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // Endpoint is a logical endpoint (paper §3.2.1): a virtual channel over
@@ -23,8 +25,8 @@ type Endpoint struct {
 	// population is fixed at Network construction) so the send hot path
 	// never hashes or allocates map cells.
 	e2eWindow int
-	credits   []int          // remaining e2e credits toward each dst
-	blocked   [][]blockedMsg // sends waiting on a credit, per dst
+	credits   []int                   // remaining e2e credits toward each dst
+	blocked   []sim.Queue[blockedMsg] // sends waiting on a credit, per dst
 
 	// partial[src] accumulates payload bytes of the in-flight inbound
 	// message from src (reassembly; segments arrive contiguously).
@@ -62,7 +64,7 @@ func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
 		node:    nd,
 		index:   idx,
 		credits: make([]int, n),
-		blocked: make([][]blockedMsg, n),
+		blocked: make([]sim.Queue[blockedMsg], n),
 		partial: make([]int, n),
 	}
 	nd.endpoints[idx] = ep
@@ -104,8 +106,7 @@ func (ep *Endpoint) Send(dst NodeID, size int, payload any, onAccepted func()) e
 	}
 	if ep.e2eWindow > 0 {
 		if ep.credits[dst] == 0 {
-			//simlint:allow hotpath (e2e-blocked backlog growth is amortized; the per-dst queue retains capacity)
-			ep.blocked[dst] = append(ep.blocked[dst], blockedMsg{size: size, payload: payload, onAccepted: onAccepted})
+			ep.blocked[dst].Push(blockedMsg{size: size, payload: payload, onAccepted: onAccepted})
 			return nil
 		}
 		ep.credits[dst]--
@@ -167,10 +168,8 @@ func (ep *Endpoint) receiveSegment(seg *segment) {
 		// Credit return: unblock one queued send toward seg.src.
 		ep.CtrlReceived++
 		ep.credits[seg.src]++
-		if q := ep.blocked[seg.src]; len(q) > 0 {
-			b := q[0]
-			q[0] = blockedMsg{}
-			ep.blocked[seg.src] = q[1:]
+		if q := &ep.blocked[seg.src]; q.Len() > 0 {
+			b := q.Pop()
 			ep.credits[seg.src]--
 			ep.transmitMsg(seg.src, b.size, b.payload, b.onAccepted, false, true)
 		}

@@ -113,10 +113,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// readState is the decoded page of one tag while it streams to the user.
-type readState struct {
-	data      []byte // view of the NAND snapshot; nil when not streaming
-	sent      int    // bytes delivered so far
+// pageState is the page of one tag while it crosses a serial link: a
+// read's decoded page as it streams to the user, or a write's image on
+// its way down to the card.
+type pageState struct {
+	data      []byte // read: view of the NAND snapshot; write: the image; nil when nothing is moving
+	sent      int    // read: bytes delivered so far
 	corrected int
 }
 
@@ -144,11 +146,24 @@ type Controller struct {
 	tags  []tagState
 	addrs []nand.Addr
 
-	// Per-tag read streaming state and the two callbacks that drive it,
-	// bound once at construction so a read schedules no closures.
-	reads   []readState
-	onPage  []func(raw []byte, err error) // NAND read completion
-	onBurst []func()                      // a burst reached the user
+	// Per-tag command state and the NAND completions, which arrive in
+	// any order and are bound once per tag at construction so no command
+	// schedules a closure.
+	pages  []pageState
+	onPage []func(raw []byte, err error) // NAND read completion
+	onCard []func(err error)             // NAND program or erase completion
+
+	// The steps that finish in the order they were started — a burst's
+	// crossing of the FIFO link up to the user, a write's zero-delay data
+	// request, its image's crossing of the FIFO link down to the card —
+	// keep their tags in a queue each and share one continuation, which
+	// pops the tag it is for.
+	bursting  sim.Queue[int] // reads with a burst crossing the link up
+	asking    sim.Queue[int] // writes about to ask the user for their page
+	linking   sim.Queue[int] // writes whose image is crossing the link down
+	onBurst   func()
+	onDataReq func()
+	onLinked  func()
 
 	// stats
 	CorrectedBits sim.Counter
@@ -183,14 +198,22 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		fromUser: sim.NewPipe(eng, name+"/link-down", cfg.LinkBytesPerSec, cfg.LinkLatency),
 		tags:     make([]tagState, cfg.Tags),
 		addrs:    make([]nand.Addr, cfg.Tags),
-		reads:    make([]readState, cfg.Tags),
+		pages:    make([]pageState, cfg.Tags),
 		onPage:   make([]func([]byte, error), cfg.Tags),
-		onBurst:  make([]func(), cfg.Tags),
+		onCard:   make([]func(error), cfg.Tags),
 	}
 	for tag := range c.tags {
 		c.onPage[tag] = func(raw []byte, err error) { c.pageRead(tag, raw, err) }
-		c.onBurst[tag] = func() { c.burstDelivered(tag) }
+		c.onCard[tag] = func(err error) { c.cardDone(tag, err) }
 	}
+	c.onBurst = func() { c.burstDelivered(c.bursting.Pop()) }
+	c.onDataReq = func() {
+		tag := c.asking.Pop()
+		if c.h.WriteDataReq != nil {
+			c.h.WriteDataReq(tag)
+		}
+	}
+	c.onLinked = func() { c.program(c.linking.Pop()) }
 	return c, nil
 }
 
@@ -239,22 +262,12 @@ func (c *Controller) Issue(cmd Command) error {
 		c.WritesIssued.Inc()
 		// The scheduler asks for data as soon as the command is queued;
 		// backpressure comes from the fromUser link and the nand bus.
-		tag := cmd.Tag
-		c.eng.After(0, func() {
-			if c.h.WriteDataReq != nil {
-				c.h.WriteDataReq(tag)
-			}
-		})
+		c.asking.Push(cmd.Tag)
+		c.eng.After(0, c.onDataReq)
 	case OpErase:
 		c.tags[cmd.Tag] = tagErasing
 		c.ErasesIssued.Inc()
-		tag := cmd.Tag
-		c.card.EraseBlock(cmd.Addr, func(err error) {
-			c.tags[tag] = tagIdle
-			if c.h.EraseDone != nil {
-				c.h.EraseDone(tag, err)
-			}
-		})
+		c.card.EraseBlock(cmd.Addr, c.onCard[cmd.Tag])
 	default:
 		return fmt.Errorf("flashctl: unknown op %v", cmd.Op)
 	}
@@ -267,7 +280,9 @@ func (c *Controller) Issue(cmd Command) error {
 // it encodes the check bytes into the tail in place and hands the
 // image to the card, which adopts it (nand.ProgramPage) — the user's
 // one snapshot of the page is the only page-sized allocation of the
-// program path. The caller must not touch raw afterwards.
+// program path. The caller must not touch raw afterwards, unless the
+// call or the write fails: an error here, or in WriteDone, means nothing
+// below kept raw.
 func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
@@ -280,22 +295,32 @@ func (c *Controller) WriteImage(tag int, raw []byte) error {
 		return fmt.Errorf("%w: image is %d bytes, want %d", ErrDataSize, len(raw), c.StoredPageSize())
 	}
 	c.tags[tag] = tagWriting
-	addr := c.addrs[tag]
 	// The page crosses the serial link in 128-bit bursts (modelled as
 	// one serialized transfer; the check bytes are generated card-side),
 	// then is programmed.
-	c.fromUser.Transfer(c.PageSize(), func() {
-		c.card.ProgramPage(addr, raw, func(err error) {
-			c.finishWrite(tag, err)
-		})
-	})
+	c.pages[tag].data = raw
+	c.linking.Push(tag)
+	c.fromUser.Transfer(c.PageSize(), c.onLinked)
 	return nil
 }
 
-func (c *Controller) finishWrite(tag int, err error) {
+// program hands the image that just crossed the link to the card.
+func (c *Controller) program(tag int) {
+	raw := c.pages[tag].data
+	c.pages[tag].data = nil // the card owns the image from here
+	c.card.ProgramPage(c.addrs[tag], raw, c.onCard[tag])
+}
+
+// cardDone frees the tag of a finished program or erase and
+// acknowledges it to the user.
+func (c *Controller) cardDone(tag int, err error) {
+	done := c.h.WriteDone
+	if c.tags[tag] == tagErasing {
+		done = c.h.EraseDone
+	}
 	c.tags[tag] = tagIdle
-	if c.h.WriteDone != nil {
-		c.h.WriteDone(tag, err)
+	if done != nil {
+		done(tag, err)
 	}
 }
 
@@ -313,7 +338,7 @@ func (c *Controller) pageRead(tag int, raw []byte, err error) {
 		return
 	}
 	c.CorrectedBits.Add(int64(res.Corrected))
-	c.reads[tag] = readState{data: res.Data, corrected: res.Corrected}
+	c.pages[tag] = pageState{data: res.Data, corrected: res.Corrected}
 	c.sendBurst(tag)
 }
 
@@ -323,7 +348,8 @@ func (c *Controller) pageRead(tag int, raw []byte, err error) {
 //
 //simlint:hotpath
 func (c *Controller) sendBurst(tag int) {
-	c.toUser.Transfer(c.burstLen(tag), c.onBurst[tag])
+	c.bursting.Push(tag)
+	c.toUser.Transfer(c.burstLen(tag), c.onBurst)
 }
 
 // burstLen is the size of the tag's next burst: BurstBytes, or what is
@@ -331,7 +357,7 @@ func (c *Controller) sendBurst(tag int) {
 //
 //simlint:hotpath
 func (c *Controller) burstLen(tag int) int {
-	r := &c.reads[tag]
+	r := &c.pages[tag]
 	return min(c.cfg.BurstBytes, len(r.data)-r.sent)
 }
 
@@ -341,7 +367,7 @@ func (c *Controller) burstLen(tag int) int {
 //
 //simlint:hotpath
 func (c *Controller) burstDelivered(tag int) {
-	r := &c.reads[tag]
+	r := &c.pages[tag]
 	offset := r.sent
 	r.sent += c.burstLen(tag)
 	last := r.sent == len(r.data)
@@ -353,7 +379,7 @@ func (c *Controller) burstDelivered(tag int) {
 		return
 	}
 	corrected := r.corrected
-	*r = readState{}
+	*r = pageState{}
 	c.finishRead(tag, corrected, nil)
 }
 

@@ -20,6 +20,10 @@ var (
 	ErrShortRead = errors.New("flashserver: read bursts did not assemble into a whole page")
 )
 
+// errNotImage fails a write whose buffer is not a page image: the wrong
+// length, or no room behind the page for its check bytes.
+var errNotImage = fmt.Errorf("%w: not a page image (nand.Geometry.PageImage)", flashctl.ErrDataSize)
+
 // Server is the optional Flash Server module (paper §3.1.2): it turns
 // the controller's out-of-order interleaved interface into simple
 // in-order request/response interfaces using page buffers, and hosts
@@ -29,8 +33,7 @@ type Server struct {
 	atu  *ATU
 
 	queueDepth int
-	pageSize   int
-	storedSize int
+	geo        nand.Geometry
 
 	// ops holds every pageOp the server has made, indexed by its tag;
 	// free is the stack of those not in use. The pool grows to the most
@@ -52,8 +55,8 @@ type pageOp struct {
 	kind  flashctl.Op
 	addr  nand.Addr
 	// buf is, for a read, the page reassembled so far — a growing view
-	// of the controller's page buffer — and, for a write, the stored-size
-	// snapshot of the caller's page until the controller pulls it.
+	// of the controller's page buffer — and, for a write, the adopted
+	// page image at stored size until the controller pulls it.
 	buf      []byte
 	credited bool // issued to the controller on one of the interface's queue-depth credits
 	done     bool
@@ -84,8 +87,7 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 	srv := &Server{
 		atu:        NewATU(),
 		queueDepth: queueDepth,
-		pageSize:   sp.ctl.PageSize(),
-		storedSize: sp.ctl.StoredPageSize(),
+		geo:        sp.ctl.Card().Geometry(),
 	}
 	srv.port = sp.NewPort(name, flashctl.Handlers{
 		ReadChunk:    func(tag, offset int, chunk []byte, _ bool) { srv.readChunk(tag, offset, chunk) },
@@ -199,19 +201,17 @@ func (s *Server) readDone(tag int, err error) {
 	if err == nil {
 		err = op.err
 	}
-	if err == nil && len(op.buf) != s.pageSize {
+	if err == nil && len(op.buf) != s.geo.PageSize {
 		err = ErrShortRead
 	}
-	if err == nil {
-		// Cap the view at the page so the requester cannot reach the
-		// check bytes behind it.
-		op.buf = op.buf[:s.pageSize:s.pageSize]
-	}
+	// The view is not capped at the page: the check bytes behind it are
+	// this read's own spare capacity, which makes the result a page
+	// image its receiver may program back (nand.Geometry.ReadImage).
 	s.complete(op, err)
 }
 
-// writeDataReq gives the controller the snapshot WritePhysical took,
-// when its scheduler asks for it.
+// writeDataReq gives the controller the image WriteImage adopted, when
+// its scheduler asks for it.
 func (s *Server) writeDataReq(tag int) {
 	op := s.inflight(tag)
 	if op == nil || op.buf == nil {
@@ -252,7 +252,10 @@ func (s *Server) complete(op *pageOp, err error) {
 // Ownership: data is the callback's to keep and to modify. It is this
 // read's private page buffer (see nand.ReadPage); nothing below holds
 // a reference to it once the callback runs, and no other read, earlier,
-// concurrent or later, shares it.
+// concurrent or later, shares it. Its spare capacity is the same
+// buffer's check-byte tail, so data is a page image
+// (nand.Geometry.ReadImage): a relocation hands it straight back to
+// WriteImage.
 //
 //simlint:hotpath
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
@@ -276,23 +279,31 @@ func (f *Iface) ReadFile(handle FileHandle, pageOff int, cb func(data []byte, er
 
 // WritePhysical programs a page. The ack callback fires in FIFO order.
 //
-// Ownership: data is snapshotted before WritePhysical returns, so the
-// caller may reuse its buffer at once. The snapshot is taken at stored
-// size — the page plus room for its check bytes — and is the buffer
-// the controller encodes in place and the card ends up storing: the
-// one page-sized allocation of the program path.
+// Ownership: data is snapshotted into a page image before WritePhysical
+// returns, so the caller may reuse its buffer at once; whatever shape
+// data has, it is never adopted. Callers that already hold an image use
+// WriteImage.
 func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
+	f.WriteImage(addr, f.srv.geo.PageImage(data), cb)
+}
+
+// WriteImage programs a page image (nand.Geometry.PageImage). The ack
+// callback fires in FIFO order.
+//
+// Ownership: the interface adopts img — the buffer the controller
+// encodes the check bytes into in place and the card ends up storing,
+// the one page-sized allocation of the program path — so the caller
+// must not touch it again unless the ack reports an error: a failed
+// write leaves no reference to img below. Anything that is not an
+// image fails with flashctl.ErrDataSize, in order, and is not adopted.
+func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 	op := f.srv.getOp(f, flashctl.OpWrite, addr)
 	op.onAck = cb
-	if len(data) != f.srv.pageSize {
-		f.reject(op, fmt.Errorf("%w: got %d, want %d", flashctl.ErrDataSize, len(data), f.srv.pageSize))
+	if !f.srv.geo.IsPageImage(img) {
+		f.reject(op, errNotImage)
 		return
 	}
-	// A local, so that make+copy compiles to one allocate-and-copy that
-	// zeroes only the check-byte tail.
-	buf := make([]byte, f.srv.storedSize)
-	copy(buf, data)
-	op.buf = buf
+	op.buf = img[:f.srv.geo.StoredPageSize()]
 	f.submit(op)
 }
 

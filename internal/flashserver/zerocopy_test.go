@@ -12,10 +12,10 @@ import (
 )
 
 // The read path hands the requester the one buffer nand.ReadPage
-// snapshotted, and the program path stores the one buffer
-// WritePhysical snapshotted. These tests pin the ownership rules that
-// makes load-bearing, the failure mode view reassembly must catch, and
-// the allocation budget.
+// snapshotted, and the program path stores the one image WriteImage
+// adopted (WritePhysical snapshots into one first). These tests pin the
+// ownership rules that makes load-bearing, the failure mode view
+// reassembly must catch, and the allocation budget.
 
 func writePage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr, data []byte) {
 	t.Helper()
@@ -40,9 +40,11 @@ func readPage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr) []byte {
 	return got
 }
 
-// TestReadResultsArePrivate: every read owns its page buffer. Two reads
-// of one page in flight together get distinct buffers, and scribbling
-// over one result changes neither the other nor what flash holds.
+// TestReadResultsArePrivate: every read owns its page buffer, spare
+// capacity included — that is the read's own check-byte tail, which
+// makes the result a page image. Two reads of one page in flight
+// together get distinct buffers, and scribbling over one result, tail
+// and all, changes neither the other nor what flash holds.
 func TestReadResultsArePrivate(t *testing.T) {
 	eng, _, sp := stack(t)
 	srv := NewServer(sp, "srv", 8)
@@ -57,7 +59,8 @@ func TestReadResultsArePrivate(t *testing.T) {
 			t.Error(err)
 		}
 		first = d
-		for i := range d { // the callback owns data: scribble at once
+		d = d[:cap(d)] // the callback owns data, tail included: scribble at once
+		for i := range d {
 			d[i] = 0xff
 		}
 	})
@@ -71,8 +74,10 @@ func TestReadResultsArePrivate(t *testing.T) {
 	if len(first) != 8192 || len(second) != 8192 {
 		t.Fatalf("read lengths %d, %d", len(first), len(second))
 	}
-	if cap(first) != 8192 {
-		t.Fatalf("result capacity %d reaches past the page into the check bytes", cap(first))
+	geo := testGeometry()
+	if !geo.IsPageImage(first) || !geo.IsPageImage(second) {
+		t.Fatalf("result capacities %d, %d: a read result carries its own tail (want >= %d)",
+			cap(first), cap(second), geo.StoredPageSize())
 	}
 	if &first[0] == &second[0] {
 		t.Fatal("two reads of one page share a buffer")
@@ -80,6 +85,7 @@ func TestReadResultsArePrivate(t *testing.T) {
 	if !bytes.Equal(second, want) {
 		t.Fatal("scribbling over one read's result changed a concurrent read's")
 	}
+	second = second[:cap(second)]
 	for i := range second {
 		second[i] = 0xee
 	}
@@ -113,6 +119,166 @@ func TestWritePhysicalSnapshotsBeforeReturning(t *testing.T) {
 			t.Fatalf("page %d: the caller's later writes to its buffer reached flash", p)
 		}
 	}
+}
+
+// TestWritePhysicalNeverAdopts: WritePhysical copies whatever it is
+// given. A caller's buffer that happens to have the shape of a page
+// image, or to run on into the caller's next page, is still the
+// caller's: it may scribble on all of it the moment the call returns.
+func TestWritePhysicalNeverAdopts(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	geo := card.Geometry()
+	// One big buffer cut into pages: every page but the last has the
+	// capacity of an image.
+	const pages = 3
+	big := make([]byte, pages*geo.PageSize)
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		for i := range big { // and again from the callback
+			big[i] = 0xee
+		}
+	}
+	for p := 0; p < pages; p++ {
+		copy(big[p*geo.PageSize:], pattern(geo.PageSize, byte(p)))
+	}
+	for p := 0; p < pages; p++ {
+		page := big[p*geo.PageSize : (p+1)*geo.PageSize]
+		if p == 0 && !geo.IsPageImage(page) {
+			t.Fatal("test premise: the caller's page should look like an image")
+		}
+		f.WritePhysical(nand.Addr{Page: p}, page, ack)
+	}
+	for i := range big {
+		big[i] = 0xff
+	}
+	eng.Run()
+	for p := 0; p < pages; p++ {
+		a := nand.Addr{Page: p}
+		if stored := card.Peek(a); &stored[0] == &big[p*geo.PageSize] {
+			t.Fatalf("page %d: flash stores the caller's buffer", p)
+		}
+		if got := readPage(t, eng, f, a); !bytes.Equal(got, pattern(geo.PageSize, byte(p))) {
+			t.Fatalf("page %d: the caller's later writes to its buffer reached flash", p)
+		}
+	}
+}
+
+// TestWriteImageStoresTheBuffer: WriteImage adopts. The image the
+// caller built is, check bytes encoded into its tail, the buffer the
+// card stores — nothing on the way copies it.
+func TestWriteImageStoresTheBuffer(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	geo := card.Geometry()
+	want := pattern(geo.PageSize, 0x21)
+	img := geo.PageImage(want)
+	a := nand.Addr{Bus: 1}
+	f.WriteImage(a, img, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	stored := card.Peek(a)
+	if len(stored) != geo.StoredPageSize() || &stored[0] != &img[0] {
+		t.Fatal("the card does not store the image WriteImage was given")
+	}
+	if got := readPage(t, eng, f, a); !bytes.Equal(got, want) {
+		t.Fatal("adopted image reads back wrong")
+	}
+}
+
+// TestFailedWriteReturnsTheImage: a program that fails keeps nothing,
+// so the issuer may send the very same image to another block — the
+// FTL's and the file system's bad-block retry.
+func TestFailedWriteReturnsTheImage(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	geo := card.Geometry()
+	want := pattern(geo.PageSize, 0x42)
+	img := geo.PageImage(want)
+	bad, good := nand.Addr{Block: 1}, nand.Addr{Block: 2}
+	card.MarkBad(bad)
+	f.WriteImage(bad, img, func(err error) {
+		if !errors.Is(err, nand.ErrBadBlock) {
+			t.Fatalf("program of a bad block: %v", err)
+		}
+		if !geo.IsPageImage(img) || !bytes.Equal(img, want) {
+			t.Fatal("the failed program damaged the image")
+		}
+		f.WriteImage(good, img, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	eng.Run()
+	if stored := card.Peek(good); len(stored) == 0 || &stored[0] != &img[0] {
+		t.Fatal("the re-submitted image is not what the card stores")
+	}
+	if got := readPage(t, eng, f, good); !bytes.Equal(got, want) {
+		t.Fatal("re-submitted image reads back wrong")
+	}
+}
+
+// TestWriteImageRejectsNonImages: an adopting call handed anything but
+// an image — no room for the check bytes, or the wrong length — fails
+// with ErrDataSize in FIFO order, holds no queue-depth credit, leaks no
+// controller tag and stores nothing.
+func TestWriteImageRejectsNonImages(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 2).NewIface("if0")
+	geo := card.Geometry()
+	var order []string
+	ok := func(name string) func(error) {
+		return func(err error) {
+			order = append(order, name)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+	rejected := func(name string) func(error) {
+		return func(err error) {
+			order = append(order, name)
+			if !errors.Is(err, flashctl.ErrDataSize) {
+				t.Errorf("%s: %v, want ErrDataSize", name, err)
+			}
+		}
+	}
+	f.WriteImage(nand.Addr{Page: 0}, geo.PageImage(pattern(geo.PageSize, 1)), ok("first"))
+	f.WriteImage(nand.Addr{Page: 1}, pattern(geo.PageSize, 2), rejected("no tail")) // cap == PageSize
+	f.WriteImage(nand.Addr{Page: 1}, make([]byte, 100, geo.StoredPageSize()), rejected("short"))
+	f.WriteImage(nand.Addr{Page: 1}, make([]byte, geo.StoredPageSize()), rejected("long"))
+	f.WriteImage(nand.Addr{Page: 1}, geo.PageImage(pattern(geo.PageSize, 3)), ok("last"))
+	eng.Run()
+	if want := []string{"first", "no tail", "short", "long", "last"}; !equalStrings(order, want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+	if f.credits != 2 {
+		t.Fatalf("credits = %d after rejected images, want the queue depth 2", f.credits)
+	}
+	if free := sp.ctl.FreeTags(); free != sp.ctl.Config().Tags {
+		t.Fatalf("%d of %d controller tags free after rejected images", free, sp.ctl.Config().Tags)
+	}
+	if got := readPage(t, eng, f, nand.Addr{Page: 1}); !bytes.Equal(got, pattern(geo.PageSize, 3)) {
+		t.Fatal("page 1 does not hold the one valid image written to it")
+	}
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWritePhysicalRejectsWrongSize(t *testing.T) {
@@ -259,8 +425,11 @@ func allocBytesPerOp(n int, op func(i int)) float64 {
 // TestPageOpsAllocateOnePage pins the budget of the whole flash path,
 // NAND to callback: one page-sized allocation per read (the NAND
 // snapshot) and one per program (the WritePhysical snapshot the card
-// ends up storing), plus small change. Three page-sized allocations
-// per op used to hide here; a second one cannot come back unnoticed.
+// ends up storing), and nothing else at all — every continuation on
+// the way is bound once. Three page-sized allocations per op used to
+// hide here; a second one cannot come back unnoticed. (The layers above
+// pin the same budget per physical program: ftl's and volume's
+// TestWritesAllocateOnePagePerProgram, sched's TestFlashOpsAllocateOnePage.)
 func TestPageOpsAllocateOnePage(t *testing.T) {
 	eng, card, sp := stack(t)
 	f := NewServer(sp, "srv", 8).NewIface("if0")
@@ -288,6 +457,10 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 	if got := allocBytesPerOp(n, func(i int) { write(warm + i) }); got >= budget {
 		t.Errorf("WritePhysical allocates %.0f B per page, budget %.0f", got, budget)
 	}
+	next := warm + n
+	if got := testing.AllocsPerRun(64, func() { write(next); next++ }); got != 1 {
+		t.Errorf("WritePhysical makes %.0f allocations per page, want 1 (the image)", got)
+	}
 
 	got := func(d []byte, err error) {
 		if err != nil || len(d) != geo.PageSize {
@@ -303,5 +476,9 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 	}
 	if got := allocBytesPerOp(n, read); got >= budget {
 		t.Errorf("ReadPhysical allocates %.0f B per page, budget %.0f", got, budget)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(64, func() { read(i); i++ }); got != 1 {
+		t.Errorf("ReadPhysical makes %.0f allocations per page, want 1 (the snapshot)", got)
 	}
 }

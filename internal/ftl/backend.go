@@ -40,9 +40,21 @@ const TagFlush IOTag = 0xFD
 // A backend may delay operations arbitrarily, but writes carrying the
 // same tag must reach the flash in issue order: the FTL allocates
 // frontier pages in issue order and NAND blocks program in order.
+//
+// Ownership: ReadPage delivers a result that is the callback's own. If
+// nobody else was given the same buffer it arrives with the page's
+// check-byte tail as spare capacity, which makes it a page image the
+// FTL programs back as it stands; a backend that hands one buffer to
+// several readers, or copies, delivers it clipped to the page, and the
+// FTL snapshots it first (nand.Geometry.ReadImage). WritePage ADOPTS
+// img, a page image (nand.Geometry.PageImage): the backend passes it
+// down by reference until the card stores it, and must neither copy it
+// for its own keeping nor touch it after handing it on. Only a failed
+// write — cb with an error — returns the image to the FTL, which may
+// issue the same one again.
 type Backend interface {
 	ReadPage(a nand.Addr, tag IOTag, cb func(data []byte, err error))
-	WritePage(a nand.Addr, data []byte, tag IOTag, cb func(err error))
+	WritePage(a nand.Addr, img []byte, tag IOTag, cb func(err error))
 	EraseBlock(a nand.Addr, tag IOTag, cb func(err error))
 }
 
@@ -59,8 +71,8 @@ func (b ifaceBackend) ReadPage(a nand.Addr, _ IOTag, cb func([]byte, error)) {
 	b.f.ReadPhysical(a, cb)
 }
 
-func (b ifaceBackend) WritePage(a nand.Addr, data []byte, _ IOTag, cb func(error)) {
-	b.f.WritePhysical(a, data, cb)
+func (b ifaceBackend) WritePage(a nand.Addr, img []byte, _ IOTag, cb func(error)) {
+	b.f.WriteImage(a, img, cb)
 }
 
 func (b ifaceBackend) EraseBlock(a nand.Addr, _ IOTag, cb func(error)) {

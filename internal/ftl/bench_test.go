@@ -1,0 +1,95 @@
+package ftl
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/nand"
+)
+
+// BenchmarkRelocate is the cost of one GC move through the flash
+// server, the erase of each emptied victim shared among its pages: a
+// flash read whose snapshot is then programmed back as it stands, so
+// one stored-size page per move is the floor for B/op, and one
+// allocation for allocs/op. Collections run whole, so the figures are
+// computed per page actually moved (b.N rounded up to a block) and
+// reported in place of the built-in per-b.N ones. Run with -benchmem.
+func BenchmarkRelocate(b *testing.B) {
+	h, collect := relocationRig(b)
+	f, geo := h.ftl, h.ftl.geo
+	b.SetBytes(int64(geo.PageSize))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	moves, fired := f.GCMoves, h.eng.Fired()
+	b.ResetTimer()
+	for f.GCMoves-moves < int64(b.N) {
+		collect()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	n := float64(f.GCMoves - moves)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/op")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/op")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/op")
+	b.ReportMetric(float64(h.eng.Fired()-fired)/n, "events/op")
+}
+
+// relocationRig is a device whose every logical page is written once —
+// the sealed blocks are all valid — and a collect func that forces the
+// collection of one of them, moving a whole block of pages and nothing
+// else. The pools and rings are warm when it returns.
+func relocationRig(tb testing.TB) (*harness, func()) {
+	geo := nand.Geometry{
+		Buses: 2, ChipsPerBus: 2, BlocksPerChip: 8, PagesPerBlock: 16,
+		PageSize: 8192, OOBSize: 1024,
+	}
+	h := newHarness(tb, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2, GCPipeline: 4})
+	f := h.ftl
+	buf := page(geo, 1)
+	for lpn := 0; lpn < f.LogicalPages(); lpn++ {
+		if err := h.write(tb, lpn, buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	collect := func() {
+		victim := f.pickVictim(true) // the least-worn sealed block, valid pages or not
+		if victim < 0 {
+			tb.Fatal("no sealed block to collect")
+		}
+		f.beginGC(victim, true)
+		h.eng.Run()
+		if f.gcActive {
+			tb.Fatal("collection did not finish")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		collect()
+	}
+	return h, collect
+}
+
+// TestRelocationAllocatesOnePage: a GC move costs the one stored-size
+// buffer its read allocates — the move programs that buffer back, it
+// does not snapshot it a second time — and one allocation.
+func TestRelocationAllocatesOnePage(t *testing.T) {
+	h, collect := relocationRig(t)
+	f := h.ftl
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	moves := f.GCMoves
+	for i := 0; i < 8; i++ {
+		collect()
+	}
+	runtime.ReadMemStats(&m1)
+	n := float64(f.GCMoves - moves)
+	if n < 8*float64(f.geo.PagesPerBlock) {
+		t.Fatalf("%.0f moves in 8 collections of all-valid blocks", n)
+	}
+	if got, budget := float64(m1.TotalAlloc-m0.TotalAlloc)/n, 1.15*float64(f.geo.StoredPageSize()); got >= budget {
+		t.Errorf("a GC move allocates %.0f B, budget %.0f: more than the page its read snapshots", got, budget)
+	}
+	if got := float64(m1.Mallocs-m0.Mallocs) / n; got >= 1.1 {
+		t.Errorf("a GC move makes %.2f allocations, want 1 (the read snapshot)", got)
+	}
+}

@@ -119,9 +119,12 @@ type FTL struct {
 	gcRunning  bool       // relocation I/O has started
 	gcStalled  bool       // last collection made no progress: no room to relocate
 	prevWear   bool       // last collection was a wear pass (forces greedy next)
-	gcst       *gcState
+	gcst       *gcState   // the collection in progress (points at gcSlot), nil when none
+	gcSlot     gcState    // its storage, reused by every collection
 	gcCount    int64
-	pendingOps []func() // writes queued behind GC by the reserve gate
+	pendingOps []func()        // writes queued behind GC by the reserve gate
+	onErased   func(err error) // the victim erase completed; bound once
+	freeOps    []*flashOp
 
 	// stats
 	HostWrites    int64
@@ -171,6 +174,7 @@ func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 		pageState: make([]pageState, total),
 		blocks:    make([]blockInfo, geo.Buses*geo.ChipsPerBus*geo.BlocksPerChip),
 	}
+	f.onErased = f.victimErased
 	for i := range f.actives {
 		f.actives[i] = -1
 	}
@@ -277,6 +281,73 @@ func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	f.doRead(lpn, tag, cb)
 }
 
+// flashOp is one page operation in flight below the FTL: a host read,
+// a host write from WriteTagged until its mapping is installed, or a GC
+// relocation from its read until the copy is installed. Ops are pooled,
+// and the continuations an op hands down — the backend's completions,
+// and itself as the thing to queue behind a collection — are bound when
+// the record is made, so a page operation allocates nothing here but a
+// write's image.
+//
+//simlint:pool get=getOp put=putOp
+type flashOp struct {
+	lpn int
+	tag IOTag
+	ppn int // read: the page read (a relocation's source); write: the page the program in flight targets
+	// img is a write's page image. The op holds the reference so that a
+	// program that fails with a bad block can be issued again with the
+	// same image; while a program is in flight the image belongs to the
+	// layers below, and after a successful one to the card.
+	img []byte
+	src int      // relocation: the victim page being moved
+	st  *gcState // relocation: the collection it belongs to
+	rcb func(data []byte, err error)
+	wcb func(err error)
+
+	// bound once
+	run     func()                       // write: take a frontier page and program it
+	onRead  func(data []byte, err error) // the backend's read completion
+	onWrite func(err error)              // the backend's program completion
+}
+
+// getOp takes an op from the pool.
+//
+//simlint:hotpath
+func (f *FTL) getOp(lpn int, tag IOTag) *flashOp {
+	var op *flashOp
+	if n := len(f.freeOps); n > 0 {
+		op = f.freeOps[n-1]
+		f.freeOps[n-1] = nil
+		f.freeOps = f.freeOps[:n-1]
+	} else {
+		//simlint:allow hotcall (pool-miss path: the pool grows to the most page operations ever in flight at once and is recycled via putOp forever after)
+		op = f.newOp()
+	}
+	op.lpn, op.tag = lpn, tag
+	return op
+}
+
+// newOp grows the pool by one op. Kept out of line so the pool-miss
+// path stays out of getOp's callers.
+//
+//go:noinline
+func (f *FTL) newOp() *flashOp {
+	op := &flashOp{}
+	op.run = func() { f.allocAndProgram(op) }
+	op.onRead = func(data []byte, err error) { f.readDone(op, data, err) }
+	op.onWrite = func(err error) { f.programDone(op, err) }
+	return op
+}
+
+// putOp recycles an op whose outcome its caller has taken out of it:
+// no backend completion is outstanding on it and no queue holds it.
+//
+//simlint:hotpath
+func (f *FTL) putOp(op *flashOp) {
+	*op = flashOp{run: op.run, onRead: op.onRead, onWrite: op.onWrite}
+	f.freeOps = append(f.freeOps, op)
+}
+
 // doRead resolves the mapping and issues the flash read. Reads never
 // wait for garbage collection: relocation only copies, so a read that
 // races it still finds its data at the old physical page — the one
@@ -284,28 +355,50 @@ func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 // reads to drain (see maybeErase). Once a page is relocated the
 // mapping points at the copy, so later reads resolve away from the
 // victim on their own.
+//
+//simlint:hotpath
 func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	ppn := f.l2p[lpn]
 	if ppn < 0 {
-		//simlint:allow hotcall (error path: allocates only for an unmapped page, which fails the op anyway)
+		//simlint:allow hotpath (error path: allocates only for an unmapped page, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrUnmapped, lpn))
 		return
 	}
 	f.HostReads++
-	blk := f.blockOf(ppn)
-	f.blocks[blk].reads++
-	//simlint:allow hotcall (per-read completion capture hidden under NAND latency; also prunes propagation into the backend dispatch, whose admission path carries its own hotpath annotations)
-	f.io.ReadPage(f.addrOf(ppn), tag, func(data []byte, err error) {
-		f.blocks[blk].reads--
-		if err != nil {
-			f.ReadFaults++
-			if errors.Is(err, flashctl.ErrUncorrectable) {
-				f.UncorrectableReads++
-			}
+	f.blocks[f.blockOf(ppn)].reads++
+	op := f.getOp(lpn, tag)
+	op.ppn, op.rcb = ppn, cb
+	f.read(op)
+}
+
+// read issues the flash read of op.ppn; readDone hears the outcome.
+//
+//simlint:hotpath
+func (f *FTL) read(op *flashOp) {
+	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	f.io.ReadPage(f.addrOf(op.ppn), op.tag, op.onRead)
+}
+
+// readDone is the backend's completion of a host read or of a
+// relocation's read.
+//
+//simlint:hotpath
+func (f *FTL) readDone(op *flashOp, data []byte, err error) {
+	if op.tag == TagGC {
+		f.relocateRead(op, data, err)
+		return
+	}
+	cb := op.rcb
+	f.blocks[f.blockOf(op.ppn)].reads--
+	f.putOp(op)
+	if err != nil {
+		f.ReadFaults++
+		if errors.Is(err, flashctl.ErrUncorrectable) {
+			f.UncorrectableReads++
 		}
-		f.maybeErase()
-		cb(data, err)
-	})
+	}
+	f.maybeErase()
+	cb(data, err)
 }
 
 // Write stores a logical page (tag 0), remapping it to a fresh
@@ -318,7 +411,20 @@ func (f *FTL) Write(lpn int, data []byte, cb func(err error)) {
 // writes to its own frontier block, so streams submitted through
 // independently-scheduled channels keep NAND's in-order-per-block
 // programming rule without cross-stream coupling.
+//
+// Ownership: data is snapshotted into a page image before WriteTagged
+// returns — copied whatever its shape, never adopted — so the caller
+// may reuse its buffer at once. That snapshot is the write's one
+// payload allocation: the image goes down through the backend by
+// reference and is the buffer the card ends up storing.
 func (f *FTL) WriteTagged(lpn int, data []byte, tag IOTag, cb func(err error)) {
+	f.WriteImage(lpn, f.geo.PageImage(data), tag, cb)
+}
+
+// WriteImage is WriteTagged for a caller that already holds the page as
+// an image (nand.Geometry.PageImage) and gives it away: the FTL adopts
+// img and the caller must not touch it again.
+func (f *FTL) WriteImage(lpn int, img []byte, tag IOTag, cb func(err error)) {
 	if lpn < 0 || lpn >= f.lpns {
 		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
@@ -327,14 +433,14 @@ func (f *FTL) WriteTagged(lpn int, data []byte, tag IOTag, cb func(err error)) {
 		cb(ErrBadTag)
 		return
 	}
-	if len(data) != f.geo.PageSize {
-		cb(fmt.Errorf("%w: got %d want %d", ErrDataSize, len(data), f.geo.PageSize))
+	if !f.geo.IsPageImage(img) {
+		cb(fmt.Errorf("%w: got %d want %d", ErrDataSize, len(img), f.geo.PageSize))
 		return
 	}
 	f.HostWrites++
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	f.enqueue(func() { f.doWrite(lpn, buf, tag, cb) })
+	op := f.getOp(lpn, tag)
+	op.img, op.wcb = img, cb
+	f.enqueue(op.run)
 }
 
 // Trim invalidates a logical page without writing. A trim is a pure
@@ -399,84 +505,106 @@ func (f *FTL) enqueue(op func()) {
 	op()
 }
 
-func (f *FTL) doWrite(lpn int, data []byte, tag IOTag, cb func(err error)) {
-	f.allocAndProgram(data, tag, func(finalPPN int, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		// Power-safe ordering: the new copy is durable before the old
-		// mapping is dropped.
-		if old := f.l2p[lpn]; old >= 0 {
-			f.invalidate(old)
-		}
-		f.l2p[lpn] = finalPPN
-		f.p2l[finalPPN] = lpn
-		f.pageState[finalPPN] = pageValid
-		f.blocks[f.blockOf(finalPPN)].valid++
-		cb(nil)
-	})
-}
-
-// allocAndProgram takes a frontier page (starting GC first if needed)
-// and programs data into it, retrying on bad blocks.
-func (f *FTL) allocAndProgram(data []byte, tag IOTag, cb func(finalPPN int, err error)) {
-	ppn, err := f.allocPage(tag, func() { f.allocAndProgram(data, tag, cb) })
+// allocAndProgram takes a frontier page for a host write (starting GC
+// first if needed) and programs its image there. It is the op's run
+// continuation: what enqueue and allocPage park behind a collection.
+//
+//simlint:hotpath
+func (f *FTL) allocAndProgram(op *flashOp) {
+	ppn, err := f.allocPage(op.tag, op.run)
 	if err != nil {
-		cb(-1, err)
+		f.finishWrite(op, -1, err)
 		return
 	}
 	if ppn < 0 {
 		return // GC started; this op was requeued
 	}
-	f.program(ppn, data, tag, cb)
+	f.program(op, ppn)
 }
 
-// program writes data at ppn, transparently retrying elsewhere when
-// the block turns out bad.
-func (f *FTL) program(ppn int, data []byte, tag IOTag, cb func(finalPPN int, err error)) {
+// program writes the op's image at ppn; programDone transparently
+// retries elsewhere when the block turns out bad.
+//
+//simlint:hotpath
+func (f *FTL) program(op *flashOp, ppn int) {
 	f.FlashPrograms++
-	blk := f.blockOf(ppn)
-	f.blocks[blk].pending++
-	f.io.WritePage(f.addrOf(ppn), data, tag, func(err error) {
-		f.blocks[blk].pending--
-		if err == nil {
-			// Run cb (which installs the page's mapping and validity)
-			// BEFORE waking a collection that may have picked this block
-			// as its victim: the relocation scan keys on pageState, and
-			// starting it in the window between the program's completion
-			// and its metadata update would treat this page as dead —
-			// the victim erase would then destroy it while the mapping
-			// (installed moments later) points at freed flash.
-			cb(ppn, nil)
-			f.maybeBeginGC()
-			return
-		}
-		if errors.Is(err, nand.ErrBadBlock) {
-			f.retireBlock(blk)
-			// A collection waiting on this block's pending count can
-			// proceed now (the page never became valid).
-			f.maybeBeginGC()
-			// GC relocation retries must not route through allocPage:
-			// its queue-behind-GC branches would park the retry in
-			// pendingOps behind the very collection waiting on this
-			// callback. Re-allocate on the GC path and let a no-space
-			// failure abort the pass instead.
-			if tag == TagGC {
-				dst, aerr := f.gcAllocPage()
-				if aerr != nil {
-					cb(-1, aerr)
-					return
-				}
-				f.program(dst, data, TagGC, cb)
+	op.ppn = ppn
+	f.blocks[f.blockOf(ppn)].pending++
+	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	f.io.WritePage(f.addrOf(ppn), op.img, op.tag, op.onWrite)
+}
+
+// programDone is the backend's completion of a program.
+//
+//simlint:hotpath
+func (f *FTL) programDone(op *flashOp, err error) {
+	blk := f.blockOf(op.ppn)
+	f.blocks[blk].pending--
+	if err == nil {
+		// Install the page's mapping and validity BEFORE waking a
+		// collection that may have picked this block as its victim: the
+		// relocation scan keys on pageState, and starting it in the
+		// window between the program's completion and its metadata
+		// update would treat this page as dead — the victim erase would
+		// then destroy it while the mapping (installed moments later)
+		// points at freed flash.
+		f.finishWrite(op, op.ppn, nil)
+		f.maybeBeginGC()
+		return
+	}
+	if errors.Is(err, nand.ErrBadBlock) {
+		// The failed program kept nothing: the image is the op's again
+		// and goes out once more, to another block.
+		f.retireBlock(blk)
+		// A collection waiting on this block's pending count can
+		// proceed now (the page never became valid).
+		f.maybeBeginGC()
+		// GC relocation retries must not route through allocPage:
+		// its queue-behind-GC branches would park the retry in
+		// pendingOps behind the very collection waiting on this
+		// callback. Re-allocate on the GC path and let a no-space
+		// failure abort the pass instead.
+		if op.tag == TagGC {
+			dst, aerr := f.gcAllocPage()
+			if aerr != nil {
+				f.finishWrite(op, -1, aerr)
 				return
 			}
-			f.allocAndProgram(data, tag, cb)
+			f.program(op, dst)
 			return
 		}
-		cb(-1, err)
-		f.maybeBeginGC()
-	})
+		f.allocAndProgram(op)
+		return
+	}
+	f.finishWrite(op, -1, err)
+	f.maybeBeginGC()
+}
+
+// finishWrite ends a write op — a host write or a relocation's copy —
+// whose image is stored at finalPPN, or that failed for good.
+//
+//simlint:hotpath
+func (f *FTL) finishWrite(op *flashOp, finalPPN int, err error) {
+	if op.tag == TagGC {
+		f.relocated(op, finalPPN, err)
+		return
+	}
+	lpn, cb := op.lpn, op.wcb
+	f.putOp(op)
+	if err != nil {
+		cb(err)
+		return
+	}
+	// Power-safe ordering: the new copy is durable before the old
+	// mapping is dropped.
+	if old := f.l2p[lpn]; old >= 0 {
+		f.invalidate(old)
+	}
+	f.l2p[lpn] = finalPPN
+	f.p2l[finalPPN] = lpn
+	f.pageState[finalPPN] = pageValid
+	f.blocks[f.blockOf(finalPPN)].valid++
+	cb(nil)
 }
 
 // invalidate marks a physical page dead.
@@ -685,7 +813,10 @@ func (f *FTL) beginGC(victim int, wear bool) {
 	f.prevWear = wear
 	f.gcActive = true
 	f.gcCount++
-	f.gcst = &gcState{victim: victim}
+	// Every relocation of the previous collection has completed (it
+	// could not finish otherwise), so nothing still points at the slot.
+	f.gcSlot = gcState{victim: victim}
+	f.gcst = &f.gcSlot
 	if f.hooks.GCStart != nil {
 		f.hooks.GCStart()
 	}
@@ -758,58 +889,87 @@ func (f *FTL) pumpGC() {
 // the GC tag. The destination is allocated after the copy's read
 // completes, so concurrent relocations still program the GC frontier
 // block strictly in order.
+//
+//simlint:hotpath
 func (f *FTL) relocate(ppn int) {
-	st := f.gcst
-	lpn := f.p2l[ppn]
-	f.io.ReadPage(f.addrOf(ppn), TagGC, func(data []byte, err error) {
-		if err != nil {
-			// Unreadable during GC: drop the mapping and count the loss
-			// so the layer above (volume mirroring, scrubbing) can see
-			// it — a mirrored volume repairs the page from its replica.
-			f.GCReadFaults++
-			f.invalidate(ppn)
-			if lpn >= 0 && f.l2p[lpn] == ppn {
-				f.l2p[lpn] = -1
-				f.LostPages++
-			}
-			st.inflight--
-			f.pumpGC()
-			return
+	op := f.getOp(f.p2l[ppn], TagGC)
+	op.ppn, op.src, op.st = ppn, ppn, f.gcst
+	f.read(op)
+}
+
+// relocateRead takes a relocation's read and programs what it read.
+//
+// Ownership: the read result is re-programmed as it stands — a read
+// delivers a private page image, check-byte tail and all — and is
+// snapshotted only when its deliverer shared it with another reader
+// (nand.Geometry.ReadImage), so a move costs the one buffer its read
+// allocated.
+//
+//simlint:hotpath
+func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
+	st, ppn, lpn := op.st, op.src, op.lpn
+	if err != nil {
+		// Unreadable during GC: drop the mapping and count the loss
+		// so the layer above (volume mirroring, scrubbing) can see
+		// it — a mirrored volume repairs the page from its replica.
+		f.GCReadFaults++
+		f.invalidate(ppn)
+		if lpn >= 0 && f.l2p[lpn] == ppn {
+			f.l2p[lpn] = -1
+			f.LostPages++
 		}
-		if lpn < 0 || f.l2p[lpn] != ppn || f.pageState[ppn] != pageValid {
-			// Trimmed while the copy was in flight: drop it.
-			st.inflight--
-			f.pumpGC()
-			return
-		}
-		dst, aerr := f.gcAllocPage()
-		if aerr != nil {
-			st.aborted = true
-			st.inflight--
-			f.pumpGC()
-			return
-		}
-		f.GCMoves++
-		f.program(dst, data, TagGC, func(finalPPN int, perr error) {
-			st.inflight--
-			if perr != nil {
-				st.aborted = true
-				f.pumpGC()
-				return
-			}
-			if f.l2p[lpn] == ppn && f.pageState[ppn] == pageValid {
-				f.invalidate(ppn)
-				f.l2p[lpn] = finalPPN
-				f.p2l[finalPPN] = lpn
-				f.pageState[finalPPN] = pageValid
-				f.blocks[f.blockOf(finalPPN)].valid++
-			} else {
-				// Trimmed mid-copy: the fresh page holds garbage.
-				f.pageState[finalPPN] = pageInvalid
-			}
-			f.pumpGC()
-		})
-	})
+		f.dropRelocation(op)
+		return
+	}
+	if lpn < 0 || f.l2p[lpn] != ppn || f.pageState[ppn] != pageValid {
+		// Trimmed while the copy was in flight: drop it.
+		f.dropRelocation(op)
+		return
+	}
+	dst, aerr := f.gcAllocPage()
+	if aerr != nil {
+		st.aborted = true
+		f.dropRelocation(op)
+		return
+	}
+	f.GCMoves++
+	op.img = f.geo.ReadImage(data)
+	f.program(op, dst)
+}
+
+// dropRelocation ends a relocation that programs nothing.
+//
+//simlint:hotpath
+func (f *FTL) dropRelocation(op *flashOp) {
+	op.st.inflight--
+	f.putOp(op)
+	f.pumpGC()
+}
+
+// relocated ends a relocation whose copy is stored at finalPPN, or
+// whose program failed for good.
+//
+//simlint:hotpath
+func (f *FTL) relocated(op *flashOp, finalPPN int, perr error) {
+	st, ppn, lpn := op.st, op.src, op.lpn
+	f.putOp(op)
+	st.inflight--
+	if perr != nil {
+		st.aborted = true
+		f.pumpGC()
+		return
+	}
+	if f.l2p[lpn] == ppn && f.pageState[ppn] == pageValid {
+		f.invalidate(ppn)
+		f.l2p[lpn] = finalPPN
+		f.p2l[finalPPN] = lpn
+		f.pageState[finalPPN] = pageValid
+		f.blocks[f.blockOf(finalPPN)].valid++
+	} else {
+		// Trimmed mid-copy: the fresh page holds garbage.
+		f.pageState[finalPPN] = pageInvalid
+	}
+	f.pumpGC()
 }
 
 // gcAllocPage allocates a relocation target on the GC frontier without
@@ -840,26 +1000,30 @@ func (f *FTL) gcAllocPage() (int, error) {
 
 func (f *FTL) eraseVictim(victim int) {
 	f.FlashErases++
-	f.io.EraseBlock(f.blockAddr(victim), TagGC, func(err error) {
-		bi := &f.blocks[victim]
-		if err != nil {
-			f.retireBlock(victim)
-		} else {
-			bi.erases++
-			bi.valid = 0
-			bi.written = 0
-			base := victim * f.geo.PagesPerBlock
-			for p := 0; p < f.geo.PagesPerBlock; p++ {
-				f.pageState[base+p] = pageFree
-				f.p2l[base+p] = -1
-			}
-			// Fresh erased space: a previously stalled FTL can make
-			// progress again.
-			f.gcStalled = false
-			f.pushFree(victim)
+	f.io.EraseBlock(f.blockAddr(victim), TagGC, f.onErased)
+}
+
+// victimErased is the backend's completion of the collection's erase.
+func (f *FTL) victimErased(err error) {
+	victim := f.gcst.victim
+	bi := &f.blocks[victim]
+	if err != nil {
+		f.retireBlock(victim)
+	} else {
+		bi.erases++
+		bi.valid = 0
+		bi.written = 0
+		base := victim * f.geo.PagesPerBlock
+		for p := 0; p < f.geo.PagesPerBlock; p++ {
+			f.pageState[base+p] = pageFree
+			f.p2l[base+p] = -1
 		}
-		f.finishGC()
-	})
+		// Fresh erased space: a previously stalled FTL can make
+		// progress again.
+		f.gcStalled = false
+		f.pushFree(victim)
+	}
+	f.finishGC()
 }
 
 // finishGC drains operations queued while collecting.

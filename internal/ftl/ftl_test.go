@@ -20,7 +20,14 @@ type harness struct {
 	ftl  *FTL
 }
 
-func newHarness(t *testing.T, geo nand.Geometry, rel nand.Reliability, cfg Config) *harness {
+func newHarness(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg Config) *harness {
+	t.Helper()
+	return newHarnessOver(t, geo, rel, cfg, func(b Backend) Backend { return b })
+}
+
+// newHarnessOver is newHarness with wrap sitting between the FTL and
+// its flashserver backend.
+func newHarnessOver(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg Config, wrap func(Backend) Backend) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
 	card, err := nand.NewCard(eng, "card", geo, nand.DefaultTiming(), rel, 11)
@@ -40,7 +47,7 @@ func newHarness(t *testing.T, geo nand.Geometry, rel nand.Reliability, cfg Confi
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "ftl", 16)
-	f, err := New(srv.NewIface("ftl"), geo, cfg)
+	f, err := NewWithBackend(wrap(IfaceBackend(srv.NewIface("ftl"))), geo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +61,7 @@ func smallGeo() nand.Geometry {
 	}
 }
 
-func (h *harness) write(t *testing.T, lpn int, data []byte) error {
+func (h *harness) write(t testing.TB, lpn int, data []byte) error {
 	t.Helper()
 	var result error = errors.New("write never completed")
 	h.ftl.Write(lpn, data, func(err error) { result = err })
@@ -62,7 +69,7 @@ func (h *harness) write(t *testing.T, lpn int, data []byte) error {
 	return result
 }
 
-func (h *harness) read(t *testing.T, lpn int) ([]byte, error) {
+func (h *harness) read(t testing.TB, lpn int) ([]byte, error) {
 	t.Helper()
 	var data []byte
 	var result error = errors.New("read never completed")

@@ -1,0 +1,283 @@
+package ftl
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/nand"
+	"repro/internal/sim"
+)
+
+// A page image has one owner from the logical write to the cell: the
+// buffer WriteTagged allocates is the one the card stores, a GC move
+// stores the buffer its read returned, and a program that fails on a
+// bad block goes out again with the same image. These tests watch the
+// FTL/backend boundary with a spy and compare what crossed it with what
+// the card holds.
+
+// spyBackend records every buffer that crosses the backend interface.
+type spyBackend struct {
+	Backend
+	card    *nand.Card
+	writes  []spyWrite     // every WritePage in issue order, outcome filled in on completion
+	gcReads map[*byte]bool // first byte of every result a TagGC read delivered
+}
+
+type spyWrite struct {
+	a      nand.Addr
+	tag    IOTag
+	img    []byte
+	err    error
+	stored bool // on completion the card held img itself at a
+}
+
+func (b *spyBackend) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
+	b.Backend.ReadPage(a, tag, func(data []byte, err error) {
+		if tag == TagGC && err == nil {
+			b.gcReads[&data[0]] = true
+		}
+		cb(data, err)
+	})
+}
+
+func (b *spyBackend) WritePage(a nand.Addr, img []byte, tag IOTag, cb func(error)) {
+	i := len(b.writes)
+	b.writes = append(b.writes, spyWrite{a: a, tag: tag, img: img})
+	b.Backend.WritePage(a, img, tag, func(err error) {
+		stored := b.card.Peek(a)
+		b.writes[i].err = err
+		b.writes[i].stored = err == nil && len(stored) > 0 && &stored[0] == &img[0]
+		cb(err)
+	})
+}
+
+func newSpyHarness(t testing.TB, geo nand.Geometry, cfg Config) (*harness, *spyBackend) {
+	spy := &spyBackend{gcReads: make(map[*byte]bool)}
+	h := newHarnessOver(t, geo, nand.Reliability{}, cfg, func(b Backend) Backend {
+		spy.Backend = b
+		return spy
+	})
+	spy.card = h.card
+	return h, spy
+}
+
+// churn seeds every logical page and then overwrites at random until
+// the collector has moved pages, returning the last version written of
+// each page.
+func churn(t testing.TB, h *harness, geo nand.Geometry, overwrites int) map[int]byte {
+	t.Helper()
+	lpns := h.ftl.LogicalPages()
+	version := make(map[int]byte)
+	for lpn := 0; lpn < lpns; lpn++ {
+		if err := h.write(t, lpn, page(geo, byte(lpn))); err != nil {
+			t.Fatalf("seed lpn %d: %v", lpn, err)
+		}
+		version[lpn] = byte(lpn)
+	}
+	rng := sim.NewRNG(7)
+	for i := 0; i < overwrites; i++ {
+		lpn, v := rng.Intn(lpns), byte(rng.Intn(256))
+		if err := h.write(t, lpn, page(geo, v)); err != nil {
+			t.Fatalf("overwrite %d (lpn %d): %v", i, lpn, err)
+		}
+		version[lpn] = v
+	}
+	return version
+}
+
+// TestWriteTaggedImageReachesTheCard: the snapshot WriteTagged takes is
+// an image of its own (never the caller's buffer, whatever its
+// capacity), and that image — not a copy of it — is what the card
+// stores. The caller scribbles on its buffer when the call returns and
+// again when its callback fires; flash is unmoved.
+func TestWriteTaggedImageReachesTheCard(t *testing.T) {
+	geo := smallGeo()
+	h, spy := newSpyHarness(t, geo, DefaultConfig())
+	want := page(geo, 0x3c)
+	// The caller's buffer has the capacity of an image: ownership must
+	// not be inferred from it.
+	buf := geo.PageImage(want)
+	scribble := func() {
+		b := buf[:cap(buf)]
+		for i := range b {
+			b[i] = 0xff
+		}
+	}
+	h.ftl.WriteTagged(5, buf, 1, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		scribble()
+	})
+	scribble()
+	h.eng.Run()
+
+	if len(spy.writes) != 1 {
+		t.Fatalf("%d programs for one write", len(spy.writes))
+	}
+	w := spy.writes[0]
+	if !geo.IsPageImage(w.img) {
+		t.Fatalf("the FTL handed down len %d cap %d, not a page image", len(w.img), cap(w.img))
+	}
+	if &w.img[0] == &buf[0] {
+		t.Fatal("WriteTagged adopted the caller's buffer")
+	}
+	if !w.stored {
+		t.Fatal("the card does not store the buffer WriteTagged allocated")
+	}
+	if got, err := h.read(t, 5); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back: err %v; the caller's scribbling reached flash", err)
+	}
+}
+
+// TestGCMoveStoresTheBufferItRead: a relocation re-programs the buffer
+// its read returned. Every GC program hands down a buffer some GC read
+// delivered, and at its destination the card stores that very buffer.
+func TestGCMoveStoresTheBufferItRead(t *testing.T) {
+	geo := smallGeo()
+	h, spy := newSpyHarness(t, geo, Config{OverProvision: 0.25, GCLowWater: 2})
+	version := churn(t, h, geo, 3*h.ftl.LogicalPages())
+	if h.ftl.GCMoves == 0 {
+		t.Fatal("the churn never made the collector move a page")
+	}
+	moves := 0
+	for _, w := range spy.writes {
+		if w.tag != TagGC || w.err != nil {
+			continue
+		}
+		moves++
+		if !spy.gcReads[&w.img[0]] {
+			t.Fatalf("GC program at %v hands down a buffer no GC read delivered: the move copied", w.a)
+		}
+		if !w.stored {
+			t.Fatalf("the card stores a copy of the moved page at %v", w.a)
+		}
+	}
+	if int64(moves) != h.ftl.GCMoves {
+		t.Fatalf("spy saw %d GC programs, the FTL counts %d moves", moves, h.ftl.GCMoves)
+	}
+	for lpn, v := range version {
+		if got, err := h.read(t, lpn); err != nil || !bytes.Equal(got, page(geo, v)) {
+			t.Fatalf("lpn %d after GC: err %v, wrong data", lpn, err)
+		}
+	}
+}
+
+// TestSharedReadResultIsCopiedBeforeRelocation: a backend that delivers
+// a GC read clipped to the page says the buffer is not the FTL's alone.
+// The move must then program a snapshot, so that the other holder
+// scribbling on the shared buffer cannot reach the relocated page.
+func TestSharedReadResultIsCopiedBeforeRelocation(t *testing.T) {
+	geo := smallGeo()
+	var shared [][]byte
+	var spy *spyBackend
+	h := newHarnessOver(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2}, func(b Backend) Backend {
+		spy = &spyBackend{Backend: clipGCReads{b, &shared}, gcReads: make(map[*byte]bool)}
+		return spy
+	})
+	spy.card = h.card
+	version := churn(t, h, geo, 3*h.ftl.LogicalPages())
+	if len(shared) == 0 {
+		t.Fatal("no GC read happened")
+	}
+	for _, w := range spy.writes {
+		if w.tag == TagGC && spy.gcReads[&w.img[0]] {
+			t.Fatal("a relocation programmed a read result it was told is shared")
+		}
+	}
+	for _, d := range shared { // the other reader owns its result: scribble
+		for i := range d {
+			d[i] = 0xff
+		}
+	}
+	for lpn, v := range version {
+		if got, err := h.read(t, lpn); err != nil || !bytes.Equal(got, page(geo, v)) {
+			t.Fatalf("lpn %d: err %v; a shared read result was re-programmed without a copy", lpn, err)
+		}
+	}
+}
+
+// clipGCReads delivers every GC read clipped to the page, the way sched
+// delivers a read it fans out to coalesced followers, and keeps the
+// buffer as the other reader would.
+type clipGCReads struct {
+	Backend
+	shared *[][]byte
+}
+
+func (b clipGCReads) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
+	b.Backend.ReadPage(a, tag, func(data []byte, err error) {
+		if tag == TagGC && err == nil {
+			data = data[:len(data):len(data)]
+			*b.shared = append(*b.shared, data)
+		}
+		cb(data, err)
+	})
+}
+
+// TestBadBlockRetryResubmitsTheSameImage: a program that hits a bad
+// block is issued again elsewhere with the very image that failed, and
+// the card ends up storing that image with the right bytes.
+func TestBadBlockRetryResubmitsTheSameImage(t *testing.T) {
+	geo := smallGeo()
+	h, spy := newSpyHarness(t, geo, DefaultConfig())
+	// Block 0 of bus 0 is the least-worn free block the first write
+	// opens its frontier in.
+	h.card.MarkBad(nand.Addr{Bus: 0, Chip: 0, Block: 0})
+	want := page(geo, 0x77)
+	if err := h.write(t, 2, want); err != nil {
+		t.Fatal(err)
+	}
+	if h.ftl.BadBlocks != 1 || len(spy.writes) != 2 {
+		t.Fatalf("bad blocks %d, programs %d: want one failed program and one retry", h.ftl.BadBlocks, len(spy.writes))
+	}
+	first, retry := spy.writes[0], spy.writes[1]
+	if first.err == nil || retry.err != nil {
+		t.Fatalf("program outcomes %v, %v", first.err, retry.err)
+	}
+	if &first.img[0] != &retry.img[0] {
+		t.Fatal("the retry programmed a different buffer than the one that failed")
+	}
+	if !retry.stored {
+		t.Fatal("the card does not store the re-submitted image")
+	}
+	if got, err := h.read(t, 2); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back after the retry: err %v, wrong data", err)
+	}
+}
+
+// TestWritesAllocateOnePagePerProgram extends flashserver's
+// TestPageOpsAllocateOnePage upward: under steady-state GC a logical
+// write costs one stored-size buffer per physical program — the host
+// write's image, and for every page the collector moves the snapshot
+// its read took, which the move programs back as it stands — plus
+// small change.
+func TestWritesAllocateOnePagePerProgram(t *testing.T) {
+	geo := smallGeo()
+	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
+	churn(t, h, geo, 2*h.ftl.LogicalPages()) // into steady-state GC, pools warm
+	f := h.ftl
+	lpns := f.LogicalPages()
+	rng := sim.NewRNG(3)
+	buf := page(geo, 1)
+	progs, moves, writes := f.FlashPrograms, f.GCMoves, f.HostWrites
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4*lpns; i++ {
+		if err := h.write(t, rng.Intn(lpns), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	progs, moves, writes = f.FlashPrograms-progs, f.GCMoves-moves, f.HostWrites-writes
+	if moves == 0 || progs != writes+moves {
+		t.Fatalf("window: %d host writes, %d moves, %d programs", writes, moves, progs)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	if budget := 1.15 * float64(progs) * float64(geo.StoredPageSize()); got >= budget {
+		t.Errorf("%d host writes (%d programs, %d of them GC moves) allocated %.0f B, budget %.0f: more than one page per program",
+			writes, progs, moves, got, budget)
+	}
+}

@@ -80,7 +80,20 @@ type bufState struct {
 	dmaOut   int  // burst trains handed to the DMA pipe and not yet landed
 	expect   int  // total bytes of the page transfer (when known)
 	lastSeen bool // producer finished filling
-	onDone   func()
+	onDone   func(buf int)
+}
+
+// readGrant is one AcquireReadBuffer call waiting for its buffer.
+type readGrant struct {
+	expect int
+	onDone func(buf int)
+	fn     func(buf int)
+}
+
+// raisedIntr is a completion interrupt on its way to the host.
+type raisedIntr struct {
+	buf    int
+	onDone func(buf int)
 }
 
 // HostIf is one node's PCIe host link.
@@ -96,6 +109,24 @@ type HostIf struct {
 	readBufs    []bufState
 	readFreeIdx []int    // stack of free read-buffer indices
 	landed      []func() // per read buffer: a burst train reached host memory; bound once
+
+	// Whatever waits here in the order it arrived — callers for a read
+	// buffer, for a write buffer, for their page to cross PCIe
+	// downwards, and finished pages for their completion interrupt to
+	// reach the host — waits in a FIFO of its own, served by one
+	// continuation bound at construction: the token pools grant strictly
+	// in request order, the downward pipe delivers in reservation order
+	// and every interrupt takes the same time, so the head of the FIFO
+	// is always the one the grant, the delivery or the interrupt is for,
+	// and no call allocates a closure to remember who asked.
+	readWaiting  sim.Queue[readGrant]
+	writeWaiting sim.Queue[func(buf int)]
+	downMoving   sim.Queue[func()]
+	interrupting sim.Queue[raisedIntr]
+	grantRead    func()
+	grantWrite   func()
+	downLanded   func()
+	interrupt    func()
 
 	// stats
 	RPCs       sim.Counter
@@ -126,6 +157,22 @@ func New(eng *sim.Engine, name string, cfg Config) (*HostIf, error) {
 			h.readBufs[i].dmaOut--
 			h.maybeComplete(i)
 		}
+	}
+	h.interrupt = func() {
+		in := h.interrupting.Pop()
+		in.onDone(in.buf)
+	}
+	h.grantRead = func() {
+		g := h.readWaiting.Pop()
+		buf := h.readFreeIdx[len(h.readFreeIdx)-1]
+		h.readFreeIdx = h.readFreeIdx[:len(h.readFreeIdx)-1]
+		h.readBufs[buf] = bufState{expect: g.expect, onDone: g.onDone}
+		g.fn(buf)
+	}
+	h.grantWrite = func() { h.writeWaiting.Pop()(0) }
+	h.downLanded = func() {
+		h.PagesDown.Inc()
+		h.downMoving.Pop()()
 	}
 	return h, nil
 }
@@ -162,17 +209,11 @@ func (h *HostIf) ChargeLightSoftware(fn func()) {
 // FIFO when all 128 are in use. onDone fires host-side (after the
 // completion interrupt) when the page transfer into host memory
 // finishes; the buffer stays owned until ReleaseReadBuffer.
+//
+//simlint:hotpath
 func (h *HostIf) AcquireReadBuffer(expectBytes int, onDone func(buf int), fn func(buf int)) {
-	h.readFree.Acquire(1, func() {
-		buf := h.readFreeIdx[len(h.readFreeIdx)-1]
-		h.readFreeIdx = h.readFreeIdx[:len(h.readFreeIdx)-1]
-		h.readBufs[buf] = bufState{expect: expectBytes}
-		if onDone != nil {
-			b := buf
-			h.readBufs[buf].onDone = func() { onDone(b) }
-		}
-		fn(buf)
-	})
+	h.readWaiting.Push(readGrant{expect: expectBytes, onDone: onDone, fn: fn})
+	h.readFree.Acquire(1, h.grantRead)
 }
 
 // DeviceWriteChunk is called by device-side producers (flash interface,
@@ -230,7 +271,8 @@ func (h *HostIf) maybeComplete(buf int) {
 	st.onDone = nil
 	h.PagesUp.Inc()
 	h.Interrupts.Inc()
-	h.eng.After(h.cfg.InterruptLatency, done)
+	h.interrupting.Push(raisedIntr{buf: buf, onDone: done})
+	h.eng.After(h.cfg.InterruptLatency, h.interrupt)
 }
 
 // ReleaseReadBuffer returns a buffer to the free queue. Panics on a
@@ -249,19 +291,22 @@ func (h *HostIf) ReleaseReadBuffer(buf int) {
 // AcquireWriteBuffer grants a free write-buffer index (the host then
 // memcpys page data into it, which we charge to the caller's own CPU
 // model, not here).
+//
+//simlint:hotpath
 func (h *HostIf) AcquireWriteBuffer(fn func(buf int)) {
-	h.writeFree.Acquire(1, func() { fn(0) })
+	h.writeWaiting.Push(fn)
+	h.writeFree.Acquire(1, h.grantWrite)
 }
 
 // DeviceReadBuffer models the device DMA-reading size bytes from a
 // host write buffer; done runs device-side when the data has crossed
 // PCIe. Write-path DMA is a contiguous stream (paper: "straightforward
 // to parallelize"), so no per-buffer FIFO gating is needed.
+//
+//simlint:hotpath
 func (h *HostIf) DeviceReadBuffer(size int, done func()) {
-	h.fromHost.Transfer(size, func() {
-		h.PagesDown.Inc()
-		done()
-	})
+	h.downMoving.Push(done)
+	h.fromHost.Transfer(size, h.downLanded)
 }
 
 // ReleaseWriteBuffer returns a write buffer to the free queue.

@@ -291,3 +291,79 @@ func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
 		})
 	}
 }
+
+// TestWaitersMatchTheirGrants: the host interface remembers who waits
+// for a buffer, a downward DMA or an interrupt in FIFOs served by one
+// continuation each. With more callers than buffers, pages of different
+// sizes and buffers recycled mid-run, every caller must still get its
+// own grant, its own landing and its own completion, in request order,
+// and none of it may allocate.
+func TestWaitersMatchTheirGrants(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.ReadBuffers, cfg.WriteBuffers = 2, 2
+	h, err := New(eng, "n0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 7
+	var granted, completed, wgranted, landed []int
+	bufOf := make(map[int]int)
+	reads := make([]struct{ onDone, fn func(buf int) }, n)
+	writes := make([]struct {
+		fn   func(buf int)
+		done func()
+	}, n)
+	for i := 0; i < n; i++ {
+		i := i
+		size := 512 * (1 + (n-i)%3) // later callers are not always slower
+		reads[i].fn = func(buf int) {
+			granted = append(granted, i)
+			bufOf[i] = buf
+			h.DeviceWriteChunk(buf, size, true)
+		}
+		reads[i].onDone = func(buf int) {
+			if buf != bufOf[i] {
+				t.Errorf("read %d completed on buffer %d, was granted %d", i, buf, bufOf[i])
+			}
+			completed = append(completed, i)
+			h.ReleaseReadBuffer(buf)
+		}
+		writes[i].done = func() {
+			landed = append(landed, i)
+			h.ReleaseWriteBuffer()
+		}
+		writes[i].fn = func(int) {
+			wgranted = append(wgranted, i)
+			h.DeviceReadBuffer(size, writes[i].done)
+		}
+	}
+	run := func() {
+		for i := 0; i < n; i++ {
+			h.AcquireReadBuffer(8192, reads[i].onDone, reads[i].fn)
+			h.AcquireWriteBuffer(writes[i].fn)
+		}
+		eng.Run()
+	}
+	run()
+	for name, got := range map[string][]int{"read grants": granted, "read completions": completed,
+		"write grants": wgranted, "write landings": landed} {
+		if len(got) != n {
+			t.Fatalf("%s: %v, want every caller once", name, got)
+		}
+		for i, who := range got {
+			if who != i {
+				t.Fatalf("%s out of request order: %v", name, got)
+			}
+		}
+	}
+	if h.PagesUp.Value() != n || h.PagesDown.Value() != n {
+		t.Fatalf("pages up %d, down %d, want %d each", h.PagesUp.Value(), h.PagesDown.Value(), n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		granted, completed, wgranted, landed = granted[:0], completed[:0], wgranted[:0], landed[:0]
+		run()
+	}); allocs != 0 {
+		t.Fatalf("a round of waits allocates %.0f times, want 0", allocs)
+	}
+}

@@ -121,7 +121,7 @@ func (s Stats) Delta(since Stats) Stats {
 // time-sharing stretches every running op proportionally.
 type Thread struct {
 	cpu     *CPU
-	queue   []workItem
+	queue   sim.Queue[workItem]
 	running bool
 	current workItem // the in-flight item; threads run strictly serially
 	step    func()   // bound once: run current, then pump the queue
@@ -150,7 +150,7 @@ func (t *Thread) Do(cost sim.Time, fn func()) {
 	if cost < 0 {
 		panic(fmt.Sprintf("hostmodel: negative cost %v", cost))
 	}
-	t.queue = append(t.queue, workItem{cost: cost, fn: fn})
+	t.queue.Push(workItem{cost: cost, fn: fn})
 	if !t.running {
 		t.running = true
 		t.cpu.runnable++
@@ -159,14 +159,12 @@ func (t *Thread) Do(cost sim.Time, fn func()) {
 }
 
 func (t *Thread) next() {
-	if len(t.queue) == 0 {
+	if t.queue.Len() == 0 {
 		t.running = false
 		t.cpu.runnable--
 		return
 	}
-	item := t.queue[0]
-	t.queue[0] = workItem{}
-	t.queue = t.queue[1:]
+	item := t.queue.Pop()
 	// Time-sharing: with R runnable threads on C cores, each op takes
 	// R/C times longer once R > C.
 	eff := item.cost

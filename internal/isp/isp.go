@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Engine is a user-defined in-store processing engine. Engines are
@@ -45,7 +46,7 @@ type Scheduler struct {
 	name  string
 	units int
 	busy  int
-	queue []func(done func())
+	queue sim.Queue[func(done func())]
 
 	// release bookkeeping: frees counts units returned but not yet
 	// redistributed; draining marks the redistribution loop live so a
@@ -75,7 +76,7 @@ func (s *Scheduler) Units() int { return s.units }
 func (s *Scheduler) Busy() int { return s.busy }
 
 // Queued returns how many requests are waiting.
-func (s *Scheduler) Queued() int { return len(s.queue) }
+func (s *Scheduler) Queued() int { return s.queue.Len() }
 
 // Submit requests an acceleration unit. fn runs when one is assigned
 // and must call done() exactly once to release it; queued requests
@@ -85,13 +86,13 @@ func (s *Scheduler) Queued() int { return len(s.queue) }
 //
 //simlint:once fn
 func (s *Scheduler) Submit(fn func(done func())) {
-	if s.busy < s.units && len(s.queue) == 0 {
+	if s.busy < s.units && s.queue.Len() == 0 {
 		s.busy++
 		s.grant(fn)
 		return
 	}
 	s.Waits++
-	s.queue = append(s.queue, fn)
+	s.queue.Push(fn)
 }
 
 // grant starts fn on an assigned unit with a single-shot done.
@@ -122,11 +123,8 @@ func (s *Scheduler) release() {
 	s.draining = true
 	for s.frees > 0 {
 		s.frees--
-		if len(s.queue) > 0 {
-			fn := s.queue[0]
-			s.queue[0] = nil
-			s.queue = s.queue[1:]
-			s.grant(fn)
+		if s.queue.Len() > 0 {
+			s.grant(s.queue.Pop())
 			continue
 		}
 		s.busy--

@@ -1,0 +1,165 @@
+package nand
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// TestPageImageShape: the constructor's contract. An image is a private
+// copy with len PageSize and room behind it for the check bytes; a
+// wrong-size payload is copied at its own length, which no adopting
+// call accepts; ReadImage keeps a result that already is an image and
+// snapshots one that was clipped.
+func TestPageImageShape(t *testing.T) {
+	g := testGeometry()
+	data := bytes.Repeat([]byte{0x5a}, g.PageSize)
+	img := g.PageImage(data)
+	if len(img) != g.PageSize || cap(img) < g.StoredPageSize() || !g.IsPageImage(img) {
+		t.Fatalf("image has len %d cap %d", len(img), cap(img))
+	}
+	if &img[0] == &data[0] || !bytes.Equal(img, data) {
+		t.Fatal("an image is a private copy of the page")
+	}
+	if tail := img[g.PageSize:g.StoredPageSize()]; !bytes.Equal(tail, make([]byte, g.OOBSize)) {
+		t.Fatal("the tail of a fresh image is not zeroed")
+	}
+	for _, n := range []int{0, 100, g.PageSize + 1, 2 * g.StoredPageSize()} {
+		bad := g.PageImage(make([]byte, n))
+		if len(bad) != n || g.IsPageImage(bad) {
+			t.Fatalf("a %d-byte payload became len %d, image %v", n, len(bad), g.IsPageImage(bad))
+		}
+	}
+	if g.IsPageImage(data) { // cap == PageSize: no room for the check bytes
+		t.Fatal("a bare page passes for an image")
+	}
+	if got := g.ReadImage(img); &got[0] != &img[0] {
+		t.Fatal("ReadImage copied a result that already is an image")
+	}
+	clipped := img[:len(img):len(img)]
+	if got := g.ReadImage(clipped); &got[0] == &img[0] || !g.IsPageImage(got) || !bytes.Equal(got, data) {
+		t.Fatal("ReadImage must snapshot a clipped result into a fresh image")
+	}
+}
+
+// TestInterleavedCommandsMatchTheirCallbacks: commands carry no
+// continuation of their own — a chip, a bus and the card's erases each
+// have one, which pops the command it is for — so reads, programs and
+// erases interleaved on chips that share a bus must still each hear
+// their own outcome, and the whole path must allocate nothing but the
+// read snapshots.
+func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
+	eng := sim.NewEngine()
+	c := perfectCard(t, eng)
+	g := c.Geometry()
+	const pages = 6
+	// Two chips on bus 0, one on bus 1; pages 0..5 of block 0 on each.
+	chips := []Addr{{Bus: 0, Chip: 0}, {Bus: 0, Chip: 1}, {Bus: 1, Chip: 0}}
+	fillOf := func(ci, p int) byte { return byte(0x10*ci + p + 1) }
+	progAcks := 0
+	for p := 0; p < pages; p++ {
+		for ci, ch := range chips {
+			a := ch
+			a.Page = p
+			c.ProgramPage(a, mkRaw(c, fillOf(ci, p)), func(err error) {
+				if err != nil {
+					t.Errorf("program %v: %v", a, err)
+				}
+				progAcks++
+			})
+		}
+	}
+	eng.Run()
+	if progAcks != pages*len(chips) {
+		t.Fatalf("%d program acks", progAcks)
+	}
+
+	// Now everything at once: reads of every page, programs of the next
+	// page of each block, an erase of another block on each chip, a read
+	// of an unwritten page that must fail without disturbing the rest.
+	reads, acks, erases, failed := 0, 0, 0, 0
+	type readCB = func([]byte, error)
+	readCBs := make(map[Addr]readCB)
+	for p := 0; p < pages; p++ {
+		for ci, ch := range chips {
+			a, want := ch, fillOf(ci, p)
+			a.Page = p
+			readCBs[a] = func(raw []byte, err error) {
+				if err != nil || len(raw) != g.StoredPageSize() || raw[0] != want || raw[len(raw)-1] != want {
+					t.Errorf("read %v: err %v, wrong page", a, err)
+				}
+				reads++
+			}
+		}
+	}
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		acks++
+	}
+	erased := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		erases++
+	}
+	unwritten := func(_ []byte, err error) {
+		if !errors.Is(err, ErrReadFree) {
+			t.Errorf("read of an unwritten page: %v", err)
+		}
+		failed++
+	}
+	next := pages
+	raws := make([][]byte, 0, 64)
+	round := func(failing bool) {
+		for p := 0; p < pages; p++ {
+			for _, ch := range chips {
+				a := ch
+				a.Page = p
+				c.ReadPage(a, readCBs[a])
+			}
+			if p == 2 {
+				for i, ch := range chips {
+					a := ch
+					a.Page = next
+					c.ProgramPage(a, raws[i], ack)
+					c.EraseBlock(Addr{Bus: ch.Bus, Chip: ch.Chip, Block: 3}, erased)
+					if failing {
+						c.ReadPage(Addr{Bus: ch.Bus, Chip: ch.Chip, Block: 5}, unwritten)
+					}
+				}
+			}
+		}
+		next++
+		eng.Run()
+	}
+	for range chips {
+		raws = append(raws, mkRaw(c, 0xcc))
+	}
+	round(true)
+	if reads != pages*len(chips) || acks != len(chips) || erases != len(chips) || failed != len(chips) {
+		t.Fatalf("reads %d, program acks %d, erases %d, failed reads %d", reads, acks, erases, failed)
+	}
+
+	// Steady state, no command failing: the only allocations are the
+	// read snapshots.
+	for i := range raws {
+		raws[i] = mkRaw(c, 0xcd)
+	}
+	round(false) // rings at their high-water mark
+	fresh := make([][]byte, 0, 8*len(chips))
+	for i := 0; i < cap(fresh); i++ {
+		fresh = append(fresh, mkRaw(c, 0xce))
+	}
+	if allocs := testing.AllocsPerRun(4, func() {
+		copy(raws, fresh[:len(chips)])
+		fresh = fresh[len(chips):]
+		round(false)
+	}); allocs != float64(pages*len(chips)) {
+		t.Fatalf("a round of %d reads, %d programs and %d erases allocates %.0f times, want one snapshot per read",
+			pages*len(chips), len(chips), len(chips), allocs)
+	}
+}

@@ -53,6 +53,51 @@ func (g Geometry) Validate() error {
 // StoredPageSize returns the raw bytes stored per page (data + OOB).
 func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 
+// PageImage snapshots data into a new page image — the one buffer a
+// program allocates. A page image is a slice with len == PageSize and
+// cap >= StoredPageSize that has exactly one holder at a time: the
+// layer that takes the snapshot hands it down by reference, every
+// layer below adopts it (and must neither keep nor touch it after
+// handing it on), the controller writes the check bytes into the spare
+// capacity in place, and a successful program ends with the card
+// storing that very buffer. A refused admission or a failed program
+// leaves the image with the issuer, who may submit the same one again.
+//
+// Data of any other length is snapshotted at its own length, which is
+// not an image: the adopting calls below reject it by that length.
+//
+//go:noinline
+func (g Geometry) PageImage(data []byte) []byte {
+	// make+copy of plain variables compiles to one allocate-and-copy
+	// that zeroes only the tail the copy does not cover.
+	//simlint:allow hotcall (the page image itself: the one payload allocation of a program, made here and nowhere else)
+	buf := make([]byte, max(len(data), g.StoredPageSize()))
+	copy(buf, data)
+	return buf[:len(data)]
+}
+
+// IsPageImage reports whether b has the shape of a page image. The
+// shape says nothing about who else holds b: only a layer that was
+// handed b as an image, or received it as a read result (see
+// ReadImage), may treat it as one.
+func (g Geometry) IsPageImage(b []byte) bool {
+	return len(b) == g.PageSize && cap(b) >= g.StoredPageSize()
+}
+
+// ReadImage turns the result of a page read into an image to program
+// back. A read delivers its private snapshot of the stored page with
+// the check bytes behind it as spare capacity, so a result of that
+// shape already is an image and is returned as it stands; a result
+// clipped to the page is one its deliverer shares with other readers
+// (sched clips a read it fans out to coalesced followers) or copied on
+// the way, and is snapshotted.
+func (g Geometry) ReadImage(result []byte) []byte {
+	if g.IsPageImage(result) {
+		return result
+	}
+	return g.PageImage(result)
+}
+
 // PagesPerChip returns pages in one chip.
 func (g Geometry) PagesPerChip() int { return g.BlocksPerChip * g.PagesPerBlock }
 
@@ -159,6 +204,9 @@ type Card struct {
 	data  [][]byte     // stored raw image per linear page index; nil = free
 	state []PageState
 
+	erasing   sim.Queue[command] // erases in progress, oldest first
+	eraseDone func()             // the oldest erase finished; bound once
+
 	// stats
 	Reads         sim.Counter
 	Programs      sim.Counter
@@ -167,12 +215,15 @@ type Card struct {
 }
 
 type busState struct {
-	pipe *sim.Pipe
+	pipe    *sim.Pipe
+	moving  sim.Queue[command] // commands whose image is crossing the bus, oldest first
+	busDone func()             // the oldest transfer finished; bound once
 }
 
 type chipState struct {
-	queue      sim.Queue[func(done func())]
-	next       func() // runs the chip's next queued op; bound once
+	queue      sim.Queue[command]
+	cur        command // the command whose cell operation the chip is timing
+	cellDone   func()  // that operation finished; bound once
 	running    bool
 	eraseCount []int64
 	bad        []bool
@@ -197,10 +248,13 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 		data:      make([][]byte, geo.TotalPages()),
 		state:     make([]PageState, geo.TotalPages()),
 	}
+	c.eraseDone = c.erased
 	for b := 0; b < geo.Buses; b++ {
-		c.buses = append(c.buses, &busState{
+		bus := &busState{
 			pipe: sim.NewPipe(eng, fmt.Sprintf("%s/bus%d", name, b), tim.BusBytesPerSec, tim.BusLatency),
-		})
+		}
+		bus.busDone = func() { c.busDone(bus) }
+		c.buses = append(c.buses, bus)
 		for ch := 0; ch < geo.ChipsPerBus; ch++ {
 			cs := &chipState{
 				eraseCount: make([]int64, geo.BlocksPerChip),
@@ -208,7 +262,7 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 				nextPage:   make([]int, geo.BlocksPerChip),
 				readSerial: make([]int64, geo.BlocksPerChip),
 			}
-			cs.next = func() { c.runNext(cs) }
+			cs.cellDone = func() { c.cellDone(cs) }
 			for blk := 0; blk < geo.BlocksPerChip; blk++ {
 				if c.rng.Float64() < rel.FactoryBadBlockProb {
 					cs.bad[blk] = true
@@ -273,14 +327,43 @@ func (c *Card) AddrOf(idx int) Addr {
 	return Addr{Bus: bus, Chip: ch, Block: blk, Page: p}
 }
 
-// enqueue adds an operation to a chip's FIFO queue and runs it when the
-// chip is free. The op must call done() when the chip can accept the
-// next operation (which may be before the op's data finishes moving:
-// NAND cache registers let a bus transfer overlap the next cell read).
+// cmdKind selects the flash operation of a queued command.
+type cmdKind uint8
+
+const (
+	cmdRead cmdKind = iota
+	cmdProgram
+	cmdErase
+)
+
+// command is one operation from the moment its chip's queue accepts it
+// until its callback fires. It moves by value — chip queue, the chip's
+// cell-array slot, its bus's transfer queue — and schedules no closure
+// of its own: the only continuations are one per chip (cellDone), one
+// per bus (busDone) and one for erases (eraseDone), bound at
+// construction. That works because a chip times one read or program at
+// a time, a bus, being a FIFO pipe, finishes transfers in the order
+// they were started, and so do erases, which all take the same time:
+// the continuation always knows which command it is for. A flash
+// operation therefore allocates nothing but the read snapshot.
+type command struct {
+	kind   cmdKind
+	a      Addr
+	raw    []byte // read: the snapshot; program: the image to store
+	onRead func(raw []byte, err error)
+	onDone func(err error)
+}
+
+// enqueue adds a command to its chip's FIFO queue and starts it when
+// the chip is free. Each command releases the chip (runNext) when the
+// chip can accept the next operation, which may be before the
+// command's own data finishes moving: NAND cache registers let a bus
+// transfer overlap the next cell read.
 //
 //simlint:hotpath
-func (c *Card) enqueue(cs *chipState, op func(done func())) {
-	cs.queue.Push(op)
+func (c *Card) enqueue(cmd command) {
+	cs := c.chipAt(cmd.a)
+	cs.queue.Push(cmd)
 	if !cs.running {
 		cs.running = true
 		c.runNext(cs)
@@ -293,7 +376,152 @@ func (c *Card) runNext(cs *chipState) {
 		cs.running = false
 		return
 	}
-	cs.queue.Pop()(cs.next)
+	c.start(cs, cs.queue.Pop())
+}
+
+// check is what a chip verifies as it reaches a command: the card is
+// alive, the block good, and the page in the state the operation needs.
+func (c *Card) check(cs *chipState, cmd *command) error {
+	a := cmd.a
+	if c.failed {
+		return fmt.Errorf("%w: %s", ErrDead, c.name)
+	}
+	if cs.bad[a.Block] {
+		return fmt.Errorf("%w: %v", ErrBadBlock, a)
+	}
+	if cmd.kind == cmdErase {
+		return nil // a block address: its page field means nothing
+	}
+	switch state := c.state[c.PageIndex(a)]; {
+	case cmd.kind == cmdRead && state != PageWritten:
+		return fmt.Errorf("%w: %v", ErrReadFree, a)
+	case cmd.kind == cmdProgram && state != PageFree:
+		return fmt.Errorf("%w: %v", ErrNotErased, a)
+	case cmd.kind == cmdProgram && a.Page != cs.nextPage[a.Block]:
+		return fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block])
+	}
+	return nil
+}
+
+// start runs a command as its chip reaches it: a command that fails
+// the chip's checks releases the chip at once, any other begins its
+// first timed stage — the cell operation, or for a program the bus
+// transfer that precedes it.
+//
+//simlint:hotpath
+func (c *Card) start(cs *chipState, cmd command) {
+	//simlint:allow hotcall (error paths: check allocates only the error of a command that fails anyway)
+	if err := c.check(cs, &cmd); err != nil {
+		c.finish(cs, &cmd, err)
+		return
+	}
+	switch cmd.kind {
+	case cmdRead:
+		c.Reads.Inc()
+		cs.cur = cmd
+		c.eng.After(c.tim.ReadPage, cs.cellDone)
+	case cmdProgram:
+		c.transfer(cmd)
+	case cmdErase:
+		// Every erase takes the same time, so erases end in the order
+		// they began, card-wide.
+		c.erasing.Push(cmd)
+		c.eng.After(c.tim.Erase, c.eraseDone)
+	}
+}
+
+// transfer moves a command's image across its bus.
+//
+//simlint:hotpath
+func (c *Card) transfer(cmd command) {
+	bus := c.buses[cmd.a.Bus]
+	bus.moving.Push(cmd)
+	bus.pipe.Transfer(len(cmd.raw), bus.busDone)
+}
+
+// cellDone ends the cell operation a chip was timing.
+//
+//simlint:hotpath
+func (c *Card) cellDone(cs *chipState) {
+	cmd := cs.cur
+	cs.cur = command{}
+	a := cmd.a
+	switch cmd.kind {
+	case cmdRead:
+		// The register drained into the cache register: the chip can
+		// start its next op while the snapshot crosses the shared bus.
+		c.runNext(cs)
+		// make+copy of two plain variables compiles to one
+		// allocate-and-copy: the snapshot is never zeroed first.
+		stored := c.data[c.PageIndex(a)]
+		//simlint:allow hotpath (the read snapshot itself: the one payload allocation of a read)
+		raw := make([]byte, len(stored))
+		copy(raw, stored)
+		serial := cs.readSerial[a.Block]
+		cs.readSerial[a.Block]++
+		c.corrupt(raw, c.globalBlock(a), cs.eraseCount[a.Block], serial)
+		cmd.raw = raw
+		c.transfer(cmd)
+	case cmdProgram:
+		idx := c.PageIndex(a)
+		c.state[idx] = PageWritten
+		c.data[idx] = cmd.raw
+		cs.nextPage[a.Block]++
+		c.Programs.Inc()
+		c.finish(cs, &cmd, nil)
+	}
+}
+
+// busDone ends the oldest transfer on a bus: a read's snapshot has
+// reached the controller, or a program's image the chip, which now
+// programs it.
+//
+//simlint:hotpath
+func (c *Card) busDone(bus *busState) {
+	cmd := bus.moving.Pop()
+	if cmd.kind == cmdRead {
+		cmd.onRead(cmd.raw, nil)
+		return
+	}
+	cs := c.chipAt(cmd.a)
+	cs.cur = cmd
+	c.eng.After(c.tim.Program, cs.cellDone)
+}
+
+// erased ends the oldest erase in progress: the block's wear
+// accumulates, and past the endurance limit it may fail and become bad.
+func (c *Card) erased() {
+	cmd := c.erasing.Pop()
+	a := cmd.a
+	cs := c.chipAt(a)
+	cs.eraseCount[a.Block]++
+	c.Erases.Inc()
+	if cs.eraseCount[a.Block] > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
+		cs.bad[a.Block] = true
+		c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, cs.eraseCount[a.Block]))
+		return
+	}
+	base := c.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
+	for p := 0; p < c.geo.PagesPerBlock; p++ {
+		c.state[base+p] = PageFree
+		c.data[base+p] = nil
+	}
+	cs.nextPage[a.Block] = 0
+	cs.readSerial[a.Block] = 0
+	c.finish(cs, &cmd, nil)
+}
+
+// finish ends a command that still holds its chip: the chip moves on
+// to its next queued command, and then the callback hears the outcome.
+//
+//simlint:hotpath
+func (c *Card) finish(cs *chipState, cmd *command, err error) {
+	c.runNext(cs)
+	if cmd.kind == cmdRead {
+		cmd.onRead(nil, err)
+	} else {
+		cmd.onDone(err)
+	}
 }
 
 // ReadPage reads the raw stored image (data+OOB) of a page. Timing:
@@ -311,40 +539,7 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 		cb(nil, err)
 		return
 	}
-	cs := c.chipAt(a)
-	c.enqueue(cs, func(done func()) {
-		if c.failed {
-			done()
-			cb(nil, fmt.Errorf("%w: %s", ErrDead, c.name))
-			return
-		}
-		if cs.bad[a.Block] {
-			done()
-			cb(nil, fmt.Errorf("%w: %v", ErrBadBlock, a))
-			return
-		}
-		idx := c.PageIndex(a)
-		if c.state[idx] != PageWritten {
-			done()
-			cb(nil, fmt.Errorf("%w: %v", ErrReadFree, a))
-			return
-		}
-		c.Reads.Inc()
-		c.eng.After(c.tim.ReadPage, func() {
-			done() // register drained into cache; chip can start next op
-			// make+copy of two plain variables compiles to one
-			// allocate-and-copy: the snapshot is never zeroed first.
-			stored := c.data[idx]
-			raw := make([]byte, len(stored))
-			copy(raw, stored)
-			serial := cs.readSerial[a.Block]
-			cs.readSerial[a.Block]++
-			c.corrupt(raw, c.globalBlock(a), cs.eraseCount[a.Block], serial)
-			c.buses[a.Bus].pipe.Transfer(len(raw), func() {
-				cb(raw, nil)
-			})
-		})
-	})
+	c.enqueue(command{kind: cmdRead, a: a, onRead: cb})
 }
 
 // ProgramPage writes a raw stored image to a page. The image first
@@ -355,8 +550,10 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // Ownership: the card adopts raw. On success raw itself becomes the
 // stored image, so the caller must hand over a buffer nobody else
 // will write to again and must not touch it after the call; a caller
-// that wants to keep using its buffer passes a copy. (Reads never
-// expose the stored image: ReadPage snapshots it.)
+// that wants to keep using its buffer passes a copy. A failed program
+// stores nothing and keeps no reference: raw is the caller's again
+// once cb reports the error. (Reads never expose the stored image:
+// ReadPage snapshots it.)
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -366,40 +563,7 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 		cb(fmt.Errorf("%w: got %d, want %d", ErrWrongDataSize, len(raw), c.geo.StoredPageSize()))
 		return
 	}
-	cs := c.chipAt(a)
-	c.enqueue(cs, func(done func()) {
-		if c.failed {
-			done()
-			cb(fmt.Errorf("%w: %s", ErrDead, c.name))
-			return
-		}
-		if cs.bad[a.Block] {
-			done()
-			cb(fmt.Errorf("%w: %v", ErrBadBlock, a))
-			return
-		}
-		idx := c.PageIndex(a)
-		if c.state[idx] != PageFree {
-			done()
-			cb(fmt.Errorf("%w: %v", ErrNotErased, a))
-			return
-		}
-		if a.Page != cs.nextPage[a.Block] {
-			done()
-			cb(fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block]))
-			return
-		}
-		c.buses[a.Bus].pipe.Transfer(len(raw), func() {
-			c.eng.After(c.tim.Program, func() {
-				c.state[idx] = PageWritten
-				c.data[idx] = raw
-				cs.nextPage[a.Block]++
-				c.Programs.Inc()
-				done()
-				cb(nil)
-			})
-		})
-	})
+	c.enqueue(command{kind: cmdProgram, a: a, raw: raw, onDone: cb})
 }
 
 // EraseBlock erases a block, freeing all its pages. Wear accumulates;
@@ -409,38 +573,7 @@ func (c *Card) EraseBlock(a Addr, cb func(err error)) {
 		cb(err)
 		return
 	}
-	cs := c.chipAt(a)
-	c.enqueue(cs, func(done func()) {
-		if c.failed {
-			done()
-			cb(fmt.Errorf("%w: %s", ErrDead, c.name))
-			return
-		}
-		if cs.bad[a.Block] {
-			done()
-			cb(fmt.Errorf("%w: %v", ErrBadBlock, a))
-			return
-		}
-		c.eng.After(c.tim.Erase, func() {
-			cs.eraseCount[a.Block]++
-			c.Erases.Inc()
-			if cs.eraseCount[a.Block] > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
-				cs.bad[a.Block] = true
-				done()
-				cb(fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, cs.eraseCount[a.Block]))
-				return
-			}
-			base := c.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
-			for p := 0; p < c.geo.PagesPerBlock; p++ {
-				c.state[base+p] = PageFree
-				c.data[base+p] = nil
-			}
-			cs.nextPage[a.Block] = 0
-			cs.readSerial[a.Block] = 0
-			done()
-			cb(nil)
-		})
-	})
+	c.enqueue(command{kind: cmdErase, a: a, onDone: cb})
 }
 
 // mix64 is the splitmix64 finalizer (the same mixing sim.RNG applies):

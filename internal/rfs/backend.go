@@ -22,7 +22,11 @@ type Layout struct {
 	SegsPerChip int
 	PagesPerSeg int
 	PageSize    int
-	Lanes       int
+	// OOBSize is the check bytes the flash stores behind each page: the
+	// spare capacity of the page images the FS hands down
+	// (nand.Geometry.PageImage).
+	OOBSize int
+	Lanes   int
 }
 
 // Validate sanity-checks a layout.
@@ -54,6 +58,18 @@ func (l Layout) TotalPages() int { return l.TotalSegs() * l.PagesPerSeg }
 // which QoS-aware backends admit on the scheduler's Background class
 // so the dispatcher can defer it behind latency-class tenants.
 // Backends that have no scheduler (CardBackend) ignore both.
+//
+// Ownership: ReadPage delivers a result that is the callback's own. If
+// nobody else was given the same buffer it arrives with the page's
+// check-byte tail as spare capacity, which makes it a page image the
+// cleaner programs back as it stands; a backend that hands one buffer
+// to several readers, or copies, delivers it clipped to the page, and
+// the cleaner snapshots it first (nand.Geometry.ReadImage). WritePage
+// ADOPTS img, a page image (nand.Geometry.PageImage): the backend
+// passes it down by reference until the card stores it, and must
+// neither copy it for its own keeping nor touch it after handing it
+// on. Only a failed write — cb with an error — returns the image to the
+// FS, which may issue the same one again.
 type Backend interface {
 	Layout() Layout
 	// Addr resolves a linear ppn to its cluster-wide physical
@@ -61,7 +77,7 @@ type Backend interface {
 	// step 1) that applications hand to in-store processors.
 	Addr(ppn int) core.PageAddr
 	ReadPage(ppn int, class sched.Class, clean bool, cb func(data []byte, err error))
-	WritePage(ppn int, class sched.Class, clean bool, data []byte, cb func(err error))
+	WritePage(ppn int, class sched.Class, clean bool, img []byte, cb func(err error))
 	// EraseSeg erases one segment (cleaning traffic by definition).
 	EraseSeg(seg int, cb func(err error))
 }
@@ -98,6 +114,7 @@ func (b *CardBackend) Layout() Layout {
 		SegsPerChip: b.geo.BlocksPerChip,
 		PagesPerSeg: b.geo.PagesPerBlock,
 		PageSize:    b.geo.PageSize,
+		OOBSize:     b.geo.OOBSize,
 		Lanes:       1,
 	}
 }
@@ -123,9 +140,9 @@ func (b *CardBackend) ReadPage(ppn int, _ sched.Class, _ bool, cb func([]byte, e
 	b.iface.ReadPhysical(b.nandAddr(ppn), cb)
 }
 
-// WritePage programs one page.
-func (b *CardBackend) WritePage(ppn int, _ sched.Class, _ bool, data []byte, cb func(error)) {
-	b.iface.WritePhysical(b.nandAddr(ppn), data, cb)
+// WritePage programs one page image, handing it down.
+func (b *CardBackend) WritePage(ppn int, _ sched.Class, _ bool, img []byte, cb func(error)) {
+	b.iface.WriteImage(b.nandAddr(ppn), img, cb)
 }
 
 // EraseSeg erases one segment's block.

@@ -27,10 +27,9 @@ import (
 // cleaning gets its own frontier lane in the FS, so two classes never
 // share a NAND block.
 type ClusterBackend struct {
-	c     *core.Cluster
-	s     *sched.Scheduler
-	lay   Layout
-	retry sim.Time
+	s   *sched.Scheduler
+	lay Layout
+	rt  *sched.Retrier // absorbs admission backpressure
 
 	nodes []*backendNode
 
@@ -41,18 +40,7 @@ type ClusterBackend struct {
 // backendNode holds one node's admission plumbing.
 type backendNode struct {
 	streams [sched.NumClasses]*sched.Stream
-	wseqs   [sched.NumClasses]*writeSeq
-}
-
-type pendingWrite struct {
-	addr core.PageAddr
-	data []byte
-	cb   func(error)
-}
-
-type writeSeq struct {
-	q       []pendingWrite
-	stalled bool
+	wseqs   [sched.NumClasses]*sched.Sequencer
 }
 
 // ClusterConfig tunes the cluster backend.
@@ -66,15 +54,11 @@ type ClusterConfig struct {
 // flash traffic through scheduler s (which must belong to the same
 // cluster).
 func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (*ClusterBackend, error) {
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 5 * sim.Microsecond
-	}
 	p := c.Params
 	g := p.Geometry
 	b := &ClusterBackend{
-		c:             c,
 		s:             s,
-		retry:         cfg.RetryDelay,
+		rt:            s.NewRetrier(cfg.RetryDelay),
 		cardsPerNode:  p.CardsPerNode,
 		buses:         g.Buses,
 		chipsPerBus:   g.ChipsPerBus,
@@ -86,6 +70,7 @@ func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (
 		SegsPerChip: g.BlocksPerChip,
 		PagesPerSeg: g.PagesPerBlock,
 		PageSize:    g.PageSize,
+		OOBSize:     g.OOBSize,
 		// One write lane per tenant class; the FS adds the cleaning
 		// lane, whose traffic rides the Background streams.
 		Lanes: int(sched.Accel),
@@ -103,6 +88,7 @@ func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (
 				return nil, err
 			}
 			bn.streams[cl] = st
+			bn.wseqs[cl] = b.rt.NewSequencer()
 		}
 		b.nodes = append(b.nodes, bn)
 	}
@@ -175,66 +161,21 @@ func classFor(class sched.Class, clean bool) sched.Class {
 	return class
 }
 
-// admitRetrying runs admit, retrying on scheduler backpressure after
-// RetryDelay; any other admission error goes to fail.
-func (b *ClusterBackend) admitRetrying(admit func() error, fail func(error)) {
-	var try func()
-	try = func() {
-		err := admit()
-		if err == sched.ErrBackpressure {
-			b.c.Eng.After(b.retry, try)
-		} else if err != nil {
-			fail(err)
-		}
-	}
-	try()
-}
-
 // ReadPage admits a physical read at the owning node, retrying on
 // backpressure (reads have no ordering constraint).
 func (b *ClusterBackend) ReadPage(ppn int, class sched.Class, clean bool, cb func([]byte, error)) {
 	a := b.Addr(ppn)
-	st := b.nodes[a.Node].streams[classFor(class, clean)]
-	b.admitRetrying(
-		func() error { return st.Read(a, cb) },
-		func(err error) { cb(nil, err) })
+	b.rt.Read(b.nodes[a.Node].streams[classFor(class, clean)], a, cb)
 }
 
 // WritePage admits a physical program through the (node, class) FIFO
 // sequencer: strictly in issue order, stalling (not reordering) on
-// backpressure.
-func (b *ClusterBackend) WritePage(ppn int, class sched.Class, clean bool, data []byte, cb func(error)) {
+// backpressure. It adopts img (Backend).
+func (b *ClusterBackend) WritePage(ppn int, class sched.Class, clean bool, img []byte, cb func(error)) {
 	a := b.Addr(ppn)
 	cl := classFor(class, clean)
 	bn := b.nodes[a.Node]
-	sq := bn.wseqs[cl]
-	if sq == nil {
-		sq = &writeSeq{}
-		bn.wseqs[cl] = sq
-	}
-	sq.q = append(sq.q, pendingWrite{addr: a, data: data, cb: cb})
-	b.pumpWrites(bn, cl, sq)
-}
-
-func (b *ClusterBackend) pumpWrites(bn *backendNode, cl sched.Class, sq *writeSeq) {
-	st := bn.streams[cl]
-	for !sq.stalled && len(sq.q) > 0 {
-		w := sq.q[0]
-		err := st.Write(w.addr, w.data, w.cb)
-		if err == sched.ErrBackpressure {
-			sq.stalled = true
-			b.c.Eng.After(b.retry, func() {
-				sq.stalled = false
-				b.pumpWrites(bn, cl, sq)
-			})
-			return
-		}
-		sq.q[0] = pendingWrite{}
-		sq.q = sq.q[1:]
-		if err != nil {
-			w.cb(err)
-		}
-	}
+	bn.wseqs[cl].WriteImage(bn.streams[cl], a, img, cb)
 }
 
 // EraseSeg admits a segment erase on the owning node's Background
@@ -244,6 +185,5 @@ func (b *ClusterBackend) pumpWrites(bn *backendNode, cl sched.Class, sq *writeSe
 func (b *ClusterBackend) EraseSeg(seg int, cb func(error)) {
 	a := b.Addr(seg * b.pagesPerBlock)
 	a.Addr.Page = 0
-	st := b.nodes[a.Node].streams[sched.Background]
-	b.admitRetrying(func() error { return st.Erase(a, cb) }, cb)
+	b.rt.Erase(b.nodes[a.Node].streams[sched.Background], a, cb)
 }

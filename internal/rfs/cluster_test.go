@@ -24,7 +24,7 @@ func clusterParams(nodes int) core.Params {
 	return p
 }
 
-func newClusterFS(t *testing.T, nodes, lowWater int) (*core.Cluster, *sched.Scheduler, *FS) {
+func newClusterFS(t testing.TB, nodes, lowWater int) (*core.Cluster, *sched.Scheduler, *FS) {
 	t.Helper()
 	c, err := core.NewCluster(clusterParams(nodes))
 	if err != nil {

@@ -129,6 +129,7 @@ type cleanState struct {
 type FS struct {
 	b     Backend
 	lay   Layout
+	geo   nand.Geometry // the part of the flash geometry that shapes a page image
 	cfg   Config
 	hooks Hooks
 
@@ -156,7 +157,7 @@ type FS struct {
 
 	// readsInflight counts app reads in flight per segment; the victim
 	// erase waits for its count to drain.
-	readsInflight map[int]int
+	readsInflight []int
 
 	// stats
 	PagesWritten int64
@@ -192,6 +193,7 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 	fs := &FS{
 		b:             b,
 		lay:           lay,
+		geo:           nand.Geometry{PageSize: lay.PageSize, OOBSize: lay.OOBSize},
 		cfg:           cfg,
 		lanes:         lanes,
 		cleanLane:     lay.Lanes,
@@ -201,7 +203,7 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 		freePool:      make([][]int, lay.Chips),
 		active:        make([][]int, lanes),
 		cursor:        make([]int, lanes),
-		readsInflight: make(map[int]int),
+		readsInflight: make([]int, lay.TotalSegs()),
 	}
 	for lane := 0; lane < lanes; lane++ {
 		fs.active[lane] = make([]int, lay.Chips)
@@ -419,7 +421,9 @@ func (f *File) ExportATU(atu *flashserver.ATU) error {
 	return nil
 }
 
-// AppendPage adds one page to the end of the file.
+// AppendPage adds one page to the end of the file. Like WritePage it
+// snapshots data before it returns: the caller may reuse its buffer at
+// once, and data is copied whatever its shape, never adopted.
 func (f *File) AppendPage(data []byte, cb func(err error)) {
 	nd := f.fs.inodes[f.ino]
 	idx := len(nd.pages)
@@ -447,10 +451,11 @@ func (f *File) writePage(idx int, data []byte, cb func(err error)) {
 		cb(fmt.Errorf("%w: got %d want %d", ErrDataSize, len(data), f.fs.lay.PageSize))
 		return
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	// The one snapshot of the write: a page image that goes down
+	// through the backend by reference and ends up stored on the card.
+	img := f.fs.geo.PageImage(data)
 	ino, class := f.ino, f.class
-	f.fs.enqueue(func() { f.fs.logWrite(ino, idx, class, buf, cb) })
+	f.fs.enqueue(func() { f.fs.logWrite(ino, idx, class, img, cb) })
 }
 
 // ReadPage fetches page idx. Reads resolve the mapping at issue time
@@ -469,9 +474,7 @@ func (f *File) ReadPage(idx int, cb func(data []byte, err error)) {
 	fs.PagesRead++
 	fs.readsInflight[seg]++
 	fs.b.ReadPage(ppn, f.class, false, func(data []byte, err error) {
-		if fs.readsInflight[seg]--; fs.readsInflight[seg] == 0 {
-			delete(fs.readsInflight, seg)
-		}
+		fs.readsInflight[seg]--
 		fs.maybeErase()
 		cb(data, err)
 	})
@@ -540,8 +543,9 @@ func (fs *FS) invalidate(ppn int) {
 }
 
 // allocAndProgram finds the next log position on the class's lane and
-// programs it, retrying around bad blocks and starting the cleaner
-// when space runs low.
+// programs the image there, retrying around bad blocks — a failed
+// program kept nothing, so the same image goes out again — and
+// starting the cleaner when space runs low.
 func (fs *FS) allocAndProgram(class sched.Class, data []byte, cb func(ppn int, err error)) {
 	ppn, err := fs.allocPage(fs.laneOf(class), func() { fs.allocAndProgram(class, data, cb) })
 	if err != nil {
@@ -766,7 +770,10 @@ func (fs *FS) moveOne(st *cleanState, ppn int, ref fileRef) {
 			fs.finishClean()
 			return
 		}
-		fs.b.WritePage(dst, sched.Background, true, data, func(perr error) {
+		// The read result is re-programmed as it stands — a private page
+		// image, check-byte tail and all — and snapshotted only when its
+		// deliverer shared it with another reader.
+		fs.b.WritePage(dst, sched.Background, true, fs.geo.ReadImage(data), func(perr error) {
 			if perr != nil {
 				st.aborted = true
 				st.busy = false

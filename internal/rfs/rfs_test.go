@@ -20,12 +20,20 @@ func smallGeo() nand.Geometry {
 }
 
 type harness struct {
-	eng *sim.Engine
-	fs  *FS
-	srv *flashserver.Server
+	eng  *sim.Engine
+	fs   *FS
+	srv  *flashserver.Server
+	card *nand.Card
 }
 
-func newHarness(t *testing.T, geo nand.Geometry) *harness {
+func newHarness(t testing.TB, geo nand.Geometry) *harness {
+	t.Helper()
+	return newHarnessOver(t, geo, func(b Backend) Backend { return b })
+}
+
+// newHarnessOver is newHarness with wrap sitting between the file
+// system and its card backend.
+func newHarnessOver(t testing.TB, geo nand.Geometry, wrap func(Backend) Backend) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
 	card, err := nand.NewCard(eng, "card", geo, nand.DefaultTiming(), nand.Reliability{}, 5)
@@ -45,14 +53,18 @@ func newHarness(t *testing.T, geo nand.Geometry) *harness {
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "fs", 16)
-	fs, err := New(srv.NewIface("fs"), geo, DefaultConfig())
+	cb, err := NewCardBackend(srv.NewIface("fs"), geo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{eng: eng, fs: fs, srv: srv}
+	fs, err := NewWithBackend(wrap(cb), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &harness{eng: eng, fs: fs, srv: srv, card: card}
 }
 
-func (h *harness) appendPage(t *testing.T, f *File, data []byte) error {
+func (h *harness) appendPage(t testing.TB, f *File, data []byte) error {
 	t.Helper()
 	var result error = errors.New("append never completed")
 	f.AppendPage(data, func(err error) { result = err })
@@ -60,7 +72,7 @@ func (h *harness) appendPage(t *testing.T, f *File, data []byte) error {
 	return result
 }
 
-func (h *harness) readPage(t *testing.T, f *File, idx int) ([]byte, error) {
+func (h *harness) readPage(t testing.TB, f *File, idx int) ([]byte, error) {
 	t.Helper()
 	var data []byte
 	var result error = errors.New("read never completed")

@@ -80,7 +80,7 @@ func (st *AccelStream) Close() { st.closed = true }
 // admission errors. DetachAccelRouter removes the hook.
 func (s *Scheduler) AttachAccelRouter(retryDelay sim.Time) {
 	if retryDelay <= 0 {
-		retryDelay = 5 * sim.Microsecond
+		retryDelay = defaultRetryDelay
 	}
 	s.cluster.SetAccelRouter(func(origin int, a core.PageAddr, cb func(data []byte, err error)) {
 		if a.Node < 0 || a.Node >= len(s.nodes) {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -196,10 +197,14 @@ type request struct {
 	// riding a host doorbell batch.
 	accel  bool
 	origin int // issuing node of an accel read
-	data   []byte
-	rcb    func(data []byte, err error)
-	wcb    func(err error)
-	enq    sim.Time
+	// data is a write's page image (nand.Geometry.PageImage), adopted at
+	// admission and handed to the node at dispatch; size remembers its
+	// length for the byte counters once the request no longer holds it.
+	data []byte
+	size int
+	rcb  func(data []byte, err error)
+	wcb  func(err error)
+	enq  sim.Time
 	// followers are coalesced duplicate reads riding this request's
 	// flash operation; they hold no queue slot of their own.
 	followers []*request
@@ -218,7 +223,7 @@ type request struct {
 
 // getReq pops a recycled request (or allocates one, binding its reusable
 // callbacks to the new request's identity). All fields except the
-// callbacks and recycled buffer capacity are zero.
+// callbacks and the follower list's capacity are zero.
 //
 //simlint:hotpath
 func (s *Scheduler) getReq() *request {
@@ -239,12 +244,13 @@ func (s *Scheduler) getReq() *request {
 
 // putReq recycles a finished (or rejected) request. The caller must
 // guarantee no outstanding reference: completion has fired and the
-// request is in no queue, table or follower list.
+// request is in no queue, table or follower list. A write's image is
+// dropped, not kept: it went down at dispatch, or — the admission was
+// refused — it is its submitter's again.
 //
 //simlint:hotpath
 func (s *Scheduler) putReq(r *request) {
 	*r = request{
-		data:      r.data[:0],
 		followers: r.followers[:0],
 		done:      r.done,
 		routedWcb: r.routedWcb,
@@ -256,6 +262,7 @@ func (s *Scheduler) putReq(r *request) {
 type Scheduler struct {
 	cluster *core.Cluster
 	eng     *sim.Engine
+	geo     nand.Geometry
 	cfg     Config
 	nodes   []*nodeQueue
 	stats   stats
@@ -271,7 +278,7 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{cluster: cluster, eng: cluster.Eng, cfg: cfg}
+	s := &Scheduler{cluster: cluster, eng: cluster.Eng, geo: cluster.Params.Geometry, cfg: cfg}
 	for i := 0; i < cluster.Nodes(); i++ {
 		s.nodes = append(s.nodes, newNodeQueue(s, cluster.Node(i)))
 	}
@@ -297,15 +304,15 @@ func (s *Scheduler) AttachRouter(class Class) error {
 	s.cluster.SetHostRouter(func(node int, req core.HostReq) error {
 		r := s.getReq()
 		r.class, r.statClass, r.addr, r.write, r.enq = class, class, req.Addr, req.Write, s.eng.Now()
+		r.rcb = req.Done
 		if req.Write {
-			// Snapshot the payload: it sits in the admission queue
-			// after the caller's HostWrite returns, and callers are
-			// free to reuse their buffer once the call returns.
-			r.data = append(r.data[:0], req.Data...)
-			r.rcb = req.Done
+			// Snapshot the payload, straight into the image the flash
+			// will store: it sits in the admission queue after the
+			// caller's HostWrite returns, and callers are free to reuse
+			// their buffer once the call returns.
+			r.data = s.geo.PageImage(req.Data)
+			r.size = len(r.data)
 			r.wcb = r.routedWcb
-		} else {
-			r.rcb = req.Done
 		}
 		if err := s.nodes[node].admit(r); err != nil {
 			s.putReq(r)
@@ -364,7 +371,7 @@ type nodeQueue struct {
 	s    *Scheduler
 	node *core.Node
 
-	q      [NumClasses][]*request
+	q      [NumClasses]sim.Queue[*request]
 	qlen   int
 	peak   int
 	starve [NumClasses]int
@@ -465,6 +472,7 @@ func (nq *nodeQueue) readLookup(a core.PageAddr) *request {
 func (nq *nodeQueue) readInsert(r *request) {
 	if (nq.pendingLen+1)*2 > len(nq.pendingReads) {
 		old := nq.pendingReads
+		//simlint:allow hotcall (table doubling to keep the load factor at or below 1/2; occupancy is bounded by QueueDepth, so none once the high-water mark is reached)
 		nq.pendingReads = make([]readSlot, 2*len(old))
 		nq.pendingLen = 0
 		for i := range old {
@@ -563,7 +571,7 @@ func (nq *nodeQueue) admit(r *request) error {
 		// workload drivers' disjoint read/log regions do by design.
 		nq.readDelete(r.addr, nil)
 	}
-	nq.q[r.class] = append(nq.q[r.class], r)
+	nq.q[r.class].Push(r)
 	nq.qlen++
 	if nq.qlen > nq.peak {
 		nq.peak = nq.qlen
@@ -596,7 +604,7 @@ func (nq *nodeQueue) kick() {
 // accelReady reports whether a queued Accel read could be granted a
 // slot right now under the accel token budget.
 func (nq *nodeQueue) accelReady() bool {
-	return len(nq.q[Accel]) > 0 && nq.accelTokens() > 0
+	return nq.q[Accel].Len() > 0 && nq.accelTokens() > 0
 }
 
 // dispatch runs one round: device-side Accel grants up to the accel
@@ -651,7 +659,7 @@ func (nq *nodeQueue) dispatchHost() {
 		if Class(cl) == Accel {
 			continue // never rides a doorbell; see dispatchAccel
 		}
-		if nq.starve[cl] >= nq.s.cfg.AgingRounds && len(nq.q[cl]) > 0 {
+		if nq.starve[cl] >= nq.s.cfg.AgingRounds && nq.q[cl].Len() > 0 {
 			if Class(cl) == Background && nq.gcTokens(bgTaken) == 0 {
 				continue
 			}
@@ -668,7 +676,7 @@ func (nq *nodeQueue) dispatchHost() {
 		if cl == Accel {
 			continue
 		}
-		for len(nq.q[cl]) > 0 && len(batch) < budget {
+		for nq.q[cl].Len() > 0 && len(batch) < budget {
 			if cl == Background && nq.gcTokens(bgTaken) == 0 {
 				break
 			}
@@ -684,7 +692,7 @@ func (nq *nodeQueue) dispatchHost() {
 			continue // token-paced, not starving; never age-boosted
 		}
 		switch {
-		case took[cl] > 0 || len(nq.q[cl]) == 0:
+		case took[cl] > 0 || nq.q[cl].Len() == 0:
 			nq.starve[cl] = 0
 		default:
 			nq.starve[cl]++
@@ -714,6 +722,7 @@ func (nq *nodeQueue) dispatchHost() {
 			Data:       r.data,
 			Done:       r.done,
 		})
+		r.data = nil // handed down: the node adopts a write's image
 	}
 	for i := range batch {
 		batch[i] = nil
@@ -732,7 +741,7 @@ func (nq *nodeQueue) dispatchHost() {
 //
 //simlint:hotpath
 func (nq *nodeQueue) dispatchAccel() {
-	for len(nq.q[Accel]) > 0 && nq.inflight < nq.s.cfg.MaxInflight && nq.accelTokens() > 0 {
+	for nq.q[Accel].Len() > 0 && nq.inflight < nq.s.cfg.MaxInflight && nq.accelTokens() > 0 {
 		r := nq.pop(Accel)
 		nq.inflight++
 		nq.accelInflight++
@@ -765,27 +774,22 @@ func (nq *nodeQueue) accelTokens() int {
 //
 //simlint:hotpath
 func (nq *nodeQueue) promote(lead *request, to Class) {
-	q := nq.q[lead.class]
-	for i, x := range q {
-		if x == lead {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			nq.q[lead.class] = q[:len(q)-1]
+	q := &nq.q[lead.class]
+	for i := 0; i < q.Len(); i++ {
+		if q.At(i) == lead {
+			q.RemoveAt(i)
 			break
 		}
 	}
 	lead.class = to
-	//simlint:allow hotpath (per-class queues are persistent fields; growth is amortized over the queue's lifetime)
-	nq.q[to] = append(nq.q[to], lead)
+	nq.q[to].Push(lead)
 }
 
 // pop removes the FIFO head of one class queue.
 //
 //simlint:hotpath
 func (nq *nodeQueue) pop(cl Class) *request {
-	r := nq.q[cl][0]
-	nq.q[cl][0] = nil
-	nq.q[cl] = nq.q[cl][1:]
+	r := nq.q[cl].Pop()
 	nq.qlen--
 	if !r.write && nq.s.cfg.Coalesce {
 		nq.readDelete(r.addr, r)
@@ -816,8 +820,19 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 
 // complete finishes a dispatched request and every coalesced follower.
 //
+// Ownership: a read nobody coalesced with delivers its result as the
+// device handed it up — private to the one requester, check-byte tail
+// behind it as spare capacity, so a relocation may program that very
+// buffer back (nand.Geometry.ReadImage). A read with followers
+// delivers one buffer to several requesters, so it is clipped to the
+// page: the missing capacity is how a receiver sees that the result is
+// shared and must be copied before it is programmed.
+//
 //simlint:hotpath
 func (nq *nodeQueue) complete(r *request, data []byte, err error) {
+	if len(r.followers) > 0 {
+		data = data[:len(data):len(data)]
+	}
 	nq.inflight--
 	if r.class == Background {
 		nq.bgInflight--
@@ -846,7 +861,7 @@ func (s *Scheduler) finish(r *request, data []byte, err error) {
 	case r.erase:
 		// no data moved
 	case r.write:
-		agg.bytes += int64(len(r.data))
+		agg.bytes += int64(r.size)
 	default:
 		agg.bytes += int64(len(data))
 	}

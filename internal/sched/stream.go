@@ -63,9 +63,20 @@ func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
 	return nil
 }
 
-// Write admits a page write. The payload is snapshotted at admission,
-// so the caller may reuse its buffer as soon as Write returns.
+// Write admits a page write. The payload is snapshotted into a page
+// image before Write returns, admitted or not, so the caller may reuse
+// its buffer at once; data is copied whatever its shape, never adopted.
 func (st *Stream) Write(a core.PageAddr, data []byte, cb func(err error)) error {
+	return st.WriteImage(a, st.s.geo.PageImage(data), cb)
+}
+
+// WriteImage admits the write of a page image
+// (nand.Geometry.PageImage), adopting it: the image is the buffer the
+// flash ends up storing, and the caller must not touch it again. It
+// comes back to the caller in two cases only — WriteImage returns an
+// error (ErrBackpressure: not admitted, cb will never fire, submit the
+// same image again later), or cb reports one (nothing below kept it).
+func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) error {
 	if st.closed {
 		return ErrClosed
 	}
@@ -74,7 +85,8 @@ func (st *Stream) Write(a core.PageAddr, data []byte, cb func(err error)) error 
 	r.statClass = st.class
 	r.addr = a
 	r.write = true
-	r.data = append(r.data[:0], data...)
+	r.data = img
+	r.size = len(img)
 	r.enq = st.s.eng.Now()
 	r.wcb = cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {

@@ -64,3 +64,22 @@ func (q *Queue[T]) Pop() T {
 	q.n--
 	return v
 }
+
+// At returns the i-th oldest element, 0 <= i < Len, without removing it.
+//
+//simlint:hotpath
+func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// RemoveAt removes the i-th oldest element, 0 <= i < Len, closing the
+// gap so the rest keep their order. It costs a move per younger
+// element: for the rare removal from the middle of a queue that
+// otherwise only pops its head.
+func (q *Queue[T]) RemoveAt(i int) {
+	mask := len(q.buf) - 1
+	for ; i < q.n-1; i++ {
+		q.buf[(q.head+i)&mask] = q.buf[(q.head+i+1)&mask]
+	}
+	var zero T
+	q.buf[(q.head+i)&mask] = zero
+	q.n--
+}

@@ -6,26 +6,36 @@ import (
 )
 
 // Property: against a plain slice as the model, any interleaving of
-// pushes and pops — across ring wraparound and growth — pops the same
-// values in the same order.
+// pushes, pops and removals from the middle — across ring wraparound
+// and growth — holds the same values in the same order.
 func TestQueueFIFOProperty(t *testing.T) {
-	prop := func(ops []bool) bool {
+	prop := func(ops []uint8) bool {
 		var q Queue[int]
 		var model []int
 		next := 0
-		for _, push := range ops {
-			if push || len(model) == 0 {
+		for _, op := range ops {
+			switch {
+			case op%4 < 2 || len(model) == 0:
 				q.Push(next)
 				model = append(model, next)
 				next++
-			} else {
+			case op%4 == 2:
 				if q.Front() != model[0] || q.Pop() != model[0] {
 					return false
 				}
 				model = model[1:]
+			default:
+				i := int(op/4) % len(model)
+				q.RemoveAt(i)
+				model = append(model[:i:i], model[i+1:]...)
 			}
 			if q.Len() != len(model) {
 				return false
+			}
+			for i, want := range model {
+				if q.At(i) != want {
+					return false
+				}
 			}
 		}
 		for _, want := range model {
@@ -70,6 +80,13 @@ func TestQueuePopDropsReference(t *testing.T) {
 	if q.buf[0] != nil {
 		t.Fatal("popped slot still references its element")
 	}
+	q.Push(new(int))
+	q.Push(new(int))
+	q.RemoveAt(0)
+	if q.buf[(q.head+1)&(len(q.buf)-1)] != nil {
+		t.Fatal("the slot RemoveAt vacated still references an element")
+	}
+	q.Pop()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Pop on an empty queue did not panic")

@@ -246,10 +246,11 @@ func (v *Volume) writeMirrored(lpn int, data []byte, tag ftl.IOTag, cb func(err 
 
 // deferredWrite is a tenant write parked behind an in-flight rebuild
 // copy of the same page: letting it race the pump's copy could leave
-// the stale rebuild image as the final mapping.
+// the stale rebuild image as the final mapping. img is the write's one
+// snapshot, already the page image the FTL will hand down.
 type deferredWrite struct {
 	clpn int
-	data []byte
+	img  []byte
 	tag  ftl.IOTag
 	cb   func(error)
 }
@@ -261,9 +262,8 @@ type deferredWrite struct {
 func (v *Volume) writeCopy(cd *card, clpn int, data []byte, tag ftl.IOTag, cb func(error)) {
 	if cd.rebuilding {
 		if cd.copyInFlight(clpn) {
-			buf := make([]byte, len(data))
-			copy(buf, data)
-			cd.deferred = append(cd.deferred, deferredWrite{clpn: clpn, data: buf, tag: tag, cb: cb})
+			img := v.c.Params.Geometry.PageImage(data)
+			cd.deferred = append(cd.deferred, deferredWrite{clpn: clpn, img: img, tag: tag, cb: cb})
 			return
 		}
 		cd.rebuilt[clpn] = true
@@ -323,16 +323,9 @@ func (v *Volume) ReplaceCard(i int) error {
 		return ErrCardAlive
 	}
 	v.c.Node(cd.node).Card(cd.idx).Replace()
-	f, err := ftl.NewWithBackend(cd, v.c.Params.Geometry, v.cfg.FTL)
-	if err != nil {
+	if err := cd.mountFTL(cd); err != nil {
 		return err
 	}
-	cd.f = f
-	f.SetHooks(ftl.Hooks{
-		Urgency: func(float64) { cd.pushUrgency() },
-		GCStart: func() { cd.pushUrgency() },
-		GCEnd:   func() { cd.pushUrgency() },
-	})
 	cd.dead = false
 	cd.rebuilding = true
 	if cd.rebuilt == nil {
@@ -507,7 +500,7 @@ func (v *Volume) completeCopy(cd *card, clpn int) {
 	}
 	cd.deferred = kept
 	for _, dw := range flush {
-		cd.f.WriteTagged(dw.clpn, dw.data, dw.tag, dw.cb)
+		cd.f.WriteImage(dw.clpn, dw.img, dw.tag, dw.cb)
 	}
 	v.pumpRebuild(cd)
 }

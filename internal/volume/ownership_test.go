@@ -1,0 +1,275 @@
+package volume
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ftl"
+	"repro/internal/nand"
+	"repro/internal/sched"
+	"repro/internal/sim"
+)
+
+// The volume is a public entry: Stream.Write snapshots, and from that
+// snapshot down one page image travels to the cell — through the FTL,
+// the per-tag sequencer, the scheduler's admission queue (backpressure
+// included) and the host interface. A GC move re-programs the buffer
+// its read returned unless the scheduler fanned that read out to a
+// host reader too, in which case the move copies first.
+
+func ownershipVolume(t testing.TB, scfg sched.Config) (*core.Cluster, *sched.Scheduler, *Volume) {
+	t.Helper()
+	p := core.DefaultParams(1)
+	p.Geometry.BlocksPerChip = 8
+	p.Geometry.PagesPerBlock = 8
+	c, err := core.NewCluster(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New(c, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.FTL = ftl.Config{OverProvision: 0.25, GCLowWater: 2, GCPipeline: 4}
+	v, err := New(c, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, s, v
+}
+
+func ownPage(size, seed int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(seed ^ (i * 11))
+	}
+	return b
+}
+
+// churnVolume seeds every logical page and overwrites `rounds` volumes'
+// worth at random with `depth` writes in flight (never two to one page:
+// racing writes to a page have no defined winner), returning the last
+// version of each page. Every write reuses ONE scratch buffer, filled
+// just before the call and scribbled on right after it and again in the
+// callback — the way bench/gen.go drives the stack.
+func churnVolume(t testing.TB, c *core.Cluster, st *Stream, rounds, depth int) []int {
+	t.Helper()
+	v := st.v
+	pages, ps := v.Pages(), v.PageSize()
+	version := make([]int, pages)
+	busy := make([]bool, pages)
+	scratch := make([]byte, ps)
+	rng := sim.NewRNG(5)
+	total, issued := pages*(1+rounds), 0
+	var issue func()
+	issue = func() {
+		if issued >= total {
+			return
+		}
+		lpn := issued
+		for issued >= pages && (lpn >= pages || busy[lpn]) {
+			lpn = rng.Intn(pages)
+		}
+		issued++
+		busy[lpn] = true
+		version[lpn]++
+		copy(scratch, ownPage(ps, lpn*131+version[lpn]))
+		st.Write(lpn, scratch, func(err error) {
+			if err != nil {
+				t.Errorf("write lpn %d: %v", lpn, err)
+			}
+			for i := range scratch {
+				scratch[i] = 0xee
+			}
+			busy[lpn] = false
+			issue()
+		})
+		for i := range scratch {
+			scratch[i] = 0xff
+		}
+	}
+	for i := 0; i < depth; i++ {
+		issue()
+	}
+	c.Run()
+	return version
+}
+
+func checkVolume(t testing.TB, c *core.Cluster, st *Stream, version []int) {
+	t.Helper()
+	ps := st.v.PageSize()
+	for lpn, ver := range version {
+		lpn, ver := lpn, ver
+		st.Read(lpn, func(d []byte, err error) {
+			if err != nil || !bytes.Equal(d, ownPage(ps, lpn*131+ver)) {
+				t.Errorf("lpn %d (version %d): err %v, wrong data", lpn, ver, err)
+			}
+		})
+	}
+	c.Run()
+}
+
+// TestStreamWriteSnapshotsUnderBackpressure: with an admission queue
+// far shallower than the write window, writes and GC moves wait in the
+// card's sequencers and are refused and offered again — the same image
+// each time — while the caller keeps scribbling on its one scratch
+// buffer. Every page must still read back right.
+func TestStreamWriteSnapshotsUnderBackpressure(t *testing.T) {
+	scfg := sched.DefaultConfig()
+	scfg.QueueDepth = 4
+	c, s, v := ownershipVolume(t, scfg)
+	st, err := v.NewStream("w", sched.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := churnVolume(t, c, st, 3, 32)
+	if v.rt.Backpressure == 0 || s.Snapshot().Rejected == 0 {
+		t.Fatal("test premise: the churn should have met backpressure")
+	}
+	if v.Stats().GCMoves == 0 {
+		t.Fatal("test premise: the churn should have made the collector move pages")
+	}
+	checkVolume(t, c, st, version)
+}
+
+// hostReadsBesideGC sits between a card's FTL and the card: beside
+// every GC read it admits a host read of the same flash page in the
+// same instant, before or after it, so the scheduler coalesces the two
+// — the GC read as the lead or as the follower — and hands both one
+// buffer. It keeps what the host reader received.
+type hostReadsBesideGC struct {
+	*card
+	gcLeads bool
+	held    *[][]byte
+}
+
+func (b hostReadsBesideGC) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
+	if tag != ftl.TagGC {
+		b.card.ReadPage(a, tag, cb)
+		return
+	}
+	host := func() {
+		if err := b.streams[sched.Interactive].Read(b.pageAddr(a), func(d []byte, err error) {
+			if err == nil {
+				*b.held = append(*b.held, d)
+			}
+		}); err != nil {
+			panic(err)
+		}
+	}
+	if b.gcLeads {
+		b.card.ReadPage(a, tag, cb)
+		host()
+	} else {
+		host()
+		b.card.ReadPage(a, tag, cb)
+	}
+}
+
+// TestGCReadSharedWithHostReaderIsCopied: a GC read coalesced with a
+// host read of the same page — in either order — is delivered clipped,
+// so the move programs a snapshot, not the shared buffer: no stored
+// page aliases what a host reader holds, and host readers scribbling
+// on their results change no relocated page.
+func TestGCReadSharedWithHostReaderIsCopied(t *testing.T) {
+	for _, gcLeads := range []bool{true, false} {
+		name := "GC read follows the host read"
+		if gcLeads {
+			name = "GC read leads"
+		}
+		t.Run(name, func(t *testing.T) {
+			c, s, v := ownershipVolume(t, sched.DefaultConfig())
+			var held [][]byte
+			for _, cd := range v.cards {
+				if err := cd.mountFTL(hostReadsBesideGC{cd, gcLeads, &held}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := v.NewStream("w", sched.Batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			version := churnVolume(t, c, st, 3, 8)
+			moves := v.Stats().GCMoves
+			if moves == 0 || int64(len(held)) < moves {
+				t.Fatalf("%d GC moves, %d host reads beside them", moves, len(held))
+			}
+			if co := s.Snapshot().Coalesced; co < moves {
+				t.Fatalf("test premise: %d GC moves but only %d coalesced reads", moves, co)
+			}
+			geo := c.Params.Geometry
+			for _, d := range held {
+				if geo.IsPageImage(d) {
+					t.Fatal("a host reader sharing its buffer with a GC read got it unclipped")
+				}
+			}
+			heldBufs := make(map[*byte]bool, len(held))
+			for _, d := range held {
+				heldBufs[&d[0]] = true
+			}
+			for ci := 0; ci < c.Params.CardsPerNode; ci++ {
+				card := c.Node(0).Card(ci)
+				for idx := 0; idx < geo.TotalPages(); idx++ {
+					if stored := card.Peek(card.AddrOf(idx)); stored != nil && heldBufs[&stored[0]] {
+						t.Fatalf("card %d page %d stores a buffer a host reader holds: the move did not copy", ci, idx)
+					}
+				}
+			}
+			for _, d := range held { // the host readers own their results
+				for i := range d {
+					d[i] = 0xff
+				}
+			}
+			checkVolume(t, c, st, version)
+		})
+	}
+}
+
+// TestWritesAllocateOnePagePerProgram extends flashserver's
+// TestPageOpsAllocateOnePage to the top of the stack: under
+// steady-state GC a logical write through the volume, the scheduler and
+// the host interface costs one stored-size buffer per physical program
+// — the write's image, plus for each page the collector moves the
+// snapshot its read took, programmed back as it stands — and small
+// change.
+func TestWritesAllocateOnePagePerProgram(t *testing.T) {
+	c, _, v := ownershipVolume(t, sched.DefaultConfig())
+	st, err := v.NewStream("w", sched.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnVolume(t, c, st, 2, 8) // into steady-state GC, pools warm
+	pages, ps := v.Pages(), v.PageSize()
+	buf := ownPage(ps, 1)
+	rng := sim.NewRNG(9)
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	before := v.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 4*pages; i++ {
+		st.Write(rng.Intn(pages), buf, ack)
+		if i%8 == 7 {
+			c.Run()
+		}
+	}
+	c.Run()
+	runtime.ReadMemStats(&m1)
+	d := v.Stats().Delta(before)
+	if d.GCMoves == 0 || d.FlashPrograms != d.HostWrites+d.GCMoves {
+		t.Fatalf("window: %d host writes, %d moves, %d programs", d.HostWrites, d.GCMoves, d.FlashPrograms)
+	}
+	stored := float64(c.Params.Geometry.StoredPageSize())
+	got := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(d.HostWrites)
+	perWrite := float64(d.FlashPrograms) / float64(d.HostWrites)
+	if budget := 1.15 * perWrite * stored; got >= budget {
+		t.Errorf("a logical write (%.2f programs) allocates %.0f B, budget %.0f: more than one page per program", perWrite, got, budget)
+	}
+}

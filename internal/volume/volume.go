@@ -70,6 +70,7 @@ func DefaultConfig() Config {
 type Volume struct {
 	c   *core.Cluster
 	s   *sched.Scheduler
+	rt  *sched.Retrier // absorbs admission backpressure for every card
 	cfg Config
 
 	cards   []*card // node-major: node*CardsPerNode + card
@@ -89,9 +90,6 @@ type Volume struct {
 // New builds a volume over cluster c, admitting all flash traffic
 // through scheduler s. The scheduler must belong to the same cluster.
 func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 5 * sim.Microsecond
-	}
 	if cfg.Mirror {
 		if c.Nodes() < 2 {
 			return nil, errors.New("volume: mirroring needs at least two nodes")
@@ -103,7 +101,7 @@ func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
 			cfg.RebuildUrgency = 0.5
 		}
 	}
-	v := &Volume{c: c, s: s, cfg: cfg}
+	v := &Volume{c: c, s: s, rt: s.NewRetrier(cfg.RetryDelay), cfg: cfg}
 	p := c.Params
 	for n := 0; n < c.Nodes(); n++ {
 		for ci := 0; ci < p.CardsPerNode; ci++ {
@@ -304,9 +302,10 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 }
 
 // Write stores a logical page. The payload is snapshotted before the
-// call returns. On a mirrored volume the write fans out to both
-// copies at the stream's class; it succeeds if at least one copy
-// lands (the other is counted as a degraded write).
+// call returns — copied whatever its shape, never adopted — so the
+// caller may reuse its buffer at once. On a mirrored volume the write
+// fans out to both copies at the stream's class; it succeeds if at
+// least one copy lands (the other is counted as a degraded write).
 func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 	if lpn < 0 || lpn >= st.v.Pages() {
 		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
@@ -416,22 +415,11 @@ type card struct {
 	// frontier pages in issue order and NAND programs blocks in order,
 	// so a backpressured write must stall its tag's later writes, never
 	// let them overtake.
-	wseqs map[ftl.IOTag]*writeSeq
-}
-
-type pendingWrite struct {
-	addr core.PageAddr
-	data []byte
-	cb   func(error)
-}
-
-type writeSeq struct {
-	q       []pendingWrite
-	stalled bool
+	wseqs map[ftl.IOTag]*sched.Sequencer
 }
 
 func newCard(v *Volume, node, idx int) (*card, error) {
-	cd := &card{v: v, node: node, idx: idx, wseqs: make(map[ftl.IOTag]*writeSeq)}
+	cd := &card{v: v, node: node, idx: idx, wseqs: make(map[ftl.IOTag]*sched.Sequencer)}
 	cd.gidx = node*v.c.Params.CardsPerNode + idx
 	for cl := sched.Class(0); cl < sched.NumClasses; cl++ {
 		if cl == sched.Accel {
@@ -445,9 +433,19 @@ func newCard(v *Volume, node, idx int) (*card, error) {
 		}
 		cd.streams[cl] = st
 	}
-	f, err := ftl.NewWithBackend(cd, v.c.Params.Geometry, v.cfg.FTL)
-	if err != nil {
+	if err := cd.mountFTL(cd); err != nil {
 		return nil, err
+	}
+	return cd, nil
+}
+
+// mountFTL builds a fresh translation layer for the card over io — the
+// card itself, which admits every flash op through the scheduler — and
+// wires its GC urgency into the node's Background token budget.
+func (cd *card) mountFTL(io ftl.Backend) error {
+	f, err := ftl.NewWithBackend(io, cd.v.c.Params.Geometry, cd.v.cfg.FTL)
+	if err != nil {
+		return err
 	}
 	cd.f = f
 	f.SetHooks(ftl.Hooks{
@@ -455,7 +453,7 @@ func newCard(v *Volume, node, idx int) (*card, error) {
 		GCStart: func() { cd.pushUrgency() },
 		GCEnd:   func() { cd.pushUrgency() },
 	})
-	return cd, nil
+	return nil
 }
 
 // pushUrgency reports the node's worst-card urgency to the scheduler,
@@ -500,70 +498,27 @@ func (cd *card) pageAddr(a nand.Addr) core.PageAddr {
 	return core.PageAddr{Node: cd.node, Card: cd.idx, Addr: a}
 }
 
-// admitRetrying runs admit, retrying on scheduler backpressure after
-// RetryDelay; any other admission error goes to fail.
-func (cd *card) admitRetrying(admit func() error, fail func(error)) {
-	var try func()
-	try = func() {
-		err := admit()
-		if err == sched.ErrBackpressure {
-			cd.v.c.Eng.After(cd.v.cfg.RetryDelay, try)
-		} else if err != nil {
-			fail(err)
-		}
-	}
-	try()
-}
-
 // ReadPage admits a physical read at the tag's QoS class, retrying on
 // backpressure (reads have no ordering constraint).
 func (cd *card) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
-	st := cd.streams[classOf(tag)]
-	addr := cd.pageAddr(a)
-	cd.admitRetrying(
-		func() error { return st.Read(addr, cb) },
-		func(err error) { cb(nil, err) })
+	cd.v.rt.Read(cd.streams[classOf(tag)], cd.pageAddr(a), cb)
 }
 
 // WritePage admits a physical program through the tag's FIFO
 // sequencer: strictly in issue order, stalling (not reordering) on
-// backpressure.
-func (cd *card) WritePage(a nand.Addr, data []byte, tag ftl.IOTag, cb func(error)) {
+// backpressure. It adopts img (ftl.Backend).
+func (cd *card) WritePage(a nand.Addr, img []byte, tag ftl.IOTag, cb func(error)) {
 	sq := cd.wseqs[tag]
 	if sq == nil {
-		sq = &writeSeq{}
+		sq = cd.v.rt.NewSequencer()
 		cd.wseqs[tag] = sq
 	}
-	sq.q = append(sq.q, pendingWrite{addr: cd.pageAddr(a), data: data, cb: cb})
-	cd.pumpWrites(tag, sq)
-}
-
-func (cd *card) pumpWrites(tag ftl.IOTag, sq *writeSeq) {
-	st := cd.streams[classOf(tag)]
-	for !sq.stalled && len(sq.q) > 0 {
-		w := sq.q[0]
-		err := st.Write(w.addr, w.data, w.cb)
-		if err == sched.ErrBackpressure {
-			sq.stalled = true
-			cd.v.c.Eng.After(cd.v.cfg.RetryDelay, func() {
-				sq.stalled = false
-				cd.pumpWrites(tag, sq)
-			})
-			return
-		}
-		sq.q[0] = pendingWrite{}
-		sq.q = sq.q[1:]
-		if err != nil {
-			w.cb(err)
-		}
-	}
+	sq.WriteImage(cd.streams[classOf(tag)], cd.pageAddr(a), img, cb)
 }
 
 // EraseBlock admits a block erase at the tag's class (GC traffic in
 // practice), retrying on backpressure. The FTL only erases after every
 // relocation write completed, so no ordering hazard exists.
 func (cd *card) EraseBlock(a nand.Addr, tag ftl.IOTag, cb func(error)) {
-	st := cd.streams[classOf(tag)]
-	addr := cd.pageAddr(a)
-	cd.admitRetrying(func() error { return st.Erase(addr, cb) }, cb)
+	cd.v.rt.Erase(cd.streams[classOf(tag)], cd.pageAddr(a), cb)
 }

@@ -10,7 +10,7 @@ package workload
 // node, QoS class) pair owns a private block-aligned append region on
 // its local flash behind the seeded read region, and a write
 // sequencer admits the log appends strictly FIFO, so allocation order
-// reaches the flash in order (see writeSeq).
+// reaches the flash in order (see sched.Sequencer).
 
 import (
 	"fmt"
@@ -126,33 +126,20 @@ type appendRegion struct {
 	limit int // first index beyond the region
 }
 
-// pendingWrite is one allocated log append waiting in a sequencer.
-type pendingWrite struct {
-	addr   core.PageAddr
-	stream *sched.Stream
-	page   []byte
-	done   func(err error)
-}
-
-// writeSeq serialises one (node, class) region's appends. NAND blocks
-// must be programmed in page order, so once a log index is allocated
-// its write must reach the scheduler before any later index of the
-// same region: the sequencer admits strictly FIFO and absorbs
-// backpressure by stalling the head, never by reordering.
-type writeSeq struct {
-	q       []pendingWrite
-	stalled bool
-}
-
-// driver runs a set of streams against one scheduler.
+// driver runs a set of streams against one scheduler. Admission
+// backpressure is absorbed by rt: reads retry on their own, and each
+// (node, class) region's appends go through one sched.Sequencer —
+// NAND blocks must be programmed in page order, so once a log index is
+// allocated its write must reach the scheduler before any later index
+// of the same region.
 type driver struct {
-	s          *sched.Scheduler
-	c          *core.Cluster
-	readPages  int
-	retryDelay sim.Time
-	regions    [][sched.NumClasses]appendRegion // [node][class]
-	seqs       [][sched.NumClasses]writeSeq     // [node][class]
-	res        LoopResult
+	s         *sched.Scheduler
+	c         *core.Cluster
+	rt        *sched.Retrier
+	readPages int
+	regions   [][sched.NumClasses]appendRegion     // [node][class]
+	seqs      [][sched.NumClasses]*sched.Sequencer // [node][class]
+	res       LoopResult
 }
 
 // submitWrite allocates the next log index of the client's (node,
@@ -168,47 +155,18 @@ func (d *driver) submitWrite(cl *client, done func(err error)) bool {
 	}
 	idx := reg.next
 	reg.next++
-	sq := &d.seqs[node][cl.spec.Class]
-	sq.q = append(sq.q, pendingWrite{
-		addr:   core.LinearPage(d.c.Params, node, idx),
-		stream: cl.stream,
-		page:   cl.page,
-		done:   done,
-	})
-	d.pumpWrites(sq)
+	// The client reuses one payload page, so each append takes its own
+	// snapshot, as the image the flash will store. A hard admission
+	// failure reaches done through the normal completion path; the
+	// caller's callback does the error accounting.
+	img := d.c.Params.Geometry.PageImage(cl.page)
+	d.seqs[node][cl.spec.Class].WriteImage(cl.stream, core.LinearPage(d.c.Params, node, idx), img, done)
 	return true
-}
-
-// pumpWrites admits sequencer heads until empty or backpressured.
-func (d *driver) pumpWrites(sq *writeSeq) {
-	for !sq.stalled && len(sq.q) > 0 {
-		w := sq.q[0]
-		err := w.stream.Write(w.addr, w.page, w.done)
-		if err == sched.ErrBackpressure {
-			d.res.Backpressure++
-			sq.stalled = true
-			d.c.Eng.After(d.retryDelay, func() {
-				sq.stalled = false
-				d.pumpWrites(sq)
-			})
-			return
-		}
-		sq.q[0] = pendingWrite{}
-		sq.q = sq.q[1:]
-		if err != nil {
-			// Deliver the failure through the normal completion path;
-			// the caller's callback does the error accounting.
-			w.done(err)
-		}
-	}
 }
 
 func newDriver(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec, readPages int, retryDelay sim.Time) (*driver, error) {
 	if readPages <= 0 {
 		return nil, fmt.Errorf("workload: readPages %d", readPages)
-	}
-	if retryDelay <= 0 {
-		retryDelay = 5 * sim.Microsecond
 	}
 	p := c.Params
 	// blockSpan dense indices cover exactly one page row of every
@@ -223,14 +181,15 @@ func newDriver(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec, readPage
 	tenantClasses := int(sched.Accel)
 	per := ((core.PagesPerNode(p) - base) / tenantClasses / blockSpan) * blockSpan
 	d := &driver{
-		s: s, c: c, readPages: readPages, retryDelay: retryDelay,
+		s: s, c: c, rt: s.NewRetrier(retryDelay), readPages: readPages,
 		regions: make([][sched.NumClasses]appendRegion, c.Nodes()),
-		seqs:    make([][sched.NumClasses]writeSeq, c.Nodes()),
+		seqs:    make([][sched.NumClasses]*sched.Sequencer, c.Nodes()),
 	}
 	for n := range d.regions {
 		for cl := 0; cl < tenantClasses; cl++ {
 			start := base + cl*per
 			d.regions[n][cl] = appendRegion{next: start, limit: start + per}
+			d.seqs[n][cl] = d.rt.NewSequencer()
 		}
 		// Accel and Background keep empty regions: a (misconfigured)
 		// spec writing at those classes falls back to reads, counted in
@@ -356,6 +315,9 @@ func RunClosedLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec,
 			}
 			issue()
 		}
+		// Hard admission failures come back through readDone too, so the
+		// slot is reissued and the completion count stays consistent.
+		readDone := func(_ []byte, err error) { complete(err) }
 		issue = func() {
 			for inflight < depth && toIssue > 0 {
 				toIssue--
@@ -363,25 +325,12 @@ func RunClosedLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec,
 				if cl.wantWrite() && d.submitWrite(cl, complete) {
 					continue
 				}
-				addr := cl.nextRead()
-				var try func()
-				try = func() {
-					serr := cl.stream.Read(addr, func(_ []byte, err error) { complete(err) })
-					if serr == sched.ErrBackpressure {
-						d.res.Backpressure++
-						c.Eng.After(d.retryDelay, try)
-					} else if serr != nil {
-						// Route hard admission failures through the normal
-						// completion path so the slot is reissued and the
-						// completion count stays consistent.
-						complete(serr)
-					}
-				}
-				try()
+				d.rt.Read(cl.stream, cl.nextRead(), readDone)
 			}
 		}
 		issue()
 	}
 	c.Run()
+	d.res.Backpressure = d.rt.Backpressure
 	return d.res, nil
 }
