@@ -44,17 +44,57 @@ func TestArtifactsRegenerateByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(got, want) {
-				return
-			}
-			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) && i < len(wl); i++ {
-				if gl[i] != wl[i] {
-					t.Fatalf("%s drifted from a fresh regeneration at line %d:\n  committed:   %s\n  regenerated: %s",
-						committed, i+1, wl[i], gl[i])
-				}
-			}
-			t.Fatalf("%s drifted from a fresh regeneration: %d lines committed, %d regenerated", committed, len(wl), len(gl))
+			requireSame(t, committed, got, want)
 		})
 	}
+}
+
+// paperFigures are the experiments that print one of the paper's own
+// tables or figures, in the order the command runs them.
+const paperFigures = "table1,table2,table3,fig11,fig12,fig13,fig16,fig17,fig18,fig19,fig20,fig21"
+
+// TestPaperFiguresUnchanged pins the text of every paper table and
+// figure — what `bluedbm-bench -run table1,...,fig21` prints — to
+// testdata/paper_figures.txt. They are the numbers the model exists to
+// hit and hold virtual time only, so a change that speeds the simulator
+// up must leave every digit where it was; a change that means to move
+// one regenerates the file with that command and says why.
+func TestPaperFiguresUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "paper_figures.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, id := range strings.Split(paperFigures, ",") {
+		ids[id] = true
+	}
+	var got bytes.Buffer
+	for _, r := range allRunners(false, "") {
+		if !ids[r.id] {
+			continue
+		}
+		out, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.id, err)
+		}
+		got.WriteString(out + "\n") // as main prints it
+	}
+	requireSame(t, "testdata/paper_figures.txt", got.Bytes(), want)
+}
+
+// requireSame fails the test, naming the first line that differs,
+// unless a fresh regeneration equals the committed file.
+func requireSame(t *testing.T, committed string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s drifted from a fresh regeneration at line %d:\n  committed:   %s\n  regenerated: %s",
+				committed, i+1, wl[i], gl[i])
+		}
+	}
+	t.Fatalf("%s drifted from a fresh regeneration: %d lines committed, %d regenerated", committed, len(wl), len(gl))
 }

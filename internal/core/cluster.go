@@ -22,6 +22,9 @@ type Cluster struct {
 	hops        [][]int // precomputed hop distances
 	router      HostRouter
 	accelRouter AccelRouter
+
+	// freeRemote recycles the records of remote flash operations.
+	freeRemote []*remoteOp
 }
 
 // SetHostRouter installs (or, with nil, removes) the scheduler hook
@@ -84,11 +87,7 @@ func NewCluster(p Params) (*Cluster, error) {
 
 func (c *Cluster) buildNode(i int) (*Node, error) {
 	p := c.Params
-	n := &Node{
-		cluster: c,
-		id:      i,
-		pending: make(map[uint64]func([]byte, error)),
-	}
+	n := &Node{cluster: c, id: i}
 	for card := 0; card < p.CardsPerNode; card++ {
 		name := fmt.Sprintf("n%d/card%d", i, card)
 		seed := p.Seed + uint64(i)*131 + uint64(card)*17

@@ -89,6 +89,46 @@ func TestISPRemoteRead(t *testing.T) {
 	}
 }
 
+// TestRemoteReadAllocatesOnlyItsPage: a remote operation's descriptor,
+// the server's flash continuation and the response ride one pooled
+// record, so what a warm remote read allocates is the page snapshot the
+// NAND read returns and nothing else, and the record is back in the
+// cluster's pool when the completion has run.
+func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
+	c := mkCluster(t, 4)
+	a := LinearPage(c.Params, 2, 5)
+	data := fill(3, c.Params.PageSize())
+	c.Node(2).WriteLocal(a.Card, a.Addr, data, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	c.Run()
+	reads := 0
+	done := func(d []byte, err error) {
+		if err != nil || !bytes.Equal(d, data) {
+			t.Errorf("remote read: %d bytes, err %v", len(d), err)
+		}
+		reads++
+	}
+	read := func() {
+		c.Node(0).ISPReadDirect(a, done)
+		c.Run()
+	}
+	for i := 0; i < 4; i++ {
+		read() // warm the pools along the path
+	}
+	if n := testing.AllocsPerRun(200, read); n != 1 {
+		t.Fatalf("a warm remote read allocates %.1f objects, want 1 (the page)", n)
+	}
+	if reads == 0 || len(c.freeRemote) != 1 {
+		t.Fatalf("%d reads left %d records in the pool, want the one they all used", reads, len(c.freeRemote))
+	}
+	if err := c.Net.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestISPRemoteWrite(t *testing.T) {
 	c := mkCluster(t, 3)
 	a := LinearPage(c.Params, 1, 3)

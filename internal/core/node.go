@@ -71,13 +71,10 @@ type Trace struct {
 	Total    sim.Time
 }
 
-// reqMsg travels on a flash request lane.
+// reqMsg describes a remote flash request.
 type reqMsg struct {
 	card    int
 	addr    nand.Addr
-	reqID   uint64
-	lane    int
-	from    fabric.NodeID
 	viaHost bool // remote host processes the request (H-RH-F)
 	dram    bool // serve from the on-device DRAM buffer (H-D)
 	write   bool
@@ -86,11 +83,72 @@ type reqMsg struct {
 	data    []byte // payload for writes
 }
 
-// respMsg travels on EPFlashResp.
-type respMsg struct {
-	reqID uint64
-	data  []byte
-	err   error
+// remoteOp is one remote flash operation from the remoteReq that sends
+// it until its completion callback has run. The record is the message:
+// it crosses the fabric by pointer on a request lane, is served by the
+// far node, and crosses back on the paired response lane, so neither
+// the descriptor, nor the server's flash continuation, nor the response
+// is allocated per operation. Ops are pooled per cluster (the record
+// changes hands between two nodes) and the server's continuations are
+// bound when the record is made.
+//
+//simlint:pool get=getRemoteOp put=putRemoteOp
+type remoteOp struct {
+	reqMsg
+	lane   int
+	from   fabric.NodeID // the requester, which the response goes back to
+	server *Node         // the node serving the request; set on arrival
+	cb     func(data []byte, err error)
+
+	// the response: a read's page and the operation's outcome
+	page []byte
+	err  error
+
+	// bound once, for the serving node
+	onRead     func(data []byte, err error) // the flash read completed
+	onAck      func(err error)              // the program or erase completed
+	onIntr     func()                       // viaHost: the request interrupted the host
+	onSoftware func()                       // viaHost: the host's software has run
+	serve      func()                       // viaHost: the host's RPC reached the device
+	onDRAM     func()                       // dram: the buffer access completed
+}
+
+// getRemoteOp takes an op from the cluster's pool.
+//
+//simlint:hotpath
+func (c *Cluster) getRemoteOp() *remoteOp {
+	if k := len(c.freeRemote); k > 0 {
+		op := c.freeRemote[k-1]
+		c.freeRemote[k-1] = nil
+		c.freeRemote = c.freeRemote[:k-1]
+		return op
+	}
+	//simlint:allow hotcall (pool-miss path: the pool grows to the most remote operations ever outstanding in the cluster and is recycled via putRemoteOp forever after)
+	return newRemoteOp()
+}
+
+// newRemoteOp grows the pool by one op and binds its continuations.
+//
+//go:noinline
+func newRemoteOp() *remoteOp {
+	op := &remoteOp{}
+	op.onRead = func(data []byte, err error) { op.server.respond(op, data, err) }
+	op.onAck = func(err error) { op.server.respond(op, nil, err) }
+	op.onIntr = func() { op.server.hostSoftware(op) }
+	op.onSoftware = func() { op.server.Host.RPC(op.serve) }
+	op.serve = func() { op.server.serveRemote(op) }
+	op.onDRAM = func() { op.server.dramDone(op) }
+	return op
+}
+
+// putRemoteOp recycles an op whose completion callback has returned.
+//
+//simlint:hotpath
+func (c *Cluster) putRemoteOp(op *remoteOp) {
+	op.reqMsg = reqMsg{}
+	op.server, op.cb = nil, nil
+	op.page, op.err = nil, nil
+	c.freeRemote = append(c.freeRemote, op)
 }
 
 // Node is one BlueDBM node: Xeon host + storage device (Figure 2).
@@ -131,8 +189,7 @@ type Node struct {
 	reqEPs  []*fabric.Endpoint
 	respEPs []*fabric.Endpoint
 
-	nextReq uint64
-	pending map[uint64]func(data []byte, err error)
+	nextReq uint64 // remote requests sent; picks the lane round-robin
 
 	// batchFree recycles doorbell batch slices: SubmitHostBatch takes
 	// ownership of its reqs argument and parks the storage here once
@@ -237,110 +294,119 @@ func (n *Node) ISPWrite(a PageAddr, data []byte, cb func(err error)) {
 		func(_ []byte, err error) { cb(err) })
 }
 
-// remoteReq sends a request message on the next lane (round-robin) and
-// registers the completion.
+// remoteReq sends a request on the next lane (round-robin); cb fires
+// when the response is back.
 //
-//simlint:allow escapecheck (the request descriptor is captured by the lane send; one bounded message per remote op, hidden under fabric latency)
+//simlint:hotpath
 func (n *Node) remoteReq(msg reqMsg, dst int, cb func(data []byte, err error)) {
-	msg.reqID = n.nextReq
-	msg.lane = int(n.nextReq % FlashLanes)
-	msg.from = n.netNode.ID()
+	op := n.cluster.getRemoteOp()
+	op.reqMsg = msg
+	op.lane = int(n.nextReq % FlashLanes)
+	op.from = n.netNode.ID()
+	op.cb = cb
 	n.nextReq++
-	n.pending[msg.reqID] = cb
 	size := 32 // request descriptor
 	if msg.write {
 		size += len(msg.data)
 	}
-	if err := n.reqEPs[msg.lane].Send(fabric.NodeID(dst), size, &msg, nil); err != nil {
-		delete(n.pending, msg.reqID)
+	if err := n.reqEPs[op.lane].Send(fabric.NodeID(dst), size, op, nil); err != nil {
+		n.cluster.putRemoteOp(op)
 		cb(nil, err)
 	}
 }
 
 // handleFlashReq is the device-side service for remote requests.
-func (n *Node) handleFlashReq(src fabric.NodeID, _ int, payload any) {
-	msg := payload.(*reqMsg)
-	serve := func() {
-		switch {
-		case msg.dram:
-			// The page is cached in the on-device DRAM buffer: no flash
-			// latency, just the buffer access. The cache holds the same
-			// logical content as the flash page.
-			n.dram.Transfer(n.cluster.Params.PageSize(), func() {
-				data := make([]byte, n.cluster.Params.PageSize())
-				if raw := n.cards[msg.card].Peek(msg.addr); raw != nil {
-					copy(data, raw[:n.cluster.Params.PageSize()])
-				}
-				n.respond(msg, data, nil)
-			})
-		case msg.write:
-			n.serveIface(msg).WritePhysical(msg.addr, msg.data, func(err error) {
-				n.respond(msg, nil, err)
-			})
-		case msg.erase:
-			n.serveIface(msg).Erase(msg.addr, func(err error) {
-				n.respond(msg, nil, err)
-			})
-		default:
-			iface := n.serveIface(msg)
-			if !msg.bg {
-				// Remote latency-path reads stripe over the card's ISP
-				// read lanes like local ISP reads do.
-				lanes := n.ispReadIfaces[msg.card]
-				iface = lanes[n.ispReadRR[msg.card]%len(lanes)]
-				n.ispReadRR[msg.card]++
-			}
-			iface.ReadPhysical(msg.addr, func(data []byte, err error) {
-				n.respond(msg, data, err)
-			})
-		}
-	}
-	if msg.viaHost {
+//
+//simlint:hotpath
+func (n *Node) handleFlashReq(_ fabric.NodeID, _ int, payload any) {
+	op := payload.(*remoteOp)
+	op.server = n
+	if op.viaHost {
 		// The request surfaces to the remote host's software before
-		// being served. Flash requests (H-RH-F) pay the full storage
-		// stack; DRAM-cached requests (H-D) take the lightweight
-		// user-level serving path.
-		h := n.Host.Config()
-		n.cluster.Eng.After(h.InterruptLatency, func() {
-			if msg.dram {
-				n.Host.ChargeLightSoftware(func() { n.Host.RPC(serve) })
-			} else {
-				n.Host.ChargeSoftware(func() { n.Host.RPC(serve) })
-			}
-		})
+		// being served: interrupt, software (hostSoftware), RPC.
+		n.cluster.Eng.After(n.Host.Config().InterruptLatency, op.onIntr)
 		return
 	}
-	serve()
+	n.serveRemote(op)
+}
+
+// hostSoftware charges the remote host for a request it serves itself.
+// Flash requests (H-RH-F) pay the full storage stack; DRAM-cached
+// requests (H-D) take the lightweight user-level serving path.
+func (n *Node) hostSoftware(op *remoteOp) {
+	if op.dram {
+		n.Host.ChargeLightSoftware(op.onSoftware)
+	} else {
+		n.Host.ChargeSoftware(op.onSoftware)
+	}
+}
+
+// serveRemote hands a remote request to this node's flash.
+//
+//simlint:hotpath
+func (n *Node) serveRemote(op *remoteOp) {
+	switch {
+	case op.dram:
+		// The page is cached in the on-device DRAM buffer: no flash
+		// latency, just the buffer access.
+		n.dram.Transfer(n.cluster.Params.PageSize(), op.onDRAM)
+	case op.write:
+		n.serveIface(op).WritePhysical(op.addr, op.data, op.onAck)
+	case op.erase:
+		n.serveIface(op).Erase(op.addr, op.onAck)
+	default:
+		iface := n.serveIface(op)
+		if !op.bg {
+			// Remote latency-path reads stripe over the card's ISP
+			// read lanes like local ISP reads do.
+			lanes := n.ispReadIfaces[op.card]
+			iface = lanes[n.ispReadRR[op.card]%len(lanes)]
+			n.ispReadRR[op.card]++
+		}
+		iface.ReadPhysical(op.addr, op.onRead)
+	}
+}
+
+// dramDone answers a request served from the on-device DRAM buffer
+// (H-D), which holds the same logical content as the flash page.
+func (n *Node) dramDone(op *remoteOp) {
+	data := make([]byte, n.cluster.Params.PageSize())
+	if raw := n.cards[op.card].Peek(op.addr); raw != nil {
+		copy(data, raw[:n.cluster.Params.PageSize()])
+	}
+	n.respond(op, data, nil)
 }
 
 // serveIface picks the device-side interface for a remote request:
 // background (GC) traffic stays off the in-store processors' FIFO.
-func (n *Node) serveIface(msg *reqMsg) *flashserver.Iface {
-	if msg.bg {
-		return n.bgIfaces[msg.card]
+//
+//simlint:hotpath
+func (n *Node) serveIface(op *remoteOp) *flashserver.Iface {
+	if op.bg {
+		return n.bgIfaces[op.card]
 	}
-	return n.ispIfaces[msg.card]
+	return n.ispIfaces[op.card]
 }
 
 // respond ships the result back over the integrated network on the
 // response lane paired with the request's lane.
-func (n *Node) respond(msg *reqMsg, data []byte, err error) {
-	size := 32 + len(data)
-	resp := &respMsg{reqID: msg.reqID, data: data, err: err}
-	if serr := n.respEPs[msg.lane].Send(msg.from, size, resp, nil); serr != nil {
+//
+//simlint:hotpath
+func (n *Node) respond(op *remoteOp, page []byte, err error) {
+	op.data = nil // a write's payload is the flash's now
+	op.page, op.err = page, err
+	if serr := n.respEPs[op.lane].Send(op.from, 32+len(page), op, nil); serr != nil {
 		panic(fmt.Sprintf("core: response route missing: %v", serr))
 	}
 }
 
-// handleFlashResp completes a pending remote request.
+// handleFlashResp completes a remote request at the node that sent it.
+//
+//simlint:hotpath
 func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
-	resp := payload.(*respMsg)
-	cb, ok := n.pending[resp.reqID]
-	if !ok {
-		return
-	}
-	delete(n.pending, resp.reqID)
-	cb(resp.data, resp.err)
+	op := payload.(*remoteOp)
+	op.cb(op.page, op.err)
+	n.cluster.putRemoteOp(op)
 }
 
 // --- host-mediated access paths (Figure 12) --------------------------

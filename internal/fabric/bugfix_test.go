@@ -172,6 +172,7 @@ func TestTransitDoesNotStarveInjection(t *testing.T) {
 	if localDone < 0 || localDone >= eng.Now()*3/4 {
 		t.Fatalf("local injection starved: finished at %v of %v", localDone, eng.Now())
 	}
+	checkIdle(t, net)
 }
 
 // TestRingSaturationNoDeadlock: cyclic-forwarding regression. A ring
@@ -222,4 +223,5 @@ func TestRingSaturationNoDeadlock(t *testing.T) {
 	if got != want {
 		t.Fatalf("ring wedged: delivered %d of %d messages at LinkTokens=1", got, want)
 	}
+	checkIdle(t, net)
 }

@@ -28,10 +28,6 @@ type Endpoint struct {
 	credits   []int                   // remaining e2e credits toward each dst
 	blocked   []sim.Queue[blockedMsg] // sends waiting on a credit, per dst
 
-	// partial[src] accumulates payload bytes of the in-flight inbound
-	// message from src (reassembly; segments arrive contiguously).
-	partial []int
-
 	// stats. Sent and Received count user messages only, so a fully
 	// delivered workload always satisfies Sent == peer.Received even
 	// under end-to-end flow control; the credit-return control
@@ -56,7 +52,10 @@ type blockedMsg struct {
 // BindEndpoint creates (or returns an error for a duplicate) logical
 // endpoint idx on this node.
 func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
-	if _, dup := nd.endpoints[idx]; dup {
+	if idx < 0 {
+		return nil, fmt.Errorf("fabric: negative endpoint index %d on node %d", idx, nd.id)
+	}
+	if nd.Endpoint(idx) != nil {
 		return nil, fmt.Errorf("%w: %d on node %d", ErrBadEndpoint, idx, nd.id)
 	}
 	n := len(nd.net.nodes)
@@ -65,14 +64,23 @@ func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
 		index:   idx,
 		credits: make([]int, n),
 		blocked: make([]sim.Queue[blockedMsg], n),
-		partial: make([]int, n),
+	}
+	for len(nd.endpoints) <= idx {
+		nd.endpoints = append(nd.endpoints, nil)
 	}
 	nd.endpoints[idx] = ep
 	return ep, nil
 }
 
 // Endpoint returns the bound endpoint idx, or nil.
-func (nd *Node) Endpoint(idx int) *Endpoint { return nd.endpoints[idx] }
+//
+//simlint:hotpath
+func (nd *Node) Endpoint(idx int) *Endpoint {
+	if idx < 0 || idx >= len(nd.endpoints) {
+		return nil
+	}
+	return nd.endpoints[idx]
+}
 
 // Index returns the endpoint's cluster-wide index.
 func (ep *Endpoint) Index() int { return ep.index }
@@ -158,12 +166,14 @@ func (ep *Endpoint) transmitMsg(dst NodeID, size int, payload any, onAccepted fu
 	}
 }
 
-// receiveSegment reassembles inbound segments; segments of one message
-// arrive contiguously in order because routing is deterministic and
-// links are FIFO.
+// receive takes the last segment of an inbound message, which stands
+// for the whole of it: the segments of one message arrive contiguously
+// and in order (routing is deterministic and links are FIFO), so when
+// the last one is in, all are, and the earlier ones are never seen here
+// (Node.transmit).
 //
 //simlint:hotpath
-func (ep *Endpoint) receiveSegment(seg *segment) {
+func (ep *Endpoint) receive(seg *segment) {
 	if seg.ctrl {
 		// Credit return: unblock one queued send toward seg.src.
 		ep.CtrlReceived++
@@ -175,11 +185,6 @@ func (ep *Endpoint) receiveSegment(seg *segment) {
 		}
 		return
 	}
-	ep.partial[seg.src] += seg.payload
-	if !seg.last {
-		return
-	}
-	ep.partial[seg.src] = 0
 	ep.Received++
 	if seg.wantAck {
 		// Return a credit to the sender as a small control message.

@@ -17,6 +17,18 @@
 // Links model the paper's 10 Gbps serial transceivers: 0.48 µs per hop
 // and ~8.2 Gbps effective payload bandwidth after 8b/10b and protocol
 // overhead (§5.2, Figure 11).
+//
+// A message crosses the network as MTU segments that pipeline over the
+// hops, each holding a receive-buffer credit of the link it is on. The
+// simulator spends one event per segment per forwarding hop, and two
+// more — external switch, internal switch — where the message's last
+// segment reaches its destination. Two sentences define the rest of the
+// model. A non-last segment's only effect at its destination is its
+// credit, returned InternalLatency after arrival: it fires no event
+// there. And returns first: every operation on a link direction's
+// credit store begins by counting in the returns that have fallen due,
+// so a credit due at t serves any request processed at virtual time
+// >= t, whatever the event order inside that nanosecond (linkCredits).
 package fabric
 
 import (
@@ -83,15 +95,18 @@ func DefaultConfig() Config {
 
 // segment is the wire unit: one MTU-or-smaller piece of a message.
 // Segments of one message arrive contiguously in order (routing is
-// deterministic per endpoint and links are FIFO), so no sequence
-// number is needed for reassembly.
+// deterministic per endpoint and links are FIFO), so the last one
+// stands for the message: when it is in, all are.
 //
 // Segments are pooled per Network (getSeg/putSeg) and carry their
 // continuation callbacks pre-bound: one segment traverses inject →
-// transmit → arrive* → deliver entirely through the five closures
-// built once at pool-entry creation, so the steady-state send path —
-// including the cache tier's invalidation broadcasts — performs zero
-// allocations.
+// (transmit → arrive)* through the closures built once at pool-entry
+// creation, so the steady-state send path — including the cache tier's
+// invalidation broadcasts — performs zero allocations. Only the last
+// segment of a message ends in arrive → deliver at its destination: a
+// non-last segment's only effect there is its credit, returned
+// InternalLatency after arrival, so it is recycled the moment it is
+// put on its final wire (transmit) and fires no event on that hop.
 //
 //simlint:pool get=getSeg put=putSeg
 type segment struct {
@@ -115,8 +130,8 @@ type segment struct {
 	injGrantFn func() // injection credit granted
 	fwdGrantFn func() // forwarding credit granted
 	arriveFn   func() // wire transfer finished
-	deliverFn  func() // internal switch delivered terminal segment
-	localFn    func() // internal switch delivered same-node segment
+	deliverFn  func() // internal switch delivered the message's last segment
+	localFn    func() // internal switch delivered a same-node message
 }
 
 // getSeg pops a recycled segment, or builds one with its five
@@ -133,6 +148,7 @@ func (n *Network) getSeg() *segment {
 	}
 	//simlint:allow hotpath (pool-miss path: the segment and its five bound callbacks are built once and recycled via putSeg forever after)
 	seg := &segment{net: n}
+	n.segBuilt++
 	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.injGrantFn = func() {
 		if seg.onAcc != nil {
@@ -179,7 +195,8 @@ func (n *Network) putSeg(seg *segment) {
 	n.segFree = append(n.segFree, seg)
 }
 
-// halfLink is one direction of a physical link.
+// halfLink is one direction of a physical link: the wire, and the
+// credit store counting the receive buffers at its far end.
 type halfLink struct {
 	pipe    *sim.Pipe
 	credits *linkCredits
@@ -205,6 +222,24 @@ type halfLink struct {
 // Grants within each class stay in order, so per-flow segment
 // ordering is unaffected (a flow only ever injects at its source and
 // only ever forwards at transit nodes).
+//
+// A credit comes back one of two ways. A segment that is forwarded, or
+// that ends its message, hands its credit back in person (release, from
+// the event that moves it on). A non-last segment on its final hop has
+// nothing else to do at its destination, so no event is spent on it:
+// transmit records the instant its credit falls due — arrival plus
+// InternalLatency — in returns, a FIFO that is ascending because the
+// pipe delivers in reservation order and the latency is a constant.
+// One rule orders the two: RETURNS FIRST. Every credit operation
+// begins by moving the returns due by Now() into free, so a credit due
+// at t is usable by any request processed at virtual time >= t,
+// whatever the event order inside that nanosecond. Only when serve
+// leaves a waiter queued while returns are pending does the store
+// spend an event: ONE wake per link direction, at the earliest pending
+// return, which serves and re-arms while still blocked — so a blocked
+// waiter is granted at the instant its credit falls due, and an
+// uncontended link fires no credit event at all.
+//
 // The waiter queue is a head-indexed ring over one backing slice:
 // popping advances head instead of reslicing, so the slice's capacity
 // is reused forever and steady-state enqueue/serve never allocates
@@ -214,6 +249,11 @@ type linkCredits struct {
 	free int
 	q    []linkWaiter
 	head int // index of the queue front within q
+
+	eng     *sim.Engine
+	returns sim.Queue[sim.Time] // instants at which lazily returned credits fall due
+	armed   bool                // the wake event is pending
+	wakeFn  func()              // bound once (newLinkCredits)
 }
 
 type linkWaiter struct {
@@ -221,14 +261,32 @@ type linkWaiter struct {
 	fn  func()
 }
 
-//simlint:hotpath
-func (lc *linkCredits) acquireFwd(fn func()) { lc.enqueue(linkWaiter{fwd: true, fn: fn}) }
+func newLinkCredits(eng *sim.Engine, capacity int) *linkCredits {
+	lc := &linkCredits{free: capacity, eng: eng}
+	lc.wakeFn = func() {
+		lc.armed = false
+		lc.serve()
+	}
+	return lc
+}
 
 //simlint:hotpath
-func (lc *linkCredits) acquireInj(fn func()) { lc.enqueue(linkWaiter{fwd: false, fn: fn}) }
+func (lc *linkCredits) acquireFwd(fn func()) { lc.acquire(linkWaiter{fwd: true, fn: fn}) }
 
 //simlint:hotpath
-func (lc *linkCredits) enqueue(w linkWaiter) {
+func (lc *linkCredits) acquireInj(fn func()) { lc.acquire(linkWaiter{fwd: false, fn: fn}) }
+
+// acquire grants w on the spot when nobody is queued ahead of it and
+// the credit is there, and queues it behind the others otherwise.
+//
+//simlint:hotpath
+func (lc *linkCredits) acquire(w linkWaiter) {
+	lc.mature()
+	if lc.head == len(lc.q) && lc.free >= w.need() {
+		lc.free--
+		w.fn()
+		return
+	}
 	if lc.head > 0 && lc.head == len(lc.q) {
 		// Drained ring: rewind to the front of the backing array.
 		lc.q = lc.q[:0]
@@ -246,6 +304,28 @@ func (lc *linkCredits) release() {
 	lc.serve()
 }
 
+// returnAt books a credit that comes back by itself at t (see the type
+// comment); whoever next touches the store at or after t finds it free.
+//
+//simlint:hotpath
+func (lc *linkCredits) returnAt(t sim.Time) {
+	if n := lc.returns.Len(); n > 0 && lc.returns.At(n-1) > t {
+		panic(fmt.Sprintf("fabric: credit return at %v booked behind one at %v", t, lc.returns.At(n-1)))
+	}
+	lc.returns.Push(t)
+}
+
+// mature moves every pending return that has fallen due into free.
+//
+//simlint:hotpath
+func (lc *linkCredits) mature() {
+	now := lc.eng.Now()
+	for lc.returns.Len() > 0 && lc.returns.Front() <= now {
+		lc.returns.Pop()
+		lc.free++
+	}
+}
+
 // need is the free-credit threshold to grant w (both take one).
 func (w linkWaiter) need() int {
 	if w.fwd {
@@ -256,6 +336,7 @@ func (w linkWaiter) need() int {
 
 //simlint:hotpath
 func (lc *linkCredits) serve() {
+	lc.mature()
 	for lc.head < len(lc.q) {
 		head := lc.q[lc.head]
 		if lc.free >= head.need() {
@@ -280,12 +361,31 @@ func (lc *linkCredits) serve() {
 				}
 			}
 		}
+		break
+	}
+	if lc.head < len(lc.q) {
+		// Still blocked: come back when the next credit falls due.
+		if !lc.armed && lc.returns.Len() > 0 {
+			lc.armWake()
+		}
 		return
 	}
 	if lc.head > 0 {
 		lc.q = lc.q[:0]
 		lc.head = 0
 	}
+}
+
+// armWake schedules the store's one wake event at the earliest pending
+// return.
+//
+//simlint:hotpath
+func (lc *linkCredits) armWake() {
+	if lc.armed {
+		panic("fabric: a second wake armed on one link direction")
+	}
+	lc.armed = true
+	lc.eng.At(lc.returns.Front(), lc.wakeFn)
 }
 
 // Link is a full-duplex cable between two node ports.
@@ -305,8 +405,11 @@ type Network struct {
 
 	// segFree recycles wire segments and their bound continuations
 	// (getSeg/putSeg); the population converges on the peak number of
-	// segments simultaneously in flight.
-	segFree []*segment
+	// segments simultaneously in flight. segBuilt counts the segments
+	// ever built, all of which are back in segFree when the fabric is
+	// idle (CheckInvariants).
+	segFree  []*segment
+	segBuilt int
 
 	// stats
 	Delivered  sim.Counter
@@ -321,10 +424,16 @@ type Node struct {
 	id        NodeID
 	ports     []*halfLink // outgoing half-links by port index; nil = free
 	portPeer  []NodeID    // neighbor on each port, -1 = free
-	endpoints map[int]*Endpoint
-	// routes[ep][dst] = output port. Endpoint key DefaultEP (-1) holds
-	// default routes used by endpoints with no specific entry.
+	endpoints []*Endpoint // by endpoint index; nil = unbound
+	// routes[ep][dst] = output port, as configured. Endpoint key
+	// DefaultEP (-1) holds default routes used by endpoints with no
+	// specific entry.
 	routes map[int][]int
+	// fwd[ep+1][dst] is routes resolved through the fallback chain
+	// (resolveRoutes), rebuilt whenever routes changes, so forwarding a
+	// segment is two slice indexes. Row 0 — the DefaultEP row — also
+	// serves every endpoint index past the end.
+	fwd [][]int
 }
 
 // DefaultEP is the routes-table key holding a node's default routes:
@@ -337,17 +446,19 @@ func New(eng *sim.Engine, cfg Config, n int) *Network {
 	net := &Network{eng: eng, cfg: cfg}
 	for i := 0; i < n; i++ {
 		node := &Node{
-			net:       net,
-			id:        NodeID(i),
-			ports:     make([]*halfLink, cfg.PortsPerNode),
-			portPeer:  make([]NodeID, cfg.PortsPerNode),
-			endpoints: make(map[int]*Endpoint),
-			routes:    make(map[int][]int),
+			net:      net,
+			id:       NodeID(i),
+			ports:    make([]*halfLink, cfg.PortsPerNode),
+			portPeer: make([]NodeID, cfg.PortsPerNode),
+			routes:   make(map[int][]int),
 		}
 		for p := range node.portPeer {
 			node.portPeer[p] = -1
 		}
 		net.nodes = append(net.nodes, node)
+	}
+	for _, node := range net.nodes {
+		node.resolveRoutes()
 	}
 	return net
 }
@@ -382,7 +493,7 @@ func (n *Network) Connect(a, b NodeID) error {
 			// +1 is the reserved forwarding credit (bubble flow
 			// control); see linkCredits.
 			pipe:    sim.NewPipe(n.eng, name, n.cfg.LinkBytesPerSec, n.cfg.HopLatency),
-			credits: &linkCredits{free: n.cfg.LinkTokens + 1},
+			credits: newLinkCredits(n.eng, n.cfg.LinkTokens+1),
 			to:      to,
 			toPort:  toPort,
 		}
@@ -465,6 +576,9 @@ func (n *Network) ComputeRoutes(maxEndpoint int) error {
 			}
 		}
 	}
+	for _, node := range n.nodes {
+		node.resolveRoutes()
+	}
 	return nil
 }
 
@@ -504,25 +618,49 @@ func (nd *Node) SetRoute(ep int, dst NodeID, port int) error {
 		nd.routes[ep] = tbl
 	}
 	tbl[dst] = port
+	nd.resolveRoutes()
 	return nil
 }
 
-// routePort resolves the output port for (ep, dst). Endpoints with no
-// private entry fall back to the default table (endpoint key -1, the
-// software-configured catch-all of SetRoute), and then — for
-// compatibility with deployments that predate the default table — to
-// endpoint 0's table.
+// resolveRoutes rebuilds fwd from routes. An endpoint with no private
+// entry for a destination falls back to the default table (endpoint
+// key -1, the software-configured catch-all of SetRoute), and then —
+// for compatibility with deployments that predate the default table —
+// to endpoint 0's table.
+func (nd *Node) resolveRoutes() {
+	rows := 1
+	for ep := range nd.routes {
+		rows = max(rows, ep+2)
+	}
+	nd.fwd = make([][]int, rows)
+	for row := range nd.fwd {
+		out := make([]int, len(nd.net.nodes))
+		for dst := range out {
+			out[dst] = -1
+			for _, ep := range [...]int{row - 1, DefaultEP, 0} {
+				if tbl, ok := nd.routes[ep]; ok && tbl[dst] >= 0 {
+					out[dst] = tbl[dst]
+					break
+				}
+			}
+		}
+		nd.fwd[row] = out
+	}
+}
+
+// routePort returns the output port for (ep, dst) from the resolved
+// table.
+//
+//simlint:hotpath
 func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
-	if tbl, ok := nd.routes[ep]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
+	row := 0
+	if ep+1 < len(nd.fwd) {
+		row = ep + 1
 	}
-	if tbl, ok := nd.routes[DefaultEP]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
+	if port := nd.fwd[row][dst]; port >= 0 {
+		return port, nil
 	}
-	if tbl, ok := nd.routes[0]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
-	}
-	//simlint:allow hotcall (error path: allocates only when no route exists, which fails the injection anyway)
+	//simlint:allow hotpath (error path: allocates only when no route exists, which fails the injection anyway)
 	return 0, fmt.Errorf("%w: node %d ep %d -> node %d", ErrNoRoute, nd.id, ep, dst)
 }
 
@@ -535,7 +673,13 @@ func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
 func (nd *Node) inject(seg *segment) error {
 	seg.curNode = nd
 	if seg.dst == nd.id {
-		// Local delivery through the internal switch only.
+		// Local delivery through the internal switch only. Nothing
+		// waits on a non-last segment — no wire, no credit, no ack — so
+		// only the message's last one crosses it as an event.
+		if !seg.last {
+			nd.net.putSeg(seg)
+			return nil
+		}
 		nd.net.eng.After(nd.net.cfg.InternalLatency, seg.localFn)
 		return nil
 	}
@@ -555,13 +699,23 @@ func (nd *Node) inject(seg *segment) error {
 }
 
 // transmit puts a segment on its outbound half-link (seg.out); arrival
-// is handled by the peer's external switch.
+// is handled by the peer's external switch. On the final hop of a
+// segment that does not end its message there is nothing for that
+// switch to do: the segment occupies the wire like any other, the
+// receive buffer it fills is booked to come free InternalLatency after
+// it lands (linkCredits.returnAt), and it is recycled here.
 //
 //simlint:hotpath
 func (nd *Node) transmit(seg *segment) {
 	wire := seg.payload + nd.net.cfg.HeaderBytes
 	nd.net.SegsMoved.Inc()
 	nd.net.BytesMoved.Add(int64(seg.payload))
+	if !seg.last && seg.out.to.id == seg.dst {
+		landed := seg.out.pipe.Transfer(wire, nil)
+		seg.out.credits.returnAt(landed + nd.net.cfg.InternalLatency)
+		nd.net.putSeg(seg)
+		return
+	}
 	seg.out.pipe.Transfer(wire, seg.arriveFn)
 }
 
@@ -575,6 +729,7 @@ func (nd *Node) arrive(seg *segment) {
 	seg.in = seg.out
 	seg.curNode = nd
 	if seg.dst == nd.id {
+		// Only the last segment of a message gets here (transmit).
 		nd.net.eng.After(nd.net.cfg.InternalLatency, seg.deliverFn)
 		return
 	}
@@ -587,25 +742,55 @@ func (nd *Node) arrive(seg *segment) {
 	seg.out.credits.acquireFwd(seg.fwdGrantFn)
 }
 
-// deliver hands a segment to its endpoint and recycles it. OnReceive
-// handlers that send from inside the callback draw fresh segments from
-// the pool (this one is recycled only after receiveSegment returns).
+// deliver hands the last segment of a message to its endpoint and
+// recycles it. OnReceive handlers that send from inside the callback
+// draw fresh segments from the pool (this one is recycled only after
+// receive returns).
 //
 //simlint:hotpath
 func (nd *Node) deliver(seg *segment) {
-	ep, ok := nd.endpoints[seg.ep]
-	if !ok {
+	ep := nd.Endpoint(seg.ep)
+	if ep == nil {
 		// Delivery to an unbound endpoint is silently dropped, like
 		// hardware writing to an unselected channel.
 		nd.net.putSeg(seg)
 		return
 	}
-	last, ctrl := seg.last, seg.ctrl
-	ep.receiveSegment(seg)
-	if last && !ctrl {
+	ctrl := seg.ctrl
+	ep.receive(seg)
+	if !ctrl {
 		nd.net.Delivered.Inc()
 	}
 	nd.net.putSeg(seg)
+}
+
+// CheckInvariants reports the first way in which an idle fabric — the
+// engine has drained, so nothing is on a wire or in a switch — fails to
+// be back in its initial state: once the returns that have fallen due
+// are counted, every link direction holds all LinkTokens+1 credits with
+// no waiter, no pending return and no wake armed, and every segment
+// ever built is back in the pool.
+func (n *Network) CheckInvariants() error {
+	for _, l := range n.links {
+		for _, h := range [...]*halfLink{l.ab, l.ba} {
+			lc := h.credits
+			lc.mature()
+			switch {
+			case lc.free != n.cfg.LinkTokens+1:
+				return fmt.Errorf("fabric: %s holds %d credits, want %d", h.pipe.Name(), lc.free, n.cfg.LinkTokens+1)
+			case lc.head < len(lc.q):
+				return fmt.Errorf("fabric: %s has %d waiters queued", h.pipe.Name(), len(lc.q)-lc.head)
+			case lc.returns.Len() > 0:
+				return fmt.Errorf("fabric: %s has %d credit returns pending", h.pipe.Name(), lc.returns.Len())
+			case lc.armed:
+				return fmt.Errorf("fabric: %s has a wake armed", h.pipe.Name())
+			}
+		}
+	}
+	if len(n.segFree) != n.segBuilt {
+		return fmt.Errorf("fabric: %d of %d segments are back in the pool", len(n.segFree), n.segBuilt)
+	}
+	return nil
 }
 
 // LinkUtilization reports the utilization of each direction of every

@@ -209,6 +209,7 @@ func TestTokenBackpressureBounds(t *testing.T) {
 	if got != 100 {
 		t.Fatalf("delivered %d of 100 under tight tokens", got)
 	}
+	checkIdle(t, net)
 }
 
 func TestEndToEndFlowControl(t *testing.T) {
