@@ -12,8 +12,9 @@ import (
 // hit, evict, and invalidation-send paths at zero steady-state
 // allocations, matching the engine/fabric guarantees from PRs 6/9.
 
-// TestIndexOpsAllocFree: open-addressed index insert/lookup/delete and
-// the CLOCK slot recycler never allocate once the structures exist.
+// TestIndexOpsAllocFree: index insert/lookup/delete and the CLOCK slot
+// recycler do not allocate once the structures exist (the index is a
+// Go map sized for the cache's capacity at construction).
 func TestIndexOpsAllocFree(t *testing.T) {
 	_, _, ca := testCache(t, 1, DefaultConfig(64))
 	nc := ca.nodes[0]
@@ -25,17 +26,17 @@ func TestIndexOpsAllocFree(t *testing.T) {
 			}
 			nc.entries[slot].lpn = k
 			nc.entries[slot].state = stClean
-			nc.insert(k, slot)
+			nc.index[k] = slot
 			nc.used++
 		}
 		for k := int64(0); k < 48; k++ {
-			if _, ok := nc.lookup(k); !ok {
+			if _, ok := nc.index[k]; !ok {
 				t.Fatalf("lost key %d", k)
 			}
 		}
 		for k := int64(0); k < 48; k++ {
-			slot, _ := nc.lookup(k)
-			nc.deleteIdx(k)
+			slot := nc.index[k]
+			delete(nc.index, k)
 			nc.used--
 			nc.releaseSlot(slot)
 		}
@@ -53,7 +54,7 @@ func TestEvictionAllocFree(t *testing.T) {
 		slot := nc.takeSlot()
 		nc.entries[slot].lpn = k
 		nc.entries[slot].state = stClean
-		nc.insert(k, slot)
+		nc.index[k] = slot
 		nc.used++
 	}
 	next := int64(32)
@@ -64,7 +65,7 @@ func TestEvictionAllocFree(t *testing.T) {
 		}
 		nc.entries[slot].lpn = next
 		nc.entries[slot].state = stClean
-		nc.insert(next, slot)
+		nc.index[next] = slot
 		nc.used++
 		next++
 	}); n != 0 {

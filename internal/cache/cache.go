@@ -10,8 +10,8 @@
 //     traffic contends with ISP merge and host software for the same
 //     DRAM-bandwidth pipe instead of being free.
 //   - Eviction is CLOCK over dense, allocation-free state: one entry
-//     array, one backing page slab, an open-addressed lpn index, and
-//     pooled completion contexts. The lookup/hit/evict path and the
+//     array, one backing page slab, an lpn index, and pooled completion
+//     contexts (sim.Pool). The lookup/hit/evict path and the
 //     invalidation send path are simlint hotpath-clean and pinned at
 //     zero steady-state allocations by AllocsPerRun tests.
 //   - Dirty pages flush to the volume on the scheduler's Background
@@ -42,6 +42,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/hostmodel"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/volume"
 )
 
@@ -121,21 +122,19 @@ type Cache struct {
 	vstreams [sched.NumClasses]*volume.Stream
 	tier     *tier
 
-	freeInv []*invMsg
+	invPool sim.Pool[invMsg]
 	invSent int64
 }
 
 // invMsg is one pooled invalidation payload, shared by the fan-out of
 // a single broadcast and recycled when the last receiver consumed it.
-//
-//simlint:pool get=getInv put=putInv
 type invMsg struct {
 	lpn  int64
 	refs int32
 }
 
 // nodeCache is one node's DRAM cache: dense entries, one page slab,
-// an open-addressed lpn index, and pooled completion contexts.
+// an lpn index, and pooled completion contexts.
 type nodeCache struct {
 	c    *Cache
 	node int
@@ -143,11 +142,12 @@ type nodeCache struct {
 	inv  *fabric.Endpoint
 
 	entries []entry
-	data    []byte  // CapacityPages * pageSize backing slab
-	keys    []int64 // open-addressed index: lpn, or -1 empty
-	vals    []int32 // slot for keys[i]
-	mask    uint64
-	free    []int32 // unused slot stack
+	data    []byte // CapacityPages * pageSize backing slab
+	// index maps a resident lpn to its slot. It is only ever looked up,
+	// stored into and deleted from — never ranged, so Go's randomized
+	// map order cannot reach the simulation (simlint's maprange).
+	index map[int64]int32
+	free  []int32 // unused slot stack
 
 	hand      int // CLOCK hand
 	flushHand int // dirty-page sweep hand
@@ -156,10 +156,10 @@ type nodeCache struct {
 	flushing  int
 	lastUrg   float64
 
-	freeHit   []*hitCtx
-	freeFill  []*fillCtx
-	freeWack  []*wackCtx
-	freeFlush []*flushCtx
+	hitPool   sim.Pool[hitCtx]
+	fillPool  sim.Pool[fillCtx]
+	wackPool  sim.Pool[wackCtx]
+	flushPool sim.Pool[flushCtx]
 
 	// counters (aggregated in Stats)
 	hits           int64
@@ -195,18 +195,13 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: flush watermarks %v/%v", cfg.FlushLowWater, cfg.FlushHighWater)
 	}
 	ca := &Cache{cluster: c, v: v, cfg: cfg, ps: v.PageSize(), pages: v.Pages()}
+	ca.invPool.New = func() *invMsg { return &invMsg{} }
 	for _, cl := range []sched.Class{sched.Realtime, sched.Interactive, sched.Batch} {
 		vs, err := v.NewStream(fmt.Sprintf("cache/fill%d", cl), cl)
 		if err != nil {
 			return nil, err
 		}
 		ca.vstreams[cl] = vs
-	}
-	// Index sized to the next power of two >= 4x capacity keeps the
-	// linear-probe chains short.
-	idxSize := 4
-	for idxSize < 4*cfg.CapacityPages {
-		idxSize <<= 1
 	}
 	for n := 0; n < c.Nodes(); n++ {
 		nc := &nodeCache{
@@ -215,14 +210,13 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 			cpu:     c.Node(n).CPU,
 			entries: make([]entry, cfg.CapacityPages),
 			data:    make([]byte, cfg.CapacityPages*ca.ps),
-			keys:    make([]int64, idxSize),
-			vals:    make([]int32, idxSize),
-			mask:    uint64(idxSize - 1),
+			index:   make(map[int64]int32, cfg.CapacityPages),
 			free:    make([]int32, 0, cfg.CapacityPages),
 		}
-		for i := range nc.keys {
-			nc.keys[i] = -1
-		}
+		nc.hitPool.New = nc.newHitCtx
+		nc.wackPool.New = nc.newWackCtx
+		nc.fillPool.New = nc.newFillCtx
+		nc.flushPool.New = nc.newFlushCtx
 		for i := cfg.CapacityPages - 1; i >= 0; i-- {
 			nc.free = append(nc.free, int32(i))
 		}
@@ -236,7 +230,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 			nc.applyInv(m.lpn)
 			m.refs--
 			if m.refs == 0 {
-				ca.putInv(m)
+				ca.invPool.Put(m)
 			}
 		}
 		ca.nodes = append(ca.nodes, nc)
@@ -287,76 +281,6 @@ func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, er
 // Class returns the stream's QoS class.
 func (st *Stream) Class() sched.Class { return st.class }
 
-// --- index ------------------------------------------------------------
-
-// splitmix64 scrambles the lpn into an index hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-//simlint:hotpath
-func (nc *nodeCache) lookup(lpn int64) (int32, bool) {
-	i := splitmix64(uint64(lpn)) & nc.mask
-	for {
-		k := nc.keys[i]
-		if k == lpn {
-			return nc.vals[i], true
-		}
-		if k == -1 {
-			return 0, false
-		}
-		i = (i + 1) & nc.mask
-	}
-}
-
-//simlint:hotpath
-func (nc *nodeCache) insert(lpn int64, slot int32) {
-	i := splitmix64(uint64(lpn)) & nc.mask
-	for nc.keys[i] != -1 {
-		i = (i + 1) & nc.mask
-	}
-	nc.keys[i] = lpn
-	nc.vals[i] = slot
-}
-
-// deleteIdx removes lpn with backward-shift deletion, keeping probe
-// chains tombstone-free.
-//
-//simlint:hotpath
-func (nc *nodeCache) deleteIdx(lpn int64) {
-	i := splitmix64(uint64(lpn)) & nc.mask
-	for {
-		if nc.keys[i] == lpn {
-			break
-		}
-		if nc.keys[i] == -1 {
-			return
-		}
-		i = (i + 1) & nc.mask
-	}
-	nc.keys[i] = -1
-	j := i
-	for {
-		j = (j + 1) & nc.mask
-		k := nc.keys[j]
-		if k == -1 {
-			return
-		}
-		h := splitmix64(uint64(k)) & nc.mask
-		// Move k back into the hole unless its home slot lies in the
-		// (cyclic) gap between the hole and k's position.
-		if (j > i && (h <= i || h > j)) || (j < i && (h <= i && h > j)) {
-			nc.keys[i] = k
-			nc.vals[i] = nc.vals[j]
-			nc.keys[j] = -1
-			i = j
-		}
-	}
-}
-
 // frame returns the page bytes of one slot.
 //
 //simlint:hotpath
@@ -395,7 +319,7 @@ func (nc *nodeCache) takeSlot() int32 {
 			e.ref = false
 			continue
 		}
-		nc.deleteIdx(e.lpn)
+		delete(nc.index, e.lpn)
 		e.state = stEmpty
 		nc.used--
 		nc.evictions++
@@ -417,28 +341,16 @@ func (nc *nodeCache) releaseSlot(slot int32) {
 // --- pooled completion contexts ---------------------------------------
 
 // hitCtx carries one read hit across the DRAM-transfer charge.
-//
-//simlint:pool get=getHit put=putHit
 type hitCtx struct {
-	nc   *nodeCache
 	slot int32
 	cb   func([]byte, error)
 	fire func()
 }
 
-//simlint:hotpath
-func (nc *nodeCache) getHit() *hitCtx {
-	if n := len(nc.freeHit); n > 0 {
-		hx := nc.freeHit[n-1]
-		nc.freeHit[n-1] = nil
-		nc.freeHit = nc.freeHit[:n-1]
-		return hx
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its bound callback are built once and recycled forever after)
-	hx := &hitCtx{nc: nc}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per hit)
+// newHitCtx is hitPool.New: the context's one continuation is bound here.
+func (nc *nodeCache) newHitCtx() *hitCtx {
+	hx := &hitCtx{}
 	hx.fire = func() {
-		nc := hx.nc
 		e := &nc.entries[hx.slot]
 		cb := hx.cb
 		frame := nc.frame(hx.slot)
@@ -449,50 +361,29 @@ func (nc *nodeCache) getHit() *hitCtx {
 			// race was already unordered), and the frame is freed.
 			nc.releaseSlot(hx.slot)
 		}
-		nc.putHit(hx)
+		hx.cb = nil
+		nc.hitPool.Put(hx)
 		cb(frame, nil)
 	}
 	return hx
 }
 
-//simlint:hotpath
-func (nc *nodeCache) putHit(hx *hitCtx) {
-	hx.cb = nil
-	nc.freeHit = append(nc.freeHit, hx)
-}
-
 // wackCtx charges the DRAM write of a cache write hit before acking.
-//
-//simlint:pool get=getWack put=putWack
 type wackCtx struct {
-	nc   *nodeCache
 	cb   func(error)
 	fire func()
 }
 
-//simlint:hotpath
-func (nc *nodeCache) getWack() *wackCtx {
-	if n := len(nc.freeWack); n > 0 {
-		wx := nc.freeWack[n-1]
-		nc.freeWack[n-1] = nil
-		nc.freeWack = nc.freeWack[:n-1]
-		return wx
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its bound callback are built once and recycled forever after)
-	wx := &wackCtx{nc: nc}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per write)
+// newWackCtx is wackPool.New.
+func (nc *nodeCache) newWackCtx() *wackCtx {
+	wx := &wackCtx{}
 	wx.fire = func() {
 		cb := wx.cb
-		wx.nc.putWack(wx)
+		wx.cb = nil
+		nc.wackPool.Put(wx)
 		cb(nil)
 	}
 	return wx
-}
-
-//simlint:hotpath
-func (nc *nodeCache) putWack(wx *wackCtx) {
-	wx.cb = nil
-	nc.freeWack = append(nc.freeWack, wx)
 }
 
 // ackDRAM acks a buffered write after charging one page of DRAM
@@ -500,18 +391,14 @@ func (nc *nodeCache) putWack(wx *wackCtx) {
 //
 //simlint:hotpath
 func (nc *nodeCache) ackDRAM(cb func(error)) {
-	//simlint:allow escapecheck (inlined pool-miss path: the compiler attributes getWack's audited one-time construction to this call site)
-	wx := nc.getWack()
+	wx := nc.wackPool.Get()
 	wx.cb = cb
 	nc.cpu.ReadDRAM(nc.c.ps, wx.fire)
 }
 
 // fillCtx carries one miss fill: the volume read, the optional install
 // into a reserved frame, and the install's DRAM charge.
-//
-//simlint:pool get=getFill put=putFill
 type fillCtx struct {
-	nc     *nodeCache
 	lpn    int64
 	slot   int32 // reserved stFilling slot, or -1 for read-through
 	cb     func([]byte, error)
@@ -519,19 +406,10 @@ type fillCtx struct {
 	onDRAM func()
 }
 
-//simlint:hotpath
-func (nc *nodeCache) getFill() *fillCtx {
-	if n := len(nc.freeFill); n > 0 {
-		fx := nc.freeFill[n-1]
-		nc.freeFill[n-1] = nil
-		nc.freeFill = nc.freeFill[:n-1]
-		return fx
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its two bound callbacks are built once and recycled forever after)
-	fx := &fillCtx{nc: nc}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per fill)
+// newFillCtx is fillPool.New.
+func (nc *nodeCache) newFillCtx() *fillCtx {
+	fx := &fillCtx{}
 	fx.onVol = func(data []byte, err error) {
-		nc := fx.nc
 		install := false
 		if fx.slot >= 0 {
 			e := &nc.entries[fx.slot]
@@ -540,9 +418,10 @@ func (nc *nodeCache) getFill() *fillCtx {
 				nc.abortFill(fx.slot, fx.lpn)
 			}
 		}
+		cb := fx.cb
+		fx.cb = nil
 		if !install {
-			cb := fx.cb
-			nc.putFill(fx)
+			nc.fillPool.Put(fx)
 			cb(data, err)
 			return
 		}
@@ -550,12 +429,10 @@ func (nc *nodeCache) getFill() *fillCtx {
 		// install into the frame charges DRAM bandwidth in parallel
 		// and only marks the entry clean once that lands.
 		copy(nc.frame(fx.slot), data)
-		fx.cb(data, nil)
+		cb(data, nil)
 		nc.cpu.ReadDRAM(nc.c.ps, fx.onDRAM)
 	}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per fill)
 	fx.onDRAM = func() {
-		nc := fx.nc
 		e := &nc.entries[fx.slot]
 		if e.state == stFilling && e.lpn == fx.lpn && !e.poisoned {
 			e.state = stClean
@@ -563,15 +440,9 @@ func (nc *nodeCache) getFill() *fillCtx {
 		} else {
 			nc.abortFill(fx.slot, fx.lpn)
 		}
-		nc.putFill(fx)
+		nc.fillPool.Put(fx)
 	}
 	return fx
-}
-
-//simlint:hotpath
-func (nc *nodeCache) putFill(fx *fillCtx) {
-	fx.cb = nil
-	nc.freeFill = append(nc.freeFill, fx)
 }
 
 // abortFill releases a reserved fill slot if it still belongs to the
@@ -583,34 +454,22 @@ func (nc *nodeCache) abortFill(slot int32, lpn int64) {
 	if e.state != stFilling || e.lpn != lpn {
 		return
 	}
-	nc.deleteIdx(lpn)
+	delete(nc.index, lpn)
 	nc.used--
 	nc.releaseSlot(slot)
 }
 
 // flushCtx carries one Background flush write.
-//
-//simlint:pool get=getFlush put=putFlush
 type flushCtx struct {
-	nc     *nodeCache
 	lpn    int64
 	slot   int32
 	onDone func(error)
 }
 
-//simlint:hotpath
-func (nc *nodeCache) getFlush() *flushCtx {
-	if n := len(nc.freeFlush); n > 0 {
-		fx := nc.freeFlush[n-1]
-		nc.freeFlush[n-1] = nil
-		nc.freeFlush = nc.freeFlush[:n-1]
-		return fx
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its bound callback are built once and recycled forever after)
-	fx := &flushCtx{nc: nc}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per flush)
+// newFlushCtx is flushPool.New.
+func (nc *nodeCache) newFlushCtx() *flushCtx {
+	fx := &flushCtx{}
 	fx.onDone = func(err error) {
-		nc := fx.nc
 		nc.flushing--
 		e := &nc.entries[fx.slot]
 		if err != nil {
@@ -634,16 +493,11 @@ func (nc *nodeCache) getFlush() *flushCtx {
 			// their stale clean copies and refill from flash.
 			nc.c.broadcastInv(nc.node, fx.lpn)
 		}
-		nc.putFlush(fx)
+		nc.flushPool.Put(fx)
 		nc.pumpFlush()
 		nc.pushUrgency()
 	}
 	return fx
-}
-
-//simlint:hotpath
-func (nc *nodeCache) putFlush(fx *flushCtx) {
-	nc.freeFlush = append(nc.freeFlush, fx)
 }
 
 // --- read / write -----------------------------------------------------
@@ -665,14 +519,13 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 		c.tier.touch(lpn)
 	}
 	key := int64(lpn)
-	if slot, ok := nc.lookup(key); ok {
+	if slot, ok := nc.index[key]; ok {
 		e := &nc.entries[slot]
 		if e.state != stFilling {
 			nc.hits++
 			e.ref = true
 			e.pins++
-			//simlint:allow escapecheck (inlined pool-miss path: the compiler attributes getHit's audited one-time construction to this call site)
-			hx := nc.getHit()
+			hx := nc.hitPool.Get()
 			hx.slot, hx.cb = slot, cb
 			nc.cpu.ReadDRAM(c.ps, hx.fire)
 			return
@@ -700,7 +553,7 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 //
 //simlint:hotpath
 func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
-	fx := nc.getFill()
+	fx := nc.fillPool.Get()
 	fx.lpn, fx.cb = key, cb
 	fx.slot = nc.takeSlot()
 	if fx.slot >= 0 {
@@ -709,7 +562,7 @@ func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
 		e.state = stFilling
 		e.ref, e.poisoned, e.redirty, e.tiered = false, false, false, false
 		e.pins = 0
-		nc.insert(key, fx.slot)
+		nc.index[key] = fx.slot
 		nc.used++
 	}
 	st.vs.Read(int(key), fx.onVol)
@@ -734,7 +587,7 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 		c.tier.touch(lpn)
 	}
 	key := int64(lpn)
-	if slot, ok := nc.lookup(key); ok {
+	if slot, ok := nc.index[key]; ok {
 		e := &nc.entries[slot]
 		copy(nc.frame(slot), data)
 		e.ref = true
@@ -779,7 +632,6 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 		// the stream's class. Coherence still applies on completion.
 		nc.writeThroughs++
 		//simlint:allow hotcall (cold edge: write-through only runs when every frame is pinned or dirty; documented not alloc-free)
-		//simlint:allow escapecheck (inlined write-through continuation: same cold edge the hotcall audit above covers)
 		nc.writeThrough(st, key, data, cb)
 		return
 	}
@@ -791,7 +643,7 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 	e.pins = 0
 	e.tiered = nc.c.tierHas(int(key))
 	copy(nc.frame(slot), data)
-	nc.insert(key, slot)
+	nc.index[key] = slot
 	nc.used++
 	nc.dirty++
 	nc.writeAllocs++
@@ -832,8 +684,7 @@ func (nc *nodeCache) pumpFlush() {
 		e.redirty = false
 		nc.dirty--
 		nc.flushing++
-		//simlint:allow escapecheck (inlined pool-miss path: the compiler attributes getFlush's audited one-time construction to this call site)
-		fx := nc.getFlush()
+		fx := nc.flushPool.Get()
 		fx.slot, fx.lpn = slot, e.lpn
 		// WriteBackground snapshots the frame synchronously, so later
 		// overwrites of the frame (which set redirty) cannot corrupt
@@ -886,23 +737,6 @@ func (nc *nodeCache) pushUrgency() {
 
 // --- invalidation -----------------------------------------------------
 
-//simlint:hotpath
-func (c *Cache) getInv() *invMsg {
-	if n := len(c.freeInv); n > 0 {
-		m := c.freeInv[n-1]
-		c.freeInv[n-1] = nil
-		c.freeInv = c.freeInv[:n-1]
-		return m
-	}
-	//simlint:allow hotpath (pool-miss path: the message is built once and recycled forever after)
-	return &invMsg{}
-}
-
-//simlint:hotpath
-func (c *Cache) putInv(m *invMsg) {
-	c.freeInv = append(c.freeInv, m)
-}
-
 // broadcastInv tells every other node that lpn's flash copy changed.
 // Fired at flush / write-through completion (flash-visibility), not
 // at write admission — see the package comment for the coherence
@@ -914,9 +748,8 @@ func (c *Cache) broadcastInv(from int, lpn int64) {
 	if n <= 1 {
 		return
 	}
-	//simlint:allow escapecheck (inlined pool-miss path: the compiler attributes getInv's audited one-time construction to this call site)
 	//simlint:allow poolleak (the n>1 guard above guarantees the fan-out loop hands the message to at least one Send)
-	m := c.getInv()
+	m := c.invPool.Get()
 	m.lpn = lpn
 	m.refs = int32(n - 1)
 	c.invSent += int64(n - 1)
@@ -935,7 +768,7 @@ func (c *Cache) broadcastInv(from int, lpn int64) {
 //
 //simlint:hotpath
 func (nc *nodeCache) applyInv(lpn int64) {
-	slot, ok := nc.lookup(lpn)
+	slot, ok := nc.index[lpn]
 	if !ok {
 		return
 	}
@@ -943,7 +776,7 @@ func (nc *nodeCache) applyInv(lpn int64) {
 	switch e.state {
 	case stClean:
 		nc.invApplied++
-		nc.deleteIdx(lpn)
+		delete(nc.index, lpn)
 		nc.used--
 		if e.pins > 0 {
 			// In-flight hit transfers still alias the frame: mark it

@@ -11,6 +11,8 @@ import (
 )
 
 // testCache builds a small cluster + scheduler + volume + cache stack.
+// When the test ends, whatever it left in flight is drained and every
+// pooled context of the tier must be back in its pool.
 func testCache(t *testing.T, nodes int, cfg Config) (*core.Cluster, *volume.Volume, *Cache) {
 	t.Helper()
 	p := core.DefaultParams(nodes)
@@ -34,6 +36,16 @@ func testCache(t *testing.T, nodes int, cfg Config) (*core.Cluster, *volume.Volu
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		c.Run()
+		out := ca.invPool.Out()
+		for _, nc := range ca.nodes {
+			out += nc.hitPool.Out() + nc.fillPool.Out() + nc.wackPool.Out() + nc.flushPool.Out()
+		}
+		if out != 0 {
+			t.Errorf("%d pooled contexts are out of their pools at drain", out)
+		}
+	})
 	return c, v, ca
 }
 

@@ -1,6 +1,6 @@
 package cache
 
-import "math"
+import "repro/internal/sim"
 
 // Stats is a cluster-wide snapshot of cache-tier activity, aggregated
 // over all node caches. Snapshot/Delta follow the hostmodel pattern so
@@ -89,11 +89,8 @@ func (s Stats) Delta(prev Stats) Stats {
 
 func (s *Stats) fillRate() {
 	if tot := s.Hits + s.Misses; tot > 0 {
-		s.HitRate = float64(s.Hits) / float64(tot)
+		s.HitRate = sim.Finite(float64(s.Hits) / float64(tot))
 	} else {
-		s.HitRate = 0
-	}
-	if math.IsNaN(s.HitRate) || math.IsInf(s.HitRate, 0) {
 		s.HitRate = 0
 	}
 }

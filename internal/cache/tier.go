@@ -173,7 +173,7 @@ func (t *tier) scanBatch() {
 		}
 		resident := false
 		for _, nc := range c.nodes {
-			if _, ok := nc.lookup(int64(lpn)); ok {
+			if _, ok := nc.index[int64(lpn)]; ok {
 				resident = true
 				break
 			}
@@ -257,7 +257,7 @@ func (t *tier) read(st *Stream, lpn int, cb func([]byte, error)) {
 // and only then drops the tier copy, so the page is never ownerless.
 func (t *tier) promote(nc *nodeCache, lpn int, data []byte) {
 	key := int64(lpn)
-	if _, ok := nc.lookup(key); ok {
+	if _, ok := nc.index[key]; ok {
 		return
 	}
 	slot := nc.takeSlot()
@@ -272,7 +272,7 @@ func (t *tier) promote(nc *nodeCache, lpn int, data []byte) {
 	e.tiered = true
 	e.pins = 0
 	copy(nc.frame(slot), data)
-	nc.insert(key, slot)
+	nc.index[key] = slot
 	nc.used++
 	nc.dirty++
 	t.promotions++

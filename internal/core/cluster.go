@@ -23,8 +23,8 @@ type Cluster struct {
 	router      HostRouter
 	accelRouter AccelRouter
 
-	// freeRemote recycles the records of remote flash operations.
-	freeRemote []*remoteOp
+	// remoteOps recycles the records of remote flash operations.
+	remoteOps sim.Pool[remoteOp]
 }
 
 // SetHostRouter installs (or, with nil, removes) the scheduler hook
@@ -66,6 +66,7 @@ func NewCluster(p Params) (*Cluster, error) {
 	}
 
 	c := &Cluster{Eng: eng, Params: p, Net: net}
+	c.remoteOps.New = newRemoteOp
 	for i := 0; i < p.Nodes; i++ {
 		node, err := c.buildNode(i)
 		if err != nil {
@@ -88,6 +89,7 @@ func NewCluster(p Params) (*Cluster, error) {
 func (c *Cluster) buildNode(i int) (*Node, error) {
 	p := c.Params
 	n := &Node{cluster: c, id: i}
+	n.hostOps.New = n.newHostOp
 	for card := 0; card < p.CardsPerNode; card++ {
 		name := fmt.Sprintf("n%d/card%d", i, card)
 		seed := p.Seed + uint64(i)*131 + uint64(card)*17

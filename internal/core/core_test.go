@@ -121,8 +121,8 @@ func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	if n := testing.AllocsPerRun(200, read); n != 1 {
 		t.Fatalf("a warm remote read allocates %.1f objects, want 1 (the page)", n)
 	}
-	if reads == 0 || len(c.freeRemote) != 1 {
-		t.Fatalf("%d reads left %d records in the pool, want the one they all used", reads, len(c.freeRemote))
+	if reads == 0 || c.remoteOps.Out() != 0 {
+		t.Fatalf("%d reads left %d records out of the cluster's pool", reads, c.remoteOps.Out())
 	}
 	if err := c.Net.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -432,6 +432,9 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	}
 	if n0.Card(bad.Card).Peek(bad.Addr) != nil {
 		t.Fatal("a rejected write reached the card")
+	}
+	if out := n0.hostOps.Out(); out != 0 {
+		t.Fatalf("%d batch records out of the node's pool at drain: the failed write's must have gone back too", out)
 	}
 	var got []byte
 	n0.ReadLocal(good.Card, good.Addr, func(d []byte, err error) {

@@ -88,11 +88,9 @@ type reqMsg struct {
 // it crosses the fabric by pointer on a request lane, is served by the
 // far node, and crosses back on the paired response lane, so neither
 // the descriptor, nor the server's flash continuation, nor the response
-// is allocated per operation. Ops are pooled per cluster (the record
-// changes hands between two nodes) and the server's continuations are
-// bound when the record is made.
-//
-//simlint:pool get=getRemoteOp put=putRemoteOp
+// is allocated per operation. Ops are pooled per cluster
+// (Cluster.remoteOps: the record changes hands between two nodes) and
+// the server's continuations are bound when the record is made.
 type remoteOp struct {
 	reqMsg
 	lane   int
@@ -113,23 +111,7 @@ type remoteOp struct {
 	onDRAM     func()                       // dram: the buffer access completed
 }
 
-// getRemoteOp takes an op from the cluster's pool.
-//
-//simlint:hotpath
-func (c *Cluster) getRemoteOp() *remoteOp {
-	if k := len(c.freeRemote); k > 0 {
-		op := c.freeRemote[k-1]
-		c.freeRemote[k-1] = nil
-		c.freeRemote = c.freeRemote[:k-1]
-		return op
-	}
-	//simlint:allow hotcall (pool-miss path: the pool grows to the most remote operations ever outstanding in the cluster and is recycled via putRemoteOp forever after)
-	return newRemoteOp()
-}
-
-// newRemoteOp grows the pool by one op and binds its continuations.
-//
-//go:noinline
+// newRemoteOp is Cluster.remoteOps.New.
 func newRemoteOp() *remoteOp {
 	op := &remoteOp{}
 	op.onRead = func(data []byte, err error) { op.server.respond(op, data, err) }
@@ -141,14 +123,14 @@ func newRemoteOp() *remoteOp {
 	return op
 }
 
-// putRemoteOp recycles an op whose completion callback has returned.
+// reset drops what an op referenced, for its return to the pool once
+// its completion callback has returned (or its request was never sent).
 //
 //simlint:hotpath
-func (c *Cluster) putRemoteOp(op *remoteOp) {
+func (op *remoteOp) reset() {
 	op.reqMsg = reqMsg{}
 	op.server, op.cb = nil, nil
 	op.page, op.err = nil, nil
-	c.freeRemote = append(c.freeRemote, op)
 }
 
 // Node is one BlueDBM node: Xeon host + storage device (Figure 2).
@@ -195,8 +177,8 @@ type Node struct {
 	// ownership of its reqs argument and parks the storage here once
 	// the RPC loop has consumed it; GetBatch hands it back out.
 	batchFree [][]HostReq
-	// freeOps recycles the per-request records of those batches.
-	freeOps []*hostOp
+	// hostOps recycles the per-request records of those batches.
+	hostOps sim.Pool[hostOp]
 }
 
 // ID returns the node index.
@@ -299,7 +281,7 @@ func (n *Node) ISPWrite(a PageAddr, data []byte, cb func(err error)) {
 //
 //simlint:hotpath
 func (n *Node) remoteReq(msg reqMsg, dst int, cb func(data []byte, err error)) {
-	op := n.cluster.getRemoteOp()
+	op := n.cluster.remoteOps.Get()
 	op.reqMsg = msg
 	op.lane = int(n.nextReq % FlashLanes)
 	op.from = n.netNode.ID()
@@ -310,7 +292,8 @@ func (n *Node) remoteReq(msg reqMsg, dst int, cb func(data []byte, err error)) {
 		size += len(msg.data)
 	}
 	if err := n.reqEPs[op.lane].Send(fabric.NodeID(dst), size, op, nil); err != nil {
-		n.cluster.putRemoteOp(op)
+		op.reset()
+		n.cluster.remoteOps.Put(op)
 		cb(nil, err)
 	}
 }
@@ -406,7 +389,8 @@ func (n *Node) respond(op *remoteOp, page []byte, err error) {
 func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 	op := payload.(*remoteOp)
 	op.cb(op.page, op.err)
-	n.cluster.putRemoteOp(op)
+	op.reset()
+	n.cluster.remoteOps.Put(op)
 }
 
 // --- host-mediated access paths (Figure 12) --------------------------
@@ -493,7 +477,9 @@ func (n *Node) SubmitHostBatch(reqs []HostReq, issued func()) {
 		//simlint:allow escapecheck (one RPC continuation per batch, amortized like the doorbell closure above)
 		n.Host.RPC(func() {
 			for i := range reqs {
-				n.issueHostOp(n.getHostOp(reqs[i]))
+				op := n.hostOps.Get()
+				op.req = reqs[i]
+				n.issueHostOp(op)
 				reqs[i] = HostReq{}
 			}
 			n.batchFree = append(n.batchFree, reqs[:0])
@@ -524,12 +510,11 @@ func (n *Node) hostIface(card int, bg bool) *flashserver.Iface {
 }
 
 // hostOp is one request of a doorbell batch from the moment the device
-// starts on it until its Done fires. Ops are pooled per node, and every
-// continuation of the device-side path — flash or network completion,
-// buffer grant, DMA landing, ack — is bound when the record is made, so
-// a batched request allocates nothing here.
-//
-//simlint:pool get=getHostOp put=putHostOp
+// starts on it until its Done fires. Ops are pooled per node
+// (Node.hostOps), and every continuation of the device-side path —
+// flash or network completion, buffer grant, DMA landing, ack — is
+// bound when the record is made, so a batched request allocates nothing
+// here.
 type hostOp struct {
 	req  HostReq
 	data []byte // read: the page on its way up to host memory
@@ -542,27 +527,7 @@ type hostOp struct {
 	onDown   func()                       // the write's page crossed PCIe
 }
 
-// getHostOp takes an op from the pool for req.
-//
-//simlint:hotpath
-func (n *Node) getHostOp(req HostReq) *hostOp {
-	var op *hostOp
-	if k := len(n.freeOps); k > 0 {
-		op = n.freeOps[k-1]
-		n.freeOps[k-1] = nil
-		n.freeOps = n.freeOps[:k-1]
-	} else {
-		//simlint:allow hotcall (pool-miss path: the pool grows to the most batched requests ever outstanding at the node and is recycled via putHostOp forever after)
-		op = n.newHostOp()
-	}
-	op.req = req
-	return op
-}
-
-// newHostOp grows the pool by one op and binds its continuations. Kept
-// out of line so the pool-miss path stays out of getHostOp's callers.
-//
-//go:noinline
+// newHostOp is hostOps.New.
 func (n *Node) newHostOp() *hostOp {
 	op := &hostOp{}
 	op.onFlash = func(data []byte, err error) { n.hostFlashDone(op, data, err) }
@@ -576,21 +541,14 @@ func (n *Node) newHostOp() *hostOp {
 	return op
 }
 
-// putHostOp recycles an op whose Done is about to fire: nothing is in
-// flight on any of its continuations.
-//
-//simlint:hotpath
-func (n *Node) putHostOp(op *hostOp) {
-	op.req, op.data = HostReq{}, nil
-	n.freeOps = append(n.freeOps, op)
-}
-
-// finishHostOp recycles op and fires its request's Done.
+// finishHostOp recycles op — nothing is in flight on any of its
+// continuations — and fires its request's Done.
 //
 //simlint:hotpath
 func (n *Node) finishHostOp(op *hostOp, data []byte, err error) {
 	done := op.req.Done
-	n.putHostOp(op)
+	op.req, op.data = HostReq{}, nil
+	n.hostOps.Put(op)
 	done(data, err)
 }
 

@@ -148,7 +148,7 @@ func (ep *Endpoint) transmitMsg(dst NodeID, size int, payload any, onAccepted fu
 			segBytes = mtu
 		}
 		last := remaining-segBytes == 0
-		seg := ep.node.net.getSeg()
+		seg := ep.node.net.segs.Get()
 		seg.src, seg.dst, seg.ep = ep.node.id, dst, ep.index
 		seg.last, seg.payload, seg.msgBytes = last, segBytes, size
 		seg.ctrl, seg.wantAck = ctrl, wantAck

@@ -98,17 +98,15 @@ func DefaultConfig() Config {
 // deterministic per endpoint and links are FIFO), so the last one
 // stands for the message: when it is in, all are.
 //
-// Segments are pooled per Network (getSeg/putSeg) and carry their
+// Segments are pooled per Network (Network.segs) and carry their
 // continuation callbacks pre-bound: one segment traverses inject →
-// (transmit → arrive)* through the closures built once at pool-entry
-// creation, so the steady-state send path — including the cache tier's
+// (transmit → arrive)* through the closures built once when the
+// segment is made, so the steady-state send path — including the cache tier's
 // invalidation broadcasts — performs zero allocations. Only the last
 // segment of a message ends in arrive → deliver at its destination: a
 // non-last segment's only effect there is its credit, returned
 // InternalLatency after arrival, so it is recycled the moment it is
 // put on its final wire (transmit) and fires no event on that hop.
-//
-//simlint:pool get=getSeg put=putSeg
 type segment struct {
 	src, dst NodeID
 	ep       int  // logical endpoint index
@@ -126,7 +124,7 @@ type segment struct {
 	out     *halfLink // link the segment will leave on
 	onAcc   func()    // sender's onAccepted; last segment only
 
-	// pre-bound continuations (see getSeg)
+	// pre-bound continuations (see newSegment)
 	injGrantFn func() // injection credit granted
 	fwdGrantFn func() // forwarding credit granted
 	arriveFn   func() // wire transfer finished
@@ -134,44 +132,29 @@ type segment struct {
 	localFn    func() // internal switch delivered a same-node message
 }
 
-// getSeg pops a recycled segment, or builds one with its five
+// newSegment is segs.New: it builds a segment with its five
 // continuations bound to it. The closures read the segment's traversal
 // fields at fire time, so one set serves every flight of the segment.
-//
-//simlint:hotpath
-func (n *Network) getSeg() *segment {
-	if len(n.segFree) > 0 {
-		seg := n.segFree[len(n.segFree)-1]
-		n.segFree[len(n.segFree)-1] = nil
-		n.segFree = n.segFree[:len(n.segFree)-1]
-		return seg
-	}
-	//simlint:allow hotpath (pool-miss path: the segment and its five bound callbacks are built once and recycled via putSeg forever after)
+func (n *Network) newSegment() *segment {
 	seg := &segment{net: n}
-	n.segBuilt++
-	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.injGrantFn = func() {
 		if seg.onAcc != nil {
 			seg.onAcc()
 		}
 		seg.curNode.transmit(seg)
 	}
-	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.fwdGrantFn = func() {
 		seg.in.credits.release()
 		seg.curNode.transmit(seg)
 	}
-	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.arriveFn = func() {
 		seg.out.to.arrive(seg)
 	}
-	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.deliverFn = func() {
 		in := seg.in // deliver recycles seg; read the credit first
 		seg.curNode.deliver(seg)
 		in.credits.release()
 	}
-	//simlint:allow hotpath (bound once per pooled segment lifetime, not per send)
 	seg.localFn = func() {
 		acc := seg.onAcc // deliver recycles seg; read the ack first
 		seg.curNode.deliver(seg)
@@ -182,17 +165,17 @@ func (n *Network) getSeg() *segment {
 	return seg
 }
 
-// putSeg recycles a delivered (or dropped) segment. The caller must
-// guarantee no outstanding reference — every continuation of the
-// segment's current flight has fired or will never fire.
+// reset drops what a delivered (or dropped) segment referenced, for its
+// return to the pool. The caller must guarantee no outstanding
+// reference — every continuation of the segment's current flight has
+// fired or will never fire.
 //
 //simlint:hotpath
-func (n *Network) putSeg(seg *segment) {
+func (seg *segment) reset() {
 	seg.body = nil
 	seg.onAcc = nil
 	seg.curNode = nil
 	seg.in, seg.out = nil, nil
-	n.segFree = append(n.segFree, seg)
 }
 
 // halfLink is one direction of a physical link: the wire, and the
@@ -403,13 +386,11 @@ type Network struct {
 	nodes []*Node
 	links []*Link
 
-	// segFree recycles wire segments and their bound continuations
-	// (getSeg/putSeg); the population converges on the peak number of
-	// segments simultaneously in flight. segBuilt counts the segments
-	// ever built, all of which are back in segFree when the fabric is
-	// idle (CheckInvariants).
-	segFree  []*segment
-	segBuilt int
+	// segs recycles wire segments and their bound continuations; the
+	// population converges on the peak number of segments
+	// simultaneously in flight, and none is out when the fabric is idle
+	// (CheckInvariants).
+	segs sim.Pool[segment]
 
 	// stats
 	Delivered  sim.Counter
@@ -444,6 +425,7 @@ const DefaultEP = -1
 // New creates a network with n nodes and no links.
 func New(eng *sim.Engine, cfg Config, n int) *Network {
 	net := &Network{eng: eng, cfg: cfg}
+	net.segs.New = net.newSegment
 	for i := 0; i < n; i++ {
 		node := &Node{
 			net:      net,
@@ -677,7 +659,8 @@ func (nd *Node) inject(seg *segment) error {
 		// waits on a non-last segment — no wire, no credit, no ack — so
 		// only the message's last one crosses it as an event.
 		if !seg.last {
-			nd.net.putSeg(seg)
+			seg.reset()
+			nd.net.segs.Put(seg)
 			return nil
 		}
 		nd.net.eng.After(nd.net.cfg.InternalLatency, seg.localFn)
@@ -713,7 +696,8 @@ func (nd *Node) transmit(seg *segment) {
 	if !seg.last && seg.out.to.id == seg.dst {
 		landed := seg.out.pipe.Transfer(wire, nil)
 		seg.out.credits.returnAt(landed + nd.net.cfg.InternalLatency)
-		nd.net.putSeg(seg)
+		seg.reset()
+		nd.net.segs.Put(seg)
 		return
 	}
 	seg.out.pipe.Transfer(wire, seg.arriveFn)
@@ -749,27 +733,25 @@ func (nd *Node) arrive(seg *segment) {
 //
 //simlint:hotpath
 func (nd *Node) deliver(seg *segment) {
-	ep := nd.Endpoint(seg.ep)
-	if ep == nil {
-		// Delivery to an unbound endpoint is silently dropped, like
-		// hardware writing to an unselected channel.
-		nd.net.putSeg(seg)
-		return
+	// Delivery to an unbound endpoint is silently dropped, like
+	// hardware writing to an unselected channel.
+	if ep := nd.Endpoint(seg.ep); ep != nil {
+		ctrl := seg.ctrl
+		ep.receive(seg)
+		if !ctrl {
+			nd.net.Delivered.Inc()
+		}
 	}
-	ctrl := seg.ctrl
-	ep.receive(seg)
-	if !ctrl {
-		nd.net.Delivered.Inc()
-	}
-	nd.net.putSeg(seg)
+	seg.reset()
+	nd.net.segs.Put(seg)
 }
 
 // CheckInvariants reports the first way in which an idle fabric — the
 // engine has drained, so nothing is on a wire or in a switch — fails to
 // be back in its initial state: once the returns that have fallen due
 // are counted, every link direction holds all LinkTokens+1 credits with
-// no waiter, no pending return and no wake armed, and every segment
-// ever built is back in the pool.
+// no waiter, no pending return and no wake armed, and no segment is
+// out of the pool.
 func (n *Network) CheckInvariants() error {
 	for _, l := range n.links {
 		for _, h := range [...]*halfLink{l.ab, l.ba} {
@@ -787,8 +769,8 @@ func (n *Network) CheckInvariants() error {
 			}
 		}
 	}
-	if len(n.segFree) != n.segBuilt {
-		return fmt.Errorf("fabric: %d of %d segments are back in the pool", len(n.segFree), n.segBuilt)
+	if out := n.segs.Out(); out != 0 {
+		return fmt.Errorf("fabric: %d segments are out of the pool", out)
 	}
 	return nil
 }

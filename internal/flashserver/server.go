@@ -36,10 +36,10 @@ type Server struct {
 	geo        nand.Geometry
 
 	// ops holds every pageOp the server has made, indexed by its tag;
-	// free is the stack of those not in use. The pool grows to the most
-	// requests ever outstanding at once and is then reused forever.
+	// pool recycles those not in use. It grows to the most requests ever
+	// outstanding at once and is then reused forever.
 	ops  []*pageOp
-	free []*pageOp
+	pool sim.Pool[pageOp]
 
 	ifaces []*Iface
 }
@@ -47,8 +47,6 @@ type Server struct {
 // pageOp is one request from the moment an interface accepts it until
 // its callback fires: the page buffer of a read or write, the
 // completion status, and the place in its interface's FIFO.
-//
-//simlint:pool get=getOp put=putOp
 type pageOp struct {
 	iface *Iface
 	tag   int // index in Server.ops, and the op's agent tag at the splitter
@@ -89,6 +87,12 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 		queueDepth: queueDepth,
 		geo:        sp.ctl.Card().Geometry(),
 	}
+	// A new op's tag is its index in ops for life.
+	srv.pool.New = func() *pageOp {
+		op := &pageOp{tag: len(srv.ops)}
+		srv.ops = append(srv.ops, op)
+		return op
+	}
 	srv.port = sp.NewPort(name, flashctl.Handlers{
 		ReadChunk:    func(tag, offset int, chunk []byte, _ bool) { srv.readChunk(tag, offset, chunk) },
 		ReadDone:     func(tag, _ int, err error) { srv.readDone(tag, err) },
@@ -109,43 +113,6 @@ func (s *Server) NewIface(name string) *Iface {
 	f := &Iface{srv: s, name: name, credits: s.queueDepth}
 	s.ifaces = append(s.ifaces, f)
 	return f
-}
-
-// getOp takes a pageOp from the pool for a new request on f.
-//
-//simlint:hotpath
-func (s *Server) getOp(f *Iface, kind flashctl.Op, addr nand.Addr) *pageOp {
-	var op *pageOp
-	if n := len(s.free); n > 0 {
-		op = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		op = s.newOp()
-	}
-	op.iface, op.kind, op.addr = f, kind, addr
-	return op
-}
-
-// newOp grows the pool by one op, whose tag is its index for life. Kept
-// out of line so the pool-miss path stays out of the callers getOp
-// inlines into.
-//
-//go:noinline
-func (s *Server) newOp() *pageOp {
-	//simlint:allow hotcall (pool-miss path: the pool grows to the most requests ever outstanding and is recycled via putOp forever after)
-	op := &pageOp{tag: len(s.ops)}
-	s.ops = append(s.ops, op)
-	return op
-}
-
-// putOp recycles a delivered op. The caller has taken what it needs
-// from it: nothing is in flight under its tag and it is in no queue.
-//
-//simlint:hotpath
-func (s *Server) putOp(op *pageOp) {
-	*op = pageOp{tag: op.tag}
-	s.free = append(s.free, op)
 }
 
 // inflight returns the op at the controller under tag — issued and not
@@ -259,8 +226,8 @@ func (s *Server) complete(op *pageOp, err error) {
 //
 //simlint:hotpath
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
-	op := f.srv.getOp(f, flashctl.OpRead, addr)
-	op.onRead = cb
+	op := f.srv.pool.Get()
+	op.iface, op.kind, op.addr, op.onRead = f, flashctl.OpRead, addr, cb
 	f.submit(op)
 }
 
@@ -268,8 +235,8 @@ func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
 // using the ATU (the in-store processor path of paper Figure 8).
 func (f *Iface) ReadFile(handle FileHandle, pageOff int, cb func(data []byte, err error)) {
 	addr, err := f.srv.atu.Translate(handle, pageOff)
-	op := f.srv.getOp(f, flashctl.OpRead, addr)
-	op.onRead = cb
+	op := f.srv.pool.Get()
+	op.iface, op.kind, op.addr, op.onRead = f, flashctl.OpRead, addr, cb
 	if err != nil {
 		f.reject(op, err)
 		return
@@ -297,8 +264,8 @@ func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
 // write leaves no reference to img below. Anything that is not an
 // image fails with flashctl.ErrDataSize, in order, and is not adopted.
 func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
-	op := f.srv.getOp(f, flashctl.OpWrite, addr)
-	op.onAck = cb
+	op := f.srv.pool.Get()
+	op.iface, op.kind, op.addr, op.onAck = f, flashctl.OpWrite, addr, cb
 	if !f.srv.geo.IsPageImage(img) {
 		f.reject(op, errNotImage)
 		return
@@ -309,8 +276,8 @@ func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 
 // Erase erases a block. The ack callback fires in FIFO order.
 func (f *Iface) Erase(addr nand.Addr, cb func(err error)) {
-	op := f.srv.getOp(f, flashctl.OpErase, addr)
-	op.onAck = cb
+	op := f.srv.pool.Get()
+	op.iface, op.kind, op.addr, op.onAck = f, flashctl.OpErase, addr, cb
 	f.submit(op)
 }
 
@@ -366,7 +333,8 @@ func (f *Iface) drainInOrder() {
 	for f.fifo.Len() > 0 && f.fifo.Front().done {
 		op := f.fifo.Pop()
 		credited, onRead, onAck, buf, err := op.credited, op.onRead, op.onAck, op.buf, op.err
-		f.srv.putOp(op)
+		*op = pageOp{tag: op.tag} // delivered: nothing is in flight under its tag
+		f.srv.pool.Put(op)
 		if credited {
 			f.releaseCredit()
 		}

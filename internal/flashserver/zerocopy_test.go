@@ -386,6 +386,9 @@ func TestMisassembledReadFails(t *testing.T) {
 			if len(order) != 2 || order[0] != "bad" || order[1] != "good" {
 				t.Fatalf("completions %v, want [bad good]", order)
 			}
+			if out := f.srv.pool.Out(); out != 0 || f.fifo.Len() != 0 {
+				t.Fatalf("at drain %d page ops are out of the pool and %d in the FIFO", out, f.fifo.Len())
+			}
 		})
 	}
 }
@@ -406,6 +409,9 @@ func TestRejectedOpTakesNoCredit(t *testing.T) {
 	eng.Run()
 	if f.credits != 2 {
 		t.Fatalf("credits = %d after rejected ops, want the queue depth 2", f.credits)
+	}
+	if out := f.srv.pool.Out(); out != 0 {
+		t.Fatalf("%d rejected page ops never went back to the pool", out)
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
+	"repro/internal/sim"
 )
 
 // FTL errors.
@@ -124,7 +125,7 @@ type FTL struct {
 	gcCount    int64
 	pendingOps []func()        // writes queued behind GC by the reserve gate
 	onErased   func(err error) // the victim erase completed; bound once
-	freeOps    []*flashOp
+	ops        sim.Pool[flashOp]
 
 	// stats
 	HostWrites    int64
@@ -175,6 +176,7 @@ func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 		blocks:    make([]blockInfo, geo.Buses*geo.ChipsPerBus*geo.BlocksPerChip),
 	}
 	f.onErased = f.victimErased
+	f.ops.New = f.newFlashOp
 	for i := range f.actives {
 		f.actives[i] = -1
 	}
@@ -283,13 +285,11 @@ func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 
 // flashOp is one page operation in flight below the FTL: a host read,
 // a host write from WriteTagged until its mapping is installed, or a GC
-// relocation from its read until the copy is installed. Ops are pooled,
-// and the continuations an op hands down — the backend's completions,
-// and itself as the thing to queue behind a collection — are bound when
-// the record is made, so a page operation allocates nothing here but a
-// write's image.
-//
-//simlint:pool get=getOp put=putOp
+// relocation from its read until the copy is installed. Ops are pooled
+// (FTL.ops), and the continuations an op hands down — the backend's
+// completions, and itself as the thing to queue behind a collection —
+// are bound when the record is made, so a page operation allocates
+// nothing here but a write's image.
 type flashOp struct {
 	lpn int
 	tag IOTag
@@ -310,28 +310,8 @@ type flashOp struct {
 	onWrite func(err error)              // the backend's program completion
 }
 
-// getOp takes an op from the pool.
-//
-//simlint:hotpath
-func (f *FTL) getOp(lpn int, tag IOTag) *flashOp {
-	var op *flashOp
-	if n := len(f.freeOps); n > 0 {
-		op = f.freeOps[n-1]
-		f.freeOps[n-1] = nil
-		f.freeOps = f.freeOps[:n-1]
-	} else {
-		//simlint:allow hotcall (pool-miss path: the pool grows to the most page operations ever in flight at once and is recycled via putOp forever after)
-		op = f.newOp()
-	}
-	op.lpn, op.tag = lpn, tag
-	return op
-}
-
-// newOp grows the pool by one op. Kept out of line so the pool-miss
-// path stays out of getOp's callers.
-//
-//go:noinline
-func (f *FTL) newOp() *flashOp {
+// newFlashOp is ops.New.
+func (f *FTL) newFlashOp() *flashOp {
 	op := &flashOp{}
 	op.run = func() { f.allocAndProgram(op) }
 	op.onRead = func(data []byte, err error) { f.readDone(op, data, err) }
@@ -339,13 +319,13 @@ func (f *FTL) newOp() *flashOp {
 	return op
 }
 
-// putOp recycles an op whose outcome its caller has taken out of it:
-// no backend completion is outstanding on it and no queue holds it.
+// reset zeroes an op for its return to the pool, keeping its bound
+// continuations. Its caller has taken the outcome out of it: no backend
+// completion is outstanding on it and no queue holds it.
 //
 //simlint:hotpath
-func (f *FTL) putOp(op *flashOp) {
+func (op *flashOp) reset() {
 	*op = flashOp{run: op.run, onRead: op.onRead, onWrite: op.onWrite}
-	f.freeOps = append(f.freeOps, op)
 }
 
 // doRead resolves the mapping and issues the flash read. Reads never
@@ -366,8 +346,8 @@ func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	}
 	f.HostReads++
 	f.blocks[f.blockOf(ppn)].reads++
-	op := f.getOp(lpn, tag)
-	op.ppn, op.rcb = ppn, cb
+	op := f.ops.Get()
+	op.lpn, op.tag, op.ppn, op.rcb = lpn, tag, ppn, cb
 	f.read(op)
 }
 
@@ -390,7 +370,8 @@ func (f *FTL) readDone(op *flashOp, data []byte, err error) {
 	}
 	cb := op.rcb
 	f.blocks[f.blockOf(op.ppn)].reads--
-	f.putOp(op)
+	op.reset()
+	f.ops.Put(op)
 	if err != nil {
 		f.ReadFaults++
 		if errors.Is(err, flashctl.ErrUncorrectable) {
@@ -438,8 +419,8 @@ func (f *FTL) WriteImage(lpn int, img []byte, tag IOTag, cb func(err error)) {
 		return
 	}
 	f.HostWrites++
-	op := f.getOp(lpn, tag)
-	op.img, op.wcb = img, cb
+	op := f.ops.Get()
+	op.lpn, op.tag, op.img, op.wcb = lpn, tag, img, cb
 	f.enqueue(op.run)
 }
 
@@ -590,7 +571,8 @@ func (f *FTL) finishWrite(op *flashOp, finalPPN int, err error) {
 		return
 	}
 	lpn, cb := op.lpn, op.wcb
-	f.putOp(op)
+	op.reset()
+	f.ops.Put(op)
 	if err != nil {
 		cb(err)
 		return
@@ -892,7 +874,8 @@ func (f *FTL) pumpGC() {
 //
 //simlint:hotpath
 func (f *FTL) relocate(ppn int) {
-	op := f.getOp(f.p2l[ppn], TagGC)
+	op := f.ops.Get()
+	op.lpn, op.tag = f.p2l[ppn], TagGC
 	op.ppn, op.src, op.st = ppn, ppn, f.gcst
 	f.read(op)
 }
@@ -942,7 +925,8 @@ func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
 //simlint:hotpath
 func (f *FTL) dropRelocation(op *flashOp) {
 	op.st.inflight--
-	f.putOp(op)
+	op.reset()
+	f.ops.Put(op)
 	f.pumpGC()
 }
 
@@ -952,7 +936,8 @@ func (f *FTL) dropRelocation(op *flashOp) {
 //simlint:hotpath
 func (f *FTL) relocated(op *flashOp, finalPPN int, perr error) {
 	st, ppn, lpn := op.st, op.src, op.lpn
-	f.putOp(op)
+	op.reset()
+	f.ops.Put(op)
 	st.inflight--
 	if perr != nil {
 		st.aborted = true

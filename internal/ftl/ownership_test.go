@@ -162,6 +162,9 @@ func TestGCMoveStoresTheBufferItRead(t *testing.T) {
 			t.Fatalf("lpn %d after GC: err %v, wrong data", lpn, err)
 		}
 	}
+	if out := h.ftl.ops.Out(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain: every write, read and relocation must have returned its own", out)
+	}
 }
 
 // TestSharedReadResultIsCopiedBeforeRelocation: a backend that delivers
@@ -244,6 +247,9 @@ func TestBadBlockRetryResubmitsTheSameImage(t *testing.T) {
 	}
 	if got, err := h.read(t, 2); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read back after the retry: err %v, wrong data", err)
+	}
+	if out := h.ftl.ops.Out(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain: the retried write holds one op throughout", out)
 	}
 }
 

@@ -8,7 +8,6 @@ package hostmodel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -82,22 +81,14 @@ type Stats struct {
 	CoreBusyMs      float64 `json:"core_busy_ms"`
 }
 
-// finite clamps NaN and ±Inf to 0 so exported stats stay JSON-safe.
-func finite(f float64) float64 {
-	if f != f || f > math.MaxFloat64 || f < -math.MaxFloat64 {
-		return 0
-	}
-	return f
-}
-
 // Stats returns the cumulative host-envelope counters.
 func (c *CPU) Stats() Stats {
 	return Stats{
 		DRAMBytesMoved:  c.dram.Transferred(),
 		DRAMTransfers:   c.dram.Transfers(),
-		DRAMUtilization: finite(c.dram.Utilization()),
-		CPUUtilization:  finite(c.Utilization()),
-		CoreBusyMs:      finite(float64(c.busy) / float64(sim.Millisecond)),
+		DRAMUtilization: sim.Finite(c.dram.Utilization()),
+		CPUUtilization:  sim.Finite(c.Utilization()),
+		CoreBusyMs:      sim.Finite(float64(c.busy) / float64(sim.Millisecond)),
 	}
 }
 
@@ -112,7 +103,7 @@ func (s Stats) Delta(since Stats) Stats {
 		DRAMTransfers:   s.DRAMTransfers - since.DRAMTransfers,
 		DRAMUtilization: s.DRAMUtilization,
 		CPUUtilization:  s.CPUUtilization,
-		CoreBusyMs:      finite(s.CoreBusyMs - since.CoreBusyMs),
+		CoreBusyMs:      sim.Finite(s.CoreBusyMs - since.CoreBusyMs),
 	}
 }
 

@@ -44,6 +44,13 @@ func TestPoolleak(t *testing.T) {
 	linttest.Run(t, "testdata/poolleak", "internal/fixture", lint.Poolleak)
 }
 
+// TestPoolleakSimPool: the one //simlint:pool marker lives on sim.Pool,
+// so the leak check must follow Get and Put across packages and through
+// the instantiations of a generic method.
+func TestPoolleakSimPool(t *testing.T) {
+	linttest.Run(t, "testdata/poolleak_simpool", "internal/fixture", lint.Poolleak)
+}
+
 func TestOncedone(t *testing.T) {
 	linttest.Run(t, "testdata/oncedone", "internal/fixture", lint.Oncedone)
 }

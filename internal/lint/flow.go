@@ -109,11 +109,18 @@ func extractEvents(p *Pass, node ast.Node, tracked map[types.Object]bool,
 				walk(rhs, x)
 			}
 			for _, lhs := range x.Lhs {
-				// LHS identifiers are neutral (rebinding); other LHS
-				// forms (index exprs, field bases, derefs) may contain
-				// value uses and are walked.
-				if _, ok := lhs.(*ast.Ident); ok {
+				// LHS identifiers are neutral (rebinding), and so is a
+				// store into a field of a tracked object — v.cb = f
+				// fills the object in, it does not pass v.cb on; other
+				// LHS forms (index exprs, field bases, derefs) may
+				// contain value uses and are walked.
+				switch l := lhs.(type) {
+				case *ast.Ident:
 					continue
+				case *ast.SelectorExpr:
+					if id, ok := ast.Unparen(l.X).(*ast.Ident); ok && tracked[p.ObjectOf(id)] {
+						continue
+					}
 				}
 				walk(lhs, x)
 			}
@@ -269,16 +276,24 @@ func childrenOf(n ast.Node) []ast.Node {
 }
 
 // isAccessorCall reports whether the call's callee resolves to one of
-// the named pool accessor objects.
+// the named pool accessor objects. A method of a generic pool is
+// declared once and called through its instantiations, so the callee is
+// compared by its generic origin.
 func isAccessorCall(p *Pass, call *ast.CallExpr, objs map[types.Object]bool) bool {
 	if len(objs) == 0 {
 		return false
 	}
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return objs[p.ObjectOf(fun)]
+		id = fun
 	case *ast.SelectorExpr:
-		return objs[p.ObjectOf(fun.Sel)]
+		id = fun.Sel
+	default:
+		return false
+	}
+	if fn, ok := p.ObjectOf(id).(*types.Func); ok {
+		return objs[origin(fn)]
 	}
 	return false
 }

@@ -12,7 +12,7 @@ import (
 // one helper down is exactly as hot as one written inline. Findings
 // report the full call chain from the annotated root:
 //
-//	hot call chain sched.Scheduler.getReq → sched.nodeQueue.admit:
+//	hot call chain sched.Retrier.Read → sched.Retrier.admit:
 //	make allocates in hot path
 //
 // Interface method calls fan out to every in-module implementation —

@@ -10,10 +10,13 @@
 // matched by a want and every want must match a diagnostic, so
 // fixtures pin both positives and the absence of false positives.
 //
-// Fixtures live under testdata/ (invisible to go list), import only
-// the standard library, and are type-checked as if they lived at a
-// caller-chosen module-relative path — which is what the analyzers'
-// scope fences key on.
+// Fixtures live under testdata/ (invisible to go list) and are
+// type-checked as if they lived at a caller-chosen module-relative
+// path — which is what the analyzers' scope fences key on. Most import
+// only the standard library; the packages of this module a fixture
+// imports are loaded by the real loader and analyzed in one snapshot
+// with it, which is what a module-wide analyzer sees, and a finding in
+// one of them fails the test like any unexpected one.
 package linttest
 
 import (
@@ -25,6 +28,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,7 +48,8 @@ var (
 // directly rather than through Run.
 func Load(t *testing.T, dir, relPath string) *lint.Package {
 	t.Helper()
-	return load(t, dir, relPath)
+	pkgs := load(t, dir, relPath)
+	return pkgs[len(pkgs)-1]
 }
 
 // Diags parses and type-checks the single fixture package in dir as if
@@ -53,18 +58,17 @@ func Load(t *testing.T, dir, relPath string) *lint.Package {
 // reported — exactly like a real run).
 func Diags(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
 	t.Helper()
-	pkg := load(t, dir, relPath)
-	return lint.Run([]*lint.Package{pkg}, analyzers)
+	return lint.Run(load(t, dir, relPath), analyzers)
 }
 
 // Run executes the analyzers over the fixture in dir and fails the
 // test on any mismatch between diagnostics and // want expectations.
 func Run(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	pkg := load(t, dir, relPath)
-	diags := lint.Run([]*lint.Package{pkg}, analyzers)
+	pkgs := load(t, dir, relPath)
+	diags := lint.Run(pkgs, analyzers)
 
-	wants := collectWants(t, pkg)
+	wants := collectWants(t, pkgs[len(pkgs)-1])
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
 		text := d.Check + ": " + d.Message
@@ -87,8 +91,23 @@ func Run(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) {
 	}
 }
 
-// load parses and type-checks one fixture directory.
-func load(t *testing.T, dir, relPath string) *lint.Package {
+// modulePrefix starts the import path of every package of this module.
+const modulePrefix = "repro/"
+
+// depImporter resolves the module packages loaded for a fixture and
+// leaves everything else to the shared standard-library importer.
+type depImporter map[string]*types.Package
+
+func (d depImporter) Import(path string) (*types.Package, error) {
+	if p, ok := d[path]; ok {
+		return p, nil
+	}
+	return sharedImporter.Import(path)
+}
+
+// load parses and type-checks one fixture directory. It returns the
+// module packages the fixture imports, if any, and the fixture last.
+func load(t *testing.T, dir, relPath string) []*lint.Package {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -106,6 +125,24 @@ func load(t *testing.T, dir, relPath string) *lint.Package {
 		}
 		files = append(files, f)
 	}
+	var deps []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(path, modulePrefix) {
+				deps = append(deps, path)
+			}
+		}
+	}
+	var pkgs []*lint.Package
+	imp := depImporter{}
+	if len(deps) > 0 {
+		if pkgs, err = lint.Load(".", deps...); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkgs {
+			imp[p.ImportPath] = p.Types
+		}
+	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -113,20 +150,20 @@ func load(t *testing.T, dir, relPath string) *lint.Package {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: sharedImporter}
-	tpkg, err := conf.Check("repro/"+relPath, sharedFset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(modulePrefix+relPath, sharedFset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}
-	return &lint.Package{
-		ImportPath: "repro/" + relPath,
+	return append(pkgs, &lint.Package{
+		ImportPath: modulePrefix + relPath,
 		RelPath:    relPath,
 		Dir:        dir,
 		Fset:       sharedFset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-	}
+	})
 }
 
 // want is one expectation: a regexp anchored to a file and line.

@@ -12,12 +12,18 @@ import (
 // Poolleak checks get/put pairing for the simulator's object pools.
 // A pool type declares its accessors in its doc comment:
 //
-//	//simlint:pool get=getReq put=putReq
-//	type request struct { ... }
+//	//simlint:pool get=Get put=Put
+//	type Pool[T any] struct { ... }
 //
-// get and put name functions or methods of the same package (matched
-// by name — the scheduler's accessors are methods of the Scheduler,
-// the engine's free list trades in int32 slot indexes). From then on,
+// get and put name methods of the annotated type or, when it has none
+// of that name, functions or methods of its package (the engine's free
+// list of int32 event slots is annotated on the slot type and accessed
+// through methods of the Engine). Accessors are resolved over the whole
+// module, and a call is matched through the generic origin of its
+// callee, so the one marker on sim.Pool covers every nc.fillPool.Get()
+// of every instantiation in every package — of the snapshot: a run over
+// a package subset that leaves out the package carrying a marker has no
+// accessors to follow. From then on,
 // every local bound from a get call must, on EVERY control-flow path
 // to function exit — error paths included — either be released
 // through put or explicitly handed off: passed to another call,
@@ -39,9 +45,9 @@ import (
 // dying). Intentional exceptions carry an audited
 // `//simlint:allow poolleak (reason)` on the acquisition or put line.
 var Poolleak = &Analyzer{
-	Name: "poolleak",
-	Doc:  "pooled object acquired but neither released nor handed off on some path",
-	Run:  runPoolleak,
+	Name:      "poolleak",
+	Doc:       "pooled object acquired but neither released nor handed off on some path",
+	RunModule: runPoolleak,
 }
 
 // poolMarkerRe parses `simlint:pool get=F put=G`.
@@ -50,6 +56,7 @@ var poolMarkerRe = regexp.MustCompile(`^simlint:pool\s+get=(\w+)\s+put=(\w+)\s*$
 // poolDecl is one annotated pool type with its resolved accessors.
 type poolDecl struct {
 	typeName string
+	pos      token.Pos // the type's name, where an unresolved marker is reported
 	getName  string
 	putName  string
 }
@@ -61,18 +68,21 @@ const (
 	psHanded                     // ownership moved elsewhere
 )
 
-func runPoolleak(p *Pass) {
-	pools := poolDecls(p)
-	if len(pools) == 0 {
-		return
+func runPoolleak(m *ModulePass) {
+	getObjs, putObjs := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, pkg := range m.Snap.Pkgs {
+		p := m.Pass(pkg)
+		resolveAccessors(p, poolDecls(p), getObjs, putObjs)
 	}
-	getObjs, putObjs := resolveAccessors(p, pools)
 	if len(getObjs) == 0 {
 		return
 	}
-	for _, f := range p.Files {
-		for _, unit := range collectUnits(f) {
-			checkPoolUnit(p, unit, getObjs, putObjs)
+	for _, pkg := range m.Snap.Pkgs {
+		p := m.Pass(pkg)
+		for _, f := range p.Files {
+			for _, unit := range collectUnits(f) {
+				checkPoolUnit(p, unit, getObjs, putObjs)
+			}
 		}
 	}
 }
@@ -106,7 +116,7 @@ func poolDecls(p *Pass) []poolDecl {
 							p.Reportf(c.Pos(), "malformed pool marker: want //simlint:pool get=F put=G")
 							continue
 						}
-						pools = append(pools, poolDecl{typeName: ts.Name.Name, getName: m[1], putName: m[2]})
+						pools = append(pools, poolDecl{typeName: ts.Name.Name, pos: ts.Pos(), getName: m[1], putName: m[2]})
 					}
 				}
 			}
@@ -115,10 +125,14 @@ func poolDecls(p *Pass) []poolDecl {
 	return pools
 }
 
-// resolveAccessors maps the declared accessor names to the package's
-// function objects (package-level functions or methods, matched by
-// name), reporting names that resolve to nothing.
-func resolveAccessors(p *Pass, pools []poolDecl) (getObjs, putObjs map[types.Object]bool) {
+// resolveAccessors adds the function objects the package's pool markers
+// name to getObjs and putObjs: the annotated type's own method of that
+// name, or else every function or method of the package with it.
+// Markers that resolve to nothing are reported.
+func resolveAccessors(p *Pass, pools []poolDecl, getObjs, putObjs map[types.Object]bool) {
+	if len(pools) == 0 {
+		return
+	}
 	byName := map[string][]types.Object{}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -129,12 +143,20 @@ func resolveAccessors(p *Pass, pools []poolDecl) (getObjs, putObjs map[types.Obj
 			}
 		}
 	}
-	getObjs, putObjs = map[types.Object]bool{}, map[types.Object]bool{}
+	resolve := func(typeName, name string) []types.Object {
+		if tn, ok := p.Pkg.Scope().Lookup(typeName).(*types.TypeName); ok {
+			m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, p.Pkg, name)
+			if fn, ok := m.(*types.Func); ok {
+				return []types.Object{fn}
+			}
+		}
+		return byName[name]
+	}
 	for _, pool := range pools {
-		gets, puts := byName[pool.getName], byName[pool.putName]
+		gets, puts := resolve(pool.typeName, pool.getName), resolve(pool.typeName, pool.putName)
 		if len(gets) == 0 || len(puts) == 0 {
-			// Anchor the report on the type's position via a scan.
-			reportPoolResolution(p, pool)
+			p.Reportf(pool.pos, "pool %s: accessor get=%s put=%s not found in this package",
+				pool.typeName, pool.getName, pool.putName)
 			continue
 		}
 		for _, o := range gets {
@@ -142,25 +164,6 @@ func resolveAccessors(p *Pass, pools []poolDecl) (getObjs, putObjs map[types.Obj
 		}
 		for _, o := range puts {
 			putObjs[o] = true
-		}
-	}
-	return getObjs, putObjs
-}
-
-func reportPoolResolution(p *Pass, pool poolDecl) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == pool.typeName {
-					p.Reportf(ts.Pos(), "pool %s: accessor get=%s put=%s not found in this package",
-						pool.typeName, pool.getName, pool.putName)
-					return
-				}
-			}
 		}
 	}
 }

@@ -98,9 +98,12 @@ func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (
 // NewClusterFS builds a cluster backend and mounts a file system on
 // it, wiring the FS's cleaning urgency into the scheduler's
 // Background token budget on every node (the FS stripes its log over
-// all of them, so cleaning pressure is cluster-wide). Do not share
-// the scheduler's GC urgency channel with a volume: the volume's FTLs
-// push per-node urgency on the same hook.
+// all of them, so cleaning pressure is cluster-wide). Do not mount it
+// on a cluster that backs a volume: the backend's Layout claims every
+// chip × BlocksPerChip of every card and the volume's per-card FTLs
+// claim the same blocks, so each would program and erase the other's
+// flash (workload.Build refuses the pair). That the two also push
+// urgency into the scheduler's one per-node slot is the lesser problem.
 func NewClusterFS(c *core.Cluster, s *sched.Scheduler, ccfg ClusterConfig, cfg Config) (*FS, *ClusterBackend, error) {
 	b, err := NewClusterBackend(c, s, ccfg)
 	if err != nil {

@@ -55,11 +55,10 @@ func (st *AccelStream) Read(a core.PageAddr, cb func(data []byte, err error)) er
 	if a.Node < 0 || a.Node >= len(st.s.nodes) {
 		return fmt.Errorf("sched: page owner %d out of range [0,%d)", a.Node, len(st.s.nodes))
 	}
-	r := st.s.getReq()
+	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.accel = Accel, Accel, a, true
 	r.origin, r.enq, r.rcb = st.origin, st.s.eng.Now(), cb
 	if err := st.s.nodes[a.Node].admit(r); err != nil {
-		st.s.putReq(r)
 		return err
 	}
 	st.Submitted++
@@ -89,14 +88,12 @@ func (s *Scheduler) AttachAccelRouter(retryDelay sim.Time) {
 		}
 		var try func()
 		try = func() {
-			r := s.getReq()
+			r := s.reqs.Get()
 			r.class, r.statClass, r.addr, r.accel = Accel, Accel, a, true
 			r.origin, r.enq, r.rcb = origin, s.eng.Now(), cb
 			if err := s.nodes[a.Node].admit(r); err == ErrBackpressure {
-				s.putReq(r)
 				s.eng.After(retryDelay, try)
 			} else if err != nil {
-				s.putReq(r)
 				cb(nil, err)
 			}
 		}

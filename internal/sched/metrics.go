@@ -1,22 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"repro/internal/sim"
-)
-
-// finite clamps NaN and ±Inf to 0. Every float exported into a
-// Snapshot passes through it: a stream with zero completions (or any
-// other degenerate window) must yield zeros, never NaN — NaN does not
-// round-trip through encoding/json, so one poisoned field would make
-// the whole BENCH_*.json emission fail.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
+import "repro/internal/sim"
 
 // classAgg accumulates one QoS class's metrics.
 type classAgg struct {
@@ -96,14 +80,14 @@ func (s *Scheduler) Snapshot() Snapshot {
 			Errors:    agg.errors,
 			Rejected:  agg.rejected,
 			Coalesced: agg.coalesced,
-			MeanUs:    finite(agg.lat.Mean()),
-			P50Us:     finite(agg.lat.Percentile(50)),
-			P99Us:     finite(agg.lat.Percentile(99)),
-			MaxUs:     finite(agg.lat.Max()),
+			MeanUs:    sim.Finite(agg.lat.Mean()),
+			P50Us:     sim.Finite(agg.lat.Percentile(50)),
+			P99Us:     sim.Finite(agg.lat.Percentile(99)),
+			MaxUs:     sim.Finite(agg.lat.Max()),
 		}
 		if secs > 0 {
-			cs.OpsPerSec = finite(float64(agg.ops) / secs)
-			cs.MBps = finite(float64(agg.bytes) / secs / 1e6)
+			cs.OpsPerSec = sim.Finite(float64(agg.ops) / secs)
+			cs.MBps = sim.Finite(float64(agg.bytes) / secs / 1e6)
 		}
 		out.TotalOps += agg.ops
 		out.Rejected += agg.rejected
@@ -112,11 +96,11 @@ func (s *Scheduler) Snapshot() Snapshot {
 		out.Classes = append(out.Classes, cs)
 	}
 	if secs > 0 {
-		out.TotalOpsPerSec = finite(float64(out.TotalOps) / secs)
-		out.TotalMBps = finite(float64(bytes) / secs / 1e6)
+		out.TotalOpsPerSec = sim.Finite(float64(out.TotalOps) / secs)
+		out.TotalMBps = sim.Finite(float64(bytes) / secs / 1e6)
 	}
 	if s.stats.batches > 0 {
-		out.AvgBatch = finite(float64(s.stats.batchedReqs) / float64(s.stats.batches))
+		out.AvgBatch = sim.Finite(float64(s.stats.batchedReqs) / float64(s.stats.batches))
 	}
 	for _, nq := range s.nodes {
 		if nq.peak > out.PeakQueue {

@@ -142,6 +142,9 @@ func TestWriteImageAdoptsAndBackpressureReturns(t *testing.T) {
 	if got := readBack(t, c, st, freePage(c, 1)); !bytes.Equal(got, want1) {
 		t.Fatal("re-submitted image reads back wrong")
 	}
+	if out := s.PoolOut(); out != 0 {
+		t.Fatalf("%d requests out of the pool at drain: the refused one must have gone back too", out)
+	}
 }
 
 // TestSequencerKeepsOrderAndImages: with an admission queue far
@@ -223,6 +226,9 @@ func TestSequencerKeepsOrderAndImages(t *testing.T) {
 	if stored := peek(c, freePage(c, 0)); stored != nil {
 		t.Fatal("the erase did not reach the block")
 	}
+	if s.PoolOut() != 0 || rt.PoolOut() != 0 {
+		t.Fatalf("at drain %d requests and %d retry ops are out of their pools", s.PoolOut(), rt.PoolOut())
+	}
 }
 
 // TestSharedReadResultIsClipped: a read nobody coalesced with delivers
@@ -271,6 +277,9 @@ func TestSharedReadResultIsClipped(t *testing.T) {
 		if cap(d) != len(d) || geo.IsPageImage(d) {
 			t.Fatalf("reader %d of a shared result got cap %d: it looks exclusively owned", i, cap(d))
 		}
+	}
+	if out := s.PoolOut(); out != 0 {
+		t.Fatalf("%d requests out of the pool at drain: lead and followers must all have gone back", out)
 	}
 }
 

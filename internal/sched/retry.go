@@ -20,7 +20,7 @@ type Retrier struct {
 	// by Read, Erase and every Sequencer of this retrier.
 	Backpressure int64
 
-	free []*retryOp // recycle pool
+	ops sim.Pool[retryOp]
 }
 
 // defaultRetryDelay is the backoff used when a caller names none.
@@ -32,13 +32,17 @@ func (s *Scheduler) NewRetrier(delay sim.Time) *Retrier {
 	if delay <= 0 {
 		delay = defaultRetryDelay
 	}
-	return &Retrier{s: s, delay: delay}
+	rt := &Retrier{s: s, delay: delay}
+	rt.ops.New = func() *retryOp {
+		op := &retryOp{}
+		op.try = func() { rt.admit(op) }
+		return op
+	}
+	return rt
 }
 
 // retryOp is one read or erase from the call that issued it until a
-// stream admits it (or fails it for good).
-//
-//simlint:pool get=getOp put=putOp
+// stream admits it (or fails it for good). Ops are pooled per retrier.
 type retryOp struct {
 	st   *Stream
 	addr core.PageAddr
@@ -47,49 +51,14 @@ type retryOp struct {
 	try  func()                       // bound once: admit again
 }
 
-// getOp takes an op from the pool.
-//
-//simlint:hotpath
-func (rt *Retrier) getOp(st *Stream, a core.PageAddr) *retryOp {
-	var op *retryOp
-	if n := len(rt.free); n > 0 {
-		op = rt.free[n-1]
-		rt.free[n-1] = nil
-		rt.free = rt.free[:n-1]
-	} else {
-		//simlint:allow hotcall (pool-miss path: the pool grows to the most reads and erases ever waiting for admission at once and is recycled via putOp forever after)
-		op = rt.newOp()
-	}
-	op.st, op.addr = st, a
-	return op
-}
-
-// newOp grows the pool by one op. Kept out of line so the pool-miss
-// path stays out of getOp's callers.
-//
-//go:noinline
-func (rt *Retrier) newOp() *retryOp {
-	op := &retryOp{}
-	op.try = func() { rt.admit(op) }
-	return op
-}
-
-// putOp recycles an op the stream has admitted or failed.
-//
-//simlint:hotpath
-func (rt *Retrier) putOp(op *retryOp) {
-	*op = retryOp{try: op.try}
-	rt.free = append(rt.free, op)
-}
-
 // Read admits a page read on st, retrying on backpressure. cb fires
 // exactly once: with the stream's result, or with the admission error
 // when the stream refuses the read for any other reason.
 //
 //simlint:hotpath
 func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err error)) {
-	op := rt.getOp(st, a)
-	op.rcb = cb
+	op := rt.ops.Get()
+	op.st, op.addr, op.rcb = st, a, cb
 	rt.admit(op)
 }
 
@@ -98,8 +67,8 @@ func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err er
 //
 //simlint:hotpath
 func (rt *Retrier) Erase(st *Stream, a core.PageAddr, cb func(err error)) {
-	op := rt.getOp(st, a)
-	op.wcb = cb
+	op := rt.ops.Get()
+	op.st, op.addr, op.wcb = st, a, cb
 	rt.admit(op)
 }
 
@@ -120,7 +89,8 @@ func (rt *Retrier) admit(op *retryOp) {
 		return
 	}
 	rcb, wcb := op.rcb, op.wcb
-	rt.putOp(op)
+	*op = retryOp{try: op.try}
+	rt.ops.Put(op)
 	switch {
 	case err == nil:
 	case wcb != nil:

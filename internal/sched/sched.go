@@ -183,8 +183,6 @@ func (c Config) validate() error {
 // request is one admitted (or coalesced) operation. class is the
 // scheduling class and may rise via priority inheritance; statClass
 // is the submitter's class and is what metrics are recorded under.
-//
-//simlint:pool get=getReq put=putReq
 type request struct {
 	class     Class
 	statClass Class
@@ -209,10 +207,10 @@ type request struct {
 	// flash operation; they hold no queue slot of their own.
 	followers []*request
 
-	// Pool plumbing: requests are recycled through Scheduler.freeReqs,
-	// so the per-dispatch completion callback is bound once, at first
-	// allocation, instead of once per doorbell. nq is the queue the
-	// request is currently admitted to (rebound on every reuse);
+	// Pool plumbing: requests are recycled through Scheduler.reqs, so
+	// the per-dispatch completion callback is bound once, when the
+	// request is made, instead of once per doorbell. nq is the queue
+	// the request is currently admitted to (rebound on every reuse);
 	// done forwards device completions to nq.complete. routedWcb
 	// adapts rcb's two-argument host-router signature to the write
 	// callback without a per-request closure.
@@ -221,41 +219,29 @@ type request struct {
 	routedWcb func(err error)
 }
 
-// getReq pops a recycled request (or allocates one, binding its reusable
-// callbacks to the new request's identity). All fields except the
-// callbacks and the follower list's capacity are zero.
-//
-//simlint:hotpath
-func (s *Scheduler) getReq() *request {
-	if n := len(s.freeReqs); n > 0 {
-		r := s.freeReqs[n-1]
-		s.freeReqs[n-1] = nil
-		s.freeReqs = s.freeReqs[:n-1]
-		return r
-	}
-	//simlint:allow hotpath (pool-miss path: the request and its two bound callbacks are built once and recycled via putReq forever after)
+// newRequest is Scheduler.reqs.New: it binds the request's reusable
+// callbacks to its identity.
+func newRequest() *request {
 	r := &request{}
-	//simlint:allow hotpath (bound once per pooled request lifetime, not per dispatch)
 	r.done = func(data []byte, err error) { r.nq.complete(r, data, err) }
-	//simlint:allow hotpath (bound once per pooled request lifetime, not per dispatch)
 	r.routedWcb = func(err error) { r.rcb(nil, err) }
 	return r
 }
 
-// putReq recycles a finished (or rejected) request. The caller must
-// guarantee no outstanding reference: completion has fired and the
-// request is in no queue, table or follower list. A write's image is
-// dropped, not kept: it went down at dispatch, or — the admission was
-// refused — it is its submitter's again.
+// reset zeroes a finished (or refused) request for its return to the
+// pool, keeping the bound callbacks and the follower list's capacity.
+// The caller must guarantee no outstanding reference: completion has
+// fired and the request is in no queue, table or follower list. A
+// write's image is dropped, not kept: it went down at dispatch, or —
+// the admission was refused — it is its submitter's again.
 //
 //simlint:hotpath
-func (s *Scheduler) putReq(r *request) {
+func (r *request) reset() {
 	*r = request{
 		followers: r.followers[:0],
 		done:      r.done,
 		routedWcb: r.routedWcb,
 	}
-	s.freeReqs = append(s.freeReqs, r)
 }
 
 // Scheduler admits streams into one cluster.
@@ -267,8 +253,7 @@ type Scheduler struct {
 	nodes   []*nodeQueue
 	stats   stats
 
-	// freeReqs is the request recycle pool (LIFO for cache warmth).
-	freeReqs []*request
+	reqs sim.Pool[request]
 }
 
 // New attaches a scheduler to a cluster. The scheduler shares the
@@ -279,6 +264,7 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{cluster: cluster, eng: cluster.Eng, geo: cluster.Params.Geometry, cfg: cfg}
+	s.reqs.New = newRequest
 	for i := 0; i < cluster.Nodes(); i++ {
 		s.nodes = append(s.nodes, newNodeQueue(s, cluster.Node(i)))
 	}
@@ -302,7 +288,7 @@ func (s *Scheduler) AttachRouter(class Class) error {
 		return fmt.Errorf("sched: %v is the device-side ISP class; host traffic cannot use it", class)
 	}
 	s.cluster.SetHostRouter(func(node int, req core.HostReq) error {
-		r := s.getReq()
+		r := s.reqs.Get()
 		r.class, r.statClass, r.addr, r.write, r.enq = class, class, req.Addr, req.Write, s.eng.Now()
 		r.rcb = req.Done
 		if req.Write {
@@ -314,11 +300,7 @@ func (s *Scheduler) AttachRouter(class Class) error {
 			r.size = len(r.data)
 			r.wcb = r.routedWcb
 		}
-		if err := s.nodes[node].admit(r); err != nil {
-			s.putReq(r)
-			return err
-		}
-		return nil
+		return s.nodes[node].admit(r)
 	})
 	return nil
 }
@@ -393,15 +375,12 @@ type nodeQueue struct {
 	// batches under pressure.
 	ringing bool
 
-	// pendingReads indexes queued (not yet dispatched) reads for
-	// coalescing. It is an open-addressed linear-probe table (Knuth
-	// 6.4R deletion) rather than a Go map: admit/pop hit it on every
-	// read, and the table keeps that path free of map-cell allocation
-	// and hash-iteration overhead. Slots with a nil request are empty;
-	// occupancy is bounded by QueueDepth, and the table grows to keep
-	// load factor at or below 1/2.
-	pendingReads []readSlot
-	pendingLen   int
+	// pendingReads indexes queued (not yet dispatched) reads by page
+	// for coalescing; occupancy is bounded by QueueDepth. It is only
+	// ever looked up, stored into and deleted from — never ranged, so
+	// Go's randomized map order cannot reach the simulation (simlint's
+	// maprange).
+	pendingReads map[core.PageAddr]*request
 
 	// kickFn and ringFn are the dispatch-round and doorbell-issued
 	// callbacks, bound once so kick() and dispatchHost() never
@@ -413,14 +392,8 @@ type nodeQueue struct {
 	batch []*request
 }
 
-// readSlot is one pendingReads table entry.
-type readSlot struct {
-	addr core.PageAddr
-	r    *request
-}
-
 func newNodeQueue(s *Scheduler, node *core.Node) *nodeQueue {
-	nq := &nodeQueue{s: s, node: node, pendingReads: make([]readSlot, 64)}
+	nq := &nodeQueue{s: s, node: node, pendingReads: make(map[core.PageAddr]*request)}
 	nq.kickFn = func() {
 		nq.kicked = false
 		nq.dispatch()
@@ -432,110 +405,8 @@ func newNodeQueue(s *Scheduler, node *core.Node) *nodeQueue {
 	return nq
 }
 
-// hashAddr mixes a page address into a table index (splitmix64 tail;
-// collisions are resolved by probing, so quality only affects speed).
-func hashAddr(a core.PageAddr) uint64 {
-	const mult = 0x9E3779B97F4A7C15
-	h := uint64(a.Node)
-	h = h*mult + uint64(a.Card)
-	h = h*mult + uint64(a.Addr.Bus)
-	h = h*mult + uint64(a.Addr.Chip)
-	h = h*mult + uint64(a.Addr.Block)
-	h = h*mult + uint64(a.Addr.Page)
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
-}
-
-// readLookup returns the queued read lead for addr, or nil.
-func (nq *nodeQueue) readLookup(a core.PageAddr) *request {
-	if nq.pendingLen == 0 {
-		return nil
-	}
-	mask := uint64(len(nq.pendingReads) - 1)
-	for i := hashAddr(a) & mask; ; i = (i + 1) & mask {
-		s := &nq.pendingReads[i]
-		if s.r == nil {
-			return nil
-		}
-		if s.addr == a {
-			return s.r
-		}
-	}
-}
-
-// readInsert records r as the coalescing lead for its address. The
-// caller has checked the address is absent.
-func (nq *nodeQueue) readInsert(r *request) {
-	if (nq.pendingLen+1)*2 > len(nq.pendingReads) {
-		old := nq.pendingReads
-		//simlint:allow hotcall (table doubling to keep the load factor at or below 1/2; occupancy is bounded by QueueDepth, so none once the high-water mark is reached)
-		nq.pendingReads = make([]readSlot, 2*len(old))
-		nq.pendingLen = 0
-		for i := range old {
-			if old[i].r != nil {
-				nq.readInsert(old[i].r)
-			}
-		}
-	}
-	mask := uint64(len(nq.pendingReads) - 1)
-	i := hashAddr(r.addr) & mask
-	for nq.pendingReads[i].r != nil {
-		i = (i + 1) & mask
-	}
-	nq.pendingReads[i] = readSlot{addr: r.addr, r: r}
-	nq.pendingLen++
-}
-
-// readDelete removes the entry for addr. With mustMatch non-nil the
-// entry is only removed if it holds that exact request (pop's check
-// that a dispatched read is still its address's lead).
-func (nq *nodeQueue) readDelete(a core.PageAddr, mustMatch *request) {
-	if nq.pendingLen == 0 {
-		return
-	}
-	mask := uint64(len(nq.pendingReads) - 1)
-	i := hashAddr(a) & mask
-	for {
-		s := &nq.pendingReads[i]
-		if s.r == nil {
-			return
-		}
-		if s.addr == a {
-			if mustMatch != nil && s.r != mustMatch {
-				return
-			}
-			break
-		}
-		i = (i + 1) & mask
-	}
-	nq.pendingLen--
-	// Backward-shift deletion: refill the hole with any later cluster
-	// entry whose probe path runs through it, so lookups never stop
-	// early at a tombstone-free hole.
-	nq.pendingReads[i] = readSlot{}
-	j := i
-	for {
-		j = (j + 1) & mask
-		e := &nq.pendingReads[j]
-		if e.r == nil {
-			return
-		}
-		h := hashAddr(e.addr) & mask
-		// Entry j may stay iff its home h lies cyclically in (i, j].
-		if (j > i && h > i && h <= j) || (j < i && (h > i || h <= j)) {
-			continue
-		}
-		nq.pendingReads[i] = *e
-		*e = readSlot{}
-		i = j
-	}
-}
-
-// admit enqueues a request or reports backpressure. Coalesced reads
+// admit enqueues a request, or reports backpressure and recycles it:
+// either way the request is the queue's from here. Coalesced reads
 // piggyback on an already-queued read and consume no queue slot.
 // Accel reads never coalesce with host reads (or each other): the two
 // paths complete through different hardware (device-side scan vs host
@@ -543,7 +414,7 @@ func (nq *nodeQueue) readDelete(a core.PageAddr, mustMatch *request) {
 func (nq *nodeQueue) admit(r *request) error {
 	r.nq = nq
 	if !r.write && !r.erase && !r.accel && nq.s.cfg.Coalesce {
-		if lead := nq.readLookup(r.addr); lead != nil {
+		if lead := nq.pendingReads[r.addr]; lead != nil {
 			lead.followers = append(lead.followers, r)
 			nq.s.stats.class(r.statClass).coalesced++
 			// Priority inheritance: a high-priority follower must not
@@ -558,6 +429,8 @@ func (nq *nodeQueue) admit(r *request) error {
 	}
 	if nq.qlen >= nq.s.cfg.QueueDepth {
 		nq.s.stats.class(r.statClass).rejected++
+		r.reset()
+		nq.s.reqs.Put(r)
 		return ErrBackpressure
 	}
 	if r.write && nq.s.cfg.Coalesce {
@@ -569,7 +442,7 @@ func (nq *nodeQueue) admit(r *request) error {
 		// device pipeline may reorder them); tenants that need
 		// read-your-write must await the write's completion, as the
 		// workload drivers' disjoint read/log regions do by design.
-		nq.readDelete(r.addr, nil)
+		delete(nq.pendingReads, r.addr)
 	}
 	nq.q[r.class].Push(r)
 	nq.qlen++
@@ -577,7 +450,7 @@ func (nq *nodeQueue) admit(r *request) error {
 		nq.peak = nq.qlen
 	}
 	if !r.write && !r.erase && !r.accel && nq.s.cfg.Coalesce {
-		nq.readInsert(r)
+		nq.pendingReads[r.addr] = r
 	}
 	nq.kick()
 	return nil
@@ -791,8 +664,10 @@ func (nq *nodeQueue) promote(lead *request, to Class) {
 func (nq *nodeQueue) pop(cl Class) *request {
 	r := nq.q[cl].Pop()
 	nq.qlen--
-	if !r.write && nq.s.cfg.Coalesce {
-		nq.readDelete(r.addr, r)
+	// A read leaves the index only while it is still its address's
+	// lead: a write may have fenced it off and a later read taken over.
+	if !r.write && nq.s.cfg.Coalesce && nq.pendingReads[r.addr] == r {
+		delete(nq.pendingReads, r.addr)
 	}
 	return r
 }
@@ -843,10 +718,12 @@ func (nq *nodeQueue) complete(r *request, data []byte, err error) {
 	nq.s.finish(r, data, err)
 	for i, f := range r.followers {
 		nq.s.finish(f, data, err)
-		nq.s.putReq(f)
+		f.reset()
+		nq.s.reqs.Put(f)
 		r.followers[i] = nil
 	}
-	nq.s.putReq(r)
+	r.reset()
+	nq.s.reqs.Put(r)
 	nq.kick()
 }
 

@@ -53,10 +53,9 @@ func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
 	if st.closed {
 		return ErrClosed
 	}
-	r := st.s.getReq()
+	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.enq, r.rcb = st.class, st.class, a, st.s.eng.Now(), cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {
-		st.s.putReq(r)
 		return err
 	}
 	st.Submitted++
@@ -80,7 +79,7 @@ func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) er
 	if st.closed {
 		return ErrClosed
 	}
-	r := st.s.getReq()
+	r := st.s.reqs.Get()
 	r.class = st.class
 	r.statClass = st.class
 	r.addr = a
@@ -90,7 +89,6 @@ func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) er
 	r.enq = st.s.eng.Now()
 	r.wcb = cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {
-		st.s.putReq(r)
 		return err
 	}
 	st.Submitted++
@@ -105,10 +103,9 @@ func (st *Stream) Erase(a core.PageAddr, cb func(err error)) error {
 	if st.closed {
 		return ErrClosed
 	}
-	r := st.s.getReq()
+	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.erase, r.enq, r.wcb = st.class, st.class, a, true, st.s.eng.Now(), cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {
-		st.s.putReq(r)
 		return err
 	}
 	st.Submitted++

@@ -6,6 +6,18 @@ import (
 	"sort"
 )
 
+// Finite clamps NaN and ±Inf to 0. Every float a layer exports into a
+// stats snapshot passes through it: a window with zero completions must
+// yield zeros, never NaN — NaN does not round-trip through
+// encoding/json, so one poisoned field would make the whole
+// BENCH_*.json emission fail.
+func Finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
+}
+
 // Tally accumulates scalar samples (latencies, sizes) and reports
 // count/mean/min/max and percentiles. It keeps all samples; BlueDBM
 // experiments record at most a few million. Non-finite samples are

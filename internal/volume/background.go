@@ -1,10 +1,6 @@
 package volume
 
-import (
-	"fmt"
-
-	"repro/internal/ftl"
-)
+import "repro/internal/ftl"
 
 // Background-class I/O for the host-DRAM cache tier (internal/cache).
 //
@@ -43,16 +39,7 @@ func (v *Volume) SetAuxUrgency(node int, u float64) {
 // perturb foreground latency. Mirror failover applies as for
 // Stream.Read.
 func (v *Volume) ReadBackground(lpn int, cb func(data []byte, err error)) {
-	if lpn < 0 || lpn >= v.Pages() {
-		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
-		return
-	}
-	if v.cfg.Mirror {
-		v.readMirrored(lpn, ftl.TagFlush, cb)
-		return
-	}
-	cd, clpn := v.locate(lpn)
-	cd.f.ReadTagged(clpn, ftl.TagFlush, cb)
+	v.read(lpn, ftl.TagFlush, cb)
 }
 
 // WriteBackground stores a logical page on the Background class
@@ -61,34 +48,11 @@ func (v *Volume) ReadBackground(lpn int, cb func(data []byte, err error)) {
 // the cache may keep serving (and re-dirtying) its frame while the
 // flush is in flight. Mirrored volumes fan out to both copies.
 func (v *Volume) WriteBackground(lpn int, data []byte, cb func(err error)) {
-	if lpn < 0 || lpn >= v.Pages() {
-		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
-		return
-	}
-	if v.cfg.Mirror {
-		v.writeMirrored(lpn, data, ftl.TagFlush, cb)
-		return
-	}
-	cd, clpn := v.locate(lpn)
-	cd.f.WriteTagged(clpn, data, ftl.TagFlush, cb)
+	v.write(lpn, data, ftl.TagFlush, cb)
 }
 
 // TrimBackground drops a logical page without an admission cost (the
 // mapping update is host-side, as in Stream.Trim). The cache's tier
 // uses it to release flash capacity after a page has been demoted to
 // the altstore device.
-func (v *Volume) TrimBackground(lpn int) error {
-	if lpn < 0 || lpn >= v.Pages() {
-		return fmt.Errorf("%w: %d", ErrOutOfRange, lpn)
-	}
-	cd, clpn := v.locate(lpn)
-	if v.cfg.Mirror {
-		rep, rclpn := v.replicaOf(cd, clpn)
-		err := cd.f.Trim(clpn)
-		if rerr := rep.f.Trim(rclpn); err == nil {
-			err = rerr
-		}
-		return err
-	}
-	return cd.f.Trim(clpn)
-}
+func (v *Volume) TrimBackground(lpn int) error { return v.trim(lpn) }

@@ -63,12 +63,10 @@ func (cd *card) available(clpn int) bool {
 
 // --- read fail-over ---------------------------------------------------
 
-// failover is the pooled context of one mirrored read: it remembers
-// where the replica lives so the primary's completion can retry there
-// without allocating per-read closures (same recycling pattern as the
-// scheduler's request pool).
-//
-//simlint:pool get=getFailover put=putFailover
+// failover is the pooled context of one mirrored read
+// (Volume.failovers): it remembers where the replica lives so the
+// primary's completion can retry there without allocating per-read
+// closures.
 type failover struct {
 	v      *Volume
 	rep    *card
@@ -77,56 +75,40 @@ type failover struct {
 	useRep bool // replica is available as a fallback
 	cb     func(data []byte, err error)
 
-	// bound once at pool entry creation, reused forever
+	// bound once, when the context is made
 	onPrimary func(data []byte, err error)
 	onReplica func(data []byte, err error)
 }
 
-// getFailover pops a recycled fail-over context (or allocates one,
-// binding its reusable callbacks).
-//
-//simlint:hotpath
-func (v *Volume) getFailover() *failover {
-	if n := len(v.freeFOs); n > 0 {
-		fo := v.freeFOs[n-1]
-		v.freeFOs[n-1] = nil
-		v.freeFOs = v.freeFOs[:n-1]
-		return fo
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its two bound callbacks are built once and recycled via putFailover forever after)
+// newFailover is failovers.New.
+func (v *Volume) newFailover() *failover {
 	fo := &failover{v: v}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per read)
 	fo.onPrimary = func(data []byte, err error) {
 		if err == nil || !fo.useRep {
-			cb := fo.cb
-			fo.v.putFailover(fo)
-			cb(data, err)
+			fo.finish(data, err)
 			return
 		}
 		// Primary failed with a live replica: retry there.
 		fo.rep.f.ReadTagged(fo.rclpn, fo.tag, fo.onReplica)
 	}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per read)
 	fo.onReplica = func(data []byte, err error) {
 		if err == nil {
 			fo.v.degradedReads++
 		}
-		cb := fo.cb
-		fo.v.putFailover(fo)
-		cb(data, err)
+		fo.finish(data, err)
 	}
 	return fo
 }
 
-// putFailover recycles a finished context. The caller must guarantee
-// no outstanding reference (its completion has fired).
+// finish recycles the context — no completion is outstanding on it —
+// and hands the read's outcome to its caller.
 //
 //simlint:hotpath
-func (v *Volume) putFailover(fo *failover) {
-	fo.rep = nil
-	fo.cb = nil
-	fo.useRep = false
-	v.freeFOs = append(v.freeFOs, fo)
+func (fo *failover) finish(data []byte, err error) {
+	cb := fo.cb
+	fo.rep, fo.cb, fo.useRep = nil, nil, false
+	fo.v.failovers.Put(fo)
+	cb(data, err)
 }
 
 // readMirrored serves a logical read on a mirrored volume: primary
@@ -141,7 +123,7 @@ func (v *Volume) readMirrored(lpn int, tag ftl.IOTag, cb func(data []byte, err e
 	repOK := rep.available(rclpn)
 	switch {
 	case priOK && repOK:
-		fo := v.getFailover()
+		fo := v.failovers.Get()
 		fo.rep, fo.rclpn, fo.tag, fo.useRep, fo.cb = rep, rclpn, tag, true, cb
 		pri.f.ReadTagged(clpn, tag, fo.onPrimary)
 	case priOK:
@@ -149,7 +131,7 @@ func (v *Volume) readMirrored(lpn int, tag ftl.IOTag, cb func(data []byte, err e
 		pri.f.ReadTagged(clpn, tag, cb)
 	case repOK:
 		// Degraded read: the replica is the only live copy.
-		fo := v.getFailover()
+		fo := v.failovers.Get()
 		fo.rep, fo.rclpn, fo.tag, fo.cb = rep, rclpn, tag, cb
 		rep.f.ReadTagged(rclpn, tag, fo.onReplica)
 	default:
@@ -160,13 +142,10 @@ func (v *Volume) readMirrored(lpn int, tag ftl.IOTag, cb func(data []byte, err e
 
 // --- mirrored writes --------------------------------------------------
 
-// mirrorWrite is the pooled context of one fan-out: the caller's
-// callback fires once both copies complete, succeeding if at least one
-// copy landed. Recycled on the volume exactly like the read fail-over
-// context, so the mirrored write path allocates nothing in steady
-// state.
-//
-//simlint:pool get=getMirrorWrite put=putMirrorWrite
+// mirrorWrite is the pooled context of one fan-out
+// (Volume.mirrorWrites): the caller's callback fires once both copies
+// complete, succeeding if at least one copy landed, so the mirrored
+// write path allocates nothing in steady state.
 type mirrorWrite struct {
 	v         *Volume
 	remaining int
@@ -174,37 +153,15 @@ type mirrorWrite struct {
 	firstErr  error
 	cb        func(error)
 
-	// bound once at pool entry creation, reused forever
+	// bound once, when the context is made
 	onDone func(error)
 }
 
-// getMirrorWrite pops a recycled fan-out context (or allocates one,
-// binding its reusable completion callback).
-//
-//simlint:hotpath
-func (v *Volume) getMirrorWrite() *mirrorWrite {
-	if n := len(v.freeMWs); n > 0 {
-		mw := v.freeMWs[n-1]
-		v.freeMWs[n-1] = nil
-		v.freeMWs = v.freeMWs[:n-1]
-		return mw
-	}
-	//simlint:allow hotpath (pool-miss path: the context and its bound callback are built once and recycled via putMirrorWrite forever after)
+// newMirrorWrite is mirrorWrites.New.
+func (v *Volume) newMirrorWrite() *mirrorWrite {
 	mw := &mirrorWrite{v: v}
-	//simlint:allow hotpath (bound once per pooled context lifetime, not per write)
-	mw.onDone = func(err error) { mw.done(err) }
+	mw.onDone = mw.done
 	return mw
-}
-
-// putMirrorWrite recycles a finished context. The caller must
-// guarantee both copy completions have fired.
-//
-//simlint:hotpath
-func (v *Volume) putMirrorWrite(mw *mirrorWrite) {
-	mw.failed = 0
-	mw.firstErr = nil
-	mw.cb = nil
-	v.freeMWs = append(v.freeMWs, mw)
 }
 
 func (mw *mirrorWrite) done(err error) {
@@ -221,7 +178,8 @@ func (mw *mirrorWrite) done(err error) {
 	// Both completions are in: recycle before invoking the caller (the
 	// callback may issue another mirrored write that reuses the slot).
 	v, failed, firstErr, cb := mw.v, mw.failed, mw.firstErr, mw.cb
-	v.putMirrorWrite(mw)
+	mw.failed, mw.firstErr, mw.cb = 0, nil, nil
+	v.mirrorWrites.Put(mw)
 	switch failed {
 	case 0:
 		cb(nil)
@@ -238,7 +196,7 @@ func (mw *mirrorWrite) done(err error) {
 func (v *Volume) writeMirrored(lpn int, data []byte, tag ftl.IOTag, cb func(err error)) {
 	pri, clpn := v.locate(lpn)
 	rep, rclpn := v.replicaOf(pri, clpn)
-	mw := v.getMirrorWrite()
+	mw := v.mirrorWrites.Get()
 	mw.remaining, mw.cb = 2, cb
 	v.writeCopy(pri, clpn, data, tag, mw.onDone)
 	v.writeCopy(rep, rclpn, data, tag, mw.onDone)
@@ -282,14 +240,36 @@ func (cd *card) copyInFlight(clpn int) bool {
 
 // --- failure and rebuild ----------------------------------------------
 
+// mirroredCard returns card i (node-major index) of a mirrored volume;
+// an index outside [0, Cards()) fails with ErrOutOfRange.
+func (v *Volume) mirroredCard(i int) (*card, error) {
+	if !v.cfg.Mirror {
+		return nil, ErrNotMirrored
+	}
+	if i < 0 || i >= len(v.cards) {
+		return nil, fmt.Errorf("%w: card %d of %d", ErrOutOfRange, i, len(v.cards))
+	}
+	return v.cards[i], nil
+}
+
+// nodeCards returns the card index range [lo, hi) of one node; a node
+// outside [0, Nodes()) fails with ErrOutOfRange.
+func (v *Volume) nodeCards(node int) (lo, hi int, err error) {
+	if node < 0 || node >= v.c.Nodes() {
+		return 0, 0, fmt.Errorf("%w: node %d of %d", ErrOutOfRange, node, v.c.Nodes())
+	}
+	n := v.c.Params.CardsPerNode
+	return node * n, (node + 1) * n, nil
+}
+
 // KillCard fails one card (node-major index): the NAND card rejects
 // all further operations with nand.ErrDead and the volume routes reads
 // to the replica. Mirrored volumes only.
 func (v *Volume) KillCard(i int) error {
-	if !v.cfg.Mirror {
-		return ErrNotMirrored
+	cd, err := v.mirroredCard(i)
+	if err != nil {
+		return err
 	}
-	cd := v.cards[i]
 	cd.dead = true
 	v.c.Node(cd.node).Card(cd.idx).Fail()
 	return nil
@@ -298,11 +278,11 @@ func (v *Volume) KillCard(i int) error {
 // KillNode fails every card of one node — the whole-appliance fault
 // the mirror placement is designed to survive.
 func (v *Volume) KillNode(node int) error {
-	if !v.cfg.Mirror {
-		return ErrNotMirrored
+	lo, hi, err := v.nodeCards(node)
+	if err != nil {
+		return err
 	}
-	base := node * v.c.Params.CardsPerNode
-	for i := base; i < base+v.c.Params.CardsPerNode; i++ {
+	for i := lo; i < hi; i++ {
 		if err := v.KillCard(i); err != nil {
 			return err
 		}
@@ -315,10 +295,10 @@ func (v *Volume) KillNode(node int) error {
 // rebuilding state (reads route to the partner until each page is
 // restored). Call StartRebuild to begin refilling it.
 func (v *Volume) ReplaceCard(i int) error {
-	if !v.cfg.Mirror {
-		return ErrNotMirrored
+	cd, err := v.mirroredCard(i)
+	if err != nil {
+		return err
 	}
-	cd := v.cards[i]
 	if !cd.dead {
 		return ErrCardAlive
 	}
@@ -348,10 +328,10 @@ func (v *Volume) ReplaceCard(i int) error {
 // whole card is current. Pages never written are skipped; pages whose
 // only surviving copy is unreadable are lost and counted.
 func (v *Volume) StartRebuild(i int, done func()) error {
-	if !v.cfg.Mirror {
-		return ErrNotMirrored
+	cd, err := v.mirroredCard(i)
+	if err != nil {
+		return err
 	}
-	cd := v.cards[i]
 	if !cd.rebuilding {
 		return fmt.Errorf("volume: card %d is not rebuilding (call ReplaceCard first)", i)
 	}
@@ -364,15 +344,17 @@ func (v *Volume) StartRebuild(i int, done func()) error {
 // RebuildNode replaces and rebuilds every card of a killed node,
 // calling done when all of them are current.
 func (v *Volume) RebuildNode(node int, done func()) error {
-	base := node * v.c.Params.CardsPerNode
-	n := v.c.Params.CardsPerNode
-	for i := base; i < base+n; i++ {
+	lo, hi, err := v.nodeCards(node)
+	if err != nil {
+		return err
+	}
+	for i := lo; i < hi; i++ {
 		if err := v.ReplaceCard(i); err != nil {
 			return err
 		}
 	}
-	remaining := n
-	for i := base; i < base+n; i++ {
+	remaining := hi - lo
+	for i := lo; i < hi; i++ {
 		if err := v.StartRebuild(i, func() {
 			remaining--
 			if remaining == 0 && done != nil {

@@ -169,6 +169,9 @@ func TestMirroredCrashDegradedRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	readAll(t, c, st, n, want)
+	if out := v.PoolsOut(); out != 0 {
+		t.Fatalf("%d mirrored-read and -write contexts out of their pools at drain", out)
+	}
 }
 
 // TestMirroredCardKillAndReplace exercises the single-card fault path
@@ -218,5 +221,46 @@ func TestUnmirroredKillRejected(t *testing.T) {
 	}
 	if err := v.KillNode(0); !errors.Is(err, volume.ErrNotMirrored) {
 		t.Fatalf("KillNode on unmirrored volume: err = %v, want ErrNotMirrored", err)
+	}
+}
+
+// TestFaultAPIsRejectOutOfRangeIndexes: a card or node index outside
+// the volume fails with ErrOutOfRange instead of indexing past the card
+// table, and leaves the volume untouched.
+func TestFaultAPIsRejectOutOfRangeIndexes(t *testing.T) {
+	c, _, v := testMirrored(t, 2)
+	cases := []struct {
+		name string
+		call func(i int) error
+		end  int // first index past the valid range
+	}{
+		{"KillCard", v.KillCard, v.Cards()},
+		{"ReplaceCard", v.ReplaceCard, v.Cards()},
+		{"StartRebuild", func(i int) error { return v.StartRebuild(i, nil) }, v.Cards()},
+		{"KillNode", v.KillNode, c.Nodes()},
+		{"RebuildNode", func(n int) error { return v.RebuildNode(n, nil) }, c.Nodes()},
+	}
+	for _, tc := range cases {
+		for _, i := range []int{-1, tc.end} {
+			if err := tc.call(i); !errors.Is(err, volume.ErrOutOfRange) {
+				t.Errorf("%s(%d): err = %v, want ErrOutOfRange", tc.name, i, err)
+			}
+		}
+	}
+	if v.Rebuilding() {
+		t.Fatal("a rejected call left a card rebuilding")
+	}
+	st, err := v.NewStream("t", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var werr error = errors.New("never completed")
+	st.Write(0, pageData(v.PageSize(), 0), func(err error) { werr = err })
+	c.Run()
+	if werr != nil {
+		t.Fatalf("write after the rejected calls: %v (a card was killed)", werr)
+	}
+	if d := v.Stats(); d.DegradedWrites != 0 {
+		t.Fatalf("%d degraded writes: a rejected call killed a card", d.DegradedWrites)
 	}
 }

@@ -25,7 +25,6 @@ package volume
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/ftl"
@@ -78,10 +77,10 @@ type Volume struct {
 	half    int     // mirrored: primary pages per card (perCard/2)
 
 	// mirroring state (see mirror.go)
-	auxUrg         []float64      // per-node urgency floor set by cache flush pressure
-	rebuildUrg     []float64      // per-node urgency floor while rebuilds run
-	freeFOs        []*failover    // read fail-over context recycle pool
-	freeMWs        []*mirrorWrite // mirrored-write fan-out recycle pool
+	auxUrg         []float64 // per-node urgency floor set by cache flush pressure
+	rebuildUrg     []float64 // per-node urgency floor while rebuilds run
+	failovers      sim.Pool[failover]
+	mirrorWrites   sim.Pool[mirrorWrite]
 	degradedReads  int64
 	degradedWrites int64
 	pagesRebuilt   int64
@@ -102,6 +101,8 @@ func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
 		}
 	}
 	v := &Volume{c: c, s: s, rt: s.NewRetrier(cfg.RetryDelay), cfg: cfg}
+	v.failovers.New = v.newFailover
+	v.mirrorWrites.New = v.newMirrorWrite
 	p := c.Params
 	for n := 0; n < c.Nodes(); n++ {
 		for ci := 0; ci < p.CardsPerNode; ci++ {
@@ -167,15 +168,6 @@ type Stats struct {
 	PagesRebuilt       int64 `json:"pages_rebuilt,omitempty"`       // pages restored by the rebuild pump
 }
 
-// finite clamps NaN and ±Inf to 0 so exported stats stay JSON-safe
-// (math.IsNaN/IsInf without the import).
-func finite(f float64) float64 {
-	if f != f || f > math.MaxFloat64 || f < -math.MaxFloat64 {
-		return 0
-	}
-	return f
-}
-
 // Delta returns the counters accumulated since a prior snapshot, with
 // write amplification recomputed over the window. MinFreeBlocks is a
 // gauge and keeps its current value. Use it to confine measurements
@@ -201,7 +193,7 @@ func (s Stats) Delta(since Stats) Stats {
 		PagesRebuilt:       s.PagesRebuilt - since.PagesRebuilt,
 	}
 	if d.HostWrites > 0 {
-		d.WriteAmp = finite(float64(d.FlashPrograms) / float64(d.HostWrites))
+		d.WriteAmp = sim.Finite(float64(d.FlashPrograms) / float64(d.HostWrites))
 	}
 	return d
 }
@@ -236,7 +228,7 @@ func (v *Volume) Stats() Stats {
 	st.DegradedWrites = v.degradedWrites
 	st.PagesRebuilt = v.pagesRebuilt
 	if st.HostWrites > 0 {
-		st.WriteAmp = finite(float64(st.FlashPrograms) / float64(st.HostWrites))
+		st.WriteAmp = sim.Finite(float64(st.FlashPrograms) / float64(st.HostWrites))
 	}
 	return st
 }
@@ -288,17 +280,23 @@ func (st *Stream) PageSize() int { return st.v.PageSize() }
 // On a mirrored volume a read whose primary copy is dead, rebuilding,
 // or uncorrectable fails over to the replica (see mirror.go).
 func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
-	if lpn < 0 || lpn >= st.v.Pages() {
+	st.v.read(lpn, ftl.IOTag(st.class), cb)
+}
+
+// read is the one body of Stream.Read and ReadBackground: the traffic
+// tag is all that tells a tenant's read from the cache tier's.
+func (v *Volume) read(lpn int, tag ftl.IOTag, cb func(data []byte, err error)) {
+	if lpn < 0 || lpn >= v.Pages() {
 		//simlint:allow hotcall (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
-	if st.v.cfg.Mirror {
-		st.v.readMirrored(lpn, ftl.IOTag(st.class), cb)
+	if v.cfg.Mirror {
+		v.readMirrored(lpn, tag, cb)
 		return
 	}
-	cd, clpn := st.v.locate(lpn)
-	cd.f.ReadTagged(clpn, ftl.IOTag(st.class), cb)
+	cd, clpn := v.locate(lpn)
+	cd.f.ReadTagged(clpn, tag, cb)
 }
 
 // Write stores a logical page. The payload is snapshotted before the
@@ -307,16 +305,21 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 // fans out to both copies at the stream's class; it succeeds if at
 // least one copy lands (the other is counted as a degraded write).
 func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
-	if lpn < 0 || lpn >= st.v.Pages() {
+	st.v.write(lpn, data, ftl.IOTag(st.class), cb)
+}
+
+// write is the one body of Stream.Write and WriteBackground.
+func (v *Volume) write(lpn int, data []byte, tag ftl.IOTag, cb func(err error)) {
+	if lpn < 0 || lpn >= v.Pages() {
 		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
-	if st.v.cfg.Mirror {
-		st.v.writeMirrored(lpn, data, ftl.IOTag(st.class), cb)
+	if v.cfg.Mirror {
+		v.writeMirrored(lpn, data, tag, cb)
 		return
 	}
-	cd, clpn := st.v.locate(lpn)
-	cd.f.WriteTagged(clpn, data, ftl.IOTag(st.class), cb)
+	cd, clpn := v.locate(lpn)
+	cd.f.WriteTagged(clpn, data, tag, cb)
 }
 
 // Trim drops a logical page. A trim is a host-side metadata update in
@@ -324,13 +327,17 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 // issued), so there is no operation for the scheduler to admit — but
 // it is counted (Stats.HostTrims, per-window in Stats.Delta) so trims
 // are no longer invisible to the volume's accounting.
-func (st *Stream) Trim(lpn int) error {
-	if lpn < 0 || lpn >= st.v.Pages() {
+func (st *Stream) Trim(lpn int) error { return st.v.trim(lpn) }
+
+// trim is the one body of Stream.Trim and TrimBackground: a trim
+// admits nothing, so it has no class to differ in.
+func (v *Volume) trim(lpn int) error {
+	if lpn < 0 || lpn >= v.Pages() {
 		return fmt.Errorf("%w: %d", ErrOutOfRange, lpn)
 	}
-	cd, clpn := st.v.locate(lpn)
-	if st.v.cfg.Mirror {
-		rep, rclpn := st.v.replicaOf(cd, clpn)
+	cd, clpn := v.locate(lpn)
+	if v.cfg.Mirror {
+		rep, rclpn := v.replicaOf(cd, clpn)
 		err := cd.f.Trim(clpn)
 		if rerr := rep.f.Trim(rclpn); err == nil {
 			err = rerr

@@ -37,9 +37,11 @@ type StackSpec struct {
 	// through its Tier field, the cold tier) above the volume.
 	Cache *cache.Config
 	// RFS, when non-nil, mounts the cluster-wide log-structured file
-	// system on a backend configured by RFSCluster. It cannot share a
-	// scheduler with a volume: both push reclaim urgency into the same
-	// per-node slot.
+	// system on a backend configured by RFSCluster. It cannot stand
+	// beside a volume: each lays claim to every erase block of every
+	// card (the volume mounts an FTL over each card's whole geometry,
+	// the file system's log is striped over every chip × BlocksPerChip),
+	// so the two would program and erase each other's blocks.
 	RFS        *rfs.Config
 	RFSCluster rfs.ClusterConfig
 	// ISP, when non-nil, adds the distributed in-store query engines
@@ -64,7 +66,7 @@ func Build(spec StackSpec) (*Stack, error) {
 	case spec.FTL == nil && spec.Mirror:
 		return nil, fmt.Errorf("workload: mirror without a volume")
 	case spec.FTL != nil && spec.RFS != nil:
-		return nil, fmt.Errorf("workload: a volume and a cluster file system cannot share one scheduler's reclaim-urgency slot")
+		return nil, fmt.Errorf("workload: a volume and a cluster file system each claim every erase block of every card; they cannot share the flash")
 	case spec.ISP != nil && spec.FTL == nil && spec.RFS == nil:
 		return nil, fmt.Errorf("workload: in-store engines need a volume or a file system to query")
 	}

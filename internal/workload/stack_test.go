@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -138,6 +139,41 @@ func TestBuildRefusesImpossibleSpecs(t *testing.T) {
 	}
 	if err := st.Seed(RandomPages(1)); err == nil {
 		t.Error("a stack with no volume was seeded")
+	}
+}
+
+// TestVolumeBesideRFSRefusedForTheFlash pins why Build refuses the
+// pair: mounted alone, each layer owns every erase block of every card,
+// so together they would program and erase each other's flash — and the
+// refusal says so.
+func TestVolumeBesideRFSRefusedForTheFlash(t *testing.T) {
+	spec, rcfg := testSpec(), rfs.DefaultConfig()
+	g := spec.Params.Geometry
+	blocks := spec.Params.Nodes * spec.Params.CardsPerNode * g.Buses * g.ChipsPerBus * g.BlocksPerChip
+
+	vol, err := Build(withVolume(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftlBlocks := 0
+	for i := 0; i < vol.V.Cards(); i++ {
+		ftlBlocks += vol.V.FTL(i).FreeBlocks()
+	}
+	fsSpec := spec
+	fsSpec.RFS = &rcfg
+	fs, err := Build(fsSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ftlBlocks != blocks || fs.FS.FreeSegments() != blocks {
+		t.Fatalf("of %d erase blocks the volume's FTLs own %d and the file system's log %d; the refusal's reason is that each owns all",
+			blocks, ftlBlocks, fs.FS.FreeSegments())
+	}
+
+	both := withVolume(spec)
+	both.RFS = &rcfg
+	if _, err := Build(both); err == nil || !strings.Contains(err.Error(), "erase block") {
+		t.Fatalf("volume beside rfs: err = %v, want a refusal that names the shared erase blocks", err)
 	}
 }
 
