@@ -8,6 +8,12 @@
 // hash bucket's item addresses to the device, compare every item
 // against the query, return the best match — is what the evaluation's
 // Figures 16-19 measure under different storage backends.
+//
+// The five backends (runner.go) are one run — workers sharing the
+// candidate list over sim.Lanes, one best-match compare, one software
+// compare stage, one join — and differ only in their fetch stage: how a
+// candidate reaches the comparator (in-store read, host DRAM, flash
+// over PCIe, DRAM with spill, SSD).
 package lsh
 
 import (

@@ -39,11 +39,66 @@ type Result struct {
 	BestDist    int
 }
 
-func finishResult(r *Result, elapsed sim.Time) {
-	r.Elapsed = elapsed
-	if elapsed > 0 {
-		r.PerSec = float64(r.Comparisons) / elapsed.Seconds()
+// scan is one backend run: the query, the result so far, and the first
+// device error, which abandons the run.
+type scan struct {
+	query  []byte
+	res    Result
+	devErr error
+}
+
+func newScan(query []byte) *scan {
+	return &scan{query: query, res: Result{BestID: -1, BestDist: int(^uint(0) >> 1)}}
+}
+
+// best compares one candidate with the query and keeps the closer, the
+// lower id on a tie, so the order workers finish in cannot change the
+// answer.
+func (s *scan) best(id int, item []byte) {
+	d := HammingDistance(s.query, item)
+	if d < s.res.BestDist || (d == s.res.BestDist && id < s.res.BestID) {
+		s.res.BestID, s.res.BestDist = id, d
 	}
+	s.res.Comparisons++
+}
+
+// onThread is the software compare stage: one core's Hamming compare of
+// item on th, then next.
+func (s *scan) onThread(th *hostmodel.Thread, id int, item []byte, next func()) {
+	th.Do(HammingCPUPerPage, func() {
+		s.best(id, item)
+		next()
+	})
+}
+
+// fail records a device error. The worker that met it takes no further
+// candidate, so the run does not join.
+func (s *scan) fail(err error) {
+	if s.devErr == nil {
+		s.devErr = err
+	}
+}
+
+// run is every backend but its fetch stage: `lanes` workers share n
+// candidates (sim.Lanes), fetch brings candidate i to a comparator and
+// calls next when the worker is free again, the engine drains, and the
+// run is judged — a device error first, then the join.
+func (s *scan) run(eng *sim.Engine, backend string, n, lanes int, fetch func(lane, i int, next func())) (*Result, error) {
+	start := eng.Now()
+	joined := false
+	sim.Lanes(n, lanes, fetch, func() { joined = true })
+	eng.Run()
+	if s.devErr != nil {
+		return nil, fmt.Errorf("lsh: %s: %w", backend, s.devErr)
+	}
+	if !joined {
+		return nil, fmt.Errorf("lsh: %s workers never finished", backend)
+	}
+	s.res.Elapsed = eng.Now() - start
+	if s.res.Elapsed > 0 {
+		s.res.PerSec = float64(s.res.Comparisons) / s.res.Elapsed.Seconds()
+	}
+	return &s.res, nil
 }
 
 // RunISP streams candidate addresses to the node's in-store processor,
@@ -58,76 +113,29 @@ func RunISP(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids []int,
 		return nil, fmt.Errorf("lsh: %d candidates but %d ids", len(candidates), len(ids))
 	}
 	node := c.Node(nodeID)
-	res := &Result{BestID: -1, BestDist: int(^uint(0) >> 1)}
-	if len(candidates) == 0 {
-		return res, nil
-	}
+	s := newScan(query)
 	// Engine sizing: enough request streams to saturate both cards.
 	const engines = 16
 	const window = 8
-	start := c.Eng.Now()
-	next := 0
-	remaining := 0
-
-	compare := func(i int, data []byte) {
-		d := HammingDistance(query, data)
-		if d < res.BestDist || (d == res.BestDist && ids[i] < res.BestID) {
-			res.BestID, res.BestDist = ids[i], d
-		}
-		res.Comparisons++
-	}
-
-	for e := 0; e < engines; e++ {
-		remaining++
-		inflight := 0
-		engineDone := false
-		var pump func()
-		maybeFinish := func() {
-			if !engineDone && inflight == 0 && next >= len(candidates) {
-				engineDone = true
-				remaining--
+	return s.run(c.Eng, "ISP", len(candidates), engines*window, func(_, i int, next func()) {
+		node.ISPRead(candidates[i], func(data []byte, err error) {
+			// The ISP compares at stream rate: no time beyond the
+			// throttle stage's.
+			compare := func() {
+				s.best(ids[i], data)
+				next()
 			}
-		}
-		pump = func() {
-			for inflight < window && next < len(candidates) {
-				i := next
-				next++
-				inflight++
-				node.ISPRead(candidates[i], func(data []byte, err error) {
-					// finishOne runs when this candidate is fully
-					// processed (including the throttle stage).
-					finishOne := func() {
-						inflight--
-						pump()
-						maybeFinish()
-					}
-					if err != nil {
-						res.Errors++
-						finishOne()
-						return
-					}
-					if throttle != nil {
-						throttle.Transfer(len(data), func() {
-							compare(i, data)
-							finishOne()
-						})
-						return
-					}
-					// The ISP compares at stream rate: no extra time.
-					compare(i, data)
-					finishOne()
-				})
+			switch {
+			case err != nil:
+				s.res.Errors++
+				next()
+			case throttle != nil:
+				throttle.Transfer(len(data), compare)
+			default:
+				compare()
 			}
-		}
-		pump()
-		maybeFinish()
-	}
-	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("lsh: %d ISP engines never finished", remaining)
-	}
-	finishResult(res, c.Eng.Now()-start)
-	return res, nil
+		})
+	})
 }
 
 // RunHostDRAM is the ram-cloud configuration: the whole dataset in
@@ -136,45 +144,14 @@ func RunISP(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids []int,
 func RunHostDRAM(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte,
 	candidates []int, query []byte, threads int) (*Result, error) {
 
-	res := &Result{BestID: -1, BestDist: int(^uint(0) >> 1)}
-	if threads <= 0 {
-		threads = 1
-	}
-	start := eng.Now()
-	next := 0
-	remaining := 0
-	for w := 0; w < threads; w++ {
-		th := cpu.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(candidates) {
-				remaining--
-				return
-			}
-			id := candidates[next]
-			next++
-			item := items[id]
-			// Fetch from DRAM (shared bandwidth), then compare on core.
-			cpu.ReadDRAM(len(item), func() {
-				th.Do(HammingCPUPerPage, func() {
-					d := HammingDistance(query, item)
-					if d < res.BestDist || (d == res.BestDist && id < res.BestID) {
-						res.BestID, res.BestDist = id, d
-					}
-					res.Comparisons++
-					step()
-				})
-			})
-		}
-		step()
-	}
-	eng.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("lsh: %d DRAM threads never finished", remaining)
-	}
-	finishResult(res, eng.Now()-start)
-	return res, nil
+	s := newScan(query)
+	ths := cpu.NewThreads(threads)
+	return s.run(eng, "host DRAM", len(candidates), len(ths), func(lane, i int, next func()) {
+		id := candidates[i]
+		item := items[id]
+		// Fetch from DRAM (shared bandwidth), then compare on core.
+		cpu.ReadDRAM(len(item), func() { s.onThread(ths[lane], id, item, next) })
+	})
 }
 
 // RunHostFlash is the same-device-without-ISP configuration: host
@@ -184,63 +161,28 @@ func RunHostFlash(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids [
 	query []byte, threads int, throttle *sim.Pipe) (*Result, error) {
 
 	node := c.Node(nodeID)
-	res := &Result{BestID: -1, BestDist: int(^uint(0) >> 1)}
-	if threads <= 0 {
-		threads = 1
-	}
-	start := c.Eng.Now()
-	next := 0
-	remaining := 0
-	for w := 0; w < threads; w++ {
-		th := node.CPU.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(candidates) {
-				remaining--
+	s := newScan(query)
+	ths := node.CPU.NewThreads(threads)
+	return s.run(c.Eng, "host flash", len(candidates), len(ths), func(lane, i int, next func()) {
+		a := candidates[i]
+		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			if err != nil {
+				next()
 				return
 			}
-			i := next
-			next++
-			a := candidates[i]
-			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
-				if err != nil {
-					step()
-					return
-				}
-				deliver := func() {
-					// PCIe DMA to the host, then software compare.
-					node.Host.AcquireReadBuffer(len(data), func(buf int) {
-						node.Host.ReleaseReadBuffer(buf)
-						th.Do(HammingCPUPerPage, func() {
-							d := HammingDistance(query, data)
-							if d < res.BestDist || (d == res.BestDist && ids[i] < res.BestID) {
-								res.BestID, res.BestDist = ids[i], d
-							}
-							res.Comparisons++
-							step()
-						})
-					}, func(buf int) {
-						node.Host.DeviceWriteChunk(buf, len(data), true)
-					})
-				}
-				if throttle != nil {
-					// Throttled device: pages cross the cap with the
-					// host command overhead added.
-					throttle.Transfer(len(data)+HostCmdOverheadBytes, deliver)
-					return
-				}
-				deliver()
-			})
-		}
-		step()
-	}
-	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("lsh: %d host-flash threads never finished", remaining)
-	}
-	finishResult(res, c.Eng.Now()-start)
-	return res, nil
+			// PCIe DMA to the host, then software compare.
+			deliver := func() {
+				node.Host.PageUp(len(data), func() { s.onThread(ths[lane], ids[i], data, next) })
+			}
+			if throttle != nil {
+				// Throttled device: pages cross the cap with the
+				// host command overhead added.
+				throttle.Transfer(len(data)+HostCmdOverheadBytes, deliver)
+				return
+			}
+			deliver()
+		})
+	})
 }
 
 // SecondaryDev abstracts the slow tier of a mixed DRAM working set.
@@ -255,10 +197,6 @@ func RunMixedDRAM(eng *sim.Engine, cpu *hostmodel.CPU, dev SecondaryDev,
 	items map[int][]byte, candidates []int, query []byte, threads, pctSecondary int,
 	seed uint64) (*Result, error) {
 
-	res := &Result{BestID: -1, BestDist: int(^uint(0) >> 1)}
-	if threads <= 0 {
-		threads = 1
-	}
 	rng := sim.NewRNG(seed)
 	// Pre-draw which accesses miss, so thread interleaving cannot
 	// change the workload.
@@ -266,59 +204,24 @@ func RunMixedDRAM(eng *sim.Engine, cpu *hostmodel.CPU, dev SecondaryDev,
 	for i := range miss {
 		miss[i] = rng.Intn(100) < pctSecondary
 	}
-	start := eng.Now()
-	next := 0
-	remaining := 0
-	var devErr error
-	for w := 0; w < threads; w++ {
-		th := cpu.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(candidates) {
-				remaining--
-				return
-			}
-			i := next
-			next++
-			id := candidates[i]
-			item := items[id]
-			compare := func() {
-				th.Do(HammingCPUPerPage, func() {
-					d := HammingDistance(query, item)
-					if d < res.BestDist || (d == res.BestDist && id < res.BestID) {
-						res.BestID, res.BestDist = id, d
-					}
-					res.Comparisons++
-					step()
-				})
-			}
-			if miss[i] {
-				dev.Read(len(item), false, func(err error) {
-					if err != nil {
-						if devErr == nil {
-							devErr = err
-						}
-						remaining--
-						return
-					}
-					eng.After(FaultPenalty, compare)
-				})
-				return
-			}
+	s := newScan(query)
+	ths := cpu.NewThreads(threads)
+	return s.run(eng, "mixed DRAM", len(candidates), len(ths), func(lane, i int, next func()) {
+		id := candidates[i]
+		item := items[id]
+		compare := func() { s.onThread(ths[lane], id, item, next) }
+		if !miss[i] {
 			cpu.ReadDRAM(len(item), compare)
+			return
 		}
-		step()
-	}
-	eng.Run()
-	if devErr != nil {
-		return nil, fmt.Errorf("lsh: secondary device: %w", devErr)
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("lsh: %d mixed threads never finished", remaining)
-	}
-	finishResult(res, eng.Now()-start)
-	return res, nil
+		dev.Read(len(item), false, func(err error) {
+			if err != nil {
+				s.fail(err)
+				return
+			}
+			eng.After(FaultPenalty, compare)
+		})
+	})
 }
 
 // RunSSD is Figure 18's off-the-shelf configuration: host threads read
@@ -328,55 +231,17 @@ func RunSSD(eng *sim.Engine, cpu *hostmodel.CPU, ssd *altstore.SSD,
 	items map[int][]byte, candidates []int, query []byte, threads int,
 	sequential bool) (*Result, error) {
 
-	res := &Result{BestID: -1, BestDist: int(^uint(0) >> 1)}
-	if threads <= 0 {
-		threads = 1
-	}
-	start := eng.Now()
-	next := 0
-	remaining := 0
-	var devErr error
-	for w := 0; w < threads; w++ {
-		th := cpu.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(candidates) {
-				remaining--
+	s := newScan(query)
+	ths := cpu.NewThreads(threads)
+	return s.run(eng, "SSD", len(candidates), len(ths), func(lane, i int, next func()) {
+		id := candidates[i]
+		item := items[id]
+		ssd.Read(len(item), sequential, func(err error) {
+			if err != nil {
+				s.fail(err)
 				return
 			}
-			id := candidates[next]
-			next++
-			item := items[id]
-			ssd.Read(len(item), sequential, func(err error) {
-				if err != nil {
-					if devErr == nil {
-						devErr = err
-					}
-					remaining--
-					return
-				}
-				eng.After(ReadSyscallOverhead, func() {
-					th.Do(HammingCPUPerPage, func() {
-						d := HammingDistance(query, item)
-						if d < res.BestDist || (d == res.BestDist && id < res.BestID) {
-							res.BestID, res.BestDist = id, d
-						}
-						res.Comparisons++
-						step()
-					})
-				})
-			})
-		}
-		step()
-	}
-	eng.Run()
-	if devErr != nil {
-		return nil, fmt.Errorf("lsh: SSD: %w", devErr)
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("lsh: %d SSD threads never finished", remaining)
-	}
-	finishResult(res, eng.Now()-start)
-	return res, nil
+			eng.After(ReadSyscallOverhead, func() { s.onThread(ths[lane], id, item, next) })
+		})
+	})
 }

@@ -4,7 +4,9 @@
 // shuffle rides the integrated storage network directly from storage
 // device to storage device — host software only sees the final
 // reduced results. The demonstration job is word count over text
-// shards.
+// shards. A node's map phase is one sim.Lanes over its shard (engines x
+// window lanes), and its join is the shuffle: the partials leave at the
+// instant the shard's last page is mapped.
 package mapreduce
 
 import (
@@ -153,52 +155,27 @@ func WordCount(c *core.Cluster, cfg Config) (*Result, error) {
 		for p := range partials {
 			partials[p] = &partial{part: p, counts: make(map[string]int64)}
 		}
-		next := 0
-		liveEngines := engines
-		shuffle := func() {
+		sim.Lanes(cfg.PagesPerNode, engines*window, func(_, i int, next func()) {
+			a := core.LinearPage(c.Params, n, i)
+			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+				if err == nil {
+					// The map engine tokenizes at stream rate.
+					tokenize(data, func(w string) {
+						partials[hashWord(w, cfg.Reducers)].counts[w]++
+					})
+					res.PagesMapped++
+				}
+				next()
+			})
+		}, func() {
+			// The shard is mapped: shuffle its partials.
 			for _, pt := range partials {
 				dst := fabric.NodeID(pt.part % nodes)
 				if err := eps[n].Send(dst, pt.wireSize(), pt, nil); err != nil {
 					panic(fmt.Sprintf("mapreduce: shuffle send: %v", err))
 				}
 			}
-		}
-		for e := 0; e < engines; e++ {
-			inflight := 0
-			engineDone := false
-			var pump func()
-			maybeFinish := func() {
-				if !engineDone && inflight == 0 && next >= cfg.PagesPerNode {
-					engineDone = true
-					liveEngines--
-					if liveEngines == 0 {
-						shuffle()
-					}
-				}
-			}
-			pump = func() {
-				for inflight < window && next < cfg.PagesPerNode {
-					i := next
-					next++
-					inflight++
-					a := core.LinearPage(c.Params, n, i)
-					node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
-						if err == nil {
-							// The map engine tokenizes at stream rate.
-							tokenize(data, func(w string) {
-								partials[hashWord(w, cfg.Reducers)].counts[w]++
-							})
-							res.PagesMapped++
-						}
-						inflight--
-						pump()
-						maybeFinish()
-					})
-				}
-			}
-			pump()
-			maybeFinish()
-		}
+		})
 	}
 	c.Run()
 

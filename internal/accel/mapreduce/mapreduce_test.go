@@ -132,3 +132,24 @@ func TestMapScalesWithNodes(t *testing.T) {
 		t.Fatalf("4 nodes (%.0f words/s) should roughly double 2 nodes (%.0f)", r4, r2)
 	}
 }
+
+// The job's schedule, pinned: no figure or artifact runs WordCount.
+// Each shard has more pages than engines x window (32), so every node's
+// map phase refills its lanes, and the shuffle starts at the instant
+// the last page of a shard is mapped. The values were recorded before
+// the runner moved onto sim.Lanes.
+func TestWordCountTimingPinned(t *testing.T) {
+	c := mrCluster(t, 4)
+	res, err := WordCount(c, Config{PagesPerNode: 48, Reducers: 6, Gen: shardGen(41)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words int64
+	for _, v := range res.Counts {
+		words += v
+	}
+	if res.Elapsed != 229832 || res.BytesShuffled != 3176 || res.PagesMapped != 192 || words != 202163 {
+		t.Errorf("WordCount: elapsed %d ns, %d B shuffled, %d pages, %d words",
+			int64(res.Elapsed), res.BytesShuffled, res.PagesMapped, words)
+	}
+}

@@ -5,6 +5,11 @@
 // addresses from the file system, and receives only match locations —
 // the scan itself runs next to the flash at full device bandwidth with
 // near-zero host CPU.
+//
+// A scanner carries state from page to page, so the runners
+// (runner.go) give every engine, and every software shard, a private
+// contiguous page range and run one sim.Lanes over each: readWindow
+// lanes for an engine, one for a shard's thread.
 package search
 
 import (

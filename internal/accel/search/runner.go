@@ -115,42 +115,24 @@ func SearchISP(c *core.Cluster, nodeID, card int, f *rfs.File, needle []byte) (*
 		sc := pat.NewScanner()
 		sc.Reset(segStart)
 		remaining++
-
-		next := firstPage // next page index to request
-		inflight := 0
-		var pump func()
-		var finish func()
-		finish = func() {
-			remaining--
-		}
-		pump = func() {
-			for inflight < readWindow && next < overlapEnd {
-				idx := next
-				next++
-				inflight++
-				iface.ReadPhysical(addrs[idx], func(data []byte, err error) {
-					inflight--
-					if err != nil {
-						// A failed page is skipped (its matches are lost);
-						// hardware would report it out of band.
-						sc.Reset(int64(idx+1) * int64(pageSize))
-					} else {
-						// The MP engine scans at line rate: no extra time.
-						sc.Feed(data, func(pos int64) {
-							if pos >= segStart && pos < segLimit {
-								all = append(all, pos)
-							}
-						})
-					}
-					if inflight == 0 && next >= overlapEnd {
-						finish()
-						return
-					}
-					pump()
-				})
-			}
-		}
-		pump()
+		sim.Lanes(overlapEnd-firstPage, readWindow, func(_, i int, next func()) {
+			idx := firstPage + i
+			iface.ReadPhysical(addrs[idx], func(data []byte, err error) {
+				if err != nil {
+					// A failed page is skipped (its matches are lost);
+					// hardware would report it out of band.
+					sc.Reset(int64(idx+1) * int64(pageSize))
+				} else {
+					// The MP engine scans at line rate: no extra time.
+					sc.Feed(data, func(pos int64) {
+						if pos >= segStart && pos < segLimit {
+							all = append(all, pos)
+						}
+					})
+				}
+				next()
+			})
+		}, func() { remaining-- })
 	}
 	c.Run()
 	if remaining != 0 {
@@ -202,18 +184,10 @@ func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev DeviceReader,
 	if err != nil {
 		return nil, err
 	}
-	if threads <= 0 {
-		threads = 1
-	}
-	workers := make([]*hostmodel.Thread, threads)
-	scanners := make([]*Scanner, threads)
-	for i := range workers {
-		workers[i] = cpu.NewThread()
-		scanners[i] = pat.NewScanner()
-	}
+	workers := cpu.NewThreads(threads)
 	// Page i belongs to worker i%threads; give each scanner a stride-
 	// aware offset by scanning page-contiguous shards.
-	perShard := (pages + threads - 1) / threads
+	perShard := (pages + len(workers) - 1) / len(workers)
 
 	var all []int64
 	start := eng.Now()
@@ -221,7 +195,7 @@ func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev DeviceReader,
 	var devErr error
 	cost := sim.Time(pageSize) * GrepCPUPerByte * sim.Nanosecond
 
-	for w := 0; w < threads; w++ {
+	for w, th := range workers {
 		first := w * perShard
 		if first >= pages {
 			break
@@ -238,42 +212,33 @@ func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev DeviceReader,
 			overlapEnd++
 		}
 		segLimit := int64(last) * int64(pageSize)
-		sc := scanners[w]
+		sc := pat.NewScanner()
 		sc.Reset(int64(first) * int64(pageSize))
-		th := workers[w]
 		remaining++
-		idx := first
-		var step func()
-		step = func() {
-			if idx >= overlapEnd {
-				remaining--
-				return
-			}
-			myIdx := idx
-			idx++
+		sim.Lanes(overlapEnd-first, 1, func(_, i int, next func()) {
+			idx := first + i
 			dev.Read(pageSize, true, func(err error) {
 				if err != nil {
+					// The shard stops here and never joins.
 					if devErr == nil {
 						devErr = err
 					}
-					remaining--
 					return
 				}
 				th.Do(cost, func() {
 					page := make([]byte, pageSize)
 					if gen != nil {
-						gen(myIdx, page)
+						gen(idx, page)
 					}
 					sc.Feed(page, func(pos int64) {
 						if pos < segLimit {
 							all = append(all, pos)
 						}
 					})
-					step()
+					next()
 				})
 			})
-		}
-		step()
+		}, func() { remaining-- })
 	}
 	eng.Run()
 	if devErr != nil {

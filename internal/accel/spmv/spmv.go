@@ -7,7 +7,9 @@
 // at flash bandwidth with no host involvement.
 //
 // Values are int64 (fixed-point), which is what an FPGA datapath would
-// use and keeps the simulation exact.
+// use and keeps the simulation exact. Both multiplies are a body over
+// sim.Lanes: engines x window lanes in-store, one lane per host thread
+// on the conventional path.
 package spmv
 
 import (
@@ -195,58 +197,31 @@ func MultiplyISP(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, 
 
 	const engines = 16
 	const window = 8
-	next := 0
-	remaining := 0
 	nnz := int64(0)
-	for e := 0; e < engines; e++ {
-		remaining++
-		inflight := 0
-		engineDone := false
-		var pump func()
-		maybeFinish := func() {
-			if !engineDone && inflight == 0 && next >= len(addrs) {
-				engineDone = true
-				remaining--
-			}
-		}
-		pump = func() {
-			for inflight < window && next < len(addrs) {
-				i := next
-				next++
-				inflight++
-				node.ISPRead(addrs[i], func(data []byte, err error) {
-					if err == nil {
-						if entries, derr := DecodePage(data); derr == nil {
-							// MAC units run at stream rate: no extra time.
-							for _, en := range entries {
-								y[en.row] += en.val * x[en.col]
-								nnz++
-							}
-						}
+	joined := false
+	sim.Lanes(len(addrs), engines*window, func(_, i int, next func()) {
+		node.ISPRead(addrs[i], func(data []byte, err error) {
+			if err == nil {
+				if entries, derr := DecodePage(data); derr == nil {
+					// MAC units run at stream rate: no extra time.
+					for _, en := range entries {
+						y[en.row] += en.val * x[en.col]
+						nnz++
 					}
-					inflight--
-					pump()
-					maybeFinish()
-				})
+				}
 			}
-		}
-		pump()
-		maybeFinish()
-	}
+			next()
+		})
+	}, func() { joined = true })
 	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("spmv: %d engines never finished", remaining)
+	if !joined {
+		return nil, fmt.Errorf("spmv: engines never finished")
 	}
 
 	// Dense result back to the host.
 	resBytes := 8 * m.Rows
 	returned := false
-	node.Host.AcquireReadBuffer(resBytes, func(buf int) {
-		node.Host.ReleaseReadBuffer(buf)
-		returned = true
-	}, func(buf int) {
-		node.Host.DeviceWriteChunk(buf, resBytes, true)
-	})
+	node.Host.PageUp(resBytes, func() { returned = true })
 	c.Run()
 	if !returned {
 		return nil, fmt.Errorf("spmv: result DMA never completed")
@@ -272,55 +247,37 @@ func MultiplyHost(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr,
 	}
 	node := c.Node(nodeID)
 	y := make([]int64, m.Rows)
-	if threads <= 0 {
-		threads = 1
-	}
+	ths := cpu.NewThreads(threads)
 	start := c.Eng.Now()
-	next := 0
-	remaining := 0
 	var nnz, toHost int64
-	for w := 0; w < threads; w++ {
-		th := cpu.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(addrs) {
-				remaining--
+	joined := false
+	sim.Lanes(len(addrs), len(ths), func(lane, i int, next func()) {
+		a := addrs[i]
+		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			if err != nil {
+				next()
 				return
 			}
-			i := next
-			next++
-			a := addrs[i]
-			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
-				if err != nil {
-					step()
+			node.Host.PageUp(len(data), func() {
+				toHost += int64(len(data))
+				entries, derr := DecodePage(data)
+				if derr != nil {
+					next()
 					return
 				}
-				node.Host.AcquireReadBuffer(len(data), func(buf int) {
-					node.Host.ReleaseReadBuffer(buf)
-					toHost += int64(len(data))
-					entries, derr := DecodePage(data)
-					if derr != nil {
-						step()
-						return
+				ths[lane].Do(sim.Time(len(entries))*macCPUPerNNZ, func() {
+					for _, en := range entries {
+						y[en.row] += en.val * x[en.col]
+						nnz++
 					}
-					th.Do(sim.Time(len(entries))*macCPUPerNNZ, func() {
-						for _, en := range entries {
-							y[en.row] += en.val * x[en.col]
-							nnz++
-						}
-						step()
-					})
-				}, func(buf int) {
-					node.Host.DeviceWriteChunk(buf, len(data), true)
+					next()
 				})
 			})
-		}
-		step()
-	}
+		})
+	}, func() { joined = true })
 	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("spmv: %d host threads never finished", remaining)
+	if !joined {
+		return nil, fmt.Errorf("spmv: host threads never finished")
 	}
 	res := &Result{Y: y, Elapsed: c.Eng.Now() - start, BytesToHost: toHost}
 	if res.Elapsed > 0 {

@@ -169,3 +169,53 @@ func TestDimensionChecks(t *testing.T) {
 		t.Fatal("empty matrix built")
 	}
 }
+
+func vectorDigest(y []int64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range y {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	return h
+}
+
+// The two runners' schedules, pinned: no figure or artifact runs them.
+// The matrix has more pages than engines x window (128), so the ISP
+// multiply refills its lanes. The values were recorded before the
+// runners moved onto sim.Lanes.
+func TestMultiplyTimingPinned(t *testing.T) {
+	x := denseVector(150, 6)
+
+	c := spmvCluster(t)
+	m, addrs, err := BuildRandom(c, 0, 8000, 150, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Pages() <= 128 {
+		t.Fatalf("matrix has %d pages, want more than 128", m.Pages())
+	}
+	isp, err := MultiplyISP(c, 0, m, addrs, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isp.Elapsed != 883715 || isp.BytesToHost != 64000 || vectorDigest(isp.Y) != 0x79df1a3e4c512aae {
+		t.Errorf("MultiplyISP: elapsed %d ns, %d B to host, digest %#x",
+			int64(isp.Elapsed), isp.BytesToHost, vectorDigest(isp.Y))
+	}
+
+	c = spmvCluster(t)
+	if m, addrs, err = BuildRandom(c, 0, 8000, 150, 12, 5); err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := hostmodel.New(c.Eng, "h", hostmodel.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := MultiplyHost(c, 0, m, addrs, x, cpu, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host.Elapsed != 3347192 || host.BytesToHost != 1540096 || vectorDigest(host.Y) != 0x79df1a3e4c512aae {
+		t.Errorf("MultiplyHost: elapsed %d ns, %d B to host, digest %#x",
+			int64(host.Elapsed), host.BytesToHost, vectorDigest(host.Y))
+	}
+}

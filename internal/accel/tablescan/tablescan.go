@@ -9,7 +9,9 @@
 // simple column comparisons the FPGA could evaluate at line rate. The
 // in-store scan reads the table at flash bandwidth and returns matches
 // only; the host baseline hauls every page over PCIe and filters in
-// software.
+// software. Both scans are a body over sim.Lanes — engines x window
+// lanes in-store, one lane per host thread — around the one FilterPage
+// kernel.
 package tablescan
 
 import (
@@ -208,6 +210,16 @@ func FilterPage(page []byte, pred Predicate) (matches []Record, rows int64, err 
 	return matches, int64(n), nil
 }
 
+// finish stamps a completed scan's timing.
+func (res *Result) finish(node *core.Node, start sim.Time) *Result {
+	res.Elapsed = node.Eng().Now() - start
+	if res.Elapsed > 0 {
+		res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
+	}
+	res.CPUUtil = node.CPU.Utilization()
+	return res
+}
+
 // ScanISP pushes the predicate into the storage device: in-store
 // engines stream the table's pages from flash, filter at line rate,
 // and DMA only matching records to the host.
@@ -216,67 +228,34 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 	res := &Result{}
 	const engines = 16
 	const window = 8
-	next := 0
-	remaining := 0
 	start := c.Eng.Now()
-
-	for e := 0; e < engines; e++ {
-		remaining++
-		inflight := 0
-		engineDone := false
-		var pump func()
-		maybeFinish := func() {
-			if !engineDone && inflight == 0 && next >= len(pages) {
-				engineDone = true
-				remaining--
+	joined := false
+	sim.Lanes(len(pages), engines*window, func(_, i int, next func()) {
+		node.ISPRead(pages[i], func(data []byte, err error) {
+			if err == nil {
+				if m, rows, derr := FilterPage(data, pred); derr == nil {
+					res.Rows += rows
+					res.Matches = append(res.Matches, m...)
+					res.BytesToHost += int64(len(m)) * RecordSize
+				}
 			}
-		}
-		pump = func() {
-			for inflight < window && next < len(pages) {
-				i := next
-				next++
-				inflight++
-				node.ISPRead(pages[i], func(data []byte, err error) {
-					if err == nil {
-						if m, rows, derr := FilterPage(data, pred); derr == nil {
-							res.Rows += rows
-							res.Matches = append(res.Matches, m...)
-							res.BytesToHost += int64(len(m)) * RecordSize
-						}
-					}
-					inflight--
-					pump()
-					maybeFinish()
-				})
-			}
-		}
-		pump()
-		maybeFinish()
-	}
+			next()
+		})
+	}, func() { joined = true })
 	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("tablescan: %d ISP engines never finished", remaining)
+	if !joined {
+		return nil, fmt.Errorf("tablescan: ISP engines never finished")
 	}
 	// Matches DMA to the host as one stream (usually tiny).
 	if res.BytesToHost > 0 {
-		done := false
-		node.Host.AcquireReadBuffer(int(res.BytesToHost), func(buf int) {
-			node.Host.ReleaseReadBuffer(buf)
-			done = true
-		}, func(buf int) {
-			node.Host.DeviceWriteChunk(buf, int(res.BytesToHost), true)
-		})
+		landed := false
+		node.Host.PageUp(int(res.BytesToHost), func() { landed = true })
 		c.Run()
-		if !done {
+		if !landed {
 			return nil, fmt.Errorf("tablescan: match DMA never completed")
 		}
 	}
-	res.Elapsed = c.Eng.Now() - start
-	if res.Elapsed > 0 {
-		res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
-	}
-	res.CPUUtil = node.CPU.Utilization()
-	return res, nil
+	return res.finish(node, start), nil
 }
 
 // ScanHost is the conventional path: every table page crosses PCIe and
@@ -284,60 +263,36 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate, threads int) (*Result, error) {
 	node := c.Node(nodeID)
 	res := &Result{}
-	if threads <= 0 {
-		threads = 1
-	}
-	next := 0
-	remaining := 0
+	ths := node.CPU.NewThreads(threads)
 	start := c.Eng.Now()
 	rowsPerPage := RecordsPerPage(c.Params.PageSize())
 	pageCost := sim.Time(rowsPerPage) * HostFilterCPUPerRow
-
-	for w := 0; w < threads; w++ {
-		th := node.CPU.NewThread()
-		remaining++
-		var step func()
-		step = func() {
-			if next >= len(pages) {
-				remaining--
+	joined := false
+	sim.Lanes(len(pages), len(ths), func(lane, i int, next func()) {
+		a := pages[i]
+		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			if err != nil {
+				next()
 				return
 			}
-			i := next
-			next++
-			a := pages[i]
-			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
-				if err != nil {
-					step()
-					return
-				}
-				// Page DMA to host, then software filtering.
-				node.Host.AcquireReadBuffer(len(data), func(buf int) {
-					node.Host.ReleaseReadBuffer(buf)
-					res.BytesToHost += int64(len(data))
-					th.Do(pageCost, func() {
-						if m, rows, derr := FilterPage(data, pred); derr == nil {
-							res.Rows += rows
-							res.Matches = append(res.Matches, m...)
-						}
-						step()
-					})
-				}, func(buf int) {
-					node.Host.DeviceWriteChunk(buf, len(data), true)
+			// Page DMA to host, then software filtering.
+			node.Host.PageUp(len(data), func() {
+				res.BytesToHost += int64(len(data))
+				ths[lane].Do(pageCost, func() {
+					if m, rows, derr := FilterPage(data, pred); derr == nil {
+						res.Rows += rows
+						res.Matches = append(res.Matches, m...)
+					}
+					next()
 				})
 			})
-		}
-		step()
-	}
+		})
+	}, func() { joined = true })
 	c.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("tablescan: %d host threads never finished", remaining)
+	if !joined {
+		return nil, fmt.Errorf("tablescan: host threads never finished")
 	}
-	res.Elapsed = c.Eng.Now() - start
-	if res.Elapsed > 0 {
-		res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
-	}
-	res.CPUUtil = node.CPU.Utilization()
-	return res, nil
+	return res.finish(node, start), nil
 }
 
 // BuildTable seeds `pages` pages of synthetic rows on a node and

@@ -269,3 +269,49 @@ func TestBuildTableDeterministic(t *testing.T) {
 	}
 	_ = sim.Microsecond
 }
+
+// matchDigest folds the matches' ids in the order the scan produced
+// them, so a change in page completion order shows.
+func matchDigest(ms []Record) uint64 {
+	h := uint64(14695981039346656037)
+	for _, m := range ms {
+		h = (h ^ m.ID) * 1099511628211
+	}
+	return h
+}
+
+// The two runners' schedules, pinned: no figure or artifact runs them.
+// More pages than engines x window (128), so the ISP scan refills its
+// lanes, and more than the host threads can take at once. The values
+// were recorded before the runners moved onto sim.Lanes.
+func TestScanTimingPinned(t *testing.T) {
+	pred := Predicate{Col: ColB, Op: OpLT, Value: 5}
+	const pages = 200
+
+	c := scanCluster(t)
+	addrs, err := BuildTable(c, 0, pages, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isp, err := ScanISP(c, 0, addrs, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isp.Elapsed != 883435 || isp.Rows != 25400 || isp.BytesToHost != 84032 || matchDigest(isp.Matches) != 0xa5d6aebd08a5f1ea {
+		t.Errorf("ScanISP: elapsed %d ns, %d rows, %d B to host, digest %#x",
+			int64(isp.Elapsed), isp.Rows, isp.BytesToHost, matchDigest(isp.Matches))
+	}
+
+	c = scanCluster(t)
+	if addrs, err = BuildTable(c, 0, pages, 23); err != nil {
+		t.Fatal(err)
+	}
+	host, err := ScanHost(c, 0, addrs, pred, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host.Elapsed != 3677950 || host.Rows != 25400 || host.BytesToHost != 1638400 || matchDigest(host.Matches) != 0x924ea259e1979bd4 {
+		t.Errorf("ScanHost: elapsed %d ns, %d rows, %d B to host, digest %#x",
+			int64(host.Elapsed), host.Rows, host.BytesToHost, matchDigest(host.Matches))
+	}
+}

@@ -435,8 +435,7 @@ type HostRouter func(node int, req HostReq) error
 // read; a is the page anywhere in the cluster. The router owns the
 // completion: cb fires exactly once (with the page data or an error),
 // and admission backpressure is absorbed inside the router, because
-// ISP engine pump loops predate the scheduler and never handled
-// admission errors.
+// ISPRead has no error return for an engine to be refused through.
 type AccelRouter func(origin int, a PageAddr, cb func(data []byte, err error))
 
 // SubmitHostBatch issues a group of host requests paying the storage
@@ -690,14 +689,11 @@ func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []b
 					return
 				}
 				// DMA the page into a host read buffer; interrupt.
-				n.Host.AcquireReadBuffer(len(data), func(buf int) {
+				n.Host.PageUp(len(data), func() {
 					if tr != nil {
 						tr.Software += h.InterruptLatency
 					}
-					n.Host.ReleaseReadBuffer(buf)
 					finish(data, nil)
-				}, func(buf int) {
-					n.Host.DeviceWriteChunk(buf, len(data), true)
 				})
 			}
 			switch {

@@ -97,14 +97,11 @@ func fig13HostLocal() (float64, error) {
 					pump()
 					return
 				}
-				node.Host.AcquireReadBuffer(len(data), func(buf int) {
-					node.Host.ReleaseReadBuffer(buf)
+				node.Host.PageUp(len(data), func() {
 					if c.Eng.Now() < deadline {
 						delivered++
 					}
 					pump()
-				}, func(buf int) {
-					node.Host.DeviceWriteChunk(buf, len(data), true)
 				})
 			})
 		}

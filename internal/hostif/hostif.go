@@ -286,6 +286,18 @@ func (h *HostIf) ReleaseReadBuffer(buf int) {
 	h.readFree.Release(1)
 }
 
+// PageUp moves size bytes that are complete on the device — a flash
+// page, an engine's result — into host memory: a read buffer, the DMA,
+// the completion interrupt, and the buffer goes back as done runs
+// host-side. It is the whole of AcquireReadBuffer, DeviceWriteChunk and
+// ReleaseReadBuffer for a producer with nothing to interleave.
+func (h *HostIf) PageUp(size int, done func()) {
+	h.AcquireReadBuffer(size, func(buf int) {
+		h.ReleaseReadBuffer(buf)
+		done()
+	}, func(buf int) { h.DeviceWriteChunk(buf, size, true) })
+}
+
 // --- host -> device (write) path ------------------------------------
 
 // AcquireWriteBuffer grants a free write-buffer index (the host then

@@ -367,3 +367,54 @@ func TestWaitersMatchTheirGrants(t *testing.T) {
 		t.Fatalf("a round of waits allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestPageUpIsTheHandWrittenTriple: a burst of page and result DMAs —
+// more than there are read buffers, so some wait for a grant — issued
+// through PageUp and through the AcquireReadBuffer / DeviceWriteChunk /
+// ReleaseReadBuffer triple its callers used to write out must land at
+// the same instants, see the same number of free buffers in every
+// completion, and leave every buffer free.
+func TestPageUpIsTheHandWrittenTriple(t *testing.T) {
+	type landing struct {
+		at   sim.Time
+		free int
+	}
+	sizes := make([]int, 300)
+	for i := range sizes {
+		sizes[i] = []int{8192, 16, 700, 8192, 24576}[i%5]
+	}
+	run := func(up func(h *HostIf, size int, done func())) ([]landing, *HostIf) {
+		eng, h := newIf(t)
+		got := make([]landing, len(sizes))
+		for i, size := range sizes {
+			eng.After(sim.Time(i/50)*sim.Microsecond, func() {
+				up(h, size, func() { got[i] = landing{eng.Now(), h.FreeReadBuffers()} })
+			})
+		}
+		eng.Run()
+		return got, h
+	}
+	want, hw := run(func(h *HostIf, size int, done func()) {
+		h.AcquireReadBuffer(size, func(buf int) {
+			h.ReleaseReadBuffer(buf)
+			done()
+		}, func(buf int) {
+			h.DeviceWriteChunk(buf, size, true)
+		})
+	})
+	got, hg := run(func(h *HostIf, size int, done func()) { h.PageUp(size, done) })
+	for i := range want {
+		if want[i].at == 0 {
+			t.Fatalf("transfer %d never landed through the triple", i)
+		}
+		if got[i] != want[i] {
+			t.Fatalf("transfer %d: PageUp landed at %v with %d buffers free, the triple at %v with %d",
+				i, got[i].at, got[i].free, want[i].at, want[i].free)
+		}
+	}
+	for _, h := range []*HostIf{hw, hg} {
+		if h.FreeReadBuffers() != h.Config().ReadBuffers || h.PagesUp.Value() != int64(len(sizes)) {
+			t.Fatalf("%d of %d buffers free after %d pages up", h.FreeReadBuffers(), h.Config().ReadBuffers, h.PagesUp.Value())
+		}
+	}
+}

@@ -135,6 +135,16 @@ func (c *CPU) NewThread() *Thread {
 	return t
 }
 
+// NewThreads creates n idle threads, one when n is zero or negative: a
+// pool of software workers as the thread sweeps size it.
+func (c *CPU) NewThreads(n int) []*Thread {
+	ths := make([]*Thread, max(n, 1))
+	for i := range ths {
+		ths[i] = c.NewThread()
+	}
+	return ths
+}
+
 // Do queues fn to run after cost of compute. Ops on one thread are
 // strictly serial.
 func (t *Thread) Do(cost sim.Time, fn func()) {

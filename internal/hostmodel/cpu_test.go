@@ -134,3 +134,30 @@ func TestStatsZeroTimeIsFinite(t *testing.T) {
 		t.Fatalf("self-delta %+v, want zero", d)
 	}
 }
+
+// TestNewThreadsSizesTheWorkerPool: n independent threads, and one when
+// the caller asks for none — the clamp every thread sweep used to carry.
+func TestNewThreadsSizesTheWorkerPool(t *testing.T) {
+	eng := sim.NewEngine()
+	cpu, err := New(eng, "h", DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-2, 0} {
+		if got := len(cpu.NewThreads(n)); got != 1 {
+			t.Fatalf("NewThreads(%d) made %d threads, want 1", n, got)
+		}
+	}
+	ths := cpu.NewThreads(4)
+	if len(ths) != 4 {
+		t.Fatalf("NewThreads(4) made %d threads", len(ths))
+	}
+	done := 0
+	for _, th := range ths {
+		th.Do(10*sim.Microsecond, func() { done++ })
+	}
+	eng.Run()
+	if done != 4 || eng.Now() != 10*sim.Microsecond {
+		t.Fatalf("%d of 4 items done at %v: the threads did not run side by side", done, eng.Now())
+	}
+}

@@ -1,31 +1,22 @@
-// Package isp is the in-store processor framework (paper §3, §4): the
-// hardware-software codesign surface on which user-defined processing
-// engines are built. An engine is given the node's four services —
-// flash interface, network interface, host interface, and DRAM buffer
-// (Figure 2) — via core.Node, and is driven by requests from host
-// software.
+// Package isp is the unit scheduler of the in-store processor
+// framework (paper §3, §4). Engines themselves are not a type here:
+// an engine is a worker loop (sim.Lanes) over a node's flash reads,
+// written where its kernel lives — internal/accel/* for the
+// single-node runners, internal/ispvol for the distributed executor —
+// and given the node's services (flash, network, host interface, DRAM
+// buffer; Figure 2) through core.Node.
 //
 // Because multiple application instances compete for a finite number
-// of hardware acceleration units, the package also provides the
-// FIFO request scheduler the paper describes in §4.
+// of hardware acceleration units, this package provides the FIFO
+// request scheduler the paper describes in §4: an engine holds one unit
+// from its grant until it has joined.
 package isp
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
-
-// Engine is a user-defined in-store processing engine. Engines are
-// instantiated per node (like bitstreams loaded into that node's
-// FPGA fabric) and serve requests submitted through a Scheduler.
-type Engine interface {
-	// Name identifies the engine type (for diagnostics).
-	Name() string
-	// Attach binds the engine to a node's services. Called once.
-	Attach(node *core.Node) error
-}
 
 // Scheduler assigns hardware acceleration units to competing user
 // applications with a simple FIFO policy (paper §4).

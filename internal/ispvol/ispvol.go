@@ -99,7 +99,7 @@ type Config struct {
 	// Window is each engine's in-flight flash read depth. Default 8.
 	Window int
 	// RetryDelay is the backoff before re-admitting a read that hit
-	// scheduler backpressure. Default 5 µs.
+	// scheduler backpressure. Default 5 µs (sched.NewRetrier's).
 	RetryDelay sim.Time
 	// Admission selects the engine data path (see Admission).
 	Admission Admission
@@ -130,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 8
 	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 5 * sim.Microsecond
-	}
 	if c.HostThreads <= 0 {
 		c.HostThreads = 8
 	}
@@ -141,9 +138,10 @@ func (c Config) withDefaults() Config {
 
 // System is the distributed ISP runtime over one cluster + volume.
 type System struct {
-	c   *core.Cluster
-	v   *volume.Volume
-	cfg Config
+	c     *core.Cluster
+	v     *volume.Volume
+	cfg   Config
+	retry *sched.Retrier // absorbs Accel admission backpressure for every engine
 
 	nodes     []*nodeISP
 	pending   map[uint64]queryState
@@ -177,14 +175,14 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	if cfg.HostClass >= sched.Accel {
 		return nil, fmt.Errorf("ispvol: host-mediated class %v not usable by tenants", cfg.HostClass)
 	}
-	sys := &System{c: c, v: v, cfg: cfg, pending: make(map[uint64]queryState)}
+	sys := &System{c: c, v: v, cfg: cfg, retry: s.NewRetrier(cfg.RetryDelay), pending: make(map[uint64]queryState)}
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)
 		units, err := isp.NewScheduler(fmt.Sprintf("isp-n%d", i), cfg.UnitsPerNode)
 		if err != nil {
 			return nil, err
 		}
-		st, err := s.NewAccelStream(fmt.Sprintf("isp-n%d", i), i)
+		st, err := s.NewAccelStream(i)
 		if err != nil {
 			return nil, err
 		}
@@ -283,16 +281,7 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 		sys.nodes[n].node.ISPReadDirect(ref.addr, cb)
 		return
 	}
-	st := sys.nodes[n].stream
-	var try func()
-	try = func() {
-		if err := st.Read(ref.addr, cb); err == sched.ErrBackpressure {
-			sys.c.Eng.After(sys.cfg.RetryDelay, try)
-		} else if err != nil {
-			cb(nil, err)
-		}
-	}
-	try()
+	sys.retry.AccelRead(sys.nodes[n].stream, ref.addr, cb)
 }
 
 // runEngine claims one acceleration unit on node n, streams refs
@@ -302,31 +291,15 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 func (sys *System) runEngine(n int, refs []pageRef, scan func(ref pageRef, data []byte, err error), done func()) {
 	refs = chipInterleave(refs)
 	sys.nodes[n].units.Submit(func(unitDone func()) {
-		if len(refs) == 0 {
+		sim.Lanes(len(refs), sys.cfg.Window, func(_, i int, next func()) {
+			sys.readPage(n, refs[i], func(data []byte, err error) {
+				scan(refs[i], data, err)
+				next()
+			})
+		}, func() {
 			unitDone()
 			done()
-			return
-		}
-		next, inflight := 0, 0
-		var pump func()
-		pump = func() {
-			for inflight < sys.cfg.Window && next < len(refs) {
-				i := next
-				next++
-				inflight++
-				sys.readPage(n, refs[i], func(data []byte, err error) {
-					scan(refs[i], data, err)
-					inflight--
-					if inflight == 0 && next >= len(refs) {
-						unitDone()
-						done()
-						return
-					}
-					pump()
-				})
-			}
-		}
-		pump()
+		})
 	})
 }
 
@@ -357,13 +330,7 @@ func (sys *System) dmaToHost(origin, size int, cb func()) {
 		cb()
 		return
 	}
-	h := sys.nodes[origin].node.Host
-	h.AcquireReadBuffer(size, func(buf int) {
-		h.ReleaseReadBuffer(buf)
-		cb()
-	}, func(buf int) {
-		h.DeviceWriteChunk(buf, size, true)
-	})
+	sys.nodes[origin].node.Host.PageUp(size, cb)
 }
 
 // Sync starts one asynchronous query (a closure over Search,

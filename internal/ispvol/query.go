@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hostmodel"
 	"repro/internal/rfs"
 	"repro/internal/sim"
 	"repro/internal/volume"
@@ -326,59 +325,30 @@ func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 	sys := q.sys
 	pages := q.st.pages
 	p := q.k.newPartial(q.st.ps)
-	finish := func() {
+	workers := sys.c.Node(q.origin).CPU.NewThreads(sys.cfg.HostThreads)
+	cost := q.k.hostCost(q.st.ps)
+	sim.Lanes(pages, sys.cfg.UnitsPerNode*sys.cfg.Window, func(_, i int, next func()) {
+		page := i
+		if idx != nil {
+			page = idx[i]
+		}
+		read(page, func(data []byte, err error) {
+			if err != nil {
+				q.st.failed++
+				next()
+				return
+			}
+			q.st.toHost += int64(len(data))
+			workers[i%len(workers)].Do(cost, func() {
+				if !p.scan(pageRef{qidx: i}, data) {
+					q.st.failed++
+				}
+				next()
+			})
+		})
+	}, func() {
 		q.k.merge(p)
 		q.k.finish(pages, q.st.ps)
 		q.complete()
-	}
-	if pages == 0 {
-		finish()
-		return
-	}
-	cpu := sys.c.Node(q.origin).CPU
-	workers := make([]*hostmodel.Thread, sys.cfg.HostThreads)
-	for i := range workers {
-		workers[i] = cpu.NewThread()
-	}
-	cost := q.k.hostCost(q.st.ps)
-	depth := sys.cfg.UnitsPerNode * sys.cfg.Window
-	if depth > pages {
-		depth = pages
-	}
-	next, inflight := 0, 0
-	var pump func()
-	slotDone := func() {
-		inflight--
-		if inflight == 0 && next >= pages {
-			finish()
-			return
-		}
-		pump()
-	}
-	pump = func() {
-		for inflight < depth && next < pages {
-			i := next
-			next++
-			inflight++
-			page := i
-			if idx != nil {
-				page = idx[i]
-			}
-			read(page, func(data []byte, err error) {
-				if err != nil {
-					q.st.failed++
-					slotDone()
-					return
-				}
-				q.st.toHost += int64(len(data))
-				workers[i%len(workers)].Do(cost, func() {
-					if !p.scan(pageRef{qidx: i}, data) {
-						q.st.failed++
-					}
-					slotDone()
-				})
-			})
-		}
-	}
-	pump()
+	})
 }

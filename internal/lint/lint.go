@@ -420,14 +420,3 @@ func sortDiags(diags []Diagnostic) {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return (&Snapshot{Pkgs: pkgs}).Run(analyzers)
 }
-
-// Lint loads the packages matching patterns under the module rooted at
-// root and runs the whole AST suite — the one-call form used by
-// cmd/simlint and the repo's own clean-tree test.
-func Lint(root string, patterns ...string) ([]Diagnostic, error) {
-	snap, err := LoadSnapshot(root, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Run(Analyzers()), nil
-}

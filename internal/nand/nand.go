@@ -155,17 +155,6 @@ type Reliability struct {
 	ReadDisturb float64
 }
 
-// DefaultReliability returns MLC-flash-like numbers, scaled so that
-// tests exercise the ECC path without dominating runtime.
-func DefaultReliability() Reliability {
-	return Reliability{
-		BitErrorRate:        1e-7,
-		EnduranceCycles:     3000,
-		WearOutProb:         0.05,
-		FactoryBadBlockProb: 0.001,
-	}
-}
-
 // Addr names a page (or block, with Page ignored) on one card.
 type Addr struct {
 	Bus, Chip, Block, Page int

@@ -232,7 +232,7 @@ func TestClusterPhysicalAddrsMatchEngineReads(t *testing.T) {
 	if len(addrs) != pages {
 		t.Fatalf("addrs = %d", len(addrs))
 	}
-	st, err := s.NewAccelStream("engine", 0)
+	st, err := s.NewAccelStream(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -21,7 +22,6 @@ import (
 // the ISP data path keeps the paper's zero-host-involvement property.
 type AccelStream struct {
 	s      *Scheduler
-	name   string
 	origin int
 	closed bool
 
@@ -31,18 +31,16 @@ type AccelStream struct {
 
 // NewAccelStream opens a device-side ISP read stream issuing from
 // node origin's in-store processors.
-func (s *Scheduler) NewAccelStream(name string, origin int) (*AccelStream, error) {
+func (s *Scheduler) NewAccelStream(origin int) (*AccelStream, error) {
 	if origin < 0 || origin >= len(s.nodes) {
 		return nil, fmt.Errorf("sched: node %d out of range [0,%d)", origin, len(s.nodes))
 	}
-	return &AccelStream{s: s, name: name, origin: origin}, nil
+	return &AccelStream{s: s, origin: origin}, nil
 }
 
-// Name returns the stream name.
-func (st *AccelStream) Name() string { return st.name }
-
-// Origin returns the node whose in-store processors issue the reads.
-func (st *AccelStream) Origin() int { return st.origin }
+// errNoOwner fails a read whose page names a node outside the cluster.
+// It is a fixed value because Read sits under the Retrier's hot path.
+var errNoOwner = errors.New("sched: page owner is not a node of the cluster")
 
 // Read admits a physical page read anywhere in the cluster. cb fires
 // when the page data reaches the origin node's in-store processor (or
@@ -53,7 +51,7 @@ func (st *AccelStream) Read(a core.PageAddr, cb func(data []byte, err error)) er
 		return ErrClosed
 	}
 	if a.Node < 0 || a.Node >= len(st.s.nodes) {
-		return fmt.Errorf("sched: page owner %d out of range [0,%d)", a.Node, len(st.s.nodes))
+		return errNoOwner
 	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.accel = Accel, Accel, a, true
@@ -70,34 +68,23 @@ func (st *AccelStream) Read(a core.PageAddr, cb func(data []byte, err error)) er
 func (st *AccelStream) Close() { st.closed = true }
 
 // AttachAccelRouter installs this scheduler as the cluster's accel
-// router: subsequent core.Node.ISPRead calls — the path every legacy
-// in-store processor uses — are admitted through the Accel class
-// exactly like AccelStream reads, so no accelerator can bypass QoS
-// arbitration just by holding a *core.Node. Admission backpressure is
-// absorbed by retrying after retryDelay (default 5 µs when zero):
-// legacy ISP pump loops predate the scheduler and do not handle
-// admission errors. DetachAccelRouter removes the hook.
+// router: subsequent core.Node.ISPRead calls — the path the
+// single-node accelerator runners use — are admitted through the Accel
+// class exactly like AccelStream reads, because they are AccelStream
+// reads: the router keeps one stream per origin node and one Retrier,
+// so no accelerator can bypass QoS arbitration just by holding a
+// *core.Node. Admission backpressure is absorbed by the Retrier, which
+// admits again after retryDelay (default 5 µs when zero): an ISPRead
+// caller has no error return to refuse through. DetachAccelRouter
+// removes the hook.
 func (s *Scheduler) AttachAccelRouter(retryDelay sim.Time) {
-	if retryDelay <= 0 {
-		retryDelay = defaultRetryDelay
+	rt := s.NewRetrier(retryDelay)
+	streams := make([]*AccelStream, len(s.nodes))
+	for i := range streams {
+		streams[i] = &AccelStream{s: s, origin: i}
 	}
 	s.cluster.SetAccelRouter(func(origin int, a core.PageAddr, cb func(data []byte, err error)) {
-		if a.Node < 0 || a.Node >= len(s.nodes) {
-			cb(nil, fmt.Errorf("sched: page owner %d out of range [0,%d)", a.Node, len(s.nodes)))
-			return
-		}
-		var try func()
-		try = func() {
-			r := s.reqs.Get()
-			r.class, r.statClass, r.addr, r.accel = Accel, Accel, a, true
-			r.origin, r.enq, r.rcb = origin, s.eng.Now(), cb
-			if err := s.nodes[a.Node].admit(r); err == ErrBackpressure {
-				s.eng.After(retryDelay, try)
-			} else if err != nil {
-				cb(nil, err)
-			}
-		}
-		try()
+		rt.AccelRead(streams[origin], a, cb)
 	})
 }
 

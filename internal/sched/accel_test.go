@@ -19,7 +19,7 @@ func TestAccelStreamReadsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewAccelStream("engine", 0)
+	st, err := s.NewAccelStream(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewAccelStream("hog", 0)
+	st, err := s.NewAccelStream(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +219,94 @@ func TestAccelShareValidation(t *testing.T) {
 		if _, err := sched.New(c, cfg); err == nil {
 			t.Fatalf("accel share %v accepted", share)
 		}
+	}
+}
+
+// TestAccelReadRetriesLikeTheHandWrittenLoop: Retrier.AccelRead — the
+// one retry under ispvol's engines and the accel router — against the
+// closure both used to write out (admit; on ErrBackpressure, After
+// delay, admit again). A burst far deeper than the admission queue,
+// through the stream and through the router, must complete every read
+// at the same instant either way; the retrier counts the refusals it
+// absorbed and returns every op and request to its pool; a read of a
+// page no node owns fails through the callback.
+func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
+	const reads, delay = 96, 3 * sim.Microsecond
+	cfg := sched.DefaultConfig()
+	cfg.QueueDepth = 8
+	run := func(read func(c *core.Cluster, s *sched.Scheduler) func(a core.PageAddr, cb func([]byte, error))) []sim.Time {
+		c := testCluster(t, 2, 64)
+		s, err := sched.New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := read(c, s)
+		at := make([]sim.Time, reads)
+		for i := range at {
+			rd(core.LinearPage(c.Params, i%2, i%64), func(_ []byte, err error) {
+				if err != nil {
+					t.Errorf("read %d: %v", i, err)
+				}
+				at[i] = c.Eng.Now()
+			})
+		}
+		c.Run()
+		if out := s.PoolOut(); out != 0 {
+			t.Fatalf("%d requests out of the pool at drain", out)
+		}
+		return at
+	}
+	want := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
+		st, err := s.NewAccelStream(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(a core.PageAddr, cb func([]byte, error)) {
+			var try func()
+			try = func() {
+				if err := st.Read(a, cb); err == sched.ErrBackpressure {
+					c.Eng.After(delay, try)
+				} else if err != nil {
+					cb(nil, err)
+				}
+			}
+			try()
+		}
+	})
+	var rt *sched.Retrier
+	viaStream := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
+		st, err := s.NewAccelStream(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt = s.NewRetrier(delay)
+		return func(a core.PageAddr, cb func([]byte, error)) { rt.AccelRead(st, a, cb) }
+	})
+	viaRouter := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
+		s.AttachAccelRouter(delay)
+		return c.Node(0).ISPRead
+	})
+	for i := range want {
+		if want[i] == 0 || viaStream[i] != want[i] || viaRouter[i] != want[i] {
+			t.Fatalf("read %d: hand-written loop %v, AccelRead %v, router %v", i, want[i], viaStream[i], viaRouter[i])
+		}
+	}
+	if rt.Backpressure == 0 {
+		t.Fatal("test premise: the burst never met backpressure")
+	}
+	if out := rt.PoolOut(); out != 0 {
+		t.Fatalf("%d retry ops out of the pool at drain", out)
+	}
+
+	c := testCluster(t, 1, 1)
+	s, err := sched.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachAccelRouter(0)
+	var got error
+	c.Node(0).ISPRead(core.PageAddr{Node: 7}, func(_ []byte, err error) { got = err })
+	if got == nil {
+		t.Fatal("a read of a page on a node that does not exist was admitted")
 	}
 }

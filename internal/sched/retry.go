@@ -17,7 +17,7 @@ type Retrier struct {
 	delay sim.Time
 
 	// Backpressure counts the ErrBackpressure refusals absorbed so far,
-	// by Read, Erase and every Sequencer of this retrier.
+	// by Read, AccelRead, Erase and every Sequencer of this retrier.
 	Backpressure int64
 
 	ops sim.Pool[retryOp]
@@ -45,6 +45,7 @@ func (s *Scheduler) NewRetrier(delay sim.Time) *Retrier {
 // stream admits it (or fails it for good). Ops are pooled per retrier.
 type retryOp struct {
 	st   *Stream
+	ast  *AccelStream // set for an in-store processor's read, st nil
 	addr core.PageAddr
 	rcb  func(data []byte, err error) // a read's callback
 	wcb  func(err error)              // an erase's callback
@@ -59,6 +60,16 @@ type retryOp struct {
 func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err error)) {
 	op := rt.ops.Get()
 	op.st, op.addr, op.rcb = st, a, cb
+	rt.admit(op)
+}
+
+// AccelRead is Read for an in-store processor's stream: ispvol's
+// engines and the accel router cannot refuse their callers either.
+//
+//simlint:hotpath
+func (rt *Retrier) AccelRead(st *AccelStream, a core.PageAddr, cb func(data []byte, err error)) {
+	op := rt.ops.Get()
+	op.ast, op.addr, op.rcb = st, a, cb
 	rt.admit(op)
 }
 
@@ -78,9 +89,12 @@ func (rt *Retrier) Erase(st *Stream, a core.PageAddr, cb func(err error)) {
 //simlint:hotpath
 func (rt *Retrier) admit(op *retryOp) {
 	var err error
-	if op.wcb != nil {
+	switch {
+	case op.ast != nil:
+		err = op.ast.Read(op.addr, op.rcb)
+	case op.wcb != nil:
 		err = op.st.Erase(op.addr, op.wcb)
-	} else {
+	default:
 		err = op.st.Read(op.addr, op.rcb)
 	}
 	if err == ErrBackpressure {

@@ -345,9 +345,6 @@ func (s *Scheduler) SetGCUrgency(node int, u float64) {
 	}
 }
 
-// GCUrgency returns a node's current urgency setting.
-func (s *Scheduler) GCUrgency(node int) float64 { return s.nodes[node].gcUrgency }
-
 // nodeQueue is the per-node admission and dispatch state.
 type nodeQueue struct {
 	s    *Scheduler

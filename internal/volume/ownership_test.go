@@ -273,3 +273,119 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 		t.Errorf("a logical write (%.2f programs) allocates %.0f B, budget %.0f: more than one page per program", perWrite, got, budget)
 	}
 }
+
+// rebuildSpy sits between a card's FTL and the card and keeps every
+// buffer a rebuild read delivered and every image a rebuild program
+// handed down.
+type rebuildSpy struct {
+	*card
+	reads  map[*byte]bool
+	writes *[]rebuildWrite
+}
+
+type rebuildWrite struct {
+	cd  *card
+	a   nand.Addr
+	img []byte
+}
+
+func (b rebuildSpy) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
+	b.card.ReadPage(a, tag, func(d []byte, err error) {
+		if tag == ftl.TagRebuild && err == nil {
+			b.reads[&d[0]] = true
+		}
+		cb(d, err)
+	})
+}
+
+func (b rebuildSpy) WritePage(a nand.Addr, img []byte, tag ftl.IOTag, cb func(error)) {
+	if tag == ftl.TagRebuild {
+		*b.writes = append(*b.writes, rebuildWrite{b.card, a, img})
+	}
+	b.card.WritePage(a, img, tag, cb)
+}
+
+// TestRebuildCopyStoresTheBufferItRead: a rebuild copy is a move
+// between cards, and like a GC move it allocates no second page — the
+// buffer the survivor's read delivered is the image handed to the
+// replacement card's program, and the buffer that card ends up storing.
+func TestRebuildCopyStoresTheBufferItRead(t *testing.T) {
+	p := core.DefaultParams(2)
+	p.Geometry.BlocksPerChip = 8
+	p.Geometry.PagesPerBlock = 8
+	c, err := core.NewCluster(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New(c, sched.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Mirror = true
+	v, err := New(c, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make(map[*byte]bool)
+	var writes []rebuildWrite
+	for _, cd := range v.cards {
+		if err := cd.mountFTL(rebuildSpy{cd, reads, &writes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := v.NewStream("w", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 48
+	for lpn := 0; lpn < pages; lpn++ {
+		st.Write(lpn, ownPage(v.PageSize(), lpn), func(err error) {
+			if err != nil {
+				t.Errorf("write: %v", err)
+			}
+		})
+	}
+	c.Run()
+
+	if err := v.KillCard(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ReplaceCard(0); err != nil {
+		t.Fatal(err)
+	}
+	// ReplaceCard mounted a fresh FTL straight over the card: put the
+	// spy back under it.
+	if err := v.cards[0].mountFTL(rebuildSpy{v.cards[0], reads, &writes}); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := false
+	if err := v.StartRebuild(0, func() { rebuilt = true }); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if !rebuilt {
+		t.Fatal("rebuild never completed")
+	}
+	if len(writes) == 0 || int64(len(writes)) != v.Stats().PagesRebuilt {
+		t.Fatalf("spy saw %d rebuild programs, the volume counts %d pages rebuilt", len(writes), v.Stats().PagesRebuilt)
+	}
+	for _, w := range writes {
+		if !reads[&w.img[0]] {
+			t.Fatalf("rebuild program at %v hands down a buffer no rebuild read delivered: the copy copied", w.a)
+		}
+		stored := c.Node(w.cd.node).Card(w.cd.idx).Peek(w.a)
+		if stored == nil || &stored[0] != &w.img[0] {
+			t.Fatalf("the card stores a copy of the rebuilt page at %v", w.a)
+		}
+	}
+	for lpn := 0; lpn < pages; lpn++ {
+		want := ownPage(v.PageSize(), lpn)
+		st.Read(lpn, func(d []byte, err error) {
+			if err != nil || !bytes.Equal(d, want) {
+				t.Errorf("lpn %d after rebuild: err %v, wrong data", lpn, err)
+			}
+		})
+	}
+	c.Run()
+}
