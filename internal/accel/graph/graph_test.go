@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 func graphCluster(t *testing.T, nodes int) *core.Cluster {
@@ -13,10 +14,7 @@ func graphCluster(t *testing.T, nodes int) *core.Cluster {
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	return c
 }
 

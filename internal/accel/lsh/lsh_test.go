@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/altstore"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
@@ -124,10 +125,7 @@ func lshCluster(t *testing.T) *core.Cluster {
 	p := core.DefaultParams(1)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	return c
 }
 

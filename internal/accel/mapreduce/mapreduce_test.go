@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/workload"
 )
 
@@ -13,10 +14,7 @@ func mrCluster(t *testing.T, nodes int) *core.Cluster {
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	return c
 }
 

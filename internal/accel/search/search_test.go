@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/altstore"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
 	"repro/internal/rfs"
 	"repro/internal/sim"
@@ -265,10 +266,7 @@ func searchCluster(t *testing.T) (*core.Cluster, *rfs.FS) {
 	p := core.DefaultParams(1)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	fs, err := rfs.New(c.Node(0).NewIface(0, "fs"), c.Params.Geometry, rfs.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

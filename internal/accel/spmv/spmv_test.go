@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
@@ -14,10 +15,7 @@ func spmvCluster(t *testing.T) *core.Cluster {
 	t.Helper()
 	p := core.DefaultParams(1)
 	p.Geometry.BlocksPerChip = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	return c
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/sim"
 )
 
@@ -158,10 +159,7 @@ func scanCluster(t *testing.T) *core.Cluster {
 	t.Helper()
 	p := core.DefaultParams(1)
 	p.Geometry.BlocksPerChip = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	return c
 }
 

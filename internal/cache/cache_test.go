@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/sched"
 	"repro/internal/volume"
@@ -18,10 +19,7 @@ func testCache(t *testing.T, nodes int, cfg Config) (*core.Cluster, *volume.Volu
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -90,6 +90,7 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 	p := c.Params
 	n := &Node{cluster: c, id: i}
 	n.hostOps.New = n.newHostOp
+	n.hostBatches.New = n.newHostBatch
 	for card := 0; card < p.CardsPerNode; card++ {
 		name := fmt.Sprintf("n%d/card%d", i, card)
 		seed := p.Seed + uint64(i)*131 + uint64(card)*17
@@ -190,6 +191,21 @@ func (c *Cluster) bfsDist(a, b int) int {
 
 // Run drains all pending simulation events.
 func (c *Cluster) Run() { c.Eng.Run() }
+
+// CheckImages is nand.Card.CheckImages over every card of the cluster:
+// with Params.Reliability.GuardImages on, the first stored page image
+// that a holder has written to since it was programmed; nil otherwise.
+// Tests call it at drain.
+func (c *Cluster) CheckImages() error {
+	for _, n := range c.nodes {
+		for _, cd := range n.cards {
+			if err := cd.CheckImages(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // SeedLinear writes count pages of generated data starting at dense
 // index 0 on node; gen produces the page payload for each index. It is

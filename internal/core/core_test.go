@@ -15,15 +15,23 @@ func testParams(nodes int) Params {
 	// Shrink flash so cluster tests stay fast.
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 16
+	p.Reliability.GuardImages = true
 	return p
 }
 
+// mkCluster builds a small cluster under the image guard; when the test
+// ends no stored image may have been written to.
 func mkCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(testParams(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := c.CheckImages(); err != nil {
+			t.Error(err)
+		}
+	})
 	return c
 }
 
@@ -91,9 +99,10 @@ func TestISPRemoteRead(t *testing.T) {
 
 // TestRemoteReadAllocatesOnlyItsPage: a remote operation's descriptor,
 // the server's flash continuation and the response ride one pooled
-// record, so what a warm remote read allocates is the page snapshot the
-// NAND read returns and nothing else, and the record is back in the
-// cluster's pool when the completion has run.
+// record, and the page that comes back is the image the far card stores
+// (a clean read copies nothing), so a warm remote read allocates
+// nothing at all, and the record is back in the cluster's pool when the
+// completion has run.
 func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	c := mkCluster(t, 4)
 	a := LinearPage(c.Params, 2, 5)
@@ -118,8 +127,8 @@ func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		read() // warm the pools along the path
 	}
-	if n := testing.AllocsPerRun(200, read); n != 1 {
-		t.Fatalf("a warm remote read allocates %.1f objects, want 1 (the page)", n)
+	if n := testing.AllocsPerRun(200, read); n != 0 {
+		t.Fatalf("a warm remote read allocates %.1f objects, want 0", n)
 	}
 	if reads == 0 || c.remoteOps.Out() != 0 {
 		t.Fatalf("%d reads left %d records out of the cluster's pool", reads, c.remoteOps.Out())
@@ -186,6 +195,34 @@ func TestAccessPathLatencyOrdering(t *testing.T) {
 	}
 	if hd >= hf {
 		t.Fatalf("H-D (%v) should beat H-F (%v): no flash latency", hd, hf)
+	}
+}
+
+// TestDRAMReadDeliversTheStoredPage: the H-D path serves the page the
+// card stores as a read-only view, like a clean flash read, and a
+// zeroed page where nothing is stored.
+func TestDRAMReadDeliversTheStoredPage(t *testing.T) {
+	c := mkCluster(t, 2)
+	ps := c.Params.PageSize()
+	written, blank := LinearPage(c.Params, 1, 0), LinearPage(c.Params, 1, 1)
+	c.Node(1).WriteLocal(written.Card, written.Addr, fill(9, ps), func(error) {})
+	c.Run()
+	read := func(a PageAddr) (got []byte) {
+		c.Node(0).HostRead(a, PathHD, nil, func(d []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			got = d
+		})
+		c.Run()
+		return got
+	}
+	stored := c.Node(1).Card(written.Card).Peek(written.Addr)
+	if got := read(written); len(got) != ps || &got[0] != &stored[0] {
+		t.Fatalf("H-D read of a stored page: %d bytes, not a view of the stored image", len(got))
+	}
+	if got := read(blank); !bytes.Equal(got, make([]byte, ps)) {
+		t.Fatalf("H-D read of an unwritten page: %d bytes, want a zeroed page", len(got))
 	}
 }
 
@@ -433,8 +470,8 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	if n0.Card(bad.Card).Peek(bad.Addr) != nil {
 		t.Fatal("a rejected write reached the card")
 	}
-	if out := n0.hostOps.Out(); out != 0 {
-		t.Fatalf("%d batch records out of the node's pool at drain: the failed write's must have gone back too", out)
+	if ops, batches := n0.hostOps.Out(), n0.hostBatches.Out(); ops != 0 || batches != 0 {
+		t.Fatalf("%d request and %d doorbell records out of the node's pools at drain: the failed write's must have gone back too", ops, batches)
 	}
 	var got []byte
 	n0.ReadLocal(good.Card, good.Addr, func(d []byte, err error) {
@@ -446,5 +483,23 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	c.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatal("adopted image reads back wrong")
+	}
+
+	// A warm doorbell of reads allocates nothing: the batch (which
+	// copies the caller's slice into its own) and each request ride
+	// pooled records, and the pages are the stored image.
+	done := func(_ []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	reads := []HostReq{{Addr: good, Done: done}, {Addr: good, Done: done}}
+	ring := func() {
+		n0.SubmitHostBatch(reads, nil)
+		c.Run()
+	}
+	ring()
+	if n := testing.AllocsPerRun(50, ring); n != 0 || n0.hostBatches.Out() != 0 {
+		t.Fatalf("a warm doorbell of two reads allocates %.1f objects and leaves %d batch records out, want 0 and 0", n, n0.hostBatches.Out())
 	}
 }

@@ -1,0 +1,29 @@
+// Package coretest builds clusters for the tests of the packages above
+// core.
+package coretest
+
+import (
+	"testing"
+
+	"repro/internal/core"
+)
+
+// NewCluster is core.NewCluster for a test: the cluster runs under the
+// image guard (nand.Reliability.GuardImages), so an operation that
+// finds a stored page image written to panics there, and when the test
+// ends every image still stored is verified once more. A benchmark gets
+// the cluster without the guard.
+func NewCluster(t testing.TB, p core.Params) *core.Cluster {
+	t.Helper()
+	_, p.Reliability.GuardImages = t.(*testing.T)
+	c, err := core.NewCluster(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.CheckImages(); err != nil {
+			t.Error(err)
+		}
+	})
+	return c
+}

@@ -173,12 +173,10 @@ type Node struct {
 
 	nextReq uint64 // remote requests sent; picks the lane round-robin
 
-	// batchFree recycles doorbell batch slices: SubmitHostBatch takes
-	// ownership of its reqs argument and parks the storage here once
-	// the RPC loop has consumed it; GetBatch hands it back out.
-	batchFree [][]HostReq
-	// hostOps recycles the per-request records of those batches.
-	hostOps sim.Pool[hostOp]
+	// hostOps recycles the per-request records of doorbell batches, and
+	// hostBatches the per-doorbell ones.
+	hostOps     sim.Pool[hostOp]
+	hostBatches sim.Pool[hostBatch]
 }
 
 // ID returns the node index.
@@ -351,13 +349,16 @@ func (n *Node) serveRemote(op *remoteOp) {
 }
 
 // dramDone answers a request served from the on-device DRAM buffer
-// (H-D), which holds the same logical content as the flash page.
+// (H-D), which holds the same logical content as the flash page: the
+// stored image's page as a read-only view, like any clean flash read
+// (nand.ReadPage), or a zeroed page where nothing is stored.
 func (n *Node) dramDone(op *remoteOp) {
-	data := make([]byte, n.cluster.Params.PageSize())
-	if raw := n.cards[op.card].Peek(op.addr); raw != nil {
-		copy(data, raw[:n.cluster.Params.PageSize()])
+	ps := n.cluster.Params.PageSize()
+	data := n.cards[op.card].Peek(op.addr)
+	if data == nil {
+		data = make([]byte, ps)
 	}
-	n.respond(op, data, nil)
+	n.respond(op, data[:ps], nil)
 }
 
 // serveIface picks the device-side interface for a remote request:
@@ -458,45 +459,56 @@ type AccelRouter func(origin int, a PageAddr, cb func(data []byte, err error))
 // use it to accumulate the next batch instead of committing early to
 // many small doorbells.
 //
-// The node takes ownership of reqs: the slice is recycled internally
-// once the doorbell's RPC has issued every request, so callers must
-// not touch it after the call. Obtain a recycled slice with GetBatch
-// to make steady-state submission allocation-free.
+// The requests are copied into the batch's own record before the call
+// returns: the slice stays the caller's, which may refill it for the
+// next doorbell at once. (The Data of a write is an adopted image, as
+// HostReq says; that is the request's business, not the slice's.)
+//
+//simlint:hotpath
 func (n *Node) SubmitHostBatch(reqs []HostReq, issued func()) {
 	if len(reqs) == 0 {
 		return
 	}
 	h := n.Host.Config()
 	cost := h.SoftwareOverhead + sim.Time(len(reqs))*h.BatchRequestOverhead
-	//simlint:allow hotcall (one doorbell closure per batch, amortized over every request the batch carries)
-	n.ioThread.Do(cost, func() {
-		if issued != nil {
-			issued()
-		}
-		//simlint:allow escapecheck (one RPC continuation per batch, amortized like the doorbell closure above)
-		n.Host.RPC(func() {
-			for i := range reqs {
-				op := n.hostOps.Get()
-				op.req = reqs[i]
-				n.issueHostOp(op)
-				reqs[i] = HostReq{}
-			}
-			n.batchFree = append(n.batchFree, reqs[:0])
-		})
-	})
+	b := n.hostBatches.Get()
+	b.reqs, b.issued = append(b.reqs[:0], reqs...), issued
+	n.ioThread.Do(cost, b.onSoftware)
 }
 
-// GetBatch returns a zero-length HostReq slice for building the next
-// doorbell batch, reusing storage from a batch the node has finished
-// issuing when one is available.
-func (n *Node) GetBatch() []HostReq {
-	if k := len(n.batchFree); k > 0 {
-		b := n.batchFree[k-1]
-		n.batchFree[k-1] = nil
-		n.batchFree = n.batchFree[:k-1]
-		return b
+// hostBatch is one doorbell batch from SubmitHostBatch until its RPC
+// has issued every request. Batches are pooled per node
+// (Node.hostBatches) with both continuations bound when the record is
+// made and the request slice kept from one use to the next, so a
+// doorbell allocates nothing.
+type hostBatch struct {
+	reqs   []HostReq
+	issued func()
+
+	// bound once
+	onSoftware func() // the submission thread finished the batch's software work
+	onRPC      func() // the doorbell reached the device
+}
+
+// newHostBatch is hostBatches.New.
+func (n *Node) newHostBatch() *hostBatch {
+	b := &hostBatch{}
+	b.onSoftware = func() {
+		if b.issued != nil {
+			b.issued()
+		}
+		n.Host.RPC(b.onRPC)
 	}
-	return nil
+	b.onRPC = func() {
+		for i := range b.reqs {
+			op := n.hostOps.Get()
+			op.req, b.reqs[i] = b.reqs[i], HostReq{}
+			n.issueHostOp(op)
+		}
+		b.reqs, b.issued = b.reqs[:0], nil
+		n.hostBatches.Put(b)
+	}
+	return b
 }
 
 // hostIface picks the foreground or background flash interface of a

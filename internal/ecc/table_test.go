@@ -76,11 +76,26 @@ func refDecodeInPlace(raw []byte, pageSize int) (corrected int, err error) {
 // decodeBothWays runs DecodePageInPlace on raw and the word loop on a
 // copy, and fails unless they agree on everything a caller can see:
 // verdict, error text, correction count, and every byte left in the
-// buffer — on an uncorrectable page too.
+// buffer — on an uncorrectable page too. DecodePage, the decoder for
+// shared images, must reach the same verdict and page on a third copy
+// without writing one byte of it: a clean page comes back as a view of
+// the input, one with anything to correct as a private copy.
 func decodeBothWays(t *testing.T, c *PageCodec, raw []byte, what string) (DecodeResult, error) {
 	t.Helper()
 	ref := append([]byte(nil), raw...)
+	shared := append([]byte(nil), raw...)
 	wantFixed, wantErr := refDecodeInPlace(ref, c.PageSize())
+	cow, cowErr := c.DecodePage(shared)
+	switch {
+	case !bytes.Equal(shared, raw):
+		t.Fatalf("%s: DecodePage wrote to its input", what)
+	case (cowErr == nil) != (wantErr == nil), cowErr != nil && cowErr.Error() != wantErr.Error():
+		t.Fatalf("%s: DecodePage err %v, word loop %v", what, cowErr, wantErr)
+	case cowErr == nil && (cow.Corrected != wantFixed || !bytes.Equal(cow.Data, ref[:c.PageSize()])):
+		t.Fatalf("%s: DecodePage corrected %d (word loop %d) or delivers other bytes", what, cow.Corrected, wantFixed)
+	case cowErr == nil && (&cow.Data[0] == &shared[0]) != (wantFixed == 0):
+		t.Fatalf("%s: %d corrections, DecodePage view of its input: %v", what, wantFixed, &cow.Data[0] == &shared[0])
+	}
 	got, err := c.DecodePageInPlace(raw)
 	switch {
 	case (err == nil) != (wantErr == nil), err != nil && err.Error() != wantErr.Error():

@@ -75,12 +75,14 @@ type Handlers struct {
 	// offset by offset, with no gaps.
 	//
 	// Ownership: the chunks of one tag are consecutive views of one page
-	// buffer — the private snapshot nand.ReadPage took for this read,
-	// ECC-corrected in place — so chunk k+1 starts in memory where chunk
-	// k ends. The controller drops its reference after the last burst
-	// and never writes to the buffer again: a consumer may keep the
-	// views (and reslice the first one up to the whole page) instead of
-	// copying them.
+	// buffer, so chunk k+1 starts in memory where chunk k ends, and they
+	// are read-only. The buffer is as a rule the image the card stores
+	// (nand.ReadPage), which every clean read of the page delivers; only
+	// a read with bits to correct streams a private, corrected copy
+	// (ecc.DecodePage). The controller drops its reference after the
+	// last burst: a consumer may keep the views (and reslice the first
+	// one up to the whole page) instead of copying them, and must not
+	// write through them.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
 	// ReadDone fires after the final burst (or on error, with no data).
 	// corrected is the number of ECC-corrected bit flips in the page.
@@ -115,9 +117,9 @@ func DefaultConfig() Config {
 
 // pageState is the page of one tag while it crosses a serial link: a
 // read's decoded page as it streams to the user, or a write's image on
-// its way down to the card.
+// its way down to the card. Either way the controller only reads it.
 type pageState struct {
-	data      []byte // read: view of the NAND snapshot; write: the image; nil when nothing is moving
+	data      []byte // read: view of the stored image, or of the corrected copy; write: the image; nil when nothing is moving
 	sent      int    // read: bytes delivered so far
 	corrected int
 }
@@ -324,14 +326,15 @@ func (c *Controller) cardDone(tag int, err error) {
 	}
 }
 
-// pageRead takes the card's private snapshot of a page, corrects it in
-// place and starts streaming it to the user.
+// pageRead takes the image the card delivered, verifies it — correcting
+// into a private copy if it must, never into raw, which the card may
+// still store — and starts streaming the page to the user.
 func (c *Controller) pageRead(tag int, raw []byte, err error) {
 	if err != nil {
 		c.finishRead(tag, 0, err)
 		return
 	}
-	res, err := c.codec.DecodePageInPlace(raw)
+	res, err := c.codec.DecodePage(raw)
 	if err != nil {
 		c.Uncorrectable.Inc()
 		c.finishRead(tag, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, c.addrs[tag], err))

@@ -172,8 +172,8 @@ func (s *Server) readDone(tag int, err error) {
 		err = ErrShortRead
 	}
 	// The view is not capped at the page: the check bytes behind it are
-	// this read's own spare capacity, which makes the result a page
-	// image its receiver may program back (nand.Geometry.ReadImage).
+	// spare capacity, which makes the result a page image its receiver
+	// may program back (nand.Geometry.ReadImage).
 	s.complete(op, err)
 }
 
@@ -216,11 +216,12 @@ func (s *Server) complete(op *pageOp, err error) {
 // ReadPhysical reads the page at a physical address. The callback
 // fires in FIFO order relative to other requests on this interface.
 //
-// Ownership: data is the callback's to keep and to modify. It is this
-// read's private page buffer (see nand.ReadPage); nothing below holds
-// a reference to it once the callback runs, and no other read, earlier,
-// concurrent or later, shares it. Its spare capacity is the same
-// buffer's check-byte tail, so data is a page image
+// Ownership: data is the callback's to keep; never to modify. It is as
+// a rule the image the card stores (see nand.ReadPage), the one every
+// other clean read of the page, earlier, concurrent or later, delivers
+// too; a read with bits to correct delivers a private corrected copy,
+// and the receiver cannot tell which it got. Its spare capacity is the
+// same buffer's check-byte tail, so data is a page image
 // (nand.Geometry.ReadImage): a relocation hands it straight back to
 // WriteImage.
 //
@@ -260,8 +261,10 @@ func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
 // Ownership: the interface adopts img — the buffer the controller
 // encodes the check bytes into in place and the card ends up storing,
 // the one page-sized allocation of the program path — so the caller
-// must not touch it again unless the ack reports an error: a failed
-// write leaves no reference to img below. Anything that is not an
+// must not write to it again unless the ack reports an error: a failed
+// write leaves no reference to img below. img may be an image a read
+// delivered, which the card already stores elsewhere: its check bytes
+// are rewritten with the values they hold. Anything that is not an
 // image fails with flashctl.ErrDataSize, in order, and is not adopted.
 func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 	op := f.srv.pool.Get()
@@ -308,7 +311,7 @@ func (f *Iface) reject(op *pageOp, err error) {
 //simlint:hotpath
 func (f *Iface) issue(op *pageOp) {
 	op.credited = true
-	//simlint:allow hotcall (the flash command itself: one page snapshot in nand.ReadPage and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
+	//simlint:allow hotcall (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
 	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr}); err != nil {
 		f.srv.complete(op, err)
 	}

@@ -32,7 +32,8 @@ type readChunkFn func(tag, off int, chunk []byte, last bool)
 func tamperedStack(t testing.TB, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Splitter) {
 	t.Helper()
 	eng := sim.NewEngine()
-	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{}, 3)
+	_, guard := t.(*testing.T) // tests run under the image guard, benchmarks without
+	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{GuardImages: guard}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,25 @@ package flashserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/flashctl"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
-// The read path hands the requester the one buffer nand.ReadPage
-// snapshotted, and the program path stores the one image WriteImage
-// adopted (WritePhysical snapshots into one first). These tests pin the
-// ownership rules that makes load-bearing, the failure mode view
-// reassembly must catch, and the allocation budget.
+// Page images are immutable: a clean read hands the requester the very
+// image the card stores, a read with bits to correct a private
+// corrected copy, and the program path stores the one image WriteImage
+// adopted (WritePhysical snapshots into one first). These tests pin
+// those rules, the guard that catches a holder writing to an image, the
+// failure mode view reassembly must catch, and the allocation budget.
+// Every stack here runs with nand.Reliability.GuardImages on.
 
 func writePage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr, data []byte) {
 	t.Helper()
@@ -40,58 +46,125 @@ func readPage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr) []byte {
 	return got
 }
 
-// TestReadResultsArePrivate: every read owns its page buffer, spare
-// capacity included — that is the read's own check-byte tail, which
-// makes the result a page image. Two reads of one page in flight
-// together get distinct buffers, and scribbling over one result, tail
-// and all, changes neither the other nor what flash holds.
-func TestReadResultsArePrivate(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
-	f := srv.NewIface("if0")
+// TestCleanReadDeliversTheStoredImage: a read that draws no bit error
+// copies nothing. Its result is a view of the image the card stores,
+// check bytes behind it as spare capacity, and every other clean read
+// of the page, concurrent or later, delivers that same image.
+func TestCleanReadDeliversTheStoredImage(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
 	a := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	want := pattern(8192, 0x5a)
 	writePage(t, eng, f, a, want)
 
-	var first, second []byte
-	f.ReadPhysical(a, func(d []byte, err error) {
+	var results [][]byte
+	for i := 0; i < 2; i++ { // two in flight together
+		f.ReadPhysical(a, func(d []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			results = append(results, d)
+		})
+	}
+	eng.Run()
+	results = append(results, readPage(t, eng, f, a)) // and one later
+	stored := card.Peek(a)
+	for i, d := range results {
+		if !testGeometry().IsPageImage(d) || !bytes.Equal(d, want) {
+			t.Fatalf("read %d: len %d cap %d, or wrong bytes", i, len(d), cap(d))
+		}
+		if &d[0] != &stored[0] {
+			t.Fatalf("read %d delivered a copy of the stored image", i)
+		}
+	}
+}
+
+// TestBadStoredImageIsCorrectedInACopy: the controller never corrects a
+// stored image in place. An image programmed with one wrong bit is
+// delivered corrected, in a private copy, while the card still holds
+// the wrong bit; one with two wrong bits in a word fails with
+// ErrUncorrectable and is left as it was.
+func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	codec, err := ecc.NewPageCodec(8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(8192, 0x33)
+	program := func(a nand.Addr, flipBits ...int) []byte {
+		raw, err := codec.EncodePage(want)
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		first = d
-		d = d[:cap(d)] // the callback owns data, tail included: scribble at once
-		for i := range d {
-			d[i] = 0xff
+		for _, bit := range flipBits {
+			ecc.FlipBit(raw, bit)
 		}
-	})
-	f.ReadPhysical(a, func(d []byte, err error) {
-		if err != nil {
-			t.Error(err)
+		card.ProgramPage(a, raw, func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		eng.Run()
+		return append([]byte(nil), raw...)
+	}
+
+	one := nand.Addr{Page: 0}
+	asStored := program(one, 8*100+3)
+	got := readPage(t, eng, f, one)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a single wrong bit was not corrected")
+	}
+	if stored := card.Peek(one); &got[0] == &stored[0] || !bytes.Equal(stored, asStored) {
+		t.Fatal("the correction was made in the stored image")
+	}
+	if n := sp.ctl.CorrectedBits.Value(); n != 1 {
+		t.Fatalf("CorrectedBits %d, want 1", n)
+	}
+
+	two := nand.Addr{Page: 1}
+	asStored = program(two, 8*4096, 8*4096+9) // both in the word at byte 4096
+	f.ReadPhysical(two, func(d []byte, err error) {
+		if !errors.Is(err, flashctl.ErrUncorrectable) || d != nil {
+			t.Fatalf("two wrong bits in one word: %d bytes, err %v", len(d), err)
 		}
-		second = d
 	})
 	eng.Run()
-	if len(first) != 8192 || len(second) != 8192 {
-		t.Fatalf("read lengths %d, %d", len(first), len(second))
+	if !bytes.Equal(card.Peek(two), asStored) {
+		t.Fatal("a failed decode changed the stored image")
 	}
-	geo := testGeometry()
-	if !geo.IsPageImage(first) || !geo.IsPageImage(second) {
-		t.Fatalf("result capacities %d, %d: a read result carries its own tail (want >= %d)",
-			cap(first), cap(second), geo.StoredPageSize())
+	if err := card.CheckImages(); err != nil {
+		t.Fatal(err)
 	}
-	if &first[0] == &second[0] {
-		t.Fatal("two reads of one page share a buffer")
+}
+
+// TestScribbledReadResultTripsTheGuard: a read result is not the
+// receiver's to modify. One that writes a single byte of it has written
+// to the stored image; with the guard on, CheckImages reports the page,
+// and the next read of it fails on the spot, naming the page and the
+// operation, instead of surfacing layers up as wrong bytes.
+func TestScribbledReadResultTripsTheGuard(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	a, other := nand.Addr{Bus: 1, Chip: 1, Block: 2, Page: 0}, nand.Addr{}
+	writePage(t, eng, f, a, pattern(8192, 1))
+	writePage(t, eng, f, other, pattern(8192, 2))
+	if err := card.CheckImages(); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(second, want) {
-		t.Fatal("scribbling over one read's result changed a concurrent read's")
+	readPage(t, eng, f, a)[17] ^= 0x01
+
+	if err := card.CheckImages(); err == nil || !strings.Contains(err.Error(), a.String()) {
+		t.Fatalf("CheckImages after a scribble on %v: %v", a, err)
 	}
-	second = second[:cap(second)]
-	for i := range second {
-		second[i] = 0xee
-	}
-	if got := readPage(t, eng, f, a); !bytes.Equal(got, want) {
-		t.Fatal("scribbling over read results changed the stored page")
-	}
+	readPage(t, eng, f, other) // other pages still read
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by read") {
+			t.Fatalf("reading the scribbled page: %s; want a panic naming %v and the read", msg, a)
+		}
+	}()
+	readPage(t, eng, f, a)
 }
 
 // TestWritePhysicalSnapshotsBeforeReturning: the caller may reuse its
@@ -255,7 +328,7 @@ func TestWriteImageRejectsNonImages(t *testing.T) {
 	f.WriteImage(nand.Addr{Page: 1}, make([]byte, geo.StoredPageSize()), rejected("long"))
 	f.WriteImage(nand.Addr{Page: 1}, geo.PageImage(pattern(geo.PageSize, 3)), ok("last"))
 	eng.Run()
-	if want := []string{"first", "no tail", "short", "long", "last"}; !equalStrings(order, want) {
+	if want := []string{"first", "no tail", "short", "long", "last"}; !slices.Equal(order, want) {
 		t.Fatalf("completions %v, want %v", order, want)
 	}
 	if f.credits != 2 {
@@ -267,18 +340,6 @@ func TestWriteImageRejectsNonImages(t *testing.T) {
 	if got := readPage(t, eng, f, nand.Addr{Page: 1}); !bytes.Equal(got, pattern(geo.PageSize, 3)) {
 		t.Fatal("page 1 does not hold the one valid image written to it")
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestWritePhysicalRejectsWrongSize(t *testing.T) {
@@ -429,12 +490,12 @@ func allocBytesPerOp(n int, op func(i int)) float64 {
 }
 
 // TestPageOpsAllocateOnePage pins the budget of the whole flash path,
-// NAND to callback: one page-sized allocation per read (the NAND
-// snapshot) and one per program (the WritePhysical snapshot the card
-// ends up storing), and nothing else at all — every continuation on
-// the way is bound once. Three page-sized allocations per op used to
-// hide here; a second one cannot come back unnoticed. (The layers above
-// pin the same budget per physical program: ftl's and volume's
+// NAND to callback: one page-sized allocation per program (the
+// WritePhysical snapshot the card ends up storing), none at all per
+// clean read (it delivers the stored image), and nothing else — every
+// continuation on the way is bound once. Three page-sized allocations
+// per op used to hide here; one cannot come back unnoticed. (The layers
+// above pin the same budget per physical program: ftl's and volume's
 // TestWritesAllocateOnePagePerProgram, sched's TestFlashOpsAllocateOnePage.)
 func TestPageOpsAllocateOnePage(t *testing.T) {
 	eng, card, sp := stack(t)
@@ -480,11 +541,11 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		read(i)
 	}
-	if got := allocBytesPerOp(n, read); got >= budget {
-		t.Errorf("ReadPhysical allocates %.0f B per page, budget %.0f", got, budget)
+	if got := allocBytesPerOp(n, read); got >= 16 {
+		t.Errorf("ReadPhysical allocates %.0f B per page, want none", got)
 	}
 	i := 0
-	if got := testing.AllocsPerRun(64, func() { read(i); i++ }); got != 1 {
-		t.Errorf("ReadPhysical makes %.0f allocations per page, want 1 (the snapshot)", got)
+	if got := testing.AllocsPerRun(64, func() { read(i); i++ }); got != 0 {
+		t.Errorf("ReadPhysical makes %.0f allocations per page, want 0 (a clean read delivers the stored image)", got)
 	}
 }

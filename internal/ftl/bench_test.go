@@ -68,9 +68,10 @@ func relocationRig(tb testing.TB) (*harness, func()) {
 	return h, collect
 }
 
-// TestRelocationAllocatesOnePage: a GC move costs the one stored-size
-// buffer its read allocates — the move programs that buffer back, it
-// does not snapshot it a second time — and one allocation.
+// TestRelocationAllocatesOnePage (the name is from when a move cost the
+// page its read snapshotted): a GC move allocates nothing. Its read
+// delivers the image the victim page stores, and the move programs that
+// image back.
 func TestRelocationAllocatesOnePage(t *testing.T) {
 	h, collect := relocationRig(t)
 	f := h.ftl
@@ -86,10 +87,12 @@ func TestRelocationAllocatesOnePage(t *testing.T) {
 	if n < 8*float64(f.geo.PagesPerBlock) {
 		t.Fatalf("%.0f moves in 8 collections of all-valid blocks", n)
 	}
-	if got, budget := float64(m1.TotalAlloc-m0.TotalAlloc)/n, 1.15*float64(f.geo.StoredPageSize()); got >= budget {
-		t.Errorf("a GC move allocates %.0f B, budget %.0f: more than the page its read snapshots", got, budget)
+	// A quarter of a page, not zero: the race detector's runtime
+	// allocates some tens of bytes per move on its own.
+	if got := float64(m1.TotalAlloc-m0.TotalAlloc) / n; got >= float64(f.geo.StoredPageSize())/4 {
+		t.Errorf("a GC move allocates %.0f B: it pays for a page", got)
 	}
-	if got := float64(m1.Mallocs-m0.Mallocs) / n; got >= 1.1 {
-		t.Errorf("a GC move makes %.2f allocations, want 1 (the read snapshot)", got)
+	if got := float64(m1.Mallocs-m0.Mallocs) / n; got >= 0.1 {
+		t.Errorf("a GC move makes %.2f allocations, want 0", got)
 	}
 }

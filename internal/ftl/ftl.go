@@ -882,11 +882,11 @@ func (f *FTL) relocate(ppn int) {
 
 // relocateRead takes a relocation's read and programs what it read.
 //
-// Ownership: the read result is re-programmed as it stands — a read
-// delivers a private page image, check-byte tail and all — and is
-// snapshotted only when its deliverer shared it with another reader
-// (nand.Geometry.ReadImage), so a move costs the one buffer its read
-// allocated.
+// Ownership: the read result is re-programmed as it stands — the image
+// the victim page stores, check-byte tail and all; until the victim is
+// erased two flash pages hold the one immutable image — so a move costs
+// no payload byte (nand.Geometry.ReadImage snapshots only a result
+// without the tail).
 //
 //simlint:hotpath
 func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {

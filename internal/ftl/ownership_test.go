@@ -9,12 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// A page image has one owner from the logical write to the cell: the
+// A written page is one image from the logical write to the cell: the
 // buffer WriteTagged allocates is the one the card stores, a GC move
-// stores the buffer its read returned, and a program that fails on a
-// bad block goes out again with the same image. These tests watch the
-// FTL/backend boundary with a spy and compare what crossed it with what
-// the card holds.
+// stores the image its read returned — the one the victim page still
+// holds — and a program that fails on a bad block goes out again with
+// the same image. These tests watch the FTL/backend boundary with a spy
+// and compare what crossed it with what the card holds; the cards run
+// under the image guard.
 
 // spyBackend records every buffer that crosses the backend interface.
 type spyBackend struct {
@@ -25,11 +26,12 @@ type spyBackend struct {
 }
 
 type spyWrite struct {
-	a      nand.Addr
-	tag    IOTag
-	img    []byte
-	err    error
-	stored bool // on completion the card held img itself at a
+	a        nand.Addr
+	tag      IOTag
+	img      []byte
+	readBack bool // when it was issued, img was a buffer some GC read had delivered
+	err      error
+	stored   bool // on completion the card held img itself at a
 }
 
 func (b *spyBackend) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
@@ -43,7 +45,7 @@ func (b *spyBackend) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
 
 func (b *spyBackend) WritePage(a nand.Addr, img []byte, tag IOTag, cb func(error)) {
 	i := len(b.writes)
-	b.writes = append(b.writes, spyWrite{a: a, tag: tag, img: img})
+	b.writes = append(b.writes, spyWrite{a: a, tag: tag, img: img, readBack: b.gcReads[&img[0]]})
 	b.Backend.WritePage(a, img, tag, func(err error) {
 		stored := b.card.Peek(a)
 		b.writes[i].err = err
@@ -131,9 +133,11 @@ func TestWriteTaggedImageReachesTheCard(t *testing.T) {
 	}
 }
 
-// TestGCMoveStoresTheBufferItRead: a relocation re-programs the buffer
-// its read returned. Every GC program hands down a buffer some GC read
-// delivered, and at its destination the card stores that very buffer.
+// TestGCMoveStoresTheBufferItRead: a relocation re-programs the image
+// its read returned, which costs no payload byte (bench_test.go's
+// TestRelocationAllocatesOnePage holds a move to zero allocations).
+// Every GC program hands down a buffer some GC read delivered, and at
+// its destination the card stores that very buffer.
 func TestGCMoveStoresTheBufferItRead(t *testing.T) {
 	geo := smallGeo()
 	h, spy := newSpyHarness(t, geo, Config{OverProvision: 0.25, GCLowWater: 2})
@@ -147,7 +151,7 @@ func TestGCMoveStoresTheBufferItRead(t *testing.T) {
 			continue
 		}
 		moves++
-		if !spy.gcReads[&w.img[0]] {
+		if !w.readBack {
 			t.Fatalf("GC program at %v hands down a buffer no GC read delivered: the move copied", w.a)
 		}
 		if !w.stored {
@@ -157,63 +161,55 @@ func TestGCMoveStoresTheBufferItRead(t *testing.T) {
 	if int64(moves) != h.ftl.GCMoves {
 		t.Fatalf("spy saw %d GC programs, the FTL counts %d moves", moves, h.ftl.GCMoves)
 	}
-	for lpn, v := range version {
-		if got, err := h.read(t, lpn); err != nil || !bytes.Equal(got, page(geo, v)) {
-			t.Fatalf("lpn %d after GC: err %v, wrong data", lpn, err)
-		}
-	}
+	checkVersions(t, h, geo, version)
 	if out := h.ftl.ops.Out(); out != 0 {
 		t.Fatalf("%d page ops out of the pool at drain: every write, read and relocation must have returned its own", out)
 	}
 }
 
-// TestSharedReadResultIsCopiedBeforeRelocation: a backend that delivers
-// a GC read clipped to the page says the buffer is not the FTL's alone.
-// The move must then program a snapshot, so that the other holder
-// scribbling on the shared buffer cannot reach the relocated page.
-func TestSharedReadResultIsCopiedBeforeRelocation(t *testing.T) {
-	geo := smallGeo()
-	var shared [][]byte
-	var spy *spyBackend
-	h := newHarnessOver(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2}, func(b Backend) Backend {
-		spy = &spyBackend{Backend: clipGCReads{b, &shared}, gcReads: make(map[*byte]bool)}
-		return spy
-	})
-	spy.card = h.card
-	version := churn(t, h, geo, 3*h.ftl.LogicalPages())
-	if len(shared) == 0 {
-		t.Fatal("no GC read happened")
-	}
-	for _, w := range spy.writes {
-		if w.tag == TagGC && spy.gcReads[&w.img[0]] {
-			t.Fatal("a relocation programmed a read result it was told is shared")
-		}
-	}
-	for _, d := range shared { // the other reader owns its result: scribble
-		for i := range d {
-			d[i] = 0xff
-		}
-	}
+func checkVersions(t *testing.T, h *harness, geo nand.Geometry, version map[int]byte) {
+	t.Helper()
 	for lpn, v := range version {
 		if got, err := h.read(t, lpn); err != nil || !bytes.Equal(got, page(geo, v)) {
-			t.Fatalf("lpn %d: err %v; a shared read result was re-programmed without a copy", lpn, err)
+			t.Fatalf("lpn %d after GC: err %v, wrong data", lpn, err)
 		}
 	}
 }
 
-// clipGCReads delivers every GC read clipped to the page, the way sched
-// delivers a read it fans out to coalesced followers, and keeps the
-// buffer as the other reader would.
-type clipGCReads struct {
-	Backend
-	shared *[][]byte
+// TestSharedReadResultIsCopiedBeforeRelocation (the name is from when a
+// result clipped to the page meant "shared"): a backend that delivers
+// GC reads without the check-byte room behind the page — a device fake,
+// a layer that copied — has not delivered an image. The move must
+// program a snapshot of it (nand.Geometry.ReadImage), not hand the bare
+// page down, which the adopting calls would refuse.
+func TestSharedReadResultIsCopiedBeforeRelocation(t *testing.T) {
+	geo := smallGeo()
+	var spy *spyBackend
+	h := newHarnessOver(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2}, func(b Backend) Backend {
+		spy = &spyBackend{Backend: clipGCReads{b}, gcReads: make(map[*byte]bool)}
+		return spy
+	})
+	spy.card = h.card
+	version := churn(t, h, geo, 3*h.ftl.LogicalPages())
+	if h.ftl.GCMoves == 0 {
+		t.Fatal("no GC move happened")
+	}
+	for _, w := range spy.writes {
+		if w.tag == TagGC && (w.readBack || !geo.IsPageImage(w.img) || w.err != nil) {
+			t.Fatalf("GC program at %v: handed down the bare read result %v, image %v, err %v",
+				w.a, w.readBack, geo.IsPageImage(w.img), w.err)
+		}
+	}
+	checkVersions(t, h, geo, version)
 }
+
+// clipGCReads delivers every GC read clipped to the page.
+type clipGCReads struct{ Backend }
 
 func (b clipGCReads) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
 	b.Backend.ReadPage(a, tag, func(data []byte, err error) {
 		if tag == TagGC && err == nil {
 			data = data[:len(data):len(data)]
-			*b.shared = append(*b.shared, data)
 		}
 		cb(data, err)
 	})
@@ -255,10 +251,9 @@ func TestBadBlockRetryResubmitsTheSameImage(t *testing.T) {
 
 // TestWritesAllocateOnePagePerProgram extends flashserver's
 // TestPageOpsAllocateOnePage upward: under steady-state GC a logical
-// write costs one stored-size buffer per physical program — the host
-// write's image, and for every page the collector moves the snapshot
-// its read took, which the move programs back as it stands — plus
-// small change.
+// write costs one stored-size buffer — the host write's image. The
+// programs the collector adds cost none: a move programs back the image
+// its read delivered, which is the one the victim page stores.
 func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 	geo := smallGeo()
 	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
@@ -282,8 +277,8 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 		t.Fatalf("window: %d host writes, %d moves, %d programs", writes, moves, progs)
 	}
 	got := float64(after.TotalAlloc - before.TotalAlloc)
-	if budget := 1.15 * float64(progs) * float64(geo.StoredPageSize()); got >= budget {
-		t.Errorf("%d host writes (%d programs, %d of them GC moves) allocated %.0f B, budget %.0f: more than one page per program",
+	if budget := 1.15 * float64(writes) * float64(geo.StoredPageSize()); got >= budget {
+		t.Errorf("%d host writes (%d programs, %d of them GC moves) allocated %.0f B, budget %.0f: more than one page per host write",
 			writes, progs, moves, got, budget)
 	}
 }

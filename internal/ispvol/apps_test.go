@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/accel/graph"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ispvol"
 	"repro/internal/sched"
 	"repro/internal/volume"
@@ -111,10 +112,7 @@ func TestWalkMigrateFailingRead(t *testing.T) {
 	p := core.DefaultParams(2)
 	p.Geometry.BlocksPerChip = 4
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

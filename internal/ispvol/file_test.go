@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ispvol"
 	"repro/internal/rfs"
 	"repro/internal/sched"
@@ -25,10 +26,7 @@ func fileParams(nodes int) core.Params {
 
 func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *sched.Scheduler, *rfs.FS, *ispvol.System) {
 	t.Helper()
-	c, err := core.NewCluster(fileParams(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, fileParams(nodes))
 	scfg := sched.DefaultConfig()
 	scfg.MaxInflight = 16
 	s, err := sched.New(c, scfg)

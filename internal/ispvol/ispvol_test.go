@@ -20,11 +20,17 @@ func testSystem(t *testing.T, nodes int, icfg ispvol.Config, fill workload.PageF
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 4
 	p.Geometry.PagesPerBlock = 8
+	p.Reliability.GuardImages = true // a stored page image written to panics where it is found
 	fcfg := ftl.DefaultConfig()
 	st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig(), FTL: &fcfg, ISP: &icfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := st.C.CheckImages(); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := st.Seed(fill); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 // TestPageImageShape: the constructor's contract. An image is a private
 // copy with len PageSize and room behind it for the check bytes; a
 // wrong-size payload is copied at its own length, which no adopting
-// call accepts; ReadImage keeps a result that already is an image and
-// snapshots one that was clipped.
+// call accepts; ReadImage keeps a result that already is an image,
+// whoever else holds it, and snapshots only one without the room for
+// check bytes (a fake's bare page, a copy made on the way).
 func TestPageImageShape(t *testing.T) {
 	g := testGeometry()
 	data := bytes.Repeat([]byte{0x5a}, g.PageSize)
@@ -48,8 +49,7 @@ func TestPageImageShape(t *testing.T) {
 // continuation of their own — a chip, a bus and the card's erases each
 // have one, which pops the command it is for — so reads, programs and
 // erases interleaved on chips that share a bus must still each hear
-// their own outcome, and the whole path must allocate nothing but the
-// read snapshots.
+// their own outcome, and the whole path must allocate nothing.
 func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
@@ -144,8 +144,8 @@ func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
 		t.Fatalf("reads %d, program acks %d, erases %d, failed reads %d", reads, acks, erases, failed)
 	}
 
-	// Steady state, no command failing: the only allocations are the
-	// read snapshots.
+	// Steady state, no command failing, no read drawing a bit error:
+	// no allocation at all.
 	for i := range raws {
 		raws[i] = mkRaw(c, 0xcd)
 	}
@@ -158,8 +158,50 @@ func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
 		copy(raws, fresh[:len(chips)])
 		fresh = fresh[len(chips):]
 		round(false)
-	}); allocs != float64(pages*len(chips)) {
-		t.Fatalf("a round of %d reads, %d programs and %d erases allocates %.0f times, want one snapshot per read",
+	}); allocs != 0 {
+		t.Fatalf("a round of %d reads, %d programs and %d erases allocates %.0f times, want none",
 			pages*len(chips), len(chips), len(chips), allocs)
+	}
+}
+
+// TestOnlyFlipDrawingReadsAllocate: at an error rate where about half
+// the reads of a page draw a flip (never more than one), the reads
+// allocate exactly one buffer per flip drawn — the private copy the
+// flip is applied to — and the clean ones among them nothing.
+func TestOnlyFlipDrawingReadsAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	c, err := NewCard(eng, "noisy", testGeometry(), DefaultTiming(), Reliability{BitErrorRate: 1e-4, GuardImages: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Addr{Bus: 1, Chip: 1, Block: 4}
+	stored := mkRaw(c, 0x77)
+	c.ProgramPage(a, stored, func(error) {})
+	eng.Run()
+	const reads = 200
+	shared := 0
+	cb := func(raw []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		if &raw[0] == &stored[0] {
+			shared++
+		}
+	}
+	var flipsBefore int64
+	allocs := testing.AllocsPerRun(1, func() {
+		flipsBefore, shared = c.InjectedFlips.Value(), 0
+		for i := 0; i < reads; i++ {
+			c.ReadPage(a, cb)
+			eng.Run()
+		}
+	})
+	drew := c.InjectedFlips.Value() - flipsBefore
+	if drew < reads/4 || drew > 3*reads/4 {
+		t.Fatalf("test premise: %d of %d reads drew a flip, want about half", drew, reads)
+	}
+	if allocs != float64(drew) || shared != reads-int(drew) {
+		t.Fatalf("%d reads, %d of which drew a flip, made %.0f allocations and delivered the stored image %d times",
+			reads, drew, allocs, shared)
 	}
 }

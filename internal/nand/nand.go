@@ -13,6 +13,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/sim"
 )
@@ -55,13 +56,18 @@ func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 
 // PageImage snapshots data into a new page image — the one buffer a
 // program allocates. A page image is a slice with len == PageSize and
-// cap >= StoredPageSize that has exactly one holder at a time: the
-// layer that takes the snapshot hands it down by reference, every
-// layer below adopts it (and must neither keep nor touch it after
-// handing it on), the controller writes the check bytes into the spare
-// capacity in place, and a successful program ends with the card
-// storing that very buffer. A refused admission or a failed program
-// leaves the image with the issuer, who may submit the same one again.
+// cap >= StoredPageSize. The rule every layer keeps: AN IMAGE IS
+// IMMUTABLE FROM THE MOMENT AN ADOPTING CALL OR A READ HANDS IT ON; to
+// change a page, write a new image. The layer that takes the snapshot
+// may fill it, then hands it down by reference; every layer below
+// adopts it without copying, the controller writes the check bytes —
+// a pure function of the page — into the spare capacity, and a
+// successful program ends with the card storing that very buffer. From
+// then on clean reads deliver the stored image itself (Card.ReadPage),
+// so any number of readers, and after a relocation more than one flash
+// page, may hold it at once; none of them may write to it. A refused
+// admission or a failed program leaves the image with the issuer, who
+// may submit the same one again.
 //
 // Data of any other length is snapshotted at its own length, which is
 // not an image: the adopting calls below reject it by that length.
@@ -76,21 +82,23 @@ func (g Geometry) PageImage(data []byte) []byte {
 	return buf[:len(data)]
 }
 
-// IsPageImage reports whether b has the shape of a page image. The
-// shape says nothing about who else holds b: only a layer that was
-// handed b as an image, or received it as a read result (see
-// ReadImage), may treat it as one.
+// IsPageImage reports whether b has the shape of a page image: a page
+// with room behind it for the check bytes. Every result of a flash read
+// has it (the room holds the check bytes the page was stored with), and
+// so has everything PageImage returns for a page-sized payload.
 func (g Geometry) IsPageImage(b []byte) bool {
 	return len(b) == g.PageSize && cap(b) >= g.StoredPageSize()
 }
 
-// ReadImage turns the result of a page read into an image to program
-// back. A read delivers its private snapshot of the stored page with
-// the check bytes behind it as spare capacity, so a result of that
-// shape already is an image and is returned as it stands; a result
-// clipped to the page is one its deliverer shares with other readers
-// (sched clips a read it fans out to coalesced followers) or copied on
-// the way, and is snapshotted.
+// ReadImage turns the result of a page read into the image a relocation
+// programs back. A read delivers the image the card stores (or, when
+// the read drew bit errors, a corrected private copy of it) with the
+// check bytes behind the page as spare capacity, and images are
+// immutable, so the result is returned as it stands however many other
+// holders it has: the move costs no payload bytes, and re-encoding
+// writes the check bytes the image already carries. Only a result
+// without that capacity — a device fake's bare page, a copy some layer
+// made on the way — is snapshotted.
 func (g Geometry) ReadImage(result []byte) []byte {
 	if g.IsPageImage(result) {
 		return result
@@ -153,6 +161,13 @@ type Reliability struct {
 	// block has absorbed since its last erase (read-disturb noise):
 	// rate *= 1 + ReadDisturb*readsSinceErase. 0 disables it.
 	ReadDisturb float64
+	// GuardImages is a debugging aid for tests, off everywhere else: the
+	// card checksums every image as it stores it and verifies the sum
+	// whenever it touches the page again — each read, the erase or
+	// Replace that drops it, CheckImages — and panics, naming the page
+	// and the operation, when a holder wrote to a stored image. It
+	// changes no simulated behaviour.
+	GuardImages bool
 }
 
 // Addr names a page (or block, with Page ignored) on one card.
@@ -192,6 +207,7 @@ type Card struct {
 	chips []*chipState // bus-major order
 	data  [][]byte     // stored raw image per linear page index; nil = free
 	state []PageState
+	sums  []uint32 // Reliability.GuardImages: checksum of data[i] as it was stored; nil when off
 
 	erasing   sim.Queue[command] // erases in progress, oldest first
 	eraseDone func()             // the oldest erase finished; bound once
@@ -238,6 +254,9 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 		state:     make([]PageState, geo.TotalPages()),
 	}
 	c.eraseDone = c.erased
+	if rel.GuardImages {
+		c.sums = make([]uint32, geo.TotalPages())
+	}
 	for b := 0; b < geo.Buses; b++ {
 		bus := &busState{
 			pipe: sim.NewPipe(eng, fmt.Sprintf("%s/bus%d", name, b), tim.BusBytesPerSec, tim.BusLatency),
@@ -334,11 +353,12 @@ const (
 // a time, a bus, being a FIFO pipe, finishes transfers in the order
 // they were started, and so do erases, which all take the same time:
 // the continuation always knows which command it is for. A flash
-// operation therefore allocates nothing but the read snapshot.
+// operation therefore allocates nothing, but for the private copy of a
+// read that drew bit errors.
 type command struct {
 	kind   cmdKind
 	a      Addr
-	raw    []byte // read: the snapshot; program: the image to store
+	raw    []byte // read: the stored image, or a corrupted copy; program: the image to store
 	onRead func(raw []byte, err error)
 	onDone func(err error)
 }
@@ -438,30 +458,39 @@ func (c *Card) cellDone(cs *chipState) {
 	switch cmd.kind {
 	case cmdRead:
 		// The register drained into the cache register: the chip can
-		// start its next op while the snapshot crosses the shared bus.
+		// start its next op while the image crosses the shared bus.
 		c.runNext(cs)
-		// make+copy of two plain variables compiles to one
-		// allocate-and-copy: the snapshot is never zeroed first.
-		stored := c.data[c.PageIndex(a)]
-		//simlint:allow hotpath (the read snapshot itself: the one payload allocation of a read)
-		raw := make([]byte, len(stored))
-		copy(raw, stored)
+		idx := c.PageIndex(a)
+		stored := c.data[idx]
+		c.verify(idx, "read")
 		serial := cs.readSerial[a.Block]
 		cs.readSerial[a.Block]++
-		c.corrupt(raw, c.globalBlock(a), cs.eraseCount[a.Block], serial)
-		cmd.raw = raw
+		flips, s := c.drawFlips(len(stored)*8, idx/c.geo.PagesPerBlock, cs.eraseCount[a.Block], serial)
+		cmd.raw = stored
+		if flips > 0 {
+			// make+copy of two plain variables compiles to one
+			// allocate-and-copy: the copy is never zeroed first.
+			//simlint:allow hotpath (the private copy of a read that drew bit errors: at the default error rate one read in 13 000)
+			raw := make([]byte, len(stored))
+			copy(raw, stored)
+			c.applyFlips(raw, flips, s)
+			cmd.raw = raw
+		}
 		c.transfer(cmd)
 	case cmdProgram:
 		idx := c.PageIndex(a)
 		c.state[idx] = PageWritten
 		c.data[idx] = cmd.raw
+		if c.sums != nil {
+			c.sums[idx] = crc32.Checksum(cmd.raw, castagnoli)
+		}
 		cs.nextPage[a.Block]++
 		c.Programs.Inc()
 		c.finish(cs, &cmd, nil)
 	}
 }
 
-// busDone ends the oldest transfer on a bus: a read's snapshot has
+// busDone ends the oldest transfer on a bus: a read's image has
 // reached the controller, or a program's image the chip, which now
 // programs it.
 //
@@ -492,6 +521,7 @@ func (c *Card) erased() {
 	}
 	base := c.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
 	for p := 0; p < c.geo.PagesPerBlock; p++ {
+		c.verify(base+p, "erase")
 		c.state[base+p] = PageFree
 		c.data[base+p] = nil
 	}
@@ -515,14 +545,18 @@ func (c *Card) finish(cs *chipState, cmd *command, err error) {
 
 // ReadPage reads the raw stored image (data+OOB) of a page. Timing:
 // cell read occupies the chip, then the image crosses the shared bus.
-// Bit errors are injected into the returned copy according to the
-// block's wear. The callback receives the raw image or an error.
+// Bit errors are drawn according to the block's wear. The callback
+// receives the raw image or an error.
 //
-// Ownership: raw is a private snapshot taken for this read — the one
-// payload allocation of the whole read path. The card keeps no
-// reference to it and never hands it to anyone else, so the caller
-// owns it outright: the controller corrects bit errors in it in place
-// and every layer above passes views of it up to the requester.
+// Ownership: raw is read-only. A read that draws no bit error — all
+// but one in 13 000 at the default rate — delivers the very image the
+// card stores, the one every other clean read of the page delivers too:
+// a clean read copies nothing and allocates nothing. A read that draws
+// flips delivers a private copy with the flips applied; the stored
+// image is never touched. The receiver cannot tell the two apart and
+// need not: images are immutable (Geometry.PageImage), so the
+// controller corrects into a copy of its own when it has to and every
+// layer above passes views of raw up to the requester.
 func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
@@ -537,12 +571,13 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // block.
 //
 // Ownership: the card adopts raw. On success raw itself becomes the
-// stored image, so the caller must hand over a buffer nobody else
-// will write to again and must not touch it after the call; a caller
-// that wants to keep using its buffer passes a copy. A failed program
-// stores nothing and keeps no reference: raw is the caller's again
-// once cb reports the error. (Reads never expose the stored image:
-// ReadPage snapshots it.)
+// stored image, which clean reads hand out as it stands (ReadPage), so
+// from this call on nobody may write to raw again: not the caller, not
+// any reader. A caller that wants to keep changing its buffer passes a
+// copy. A failed program stores nothing and keeps no reference: raw is
+// the caller's again once cb reports the error. raw may already be
+// stored under another address — a relocation programs back the image
+// it read — and stays in use until the last page holding it is erased.
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -573,23 +608,19 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// globalBlock returns the card-wide index of an address's erase block.
-func (c *Card) globalBlock(a Addr) int {
-	return (a.Bus*c.geo.ChipsPerBus+a.Chip)*c.geo.BlocksPerChip + a.Block
-}
-
-// corrupt injects wear-dependent bit flips into out (a private copy of
-// the stored image) for the serial-th read of a block since its last
-// erase. The flip pattern is a pure function of (card seed, block,
-// erase count, read serial): each block carries its own error state, so
-// a block's noise history depends only on its own wear and read count —
-// never on how reads to other blocks, chips or cards interleave with it.
+// drawFlips draws how many of a stored image's bits the serial-th read
+// of a block since its last erase finds flipped, and returns the state
+// of the stream applyFlips takes their positions from. Count and
+// positions are a pure function of (card seed, card-wide block index,
+// erase count, read serial): each block carries its own error state, so a block's noise
+// history depends only on its own wear and read count — never on how
+// reads to other blocks, chips or cards interleave with it.
 //
 //simlint:hotpath
-func (c *Card) corrupt(out []byte, gblk int, eraseCount, serial int64) {
+func (c *Card) drawFlips(bits, gblk int, eraseCount, serial int64) (flips int, s uint64) {
 	rate := c.rel.BitErrorRate
 	if rate <= 0 {
-		return
+		return 0, 0
 	}
 	if c.rel.EnduranceCycles > 0 {
 		rate *= 1 + float64(eraseCount)/float64(c.rel.EnduranceCycles)
@@ -597,24 +628,69 @@ func (c *Card) corrupt(out []byte, gblk int, eraseCount, serial int64) {
 	if c.rel.ReadDisturb > 0 {
 		rate *= 1 + c.rel.ReadDisturb*float64(serial)
 	}
-	bits := len(out) * 8
 	mean := rate * float64(bits)
 	// Per-(block, erase, read) stateless splitmix stream.
-	s := c.noiseSeed ^ mix64(uint64(gblk)*0x9e3779b97f4a7c15+1)
+	s = c.noiseSeed ^ mix64(uint64(gblk)*0x9e3779b97f4a7c15+1)
 	s ^= mix64(uint64(eraseCount)*0xd1342543de82ef95 + 0x2545f4914f6cdd1d)
 	s += uint64(serial) * 0x9e3779b97f4a7c15
 	// Cheap Poisson-ish sampling: integer part plus Bernoulli remainder.
 	s += 0x9e3779b97f4a7c15
-	flips := int(mean)
+	flips = int(mean)
 	if float64(mix64(s)>>11)/(1<<53) < mean-float64(flips) {
 		flips++
 	}
+	return flips, s
+}
+
+// applyFlips flips the drawn bits of out, a private copy of the stored
+// image, continuing the stream drawFlips left at s.
+func (c *Card) applyFlips(out []byte, flips int, s uint64) {
+	bits := uint64(len(out) * 8)
 	for i := 0; i < flips; i++ {
 		s += 0x9e3779b97f4a7c15
-		pos := int(mix64(s) % uint64(bits))
+		pos := int(mix64(s) % bits)
 		out[pos/8] ^= 1 << uint(pos%8)
 		c.InjectedFlips.Inc()
 	}
+}
+
+// castagnoli is the image guard's checksum: hardware-assisted, and any
+// change confined to one word of the image changes it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checkImage is the image guard (Reliability.GuardImages): the image
+// stored at page idx must still be, byte for byte, what was programmed.
+//
+//simlint:hotpath
+func (c *Card) checkImage(idx int, op string) error {
+	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx] {
+		return nil
+	}
+	//simlint:allow hotpath (debug guard tripped: the run ends here)
+	return fmt.Errorf("nand: %s: the image stored at %v was written to after it was programmed (found by %s): page images are immutable", c.name, c.AddrOf(idx), op)
+}
+
+// verify fails the operation that finds a stored image changed.
+//
+//simlint:hotpath
+func (c *Card) verify(idx int, op string) {
+	if err := c.checkImage(idx, op); err != nil {
+		panic(err)
+	}
+}
+
+// CheckImages verifies every stored image against the checksum taken
+// when it was programmed and reports the first that a holder has
+// written to since. It is for a test's drain; without
+// Reliability.GuardImages there is nothing to compare and it returns
+// nil.
+func (c *Card) CheckImages() error {
+	for idx := range c.data {
+		if err := c.checkImage(idx, "CheckImages"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fail marks the whole card dead: every subsequent operation — and
@@ -637,6 +713,7 @@ func (c *Card) Failed() bool { return c.failed }
 func (c *Card) Replace() {
 	c.failed = false
 	for i := range c.data {
+		c.verify(i, "Replace")
 		c.data[i] = nil
 		c.state[i] = PageFree
 	}

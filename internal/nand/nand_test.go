@@ -3,6 +3,8 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -454,48 +456,87 @@ func TestProgramEraseOracleProperty(t *testing.T) {
 	}
 }
 
-// TestProgramAdoptsReadSnapshots pins the two ownership rules the
-// zero-copy flash path rests on. ProgramPage adopts raw: the stored
-// image IS the caller's buffer (no copy), which is why callers must
-// give it away. ReadPage snapshots: every read gets a private buffer,
-// so nothing a reader does to its result can reach the stored image or
-// another reader.
+// TestProgramAdoptsReadSnapshots pins the ownership rules the zero-copy
+// flash path rests on. ProgramPage adopts raw: the stored image IS the
+// caller's buffer (no copy), which is why callers must give it away. A
+// read that draws no bit error delivers that stored image itself, the
+// same to every reader; only a read that draws flips snapshots — a
+// private copy with the flips applied, the stored image untouched.
 func TestProgramAdoptsReadSnapshots(t *testing.T) {
-	eng := sim.NewEngine()
-	c := perfectCard(t, eng)
-	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
-	raw := mkRaw(c, 0x3c)
-	c.ProgramPage(a, raw, func(err error) {
+	for _, ber := range []float64{0, 1e-2} { // no read draws a flip; every read draws dozens
+		eng := sim.NewEngine()
+		c, err := NewCard(eng, "own", testGeometry(), DefaultTiming(), Reliability{BitErrorRate: ber, GuardImages: true}, 1)
 		if err != nil {
-			t.Fatalf("program: %v", err)
+			t.Fatal(err)
 		}
-	})
-	eng.Run()
-	if stored := c.Peek(a); &stored[0] != &raw[0] {
-		t.Fatal("ProgramPage copied raw; it must adopt the caller's buffer as the stored image")
+		a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
+		raw := mkRaw(c, 0x3c)
+		c.ProgramPage(a, raw, func(err error) {
+			if err != nil {
+				t.Fatalf("program: %v", err)
+			}
+		})
+		eng.Run()
+		if stored := c.Peek(a); &stored[0] != &raw[0] {
+			t.Fatal("ProgramPage copied raw; it must adopt the caller's buffer as the stored image")
+		}
+		first, second := readRaw(t, eng, c, a), readRaw(t, eng, c, a)
+		if ber == 0 {
+			if &first[0] != &raw[0] || &second[0] != &raw[0] {
+				t.Fatal("a clean read delivered a copy of the stored image")
+			}
+			continue
+		}
+		if &first[0] == &raw[0] || &second[0] == &raw[0] || &first[0] == &second[0] {
+			t.Fatal("a read that drew flips handed out the stored image, or shared its copy with another read")
+		}
+		if bytes.Equal(first, raw) || bytes.Equal(second, raw) || c.InjectedFlips.Value() == 0 {
+			t.Fatal("no flips were applied to the copies")
+		}
+		if !bytes.Equal(c.Peek(a), mkRaw(c, 0x3c)) || c.CheckImages() != nil {
+			t.Fatal("applying a read's flips changed the stored image")
+		}
 	}
+}
 
-	var first, second []byte
-	c.ReadPage(a, func(r []byte, err error) {
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		first = r
-		for i := range r {
-			r[i] = 0xff
-		}
-	})
-	c.ReadPage(a, func(r []byte, err error) {
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		second = r
-	})
-	eng.Run()
-	if &first[0] == &raw[0] || &second[0] == &raw[0] || &first[0] == &second[0] {
-		t.Fatal("ReadPage handed out the stored image or shared one snapshot between reads")
+// TestImageGuard: with Reliability.GuardImages on, every operation that
+// touches a stored image a holder has written to — a read, the erase or
+// Replace that drops it, CheckImages — fails there, naming the page and
+// itself. Rewriting an image with the bytes it holds is not a change.
+func TestImageGuard(t *testing.T) {
+	a := Addr{Bus: 1, Chip: 0, Block: 2, Page: 0}
+	ops := map[string]func(*sim.Engine, *Card){
+		"read":    func(eng *sim.Engine, c *Card) { c.ReadPage(a, func([]byte, error) {}); eng.Run() },
+		"erase":   func(eng *sim.Engine, c *Card) { c.EraseBlock(a, func(error) {}); eng.Run() },
+		"Replace": func(_ *sim.Engine, c *Card) { c.Replace() },
+		"CheckImages": func(_ *sim.Engine, c *Card) {
+			if err := c.CheckImages(); err != nil {
+				panic(err)
+			}
+		},
 	}
-	if !bytes.Equal(second, mkRaw(c, 0x3c)) || !bytes.Equal(c.Peek(a), mkRaw(c, 0x3c)) {
-		t.Fatal("scribbling over one read's snapshot changed another read or the stored image")
+	for name, op := range ops {
+		eng := sim.NewEngine()
+		c, err := NewCard(eng, "guard", testGeometry(), DefaultTiming(), Reliability{GuardImages: true}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := mkRaw(c, 0x11)
+		c.ProgramPage(a, raw, func(error) {})
+		eng.Run()
+		raw[40] = 0x11
+		if readRaw(t, eng, c, a); c.CheckImages() != nil {
+			t.Fatal("the guard tripped on an image nobody changed")
+		}
+		raw[40] ^= 0x80
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by "+name) {
+					t.Errorf("%s of a scribbled image: %q; want a failure naming %v and %s", name, msg, a, name)
+				}
+			}()
+			op(eng, c)
+		}()
 	}
 }

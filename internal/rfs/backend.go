@@ -59,17 +59,17 @@ func (l Layout) TotalPages() int { return l.TotalSegs() * l.PagesPerSeg }
 // so the dispatcher can defer it behind latency-class tenants.
 // Backends that have no scheduler (CardBackend) ignore both.
 //
-// Ownership: ReadPage delivers a result that is the callback's own. If
-// nobody else was given the same buffer it arrives with the page's
-// check-byte tail as spare capacity, which makes it a page image the
-// cleaner programs back as it stands; a backend that hands one buffer
-// to several readers, or copies, delivers it clipped to the page, and
-// the cleaner snapshots it first (nand.Geometry.ReadImage). WritePage
-// ADOPTS img, a page image (nand.Geometry.PageImage): the backend
-// passes it down by reference until the card stores it, and must
-// neither copy it for its own keeping nor touch it after handing it
-// on. Only a failed write — cb with an error — returns the image to the
-// FS, which may issue the same one again.
+// Ownership: page images are immutable (nand.Geometry.PageImage).
+// ReadPage delivers a result the callback may keep and must not write
+// to: as a rule the image the card stores, check-byte tail behind the
+// page as spare capacity, whoever else holds it; the cleaner programs
+// that very buffer back. Only a result without the tail — a fake's bare
+// page, a copy a backend made — is snapshotted first
+// (nand.Geometry.ReadImage). WritePage ADOPTS img, a page image: the
+// backend passes it down by reference until the card stores it, and
+// must neither copy it for its own keeping nor write to it. Only a
+// failed write — cb with an error — returns the image to the FS, which
+// may issue the same one again.
 type Backend interface {
 	Layout() Layout
 	// Addr resolves a linear ppn to its cluster-wide physical

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/sched"
 )
 
@@ -26,10 +27,7 @@ func clusterParams(nodes int) core.Params {
 
 func newClusterFS(t testing.TB, nodes, lowWater int) (*core.Cluster, *sched.Scheduler, *FS) {
 	t.Helper()
-	c, err := core.NewCluster(clusterParams(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, clusterParams(nodes))
 	scfg := sched.DefaultConfig()
 	scfg.MaxInflight = 16
 	scfg.BatchSize = 16

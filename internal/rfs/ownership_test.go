@@ -9,12 +9,13 @@ import (
 	"repro/internal/sched"
 )
 
-// A page image has one owner from the file write to the cell: the
+// A written page is one image from the file write to the cell: the
 // buffer writePage allocates is the one the card stores, a cleaner move
-// stores the buffer its read returned, and a program that fails on a
-// bad block goes out again with the same image. These tests watch the
-// FS/backend boundary with a spy and compare what crossed it with what
-// the card holds.
+// stores the image its read returned — the one the victim page still
+// holds — and a program that fails on a bad block goes out again with
+// the same image. These tests watch the FS/backend boundary with a spy
+// and compare what crossed it with what the card holds; the cards run
+// under the image guard.
 
 // spyBackend records every buffer that crosses the backend interface.
 type spyBackend struct {
@@ -22,20 +23,25 @@ type spyBackend struct {
 	card       *nand.Card
 	writes     []spyWrite     // every WritePage in issue order, outcome filled in on completion
 	cleanReads map[*byte]bool // first byte of every result a cleaner read delivered
+	copied     int            // cleaner reads whose result was not the image stored at the page read
 }
 
 type spyWrite struct {
-	ppn    int
-	clean  bool
-	img    []byte
-	err    error
-	stored bool // on completion the card held img itself at ppn
+	ppn      int
+	clean    bool
+	img      []byte
+	readBack bool // when it was issued, img was a buffer some cleaner read had delivered
+	err      error
+	stored   bool // on completion the card held img itself at ppn
 }
 
 func (b *spyBackend) ReadPage(ppn int, class sched.Class, clean bool, cb func([]byte, error)) {
 	b.Backend.ReadPage(ppn, class, clean, func(data []byte, err error) {
 		if clean && err == nil {
 			b.cleanReads[&data[0]] = true
+			if stored := b.card.Peek(b.Addr(ppn).Addr); len(stored) == 0 || &stored[0] != &data[0] {
+				b.copied++
+			}
 		}
 		cb(data, err)
 	})
@@ -43,7 +49,7 @@ func (b *spyBackend) ReadPage(ppn int, class sched.Class, clean bool, cb func([]
 
 func (b *spyBackend) WritePage(ppn int, class sched.Class, clean bool, img []byte, cb func(error)) {
 	i := len(b.writes)
-	b.writes = append(b.writes, spyWrite{ppn: ppn, clean: clean, img: img})
+	b.writes = append(b.writes, spyWrite{ppn: ppn, clean: clean, img: img, readBack: b.cleanReads[&img[0]]})
 	b.Backend.WritePage(ppn, class, clean, img, func(err error) {
 		stored := b.card.Peek(b.Addr(ppn).Addr)
 		b.writes[i].err = err
@@ -152,9 +158,11 @@ func cleanerChurn(t testing.TB, h *harness, geo nand.Geometry) (*File, []byte) {
 	return f, version
 }
 
-// TestCleanerMoveStoresTheBufferItRead: a cleaner move re-programs the
-// buffer its read returned. Every cleaning program hands down a buffer
-// some cleaning read delivered, and the card stores that very buffer.
+// TestCleanerMoveStoresTheBufferItRead: a cleaner move costs no payload
+// byte. Its read delivers the image the victim page stores, the move
+// hands that very buffer down, and the card stores it at the
+// destination. (The two closures of a move are ROADMAP item 2's rfs
+// bullet, not this test's.)
 func TestCleanerMoveStoresTheBufferItRead(t *testing.T) {
 	geo := smallGeo()
 	h, spy := newSpyHarness(t, geo)
@@ -165,73 +173,65 @@ func TestCleanerMoveStoresTheBufferItRead(t *testing.T) {
 			continue
 		}
 		moves++
-		if !spy.cleanReads[&w.img[0]] {
+		if !w.readBack {
 			t.Fatalf("cleaning program at ppn %d hands down a buffer no cleaning read delivered: the move copied", w.ppn)
 		}
 		if !w.stored {
 			t.Fatalf("the card stores a copy of the moved page at ppn %d", w.ppn)
 		}
 	}
-	if moves != h.fs.CleanMoves {
-		t.Fatalf("spy saw %d cleaning programs, the FS counts %d moves", moves, h.fs.CleanMoves)
+	if moves != h.fs.CleanMoves || spy.copied != 0 {
+		t.Fatalf("spy saw %d cleaning programs, the FS counts %d moves; %d cleaner reads delivered a copy of the stored image",
+			moves, h.fs.CleanMoves, spy.copied)
 	}
-	for idx, v := range version {
-		if got, err := h.readPage(t, f, idx); err != nil || !bytes.Equal(got, pg(geo, v)) {
-			t.Fatalf("page %d after cleaning: err %v, wrong data", idx, err)
-		}
-	}
+	checkVersions(t, h, f, version)
 	if err := h.fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// clipCleanReads delivers every cleaner read clipped to the page, the
-// way sched delivers a read it fans out to coalesced followers, and
-// keeps the buffer as the other reader would.
-type clipCleanReads struct {
-	Backend
-	shared *[][]byte
+func checkVersions(t *testing.T, h *harness, f *File, version []byte) {
+	t.Helper()
+	for idx, v := range version {
+		if got, err := h.readPage(t, f, idx); err != nil || !bytes.Equal(got, pg(h.fs.geo, v)) {
+			t.Fatalf("page %d after cleaning: err %v, wrong data", idx, err)
+		}
+	}
 }
+
+// clipCleanReads delivers every cleaner read clipped to the page.
+type clipCleanReads struct{ Backend }
 
 func (b clipCleanReads) ReadPage(ppn int, class sched.Class, clean bool, cb func([]byte, error)) {
 	b.Backend.ReadPage(ppn, class, clean, func(data []byte, err error) {
 		if clean && err == nil {
 			data = data[:len(data):len(data)]
-			*b.shared = append(*b.shared, data)
 		}
 		cb(data, err)
 	})
 }
 
-// TestSharedReadResultIsCopiedBeforeCleaning: a cleaner read delivered
-// clipped to the page is not the cleaner's alone. The move must program
-// a snapshot, so that the other holder scribbling on the shared buffer
-// cannot reach the relocated page.
+// TestSharedReadResultIsCopiedBeforeCleaning (the name is from when a
+// result clipped to the page meant "shared"): a cleaner read delivered
+// without the check-byte room behind the page — a device fake, a layer
+// that copied — is not an image. The move must program a snapshot of it
+// (nand.Geometry.ReadImage), not hand the bare page down.
 func TestSharedReadResultIsCopiedBeforeCleaning(t *testing.T) {
 	geo := smallGeo()
-	var shared [][]byte
 	spy := &spyBackend{cleanReads: make(map[*byte]bool)}
 	h := newHarnessOver(t, geo, func(b Backend) Backend {
-		spy.Backend = clipCleanReads{b, &shared}
+		spy.Backend = clipCleanReads{b}
 		return spy
 	})
 	spy.card = h.card
 	f, version := cleanerChurn(t, h, geo)
 	for _, w := range spy.writes {
-		if w.clean && spy.cleanReads[&w.img[0]] {
-			t.Fatal("a move programmed a read result it was told is shared")
+		if w.clean && (w.readBack || !geo.IsPageImage(w.img) || w.err != nil) {
+			t.Fatalf("cleaning program at ppn %d: handed down the bare read result %v, image %v, err %v",
+				w.ppn, w.readBack, geo.IsPageImage(w.img), w.err)
 		}
 	}
-	for _, d := range shared { // the other reader owns its result: scribble
-		for i := range d {
-			d[i] = 0xff
-		}
-	}
-	for idx, v := range version {
-		if got, err := h.readPage(t, f, idx); err != nil || !bytes.Equal(got, pg(geo, v)) {
-			t.Fatalf("page %d: err %v; a shared read result was re-programmed without a copy", idx, err)
-		}
-	}
+	checkVersions(t, h, f, version)
 }
 
 // TestBadBlockRetryResubmitsTheSameImage: an append that hits a bad

@@ -770,9 +770,9 @@ func (fs *FS) moveOne(st *cleanState, ppn int, ref fileRef) {
 			fs.finishClean()
 			return
 		}
-		// The read result is re-programmed as it stands — a private page
-		// image, check-byte tail and all — and snapshotted only when its
-		// deliverer shared it with another reader.
+		// The read result is re-programmed as it stands — the image the
+		// victim page stores, check-byte tail and all; images are
+		// immutable, so both pages may hold it until the victim is erased.
 		fs.b.WritePage(dst, sched.Background, true, fs.geo.ReadImage(data), func(perr error) {
 			if perr != nil {
 				st.aborted = true

@@ -36,10 +36,16 @@ func newHarness(t testing.TB, geo nand.Geometry) *harness {
 func newHarnessOver(t testing.TB, geo nand.Geometry, wrap func(Backend) Backend) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
-	card, err := nand.NewCard(eng, "card", geo, nand.DefaultTiming(), nand.Reliability{}, 5)
+	_, guard := t.(*testing.T) // tests run under the image guard, benchmarks without
+	card, err := nand.NewCard(eng, "card", geo, nand.DefaultTiming(), nand.Reliability{GuardImages: guard}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := card.CheckImages(); err != nil {
+			t.Error(err)
+		}
+	})
 	var sp *flashserver.Splitter
 	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
 		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },

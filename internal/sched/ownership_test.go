@@ -11,8 +11,9 @@ import (
 // Writes pass one page image from admission to the cell: Stream.Write
 // and the host router snapshot into it, WriteImage adopts it, a refused
 // admission hands it back, and a Sequencer offers the same one again.
-// Reads deliver their private buffer with its tail — unless several
-// requesters share it, which the missing tail makes visible.
+// Reads deliver the image the card stores, tail and all, to one
+// requester or to several: images are immutable, so sharing needs no
+// signal. The clusters here run under the image guard.
 
 // freePage returns the idx-th page of node 0's first erased block row
 // past the seeded region: programmable in idx order.
@@ -231,20 +232,17 @@ func TestSequencerKeepsOrderAndImages(t *testing.T) {
 	}
 }
 
-// TestSharedReadResultIsClipped: a read nobody coalesced with delivers
-// its private buffer with the check-byte tail as spare capacity — a
-// page image its receiver may program back. A read fanned out to
-// coalesced followers hands ONE buffer to several requesters, and every
-// one of them gets it clipped to the page, which is how a relocation
-// knows to copy before it programs.
-func TestSharedReadResultIsClipped(t *testing.T) {
+// TestCoalescedReadSharesTheUnclippedImage: a read fanned out to
+// coalesced followers hands lead and followers the one buffer a lone
+// read would get — the image the card stores, check-byte tail behind it
+// as spare capacity — so any of them may program it back as it stands.
+func TestCoalescedReadSharesTheUnclippedImage(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.NewStream("r", 0, sched.Interactive)
-	geo := c.Params.Geometry
 	var results [][]byte
 	collect := func(d []byte, err error) {
 		if err != nil {
@@ -253,29 +251,20 @@ func TestSharedReadResultIsClipped(t *testing.T) {
 		results = append(results, d)
 	}
 	a := core.LinearPage(c.Params, 0, 3)
-	if err := st.Read(a, collect); err != nil {
-		t.Fatal(err)
-	}
-	c.Run()
-	if len(results) != 1 || !geo.IsPageImage(results[0]) {
-		t.Fatalf("a lone read delivered cap %d, want its own tail (>= %d)", cap(results[0]), geo.StoredPageSize())
-	}
-	results = nil
 	for i := 0; i < 3; i++ {
 		if err := st.Read(a, collect); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Run()
-	if s.Snapshot().Coalesced != 2 || len(results) != 3 {
+	results = append(results, readBack(t, c, st, a)) // and a lone read
+	if s.Snapshot().Coalesced != 2 || len(results) != 4 {
 		t.Fatalf("coalesced %d, results %d", s.Snapshot().Coalesced, len(results))
 	}
+	stored := peek(c, a)
 	for i, d := range results {
-		if &d[0] != &results[0][0] {
-			t.Fatal("test premise: coalesced readers share one buffer")
-		}
-		if cap(d) != len(d) || geo.IsPageImage(d) {
-			t.Fatalf("reader %d of a shared result got cap %d: it looks exclusively owned", i, cap(d))
+		if &d[0] != &stored[0] || !c.Params.Geometry.IsPageImage(d) {
+			t.Fatalf("reader %d got len %d cap %d: not the stored image with its tail", i, len(d), cap(d))
 		}
 	}
 	if out := s.PoolOut(); out != 0 {
@@ -285,9 +274,10 @@ func TestSharedReadResultIsClipped(t *testing.T) {
 
 // TestFlashOpsAllocateOnePage extends flashserver's
 // TestPageOpsAllocateOnePage through the scheduler and the host
-// interface: a read or a program admitted alone — its own doorbell, so
-// nothing is amortized — allocates its one page-sized buffer, the two
-// continuations of its doorbell batch, and nothing per request.
+// interface: admitted alone — its own doorbell, so nothing is amortized
+// — a program allocates its image and a read nothing: the request, the
+// doorbell batch and every continuation ride pooled records, and a
+// clean read delivers the stored image.
 func TestFlashOpsAllocateOnePage(t *testing.T) {
 	c := testCluster(t, 1, 64)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -329,11 +319,10 @@ func TestFlashOpsAllocateOnePage(t *testing.T) {
 		read()
 	}
 	s.ResetStats()
-	const perDoorbell = 2 // SubmitHostBatch's thread and RPC continuations
-	if allocs := testing.AllocsPerRun(20, write); allocs > 1+perDoorbell {
-		t.Errorf("a program through sched makes %.1f allocations, want %d (image + doorbell)", allocs, 1+perDoorbell)
+	if allocs := testing.AllocsPerRun(20, write); allocs != 1 {
+		t.Errorf("a program through sched makes %.1f allocations, want 1 (the image)", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, read); allocs > 1+perDoorbell {
-		t.Errorf("a read through sched makes %.1f allocations, want %d (snapshot + doorbell)", allocs, 1+perDoorbell)
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Errorf("a read through sched makes %.1f allocations, want 0", allocs)
 	}
 }

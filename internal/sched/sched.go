@@ -385,8 +385,10 @@ type nodeQueue struct {
 	kickFn func()
 	ringFn func()
 
-	// batch is the dispatch scratch list, reused across doorbells.
+	// batch is the dispatch scratch list and reqs the doorbell it is
+	// turned into, both reused across doorbells.
 	batch []*request
+	reqs  []core.HostReq
 }
 
 func newNodeQueue(s *Scheduler, node *core.Node) *nodeQueue {
@@ -581,9 +583,8 @@ func (nq *nodeQueue) dispatchHost() {
 	nq.ringing = true
 	nq.s.stats.batches++
 	nq.s.stats.batchedReqs += int64(len(batch))
-	reqs := nq.node.GetBatch()
+	reqs := nq.reqs[:0]
 	for _, r := range batch {
-		//simlint:allow hotpath (GetBatch returns the node's recycled batch buffer; growth is amortized across doorbells)
 		reqs = append(reqs, core.HostReq{
 			Addr:       r.addr,
 			Write:      r.write,
@@ -598,7 +599,9 @@ func (nq *nodeQueue) dispatchHost() {
 		batch[i] = nil
 	}
 	nq.batch = batch[:0]
-	nq.node.SubmitHostBatch(reqs, nq.ringFn)
+	nq.node.SubmitHostBatch(reqs, nq.ringFn) // copies reqs
+	clear(reqs)                              // the buffer must not keep images or callbacks alive
+	nq.reqs = reqs
 }
 
 // dispatchAccel grants queued Accel-class reads device-window slots —
@@ -692,19 +695,16 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 
 // complete finishes a dispatched request and every coalesced follower.
 //
-// Ownership: a read nobody coalesced with delivers its result as the
-// device handed it up — private to the one requester, check-byte tail
-// behind it as spare capacity, so a relocation may program that very
-// buffer back (nand.Geometry.ReadImage). A read with followers
-// delivers one buffer to several requesters, so it is clipped to the
-// page: the missing capacity is how a receiver sees that the result is
-// shared and must be copied before it is programmed.
+// Ownership: a read delivers its result as the device handed it up —
+// as a rule the image the card stores, check-byte tail behind it as
+// spare capacity — to the lead and to every coalesced follower alike.
+// Page images are immutable (nand.Geometry.PageImage), so handing one
+// buffer to several requesters needs no signal and no copy: each may
+// keep it, and a relocation among them may program that very buffer
+// back (nand.Geometry.ReadImage); none may write to it.
 //
 //simlint:hotpath
 func (nq *nodeQueue) complete(r *request, data []byte, err error) {
-	if len(r.followers) > 0 {
-		data = data[:len(data):len(data)]
-	}
 	nq.inflight--
 	if r.class == Background {
 		nq.bgInflight--

@@ -5,20 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// testCluster builds a small seeded cluster.
+// testCluster builds a small seeded cluster under the image guard: when
+// the test ends no stored image may have been written to.
 func testCluster(t *testing.T, nodes, pages int) *core.Cluster {
 	t.Helper()
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	for n := 0; n < nodes; n++ {
 		if err := c.SeedLinear(n, pages, workload.RandomPages(7)); err != nil {
 			t.Fatal(err)

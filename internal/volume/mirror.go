@@ -435,7 +435,8 @@ func (v *Volume) pumpRebuild(cd *card) {
 
 // copyPage restores one page: read the survivor, write the
 // replacement, both on TagRebuild (Background class). The copy programs
-// the buffer its read returned, as a GC move does (nand.ReadImage).
+// the image its read returned, as a GC move does (nand.ReadImage): the
+// survivor's card and the replacement end up storing the one buffer.
 func (v *Volume) copyPage(cd *card, clpn int, src *card, sclpn int) {
 	src.f.ReadTagged(sclpn, ftl.TagRebuild, func(data []byte, err error) {
 		if err != nil {

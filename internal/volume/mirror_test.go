@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/sched"
 	"repro/internal/volume"
@@ -18,10 +19,7 @@ func testMirrored(t *testing.T, nodes int) (*core.Cluster, *sched.Scheduler, *vo
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -37,10 +35,7 @@ func testMirrored(t *testing.T, nodes int) (*core.Cluster, *sched.Scheduler, *vo
 
 func TestMirrorNeedsTwoNodes(t *testing.T) {
 	p := core.DefaultParams(1)
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/sched"
@@ -15,19 +16,17 @@ import (
 // The volume is a public entry: Stream.Write snapshots, and from that
 // snapshot down one page image travels to the cell — through the FTL,
 // the per-tag sequencer, the scheduler's admission queue (backpressure
-// included) and the host interface. A GC move re-programs the buffer
-// its read returned unless the scheduler fanned that read out to a
-// host reader too, in which case the move copies first.
+// included) and the host interface. A GC move and a rebuild copy
+// re-program the image their read returned — the stored image itself —
+// also when the scheduler fanned that read out to a host reader too.
+// The clusters here run under the image guard.
 
 func ownershipVolume(t testing.TB, scfg sched.Config) (*core.Cluster, *sched.Scheduler, *Volume) {
 	t.Helper()
 	p := core.DefaultParams(1)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,12 +168,12 @@ func (b hostReadsBesideGC) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, 
 	}
 }
 
-// TestGCReadSharedWithHostReaderIsCopied: a GC read coalesced with a
-// host read of the same page — in either order — is delivered clipped,
-// so the move programs a snapshot, not the shared buffer: no stored
-// page aliases what a host reader holds, and host readers scribbling
-// on their results change no relocated page.
-func TestGCReadSharedWithHostReaderIsCopied(t *testing.T) {
+// TestGCReadSharedWithHostReaderMovesTheImage: a GC read coalesced with
+// a host read of the same page — in either order — hands both the
+// stored image, unclipped, and the move programs that very buffer while
+// the host reader still holds it. Nobody writes to it, so the guard
+// stays quiet and every page reads back right.
+func TestGCReadSharedWithHostReaderMovesTheImage(t *testing.T) {
 	for _, gcLeads := range []bool{true, false} {
 		name := "GC read follows the host read"
 		if gcLeads {
@@ -201,27 +200,24 @@ func TestGCReadSharedWithHostReaderIsCopied(t *testing.T) {
 				t.Fatalf("test premise: %d GC moves but only %d coalesced reads", moves, co)
 			}
 			geo := c.Params.Geometry
-			for _, d := range held {
-				if geo.IsPageImage(d) {
-					t.Fatal("a host reader sharing its buffer with a GC read got it unclipped")
-				}
-			}
 			heldBufs := make(map[*byte]bool, len(held))
 			for _, d := range held {
+				if !geo.IsPageImage(d) {
+					t.Fatal("a host reader sharing its result with a GC read got it clipped")
+				}
 				heldBufs[&d[0]] = true
 			}
+			shared := 0
 			for ci := 0; ci < c.Params.CardsPerNode; ci++ {
 				card := c.Node(0).Card(ci)
 				for idx := 0; idx < geo.TotalPages(); idx++ {
 					if stored := card.Peek(card.AddrOf(idx)); stored != nil && heldBufs[&stored[0]] {
-						t.Fatalf("card %d page %d stores a buffer a host reader holds: the move did not copy", ci, idx)
+						shared++
 					}
 				}
 			}
-			for _, d := range held { // the host readers own their results
-				for i := range d {
-					d[i] = 0xff
-				}
+			if shared == 0 {
+				t.Fatal("no stored page is a buffer a host reader holds: the moves copied")
 			}
 			checkVolume(t, c, st, version)
 		})
@@ -231,10 +227,9 @@ func TestGCReadSharedWithHostReaderIsCopied(t *testing.T) {
 // TestWritesAllocateOnePagePerProgram extends flashserver's
 // TestPageOpsAllocateOnePage to the top of the stack: under
 // steady-state GC a logical write through the volume, the scheduler and
-// the host interface costs one stored-size buffer per physical program
-// — the write's image, plus for each page the collector moves the
-// snapshot its read took, programmed back as it stands — and small
-// change.
+// the host interface costs one stored-size buffer — the write's image —
+// and small change. The programs the collector adds cost no page: a
+// move programs back the image its read delivered.
 func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 	c, _, v := ownershipVolume(t, sched.DefaultConfig())
 	st, err := v.NewStream("w", sched.Batch)
@@ -269,8 +264,8 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 	stored := float64(c.Params.Geometry.StoredPageSize())
 	got := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(d.HostWrites)
 	perWrite := float64(d.FlashPrograms) / float64(d.HostWrites)
-	if budget := 1.15 * perWrite * stored; got >= budget {
-		t.Errorf("a logical write (%.2f programs) allocates %.0f B, budget %.0f: more than one page per program", perWrite, got, budget)
+	if budget := 1.15 * stored; got >= budget {
+		t.Errorf("a logical write (%.2f programs) allocates %.0f B, budget %.0f: more than its one image", perWrite, got, budget)
 	}
 }
 
@@ -306,17 +301,15 @@ func (b rebuildSpy) WritePage(a nand.Addr, img []byte, tag ftl.IOTag, cb func(er
 }
 
 // TestRebuildCopyStoresTheBufferItRead: a rebuild copy is a move
-// between cards, and like a GC move it allocates no second page — the
-// buffer the survivor's read delivered is the image handed to the
-// replacement card's program, and the buffer that card ends up storing.
+// between cards, and like a GC move it allocates no page — the image
+// the survivor's card stores is what its read delivers, what is handed
+// to the replacement card's program, and what that card ends up
+// storing: one buffer on two cards.
 func TestRebuildCopyStoresTheBufferItRead(t *testing.T) {
 	p := core.DefaultParams(2)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -360,12 +353,21 @@ func TestRebuildCopyStoresTheBufferItRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebuilt := false
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	if err := v.StartRebuild(0, func() { rebuilt = true }); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
+	runtime.ReadMemStats(&m1)
 	if !rebuilt {
 		t.Fatal("rebuild never completed")
+	}
+	// The fresh FTL's tables and the cold pools of 48 copies are in the
+	// figure (a little over 2 KB each); a page per copy is not.
+	if perCopy := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(writes)); perCopy >= float64(p.Geometry.PageSize)/2 {
+		t.Errorf("a rebuild copy allocates %.0f B: it pays for a page", perCopy)
 	}
 	if len(writes) == 0 || int64(len(writes)) != v.Stats().PagesRebuilt {
 		t.Fatalf("spy saw %d rebuild programs, the volume counts %d pages rebuilt", len(writes), v.Stats().PagesRebuilt)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -18,10 +19,7 @@ func testVolume(t *testing.T, nodes int, fcfg ftl.Config) (*core.Cluster, *sched
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
 	p.Geometry.PagesPerBlock = 8
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,14 @@ import (
 )
 
 // testSpec is a two-node appliance small enough to seed in
-// milliseconds; tests switch layers on from here.
+// milliseconds; tests switch layers on from here. Every composed stack
+// runs under the image guard: an operation that finds a stored page
+// image written to panics on the spot.
 func testSpec() StackSpec {
 	p := core.DefaultParams(2)
 	p.Geometry.BlocksPerChip = 4
 	p.Geometry.PagesPerBlock = 8
+	p.Reliability.GuardImages = true
 	return StackSpec{Params: p, Sched: sched.DefaultConfig()}
 }
 
@@ -39,7 +42,18 @@ func seededVolumeStack(t *testing.T) *Stack {
 	if err := st.Seed(RandomPages(3)); err != nil {
 		t.Fatal(err)
 	}
+	checkImagesAtEnd(t, st)
 	return st
+}
+
+// checkImagesAtEnd is the guard's drain check: when the test ends, no
+// image a card still stores may have been written to.
+func checkImagesAtEnd(t *testing.T, st *Stack) {
+	t.Cleanup(func() {
+		if err := st.C.CheckImages(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestBuildCompositions: every layer combination the spec can name
@@ -80,6 +94,7 @@ func TestBuildCompositions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkImagesAtEnd(t, st)
 			if (st.V != nil) != (spec.FTL != nil) || (st.Cache != nil) != (spec.Cache != nil) ||
 				(st.FS != nil) != (spec.RFS != nil) || (st.ISP != nil) != (spec.ISP != nil) {
 				t.Fatalf("built layers do not match the spec: %+v", st)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -11,10 +12,7 @@ import (
 func TestMixedWritesHonourNANDOrdering(t *testing.T) {
 	p := core.DefaultParams(2)
 	p.Geometry.BlocksPerChip = 16
-	c, err := core.NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coretest.NewCluster(t, p)
 	for n := 0; n < 2; n++ {
 		if err := c.SeedLinear(n, 128, workload.RandomPages(3)); err != nil {
 			t.Fatal(err)
