@@ -4,7 +4,7 @@
 // cold-data demotion tier onto the paper's altstore comparator
 // devices (tier.go).
 //
-// Shape of the tier (ROADMAP item 4; paper §6.2, Figures 17/21):
+// Shape of the tier (paper §6.2, Figures 17/21):
 //
 //   - Hits are charged through hostmodel.CPU.ReadDRAM, so cache
 //     traffic contends with ISP merge and host software for the same

@@ -106,6 +106,8 @@ type DecodeResult struct {
 // images are immutable (nand.Geometry.PageImage). A page whose check
 // bytes all agree — every read that drew no bit error of an image that
 // was encoded when it was programmed — is returned as a view of raw.
+// The flash controller knows that answer in advance for a clean read of
+// a page it sealed (nand.Card.Sealed), and skips the call for it.
 // At the first word that needs a correction raw is copied once and the
 // copy is decoded in place: corrections land in the copy, Data is a
 // view of it, and raw still reads as it did, wrong bits included. An

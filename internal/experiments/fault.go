@@ -1,9 +1,9 @@
 package experiments
 
-// The fault-scenario experiment: the durability story the ROADMAP's
-// item 2 asks for, measured. A mirrored volume (cross-node replicas,
-// internal/volume) serves realtime point reads and batch churn writes
-// through three measured windows on one cluster:
+// The fault-scenario experiment: durability, measured. A mirrored
+// volume (cross-node replicas, internal/volume) serves realtime point
+// reads and batch churn writes through three measured windows on one
+// cluster:
 //
 //   - baseline: every copy healthy;
 //   - degraded: a whole node is killed mid-window — reads fail over

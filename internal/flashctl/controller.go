@@ -77,12 +77,13 @@ type Handlers struct {
 	// Ownership: the chunks of one tag are consecutive views of one page
 	// buffer, so chunk k+1 starts in memory where chunk k ends, and they
 	// are read-only. The buffer is as a rule the image the card stores
-	// (nand.ReadPage), which every clean read of the page delivers; only
-	// a read with bits to correct streams a private, corrected copy
-	// (ecc.DecodePage). The controller drops its reference after the
-	// last burst: a consumer may keep the views (and reslice the first
-	// one up to the whole page) instead of copying them, and must not
-	// write through them.
+	// (nand.ReadPage), which every clean read of the page delivers — not
+	// even decoded when the controller sealed the page, since it is
+	// known to decode to itself; only a read with bits to correct
+	// streams a private, corrected copy (ecc.DecodePage). The controller
+	// drops its reference after the last burst: a consumer may keep the
+	// views (and reslice the first one up to the whole page) instead of
+	// copying them, and must not write through them.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
 	// ReadDone fires after the final burst (or on error, with no data).
 	// corrected is the number of ECC-corrected bit flips in the page.
@@ -116,7 +117,7 @@ func DefaultConfig() Config {
 }
 
 // pageState is the page of one tag while it crosses a serial link: a
-// read's decoded page as it streams to the user, or a write's image on
+// read's verified page as it streams to the user, or a write's image on
 // its way down to the card. Either way the controller only reads it.
 type pageState struct {
 	data      []byte // read: view of the stored image, or of the corrected copy; write: the image; nil when nothing is moving
@@ -284,7 +285,8 @@ func (c *Controller) Issue(cmd Command) error {
 // one snapshot of the page is the only page-sized allocation of the
 // program path. The caller must not touch raw afterwards, unless the
 // call or the write fails: an error here, or in WriteDone, means nothing
-// below kept raw.
+// below kept raw. A program that succeeds seals the page (nand.Card.Seal):
+// its clean reads skip the decode.
 func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
@@ -314,11 +316,14 @@ func (c *Controller) program(tag int) {
 }
 
 // cardDone frees the tag of a finished program or erase and
-// acknowledges it to the user.
+// acknowledges it to the user. A program that succeeded stored the
+// image WriteImage encoded, so the card seals the page.
 func (c *Controller) cardDone(tag int, err error) {
 	done := c.h.WriteDone
 	if c.tags[tag] == tagErasing {
 		done = c.h.EraseDone
+	} else if err == nil {
+		c.card.Seal(c.addrs[tag])
 	}
 	c.tags[tag] = tagIdle
 	if done != nil {
@@ -329,12 +334,28 @@ func (c *Controller) cardDone(tag int, err error) {
 // pageRead takes the image the card delivered, verifies it — correcting
 // into a private copy if it must, never into raw, which the card may
 // still store — and starts streaming the page to the user.
+//
+// The controller decodes only what can differ from what it encoded. A
+// read of a sealed page that drew no flip delivers the image WriteImage
+// encoded, byte for byte (nand.Card.Sealed), whose decode is known
+// before it runs: raw's page with nothing corrected. That read streams
+// raw as it stands. Every other read — one that drew flips, an image
+// programmed around the controller, a page reprogrammed since — is
+// decoded. The ECC pipeline's virtual time is charged either way: it is
+// part of nand.Timing.ReadPage. Under Reliability.GuardImages the
+// skipped decode runs anyway and must agree, or the read panics.
 func (c *Controller) pageRead(tag int, raw []byte, err error) {
 	if err != nil {
 		c.finishRead(tag, 0, err)
 		return
 	}
-	res, err := c.codec.DecodePage(raw)
+	res := ecc.DecodeResult{Data: raw[:c.PageSize()]}
+	if ok, guarded := c.card.Sealed(c.addrs[tag], raw); !ok || guarded {
+		res, err = c.codec.DecodePage(raw)
+		if ok && (err != nil || res.Corrected != 0 || &res.Data[0] != &raw[0]) {
+			panic(fmt.Sprintf("flashctl: %s: the sealed image at %v does not decode to itself (%d corrected, %v): it was written to after WriteImage encoded it", c.card.Name(), c.addrs[tag], res.Corrected, err))
+		}
+	}
 	if err != nil {
 		c.Uncorrectable.Inc()
 		c.finishRead(tag, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, c.addrs[tag], err))

@@ -20,8 +20,20 @@ func benchAddr(geo nand.Geometry, i int) nand.Addr {
 		Page: i / chips % geo.PagesPerBlock, Block: i / (chips * geo.PagesPerBlock) % geo.BlocksPerChip}
 }
 
+// BenchmarkReadPhysical reads pages written through the controller,
+// which seals them: a clean read skips the decode. At a bit error rate
+// of one flip per stored page, every read draws a flip instead and pays
+// for the decode and its two private copies (the card's flipped one and
+// the corrected one) — the path a sealed read no longer measures.
 func BenchmarkReadPhysical(b *testing.B) {
-	eng, card, sp := stack(b)
+	b.Run("clean", func(b *testing.B) { benchReadPhysical(b, 0) })
+	b.Run("every-read-flips", func(b *testing.B) {
+		benchReadPhysical(b, 1/float64(8*testGeometry().StoredPageSize()))
+	})
+}
+
+func benchReadPhysical(b *testing.B, ber float64) {
+	eng, card, sp := stackWith(b, ber, nil)
 	f := NewServer(sp, "srv", 8).NewIface("if0")
 	geo := card.Geometry()
 	const pages = 64

@@ -20,20 +20,21 @@ func testGeometry() nand.Geometry {
 // stack builds engine -> card -> controller -> splitter.
 func stack(t testing.TB) (*sim.Engine, *nand.Card, *Splitter) {
 	t.Helper()
-	return tamperedStack(t, nil)
+	return stackWith(t, 0, nil)
 }
 
 // readChunkFn is the signature of flashctl.Handlers.ReadChunk.
 type readChunkFn func(tag, off int, chunk []byte, last bool)
 
-// tamperedStack is stack with tamper (when not nil) sitting on the
-// link between the controller and the splitter: it sees every read
-// burst and decides what, if anything, to pass on through deliver.
-func tamperedStack(t testing.TB, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Splitter) {
+// stackWith is stack on a card that flips bits at rate ber, with tamper
+// (when not nil) sitting on the link between the controller and the
+// splitter: it sees every read burst and decides what, if anything, to
+// pass on through deliver.
+func stackWith(t testing.TB, ber float64, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Splitter) {
 	t.Helper()
 	eng := sim.NewEngine()
 	_, guard := t.(*testing.T) // tests run under the image guard, benchmarks without
-	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{GuardImages: guard}, 3)
+	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{BitErrorRate: ber, GuardImages: guard}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

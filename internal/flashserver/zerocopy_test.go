@@ -138,6 +138,82 @@ func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
 	}
 }
 
+// TestSealDoesNotOutliveTheImage: a page written and read through the
+// controller is sealed, and its clean reads stream the stored image
+// undecoded. The erase of its block through the controller, and
+// Card.Replace, each drop the seal with the image, so an image
+// programmed at the same address around the controller with one wrong
+// bit is decoded and delivered corrected.
+func TestSealDoesNotOutliveTheImage(t *testing.T) {
+	for _, drop := range []string{"erase", "Replace"} {
+		t.Run(drop, func(t *testing.T) {
+			eng, card, sp := stack(t)
+			f := NewServer(sp, "srv", 8).NewIface("if0")
+			a := nand.Addr{Bus: 1, Block: 4}
+			want := pattern(8192, 0x6c)
+			writePage(t, eng, f, a, want)
+			if got := readPage(t, eng, f, a); &got[0] != &card.Peek(a)[0] {
+				t.Fatal("a clean read of a sealed page did not deliver the stored image")
+			}
+			if ok, _ := card.Sealed(a, card.Peek(a)); !ok {
+				t.Fatal("a page written through the controller is not sealed")
+			}
+			if drop == "erase" {
+				f.Erase(a, func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+				eng.Run()
+			} else {
+				card.Replace()
+			}
+			codec, err := ecc.NewPageCodec(8192)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := codec.EncodePage(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ecc.FlipBit(raw, 8*200+2)
+			card.ProgramPage(a, raw, func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			eng.Run()
+			if got := readPage(t, eng, f, a); !bytes.Equal(got, want) || sp.ctl.CorrectedBits.Value() != 1 {
+				t.Fatalf("after %s and a hand-made image: page as written %v, %d bits corrected; want it corrected", drop, bytes.Equal(got, want), sp.ctl.CorrectedBits.Value())
+			}
+		})
+	}
+}
+
+// TestScribbleAfterHandOffTripsTheProgram: an image is immutable from
+// the moment an adopting call takes it. A writer that changes its image
+// after WriteImage returned, before the write is acknowledged, has
+// written to what the card is about to store; with the guard on, the
+// program fails right there, naming the page, and no read ever sees the
+// bytes.
+func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
+	eng, card, sp := stack(t)
+	f := NewServer(sp, "srv", 8).NewIface("if0")
+	geo := card.Geometry()
+	a := nand.Addr{Bus: 1, Chip: 1, Block: 5}
+	img := geo.PageImage(pattern(geo.PageSize, 0x17))
+	f.WriteImage(a, img, func(err error) { t.Errorf("the write of a scribbled image was acknowledged: %v", err) })
+	eng.RunUntil(eng.Now() + card.Timing().Program/2) // the card is programming it
+	img[99] ^= 0x04
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by program") {
+			t.Fatalf("program of an image scribbled after hand-off: %q; want a failure naming %v and the program", msg, a)
+		}
+	}()
+	eng.Run()
+}
+
 // TestScribbledReadResultTripsTheGuard: a read result is not the
 // receiver's to modify. One that writes a single byte of it has written
 // to the stored image; with the guard on, CheckImages reports the page,
@@ -411,7 +487,7 @@ func TestMisassembledReadFails(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tampering := false
-			eng, _, sp := tamperedStack(t, func(deliver readChunkFn, tag, off int, chunk []byte, last bool) {
+			eng, _, sp := stackWith(t, 0, func(deliver readChunkFn, tag, off int, chunk []byte, last bool) {
 				if tampering {
 					tc.tamper(deliver, tag, off, chunk, last)
 					return

@@ -162,11 +162,13 @@ type Reliability struct {
 	// rate *= 1 + ReadDisturb*readsSinceErase. 0 disables it.
 	ReadDisturb float64
 	// GuardImages is a debugging aid for tests, off everywhere else: the
-	// card checksums every image as it stores it and verifies the sum
-	// whenever it touches the page again — each read, the erase or
-	// Replace that drops it, CheckImages — and panics, naming the page
-	// and the operation, when a holder wrote to a stored image. It
-	// changes no simulated behaviour.
+	// card checksums every image as ProgramPage adopts it and verifies the
+	// sum whenever it touches the page again — the program that stores
+	// it, each read, the erase or Replace that drops it, CheckImages —
+	// and panics, naming the page and the operation, when a holder wrote
+	// to a handed-down image. A controller decodes the sealed reads it
+	// would otherwise deliver as they stand, and panics unless the decode
+	// agrees (Sealed). It changes no simulated behaviour.
 	GuardImages bool
 }
 
@@ -188,6 +190,12 @@ const (
 	PageWritten
 )
 
+// sealed is the per-page verdict folded into the state byte: the
+// controller's encoder wrote the stored image's check bytes (Seal).
+// Whatever changes the image — a program, an erase, Replace — writes
+// the whole byte and so clears it.
+const sealed PageState = 1 << 7
+
 // Card is one simulated flash card.
 type Card struct {
 	eng  *sim.Engine
@@ -206,8 +214,8 @@ type Card struct {
 	buses []*busState
 	chips []*chipState // bus-major order
 	data  [][]byte     // stored raw image per linear page index; nil = free
-	state []PageState
-	sums  []uint32 // Reliability.GuardImages: checksum of data[i] as it was stored; nil when off
+	state []PageState  // lifecycle, with the sealed bit of a written page
+	sums  []uint32     // Reliability.GuardImages: checksum of data[i] as ProgramPage adopted it; nil when off
 
 	erasing   sim.Queue[command] // erases in progress, oldest first
 	eraseDone func()             // the oldest erase finished; bound once
@@ -357,6 +365,7 @@ const (
 // read that drew bit errors.
 type command struct {
 	kind   cmdKind
+	sum    uint32 // program, Reliability.GuardImages: checksum of raw as ProgramPage adopted it
 	a      Addr
 	raw    []byte // read: the stored image, or a corrupted copy; program: the image to store
 	onRead func(raw []byte, err error)
@@ -401,7 +410,7 @@ func (c *Card) check(cs *chipState, cmd *command) error {
 	if cmd.kind == cmdErase {
 		return nil // a block address: its page field means nothing
 	}
-	switch state := c.state[c.PageIndex(a)]; {
+	switch state := c.state[c.PageIndex(a)] &^ sealed; {
 	case cmd.kind == cmdRead && state != PageWritten:
 		return fmt.Errorf("%w: %v", ErrReadFree, a)
 	case cmd.kind == cmdProgram && state != PageFree:
@@ -479,10 +488,11 @@ func (c *Card) cellDone(cs *chipState) {
 		c.transfer(cmd)
 	case cmdProgram:
 		idx := c.PageIndex(a)
-		c.state[idx] = PageWritten
+		c.state[idx] = PageWritten // unsealed, whatever the page held before
 		c.data[idx] = cmd.raw
 		if c.sums != nil {
-			c.sums[idx] = crc32.Checksum(cmd.raw, castagnoli)
+			c.sums[idx] = cmd.sum
+			c.verify(idx, "program")
 		}
 		cs.nextPage[a.Block]++
 		c.Programs.Inc()
@@ -553,10 +563,11 @@ func (c *Card) finish(cs *chipState, cmd *command, err error) {
 // card stores, the one every other clean read of the page delivers too:
 // a clean read copies nothing and allocates nothing. A read that draws
 // flips delivers a private copy with the flips applied; the stored
-// image is never touched. The receiver cannot tell the two apart and
-// need not: images are immutable (Geometry.PageImage), so the
-// controller corrects into a copy of its own when it has to and every
-// layer above passes views of raw up to the requester.
+// image is never touched. Images are immutable (Geometry.PageImage), so
+// the controller corrects into a copy of its own when it has to, and
+// every layer above passes views of raw up to the requester. The
+// controller tells the two apart by pointer identity (Sealed): only the
+// stored image of a sealed page is known to decode to itself.
 func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
@@ -578,6 +589,11 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // the caller's again once cb reports the error. raw may already be
 // stored under another address — a relocation programs back the image
 // it read — and stays in use until the last page holding it is erased.
+// Under Reliability.GuardImages the checksum is taken here, so a holder
+// that writes to raw before the program ends trips the program.
+//
+// The page is stored unsealed: the card does not know who wrote the
+// check bytes in raw's tail. The controller seals what it encoded.
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -587,7 +603,34 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 		cb(fmt.Errorf("%w: got %d, want %d", ErrWrongDataSize, len(raw), c.geo.StoredPageSize()))
 		return
 	}
-	c.enqueue(command{kind: cmdProgram, a: a, raw: raw, onDone: cb})
+	cmd := command{kind: cmdProgram, a: a, raw: raw, onDone: cb}
+	if c.sums != nil {
+		cmd.sum = crc32.Checksum(raw, castagnoli)
+	}
+	c.enqueue(cmd)
+}
+
+// Seal records that the image a program just stored at a carries the
+// check bytes the controller's encoder wrote. The controller calls it
+// from the completion of a program it issued, before anything else can
+// touch the page; the next program, the erase of the block or Replace
+// clears the seal. Sealing a page that holds no image does nothing.
+func (c *Card) Seal(a Addr) {
+	if idx := c.PageIndex(a); c.checkAddr(a, true) == nil && c.state[idx] == PageWritten {
+		c.state[idx] |= sealed
+	}
+}
+
+// Sealed reports whether raw, the result a read of a just delivered,
+// is the sealed image stored there: the read drew no flip, so raw is
+// that image itself, and the controller encoded it. Such a read decodes
+// to a view of raw with nothing corrected, so the controller may skip
+// the decode. guarded reports Reliability.GuardImages, under which the
+// controller decodes it anyway to prove exactly that.
+func (c *Card) Sealed(a Addr, raw []byte) (ok, guarded bool) {
+	idx := c.PageIndex(a)
+	ok = c.checkAddr(a, true) == nil && len(raw) > 0 && c.state[idx]&sealed != 0 && &c.data[idx][0] == &raw[0]
+	return ok, c.sums != nil
 }
 
 // EraseBlock erases a block, freeing all its pages. Wear accumulates;
@@ -659,7 +702,8 @@ func (c *Card) applyFlips(out []byte, flips int, s uint64) {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // checkImage is the image guard (Reliability.GuardImages): the image
-// stored at page idx must still be, byte for byte, what was programmed.
+// stored at page idx must still be, byte for byte, what ProgramPage
+// adopted.
 //
 //simlint:hotpath
 func (c *Card) checkImage(idx int, op string) error {
@@ -667,7 +711,7 @@ func (c *Card) checkImage(idx int, op string) error {
 		return nil
 	}
 	//simlint:allow hotpath (debug guard tripped: the run ends here)
-	return fmt.Errorf("nand: %s: the image stored at %v was written to after it was programmed (found by %s): page images are immutable", c.name, c.AddrOf(idx), op)
+	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, c.AddrOf(idx), op)
 }
 
 // verify fails the operation that finds a stored image changed.
@@ -680,7 +724,7 @@ func (c *Card) verify(idx int, op string) {
 }
 
 // CheckImages verifies every stored image against the checksum taken
-// when it was programmed and reports the first that a holder has
+// when ProgramPage adopted it and reports the first that a holder has
 // written to since. It is for a test's drain; without
 // Reliability.GuardImages there is nothing to compare and it returns
 // nil.
@@ -705,7 +749,7 @@ func (c *Card) Fail() { c.failed = true }
 func (c *Card) Failed() bool { return c.failed }
 
 // Replace swaps in a fresh, blank card of identical geometry: all
-// pages free, zero wear, no bad blocks, injector state reset. The
+// pages free and unsealed, zero wear, no bad blocks, injector state reset. The
 // replacement card keeps the same identity (name, seed, attached
 // controller), mirroring a field swap of the flash board. Callers
 // should replace only after the dead card's queued operations have
@@ -757,7 +801,7 @@ func (c *Card) State(a Addr) PageState {
 	if err := c.checkAddr(a, true); err != nil {
 		return PageFree
 	}
-	return c.state[c.PageIndex(a)]
+	return c.state[c.PageIndex(a)] &^ sealed
 }
 
 // Peek returns the stored raw image without timing or error injection.

@@ -540,3 +540,79 @@ func TestImageGuard(t *testing.T) {
 		}()
 	}
 }
+
+// TestImageGuardAtProgram: the guard's checksum is taken where
+// ProgramPage adopts the image, not where the program stores it, so a
+// holder that writes to an image it has handed down trips the program
+// itself, naming the page, before anyone can read it.
+func TestImageGuardAtProgram(t *testing.T) {
+	eng := sim.NewEngine()
+	c, err := NewCard(eng, "guard", testGeometry(), DefaultTiming(), Reliability{GuardImages: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Addr{Bus: 1, Chip: 1, Block: 3, Page: 0}
+	raw := mkRaw(c, 0x22)
+	c.ProgramPage(a, raw, func(err error) { t.Errorf("a scribbled program completed: %v", err) })
+	eng.RunUntil(eng.Now() + c.Timing().Program/2) // on its way to the cells
+	raw[7] ^= 0x01
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by program") {
+			t.Fatalf("program of a scribbled image: %q; want a failure naming %v and the program", msg, a)
+		}
+	}()
+	eng.Run()
+}
+
+// TestSealLifecycle: Seal marks the stored image of a written page, and
+// only that image itself reads as sealed — not a copy of it, not an
+// image programmed where Seal found a free page. Whatever changes the
+// page's image drops the seal: the erase of its block, Replace. State
+// never shows it, and Sealed reports whether the guard is on.
+func TestSealLifecycle(t *testing.T) {
+	eng := sim.NewEngine()
+	c := perfectCard(t, eng)
+	a, free := Addr{Block: 1}, Addr{Block: 1, Page: 1}
+	program := func(a Addr) {
+		c.ProgramPage(a, mkRaw(c, 5), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		eng.Run()
+	}
+	isSealed := func(a Addr) bool {
+		ok, guarded := c.Sealed(a, c.Peek(a))
+		if guarded {
+			t.Fatal("Sealed reports a guard the card does not run")
+		}
+		return ok
+	}
+
+	program(a)
+	if isSealed(a) {
+		t.Fatal("ProgramPage sealed the page")
+	}
+	c.Seal(a)
+	c.Seal(free)
+	if !isSealed(a) || c.State(a) != PageWritten {
+		t.Fatalf("after Seal: sealed %v, state %v", isSealed(a), c.State(a))
+	}
+	if ok, _ := c.Sealed(a, bytes.Clone(c.Peek(a))); ok {
+		t.Fatal("a copy of the sealed image reads as sealed")
+	}
+	if program(free); isSealed(free) {
+		t.Fatal("Seal of a free page stuck to the image programmed there later")
+	}
+	c.EraseBlock(a, func(error) {})
+	eng.Run()
+	if program(a); isSealed(a) {
+		t.Fatal("the erase left the page sealed")
+	}
+	c.Seal(a)
+	c.Replace()
+	if program(a); isSealed(a) {
+		t.Fatal("Replace left the page sealed")
+	}
+}

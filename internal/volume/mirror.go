@@ -7,10 +7,10 @@ import (
 	"repro/internal/ftl"
 )
 
-// Cross-node mirroring (ROADMAP item 2b, paper §4's storage manager
-// grown a fault domain). Placement: card i's logical space is split in
-// half — the lower half holds the card's own primary pages, the upper
-// half holds replicas of its partner's primaries. The partner of card
+// Cross-node mirroring (paper §4's storage manager grown a fault
+// domain). Placement: card i's logical space is split in half — the
+// lower half holds the card's own primary pages, the upper half holds
+// replicas of its partner's primaries. The partner of card
 // i is the same card slot on the next node (i + CardsPerNode, mod
 // cluster), so the two copies of every page always live on different
 // nodes and a whole-node loss leaves one copy of everything.
