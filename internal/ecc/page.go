@@ -53,9 +53,9 @@ func (c *PageCodec) EncodePage(data []byte) ([]byte, error) {
 // bytes (ErrRawSize otherwise). It is the write-side mirror of
 // DecodePageInPlace: the buffer a page was snapshotted into becomes
 // the image flash stores, with no second copy. The check bytes are a
-// pure function of the page, so encoding an image that already carries
-// them — a relocation programming back the image it read, which other
-// readers may hold — stores the values that are there.
+// pure function of the page, so the flash controller computes them only
+// where a decode reads them: the card fills them into the private copy
+// a read of a sealed page makes when it draws flips (nand.Card.Seal).
 //
 //simlint:hotpath
 func (c *PageCodec) EncodeInPlace(raw []byte) error {
@@ -107,7 +107,8 @@ type DecodeResult struct {
 // bytes all agree — every read that drew no bit error of an image that
 // was encoded when it was programmed — is returned as a view of raw.
 // The flash controller knows that answer in advance for a clean read of
-// a page it sealed (nand.Card.Sealed), and skips the call for it.
+// a page it sealed (nand.Card.Sealed), and skips the call for it; it is
+// the only read whose stored check bytes were never written.
 // At the first word that needs a correction raw is copied once and the
 // copy is decoded in place: corrections land in the copy, Data is a
 // view of it, and raw still reads as it did, wrong bits included. An

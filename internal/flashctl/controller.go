@@ -78,8 +78,8 @@ type Handlers struct {
 	// buffer, so chunk k+1 starts in memory where chunk k ends, and they
 	// are read-only. The buffer is as a rule the image the card stores
 	// (nand.ReadPage), which every clean read of the page delivers — not
-	// even decoded when the controller sealed the page, since it is
-	// known to decode to itself; only a read with bits to correct
+	// even decoded when the controller sealed the page, since its page
+	// needs no correction; only a read with bits to correct
 	// streams a private, corrected copy (ecc.DecodePage). The controller
 	// drops its reference after the last burst: a consumer may keep the
 	// views (and reslice the first one up to the whole page) instead of
@@ -140,6 +140,7 @@ type Controller struct {
 	eng   *sim.Engine
 	card  *nand.Card
 	codec *ecc.PageCodec
+	guard bool // the card runs the image guard: encode every program, decode every sealed read
 	cfg   Config
 	h     Handlers
 
@@ -195,6 +196,7 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		eng:      eng,
 		card:     card,
 		codec:    codec,
+		guard:    card.Guarded(),
 		cfg:      cfg,
 		h:        h,
 		toUser:   sim.NewPipe(eng, name+"/link-up", cfg.LinkBytesPerSec, cfg.LinkLatency),
@@ -217,6 +219,7 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		}
 	}
 	c.onLinked = func() { c.program(c.linking.Pop()) }
+	card.SetEncoder(codec.EncodeInPlace)
 	return c, nil
 }
 
@@ -279,14 +282,20 @@ func (c *Controller) Issue(cmd Command) error {
 
 // WriteImage supplies the page for a pending write command as the
 // buffer flash will store: raw is StoredPageSize bytes whose first
-// PageSize bytes hold the page. The controller takes ownership of raw:
-// it encodes the check bytes into the tail in place and hands the
-// image to the card, which adopts it (nand.ProgramPage) — the user's
-// one snapshot of the page is the only page-sized allocation of the
-// program path. The caller must not touch raw afterwards, unless the
-// call or the write fails: an error here, or in WriteDone, means nothing
-// below kept raw. A program that succeeds seals the page (nand.Card.Seal):
-// its clean reads skip the decode.
+// PageSize bytes hold the page. The controller takes ownership of raw
+// and hands it to the card, which adopts it (nand.ProgramPage) — the
+// user's one snapshot of the page is the only page-sized allocation of
+// the program path. The caller must not touch raw afterwards, unless
+// the call or the write fails: an error here, or in WriteDone, means
+// nothing below kept raw.
+//
+// The controller encodes only what it will decode. A program that
+// succeeds seals the page (nand.Card.Seal), which makes raw's tail
+// don't-care: a clean read of the page is not decoded, and a read that
+// draws flips gets its check bytes computed from the page by the card,
+// on its private copy. So raw's tail is not written here — except on a
+// guarded card (nand.Reliability.GuardImages), where the encode runs
+// eagerly so the card can prove each lazy fill against it.
 func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
@@ -294,8 +303,8 @@ func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if c.tags[tag] != tagAwaitingData {
 		return fmt.Errorf("%w: tag %d is not awaiting data", ErrWrongState, tag)
 	}
-	// Encoding is pure, so it runs now; its only failure is the size.
-	if err := c.codec.EncodeInPlace(raw); err != nil {
+	// The only way EncodeInPlace fails is the size.
+	if len(raw) != c.StoredPageSize() || c.guard && c.codec.EncodeInPlace(raw) != nil {
 		return fmt.Errorf("%w: image is %d bytes, want %d", ErrDataSize, len(raw), c.StoredPageSize())
 	}
 	c.tags[tag] = tagWriting
@@ -317,7 +326,7 @@ func (c *Controller) program(tag int) {
 
 // cardDone frees the tag of a finished program or erase and
 // acknowledges it to the user. A program that succeeded stored the
-// image WriteImage encoded, so the card seals the page.
+// image WriteImage was handed, so the card seals the page.
 func (c *Controller) cardDone(tag int, err error) {
 	done := c.h.WriteDone
 	if c.tags[tag] == tagErasing {
@@ -335,24 +344,24 @@ func (c *Controller) cardDone(tag int, err error) {
 // into a private copy if it must, never into raw, which the card may
 // still store — and starts streaming the page to the user.
 //
-// The controller decodes only what can differ from what it encoded. A
-// read of a sealed page that drew no flip delivers the image WriteImage
-// encoded, byte for byte (nand.Card.Sealed), whose decode is known
-// before it runs: raw's page with nothing corrected. That read streams
-// raw as it stands. Every other read — one that drew flips, an image
-// programmed around the controller, a page reprogrammed since — is
-// decoded. The ECC pipeline's virtual time is charged either way: it is
-// part of nand.Timing.ReadPage. Under Reliability.GuardImages the
-// skipped decode runs anyway and must agree, or the read panics.
+// The controller decodes only what can differ from what it programmed.
+// A read of a sealed page that drew no flip delivers the image
+// WriteImage was handed, byte for byte (nand.Card.Sealed), whose page
+// needs no correction. That read streams raw as it stands. Every other
+// read — one that drew flips (its check bytes filled by the card), an
+// image programmed around the controller, a page reprogrammed since —
+// is decoded. The ECC pipeline's virtual time is charged either way: it
+// is part of nand.Timing.ReadPage. On a guarded card the skipped decode
+// runs anyway and must agree, or the read panics.
 func (c *Controller) pageRead(tag int, raw []byte, err error) {
 	if err != nil {
 		c.finishRead(tag, 0, err)
 		return
 	}
 	res := ecc.DecodeResult{Data: raw[:c.PageSize()]}
-	if ok, guarded := c.card.Sealed(c.addrs[tag], raw); !ok || guarded {
+	if sealed := c.card.Sealed(c.addrs[tag], raw); !sealed || c.guard {
 		res, err = c.codec.DecodePage(raw)
-		if ok && (err != nil || res.Corrected != 0 || &res.Data[0] != &raw[0]) {
+		if sealed && (err != nil || res.Corrected != 0 || &res.Data[0] != &raw[0]) {
 			panic(fmt.Sprintf("flashctl: %s: the sealed image at %v does not decode to itself (%d corrected, %v): it was written to after WriteImage encoded it", c.card.Name(), c.addrs[tag], res.Corrected, err))
 		}
 	}

@@ -23,6 +23,7 @@ type rig struct {
 	ctl  *Controller
 
 	chunks     map[int][]byte // reassembled read data per tag
+	views      map[int][]byte // first burst per tag: a view of the page buffer the controller streamed
 	readDone   map[int]error
 	corrected  map[int]int
 	writeReqs  []int
@@ -41,6 +42,7 @@ func newRig(t *testing.T, rel nand.Reliability) *rig {
 	r := &rig{
 		eng: eng, card: card,
 		chunks:    make(map[int][]byte),
+		views:     make(map[int][]byte),
 		readDone:  make(map[int]error),
 		corrected: make(map[int]int),
 		writeDone: make(map[int]error),
@@ -50,6 +52,9 @@ func newRig(t *testing.T, rel nand.Reliability) *rig {
 		ReadChunk: func(tag, offset int, chunk []byte, last bool) {
 			if offset != len(r.chunks[tag]) {
 				t.Errorf("tag %d: chunk offset %d, want %d (in-order per tag)", tag, offset, len(r.chunks[tag]))
+			}
+			if offset == 0 {
+				r.views[tag] = chunk
 			}
 			r.chunks[tag] = append(r.chunks[tag], chunk...)
 			r.chunkOrder = append(r.chunkOrder, tag)

@@ -119,7 +119,7 @@ func TestFailedProgramSealsNothing(t *testing.T) {
 	if err := r.tryWrite(t, 0, written, want); !errors.Is(err, nand.ErrDead) {
 		t.Fatalf("write to a dead card: %v", err)
 	}
-	if ok, _ := r.card.Sealed(written, r.card.Peek(written)); ok {
+	if r.card.Sealed(written, r.card.Peek(written)) {
 		t.Fatal("a program that failed on a dead card sealed the page")
 	}
 }
@@ -166,4 +166,145 @@ func TestGuardProvesTheSkip(t *testing.T) {
 			r.read(t, 1, a)
 		})
 	}
+}
+
+// A sealed page's stored check bytes are don't-care: the controller does
+// not encode at the program, and the card fills the check bytes of a
+// read's private copy from its page when the read draws flips. These
+// tests run on cards where every read draws flips (1e-4 is about seven
+// per page), so every read below takes that path.
+
+// oobBit is one bit of the check byte of the word at byte 320.
+const oobBit = 8*(8192+40) + 3
+
+// flippedRead reads a under tag and returns the page, how many bits the
+// decode corrected beyond the flips the read drew, and the read's error.
+func (r *rig) flippedRead(t *testing.T, tag int, a nand.Addr) ([]byte, int, error) {
+	t.Helper()
+	before := r.card.InjectedFlips.Value()
+	got, corrected, err := r.read(t, tag, a)
+	flips := r.card.InjectedFlips.Value() - before
+	if flips == 0 {
+		t.Fatalf("the read of %v drew no flip", a)
+	}
+	return got, corrected - int(flips), err
+}
+
+// writeImage drives the write protocol for one page with img as the
+// image WriteImage adopts, and returns its outcome.
+func (r *rig) writeImage(t *testing.T, tag int, a nand.Addr, img []byte) error {
+	t.Helper()
+	if err := r.ctl.Issue(Command{Op: OpWrite, Tag: tag, Addr: a}); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run()
+	if err := r.ctl.WriteImage(tag, img); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run()
+	return r.writeDone[tag]
+}
+
+// TestFlippedReadsFillOnlySealedPages: an image programmed around the
+// controller, one check bit wrong, is decoded from the check bytes it
+// stores — the wrong bit is corrected on top of the flips. The same
+// check bit changed in the stored image of a sealed page is never read:
+// the card fills the flipped copy's check bytes from its page.
+func TestFlippedReadsFillOnlySealedPages(t *testing.T) {
+	r := newRig(t, nand.Reliability{BitErrorRate: 1e-4})
+	want := pattern(8192, 0x3e)
+	hand, sealed := nand.Addr{Block: 1}, nand.Addr{Block: 3}
+	handProgram(t, r, hand, want, oobBit)
+	r.writePage(t, 0, sealed, want)
+	ecc.FlipBit(r.card.Peek(sealed), oobBit)
+
+	if got, extra, err := r.flippedRead(t, 1, hand); err != nil || extra != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("hand-programmed page: err %v, %d corrected beyond the flips, page as written %v; want its own wrong check bit corrected", err, extra, bytes.Equal(got, want))
+	}
+	if got, extra, err := r.flippedRead(t, 1, sealed); err != nil || extra != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("sealed page: err %v, %d corrected beyond the flips, page as written %v; want the stored check bytes ignored", err, extra, bytes.Equal(got, want))
+	}
+}
+
+// TestRelocatedImagesReadBackThroughFlips: a sealed page read back with
+// flips, relocated through WriteImage to a second page — its stored
+// image, or the corrected copy the read streamed — and read there with
+// other flips returns the page both times, with the guard off (nothing
+// is ever encoded) and on (every program is, and every fill is checked).
+func TestRelocatedImagesReadBackThroughFlips(t *testing.T) {
+	for _, guard := range []bool{false, true} {
+		for _, src := range []string{"stored image", "corrected copy"} {
+			t.Run(fmt.Sprintf("guard=%v/%s", guard, src), func(t *testing.T) {
+				r := newRig(t, nand.Reliability{BitErrorRate: 1e-4, GuardImages: guard})
+				want := pattern(8192, 0x51)
+				from, to := nand.Addr{Block: 1}, nand.Addr{Bus: 1, Block: 2}
+				r.writePage(t, 0, from, want)
+				if got, _, err := r.flippedRead(t, 1, from); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("read at the source: err %v, page as written %v", err, bytes.Equal(got, want))
+				}
+				img := r.card.Peek(from)
+				if src == "corrected copy" {
+					img = r.views[1][:r.ctl.StoredPageSize()]
+					if &img[0] == &r.card.Peek(from)[0] {
+						t.Fatal("test premise: a read that drew flips streams a copy")
+					}
+				}
+				if err := r.writeImage(t, 0, to, img); err != nil {
+					t.Fatal(err)
+				}
+				if got, _, err := r.flippedRead(t, 1, to); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("read at the destination: err %v, page as written %v", err, bytes.Equal(got, want))
+				}
+			})
+		}
+	}
+}
+
+// TestFillDoesNotOutliveTheSeal: after the erase of a sealed page's
+// block, or Replace, an image programmed at the same address around the
+// controller is decoded from its own check bytes on a read that draws
+// flips, wrong bit included.
+func TestFillDoesNotOutliveTheSeal(t *testing.T) {
+	for _, drop := range []string{"erase", "Replace"} {
+		t.Run(drop, func(t *testing.T) {
+			r := newRig(t, nand.Reliability{BitErrorRate: 1e-4})
+			want := pattern(8192, 0x6c)
+			a := nand.Addr{Bus: 1, Block: 4}
+			r.writePage(t, 0, a, want)
+			if drop == "erase" {
+				if err := r.ctl.Issue(Command{Op: OpErase, Tag: 0, Addr: a}); err != nil {
+					t.Fatal(err)
+				}
+				r.eng.Run()
+				if err := r.eraseDone[0]; err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				r.card.Replace()
+			}
+			handProgram(t, r, a, want, oobBit)
+			if got, extra, err := r.flippedRead(t, 1, a); err != nil || extra != 1 || !bytes.Equal(got, want) {
+				t.Fatalf("after %s: err %v, %d corrected beyond the flips, page as written %v; want the image's own wrong check bit corrected", drop, err, extra, bytes.Equal(got, want))
+			}
+		})
+	}
+}
+
+// TestGuardProvesTheFill: on a guarded card the card recomputes the
+// check bytes of every flipped copy of a sealed page and compares them
+// with the ones the controller encoded at the program. A sealed image
+// whose page does not encode to its stored check bytes fails the first
+// read that draws flips, naming the page.
+func TestGuardProvesTheFill(t *testing.T) {
+	r := newRig(t, nand.Reliability{BitErrorRate: 1e-4, GuardImages: true})
+	a := nand.Addr{Bus: 1, Chip: 1, Block: 3}
+	handProgram(t, r, a, pattern(8192, 6), 8*512+5)
+	r.card.Seal(a)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by read") {
+			t.Fatalf("read: %q; want a failure naming %v and the read", msg, a)
+		}
+	}()
+	r.read(t, 1, a)
 }

@@ -23,8 +23,9 @@ func benchAddr(geo nand.Geometry, i int) nand.Addr {
 // BenchmarkReadPhysical reads pages written through the controller,
 // which seals them: a clean read skips the decode. At a bit error rate
 // of one flip per stored page, every read draws a flip instead and pays
-// for the decode and its two private copies (the card's flipped one and
-// the corrected one) — the path a sealed read no longer measures.
+// for the ECC work left on the host — the card's fill of the flipped
+// copy's check bytes and the decode — and its two private copies (the
+// card's flipped one and the corrected one).
 func BenchmarkReadPhysical(b *testing.B) {
 	b.Run("clean", func(b *testing.B) { benchReadPhysical(b, 0) })
 	b.Run("every-read-flips", func(b *testing.B) {
@@ -62,6 +63,9 @@ func benchReadPhysical(b *testing.B, ber float64) {
 	b.ReportMetric(float64(eng.Fired()-fired)/float64(b.N), "events/op")
 }
 
+// BenchmarkWritePhysical times a program: the snapshot WritePhysical
+// takes, the link and the card. Nothing encodes the check bytes; a
+// sealed page's are computed only where a read draws flips.
 func BenchmarkWritePhysical(b *testing.B) {
 	eng, card, sp := stack(b)
 	f := NewServer(sp, "srv", 8).NewIface("if0")

@@ -258,14 +258,14 @@ func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
 // WriteImage programs a page image (nand.Geometry.PageImage). The ack
 // callback fires in FIFO order.
 //
-// Ownership: the interface adopts img — the buffer the controller
-// encodes the check bytes into in place and the card ends up storing,
-// the one page-sized allocation of the program path — so the caller
-// must not write to it again unless the ack reports an error: a failed
-// write leaves no reference to img below. img may be an image a read
-// delivered, which the card already stores elsewhere: its check bytes
-// are rewritten with the values they hold. Anything that is not an
-// image fails with flashctl.ErrDataSize, in order, and is not adopted.
+// Ownership: the interface adopts img — the buffer the card ends up
+// storing, the one page-sized allocation of the program path — so the
+// caller must not write to it again unless the ack reports an error: a
+// failed write leaves no reference to img below. img may be an image a
+// read delivered, which the card already stores elsewhere: nothing
+// writes to its check-byte tail, which the sealed page it becomes never
+// reads (flashctl.Controller.WriteImage). Anything that is not an image
+// fails with flashctl.ErrDataSize, in order, and is not adopted.
 func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 	op := f.srv.pool.Get()
 	op.iface, op.kind, op.addr, op.onAck = f, flashctl.OpWrite, addr, cb

@@ -155,7 +155,7 @@ func TestSealDoesNotOutliveTheImage(t *testing.T) {
 			if got := readPage(t, eng, f, a); &got[0] != &card.Peek(a)[0] {
 				t.Fatal("a clean read of a sealed page did not deliver the stored image")
 			}
-			if ok, _ := card.Sealed(a, card.Peek(a)); !ok {
+			if !card.Sealed(a, card.Peek(a)) {
 				t.Fatal("a page written through the controller is not sealed")
 			}
 			if drop == "erase" {
@@ -187,6 +187,86 @@ func TestSealDoesNotOutliveTheImage(t *testing.T) {
 				t.Fatalf("after %s and a hand-made image: page as written %v, %d bits corrected; want it corrected", drop, bytes.Equal(got, want), sp.ctl.CorrectedBits.Value())
 			}
 		})
+	}
+}
+
+// TestFlippedReadsAcrossTheLifecycle: on a card where every read draws
+// flips, a page written through the interface reads back, and so does
+// its image relocated with WriteImage to a second page — the stored
+// image, or the corrected copy a read delivered — each read there drawing
+// flips of its own: the card fills every flipped copy's check bytes from
+// its page, and under the guard proves them against the ones encoded.
+// After the erase of the second block, or Replace, an image programmed
+// there around the controller with one wrong check bit is decoded from
+// its own check bytes: the wrong bit is corrected on top of the flips.
+func TestFlippedReadsAcrossTheLifecycle(t *testing.T) {
+	for _, src := range []string{"stored image", "corrected copy"} {
+		for _, drop := range []string{"erase", "Replace"} {
+			t.Run(src+"/"+drop, func(t *testing.T) {
+				eng, card, sp := stackWith(t, 1e-4, nil)
+				f := NewServer(sp, "srv", 8).NewIface("if0")
+				geo := card.Geometry()
+				want := pattern(geo.PageSize, 0x2d)
+				from, to := nand.Addr{Block: 1}, nand.Addr{Bus: 1, Block: 2}
+				flippedRead := func(a nand.Addr) ([]byte, int64) {
+					t.Helper()
+					flips, corrected := card.InjectedFlips.Value(), sp.ctl.CorrectedBits.Value()
+					got := readPage(t, eng, f, a)
+					if flips == card.InjectedFlips.Value() {
+						t.Fatalf("the read of %v drew no flip", a)
+					}
+					return got, sp.ctl.CorrectedBits.Value() - corrected - (card.InjectedFlips.Value() - flips)
+				}
+
+				writePage(t, eng, f, from, want)
+				got, _ := flippedRead(from)
+				if !bytes.Equal(got, want) {
+					t.Fatal("the source page does not read back")
+				}
+				img := card.Peek(from)[:geo.PageSize]
+				if src == "corrected copy" {
+					img = got
+				}
+				f.WriteImage(to, img, func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+				eng.Run()
+				if got, _ := flippedRead(to); !bytes.Equal(got, want) {
+					t.Fatal("the relocated page does not read back")
+				}
+
+				if drop == "erase" {
+					f.Erase(to, func(err error) {
+						if err != nil {
+							t.Fatal(err)
+						}
+					})
+					eng.Run()
+				} else {
+					card.Replace()
+				}
+				codec, err := ecc.NewPageCodec(geo.PageSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := codec.EncodePage(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ecc.FlipBit(raw, 8*(geo.PageSize+40)+3) // a check bit of the word at byte 320
+				card.ProgramPage(to, raw, func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+				eng.Run()
+				if got, extra := flippedRead(to); !bytes.Equal(got, want) || extra != 1 {
+					t.Fatalf("after %s, a hand-made image: page as written %v, %d corrected beyond the flips; want its own wrong check bit corrected", drop, bytes.Equal(got, want), extra)
+				}
+			})
+		}
 	}
 }
 

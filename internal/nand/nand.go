@@ -11,6 +11,7 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -60,9 +61,9 @@ func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 // IMMUTABLE FROM THE MOMENT AN ADOPTING CALL OR A READ HANDS IT ON; to
 // change a page, write a new image. The layer that takes the snapshot
 // may fill it, then hands it down by reference; every layer below
-// adopts it without copying, the controller writes the check bytes —
-// a pure function of the page — into the spare capacity, and a
-// successful program ends with the card storing that very buffer. From
+// adopts it without copying, and a successful program ends with the
+// card storing that very buffer. The check bytes behind the page are a
+// pure function of it, computed only where a decode reads them (Seal). From
 // then on clean reads deliver the stored image itself (Card.ReadPage),
 // so any number of readers, and after a relocation more than one flash
 // page, may hold it at once; none of them may write to it. A refused
@@ -84,7 +85,7 @@ func (g Geometry) PageImage(data []byte) []byte {
 
 // IsPageImage reports whether b has the shape of a page image: a page
 // with room behind it for the check bytes. Every result of a flash read
-// has it (the room holds the check bytes the page was stored with), and
+// has it (the room holds the check-byte tail the page was stored with), and
 // so has everything PageImage returns for a page-sized payload.
 func (g Geometry) IsPageImage(b []byte) bool {
 	return len(b) == g.PageSize && cap(b) >= g.StoredPageSize()
@@ -93,12 +94,12 @@ func (g Geometry) IsPageImage(b []byte) bool {
 // ReadImage turns the result of a page read into the image a relocation
 // programs back. A read delivers the image the card stores (or, when
 // the read drew bit errors, a corrected private copy of it) with the
-// check bytes behind the page as spare capacity, and images are
+// check-byte tail behind the page as spare capacity, and images are
 // immutable, so the result is returned as it stands however many other
-// holders it has: the move costs no payload bytes, and re-encoding
-// writes the check bytes the image already carries. Only a result
-// without that capacity — a device fake's bare page, a copy some layer
-// made on the way — is snapshotted.
+// holders it has: the move costs no payload bytes, and nothing writes
+// to the tail — the controller does not encode at the program (Seal).
+// Only a result without that capacity — a device fake's bare page, a
+// copy some layer made on the way — is snapshotted.
 func (g Geometry) ReadImage(result []byte) []byte {
 	if g.IsPageImage(result) {
 		return result
@@ -166,9 +167,11 @@ type Reliability struct {
 	// sum whenever it touches the page again — the program that stores
 	// it, each read, the erase or Replace that drops it, CheckImages —
 	// and panics, naming the page and the operation, when a holder wrote
-	// to a handed-down image. A controller decodes the sealed reads it
-	// would otherwise deliver as they stand, and panics unless the decode
-	// agrees (Sealed). It changes no simulated behaviour.
+	// to a handed-down image. A controller encodes every program and
+	// decodes the sealed reads it would otherwise deliver as they stand,
+	// panicking unless the decode agrees (Guarded); the card checks that
+	// the check bytes it fills into a flipped copy of a sealed page are
+	// the ones stored (Seal). It changes no simulated behaviour.
 	GuardImages bool
 }
 
@@ -191,9 +194,9 @@ const (
 )
 
 // sealed is the per-page verdict folded into the state byte: the
-// controller's encoder wrote the stored image's check bytes (Seal).
-// Whatever changes the image — a program, an erase, Replace — writes
-// the whole byte and so clears it.
+// controller programmed the stored image, so its check bytes are the
+// encoder's to compute (Seal). Whatever changes the image — a program,
+// an erase, Replace — writes the whole byte and so clears it.
 const sealed PageState = 1 << 7
 
 // Card is one simulated flash card.
@@ -216,6 +219,8 @@ type Card struct {
 	data  [][]byte     // stored raw image per linear page index; nil = free
 	state []PageState  // lifecycle, with the sealed bit of a written page
 	sums  []uint32     // Reliability.GuardImages: checksum of data[i] as ProgramPage adopted it; nil when off
+
+	encode func(raw []byte) error // the controller's check-byte encoder (SetEncoder)
 
 	erasing   sim.Queue[command] // erases in progress, oldest first
 	eraseDone func()             // the oldest erase finished; bound once
@@ -482,6 +487,10 @@ func (c *Card) cellDone(cs *chipState) {
 			//simlint:allow hotpath (the private copy of a read that drew bit errors: at the default error rate one read in 13 000)
 			raw := make([]byte, len(stored))
 			copy(raw, stored)
+			if c.state[idx]&sealed != 0 {
+				//simlint:allow hotcall (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
+				c.fillCheckBytes(idx, raw)
+			}
 			c.applyFlips(raw, flips, s)
 			cmd.raw = raw
 		}
@@ -592,8 +601,8 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // Under Reliability.GuardImages the checksum is taken here, so a holder
 // that writes to raw before the program ends trips the program.
 //
-// The page is stored unsealed: the card does not know who wrote the
-// check bytes in raw's tail. The controller seals what it encoded.
+// The page is stored unsealed: its check bytes are what raw's tail
+// holds. The controller seals what it programmed.
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -610,11 +619,18 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	c.enqueue(cmd)
 }
 
-// Seal records that the image a program just stored at a carries the
-// check bytes the controller's encoder wrote. The controller calls it
-// from the completion of a program it issued, before anything else can
-// touch the page; the next program, the erase of the block or Replace
-// clears the seal. Sealing a page that holds no image does nothing.
+// Seal records that the controller programmed the image just stored at
+// a, which makes the check-byte tail of that stored image don't-care:
+// the check bytes are a pure function of the page, and they are
+// computed only where a decode will read them. A clean read of a sealed
+// page is not decoded at all (Sealed); a read that draws flips copies
+// the image, fills the copy's check bytes from its still unflipped page
+// with the encoder the controller registered (SetEncoder), and only
+// then applies the flips — the decode sees the bytes an eager encode
+// would have stored. The controller calls Seal from the completion of a
+// program it issued, before anything else can touch the page; the next
+// program, the erase of the block or Replace clears the seal. Sealing a
+// page that holds no image does nothing.
 func (c *Card) Seal(a Addr) {
 	if idx := c.PageIndex(a); c.checkAddr(a, true) == nil && c.state[idx] == PageWritten {
 		c.state[idx] |= sealed
@@ -623,14 +639,41 @@ func (c *Card) Seal(a Addr) {
 
 // Sealed reports whether raw, the result a read of a just delivered,
 // is the sealed image stored there: the read drew no flip, so raw is
-// that image itself, and the controller encoded it. Such a read decodes
-// to a view of raw with nothing corrected, so the controller may skip
-// the decode. guarded reports Reliability.GuardImages, under which the
-// controller decodes it anyway to prove exactly that.
-func (c *Card) Sealed(a Addr, raw []byte) (ok, guarded bool) {
+// that image itself, as the controller programmed it. Its page needs no
+// correction, so the controller skips the decode.
+func (c *Card) Sealed(a Addr, raw []byte) bool {
 	idx := c.PageIndex(a)
-	ok = c.checkAddr(a, true) == nil && len(raw) > 0 && c.state[idx]&sealed != 0 && &c.data[idx][0] == &raw[0]
-	return ok, c.sums != nil
+	return c.checkAddr(a, true) == nil && len(raw) > 0 && c.state[idx]&sealed != 0 && &c.data[idx][0] == &raw[0]
+}
+
+// Guarded reports Reliability.GuardImages. A controller over a guarded
+// card encodes every program eagerly, and decodes the sealed reads it
+// would skip to prove that they decode to themselves.
+func (c *Card) Guarded() bool { return c.sums != nil }
+
+// SetEncoder registers enc, the controller's check-byte encoder: it
+// writes into the tail of a stored-size image the check bytes of the
+// page in its head and touches nothing else. The controller registers
+// it once per card; the card calls it only on the copy a read of a
+// sealed page makes when it draws flips (Seal). A card no controller
+// registered with decodes sealed pages from their stored check bytes.
+func (c *Card) SetEncoder(enc func(raw []byte) error) { c.encode = enc }
+
+// fillCheckBytes writes the check bytes of raw, the private copy a read
+// of the sealed page idx made, from its page, before the read's flips
+// land on it. Under Reliability.GuardImages the controller encoded the
+// stored image eagerly, and the fill must reproduce it byte for byte or
+// the read panics, naming the page.
+func (c *Card) fillCheckBytes(idx int, raw []byte) {
+	if c.encode == nil {
+		return
+	}
+	if err := c.encode(raw); err != nil {
+		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.AddrOf(idx), err))
+	}
+	if c.sums != nil && !bytes.Equal(raw, c.data[idx]) {
+		panic(fmt.Sprintf("nand: %s: the sealed image at %v does not carry the check bytes its page encodes to (found by read): it was written to after the controller encoded it", c.name, c.AddrOf(idx)))
+	}
 }
 
 // EraseBlock erases a block, freeing all its pages. Wear accumulates;

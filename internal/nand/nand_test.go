@@ -569,7 +569,7 @@ func TestImageGuardAtProgram(t *testing.T) {
 // only that image itself reads as sealed — not a copy of it, not an
 // image programmed where Seal found a free page. Whatever changes the
 // page's image drops the seal: the erase of its block, Replace. State
-// never shows it, and Sealed reports whether the guard is on.
+// never shows it.
 func TestSealLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
@@ -582,12 +582,9 @@ func TestSealLifecycle(t *testing.T) {
 		})
 		eng.Run()
 	}
-	isSealed := func(a Addr) bool {
-		ok, guarded := c.Sealed(a, c.Peek(a))
-		if guarded {
-			t.Fatal("Sealed reports a guard the card does not run")
-		}
-		return ok
+	isSealed := func(a Addr) bool { return c.Sealed(a, c.Peek(a)) }
+	if c.Guarded() {
+		t.Fatal("Guarded reports a guard the card does not run")
 	}
 
 	program(a)
@@ -599,7 +596,7 @@ func TestSealLifecycle(t *testing.T) {
 	if !isSealed(a) || c.State(a) != PageWritten {
 		t.Fatalf("after Seal: sealed %v, state %v", isSealed(a), c.State(a))
 	}
-	if ok, _ := c.Sealed(a, bytes.Clone(c.Peek(a))); ok {
+	if c.Sealed(a, bytes.Clone(c.Peek(a))) {
 		t.Fatal("a copy of the sealed image reads as sealed")
 	}
 	if program(free); isSealed(free) {
