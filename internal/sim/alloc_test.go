@@ -17,13 +17,13 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		e.After(Time(i)*Microsecond, fn)
 	}
-	e.After(Time(wheelSlots<<tickBits)*4, fn) // far heap
+	e.After(Time(wheelSlots<<spanBits)*4, fn) // far heap
 	e.Run()
 
 	if n := testing.AllocsPerRun(1000, func() {
 		e.After(0, fn)                            // current tick
 		e.After(3*Microsecond, fn)                // wheel lane
-		e.After(Time(wheelSlots<<tickBits)*4, fn) // far heap
+		e.After(Time(wheelSlots<<spanBits)*4, fn) // far heap
 		e.Run()
 	}); n != 0 {
 		t.Fatalf("schedule/fire allocates %.1f objects per cycle, want 0", n)
@@ -45,6 +45,28 @@ func TestEngineCancelAllocFree(t *testing.T) {
 		e.Run()
 	}); n != 0 {
 		t.Fatalf("cancel cycle allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestEngineZeroDelayChainBounded: events that reschedule themselves at
+// their own instant never let the drain run empty. Consumed from the
+// front, the run would grow by one entry per firing, forever; it must
+// reuse its storage instead.
+func TestEngineZeroDelayChainBounded(t *testing.T) {
+	e := NewEngine()
+	var fn func()
+	fn = func() { e.After(0, fn) }
+	for i := 0; i < 3; i++ {
+		e.After(0, fn)
+	}
+	if n := testing.AllocsPerRun(100000, func() { e.Step() }); n != 0 {
+		t.Fatalf("a zero-delay firing allocates %.1f objects, want 0", n)
+	}
+	if e.Now() != 0 || e.Pending() != 3 {
+		t.Fatalf("now %v, pending %d; want 0 and 3", e.Now(), e.Pending())
+	}
+	if c := cap(e.run); c > 16 {
+		t.Fatalf("run grew to %d entries for 3 pending events", c)
 	}
 }
 

@@ -21,7 +21,7 @@ func BenchmarkEngineAfterStep(b *testing.B) {
 func BenchmarkEngineMixedHorizon(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
-	far := Time(wheelSlots<<tickBits) * 4
+	far := Time(wheelSlots<<spanBits) * 4
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,6 +29,26 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 		e.After(Time(i%200)*Microsecond, fn)
 		e.After(far, fn)
 		e.Run()
+	}
+}
+
+// BenchmarkEngineDenseTick gives the engine the shape of a 16-node
+// ring, whose hops fire as separate events: 300 events pending inside
+// 4.5 us, 15 ns apart, every fourth at the same instant as the one
+// before it. Each firing reschedules itself one period out, so the
+// density holds; one op is one fire and one schedule.
+func BenchmarkEngineDenseTick(b *testing.B) {
+	const n, gap = 300, 15
+	e := NewEngine()
+	var fn func()
+	fn = func() { e.After(n*gap, fn) }
+	for i := 0; i < n; i++ {
+		e.At(Time(i-i%4/3)*gap, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }
 

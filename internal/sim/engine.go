@@ -10,8 +10,10 @@
 // in a pooled arena and are addressed by generation-counted handles
 // (a stale Cancel after slot reuse is a safe no-op), and the pending
 // set is a hierarchical timer structure — near-future events in a
-// bucketed wheel, far timers in a min-heap that cascades into the
-// wheel as time advances. Firing order is exactly (time, insertion
+// wheel of 4.096 us spans, the span being drained split again into
+// 16 ns buckets, each drained in turn into a short ascending run, and
+// far timers in a min-heap (the engine's only heap) that cascades into
+// the wheel as time advances. Firing order is exactly (time, insertion
 // sequence), identical to a single global priority queue.
 package sim
 
@@ -50,14 +52,23 @@ func (t Time) String() string {
 	}
 }
 
-// Timer-wheel geometry. Each bucket spans one tick of 2^tickBits ns
-// (4.096 us); the wheel's 256 buckets cover ~1 ms of near future —
-// flash reads, programs, network hops and DMA all land here. Events
-// beyond the horizon (3 ms erases, long think timers) wait in a far
-// min-heap and cascade into the wheel as the clock approaches them.
+// Timer-wheel geometry: two wheels of the same shape. The near wheel's
+// 256 buckets each hold one span of 2^spanBits ns (4.096 us); together
+// they cover 1 048 576 ns (~1 ms) of near future — flash reads,
+// programs, network hops and DMA all land here. Events beyond the
+// horizon (3 ms erases, long think timers) wait in a far min-heap and
+// cascade into the near wheel as the clock approaches them. The span
+// being drained is opened into the fine wheel, whose 256 buckets each
+// hold one tick of 2^tickBits ns (16 ns), sized as a calendar queue
+// sizes its days: to hold a few events, so a drain orders a handful
+// rather than the hundreds a busy ring puts in a span. Both wheels fit
+// in 4 KiB and stay in the L1 cache; one wheel of 16 ns ticks over the
+// same horizon would take 512 KiB, and its cache misses would make the
+// engine's cost depend on whatever else shares the caches.
 const (
-	tickBits   = 12
-	wheelSlots = 256
+	tickBits   = 4
+	spanBits   = 12
+	wheelSlots = 1 << (spanBits - tickBits)
 	wheelMask  = wheelSlots - 1
 	wheelWords = wheelSlots / 64
 )
@@ -89,12 +100,13 @@ type eventSlot struct {
 	at    Time
 	seq   uint64
 	fn    func()
-	next  int32 // bucket chain when queued; free-list link when free
+	next  int32 // bucket chain when queued; free-list link when free; 0 ends both
 	gen   uint32
 	state uint8
 }
 
-// entry is a by-value heap element: ordering key plus the slot index.
+// entry is a by-value run or heap element: ordering key plus the slot
+// index.
 type entry struct {
 	at  Time
 	seq uint64
@@ -108,9 +120,17 @@ func entryLess(a, b entry) bool {
 	return a.seq < b.seq
 }
 
-// bucket is one wheel lane: an append-ordered chain of slots.
+// bucket is one wheel lane: an append-ordered chain of slots. The zero
+// bucket is empty.
 type bucket struct {
 	head, tail int32
+}
+
+// wheel is a ring of wheelSlots buckets; occ mirrors the non-empty
+// ones.
+type wheel struct {
+	lanes [wheelSlots]bucket
+	occ   [wheelWords]uint64
 }
 
 // EngineStats is a snapshot of the engine's internal counters: how
@@ -124,11 +144,11 @@ type EngineStats struct {
 	Pending int `json:"pending"`
 	// Cancelled counts Cancel calls that hit a live event.
 	Cancelled uint64 `json:"cancelled"`
-	// WheelEvents counts events scheduled into a wheel bucket (the
-	// near-future fast path).
+	// WheelEvents counts events scheduled into a lane of the near or
+	// the fine wheel (the near-future fast path).
 	WheelEvents uint64 `json:"wheel_events"`
-	// CurEvents counts events scheduled directly into the current-tick
-	// drain heap (zero-delay kicks and same-tick rearms).
+	// CurEvents counts events scheduled directly into the drain run of
+	// the current tick (zero-delay kicks and same-tick rearms).
 	CurEvents uint64 `json:"cur_events"`
 	// FarEvents counts events scheduled beyond the wheel horizon into
 	// the far heap.
@@ -148,37 +168,39 @@ type Engine struct {
 	seq uint64
 
 	// Event pool. Slot 0 is reserved so the zero Event handle is
-	// always invalid.
+	// always invalid, and index 0 ends every chain.
 	slots []eventSlot
-	free  int32 // free-list head, -1 when empty
+	free  int32 // free-list head
 
-	// cur holds events with tick < base: the tick being drained plus
-	// same-instant arrivals. Its minimum is the global minimum.
-	cur []entry
+	// run holds events with tick < fbase — the tick being drained plus
+	// arrivals into it — ascending by (time, seq) from run[head]. Its
+	// front is the global minimum.
+	run  []entry
+	head int
 
-	// Near wheel: buckets[t&wheelMask] chains events whose tick t is
-	// in [base, base+wheelSlots). occupied mirrors non-empty buckets.
-	buckets  [wheelSlots]bucket
-	occupied [wheelWords]uint64
-	wheelCnt int
+	// Fine wheel: lane t&wheelMask chains events whose tick t is in
+	// [fbase, base<<(spanBits-tickBits)), the rest of the open span.
+	fine  wheel
+	fbase int64
 
-	// Far heap: events with tick ≥ horizon at scheduling time.
+	// Near wheel: lane s&wheelMask chains events whose span s is in
+	// [base, base+wheelSlots).
+	near wheel
+
+	// Far heap: events with span ≥ horizon at scheduling time.
 	far []entry
 
-	pending int // live (non-cancelled) scheduled events
-	base    int64
+	pending int   // live (non-cancelled) scheduled events
+	base    int64 // the span after the open one
 	stats   EngineStats
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{free: -1}
-	for i := range e.buckets {
-		e.buckets[i] = bucket{head: -1, tail: -1}
-	}
+	e := &Engine{}
 	// Reserve slot 0 with a non-zero generation: the zero Event handle
 	// (idx 0, gen 0) must never match a live slot.
-	e.slots = append(e.slots, eventSlot{gen: 1, state: slotFree, next: -1})
+	e.slots = append(e.slots, eventSlot{gen: 1, state: slotFree})
 	return e
 }
 
@@ -205,7 +227,7 @@ func (e *Engine) Stats() EngineStats {
 //simlint:hotpath
 func (e *Engine) alloc(at Time, fn func()) int32 {
 	var idx int32
-	if e.free >= 0 {
+	if e.free != 0 {
 		idx = e.free
 		e.free = e.slots[idx].next
 	} else {
@@ -216,7 +238,7 @@ func (e *Engine) alloc(at Time, fn func()) int32 {
 	s.at = at
 	s.seq = e.seq
 	s.fn = fn
-	s.next = -1
+	s.next = 0
 	s.state = slotQueued
 	e.seq++
 	return idx
@@ -245,16 +267,20 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	idx := e.alloc(t, fn)
 	e.pending++
-	tick := int64(t) >> tickBits
+	tick, span := int64(t)>>tickBits, int64(t)>>spanBits
 	switch {
-	case tick < e.base:
-		// Inside the tick being drained (or base already advanced past
-		// it): goes straight to the cur heap. Correct by construction —
-		// everything in cur is earlier than every bucketed/far event.
-		e.curPush(entry{at: t, seq: e.slots[idx].seq, idx: idx})
+	case tick < e.fbase:
+		// Inside the tick being drained (or fbase already advanced past
+		// it): goes straight into the run. Correct by construction —
+		// everything in the run is earlier than every bucketed/far event.
+		e.runPush(entry{at: t, seq: e.slots[idx].seq, idx: idx})
 		e.stats.CurEvents++
-	case tick-e.base < wheelSlots:
-		e.bucketPush(tick, idx)
+	case span < e.base:
+		// Later in the open span.
+		e.fine.push(e.slots, int(tick), idx)
+		e.stats.WheelEvents++
+	case span-e.base < wheelSlots:
+		e.near.push(e.slots, int(span), idx)
 		e.stats.WheelEvents++
 	default:
 		e.farPush(entry{at: t, seq: e.slots[idx].seq, idx: idx})
@@ -294,47 +320,39 @@ func (e *Engine) Cancel(ev Event) {
 	e.stats.Cancelled++
 }
 
-// --- cur heap (current-tick drain) ----------------------------------
+// --- drain run (current tick) ----------------------------------------
 
+// runPush inserts x into the run from the back. An arrival at the
+// instant being fired carries the largest seq yet, so it passes only
+// the later instants of its 16 ns tick; a drained bucket's events
+// mostly arrive in seq order, so each passes only the few later
+// instants already in.
+//
 //simlint:hotpath
-func (e *Engine) curPush(x entry) {
-	e.cur = append(e.cur, x)
-	i := len(e.cur) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entryLess(e.cur[i], e.cur[p]) {
-			break
-		}
-		e.cur[i], e.cur[p] = e.cur[p], e.cur[i]
-		i = p
+func (e *Engine) runPush(x entry) {
+	if len(e.run) == cap(e.run) && 2*e.head >= len(e.run) {
+		// Reclaim the consumed front before growing, so a chain of
+		// zero-delay events that never lets the run empty keeps
+		// reusing its storage.
+		e.run = e.run[:copy(e.run, e.run[e.head:])]
+		e.head = 0
 	}
+	e.run = append(e.run, x)
+	i := len(e.run) - 1
+	for ; i > e.head && entryLess(x, e.run[i-1]); i-- {
+		e.run[i] = e.run[i-1]
+	}
+	e.run[i] = x
 }
 
 //simlint:hotpath
-func (e *Engine) curPop() entry {
-	h := e.cur
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	e.cur = h[:n]
-	// sift down
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && entryLess(h[l], h[m]) {
-			m = l
-		}
-		if r < n && entryLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+func (e *Engine) runPop() entry {
+	x := e.run[e.head]
+	e.head++
+	if e.head == len(e.run) {
+		e.run, e.head = e.run[:0], 0
 	}
-	return top
+	return x
 }
 
 // --- far heap --------------------------------------------------------
@@ -379,121 +397,137 @@ func (e *Engine) farPop() entry {
 	return top
 }
 
-// --- wheel -----------------------------------------------------------
+// --- wheels ----------------------------------------------------------
 
-//simlint:hotpath
-func (e *Engine) bucketPush(tick int64, idx int32) {
-	slot := int(tick) & wheelMask
-	b := &e.buckets[slot]
-	if b.head < 0 {
-		b.head = idx
-		e.occupied[slot>>6] |= 1 << uint(slot&63)
-	} else {
-		e.slots[b.tail].next = idx
-	}
-	b.tail = idx
-	e.wheelCnt++
-}
-
-// nextBucketDist returns the circular distance from base to the first
-// occupied bucket, or -1 if the wheel is empty.
+// push appends idx to the chain of the lane at pos (a tick or a span:
+// the lane is pos&wheelMask).
 //
 //simlint:hotpath
-func (e *Engine) nextBucketDist() int {
-	start := int(e.base) & wheelMask
-	sw, sb := start>>6, uint(start&63)
-	if w := e.occupied[sw] >> sb; w != 0 {
-		return bits.TrailingZeros64(w)
+func (w *wheel) push(slots []eventSlot, pos int, idx int32) {
+	l := pos & wheelMask
+	b := &w.lanes[l]
+	if b.head == 0 {
+		b.head = idx
+		w.occ[l>>6] |= 1 << uint(l&63)
+	} else {
+		slots[b.tail].next = idx
 	}
-	d := 64 - int(sb)
-	for i := 1; i < wheelWords; i++ {
-		if w := e.occupied[(sw+i)&(wheelWords-1)]; w != 0 {
-			return d + bits.TrailingZeros64(w)
+	b.tail = idx
+}
+
+// dist returns the circular distance from pos to the first non-empty
+// lane, or -1 if the wheel is empty. It reads the occupancy word of
+// pos from pos on, the other words whole, then — unless pos began its
+// word — the word of pos again, for the lanes below pos.
+//
+//simlint:hotpath
+func (w *wheel) dist(pos int) int {
+	for d := 0; d < wheelSlots; {
+		l := (pos + d) & wheelMask
+		if x := w.occ[l>>6] >> uint(l&63); x != 0 {
+			return d + bits.TrailingZeros64(x)
 		}
-		d += 64
-	}
-	if w := e.occupied[sw] & (1<<sb - 1); w != 0 {
-		return d + bits.TrailingZeros64(w)
+		d += 64 - l&63
 	}
 	return -1
 }
 
-// drainBucket moves every event of the bucket at tick into the cur
-// heap (reaping cancelled slots) and clears the bucket.
+// take empties the lane at pos and returns its chain.
 //
 //simlint:hotpath
-func (e *Engine) drainBucket(tick int64) {
-	slot := int(tick) & wheelMask
-	b := &e.buckets[slot]
-	idx := b.head
-	for idx >= 0 {
+func (w *wheel) take(pos int) bucket {
+	l := pos & wheelMask
+	b := w.lanes[l]
+	w.lanes[l] = bucket{}
+	w.occ[l>>6] &^= 1 << uint(l&63)
+	return b
+}
+
+// spill empties the lane at pos of w, reaping cancelled events. A fine
+// lane — one tick — goes into the run, and fbase moves past its tick,
+// so later arrivals for it follow it there. A near lane — one span —
+// goes into the fine wheel, unless it holds one event: that goes into
+// the run, as draining its tick would send it.
+//
+//simlint:hotpath
+func (e *Engine) spill(w *wheel, pos int) {
+	b := w.take(pos)
+	for idx := b.head; idx != 0; {
 		s := &e.slots[idx]
 		next := s.next
-		e.wheelCnt--
-		if s.state == slotCancelled {
+		switch {
+		case s.state == slotCancelled:
 			e.release(idx)
-		} else {
-			e.curPush(entry{at: s.at, seq: s.seq, idx: idx})
+		case w == &e.fine || b.head == b.tail:
+			e.runPush(entry{at: s.at, seq: s.seq, idx: idx})
+			e.fbase = int64(s.at)>>tickBits + 1
+		default:
+			s.next = 0
+			e.fine.push(e.slots, int(s.at>>tickBits), idx)
 		}
 		idx = next
 	}
-	b.head, b.tail = -1, -1
-	e.occupied[slot>>6] &^= 1 << uint(slot&63)
 }
 
-// cascade moves far-heap events whose tick is now inside the wheel
-// horizon into their buckets.
+// cascade moves far-heap events whose span is now inside the horizon
+// into the near wheel.
 //
 //simlint:hotpath
 func (e *Engine) cascade() {
 	horizon := e.base + wheelSlots
-	for len(e.far) > 0 && int64(e.far[0].at)>>tickBits < horizon {
+	for len(e.far) > 0 && int64(e.far[0].at)>>spanBits < horizon {
 		x := e.farPop()
 		if e.slots[x.idx].state == slotCancelled {
 			e.release(x.idx)
 			continue
 		}
-		e.bucketPush(int64(x.at)>>tickBits, x.idx)
+		e.near.push(e.slots, int(x.at>>spanBits), x.idx)
 		e.stats.FarCascades++
 	}
 }
 
-// ensureNext makes the earliest live event the cur-heap minimum and
-// reports whether one exists. It advances base (draining buckets and
-// cascading far timers) but never moves the clock or fires anything.
+// ensureNext makes the earliest live event the front of the run and
+// reports whether one exists. It advances fbase and base (draining
+// ticks, opening spans and cascading far timers) but never moves the
+// clock or fires anything.
 //
 //simlint:hotpath
 func (e *Engine) ensureNext() bool {
 	for {
-		// Reap cancelled events off the cur top.
-		for len(e.cur) > 0 {
-			if e.slots[e.cur[0].idx].state != slotCancelled {
+		// Reap cancelled events off the run's front.
+		for e.head < len(e.run) {
+			if e.slots[e.run[e.head].idx].state != slotCancelled {
 				return true
 			}
-			e.release(e.curPop().idx)
+			e.release(e.runPop().idx)
 		}
-		if e.wheelCnt == 0 {
+		// The open span's ticks lie in [fbase, its end): none wraps.
+		if e.fine.occ != [wheelWords]uint64{} {
+			e.spill(&e.fine, int(e.fbase)+e.fine.dist(int(e.fbase)))
+			continue
+		}
+		d := e.near.dist(int(e.base))
+		if d < 0 {
 			if len(e.far) == 0 {
 				return false
 			}
-			// Jump the wheel to the far minimum and refill.
-			e.base = int64(e.far[0].at) >> tickBits
+			// Jump the near wheel to the far minimum and refill. No
+			// span is open until the next one is.
+			e.base = int64(e.far[0].at) >> spanBits
+			e.fbase = e.base << (spanBits - tickBits)
 			e.cascade()
 			continue
 		}
-		d := e.nextBucketDist()
-		tick := e.base + int64(d)
+		span := e.base + int64(d)
 		// A far timer may have come inside the horizon as base moved;
-		// anything earlier than the found bucket must cascade first.
-		if len(e.far) > 0 && int64(e.far[0].at)>>tickBits <= tick {
+		// anything earlier than the found span must cascade first.
+		if len(e.far) > 0 && int64(e.far[0].at)>>spanBits <= span {
 			e.cascade()
-			d = e.nextBucketDist()
-			tick = e.base + int64(d)
+			span = e.base + int64(e.near.dist(int(e.base)))
 		}
-		e.drainBucket(tick)
-		// Later arrivals for this tick must go straight to cur: the
-		// bucket has been drained.
-		e.base = tick + 1
+		// Open it.
+		e.base, e.fbase = span+1, span<<(spanBits-tickBits)
+		e.spill(&e.near, int(span))
 	}
 }
 
@@ -504,7 +538,7 @@ func (e *Engine) Step() bool {
 	if !e.ensureNext() {
 		return false
 	}
-	x := e.curPop()
+	x := e.runPop()
 	s := &e.slots[x.idx]
 	e.now = x.at
 	fn := s.fn
@@ -524,7 +558,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= t, then advances the clock to
 // t (even if no event lands exactly there).
 func (e *Engine) RunUntil(t Time) {
-	for e.ensureNext() && e.cur[0].at <= t {
+	for e.ensureNext() && e.run[e.head].at <= t {
 		e.Step()
 	}
 	if t > e.now {

@@ -2,7 +2,10 @@ package sim
 
 import "errors"
 
-var errEmptyQueue = errors.New("sim: Pop on an empty Queue")
+var (
+	errEmptyQueue = errors.New("sim: Pop on an empty Queue")
+	errQueueIndex = errors.New("sim: RemoveAt outside [0, Len) of a Queue")
+)
 
 // Queue is a FIFO over a ring buffer. Popping advances a head index
 // instead of reslicing, so the backing array is reused for the life of
@@ -73,8 +76,11 @@ func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 // RemoveAt removes the i-th oldest element, 0 <= i < Len, closing the
 // gap so the rest keep their order. It costs a move per younger
 // element: for the rare removal from the middle of a queue that
-// otherwise only pops its head.
+// otherwise only pops its head. An index outside [0, Len) panics.
 func (q *Queue[T]) RemoveAt(i int) {
+	if uint(i) >= uint(q.n) {
+		panic(errQueueIndex)
+	}
 	mask := len(q.buf) - 1
 	for ; i < q.n-1; i++ {
 		q.buf[(q.head+i)&mask] = q.buf[(q.head+i+1)&mask]

@@ -73,6 +73,47 @@ func TestQueueSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestQueueRemoveAtOutOfRangePanics: RemoveAt outside [0, Len) panics
+// as Pop on an empty queue does, and leaves the queue as it was. Without
+// the check, i = Len silently dropped the tail, and an i past the ring
+// also zeroed a live slot through the mask.
+func TestQueueRemoveAtOutOfRangePanics(t *testing.T) {
+	// A wrapped ring: 8 slots, head at 3, six elements 3..8.
+	build := func() *Queue[int] {
+		var q Queue[int]
+		for i := 0; i < 6; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < 3; i++ {
+			q.Pop()
+			q.Push(6 + i)
+		}
+		if len(q.buf) != 8 || q.head != 3 {
+			t.Fatalf("test premise broken: ring of %d, head %d", len(q.buf), q.head)
+		}
+		return &q
+	}
+	for _, i := range []int{6, len(build().buf) + 1, -1} {
+		q := build()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RemoveAt(%d) on a queue of %d did not panic", i, q.Len())
+				}
+			}()
+			q.RemoveAt(i)
+		}()
+		if q.Len() != 6 {
+			t.Fatalf("RemoveAt(%d): len = %d, want 6", i, q.Len())
+		}
+		for k := 0; k < 6; k++ {
+			if q.At(k) != 3+k {
+				t.Fatalf("RemoveAt(%d) changed element %d to %d, want %d", i, k, q.At(k), 3+k)
+			}
+		}
+	}
+}
+
 func TestQueuePopDropsReference(t *testing.T) {
 	var q Queue[*int]
 	q.Push(new(int))
