@@ -9,8 +9,8 @@ import (
 // The cache hot paths carry every DRAM hit in the simulated cluster,
 // so a single allocation per operation turns into GC pressure
 // proportional to total simulated I/O. These tests pin the lookup,
-// hit, evict, and invalidation-send paths at zero steady-state
-// allocations, matching the engine/fabric guarantees from PRs 6/9.
+// hit, miss-fill, evict, and invalidation-send paths at zero
+// steady-state allocations, matching the engine and fabric guarantees.
 
 // TestIndexOpsAllocFree: index insert/lookup/delete and the CLOCK slot
 // recycler do not allocate once the structures exist (the index is a
@@ -110,6 +110,43 @@ func TestReadHitAllocFree(t *testing.T) {
 	}
 	if s := ca.Stats(); s.Misses > 4 {
 		t.Fatalf("hit loop missed (%d misses) — not measuring the hit path", s.Misses)
+	}
+}
+
+// TestMissFillAllocFree: the full miss path — CLOCK eviction of a clean
+// frame, the volume read down to NAND, the install of the delivered
+// image as the frame's view and its DRAM charge — allocates nothing in
+// steady state.
+func TestMissFillAllocFree(t *testing.T) {
+	c, v, ca := testCache(t, 1, DefaultConfig(4))
+	const pages = 8 // twice the frames, read in turn: every read misses
+	seedPages(t, c, v, pages)
+	st, err := ca.NewStream("t", 0, sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink byte
+	cb := func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		sink ^= data[0]
+	}
+	cycle := func() {
+		for lpn := 0; lpn < pages; lpn++ {
+			st.Read(lpn, cb)
+			c.Run()
+		}
+	}
+	for rep := 0; rep < 4; rep++ {
+		cycle()
+	}
+	base := ca.Stats()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("miss-fill cycle allocates %.1f objects, want 0", n)
+	}
+	if d := ca.Stats().Delta(base); d.Hits != 0 || d.Evictions != d.Misses {
+		t.Fatalf("hits %d, misses %d, evictions %d: not measuring miss → fill → evict", d.Hits, d.Misses, d.Evictions)
 	}
 }
 

@@ -10,8 +10,12 @@
 //     traffic contends with ISP merge and host software for the same
 //     DRAM-bandwidth pipe instead of being free.
 //   - Eviction is CLOCK over dense, allocation-free state: one entry
-//     array, one backing page slab, an lpn index, and pooled completion
-//     contexts (sim.Pool). The lookup/hit/evict path and the
+//     array, an lpn index, pooled completion contexts (sim.Pool), and
+//     per slot a frame that is either a view or a slab frame. A view is
+//     the immutable page image a fill (or a tier promotion) delivered,
+//     shared as it stands, so a miss copies no payload; a slab frame is
+//     the slot's stretch of one backing page slab and holds bytes the
+//     cache wrote itself. The lookup/hit/fill/evict path and the
 //     invalidation send path are simlint hotpath-clean and pinned at
 //     zero steady-state allocations by AllocsPerRun tests.
 //   - Dirty pages flush to the volume on the scheduler's Background
@@ -98,7 +102,7 @@ const (
 )
 
 // entry is one page frame's metadata. Dense and index-addressed: the
-// frame bytes live at the same slot index in the node's backing slab.
+// frame bytes are the slot's view or its stretch of the node's slab.
 type entry struct {
 	lpn      int64
 	state    uint8
@@ -133,8 +137,8 @@ type invMsg struct {
 	refs int32
 }
 
-// nodeCache is one node's DRAM cache: dense entries, one page slab,
-// an lpn index, and pooled completion contexts.
+// nodeCache is one node's DRAM cache: dense entries, per-slot views,
+// one page slab, an lpn index, and pooled completion contexts.
 type nodeCache struct {
 	c    *Cache
 	node int
@@ -142,7 +146,11 @@ type nodeCache struct {
 	inv  *fabric.Endpoint
 
 	entries []entry
-	data    []byte // CapacityPages * pageSize backing slab
+	// view[slot] is the page image the slot's fill or promotion
+	// delivered, nil once the cache writes the frame or frees the slot.
+	// Images are immutable, so the cache never writes through a view.
+	view [][]byte
+	data []byte // CapacityPages * pageSize slab: the frames the cache wrote
 	// index maps a resident lpn to its slot. It is only ever looked up,
 	// stored into and deleted from — never ranged, so Go's randomized
 	// map order cannot reach the simulation (simlint's maprange).
@@ -209,6 +217,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 			node:    n,
 			cpu:     c.Node(n).CPU,
 			entries: make([]entry, cfg.CapacityPages),
+			view:    make([][]byte, cfg.CapacityPages),
 			data:    make([]byte, cfg.CapacityPages*ca.ps),
 			index:   make(map[int64]int32, cfg.CapacityPages),
 			free:    make([]int32, 0, cfg.CapacityPages),
@@ -281,12 +290,25 @@ func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, er
 // Class returns the stream's QoS class.
 func (st *Stream) Class() sched.Class { return st.class }
 
-// frame returns the page bytes of one slot.
+// frame returns the page bytes of one slot, to be read only: its view
+// when it holds one, else its slab frame.
 //
 //simlint:hotpath
 func (nc *nodeCache) frame(slot int32) []byte {
+	if v := nc.view[slot]; v != nil {
+		return v
+	}
 	ps := nc.c.ps
 	return nc.data[int(slot)*ps : int(slot)*ps+ps]
+}
+
+// slab drops the slot's view and returns its slab frame: the one place
+// the cache writes page bytes. Every caller overwrites the whole page.
+//
+//simlint:hotpath
+func (nc *nodeCache) slab(slot int32) []byte {
+	nc.view[slot] = nil
+	return nc.frame(slot)
 }
 
 // --- slot allocation (CLOCK) ------------------------------------------
@@ -321,6 +343,7 @@ func (nc *nodeCache) takeSlot() int32 {
 		}
 		delete(nc.index, e.lpn)
 		e.state = stEmpty
+		nc.view[h] = nil
 		nc.used--
 		nc.evictions++
 		return int32(h)
@@ -335,6 +358,7 @@ func (nc *nodeCache) releaseSlot(slot int32) {
 	e := &nc.entries[slot]
 	e.state = stEmpty
 	e.ref, e.poisoned, e.redirty, e.tiered = false, false, false, false
+	nc.view[slot] = nil
 	nc.free = append(nc.free, slot)
 }
 
@@ -426,9 +450,11 @@ func (nc *nodeCache) newFillCtx() *fillCtx {
 			return
 		}
 		// Deliver the volume buffer to the requester immediately; the
-		// install into the frame charges DRAM bandwidth in parallel
-		// and only marks the entry clean once that lands.
-		copy(nc.frame(fx.slot), data)
+		// install charges DRAM bandwidth in parallel and only marks the
+		// entry clean once that lands. The frame is the image itself,
+		// shared because it is immutable; the charge still prices the
+		// copy the modelled host makes.
+		nc.view[fx.slot] = data[:nc.c.ps:nc.c.ps]
 		cb(data, nil)
 		nc.cpu.ReadDRAM(nc.c.ps, fx.onDRAM)
 	}
@@ -503,8 +529,10 @@ func (nc *nodeCache) newFlushCtx() *flushCtx {
 // --- read / write -----------------------------------------------------
 
 // Read fetches a logical page: DRAM hit, tier hit, or volume fill at
-// the stream's class. The callback's data slice is only valid inside
-// the callback (hits alias the cache frame).
+// the stream's class. The callback's data slice is read-only, whatever
+// it aliases: a fill's flash image, shared with the card and the view
+// it leaves behind, or a frame. It is only valid inside the callback (a
+// hit on a slab frame sees later writes to it).
 //
 //simlint:hotpath
 func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
@@ -571,8 +599,8 @@ func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
 // Write stores a logical page through the cache: write-back on hit or
 // when a frame is free (the ack fires after the DRAM copy, and flash
 // is updated by a Background flush), write-through when the node's
-// frames are all busy. The payload is copied before the callback
-// path begins, matching the volume's snapshot semantics.
+// frames are all busy. The payload, one page, is copied before the
+// callback path begins, matching the volume's snapshot semantics.
 //
 //simlint:hotpath
 func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
@@ -587,9 +615,11 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 		c.tier.touch(lpn)
 	}
 	key := int64(lpn)
+	// An indexed slot is never stEmpty or stDead: applyInv unindexes a
+	// frame before it marks it dead.
 	if slot, ok := nc.index[key]; ok {
 		e := &nc.entries[slot]
-		copy(nc.frame(slot), data)
+		copy(nc.slab(slot), data)
 		e.ref = true
 		nc.writeHits++
 		switch e.state {
@@ -614,10 +644,6 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 			nc.ackDRAM(cb)
 			nc.pumpFlush()
 			nc.pushUrgency()
-		default:
-			// stDead (pinned corpse): treat as a miss below.
-			nc.writeHits--
-			nc.writeMiss(st, key, data, cb)
 		}
 		return
 	}
@@ -642,7 +668,7 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 	e.poisoned, e.redirty = false, false
 	e.pins = 0
 	e.tiered = nc.c.tierHas(int(key))
-	copy(nc.frame(slot), data)
+	copy(nc.slab(slot), data)
 	nc.index[key] = slot
 	nc.used++
 	nc.dirty++

@@ -14,7 +14,7 @@ import (
 // testCache builds a small cluster + scheduler + volume + cache stack.
 // When the test ends, whatever it left in flight is drained and every
 // pooled context of the tier must be back in its pool.
-func testCache(t *testing.T, nodes int, cfg Config) (*core.Cluster, *volume.Volume, *Cache) {
+func testCache(t testing.TB, nodes int, cfg Config) (*core.Cluster, *volume.Volume, *Cache) {
 	t.Helper()
 	p := core.DefaultParams(nodes)
 	p.Geometry.BlocksPerChip = 8
@@ -55,9 +55,27 @@ func pageData(size, seed int) []byte {
 	return b
 }
 
+// seedPages writes pageData(lpn) to pages [0, n) of the volume, below
+// the cache, and drains.
+func seedPages(t testing.TB, c *core.Cluster, v *volume.Volume, n int) {
+	t.Helper()
+	vs, err := v.NewStream("seed", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpn := 0; lpn < n; lpn++ {
+		vs.Write(lpn, pageData(v.PageSize(), lpn), func(err error) {
+			if err != nil {
+				t.Errorf("seed: %v", err)
+			}
+		})
+	}
+	c.Run()
+}
+
 // readPage issues one cache read and returns a copy of the data after
-// the engine drains (hit data aliases the cache frame, so it must be
-// copied inside the callback).
+// the engine drains (a hit on a slab frame sees later writes, so it
+// must be copied inside the callback).
 func readPage(t *testing.T, c *core.Cluster, st *Stream, lpn int) []byte {
 	t.Helper()
 	var got []byte
@@ -142,17 +160,7 @@ func TestCacheReadWriteRoundTrip(t *testing.T) {
 // the filled frame serves the next read from DRAM.
 func TestCacheMissFillsAndHits(t *testing.T) {
 	c, v, ca := testCache(t, 1, DefaultConfig(16))
-	vs, err := v.NewStream("seed", sched.Interactive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs.Write(3, pageData(ca.PageSize(), 3), func(err error) {
-		if err != nil {
-			t.Errorf("seed: %v", err)
-		}
-	})
-	c.Run()
-
+	seedPages(t, c, v, 4)
 	st, err := ca.NewStream("t", 0, sched.Interactive)
 	if err != nil {
 		t.Fatal(err)

@@ -199,9 +199,7 @@ func (t *tier) demote(lpn int) {
 			t.aborts++
 			return
 		}
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		t.store[lpn] = buf
+		t.store[lpn] = data // an immutable image: kept as delivered
 		t.devs[c.ownerNode(lpn)].Write(c.ps, false, func(err error) {
 			if err != nil || t.touchSeq[lpn] != snap {
 				delete(t.store, lpn)
@@ -255,6 +253,8 @@ func (t *tier) read(st *Stream, lpn int, cb func([]byte, error)) {
 // promote installs a tier-read page into the requester's cache as a
 // dirty, tier-backed frame: the flush pump writes it back to flash
 // and only then drops the tier copy, so the page is never ownerless.
+// The frame is a view of the tier's image; a later write goes to the
+// slab.
 func (t *tier) promote(nc *nodeCache, lpn int, data []byte) {
 	key := int64(lpn)
 	if _, ok := nc.index[key]; ok {
@@ -271,7 +271,7 @@ func (t *tier) promote(nc *nodeCache, lpn int, data []byte) {
 	e.poisoned, e.redirty = false, false
 	e.tiered = true
 	e.pins = 0
-	copy(nc.frame(slot), data)
+	nc.view[slot] = data[:nc.c.ps:nc.c.ps]
 	nc.index[key] = slot
 	nc.used++
 	nc.dirty++

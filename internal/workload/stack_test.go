@@ -2,6 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
 	"strings"
 	"testing"
 
@@ -189,6 +192,88 @@ func TestVolumeBesideRFSRefusedForTheFlash(t *testing.T) {
 	both.RFS = &rcfg
 	if _, err := Build(both); err == nil || !strings.Contains(err.Error(), "erase block") {
 		t.Fatalf("volume beside rfs: err = %v, want a refusal that names the shared erase blocks", err)
+	}
+}
+
+// digestRW is a page surface that hashes each completion of the surface
+// it wraps: the request's issue index, its virtual completion time and
+// whether it failed. Wrappers that share h and next share one digest.
+type digestRW struct {
+	rw   PageRW
+	eng  *sim.Engine
+	h    hash.Hash
+	next *uint64
+}
+
+func (d digestRW) Read(lpn int, cb func([]byte, error)) {
+	id := d.issue()
+	d.rw.Read(lpn, func(data []byte, err error) { d.done(id, err); cb(data, err) })
+}
+
+func (d digestRW) Write(lpn int, data []byte, cb func(error)) {
+	id := d.issue()
+	d.rw.Write(lpn, data, func(err error) { d.done(id, err); cb(err) })
+}
+
+func (d digestRW) issue() uint64 {
+	*d.next++
+	return *d.next
+}
+
+func (d digestRW) done(id uint64, err error) {
+	var rec [17]byte
+	binary.LittleEndian.PutUint64(rec[:8], id)
+	binary.LittleEndian.PutUint64(rec[8:16], uint64(d.eng.Now()))
+	if err != nil {
+		rec[16] = 1
+	}
+	d.h.Write(rec[:])
+}
+
+// TestIdleCacheCostsNothing: a cache attached above a volume that
+// serves no traffic moves nothing below it. One volume spec is built
+// twice, the second time with a cache attached, and identical read and
+// write traffic runs on volume streams of both: every completion must
+// land at the same virtual time, and the engine must fire as many
+// events.
+func TestIdleCacheCostsNothing(t *testing.T) {
+	run := func(attach bool) ([]byte, uint64) {
+		st, err := Build(withVolume(testSpec()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach {
+			if err := st.AttachCache(cache.DefaultConfig(64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkImagesAtEnd(t, st)
+		if err := st.Seed(RandomPages(5)); err != nil {
+			t.Fatal(err)
+		}
+		h, next := sha256.New(), uint64(0)
+		pages := st.V.Pages()
+		var specs []ClientSpec
+		for i, cl := range []sched.Class{sched.Realtime, sched.Interactive, sched.Batch} {
+			vs, err := st.V.NewStream(cl.String(), cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, ClientSpec{Name: cl.String(), Seed: uint64(i + 1),
+				RW:   digestRW{rw: vs, eng: st.C.Eng, h: h, next: &next},
+				Pick: PickHotCold(pages, pages/8, 0, 0.3)})
+		}
+		res, err := st.Run(specs, 4, 200, nil)
+		if err != nil || res.Loop.Errors > 0 {
+			t.Fatalf("run: %v, %d errors", err, res.Loop.Errors)
+		}
+		return h.Sum(nil), st.C.Eng.Fired()
+	}
+	bare, bareFired := run(false)
+	cached, cachedFired := run(true)
+	if !bytes.Equal(bare, cached) || bareFired != cachedFired {
+		t.Fatalf("an idle cache moved the volume's traffic: digest %x → %x, events %d → %d",
+			bare[:8], cached[:8], bareFired, cachedFired)
 	}
 }
 
