@@ -164,7 +164,7 @@ func ftlWA(b *testing.B, overProvision float64) float64 {
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "wa", 16)
-	f, err := ftl.New(srv.NewIface("wa"), geo, ftl.Config{
+	f, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("wa")), geo, ftl.Config{
 		OverProvision: overProvision, GCLowWater: 2, WearLevelEvery: 16,
 	})
 	if err != nil {
@@ -245,7 +245,7 @@ func BenchmarkAblationFTLvsRFS(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
 		// --- conventional FS on FTL ---------------------------------
 		eng, srv := buildStack(b, geo)
-		dev, err := ftl.New(srv.NewIface("dev"), geo, ftl.DefaultConfig())
+		dev, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("dev")), geo, ftl.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func main() {
 			done++
 		}
 		if rng.Intn(10) < 7 {
-			c.Node(src).ISPRead(a, cb)
+			c.Node(src).ISPReadDirect(a, cb)
 		} else {
 			c.Node(src).HostRead(a, core.PathHF, nil, cb)
 		}

@@ -4,9 +4,11 @@
 // (walltime), concurrency in the single-threaded core (noconcurrency),
 // allocation sources in //simlint:hotpath functions (hotpath) and in
 // functions transitively reachable from them (hotcall), discarded
-// errors (errdrop), pool get/put pairing (poolleak), and exactly-once
-// completion callbacks (oncedone). See internal/lint for the analyzers
-// and the //simlint:allow suppression grammar.
+// errors (errdrop), pool get/put pairing (poolleak), exactly-once
+// completion callbacks (oncedone), and exported names that no non-test
+// code references, in the module or in bench/ (unused; on ./... only).
+// See internal/lint for the analyzers and the //simlint:allow
+// suppression grammar.
 //
 // Usage, from the module root:
 //

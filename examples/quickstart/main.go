@@ -57,7 +57,7 @@ func main() {
 		cluster.Node(2).ReadLocal(addr.Card, addr.Addr, cb)
 	})
 	measure("remote ISP-F read (node 0)", func(cb func([]byte, error)) {
-		cluster.Node(0).ISPRead(addr, cb)
+		cluster.Node(0).ISPReadDirect(addr, cb)
 	})
 	measure("remote H-RH-F read (node 0)", func(cb func([]byte, error)) {
 		cluster.Node(0).HostRead(addr, core.PathHRHF, nil, cb)

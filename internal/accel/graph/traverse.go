@@ -213,7 +213,7 @@ func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done
 			addr := g.PageOf(current)
 			switch cfg.Mode {
 			case ModeISPF:
-				node.ISPRead(addr, handle)
+				node.ISPReadDirect(addr, handle)
 			case ModeHF:
 				node.HostRead(addr, core.PathHF, nil, handle)
 			case ModeHRHF:

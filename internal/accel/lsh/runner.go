@@ -118,7 +118,7 @@ func RunISP(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids []int,
 	const engines = 16
 	const window = 8
 	return s.run(c.Eng, "ISP", len(candidates), engines*window, func(_, i int, next func()) {
-		node.ISPRead(candidates[i], func(data []byte, err error) {
+		node.ISPReadDirect(candidates[i], func(data []byte, err error) {
 			// The ISP compares at stream rate: no time beyond the
 			// throttle stage's.
 			compare := func() {

@@ -51,9 +51,6 @@ func Compile(needle []byte) (*Pattern, error) {
 	return p, nil
 }
 
-// Len returns the needle length.
-func (p *Pattern) Len() int { return len(p.needle) }
-
 func (p *Pattern) String() string { return fmt.Sprintf("mp(%q)", p.needle) }
 
 // Scanner is one streaming MP engine: bytes are fed in arbitrary
@@ -117,6 +114,8 @@ func (s *Scanner) Feed(chunk []byte, emit func(pos int64)) {
 
 // FindAll returns every match position in a byte slice (reference
 // implementation used by tests and the software-grep baseline).
+//
+//simlint:allow unused (reference model: the software grep the scanner tests compare against)
 func (p *Pattern) FindAll(haystack []byte) []int64 {
 	var out []int64
 	sc := p.NewScanner()

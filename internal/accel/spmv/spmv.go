@@ -86,6 +86,8 @@ func EntriesPerPage(pageSize int) int { return (pageSize - 4) / entrySize }
 
 // BuildRandom generates a rows x cols matrix with ~nnzPerRow non-zeros
 // per row and stores it on the node's flash.
+//
+//simlint:allow unused (the SpMV accelerator of the paper's §8, which ablation_test.go runs)
 func BuildRandom(c *core.Cluster, nodeID, rows, cols, nnzPerRow int, seed uint64) (*Matrix, []core.PageAddr, error) {
 	if rows <= 0 || cols <= 0 || nnzPerRow <= 0 {
 		return nil, nil, fmt.Errorf("spmv: bad shape %dx%d @%d", rows, cols, nnzPerRow)
@@ -137,19 +139,9 @@ func BuildRandom(c *core.Cluster, nodeID, rows, cols, nnzPerRow int, seed uint64
 	return m, addrs, nil
 }
 
-// Pages returns the matrix's flash footprint in pages.
-func (m *Matrix) Pages() int { return len(m.pages) }
-
-// NNZ returns the number of stored non-zeros.
-func (m *Matrix) NNZ() int {
-	n := 0
-	for _, p := range m.pages {
-		n += len(p)
-	}
-	return n
-}
-
 // Reference computes y = A*x in memory (the oracle).
+//
+//simlint:allow unused (reference model: the in-memory product the SpMV runners are checked against)
 func (m *Matrix) Reference(x []int64) ([]int64, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("%w: x has %d, matrix has %d cols", ErrDimension, len(x), m.Cols)
@@ -175,6 +167,8 @@ type Result struct {
 // vector is DMAed into the device DRAM buffer once, matrix pages
 // stream from flash through the multiply-accumulate engines, and only
 // the dense result returns to the host.
+//
+//simlint:allow unused (the SpMV accelerator of the paper's §8, which ablation_test.go runs)
 func MultiplyISP(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, x []int64) (*Result, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("%w: x has %d, matrix has %d cols", ErrDimension, len(x), m.Cols)
@@ -200,7 +194,7 @@ func MultiplyISP(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, 
 	nnz := int64(0)
 	joined := false
 	sim.Lanes(len(addrs), engines*window, func(_, i int, next func()) {
-		node.ISPRead(addrs[i], func(data []byte, err error) {
+		node.ISPReadDirect(addrs[i], func(data []byte, err error) {
 			if err == nil {
 				if entries, derr := DecodePage(data); derr == nil {
 					// MAC units run at stream rate: no extra time.
@@ -240,6 +234,8 @@ const macCPUPerNNZ = 8 * sim.Nanosecond
 
 // MultiplyHost is the conventional path: pages cross PCIe, the host
 // multiplies in software with `threads` workers.
+//
+//simlint:allow unused (the SpMV accelerator of the paper's §8, which ablation_test.go runs)
 func MultiplyHost(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, x []int64,
 	cpu *hostmodel.CPU, threads int) (*Result, error) {
 	if len(x) != m.Cols {

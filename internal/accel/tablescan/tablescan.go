@@ -88,19 +88,6 @@ func decodeRecord(b []byte) (r Record) {
 	return r
 }
 
-// DecodeRecords unpacks a record page.
-func DecodeRecords(page []byte) ([]Record, error) {
-	n, err := recordCount(page)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = decodeRecord(page[4+i*RecordSize:])
-	}
-	return out, nil
-}
-
 // RecordsPerPage returns the table's rows-per-page for a page size.
 func RecordsPerPage(pageSize int) int { return (pageSize - 4) / RecordSize }
 
@@ -231,7 +218,7 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 	start := c.Eng.Now()
 	joined := false
 	sim.Lanes(len(pages), engines*window, func(_, i int, next func()) {
-		node.ISPRead(pages[i], func(data []byte, err error) {
+		node.ISPReadDirect(pages[i], func(data []byte, err error) {
 			if err == nil {
 				if m, rows, derr := FilterPage(data, pred); derr == nil {
 					res.Rows += rows

@@ -69,9 +69,13 @@ func NewSSD(eng *sim.Engine, name string, cfg SSDConfig) (*SSD, error) {
 
 // Fail marks the device dead: every request from now on completes
 // immediately with ErrDead.
+//
+//simlint:allow unused (kept for now: deleting it takes its only test, TestDeviceFailurePropagatesTypedError)
 func (s *SSD) Fail() { s.dead = true }
 
 // Replace models swapping in a fresh drive: requests succeed again.
+//
+//simlint:allow unused (kept for now: deleting it takes its only test, TestDeviceFailurePropagatesTypedError)
 func (s *SSD) Replace() { s.dead = false }
 
 // Read fetches size bytes; sequential selects the prefetch-friendly
@@ -156,9 +160,13 @@ func NewHDD(eng *sim.Engine, name string, cfg HDDConfig) (*HDD, error) {
 
 // Fail marks the device dead: every request from now on completes
 // immediately with ErrDead.
+//
+//simlint:allow unused (kept for now: deleting it takes its only test, TestHDDFailurePropagatesTypedError)
 func (h *HDD) Fail() { h.dead = true }
 
 // Replace models swapping in a fresh drive: requests succeed again.
+//
+//simlint:allow unused (kept for now: deleting it takes its only test, TestHDDFailurePropagatesTypedError)
 func (h *HDD) Replace() { h.dead = false }
 
 // Read fetches size bytes; non-sequential reads pay the seek.

@@ -42,7 +42,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "bfs", 16)
-	dev, err := ftl.New(srv.NewIface("bfs"), geo, ftl.DefaultConfig())
+	dev, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("bfs")), geo, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,12 +254,6 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 	return ca, nil
 }
 
-// PageSize returns the underlying volume's page size.
-func (c *Cache) PageSize() int { return c.ps }
-
-// Pages returns the underlying volume's logical page count.
-func (c *Cache) Pages() int { return c.pages }
-
 // ownerNode maps an lpn to the node whose flash card holds it (the
 // volume stripes round-robin over node-major cards).
 func (c *Cache) ownerNode(lpn int) int {
@@ -270,9 +264,8 @@ func (c *Cache) ownerNode(lpn int) int {
 // are served from that node's DRAM, misses fill through the volume at
 // the stream's class.
 type Stream struct {
-	nc    *nodeCache
-	vs    *volume.Stream
-	class sched.Class
+	nc *nodeCache
+	vs *volume.Stream
 }
 
 // NewStream opens a cache stream for clients running on the given
@@ -284,11 +277,8 @@ func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, er
 	if node < 0 || node >= len(c.nodes) {
 		return nil, fmt.Errorf("cache: no node %d", node)
 	}
-	return &Stream{nc: c.nodes[node], vs: c.vstreams[class], class: class}, nil
+	return &Stream{nc: c.nodes[node], vs: c.vstreams[class]}, nil
 }
-
-// Class returns the stream's QoS class.
-func (st *Stream) Class() sched.Class { return st.class }
 
 // frame returns the page bytes of one slot, to be read only: its view
 // when it holds one, else its slab frame.

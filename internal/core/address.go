@@ -20,18 +20,6 @@ func (a PageAddr) String() string {
 	return fmt.Sprintf("n%d.card%d.%v", a.Node, a.Card, a.Addr)
 }
 
-// Valid reports whether the address is inside the cluster p describes.
-func (a PageAddr) Valid(p Params) bool {
-	if a.Node < 0 || a.Node >= p.Nodes || a.Card < 0 || a.Card >= p.CardsPerNode {
-		return false
-	}
-	g := p.Geometry
-	return a.Addr.Bus >= 0 && a.Addr.Bus < g.Buses &&
-		a.Addr.Chip >= 0 && a.Addr.Chip < g.ChipsPerBus &&
-		a.Addr.Block >= 0 && a.Addr.Block < g.BlocksPerChip &&
-		a.Addr.Page >= 0 && a.Addr.Page < g.PagesPerBlock
-}
-
 // LinearPage maps a cluster-wide dense page index to an address,
 // striping consecutive indices across buses then chips then cards so
 // sequential data exploits full device parallelism (the layout the

@@ -19,22 +19,11 @@ type Cluster struct {
 	Net    *fabric.Network
 	nodes  []*Node
 
-	hops        [][]int // precomputed hop distances
-	router      HostRouter
-	accelRouter AccelRouter
+	hops [][]int // precomputed hop distances
 
 	// remoteOps recycles the records of remote flash operations.
 	remoteOps sim.Pool[remoteOp]
 }
-
-// SetHostRouter installs (or, with nil, removes) the scheduler hook
-// that admits host traffic. See HostRouter and Node.HostRead.
-func (c *Cluster) SetHostRouter(r HostRouter) { c.router = r }
-
-// SetAccelRouter installs (or, with nil, removes) the scheduler hook
-// that admits in-store processor reads. See AccelRouter and
-// Node.ISPRead.
-func (c *Cluster) SetAccelRouter(r AccelRouter) { c.accelRouter = r }
 
 // NewCluster builds and wires the whole appliance.
 func NewCluster(p Params) (*Cluster, error) {

@@ -43,6 +43,13 @@ func fill(seed byte, n int) []byte {
 	return b
 }
 
+// hostWrite writes data to page a from node n's host: one doorbell of
+// one request, carrying a page image of data.
+func hostWrite(n *Node, a PageAddr, data []byte, cb func(err error)) {
+	img := n.cluster.Params.Geometry.PageImage(data)
+	n.SubmitHostBatch([]HostReq{{Addr: a, Write: true, Data: img, Done: func(_ []byte, err error) { cb(err) }}}, nil)
+}
+
 func TestLocalWriteRead(t *testing.T) {
 	c := mkCluster(t, 2)
 	n0 := c.Node(0)
@@ -80,7 +87,7 @@ func TestISPRemoteRead(t *testing.T) {
 	}
 	var got []byte
 	start := c.Eng.Now()
-	c.Node(0).ISPRead(a, func(d []byte, err error) {
+	c.Node(0).ISPReadDirect(a, func(d []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -172,7 +179,7 @@ func TestAccessPathLatencyOrdering(t *testing.T) {
 		start := c.Eng.Now()
 		var end sim.Time
 		if isp {
-			c.Node(0).ISPRead(a, func([]byte, error) { end = c.Eng.Now() })
+			c.Node(0).ISPReadDirect(a, func([]byte, error) { end = c.Eng.Now() })
 		} else {
 			c.Node(0).HostRead(a, path, nil, func(_ []byte, err error) {
 				if err != nil {
@@ -260,7 +267,7 @@ func TestHostWriteRoundTrip(t *testing.T) {
 	data := fill(5, c.Params.PageSize())
 	for _, a := range []PageAddr{local, remote} {
 		var werr error
-		c.Node(0).HostWrite(a, data, func(err error) { werr = err })
+		hostWrite(c.Node(0), a, data, func(err error) { werr = err })
 		c.Run()
 		if werr != nil {
 			t.Fatalf("host write %v: %v", a, werr)
@@ -287,7 +294,7 @@ func TestSeedLinear(t *testing.T) {
 	for _, idx := range []int{0, 17, 63, 99} {
 		a := LinearPage(c.Params, 1, idx)
 		var got []byte
-		c.Node(0).ISPRead(a, func(d []byte, err error) {
+		c.Node(0).ISPReadDirect(a, func(d []byte, err error) {
 			if err != nil {
 				t.Errorf("idx %d: %v", idx, err)
 			}
@@ -363,7 +370,7 @@ func TestSingleNodeCluster(t *testing.T) {
 	a := LinearPage(c.Params, 0, 0)
 	data := fill(8, c.Params.PageSize())
 	var werr error
-	c.Node(0).HostWrite(a, data, func(err error) { werr = err })
+	hostWrite(c.Node(0), a, data, func(err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -385,10 +392,7 @@ func TestSingleNodeCluster(t *testing.T) {
 // until when. The device-side write (WriteLocal, the local leg of
 // ISPWrite, SeedLinear's loop) snapshots inside the flash server before
 // returning, so the caller may overwrite its buffer at once. A host
-// write is different by design: the caller's buffer is the DMA source
-// the device pulls from after the doorbell, so it must hold still until
-// the callback — and is the caller's again from the callback on, with
-// nothing below still aliasing it.
+// write adopts a page image instead (TestSubmitHostBatchAdoptsImages).
 func TestWriteBufferOwnership(t *testing.T) {
 	c := mkCluster(t, 2)
 	n0 := c.Node(0)
@@ -425,18 +429,6 @@ func TestWriteBufferOwnership(t *testing.T) {
 	c.Run()
 	if !bytes.Equal(readBack(dev), fill(1, ps)) {
 		t.Fatal("WriteLocal: bytes written to the caller's buffer after the call reached flash")
-	}
-
-	for i, a := range []PageAddr{LinearPage(c.Params, 0, 1), LinearPage(c.Params, 1, 1)} {
-		copy(buf, fill(byte(2+i), ps))
-		n0.HostWrite(a, buf, func(err error) {
-			ack(err)
-			scribble(buf) // from the callback on the buffer is the caller's
-		})
-		c.Run()
-		if !bytes.Equal(readBack(a), fill(byte(2+i), ps)) {
-			t.Fatalf("HostWrite %v: flash aliases the caller's buffer after completion", a)
-		}
 	}
 }
 

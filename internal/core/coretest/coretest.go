@@ -13,6 +13,8 @@ import (
 // finds a stored page image written to panics there, and when the test
 // ends every image still stored is verified once more. A benchmark gets
 // the cluster without the guard.
+//
+//simlint:allow unused (test-support package: the cluster every package test builds under the image guard)
 func NewCluster(t testing.TB, p core.Params) *core.Cluster {
 	t.Helper()
 	_, p.Reliability.GuardImages = t.(*testing.T)

@@ -36,7 +36,7 @@ func TestGlobalAddressSpaceAllPairs(t *testing.T) {
 			a := LinearPage(c.Params, dst, 0)
 			start := c.Eng.Now()
 			var got []byte
-			c.Node(src).ISPRead(a, func(d []byte, err error) {
+			c.Node(src).ISPReadDirect(a, func(d []byte, err error) {
 				if err != nil {
 					t.Fatalf("%d->%d: %v", src, dst, err)
 				}
@@ -95,7 +95,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			idx := rng.Intn(32)
 			a := LinearPage(c.Params, dst, idx)
 			wantNode, wantIdx := byte(dst), byte(idx)
-			c.Node(src).ISPRead(a, func(d []byte, err error) {
+			c.Node(src).ISPReadDirect(a, func(d []byte, err error) {
 				if err != nil {
 					t.Errorf("read %v: %v", a, err)
 					return
@@ -160,7 +160,7 @@ func TestRemoteReadUnderBitErrors(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		a := LinearPage(c.Params, 1, i)
 		var got []byte
-		c.Node(0).ISPRead(a, func(d []byte, err error) {
+		c.Node(0).ISPReadDirect(a, func(d []byte, err error) {
 			if err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
@@ -177,16 +177,16 @@ func TestRemoteReadUnderBitErrors(t *testing.T) {
 	}
 }
 
-// TestWriteAckOrderUnderLoad issues many writes through one host and
-// checks every ack arrives exactly once (no lost or duplicated
-// completions when buffers and tags churn).
+// TestWriteAckOrderUnderLoad issues many writes through one host, a
+// doorbell each, and checks every ack arrives exactly once (no lost or
+// duplicated completions when buffers and tags churn).
 func TestWriteAckOrderUnderLoad(t *testing.T) {
 	c := mkCluster(t, 2)
 	acks := make([]int, 0, 64)
 	for i := 0; i < 64; i++ {
 		i := i
 		a := LinearPage(c.Params, 1, i)
-		c.Node(0).HostWrite(a, fill(byte(i), c.Params.PageSize()), func(err error) {
+		hostWrite(c.Node(0), a, fill(byte(i), c.Params.PageSize()), func(err error) {
 			if err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}

@@ -182,9 +182,6 @@ type Node struct {
 // ID returns the node index.
 func (n *Node) ID() int { return n.id }
 
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
-
 // Card returns flash card c.
 func (n *Node) Card(c int) *nand.Card { return n.cards[c] }
 
@@ -192,6 +189,8 @@ func (n *Node) Card(c int) *nand.Card { return n.cards[c] }
 func (n *Node) Controller(c int) *flashctl.Controller { return n.ctls[c] }
 
 // Server returns the flash server of card c.
+//
+//simlint:allow unused (the ATU path of the paper's Figure 8: rfs_test and ablation_test.go reach a card's flash server through it)
 func (n *Node) Server(c int) *flashserver.Server { return n.servers[c] }
 
 // NewIface creates a fresh in-order flash interface on card c, for
@@ -226,36 +225,19 @@ func (n *Node) WriteLocal(card int, addr nand.Addr, data []byte, cb func(err err
 	n.ispIfaces[card].WritePhysical(addr, data, cb)
 }
 
-// EraseLocal erases a block on this node's own flash.
-func (n *Node) EraseLocal(card int, addr nand.Addr, cb func(err error)) {
-	n.ispIfaces[card].Erase(addr, cb)
-}
-
 // --- global address space (ISP-F path) ------------------------------
 
-// ISPRead reads any page in the cluster from this node's in-store
-// processor. Local pages use the local flash interface; remote pages
-// go over the integrated storage network to the remote flash server —
-// the ISP-F path, with zero host involvement anywhere.
+// ISPReadDirect reads any page in the cluster from this node's
+// in-store processor, issuing at once: the unadmitted device read.
+// Local pages use the local flash interface; remote pages go over the
+// integrated storage network to the remote flash server — the ISP-F
+// path, with zero host involvement anywhere.
 //
-// When an AccelRouter is installed on the cluster (by the request
-// scheduler), the read is admitted through it first, so ISP traffic
-// shares the per-node device window and the Accel token budget with
-// host traffic instead of bypassing QoS arbitration. The data path
-// after the grant is identical: the router issues via ISPReadDirect.
-func (n *Node) ISPRead(a PageAddr, cb func(data []byte, err error)) {
-	if r := n.cluster.accelRouter; r != nil {
-		r(n.id, a, cb)
-		return
-	}
-	n.ISPReadDirect(a, cb)
-}
-
-// ISPReadDirect is the raw device-side read path underneath ISPRead:
-// it always issues immediately, even when an accel router is
-// installed. It exists for the scheduler's own issue path (a granted
-// Accel request must not re-enter admission); every other caller
-// should use ISPRead so an installed router can arbitrate.
+// The admitted device read is sched.AccelStream: it queues the read at
+// the node that owns the page under the Accel token budget, beside
+// host traffic, and issues it here once granted. The single-node
+// runners of Figures 13 and 16–19 call this directly; in-store engines
+// over a volume or a file system reach admission through ispvol.
 func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
 	if a.Node == n.id {
 		n.ReadLocal(a.Card, a.Addr, cb)
@@ -265,6 +247,8 @@ func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
 }
 
 // ISPWrite writes any page in the cluster from this node's ISP.
+//
+//simlint:allow unused (kept for now: deleting it takes its only test, TestISPRemoteWrite)
 func (n *Node) ISPWrite(a PageAddr, data []byte, cb func(err error)) {
 	if a.Node == n.id {
 		n.WriteLocal(a.Card, a.Addr, data, cb)
@@ -403,13 +387,11 @@ func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 // garbage collector) erase the whole block containing Addr; for them
 // too Done's data argument is nil. Done fires exactly once.
 //
-// Ownership of Data differs by entry. A request handed to a HostRouter
-// (Node.HostWrite) carries the caller's own buffer, which the router
-// snapshots before it returns. A request handed to SubmitHostBatch
-// carries a page image (nand.Geometry.PageImage) that the node adopts:
-// it is the buffer the flash ends up storing, so the submitter gives it
-// away — until Done reports an error, after which nothing below holds
-// it. Anything but an image fails with flashctl.ErrDataSize.
+// A write's Data is a page image (nand.Geometry.PageImage) that
+// SubmitHostBatch adopts: it is the buffer the flash ends up storing,
+// so the submitter gives it away — until Done reports an error, after
+// which nothing below holds it. Anything but an image fails with
+// flashctl.ErrDataSize.
 type HostReq struct {
 	Addr  PageAddr
 	Write bool
@@ -425,34 +407,20 @@ type HostReq struct {
 	Done       func(data []byte, err error)
 }
 
-// HostRouter admits host traffic into an external request scheduler.
-// node is the index of the node whose host issued the request. A
-// non-nil error (typically the scheduler's backpressure error) means
-// the request was NOT admitted and its Done will never fire.
-type HostRouter func(node int, req HostReq) error
-
-// AccelRouter admits device-side in-store processor reads into an
-// external request scheduler. origin is the node whose ISP issued the
-// read; a is the page anywhere in the cluster. The router owns the
-// completion: cb fires exactly once (with the page data or an error),
-// and admission backpressure is absorbed inside the router, because
-// ISPRead has no error return for an engine to be refused through.
-type AccelRouter func(origin int, a PageAddr, cb func(data []byte, err error))
-
 // SubmitHostBatch issues a group of host requests paying the storage
 // stack software overhead and the RPC doorbell ONCE for the whole
 // batch: the driver rings the device with a queue of requests, which
 // is what lets a host keep thousands of flash requests in flight
 // (paper §3.3) instead of serialising on the 70 µs software path.
 // Per-request buffer flow control, DMA and completion interrupts are
-// still charged individually.
+// still charged individually. It is the one host path for writes and
+// erases, and the one the request scheduler (internal/sched) drives.
 //
-// Unlike the single-request HostRead/HostWrite paths (the unloaded
-// measurement harness of Fig. 12, where software cost is pure
-// latency), batch submission runs on the node's serial I/O submission
-// thread and occupies host CPU — so under heavy traffic the doorbell
-// rate, not the flash, is what saturates first unless batches
-// amortize it.
+// Unlike the single-request HostRead path (the unloaded measurement
+// harness of Fig. 12, where software cost is pure latency), batch
+// submission runs on the node's serial I/O submission thread and
+// occupies host CPU — so under heavy traffic the doorbell rate, not
+// the flash, is what saturates first unless batches amortize it.
 //
 // issued (optional) fires when the submission thread has finished the
 // batch's software work and is free for the next doorbell; schedulers
@@ -638,20 +606,12 @@ func (n *Node) hostAck(op *hostOp, err error) {
 }
 
 // HostRead fetches a page into host memory via the selected access
-// path, filling tr (optional) with the latency decomposition.
-//
-// When a HostRouter is installed on the cluster, untraced PathHF/ISPF
-// reads are admitted through it instead of issuing directly, so all
-// production host traffic shares the scheduler's admission queues.
-// Traced calls and the special H-RH-F / H-D paths bypass the router:
-// they are the single-request measurement harness of Figures 12/14.
+// path, filling tr (optional) with the latency decomposition. It is
+// the single-request measurement harness of Figures 12/14 and issues
+// at once, unadmitted: host traffic that shares the scheduler's
+// admission queues goes through a sched.Stream, which drives
+// SubmitHostBatch.
 func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []byte, err error)) {
-	if r := n.cluster.router; r != nil && tr == nil && (path == PathHF || path == PathISPF) {
-		if err := r(n.id, HostReq{Addr: a, Done: cb}); err != nil {
-			cb(nil, err)
-		}
-		return
-	}
 	start := n.cluster.Eng.Now()
 	h := n.Host.Config()
 	net := n.cluster.Net.Config()
@@ -720,46 +680,6 @@ func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []b
 			default: // PathHF, PathISPF degenerate to direct remote flash
 				n.remoteReq(reqMsg{card: a.Card, addr: a.Addr}, a.Node, deliver)
 			}
-		})
-	})
-}
-
-// HostWrite stores a page from host memory to any flash page in the
-// cluster: write buffer, RPC, PCIe DMA down, then flash (local) or
-// network (remote). Like HostRead, it routes through an installed
-// HostRouter so the scheduler sees all production host traffic.
-//
-// Ownership: data is the DMA source the device pulls from after the
-// doorbell, so the caller must leave it untouched until cb fires; the
-// flash server snapshots it once it has crossed PCIe (see
-// flashserver.Iface.WritePhysical), and from cb on nothing below
-// references it. An installed router snapshots it before HostWrite
-// returns (sched.Scheduler.AttachRouter); either way data is copied,
-// never adopted, whatever its capacity.
-func (n *Node) HostWrite(a PageAddr, data []byte, cb func(err error)) {
-	if r := n.cluster.router; r != nil {
-		if err := r(n.id, HostReq{Addr: a, Write: true, Data: data,
-			Done: func(_ []byte, err error) { cb(err) }}); err != nil {
-			cb(err)
-		}
-		return
-	}
-	n.Host.ChargeSoftware(func() {
-		n.Host.AcquireWriteBuffer(func(_ int) {
-			n.Host.RPC(func() {
-				n.Host.DeviceReadBuffer(len(data), func() {
-					done := func(err error) {
-						n.Host.ReleaseWriteBuffer()
-						cb(err)
-					}
-					if a.Node == n.id {
-						n.hostIfaces[a.Card].WritePhysical(a.Addr, data, done)
-						return
-					}
-					n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, write: true, data: data}, a.Node,
-						func(_ []byte, err error) { done(err) })
-				})
-			})
 		})
 	})
 }

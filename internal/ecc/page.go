@@ -24,9 +24,6 @@ func NewPageCodec(pageSize int) (*PageCodec, error) {
 	return &PageCodec{pageSize: pageSize}, nil
 }
 
-// PageSize returns the protected data size in bytes.
-func (c *PageCodec) PageSize() int { return c.pageSize }
-
 // OOBSize returns the number of check bytes per page (one per 8 data
 // bytes).
 func (c *PageCodec) OOBSize() int { return c.pageSize / 8 }

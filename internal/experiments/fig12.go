@@ -41,7 +41,7 @@ func Fig12() ([]Fig12Row, error) {
 	start := c.Eng.Now()
 	var ispTotal sim.Time
 	var ispErr error
-	c.Node(0).ISPRead(a, func(_ []byte, err error) {
+	c.Node(0).ISPReadDirect(a, func(_ []byte, err error) {
 		ispErr = err
 		ispTotal = c.Eng.Now() - start
 	})

@@ -172,7 +172,7 @@ func fig13ISP(remotes, links int) (float64, error) {
 				if target == 0 {
 					ifaces[a.Card].ReadPhysical(a.Addr, done)
 				} else {
-					node.ISPRead(a, done)
+					node.ISPReadDirect(a, done)
 				}
 			}
 			for w := 0; w < fig13Window; w++ {

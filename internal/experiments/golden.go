@@ -22,6 +22,8 @@ import (
 // constants; the repeat-run test calls this twice in one process to
 // catch nondeterminism that a single run cannot see (map iteration
 // order, global state leaking between runs).
+//
+//simlint:allow unused (checker: the engine golden digest that TestEngineGoldenDigest pins)
 func EngineGoldenDigest() (fired uint64, now sim.Time, digest string, err error) {
 	const nodes = 4
 	cfg := DefaultEngineBench(false)

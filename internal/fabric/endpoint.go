@@ -82,14 +82,10 @@ func (nd *Node) Endpoint(idx int) *Endpoint {
 	return nd.endpoints[idx]
 }
 
-// Index returns the endpoint's cluster-wide index.
-func (ep *Endpoint) Index() int { return ep.index }
-
-// Node returns the node this endpoint instance lives on.
-func (ep *Endpoint) Node() *Node { return ep.node }
-
 // SetEndToEnd enables end-to-end flow control with the given window
 // (messages in flight per destination), or disables it with 0.
+//
+//simlint:allow unused (the end-to-end flow control of the paper's §3.2, which the fabric tests and ablation_test.go run)
 func (ep *Endpoint) SetEndToEnd(window int) {
 	ep.e2eWindow = window
 	for i := range ep.credits {

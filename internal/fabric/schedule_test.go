@@ -43,7 +43,7 @@ func TestUnbindingCreditsScheduleUnchanged(t *testing.T) {
 			ep.OnReceive = func(src NodeID, size int, _ any) {
 				var rec [5]uint64
 				rec[0], rec[1], rec[2] = uint64(eng.Now()), uint64(src), uint64(dst)
-				rec[3], rec[4] = uint64(ep.Index()), uint64(size)
+				rec[3], rec[4] = uint64(ep.index), uint64(size)
 				for _, w := range rec {
 					var b [8]byte
 					binary.LittleEndian.PutUint64(b[:], w)

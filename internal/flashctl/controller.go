@@ -237,6 +237,8 @@ func (c *Controller) PageSize() int { return c.card.Geometry().PageSize }
 func (c *Controller) StoredPageSize() int { return c.codec.StoredSize() }
 
 // FreeTags returns how many tags are currently idle.
+//
+//simlint:allow unused (probe: the controller and flash-server tests check that every tag comes home after a failure)
 func (c *Controller) FreeTags() int {
 	n := 0
 	for _, s := range c.tags {

@@ -30,11 +30,6 @@ func (a *ATU) Load(h FileHandle, pages []nand.Addr) {
 	a.maps[h] = cp
 }
 
-// Evict removes a handle's mapping.
-func (a *ATU) Evict(h FileHandle) {
-	delete(a.maps, h)
-}
-
 // Translate resolves one page of a mapped file.
 func (a *ATU) Translate(h FileHandle, pageOff int) (nand.Addr, error) {
 	pages, ok := a.maps[h]
@@ -45,9 +40,4 @@ func (a *ATU) Translate(h FileHandle, pageOff int) (nand.Addr, error) {
 		return nand.Addr{}, fmt.Errorf("%w: handle %d page %d of %d", ErrOutOfBounds, h, pageOff, len(pages))
 	}
 	return pages[pageOff], nil
-}
-
-// Pages returns the number of mapped pages for a handle (0 if absent).
-func (a *ATU) Pages(h FileHandle) int {
-	return len(a.maps[h])
 }

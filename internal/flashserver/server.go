@@ -104,6 +104,8 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 }
 
 // ATU returns the server's address translation unit.
+//
+//simlint:allow unused (the ATU path of the paper's Figure 8, which the flash-server and rfs tests run)
 func (s *Server) ATU() *ATU { return s.atu }
 
 // NewIface creates an in-order interface. The paper makes the number
@@ -234,6 +236,8 @@ func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
 
 // ReadFile reads page number pageOff of the file mapped under handle,
 // using the ATU (the in-store processor path of paper Figure 8).
+//
+//simlint:allow unused (the ATU path of the paper's Figure 8, which the flash-server and rfs tests run)
 func (f *Iface) ReadFile(handle FileHandle, pageOff int, cb func(data []byte, err error)) {
 	addr, err := f.srv.atu.Translate(handle, pageOff)
 	op := f.srv.pool.Get()

@@ -283,7 +283,7 @@ func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
 	a := nand.Addr{Bus: 1, Chip: 1, Block: 5}
 	img := geo.PageImage(pattern(geo.PageSize, 0x17))
 	f.WriteImage(a, img, func(err error) { t.Errorf("the write of a scribbled image was acknowledged: %v", err) })
-	eng.RunUntil(eng.Now() + card.Timing().Program/2) // the card is programming it
+	eng.RunUntil(eng.Now() + nand.DefaultTiming().Program/2) // the card is programming it
 	img[99] ^= 0x04
 	defer func() {
 		msg := fmt.Sprint(recover())
@@ -697,9 +697,9 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		read(i)
 	}
-	if got := allocBytesPerOp(n, read); got >= 16 {
-		t.Errorf("ReadPhysical allocates %.0f B per page, want none", got)
-	}
+	// No byte budget for reads: zero allocations is zero bytes, and
+	// TotalAlloc is process-wide, so over a few hundred reads one stray
+	// runtime allocation would read as bytes per page.
 	i := 0
 	if got := testing.AllocsPerRun(64, func() { read(i); i++ }); got != 0 {
 		t.Errorf("ReadPhysical makes %.0f allocations per page, want 0 (a clean read delivers the stored image)", got)

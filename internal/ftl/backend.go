@@ -65,6 +65,8 @@ type ifaceBackend struct {
 }
 
 // IfaceBackend wraps a flashserver interface as a Backend.
+//
+//simlint:allow unused (the per-card FTL over a flash interface, which the FTL ablations of ablation_test.go and the ftl and blockfs tests build)
 func IfaceBackend(f *flashserver.Iface) Backend { return ifaceBackend{f} }
 
 func (b ifaceBackend) ReadPage(a nand.Addr, _ IOTag, cb func([]byte, error)) {

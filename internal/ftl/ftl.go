@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/flashctl"
-	"repro/internal/flashserver"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
@@ -144,12 +143,6 @@ type FTL struct {
 	LostPages          int64 // mappings dropped because their page was unreadable
 }
 
-// New builds an FTL over a flashserver interface with the given card
-// geometry.
-func New(iface *flashserver.Iface, geo nand.Geometry, cfg Config) (*FTL, error) {
-	return NewWithBackend(IfaceBackend(iface), geo, cfg)
-}
-
 // NewWithBackend builds an FTL over an arbitrary Backend.
 func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
@@ -202,6 +195,8 @@ func (f *FTL) LogicalPages() int { return f.lpns }
 func (f *FTL) PageSize() int { return f.geo.PageSize }
 
 // WriteAmplification returns flash programs / host writes (1.0 = none).
+//
+//simlint:allow unused (the metric of the FTL ablations, which ablation_test.go and the ftl and blockfs tests measure)
 func (f *FTL) WriteAmplification() float64 {
 	if f.HostWrites == 0 {
 		return 0
@@ -1029,28 +1024,6 @@ func (f *FTL) finishGC() {
 		}
 		op()
 	}
-}
-
-// MaxEraseSkew returns max-min erase count across serviceable blocks,
-// the wear-leveling quality metric.
-func (f *FTL) MaxEraseSkew() int64 {
-	var min, max int64 = -1, 0
-	for b := range f.blocks {
-		if f.blocks[b].bad {
-			continue
-		}
-		e := f.blocks[b].erases
-		if min < 0 || e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return max - min
 }
 
 // MappingEntries returns the size of the FTL's logical-to-physical

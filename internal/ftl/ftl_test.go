@@ -273,10 +273,10 @@ func TestDeviceFull(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	geo := smallGeo()
-	if _, err := New(nil, geo, Config{OverProvision: 0.001}); err == nil {
+	if _, err := NewWithBackend(IfaceBackend(nil), geo, Config{OverProvision: 0.001}); err == nil {
 		t.Fatal("tiny over-provisioning accepted")
 	}
-	if _, err := New(nil, nand.Geometry{}, DefaultConfig()); err == nil {
+	if _, err := NewWithBackend(IfaceBackend(nil), nand.Geometry{}, DefaultConfig()); err == nil {
 		t.Fatal("zero geometry accepted")
 	}
 }

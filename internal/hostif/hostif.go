@@ -180,9 +180,6 @@ func New(eng *sim.Engine, name string, cfg Config) (*HostIf, error) {
 // Config returns the interface configuration.
 func (h *HostIf) Config() Config { return h.cfg }
 
-// FreeReadBuffers returns the number of available read buffers.
-func (h *HostIf) FreeReadBuffers() int { return h.readFree.Available() }
-
 // RPC models the host ringing the device doorbell: fn runs device-side
 // after the RPC latency. It does not include SoftwareOverhead — call
 // ChargeSoftware for the driver path explicitly so in-store paths can

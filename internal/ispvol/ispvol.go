@@ -199,9 +199,6 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	return sys, nil
 }
 
-// Units exposes a node's acceleration-unit scheduler (for tests).
-func (sys *System) Units(node int) *isp.Scheduler { return sys.nodes[node].units }
-
 // receive dispatches an inbound fabric message on a node.
 func (sys *System) receive(ns *nodeISP, payload any) {
 	switch m := payload.(type) {
@@ -274,10 +271,8 @@ func chipInterleave(refs []pageRef) []pageRef {
 // readPage issues one engine flash read on node n's data path.
 func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error)) {
 	if sys.cfg.Admission == Bypass {
-		// The bug path: straight to the device interfaces. Deliberately
-		// ISPReadDirect, not ISPRead — an attached accel router must
-		// not be able to rescue this arm, it reproduces the pre-fix
-		// behavior.
+		// The bug path: straight to the device interfaces, unadmitted.
+		// It reproduces the pre-fix behavior.
 		sys.nodes[n].node.ISPReadDirect(ref.addr, cb)
 		return
 	}
@@ -331,20 +326,4 @@ func (sys *System) dmaToHost(origin, size int, cb func()) {
 		return
 	}
 	sys.nodes[origin].node.Host.PageUp(size, cb)
-}
-
-// Sync starts one asynchronous query (a closure over Search,
-// TableScan, NearestNeighbor or WalkMigrate), drains the engine and
-// returns the query's result; for tests and examples that have nothing
-// else in flight.
-func Sync[R any](sys *System, start func(done func(R, error))) (R, error) {
-	var res R
-	var rerr error
-	fired := false
-	start(func(r R, e error) { res, rerr, fired = r, e, true })
-	sys.c.Run()
-	if !fired {
-		return res, errors.New("ispvol: query never completed")
-	}
-	return res, rerr
 }

@@ -55,6 +55,33 @@ func TestOncedone(t *testing.T) {
 	linttest.Run(t, "testdata/oncedone", "internal/fixture", lint.Oncedone)
 }
 
+// TestUnused: each kind of unreferenced exported name is flagged; a
+// reference from another package counts, one from a _test.go file
+// does not, and an interface-satisfying method and an audited allow
+// are accepted.
+func TestUnused(t *testing.T) {
+	linttest.Run(t, "testdata/unused", "internal/fixture", lint.Unused)
+}
+
+// TestUnusedDirectiveAudit: an allow unused with no reason is a
+// finding (and suppresses nothing), and so is one that covers nothing.
+func TestUnusedDirectiveAudit(t *testing.T) {
+	diags := linttest.Diags(t, "testdata/unused_directives", "internal/fixture", lint.Unused)
+	wants := []struct{ check, text string }{
+		{"simlint", `suppression of "unused" needs a reason`},
+		{"unused", "func NoReason has no reference outside test files"},
+		{"simlint", `unused suppression: nothing this directive covers triggers "unused"`},
+	}
+	if len(diags) != len(wants) {
+		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wants), diags)
+	}
+	for i, w := range wants {
+		if d := diags[i]; d.Check != w.check || !strings.Contains(d.Message, w.text) {
+			t.Errorf("diagnostic %d: %s, want %s: …%s…", i, d, w.check, w.text)
+		}
+	}
+}
+
 // Scope fences: the same fixture sources produce no findings when the
 // package sits on the other side of its analyzer's fence. Unused
 // suppressions (pseudo-check "simlint") are filtered: with the real

@@ -34,6 +34,9 @@
 //	oncedone       completion callbacks declared //simlint:once that
 //	               some path invokes zero times (a hang) or more than
 //	               once (the over-grant/double-completion bug class)
+//	unused         exported names that no non-test code references,
+//	               in the module or in a module nested under it
+//	               (bench/): test-only code belongs in test files
 //	escapecheck    (driver mode, cmd/simlint -escapes) heap
 //	               allocations the real compiler reports via
 //	               -gcflags=-m inside hotpath-reachable functions
@@ -95,7 +98,7 @@ type Analyzer struct {
 // through cmd/simlint -escapes (or Escapes in this package).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{Maprange, Walltime, Noconcurrency, Hotpath, Errdrop,
-		Hotcall, Poolleak, Oncedone}
+		Hotcall, Poolleak, Oncedone, Unused}
 }
 
 // knownChecks returns every valid //simlint:allow check name,
@@ -331,7 +334,9 @@ type Snapshot struct {
 	// Pkgs are the loaded module packages in dependency order.
 	Pkgs []*Package
 
-	cg *callGraph // built on first use, shared by hotcall + escapecheck
+	cg      *callGraph     // built on first use, shared by hotcall + escapecheck
+	imp     *chainImporter // the loader's; nil for synthetic snapshots
+	partial bool           // loaded from patterns other than ./...
 }
 
 // LoadSnapshot loads the packages matching patterns under the module
@@ -339,7 +344,8 @@ type Snapshot struct {
 // package filenames are absolute, and the -escapes cross-check joins
 // compiler-relative paths against Root to match them.
 func LoadSnapshot(root string, patterns ...string) (*Snapshot, error) {
-	pkgs, err := Load(root, patterns...)
+	imp := newChainImporter()
+	pkgs, err := load(root, patterns, imp)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +353,8 @@ func LoadSnapshot(root string, patterns ...string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{Root: absRoot, Pkgs: pkgs}, nil
+	partial := !(len(patterns) == 0 || len(patterns) == 1 && patterns[0] == "./...")
+	return &Snapshot{Root: absRoot, Pkgs: pkgs, imp: imp, partial: partial}, nil
 }
 
 // CallGraph returns the module call graph, building it on first use.

@@ -16,7 +16,11 @@
 // only the standard library; the packages of this module a fixture
 // imports are loaded by the real loader and analyzed in one snapshot
 // with it, which is what a module-wide analyzer sees, and a finding in
-// one of them fails the test like any unexpected one.
+// one of them fails the test like any unexpected one. Each
+// subdirectory of a fixture is one more fixture package, at relPath
+// plus its name, which the fixture may import; its want comments count
+// like the fixture's. As in the real loader, _test.go files are never
+// loaded.
 package linttest
 
 import (
@@ -25,6 +29,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -42,20 +47,24 @@ var (
 	sharedImporter = importer.ForCompiler(sharedFset, "source", nil)
 )
 
-// Load parses and type-checks the single fixture package in dir as if
-// it lived at relPath inside the module, for tests that drive
+// Load parses and type-checks the fixture package in dir as if it
+// lived at relPath inside the module, for tests that drive
 // module-level entry points (lint.Snapshot, lint.EscapeCheck)
 // directly rather than through Run.
+//
+//simlint:allow unused (test-support package)
 func Load(t *testing.T, dir, relPath string) *lint.Package {
 	t.Helper()
 	pkgs := load(t, dir, relPath)
 	return pkgs[len(pkgs)-1]
 }
 
-// Diags parses and type-checks the single fixture package in dir as if
-// it lived at relPath inside the module, runs the analyzers over it,
-// and returns the diagnostics (suppressions honored, unused ones
-// reported — exactly like a real run).
+// Diags parses and type-checks the fixture package in dir as if it
+// lived at relPath inside the module, runs the analyzers over it, and
+// returns the diagnostics (suppressions honored, unused ones reported
+// — exactly like a real run).
+//
+//simlint:allow unused (test-support package)
 func Diags(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
 	t.Helper()
 	return lint.Run(load(t, dir, relPath), analyzers)
@@ -63,12 +72,22 @@ func Diags(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) []lin
 
 // Run executes the analyzers over the fixture in dir and fails the
 // test on any mismatch between diagnostics and // want expectations.
+//
+//simlint:allow unused (test-support package)
 func Run(t *testing.T, dir, relPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	pkgs := load(t, dir, relPath)
 	diags := lint.Run(pkgs, analyzers)
 
-	wants := collectWants(t, pkgs[len(pkgs)-1])
+	var wants []want
+	for _, p := range pkgs {
+		if inFixture(p.ImportPath, relPath) {
+			wants = append(wants, collectWants(t, p)...)
+		}
+	}
+	if len(wants) == 0 {
+		t.Fatalf("fixture %s has no want comments", dir)
+	}
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
 		text := d.Check + ": " + d.Message
@@ -105,31 +124,43 @@ func (d depImporter) Import(path string) (*types.Package, error) {
 	return sharedImporter.Import(path)
 }
 
+// fixtureDir is one fixture package: its directory, the
+// module-relative path it is checked at, and its parsed files.
+type fixtureDir struct {
+	dir, relPath string
+	files        []*ast.File
+}
+
+// inFixture reports whether an import path names the fixture at
+// relPath or one of its subdirectory packages.
+func inFixture(path, relPath string) bool {
+	return strings.HasPrefix(path+"/", modulePrefix+relPath+"/")
+}
+
 // load parses and type-checks one fixture directory. It returns the
-// module packages the fixture imports, if any, and the fixture last.
+// module packages the fixtures import, if any, then the subdirectory
+// packages in name order, and the fixture last.
 func load(t *testing.T, dir, relPath string) []*lint.Package {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(sharedFset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
+	var fixtures []fixtureDir
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() {
+			fixtures = append(fixtures, fixtureDir{dir: filepath.Join(dir, e.Name()), relPath: relPath + "/" + e.Name()})
 		}
-		files = append(files, f)
 	}
+	fixtures = append(fixtures, fixtureDir{dir: dir, relPath: relPath})
 	var deps []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(path, modulePrefix) {
-				deps = append(deps, path)
+	for i := range fixtures {
+		fixtures[i].files = parseDir(t, fixtures[i].dir)
+		for _, f := range fixtures[i].files {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(path, modulePrefix) && !inFixture(path, relPath) {
+					deps = append(deps, path)
+				}
 			}
 		}
 	}
@@ -143,6 +174,42 @@ func load(t *testing.T, dir, relPath string) []*lint.Package {
 			imp[p.ImportPath] = p.Types
 		}
 	}
+	for _, fx := range fixtures {
+		p := check(t, fx, imp)
+		imp[p.ImportPath] = p.Types
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// parseDir parses the non-test Go files of one fixture directory.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(sharedFset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no fixture files in %s", dir)
+	}
+	return files
+}
+
+// check type-checks one parsed fixture package.
+func check(t *testing.T, fx fixtureDir, imp depImporter) *lint.Package {
+	t.Helper()
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -151,19 +218,19 @@ func load(t *testing.T, dir, relPath string) []*lint.Package {
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(modulePrefix+relPath, sharedFset, files, info)
+	tpkg, err := conf.Check(modulePrefix+fx.relPath, sharedFset, fx.files, info)
 	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", dir, err)
+		t.Fatalf("type-checking fixture %s: %v", fx.dir, err)
 	}
-	return append(pkgs, &lint.Package{
-		ImportPath: modulePrefix + relPath,
-		RelPath:    relPath,
-		Dir:        dir,
+	return &lint.Package{
+		ImportPath: modulePrefix + fx.relPath,
+		RelPath:    fx.relPath,
+		Dir:        fx.dir,
 		Fset:       sharedFset,
-		Files:      files,
+		Files:      fx.files,
 		Types:      tpkg,
 		Info:       info,
-	})
+	}
 }
 
 // want is one expectation: a regexp anchored to a file and line.
@@ -176,7 +243,7 @@ type want struct {
 // wantArgRe extracts the quoted regexes of a want comment.
 var wantArgRe = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 
-// collectWants parses every `// want ...` comment of the fixture.
+// collectWants parses every `// want ...` comment of a fixture package.
 func collectWants(t *testing.T, pkg *lint.Package) []want {
 	t.Helper()
 	var wants []want
@@ -205,9 +272,6 @@ func collectWants(t *testing.T, pkg *lint.Package) []want {
 				}
 			}
 		}
-	}
-	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no want comments", pkg.Dir)
 	}
 	return wants
 }

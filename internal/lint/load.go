@@ -69,10 +69,21 @@ func goList(root string, patterns []string) ([]*listedPkg, error) {
 // chainImporter resolves module-local imports from the load's own
 // type-checked cache and everything else (the standard library) from
 // the source importer, so the whole load needs no compiled export
-// data — it works on a bare checkout with only the go toolchain.
+// data — it works on a bare checkout with only the go toolchain. The
+// files it parses are positioned in fset.
 type chainImporter struct {
+	fset     *token.FileSet
 	local    map[string]*types.Package
 	fallback types.ImporterFrom
+}
+
+func newChainImporter() *chainImporter {
+	fset := token.NewFileSet()
+	return &chainImporter{
+		fset:     fset,
+		local:    map[string]*types.Package{},
+		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+	}
 }
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
@@ -90,6 +101,14 @@ func (c *chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 // in the module rooted at root, in dependency order, and returns the
 // ones inside the module.
 func Load(root string, patterns ...string) ([]*Package, error) {
+	return load(root, patterns, newChainImporter())
+}
+
+// load is Load through imp, which keeps every package it has
+// type-checked: a module loaded later through the same importer (a
+// nested module that imports this one) refers to the very objects the
+// first load made, and the standard library is checked once.
+func load(root string, patterns []string, imp *chainImporter) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -136,14 +155,9 @@ func Load(root string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
-	imp := &chainImporter{
-		local:    map[string]*types.Package{},
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
 	var out []*Package
 	for _, lp := range order {
-		pkg, err := check(fset, imp, lp)
+		pkg, err := check(imp.fset, imp, lp)
 		if err != nil {
 			return nil, err
 		}

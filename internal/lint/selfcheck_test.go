@@ -66,6 +66,23 @@ func TestRepoEscapesClean(t *testing.T) {
 	}
 }
 
+// TestUnusedSkipsPackageSubsets: on a subset of the module, unused
+// cannot see the other packages' references, so it reports nothing —
+// neither the names they use nor its own directives, which sim has.
+func TestUnusedSkipsPackageSubsets(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadSnapshot(root, "./internal/sim/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range snap.Run([]*Analyzer{Unused}) {
+		t.Errorf("%s", d)
+	}
+}
+
 // moduleRoot walks up from the working directory to the go.mod.
 func moduleRoot() (string, error) {
 	dir, err := os.Getwd()

@@ -298,23 +298,11 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 // Geometry returns the card's geometry.
 func (c *Card) Geometry() Geometry { return c.geo }
 
-// Timing returns the card's timing parameters.
-func (c *Card) Timing() Timing { return c.tim }
-
 // Name returns the card's diagnostic name.
 func (c *Card) Name() string { return c.name }
 
 // BusUtilization returns the utilization of bus b.
 func (c *Card) BusUtilization(b int) float64 { return c.buses[b].pipe.Utilization() }
-
-// BytesTransferred returns total bytes moved over all buses.
-func (c *Card) BytesTransferred() int64 {
-	var n int64
-	for _, b := range c.buses {
-		n += b.pipe.Transferred()
-	}
-	return n
-}
 
 func (c *Card) checkAddr(a Addr, needPage bool) error {
 	if a.Bus < 0 || a.Bus >= c.geo.Buses ||
@@ -788,9 +776,6 @@ func (c *Card) CheckImages() error {
 // a pulled board); block-level media failure is MarkBad/wear-out.
 func (c *Card) Fail() { c.failed = true }
 
-// Failed reports whether the card is dead.
-func (c *Card) Failed() bool { return c.failed }
-
 // Replace swaps in a fresh, blank card of identical geometry: all
 // pages free and unsealed, zero wear, no bad blocks, injector state reset. The
 // replacement card keeps the same identity (name, seed, attached
@@ -814,37 +799,15 @@ func (c *Card) Replace() {
 	}
 }
 
-// IsBad reports whether a block is marked bad.
-func (c *Card) IsBad(a Addr) bool {
-	if err := c.checkAddr(a, false); err != nil {
-		return true
-	}
-	return c.chipAt(a).bad[a.Block]
-}
-
-// EraseCount returns a block's accumulated erase cycles.
-func (c *Card) EraseCount(a Addr) int64 {
-	if err := c.checkAddr(a, false); err != nil {
-		return 0
-	}
-	return c.chipAt(a).eraseCount[a.Block]
-}
-
-// MarkBad forcibly marks a block bad (used by tests and by the
-// controller when ECC reports an uncorrectable page).
+// MarkBad forcibly marks a block bad: the bad-block fault the tests of
+// the controller, the flash server, the FTL and RFS inject.
+//
+//simlint:allow unused (fault injection: the bad-block tests of flashctl, flashserver, ftl and rfs)
 func (c *Card) MarkBad(a Addr) {
 	if err := c.checkAddr(a, false); err != nil {
 		return
 	}
 	c.chipAt(a).bad[a.Block] = true
-}
-
-// State returns a page's lifecycle state without timing effects.
-func (c *Card) State(a Addr) PageState {
-	if err := c.checkAddr(a, true); err != nil {
-		return PageFree
-	}
-	return c.state[c.PageIndex(a)] &^ sealed
 }
 
 // Peek returns the stored raw image without timing or error injection.

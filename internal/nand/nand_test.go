@@ -554,7 +554,7 @@ func TestImageGuardAtProgram(t *testing.T) {
 	a := Addr{Bus: 1, Chip: 1, Block: 3, Page: 0}
 	raw := mkRaw(c, 0x22)
 	c.ProgramPage(a, raw, func(err error) { t.Errorf("a scribbled program completed: %v", err) })
-	eng.RunUntil(eng.Now() + c.Timing().Program/2) // on its way to the cells
+	eng.RunUntil(eng.Now() + c.tim.Program/2) // on its way to the cells
 	raw[7] ^= 0x01
 	defer func() {
 		msg := fmt.Sprint(recover())

@@ -76,6 +76,8 @@ func RAMCloudBudget(datasetGB, serverDRAMGB int) Budget {
 // AddedFraction returns the share of a node's total power that the
 // storage device (FPGA board + flash cards) contributes — the paper
 // claims it "adds less than 20% of power consumption to the system".
+//
+//simlint:allow unused (checker: the paper's claim that the device adds under 20% of a node's power, which power_test checks)
 func AddedFraction(flashCards int) float64 {
 	b := NodeBudget(flashCards)
 	var added float64

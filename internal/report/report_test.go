@@ -21,7 +21,7 @@ func TestSnapshotCountsActivity(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		a := core.LinearPage(p, 1, i)
-		c.Node(0).ISPRead(a, func(_ []byte, err error) {
+		c.Node(0).ISPReadDirect(a, func(_ []byte, err error) {
 			if err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}

@@ -40,9 +40,6 @@ func (l Layout) Validate() error {
 // TotalSegs returns the number of erase segments in the log.
 func (l Layout) TotalSegs() int { return l.Chips * l.SegsPerChip }
 
-// TotalPages returns the number of flash pages in the log.
-func (l Layout) TotalPages() int { return l.TotalSegs() * l.PagesPerSeg }
-
 // Backend is the physical storage a file system runs over. The FS
 // core (inodes, log-structured allocation, per-chip frontiers,
 // segment cleaning, backrefs) is generic over it: the same code runs

@@ -296,6 +296,8 @@ func (fs *FS) Create(name string) (*File, error) {
 }
 
 // Open returns an existing file (I/O at the Batch class; see At).
+//
+//simlint:allow unused (the RFS file API of the paper's §4, which the rfs tests run)
 func (fs *FS) Open(name string) (*File, error) {
 	ino, ok := fs.byName[name]
 	if !ok {
@@ -344,15 +346,6 @@ func (fs *FS) FreeSegments() int { return fs.totalFree() }
 // the whole logical space whether or not data is live.
 func (fs *FS) LiveMappings() int { return len(fs.backrefs) }
 
-// WriteAmplification returns total flash programs (host appends plus
-// cleaning relocations) per host page written.
-func (fs *FS) WriteAmplification() float64 {
-	if fs.PagesWritten == 0 {
-		return 0
-	}
-	return float64(fs.PagesWritten+fs.CleanMoves) / float64(fs.PagesWritten)
-}
-
 // At returns a handle on the same file issuing I/O at the given QoS
 // class. Classes at or above Accel are not tenant classes and clamp
 // to Batch. Per-card backends ignore the class entirely.
@@ -362,9 +355,6 @@ func (f *File) At(class sched.Class) *File {
 	}
 	return &File{fs: f.fs, ino: f.ino, class: class}
 }
-
-// Class returns the QoS class this handle issues I/O at.
-func (f *File) Class() sched.Class { return f.class }
 
 // Name returns the file's name.
 func (f *File) Name() string { return f.fs.inodes[f.ino].name }
@@ -404,6 +394,8 @@ func (f *File) PhysicalAddrs() ([]core.PageAddr, error) {
 // on one card (always true on a CardBackend); cluster files that
 // stripe across cards use PhysicalAddrs with the distributed ISP
 // layer instead.
+//
+//simlint:allow unused (the ATU path of the paper's Figure 8, which the rfs tests run)
 func (f *File) ExportATU(atu *flashserver.ATU) error {
 	addrs, err := f.PhysicalAddrs()
 	if err != nil {

@@ -53,10 +53,6 @@ func TestAccelStreamReadsComplete(t *testing.T) {
 			t.Fatalf("accel class ops = %d, want 32", cs.Ops)
 		}
 	}
-	st.Close()
-	if err := st.Read(core.LinearPage(c.Params, 0, 0), nil); err != sched.ErrClosed {
-		t.Fatalf("closed stream accepted a read: %v", err)
-	}
 }
 
 // TestAccelTokenBudgetBound: the accel class may never hold more
@@ -111,9 +107,8 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	}
 }
 
-// TestAccelClassClosedToHostPaths: host streams and the host router
-// cannot submit at the Accel class; it belongs to the device-side ISP
-// admission path alone.
+// TestAccelClassClosedToHostPaths: host streams cannot submit at the
+// Accel class; it belongs to the device-side ISP admission path alone.
 func TestAccelClassClosedToHostPaths(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -122,62 +117,6 @@ func TestAccelClassClosedToHostPaths(t *testing.T) {
 	}
 	if _, err := s.NewStream("bad", 0, sched.Accel); err == nil {
 		t.Fatal("host stream opened at the Accel class")
-	}
-	if err := s.AttachRouter(sched.Accel); err == nil {
-		t.Fatal("host router attached at the Accel class")
-	}
-}
-
-// TestAccelRouterClosesBypass: once the scheduler attaches its accel
-// router, legacy core.Node.ISPRead traffic is admitted through the
-// Accel class instead of bypassing QoS arbitration; detaching
-// restores the raw path.
-func TestAccelRouterClosesBypass(t *testing.T) {
-	c := testCluster(t, 2, 64)
-	s, err := sched.New(c, sched.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachAccelRouter(0)
-	done := 0
-	for i := 0; i < 16; i++ {
-		a := core.LinearPage(c.Params, i%2, i)
-		c.Node(0).ISPRead(a, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("ISPRead: %v", err)
-			}
-			done++
-		})
-	}
-	c.Run()
-	if done != 16 {
-		t.Fatalf("completed %d of 16", done)
-	}
-	accelOps := int64(0)
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" {
-			accelOps = cs.Ops
-		}
-	}
-	if accelOps != 16 {
-		t.Fatalf("accel class saw %d ops, want all 16 routed", accelOps)
-	}
-	s.DetachAccelRouter()
-	raw := false
-	c.Node(0).ISPRead(core.LinearPage(c.Params, 0, 0), func(_ []byte, err error) {
-		if err != nil {
-			t.Errorf("raw ISPRead: %v", err)
-		}
-		raw = true
-	})
-	c.Run()
-	if !raw {
-		t.Fatal("detached ISPRead never completed")
-	}
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" && cs.Ops != 16 {
-			t.Fatalf("detached read still routed: accel ops = %d", cs.Ops)
-		}
 	}
 }
 
@@ -223,13 +162,12 @@ func TestAccelShareValidation(t *testing.T) {
 }
 
 // TestAccelReadRetriesLikeTheHandWrittenLoop: Retrier.AccelRead — the
-// one retry under ispvol's engines and the accel router — against the
-// closure both used to write out (admit; on ErrBackpressure, After
-// delay, admit again). A burst far deeper than the admission queue,
-// through the stream and through the router, must complete every read
-// at the same instant either way; the retrier counts the refusals it
-// absorbed and returns every op and request to its pool; a read of a
-// page no node owns fails through the callback.
+// one retry under ispvol's engines — against the closure it replaced
+// (admit; on ErrBackpressure, After delay, admit again). A burst far
+// deeper than the admission queue must complete every read at the same
+// instant either way; the retrier counts the refusals it absorbed and
+// returns every op and request to its pool; a read of a page no node
+// owns fails through the callback.
 func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 	const reads, delay = 96, 3 * sim.Microsecond
 	cfg := sched.DefaultConfig()
@@ -282,13 +220,9 @@ func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 		rt = s.NewRetrier(delay)
 		return func(a core.PageAddr, cb func([]byte, error)) { rt.AccelRead(st, a, cb) }
 	})
-	viaRouter := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
-		s.AttachAccelRouter(delay)
-		return c.Node(0).ISPRead
-	})
 	for i := range want {
-		if want[i] == 0 || viaStream[i] != want[i] || viaRouter[i] != want[i] {
-			t.Fatalf("read %d: hand-written loop %v, AccelRead %v, router %v", i, want[i], viaStream[i], viaRouter[i])
+		if want[i] == 0 || viaStream[i] != want[i] {
+			t.Fatalf("read %d: hand-written loop %v, AccelRead %v", i, want[i], viaStream[i])
 		}
 	}
 	if rt.Backpressure == 0 {
@@ -303,9 +237,12 @@ func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AttachAccelRouter(0)
+	st, err := s.NewAccelStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got error
-	c.Node(0).ISPRead(core.PageAddr{Node: 7}, func(_ []byte, err error) { got = err })
+	s.NewRetrier(0).AccelRead(st, core.PageAddr{Node: 7}, func(_ []byte, err error) { got = err })
 	if got == nil {
 		t.Fatal("a read of a page on a node that does not exist was admitted")
 	}

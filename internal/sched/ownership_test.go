@@ -9,7 +9,7 @@ import (
 )
 
 // Writes pass one page image from admission to the cell: Stream.Write
-// and the host router snapshot into it, WriteImage adopts it, a refused
+// snapshots into it, WriteImage adopts it, a refused
 // admission hands it back, and a Sequencer offers the same one again.
 // Reads deliver the image the card stores, tail and all, to one
 // requester or to several: images are immutable, so sharing needs no
@@ -50,10 +50,10 @@ func readBack(t *testing.T, c *core.Cluster, st *sched.Stream, a core.PageAddr) 
 	return got
 }
 
-// TestPublicWritesSnapshot: Stream.Write and a routed Node.HostWrite
-// copy the caller's buffer before they return, whatever its shape —
-// here it has the capacity of a page image — so the caller may scribble
-// on all of it at once, and again from its callback.
+// TestPublicWritesSnapshot: Stream.Write copies the caller's buffer
+// before it returns, whatever its shape — here it has the capacity of a
+// page image — so the caller may scribble on all of it at once, and
+// again from its callback.
 func TestPublicWritesSnapshot(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -61,41 +61,29 @@ func TestPublicWritesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := s.NewStream("w", 0, sched.Interactive)
-	if err := s.AttachRouter(sched.Interactive); err != nil {
+	a, want := freePage(c, 0), pagePattern(c, 0x30)
+	buf := c.Params.Geometry.PageImage(want) // looks like an image; it is still the caller's
+	scribble := func() {
+		b := buf[:cap(buf)]
+		for j := range b {
+			b[j] = 0xff
+		}
+	}
+	if err := st.Write(a, buf, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		scribble()
+	}); err != nil {
 		t.Fatal(err)
 	}
-	geo := c.Params.Geometry
-	writes := []func(a core.PageAddr, data []byte, cb func(error)){
-		func(a core.PageAddr, data []byte, cb func(error)) {
-			if err := st.Write(a, data, cb); err != nil {
-				t.Fatal(err)
-			}
-		},
-		c.Node(0).HostWrite,
+	scribble()
+	c.Run()
+	if stored := peek(c, a); len(stored) == 0 || &stored[0] == &buf[0] {
+		t.Fatal("flash stores the caller's buffer")
 	}
-	for i, write := range writes {
-		a, want := freePage(c, i), pagePattern(c, byte(0x30+i))
-		buf := geo.PageImage(want) // looks like an image; it is still the caller's
-		scribble := func() {
-			b := buf[:cap(buf)]
-			for j := range b {
-				b[j] = 0xff
-			}
-		}
-		write(a, buf, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			scribble()
-		})
-		scribble()
-		c.Run()
-		if stored := peek(c, a); len(stored) == 0 || &stored[0] == &buf[0] {
-			t.Fatalf("write %d: flash stores the caller's buffer", i)
-		}
-		if got := readBack(t, c, st, a); !bytes.Equal(got, want) {
-			t.Fatalf("write %d: the caller's scribbling reached flash", i)
-		}
+	if got := readBack(t, c, st, a); !bytes.Equal(got, want) {
+		t.Fatal("the caller's scribbling reached flash")
 	}
 }
 

@@ -63,8 +63,10 @@ func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err er
 	rt.admit(op)
 }
 
-// AccelRead is Read for an in-store processor's stream: ispvol's
-// engines and the accel router cannot refuse their callers either.
+// AccelRead is Read for an in-store processor's stream: the admitted
+// device read for a caller with no error return to refuse through,
+// ispvol's engines among them. It takes what core.Node.ISPReadDirect
+// takes, and cb fires exactly once, the way ISPReadDirect's does.
 //
 //simlint:hotpath
 func (rt *Retrier) AccelRead(st *AccelStream, a core.PageAddr, cb func(data []byte, err error)) {

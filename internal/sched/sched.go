@@ -41,8 +41,6 @@ var (
 	// The request was not admitted; the caller should back off and
 	// retry (closed-loop clients) or drop (open-loop clients).
 	ErrBackpressure = errors.New("sched: node admission queue full")
-	// ErrClosed reports submission on a closed stream.
-	ErrClosed = errors.New("sched: stream closed")
 )
 
 // Class is a stream's QoS class. Lower values dispatch first.
@@ -62,8 +60,7 @@ type Class uint8
 // token budget) so foreground tail latency survives collections.
 //
 // Tenant host streams use the classes below Accel; Accel requests
-// enter only through AccelStream (or an attached accel router), and
-// Background is reserved for the volume's GC traffic.
+// enter only through AccelStream, and Background is reserved for the volume's GC traffic.
 const (
 	Realtime Class = iota
 	Interactive
@@ -211,12 +208,9 @@ type request struct {
 	// the per-dispatch completion callback is bound once, when the
 	// request is made, instead of once per doorbell. nq is the queue
 	// the request is currently admitted to (rebound on every reuse);
-	// done forwards device completions to nq.complete. routedWcb
-	// adapts rcb's two-argument host-router signature to the write
-	// callback without a per-request closure.
-	nq        *nodeQueue
-	done      func(data []byte, err error)
-	routedWcb func(err error)
+	// done forwards device completions to nq.complete.
+	nq   *nodeQueue
+	done func(data []byte, err error)
 }
 
 // newRequest is Scheduler.reqs.New: it binds the request's reusable
@@ -224,7 +218,6 @@ type request struct {
 func newRequest() *request {
 	r := &request{}
 	r.done = func(data []byte, err error) { r.nq.complete(r, data, err) }
-	r.routedWcb = func(err error) { r.rcb(nil, err) }
 	return r
 }
 
@@ -240,7 +233,6 @@ func (r *request) reset() {
 	*r = request{
 		followers: r.followers[:0],
 		done:      r.done,
-		routedWcb: r.routedWcb,
 	}
 }
 
@@ -271,56 +263,6 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	s.stats.init(cluster.Eng)
 	return s, nil
 }
-
-// Config returns the scheduler configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
-// AttachRouter installs this scheduler as the cluster's host router:
-// subsequent untraced Node.HostRead/HostWrite calls are admitted
-// through a per-cluster implicit stream of the given class, so legacy
-// single-request callers and scheduler streams share one admission
-// path. DetachRouter removes the hook.
-func (s *Scheduler) AttachRouter(class Class) error {
-	if class >= NumClasses {
-		return fmt.Errorf("sched: class %d out of range", class)
-	}
-	if class == Accel {
-		return fmt.Errorf("sched: %v is the device-side ISP class; host traffic cannot use it", class)
-	}
-	s.cluster.SetHostRouter(func(node int, req core.HostReq) error {
-		r := s.reqs.Get()
-		r.class, r.statClass, r.addr, r.write, r.enq = class, class, req.Addr, req.Write, s.eng.Now()
-		r.rcb = req.Done
-		if req.Write {
-			// Snapshot the payload, straight into the image the flash
-			// will store: it sits in the admission queue after the
-			// caller's HostWrite returns, and callers are free to reuse
-			// their buffer once the call returns.
-			r.data = s.geo.PageImage(req.Data)
-			r.size = len(r.data)
-			r.wcb = r.routedWcb
-		}
-		return s.nodes[node].admit(r)
-	})
-	return nil
-}
-
-// DetachRouter removes the cluster host-router hook.
-func (s *Scheduler) DetachRouter() {
-	s.cluster.SetHostRouter(nil)
-}
-
-// QueueLen returns the current admission-queue occupancy of a node.
-func (s *Scheduler) QueueLen(node int) int { return s.nodes[node].qlen }
-
-// Inflight returns the number of requests a node currently has
-// outstanding at its device.
-func (s *Scheduler) Inflight(node int) int { return s.nodes[node].inflight }
-
-// AccelInflight returns the number of Accel-class reads a node
-// currently has in its device window (always within the accel token
-// budget).
-func (s *Scheduler) AccelInflight(node int) int { return s.nodes[node].accelInflight }
 
 // SetGCUrgency reports how badly a node's FTLs need their Background
 // relocation work to run, from 0 (plenty of free-block headroom) to 1

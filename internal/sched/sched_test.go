@@ -305,68 +305,6 @@ func TestWriteFencesCoalescing(t *testing.T) {
 	}
 }
 
-// TestRouterIntegration: with the scheduler attached as the cluster's
-// host router, legacy Node.HostRead/HostWrite traffic flows through
-// the scheduler's admission path.
-func TestRouterIntegration(t *testing.T) {
-	c := testCluster(t, 2, 64)
-	s, err := sched.New(c, sched.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AttachRouter(sched.Interactive); err != nil {
-		t.Fatal(err)
-	}
-	node := c.Node(0)
-	reads := 0
-	for i := 0; i < 4; i++ {
-		a := core.LinearPage(c.Params, i%2, i)
-		node.HostRead(a, core.PathHF, nil, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("routed read: %v", err)
-			}
-			if len(data) != c.Params.PageSize() {
-				t.Errorf("routed read returned %d bytes", len(data))
-			}
-			reads++
-		})
-	}
-	// A routed write: append at a fresh block-aligned page.
-	blockSpan := c.Params.Geometry.Buses * c.Params.CardsPerNode * c.Params.Geometry.PagesPerBlock
-	wa := core.LinearPage(c.Params, 0, blockSpan)
-	wrote := false
-	node.HostWrite(wa, make([]byte, c.Params.PageSize()), func(err error) {
-		if err != nil {
-			t.Errorf("routed write: %v", err)
-		}
-		wrote = true
-	})
-	c.Run()
-	if reads != 4 || !wrote {
-		t.Fatalf("reads=%d wrote=%v", reads, wrote)
-	}
-	snap := s.Snapshot()
-	if snap.TotalOps != 5 {
-		t.Fatalf("scheduler saw %d ops, want 5 (router not engaged?)", snap.TotalOps)
-	}
-	s.DetachRouter()
-	// Detached: traffic no longer reaches the scheduler.
-	done := false
-	node.HostRead(core.LinearPage(c.Params, 0, 1), core.PathHF, nil, func(_ []byte, err error) {
-		if err != nil {
-			t.Errorf("direct read: %v", err)
-		}
-		done = true
-	})
-	c.Run()
-	if !done {
-		t.Fatal("direct read did not complete")
-	}
-	if got := s.Snapshot().TotalOps; got != 5 {
-		t.Fatalf("scheduler ops grew to %d after detach", got)
-	}
-}
-
 // TestBatchingAmortization: the same workload must finish sooner (in
 // virtual time) with batched doorbells than with one doorbell per
 // request — the headline throughput claim of the scheduler.
@@ -381,7 +319,7 @@ func TestBatchingAmortization(t *testing.T) {
 	}
 }
 
-// TestStreamErrors: closed streams and invalid arguments are rejected.
+// TestStreamErrors: invalid arguments are rejected.
 func TestStreamErrors(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -393,11 +331,6 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if _, err := s.NewStream("x", 0, sched.Class(9)); err == nil {
 		t.Error("out-of-range class accepted")
-	}
-	st, _ := s.NewStream("x", 0, sched.Batch)
-	st.Close()
-	if err := st.Read(core.LinearPage(c.Params, 0, 0), nil); err != sched.ErrClosed {
-		t.Errorf("read on closed stream: %v", err)
 	}
 	if _, err := sched.New(c, sched.Config{}); err == nil {
 		t.Error("zero config accepted")

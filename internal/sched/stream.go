@@ -11,11 +11,9 @@ import (
 // open concurrently; the scheduler multiplexes them onto the node's
 // admission queue and batches them at the device doorbell.
 type Stream struct {
-	s      *Scheduler
-	name   string
-	node   int
-	class  Class
-	closed bool
+	s     *Scheduler
+	node  int
+	class Class
 
 	// Submitted counts operations this stream admitted successfully.
 	Submitted int64
@@ -34,25 +32,13 @@ func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, erro
 	if class == Accel {
 		return nil, fmt.Errorf("sched: %v requests enter through AccelStream, not host streams", class)
 	}
-	return &Stream{s: s, name: name, node: node, class: class}, nil
+	return &Stream{s: s, node: node, class: class}, nil
 }
-
-// Name returns the stream name.
-func (st *Stream) Name() string { return st.name }
-
-// Class returns the stream's QoS class.
-func (st *Stream) Class() Class { return st.class }
-
-// Node returns the index of the node the stream issues from.
-func (st *Stream) Node() int { return st.node }
 
 // Read admits a page read. cb fires when the page has landed in host
 // memory (or failed). ErrBackpressure means the request was NOT
 // admitted and cb will never fire: back off and retry.
 func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
-	if st.closed {
-		return ErrClosed
-	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.enq, r.rcb = st.class, st.class, a, st.s.eng.Now(), cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {
@@ -65,6 +51,8 @@ func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
 // Write admits a page write. The payload is snapshotted into a page
 // image before Write returns, admitted or not, so the caller may reuse
 // its buffer at once; data is copied whatever its shape, never adopted.
+//
+//simlint:allow unused (the public snapshot write of the ownership rule; the sched, cache and fabric tests write through it)
 func (st *Stream) Write(a core.PageAddr, data []byte, cb func(err error)) error {
 	return st.WriteImage(a, st.s.geo.PageImage(data), cb)
 }
@@ -76,9 +64,6 @@ func (st *Stream) Write(a core.PageAddr, data []byte, cb func(err error)) error 
 // error (ErrBackpressure: not admitted, cb will never fire, submit the
 // same image again later), or cb reports one (nothing below kept it).
 func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) error {
-	if st.closed {
-		return ErrClosed
-	}
 	r := st.s.reqs.Get()
 	r.class = st.class
 	r.statClass = st.class
@@ -100,9 +85,6 @@ func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) er
 // Background-class stream); like writes it is never coalesced and
 // fences nothing — the FTL guarantees no reads target the block.
 func (st *Stream) Erase(a core.PageAddr, cb func(err error)) error {
-	if st.closed {
-		return ErrClosed
-	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.erase, r.enq, r.wcb = st.class, st.class, a, true, st.s.eng.Now(), cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {
@@ -111,7 +93,3 @@ func (st *Stream) Erase(a core.PageAddr, cb func(err error)) error {
 	st.Submitted++
 	return nil
 }
-
-// Close marks the stream closed; further submissions fail with
-// ErrClosed. In-flight requests still complete.
-func (st *Stream) Close() { st.closed = true }

@@ -62,8 +62,8 @@ func TestEngineZeroDelayChainBounded(t *testing.T) {
 	if n := testing.AllocsPerRun(100000, func() { e.Step() }); n != 0 {
 		t.Fatalf("a zero-delay firing allocates %.1f objects, want 0", n)
 	}
-	if e.Now() != 0 || e.Pending() != 3 {
-		t.Fatalf("now %v, pending %d; want 0 and 3", e.Now(), e.Pending())
+	if e.Now() != 0 || e.pending != 3 {
+		t.Fatalf("now %v, pending %d; want 0 and 3", e.Now(), e.pending)
 	}
 	if c := cap(e.run); c > 16 {
 		t.Fatalf("run grew to %d entries for 3 pending events", c)
@@ -103,20 +103,5 @@ func TestTokenPoolAcquireAllocFree(t *testing.T) {
 		tp.Release(4)
 	}); n != 0 {
 		t.Fatalf("TokenPool cycle allocates %.1f objects, want 0", n)
-	}
-}
-
-func TestTimerRearmAllocFree(t *testing.T) {
-	e := NewEngine()
-	tm := e.NewTimer(func() {})
-	tm.Arm(Microsecond)
-	e.Run()
-
-	if n := testing.AllocsPerRun(1000, func() {
-		tm.Arm(Microsecond)
-		tm.Arm(2 * Microsecond) // rearm replaces
-		e.Run()
-	}); n != 0 {
-		t.Fatalf("Timer rearm allocates %.1f objects, want 0", n)
 	}
 }

@@ -34,12 +34,6 @@ func NewPipe(eng *Engine, name string, bytesPerSec int64, latency Time) *Pipe {
 // Name returns the pipe's diagnostic name.
 func (p *Pipe) Name() string { return p.name }
 
-// Latency returns the propagation latency.
-func (p *Pipe) Latency() Time { return p.latency }
-
-// BytesPerSec returns the configured bandwidth.
-func (p *Pipe) BytesPerSec() int64 { return p.bytesPerSec }
-
 // serialization returns the wire occupancy of a transfer of n bytes.
 //
 //simlint:hotpath
@@ -100,14 +94,6 @@ func (p *Pipe) reserve(ser Time, bytes, n int64, done func()) Time {
 		p.eng.At(delivery, done)
 	}
 	return delivery
-}
-
-// NextFree returns the earliest time a new transfer could begin.
-func (p *Pipe) NextFree() Time {
-	if p.busyUntil > p.eng.Now() {
-		return p.busyUntil
-	}
-	return p.eng.Now()
 }
 
 // Transferred returns the total bytes accepted so far.

@@ -46,17 +46,14 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a pseudo-random float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
+//
+//simlint:allow unused (the fabric schedule test draws its random send order from it)
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

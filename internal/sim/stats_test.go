@@ -25,8 +25,8 @@ func TestTallyEmptyExportsZeros(t *testing.T) {
 	}
 }
 
-// TestTallyRejectsNonFinite: NaN/Inf samples are dropped (and
-// counted) instead of poisoning the mean and the percentile sort.
+// TestTallyRejectsNonFinite: NaN/Inf samples are dropped instead of
+// poisoning the mean and the percentile sort.
 func TestTallyRejectsNonFinite(t *testing.T) {
 	ta := NewTally("guarded")
 	ta.Add(1)
@@ -36,9 +36,6 @@ func TestTallyRejectsNonFinite(t *testing.T) {
 	ta.Add(3)
 	if ta.Count() != 2 {
 		t.Fatalf("count = %d, want 2", ta.Count())
-	}
-	if ta.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", ta.Dropped())
 	}
 	if got := ta.Mean(); got != 2 {
 		t.Fatalf("mean = %v, want 2", got)

@@ -49,10 +49,10 @@ func (m *refModel) at(when Time, fn func()) int {
 // with the reference on whether the event was still pending: a cancel
 // of a fired or cancelled event is a no-op on both.
 func (m *refModel) cancel(id int) {
-	before := m.e.Pending()
+	before := m.e.pending
 	m.e.Cancel(m.events[id])
 	r := m.refs[id]
-	if hit := m.e.Pending() == before-1; hit != r.pending {
+	if hit := m.e.pending == before-1; hit != r.pending {
 		m.t.Fatalf("seed %d: cancel of id %d hit=%v, reference says pending=%v", m.seed, id, hit, r.pending)
 	}
 	if !r.pending {
@@ -123,8 +123,8 @@ func (m *refModel) drain() {
 	if len(m.q) > 0 {
 		m.t.Fatalf("seed %d: engine exhausted but the reference still holds id %d", m.seed, m.q[m.next()].id)
 	}
-	if m.e.Pending() != 0 {
-		m.t.Fatalf("seed %d: engine exhausted with %d pending", m.seed, m.e.Pending())
+	if m.e.pending != 0 {
+		m.t.Fatalf("seed %d: engine exhausted with %d pending", m.seed, m.e.pending)
 	}
 }
 
@@ -331,8 +331,8 @@ func TestEngineCancelStaleHandle(t *testing.T) {
 
 	// The stale handle must be inert.
 	e.Cancel(stale)
-	if e.Pending() != 1 {
-		t.Fatalf("stale Cancel killed a live event: pending = %d, want 1", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("stale Cancel killed a live event: pending = %d, want 1", e.pending)
 	}
 	e.Run()
 	if !firedB {
@@ -362,53 +362,6 @@ func TestEngineCancelledSlotReuse(t *testing.T) {
 	}
 	if e.Stats().Cancelled != 1000 {
 		t.Fatalf("cancelled = %d, want 1000", e.Stats().Cancelled)
-	}
-}
-
-// TestTimerReuse exercises the rearm idiom: one Timer, many firings,
-// including rearming from inside the callback and Stop.
-func TestTimerReuse(t *testing.T) {
-	e := NewEngine()
-	var fires []Time
-	var tm *Timer
-	tm = e.NewTimer(func() {
-		fires = append(fires, e.Now())
-		if len(fires) < 3 {
-			tm.Arm(5 * Microsecond)
-		}
-	})
-	tm.Arm(Microsecond)
-	e.Run()
-	want := []Time{Microsecond, 6 * Microsecond, 11 * Microsecond}
-	if len(fires) != len(want) {
-		t.Fatalf("timer fired %d times, want %d", len(fires), len(want))
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fire %d at %v, want %v", i, fires[i], want[i])
-		}
-	}
-
-	// Rearming replaces the pending schedule (no double fire), Stop
-	// cancels, and a stopped timer can be armed again.
-	count := 0
-	tm2 := e.NewTimer(func() { count++ })
-	tm2.Arm(10)
-	tm2.Arm(20) // replaces, does not stack
-	e.Run()
-	if count != 1 {
-		t.Fatalf("rearm stacked: fired %d times, want 1", count)
-	}
-	tm2.Arm(10)
-	tm2.Stop()
-	e.Run()
-	if count != 1 {
-		t.Fatalf("stopped timer fired: count = %d", count)
-	}
-	tm2.Arm(10)
-	e.Run()
-	if count != 2 {
-		t.Fatalf("restarted timer did not fire: count = %d", count)
 	}
 }
 

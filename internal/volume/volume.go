@@ -248,7 +248,6 @@ func (v *Volume) Cards() int { return len(v.cards) }
 // logical space.
 type Stream struct {
 	v     *Volume
-	name  string
 	class sched.Class
 }
 
@@ -259,11 +258,8 @@ func (v *Volume) NewStream(name string, class sched.Class) (*Stream, error) {
 	if class >= sched.Accel {
 		return nil, fmt.Errorf("volume: class %v not usable by tenants", class)
 	}
-	return &Stream{v: v, name: name, class: class}, nil
+	return &Stream{v: v, class: class}, nil
 }
-
-// Class returns the stream's QoS class.
-func (st *Stream) Class() sched.Class { return st.class }
 
 // LogicalPages returns the volume's logical page count. Together with
 // PageSize it makes a stream usable as a flat block device
@@ -347,22 +343,15 @@ func (v *Volume) trim(lpn int) error {
 	return cd.f.Trim(clpn)
 }
 
-// Locate resolves a logical page to its current physical location:
-// the physical-address query of the paper's Figure 8 (step 1). Host
+// Phys resolves one logical page to its current physical address: the
+// physical-address query of the paper's Figure 8 (step 1), and the
+// point form of PhysMap for queries over scattered candidate lists
+// (LSH buckets, graph vertices) rather than contiguous ranges. Host
 // software hands the result to an in-store engine, which streams the
-// page directly off the flash (through sched.AccelStream) with no
-// host on the data path. The address is a snapshot — an overwrite,
-// trim, or GC relocation of the page invalidates it — so engines scan
+// page directly off the flash (through sched.AccelStream) with no host
+// on the data path. The address is a snapshot — an overwrite, trim or
+// GC relocation of the page invalidates it — so engines scan
 // read-stable data or re-query after mutation.
-func (st *Stream) Locate(lpn int) (core.PageAddr, error) {
-	return st.v.Phys(lpn)
-}
-
-// Phys resolves one logical page to its current physical address —
-// the point form of PhysMap for queries over scattered candidate
-// lists (LSH buckets, graph vertices) rather than contiguous ranges.
-// The address is a snapshot: an overwrite, trim or GC relocation of
-// the page invalidates it.
 func (v *Volume) Phys(lpn int) (core.PageAddr, error) {
 	if lpn < 0 || lpn >= v.Pages() {
 		return core.PageAddr{}, fmt.Errorf("%w: %d", ErrOutOfRange, lpn)
@@ -377,7 +366,7 @@ func (v *Volume) Phys(lpn int) (core.PageAddr, error) {
 
 // PhysMap resolves the logical range [lo, hi) to physical page
 // addresses: addrs[i] is the current location of logical page lo+i.
-// It is the bulk form of Stream.Locate — the address list an origin
+// It is the bulk form of Phys — the address list an origin
 // node computes once per query and partitions over the cluster's
 // in-store engines. The same staleness caveat applies to every entry.
 func (v *Volume) PhysMap(lo, hi int) ([]core.PageAddr, error) {

@@ -271,7 +271,7 @@ func TestTrimCountedInStats(t *testing.T) {
 
 // TestLocateAndPhysMap: the physical-address query resolves to the
 // real location (reading the physical page raw returns the logical
-// content), PhysMap agrees with Locate, and an overwrite moves the
+// content), PhysMap agrees with Phys, and an overwrite moves the
 // mapping — the documented staleness.
 func TestLocateAndPhysMap(t *testing.T) {
 	c, _, v := testVolume(t, 2, ftl.DefaultConfig())
@@ -293,12 +293,12 @@ func TestLocateAndPhysMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn := 0; lpn < n; lpn++ {
-		a, err := st.Locate(lpn)
+		a, err := v.Phys(lpn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != addrs[lpn] {
-			t.Fatalf("lpn %d: Locate %v != PhysMap %v", lpn, a, addrs[lpn])
+			t.Fatalf("lpn %d: Phys %v != PhysMap %v", lpn, a, addrs[lpn])
 		}
 		var raw []byte
 		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
@@ -313,8 +313,8 @@ func TestLocateAndPhysMap(t *testing.T) {
 		}
 	}
 	// Unmapped pages and bad ranges fail cleanly.
-	if _, err := st.Locate(n); err == nil {
-		t.Fatal("unmapped Locate accepted")
+	if _, err := v.Phys(n); err == nil {
+		t.Fatal("unmapped Phys accepted")
 	}
 	if _, err := v.PhysMap(0, v.Pages()+1); err == nil {
 		t.Fatal("out-of-range PhysMap accepted")
@@ -327,7 +327,7 @@ func TestLocateAndPhysMap(t *testing.T) {
 		}
 	})
 	c.Run()
-	after, err := st.Locate(0)
+	after, err := v.Phys(0)
 	if err != nil {
 		t.Fatal(err)
 	}
