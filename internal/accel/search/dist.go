@@ -19,8 +19,10 @@ func (p *Pattern) EdgeLen() int { return len(p.needle) - 1 }
 
 // EdgeBytes extracts one page's boundary residues: its first and last
 // EdgeLen bytes (the whole page when shorter). The returned slices
-// alias page; callers that retain them across page-buffer reuse must
-// copy.
+// alias page and stay valid as long as it does (a read's page image
+// is immutable). A caller that keeps the residues but not the page
+// copies them, as ispvol's search partial does into one arena for all
+// its pages.
 func (p *Pattern) EdgeBytes(page []byte) (head, tail []byte) {
 	n := p.EdgeLen()
 	if n <= 0 {

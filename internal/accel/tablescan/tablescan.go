@@ -27,6 +27,7 @@ import (
 var (
 	ErrBadRecord = errors.New("tablescan: malformed record page")
 	ErrBadOp     = errors.New("tablescan: unknown comparison operator")
+	ErrBadColumn = errors.New("tablescan: unknown column")
 )
 
 // Record is one fixed-size row: an id, two filterable integer columns,
@@ -120,6 +121,15 @@ type Predicate struct {
 	Value int64
 }
 
+// Validate reports a predicate no engine can evaluate: an unknown
+// column (ErrBadColumn) or operator (ErrBadOp). Every scan entry point
+// checks it before it reads a page, so a malformed predicate fails the
+// query instead of answering it with no matches.
+func (p Predicate) Validate() error {
+	_, err := p.Eval(Record{})
+	return err
+}
+
 // Eval applies the predicate to one record.
 func (p Predicate) Eval(r Record) (bool, error) {
 	switch p.Col {
@@ -128,7 +138,7 @@ func (p Predicate) Eval(r Record) (bool, error) {
 	case ColB:
 		return p.compare(r.ColB)
 	default:
-		return false, fmt.Errorf("tablescan: unknown column %d", p.Col)
+		return false, fmt.Errorf("%w: %d", ErrBadColumn, p.Col)
 	}
 }
 
@@ -169,15 +179,19 @@ const HostFilterCPUPerRow = 60 * sim.Nanosecond
 // filter engine evaluates at line rate, shared by the single-node
 // ScanISP engines and the distributed ispvol engines. Like the engine,
 // it reads only the predicate's column of each row, in place, and
-// unpacks a row only when it matches. It returns the matching records
-// and the number of rows scanned. An undecodable page is an error; a
-// row the predicate cannot evaluate (malformed Op/Col) is skipped but
-// still counted as scanned, like a hardware filter dropping a row it
-// cannot parse — one bad row must not discard the rest of the page.
-func FilterPage(page []byte, pred Predicate) (matches []Record, rows int64, err error) {
+// unpacks a row only when it matches. It appends the matching records
+// to dst and returns the extended slice and the number of rows
+// scanned, so a caller that keeps one match list allocates only when
+// that list grows. An undecodable page is an error and leaves dst as
+// it was; a row the predicate cannot evaluate (malformed Op/Col) is
+// skipped but still counted as scanned, like a hardware filter dropping
+// a row it cannot parse — one bad row must not discard the rest of the
+// page. (The scan entry points refuse such a predicate up front; see
+// Validate.)
+func FilterPage(dst []Record, page []byte, pred Predicate) ([]Record, int64, error) {
 	n, err := recordCount(page)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	var col int
 	switch pred.Col {
@@ -186,15 +200,15 @@ func FilterPage(page []byte, pred Predicate) (matches []Record, rows int64, err 
 	case ColB:
 		col = colBOffset
 	default:
-		return nil, int64(n), nil
+		return dst, int64(n), nil
 	}
 	for off := 4; off < 4+n*RecordSize; off += RecordSize {
 		v := int64(binary.LittleEndian.Uint64(page[off+col:]))
 		if ok, perr := pred.compare(v); perr == nil && ok {
-			matches = append(matches, decodeRecord(page[off:]))
+			dst = append(dst, decodeRecord(page[off:]))
 		}
 	}
-	return matches, int64(n), nil
+	return dst, int64(n), nil
 }
 
 // finish stamps a completed scan's timing.
@@ -211,6 +225,9 @@ func (res *Result) finish(node *core.Node, start sim.Time) *Result {
 // engines stream the table's pages from flash, filter at line rate,
 // and DMA only matching records to the host.
 func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate) (*Result, error) {
+	if err := pred.Validate(); err != nil {
+		return nil, err
+	}
 	node := c.Node(nodeID)
 	res := &Result{}
 	const engines = 16
@@ -220,11 +237,11 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 	sim.Lanes(len(pages), engines*window, func(_, i int, next func()) {
 		node.ISPReadDirect(pages[i], func(data []byte, err error) {
 			if err == nil {
-				if m, rows, derr := FilterPage(data, pred); derr == nil {
-					res.Rows += rows
-					res.Matches = append(res.Matches, m...)
-					res.BytesToHost += int64(len(m)) * RecordSize
-				}
+				had := len(res.Matches)
+				var rows int64
+				res.Matches, rows, _ = FilterPage(res.Matches, data, pred)
+				res.Rows += rows
+				res.BytesToHost += int64(len(res.Matches)-had) * RecordSize
 			}
 			next()
 		})
@@ -248,6 +265,9 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 // ScanHost is the conventional path: every table page crosses PCIe and
 // the host filters in software with `threads` worker threads.
 func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate, threads int) (*Result, error) {
+	if err := pred.Validate(); err != nil {
+		return nil, err
+	}
 	node := c.Node(nodeID)
 	res := &Result{}
 	ths := node.CPU.NewThreads(threads)
@@ -266,10 +286,9 @@ func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate
 			node.Host.PageUp(len(data), func() {
 				res.BytesToHost += int64(len(data))
 				ths[lane].Do(pageCost, func() {
-					if m, rows, derr := FilterPage(data, pred); derr == nil {
-						res.Rows += rows
-						res.Matches = append(res.Matches, m...)
-					}
+					var rows int64
+					res.Matches, rows, _ = FilterPage(res.Matches, data, pred)
+					res.Rows += rows
 					next()
 				})
 			})

@@ -66,8 +66,8 @@ func TestPredicateEval(t *testing.T) {
 			t.Errorf("%+v = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if _, err := (Predicate{Col: 9}).Eval(r); err == nil {
-		t.Fatal("bad column accepted")
+	if _, err := (Predicate{Col: 9}).Eval(r); !errors.Is(err, ErrBadColumn) {
+		t.Fatalf("bad column: %v", err)
 	}
 	if _, err := (Predicate{Op: 9}).Eval(r); err == nil {
 		t.Fatal("bad op accepted")
@@ -106,8 +106,9 @@ func TestRecordsRoundTripProperty(t *testing.T) {
 
 // FilterPage reads the predicate's column in place; it must select
 // exactly what decoding every row and calling Eval on it selects — a
-// row the predicate cannot evaluate skipped but counted — reject the
-// pages DecodeRecords rejects, and allocate only for matches.
+// row the predicate cannot evaluate skipped but counted — append after
+// what dst holds, reject the pages DecodeRecords rejects with dst
+// untouched, and allocate only when dst must grow.
 func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
 	rng := sim.NewRNG(5)
 	recs := make([]Record, RecordsPerPage(8192))
@@ -128,10 +129,12 @@ func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
 					want = append(want, r)
 				}
 			}
-			got, rows, err := FilterPage(page, pred)
-			if err != nil || rows != int64(len(recs)) || len(got) != len(want) {
-				t.Fatalf("%+v: %d rows, %d matches, err %v; want %d rows, %d matches", pred, rows, len(got), err, len(recs), len(want))
+			head := Record{ID: 1 << 60}
+			got, rows, err := FilterPage([]Record{head}, page, pred)
+			if err != nil || rows != int64(len(recs)) || len(got) != 1+len(want) || got[0] != head {
+				t.Fatalf("%+v: %d rows, %d matches, err %v; want %d rows, %d matches", pred, rows, len(got)-1, err, len(recs), len(want))
 			}
+			got = got[1:]
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%+v: match %d is %+v, want %+v", pred, i, got[i], want[i])
@@ -144,14 +147,59 @@ func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
 	}
 	for _, bad := range [][]byte{{1}, {255, 255, 255, 255}, page[:4+RecordSize]} {
 		_, wantErr := DecodeRecords(bad)
-		_, rows, err := FilterPage(bad, Predicate{})
-		if !errors.Is(err, ErrBadRecord) || err.Error() != wantErr.Error() || rows != 0 {
-			t.Fatalf("%d-byte page: %d rows, err %v; want 0 rows, %v", len(bad), rows, err, wantErr)
+		dst := make([]Record, 1, 4)
+		got, rows, err := FilterPage(dst, bad, Predicate{})
+		if !errors.Is(err, ErrBadRecord) || err.Error() != wantErr.Error() || rows != 0 || len(got) != 1 || &got[0] != &dst[0] {
+			t.Fatalf("%d-byte page: %d rows, %d records, err %v; want 0 rows, dst as it was, %v", len(bad), rows, len(got), err, wantErr)
 		}
 	}
 	none := Predicate{Col: ColA, Op: OpGT, Value: 100}
-	if n := testing.AllocsPerRun(20, func() { FilterPage(page, none) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { FilterPage(nil, page, none) }); n != 0 {
 		t.Fatalf("a page with no match costs %.0f allocations", n)
+	}
+	// A page with matches, into a dst with room for them, costs nothing.
+	some := Predicate{Col: ColA, Op: OpGE, Value: 0}
+	dst := make([]Record, 0, len(recs))
+	var hits int
+	if n := testing.AllocsPerRun(20, func() {
+		m, _, _ := FilterPage(dst[:0], page, some)
+		hits = len(m)
+	}); n != 0 || hits == 0 {
+		t.Fatalf("a page with %d matches into a roomy dst costs %.0f allocations", hits, n)
+	}
+}
+
+// A predicate no engine can evaluate fails the scan before any page is
+// read, on both paths; it is not an empty answer.
+func TestScanRejectsMalformedPredicate(t *testing.T) {
+	c := scanCluster(t)
+	addrs, err := BuildTable(c, 0, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pred Predicate
+		want error
+	}{
+		{Predicate{Col: ColB + 1, Op: OpLT}, ErrBadColumn},
+		{Predicate{Col: ColA, Op: OpGT + 1}, ErrBadOp},
+	} {
+		if err := tc.pred.Validate(); !errors.Is(err, tc.want) {
+			t.Fatalf("%+v: Validate = %v, want %v", tc.pred, err, tc.want)
+		}
+		before := c.Eng.Fired()
+		if res, err := ScanISP(c, 0, addrs, tc.pred); !errors.Is(err, tc.want) || res != nil {
+			t.Fatalf("ScanISP %+v: %v, %v; want %v", tc.pred, res, err, tc.want)
+		}
+		if res, err := ScanHost(c, 0, addrs, tc.pred, 2); !errors.Is(err, tc.want) || res != nil {
+			t.Fatalf("ScanHost %+v: %v, %v; want %v", tc.pred, res, err, tc.want)
+		}
+		if fired := c.Eng.Fired() - before; fired != 0 {
+			t.Fatalf("%+v: the refused scans fired %d events", tc.pred, fired)
+		}
+	}
+	if err := (Predicate{Col: ColB, Op: OpGT}).Validate(); err != nil {
+		t.Fatalf("a well-formed predicate: %v", err)
 	}
 }
 

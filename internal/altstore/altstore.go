@@ -5,23 +5,16 @@
 //
 // These are black-box envelope models: the experiments only depend on
 // the devices' published throughput/latency behaviour, not on their
-// internals. Completion callbacks carry a typed error so device
-// failure propagates the same way the flash stack's fault ledger does
-// (PR 8): a device that has been Fail()ed completes every request with
-// ErrDead instead of silently dropping it.
+// internals. Completion callbacks take an error so the devices share
+// one reader signature with the flash paths; an envelope model never
+// fails a request, so the error is always nil.
 package altstore
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/sim"
 )
-
-// ErrDead is delivered to every request issued against a device that
-// has failed (see Fail). Callers treat it like the volume's
-// uncorrectable-read errors: typed, inspectable, never swallowed.
-var ErrDead = errors.New("altstore: device failed")
 
 // SSDConfig describes an off-the-shelf NVMe/M.2 SSD.
 type SSDConfig struct {
@@ -48,7 +41,6 @@ type SSD struct {
 	cfg      SSDConfig
 	channels *sim.TokenPool
 	stream   *sim.Pipe
-	dead     bool
 
 	Reads  sim.Counter
 	Writes sim.Counter
@@ -66,17 +58,6 @@ func NewSSD(eng *sim.Engine, name string, cfg SSDConfig) (*SSD, error) {
 		stream:   sim.NewPipe(eng, name+"/bus", cfg.StreamBytesPerSec, 0),
 	}, nil
 }
-
-// Fail marks the device dead: every request from now on completes
-// immediately with ErrDead.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestDeviceFailurePropagatesTypedError)
-func (s *SSD) Fail() { s.dead = true }
-
-// Replace models swapping in a fresh drive: requests succeed again.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestDeviceFailurePropagatesTypedError)
-func (s *SSD) Replace() { s.dead = false }
 
 // Read fetches size bytes; sequential selects the prefetch-friendly
 // path. done runs when the data is in host memory.
@@ -99,10 +80,6 @@ func (s *SSD) Write(size int, sequential bool, done func(error)) {
 
 //simlint:once done
 func (s *SSD) access(size int, sequential bool, done func(error)) {
-	if s.dead {
-		done(ErrDead)
-		return
-	}
 	lat := s.cfg.RandomLatency
 	if sequential {
 		lat = s.cfg.SeqLatency
@@ -110,10 +87,6 @@ func (s *SSD) access(size int, sequential bool, done func(error)) {
 	s.channels.Acquire(1, func() {
 		s.eng.After(lat, func() {
 			s.channels.Release(1)
-			if s.dead {
-				done(ErrDead)
-				return
-			}
 			s.stream.Transfer(size, func() { done(nil) })
 		})
 	})
@@ -139,7 +112,6 @@ type HDD struct {
 	cfg      HDDConfig
 	actuator *sim.TokenPool
 	stream   *sim.Pipe
-	dead     bool
 
 	Reads  sim.Counter
 	Writes sim.Counter
@@ -157,17 +129,6 @@ func NewHDD(eng *sim.Engine, name string, cfg HDDConfig) (*HDD, error) {
 		stream:   sim.NewPipe(eng, name+"/media", cfg.StreamBytesPerSec, 0),
 	}, nil
 }
-
-// Fail marks the device dead: every request from now on completes
-// immediately with ErrDead.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestHDDFailurePropagatesTypedError)
-func (h *HDD) Fail() { h.dead = true }
-
-// Replace models swapping in a fresh drive: requests succeed again.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestHDDFailurePropagatesTypedError)
-func (h *HDD) Replace() { h.dead = false }
 
 // Read fetches size bytes; non-sequential reads pay the seek.
 //
@@ -188,21 +149,12 @@ func (h *HDD) Write(size int, sequential bool, done func(error)) {
 
 //simlint:once done
 func (h *HDD) access(size int, sequential bool, done func(error)) {
-	if h.dead {
-		done(ErrDead)
-		return
-	}
 	h.actuator.Acquire(1, func() {
 		seek := h.cfg.Seek
 		if sequential {
 			seek = 0
 		}
 		h.eng.After(seek, func() {
-			if h.dead {
-				h.actuator.Release(1)
-				done(ErrDead)
-				return
-			}
 			h.stream.Transfer(size, func() {
 				h.actuator.Release(1)
 				done(nil)

@@ -1,7 +1,6 @@
 package altstore
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -178,73 +177,5 @@ func TestHDDConcurrentReadersDeterministicOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("single-actuator order %v not FIFO at %d", order, i)
 		}
-	}
-}
-
-// A dead device must fail every request with ErrDead — both requests
-// issued after Fail and requests still queued on a channel when the
-// device dies mid-burst.
-func TestDeviceFailurePropagatesTypedError(t *testing.T) {
-	eng := sim.NewEngine()
-	ssd, _ := NewSSD(eng, "m2", DefaultSSD())
-	okBefore, deadErrs := 0, 0
-	// Saturate the 4 channels plus a queued tail, then kill the device
-	// after the first completion lands.
-	const burst = 12
-	for i := 0; i < burst; i++ {
-		ssd.Read(8192, false, func(err error) {
-			if err == nil {
-				okBefore++
-			} else if errors.Is(err, ErrDead) {
-				deadErrs++
-			} else {
-				t.Errorf("unexpected error type: %v", err)
-			}
-		})
-	}
-	eng.After(DefaultSSD().RandomLatency+sim.Microsecond, ssd.Fail)
-	eng.Run()
-	if okBefore == 0 || deadErrs == 0 {
-		t.Fatalf("mid-burst failure: %d ok, %d dead (want both nonzero)", okBefore, deadErrs)
-	}
-	if okBefore+deadErrs != burst {
-		t.Fatalf("lost completions: %d ok + %d dead != %d", okBefore, deadErrs, burst)
-	}
-	// Post-failure requests fail synchronously with the typed error.
-	var got error
-	ssd.Write(8192, true, func(err error) { got = err })
-	if !errors.Is(got, ErrDead) {
-		t.Fatalf("write after Fail: err = %v, want ErrDead", got)
-	}
-	// Replace restores service.
-	ssd.Replace()
-	var back error = ErrDead
-	ssd.Read(8192, true, func(err error) { back = err })
-	eng.Run()
-	if back != nil {
-		t.Fatalf("read after Replace: %v", back)
-	}
-}
-
-func TestHDDFailurePropagatesTypedError(t *testing.T) {
-	eng := sim.NewEngine()
-	hdd, _ := NewHDD(eng, "disk", DefaultHDD())
-	hdd.Fail()
-	var got error
-	hdd.Read(8192, false, func(err error) { got = err })
-	if !errors.Is(got, ErrDead) {
-		t.Fatalf("read on dead HDD: err = %v, want ErrDead", got)
-	}
-	hdd.Replace()
-	done := false
-	hdd.Write(8192, true, func(err error) {
-		if err != nil {
-			t.Errorf("write after Replace: %v", err)
-		}
-		done = true
-	})
-	eng.Run()
-	if !done {
-		t.Fatal("write after Replace never completed")
 	}
 }

@@ -145,24 +145,6 @@ func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	}
 }
 
-func TestISPRemoteWrite(t *testing.T) {
-	c := mkCluster(t, 3)
-	a := LinearPage(c.Params, 1, 3)
-	data := fill(9, c.Params.PageSize())
-	var werr error
-	c.Node(0).ISPWrite(a, data, func(err error) { werr = err })
-	c.Run()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	var got []byte
-	c.Node(1).ReadLocal(a.Card, a.Addr, func(d []byte, err error) { got = d })
-	c.Run()
-	if !bytes.Equal(got, data) {
-		t.Fatal("remote write mismatch")
-	}
-}
-
 func TestAccessPathLatencyOrdering(t *testing.T) {
 	// Figure 12's central claim: ISP-F < H-F < H-RH-F, and H-D has no
 	// storage latency component.
@@ -389,8 +371,8 @@ func TestSingleNodeCluster(t *testing.T) {
 }
 
 // TestWriteBufferOwnership pins who owns a write's page buffer, and
-// until when. The device-side write (WriteLocal, the local leg of
-// ISPWrite, SeedLinear's loop) snapshots inside the flash server before
+// until when. The device-side write (WriteLocal, SeedLinear's loop)
+// snapshots inside the flash server before
 // returning, so the caller may overwrite its buffer at once. A host
 // write adopts a page image instead (TestSubmitHostBatchAdoptsImages).
 func TestWriteBufferOwnership(t *testing.T) {

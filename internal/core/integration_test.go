@@ -63,6 +63,18 @@ func TestGlobalAddressSpaceAllPairs(t *testing.T) {
 	}
 }
 
+// ispWrite writes any page in the cluster from n: locally, or as a
+// remote request over the fabric, the way a host batch writes a page
+// another node owns.
+func ispWrite(n *Node, a PageAddr, data []byte, cb func(err error)) {
+	if a.Node == n.id {
+		n.WriteLocal(a.Card, a.Addr, data, cb)
+		return
+	}
+	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, write: true, data: data}, a.Node,
+		func(_ []byte, err error) { cb(err) })
+}
+
 // TestConcurrentMixedTraffic stresses the full stack: simultaneous
 // local reads, remote reads, and remote writes from every node, with
 // data integrity verified at the end.
@@ -114,7 +126,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			a := LinearPage(c.Params, dst, idx)
 			data := fill(byte(i), ps)
 			wrote[a] = data
-			c.Node(src).ISPWrite(a, data, func(err error) {
+			ispWrite(c.Node(src), a, data, func(err error) {
 				if err != nil {
 					t.Errorf("write %v: %v", a, err)
 				}

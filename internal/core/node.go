@@ -246,18 +246,6 @@ func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
 	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr}, a.Node, cb)
 }
 
-// ISPWrite writes any page in the cluster from this node's ISP.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestISPRemoteWrite)
-func (n *Node) ISPWrite(a PageAddr, data []byte, cb func(err error)) {
-	if a.Node == n.id {
-		n.WriteLocal(a.Card, a.Addr, data, cb)
-		return
-	}
-	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, write: true, data: data}, a.Node,
-		func(_ []byte, err error) { cb(err) })
-}
-
 // remoteReq sends a request on the next lane (round-robin); cb fires
 // when the response is back.
 //

@@ -402,15 +402,3 @@ func TestServerEraseAndRewrite(t *testing.T) {
 		t.Fatal("rewrite after erase returned stale data")
 	}
 }
-
-func TestClosedPortRejects(t *testing.T) {
-	_, _, sp := stack(t)
-	p := sp.NewPort("x", flashctl.Handlers{})
-	p.Close()
-	if err := p.Issue(flashctl.Command{Op: flashctl.OpRead, Tag: 0}); !errors.Is(err, ErrPortClosed) {
-		t.Fatalf("issue on closed port: %v", err)
-	}
-	if err := p.WriteImage(0, nil); !errors.Is(err, ErrPortClosed) {
-		t.Fatalf("write data on closed port: %v", err)
-	}
-}

@@ -13,15 +13,11 @@
 package flashserver
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/flashctl"
 	"repro/internal/sim"
 )
-
-// ErrPortClosed reports use of a released port.
-var ErrPortClosed = errors.New("flashserver: port closed")
 
 // Splitter multiplexes agents onto one controller with tag renaming.
 type Splitter struct {
@@ -54,7 +50,6 @@ type Port struct {
 	h      flashctl.Handlers
 	name   string
 	tagMap map[int]int // agent tag -> controller tag (for WriteImage)
-	closed bool
 }
 
 // NewSplitter wires a splitter in front of ctl. The controller must
@@ -158,9 +153,6 @@ func (sp *Splitter) NewPort(name string, h flashctl.Handlers) *Port {
 // Issue submits a command using the port's private tag space. Commands
 // queue FIFO when all controller tags are in flight.
 func (p *Port) Issue(cmd flashctl.Command) error {
-	if p.closed {
-		return ErrPortClosed
-	}
 	if cmd.Tag < 0 {
 		return fmt.Errorf("%w: %d", flashctl.ErrBadTag, cmd.Tag)
 	}
@@ -176,18 +168,9 @@ func (p *Port) Issue(cmd flashctl.Command) error {
 // WriteImage forwards the stored-size page image of an agent-tagged
 // pending write; like flashctl.Controller.WriteImage it gives raw away.
 func (p *Port) WriteImage(agentTag int, raw []byte) error {
-	if p.closed {
-		return ErrPortClosed
-	}
 	ctlTag, ok := p.tagMap[agentTag]
 	if !ok {
 		return fmt.Errorf("%w: agent tag %d has no pending write", flashctl.ErrWrongState, agentTag)
 	}
 	return p.sp.ctl.WriteImage(ctlTag, raw)
 }
-
-// Close releases the port. In-flight completions for the port are
-// dropped silently, as when a hardware agent is reset.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestClosedPortRejects)
-func (p *Port) Close() { p.closed = true }

@@ -1,0 +1,103 @@
+package ispvol_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/accel/tablescan"
+	"repro/internal/core"
+	"repro/internal/ispvol"
+	"repro/internal/rfs"
+	"repro/internal/workload"
+)
+
+// fileQueries are the two queries of the Figure 8 path that bench's
+// file-scan workload runs, over one file each.
+var fileQueries = []struct {
+	name  string
+	fill  func(ps int) workload.PageFiller
+	query func(sys *ispvol.System, f *rfs.File, done func())
+}{
+	{"SearchFile", func(int) workload.PageFiller { return workload.RandomPages(9) },
+		func(sys *ispvol.System, f *rfs.File, done func()) {
+			sys.SearchFile(0, f, []byte("BLUEDBM"), func(*ispvol.SearchResult, error) { done() })
+		}},
+	{"TableScanFile", recordFiller,
+		func(sys *ispvol.System, f *rfs.File, done func()) {
+			pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 10}
+			sys.TableScanFile(0, f, pred, func(*ispvol.ScanResult, error) { done() })
+		}},
+}
+
+// queryCost runs query n times to completion and returns the heap
+// allocations and engine events one run costs.
+func queryCost(c *core.Cluster, n int, query func(done func())) (allocs, events float64) {
+	done := 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, fired := ms.Mallocs, c.Eng.Fired()
+	for i := 0; i < n; i++ {
+		query(func() { done++ })
+		c.Run()
+	}
+	runtime.ReadMemStats(&ms)
+	if done != n {
+		panic("ispvol: a benchmarked query never completed")
+	}
+	return float64(ms.Mallocs-mallocs) / float64(n), float64(c.Eng.Fired()-fired) / float64(n)
+}
+
+// TestFileQueriesAllocatePerQuery pins that a query on the Figure 8
+// path allocates per query, not per page: over a 512-page file it may
+// cost at most 0.05 allocations per extra page more than over a 64-page
+// one. The engines' lanes carry bound completions, a search partial
+// keeps its edge residues in one arena, and the table scan filters into
+// the partial's match list.
+func TestFileQueriesAllocatePerQuery(t *testing.T) {
+	for _, q := range fileQueries {
+		t.Run(q.name, func(t *testing.T) {
+			c, _, fs, sys := newFileSystem(t, 2)
+			ps := fs.PageSize()
+			small := seedFile(t, c, fs, "small", 64, q.fill(ps))
+			big := seedFile(t, c, fs, "big", 512, q.fill(ps))
+			run := func(f *rfs.File) float64 {
+				query := func(done func()) { q.query(sys, f, done) }
+				queryCost(c, 2, query) // pools, rings and lanes reach their size
+				allocs, _ := queryCost(c, 10, query)
+				return allocs
+			}
+			a64, a512 := run(small), run(big)
+			if perPage := (a512 - a64) / (512 - 64); perPage > 0.05 {
+				t.Fatalf("%.1f allocations per query over 64 pages, %.1f over 512: %.3f per extra page, want <= 0.05",
+					a64, a512, perPage)
+			}
+			if out := sys.PoolOut(); out != 0 {
+				t.Fatalf("%d engine records out of the pool at drain", out)
+			}
+		})
+	}
+}
+
+// BenchmarkSearchFile and BenchmarkTableScanFile are the cost of one
+// in-store query over a 512-page cluster-RFS file on 2 nodes, reported
+// per page scanned: allocs/page is the heap allocations (the per-query
+// records divided over the pages; nothing is per page), events/page the
+// engine events.
+func BenchmarkSearchFile(b *testing.B) { benchmarkFileQuery(b, 0) }
+
+func BenchmarkTableScanFile(b *testing.B) { benchmarkFileQuery(b, 1) }
+
+func benchmarkFileQuery(b *testing.B, which int) {
+	const pages = 512
+	q := fileQueries[which]
+	c, _, fs, sys := newFileSystem(b, 2)
+	f := seedFile(b, c, fs, "f", pages, q.fill(fs.PageSize()))
+	query := func(done func()) { q.query(sys, f, done) }
+	queryCost(c, 2, query)
+	b.SetBytes(int64(pages * fs.PageSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	allocs, events := queryCost(c, b.N, query)
+	b.ReportMetric(allocs/pages, "allocs/page")
+	b.ReportMetric(events/pages, "events/page")
+}

@@ -1,7 +1,10 @@
 package ispvol_test
 
 import (
+	"errors"
 	"testing"
+
+	"repro/internal/accel/tablescan"
 
 	"repro/internal/core"
 	"repro/internal/ispvol"
@@ -47,5 +50,52 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 	}
 	if len(res.Matches) >= len(want) {
 		t.Fatalf("%d matches with a dead card, reference has %d; expected losses", len(res.Matches), len(want))
+	}
+	// The host-mediated loop over the same dead card counts its failed
+	// reads the same way, and neither placement leaves an engine record
+	// out of the pool.
+	host, err := search(sys, 0, ispvol.Range(lo, hi), needle, ispvol.HostMediated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host.FailedPages != res.FailedPages {
+		t.Fatalf("host-mediated FailedPages = %d, in-store %d", host.FailedPages, res.FailedPages)
+	}
+	if out := sys.PoolOut(); out != 0 {
+		t.Fatalf("%d engine records out of the pool after queries with failed reads", out)
+	}
+}
+
+// TestTableScanRejectsMalformedPredicate: a predicate no engine can
+// evaluate fails the query before any flash read, under both
+// placements, instead of answering it with zero matches.
+func TestTableScanRejectsMalformedPredicate(t *testing.T) {
+	ps := core.DefaultParams(1).Geometry.PageSize
+	c, s, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), recordFiller(ps))
+	for _, tc := range []struct {
+		pred tablescan.Predicate
+		want error
+	}{
+		{tablescan.Predicate{Col: tablescan.ColB + 1, Op: tablescan.OpEQ}, tablescan.ErrBadColumn},
+		{tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpGT + 1}, tablescan.ErrBadOp},
+	} {
+		for _, pl := range placements {
+			fired, reads := c.Eng.Fired(), accelOps(s)
+			var got error
+			called := false
+			sys.TableScan(0, ispvol.Range(0, v.Pages()), tc.pred, pl, func(res *ispvol.ScanResult, err error) {
+				if res != nil {
+					t.Errorf("%v: a result for a malformed predicate", pl)
+				}
+				got, called = err, true
+			})
+			if !called || !errors.Is(got, tc.want) {
+				t.Fatalf("%v %+v: done called %v with %v, want %v before returning", pl, tc.pred, called, got, tc.want)
+			}
+			c.Run()
+			if c.Eng.Fired() != fired || accelOps(s) != reads {
+				t.Fatalf("%v %+v: the refused query read flash", pl, tc.pred)
+			}
+		}
 	}
 }

@@ -24,7 +24,7 @@ func fileParams(nodes int) core.Params {
 	return p
 }
 
-func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *sched.Scheduler, *rfs.FS, *ispvol.System) {
+func newFileSystem(t testing.TB, nodes int) (*core.Cluster, *sched.Scheduler, *rfs.FS, *ispvol.System) {
 	t.Helper()
 	c := coretest.NewCluster(t, fileParams(nodes))
 	scfg := sched.DefaultConfig()
@@ -45,7 +45,7 @@ func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *sched.Scheduler, *r
 }
 
 // seedFile appends n generated pages to a fresh file.
-func seedFile(t *testing.T, c *core.Cluster, fs *rfs.FS, name string, n int, gen func(idx int, page []byte)) *rfs.File {
+func seedFile(t testing.TB, c *core.Cluster, fs *rfs.FS, name string, n int, gen func(idx int, page []byte)) *rfs.File {
 	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {

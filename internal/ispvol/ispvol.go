@@ -45,6 +45,16 @@
 // Config.Admission selects a second comparison arm: Bypass (the
 // pre-fix bug path — raw device interfaces, invisible to the
 // scheduler).
+//
+// Ownership: a page an engine reads is an immutable image, and a
+// kernel keeps nothing of it past scan — a search partial copies the
+// page's edge residues into its one arena, a table scan appends the
+// qualifying records to its match list. Each running engine, and the
+// host-mediated loop, is one pooled record (engine.go) whose lanes
+// carry their page completions bound once; it returns to the pool when
+// its run joins, before its partial ships. So a query allocates its
+// partition lists, partials and messages, and a page scanned allocates
+// nothing.
 package ispvol
 
 import (
@@ -146,6 +156,13 @@ type System struct {
 	nodes     []*nodeISP
 	pending   map[uint64]queryState
 	nextQuery uint64
+	engines   sim.Pool[engine]
+	// chipInterleave's scratch, per chip key: a bucket's cursor and end
+	// in sorted; and the chips in order of first appearance.
+	iv struct {
+		next, end, order []int
+		sorted           []pageRef
+	}
 }
 
 // nodeISP is one node's slice of the subsystem.
@@ -176,6 +193,9 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 		return nil, fmt.Errorf("ispvol: host-mediated class %v not usable by tenants", cfg.HostClass)
 	}
 	sys := &System{c: c, v: v, cfg: cfg, retry: s.NewRetrier(cfg.RetryDelay), pending: make(map[uint64]queryState)}
+	sys.engines.New = sys.newEngine
+	chips := c.Params.CardsPerNode * c.Params.Geometry.Buses * c.Params.Geometry.ChipsPerBus
+	sys.iv.next, sys.iv.end = make([]int, chips), make([]int, chips)
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)
 		units, err := isp.NewScheduler(fmt.Sprintf("isp-n%d", i), cfg.UnitsPerNode)
@@ -233,39 +253,59 @@ type pageRef struct {
 	addr core.PageAddr
 }
 
-// chipInterleave reorders a partition so consecutive reads target
-// different flash chips. The FTL's frontier allocation packs adjacent
-// logical pages into one physical block — a single chip — so scanning
-// a partition in logical order would convoy the engine's whole read
-// window on one chip at a time while fifteen others idle. Engines
-// scan pages independently (order never affects the result), so they
-// are free to schedule by chip availability, the way the hardware
-// issues reads to whichever bus is free. Buckets by (card, bus,
-// chip), round-robin across buckets; fully deterministic.
-func chipInterleave(refs []pageRef) []pageRef {
-	if len(refs) < 2 {
-		return refs
-	}
-	type chipKey struct{ card, bus, chip int }
-	var order []chipKey
-	buckets := make(map[chipKey][]pageRef)
+// chipKey is a page's (card, bus, chip) as one dense index.
+func (sys *System) chipKey(a core.PageAddr) int {
+	g := sys.c.Params.Geometry
+	return (a.Card*g.Buses+a.Addr.Bus)*g.ChipsPerBus + a.Addr.Chip
+}
+
+// chipInterleave writes refs into dst[:0] reordered so consecutive
+// reads target different flash chips, and returns it. The FTL's
+// frontier allocation packs adjacent logical pages into one physical
+// block — a single chip — so scanning a partition in logical order would
+// convoy the engine's whole read window on one chip at a time while
+// fifteen others idle. Engines scan pages independently (order never
+// affects the result), so they are free to schedule by chip
+// availability, the way the hardware issues reads to whichever bus is
+// free. Buckets by (card, bus, chip), filled by a counting sort, are
+// drained round-robin in the order each chip first appears; fully
+// deterministic, and allocation-free once dst and the scratch have
+// grown to the partition.
+func (sys *System) chipInterleave(dst, refs []pageRef) []pageRef {
+	iv := &sys.iv
+	dst, iv.order = dst[:0], iv.order[:0]
 	for _, r := range refs {
-		k := chipKey{r.addr.Card, r.addr.Addr.Bus, r.addr.Addr.Chip}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
+		k := sys.chipKey(r.addr)
+		if iv.end[k] == 0 {
+			iv.order = append(iv.order, k)
 		}
-		buckets[k] = append(buckets[k], r)
+		iv.end[k]++
 	}
-	out := make([]pageRef, 0, len(refs))
-	for len(out) < len(refs) {
-		for _, k := range order {
-			if b := buckets[k]; len(b) > 0 {
-				out = append(out, b[0])
-				buckets[k] = b[1:]
+	off := 0
+	for _, k := range iv.order { // end[k] counted bucket k; now it is its fill cursor
+		iv.next[k], iv.end[k], off = off, off, off+iv.end[k]
+	}
+	iv.sorted = append(iv.sorted[:0], refs...)
+	for _, r := range refs {
+		k := sys.chipKey(r.addr)
+		iv.sorted[iv.end[k]] = r
+		iv.end[k]++
+	}
+	// Each round takes one page from every chip with pages left; a
+	// drained chip leaves the rotation with its count back at zero.
+	for live := iv.order; len(live) > 0; {
+		n := 0
+		for _, k := range live {
+			dst = append(dst, iv.sorted[iv.next[k]])
+			if iv.next[k]++; iv.next[k] < iv.end[k] {
+				live[n], n = k, n+1
+			} else {
+				iv.end[k] = 0
 			}
 		}
+		live = live[:n]
 	}
-	return out
+	return dst
 }
 
 // readPage issues one engine flash read on node n's data path.
@@ -277,25 +317,6 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 		return
 	}
 	sys.retry.AccelRead(sys.nodes[n].stream, ref.addr, cb)
-}
-
-// runEngine claims one acceleration unit on node n, streams refs
-// window-deep through the node's flash data path, feeds every page to
-// scan (in completion order), then releases the unit and fires done.
-// scan's err is the page's read error.
-func (sys *System) runEngine(n int, refs []pageRef, scan func(ref pageRef, data []byte, err error), done func()) {
-	refs = chipInterleave(refs)
-	sys.nodes[n].units.Submit(func(unitDone func()) {
-		sim.Lanes(len(refs), sys.cfg.Window, func(_, i int, next func()) {
-			sys.readPage(n, refs[i], func(data []byte, err error) {
-				scan(refs[i], data, err)
-				next()
-			})
-		}, func() {
-			unitDone()
-			done()
-		})
-	})
 }
 
 // checkOrigin validates a query's origin node.

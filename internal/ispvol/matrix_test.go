@@ -196,12 +196,13 @@ func TestQueryMatrix(t *testing.T) {
 			var wantRows int64
 			var want []tablescan.Record
 			for i := 0; i < fx.pages; i++ {
-				m, rows, err := tablescan.FilterPage(fx.page(i), pred)
+				var rows int64
+				var err error
+				want, rows, err = tablescan.FilterPage(want, fx.page(i), pred)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantRows += rows
-				want = append(want, m...)
 			}
 			if len(want) == 0 {
 				t.Fatal("predicate selects nothing; nothing validated")

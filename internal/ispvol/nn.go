@@ -86,7 +86,7 @@ type nnKernel struct{ nnPartial }
 // per candidate.
 func (k *nnKernel) startBytes(refs int) int { return 32 + len(k.item) + 20*refs }
 
-func (k *nnKernel) newPartial(int) partial {
+func (k *nnKernel) newPartial(int, int) partial {
 	return &nnPartial{item: k.item, ids: k.ids, bestID: -1, bestDist: math.MaxInt}
 }
 

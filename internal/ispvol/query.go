@@ -134,9 +134,9 @@ type kernel interface {
 	// startBytes is the wire size of a start message carrying the
 	// kernel's arguments and refs page references.
 	startBytes(refs int) int
-	// newPartial returns an empty reduction: one per engine, or one
-	// for a whole host-mediated query.
-	newPartial(ps int) partial
+	// newPartial returns an empty reduction of up to pages pages: one
+	// per engine, or one for a whole host-mediated query.
+	newPartial(ps, pages int) partial
 	// hostCost is the host CPU time to reduce one page in software.
 	hostCost(ps int) sim.Time
 	// merge folds a finished partial into the origin state.
@@ -245,7 +245,18 @@ func (sys *System) run(origin int, src Source, idx []int, k kernel, pl Placement
 // lists, then gets out of the way until the merge.
 func (q *query) fanOut(addrs []core.PageAddr) {
 	sys := q.sys
+	// Count, then fill one backing array: each node's partition is a
+	// window of it, in address-list order.
 	parts := make([][]pageRef, sys.c.Nodes())
+	count := make([]int, len(parts))
+	for _, a := range addrs {
+		count[a.Node]++
+	}
+	refs, off := make([]pageRef, len(addrs)), 0
+	for n, c := range count {
+		parts[n] = refs[off : off : off+c]
+		off += c
+	}
 	for i, a := range addrs {
 		parts[a.Node] = append(parts[a.Node], pageRef{qidx: i, addr: a})
 	}
@@ -273,22 +284,6 @@ func (q *query) fanOut(addrs []core.PageAddr) {
 	})
 }
 
-// runPart executes one node's engine: reduce every local page of the
-// partition, ship the partial to the origin.
-func (sys *System) runPart(ns *nodeISP, m *startMsg) {
-	self := ns.node.ID()
-	p := m.k.newPartial(m.ps)
-	res := &partMsg{query: m.query, body: p}
-	sys.runEngine(self, m.refs, func(ref pageRef, data []byte, err error) {
-		// A failed read skips the page; it is counted, not fatal.
-		if err != nil || !p.scan(ref, data) {
-			res.failed++
-		}
-	}, func() {
-		sys.deliver(self, m.origin, p.wireBytes(), res)
-	})
-}
-
 // part merges one engine's partial into the origin state.
 func (q *query) part(m *partMsg) {
 	q.st.failed += m.failed
@@ -311,44 +306,4 @@ func (q *query) finish() {
 func (q *query) complete() {
 	q.st.elapsed = q.sys.c.Eng.Now() - q.start
 	q.fin(q.st, nil)
-}
-
-// hostScan is the host-mediated placement: a depth-bounded closed loop
-// that reads each page through the host path and reduces it on a
-// worker thread into one partial, merged through the same kernel code
-// as the engines' partials — so the two placements can only diverge on
-// the data path, which is what the experiments cross-validate. The
-// loop gets the I/O concurrency budget the engines have (units x
-// window); each slot is read-then-process, so slots overlap flash,
-// PCIe and CPU work across each other.
-func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
-	sys := q.sys
-	pages := q.st.pages
-	p := q.k.newPartial(q.st.ps)
-	workers := sys.c.Node(q.origin).CPU.NewThreads(sys.cfg.HostThreads)
-	cost := q.k.hostCost(q.st.ps)
-	sim.Lanes(pages, sys.cfg.UnitsPerNode*sys.cfg.Window, func(_, i int, next func()) {
-		page := i
-		if idx != nil {
-			page = idx[i]
-		}
-		read(page, func(data []byte, err error) {
-			if err != nil {
-				q.st.failed++
-				next()
-				return
-			}
-			q.st.toHost += int64(len(data))
-			workers[i%len(workers)].Do(cost, func() {
-				if !p.scan(pageRef{qidx: i}, data) {
-					q.st.failed++
-				}
-				next()
-			})
-		})
-	}, func() {
-		q.k.merge(p)
-		q.k.finish(pages, q.st.ps)
-		q.complete()
-	})
 }

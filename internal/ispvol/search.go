@@ -76,16 +76,21 @@ type searchKernel struct {
 }
 
 // searchPartial is the matches inside one engine's pages plus the
-// per-page edge residues for junction stitching.
+// per-page edge residues for junction stitching. The residues of all
+// its pages share one arena: the page that pages[j] names has the two
+// halves of edges[pages[j-1].end:pages[j].end] as its head and tail.
 type searchPartial struct {
 	pat     *search.Pattern
 	sc      *search.Scanner
 	ps      int
 	matches []int64
-	qidx    []int
-	heads   [][]byte
-	tails   [][]byte
+	pages   []edgePage
+	edges   []byte
 }
+
+// edgePage is one scanned page of a search partial: its index in the
+// query's page list and the end of its residues in the edge arena.
+type edgePage struct{ qidx, end int }
 
 // startBytes: the pattern (needle + MP failure table) and a 16-byte
 // address per page.
@@ -94,14 +99,17 @@ func (k *searchKernel) startBytes(refs int) int {
 }
 
 // newPartial compiles the needle afresh, as the engine receiving the
-// wire pattern would.
-func (k *searchKernel) newPartial(ps int) partial {
+// wire pattern would, and sizes the page list and the edge arena for
+// pages pages.
+func (k *searchKernel) newPartial(ps, pages int) partial {
 	pat, err := search.Compile(k.needle)
 	if err != nil {
 		// Search compiled the same needle before starting the query.
 		panic(fmt.Sprintf("ispvol: uncompilable needle reached an engine: %v", err))
 	}
-	return &searchPartial{pat: pat, sc: pat.NewScanner(), ps: ps}
+	edge := min(pat.EdgeLen(), ps)
+	return &searchPartial{pat: pat, sc: pat.NewScanner(), ps: ps,
+		pages: make([]edgePage, 0, pages), edges: make([]byte, 0, 2*edge*pages)}
 }
 
 func (k *searchKernel) hostCost(ps int) sim.Time {
@@ -117,18 +125,14 @@ func (p *searchPartial) scan(ref pageRef, data []byte) bool {
 		p.matches = append(p.matches, pos)
 	})
 	h, t := p.pat.EdgeBytes(data)
-	p.qidx = append(p.qidx, ref.qidx)
-	p.heads = append(p.heads, append([]byte(nil), h...))
-	p.tails = append(p.tails, append([]byte(nil), t...))
+	p.edges = append(append(p.edges, h...), t...)
+	p.pages = append(p.pages, edgePage{qidx: ref.qidx, end: len(p.edges)})
 	return true
 }
 
+// wireBytes: the matches, a 4-byte page index and the residues per page.
 func (p *searchPartial) wireBytes() int {
-	size := 32 + 8*len(p.matches) + 4*len(p.qidx)
-	for i := range p.heads {
-		size += len(p.heads[i]) + len(p.tails[i])
-	}
-	return size
+	return 32 + 8*len(p.matches) + 4*len(p.pages) + len(p.edges)
 }
 
 func (k *searchKernel) merge(p partial) { k.parts = append(k.parts, p.(*searchPartial)) }
@@ -139,8 +143,11 @@ func (k *searchKernel) finish(pages, ps int) int {
 	heads, tails := make([][]byte, pages), make([][]byte, pages)
 	for _, p := range k.parts {
 		k.matches = append(k.matches, p.matches...)
-		for i, qi := range p.qidx {
-			heads[qi], tails[qi] = p.heads[i], p.tails[i]
+		start := 0
+		for _, pg := range p.pages {
+			e := p.edges[start:pg.end]
+			heads[pg.qidx], tails[pg.qidx] = e[:len(e)/2], e[len(e)/2:]
+			start = pg.end
 		}
 	}
 	for b := 1; b < pages; b++ {

@@ -27,10 +27,15 @@ type ScanResult struct {
 }
 
 // TableScan returns the records of src that satisfy pred, ordered by
-// ID. Asynchronous like Search.
+// ID. Asynchronous like Search; a predicate that fails Validate fails
+// the query before any flash read.
 //
 //simlint:once done
 func (sys *System) TableScan(origin int, src Source, pred tablescan.Predicate, pl Placement, done func(*ScanResult, error)) {
+	if err := pred.Validate(); err != nil {
+		done(nil, err)
+		return
+	}
 	k := &scanKernel{scanPartial{pred: pred}}
 	sys.run(origin, src, nil, k, pl, func(st queryStats, err error) {
 		if err != nil {
@@ -69,20 +74,18 @@ type scanKernel struct{ scanPartial }
 // startBytes: the predicate fits the header; a 16-byte address per page.
 func (k *scanKernel) startBytes(refs int) int { return 32 + 16*refs }
 
-func (k *scanKernel) newPartial(int) partial { return &scanPartial{pred: k.pred} }
+func (k *scanKernel) newPartial(int, int) partial { return &scanPartial{pred: k.pred} }
 
 func (k *scanKernel) hostCost(ps int) sim.Time {
 	return sim.Time(tablescan.RecordsPerPage(ps)) * tablescan.HostFilterCPUPerRow
 }
 
 func (p *scanPartial) scan(_ pageRef, data []byte) bool {
-	matches, rows, err := tablescan.FilterPage(data, p.pred)
-	if err != nil {
-		return false
-	}
+	var rows int64
+	var err error
+	p.matches, rows, err = tablescan.FilterPage(p.matches, data, p.pred)
 	p.rows += rows
-	p.matches = append(p.matches, matches...)
-	return true
+	return err == nil
 }
 
 func (p *scanPartial) wireBytes() int { return 32 + tablescan.RecordSize*len(p.matches) }

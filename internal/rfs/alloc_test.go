@@ -1,0 +1,83 @@
+package rfs
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sched"
+)
+
+// TestPageOpsAllocate pins what a page operation on a cluster file
+// system allocates: a read nothing, an append or an overwrite exactly
+// its page image (BenchmarkAppendPage's floor), a cleaner move nothing.
+// Every op rides one pooled record whose continuations were bound when
+// it was made. The cluster runs without the image guard, whose
+// checksums are not the file system's.
+func TestPageOpsAllocate(t *testing.T) {
+	c, err := core.NewCluster(clusterParams(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New(c, sched.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _, err := NewClusterFS(c, s, ClusterConfig{}, Config{CleanLowWater: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, fs.PageSize())
+	var opErr error
+	ack := func(err error) {
+		if err != nil {
+			opErr = err
+		}
+	}
+	read := func(_ []byte, err error) { ack(err) }
+	for i := 0; i < 64; i++ { // pools and rings reach their size
+		f.AppendPage(page, ack)
+		c.Run()
+	}
+	i := 0
+	pins := []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"AppendPage", 1, func() { f.AppendPage(page, ack) }},
+		{"WritePage", 1, func() { f.WritePage(i%f.Pages(), page, ack) }},
+		{"ReadPage", 0, func() { f.ReadPage(i%f.Pages(), read) }},
+		{"cleaner move", 0, func() {
+			// One relocation of a live page, outside any clean pass, so
+			// the run measures the move alone.
+			ppn := fs.inodes[f.ino].pages[i%f.Pages()]
+			fs.moveOne(ppn, fs.backrefs[ppn])
+		}},
+	}
+	for _, p := range pins {
+		n := testing.AllocsPerRun(50, func() {
+			p.op()
+			i++
+			c.Run()
+		})
+		if opErr != nil {
+			t.Fatalf("%s: %v", p.name, opErr)
+		}
+		if n != p.want {
+			t.Errorf("%s costs %v allocations, want %v", p.name, n, p.want)
+		}
+	}
+	if fs.CleanMoves != 51 {
+		t.Fatalf("%d cleaner moves, want 51", fs.CleanMoves)
+	}
+	if err := fs.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain", out)
+	}
+}

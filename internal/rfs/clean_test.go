@@ -295,6 +295,9 @@ func TestNoProgressCleaningFailsDeterministically(t *testing.T) {
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("the aborted clean left %d page ops out of the pool", out)
+	}
 
 	// An invalidation changes the economics: removing file a frees
 	// both its pages, cleaning can now erase, and writes succeed.
@@ -314,6 +317,9 @@ func TestNoProgressCleaningFailsDeterministically(t *testing.T) {
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain", out)
 	}
 }
 
@@ -380,6 +386,9 @@ func TestInvalidateDuringCleanMove(t *testing.T) {
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain", out)
+	}
 	b.sync = true
 	var d []byte
 	var e error = errors.New("pending")
@@ -391,7 +400,9 @@ func TestInvalidateDuringCleanMove(t *testing.T) {
 
 // TestRemoveDuringCleanMove: same window, but the invalidation is a
 // whole-file Remove. The moved copy must be dropped (no mapping, no
-// double-invalidate) and the inode stays dead.
+// double-invalidate) and the inode stays dead. An append to the doomed
+// file, queued behind the clean when the Remove lands, completes
+// without mapping its page, and every page op returns to the pool.
 func TestRemoveDuringCleanMove(t *testing.T) {
 	lay := Layout{Chips: 1, SegsPerChip: 4, PagesPerSeg: 4, PageSize: 16, Lanes: 1}
 	b := newStub(lay, true)
@@ -424,6 +435,8 @@ func TestRemoveDuringCleanMove(t *testing.T) {
 		t.Fatal("cleaner did not start")
 	}
 	b.pop(t, "read", true) // cleaner copies doomed's page; write pending
+	dErr := errors.New("doomed append never completed")
+	doomed.AppendPage(stubPage(lay, 0x66), func(e error) { dErr = e })
 
 	live := fs.LiveMappings()
 	if err := fs.Remove("doomed"); err != nil {
@@ -435,14 +448,17 @@ func TestRemoveDuringCleanMove(t *testing.T) {
 
 	b.pop(t, "write", true) // relocation write lands after the Remove
 	b.drain()
-	if appErr != nil {
-		t.Fatalf("append: %v", appErr)
+	if appErr != nil || dErr != nil {
+		t.Fatalf("append: %v; append to the removed file: %v", appErr, dErr)
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Open("doomed"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("removed file resurrected: %v", err)
+	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain", out)
 	}
 }
 

@@ -161,8 +161,8 @@ func cleanerChurn(t testing.TB, h *harness, geo nand.Geometry) (*File, []byte) {
 // TestCleanerMoveStoresTheBufferItRead: a cleaner move costs no payload
 // byte. Its read delivers the image the victim page stores, the move
 // hands that very buffer down, and the card stores it at the
-// destination. (The two closures of a move are ROADMAP item 2's rfs
-// bullet, not this test's.)
+// destination. (That a move allocates nothing at all is
+// TestPageOpsAllocate's pin.)
 func TestCleanerMoveStoresTheBufferItRead(t *testing.T) {
 	geo := smallGeo()
 	h, spy := newSpyHarness(t, geo)
@@ -264,5 +264,8 @@ func TestBadBlockRetryResubmitsTheSameImage(t *testing.T) {
 	}
 	if got, err := h.readPage(t, f, 0); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read back after the retry: err %v, wrong data", err)
+	}
+	if out := h.fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool after the retried append", out)
 	}
 }

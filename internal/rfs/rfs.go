@@ -37,6 +37,15 @@
 //     pass and marks the FS stalled: further allocations fail
 //     deterministically with ErrNoSpace (instead of re-triggering the
 //     same doomed pass) until an invalidation changes the economics.
+//
+// Ownership: a write snapshots the caller's page into an image
+// (nand.Geometry.PageImage), the write's one allocation, and hands it
+// down through the Backend by reference; a read delivers the image the
+// card stores, which nobody writes to (see Backend). Every page
+// operation in flight — an app read, an app write, a cleaner move — is
+// one pooled pageOp whose completions were bound when the record was
+// made, so nothing else is allocated per page. An op returns to the
+// pool before its caller's callback runs; a drained FS has none out.
 package rfs
 
 import (
@@ -48,6 +57,7 @@ import (
 	"repro/internal/flashserver"
 	"repro/internal/nand"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // File system errors.
@@ -151,9 +161,10 @@ type FS struct {
 	cursor   []int   // per-lane round-robin chip cursor
 
 	cleaning   bool
-	stalled    bool // last clean made no progress; only invalidation can help
-	cleanst    *cleanState
+	stalled    bool       // last clean made no progress; only invalidation can help
+	clean      cleanState // the clean in progress, while cleaning
 	pendingOps []func()
+	ops        sim.Pool[pageOp]
 
 	// readsInflight counts app reads in flight per segment; the victim
 	// erase waits for its count to drain.
@@ -217,7 +228,51 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 		}
 	}
 	fs.freeSegs = lay.TotalSegs()
+	fs.ops.New = fs.newPageOp
 	return fs, nil
+}
+
+// pageOp is one page operation in flight in the file system: an app
+// read from ReadPage to its callback, an app write from writePage until
+// its mapping is installed, or a cleaner move from its read until the
+// copy is installed. Ops are pooled (FS.ops), and the continuations an
+// op hands down — the backend's completions, and itself as the thing
+// to queue behind a clean — are bound when the record is made, so a
+// page operation allocates nothing here but a write's image.
+type pageOp struct {
+	ino, idx int         // write: the file page it maps
+	ppn, dst int         // the page read (a move's victim page); the page a program in flight targets
+	class    sched.Class // app ops: the file handle's
+	img      []byte      // write: held so that a program failed by a bad block goes out again
+	ref      fileRef     // move: the file page ppn held when the move began
+	rcb      func(data []byte, err error)
+	wcb      func(err error)
+
+	// bound once
+	run                func() // write: take a log page and program it
+	onRead, onMoveRead func(data []byte, err error)
+	onWrite, onMoved   func(err error)
+}
+
+// newPageOp is ops.New.
+func (fs *FS) newPageOp() *pageOp {
+	op := &pageOp{}
+	op.run = func() { fs.allocAndProgram(op) }
+	op.onRead = func(data []byte, err error) { fs.readDone(op, data, err) }
+	op.onWrite = func(err error) { fs.programDone(op, err) }
+	op.onMoveRead = func(data []byte, err error) { fs.moveRead(op, data, err) }
+	op.onMoved = func(err error) { fs.moveWritten(op, err) }
+	return op
+}
+
+// put zeroes an op, keeping its bound continuations, and returns it to
+// the pool. Its caller has taken the outcome out of it: no backend
+// completion is outstanding on it and no queue holds it.
+//
+//simlint:hotpath
+func (fs *FS) put(op *pageOp) {
+	*op = pageOp{run: op.run, onRead: op.onRead, onMoveRead: op.onMoveRead, onWrite: op.onWrite, onMoved: op.onMoved}
+	fs.ops.Put(op)
 }
 
 // SetHooks installs cleaning lifecycle hooks (see Hooks).
@@ -251,11 +306,7 @@ func (fs *FS) laneOf(class sched.Class) int {
 // stall) — the deficit below the trigger point, mirroring
 // ftl.Urgency, so the scheduler's Background budget can scale.
 func (fs *FS) Urgency() float64 {
-	low := fs.cfg.CleanLowWater
-	if low < 1 {
-		low = 1
-	}
-	u := 1 - float64(fs.totalFree())/float64(low)
+	u := 1 - float64(fs.totalFree())/float64(fs.cfg.CleanLowWater) // at least 1 (NewWithBackend)
 	if u < 0 {
 		return 0
 	}
@@ -445,9 +496,10 @@ func (f *File) writePage(idx int, data []byte, cb func(err error)) {
 	}
 	// The one snapshot of the write: a page image that goes down
 	// through the backend by reference and ends up stored on the card.
-	img := f.fs.geo.PageImage(data)
-	ino, class := f.ino, f.class
-	f.fs.enqueue(func() { f.fs.logWrite(ino, idx, class, img, cb) })
+	op := f.fs.ops.Get()
+	op.ino, op.idx, op.class, op.wcb = f.ino, idx, f.class, cb
+	op.img = f.fs.geo.PageImage(data)
+	f.fs.enqueue(op.run)
 }
 
 // ReadPage fetches page idx. Reads resolve the mapping at issue time
@@ -462,14 +514,22 @@ func (f *File) ReadPage(idx int, cb func(data []byte, err error)) {
 		return
 	}
 	ppn := nd.pages[idx]
-	seg := fs.segOf(ppn)
 	fs.PagesRead++
-	fs.readsInflight[seg]++
-	fs.b.ReadPage(ppn, f.class, false, func(data []byte, err error) {
-		fs.readsInflight[seg]--
-		fs.maybeErase()
-		cb(data, err)
-	})
+	fs.readsInflight[fs.segOf(ppn)]++
+	op := fs.ops.Get()
+	op.ppn, op.rcb = ppn, cb
+	fs.b.ReadPage(ppn, f.class, false, op.onRead)
+}
+
+// readDone is the backend's completion of an app read.
+//
+//simlint:hotpath
+func (fs *FS) readDone(op *pageOp, data []byte, err error) {
+	seg, cb := fs.segOf(op.ppn), op.rcb
+	fs.put(op)
+	fs.readsInflight[seg]--
+	fs.maybeErase()
+	cb(data, err)
 }
 
 // cleanReserveSegs is the free-segment floor below which writes stall
@@ -495,30 +555,33 @@ func (fs *FS) enqueue(op func()) {
 	op()
 }
 
-// logWrite appends a page to the log and maps it to (ino, idx).
-func (fs *FS) logWrite(ino, idx int, class sched.Class, data []byte, cb func(err error)) {
-	fs.allocAndProgram(class, data, func(ppn int, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		nd := fs.inodes[ino]
-		if !nd.live {
-			// File removed while the write was in flight: the new page
-			// is garbage — no mapping is registered, so the cleaner sees
-			// it as dead.
-			cb(nil)
-			return
-		}
-		if old := nd.pages[idx]; old >= 0 {
-			fs.invalidate(old)
-		}
-		nd.pages[idx] = ppn
-		fs.segs[fs.segOf(ppn)].valid++
-		fs.backrefs[ppn] = fileRef{ino: ino, page: idx}
-		fs.PagesWritten++
+// finishWrite ends an app write whose image is stored at op.dst, or
+// that failed for good, and maps the page to (ino, idx).
+//
+//simlint:hotpath
+func (fs *FS) finishWrite(op *pageOp, err error) {
+	ino, idx, ppn, cb := op.ino, op.idx, op.dst, op.wcb
+	fs.put(op)
+	if err != nil {
+		cb(err)
+		return
+	}
+	nd := fs.inodes[ino]
+	if !nd.live {
+		// File removed while the write was in flight: the new page
+		// is garbage — no mapping is registered, so the cleaner sees
+		// it as dead.
 		cb(nil)
-	})
+		return
+	}
+	if old := nd.pages[idx]; old >= 0 {
+		fs.invalidate(old)
+	}
+	nd.pages[idx] = ppn
+	fs.segs[fs.segOf(ppn)].valid++
+	fs.backrefs[ppn] = fileRef{ino: ino, page: idx}
+	fs.PagesWritten++
+	cb(nil)
 }
 
 // invalidate marks a physical page dead. A stalled FS aborted its
@@ -534,31 +597,38 @@ func (fs *FS) invalidate(ppn int) {
 	}
 }
 
-// allocAndProgram finds the next log position on the class's lane and
-// programs the image there, retrying around bad blocks — a failed
-// program kept nothing, so the same image goes out again — and
-// starting the cleaner when space runs low.
-func (fs *FS) allocAndProgram(class sched.Class, data []byte, cb func(ppn int, err error)) {
-	ppn, err := fs.allocPage(fs.laneOf(class), func() { fs.allocAndProgram(class, data, cb) })
+// allocAndProgram finds the next log position on the op's lane and
+// programs its image there, starting the cleaner when space runs low.
+// It is the op's run continuation: what enqueue and allocPage park
+// behind a clean.
+//
+//simlint:hotpath
+func (fs *FS) allocAndProgram(op *pageOp) {
+	ppn, err := fs.allocPage(fs.laneOf(op.class), op.run)
 	if err != nil {
-		cb(-1, err)
+		fs.finishWrite(op, err)
 		return
 	}
 	if ppn < 0 {
 		return // cleaner started; op requeued
 	}
-	fs.b.WritePage(ppn, class, false, data, func(err error) {
-		if err == nil {
-			cb(ppn, nil)
-			return
-		}
-		if errors.Is(err, nand.ErrBadBlock) {
-			fs.markBad(fs.segOf(ppn))
-			fs.allocAndProgram(class, data, cb)
-			return
-		}
-		cb(-1, err)
-	})
+	op.dst = ppn
+	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	fs.b.WritePage(ppn, op.class, false, op.img, op.onWrite)
+}
+
+// programDone is the backend's completion of an app write's program.
+// A program failed by a bad block kept nothing: the same image goes
+// out again, elsewhere.
+//
+//simlint:hotpath
+func (fs *FS) programDone(op *pageOp, err error) {
+	if errors.Is(err, nand.ErrBadBlock) {
+		fs.markBad(fs.segOf(op.dst))
+		fs.allocAndProgram(op)
+		return
+	}
+	fs.finishWrite(op, err)
 }
 
 // markBad retires a segment, clearing any frontier (on any lane) that
@@ -583,9 +653,7 @@ func (fs *FS) markBad(seg int) {
 // with ErrNoSpace when that runs dry.
 func (fs *FS) allocPage(lane int, retry func()) (int, error) {
 	if fs.totalFree() <= fs.cfg.CleanLowWater && !fs.cleaning && !fs.stalled && fs.victim() >= 0 {
-		if retry != nil {
-			fs.pendingOps = append(fs.pendingOps, retry)
-		}
+		fs.pendingOps = append(fs.pendingOps, retry)
 		fs.startClean()
 		return -1, nil
 	}
@@ -594,7 +662,7 @@ func (fs *FS) allocPage(lane int, retry func()) (int, error) {
 	// needs nor see a transient "file system full": queue them behind
 	// the clean. ErrNoSpace is then only returned with no clean in
 	// flight — deterministically.
-	if fs.cleaning && fs.totalFree() <= cleanReserveSegs && retry != nil {
+	if fs.cleaning && fs.totalFree() <= cleanReserveSegs {
 		fs.pendingOps = append(fs.pendingOps, retry)
 		return -1, nil
 	}
@@ -682,7 +750,7 @@ func (fs *FS) startClean() {
 		return
 	}
 	fs.cleaning = true
-	fs.cleanst = &cleanState{victim: v}
+	fs.clean = cleanState{victim: v}
 	if fs.hooks.CleanStart != nil {
 		fs.hooks.CleanStart()
 	}
@@ -697,8 +765,8 @@ func (fs *FS) startClean() {
 // guard makes synchronous completions unwind into this loop instead
 // of stacking one frame per page.
 func (fs *FS) pumpClean() {
-	st := fs.cleanst
-	if st == nil || st.pumping {
+	st := &fs.clean
+	if !fs.cleaning || st.pumping {
 		return
 	}
 	st.pumping = true
@@ -715,7 +783,7 @@ func (fs *FS) pumpClean() {
 			continue // dead page: nothing to move
 		}
 		st.busy = true
-		fs.moveOne(st, ppn, ref)
+		fs.moveOne(ppn, ref)
 	}
 	st.pumping = false
 }
@@ -725,77 +793,99 @@ func (fs *FS) pumpClean() {
 // the mapping — re-validating the backref at every completion,
 // because a Remove can land while the copy is in flight and the moved
 // page must then be dropped, not resurrected over dead state.
-func (fs *FS) moveOne(st *cleanState, ppn int, ref fileRef) {
-	fs.b.ReadPage(ppn, sched.Background, true, func(data []byte, err error) {
-		if err != nil {
-			// Unreadable during cleaning: drop the mapping — but only if
-			// it still points here (the file may have been removed while
-			// the read was in flight) — and count the loss so it is
-			// visible to scrubbing and repair layers instead of silent.
-			fs.CleanReadFaults++
-			if cur, ok := fs.backrefs[ppn]; ok && cur == ref {
-				fs.invalidate(ppn)
-				if nd := fs.inodes[ref.ino]; nd.live && ref.page < len(nd.pages) && nd.pages[ref.page] == ppn {
-					nd.pages[ref.page] = -1
-					fs.LostPages++
-				}
-			}
-			st.busy = false
-			fs.pumpClean()
-			return
-		}
-		if cur, ok := fs.backrefs[ppn]; !ok || cur != ref {
-			// Invalidated while the read was in flight: dead now.
-			st.busy = false
-			fs.pumpClean()
-			return
-		}
-		dst, aerr := fs.cleanAlloc()
-		if aerr != nil {
-			// No room to relocate: the pass failed and retrying it
-			// cannot help (only an invalidation changes the economics).
-			// Mark the FS stalled so queued writes fail with ErrNoSpace
-			// instead of re-triggering this pass forever.
-			st.aborted = true
-			st.busy = false
-			fs.stalled = true
-			fs.finishClean()
-			return
-		}
-		// The read result is re-programmed as it stands — the image the
-		// victim page stores, check-byte tail and all; images are
-		// immutable, so both pages may hold it until the victim is erased.
-		fs.b.WritePage(dst, sched.Background, true, fs.geo.ReadImage(data), func(perr error) {
-			if perr != nil {
-				st.aborted = true
-				st.busy = false
-				if errors.Is(perr, nand.ErrBadBlock) {
-					fs.markBad(fs.segOf(dst))
-				}
-				fs.finishClean()
-				return
-			}
-			if cur, ok := fs.backrefs[ppn]; ok && cur == ref {
-				fs.CleanMoves++
-				fs.invalidate(ppn)
-				nd := fs.inodes[ref.ino]
-				nd.pages[ref.page] = dst
-				fs.segs[fs.segOf(dst)].valid++
-				fs.backrefs[dst] = ref
-			}
-			// else: removed mid-move — the copy at dst stays unmapped
-			// garbage for a later clean; the original was already
-			// invalidated by Remove, so nothing to double-count.
-			st.busy = false
-			fs.pumpClean()
-		})
-	})
+//
+//simlint:hotpath
+func (fs *FS) moveOne(ppn int, ref fileRef) {
+	op := fs.ops.Get()
+	op.ppn, op.ref = ppn, ref
+	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	fs.b.ReadPage(ppn, sched.Background, true, op.onMoveRead)
 }
 
-// cleanAlloc allocates a relocation destination on the cleaning lane
-// without recursing into cleaning.
-func (fs *FS) cleanAlloc() (int, error) {
-	return fs.allocRoundRobin(fs.cleanLane)
+// moveRead takes a move's read and programs what it read.
+//
+//simlint:hotpath
+func (fs *FS) moveRead(op *pageOp, data []byte, err error) {
+	ppn, ref := op.ppn, op.ref
+	if err != nil {
+		// Unreadable during cleaning: drop the mapping — but only if
+		// it still points here (the file may have been removed while
+		// the read was in flight) — and count the loss so it is
+		// visible to scrubbing and repair layers instead of silent.
+		fs.CleanReadFaults++
+		if cur, ok := fs.backrefs[ppn]; ok && cur == ref {
+			fs.invalidate(ppn)
+			if nd := fs.inodes[ref.ino]; nd.live && ref.page < len(nd.pages) && nd.pages[ref.page] == ppn {
+				nd.pages[ref.page] = -1
+				fs.LostPages++
+			}
+		}
+		fs.moved(op)
+		return
+	}
+	if cur, ok := fs.backrefs[ppn]; !ok || cur != ref {
+		// Invalidated while the read was in flight: dead now.
+		fs.moved(op)
+		return
+	}
+	dst, aerr := fs.allocRoundRobin(fs.cleanLane)
+	if aerr != nil {
+		// No room to relocate: the pass failed and retrying it
+		// cannot help (only an invalidation changes the economics).
+		// Mark the FS stalled so queued writes fail with ErrNoSpace
+		// instead of re-triggering this pass forever.
+		fs.put(op)
+		fs.clean.aborted = true
+		fs.clean.busy = false
+		fs.stalled = true
+		fs.finishClean()
+		return
+	}
+	// The read result is re-programmed as it stands — the image the
+	// victim page stores, check-byte tail and all; images are
+	// immutable, so both pages may hold it until the victim is erased.
+	op.dst = dst
+	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	fs.b.WritePage(dst, sched.Background, true, fs.geo.ReadImage(data), op.onMoved)
+}
+
+// moveWritten takes a move's program and re-points the mapping.
+//
+//simlint:hotpath
+func (fs *FS) moveWritten(op *pageOp, perr error) {
+	ppn, ref, dst := op.ppn, op.ref, op.dst
+	if perr != nil {
+		fs.put(op)
+		fs.clean.aborted = true
+		fs.clean.busy = false
+		if errors.Is(perr, nand.ErrBadBlock) {
+			fs.markBad(fs.segOf(dst))
+		}
+		fs.finishClean()
+		return
+	}
+	if cur, ok := fs.backrefs[ppn]; ok && cur == ref {
+		fs.CleanMoves++
+		fs.invalidate(ppn)
+		nd := fs.inodes[ref.ino]
+		nd.pages[ref.page] = dst
+		fs.segs[fs.segOf(dst)].valid++
+		fs.backrefs[dst] = ref
+	}
+	// else: removed mid-move — the copy at dst stays unmapped
+	// garbage for a later clean; the original was already
+	// invalidated by Remove, so nothing to double-count.
+	fs.moved(op)
+}
+
+// moved ends a move that did not abort the clean, and resumes the
+// victim scan.
+//
+//simlint:hotpath
+func (fs *FS) moved(op *pageOp) {
+	fs.put(op)
+	fs.clean.busy = false
+	fs.pumpClean()
 }
 
 // maybeErase issues the victim erase once relocation is complete and
@@ -803,8 +893,8 @@ func (fs *FS) cleanAlloc() (int, error) {
 // mapping points into the victim, so no new read can resolve there —
 // the count only drains.
 func (fs *FS) maybeErase() {
-	st := fs.cleanst
-	if st == nil || !st.relocated || st.eraseIssued {
+	st := &fs.clean
+	if !fs.cleaning || !st.relocated || st.eraseIssued {
 		return
 	}
 	if fs.readsInflight[st.victim] > 0 {
@@ -812,6 +902,7 @@ func (fs *FS) maybeErase() {
 	}
 	st.eraseIssued = true
 	victim := st.victim
+	//simlint:allow hotcall (one erase per cleaned segment, not per read)
 	fs.b.EraseSeg(victim, func(err error) {
 		if err != nil {
 			fs.markBad(victim)
@@ -832,7 +923,6 @@ func (fs *FS) maybeErase() {
 
 func (fs *FS) finishClean() {
 	fs.cleaning = false
-	fs.cleanst = nil
 	if fs.hooks.CleanEnd != nil {
 		fs.hooks.CleanEnd()
 	}

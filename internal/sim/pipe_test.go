@@ -280,21 +280,6 @@ func TestTallyStats(t *testing.T) {
 	}
 }
 
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.Add(500)
-	c.Inc()
-	if c.Value() != 501 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	if r := c.Rate(Second / 2); r != 1002 {
-		t.Fatalf("rate = %f, want 1002/s", r)
-	}
-	if r := c.Rate(0); r != 0 {
-		t.Fatalf("rate at zero elapsed = %f, want 0", r)
-	}
-}
-
 // Property: TransferBursts leaves a pipe in exactly the state the
 // burst-by-burst Transfer calls leave it in — same busy horizon, same
 // delivery time, same byte and transfer counts — for any bandwidth,

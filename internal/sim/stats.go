@@ -129,13 +129,3 @@ func (c *Counter) Add(delta int64) { c.n += delta }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// Rate returns events per simulated second over the elapsed time.
-//
-//simlint:allow unused (kept for now: deleting it takes its only test, TestCounterRate)
-func (c *Counter) Rate(elapsed Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed.Seconds()
-}
