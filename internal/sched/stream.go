@@ -21,7 +21,8 @@ type Stream struct {
 
 // NewStream opens a stream issuing from node's host at the given QoS
 // class. The stream may address any page in the cluster; remote pages
-// ride the integrated storage network exactly like Node.HostRead.
+// ride the integrated storage network over H-F, the device-side path
+// Node.HostRead shares.
 func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, error) {
 	if node < 0 || node >= len(s.nodes) {
 		return nil, fmt.Errorf("sched: node %d out of range [0,%d)", node, len(s.nodes))

@@ -30,24 +30,6 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 	}
 }
 
-func TestEngineCancelAllocFree(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	for i := 0; i < 16; i++ {
-		e.After(Time(i)*Microsecond, fn)
-	}
-	e.Run()
-
-	if n := testing.AllocsPerRun(1000, func() {
-		ev := e.After(5*Microsecond, fn)
-		e.Cancel(ev)
-		e.After(Microsecond, fn) // live traffic so Run advances
-		e.Run()
-	}); n != 0 {
-		t.Fatalf("cancel cycle allocates %.1f objects, want 0", n)
-	}
-}
-
 // TestEngineZeroDelayChainBounded: events that reschedule themselves at
 // their own instant never let the drain run empty. Consumed from the
 // front, the run would grow by one entry per firing, forever; it must

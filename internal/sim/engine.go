@@ -7,13 +7,12 @@
 // with the same inputs and seeds is exactly reproducible.
 //
 // The engine is allocation-free on its steady-state path: events live
-// in a pooled arena and are addressed by generation-counted handles
-// (a stale Cancel after slot reuse is a safe no-op), and the pending
-// set is a hierarchical timer structure — near-future events in a
-// wheel of 4.096 us spans, the span being drained split again into
-// 16 ns buckets, each drained in turn into a short ascending run, and
-// far timers in a min-heap (the engine's only heap) that cascades into
-// the wheel as time advances. Firing order is exactly (time, insertion
+// in a pooled arena addressed by slot index, and the pending set is a
+// hierarchical timer structure — near-future events in a wheel of
+// 4.096 us spans, the span being drained split again into 16 ns
+// buckets, each drained in turn into a short ascending run, and far
+// timers in a min-heap (the engine's only heap) that cascades into the
+// wheel as time advances. Firing order is exactly (time, insertion
 // sequence), identical to a single global priority queue.
 package sim
 
@@ -73,36 +72,16 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// Event is a generation-counted handle to a scheduled callback,
-// returned by At/After and accepted by Cancel. The zero Event is
-// inert: cancelling it does nothing. Handles stay safe after the
-// event fires — the pooled slot's generation moves on, so a stale
-// Cancel can never hit an unrelated recycled event.
-type Event struct {
-	idx int32
-	gen uint32
-}
-
-// slot states.
-const (
-	slotFree uint8 = iota
-	slotQueued
-	slotCancelled // still threaded in a queue; reaped when reached
-)
-
-// eventSlot is pooled per-event storage. Slots are reused; gen
-// increments on every release so stale handles miss. The pool trades
-// in int32 slot indexes rather than pointers; poolleak tracks the
-// handle the same way.
+// eventSlot is pooled per-event storage. Slots are reused once their
+// event has fired. The pool trades in int32 slot indexes rather than
+// pointers; poolleak tracks the handle the same way.
 //
 //simlint:pool get=alloc put=release
 type eventSlot struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	next  int32 // bucket chain when queued; free-list link when free; 0 ends both
-	gen   uint32
-	state uint8
+	at   Time
+	seq  uint64
+	fn   func()
+	next int32 // bucket chain when queued; free-list link when free; 0 ends both
 }
 
 // entry is a by-value run or heap element: ordering key plus the slot
@@ -135,15 +114,12 @@ type wheel struct {
 
 // EngineStats is a snapshot of the engine's internal counters: how
 // the timer structures absorbed the load, and how big the event pool
-// grew. WheelEvents+FarEvents+CurEvents ~= total events scheduled
-// (cancelled ones included).
+// grew. WheelEvents+FarEvents+CurEvents = total events scheduled.
 type EngineStats struct {
 	// Fired is the number of events executed.
 	Fired uint64 `json:"fired"`
 	// Pending is the number of live events waiting to fire.
 	Pending int `json:"pending"`
-	// Cancelled counts Cancel calls that hit a live event.
-	Cancelled uint64 `json:"cancelled"`
 	// WheelEvents counts events scheduled into a lane of the near or
 	// the fine wheel (the near-future fast path).
 	WheelEvents uint64 `json:"wheel_events"`
@@ -167,8 +143,7 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// Event pool. Slot 0 is reserved so the zero Event handle is
-	// always invalid, and index 0 ends every chain.
+	// Event pool. Slot 0 is reserved: index 0 ends every chain.
 	slots []eventSlot
 	free  int32 // free-list head
 
@@ -190,18 +165,14 @@ type Engine struct {
 	// Far heap: events with span ≥ horizon at scheduling time.
 	far []entry
 
-	pending int   // live (non-cancelled) scheduled events
+	pending int   // scheduled events not yet fired
 	base    int64 // the span after the open one
 	stats   EngineStats
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	// Reserve slot 0 with a non-zero generation: the zero Event handle
-	// (idx 0, gen 0) must never match a live slot.
-	e.slots = append(e.slots, eventSlot{gen: 1, state: slotFree})
-	return e
+	return &Engine{slots: make([]eventSlot, 1)}
 }
 
 // Now returns the current virtual time.
@@ -236,20 +207,16 @@ func (e *Engine) alloc(at Time, fn func()) int32 {
 	s.seq = e.seq
 	s.fn = fn
 	s.next = 0
-	s.state = slotQueued
 	e.seq++
 	return idx
 }
 
-// release recycles a slot. The generation bump invalidates every
-// outstanding handle to it.
+// release recycles a slot.
 //
 //simlint:hotpath
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.fn = nil
-	s.gen++
-	s.state = slotFree
 	s.next = e.free
 	e.free = idx
 }
@@ -258,7 +225,7 @@ func (e *Engine) release(idx int32) {
 // past panics: it always indicates a modelling bug.
 //
 //simlint:hotpath
-func (e *Engine) At(t Time, fn func()) Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -283,39 +250,16 @@ func (e *Engine) At(t Time, fn func()) Event {
 		e.farPush(entry{at: t, seq: e.slots[idx].seq, idx: idx})
 		e.stats.FarEvents++
 	}
-	return Event{idx: idx, gen: e.slots[idx].gen}
 }
 
 // After schedules fn to run d after the current time.
 //
 //simlint:hotpath
-func (e *Engine) After(d Time, fn func()) Event {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired,
-// already-cancelled, stale (recycled slot) or zero-value handle is a
-// safe no-op: the handle's generation no longer matches, so it cannot
-// touch whatever event now occupies the slot. The slot itself is
-// reaped when the firing loop reaches it.
-//
-//simlint:hotpath
-//simlint:allow unused (kept for now: deleting it takes the engine's cancel bookkeeping and the cancel cases of its reference-model tests)
-func (e *Engine) Cancel(ev Event) {
-	if ev.idx <= 0 || int(ev.idx) >= len(e.slots) {
-		return
-	}
-	s := &e.slots[ev.idx]
-	if s.gen != ev.gen || s.state != slotQueued {
-		return
-	}
-	s.state = slotCancelled
-	s.fn = nil
-	e.pending--
-	e.stats.Cancelled++
+	e.At(e.now+d, fn)
 }
 
 // --- drain run (current tick) ----------------------------------------
@@ -441,7 +385,7 @@ func (w *wheel) take(pos int) bucket {
 	return b
 }
 
-// spill empties the lane at pos of w, reaping cancelled events. A fine
+// spill empties the lane at pos of w. A fine
 // lane — one tick — goes into the run, and fbase moves past its tick,
 // so later arrivals for it follow it there. A near lane — one span —
 // goes into the fine wheel, unless it holds one event: that goes into
@@ -453,13 +397,10 @@ func (e *Engine) spill(w *wheel, pos int) {
 	for idx := b.head; idx != 0; {
 		s := &e.slots[idx]
 		next := s.next
-		switch {
-		case s.state == slotCancelled:
-			e.release(idx)
-		case w == &e.fine || b.head == b.tail:
+		if w == &e.fine || b.head == b.tail {
 			e.runPush(entry{at: s.at, seq: s.seq, idx: idx})
 			e.fbase = int64(s.at)>>tickBits + 1
-		default:
+		} else {
 			s.next = 0
 			e.fine.push(e.slots, int(s.at>>tickBits), idx)
 		}
@@ -475,16 +416,12 @@ func (e *Engine) cascade() {
 	horizon := e.base + wheelSlots
 	for len(e.far) > 0 && int64(e.far[0].at)>>spanBits < horizon {
 		x := e.farPop()
-		if e.slots[x.idx].state == slotCancelled {
-			e.release(x.idx)
-			continue
-		}
 		e.near.push(e.slots, int(x.at>>spanBits), x.idx)
 		e.stats.FarCascades++
 	}
 }
 
-// ensureNext makes the earliest live event the front of the run and
+// ensureNext makes the earliest event the front of the run and
 // reports whether one exists. It advances fbase and base (draining
 // ticks, opening spans and cascading far timers) but never moves the
 // clock or fires anything.
@@ -492,12 +429,8 @@ func (e *Engine) cascade() {
 //simlint:hotpath
 func (e *Engine) ensureNext() bool {
 	for {
-		// Reap cancelled events off the run's front.
-		for e.head < len(e.run) {
-			if e.slots[e.run[e.head].idx].state != slotCancelled {
-				return true
-			}
-			e.release(e.runPop().idx)
+		if e.head < len(e.run) {
+			return true
 		}
 		// The open span's ticks lie in [fbase, its end): none wraps.
 		if e.fine.occ != [wheelWords]uint64{} {
@@ -509,10 +442,9 @@ func (e *Engine) ensureNext() bool {
 			if len(e.far) == 0 {
 				return false
 			}
-			// Jump the near wheel to the far minimum and refill. No
-			// span is open until the next one is.
+			// Jump the near wheel to the far minimum and refill: the
+			// far minimum cascades, and its span opens next.
 			e.base = int64(e.far[0].at) >> spanBits
-			e.fbase = e.base << (spanBits - tickBits)
 			e.cascade()
 			continue
 		}

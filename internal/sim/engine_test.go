@@ -48,31 +48,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.After(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double-cancel must be a no-op
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelMiddle(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.After(10, func() { order = append(order, 1) })
-	ev := e.After(20, func() { order = append(order, 2) })
-	e.After(30, func() { order = append(order, 3) })
-	e.Cancel(ev)
-	e.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("cancel in middle broke ordering: %v", order)
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []int

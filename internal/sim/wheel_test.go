@@ -8,63 +8,36 @@ import (
 // refEvent is one event of the reference scheduler. Its seq is its id:
 // ids are handed out in scheduling order.
 type refEvent struct {
-	at      Time
-	id      int
-	pending bool
+	at Time
+	id int
 }
 
 // refModel is a naive reference scheduler — an unordered list scanned
 // for the least (time, seq) — kept in lockstep with an Engine: every
-// schedule and cancel goes to both, and every firing checks that the
-// reference pops the same event at the same instant.
+// schedule goes to both, and every firing checks that the reference
+// pops the same event at the same instant.
 type refModel struct {
-	t      *testing.T
-	seed   uint64
-	e      *Engine
-	q      []*refEvent // pending, unordered
-	refs   []*refEvent // by id
-	events []Event     // by id
-	fired  int
+	t     *testing.T
+	seed  uint64
+	e     *Engine
+	q     []*refEvent // pending, unordered
+	ids   int         // events scheduled
+	fired int
 }
 
 func newRefModel(t *testing.T, seed uint64) *refModel {
 	return &refModel{t: t, seed: seed, e: NewEngine()}
 }
 
-// at schedules fn at absolute time when on both schedulers and returns
-// the event's id.
-func (m *refModel) at(when Time, fn func()) int {
-	id := len(m.refs)
-	r := &refEvent{at: when, id: id, pending: true}
-	m.refs = append(m.refs, r)
-	m.q = append(m.q, r)
-	m.events = append(m.events, m.e.At(when, func() {
+// at schedules fn at absolute time when on both schedulers.
+func (m *refModel) at(when Time, fn func()) {
+	id := m.ids
+	m.ids++
+	m.q = append(m.q, &refEvent{at: when, id: id})
+	m.e.At(when, func() {
 		m.check(id)
 		fn()
-	}))
-	return id
-}
-
-// cancel cancels event id on both schedulers. The engine must agree
-// with the reference on whether the event was still pending: a cancel
-// of a fired or cancelled event is a no-op on both.
-func (m *refModel) cancel(id int) {
-	before := m.e.pending
-	m.e.Cancel(m.events[id])
-	r := m.refs[id]
-	if hit := m.e.pending == before-1; hit != r.pending {
-		m.t.Fatalf("seed %d: cancel of id %d hit=%v, reference says pending=%v", m.seed, id, hit, r.pending)
-	}
-	if !r.pending {
-		return
-	}
-	r.pending = false
-	for i, x := range m.q {
-		if x == r {
-			m.q = append(m.q[:i], m.q[i+1:]...)
-			break
-		}
-	}
+	})
 }
 
 // next returns the index in q of the pending event with the least
@@ -92,7 +65,6 @@ func (m *refModel) check(id int) {
 			m.seed, id, m.e.Now(), r.id, r.at)
 	}
 	m.q = append(m.q[:best], m.q[best+1:]...)
-	r.pending = false
 	m.fired++
 }
 
@@ -131,9 +103,8 @@ func (m *refModel) drain() {
 // TestEngineMatchesReferenceModel drives the wheel/pool engine and the
 // reference scheduler with the same randomized script — delays spanning
 // the current tick, the wheel range, and the far heap, plus nested
-// scheduling and cancellations — and requires the exact same firing
-// order. This is the "identical (time, seq) order" contract of the
-// timer wheel.
+// scheduling — and requires the exact same firing order. This is the
+// "identical (time, seq) order" contract of the timer wheel.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		m := newRefModel(t, seed)
@@ -165,10 +136,6 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 					}
 				})
 			}
-			// Occasionally cancel a random prior event, fired or not.
-			if len(m.refs) > 4 && rng.Intn(4) == 0 {
-				m.cancel(rng.Intn(len(m.refs)))
-			}
 		}
 		spawn(0)
 		m.drain()
@@ -186,8 +153,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 //     ticks and wheel spans), and one full wheel revolution (and two)
 //     out;
 //   - RunUntil stopping inside a tick, then scheduling into the tick it
-//     stopped in;
-//   - cancels throughout, of pending, fired and cancelled events.
+//     stopped in.
 func TestEngineMatchesReferenceModelDense(t *testing.T) {
 	const span = 4096 // ns
 	tick := Time(1) << tickBits
@@ -201,14 +167,8 @@ func TestEngineMatchesReferenceModelDense(t *testing.T) {
 		rng := NewRNG(seed)
 		budget := 4000
 
-		maybeCancel := func() {
-			if rng.Intn(3) == 0 {
-				m.cancel(rng.Intn(len(m.refs)))
-			}
-		}
 		var react func()
 		react = func() {
-			maybeCancel()
 			if budget <= 0 {
 				return
 			}
@@ -258,7 +218,6 @@ func TestEngineMatchesReferenceModelDense(t *testing.T) {
 			}
 			m.at(wrap*Time(k)+Time(rng.Intn(3))-1, react)
 		}
-		maybeCancel()
 
 		// Stop inside ticks all through the dense span (just before and
 		// at the hot instant included), then in coarser steps over two
@@ -277,91 +236,11 @@ func TestEngineMatchesReferenceModelDense(t *testing.T) {
 			// instant, and later in its tick.
 			m.at(stop, react)
 			m.at(stop+Time(rng.Intn(int(tick-stop%tick))), react)
-			maybeCancel()
 		}
 		m.drain()
 		if m.fired < 3000 {
 			t.Fatalf("seed %d: only %d events fired; the script lost its density", seed, m.fired)
 		}
-	}
-}
-
-// TestEngineJumpToCancelledFar: with the wheel empty the engine jumps
-// it to the far minimum, and when every far timer turns out cancelled
-// it stops there with no span open. Events scheduled next, in spans the
-// jump passed over, must still fire in order — here the later span's
-// event sits in the lower 16 ns bucket of its span.
-func TestEngineJumpToCancelledFar(t *testing.T) {
-	m := newRefModel(t, 1)
-	m.at(5, func() {})
-	m.runUntil(10)
-	m.cancel(m.at(3*wheelSlots<<spanBits, func() {}))
-	m.drain()
-	m.at(300<<spanBits+200<<tickBits, func() {})
-	m.at(400<<spanBits+10<<tickBits, func() {})
-	m.at(400<<spanBits+10<<tickBits, func() {})
-	m.drain()
-	if m.fired != 4 {
-		t.Fatalf("%d events fired, want 4", m.fired)
-	}
-}
-
-// TestEngineCancelStaleHandle pins the Event lifecycle contract that
-// makes pooling safe: a handle kept after its event fired (or was
-// cancelled) must never cancel the unrelated event that recycles the
-// slot. Before generation counters this was the pooling hazard — the
-// stale *Event pointed at live storage.
-func TestEngineCancelStaleHandle(t *testing.T) {
-	e := NewEngine()
-	firedA := false
-	stale := e.After(10, func() { firedA = true })
-	if !e.Step() || !firedA {
-		t.Fatal("event A did not fire")
-	}
-
-	// Slot is recycled by the next schedule (LIFO free list).
-	firedB := false
-	fresh := e.After(10, func() { firedB = true })
-	if fresh.idx != stale.idx {
-		t.Fatalf("test premise broken: fresh event got slot %d, stale was %d", fresh.idx, stale.idx)
-	}
-	if fresh.gen == stale.gen {
-		t.Fatal("recycled slot kept its generation; stale handles would alias")
-	}
-
-	// The stale handle must be inert.
-	e.Cancel(stale)
-	if e.pending != 1 {
-		t.Fatalf("stale Cancel killed a live event: pending = %d, want 1", e.pending)
-	}
-	e.Run()
-	if !firedB {
-		t.Fatal("event B was cancelled through a stale handle")
-	}
-
-	// Cancelling a cancelled event, a fired event's handle again, and
-	// the zero handle are all no-ops.
-	e.Cancel(stale)
-	e.Cancel(fresh)
-	e.Cancel(Event{})
-	e.Cancel(Event{idx: 1 << 20, gen: 3})
-}
-
-// TestEngineCancelledSlotReuse verifies cancelled events are reaped
-// and their slots recycled rather than leaking in the wheel.
-func TestEngineCancelledSlotReuse(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 1000; i++ {
-		ev := e.After(Time(i%7)*Microsecond, func() { t.Fatal("cancelled event fired") })
-		e.Cancel(ev)
-		e.After(Time(i%7)*Microsecond, func() {}) // live traffic advances the clock
-		e.Run()
-	}
-	if got := len(e.slots); got > 16 {
-		t.Fatalf("pool grew to %d slots under cancel/reuse churn; slots are leaking", got)
-	}
-	if e.Stats().Cancelled != 1000 {
-		t.Fatalf("cancelled = %d, want 1000", e.Stats().Cancelled)
 	}
 }
 
