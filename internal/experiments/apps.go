@@ -437,10 +437,8 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	arm.Loop, arm.Sched = w.Run.Loop, w.Sched
 	rt := realtimeClass(arm.Sched)
 	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
-	if secs := arm.Sched.ElapsedMs / 1e3; secs > 0 {
-		arm.CmpPerSec = float64(arm.Comparisons) / secs
-		arm.LookupsPerSec = float64(arm.Lookups) / secs
-	}
+	secs := arm.Sched.ElapsedMs / 1e3
+	arm.CmpPerSec, arm.LookupsPerSec = ratio(float64(arm.Comparisons), secs), ratio(float64(arm.Lookups), secs)
 	if arm.NNQueries > 0 {
 		arm.CandsPerQuery = int(arm.Comparisons / int64(arm.NNQueries))
 	}
@@ -459,18 +457,11 @@ func Apps(cfg AppsConfig) (AppsResult, error) {
 			return res, fmt.Errorf("%v arm: %w", appsArmMode(m), err)
 		}
 	}
-	if t := res.NNHost.CmpPerSec; t > 0 {
-		res.NNSpeedupX = res.NNDist.CmpPerSec / t
-	}
-	if t := res.WalkHome.LookupsPerSec; t > 0 {
-		res.WalkSpeedupX = res.WalkMigrate.LookupsPerSec / t
-	}
-	if base := res.Base.RealtimeP99Us; base > 0 {
-		res.P99NNDistX = res.NNDist.RealtimeP99Us / base
-		res.P99NNHostX = res.NNHost.RealtimeP99Us / base
-		res.P99WalkMigrateX = res.WalkMigrate.RealtimeP99Us / base
-		res.P99WalkHomeX = res.WalkHome.RealtimeP99Us / base
-	}
+	res.NNSpeedupX = ratio(res.NNDist.CmpPerSec, res.NNHost.CmpPerSec)
+	res.WalkSpeedupX = ratio(res.WalkMigrate.LookupsPerSec, res.WalkHome.LookupsPerSec)
+	base := res.Base.RealtimeP99Us
+	res.P99NNDistX, res.P99NNHostX = ratio(res.NNDist.RealtimeP99Us, base), ratio(res.NNHost.RealtimeP99Us, base)
+	res.P99WalkMigrateX, res.P99WalkHomeX = ratio(res.WalkMigrate.RealtimeP99Us, base), ratio(res.WalkHome.RealtimeP99Us, base)
 	return res, nil
 }
 

@@ -202,13 +202,8 @@ func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegime
 	} else {
 		arm.Watts = power.ClusterBudget(cfg.Nodes, gcParams(cfg.Nodes).CardsPerNode).Total()
 	}
-	if w.Run.ElapsedUs > 0 {
-		ops := float64(w.Run.Loop.Completed) * 1e6 / w.Run.ElapsedUs
-		arm.KopsPerSec = ops / 1e3
-		if arm.Watts > 0 {
-			arm.OpsPerSecW = ops / arm.Watts
-		}
-	}
+	ops := ratio(float64(w.Run.Loop.Completed)*1e6, w.Run.ElapsedUs)
+	arm.KopsPerSec, arm.OpsPerSecW = ops/1e3, ratio(ops, arm.Watts)
 	return arm, nil
 }
 
@@ -278,18 +273,7 @@ func CacheTier(cfg CacheTierConfig) (CacheTierResult, error) {
 		}
 		res.Regimes = append(res.Regimes, arm)
 	}
-	var offMean, hit90Mean float64
-	for _, a := range res.Regimes {
-		switch a.Name {
-		case "off":
-			offMean = a.Result.Combined.MeanUs
-		case "hit90":
-			hit90Mean = a.Result.Combined.MeanUs
-		}
-	}
-	if hit90Mean > 0 {
-		res.MeanReadImprovementX = offMean / hit90Mean
-	}
+	res.MeanReadImprovementX = ratio(regimeMeanUs(res, "off"), regimeMeanUs(res, "hit90"))
 	var err error
 	if res.InvalOff, err = runCacheInval(cfg, false); err != nil {
 		return res, fmt.Errorf("inval cache-off: %w", err)
@@ -297,9 +281,7 @@ func CacheTier(cfg CacheTierConfig) (CacheTierResult, error) {
 	if res.InvalOn, err = runCacheInval(cfg, true); err != nil {
 		return res, fmt.Errorf("inval cache-on: %w", err)
 	}
-	if res.InvalOff.P99Us > 0 {
-		res.InvalidationP99RatioX = res.InvalOn.P99Us / res.InvalOff.P99Us
-	}
+	res.InvalidationP99RatioX = ratio(res.InvalOn.P99Us, res.InvalOff.P99Us)
 	return res, nil
 }
 
@@ -323,7 +305,7 @@ func FormatCacheTier(r CacheTierResult) string {
 		"Cache tier: %d hot/cold readers, %d nodes, host-DRAM write-back cache above the volume\n"+
 			"mean read latency %.1f us (off) vs %.1f us (90%% hot set resident): %.1fx better\n",
 		r.Config.Readers, r.Config.Nodes,
-		offMeanOf(r), hit90MeanOf(r), r.MeanReadImprovementX)
+		regimeMeanUs(r, "off"), regimeMeanUs(r, "hit90"), r.MeanReadImprovementX)
 	inval := fmt.Sprintf(
 		"\nInvalidation-heavy: %d cross-node writers on the shared hot set + realtime probes\n"+
 			"probe p99 %.1f us (cache-on, %d invalidations) vs %.1f us (cache-off): %.2fx\n",
@@ -333,18 +315,11 @@ func FormatCacheTier(r CacheTierResult) string {
 	return head + t.String() + inval
 }
 
-func offMeanOf(r CacheTierResult) float64 {
+// regimeMeanUs is the named regime arm's mean read latency (0 when
+// the sweep has no such arm).
+func regimeMeanUs(r CacheTierResult, name string) float64 {
 	for _, a := range r.Regimes {
-		if a.Name == "off" {
-			return a.Result.Combined.MeanUs
-		}
-	}
-	return 0
-}
-
-func hit90MeanOf(r CacheTierResult) float64 {
-	for _, a := range r.Regimes {
-		if a.Name == "hit90" {
+		if a.Name == name {
 			return a.Result.Combined.MeanUs
 		}
 	}

@@ -156,7 +156,7 @@ func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
 	v0 := c.Eng.Now()
 	start := time.Now()
 
-	loop, err := workload.RunClosedLoop(st.S, c, specs, cfg.Pages, cfg.Depth, cfg.Requests, 0)
+	loop, err := workload.RunClosedLoop(st.S, c, specs, cfg.Pages, cfg.Depth, cfg.Requests)
 
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)

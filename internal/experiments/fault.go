@@ -183,10 +183,7 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 	res.BaselineP99Us = realtimeClass(res.Baseline.Sched).P99Us
 	res.DegradedP99Us = realtimeClass(res.Degraded.Sched).P99Us
 	res.RebuildP99Us = realtimeClass(res.Rebuild.Sched).P99Us
-	if res.BaselineP99Us > 0 {
-		res.DegradedX = res.DegradedP99Us / res.BaselineP99Us
-		res.RebuildX = res.RebuildP99Us / res.BaselineP99Us
-	}
+	res.DegradedX, res.RebuildX = ratio(res.DegradedP99Us, res.BaselineP99Us), ratio(res.RebuildP99Us, res.BaselineP99Us)
 	res.RebuildMs = float64(rebuildEnd-rebuildStart) / float64(sim.Millisecond)
 	res.PagesRebuilt = res.Rebuild.Volume.PagesRebuilt
 	res.DegradedReads = res.Degraded.Volume.DegradedReads + res.Rebuild.Volume.DegradedReads

@@ -343,9 +343,7 @@ func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
 		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
 		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
 	}
-	if w.FSWritten > 0 {
-		arm.WriteAmp = float64(w.FSWritten+w.FSCleanMoves) / float64(w.FSWritten)
-	}
+	arm.WriteAmp = ratio(float64(w.FSWritten+w.FSCleanMoves), float64(w.FSWritten))
 	arm.stampRealtime()
 	return arm, nil
 }
@@ -378,19 +376,11 @@ func FileStack(cfg FileStackConfig) (FileStackResult, error) {
 		return res, fmt.Errorf("query arms disagree on matches per query: isp %d, host-mediated %d",
 			res.RFSISP.MatchesPerQuery, res.RFSHostMed.MatchesPerQuery)
 	}
-	if res.RFS.WriteAmp > 0 {
-		res.WriteAmpRatioX = res.Blockfs.WriteAmp / res.RFS.WriteAmp
-	}
-	if res.RFS.MappingEntries > 0 {
-		res.MappingRatioX = float64(res.Blockfs.MappingEntries) / float64(res.RFS.MappingEntries)
-	}
-	if t := res.RFSHostMed.QueryMBps; t > 0 {
-		res.ScanSpeedupX = res.RFSISP.QueryMBps / t
-	}
-	if base := res.RFS.RealtimeP99Us; base > 0 {
-		res.P99ISPX = res.RFSISP.RealtimeP99Us / base
-		res.P99HostMedX = res.RFSHostMed.RealtimeP99Us / base
-	}
+	res.WriteAmpRatioX = ratio(res.Blockfs.WriteAmp, res.RFS.WriteAmp)
+	res.MappingRatioX = ratio(float64(res.Blockfs.MappingEntries), float64(res.RFS.MappingEntries))
+	res.ScanSpeedupX = ratio(res.RFSISP.QueryMBps, res.RFSHostMed.QueryMBps)
+	base := res.RFS.RealtimeP99Us
+	res.P99ISPX, res.P99HostMedX = ratio(res.RFSISP.RealtimeP99Us, base), ratio(res.RFSHostMed.RealtimeP99Us, base)
 	return res, nil
 }
 

@@ -119,9 +119,7 @@ func GCIsolation(cfg GCIsolationConfig) (GCIsolationResult, error) {
 	}
 	res.RealtimeP99AwareUs = realtimeClass(res.Aware.Sched).P99Us
 	res.RealtimeP99ObliviousUs = realtimeClass(res.Oblivious.Sched).P99Us
-	if res.RealtimeP99AwareUs > 0 {
-		res.ImprovementX = res.RealtimeP99ObliviousUs / res.RealtimeP99AwareUs
-	}
+	res.ImprovementX = ratio(res.RealtimeP99ObliviousUs, res.RealtimeP99AwareUs)
 	return res, nil
 }
 

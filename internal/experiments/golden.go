@@ -34,7 +34,7 @@ func EngineGoldenDigest() (fired uint64, now sim.Time, digest string, err error)
 		return 0, 0, "", err
 	}
 	c, s := st.C, st.S
-	loop, err := workload.RunClosedLoop(s, c, engineSpecs(cfg, nodes), cfg.Pages, cfg.Depth, cfg.Requests, 0)
+	loop, err := workload.RunClosedLoop(s, c, engineSpecs(cfg, nodes), cfg.Pages, cfg.Depth, cfg.Requests)
 	if err != nil {
 		return 0, 0, "", err
 	}

@@ -61,9 +61,9 @@ func seeded(spec workload.StackSpec, fill workload.PageFiller) (*workload.Stack,
 
 // physicalStack builds the volume-less stack of the physical-address
 // harnesses (sched, engine, the golden scenario): scaledParams with
-// every node's read region [0, pages) seeded. The physical driver's
-// whole run is the measured window, so the scheduler's statistics
-// (and their clock) start after the seeding.
+// every node's read region [0, pages) seeded. A physical run
+// (RunClosedLoop) is the measured window as a whole, so the
+// scheduler's statistics (and their clock) start after the seeding.
 func physicalStack(nodes, pages int, seed uint64, scfg sched.Config) (*workload.Stack, error) {
 	st, err := workload.Build(workload.StackSpec{Params: scaledParams(nodes), Sched: scfg})
 	if err != nil {
@@ -232,10 +232,7 @@ type searchTally struct {
 
 // mbps is scan throughput over a window of elapsedMs.
 func (t searchTally) mbps(elapsedMs float64) float64 {
-	if elapsedMs <= 0 {
-		return 0
-	}
-	return float64(t.bytes) / (elapsedMs / 1e3) / 1e6
+	return ratio(float64(t.bytes), elapsedMs/1e3) / 1e6
 }
 
 // searchLoad co-runs `streams` chains of string-search queries over
@@ -264,6 +261,15 @@ func searchLoad(co *coRunner, sys *ispvol.System, src ispvol.Source, needle []by
 			})
 		})
 	}
+}
+
+// ratio is num/den, or 0 when den is not positive: an arm's ratio to
+// its base arm when the base measured nothing.
+func ratio(num, den float64) float64 {
+	if den > 0 {
+		return num / den
+	}
+	return 0
 }
 
 // realtimeClass pulls the realtime class out of a scheduler snapshot.

@@ -229,14 +229,10 @@ func ISPContention(cfg ISPContentionConfig) (ISPContentionResult, error) {
 		return res, fmt.Errorf("arms disagree on matches per query: isp-f %d, bypass %d, host-mediated %d",
 			res.ISPF.MatchesPerQuery, res.Bypass.MatchesPerQuery, res.HostMediated.MatchesPerQuery)
 	}
-	if t := res.HostMediated.QueryMBps; t > 0 {
-		res.QuerySpeedupX = res.ISPF.QueryMBps / t
-	}
-	if base := res.Base.RealtimeP99Us; base > 0 {
-		res.P99ISPFX = res.ISPF.RealtimeP99Us / base
-		res.P99BypassX = res.Bypass.RealtimeP99Us / base
-		res.P99HostMedX = res.HostMediated.RealtimeP99Us / base
-	}
+	res.QuerySpeedupX = ratio(res.ISPF.QueryMBps, res.HostMediated.QueryMBps)
+	base := res.Base.RealtimeP99Us
+	res.P99ISPFX, res.P99BypassX = ratio(res.ISPF.RealtimeP99Us, base), ratio(res.Bypass.RealtimeP99Us, base)
+	res.P99HostMedX = ratio(res.HostMediated.RealtimeP99Us, base)
 	return res, nil
 }
 

@@ -73,7 +73,7 @@ func MultiStream(cfg MultiStreamConfig) (MultiStreamResult, error) {
 	if err != nil {
 		return MultiStreamResult{}, err
 	}
-	res, err := workload.RunClosedLoop(st.S, st.C, multiStreamSpecs(cfg), cfg.Pages, cfg.Depth, cfg.Requests, 0)
+	res, err := workload.RunClosedLoop(st.S, st.C, multiStreamSpecs(cfg), cfg.Pages, cfg.Depth, cfg.Requests)
 	if err != nil {
 		return MultiStreamResult{}, err
 	}
@@ -121,12 +121,8 @@ func MultiStreamBatchComparison(cfg MultiStreamConfig) (BatchComparison, error) 
 	if cmp.Depth1, err = MultiStream(d1); err != nil {
 		return cmp, fmt.Errorf("depth1: %w", err)
 	}
-	if t := cmp.NoBatch.Sched.TotalOpsPerSec; t > 0 {
-		cmp.SpeedupVsNoBatch = cmp.Batched.Sched.TotalOpsPerSec / t
-	}
-	if t := cmp.Depth1.Sched.TotalOpsPerSec; t > 0 {
-		cmp.SpeedupVsDepth1 = cmp.Batched.Sched.TotalOpsPerSec / t
-	}
+	cmp.SpeedupVsNoBatch = ratio(cmp.Batched.Sched.TotalOpsPerSec, cmp.NoBatch.Sched.TotalOpsPerSec)
+	cmp.SpeedupVsDepth1 = ratio(cmp.Batched.Sched.TotalOpsPerSec, cmp.Depth1.Sched.TotalOpsPerSec)
 	return cmp, nil
 }
 

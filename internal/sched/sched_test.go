@@ -49,7 +49,7 @@ func runMix(t *testing.T, cfg sched.Config) (sched.Snapshot, sim.Time) {
 			Seed:    uint64(100 + i),
 		})
 	}
-	res, err := workload.RunClosedLoop(s, c, specs, 128, 4, 24, 0)
+	res, err := workload.RunClosedLoop(s, c, specs, 128, 4, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPriorityInversionRegression(t *testing.T) {
 			Pattern: workload.Scan, Seed: uint64(10 + i),
 		})
 	}
-	res, err := workload.RunClosedLoop(s, c, specs, 256, 8, 64, 0)
+	res, err := workload.RunClosedLoop(s, c, specs, 256, 8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,15 @@
 package workload
 
-// The logical closed-loop driver: the counterpart of the physical
-// driver in streams.go for everything above the flash address space.
-// It drives any page-granular read/write surface — a volume stream, a
-// cache stream, a file — so writes are overwrites of live logical
-// pages (write churn, which is what forces the FTLs and the RFS
-// cleaner into steady-state reclaim), and the exact same traffic can
-// run against a bare volume and a cached one. Latency is recorded
-// where the client sees it, issue to completion in virtual time: a
-// cache hit never enters the scheduler, so the scheduler's histograms
-// cannot see it.
+// The closed-loop driver. It drives any page-granular read/write
+// surface — a volume stream, a cache stream, a file, or the physical
+// linear page space (streams.go) — so writes above the flash address
+// space are overwrites of live logical pages (write churn, which is
+// what forces the FTLs and the RFS cleaner into steady-state reclaim),
+// and the exact same traffic can run against a bare volume and a
+// cached one. Every stream's read is issued in one place
+// (runStream.issueOne). Latency is recorded where the client sees it,
+// issue to completion in virtual time: a cache hit never enters the
+// scheduler, so the scheduler's histograms cannot see it.
 
 import (
 	"fmt"
@@ -30,8 +30,9 @@ type PageRW interface {
 // stream's fresh RNG (a picker that writes draws its reused payload
 // there, before anything else is drawn) and calls the result once per
 // request: the page to touch and the payload to overwrite it with, nil
-// for a read. The committed BENCH artifacts pin every picker's draw
-// order; picker_test.go holds a golden for each.
+// for a read. The committed BENCH artifacts and the engine golden pin
+// every picker's draw order; TestPickerDrawOrder in logical_test.go
+// holds a golden for each, the physical streams' included.
 type Picker func(rng *sim.RNG, pageSize int) func() (lpn int, payload []byte)
 
 // PickHotCold sends hotFrac of the accesses (0.9 when zero) to
@@ -161,9 +162,8 @@ func summarize(samples []sim.Time) LatencyStats {
 // Run drives every spec as a closed-loop client holding `depth`
 // requests outstanding until `requests` complete per stream (probe
 // streams — Requests -1 — until all others finish), then drains the
-// engine. The surfaces absorb scheduler backpressure internally, so
-// unlike the physical driver there are no retries to count: overload
-// shows up as latency.
+// engine. Overload shows up as latency: a surface absorbs scheduler
+// backpressure itself (the physical one counts it, RunClosedLoop).
 //
 // concurrent (when non-nil) is invoked once, before the drain, with a
 // live() probe reporting whether any primary stream is still issuing.
@@ -174,112 +174,138 @@ func (st *Stack) Run(specs []ClientSpec, depth, requests int, concurrent func(li
 	if depth <= 0 || requests <= 0 {
 		return RunResult{}, fmt.Errorf("workload: depth %d, requests %d", depth, requests)
 	}
-	primariesLeft := 0
+	l := &runLoop{eng: st.C.Eng, streams: make([]runStream, len(specs))}
 	for i, sp := range specs {
 		if sp.RW == nil || sp.Pick == nil {
 			return RunResult{}, fmt.Errorf("workload: spec %d (%s): nil RW or Pick", i, sp.Name)
 		}
 		if sp.Requests >= 0 {
-			primariesLeft++
+			l.primariesLeft++
 		}
 	}
-	if primariesLeft == 0 {
+	if l.primariesLeft == 0 {
 		return RunResult{}, fmt.Errorf("workload: all %d streams are probes; nothing bounds the run", len(specs))
 	}
-	eng := st.C.Eng
-	start := eng.Now()
-	var res RunResult
-	recorded := make([][]sim.Time, len(specs))
-	for i, sp := range specs {
-		rng := sim.NewRNG(sp.Seed)
-		pick := sp.Pick(rng, st.C.Params.PageSize())
-		probe := sp.Requests < 0
-		toIssue := requests
-		if sp.Requests > 0 {
-			toIssue = sp.Requests
+	start := l.eng.Now()
+	for i := range specs {
+		s := &l.streams[i]
+		*s = runStream{l: l, sp: &specs[i], rng: sim.NewRNG(specs[i].Seed), toIssue: requests, depth: depth}
+		s.pick = s.sp.Pick(s.rng, st.C.Params.PageSize())
+		if s.sp.Requests > 0 {
+			s.toIssue = s.sp.Requests
 		}
-		myDepth := depth
-		if sp.Depth > 0 {
-			myDepth = sp.Depth
+		if s.sp.Depth > 0 {
+			s.depth = s.sp.Depth
 		}
-		think := func() sim.Time {
-			// Exponential pause with mean ThinkTime; minimum 1 ns so
-			// the event queue always advances.
-			ns := -math.Log(1-rng.Float64()) * float64(sp.ThinkTime)
-			if ns < 1 {
-				ns = 1
-			}
-			return sim.Time(ns)
-		}
-		inflight := 0
-		finished := false
-		var issueOne func()
-		complete := func(err error) {
-			inflight--
-			res.Loop.Completed++
-			if err != nil {
-				res.Loop.Errors++
-			}
-			if !probe && !finished && toIssue == 0 && inflight == 0 {
-				finished = true
-				primariesLeft--
-			}
-			if sp.ThinkTime > 0 {
-				eng.After(think(), issueOne)
-			} else {
-				issueOne()
-			}
-		}
-		issueOne = func() {
-			for inflight < myDepth {
-				if probe {
-					// Probes stay live only for the contention window.
-					if primariesLeft == 0 {
-						return
-					}
-				} else if toIssue == 0 {
-					return
-				} else {
-					toIssue--
-				}
-				inflight++
-				lpn, payload := pick()
-				if payload != nil {
-					sp.RW.Write(lpn, payload, complete)
-				} else if sp.Record {
-					t0 := eng.Now()
-					sp.RW.Read(lpn, func(_ []byte, err error) {
-						recorded[i] = append(recorded[i], eng.Now()-t0)
-						complete(err)
-					})
-				} else {
-					sp.RW.Read(lpn, func(_ []byte, err error) { complete(err) })
-				}
-				if sp.ThinkTime > 0 {
-					return // one at a time; the pause paces the rest
-				}
-			}
-		}
-		if sp.ThinkTime > 0 {
-			for j := 0; j < myDepth; j++ {
-				eng.After(think(), issueOne)
+		s.done, s.readDone = s.complete, s.completeRead
+		if s.sp.ThinkTime > 0 {
+			s.issue = s.issueOne
+			for j := 0; j < s.depth; j++ {
+				l.eng.After(s.think(), s.issue)
 			}
 		} else {
-			issueOne()
+			s.issueOne()
 		}
 	}
 	if concurrent != nil {
-		concurrent(func() bool { return primariesLeft > 0 })
+		concurrent(func() bool { return l.primariesLeft > 0 })
 	}
 	st.C.Run()
-	res.ElapsedUs = (eng.Now() - start).Micros()
+	res := l.res
+	res.ElapsedUs = (l.eng.Now() - start).Micros()
 	var all []sim.Time
-	for i, sp := range specs {
-		if sp.Record {
-			res.Recorded = append(res.Recorded, StreamLatency{Name: sp.Name, Latency: summarize(recorded[i])})
-			all = append(all, recorded[i]...)
+	for i := range l.streams {
+		if s := &l.streams[i]; s.sp.Record {
+			res.Recorded = append(res.Recorded, StreamLatency{Name: s.sp.Name, Latency: summarize(s.samples)})
+			all = append(all, s.samples...)
 		}
 	}
 	res.Combined = summarize(all)
 	return res, nil
+}
+
+// runLoop is one Run: what its streams share.
+type runLoop struct {
+	eng           *sim.Engine
+	res           RunResult
+	primariesLeft int
+	streams       []runStream
+}
+
+// runStream is one client stream of a run. Its completions are bound
+// once, so an unrecorded read or a write allocates nothing here.
+type runStream struct {
+	l                        *runLoop
+	sp                       *ClientSpec
+	rng                      *sim.RNG
+	pick                     func() (lpn int, payload []byte)
+	toIssue, depth, inflight int
+	finished                 bool
+	samples                  []sim.Time          // recorded read latencies
+	issue                    func()              // issueOne, bound for think timers
+	done                     func(err error)     // complete
+	readDone                 func([]byte, error) // completeRead
+}
+
+// think draws an exponential pause with mean ThinkTime; at least 1 ns
+// so the event queue always advances.
+func (s *runStream) think() sim.Time {
+	ns := -math.Log(1-s.rng.Float64()) * float64(s.sp.ThinkTime)
+	if ns < 1 {
+		ns = 1
+	}
+	return sim.Time(ns)
+}
+
+func (s *runStream) completeRead(_ []byte, err error) { s.complete(err) }
+
+func (s *runStream) complete(err error) {
+	l := s.l
+	s.inflight--
+	l.res.Loop.Completed++
+	if err != nil {
+		l.res.Loop.Errors++
+	}
+	if s.sp.Requests >= 0 && !s.finished && s.toIssue == 0 && s.inflight == 0 {
+		s.finished = true
+		l.primariesLeft--
+	}
+	if s.sp.ThinkTime > 0 {
+		l.eng.After(s.think(), s.issue)
+	} else {
+		s.issueOne()
+	}
+}
+
+func (s *runStream) issueOne() {
+	for s.inflight < s.depth {
+		if s.sp.Requests < 0 {
+			// Probes stay live only for the contention window.
+			if s.l.primariesLeft == 0 {
+				return
+			}
+		} else if s.toIssue == 0 {
+			return
+		} else {
+			s.toIssue--
+		}
+		s.inflight++
+		lpn, payload := s.pick()
+		if payload != nil {
+			s.sp.RW.Write(lpn, payload, s.done)
+		} else {
+			cb := s.readDone
+			if s.sp.Record {
+				t0 := s.l.eng.Now()
+				cb = func(_ []byte, err error) {
+					s.samples = append(s.samples, s.l.eng.Now()-t0)
+					s.complete(err)
+				}
+			}
+			s.sp.RW.Read(lpn, cb)
+		}
+		if s.sp.ThinkTime > 0 {
+			return // one at a time; the pause paces the rest
+		}
+	}
 }

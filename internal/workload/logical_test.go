@@ -160,6 +160,73 @@ func TestRunWindowClosesAtLastPrimaryCompletion(t *testing.T) {
 	}
 }
 
+// engineRW is a surface whose every request completes 1 µs after it
+// is issued, through the engine and in issue order; once its queue has
+// grown it allocates nothing.
+type engineRW struct {
+	eng  *sim.Engine
+	q    sim.Queue[engineOp]
+	fire func() // complete, bound once
+}
+
+type engineOp struct {
+	read  func([]byte, error)
+	write func(error)
+}
+
+func newEngineRW(eng *sim.Engine) *engineRW {
+	rw := &engineRW{eng: eng}
+	rw.fire = rw.complete
+	return rw
+}
+
+func (rw *engineRW) Read(_ int, cb func([]byte, error)) {
+	rw.q.Push(engineOp{read: cb})
+	rw.eng.After(sim.Microsecond, rw.fire)
+}
+
+func (rw *engineRW) Write(_ int, _ []byte, cb func(error)) {
+	rw.q.Push(engineOp{write: cb})
+	rw.eng.After(sim.Microsecond, rw.fire)
+}
+
+func (rw *engineRW) complete() {
+	if op := rw.q.Pop(); op.read != nil {
+		op.read(nil, nil)
+	} else {
+		op.write(nil)
+	}
+}
+
+// TestRunAllocatesNothingPerRequest: a run of 512 requests allocates
+// exactly what a run of 64 does, for unrecorded reads and for writes
+// alike — the driver binds a stream's completions once, not per
+// request.
+func TestRunAllocatesNothingPerRequest(t *testing.T) {
+	st, err := Build(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := newEngineRW(st.C.Eng)
+	for _, tc := range []struct {
+		name string
+		pick Picker
+	}{{"read", PickRead(64)}, {"write", PickWrite(64)}} {
+		allocs := func(requests int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				res, err := st.Run([]ClientSpec{{Name: tc.name, RW: rw, Pick: tc.pick, Seed: 1}}, 4, requests, nil)
+				if err != nil || res.Loop.Completed != int64(requests) {
+					t.Fatalf("%s: %+v, %v", tc.name, res.Loop, err)
+				}
+			})
+		}
+		if few, many := allocs(64), allocs(512); many != few {
+			t.Errorf("%s: %.0f allocations for 512 requests, %.0f for 64: %.3f per request",
+				tc.name, many, few, (many-few)/448)
+		}
+	}
+}
+
 // TestRunSpecValidation: broken spec sets fail fast — above all one
 // with only probes, which nothing would ever stop.
 func TestRunSpecValidation(t *testing.T) {
@@ -185,17 +252,35 @@ func TestRunSpecValidation(t *testing.T) {
 	}
 }
 
+// testSpace is a 4-node physical space of 10 000 pages a node, the
+// first 1 000 of them the read region; node 1's Batch class appends at
+// [5 000, limit).
+func testSpace(limit int) *linearSpace {
+	ls := &linearSpace{nodes: 4, perNode: 10000, readPages: 1000, regions: make([][sched.NumClasses]appendRegion, 4)}
+	ls.regions[1][sched.Batch] = appendRegion{next: 5000, limit: limit}
+	return ls
+}
+
+// physPicker is the Picker of a Batch stream on node 1 addressing the
+// whole space.
+func physPicker(ls *linearSpace, pattern Pattern) Picker {
+	return (&physStream{sp: StreamSpec{Node: 1, Target: -1, Class: sched.Batch, Pattern: pattern}, ls: ls}).bind
+}
+
 // TestPickerDrawOrder pins each picker's use of its RNG: the first ten
 // choices from seed 42 and the RNG's next output after them (which
 // also fixes how much a picker draws when bound). The committed
-// BENCH_*.json artifacts depend on these sequences; an edit that moves
-// one re-rolls them.
+// BENCH_*.json artifacts and the engine golden depend on these
+// sequences; an edit that moves one re-rolls them. In the physical
+// pickers' rows an lpn is node·10 000 + page; the last row's region
+// holds one page, so its later writes fall back to reads.
 func TestPickerDrawOrder(t *testing.T) {
 	type choice struct {
 		lpn   int
 		write bool
 	}
 	r, w := false, true
+	spent := testSpace(5001)
 	for _, tc := range []struct {
 		name  string
 		pick  Picker
@@ -210,6 +295,16 @@ func TestPickerDrawOrder(t *testing.T) {
 			{908, r}, {5, r}, {974, r}, {207, r}, {646, r}}, 0x836ded897f3e46e6},
 		{"write", PickWrite(1000), [10]choice{{250, w}, {62, w}, {925, w}, {908, w}, {5, w},
 			{974, w}, {207, w}, {646, w}, {398, w}, {495, w}}, 0xaa47e31c02e78edc},
+		{"phys-uniform", physPicker(testSpace(5100), Uniform), [10]choice{{20764, r}, {20062, r}, {10908, r},
+			{10974, r}, {30646, r}, {20495, r}, {130, r}, {10861, r}, {30008, r}, {641, r}}, 0x998d8fb100ca15d5},
+		{"phys-zipfian", physPicker(testSpace(5100), Zipfian), [10]choice{{20327, r}, {20224, r}, {10074, r},
+			{10660, r}, {30503, r}, {20069, r}, {522, r}, {10264, r}, {30622, r}, {0, r}}, 0x998d8fb100ca15d5},
+		{"phys-scan", physPicker(testSpace(5100), Scan), [10]choice{{20764, r}, {20765, r}, {20766, r},
+			{20767, r}, {20768, r}, {20769, r}, {20770, r}, {20771, r}, {20772, r}, {20773, r}}, 0x851f977347ed6db7},
+		{"phys-mixed", physPicker(testSpace(5100), Mixed), [10]choice{{20925, r}, {15000, w}, {20207, r},
+			{20495, r}, {20989, r}, {30008, r}, {15001, w}, {10929, r}, {10997, r}, {15002, w}}, 0xf1222631cdc86d07},
+		{"phys-mixed-exhausted", physPicker(spent, Mixed), [10]choice{{20925, r}, {15000, w}, {20207, r},
+			{20495, r}, {20989, r}, {30008, r}, {10925, r}, {385, r}, {30263, r}, {10182, r}}, 0xa5a7fe4e63a4f49d},
 	} {
 		rng := sim.NewRNG(42)
 		next := tc.pick(rng, 16)
@@ -227,5 +322,8 @@ func TestPickerDrawOrder(t *testing.T) {
 		if after := rng.Uint64(); after != tc.after {
 			t.Errorf("%s: RNG yields %#x after ten choices, want %#x", tc.name, after, tc.after)
 		}
+	}
+	if spent.fallbacks != 2 {
+		t.Errorf("exhausted region: %d write fallbacks, want 2", spent.fallbacks)
 	}
 }

@@ -181,7 +181,7 @@ func (st *Stack) SeedFile(appendPage func(data []byte, cb func(error)), n int, f
 }
 
 // SeedLinear programs pages [0, n) of every node's physical linear
-// space: the read region of the physical driver (RunClosedLoop).
+// space: the read region of the physical streams (RunClosedLoop).
 func (st *Stack) SeedLinear(n int, fill PageFiller) error {
 	for node := 0; node < st.C.Nodes(); node++ {
 		if err := st.C.SeedLinear(node, n, fill); err != nil {

@@ -1,10 +1,11 @@
 package workload
 
-// Multi-stream request generators: the traffic side of the scheduler
-// experiments. Each StreamSpec describes one tenant stream (QoS class,
-// access pattern, read/write mix); RunClosedLoop runs every stream
-// against a sched.Scheduler, each client keeping a fixed number of
-// requests outstanding and retrying admissions that hit backpressure.
+// Physical streams: the traffic side of the scheduler experiments.
+// Each StreamSpec describes one tenant stream (QoS class, access
+// pattern, read/write mix) over the cluster's physical linear page
+// space, and RunClosedLoop hands it to Stack.Run as what every logical
+// stream is too: a PageRW surface plus a Picker. Reads retry
+// admissions that hit backpressure and count them.
 //
 // Writes honour NAND program-once/in-order semantics: every (issuing
 // node, QoS class) pair owns a private block-aligned append region on
@@ -33,23 +34,17 @@ const (
 	Zipfian
 	// Scan reads sequential runs from random starting points.
 	Scan
-	// Mixed is Uniform reads plus log-append writes at 1-ReadFraction.
+	// Mixed is Uniform reads plus log-append writes (30%).
 	Mixed
 )
 
+var patternNames = [...]string{"uniform", "zipfian", "scan", "mixed"}
+
 func (p Pattern) String() string {
-	switch p {
-	case Uniform:
-		return "uniform"
-	case Zipfian:
-		return "zipfian"
-	case Scan:
-		return "scan"
-	case Mixed:
-		return "mixed"
-	default:
-		return fmt.Sprintf("pattern(%d)", uint8(p))
+	if int(p) < len(patternNames) {
+		return patternNames[p]
 	}
+	return fmt.Sprintf("pattern(%d)", uint8(p))
 }
 
 // StreamSpec describes one tenant stream.
@@ -59,17 +54,17 @@ type StreamSpec struct {
 	Target  int // target node for addresses; -1 = whole cluster
 	Class   sched.Class
 	Pattern Pattern
-	// ReadFraction is the probability a Mixed request is a read
-	// (other patterns are pure reads). Zero defaults to 0.7.
-	ReadFraction float64
-	// ZipfTheta is the Zipfian skew exponent. Zero defaults to 0.99.
-	ZipfTheta float64
-	// ScanRun is the pages per sequential run. Zero defaults to 64.
-	ScanRun int
 	Seed    uint64
 }
 
-// LoopResult aggregates a driver run.
+// The patterns' fixed shapes.
+const (
+	mixedReadFraction = 0.7  // probability a Mixed request is a read
+	zipfTheta         = 0.99 // Zipfian skew exponent
+	scanRun           = 64   // pages per sequential Scan run
+)
+
+// LoopResult aggregates a physical run.
 type LoopResult struct {
 	Completed int64 `json:"completed"`
 	Errors    int64 `json:"errors"`
@@ -85,88 +80,144 @@ type LoopResult struct {
 // 1/rank^theta, via an explicit CDF (n is at most tens of thousands
 // here). Ranks are scrambled so the hot set is spread over the
 // address space instead of clustered at page 0.
-type zipf struct {
-	cdf []float64
-	n   int
-}
+type zipf []float64
 
-// newZipf builds a sampler over [0, n).
-func newZipf(n int, theta float64) *zipf {
-	if n <= 0 {
-		panic(fmt.Sprintf("workload: zipf over %d items", n))
-	}
-	z := &zipf{cdf: make([]float64, n), n: n}
+// newZipf builds a sampler over [0, n), n > 0.
+func newZipf(n int, theta float64) zipf {
+	z := make(zipf, n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range z {
 		sum += 1 / math.Pow(float64(i+1), theta)
-		z.cdf[i] = sum
+		z[i] = sum
 	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
+	for i := range z {
+		z[i] /= sum
 	}
 	return z
 }
 
 // sample draws one index using rng.
-func (z *zipf) sample(rng *sim.RNG) int {
-	u := rng.Float64()
-	rank := sort.SearchFloat64s(z.cdf, u)
-	if rank >= z.n {
-		rank = z.n - 1
-	}
+func (z zipf) sample(rng *sim.RNG) int {
+	// The last entry is sum/sum, exactly 1, and the draw is below it,
+	// so the rank is in range.
+	rank := sort.SearchFloat64s(z, rng.Float64())
 	// Scramble rank -> index with a prime multiplicative hash (a
 	// bijection mod any n < the prime) so hot pages are spread across
 	// buses and cards.
-	return int((uint64(rank) * 2654435761) % uint64(z.n))
+	return int((uint64(rank) * 2654435761) % uint64(len(z)))
 }
 
-// appendRegion is one (node, class) log region for writes.
+// appendRegion is one (node, class) log region for writes, and the
+// sequencer that keeps its appends in allocation order.
 type appendRegion struct {
 	next  int // next dense page index to program
 	limit int // first index beyond the region
+	seq   *sched.Sequencer
 }
 
-// driver runs a set of streams against one scheduler. Admission
-// backpressure is absorbed by rt: reads retry on their own, and each
-// (node, class) region's appends go through one sched.Sequencer —
-// NAND blocks must be programmed in page order, so once a log index is
-// allocated its write must reach the scheduler before any later index
-// of the same region.
-type driver struct {
-	s         *sched.Scheduler
-	c         *core.Cluster
-	rt        *sched.Retrier
-	readPages int
-	regions   [][sched.NumClasses]appendRegion     // [node][class]
-	seqs      [][sched.NumClasses]*sched.Sequencer // [node][class]
-	res       LoopResult
+// linearSpace is what the physical streams of one run share: lpn
+// node·PagesPerNode + idx is core.LinearPage(node, idx), reads retry
+// through rt, and writes append to the issuing node's region for the
+// class.
+type linearSpace struct {
+	c                         *core.Cluster
+	rt                        *sched.Retrier
+	nodes, perNode, readPages int
+	regions                   [][sched.NumClasses]appendRegion // [node][class]
+	fallbacks                 int64
 }
 
-// submitWrite allocates the next log index of the client's (node,
-// class) region and queues the append on its sequencer. It reports
-// false (without consuming an index) when the region is exhausted;
-// the caller should fall back to a read.
-func (d *driver) submitWrite(cl *client, done func(err error)) bool {
-	node := cl.spec.Node
-	reg := &d.regions[node][cl.spec.Class]
-	if reg.next >= reg.limit {
-		d.res.WriteFallbacks++
-		return false
+// physStream is one StreamSpec as Stack.Run takes it: a PageRW over
+// the linear space (Read, Write) and the state of its Picker (bind).
+type physStream struct {
+	sp   StreamSpec
+	ls   *linearSpace
+	st   *sched.Stream
+	rng  *sim.RNG
+	zipf zipf
+	page []byte // write payload, reused; Write snapshots it
+
+	scanPos, scanLeft, scanNode int
+}
+
+func (ps *physStream) addr(lpn int) core.PageAddr {
+	return core.LinearPage(ps.ls.c.Params, lpn/ps.ls.perNode, lpn%ps.ls.perNode)
+}
+
+func (ps *physStream) Read(lpn int, cb func(data []byte, err error)) {
+	ps.ls.rt.Read(ps.st, ps.addr(lpn), cb)
+}
+
+// Write takes its own snapshot of data as the image the flash will
+// store, and queues it behind the region's earlier appends.
+func (ps *physStream) Write(lpn int, data []byte, cb func(err error)) {
+	img := ps.ls.c.Params.Geometry.PageImage(data)
+	ps.ls.regions[ps.sp.Node][ps.sp.Class].seq.WriteImage(ps.st, ps.addr(lpn), img, cb)
+}
+
+// bind is the stream's Picker. The draw order per request: the Mixed
+// coin, then the target node, then the page. A Mixed write appends to
+// the ISSUING node's region, not a remote one: remote writes from
+// different issuers race over the fabric's round-robin lanes, and
+// NAND's in-order block programming cannot be guaranteed across that
+// race (write-local, read-global, the way RFS allocates). A write
+// that finds its region exhausted falls back to a read.
+func (ps *physStream) bind(rng *sim.RNG, pageSize int) func() (int, []byte) {
+	ps.rng = rng
+	switch ps.sp.Pattern {
+	case Zipfian:
+		ps.zipf = newZipf(ps.ls.readPages, zipfTheta)
+	case Mixed:
+		ps.page = make([]byte, pageSize)
+		rng.Bytes(ps.page)
 	}
-	idx := reg.next
-	reg.next++
-	// The client reuses one payload page, so each append takes its own
-	// snapshot, as the image the flash will store. A hard admission
-	// failure reaches done through the normal completion path; the
-	// caller's callback does the error accounting.
-	img := d.c.Params.Geometry.PageImage(cl.page)
-	d.seqs[node][cl.spec.Class].WriteImage(cl.stream, core.LinearPage(d.c.Params, node, idx), img, done)
-	return true
+	return ps.next
 }
 
-func newDriver(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec, readPages int, retryDelay sim.Time) (*driver, error) {
+func (ps *physStream) next() (int, []byte) {
+	ls, rng := ps.ls, ps.rng
+	if ps.sp.Pattern == Mixed && rng.Float64() >= mixedReadFraction {
+		if reg := &ls.regions[ps.sp.Node][ps.sp.Class]; reg.next < reg.limit {
+			reg.next++
+			return ps.sp.Node*ls.perNode + reg.next - 1, ps.page
+		}
+		ls.fallbacks++
+	}
+	node := ps.sp.Target
+	if node < 0 {
+		node = rng.Intn(ls.nodes)
+	}
+	idx := 0
+	switch ps.sp.Pattern {
+	case Zipfian:
+		idx = ps.zipf.sample(rng)
+	case Scan:
+		if ps.scanLeft == 0 {
+			// The whole run scans ONE node: that is what makes it
+			// sequential at a flash card instead of uniform noise.
+			ps.scanPos, ps.scanLeft, ps.scanNode = rng.Intn(ls.readPages), scanRun, node
+		}
+		idx, node = ps.scanPos, ps.scanNode
+		ps.scanPos = (ps.scanPos + 1) % ls.readPages
+		ps.scanLeft--
+	default: // Uniform, and Mixed's read side
+		idx = rng.Intn(ls.readPages)
+	}
+	return node*ls.perNode + idx, nil
+}
+
+// RunClosedLoop drives every spec through Stack.Run as a closed-loop
+// stream holding `depth` requests outstanding until `requests`
+// complete per stream, then drains. The cluster's read region
+// [0, readPages) per node must already be seeded (Stack.SeedLinear).
+func RunClosedLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec, readPages, depth, requests int) (LoopResult, error) {
 	if readPages <= 0 {
-		return nil, fmt.Errorf("workload: readPages %d", readPages)
+		return LoopResult{}, fmt.Errorf("workload: readPages %d", readPages)
+	}
+	for i, sp := range specs {
+		if sp.Node < 0 || sp.Node >= c.Nodes() || sp.Target < -1 || sp.Target >= c.Nodes() {
+			return LoopResult{}, fmt.Errorf("workload: spec %d: node %d or target %d out of range", i, sp.Node, sp.Target)
+		}
 	}
 	p := c.Params
 	// blockSpan dense indices cover exactly one page row of every
@@ -175,162 +226,35 @@ func newDriver(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec, readPage
 	base := ((readPages + blockSpan - 1) / blockSpan) * blockSpan
 	// Append regions are dealt to the tenant classes only: Accel is
 	// device-side ISP reads and Background is FTL housekeeping, and
-	// neither ever writes through these drivers, so partitioning over
+	// neither ever writes through these streams, so partitioning over
 	// NumClasses would dead-reserve two fifths of every node's
 	// writable pages.
 	tenantClasses := int(sched.Accel)
 	per := ((core.PagesPerNode(p) - base) / tenantClasses / blockSpan) * blockSpan
-	d := &driver{
-		s: s, c: c, rt: s.NewRetrier(retryDelay), readPages: readPages,
+	ls := &linearSpace{
+		c: c, rt: s.NewRetrier(0), nodes: c.Nodes(), perNode: core.PagesPerNode(p), readPages: readPages,
 		regions: make([][sched.NumClasses]appendRegion, c.Nodes()),
-		seqs:    make([][sched.NumClasses]*sched.Sequencer, c.Nodes()),
 	}
-	for n := range d.regions {
+	for n := range ls.regions {
 		for cl := 0; cl < tenantClasses; cl++ {
 			start := base + cl*per
-			d.regions[n][cl] = appendRegion{next: start, limit: start + per}
-			d.seqs[n][cl] = d.rt.NewSequencer()
+			ls.regions[n][cl] = appendRegion{next: start, limit: start + per, seq: ls.rt.NewSequencer()}
 		}
 		// Accel and Background keep empty regions: a (misconfigured)
 		// spec writing at those classes falls back to reads, counted in
 		// WriteFallbacks, instead of violating NAND ordering.
 	}
+	streams := make([]physStream, len(specs))
+	clients := make([]ClientSpec, len(specs))
 	for i, sp := range specs {
-		if sp.Node < 0 || sp.Node >= c.Nodes() {
-			return nil, fmt.Errorf("workload: spec %d: node %d out of range", i, sp.Node)
-		}
-		if sp.Target >= c.Nodes() {
-			return nil, fmt.Errorf("workload: spec %d: target %d out of range", i, sp.Target)
-		}
-	}
-	return d, nil
-}
-
-// client is one stream's generator state.
-type client struct {
-	d      *driver
-	spec   StreamSpec
-	stream *sched.Stream
-	rng    *sim.RNG
-	zipf   *zipf
-	page   []byte // write payload, reused
-
-	scanPos, scanLeft, scanNode int
-}
-
-func (d *driver) newClient(sp StreamSpec) (*client, error) {
-	st, err := d.s.NewStream(sp.Name, sp.Node, sp.Class)
-	if err != nil {
-		return nil, err
-	}
-	if sp.ReadFraction <= 0 {
-		sp.ReadFraction = 0.7
-	}
-	if sp.ZipfTheta <= 0 {
-		sp.ZipfTheta = 0.99
-	}
-	if sp.ScanRun <= 0 {
-		sp.ScanRun = 64
-	}
-	cl := &client{d: d, spec: sp, stream: st, rng: sim.NewRNG(sp.Seed ^ 0xb1dbdb00)}
-	if sp.Pattern == Zipfian {
-		cl.zipf = newZipf(d.readPages, sp.ZipfTheta)
-	}
-	if sp.Pattern == Mixed {
-		cl.page = make([]byte, d.c.Params.PageSize())
-		cl.rng.Bytes(cl.page)
-	}
-	return cl, nil
-}
-
-// target picks the node a request addresses.
-func (cl *client) target() int {
-	if cl.spec.Target >= 0 {
-		return cl.spec.Target
-	}
-	return cl.rng.Intn(cl.d.c.Nodes())
-}
-
-// wantWrite reports whether the next Mixed request should be a write.
-// Writes append to the ISSUING node's log region, not a remote one:
-// remote writes from different issuers race over the fabric's
-// round-robin lanes, and NAND's in-order block programming cannot be
-// guaranteed across that race (write-local, read-global, the way RFS
-// allocates).
-func (cl *client) wantWrite() bool {
-	return cl.spec.Pattern == Mixed && cl.rng.Float64() >= cl.spec.ReadFraction
-}
-
-// nextRead produces the next read address.
-func (cl *client) nextRead() core.PageAddr {
-	p := cl.d.c.Params
-	node := cl.target()
-	switch cl.spec.Pattern {
-	case Zipfian:
-		return core.LinearPage(p, node, cl.zipf.sample(cl.rng))
-	case Scan:
-		if cl.scanLeft == 0 {
-			cl.scanPos = cl.rng.Intn(cl.d.readPages)
-			cl.scanLeft = cl.spec.ScanRun
-			// The whole run scans ONE node: that is what makes it
-			// sequential at a flash card instead of uniform noise.
-			cl.scanNode = node
-		}
-		idx := cl.scanPos
-		cl.scanPos = (cl.scanPos + 1) % cl.d.readPages
-		cl.scanLeft--
-		return core.LinearPage(p, cl.scanNode, idx)
-	default: // Uniform, and Mixed's read side
-		return core.LinearPage(p, node, cl.rng.Intn(cl.d.readPages))
-	}
-}
-
-// RunClosedLoop drives every spec as a closed-loop client holding
-// `depth` requests outstanding until `requests` complete per stream,
-// then drains. Backpressure is retried after retryDelay (default 5 µs
-// when zero). The cluster's read region [0, readPages) per node must
-// already be seeded. The run leaves the engine drained.
-func RunClosedLoop(s *sched.Scheduler, c *core.Cluster, specs []StreamSpec,
-	readPages, depth, requests int, retryDelay sim.Time) (LoopResult, error) {
-	if depth <= 0 || requests <= 0 {
-		return LoopResult{}, fmt.Errorf("workload: depth %d, requests %d", depth, requests)
-	}
-	d, err := newDriver(s, c, specs, readPages, retryDelay)
-	if err != nil {
-		return LoopResult{}, err
-	}
-	for _, sp := range specs {
-		cl, err := d.newClient(sp)
+		st, err := s.NewStream(sp.Name, sp.Node, sp.Class)
 		if err != nil {
 			return LoopResult{}, err
 		}
-		toIssue := requests
-		inflight := 0
-		var issue func()
-		complete := func(err error) {
-			inflight--
-			d.res.Completed++
-			if err != nil {
-				d.res.Errors++
-			}
-			issue()
-		}
-		// Hard admission failures come back through readDone too, so the
-		// slot is reissued and the completion count stays consistent.
-		readDone := func(_ []byte, err error) { complete(err) }
-		issue = func() {
-			for inflight < depth && toIssue > 0 {
-				toIssue--
-				inflight++
-				if cl.wantWrite() && d.submitWrite(cl, complete) {
-					continue
-				}
-				d.rt.Read(cl.stream, cl.nextRead(), readDone)
-			}
-		}
-		issue()
+		streams[i] = physStream{sp: sp, ls: ls, st: st}
+		clients[i] = ClientSpec{Name: sp.Name, RW: &streams[i], Pick: streams[i].bind, Seed: sp.Seed ^ 0xb1dbdb00}
 	}
-	c.Run()
-	d.res.Backpressure = d.rt.Backpressure
-	return d.res, nil
+	res, err := (&Stack{C: c, S: s}).Run(clients, depth, requests, nil)
+	res.Loop.Backpressure, res.Loop.WriteFallbacks = ls.rt.Backpressure, ls.fallbacks
+	return res.Loop, err
 }

@@ -29,10 +29,10 @@ func TestMixedWritesHonourNANDOrdering(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		specs = append(specs, workload.StreamSpec{
 			Name: "mix", Node: i % 2, Target: -1, Class: sched.Batch,
-			Pattern: workload.Mixed, ReadFraction: 0.5, Seed: uint64(30 + i),
+			Pattern: workload.Mixed, Seed: uint64(30 + i),
 		})
 	}
-	res, err := workload.RunClosedLoop(s, c, specs, 128, 8, 48, 0)
+	res, err := workload.RunClosedLoop(s, c, specs, 128, 8, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,5 +41,20 @@ func TestMixedWritesHonourNANDOrdering(t *testing.T) {
 	}
 	if want := int64(8 * 48); res.Completed != want {
 		t.Fatalf("completed %d, want %d", res.Completed, want)
+	}
+}
+
+// TestRunClosedLoopRejectsBadSpecs: an issuing node or a target outside
+// the cluster fails the run; only -1 means the whole cluster.
+func TestRunClosedLoopRejectsBadSpecs(t *testing.T) {
+	c := coretest.NewCluster(t, core.DefaultParams(2))
+	s, err := sched.New(c, sched.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []workload.StreamSpec{{Node: 2, Target: -1}, {Node: -1, Target: 0}, {Node: 0, Target: 2}, {Node: 0, Target: -2}} {
+		if _, err := workload.RunClosedLoop(s, c, []workload.StreamSpec{sp}, 16, 1, 1); err == nil {
+			t.Errorf("node %d, target %d: accepted", sp.Node, sp.Target)
+		}
 	}
 }

@@ -5,10 +5,11 @@
 // search has ground truth.
 //
 // It is also the experiment harness: Build composes an appliance from
-// a StackSpec (stack.go), Stack.Run drives closed-loop client streams
-// over its logical page surfaces and Stack.Measure does so inside one
-// measured window (logical.go); RunClosedLoop is the physical-address
-// driver (streams.go).
+// a StackSpec (stack.go), Stack.Run is the one closed-loop driver of
+// client streams over page surfaces and Stack.Measure runs it inside
+// one measured window (logical.go). RunClosedLoop turns physical
+// streams into a surface over the linear page space plus a picker
+// each, and runs them through Stack.Run (streams.go).
 package workload
 
 import (
