@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -262,6 +265,26 @@ func TestSeedLinear(t *testing.T) {
 	}
 }
 
+// TestSeededPagesCostTheirPages: a seeded page is one page image held
+// by the card, PageSize bytes with nothing behind it, so seeding N
+// pages grows the live heap by N pages and (almost) nothing more.
+func TestSeededPagesCostTheirPages(t *testing.T) {
+	c := mkCluster(t, 1)
+	const pages = 1024
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := c.SeedLinear(0, pages, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew, budget := float64(after.HeapAlloc)-float64(before.HeapAlloc), 1.02*pages*float64(c.Params.PageSize())
+	if grew > budget {
+		t.Fatalf("seeding %d pages grew the live heap by %.0f B, budget %.0f (%.0f B a page)", pages, grew, budget, grew/pages)
+	}
+}
+
 func TestLinearPageBijective(t *testing.T) {
 	p := testParams(1)
 	seen := map[PageAddr]bool{}
@@ -390,8 +413,11 @@ func TestWriteBufferOwnership(t *testing.T) {
 // TestSubmitHostBatchAdoptsImages: the batch path is below the
 // snapshotting entries. A write request carries a page image that the
 // node hands down by reference — the card ends up storing that very
-// buffer — and anything that is not an image fails with
-// flashctl.ErrDataSize instead of being copied or adopted.
+// buffer — and a buffer of the wrong length fails with
+// flashctl.ErrDataSize instead of being copied or adopted. A
+// page-length buffer is an image by its shape; a holder that writes to
+// it after handing it down fails its program under the guard, naming
+// the page.
 func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	c := mkCluster(t, 1)
 	n0 := c.Node(0)
@@ -402,14 +428,14 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	var goodErr, badErr error = errors.New("never completed"), nil
 	n0.SubmitHostBatch([]HostReq{
 		{Addr: good, Write: true, Data: img, Done: func(_ []byte, err error) { goodErr = err }},
-		{Addr: bad, Write: true, Data: fill(8, geo.PageSize), Done: func(_ []byte, err error) { badErr = err }},
+		{Addr: bad, Write: true, Data: fill(8, geo.StoredPageSize()), Done: func(_ []byte, err error) { badErr = err }},
 	}, nil)
 	c.Run()
 	if goodErr != nil {
 		t.Fatal(goodErr)
 	}
 	if !errors.Is(badErr, flashctl.ErrDataSize) {
-		t.Fatalf("a page with no room for its check bytes: %v, want ErrDataSize", badErr)
+		t.Fatalf("a buffer longer than a page: %v, want ErrDataSize", badErr)
 	}
 	if stored := n0.Card(good.Card).Peek(good.Addr); len(stored) == 0 || &stored[0] != &img[0] {
 		t.Fatal("the card does not store the image the batch carried")
@@ -449,4 +475,19 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	if n := testing.AllocsPerRun(50, ring); n != 0 || n0.hostBatches.Out() != 0 {
 		t.Fatalf("a warm doorbell of two reads allocates %.1f objects and leaves %d batch records out, want 0 and 0", n, n0.hostBatches.Out())
 	}
+
+	late := geo.PageImage(fill(9, geo.PageSize))
+	n0.SubmitHostBatch([]HostReq{{Addr: bad, Write: true, Data: late, Done: func(_ []byte, err error) {
+		t.Errorf("the write of an image written to after hand-off was acknowledged: %v", err)
+	}}}, nil)
+	c.Eng.RunUntil(c.Eng.Now() + c.Params.FlashTiming.Program/2) // the card is programming it
+	late[100] ^= 0x10
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, bad.Addr.String()) || !strings.Contains(msg, "found by program") {
+			t.Fatalf("program of an image written to after hand-off: %q; want a failure naming %v and the program", msg, bad.Addr)
+		}
+		late[100] ^= 0x10 // as adopted again, for the drain's CheckImages
+	}()
+	c.Run()
 }

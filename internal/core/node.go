@@ -383,8 +383,8 @@ func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 // A write's Data is a page image (nand.Geometry.PageImage) that
 // SubmitHostBatch adopts: it is the buffer the flash ends up storing,
 // so the submitter gives it away — until Done reports an error, after
-// which nothing below holds it. Anything but an image fails with
-// flashctl.ErrDataSize.
+// which nothing below holds it. A buffer of any length but PageSize
+// fails with flashctl.ErrDataSize.
 type HostReq struct {
 	Addr  PageAddr
 	Write bool

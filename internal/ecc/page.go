@@ -52,7 +52,7 @@ func (c *PageCodec) EncodePage(data []byte) ([]byte, error) {
 // the image flash stores, with no second copy. The check bytes are a
 // pure function of the page, so the flash controller computes them only
 // where a decode reads them: the card fills them into the private copy
-// a read of a sealed page makes when it draws flips (nand.Card.Seal).
+// a read of a page image makes when it draws flips (nand.Card.ReadPage).
 //
 //simlint:hotpath
 func (c *PageCodec) EncodeInPlace(raw []byte) error {
@@ -104,8 +104,8 @@ type DecodeResult struct {
 // bytes all agree — every read that drew no bit error of an image that
 // was encoded when it was programmed — is returned as a view of raw.
 // The flash controller knows that answer in advance for a clean read of
-// a page it sealed (nand.Card.Sealed), and skips the call for it; it is
-// the only read whose stored check bytes were never written.
+// a page it programmed, whose stored image is the page alone with no
+// check bytes to decode (nand.Card.ReadPage), and skips the call for it.
 // At the first word that needs a correction raw is copied once and the
 // copy is decoded in place: corrections land in the copy, Data is a
 // view of it, and raw still reads as it did, wrong bits included. An

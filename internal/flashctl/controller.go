@@ -78,12 +78,13 @@ type Handlers struct {
 	// buffer, so chunk k+1 starts in memory where chunk k ends, and they
 	// are read-only. The buffer is as a rule the image the card stores
 	// (nand.ReadPage), which every clean read of the page delivers — not
-	// even decoded when the controller sealed the page, since its page
-	// needs no correction; only a read with bits to correct
-	// streams a private, corrected copy (ecc.DecodePage). The controller
-	// drops its reference after the last burst: a consumer may keep the
-	// views (and reslice the first one up to the whole page) instead of
-	// copying them, and must not write through them.
+	// even decoded when it is a page image the controller programmed,
+	// since it carries no check bytes and its page needs no correction;
+	// only a read with bits to correct streams a private, corrected copy
+	// (ecc.DecodePage). The controller drops its reference after the
+	// last burst: a consumer may keep the views (and reslice the first
+	// one up to the whole page, a page image) instead of copying them,
+	// and must not write through them.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
 	// ReadDone fires after the final burst (or on error, with no data).
 	// corrected is the number of ECC-corrected bit flips in the page.
@@ -140,7 +141,6 @@ type Controller struct {
 	eng   *sim.Engine
 	card  *nand.Card
 	codec *ecc.PageCodec
-	guard bool // the card runs the image guard: encode every program, decode every sealed read
 	cfg   Config
 	h     Handlers
 
@@ -196,7 +196,6 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 		eng:      eng,
 		card:     card,
 		codec:    codec,
-		guard:    card.Guarded(),
 		cfg:      cfg,
 		h:        h,
 		toUser:   sim.NewPipe(eng, name+"/link-up", cfg.LinkBytesPerSec, cfg.LinkLatency),
@@ -231,10 +230,6 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // PageSize returns the logical page size exposed to users.
 func (c *Controller) PageSize() int { return c.card.Geometry().PageSize }
-
-// StoredPageSize returns the size of the raw image WriteImage takes:
-// the page plus its ECC check bytes.
-func (c *Controller) StoredPageSize() int { return c.codec.StoredSize() }
 
 // FreeTags returns how many tags are currently idle.
 //
@@ -283,21 +278,18 @@ func (c *Controller) Issue(cmd Command) error {
 }
 
 // WriteImage supplies the page for a pending write command as the
-// buffer flash will store: raw is StoredPageSize bytes whose first
-// PageSize bytes hold the page. The controller takes ownership of raw
-// and hands it to the card, which adopts it (nand.ProgramPage) — the
-// user's one snapshot of the page is the only page-sized allocation of
-// the program path. The caller must not touch raw afterwards, unless
-// the call or the write fails: an error here, or in WriteDone, means
+// buffer flash will store: raw is a page image, PageSize bytes
+// (nand.Geometry.PageImage). The controller takes ownership of raw and
+// hands it to the card, which adopts it (nand.ProgramPage) — the user's
+// one snapshot of the page is the only page-sized allocation of the
+// program path. The caller must not touch raw afterwards, unless the
+// call or the write fails: an error here, or in WriteDone, means
 // nothing below kept raw.
 //
-// The controller encodes only what it will decode. A program that
-// succeeds seals the page (nand.Card.Seal), which makes raw's tail
-// don't-care: a clean read of the page is not decoded, and a read that
-// draws flips gets its check bytes computed from the page by the card,
-// on its private copy. So raw's tail is not written here — except on a
-// guarded card (nand.Reliability.GuardImages), where the encode runs
-// eagerly so the card can prove each lazy fill against it.
+// The controller encodes only what it will decode, and nothing here:
+// the card stores the page without check bytes, a clean read of it is
+// not decoded, and a read that draws flips gets its check bytes
+// computed from the page by the card, on its private copy.
 func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
@@ -305,9 +297,8 @@ func (c *Controller) WriteImage(tag int, raw []byte) error {
 	if c.tags[tag] != tagAwaitingData {
 		return fmt.Errorf("%w: tag %d is not awaiting data", ErrWrongState, tag)
 	}
-	// The only way EncodeInPlace fails is the size.
-	if len(raw) != c.StoredPageSize() || c.guard && c.codec.EncodeInPlace(raw) != nil {
-		return fmt.Errorf("%w: image is %d bytes, want %d", ErrDataSize, len(raw), c.StoredPageSize())
+	if len(raw) != c.PageSize() {
+		return fmt.Errorf("%w: image is %d bytes, want %d", ErrDataSize, len(raw), c.PageSize())
 	}
 	c.tags[tag] = tagWriting
 	// The page crosses the serial link in 128-bit bursts (modelled as
@@ -327,14 +318,11 @@ func (c *Controller) program(tag int) {
 }
 
 // cardDone frees the tag of a finished program or erase and
-// acknowledges it to the user. A program that succeeded stored the
-// image WriteImage was handed, so the card seals the page.
+// acknowledges it to the user.
 func (c *Controller) cardDone(tag int, err error) {
 	done := c.h.WriteDone
 	if c.tags[tag] == tagErasing {
 		done = c.h.EraseDone
-	} else if err == nil {
-		c.card.Seal(c.addrs[tag])
 	}
 	c.tags[tag] = tagIdle
 	if done != nil {
@@ -347,25 +335,21 @@ func (c *Controller) cardDone(tag int, err error) {
 // still store — and starts streaming the page to the user.
 //
 // The controller decodes only what can differ from what it programmed.
-// A read of a sealed page that drew no flip delivers the image
-// WriteImage was handed, byte for byte (nand.Card.Sealed), whose page
-// needs no correction. That read streams raw as it stands. Every other
-// read — one that drew flips (its check bytes filled by the card), an
-// image programmed around the controller, a page reprogrammed since —
-// is decoded. The ECC pipeline's virtual time is charged either way: it
-// is part of nand.Timing.ReadPage. On a guarded card the skipped decode
-// runs anyway and must agree, or the read panics.
+// A read of a page image that drew no flip delivers the image
+// WriteImage was handed, byte for byte: a page with no check bytes,
+// which needs no correction. That read streams raw as it stands. Every
+// other read — one that drew flips (a StoredPageSize copy, its check
+// bytes filled by the card), an image programmed around the controller
+// — is decoded. The ECC pipeline's virtual time is charged either way:
+// it is part of nand.Timing.ReadPage.
 func (c *Controller) pageRead(tag int, raw []byte, err error) {
 	if err != nil {
 		c.finishRead(tag, 0, err)
 		return
 	}
-	res := ecc.DecodeResult{Data: raw[:c.PageSize()]}
-	if sealed := c.card.Sealed(c.addrs[tag], raw); !sealed || c.guard {
+	res := ecc.DecodeResult{Data: raw}
+	if len(raw) != c.PageSize() {
 		res, err = c.codec.DecodePage(raw)
-		if sealed && (err != nil || res.Corrected != 0 || &res.Data[0] != &raw[0]) {
-			panic(fmt.Sprintf("flashctl: %s: the sealed image at %v does not decode to itself (%d corrected, %v): it was written to after WriteImage encoded it", c.card.Name(), c.addrs[tag], res.Corrected, err))
-		}
 	}
 	if err != nil {
 		c.Uncorrectable.Inc()

@@ -98,11 +98,9 @@ func (r *rig) writePage(t *testing.T, tag int, addr nand.Addr, data []byte) {
 }
 
 // writePage supplies data for a pending write the way flashserver does:
-// as a fresh StoredPageSize image the controller may adopt.
+// as a fresh page image the controller may adopt.
 func writePage(c *Controller, tag int, data []byte) error {
-	raw := make([]byte, c.StoredPageSize())
-	copy(raw, data)
-	return c.WriteImage(tag, raw)
+	return c.WriteImage(tag, c.card.Geometry().PageImage(data))
 }
 
 func pattern(n int, seed byte) []byte {

@@ -12,13 +12,16 @@ import (
 )
 
 // A read is decoded only when its bytes can differ from what the
-// controller encoded: a clean read of a page sealed by a program the
-// controller issued streams the stored image as it stands. These tests
-// pin who may seal, what keeps a seal from going stale, and the guard's
-// proof that a skipped decode would have changed nothing.
+// controller programmed: a clean read of a sealed page — one that
+// stores a page image, PageSize bytes and no check bytes, which is what
+// every program the controller issues stores — streams the stored image
+// as it stands. These tests pin which pages are sealed, what keeps a
+// seal from going stale, and the guard's proof that a skipped decode
+// would have changed nothing.
 
-// handProgram stores want at a around the controller, with the given
-// bits of the encoded image flipped: an image no program sealed.
+// handProgram stores want at a around the controller, encoded at
+// StoredPageSize with the given bits flipped: an unsealed image, which
+// carries its own check bytes.
 func handProgram(t *testing.T, r *rig, a nand.Addr, want []byte, flipBits ...int) {
 	t.Helper()
 	codec, err := ecc.NewPageCodec(len(want))
@@ -119,60 +122,41 @@ func TestFailedProgramSealsNothing(t *testing.T) {
 	if err := r.tryWrite(t, 0, written, want); !errors.Is(err, nand.ErrDead) {
 		t.Fatalf("write to a dead card: %v", err)
 	}
-	if r.card.Sealed(written, r.card.Peek(written)) {
-		t.Fatal("a program that failed on a dead card sealed the page")
+	if stored := r.card.Peek(written); len(stored) != r.card.Geometry().StoredPageSize() {
+		t.Fatalf("a program that failed on a dead card left a %d-byte image: it sealed the page", len(stored))
 	}
 }
 
-// TestGuardProvesTheSkip: with the image guard on, the controller still
-// decodes every read it would deliver undecoded, and a sealed image that
-// does not decode to itself fails that read, naming the page — whether
-// the seal is wrong or the image was written to after WriteImage encoded
-// it, while it crossed the link.
+// TestGuardProvesTheSkip: a skipped decode is right because a sealed
+// image is, byte for byte, the page WriteImage was handed. With the
+// image guard on, a holder that writes to the image after handing it to
+// WriteImage fails the next read of the page, which would otherwise
+// stream the wrong page undecoded, naming the page. (A write before the
+// program is the flash server's to catch, where it adopts the image.)
 func TestGuardProvesTheSkip(t *testing.T) {
-	cases := map[string]func(t *testing.T, r *rig, a nand.Addr, want []byte){
-		"wrong seal": func(t *testing.T, r *rig, a nand.Addr, want []byte) {
-			handProgram(t, r, a, want, 8*512+5)
-			r.card.Seal(a)
-		},
-		"scribble after WriteImage": func(t *testing.T, r *rig, a nand.Addr, want []byte) {
-			if err := r.ctl.Issue(Command{Op: OpWrite, Tag: 0, Addr: a}); err != nil {
-				t.Fatal(err)
+	t.Run("scribble after WriteImage", func(t *testing.T) {
+		r := newRig(t, nand.Reliability{GuardImages: true})
+		a := nand.Addr{Bus: 1, Chip: 1, Block: 3}
+		raw := r.card.Geometry().PageImage(pattern(8192, 6))
+		if err := r.writeImage(t, 0, a, raw); err != nil {
+			t.Fatal(err)
+		}
+		raw[512] ^= 0x20
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by read") {
+				t.Fatalf("read: %q; want a failure naming %v and the read", msg, a)
 			}
-			r.eng.Run()
-			raw := make([]byte, r.ctl.StoredPageSize())
-			copy(raw, want)
-			if err := r.ctl.WriteImage(0, raw); err != nil {
-				t.Fatal(err)
-			}
-			raw[512] ^= 0x20
-			r.eng.Run()
-			if err := r.writeDone[0]; err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, setup := range cases {
-		t.Run(name, func(t *testing.T) {
-			r := newRig(t, nand.Reliability{GuardImages: true})
-			a := nand.Addr{Bus: 1, Chip: 1, Block: 3}
-			setup(t, r, a, pattern(8192, 6))
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "does not decode to itself") {
-					t.Fatalf("read: %q; want a failure naming %v", msg, a)
-				}
-			}()
-			r.read(t, 1, a)
-		})
-	}
+		}()
+		r.read(t, 1, a)
+	})
 }
 
-// A sealed page's stored check bytes are don't-care: the controller does
-// not encode at the program, and the card fills the check bytes of a
-// read's private copy from its page when the read draws flips. These
-// tests run on cards where every read draws flips (1e-4 is about seven
-// per page), so every read below takes that path.
+// A sealed page stores no check bytes: the controller does not encode
+// at the program, and the card fills the check bytes of a read's
+// private copy from its page when the read draws flips. These tests run
+// on cards where every read draws flips (1e-4 is about seven per page),
+// so every read below takes that path.
 
 // oobBit is one bit of the check byte of the word at byte 320.
 const oobBit = 8*(8192+40) + 3
@@ -207,22 +191,24 @@ func (r *rig) writeImage(t *testing.T, tag int, a nand.Addr, img []byte) error {
 
 // TestFlippedReadsFillOnlySealedPages: an image programmed around the
 // controller, one check bit wrong, is decoded from the check bytes it
-// stores — the wrong bit is corrected on top of the flips. The same
-// check bit changed in the stored image of a sealed page is never read:
-// the card fills the flipped copy's check bytes from its page.
+// stores — the wrong bit is corrected on top of the flips. A sealed page
+// stores no check bit to get wrong: the card fills the flipped copy's
+// check bytes from its page, and the decode corrects the flips alone.
 func TestFlippedReadsFillOnlySealedPages(t *testing.T) {
 	r := newRig(t, nand.Reliability{BitErrorRate: 1e-4})
 	want := pattern(8192, 0x3e)
 	hand, sealed := nand.Addr{Block: 1}, nand.Addr{Block: 3}
 	handProgram(t, r, hand, want, oobBit)
 	r.writePage(t, 0, sealed, want)
-	ecc.FlipBit(r.card.Peek(sealed), oobBit)
+	if n := len(r.card.Peek(sealed)); n != len(want) {
+		t.Fatalf("the controller's program stored %d bytes, want the %d-byte page alone", n, len(want))
+	}
 
 	if got, extra, err := r.flippedRead(t, 1, hand); err != nil || extra != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("hand-programmed page: err %v, %d corrected beyond the flips, page as written %v; want its own wrong check bit corrected", err, extra, bytes.Equal(got, want))
 	}
 	if got, extra, err := r.flippedRead(t, 1, sealed); err != nil || extra != 0 || !bytes.Equal(got, want) {
-		t.Fatalf("sealed page: err %v, %d corrected beyond the flips, page as written %v; want the stored check bytes ignored", err, extra, bytes.Equal(got, want))
+		t.Fatalf("sealed page: err %v, %d corrected beyond the flips, page as written %v; want the flips alone corrected", err, extra, bytes.Equal(got, want))
 	}
 }
 
@@ -230,7 +216,8 @@ func TestFlippedReadsFillOnlySealedPages(t *testing.T) {
 // flips, relocated through WriteImage to a second page — its stored
 // image, or the corrected copy the read streamed — and read there with
 // other flips returns the page both times, with the guard off (nothing
-// is ever encoded) and on (every program is, and every fill is checked).
+// is encoded but a flipped copy) and on (the card encodes every sealed
+// image as it stores it, and checks every fill against that).
 func TestRelocatedImagesReadBackThroughFlips(t *testing.T) {
 	for _, guard := range []bool{false, true} {
 		for _, src := range []string{"stored image", "corrected copy"} {
@@ -244,7 +231,7 @@ func TestRelocatedImagesReadBackThroughFlips(t *testing.T) {
 				}
 				img := r.card.Peek(from)
 				if src == "corrected copy" {
-					img = r.views[1][:r.ctl.StoredPageSize()]
+					img = r.views[1][:len(want)]
 					if &img[0] == &r.card.Peek(from)[0] {
 						t.Fatal("test premise: a read that drew flips streams a copy")
 					}
@@ -290,16 +277,24 @@ func TestFillDoesNotOutliveTheSeal(t *testing.T) {
 	}
 }
 
-// TestGuardProvesTheFill: on a guarded card the card recomputes the
-// check bytes of every flipped copy of a sealed page and compares them
-// with the ones the controller encoded at the program. A sealed image
-// whose page does not encode to its stored check bytes fails the first
-// read that draws flips, naming the page.
+// TestGuardProvesTheFill: on a guarded card the card encodes every
+// sealed image eagerly as it stores it, and compares the check bytes it
+// fills into every flipped copy with those. A fill that differs — here
+// an encoder that changed since the program — fails the first read
+// that draws flips, naming the page.
 func TestGuardProvesTheFill(t *testing.T) {
 	r := newRig(t, nand.Reliability{BitErrorRate: 1e-4, GuardImages: true})
 	a := nand.Addr{Bus: 1, Chip: 1, Block: 3}
-	handProgram(t, r, a, pattern(8192, 6), 8*512+5)
-	r.card.Seal(a)
+	r.writePage(t, 0, a, pattern(8192, 6))
+	codec, err := ecc.NewPageCodec(8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.card.SetEncoder(func(raw []byte) error {
+		err := codec.EncodeInPlace(raw)
+		raw[len(raw)-1] ^= 1
+		return err
+	})
 	defer func() {
 		msg := fmt.Sprint(recover())
 		if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by read") {

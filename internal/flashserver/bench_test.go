@@ -8,8 +8,8 @@ import (
 
 // The flash path's cost per page, NAND to callback, one op at a time on
 // a warm stack: ns/op is host time, B/op and allocs/op the heap traffic
-// (one stored-size page per op is the floor: the NAND snapshot of a
-// read, the adopted image of a program), events/op the engine events.
+// (a clean read allocates nothing, it delivers the stored image; a
+// program its one page image), events/op the engine events.
 // Run with -benchmem.
 
 // benchAddr lays pages out bus-first so each block is programmed in

@@ -3,6 +3,7 @@ package flashserver
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/flashctl"
 	"repro/internal/nand"
@@ -20,8 +21,8 @@ var (
 	ErrShortRead = errors.New("flashserver: read bursts did not assemble into a whole page")
 )
 
-// errNotImage fails a write whose buffer is not a page image: the wrong
-// length, or no room behind the page for its check bytes.
+// errNotImage fails a write whose buffer is not a page image: not
+// PageSize bytes.
 var errNotImage = fmt.Errorf("%w: not a page image (nand.Geometry.PageImage)", flashctl.ErrDataSize)
 
 // Server is the optional Flash Server module (paper §3.1.2): it turns
@@ -34,6 +35,7 @@ type Server struct {
 
 	queueDepth int
 	geo        nand.Geometry
+	guard      bool // nand.Reliability.GuardImages: checksum each image WriteImage adopts
 
 	// ops holds every pageOp the server has made, indexed by its tag;
 	// pool recycles those not in use. It grows to the most requests ever
@@ -54,9 +56,10 @@ type pageOp struct {
 	addr  nand.Addr
 	// buf is, for a read, the page reassembled so far — a growing view
 	// of the controller's page buffer — and, for a write, the adopted
-	// page image at stored size until the controller pulls it.
+	// page image.
 	buf      []byte
-	credited bool // issued to the controller on one of the interface's queue-depth credits
+	sum      uint32 // write, under the guard: checksum of buf as WriteImage adopted it
+	credited bool   // issued to the controller on one of the interface's queue-depth credits
 	done     bool
 	err      error
 	onRead   func(data []byte, err error)
@@ -86,6 +89,7 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 		atu:        NewATU(),
 		queueDepth: queueDepth,
 		geo:        sp.ctl.Card().Geometry(),
+		guard:      sp.ctl.Card().Guarded(),
 	}
 	// A new op's tag is its index in ops for life.
 	srv.pool.New = func() *pageOp {
@@ -173,34 +177,39 @@ func (s *Server) readDone(tag int, err error) {
 	if err == nil && len(op.buf) != s.geo.PageSize {
 		err = ErrShortRead
 	}
-	// The view is not capped at the page: the check bytes behind it are
-	// spare capacity, which makes the result a page image its receiver
-	// may program back (nand.Geometry.ReadImage).
+	// The page is a page image as it stands: its receiver may program
+	// it back.
 	s.complete(op, err)
 }
 
 // writeDataReq gives the controller the image WriteImage adopted, when
-// its scheduler asks for it.
+// its scheduler asks for it. The op keeps its reference for the guard
+// only; the controller owns the image from here.
 func (s *Server) writeDataReq(tag int) {
-	op := s.inflight(tag)
-	if op == nil || op.buf == nil {
-		return
-	}
-	raw := op.buf
-	op.buf = nil // the controller owns the image from here
-	if err := s.port.WriteImage(tag, raw); err != nil {
-		s.complete(op, err)
+	if op := s.inflight(tag); op != nil && op.kind == flashctl.OpWrite {
+		if err := s.port.WriteImage(tag, op.buf); err != nil {
+			s.complete(op, err)
+		}
 	}
 }
 
-// finish completes the write or erase issued under tag.
+// finish completes the write or erase issued under tag. Under the guard
+// a program's image must still be what WriteImage adopted.
 //
 //simlint:hotpath
 func (s *Server) finish(tag int, err error) {
-	if op := s.inflight(tag); op != nil {
-		s.complete(op, err)
+	op := s.inflight(tag)
+	if op == nil {
+		return
 	}
+	if s.guard && op.kind == flashctl.OpWrite && crc32.Checksum(op.buf, castagnoli) != op.sum {
+		panic(fmt.Sprintf("flashserver: the image for %v was written to after WriteImage adopted it (found by program): page images are immutable", op.addr))
+	}
+	s.complete(op, err)
 }
+
+// castagnoli is the guard's checksum, the one the card takes.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // complete records an op's outcome and delivers whatever that
 // unblocks at the head of its interface's FIFO.
@@ -222,10 +231,8 @@ func (s *Server) complete(op *pageOp, err error) {
 // a rule the image the card stores (see nand.ReadPage), the one every
 // other clean read of the page, earlier, concurrent or later, delivers
 // too; a read with bits to correct delivers a private corrected copy,
-// and the receiver cannot tell which it got. Its spare capacity is the
-// same buffer's check-byte tail, so data is a page image
-// (nand.Geometry.ReadImage): a relocation hands it straight back to
-// WriteImage.
+// and the receiver cannot tell which it got. Either way data is a page
+// image: a relocation hands it straight back to WriteImage.
 //
 //simlint:hotpath
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
@@ -266,10 +273,12 @@ func (f *Iface) WritePhysical(addr nand.Addr, data []byte, cb func(err error)) {
 // storing, the one page-sized allocation of the program path — so the
 // caller must not write to it again unless the ack reports an error: a
 // failed write leaves no reference to img below. img may be an image a
-// read delivered, which the card already stores elsewhere: nothing
-// writes to its check-byte tail, which the sealed page it becomes never
-// reads (flashctl.Controller.WriteImage). Anything that is not an image
-// fails with flashctl.ErrDataSize, in order, and is not adopted.
+// read delivered, which the card already stores elsewhere. Anything
+// that is not an image fails with flashctl.ErrDataSize, in order, and
+// is not adopted. Under nand.Reliability.GuardImages the checksum is
+// taken here, the first adoption below the snapshot, and verified when
+// the program completes: a holder that writes to img after this call
+// fails that program, which panics naming the page.
 func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 	op := f.srv.pool.Get()
 	op.iface, op.kind, op.addr, op.onAck = f, flashctl.OpWrite, addr, cb
@@ -277,7 +286,10 @@ func (f *Iface) WriteImage(addr nand.Addr, img []byte, cb func(err error)) {
 		f.reject(op, errNotImage)
 		return
 	}
-	op.buf = img[:f.srv.geo.StoredPageSize()]
+	op.buf = img
+	if f.srv.guard {
+		op.sum = crc32.Checksum(img, castagnoli)
+	}
 	f.submit(op)
 }
 

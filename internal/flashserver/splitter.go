@@ -165,8 +165,8 @@ func (p *Port) Issue(cmd flashctl.Command) error {
 	return nil
 }
 
-// WriteImage forwards the stored-size page image of an agent-tagged
-// pending write; like flashctl.Controller.WriteImage it gives raw away.
+// WriteImage forwards the page image of an agent-tagged pending write;
+// like flashctl.Controller.WriteImage it gives raw away.
 func (p *Port) WriteImage(agentTag int, raw []byte) error {
 	ctlTag, ok := p.tagMap[agentTag]
 	if !ok {

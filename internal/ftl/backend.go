@@ -42,12 +42,10 @@ const TagFlush IOTag = 0xFD
 // frontier pages in issue order and NAND blocks program in order.
 //
 // Ownership: page images are immutable (nand.Geometry.PageImage).
-// ReadPage delivers a result the callback may keep and must not write
-// to: as a rule the image the card stores, check-byte tail behind the
-// page as spare capacity, whoever else holds it; the FTL programs that
-// very buffer back. Only a result without the tail — a fake's bare
-// page, a copy a backend made — is snapshotted first
-// (nand.Geometry.ReadImage). WritePage ADOPTS img, a page image: the
+// ReadPage delivers a page image the callback may keep and must not
+// write to: as a rule the image the card stores, whoever else holds it;
+// the FTL programs that very buffer back. WritePage ADOPTS img, a page
+// image: the
 // backend passes it down by reference until the card stores it, and
 // must neither copy it for its own keeping nor write to it. Only a
 // failed write — cb with an error — returns the image to the FTL, which

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/nand"
+	"repro/internal/sim"
 )
 
 // BenchmarkRelocate is the cost of one GC move through the flash
 // server, the erase of each emptied victim shared among its pages: a
-// flash read whose snapshot is then programmed back as it stands, so
-// one stored-size page per move is the floor for B/op, and one
-// allocation for allocs/op. Collections run whole, so the figures are
+// flash read whose result, the image the victim page stores, is
+// programmed back as it stands, so a move allocates nothing (0 B/op,
+// 0 allocs/op). Collections run whole, so the figures are
 // computed per page actually moved (b.N rounded up to a block) and
 // reported in place of the built-in per-b.N ones. Run with -benchmem.
 func BenchmarkRelocate(b *testing.B) {
@@ -89,10 +90,41 @@ func TestRelocationAllocatesOnePage(t *testing.T) {
 	}
 	// A quarter of a page, not zero: the race detector's runtime
 	// allocates some tens of bytes per move on its own.
-	if got := float64(m1.TotalAlloc-m0.TotalAlloc) / n; got >= float64(f.geo.StoredPageSize())/4 {
+	if got := float64(m1.TotalAlloc-m0.TotalAlloc) / n; got >= float64(f.geo.PageSize)/4 {
 		t.Errorf("a GC move allocates %.0f B: it pays for a page", got)
 	}
 	if got := float64(m1.Mallocs-m0.Mallocs) / n; got >= 0.1 {
 		t.Errorf("a GC move makes %.2f allocations, want 0", got)
 	}
+}
+
+// BenchmarkOverwrite is one logical overwrite in steady-state GC, the
+// collections it triggers included: the write's image (8 KiB, one
+// allocation) and nothing else — the moves program the images their
+// reads delivered, and the queue writes wait in behind a collection
+// keeps its storage. Run with -benchmem.
+func BenchmarkOverwrite(b *testing.B) {
+	h, _ := relocationRig(b)
+	f := h.ftl
+	buf := page(f.geo, 2)
+	rng := sim.NewRNG(1)
+	ack := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*f.LogicalPages(); i++ { // into steady-state GC
+		f.Write(rng.Intn(f.LogicalPages()), buf, ack)
+		h.eng.Run()
+	}
+	b.SetBytes(int64(f.geo.PageSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	moves, fired := f.GCMoves, h.eng.Fired()
+	for i := 0; i < b.N; i++ {
+		f.Write(rng.Intn(f.LogicalPages()), buf, ack)
+		h.eng.Run()
+	}
+	b.ReportMetric(float64(f.GCMoves-moves)/float64(b.N), "moves/op")
+	b.ReportMetric(float64(h.eng.Fired()-fired)/float64(b.N), "events/op")
 }

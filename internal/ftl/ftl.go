@@ -123,6 +123,7 @@ type FTL struct {
 	gcSlot     gcState    // its storage, reused by every collection
 	gcCount    int64
 	pendingOps []func()        // writes queued behind GC by the reserve gate
+	spareOps   []func()        // pendingOps' other storage, swapped in by finishGC; nil while a drain holds it
 	onErased   func(err error) // the victim erase completed; bound once
 	ops        sim.Pool[flashOp]
 
@@ -133,6 +134,7 @@ type FTL struct {
 	FlashPrograms int64
 	FlashErases   int64
 	GCMoves       int64
+	GCDropped     int64 // relocation reads that program nothing: trimmed or overwritten mid-copy, or no destination
 	GCAborts      int64
 	BadBlocks     int64
 
@@ -878,10 +880,8 @@ func (f *FTL) relocate(ppn int) {
 // relocateRead takes a relocation's read and programs what it read.
 //
 // Ownership: the read result is re-programmed as it stands — the image
-// the victim page stores, check-byte tail and all; until the victim is
-// erased two flash pages hold the one immutable image — so a move costs
-// no payload byte (nand.Geometry.ReadImage snapshots only a result
-// without the tail).
+// the victim page stores; until the victim is erased two flash pages
+// hold the one immutable image — so a move costs no payload byte.
 //
 //simlint:hotpath
 func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
@@ -900,18 +900,20 @@ func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
 		return
 	}
 	if lpn < 0 || f.l2p[lpn] != ppn || f.pageState[ppn] != pageValid {
-		// Trimmed while the copy was in flight: drop it.
+		// Trimmed or overwritten while the copy was in flight: drop it.
+		f.GCDropped++
 		f.dropRelocation(op)
 		return
 	}
 	dst, aerr := f.gcAllocPage()
 	if aerr != nil {
 		st.aborted = true
+		f.GCDropped++
 		f.dropRelocation(op)
 		return
 	}
 	f.GCMoves++
-	op.img = f.geo.ReadImage(data)
+	op.img = data
 	f.program(op, dst)
 }
 
@@ -1006,7 +1008,11 @@ func (f *FTL) victimErased(err error) {
 	f.finishGC()
 }
 
-// finishGC drains operations queued while collecting.
+// finishGC drains operations queued while collecting. The queue swaps
+// between two backing arrays instead of growing a new one per
+// collection; the one being drained is held by this call alone, so a
+// drain nested in it (a drained op whose collection completes
+// synchronously) queues into fresh storage.
 func (f *FTL) finishGC() {
 	f.gcActive = false
 	f.gcRunning = false
@@ -1015,8 +1021,9 @@ func (f *FTL) finishGC() {
 		f.hooks.GCEnd()
 	}
 	ops := f.pendingOps
-	f.pendingOps = nil
-	for _, op := range ops {
+	f.pendingOps, f.spareOps = f.spareOps[:0], nil
+	for i, op := range ops {
+		ops[i] = nil
 		if f.gcActive {
 			// A drained op re-triggered GC; requeue the rest.
 			f.pendingOps = append(f.pendingOps, op)
@@ -1024,6 +1031,7 @@ func (f *FTL) finishGC() {
 		}
 		op()
 	}
+	f.spareOps = ops[:0]
 }
 
 // MappingEntries returns the size of the FTL's logical-to-physical

@@ -753,3 +753,80 @@ func TestFTLOracleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// burstChurner returns a func that overwrites, reads and trims at
+// random in bursts of eight outstanding ops, so writes queue behind
+// collections and relocations race the overwrites and trims of the
+// pages they copy.
+func burstChurner(t testing.TB, h *harness, img []byte, rng *sim.RNG) func(bursts int) {
+	f := h.ftl
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	got := func(_ []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	return func(bursts int) {
+		for b := 0; b < bursts; b++ {
+			for i := 0; i < 8; i++ {
+				switch lpn := rng.Intn(f.LogicalPages()); rng.Intn(8) {
+				case 0:
+					if f.l2p[lpn] >= 0 { // a read of a trimmed page fails, allocating its error
+						f.Read(lpn, got)
+					}
+				case 1:
+					if err := f.Trim(lpn); err != nil {
+						t.Error(err)
+					}
+				default:
+					f.WriteImage(lpn, img, 1, ack)
+				}
+			}
+			h.eng.Run()
+		}
+	}
+}
+
+// TestOverwriteUnderGCAllocatesNothing: an overwrite that hands its
+// image down (WriteImage; one image serves every write, images being
+// immutable) allocates nothing in steady-state GC — not even when it
+// waits behind a collection: the queue it waits in keeps its storage
+// from one collection to the next.
+func TestOverwriteUnderGCAllocatesNothing(t *testing.T) {
+	geo := smallGeo()
+	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
+	churn(t, h, geo, 2*h.ftl.LogicalPages())
+	f, churn := h.ftl, burstChurner(t, h, geo.PageImage(page(geo, 9)), sim.NewRNG(5))
+	churn(64) // queues at their high-water mark
+	gcs := f.gcCount
+	if allocs := testing.AllocsPerRun(64, func() { churn(1) }); allocs != 0 {
+		t.Fatalf("a burst of eight ops under GC allocates %.2f times, want none", allocs)
+	}
+	if f.gcCount == gcs || cap(f.pendingOps)+cap(f.spareOps) == 0 {
+		t.Fatalf("test premise: %d collections, wait queue capacity %d", f.gcCount-gcs, cap(f.pendingOps)+cap(f.spareOps))
+	}
+}
+
+// TestNANDReadsAreNamed: every NAND read the FTL causes is a host read
+// or a relocation read, and every relocation read ends as a move, a
+// dropped relocation (its page trimmed or overwritten mid-copy, or no
+// destination) or a GC read fault. On a churning FTL with no faults the
+// card's read count is exactly their sum.
+func TestNANDReadsAreNamed(t *testing.T) {
+	geo := smallGeo()
+	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
+	churn(t, h, geo, h.ftl.LogicalPages())
+	burstChurner(t, h, geo.PageImage(page(geo, 3)), sim.NewRNG(9))(400)
+	f := h.ftl
+	if f.GCDropped == 0 || f.GCMoves == 0 {
+		t.Fatalf("test premise: %d moves, %d dropped relocations", f.GCMoves, f.GCDropped)
+	}
+	if reads, named := h.card.Reads.Value(), f.HostReads+f.GCMoves+f.GCDropped+f.GCReadFaults; reads != named {
+		t.Fatalf("NAND reads %d, named %d: host %d + moves %d + dropped %d + GC read faults %d",
+			reads, named, f.HostReads, f.GCMoves, f.GCDropped, f.GCReadFaults)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/nand"
@@ -204,5 +205,83 @@ func TestGCVictimScanWaitsForProgramMetadata(t *testing.T) {
 		if !bytes.Equal(data, lpnPage(geo, lpn, version)) {
 			t.Fatalf("lpn %d returned stale or foreign data", lpn)
 		}
+	}
+}
+
+// TestNestedDrainsKeepTheQueue: finishGC keeps the order of ops queued
+// behind a collection — a drained op that triggers the next collection
+// leaves the rest requeued behind whatever that collection queued — and
+// the storage it reuses is never handed to two drains at once, though a
+// synchronous backend nests one drain inside another: here an op
+// drained from inside the outer drain queues two more and triggers
+// another collection before its queue-mate runs.
+func TestNestedDrainsKeepTheQueue(t *testing.T) {
+	geo := nand.Geometry{Buses: 1, ChipsPerBus: 1, BlocksPerChip: 6, PagesPerBlock: 4, PageSize: 32}
+	f, err := NewWithBackend(newScript(geo), geo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []string
+	op := func(name string, then func()) func() {
+		return func() {
+			ran = append(ran, name)
+			if then != nil {
+				then()
+			}
+		}
+	}
+	f.pendingOps = []func(){op("w", nil), op("x", nil)}
+	f.finishGC() // leaves two slots of spare storage behind
+	f.pendingOps = []func(){
+		op("a", func() {
+			f.pendingOps = append(f.pendingOps, op("c", func() {
+				f.gcActive = true // the next collection starts and queues two ops
+				f.pendingOps = append(f.pendingOps, op("e", nil), op("f", nil))
+			}), op("d", nil))
+			f.finishGC() // a collection that completed inside a
+		}),
+		op("b", nil),
+	}
+	f.finishGC()
+	f.finishGC()
+	if got, want := strings.Join(ran, ""), "wxacefdb"; got != want {
+		t.Fatalf("ran %q, want %q", got, want)
+	}
+}
+
+// TestSynchronousCollectionsNest: over a backend that completes every
+// op inline, a collection runs whole inside the write that triggers it,
+// and a write drained from behind one collection can trigger the next,
+// whose drain then runs inside the first. The queue's two backing
+// arrays must never be handed to both drains: every write lands, and
+// the last version of every page reads back.
+func TestSynchronousCollectionsNest(t *testing.T) {
+	geo := nand.Geometry{
+		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
+		PageSize: 32, OOBSize: 4,
+	}
+	f, err := NewWithBackend(newScript(geo), geo, Config{OverProvision: 0.3, GCLowWater: 2, GCPipeline: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpns, last := f.LogicalPages(), make(map[int]int)
+	for v := 0; v < 40*lpns; v++ {
+		lpn := v * 7 % lpns
+		f.Write(lpn, lpnPage(geo, lpn, v), func(err error) {
+			if err != nil {
+				t.Fatalf("write of lpn %d version %d: %v", lpn, v, err)
+			}
+			last[lpn] = v
+		})
+	}
+	if f.gcCount < 10 {
+		t.Fatalf("test premise: %d collections", f.gcCount)
+	}
+	for lpn, v := range last {
+		f.Read(lpn, func(d []byte, err error) {
+			if err != nil || !bytes.Equal(d, lpnPage(geo, lpn, v)) {
+				t.Fatalf("lpn %d: err %v, not version %d", lpn, err, v)
+			}
+		})
 	}
 }

@@ -177,11 +177,11 @@ func checkVersions(t *testing.T, h *harness, geo nand.Geometry, version map[int]
 }
 
 // TestSharedReadResultIsCopiedBeforeRelocation (the name is from when a
-// result clipped to the page meant "shared"): a backend that delivers
-// GC reads without the check-byte room behind the page — a device fake,
-// a layer that copied — has not delivered an image. The move must
-// program a snapshot of it (nand.Geometry.ReadImage), not hand the bare
-// page down, which the adopting calls would refuse.
+// result clipped to the page was snapshotted before the move): a page
+// image is the page and nothing behind it, so a backend that delivers
+// GC reads clipped to the page — a device fake, a layer that copied —
+// has delivered an image all the same. The move programs it back as it
+// stands, and the card stores it.
 func TestSharedReadResultIsCopiedBeforeRelocation(t *testing.T) {
 	geo := smallGeo()
 	var spy *spyBackend
@@ -195,9 +195,9 @@ func TestSharedReadResultIsCopiedBeforeRelocation(t *testing.T) {
 		t.Fatal("no GC move happened")
 	}
 	for _, w := range spy.writes {
-		if w.tag == TagGC && (w.readBack || !geo.IsPageImage(w.img) || w.err != nil) {
-			t.Fatalf("GC program at %v: handed down the bare read result %v, image %v, err %v",
-				w.a, w.readBack, geo.IsPageImage(w.img), w.err)
+		if w.tag == TagGC && (!w.readBack || !geo.IsPageImage(w.img) || w.err != nil || !w.stored) {
+			t.Fatalf("GC program at %v: handed down the read result %v, image %v, err %v, stored %v",
+				w.a, w.readBack, geo.IsPageImage(w.img), w.err, w.stored)
 		}
 	}
 	checkVersions(t, h, geo, version)
@@ -251,7 +251,7 @@ func TestBadBlockRetryResubmitsTheSameImage(t *testing.T) {
 
 // TestWritesAllocateOnePagePerProgram extends flashserver's
 // TestPageOpsAllocateOnePage upward: under steady-state GC a logical
-// write costs one stored-size buffer — the host write's image. The
+// write costs one page-sized buffer — the host write's image. The
 // programs the collector adds cost none: a move programs back the image
 // its read delivered, which is the one the victim page stores.
 func TestWritesAllocateOnePagePerProgram(t *testing.T) {
@@ -277,7 +277,7 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 		t.Fatalf("window: %d host writes, %d moves, %d programs", writes, moves, progs)
 	}
 	got := float64(after.TotalAlloc - before.TotalAlloc)
-	if budget := 1.15 * float64(writes) * float64(geo.StoredPageSize()); got >= budget {
+	if budget := 1.15 * float64(writes) * float64(geo.PageSize); got >= budget {
 		t.Errorf("%d host writes (%d programs, %d of them GC moves) allocated %.0f B, budget %.0f: more than one page per host write",
 			writes, progs, moves, got, budget)
 	}

@@ -3,45 +3,51 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // TestPageImageShape: the constructor's contract. An image is a private
-// copy with len PageSize and room behind it for the check bytes; a
-// wrong-size payload is copied at its own length, which no adopting
-// call accepts; ReadImage keeps a result that already is an image,
-// whoever else holds it, and snapshots only one without the room for
-// check bytes (a fake's bare page, a copy made on the way).
+// copy of the page, PageSize bytes and nothing behind it, and
+// PageImage allocates exactly that; a wrong-size payload is copied at
+// its own length, which no adopting call accepts. A read result is an
+// image by its length alone, whoever else holds it.
 func TestPageImageShape(t *testing.T) {
 	g := testGeometry()
 	data := bytes.Repeat([]byte{0x5a}, g.PageSize)
 	img := g.PageImage(data)
-	if len(img) != g.PageSize || cap(img) < g.StoredPageSize() || !g.IsPageImage(img) {
+	if len(img) != g.PageSize || cap(img) != g.PageSize || !g.IsPageImage(img) {
 		t.Fatalf("image has len %d cap %d", len(img), cap(img))
 	}
 	if &img[0] == &data[0] || !bytes.Equal(img, data) {
 		t.Fatal("an image is a private copy of the page")
 	}
-	if tail := img[g.PageSize:g.StoredPageSize()]; !bytes.Equal(tail, make([]byte, g.OOBSize)) {
-		t.Fatal("the tail of a fresh image is not zeroed")
-	}
-	for _, n := range []int{0, 100, g.PageSize + 1, 2 * g.StoredPageSize()} {
+	for _, n := range []int{0, 100, g.PageSize + 1, g.StoredPageSize()} {
 		bad := g.PageImage(make([]byte, n))
 		if len(bad) != n || g.IsPageImage(bad) {
 			t.Fatalf("a %d-byte payload became len %d, image %v", n, len(bad), g.IsPageImage(bad))
 		}
 	}
-	if g.IsPageImage(data) { // cap == PageSize: no room for the check bytes
-		t.Fatal("a bare page passes for an image")
+	if !g.IsPageImage(data[:g.PageSize:g.PageSize]) {
+		t.Fatal("a page-length buffer is not an image")
 	}
-	if got := g.ReadImage(img); &got[0] != &img[0] {
-		t.Fatal("ReadImage copied a result that already is an image")
+
+	// An 8 KiB image is one 8 KiB object: no check-byte tail rounds it
+	// up to a larger size class.
+	g.PageSize, g.OOBSize = 8192, 1024
+	page := make([]byte, g.PageSize)
+	const n = 64
+	keep := make([][]byte, n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range keep {
+		keep[i] = g.PageImage(page)
 	}
-	clipped := img[:len(img):len(img)]
-	if got := g.ReadImage(clipped); &got[0] == &img[0] || !g.IsPageImage(got) || !bytes.Equal(got, data) {
-		t.Fatal("ReadImage must snapshot a clipped result into a fresh image")
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got < n*8192 || got >= n*8192+8192 {
+		t.Fatalf("%d images allocated %d B, want %d (%d B each)", n, got, n*8192, 8192)
 	}
 }
 

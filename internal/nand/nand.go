@@ -11,7 +11,6 @@
 package nand
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -56,19 +55,19 @@ func (g Geometry) Validate() error {
 func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 
 // PageImage snapshots data into a new page image — the one buffer a
-// program allocates. A page image is a slice with len == PageSize and
-// cap >= StoredPageSize. The rule every layer keeps: AN IMAGE IS
-// IMMUTABLE FROM THE MOMENT AN ADOPTING CALL OR A READ HANDS IT ON; to
-// change a page, write a new image. The layer that takes the snapshot
-// may fill it, then hands it down by reference; every layer below
-// adopts it without copying, and a successful program ends with the
-// card storing that very buffer. The check bytes behind the page are a
-// pure function of it, computed only where a decode reads them (Seal). From
-// then on clean reads deliver the stored image itself (Card.ReadPage),
-// so any number of readers, and after a relocation more than one flash
-// page, may hold it at once; none of them may write to it. A refused
-// admission or a failed program leaves the image with the issuer, who
-// may submit the same one again.
+// program allocates. A page image is PageSize bytes: the page and
+// nothing behind it. The rule every layer keeps: AN IMAGE IS IMMUTABLE
+// FROM THE MOMENT AN ADOPTING CALL OR A READ HANDS IT ON; to change a
+// page, write a new image. The layer that takes the snapshot may fill
+// it, then hands it down by reference; every layer below adopts it
+// without copying, and a successful program ends with the card storing
+// that very buffer. Its check bytes are a pure function of the page,
+// computed only where a decode reads them: into the private copy of a
+// read that draws flips (ReadPage). Clean reads deliver the stored
+// image itself, so any number of readers, and after a relocation more
+// than one flash page, may hold it at once; none of them may write to
+// it. A refused admission or a failed program leaves the image with the
+// issuer, who may submit the same one again.
 //
 // Data of any other length is snapshotted at its own length, which is
 // not an image: the adopting calls below reject it by that length.
@@ -76,36 +75,17 @@ func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 //go:noinline
 func (g Geometry) PageImage(data []byte) []byte {
 	// make+copy of plain variables compiles to one allocate-and-copy
-	// that zeroes only the tail the copy does not cover.
+	// that zeroes nothing.
 	//simlint:allow hotcall (the page image itself: the one payload allocation of a program, made here and nowhere else)
-	buf := make([]byte, max(len(data), g.StoredPageSize()))
+	buf := make([]byte, len(data))
 	copy(buf, data)
-	return buf[:len(data)]
+	return buf
 }
 
-// IsPageImage reports whether b has the shape of a page image: a page
-// with room behind it for the check bytes. Every result of a flash read
-// has it (the room holds the check-byte tail the page was stored with), and
-// so has everything PageImage returns for a page-sized payload.
-func (g Geometry) IsPageImage(b []byte) bool {
-	return len(b) == g.PageSize && cap(b) >= g.StoredPageSize()
-}
-
-// ReadImage turns the result of a page read into the image a relocation
-// programs back. A read delivers the image the card stores (or, when
-// the read drew bit errors, a corrected private copy of it) with the
-// check-byte tail behind the page as spare capacity, and images are
-// immutable, so the result is returned as it stands however many other
-// holders it has: the move costs no payload bytes, and nothing writes
-// to the tail — the controller does not encode at the program (Seal).
-// Only a result without that capacity — a device fake's bare page, a
-// copy some layer made on the way — is snapshotted.
-func (g Geometry) ReadImage(result []byte) []byte {
-	if g.IsPageImage(result) {
-		return result
-	}
-	return g.PageImage(result)
-}
+// IsPageImage reports whether b has the shape of a page image: PageSize
+// bytes. Every page a read delivers has it, so a relocation programs
+// the result of its read back as it stands.
+func (g Geometry) IsPageImage(b []byte) bool { return len(b) == g.PageSize }
 
 // PagesPerChip returns pages in one chip.
 func (g Geometry) PagesPerChip() int { return g.BlocksPerChip * g.PagesPerBlock }
@@ -167,11 +147,11 @@ type Reliability struct {
 	// sum whenever it touches the page again — the program that stores
 	// it, each read, the erase or Replace that drops it, CheckImages —
 	// and panics, naming the page and the operation, when a holder wrote
-	// to a handed-down image. A controller encodes every program and
-	// decodes the sealed reads it would otherwise deliver as they stand,
-	// panicking unless the decode agrees (Guarded); the card checks that
-	// the check bytes it fills into a flipped copy of a sealed page are
-	// the ones stored (Seal). It changes no simulated behaviour.
+	// to a handed-down image. The flash server checksums an image where
+	// it first adopts it (Guarded). The card also encodes each stored
+	// page-length image eagerly into a side table and checks that the
+	// check bytes it fills into a flipped copy of that page are the
+	// eager ones (ReadPage). It changes no simulated behaviour.
 	GuardImages bool
 }
 
@@ -193,12 +173,6 @@ const (
 	PageWritten
 )
 
-// sealed is the per-page verdict folded into the state byte: the
-// controller programmed the stored image, so its check bytes are the
-// encoder's to compute (Seal). Whatever changes the image — a program,
-// an erase, Replace — writes the whole byte and so clears it.
-const sealed PageState = 1 << 7
-
 // Card is one simulated flash card.
 type Card struct {
 	eng  *sim.Engine
@@ -216,11 +190,12 @@ type Card struct {
 
 	buses []*busState
 	chips []*chipState // bus-major order
-	data  [][]byte     // stored raw image per linear page index; nil = free
-	state []PageState  // lifecycle, with the sealed bit of a written page
-	sums  []uint32     // Reliability.GuardImages: checksum of data[i] as ProgramPage adopted it; nil when off
+	data  [][]byte     // stored image per linear page index: the page, or the page and its check bytes; nil = free
+	state []PageState  // lifecycle
+	sums  []guardSums  // Reliability.GuardImages: the guard's record of data[i]; nil when off
 
-	encode func(raw []byte) error // the controller's check-byte encoder (SetEncoder)
+	encode  func(raw []byte) error // the controller's check-byte encoder (SetEncoder)
+	scratch []byte                 // Reliability.GuardImages: the StoredPageSize buffer the eager encode runs in
 
 	erasing   sim.Queue[command] // erases in progress, oldest first
 	eraseDone func()             // the oldest erase finished; bound once
@@ -268,7 +243,8 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 	}
 	c.eraseDone = c.erased
 	if rel.GuardImages {
-		c.sums = make([]uint32, geo.TotalPages())
+		c.sums = make([]guardSums, geo.TotalPages())
+		c.scratch = make([]byte, geo.StoredPageSize())
 	}
 	for b := 0; b < geo.Buses; b++ {
 		bus := &busState{
@@ -403,7 +379,7 @@ func (c *Card) check(cs *chipState, cmd *command) error {
 	if cmd.kind == cmdErase {
 		return nil // a block address: its page field means nothing
 	}
-	switch state := c.state[c.PageIndex(a)] &^ sealed; {
+	switch state := c.state[c.PageIndex(a)]; {
 	case cmd.kind == cmdRead && state != PageWritten:
 		return fmt.Errorf("%w: %v", ErrReadFree, a)
 	case cmd.kind == cmdProgram && state != PageFree:
@@ -441,13 +417,14 @@ func (c *Card) start(cs *chipState, cmd command) {
 	}
 }
 
-// transfer moves a command's image across its bus.
+// transfer moves a command's image across its bus: the page and its
+// check bytes, whether or not the image in memory carries them.
 //
 //simlint:hotpath
 func (c *Card) transfer(cmd command) {
 	bus := c.buses[cmd.a.Bus]
 	bus.moving.Push(cmd)
-	bus.pipe.Transfer(len(cmd.raw), bus.busDone)
+	bus.pipe.Transfer(c.geo.StoredPageSize(), bus.busDone)
 }
 
 // cellDone ends the cell operation a chip was timing.
@@ -467,15 +444,13 @@ func (c *Card) cellDone(cs *chipState) {
 		c.verify(idx, "read")
 		serial := cs.readSerial[a.Block]
 		cs.readSerial[a.Block]++
-		flips, s := c.drawFlips(len(stored)*8, idx/c.geo.PagesPerBlock, cs.eraseCount[a.Block], serial)
+		flips, s := c.drawFlips(c.geo.StoredPageSize()*8, idx/c.geo.PagesPerBlock, cs.eraseCount[a.Block], serial)
 		cmd.raw = stored
 		if flips > 0 {
-			// make+copy of two plain variables compiles to one
-			// allocate-and-copy: the copy is never zeroed first.
 			//simlint:allow hotpath (the private copy of a read that drew bit errors: at the default error rate one read in 13 000)
-			raw := make([]byte, len(stored))
+			raw := make([]byte, c.geo.StoredPageSize())
 			copy(raw, stored)
-			if c.state[idx]&sealed != 0 {
+			if len(stored) == c.geo.PageSize {
 				//simlint:allow hotcall (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
 				c.fillCheckBytes(idx, raw)
 			}
@@ -485,11 +460,13 @@ func (c *Card) cellDone(cs *chipState) {
 		c.transfer(cmd)
 	case cmdProgram:
 		idx := c.PageIndex(a)
-		c.state[idx] = PageWritten // unsealed, whatever the page held before
+		c.state[idx] = PageWritten
 		c.data[idx] = cmd.raw
 		if c.sums != nil {
-			c.sums[idx] = cmd.sum
+			c.sums[idx].image = cmd.sum
 			c.verify(idx, "program")
+			//simlint:allow hotcall (the image guard, a test-only debugging aid)
+			c.sums[idx].check = c.encodeEagerly(idx)
 		}
 		cs.nextPage[a.Block]++
 		c.Programs.Inc()
@@ -550,21 +527,31 @@ func (c *Card) finish(cs *chipState, cmd *command, err error) {
 	}
 }
 
-// ReadPage reads the raw stored image (data+OOB) of a page. Timing:
-// cell read occupies the chip, then the image crosses the shared bus.
-// Bit errors are drawn according to the block's wear. The callback
-// receives the raw image or an error.
+// ReadPage reads the stored image of a page. Timing: cell read
+// occupies the chip, then the page and its check bytes cross the shared
+// bus. Bit errors are drawn according to the block's wear, over the
+// page and its check bytes. The callback receives the image or an
+// error.
 //
 // Ownership: raw is read-only. A read that draws no bit error — all
 // but one in 13 000 at the default rate — delivers the very image the
 // card stores, the one every other clean read of the page delivers too:
 // a clean read copies nothing and allocates nothing. A read that draws
-// flips delivers a private copy with the flips applied; the stored
-// image is never touched. Images are immutable (Geometry.PageImage), so
-// the controller corrects into a copy of its own when it has to, and
-// every layer above passes views of raw up to the requester. The
-// controller tells the two apart by pointer identity (Sealed): only the
-// stored image of a sealed page is known to decode to itself.
+// flips delivers a private StoredPageSize copy with the flips applied;
+// the stored image is never touched. Images are immutable
+// (Geometry.PageImage), so the controller corrects into a copy of its
+// own when it has to, and every layer above passes views of raw up to
+// the requester.
+//
+// A stored image of PageSize bytes — every image the controller
+// programs — carries no check bytes: they are a pure function of the
+// page. So a clean read of it delivers a page that needs no decode, and
+// a read that draws flips fills its copy's check bytes from the still
+// unflipped page with the encoder the controller registered
+// (SetEncoder) before the flips land: the decode sees the bytes an
+// eager encode would have stored. An image of StoredPageSize bytes —
+// one programmed around the controller — is decoded from the check
+// bytes it carries.
 func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
@@ -573,10 +560,12 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	c.enqueue(command{kind: cmdRead, a: a, onRead: cb})
 }
 
-// ProgramPage writes a raw stored image to a page. The image first
-// crosses the bus, then programming occupies the chip. NAND rules are
-// enforced: the page must be erased and must be the next page in its
-// block.
+// ProgramPage writes an image to a page: PageSize bytes, the page alone
+// (a page image), or StoredPageSize bytes, the page followed by its
+// check bytes (an image programmed around the controller). Either
+// crosses the bus at StoredPageSize, then programming occupies the
+// chip. NAND rules are enforced: the page must be erased and must be
+// the next page in its block.
 //
 // Ownership: the card adopts raw. On success raw itself becomes the
 // stored image, which clean reads hand out as it stands (ReadPage), so
@@ -588,16 +577,13 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // it read — and stays in use until the last page holding it is erased.
 // Under Reliability.GuardImages the checksum is taken here, so a holder
 // that writes to raw before the program ends trips the program.
-//
-// The page is stored unsealed: its check bytes are what raw's tail
-// holds. The controller seals what it programmed.
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
 		return
 	}
-	if len(raw) != c.geo.StoredPageSize() {
-		cb(fmt.Errorf("%w: got %d, want %d", ErrWrongDataSize, len(raw), c.geo.StoredPageSize()))
+	if len(raw) != c.geo.PageSize && len(raw) != c.geo.StoredPageSize() {
+		cb(fmt.Errorf("%w: got %d, want %d or %d", ErrWrongDataSize, len(raw), c.geo.PageSize, c.geo.StoredPageSize()))
 		return
 	}
 	cmd := command{kind: cmdProgram, a: a, raw: raw, onDone: cb}
@@ -607,60 +593,56 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	c.enqueue(cmd)
 }
 
-// Seal records that the controller programmed the image just stored at
-// a, which makes the check-byte tail of that stored image don't-care:
-// the check bytes are a pure function of the page, and they are
-// computed only where a decode will read them. A clean read of a sealed
-// page is not decoded at all (Sealed); a read that draws flips copies
-// the image, fills the copy's check bytes from its still unflipped page
-// with the encoder the controller registered (SetEncoder), and only
-// then applies the flips — the decode sees the bytes an eager encode
-// would have stored. The controller calls Seal from the completion of a
-// program it issued, before anything else can touch the page; the next
-// program, the erase of the block or Replace clears the seal. Sealing a
-// page that holds no image does nothing.
-func (c *Card) Seal(a Addr) {
-	if idx := c.PageIndex(a); c.checkAddr(a, true) == nil && c.state[idx] == PageWritten {
-		c.state[idx] |= sealed
-	}
-}
-
-// Sealed reports whether raw, the result a read of a just delivered,
-// is the sealed image stored there: the read drew no flip, so raw is
-// that image itself, as the controller programmed it. Its page needs no
-// correction, so the controller skips the decode.
-func (c *Card) Sealed(a Addr, raw []byte) bool {
-	idx := c.PageIndex(a)
-	return c.checkAddr(a, true) == nil && len(raw) > 0 && c.state[idx]&sealed != 0 && &c.data[idx][0] == &raw[0]
-}
-
-// Guarded reports Reliability.GuardImages. A controller over a guarded
-// card encodes every program eagerly, and decodes the sealed reads it
-// would skip to prove that they decode to themselves.
+// Guarded reports Reliability.GuardImages: a layer that adopts images
+// for this card checksums them where it adopts them.
 func (c *Card) Guarded() bool { return c.sums != nil }
 
 // SetEncoder registers enc, the controller's check-byte encoder: it
-// writes into the tail of a stored-size image the check bytes of the
-// page in its head and touches nothing else. The controller registers
-// it once per card; the card calls it only on the copy a read of a
-// sealed page makes when it draws flips (Seal). A card no controller
-// registered with decodes sealed pages from their stored check bytes.
+// writes into the tail of a StoredPageSize buffer the check bytes of
+// the page in its head and touches nothing else. The controller
+// registers it once per card; the card calls it on the copy a read of a
+// page-length image makes when it draws flips (ReadPage), and under
+// Reliability.GuardImages on each page-length image it stores.
 func (c *Card) SetEncoder(enc func(raw []byte) error) { c.encode = enc }
 
+// guardSums is the image guard's record of one page
+// (Reliability.GuardImages), its side table entry.
+type guardSums struct {
+	image uint32 // checksum of the stored image as ProgramPage adopted it
+	check uint32 // page-length image: checksum of the check bytes the encoder computed for it as it was stored
+}
+
+// encodeEagerly encodes the page-length image just stored at idx and
+// returns the checksum of its check bytes (0 for an image that carries
+// its own).
+func (c *Card) encodeEagerly(idx int) uint32 {
+	if c.encode == nil || len(c.data[idx]) != c.geo.PageSize {
+		return 0
+	}
+	copy(c.scratch, c.data[idx])
+	c.fill(idx, c.scratch)
+	return crc32.Checksum(c.scratch[c.geo.PageSize:], castagnoli)
+}
+
+// fill runs the encoder on enc, a StoredPageSize copy of the page at idx.
+func (c *Card) fill(idx int, enc []byte) {
+	if err := c.encode(enc); err != nil {
+		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.AddrOf(idx), err))
+	}
+}
+
 // fillCheckBytes writes the check bytes of raw, the private copy a read
-// of the sealed page idx made, from its page, before the read's flips
-// land on it. Under Reliability.GuardImages the controller encoded the
-// stored image eagerly, and the fill must reproduce it byte for byte or
-// the read panics, naming the page.
+// of the page-length image at idx made, from its page, before the
+// read's flips land on it. Under Reliability.GuardImages the fill must
+// reproduce the eager encode the side table recorded or the read
+// panics, naming the page.
 func (c *Card) fillCheckBytes(idx int, raw []byte) {
 	if c.encode == nil {
 		return
 	}
-	if err := c.encode(raw); err != nil {
-		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.AddrOf(idx), err))
-	}
-	if c.sums != nil && !bytes.Equal(raw, c.data[idx]) {
-		panic(fmt.Sprintf("nand: %s: the sealed image at %v does not carry the check bytes its page encodes to (found by read): it was written to after the controller encoded it", c.name, c.AddrOf(idx)))
+	c.fill(idx, raw)
+	if c.sums != nil && crc32.Checksum(raw[c.geo.PageSize:], castagnoli) != c.sums[idx].check {
+		panic(fmt.Sprintf("nand: %s: the image at %v does not carry the check bytes its page encoded to when it was stored (found by read)", c.name, c.AddrOf(idx)))
 	}
 }
 
@@ -738,7 +720,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //simlint:hotpath
 func (c *Card) checkImage(idx int, op string) error {
-	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx] {
+	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx].image {
 		return nil
 	}
 	//simlint:allow hotpath (debug guard tripped: the run ends here)
@@ -777,7 +759,7 @@ func (c *Card) CheckImages() error {
 func (c *Card) Fail() { c.failed = true }
 
 // Replace swaps in a fresh, blank card of identical geometry: all
-// pages free and unsealed, zero wear, no bad blocks, injector state reset. The
+// pages free, zero wear, no bad blocks, injector state reset. The
 // replacement card keeps the same identity (name, seed, attached
 // controller), mirroring a field swap of the flash board. Callers
 // should replace only after the dead card's queued operations have
@@ -810,7 +792,7 @@ func (c *Card) MarkBad(a Addr) {
 	c.chipAt(a).bad[a.Block] = true
 }
 
-// Peek returns the stored raw image without timing or error injection.
+// Peek returns the stored image without timing or error injection.
 // It is a debug/test hook, not part of the modelled hardware surface.
 func (c *Card) Peek(a Addr) []byte {
 	if err := c.checkAddr(a, true); err != nil {

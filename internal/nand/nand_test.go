@@ -130,23 +130,30 @@ func TestEraseFreesBlock(t *testing.T) {
 	}
 }
 
+// TestReadTiming: a program costs the page and its check bytes on the
+// bus, then the cell program; a read the cell read, then the bus. The
+// check bytes cross the bus whether or not the image in memory carries
+// them.
 func TestReadTiming(t *testing.T) {
-	eng := sim.NewEngine()
-	c := perfectCard(t, eng)
-	a := Addr{0, 0, 0, 0}
-	c.ProgramPage(a, mkRaw(c, 1), func(error) {})
-	eng.Run()
-	start := eng.Now()
-	var done sim.Time
-	c.ReadPage(a, func([]byte, error) { done = eng.Now() })
-	eng.Run()
-	elapsed := done - start
-	// Expected: 50us cell read + 576B @ 150MB/s (3.84us) + 200ns latency.
-	tim := DefaultTiming()
-	wire := sim.Time(int64(c.Geometry().StoredPageSize()) * int64(sim.Second) / tim.BusBytesPerSec)
-	want := tim.ReadPage + wire + tim.BusLatency
-	if elapsed != want {
-		t.Fatalf("read latency = %v, want %v", elapsed, want)
+	g, tim := testGeometry(), DefaultTiming()
+	// 576 B at the bus rate, plus its latency.
+	wire := sim.Time(int64(g.StoredPageSize())*int64(sim.Second)/tim.BusBytesPerSec) + tim.BusLatency
+	for _, n := range []int{g.PageSize, g.StoredPageSize()} {
+		eng := sim.NewEngine()
+		c := perfectCard(t, eng)
+		a := Addr{0, 0, 0, 0}
+		c.ProgramPage(a, make([]byte, n), func(error) {})
+		eng.Run()
+		if want := wire + tim.Program; eng.Now() != want {
+			t.Fatalf("%d-byte image: program latency = %v, want %v", n, eng.Now(), want)
+		}
+		start := eng.Now()
+		var done sim.Time
+		c.ReadPage(a, func([]byte, error) { done = eng.Now() })
+		eng.Run()
+		if elapsed, want := done-start, tim.ReadPage+wire; elapsed != want {
+			t.Fatalf("%d-byte image: read latency = %v, want %v", n, elapsed, want)
+		}
 	}
 }
 
@@ -565,51 +572,70 @@ func TestImageGuardAtProgram(t *testing.T) {
 	eng.Run()
 }
 
-// TestSealLifecycle: Seal marks the stored image of a written page, and
-// only that image itself reads as sealed — not a copy of it, not an
-// image programmed where Seal found a free page. Whatever changes the
-// page's image drops the seal: the erase of its block, Replace. State
-// never shows it.
+// TestSealLifecycle: a page is sealed while it stores a page-length
+// image. Such an image carries no check bytes, so a read of it that
+// draws flips gets them filled into its copy by the registered encoder,
+// before the flips land. A StoredPageSize image is read with the check
+// bytes it carries, and a seal does not outlive its image: after the
+// erase of its block, or Replace, a StoredPageSize image programmed at
+// the same address is read as what it is. State never shows the seal.
 func TestSealLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
-	c := perfectCard(t, eng)
-	a, free := Addr{Block: 1}, Addr{Block: 1, Page: 1}
-	program := func(a Addr) {
-		c.ProgramPage(a, mkRaw(c, 5), func(err error) {
+	c, err := NewCard(eng, "noisy", testGeometry(), DefaultTiming(), Reliability{BitErrorRate: 1e-3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Guarded() {
+		t.Fatal("Guarded reports a guard the card does not run")
+	}
+	g := c.Geometry()
+	c.SetEncoder(func(raw []byte) error { // marks every check byte it fills
+		for i := g.PageSize; i < len(raw); i++ {
+			raw[i] = 0xee
+		}
+		return nil
+	})
+	program := func(a Addr, raw []byte) {
+		c.ProgramPage(a, raw, func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 		eng.Run()
 	}
-	isSealed := func(a Addr) bool { return c.Sealed(a, c.Peek(a)) }
-	if c.Guarded() {
-		t.Fatal("Guarded reports a guard the card does not run")
+	// filled reads a until a read draws flips and reports whether most
+	// of the copy's check bytes are the encoder's.
+	filled := func(a Addr) bool {
+		for {
+			before := c.InjectedFlips.Value()
+			raw := readRaw(t, eng, c, a)
+			if c.InjectedFlips.Value() == before {
+				continue
+			}
+			if len(raw) != g.StoredPageSize() {
+				t.Fatalf("a read that drew flips delivered %d bytes, want %d", len(raw), g.StoredPageSize())
+			}
+			return bytes.Count(raw[g.PageSize:], []byte{0xee}) > g.OOBSize/2
+		}
 	}
-
-	program(a)
-	if isSealed(a) {
-		t.Fatal("ProgramPage sealed the page")
+	a, b := Addr{Block: 1}, Addr{Block: 1, Page: 1}
+	program(a, bytes.Repeat([]byte{5}, g.PageSize))
+	program(b, mkRaw(c, 5))
+	if !filled(a) || c.State(a) != PageWritten {
+		t.Fatalf("page-length image: filled %v, state %v", filled(a), c.State(a))
 	}
-	c.Seal(a)
-	c.Seal(free)
-	if !isSealed(a) || c.State(a) != PageWritten {
-		t.Fatalf("after Seal: sealed %v, state %v", isSealed(a), c.State(a))
-	}
-	if c.Sealed(a, bytes.Clone(c.Peek(a))) {
-		t.Fatal("a copy of the sealed image reads as sealed")
-	}
-	if program(free); isSealed(free) {
-		t.Fatal("Seal of a free page stuck to the image programmed there later")
+	if filled(b) {
+		t.Fatal("the check bytes a StoredPageSize image carries were overwritten")
 	}
 	c.EraseBlock(a, func(error) {})
 	eng.Run()
-	if program(a); isSealed(a) {
+	if program(a, mkRaw(c, 6)); filled(a) {
 		t.Fatal("the erase left the page sealed")
 	}
-	c.Seal(a)
 	c.Replace()
-	if program(a); isSealed(a) {
+	program(a, bytes.Repeat([]byte{7}, g.PageSize))
+	c.Replace()
+	if program(a, mkRaw(c, 7)); filled(a) {
 		t.Fatal("Replace left the page sealed")
 	}
 }

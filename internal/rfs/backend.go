@@ -22,11 +22,7 @@ type Layout struct {
 	SegsPerChip int
 	PagesPerSeg int
 	PageSize    int
-	// OOBSize is the check bytes the flash stores behind each page: the
-	// spare capacity of the page images the FS hands down
-	// (nand.Geometry.PageImage).
-	OOBSize int
-	Lanes   int
+	Lanes       int
 }
 
 // Validate sanity-checks a layout.
@@ -57,12 +53,10 @@ func (l Layout) TotalSegs() int { return l.Chips * l.SegsPerChip }
 // Backends that have no scheduler (CardBackend) ignore both.
 //
 // Ownership: page images are immutable (nand.Geometry.PageImage).
-// ReadPage delivers a result the callback may keep and must not write
-// to: as a rule the image the card stores, check-byte tail behind the
-// page as spare capacity, whoever else holds it; the cleaner programs
-// that very buffer back. Only a result without the tail — a fake's bare
-// page, a copy a backend made — is snapshotted first
-// (nand.Geometry.ReadImage). WritePage ADOPTS img, a page image: the
+// ReadPage delivers a page image the callback may keep and must not
+// write to: as a rule the image the card stores, whoever else holds it;
+// the cleaner programs that very buffer back. WritePage ADOPTS img, a
+// page image: the
 // backend passes it down by reference until the card stores it, and
 // must neither copy it for its own keeping nor write to it. Only a
 // failed write — cb with an error — returns the image to the FS, which
@@ -111,7 +105,6 @@ func (b *CardBackend) Layout() Layout {
 		SegsPerChip: b.geo.BlocksPerChip,
 		PagesPerSeg: b.geo.PagesPerBlock,
 		PageSize:    b.geo.PageSize,
-		OOBSize:     b.geo.OOBSize,
 		Lanes:       1,
 	}
 }

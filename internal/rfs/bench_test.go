@@ -8,8 +8,8 @@ import (
 // BenchmarkAppendPage is the cost of one append to a cluster file —
 // file system, sequencer, scheduler, doorbell, host DMA, flash server,
 // controller, card — one at a time: ns/op is host time, B/op and
-// allocs/op the heap traffic (one stored-size page, the append's image,
-// is the floor), events/op the engine events. The file is dropped and
+// allocs/op the heap traffic (one page image, the append's 8 KiB, is
+// the floor), events/op the engine events. The file is dropped and
 // started again, off the clock, before it fills the log; erasing its
 // dead segments is part of what later appends pay. Run with -benchmem.
 func BenchmarkAppendPage(b *testing.B) {

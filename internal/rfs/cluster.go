@@ -70,7 +70,6 @@ func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (
 		SegsPerChip: g.BlocksPerChip,
 		PagesPerSeg: g.PagesPerBlock,
 		PageSize:    g.PageSize,
-		OOBSize:     g.OOBSize,
 		// One write lane per tenant class; the FS adds the cleaning
 		// lane, whose traffic rides the Background streams.
 		Lanes: int(sched.Accel),

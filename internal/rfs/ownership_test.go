@@ -212,10 +212,10 @@ func (b clipCleanReads) ReadPage(ppn int, class sched.Class, clean bool, cb func
 }
 
 // TestSharedReadResultIsCopiedBeforeCleaning (the name is from when a
-// result clipped to the page meant "shared"): a cleaner read delivered
-// without the check-byte room behind the page — a device fake, a layer
-// that copied — is not an image. The move must program a snapshot of it
-// (nand.Geometry.ReadImage), not hand the bare page down.
+// result clipped to the page was snapshotted before the move): a page
+// image is the page and nothing behind it, so a cleaner read delivered
+// clipped to the page — a device fake, a layer that copied — is an
+// image all the same. The move programs it back as it stands.
 func TestSharedReadResultIsCopiedBeforeCleaning(t *testing.T) {
 	geo := smallGeo()
 	spy := &spyBackend{cleanReads: make(map[*byte]bool)}
@@ -226,8 +226,8 @@ func TestSharedReadResultIsCopiedBeforeCleaning(t *testing.T) {
 	spy.card = h.card
 	f, version := cleanerChurn(t, h, geo)
 	for _, w := range spy.writes {
-		if w.clean && (w.readBack || !geo.IsPageImage(w.img) || w.err != nil) {
-			t.Fatalf("cleaning program at ppn %d: handed down the bare read result %v, image %v, err %v",
+		if w.clean && (!w.readBack || !geo.IsPageImage(w.img) || w.err != nil) {
+			t.Fatalf("cleaning program at ppn %d: handed down the read result %v, image %v, err %v",
 				w.ppn, w.readBack, geo.IsPageImage(w.img), w.err)
 		}
 	}

@@ -139,7 +139,7 @@ type cleanState struct {
 type FS struct {
 	b     Backend
 	lay   Layout
-	geo   nand.Geometry // the part of the flash geometry that shapes a page image
+	geo   nand.Geometry // the part of the flash geometry that sizes a page image
 	cfg   Config
 	hooks Hooks
 
@@ -204,7 +204,7 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 	fs := &FS{
 		b:             b,
 		lay:           lay,
-		geo:           nand.Geometry{PageSize: lay.PageSize, OOBSize: lay.OOBSize},
+		geo:           nand.Geometry{PageSize: lay.PageSize},
 		cfg:           cfg,
 		lanes:         lanes,
 		cleanLane:     lay.Lanes,
@@ -842,11 +842,11 @@ func (fs *FS) moveRead(op *pageOp, data []byte, err error) {
 		return
 	}
 	// The read result is re-programmed as it stands — the image the
-	// victim page stores, check-byte tail and all; images are
-	// immutable, so both pages may hold it until the victim is erased.
+	// victim page stores; images are immutable, so both pages may hold
+	// it until the victim is erased.
 	op.dst = dst
 	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
-	fs.b.WritePage(dst, sched.Background, true, fs.geo.ReadImage(data), op.onMoved)
+	fs.b.WritePage(dst, sched.Background, true, data, op.onMoved)
 }
 
 // moveWritten takes a move's program and re-points the mapping.

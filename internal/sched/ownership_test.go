@@ -11,8 +11,8 @@ import (
 // Writes pass one page image from admission to the cell: Stream.Write
 // snapshots into it, WriteImage adopts it, a refused
 // admission hands it back, and a Sequencer offers the same one again.
-// Reads deliver the image the card stores, tail and all, to one
-// requester or to several: images are immutable, so sharing needs no
+// Reads deliver the image the card stores to one requester or to
+// several: images are immutable, so sharing needs no
 // signal. The clusters here run under the image guard.
 
 // freePage returns the idx-th page of node 0's first erased block row
@@ -222,8 +222,8 @@ func TestSequencerKeepsOrderAndImages(t *testing.T) {
 
 // TestCoalescedReadSharesTheUnclippedImage: a read fanned out to
 // coalesced followers hands lead and followers the one buffer a lone
-// read would get — the image the card stores, check-byte tail behind it
-// as spare capacity — so any of them may program it back as it stands.
+// read would get — the image the card stores, the whole page — so any
+// of them may program it back as it stands.
 func TestCoalescedReadSharesTheUnclippedImage(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -251,8 +251,8 @@ func TestCoalescedReadSharesTheUnclippedImage(t *testing.T) {
 	}
 	stored := peek(c, a)
 	for i, d := range results {
-		if &d[0] != &stored[0] || !c.Params.Geometry.IsPageImage(d) {
-			t.Fatalf("reader %d got len %d cap %d: not the stored image with its tail", i, len(d), cap(d))
+		if &d[0] != &stored[0] || len(d) != len(stored) || !c.Params.Geometry.IsPageImage(d) {
+			t.Fatalf("reader %d got len %d cap %d: not the stored image", i, len(d), cap(d))
 		}
 	}
 	if out := s.PoolOut(); out != 0 {

@@ -638,12 +638,12 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 // complete finishes a dispatched request and every coalesced follower.
 //
 // Ownership: a read delivers its result as the device handed it up —
-// as a rule the image the card stores, check-byte tail behind it as
-// spare capacity — to the lead and to every coalesced follower alike.
-// Page images are immutable (nand.Geometry.PageImage), so handing one
-// buffer to several requesters needs no signal and no copy: each may
-// keep it, and a relocation among them may program that very buffer
-// back (nand.Geometry.ReadImage); none may write to it.
+// as a rule the image the card stores — to the lead and to every
+// coalesced follower alike. Page images are immutable
+// (nand.Geometry.PageImage), so handing one buffer to several
+// requesters needs no signal and no copy: each may keep it, and a
+// relocation among them may program that very buffer back; none may
+// write to it.
 //
 //simlint:hotpath
 func (nq *nodeQueue) complete(r *request, data []byte, err error) {

@@ -10,11 +10,10 @@ import (
 // BenchmarkVolumeWrite is the cost of one logical write at the top of
 // the stack — volume, FTL, sequencer, scheduler, doorbell, host DMA,
 // flash server, controller, card — in steady-state GC, one write at a
-// time: ns/op is host time, B/op and allocs/op the heap traffic (one
-// stored-size page per physical program is the floor: the write's
-// image, and the read snapshot each GC move programs back),
-// programs/op how many programs a write cost, events/op the engine
-// events. Run with -benchmem.
+// time: ns/op is host time, B/op and allocs/op the heap traffic (the
+// write's 8 KiB image is the floor: each GC move programs back the
+// image its read delivered, which costs nothing), programs/op how many
+// programs a write cost, events/op the engine events. Run with -benchmem.
 func BenchmarkVolumeWrite(b *testing.B) {
 	c, _, v := ownershipVolume(b, sched.DefaultConfig())
 	st, err := v.NewStream("w", sched.Batch)

@@ -435,8 +435,8 @@ func (v *Volume) pumpRebuild(cd *card) {
 
 // copyPage restores one page: read the survivor, write the
 // replacement, both on TagRebuild (Background class). The copy programs
-// the image its read returned, as a GC move does (nand.ReadImage): the
-// survivor's card and the replacement end up storing the one buffer.
+// the image its read returned, as a GC move does: the survivor's card
+// and the replacement end up storing the one buffer.
 func (v *Volume) copyPage(cd *card, clpn int, src *card, sclpn int) {
 	src.f.ReadTagged(sclpn, ftl.TagRebuild, func(data []byte, err error) {
 		if err != nil {
@@ -452,7 +452,7 @@ func (v *Volume) copyPage(cd *card, clpn int, src *card, sclpn int) {
 			v.completeCopy(cd, clpn)
 			return
 		}
-		cd.f.WriteImage(clpn, v.c.Params.Geometry.ReadImage(data), ftl.TagRebuild, func(werr error) {
+		cd.f.WriteImage(clpn, data, ftl.TagRebuild, func(werr error) {
 			if werr == nil {
 				v.pagesRebuilt++
 			}

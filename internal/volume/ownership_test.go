@@ -227,7 +227,7 @@ func TestGCReadSharedWithHostReaderMovesTheImage(t *testing.T) {
 // TestWritesAllocateOnePagePerProgram extends flashserver's
 // TestPageOpsAllocateOnePage to the top of the stack: under
 // steady-state GC a logical write through the volume, the scheduler and
-// the host interface costs one stored-size buffer — the write's image —
+// the host interface costs one page-sized buffer — the write's image —
 // and small change. The programs the collector adds cost no page: a
 // move programs back the image its read delivered.
 func TestWritesAllocateOnePagePerProgram(t *testing.T) {
@@ -261,10 +261,10 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 	if d.GCMoves == 0 || d.FlashPrograms != d.HostWrites+d.GCMoves {
 		t.Fatalf("window: %d host writes, %d moves, %d programs", d.HostWrites, d.GCMoves, d.FlashPrograms)
 	}
-	stored := float64(c.Params.Geometry.StoredPageSize())
+	page := float64(c.Params.Geometry.PageSize)
 	got := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(d.HostWrites)
 	perWrite := float64(d.FlashPrograms) / float64(d.HostWrites)
-	if budget := 1.15 * stored; got >= budget {
+	if budget := 1.05 * page; got >= budget {
 		t.Errorf("a logical write (%.2f programs) allocates %.0f B, budget %.0f: more than its one image", perWrite, got, budget)
 	}
 }
