@@ -1,243 +1,125 @@
 package repro_test
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// bench regenerates its experiment end to end (cluster construction,
-// seeding, workload) and reports the headline metric of that figure as
-// a custom benchmark unit, so `go test -bench=.` reproduces the whole
-// evaluation section.
+// One benchmark over the experiment table: a sub-benchmark per table
+// and figure of the paper's evaluation, plus the scheduler experiment.
+// Each regenerates its experiment end to end (cluster construction,
+// seeding, workload) on the table's Params and reports the headline
+// metric of that figure as a custom benchmark unit, so `go test
+// -bench=Evaluation` reproduces the whole evaluation section.
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/fpga"
+	"repro/internal/power"
+	"repro/internal/sched"
 )
 
-func BenchmarkTable1Resources(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table1(8)
-		if !r.Fits() {
-			b.Fatal("design does not fit")
+// headlines reports each benchmarked experiment's headline metrics
+// from the value its run returned.
+var headlines = map[string]func(b *testing.B, v any){
+	"table1": func(b *testing.B, v any) { reportLUTs(b, v.(fpga.Report), "artix-LUTs") },
+	"table2": func(b *testing.B, v any) { reportLUTs(b, v.(fpga.Report), "virtex-LUTs") },
+	"table3": func(b *testing.B, v any) { b.ReportMetric(v.(power.Budget).Total(), "node-W") },
+	"fig11": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "5", "Gbps/lane"), "Gbps/lane")
+		b.ReportMetric(cell(b, v, "5", "Latency(us)")/5, "us/hop")
+	},
+	"fig12": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "ISP-F", "Total(us)"), "ISP-F-us")
+		b.ReportMetric(cell(b, v, "H-RH-F", "Total(us)"), "H-RH-F-us")
+	},
+	"fig13": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "ISP-Local", "GB/s"), "ISP-local-GBps")
+		b.ReportMetric(cell(b, v, "ISP-3Nodes", "GB/s"), "ISP-3nodes-GBps")
+	},
+	"fig16": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "4", "1 Node"), "ISP-Kcmp/s")
+		b.ReportMetric(cell(b, v, "16", "DRAM"), "DRAM16-Kcmp/s")
+	},
+	"fig17": func(b *testing.B, v any) { b.ReportMetric(cell(b, v, "8", "10% Flash"), "10pctFlash-Kcmp/s") },
+	"fig18": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "8", "Full Flash"), "random-Kcmp/s")
+		b.ReportMetric(cell(b, v, "8", "Seq Flash"), "seq-Kcmp/s")
+	},
+	"fig19": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "8", "ISP")/cell(b, v, "8", "BlueDBM+SW"), "ISP-advantage-x")
+	},
+	"fig20": func(b *testing.B, v any) {
+		b.ReportMetric(cell(b, v, "ISP-F", "Lookups/s")/cell(b, v, "H-RH-F", "Lookups/s"), "ISPF-over-HRHF-x")
+	},
+	"fig21": func(b *testing.B, v any) {
+		isp := cell(b, v, "Flash/ISP", "MB/s")
+		b.ReportMetric(isp, "ISP-MBps")
+		b.ReportMetric(isp/cell(b, v, "HDD/SW Grep", "MB/s"), "vs-HDD-x")
+	},
+	// Beyond the paper: 64 concurrent QoS-classed streams through the
+	// internal/sched request scheduler at -short size, batched doorbells
+	// against one-doorbell-per-request and depth-1 submission, read
+	// through its JSON metrics.
+	"sched": func(b *testing.B, v any) {
+		var r struct {
+			Batched struct {
+				Sched sched.Snapshot `json:"sched"`
+			} `json:"batched"`
+			SpeedupVsDepth1 float64 `json:"speedup_vs_depth1_x"`
 		}
-	}
-	luts, _, _, _ := experiments.Table1(8).Totals()
-	b.ReportMetric(float64(luts), "artix-LUTs")
-}
-
-func BenchmarkTable2Resources(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(8)
-		if !r.Fits() {
-			b.Fatal("design does not fit")
+		raw, err := json.Marshal(v)
+		if err == nil {
+			err = json.Unmarshal(raw, &r)
 		}
-	}
-	luts, _, _, _ := experiments.Table2(8).Totals()
-	b.ReportMetric(float64(luts), "virtex-LUTs")
-}
-
-func BenchmarkTable3Power(b *testing.B) {
-	var watts float64
-	for i := 0; i < b.N; i++ {
-		watts = experiments.Table3(2).Total()
-	}
-	b.ReportMetric(watts, "node-W")
-}
-
-func BenchmarkFig11NetworkHops(b *testing.B) {
-	var gbps, latency float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig11(5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := pts[len(pts)-1]
-		gbps = last.GbpsPerLane
-		latency = last.LatencyUs / float64(last.Hops)
-	}
-	b.ReportMetric(gbps, "Gbps/lane")
-	b.ReportMetric(latency, "us/hop")
-}
-
-func BenchmarkFig12RemoteLatency(b *testing.B) {
-	var ispf, hrhf float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Path {
-			case "ISP-F":
-				ispf = r.TotalUs
-			case "H-RH-F":
-				hrhf = r.TotalUs
+		var rtP99 float64
+		for _, cs := range r.Batched.Sched.Classes {
+			if cs.Class == "realtime" {
+				rtP99 = cs.P99Us
 			}
 		}
-	}
-	b.ReportMetric(ispf, "ISP-F-us")
-	b.ReportMetric(hrhf, "H-RH-F-us")
+		b.ReportMetric(r.Batched.Sched.TotalOpsPerSec/1e3, "batched-Kops/s")
+		b.ReportMetric(rtP99, "rt-p99-us")
+		b.ReportMetric(r.SpeedupVsDepth1, "vs-depth1-x")
+	},
 }
 
-func BenchmarkFig13Bandwidth(b *testing.B) {
-	var local, three float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig13()
-		if err != nil {
-			b.Fatal(err)
+func BenchmarkEvaluation(b *testing.B) {
+	for _, e := range experiments.Experiments() {
+		report, ok := headlines[e.ID]
+		if !ok {
+			continue
 		}
-		for _, r := range rows {
-			switch r.Scenario {
-			case "ISP-Local":
-				local = r.GBps
-			case "ISP-3Nodes":
-				three = r.GBps
+		b.Run(e.ID, func(b *testing.B) {
+			var v any
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, v, err = e.Run(e.Params, true); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+			report(b, v)
+		})
 	}
-	b.ReportMetric(local, "ISP-local-GBps")
-	b.ReportMetric(three, "ISP-3nodes-GBps")
 }
 
-func BenchmarkFig16NearestNeighbor(b *testing.B) {
-	var isp, dram16 float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig16([]int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Series == "1 Node" && p.Threads == 4 {
-				isp = p.KCmpSec
-			}
-			if p.Series == "DRAM" && p.Threads == 16 {
-				dram16 = p.KCmpSec
-			}
-		}
+// reportLUTs reports an FPGA design's LUT total, failing when the
+// design does not fit its device.
+func reportLUTs(b *testing.B, r fpga.Report, unit string) {
+	if !r.Fits() {
+		b.Fatal("design does not fit")
 	}
-	b.ReportMetric(isp, "ISP-Kcmp/s")
-	b.ReportMetric(dram16, "DRAM16-Kcmp/s")
+	luts, _, _, _ := r.Totals()
+	b.ReportMetric(float64(luts), unit)
 }
 
-func BenchmarkFig17MostlyDRAM(b *testing.B) {
-	var flash10 float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig17([]int{8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Series == "10% Flash" {
-				flash10 = p.KCmpSec
-			}
-		}
+// cell reads one cell of a paper figure's Rows.
+func cell(b *testing.B, v any, row, col string) float64 {
+	b.Helper()
+	x, ok := v.(experiments.Rows).Cell(row, col)
+	if !ok {
+		b.Fatalf("no cell (%s, %s)", row, col)
 	}
-	b.ReportMetric(flash10, "10pctFlash-Kcmp/s")
-}
-
-func BenchmarkFig18OffTheShelfSSD(b *testing.B) {
-	var rnd, seq float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig18([]int{8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			switch p.Series {
-			case "Full Flash":
-				rnd = p.KCmpSec
-			case "Seq Flash":
-				seq = p.KCmpSec
-			}
-		}
-	}
-	b.ReportMetric(rnd, "random-Kcmp/s")
-	b.ReportMetric(seq, "seq-Kcmp/s")
-}
-
-func BenchmarkFig19ISPAdvantage(b *testing.B) {
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig19([]int{8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var isp, sw float64
-		for _, p := range pts {
-			switch p.Series {
-			case "ISP":
-				isp = p.KCmpSec
-			case "BlueDBM+SW":
-				sw = p.KCmpSec
-			}
-		}
-		adv = isp / sw
-	}
-	b.ReportMetric(adv, "ISP-advantage-x")
-}
-
-func BenchmarkFig20GraphTraversal(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig20()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ispf, hrhf float64
-		for _, r := range rows {
-			switch r.Access {
-			case "ISP-F":
-				ispf = r.LookupsPerSec
-			case "H-RH-F":
-				hrhf = r.LookupsPerSec
-			}
-		}
-		ratio = ispf / hrhf
-	}
-	b.ReportMetric(ratio, "ISPF-over-HRHF-x")
-}
-
-// BenchmarkMultiStreamSched goes beyond the paper: 64 concurrent
-// QoS-classed streams through the internal/sched request scheduler,
-// comparing batched doorbells against one-doorbell-per-request and
-// depth-1 submission. Headline units: aggregate batched throughput,
-// realtime p99, and the batched-over-depth1 speedup.
-func BenchmarkMultiStreamSched(b *testing.B) {
-	var cmp experiments.BatchComparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		cmp, err = experiments.MultiStreamBatchComparison(experiments.DefaultMultiStream(true))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var rtP99 float64
-	for _, cs := range cmp.Batched.Sched.Classes {
-		if cs.Class == "realtime" {
-			rtP99 = cs.P99Us
-		}
-	}
-	b.ReportMetric(cmp.Batched.Sched.TotalOpsPerSec/1e3, "batched-Kops/s")
-	b.ReportMetric(rtP99, "rt-p99-us")
-	b.ReportMetric(cmp.SpeedupVsDepth1, "vs-depth1-x")
-}
-
-func BenchmarkFig21StringSearch(b *testing.B) {
-	var ispMBps, speedup float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig21()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var hdd float64
-		for _, r := range rows {
-			switch r.Method {
-			case "Flash/ISP":
-				ispMBps = r.MBps
-			case "HDD/SW Grep":
-				hdd = r.MBps
-			}
-		}
-		speedup = ispMBps / hdd
-	}
-	b.ReportMetric(ispMBps, "ISP-MBps")
-	b.ReportMetric(speedup, "vs-HDD-x")
+	return x
 }

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestArtifactsRegenerateByteIdentical is the repo's behavioural
@@ -25,21 +27,24 @@ func TestArtifactsRegenerateByteIdentical(t *testing.T) {
 		t.Skip("full-size regeneration of the seven artifacts")
 	}
 	dir := t.TempDir()
-	for i, r := range allRunners(false, "") {
-		if !r.writesJSON || r.id == "engine" {
+	for _, e := range experiments.Experiments() {
+		if !e.JSON || e.ID == "engine" {
 			continue
 		}
-		t.Run(r.id, func(t *testing.T) {
-			out := filepath.Join(dir, r.id+".json")
-			// The runner table binds its -json path when built.
-			if _, err := allRunners(false, out)[i].run(); err != nil {
+		t.Run(e.ID, func(t *testing.T) {
+			out := filepath.Join(dir, e.ID+".json")
+			_, v, err := e.Run(e.Params, false)
+			if err == nil {
+				err = writeMetrics(out, v)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			committed := "BENCH_" + strings.ToUpper(r.id) + ".json"
+			committed := "BENCH_" + strings.ToUpper(e.ID) + ".json"
 			want, err := os.ReadFile(filepath.Join("..", "..", committed))
 			if err != nil {
 				t.Fatal(err)
@@ -69,13 +74,13 @@ func TestPaperFiguresUnchanged(t *testing.T) {
 		ids[id] = true
 	}
 	var got bytes.Buffer
-	for _, r := range allRunners(false, "") {
-		if !ids[r.id] {
+	for _, e := range experiments.Experiments() {
+		if !ids[e.ID] {
 			continue
 		}
-		out, err := r.run()
+		out, _, err := e.Run(e.Params, false)
 		if err != nil {
-			t.Fatalf("%s: %v", r.id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
 		got.WriteString(out + "\n") // as main prints it
 	}

@@ -44,13 +44,13 @@ func TestEngineRunsAppend(t *testing.T) {
 	}
 }
 
-func readTrajectory(t *testing.T, path string) experiments.EngineTrajectory {
+func readTrajectory(t *testing.T, path string) engineTrajectory {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traj experiments.EngineTrajectory
+	var traj engineTrajectory
 	if err := json.Unmarshal(b, &traj); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

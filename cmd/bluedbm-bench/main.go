@@ -52,20 +52,8 @@ import (
 	"repro/internal/experiments"
 )
 
-type runner struct {
-	id   string
-	desc string
-	// writesJSON marks experiments that emit metrics to the -json
-	// file; at most one may be selected per invocation.
-	writesJSON bool
-	run        func() (string, error)
-}
-
-// writeJSON marshals v to jsonPath (no-op when jsonPath is empty).
+// writeJSON marshals v to jsonPath.
 func writeJSON(jsonPath string, v any) error {
-	if jsonPath == "" {
-		return nil
-	}
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
@@ -73,26 +61,33 @@ func writeJSON(jsonPath string, v any) error {
 	return os.WriteFile(jsonPath, append(b, '\n'), 0o644)
 }
 
-// jsonRunner wraps one experiment that honours -short and -json: its
-// default config for the run size, the run, the optional JSON metrics
-// file (written by write), and its text rendering.
-func jsonRunner[C, R any](short bool, jsonPath string, def func(bool) C, run func(C) (R, error),
-	write func(string, R) error, format func(R) string) func() (string, error) {
-	return func() (string, error) {
-		res, err := run(def(short))
-		if err != nil {
-			return "", err
-		}
-		if err := write(jsonPath, res); err != nil {
-			return "", err
-		}
-		return format(res), nil
+// writeMetrics writes a JSON experiment's value to jsonPath: the
+// deterministic experiments' file is the result, regenerated byte for
+// byte; the engine's sweep is appended to a trajectory.
+func writeMetrics(jsonPath string, v any) error {
+	if res, ok := v.(experiments.EngineResult); ok {
+		return appendEngineRun(jsonPath, res)
 	}
+	return writeJSON(jsonPath, v)
 }
 
-// overwrite is the JSON writer of the deterministic experiments: the
-// file is the result, regenerated byte for byte.
-func overwrite[R any](jsonPath string, res R) error { return writeJSON(jsonPath, res) }
+// engineRun is one sweep as BENCH_ENGINE.json keeps it: the result plus
+// where and when it was measured. Wall-clock figures compare only
+// between runs whose Machine matches; the per-request counts compare
+// across all of them.
+type engineRun struct {
+	Commit  string `json:"commit"`  // the commit measured; a trailing + marks uncommitted changes on top
+	Date    string `json:"date"`    // UTC, YYYY-MM-DD
+	Machine string `json:"machine"` // what the sweep ran on
+	experiments.EngineResult
+}
+
+// engineTrajectory is the committed BENCH_ENGINE.json: every recorded
+// sweep, oldest first, so each simulator speed-up stays visible beside
+// the one before it.
+type engineTrajectory struct {
+	Runs []engineRun `json:"runs"`
+}
 
 // appendEngineRun is the JSON writer of the engine experiment, whose
 // wall-clock figures are no regenerable artifact but a history: the
@@ -100,10 +95,7 @@ func overwrite[R any](jsonPath string, res R) error { return writeJSON(jsonPath,
 // does not exist yet starts one), stamped with the commit, the date and
 // the machine, so every recorded speed-up stays beside the one before.
 func appendEngineRun(jsonPath string, res experiments.EngineResult) error {
-	if jsonPath == "" {
-		return nil
-	}
-	var traj experiments.EngineTrajectory
+	var traj engineTrajectory
 	switch old, err := os.ReadFile(jsonPath); {
 	case errors.Is(err, fs.ErrNotExist):
 	case err != nil:
@@ -115,7 +107,7 @@ func appendEngineRun(jsonPath string, res experiments.EngineResult) error {
 			return fmt.Errorf("%s holds no engine trajectory to append to (move it away to start a new one): %w", jsonPath, err)
 		}
 	}
-	traj.Runs = append(traj.Runs, experiments.EngineRun{
+	traj.Runs = append(traj.Runs, engineRun{
 		Commit:       headCommit(),
 		Date:         time.Now().UTC().Format("2006-01-02"),
 		Machine:      fmt.Sprintf("%s/%s, %d CPUs, GOMAXPROCS %d, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()),
@@ -139,79 +131,6 @@ func headCommit() string {
 	return commit
 }
 
-// figure wraps one paper figure: measure, then render.
-func figure[R any](measure func() (R, error), format func(R) string) func() (string, error) {
-	return func() (string, error) {
-		res, err := measure()
-		if err != nil {
-			return "", err
-		}
-		return format(res), nil
-	}
-}
-
-func allRunners(short bool, jsonPath string) []runner {
-	// The four nearest-neighbor plots share a formatter and run their
-	// default thread sweep.
-	nn := func(title string, fig func([]int) ([]experiments.NNPoint, error)) func() (string, error) {
-		return figure(func() ([]experiments.NNPoint, error) { return fig(nil) },
-			func(pts []experiments.NNPoint) string { return experiments.FormatNN(title, pts) })
-	}
-	return []runner{
-		{"engine", "event-engine speed: events/sec, ns/event, allocs/event at 4/16/64 nodes", true,
-			jsonRunner(short, jsonPath, experiments.DefaultEngineBench, experiments.EngineBench, appendEngineRun, experiments.FormatEngineBench)},
-		{"sched", "multi-stream scheduler: QoS latency and batched-submission throughput", true,
-			jsonRunner(short, jsonPath, experiments.DefaultMultiStream, experiments.MultiStreamBatchComparison, overwrite,
-				func(cmp experiments.BatchComparison) string {
-					return experiments.FormatMultiStream(cmp.Batched) + "\n" + experiments.FormatBatchComparison(cmp)
-				})},
-		{"gc", "logical volume + FTL garbage collection: GC-aware vs GC-oblivious realtime p99", true,
-			jsonRunner(short, jsonPath, experiments.DefaultGCIsolation, experiments.GCIsolation, overwrite, experiments.FormatGCIsolation)},
-		{"isp", "distributed in-store processing: ISP-F vs host-mediated throughput + realtime p99 under contention", true,
-			jsonRunner(short, jsonPath, experiments.DefaultISPContention, experiments.ISPContention, overwrite, experiments.FormatISPContention)},
-		{"fs", "file stack: blockfs-on-FTL vs cluster RFS vs cluster RFS + distributed file scans (Figure 8 end-to-end)", true,
-			jsonRunner(short, jsonPath, experiments.DefaultFileStack, experiments.FileStack, overwrite, experiments.FormatFileStack)},
-		{"apps", "distributed applications: cluster nearest-neighbor + migrating graph traversal vs host-centric twins", true,
-			jsonRunner(short, jsonPath, experiments.DefaultApps, experiments.Apps, overwrite, experiments.FormatApps)},
-		{"fault", "fault tolerance: node kill on a mirrored volume — degraded p99 and time-to-rebuild vs baseline", true,
-			jsonRunner(short, jsonPath, experiments.DefaultFault, experiments.Fault, overwrite, experiments.FormatFault)},
-		{"cache", "host-DRAM cache tier: hit regimes + DRAM strawman perf-per-watt + invalidation-heavy p99", true,
-			jsonRunner(short, jsonPath, experiments.DefaultCacheTier, experiments.CacheTier, overwrite, experiments.FormatCacheTier)},
-		{"table1", "Artix-7 flash controller resources", false,
-			func() (string, error) { return experiments.FormatTable1(8), nil }},
-		{"table2", "Virtex-7 host FPGA resources", false,
-			func() (string, error) { return experiments.FormatTable2(8), nil }},
-		{"table3", "node power budget", false,
-			func() (string, error) { return experiments.FormatTable3(2), nil }},
-		{"fig11", "integrated network bandwidth/latency vs hops", false,
-			figure(func() ([]experiments.Fig11Point, error) { return experiments.Fig11(5) }, experiments.FormatFig11)},
-		{"fig12", "remote access latency breakdown", false, figure(experiments.Fig12, experiments.FormatFig12)},
-		{"fig13", "read bandwidth by access mix", false, figure(experiments.Fig13, experiments.FormatFig13)},
-		{"fig16", "nearest neighbor: BlueDBM vs DRAM", false,
-			nn("Figure 16: nearest neighbor, BlueDBM up to two nodes", experiments.Fig16)},
-		{"fig17", "nearest neighbor: mostly-DRAM configurations", false,
-			nn("Figure 17: nearest neighbor with mostly DRAM", experiments.Fig17)},
-		{"fig18", "nearest neighbor: off-the-shelf SSD", false,
-			nn("Figure 18: nearest neighbor with off-the-shelf SSD", experiments.Fig18)},
-		{"fig19", "nearest neighbor: in-store processing advantage", false,
-			nn("Figure 19: nearest neighbor with in-store processing", experiments.Fig19)},
-		{"fig20", "graph traversal performance", false, figure(experiments.Fig20, experiments.FormatFig20)},
-		{"fig21", "string search bandwidth and CPU utilization", false, figure(experiments.Fig21, experiments.FormatFig21)},
-	}
-}
-
-// jsonIDs lists the experiments that honour -short and -json, joined
-// by sep, in table order.
-func jsonIDs(sep string) string {
-	var ids []string
-	for _, r := range allRunners(false, "") {
-		if r.writesJSON {
-			ids = append(ids, r.id)
-		}
-	}
-	return strings.Join(ids, sep)
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -220,10 +139,17 @@ func main() {
 // (StopCPUProfile, trace.Stop, the -memprofile writer) run before the
 // process exits.
 func run() int {
+	table := experiments.Experiments()
+	var jsonIDs []string
+	for _, e := range table {
+		if e.JSON {
+			jsonIDs = append(jsonIDs, e.ID)
+		}
+	}
 	runFlag := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	short := flag.Bool("short", false, "reduced request counts for smoke runs ("+jsonIDs(", ")+")")
-	jsonPath := flag.String("json", "", "write the "+jsonIDs("/")+" experiment's JSON metrics to this file (run them separately)")
+	short := flag.Bool("short", false, "reduced request counts for smoke runs ("+strings.Join(jsonIDs, ", ")+")")
+	jsonPath := flag.String("json", "", "write the "+strings.Join(jsonIDs, "/")+" experiment's JSON metrics to this file (run them separately)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace of the selected experiments to this file")
@@ -270,59 +196,55 @@ func run() int {
 		}()
 	}
 
-	runners := allRunners(*short, *jsonPath)
 	if *list {
-		for _, r := range runners {
-			fmt.Printf("%-8s %s\n", r.id, r.desc)
+		for _, e := range table {
+			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
 		}
 		return 0
 	}
 
+	all := *runFlag == "all"
 	want := map[string]bool{}
-	if *runFlag != "all" {
+	if !all {
 		for _, id := range strings.Split(*runFlag, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
-		known := map[string]bool{}
-		for _, r := range runners {
-			known[r.id] = true
-		}
-		var unknown []string
-		for id := range want {
-			if !known[id] {
-				unknown = append(unknown, id)
+	}
+	var selected []experiments.Experiment
+	jsonRuns := 0
+	for _, e := range table {
+		if all || want[e.ID] {
+			selected = append(selected, e)
+			delete(want, e.ID)
+			if e.JSON {
+				jsonRuns++
 			}
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "bluedbm-bench: unknown experiment(s): %s\n", strings.Join(unknown, ", "))
-			return 2
 		}
 	}
-
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		fmt.Fprintf(os.Stderr, "bluedbm-bench: unknown experiment(s): %s\n", strings.Join(unknown, ", "))
+		return 2
+	}
 	// -json writes one file; refuse to let two experiments silently
 	// overwrite each other's metrics.
-	if *jsonPath != "" {
-		jsonRunners := 0
-		for _, r := range runners {
-			if r.writesJSON && (len(want) == 0 || want[r.id]) {
-				jsonRunners++
-			}
-		}
-		if jsonRunners > 1 {
-			fmt.Fprintf(os.Stderr, "bluedbm-bench: -json selects one output file; run the %s experiments separately\n", jsonIDs("/"))
-			return 2
-		}
+	if *jsonPath != "" && jsonRuns > 1 {
+		fmt.Fprintf(os.Stderr, "bluedbm-bench: -json selects one output file; run the %s experiments separately\n", strings.Join(jsonIDs, "/"))
+		return 2
 	}
 
 	failed := false
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
-			continue
+	for _, e := range selected {
+		out, v, err := e.Run(e.Params, *short)
+		if err == nil && e.JSON && *jsonPath != "" {
+			err = writeMetrics(*jsonPath, v)
 		}
-		out, err := r.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bluedbm-bench: %s: %v\n", r.id, err)
+			fmt.Fprintf(os.Stderr, "bluedbm-bench: %s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}

@@ -68,9 +68,9 @@
 //	                      fabric instead of pages moving to a home node)
 //	internal/workload     deterministic generators, the stack builder and
 //	                      the traffic drivers
-//	internal/experiments  the paper's tables and figures + the sched/gc/
-//	                      isp/fs/apps/fault/cache/engine benchmark
-//	                      experiments
+//	internal/experiments  the experiment table: the paper's tables and
+//	                      figures + the sched/gc/isp/fs/apps/fault/
+//	                      cache/engine experiments, one record each
 //	internal/report       observability
 //	internal/fpga         FPGA resource models (Tables 1-2)
 //	internal/power        node power model (Table 3)
@@ -80,11 +80,10 @@
 //	                      errdrop); cmd/simlint is the CI driver
 //
 // Start with examples/quickstart, then see README.md for the system
-// inventory (its package map and one section per subsystem);
-// EXPERIMENTS.md, the measured-vs-paper results, is not yet written.
-// The bench harness in bench_test.go regenerates every table and figure of
-// the paper's evaluation; cmd/bluedbm-bench does the same from the
-// command line, including the beyond-the-paper experiments (-run
+// inventory (its package map and one section per subsystem).
+// BenchmarkEvaluation in bench_test.go regenerates every table and
+// figure of the paper's evaluation from the experiment table;
+// cmd/bluedbm-bench does the same from the command line, including the beyond-the-paper experiments (-run
 // engine, -run sched, -run gc, -run isp, -run fs, -run apps, -run
 // fault, -run cache) whose committed artifacts are BENCH_ENGINE.json,
 // BENCH_SCHED.json, BENCH_GC.json, BENCH_ISP.json, BENCH_FS.json,

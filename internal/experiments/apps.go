@@ -42,8 +42,8 @@ import (
 	"repro/internal/workload"
 )
 
-// AppsConfig sizes the experiment.
-type AppsConfig struct {
+// appsConfig sizes the experiment.
+type appsConfig struct {
 	Nodes       int `json:"nodes"`
 	HostStreams int `json:"host_streams"` // concurrent host tenant streams
 	Depth       int `json:"depth"`        // closed-loop outstanding per host stream
@@ -67,12 +67,12 @@ type AppsConfig struct {
 	ISP   ispvol.Config `json:"isp"`
 }
 
-// DefaultApps returns the standard shape: a 2-node appliance, 32 host
+// defaultApps returns the standard shape: a 2-node appliance, 32 host
 // streams (a quarter realtime probes), 4 NN query streams over a
 // 256-item dataset, and 4-walker traversals over a 512-vertex graph.
 // short cuts the host window for smoke runs.
-func DefaultApps(short bool) AppsConfig {
-	cfg := AppsConfig{
+func defaultApps(short bool) appsConfig {
+	cfg := appsConfig{
 		Nodes:       2,
 		HostStreams: 32,
 		Depth:       4,
@@ -87,15 +87,10 @@ func DefaultApps(short bool) AppsConfig {
 		Walkers:     4,
 		WalkSteps:   64,
 		Seed:        42,
-		Sched:       sched.DefaultConfig(),
+		Sched:       ownedWindow(),
 		FTL:         ftl.DefaultConfig(),
 		ISP:         ispvol.DefaultConfig(),
 	}
-	// Same rationale as the ISP experiment: the dispatcher must own
-	// the device window for class priority and the accel token budget
-	// to act.
-	cfg.Sched.MaxInflight = 16
-	cfg.Sched.BatchSize = 16
 	// The app engines refire continuously (short queries, instant
 	// relaunch), so at the default half-window accel budget they would
 	// hold 8 of 16 device slots at full duty cycle and realtime tail
@@ -118,36 +113,19 @@ func gcd(a, b int) int {
 	return a
 }
 
-// appsArmMode selects one experiment arm.
-type appsArmMode int
-
+// The arms, in run order; appsArms names them.
 const (
-	appsBase appsArmMode = iota
+	appsBase = iota
 	appsNNDist
 	appsNNHost
 	appsWalkMigrate
 	appsWalkHome
 )
 
-func (m appsArmMode) String() string {
-	switch m {
-	case appsBase:
-		return "base"
-	case appsNNDist:
-		return "nn-dist"
-	case appsNNHost:
-		return "nn-host"
-	case appsWalkMigrate:
-		return "walk-migrate"
-	case appsWalkHome:
-		return "walk-home"
-	default:
-		return fmt.Sprintf("arm(%d)", int(m))
-	}
-}
+var appsArms = []string{"base", "nn-dist", "nn-host", "walk-migrate", "walk-home"}
 
-// AppsArm is one run's outcome.
-type AppsArm struct {
+// appsArm is one run's outcome.
+type appsArm struct {
 	Loop  workload.LoopResult `json:"loop"`
 	Sched sched.Snapshot      `json:"sched"`
 
@@ -167,14 +145,14 @@ type AppsArm struct {
 	Migrations    int64   `json:"migrations,omitempty"`
 }
 
-// AppsResult is the JSON-ready outcome.
-type AppsResult struct {
-	Config      AppsConfig `json:"config"`
-	Base        AppsArm    `json:"base"`
-	NNDist      AppsArm    `json:"nn_dist"`
-	NNHost      AppsArm    `json:"nn_host"`
-	WalkMigrate AppsArm    `json:"walk_migrate"`
-	WalkHome    AppsArm    `json:"walk_home"`
+// appsResult is the JSON-ready outcome.
+type appsResult struct {
+	Config      appsConfig `json:"config"`
+	Base        appsArm    `json:"base"`
+	NNDist      appsArm    `json:"nn_dist"`
+	NNHost      appsArm    `json:"nn_host"`
+	WalkMigrate appsArm    `json:"walk_migrate"`
+	WalkHome    appsArm    `json:"walk_home"`
 
 	// NNSpeedupX is distributed NN comparison throughput over
 	// host-mediated at identical offered host load.
@@ -192,15 +170,16 @@ type AppsResult struct {
 // appsStack is one arm's freshly built world.
 type appsStack struct {
 	*workload.Stack
-	g *graph.Graph
-	// queries[q] is a distinct NN query item; queryCands/queryLpns its
-	// LSH candidate ids and their volume pages, bestID/bestDist the
-	// brute-force answer.
-	queries    [][]byte
-	queryCands [][]int
-	queryLpns  [][]int
-	bestID     []int
-	bestDist   []int
+	g       *graph.Graph
+	queries []nnQuery
+}
+
+// nnQuery is one distinct NN query: the item, its LSH candidate ids
+// and their volume pages, and the brute-force answer.
+type nnQuery struct {
+	item             []byte
+	cands, lpns      []int
+	bestID, bestDist int
 }
 
 // Volume layout: dataset slot k (NN items first, then graph
@@ -214,8 +193,8 @@ type appsStack struct {
 // is filler the host streams churn through; everything is read-only
 // for the measurement window, so the physical-address snapshots the
 // queries take stay valid.
-func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
-	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
+func buildAppsStack(p core.Params, cfg appsConfig) (*appsStack, error) {
+	spec := volumeSpec(p, cfg.Nodes, cfg.Sched, cfg.FTL)
 	spec.ISP = &cfg.ISP
 	stack, err := workload.Build(spec)
 	if err != nil {
@@ -315,11 +294,7 @@ func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
 		for i, id := range ids {
 			lpns[i] = slotLpn(id)
 		}
-		st.queries = append(st.queries, q)
-		st.queryCands = append(st.queryCands, ids)
-		st.queryLpns = append(st.queryLpns, lpns)
-		st.bestID = append(st.bestID, bid)
-		st.bestDist = append(st.bestDist, bd)
+		st.queries = append(st.queries, nnQuery{q, ids, lpns, bid, bd})
 	}
 	if len(st.queries) == 0 {
 		return nil, fmt.Errorf("apps: no query produced LSH candidates; loosen NNBits")
@@ -329,12 +304,12 @@ func buildAppsStack(cfg AppsConfig) (*appsStack, error) {
 
 // runAppsArm builds a fresh stack and measures the host mix with the
 // arm's application load co-running for exactly the host window.
-func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
-	st, err := buildAppsStack(cfg)
+func runAppsArm(p core.Params, cfg appsConfig, mode int) (appsArm, error) {
+	st, err := buildAppsStack(p, cfg)
 	if err != nil {
-		return AppsArm{}, err
+		return appsArm{}, err
 	}
-	var arm AppsArm
+	var arm appsArm
 
 	tcfg := graph.TraverseConfig{
 		Start: 3, Steps: cfg.WalkSteps, Seed: cfg.Seed + 5,
@@ -351,22 +326,19 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 		switch mode {
 		case appsNNDist, appsNNHost:
 			whole := ispvol.Range(0, st.V.Pages())
-			placement := ispvol.InStore
-			if mode == appsNNHost {
-				placement = ispvol.HostMediated
-			}
 			for qs := 0; qs < cfg.NNStreams; qs++ {
 				qi := qs % len(st.queries)
 				co.chain(func(next func()) {
-					st.ISP.NearestNeighbor(0, whole, st.queries[qi], st.queryCands[qi], st.queryLpns[qi], placement,
+					q := st.queries[qi]
+					st.ISP.NearestNeighbor(0, whole, q.item, q.cands, q.lpns, placement(mode == appsNNHost),
 						func(res *ispvol.NNResult, err error) {
 							switch {
 							case err != nil:
 							case res.FailedPages > 0:
 								err = fmt.Errorf("%d NN candidate pages failed to read", res.FailedPages)
-							case res.BestID != st.bestID[qi] || res.BestDist != st.bestDist[qi]:
-								err = fmt.Errorf("%v query %d answered (%d, %d), brute force says (%d, %d)",
-									mode, qi, res.BestID, res.BestDist, st.bestID[qi], st.bestDist[qi])
+							case res.BestID != q.bestID || res.BestDist != q.bestDist:
+								err = fmt.Errorf("%s query %d answered (%d, %d), brute force says (%d, %d)",
+									appsArms[mode], qi, res.BestID, res.BestDist, q.bestID, q.bestDist)
 							}
 							if err != nil {
 								co.fail(err)
@@ -418,25 +390,24 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 
 	specs, err := hostMix(st.Stack, cfg.HostStreams, cfg.Seed)
 	if err != nil {
-		return AppsArm{}, err
+		return appsArm{}, err
 	}
 	w, err := measure(st.Stack, specs, cfg.Depth, cfg.Requests, load)
 	if err != nil {
-		return AppsArm{}, err
+		return appsArm{}, err
 	}
 	switch mode {
 	case appsNNDist, appsNNHost:
 		if arm.NNQueries == 0 {
-			return AppsArm{}, fmt.Errorf("no %v query completed inside the host window; raise Requests", mode)
+			return appsArm{}, fmt.Errorf("no %s query completed inside the host window; raise Requests", appsArms[mode])
 		}
 	case appsWalkMigrate, appsWalkHome:
 		if arm.Walks == 0 {
-			return AppsArm{}, fmt.Errorf("no %v traversal completed inside the host window; raise Requests or shrink WalkSteps", mode)
+			return appsArm{}, fmt.Errorf("no %s traversal completed inside the host window; raise Requests or shrink WalkSteps", appsArms[mode])
 		}
 	}
 	arm.Loop, arm.Sched = w.Run.Loop, w.Sched
-	rt := realtimeClass(arm.Sched)
-	arm.RealtimeP50Us, arm.RealtimeP99Us = rt.P50Us, rt.P99Us
+	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
 	secs := arm.Sched.ElapsedMs / 1e3
 	arm.CmpPerSec, arm.LookupsPerSec = ratio(float64(arm.Comparisons), secs), ratio(float64(arm.Lookups), secs)
 	if arm.NNQueries > 0 {
@@ -445,16 +416,16 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 	return arm, nil
 }
 
-// Apps runs the five arms on identical offered load and reports the
+// apps runs the five arms on identical offered load and reports the
 // cross-arm ratios. Every application answer is validated inline
 // against the in-memory references; a wrong answer fails the
 // experiment, not just the arm.
-func Apps(cfg AppsConfig) (AppsResult, error) {
-	res := AppsResult{Config: cfg}
-	for m, arm := range []*AppsArm{&res.Base, &res.NNDist, &res.NNHost, &res.WalkMigrate, &res.WalkHome} {
+func apps(p core.Params, cfg appsConfig) (appsResult, error) {
+	res := appsResult{Config: cfg}
+	for m, arm := range []*appsArm{&res.Base, &res.NNDist, &res.NNHost, &res.WalkMigrate, &res.WalkHome} {
 		var err error
-		if *arm, err = runAppsArm(cfg, appsArmMode(m)); err != nil {
-			return res, fmt.Errorf("%v arm: %w", appsArmMode(m), err)
+		if *arm, err = runAppsArm(p, cfg, m); err != nil {
+			return res, fmt.Errorf("%s arm: %w", appsArms[m], err)
 		}
 	}
 	res.NNSpeedupX = ratio(res.NNDist.CmpPerSec, res.NNHost.CmpPerSec)
@@ -465,13 +436,13 @@ func Apps(cfg AppsConfig) (AppsResult, error) {
 	return res, nil
 }
 
-// FormatApps renders the comparison.
-func FormatApps(r AppsResult) string {
+// formatApps renders the comparison.
+func formatApps(r appsResult) string {
 	var t table
 	t.row("Arm", "rt p50 us", "rt p99 us", "p99 vs base", "work", "rate", "host Kops/s")
 	rows := []struct {
 		name string
-		a    AppsArm
+		a    appsArm
 		p99x float64
 		work string
 		rate string

@@ -2,28 +2,15 @@ package experiments
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
-// appsOnce runs the five-arm applications experiment once; the
-// assertion tests below share the result (each arm is a full cluster
-// run).
-var appsOnce = struct {
-	sync.Once
-	res AppsResult
-	err error
-}{}
-
-func appsResult(t *testing.T) AppsResult {
+// appsRun is the five-arm applications experiment at -short size, run
+// once for every test that reads it (each arm is a full cluster run).
+func appsRun(t *testing.T) appsResult {
 	t.Helper()
-	appsOnce.Do(func() {
-		appsOnce.res, appsOnce.err = Apps(DefaultApps(true))
-	})
-	if appsOnce.err != nil {
-		t.Fatal(appsOnce.err)
-	}
-	return appsOnce.res
+	_, v := shortRun(t, "apps")
+	return v.(appsResult)
 }
 
 // TestAppsAcceptance guards the headlines: each distributed
@@ -32,7 +19,7 @@ func appsResult(t *testing.T) AppsResult {
 // against the reference walk — happens inline in every arm; a wrong
 // answer fails Apps itself.)
 func TestAppsAcceptance(t *testing.T) {
-	r := appsResult(t)
+	r := appsRun(t)
 	if r.NNDist.NNQueries == 0 || r.NNHost.NNQueries == 0 {
 		t.Fatal("an NN arm completed no queries")
 	}
@@ -58,7 +45,7 @@ func TestAppsAcceptance(t *testing.T) {
 // app-free baseline — the scheduler-admission property the whole
 // ispvol layer exists for.
 func TestAppsQoSHolds(t *testing.T) {
-	r := appsResult(t)
+	r := appsRun(t)
 	if r.Base.RealtimeP99Us <= 0 {
 		t.Fatal("no baseline realtime tail measured")
 	}
@@ -74,12 +61,12 @@ func TestAppsQoSHolds(t *testing.T) {
 // TestAppsJSONRoundTrip: the result marshals (it is the committed
 // benchmark artifact's shape).
 func TestAppsJSONRoundTrip(t *testing.T) {
-	r := appsResult(t)
+	r := appsRun(t)
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back AppsResult
+	var back appsResult
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/hostmodel"
 	"repro/internal/power"
@@ -36,8 +37,8 @@ import (
 	"repro/internal/workload"
 )
 
-// CacheTierConfig sizes the experiment.
-type CacheTierConfig struct {
+// cacheConfig sizes the experiment.
+type cacheConfig struct {
 	Nodes       int     `json:"nodes"`
 	Readers     int     `json:"readers"`      // hot/cold reader streams
 	Depth       int     `json:"depth"`        // outstanding per reader
@@ -59,11 +60,11 @@ type CacheTierConfig struct {
 	FTL   ftl.Config   `json:"ftl"`
 }
 
-// DefaultCacheTier returns the standard shape: a 4-node cluster, two
+// defaultCacheTier returns the standard shape: a 4-node cluster, two
 // readers per node, hot set an eighth of the volume. short cuts
 // request counts for smoke runs.
-func DefaultCacheTier(short bool) CacheTierConfig {
-	cfg := CacheTierConfig{
+func defaultCacheTier(short bool) cacheConfig {
+	cfg := cacheConfig{
 		Nodes:          4,
 		Readers:        8,
 		Depth:          4,
@@ -74,11 +75,9 @@ func DefaultCacheTier(short bool) CacheTierConfig {
 		InvalRequests:  512,
 		FlashGBPerNode: 1024,
 		Seed:           42,
-		Sched:          sched.DefaultConfig(),
+		Sched:          ownedWindow(),
 		FTL:            ftl.DefaultConfig(),
 	}
-	cfg.Sched.MaxInflight = 16
-	cfg.Sched.BatchSize = 16
 	if short {
 		cfg.Nodes = 2
 		cfg.Readers = 4
@@ -89,8 +88,8 @@ func DefaultCacheTier(short bool) CacheTierConfig {
 	return cfg
 }
 
-// CacheRegimeArm is one hit-regime run.
-type CacheRegimeArm struct {
+// cacheRegimeArm is one hit-regime run.
+type cacheRegimeArm struct {
 	Name string `json:"name"`
 	// CapacityFrac is per-node cache capacity as a fraction of the hot
 	// set (0 = cache off, -1 = whole working set, the DRAM strawman).
@@ -107,25 +106,25 @@ type CacheRegimeArm struct {
 	OpsPerSecW float64 `json:"ops_per_sec_per_watt"`
 }
 
-// CacheInvalArm is one side of the invalidation-heavy pair.
-type CacheInvalArm struct {
+// cacheInvalArm is one side of the invalidation-heavy pair.
+type cacheInvalArm struct {
 	Name   string             `json:"name"`
 	Result workload.RunResult `json:"result"`
 	Cache  cache.Stats        `json:"cache"`
 	P99Us  float64            `json:"probe_p99_us"`
 }
 
-// CacheTierResult is the JSON-ready outcome.
-type CacheTierResult struct {
-	Config  CacheTierConfig  `json:"config"`
-	Regimes []CacheRegimeArm `json:"regimes"`
+// cacheResult is the JSON-ready outcome.
+type cacheResult struct {
+	Config  cacheConfig      `json:"config"`
+	Regimes []cacheRegimeArm `json:"regimes"`
 
 	// MeanReadImprovementX is off-mean / 90%-regime-mean: the headline
 	// read-latency win from keeping 90% of the hot set DRAM-resident.
 	MeanReadImprovementX float64 `json:"mean_read_improvement_x"`
 
-	InvalOff CacheInvalArm `json:"inval_off"`
-	InvalOn  CacheInvalArm `json:"inval_on"`
+	InvalOff cacheInvalArm `json:"inval_off"`
+	InvalOn  cacheInvalArm `json:"inval_on"`
 	// InvalidationP99RatioX is on/off probe p99 under the
 	// invalidation-heavy write mix; ~1.0 means coherence is free at
 	// the tail.
@@ -137,19 +136,15 @@ func cacheCapacity(frac float64, hot, pages int) int {
 	if frac < 0 {
 		return pages
 	}
-	n := int(frac * float64(hot))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(frac*float64(hot)), 1)
 }
 
 // cacheArmStack builds and seeds a fresh volume stack and reports its
 // hot-set size (the hot set and the cache capacity are fractions of
 // the real, post-overprovision page count, so the cache is attached
 // by the caller once that is known).
-func cacheArmStack(cfg CacheTierConfig) (st *workload.Stack, hot int, err error) {
-	st, err = seeded(volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL), workload.RandomPages(cfg.Seed))
+func cacheArmStack(p core.Params, cfg cacheConfig) (st *workload.Stack, hot int, err error) {
+	st, err = seeded(volumeSpec(p, cfg.Nodes, cfg.Sched, cfg.FTL), workload.RandomPages(cfg.Seed))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -158,7 +153,7 @@ func cacheArmStack(cfg CacheTierConfig) (st *workload.Stack, hot int, err error)
 
 // readerMix builds the hot/cold reader mix on the stack's top surface
 // (one stream per reader, round-robin across nodes).
-func readerMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
+func readerMix(cfg cacheConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
 	m := mix{st: st}
 	for i := 0; i < cfg.Readers; i++ {
 		m.add(workload.ClientSpec{
@@ -172,9 +167,9 @@ func readerMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64
 }
 
 // runCacheRegime runs one hit-regime arm on a fresh stack.
-func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegimeArm, error) {
-	arm := CacheRegimeArm{Name: name, CapacityFrac: frac}
-	st, hot, err := cacheArmStack(cfg)
+func runCacheRegime(p core.Params, cfg cacheConfig, name string, frac float64) (cacheRegimeArm, error) {
+	arm := cacheRegimeArm{Name: name, CapacityFrac: frac}
+	st, hot, err := cacheArmStack(p, cfg)
 	if err != nil {
 		return arm, err
 	}
@@ -200,7 +195,7 @@ func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegime
 		// dataset (per-node flash capacity x nodes).
 		arm.Watts = power.RAMCloudBudget(cfg.Nodes*cfg.FlashGBPerNode, 256).Total()
 	} else {
-		arm.Watts = power.ClusterBudget(cfg.Nodes, gcParams(cfg.Nodes).CardsPerNode).Total()
+		arm.Watts = power.ClusterBudget(cfg.Nodes, p.CardsPerNode).Total()
 	}
 	ops := ratio(float64(w.Run.Loop.Completed)*1e6, w.Run.ElapsedUs)
 	arm.KopsPerSec, arm.OpsPerSecW = ops/1e3, ratio(ops, arm.Watts)
@@ -209,7 +204,7 @@ func runCacheRegime(cfg CacheTierConfig, name string, frac float64) (CacheRegime
 
 // invalMix builds the invalidation-heavy mix: churn writers over a
 // shared hot region plus one sparse realtime probe per node.
-func invalMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
+func invalMix(cfg cacheConfig, st *workload.Stack, hot int, seedSalt uint64) ([]workload.ClientSpec, error) {
 	m := mix{st: st}
 	for i := 0; i < cfg.InvalWriters; i++ {
 		m.add(workload.ClientSpec{
@@ -230,9 +225,9 @@ func invalMix(cfg CacheTierConfig, st *workload.Stack, hot int, seedSalt uint64)
 }
 
 // runCacheInval runs one side of the invalidation pair.
-func runCacheInval(cfg CacheTierConfig, cached bool) (CacheInvalArm, error) {
-	arm := CacheInvalArm{Name: "cache-off"}
-	st, hot, err := cacheArmStack(cfg)
+func runCacheInval(p core.Params, cfg cacheConfig, cached bool) (cacheInvalArm, error) {
+	arm := cacheInvalArm{Name: "cache-off"}
+	st, hot, err := cacheArmStack(p, cfg)
 	if err != nil {
 		return arm, err
 	}
@@ -252,10 +247,10 @@ func runCacheInval(cfg CacheTierConfig, cached bool) (CacheInvalArm, error) {
 	return arm, nil
 }
 
-// CacheTier runs the full experiment: hit-regime sweep plus the
+// cacheTier runs the full experiment: hit-regime sweep plus the
 // invalidation-heavy pair.
-func CacheTier(cfg CacheTierConfig) (CacheTierResult, error) {
-	res := CacheTierResult{Config: cfg}
+func cacheTier(p core.Params, cfg cacheConfig) (cacheResult, error) {
+	res := cacheResult{Config: cfg}
 	regimes := []struct {
 		name string
 		frac float64
@@ -267,7 +262,7 @@ func CacheTier(cfg CacheTierConfig) (CacheTierResult, error) {
 		{"dram", -1},
 	}
 	for _, r := range regimes {
-		arm, err := runCacheRegime(cfg, r.name, r.frac)
+		arm, err := runCacheRegime(p, cfg, r.name, r.frac)
 		if err != nil {
 			return res, fmt.Errorf("regime %s: %w", r.name, err)
 		}
@@ -275,18 +270,18 @@ func CacheTier(cfg CacheTierConfig) (CacheTierResult, error) {
 	}
 	res.MeanReadImprovementX = ratio(regimeMeanUs(res, "off"), regimeMeanUs(res, "hit90"))
 	var err error
-	if res.InvalOff, err = runCacheInval(cfg, false); err != nil {
+	if res.InvalOff, err = runCacheInval(p, cfg, false); err != nil {
 		return res, fmt.Errorf("inval cache-off: %w", err)
 	}
-	if res.InvalOn, err = runCacheInval(cfg, true); err != nil {
+	if res.InvalOn, err = runCacheInval(p, cfg, true); err != nil {
 		return res, fmt.Errorf("inval cache-on: %w", err)
 	}
 	res.InvalidationP99RatioX = ratio(res.InvalOn.P99Us, res.InvalOff.P99Us)
 	return res, nil
 }
 
-// FormatCacheTier renders the comparison.
-func FormatCacheTier(r CacheTierResult) string {
+// formatCacheTier renders the comparison.
+func formatCacheTier(r cacheResult) string {
 	var t table
 	t.row("Regime", "cap/hot", "hit rate", "mean us", "p99 us", "Kops/s", "W", "ops/s/W", "demoted")
 	for _, a := range r.Regimes {
@@ -317,7 +312,7 @@ func FormatCacheTier(r CacheTierResult) string {
 
 // regimeMeanUs is the named regime arm's mean read latency (0 when
 // the sweep has no such arm).
-func regimeMeanUs(r CacheTierResult, name string) float64 {
+func regimeMeanUs(r cacheResult, name string) float64 {
 	for _, a := range r.Regimes {
 		if a.Name == name {
 			return a.Result.Combined.MeanUs

@@ -13,14 +13,12 @@ import (
 // probe p99 within 1.1x of cache-off under invalidation-heavy
 // writes), and live coherence traffic.
 func TestCacheTierShort(t *testing.T) {
-	res, err := CacheTier(DefaultCacheTier(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, v := shortRun(t, "cache")
+	res := v.(cacheResult)
 	if len(res.Regimes) != 5 {
 		t.Fatalf("%d regimes, want 5", len(res.Regimes))
 	}
-	byName := map[string]CacheRegimeArm{}
+	byName := map[string]cacheRegimeArm{}
 	for _, a := range res.Regimes {
 		byName[a.Name] = a
 	}
@@ -51,7 +49,6 @@ func TestCacheTierShort(t *testing.T) {
 		t.Fatalf("DRAM strawman watts %.0f not above appliance %.0f",
 			byName["dram"].Watts, byName["hit90"].Watts)
 	}
-	out := FormatCacheTier(res)
 	for _, want := range []string{"off", "hit10", "hit50", "hit90", "dram", "ops/s/W"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted output missing %q:\n%s", want, out)
@@ -62,18 +59,20 @@ func TestCacheTierShort(t *testing.T) {
 // TestCacheTierDeterministic: two runs are byte-identical through
 // JSON — the property that lets BENCH_CACHE.json be committed.
 func TestCacheTierDeterministic(t *testing.T) {
-	run := func() []byte {
-		res, err := CacheTier(DefaultCacheTier(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Fatal("CacheTier is nondeterministic across runs")
+	_, first := shortRun(t, "cache")
+	e := record(t, "cache")
+	_, again, err := e.Run(e.Params, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(first), marshal(again)) {
+		t.Fatal("the cache tier is nondeterministic across runs")
 	}
 }

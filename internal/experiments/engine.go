@@ -5,17 +5,18 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// EngineConfig sizes the event-engine benchmark: the same synthetic
+// engineConfig sizes the event-engine benchmark: the same synthetic
 // full-stack load (scheduler admission, fabric traffic, NAND timing,
 // host interface) replayed at several cluster sizes, measuring the
 // simulation substrate itself — events/sec of wall-clock time —
 // instead of the modeled hardware.
-type EngineConfig struct {
+type engineConfig struct {
 	// NodeCounts are the cluster sizes to sweep (the ceiling on
 	// cluster scale is the engine's events/sec, so the sweep shows how
 	// the substrate holds up as the event population grows).
@@ -32,11 +33,11 @@ type EngineConfig struct {
 	Sched sched.Config `json:"sched"`
 }
 
-// DefaultEngineBench returns the standard sweep: 4/16/64 nodes under
+// defaultEngineBench returns the standard sweep: 4/16/64 nodes under
 // a mixed read/write, cluster-addressed, multi-class load. short cuts
 // the sweep and the request counts for CI smoke runs.
-func DefaultEngineBench(short bool) EngineConfig {
-	cfg := EngineConfig{
+func defaultEngineBench(short bool) engineConfig {
+	cfg := engineConfig{
 		NodeCounts:     []int{4, 16, 64},
 		StreamsPerNode: 8,
 		Depth:          8,
@@ -82,56 +83,32 @@ type EnginePoint struct {
 
 // EngineResult is the JSON-ready outcome of the sweep.
 type EngineResult struct {
-	Config EngineConfig  `json:"config"`
+	Config engineConfig  `json:"config"`
 	Points []EnginePoint `json:"points"`
 }
 
-// EngineRun is one sweep as BENCH_ENGINE.json keeps it: the result plus
-// where and when it was measured. Wall-clock figures compare only
-// between runs whose Machine matches; the per-request counts compare
-// across all of them.
-type EngineRun struct {
-	Commit  string `json:"commit"`  // the commit measured; a trailing + marks uncommitted changes on top
-	Date    string `json:"date"`    // UTC, YYYY-MM-DD
-	Machine string `json:"machine"` // what the sweep ran on
-	EngineResult
-}
-
-// EngineTrajectory is the committed BENCH_ENGINE.json: every recorded
-// sweep, oldest first, so each simulator speed-up stays visible beside
-// the one before it.
-type EngineTrajectory struct {
-	Runs []EngineRun `json:"runs"`
-}
-
-// engineSpecs deals dealStream's class/pattern mix across
-// StreamsPerNode streams on every node, all addressing the whole
-// cluster so the fabric, remote host paths and device queues of every
-// node stay busy.
-func engineSpecs(cfg EngineConfig, nodes int) []workload.StreamSpec {
+// engineSpecs deals StreamsPerNode streams on every node, all
+// addressing the whole cluster so the fabric, remote host paths and
+// device queues of every node stay busy.
+func engineSpecs(cfg engineConfig, nodes int) []workload.StreamSpec {
 	specs := make([]workload.StreamSpec, 0, nodes*cfg.StreamsPerNode)
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < cfg.StreamsPerNode; i++ {
-			class, pattern := dealStream(i)
-			specs = append(specs, workload.StreamSpec{
-				Name: fmt.Sprintf("n%02d-s%02d-%s-%s", n, i, class, pattern),
-				Node: n, Target: -1, Class: class, Pattern: pattern,
-				Seed: cfg.Seed + uint64(n*cfg.StreamsPerNode+i)*7919,
-			})
+			specs = append(specs, dealStream(fmt.Sprintf("n%02d-s%02d", n, i), i, n, cfg.Seed+uint64(n*cfg.StreamsPerNode+i)*7919))
 		}
 	}
 	return specs
 }
 
-// EngineBench sweeps the synthetic full-stack load over
+// engineBench sweeps the synthetic full-stack load on p over
 // cfg.NodeCounts and measures the event engine: events fired,
 // wall-clock events/sec and ns/event, and heap allocations per event
 // (runtime.MemStats mallocs over the measured run, which is why the
 // benchmark runs the workload single-threaded and GC-quiesced).
-func EngineBench(cfg EngineConfig) (EngineResult, error) {
+func engineBench(p core.Params, cfg engineConfig) (EngineResult, error) {
 	res := EngineResult{Config: cfg}
 	for _, nodes := range cfg.NodeCounts {
-		pt, err := enginePoint(cfg, nodes)
+		pt, err := enginePoint(p, cfg, nodes)
 		if err != nil {
 			return EngineResult{}, fmt.Errorf("engine bench at %d nodes: %w", nodes, err)
 		}
@@ -140,8 +117,8 @@ func EngineBench(cfg EngineConfig) (EngineResult, error) {
 	return res, nil
 }
 
-func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
-	st, err := physicalStack(nodes, cfg.Pages, cfg.Seed, cfg.Sched)
+func enginePoint(p core.Params, cfg engineConfig, nodes int) (EnginePoint, error) {
+	st, err := physicalStack(p, nodes, cfg.Pages, cfg.Seed, cfg.Sched)
 	if err != nil {
 		return EnginePoint{}, err
 	}
@@ -177,35 +154,22 @@ func enginePoint(cfg EngineConfig, nodes int) (EnginePoint, error) {
 		WallSeconds:    wall.Seconds(),
 		Engine:         c.Eng.Stats(),
 	}
-	if events > 0 {
-		pt.EventsPerSec = float64(events) / wall.Seconds()
-		pt.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
-		pt.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(events)
-	}
-	if loop.Completed > 0 {
-		pt.EventsPerRequest = float64(events) / float64(loop.Completed)
-		pt.AllocsPerRequest = float64(m1.Mallocs-m0.Mallocs) / float64(loop.Completed)
-	}
+	mallocs, reqs := float64(m1.Mallocs-m0.Mallocs), float64(loop.Completed)
+	pt.EventsPerSec = ratio(float64(events), wall.Seconds())
+	pt.NsPerEvent = ratio(float64(wall.Nanoseconds()), float64(events))
+	pt.AllocsPerEvent = ratio(mallocs, float64(events))
+	pt.EventsPerRequest, pt.AllocsPerRequest = ratio(float64(events), reqs), ratio(mallocs, reqs)
 	return pt, nil
 }
 
-// FormatEngineBench prints the sweep as a table.
-func FormatEngineBench(res EngineResult) string {
-	var t table
-	t.row("engine: events/sec under the synthetic full-stack load")
-	t.row("nodes", "streams", "events", "events/sec", "ns/event", "allocs/event", "events/req", "allocs/req", "virt s")
+// formatEngineBench prints the sweep as a table.
+func formatEngineBench(res EngineResult) string {
+	out := Rows{Title: "engine: events/sec under the synthetic full-stack load", Key: "nodes",
+		Cols: []Col{{"streams", "%.0f"}, {"events", "%.0f"}, {"events/sec", "%.0f"}, {"ns/event", "%.1f"},
+			{"allocs/event", "%.2f"}, {"events/req", "%.1f"}, {"allocs/req", "%.1f"}, {"virt s", "%.2f"}}}
 	for _, p := range res.Points {
-		t.row(
-			fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%d", p.Streams),
-			fmt.Sprintf("%d", p.Events),
-			f0(p.EventsPerSec),
-			f1(p.NsPerEvent),
-			f2(p.AllocsPerEvent),
-			f1(p.EventsPerRequest),
-			f1(p.AllocsPerRequest),
-			f2(p.VirtualSeconds),
-		)
+		out.add(fmt.Sprint(p.Nodes), float64(p.Streams), float64(p.Events), p.EventsPerSec, p.NsPerEvent,
+			p.AllocsPerEvent, p.EventsPerRequest, p.AllocsPerRequest, p.VirtualSeconds)
 	}
-	return t.String()
+	return out.String()
 }

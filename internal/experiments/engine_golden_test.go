@@ -1,10 +1,54 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
+
+// engineGoldenDigest runs the seeded 4-node full-stack golden scenario
+// on p — the engine-bench workload mix (multi-class, cluster-addressed
+// reads and writes through scheduler, fabric, host interface and NAND)
+// at a fixed size — and returns the event count, final virtual time,
+// and a sha256 digest over the JSON-marshalled workload and scheduler
+// statistics.
+//
+// The scenario is fully seeded: every execution, in any process, must
+// return identical values. The golden test pins them against captured
+// constants; the repeat-run test calls this twice in one process to
+// catch nondeterminism that a single run cannot see (map iteration
+// order, global state leaking between runs).
+func engineGoldenDigest(p core.Params) (fired uint64, now sim.Time, digest string, err error) {
+	const nodes = 4
+	cfg := defaultEngineBench(false)
+	cfg.Requests = 48
+
+	st, err := physicalStack(p, nodes, cfg.Pages, cfg.Seed, cfg.Sched)
+	if err != nil {
+		return 0, 0, "", err
+	}
+	c, s := st.C, st.S
+	loop, err := workload.RunClosedLoop(s, c, engineSpecs(cfg, nodes), cfg.Pages, cfg.Depth, cfg.Requests)
+	if err != nil {
+		return 0, 0, "", err
+	}
+
+	blob, err := json.Marshal(struct {
+		Loop  workload.LoopResult `json:"loop"`
+		Sched sched.Snapshot      `json:"sched"`
+	}{loop, s.Snapshot()})
+	if err != nil {
+		return 0, 0, "", err
+	}
+	sum := sha256.Sum256(blob)
+	return c.Eng.Fired(), c.Eng.Now(), hex.EncodeToString(sum[:]), nil
+}
 
 // Golden values captured from the pre-refactor engine (global
 // min-heap, heap-allocated events). The timer-wheel/pool engine must
@@ -39,7 +83,7 @@ const (
 // TestEngineGoldenDeterminism pins the substrate's exact event
 // ordering across refactors.
 func TestEngineGoldenDeterminism(t *testing.T) {
-	fired, now, digest, err := EngineGoldenDigest()
+	fired, now, digest, err := engineGoldenDigest(record(t, "engine").Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +107,12 @@ func TestEngineGoldenDeterminism(t *testing.T) {
 // an order-dependent loop gives different interleavings run to run)
 // and under any global mutable state leaking between simulations.
 func TestEngineGoldenRepeatRun(t *testing.T) {
-	fired1, now1, digest1, err := EngineGoldenDigest()
+	p := record(t, "engine").Params
+	fired1, now1, digest1, err := engineGoldenDigest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired2, now2, digest2, err := EngineGoldenDigest()
+	fired2, now2, digest2, err := engineGoldenDigest(p)
 	if err != nil {
 		t.Fatal(err)
 	}

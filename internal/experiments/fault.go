@@ -20,15 +20,15 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
-// FaultConfig sizes the fault-scenario experiment.
-type FaultConfig struct {
+// faultConfig sizes the fault-scenario experiment.
+type faultConfig struct {
 	Nodes    int    `json:"nodes"`
 	Readers  int    `json:"readers"`  // realtime point-read probes
 	Writers  int    `json:"writers"`  // batch churn-writer streams
@@ -45,11 +45,11 @@ type FaultConfig struct {
 	FTL   ftl.Config   `json:"ftl"`
 }
 
-// DefaultFault returns the standard shape: a 4-node mirrored cluster,
+// defaultFault returns the standard shape: a 4-node mirrored cluster,
 // realtime probes against churn writers, one node killed and rebuilt.
 // short cuts request counts for smoke runs.
-func DefaultFault(short bool) FaultConfig {
-	cfg := FaultConfig{
+func defaultFault(short bool) faultConfig {
+	cfg := faultConfig{
 		Nodes:     4,
 		Readers:   8,
 		Writers:   4,
@@ -58,33 +58,21 @@ func DefaultFault(short bool) FaultConfig {
 		Seed:      97,
 		KillNode:  1,
 		KillAfter: 500 * sim.Microsecond,
-		Sched:     sched.DefaultConfig(),
+		Sched:     ownedWindow(),
 		FTL:       ftl.Config{OverProvision: 0.25, GCLowWater: 4, WearLevelEvery: 64, GCPipeline: 16},
 	}
-	// Same admission shaping as the GC experiment: the dispatcher must
-	// own the device window for class priority and the Background token
-	// gate (GC and rebuild alike) to act.
-	cfg.Sched.MaxInflight = 16
-	cfg.Sched.BatchSize = 16
 	if short {
 		cfg.Requests = 192
 	}
 	return cfg
 }
 
-// FaultPhase is one measured window.
-type FaultPhase struct {
-	Loop   workload.LoopResult `json:"loop"`
-	Sched  sched.Snapshot      `json:"sched"`
-	Volume volume.Stats        `json:"volume"`
-}
-
-// FaultResult is the JSON-ready outcome.
-type FaultResult struct {
-	Config   FaultConfig `json:"config"`
-	Baseline FaultPhase  `json:"baseline"`
-	Degraded FaultPhase  `json:"degraded"`
-	Rebuild  FaultPhase  `json:"rebuild"`
+// faultResult is the JSON-ready outcome.
+type faultResult struct {
+	Config   faultConfig  `json:"config"`
+	Baseline volumeWindow `json:"baseline"`
+	Degraded volumeWindow `json:"degraded"`
+	Rebuild  volumeWindow `json:"rebuild"`
 
 	// Realtime read tail latency per window, and each fault window's
 	// ratio to the no-fault baseline.
@@ -102,13 +90,13 @@ type FaultResult struct {
 	DegradedWrites int64   `json:"degraded_writes"`
 }
 
-// Fault runs the three-window fault scenario on one mirrored cluster.
-func Fault(cfg FaultConfig) (FaultResult, error) {
-	res := FaultResult{Config: cfg}
+// fault runs the three-window fault scenario on one mirrored cluster.
+func fault(p core.Params, cfg faultConfig) (faultResult, error) {
+	res := faultResult{Config: cfg}
 	if cfg.KillNode < 0 || cfg.KillNode >= cfg.Nodes {
 		return res, fmt.Errorf("kill node %d out of range (%d nodes)", cfg.KillNode, cfg.Nodes)
 	}
-	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
+	spec := volumeSpec(p, cfg.Nodes, cfg.Sched, cfg.FTL)
 	spec.Mirror = true
 	st, err := seeded(spec, workload.RandomPages(cfg.Seed))
 	if err != nil {
@@ -117,30 +105,27 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 	mixOf := func(seedSalt uint64) ([]workload.ClientSpec, error) {
 		return probesAndChurn(st, cfg.Readers, cfg.Writers, cfg.Seed, volSalt^seedSalt)
 	}
-	// Warm the FTLs toward steady-state churn, unmeasured.
-	warm, err := mixOf(warmSalt)
-	if err != nil {
-		return res, err
-	}
-	if _, err := st.Run(warm, cfg.Depth, cfg.Requests/4, nil); err != nil {
-		return res, err
-	}
 	// Every window offers the same load. The whole point of the mirror
 	// is that a node loss is absorbed, not surfaced: a window fails on
 	// any workload-visible error.
-	window := func(name string, fault func(*coRunner)) (FaultPhase, error) {
+	phase := func(name string, w workload.Window, err error) (volumeWindow, error) {
+		if err != nil {
+			return volumeWindow{}, fmt.Errorf("%s window: %w", name, err)
+		}
+		return keep(w), nil
+	}
+	window := func(name string, inject func(*coRunner)) (volumeWindow, error) {
 		specs, err := mixOf(0)
 		if err != nil {
-			return FaultPhase{}, err
+			return volumeWindow{}, err
 		}
-		w, err := measure(st, specs, cfg.Depth, cfg.Requests, fault)
-		if err != nil {
-			return FaultPhase{}, fmt.Errorf("%s window: %w", name, err)
-		}
-		return FaultPhase{Loop: w.Run.Loop, Sched: w.Sched, Volume: w.Volume}, nil
+		w, err := measure(st, specs, cfg.Depth, cfg.Requests, inject)
+		return phase(name, w, err)
 	}
 
-	if res.Baseline, err = window("baseline", nil); err != nil {
+	// Window 1, after a warm-up toward steady-state churn: no fault.
+	w, err := warmThenMeasure(st, cfg.Depth, cfg.Requests, mixOf)
+	if res.Baseline, err = phase("baseline", w, err); err != nil {
 		return res, err
 	}
 
@@ -180,9 +165,9 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 		return res, fmt.Errorf("rebuild window: no pages rebuilt")
 	}
 
-	res.BaselineP99Us = realtimeClass(res.Baseline.Sched).P99Us
-	res.DegradedP99Us = realtimeClass(res.Degraded.Sched).P99Us
-	res.RebuildP99Us = realtimeClass(res.Rebuild.Sched).P99Us
+	_, res.BaselineP99Us = classLatency(res.Baseline.Sched, sched.Realtime)
+	_, res.DegradedP99Us = classLatency(res.Degraded.Sched, sched.Realtime)
+	_, res.RebuildP99Us = classLatency(res.Rebuild.Sched, sched.Realtime)
 	res.DegradedX, res.RebuildX = ratio(res.DegradedP99Us, res.BaselineP99Us), ratio(res.RebuildP99Us, res.BaselineP99Us)
 	res.RebuildMs = float64(rebuildEnd-rebuildStart) / float64(sim.Millisecond)
 	res.PagesRebuilt = res.Rebuild.Volume.PagesRebuilt
@@ -191,32 +176,21 @@ func Fault(cfg FaultConfig) (FaultResult, error) {
 	return res, nil
 }
 
-// FormatFault renders the three windows.
-func FormatFault(r FaultResult) string {
-	var t table
-	t.row("Window", "rt p50 us", "rt p99 us", "p99 vs base", "Kops/s", "degraded R", "degraded W", "rebuilt")
-	rows := []struct {
-		name string
-		p    FaultPhase
-		x    float64
-	}{
-		{"baseline", r.Baseline, 1},
-		{"degraded", r.Degraded, r.DegradedX},
-		{"rebuild", r.Rebuild, r.RebuildX},
-	}
-	for _, row := range rows {
-		rt := realtimeClass(row.p.Sched)
-		t.row(row.name, f1(rt.P50Us), f1(rt.P99Us), f2(row.x)+"x",
-			f1(row.p.Sched.TotalOpsPerSec/1e3),
-			fmt.Sprintf("%d", row.p.Volume.DegradedReads),
-			fmt.Sprintf("%d", row.p.Volume.DegradedWrites),
-			fmt.Sprintf("%d", row.p.Volume.PagesRebuilt))
-	}
-	head := fmt.Sprintf(
+// formatFault renders the three windows.
+func formatFault(r faultResult) string {
+	out := Rows{Title: fmt.Sprintf(
 		"Fault scenario: node %d of %d killed mid-run on a mirrored volume, then rebuilt on Background\n"+
-			"realtime p99 %.1f us baseline, %.1f us degraded (%.2fx), %.1f us during rebuild (%.2fx); %d pages rebuilt in %.1f ms\n",
+			"realtime p99 %.1f us baseline, %.1f us degraded (%.2fx), %.1f us during rebuild (%.2fx); %d pages rebuilt in %.1f ms",
 		r.Config.KillNode, r.Config.Nodes,
 		r.BaselineP99Us, r.DegradedP99Us, r.DegradedX, r.RebuildP99Us, r.RebuildX,
-		r.PagesRebuilt, r.RebuildMs)
-	return head + t.String()
+		r.PagesRebuilt, r.RebuildMs),
+		Key: "Window", Cols: []Col{{"rt p50 us", "%.1f"}, {"rt p99 us", "%.1f"}, {"p99 vs base", "%.2fx"}, {"Kops/s", "%.1f"},
+			{"degraded R", "%.0f"}, {"degraded W", "%.0f"}, {"rebuilt", "%.0f"}}}
+	names, vsBase := []string{"baseline", "degraded", "rebuild"}, []float64{1, r.DegradedX, r.RebuildX}
+	for i, w := range []volumeWindow{r.Baseline, r.Degraded, r.Rebuild} {
+		p50, p99 := classLatency(w.Sched, sched.Realtime)
+		out.add(names[i], p50, p99, vsBase[i], w.Sched.TotalOpsPerSec/1e3,
+			float64(w.Volume.DegradedReads), float64(w.Volume.DegradedWrites), float64(w.Volume.PagesRebuilt))
+	}
+	return out.String()
 }

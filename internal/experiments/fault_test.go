@@ -11,11 +11,9 @@ import (
 // errors, the rebuild must finish within the measured window and
 // restore a nonzero page count, and the result must serialize.
 func TestFaultShort(t *testing.T) {
-	r, err := Fault(DefaultFault(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string]FaultPhase{
+	text, v := shortRun(t, "fault")
+	r := v.(faultResult)
+	for name, p := range map[string]volumeWindow{
 		"baseline": r.Baseline, "degraded": r.Degraded, "rebuild": r.Rebuild,
 	} {
 		if p.Loop.Errors != 0 {
@@ -45,7 +43,7 @@ func TestFaultShort(t *testing.T) {
 	if !strings.Contains(string(out), "pages_rebuilt") {
 		t.Fatal("serialized result missing pages_rebuilt")
 	}
-	if s := FormatFault(r); !strings.Contains(s, "rebuild") {
-		t.Fatalf("format output missing rebuild row:\n%s", s)
+	if !strings.Contains(text, "rebuild") {
+		t.Fatalf("format output missing rebuild row:\n%s", text)
 	}
 }

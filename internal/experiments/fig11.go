@@ -3,46 +3,39 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
-// Fig11Point is one x-position of Figure 11: single-stream bandwidth
-// and per-hop latency over an uncontended path of `Hops` hops.
-type Fig11Point struct {
-	Hops        int
-	GbpsPerLane float64
-	LatencyUs   float64 // end-to-end latency of a minimal packet
-}
-
-// Fig11 reproduces Figure 11 (§6.3): a single stream of packets pushed
-// through 1..maxHops hops of the integrated network. The paper
-// sustains 8.2 Gbps per lane and 0.48 µs per hop.
-func Fig11(maxHops int) ([]Fig11Point, error) {
-	if maxHops < 1 {
-		maxHops = 5
-	}
-	var out []Fig11Point
-	for hops := 1; hops <= maxHops; hops++ {
+// fig11 reproduces Figure 11 (§6.3): a single stream of packets pushed
+// through 1..5 hops of the integrated network, p.Net's links, at each
+// hop count the bandwidth per lane and the end-to-end latency of a
+// minimal packet. The paper sustains 8.2 Gbps per lane and 0.48 µs per
+// hop.
+func fig11(p core.Params) (Rows, error) {
+	out := Rows{Title: "Figure 11: integrated network performance", Key: "Hops",
+		Cols: cols("%.2f", "Gbps/lane", "Latency(us)")}
+	for hops := 1; hops <= 5; hops++ {
 		eng := sim.NewEngine()
-		net, err := fabric.Line(hops+1, 1).Build(eng, fabric.DefaultConfig(), 0)
+		net, err := fabric.Line(hops+1, 1).Build(eng, p.Net, 0)
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 		src, err := net.Node(0).BindEndpoint(0)
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 		dst, err := net.Node(fabric.NodeID(hops)).BindEndpoint(0)
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 
 		// Latency: one minimal (128-bit) packet on the idle network.
 		var lat sim.Time
 		dst.OnReceive = func(fabric.NodeID, int, any) { lat = eng.Now() }
 		if err := src.Send(fabric.NodeID(hops), 16, nil, nil); err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 		eng.Run()
 
@@ -68,24 +61,10 @@ func Fig11(maxHops int) ([]Fig11Point, error) {
 		}
 		eng.Run()
 		if received != msgs {
-			return nil, fmt.Errorf("fig11: delivered %d of %d at %d hops", received, msgs, hops)
+			return Rows{}, fmt.Errorf("fig11: delivered %d of %d at %d hops", received, msgs, hops)
 		}
 		elapsed := (eng.Now() - bwStart).Seconds()
-		out = append(out, Fig11Point{
-			Hops:        hops,
-			GbpsPerLane: float64(msgs*size*8) / elapsed / 1e9,
-			LatencyUs:   lat.Micros(),
-		})
+		out.add(fmt.Sprint(hops), float64(msgs*size*8)/elapsed/1e9, lat.Micros())
 	}
 	return out, nil
-}
-
-// FormatFig11 renders the series like the paper's plot data.
-func FormatFig11(pts []Fig11Point) string {
-	var t table
-	t.row("Hops", "Gbps/lane", "Latency(us)")
-	for _, p := range pts {
-		t.row(fmt.Sprint(p.Hops), f2(p.GbpsPerLane), f2(p.LatencyUs))
-	}
-	return "Figure 11: integrated network performance\n" + t.String()
 }

@@ -11,48 +11,43 @@ import (
 	"repro/internal/workload"
 )
 
-// NNPoint is one (threads, series) measurement of Figures 16-19, in
-// thousands of Hamming comparisons per second.
-type NNPoint struct {
-	Series  string
-	Threads int
-	KCmpSec float64
-}
-
 // Shared nearest-neighbor workload sizing.
 const (
 	nnItems       = 320
 	nnComparisons = 1400
 	nnSeed        = 41
+	// nnThrottle is the off-the-shelf SSD's 600 MB/s, the rate the
+	// throttled ISP baseline is held to.
+	nnThrottle = 600_000_000
 )
 
-// nnCluster builds a single-node appliance with the dataset seeded.
-func nnCluster() (*core.Cluster, []core.PageAddr, []int, []byte, map[int][]byte, error) {
-	c, err := core.NewCluster(scaledParams(1))
+// nnCluster builds a single-node appliance on p with the dataset
+// seeded, and the candidate stream: round-robin over the dataset,
+// nnComparisons long.
+func nnCluster(p core.Params) (*core.Cluster, []core.PageAddr, []int, []byte, error) {
+	p.Nodes = 1
+	c, err := newCluster(p)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	ps := c.Params.PageSize()
-	items, query, err := workload.NearDuplicateSet(nnItems, ps, 7, 40, nnSeed)
+	items, query, err := workload.NearDuplicateSet(nnItems, p.PageSize(), 7, 40, nnSeed)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if err := c.SeedLinear(0, nnItems, func(idx int, page []byte) {
 		copy(page, items[idx])
 	}); err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	// Candidate stream: round-robin over the dataset, nnComparisons long.
 	addrs := make([]core.PageAddr, nnComparisons)
-	ids := make([]int, nnComparisons)
+	ids := nnCandidates()
 	for i := range addrs {
-		ids[i] = i % nnItems
 		addrs[i] = core.LinearPage(c.Params, 0, ids[i])
 	}
-	return c, addrs, ids, query, items, nil
+	return c, addrs, ids, query, nil
 }
 
-// nnCandidates returns the id stream for in-memory backends.
+// nnCandidates is the candidate id stream.
 func nnCandidates() []int {
 	ids := make([]int, nnComparisons)
 	for i := range ids {
@@ -61,22 +56,29 @@ func nnCandidates() []int {
 	return ids
 }
 
-// nnHost builds the host-only environment (no appliance).
-func nnHost() (*sim.Engine, *hostmodel.CPU, map[int][]byte, []byte, error) {
+// nnHost runs one host-software measurement with no appliance: a fresh
+// engine, a p.CPU host and the DRAM-resident dataset.
+func nnHost(p core.Params, run func(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte, query []byte) (*lsh.Result, error)) (float64, error) {
 	eng := sim.NewEngine()
-	cpu, err := hostmodel.New(eng, "host", hostmodel.DefaultConfig())
+	cpu, err := hostmodel.New(eng, "host", p.CPU)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return 0, err
 	}
-	items, query, err := workload.NearDuplicateSet(nnItems, 8192, 7, 40, nnSeed)
+	items, query, err := workload.NearDuplicateSet(nnItems, p.PageSize(), 7, 40, nnSeed)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return 0, err
 	}
-	return eng, cpu, items, query, nil
+	res, err := run(eng, cpu, items, query)
+	if err != nil {
+		return 0, err
+	}
+	return res.PerSec / 1000, nil
 }
 
-func ispRate(throttleBps int64) (float64, error) {
-	c, addrs, ids, query, _, err := nnCluster()
+// ispRate is the in-store engine's rate, throttled to throttleBps when
+// it is positive.
+func ispRate(p core.Params, throttleBps int64) (float64, error) {
+	c, addrs, ids, query, err := nnCluster(p)
 	if err != nil {
 		return 0, err
 	}
@@ -91,203 +93,128 @@ func ispRate(throttleBps int64) (float64, error) {
 	return res.PerSec / 1000, nil
 }
 
-func dramRate(threads int) (float64, error) {
-	eng, cpu, items, query, err := nnHost()
-	if err != nil {
-		return 0, err
-	}
-	res, err := lsh.RunHostDRAM(eng, cpu, items, nnCandidates(), query, threads)
-	if err != nil {
-		return 0, err
-	}
-	return res.PerSec / 1000, nil
+func dramRate(p core.Params, threads int) (float64, error) {
+	return nnHost(p, func(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte, query []byte) (*lsh.Result, error) {
+		return lsh.RunHostDRAM(eng, cpu, items, nnCandidates(), query, threads)
+	})
 }
 
-// Fig16 reproduces Figure 16: Baseline (BlueDBM ISP), Baseline-T
+// nnFigure is a nearest-neighbor figure: a row per thread count of
+// row's measurement of each series, in thousands of Hamming
+// comparisons per second.
+func nnFigure(title string, series []string, threads []int, row func(th int) ([]float64, error)) (Rows, error) {
+	out := Rows{Title: title + " (K comparisons/s)", Key: "Threads", Cols: cols("%.0f", series...)}
+	for _, th := range threads {
+		vals, err := row(th)
+		if err != nil {
+			return Rows{}, err
+		}
+		out.add(fmt.Sprint(th), vals...)
+	}
+	return out, nil
+}
+
+// fig16 reproduces Figure 16: Baseline (BlueDBM ISP), Baseline-T
 // (throttled to the off-the-shelf SSD's 600 MB/s) and H-DRAM
 // (multithreaded software on DRAM-resident data) across thread counts.
-func Fig16(threadSweep []int) ([]NNPoint, error) {
-	if len(threadSweep) == 0 {
-		threadSweep = []int{2, 4, 6, 8, 10, 12, 14, 16}
-	}
-	var out []NNPoint
-	base, err := ispRate(0)
+func fig16(p core.Params) (Rows, error) {
+	base, err := ispRate(p, 0)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	thr, err := ispRate(600_000_000)
+	thr, err := ispRate(p, nnThrottle)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	for _, th := range threadSweep {
-		d, err := dramRate(th)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out,
-			NNPoint{Series: "DRAM", Threads: th, KCmpSec: d},
-			NNPoint{Series: "1 Node", Threads: th, KCmpSec: base},
-			NNPoint{Series: "Throttled", Threads: th, KCmpSec: thr},
-		)
-	}
-	return out, nil
+	return nnFigure("Figure 16: nearest neighbor, BlueDBM up to two nodes",
+		[]string{"DRAM", "1 Node", "Throttled"}, []int{2, 4, 6, 8, 10, 12, 14, 16}, func(th int) ([]float64, error) {
+			d, err := dramRate(p, th)
+			return []float64{d, base, thr}, err
+		})
 }
 
-// Fig17 reproduces Figure 17: mostly-DRAM configurations. The ISP
+// fig17 reproduces Figure 17: mostly-DRAM configurations. The ISP
 // series is the throttled baseline; the mixed series fault 10% of
 // accesses to an SSD or 5% to a disk.
-func Fig17(threadSweep []int) ([]NNPoint, error) {
-	if len(threadSweep) == 0 {
-		threadSweep = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	thr, err := ispRate(600_000_000)
+func fig17(p core.Params) (Rows, error) {
+	thr, err := ispRate(p, nnThrottle)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	var out []NNPoint
-	for _, th := range threadSweep {
-		d, err := dramRate(th)
-		if err != nil {
-			return nil, err
-		}
-		eng, cpu, items, query, err := nnHost()
-		if err != nil {
-			return nil, err
-		}
-		ssd, err := altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
-		if err != nil {
-			return nil, err
-		}
-		fl, err := lsh.RunMixedDRAM(eng, cpu, ssd, items, nnCandidates(), query, th, 10, 5)
-		if err != nil {
-			return nil, err
-		}
-		eng2, cpu2, items2, query2, err := nnHost()
-		if err != nil {
-			return nil, err
-		}
-		hdd, err := altstore.NewHDD(eng2, "disk", altstore.DefaultHDD())
-		if err != nil {
-			return nil, err
-		}
-		dk, err := lsh.RunMixedDRAM(eng2, cpu2, hdd, items2, nnCandidates(), query2, th, 5, 5)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out,
-			NNPoint{Series: "DRAM", Threads: th, KCmpSec: d},
-			NNPoint{Series: "ISP", Threads: th, KCmpSec: thr},
-			NNPoint{Series: "10% Flash", Threads: th, KCmpSec: fl.PerSec / 1000},
-			NNPoint{Series: "5% Disk", Threads: th, KCmpSec: dk.PerSec / 1000},
-		)
+	mixed := func(th, pct int, dev func(*sim.Engine) (lsh.SecondaryDev, error)) (float64, error) {
+		return nnHost(p, func(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte, query []byte) (*lsh.Result, error) {
+			d, err := dev(eng)
+			if err != nil {
+				return nil, err
+			}
+			return lsh.RunMixedDRAM(eng, cpu, d, items, nnCandidates(), query, th, pct, 5)
+		})
 	}
-	return out, nil
+	return nnFigure("Figure 17: nearest neighbor with mostly DRAM",
+		[]string{"DRAM", "ISP", "10% Flash", "5% Disk"}, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(th int) ([]float64, error) {
+			d, err := dramRate(p, th)
+			if err != nil {
+				return nil, err
+			}
+			fl, err := mixed(th, 10, func(eng *sim.Engine) (lsh.SecondaryDev, error) {
+				return altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
+			})
+			if err != nil {
+				return nil, err
+			}
+			dk, err := mixed(th, 5, func(eng *sim.Engine) (lsh.SecondaryDev, error) {
+				return altstore.NewHDD(eng, "disk", altstore.DefaultHDD())
+			})
+			return []float64{d, thr, fl, dk}, err
+		})
 }
 
-// Fig18 reproduces Figure 18: the off-the-shelf SSD under random
+// fig18 reproduces Figure 18: the off-the-shelf SSD under random
 // (H-RFlash) and artificially sequential (H-SFlash) access, against
 // the throttled ISP baseline.
-func Fig18(threadSweep []int) ([]NNPoint, error) {
-	if len(threadSweep) == 0 {
-		threadSweep = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	thr, err := ispRate(600_000_000)
+func fig18(p core.Params) (Rows, error) {
+	thr, err := ispRate(p, nnThrottle)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	var out []NNPoint
-	for _, th := range threadSweep {
-		run := func(seq bool) (float64, error) {
-			eng, cpu, items, query, err := nnHost()
-			if err != nil {
-				return 0, err
-			}
+	ssd := func(th int, seq bool) (float64, error) {
+		return nnHost(p, func(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte, query []byte) (*lsh.Result, error) {
 			ssd, err := altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			res, err := lsh.RunSSD(eng, cpu, ssd, items, nnCandidates(), query, th, seq)
+			return lsh.RunSSD(eng, cpu, ssd, items, nnCandidates(), query, th, seq)
+		})
+	}
+	return nnFigure("Figure 18: nearest neighbor with off-the-shelf SSD",
+		[]string{"ISP", "Seq Flash", "Full Flash"}, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(th int) ([]float64, error) {
+			rnd, err := ssd(th, false)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return res.PerSec / 1000, nil
-		}
-		rnd, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out,
-			NNPoint{Series: "ISP", Threads: th, KCmpSec: thr},
-			NNPoint{Series: "Seq Flash", Threads: th, KCmpSec: seq},
-			NNPoint{Series: "Full Flash", Threads: th, KCmpSec: rnd},
-		)
-	}
-	return out, nil
+			seq, err := ssd(th, true)
+			return []float64{thr, seq, rnd}, err
+		})
 }
 
-// Fig19 reproduces Figure 19: in-store processing versus host software
+// fig19 reproduces Figure 19: in-store processing versus host software
 // on the same throttled device (the accelerator advantage, >= 20%).
-func Fig19(threadSweep []int) ([]NNPoint, error) {
-	if len(threadSweep) == 0 {
-		threadSweep = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	thr, err := ispRate(600_000_000)
+func fig19(p core.Params) (Rows, error) {
+	thr, err := ispRate(p, nnThrottle)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	var out []NNPoint
-	for _, th := range threadSweep {
-		c, addrs, ids, query, _, err := nnCluster()
-		if err != nil {
-			return nil, err
-		}
-		throttle := sim.NewPipe(c.Eng, "throttle", 600_000_000, 0)
-		sw, err := lsh.RunHostFlash(c, 0, addrs, ids, query, th, throttle)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out,
-			NNPoint{Series: "ISP", Threads: th, KCmpSec: thr},
-			NNPoint{Series: "BlueDBM+SW", Threads: th, KCmpSec: sw.PerSec / 1000},
-		)
-	}
-	return out, nil
-}
-
-// FormatNN renders a nearest-neighbor figure's series.
-func FormatNN(title string, pts []NNPoint) string {
-	// Pivot: rows = threads, columns = series (insertion order).
-	var seriesOrder []string
-	seen := map[string]bool{}
-	threadsOrder := []int{}
-	seenTh := map[int]bool{}
-	val := map[string]map[int]float64{}
-	for _, p := range pts {
-		if !seen[p.Series] {
-			seen[p.Series] = true
-			seriesOrder = append(seriesOrder, p.Series)
-			val[p.Series] = map[int]float64{}
-		}
-		if !seenTh[p.Threads] {
-			seenTh[p.Threads] = true
-			threadsOrder = append(threadsOrder, p.Threads)
-		}
-		val[p.Series][p.Threads] = p.KCmpSec
-	}
-	var t table
-	header := []string{"Threads"}
-	header = append(header, seriesOrder...)
-	t.row(header...)
-	for _, th := range threadsOrder {
-		row := []string{fmt.Sprint(th)}
-		for _, s := range seriesOrder {
-			row = append(row, f0(val[s][th]))
-		}
-		t.row(row...)
-	}
-	return title + " (K comparisons/s)\n" + t.String()
+	return nnFigure("Figure 19: nearest neighbor with in-store processing",
+		[]string{"ISP", "BlueDBM+SW"}, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(th int) ([]float64, error) {
+			c, addrs, ids, query, err := nnCluster(p)
+			if err != nil {
+				return nil, err
+			}
+			throttle := sim.NewPipe(c.Eng, "throttle", nnThrottle, 0)
+			sw, err := lsh.RunHostFlash(c, 0, addrs, ids, query, th, throttle)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{thr, sw.PerSec / 1000}, nil
+		})
 }

@@ -5,18 +5,13 @@ import (
 	"repro/internal/core"
 )
 
-// Fig20Row is one bar of Figure 20.
-type Fig20Row struct {
-	Access        string
-	LookupsPerSec float64
-}
-
-// Fig20 reproduces Figure 20 (§7.2): dependent-lookup graph traversal
+// fig20 reproduces Figure 20 (§7.2): dependent-lookup graph traversal
 // throughput under each access configuration. The paper's result: the
 // integrated network plus in-store traversal (ISP-F) is ~3x a generic
 // distributed SSD (H-RH-F), and beats even a store with 50% of
-// accesses served by DRAM.
-func Fig20() ([]Fig20Row, error) {
+// accesses served by DRAM. It runs on a 4-node cluster.
+func fig20(p core.Params) (Rows, error) {
+	p.Nodes = 4
 	type cfg struct {
 		name string
 		mode graph.Mode
@@ -30,33 +25,23 @@ func Fig20() ([]Fig20Row, error) {
 		{"30%F", graph.ModeMixed, 30},
 		{"H-DRAM", graph.ModeHDRAM, 0},
 	}
-	var out []Fig20Row
+	out := Rows{Title: "Figure 20: graph traversal performance", Key: "Access", Cols: cols("%.0f", "Lookups/s")}
 	for _, cf := range cfgs {
-		c, err := core.NewCluster(scaledParams(4))
+		c, err := newCluster(p)
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 		g, err := graph.Build(c, graph.Config{Vertices: 240, AvgDegree: 8, Seed: 23, HomeNode: 0})
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
 		res, err := graph.Traverse(c, 0, g, graph.TraverseConfig{
 			Start: 3, Steps: 200, Mode: cf.mode, PctFlash: cf.pct, Seed: 29, Walkers: 1,
 		})
 		if err != nil {
-			return nil, err
+			return Rows{}, err
 		}
-		out = append(out, Fig20Row{Access: cf.name, LookupsPerSec: res.LookupsPerSec})
+		out.add(cf.name, res.LookupsPerSec)
 	}
 	return out, nil
-}
-
-// FormatFig20 renders the bars.
-func FormatFig20(rows []Fig20Row) string {
-	var t table
-	t.row("Access", "Lookups/s")
-	for _, r := range rows {
-		t.row(r.Access, f0(r.LookupsPerSec))
-	}
-	return "Figure 20: graph traversal performance\n" + t.String()
 }

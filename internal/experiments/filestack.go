@@ -37,8 +37,8 @@ import (
 	"repro/internal/workload"
 )
 
-// FileStackConfig sizes the experiment.
-type FileStackConfig struct {
+// fsConfig sizes the experiment.
+type fsConfig struct {
 	Nodes int `json:"nodes"`
 	// ScanPages is the scan file's size. Sized to a whole stripe round
 	// (chips * pages-per-segment) it fills exactly one segment on every
@@ -68,22 +68,12 @@ type FileStackConfig struct {
 	ISP        ispvol.Config     `json:"isp"`
 }
 
-// fsParams shrinks flash capacity (like gcParams) so seeded
-// files and repeated churn finish in seconds of wall-clock time.
-func fsParams(nodes int) core.Params {
-	p := core.DefaultParams(nodes)
-	p.Geometry.ChipsPerBus = 2
-	p.Geometry.BlocksPerChip = 4
-	p.Geometry.PagesPerBlock = 16
-	return p
-}
-
-// DefaultFileStack returns the standard shape: a 2-node appliance
+// defaultFileStack returns the standard shape: a 2-node appliance
 // (4096 flash pages), a one-stripe-round scan file, a churn file at
 // ~60% combined utilization, and enough overwrites to keep the
 // cleaner running for the whole window.
-func DefaultFileStack(short bool) FileStackConfig {
-	cfg := FileStackConfig{
+func defaultFileStack(short bool) fsConfig {
+	cfg := fsConfig{
 		Nodes:        2,
 		ScanPages:    1024, // 64 chips x 16 pages: one full segment per chip
 		ChurnPages:   1536,
@@ -93,16 +83,11 @@ func DefaultFileStack(short bool) FileStackConfig {
 		QueryStreams: 2,
 		Needle:       "BlueDBM",
 		Seed:         42,
-		Sched:        sched.DefaultConfig(),
+		Sched:        ownedWindow(),
 		RFS:          rfs.DefaultConfig(),
 		FTL:          ftl.DefaultConfig(),
 		ISP:          ispvol.DefaultConfig(),
 	}
-	// Same rationale as the GC and ISP experiments: the dispatcher must
-	// own the device window for class priority and the token budgets to
-	// act.
-	cfg.Sched.MaxInflight = 16
-	cfg.Sched.BatchSize = 16
 	// Trigger cleaning at 8 free segments (128 pages cluster-wide) —
 	// the same reserve the blockfs arm's FTLs keep (GCLowWater 2 blocks
 	// on each of 4 cards), so neither stack gets a richer victim pool
@@ -121,8 +106,8 @@ func DefaultFileStack(short bool) FileStackConfig {
 	return cfg
 }
 
-// FileArm is one run's outcome.
-type FileArm struct {
+// fileArm is one run's outcome.
+type fileArm struct {
 	Sched sched.Snapshot `json:"sched"`
 
 	// WriteAmp is flash programs per host page written over the churn
@@ -143,13 +128,13 @@ type FileArm struct {
 	MatchesPerQuery int64   `json:"matches_per_query"`
 }
 
-// FileStackResult is the JSON-ready outcome.
-type FileStackResult struct {
-	Config     FileStackConfig `json:"config"`
-	Blockfs    FileArm         `json:"blockfs"`
-	RFS        FileArm         `json:"rfs"`
-	RFSISP     FileArm         `json:"rfs_isp"`
-	RFSHostMed FileArm         `json:"rfs_host_mediated"`
+// fsResult is the JSON-ready outcome.
+type fsResult struct {
+	Config     fsConfig `json:"config"`
+	Blockfs    fileArm  `json:"blockfs"`
+	RFS        fileArm  `json:"rfs"`
+	RFSISP     fileArm  `json:"rfs_isp"`
+	RFSHostMed fileArm  `json:"rfs_host_mediated"`
 
 	// WriteAmpRatioX is blockfs WA over cluster-RFS WA (the §4 claim:
 	// the flash-aware FS cleans more efficiently).
@@ -164,30 +149,15 @@ type FileStackResult struct {
 	P99HostMedX float64 `json:"p99_hostmed_vs_base_x"`
 }
 
-// fsArmMode selects one experiment arm.
-type fsArmMode int
-
+// The arms, in run order; fsArms names them.
 const (
-	fsArmBlockfs fsArmMode = iota
+	fsArmBlockfs = iota
 	fsArmRFS
 	fsArmRFSISP
 	fsArmRFSHostMed
 )
 
-func (m fsArmMode) String() string {
-	switch m {
-	case fsArmBlockfs:
-		return "blockfs"
-	case fsArmRFS:
-		return "rfs"
-	case fsArmRFSISP:
-		return "rfs+isp"
-	case fsArmRFSHostMed:
-		return "rfs+host-mediated"
-	default:
-		return fmt.Sprintf("arm(%d)", int(m))
-	}
-}
+var fsArms = []string{"blockfs", "rfs", "rfs+isp", "rfs+host-mediated"}
 
 // pageFuncs adapts a file's page calls (or any pair of closures) to
 // the driver's PageRW surface.
@@ -203,7 +173,7 @@ func (p pageFuncs) Write(idx int, data []byte, cb func(error)) { p.write(idx, da
 // churn file; the window runs it cfg.Depth deep for cfg.Overwrites
 // completions) plus cfg.Probes realtime point readers that stay live
 // until the writer finishes.
-func fileChurn(cfg FileStackConfig, writer, reader workload.PageRW) []workload.ClientSpec {
+func fileChurn(cfg fsConfig, writer, reader workload.PageRW) []workload.ClientSpec {
 	specs := []workload.ClientSpec{{Name: "churn", RW: writer, Pick: workload.PickWrite(cfg.ChurnPages),
 		Seed: cfg.Seed ^ 0xf11e57ac}}
 	for p := 0; p < cfg.Probes; p++ {
@@ -219,7 +189,7 @@ func fileChurn(cfg FileStackConfig, writer, reader workload.PageRW) []workload.C
 // churn file second.
 func seedFiles[F interface {
 	AppendPage(data []byte, cb func(error))
-}](st *workload.Stack, cfg FileStackConfig, create func(name string) (F, error)) (scanF, churnF F, err error) {
+}](st *workload.Stack, cfg fsConfig, create func(name string) (F, error)) (scanF, churnF F, err error) {
 	if scanF, err = create("scan"); err != nil {
 		return
 	}
@@ -239,29 +209,29 @@ func seedFiles[F interface {
 // reading the churn file's logical pages directly at the Realtime
 // class (blockfs allocates lowest-free LPNs, so the churn file is a
 // known contiguous range).
-func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
-	st, err := workload.Build(workload.StackSpec{Params: fsParams(cfg.Nodes), Sched: cfg.Sched, FTL: &cfg.FTL})
+func runBlockfsArm(p core.Params, cfg fsConfig) (fileArm, error) {
+	st, err := workload.Build(volumeSpec(p, cfg.Nodes, cfg.Sched, cfg.FTL))
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	v := st.V
 	// +3: the format page and one inode-table page per file also live
 	// in the logical space.
 	if cfg.ScanPages+cfg.ChurnPages+3 > v.Pages() {
-		return FileArm{}, fmt.Errorf("files (%d pages + 3 metadata) exceed the %d-page volume",
+		return fileArm{}, fmt.Errorf("files (%d pages + 3 metadata) exceed the %d-page volume",
 			cfg.ScanPages+cfg.ChurnPages, v.Pages())
 	}
 	dev, err := v.NewStream("blockfs", sched.Batch)
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	_, churnF, err := seedFiles(st, cfg, blockfs.New(dev).Create)
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	probes, err := v.NewStream("probe", sched.Realtime)
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	// Probes point-read the churn file's actual device pages at the
 	// Realtime class (blockfs's FIBMAP-style query; the file's LPNs
@@ -271,17 +241,17 @@ func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
 	churnLPNs := make([]int, cfg.ChurnPages)
 	for i := range churnLPNs {
 		if churnLPNs[i], err = churnF.PageLPN(i); err != nil {
-			return FileArm{}, err
+			return fileArm{}, err
 		}
 	}
 	w, err := measure(st, fileChurn(cfg, pageFuncs{write: churnF.WritePage},
 		pageFuncs{read: func(idx int, cb func([]byte, error)) { probes.Read(churnLPNs[idx], cb) }}),
 		cfg.Depth, cfg.Overwrites, nil)
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
-	arm := FileArm{Sched: w.Sched, CleanMoves: w.Volume.GCMoves}
-	arm.stampRealtime()
+	arm := fileArm{Sched: w.Sched, CleanMoves: w.Volume.GCMoves}
+	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
 	// Write amplification per page of FILE DATA written: the blockfs
 	// arm's host writes include its metadata traffic (inode table,
 	// journal commits), which is amplification from the file layer's
@@ -295,19 +265,20 @@ func runBlockfsArm(cfg FileStackConfig) (FileArm, error) {
 
 // runRFSArm runs one cluster-RFS arm: base (no queries), distributed
 // ISP scans, or host-mediated scans.
-func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
-	spec := workload.StackSpec{Params: fsParams(cfg.Nodes), Sched: cfg.Sched, RFS: &cfg.RFS, RFSCluster: cfg.RFSCluster}
+func runRFSArm(p core.Params, cfg fsConfig, mode int) (fileArm, error) {
+	p.Nodes = cfg.Nodes
+	spec := workload.StackSpec{Params: p, Sched: cfg.Sched, RFS: &cfg.RFS, RFSCluster: cfg.RFSCluster}
 	if mode != fsArmRFS {
 		spec.ISP = &cfg.ISP
 	}
 	st, err := workload.Build(spec)
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	fs := st.FS
 	lay := fs.Backend().Layout()
 	if cfg.ScanPages%(lay.Chips*lay.PagesPerSeg) != 0 {
-		return FileArm{}, fmt.Errorf("scan file (%d pages) must be whole stripe rounds (%d) to stay clean-stable",
+		return fileArm{}, fmt.Errorf("scan file (%d pages) must be whole stripe rounds (%d) to stay clean-stable",
 			cfg.ScanPages, lay.Chips*lay.PagesPerSeg)
 	}
 	// Scan file first: it fills exactly ScanPages/(chips*pagesPerSeg)
@@ -315,62 +286,50 @@ func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
 	// relocates them and engine snapshots stay fresh.
 	scanF, churnF, err := seedFiles(st, cfg, fs.Create)
 	if err != nil {
-		return FileArm{}, err
-	}
-	placement := ispvol.InStore
-	if mode == fsArmRFSHostMed {
-		placement = ispvol.HostMediated
+		return fileArm{}, err
 	}
 	var tally searchTally
 	w, err := measure(st, fileChurn(cfg, pageFuncs{write: churnF.At(sched.Batch).WritePage},
 		pageFuncs{read: churnF.At(sched.Realtime).ReadPage}),
 		cfg.Depth, cfg.Overwrites, func(co *coRunner) {
 			if mode != fsArmRFS {
-				searchLoad(co, st.ISP, ispvol.File(scanF), []byte(cfg.Needle), placement, cfg.QueryStreams, &tally)
+				searchLoad(co, st.ISP, ispvol.File(scanF), []byte(cfg.Needle), placement(mode == fsArmRFSHostMed), cfg.QueryStreams, &tally)
 			}
 		})
 	if err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
 	if mode != fsArmRFS && tally.queries == 0 {
-		return FileArm{}, fmt.Errorf("no %v query completed inside the churn window; raise Overwrites or shrink ScanPages", mode)
+		return fileArm{}, fmt.Errorf("no %s query completed inside the churn window; raise Overwrites or shrink ScanPages", fsArms[mode])
 	}
 	if err := fs.CheckInvariants(); err != nil {
-		return FileArm{}, err
+		return fileArm{}, err
 	}
-	arm := FileArm{
+	arm := fileArm{
 		Sched: w.Sched, CleanMoves: w.FSCleanMoves, MappingEntries: fs.LiveMappings(),
 		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
 		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
 	}
 	arm.WriteAmp = ratio(float64(w.FSWritten+w.FSCleanMoves), float64(w.FSWritten))
-	arm.stampRealtime()
+	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
 	return arm, nil
 }
 
-// stampRealtime copies the realtime class latencies out of a snapshot.
-func (a *FileArm) stampRealtime() {
-	rt := realtimeClass(a.Sched)
-	a.RealtimeP50Us, a.RealtimeP99Us = rt.P50Us, rt.P99Us
-}
-
-// FileStack runs the four arms on identical offered load and reports
+// fileStack runs the four arms on identical offered load and reports
 // the cross-arm ratios. The two query arms must agree on the per-query
 // match count, or the experiment fails.
-func FileStack(cfg FileStackConfig) (FileStackResult, error) {
-	res := FileStackResult{Config: cfg}
-	var err error
-	if res.Blockfs, err = runBlockfsArm(cfg); err != nil {
-		return res, fmt.Errorf("blockfs arm: %w", err)
-	}
-	if res.RFS, err = runRFSArm(cfg, fsArmRFS); err != nil {
-		return res, fmt.Errorf("rfs arm: %w", err)
-	}
-	if res.RFSISP, err = runRFSArm(cfg, fsArmRFSISP); err != nil {
-		return res, fmt.Errorf("rfs+isp arm: %w", err)
-	}
-	if res.RFSHostMed, err = runRFSArm(cfg, fsArmRFSHostMed); err != nil {
-		return res, fmt.Errorf("rfs+host-mediated arm: %w", err)
+func fileStack(p core.Params, cfg fsConfig) (fsResult, error) {
+	res := fsResult{Config: cfg}
+	for m, arm := range []*fileArm{&res.Blockfs, &res.RFS, &res.RFSISP, &res.RFSHostMed} {
+		var err error
+		if m == fsArmBlockfs {
+			*arm, err = runBlockfsArm(p, cfg)
+		} else {
+			*arm, err = runRFSArm(p, cfg, m)
+		}
+		if err != nil {
+			return res, fmt.Errorf("%s arm: %w", fsArms[m], err)
+		}
 	}
 	if res.RFSISP.MatchesPerQuery != res.RFSHostMed.MatchesPerQuery {
 		return res, fmt.Errorf("query arms disagree on matches per query: isp %d, host-mediated %d",
@@ -384,30 +343,21 @@ func FileStack(cfg FileStackConfig) (FileStackResult, error) {
 	return res, nil
 }
 
-// FormatFileStack renders the comparison.
-func FormatFileStack(r FileStackResult) string {
-	var t table
-	t.row("Arm", "WA", "map entries", "rt p50 us", "rt p99 us", "queries", "scan MB/s")
-	rows := []struct {
-		name string
-		a    FileArm
-	}{
-		{"blockfs on FTL", r.Blockfs},
-		{"cluster rfs", r.RFS},
-		{"rfs + isp scan", r.RFSISP},
-		{"rfs + host scan", r.RFSHostMed},
-	}
-	for _, row := range rows {
-		t.row(row.name, f2(row.a.WriteAmp), fmt.Sprintf("%d", row.a.MappingEntries),
-			f1(row.a.RealtimeP50Us), f1(row.a.RealtimeP99Us),
-			fmt.Sprintf("%d", row.a.Queries), f1(row.a.QueryMBps))
-	}
-	head := fmt.Sprintf(
+// formatFileStack renders the comparison.
+func formatFileStack(r fsResult) string {
+	out := Rows{Title: fmt.Sprintf(
 		"File stack (Figure 8 end-to-end): scan %d + churn %d pages, %d overwrites, %d nodes\n"+
 			"write amplification %.2f (blockfs-on-FTL) vs %.2f (cluster rfs): %.2fx; mapping %.0fx smaller\n"+
-			"file scans %.1f MB/s distributed vs %.1f MB/s host-mediated: %.1fx, with realtime p99 %.2fx the no-ISP baseline\n",
+			"file scans %.1f MB/s distributed vs %.1f MB/s host-mediated: %.1fx, with realtime p99 %.2fx the no-ISP baseline",
 		r.Config.ScanPages, r.Config.ChurnPages, r.Config.Overwrites, r.Config.Nodes,
 		r.Blockfs.WriteAmp, r.RFS.WriteAmp, r.WriteAmpRatioX, r.MappingRatioX,
-		r.RFSISP.QueryMBps, r.RFSHostMed.QueryMBps, r.ScanSpeedupX, r.P99ISPX)
-	return head + t.String()
+		r.RFSISP.QueryMBps, r.RFSHostMed.QueryMBps, r.ScanSpeedupX, r.P99ISPX),
+		Key: "Arm", Cols: []Col{{"WA", "%.2f"}, {"map entries", "%.0f"}, {"rt p50 us", "%.1f"}, {"rt p99 us", "%.1f"},
+			{"queries", "%.0f"}, {"scan MB/s", "%.1f"}}}
+	names := []string{"blockfs on FTL", "cluster rfs", "rfs + isp scan", "rfs + host scan"}
+	for i, a := range []fileArm{r.Blockfs, r.RFS, r.RFSISP, r.RFSHostMed} {
+		out.add(names[i], a.WriteAmp, float64(a.MappingEntries), a.RealtimeP50Us, a.RealtimeP99Us,
+			float64(a.Queries), a.QueryMBps)
+	}
+	return out.String()
 }

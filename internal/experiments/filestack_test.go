@@ -11,19 +11,19 @@ import (
 // full cluster run).
 var fsOnce = struct {
 	sync.Once
-	res FileStackResult
+	res fsResult
 	err error
 }{}
 
-func fsResult(t *testing.T) FileStackResult {
+func fsRun(t *testing.T) fsResult {
 	t.Helper()
 	fsOnce.Do(func() {
-		cfg := DefaultFileStack(true)
+		cfg := defaultFileStack(true)
 		// Test-sized window: enough churn to reach cleaning in the rfs
 		// arms, one query stream so the ISP arms stay cheap.
 		cfg.Overwrites = 768
 		cfg.QueryStreams = 1
-		fsOnce.res, fsOnce.err = FileStack(cfg)
+		fsOnce.res, fsOnce.err = fileStack(record(t, "fs").Params, cfg)
 	})
 	if fsOnce.err != nil {
 		t.Fatal(fsOnce.err)
@@ -36,7 +36,7 @@ func fsResult(t *testing.T) FileStackResult {
 // -> scheduler-admitted engines -> merge), agree byte-for-byte with
 // the host-mediated file path, and move bytes at a real rate.
 func TestFileStackFigure8EndToEnd(t *testing.T) {
-	r := fsResult(t)
+	r := fsRun(t)
 	if r.RFSISP.Queries == 0 || r.RFSHostMed.Queries == 0 {
 		t.Fatalf("query arms idle: isp %d, host %d", r.RFSISP.Queries, r.RFSHostMed.Queries)
 	}
@@ -57,7 +57,7 @@ func TestFileStackFigure8EndToEnd(t *testing.T) {
 // admitted ISP scans stay inside a modest envelope of the no-ISP
 // baseline.
 func TestFileStackQoSUnderCleaning(t *testing.T) {
-	r := fsResult(t)
+	r := fsRun(t)
 	if r.RFS.CleanMoves == 0 {
 		t.Fatal("churn never reached cleaning; the window is too small to measure anything")
 	}
@@ -73,7 +73,7 @@ func TestFileStackQoSUnderCleaning(t *testing.T) {
 // claim: the FTL stack maps its whole logical space while RFS maps
 // only live file pages.
 func TestFileStackMappingFootprint(t *testing.T) {
-	r := fsResult(t)
+	r := fsRun(t)
 	if r.Blockfs.MappingEntries <= r.RFS.MappingEntries {
 		t.Fatalf("blockfs maps %d entries, rfs %d: the footprint claim inverted",
 			r.Blockfs.MappingEntries, r.RFS.MappingEntries)

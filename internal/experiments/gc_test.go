@@ -10,11 +10,9 @@ import (
 // arms, all requests must complete, and GC-aware dispatch must leave
 // realtime tail latency no worse than GC-oblivious dispatch.
 func TestGCIsolationShort(t *testing.T) {
-	r, err := GCIsolation(DefaultGCIsolation(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, arm := range map[string]GCArm{"aware": r.Aware, "oblivious": r.Oblivious} {
+	_, v := shortRun(t, "gc")
+	r := v.(gcResult)
+	for name, arm := range map[string]volumeWindow{"aware": r.Aware, "oblivious": r.Oblivious} {
 		if arm.Loop.Errors != 0 {
 			t.Fatalf("%s: %d request errors", name, arm.Loop.Errors)
 		}

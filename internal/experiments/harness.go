@@ -16,6 +16,7 @@ import (
 	"repro/internal/ispvol"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -27,27 +28,34 @@ const (
 	warmSalt uint64 = 0x5eed     // XORed in for an unmeasured warm-up round
 )
 
-// gcParams shrinks flash capacity further than scaledParams so a
-// volume can be seeded, churned to steady-state GC, scanned repeatedly
-// or rebuilt in seconds of wall-clock time; the GC, ISP, apps, cache
-// and fault harnesses all run on it.
-func gcParams(nodes int) core.Params {
-	p := core.DefaultParams(nodes)
-	// Small capacity so churn reaches steady-state GC quickly, but
-	// full-size blocks: the erase rate per written page falls with
-	// block size, keeping unavoidable read-behind-erase chip
-	// collisions (identical in both arms) out of the p99 quantile that
-	// the dispatch policies are being compared on.
-	p.Geometry.ChipsPerBus = 2
-	p.Geometry.BlocksPerChip = 2
-	p.Geometry.PagesPerBlock = 32
-	return p
+// newCluster builds the appliance a paper figure reads directly: the
+// stack's cluster, its scheduler left idle.
+func newCluster(p core.Params) (*core.Cluster, error) {
+	st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig()})
+	if err != nil {
+		return nil, err
+	}
+	return st.C, nil
 }
 
 // volumeSpec is the stack most harnesses start from: a logical volume
-// over per-card FTLs on gcParams.
-func volumeSpec(nodes int, scfg sched.Config, fcfg ftl.Config) workload.StackSpec {
-	return workload.StackSpec{Params: gcParams(nodes), Sched: scfg, FTL: &fcfg}
+// over per-card FTLs on p at the given cluster size.
+func volumeSpec(p core.Params, nodes int, scfg sched.Config, fcfg ftl.Config) workload.StackSpec {
+	p.Nodes = nodes
+	return workload.StackSpec{Params: p, Sched: scfg, FTL: &fcfg}
+}
+
+// ownedWindow is the scheduler of the volume harnesses (gc, isp, fs,
+// apps, fault, cache). The dispatcher must own the device window for
+// class priority and the token budgets (GC, accel, rebuild) to act:
+// with a window wider than the offered load, contention moves into the
+// per-card FIFOs where class is invisible. 16 slots per node keep the
+// admission queue the contention point.
+func ownedWindow() sched.Config {
+	cfg := sched.DefaultConfig()
+	cfg.MaxInflight = 16
+	cfg.BatchSize = 16
+	return cfg
 }
 
 // seeded builds spec and fills its whole logical volume.
@@ -60,12 +68,13 @@ func seeded(spec workload.StackSpec, fill workload.PageFiller) (*workload.Stack,
 }
 
 // physicalStack builds the volume-less stack of the physical-address
-// harnesses (sched, engine, the golden scenario): scaledParams with
-// every node's read region [0, pages) seeded. A physical run
-// (RunClosedLoop) is the measured window as a whole, so the
-// scheduler's statistics (and their clock) start after the seeding.
-func physicalStack(nodes, pages int, seed uint64, scfg sched.Config) (*workload.Stack, error) {
-	st, err := workload.Build(workload.StackSpec{Params: scaledParams(nodes), Sched: scfg})
+// harnesses (sched, engine, the golden scenario): p at the given
+// cluster size with every node's read region [0, pages) seeded. A
+// physical run (RunClosedLoop) is the measured window as a whole, so
+// the scheduler's statistics (and their clock) start after the seeding.
+func physicalStack(p core.Params, nodes, pages int, seed uint64, scfg sched.Config) (*workload.Stack, error) {
+	p.Nodes = nodes
+	st, err := workload.Build(workload.StackSpec{Params: p, Sched: scfg})
 	if err != nil {
 		return nil, err
 	}
@@ -74,22 +83,27 @@ func physicalStack(nodes, pages int, seed uint64, scfg sched.Config) (*workload.
 	return st, err
 }
 
-// dealStream gives physical stream i its class and pattern: of every
-// eight, one realtime point reader, three interactive (two zipfian,
-// one uniform) and four batch (two scans, two mixed read/write).
-func dealStream(i int) (sched.Class, workload.Pattern) {
+// dealStream is physical stream i of a mix (sched, engine, the golden
+// scenario): issued from node, addressed across the whole cluster,
+// named name plus its class and pattern. Of every eight streams, one
+// is a realtime point reader, three interactive (two zipfian, one
+// uniform) and four batch (two scans, two mixed read/write).
+func dealStream(name string, i, node int, seed uint64) workload.StreamSpec {
+	sp := workload.StreamSpec{Node: node, Target: -1, Seed: seed}
 	switch i % 8 {
 	case 0:
-		return sched.Realtime, workload.Uniform
+		sp.Class, sp.Pattern = sched.Realtime, workload.Uniform
 	case 1, 2:
-		return sched.Interactive, workload.Zipfian
+		sp.Class, sp.Pattern = sched.Interactive, workload.Zipfian
 	case 3:
-		return sched.Interactive, workload.Uniform
+		sp.Class, sp.Pattern = sched.Interactive, workload.Uniform
 	case 4, 5:
-		return sched.Batch, workload.Scan
+		sp.Class, sp.Pattern = sched.Batch, workload.Scan
 	default:
-		return sched.Batch, workload.Mixed
+		sp.Class, sp.Pattern = sched.Batch, workload.Mixed
 	}
+	sp.Name = fmt.Sprintf("%s-%s-%s", name, sp.Class, sp.Pattern)
+	return sp
 }
 
 // mix accumulates a stream mix over one stack's top page surface; the
@@ -187,6 +201,17 @@ func (co *coRunner) chain(start func(next func())) {
 	next()
 }
 
+// volumeWindow is what the gc and fault experiments keep of one
+// measured window: one GC dispatch arm, or one fault phase.
+type volumeWindow struct {
+	Loop   workload.LoopResult `json:"loop"`
+	Sched  sched.Snapshot      `json:"sched"`
+	Volume volume.Stats        `json:"volume"`
+}
+
+// keep is the volumeWindow of w.
+func keep(w workload.Window) volumeWindow { return volumeWindow{w.Run.Loop, w.Sched, w.Volume} }
+
 // measure is one measured window of st with load (when non-nil)
 // co-running for exactly as long as the primary streams issue. A
 // failed request or a failed query fails the window.
@@ -207,7 +232,7 @@ func measure(st *workload.Stack, specs []workload.ClientSpec, depth, requests in
 // warmThenMeasure runs mixOf's traffic once unmeasured at a quarter of
 // the request count, its seeds salted apart (the round that pushes FTL
 // free pools toward the GC region, or populates a cache), then
-// measures it.
+// measures it with no co-running load.
 func warmThenMeasure(st *workload.Stack, depth, requests int,
 	mixOf func(seedSalt uint64) ([]workload.ClientSpec, error)) (workload.Window, error) {
 	warm, err := mixOf(warmSalt)
@@ -222,6 +247,14 @@ func warmThenMeasure(st *workload.Stack, depth, requests int,
 		return workload.Window{}, err
 	}
 	return measure(st, specs, depth, requests, nil)
+}
+
+// placement is where a query arm's scans run.
+func placement(hostMediated bool) ispvol.Placement {
+	if hostMediated {
+		return ispvol.HostMediated
+	}
+	return ispvol.InStore
 }
 
 // searchTally is what one window's search queries did.
@@ -272,14 +305,15 @@ func ratio(num, den float64) float64 {
 	return 0
 }
 
-// realtimeClass pulls the realtime class out of a scheduler snapshot.
-func realtimeClass(s sched.Snapshot) sched.ClassSnapshot {
+// classLatency is one class's p50 and p99 in a scheduler snapshot (0
+// when the class is not in it).
+func classLatency(s sched.Snapshot, class sched.Class) (p50, p99 float64) {
 	for _, cs := range s.Classes {
-		if cs.Class == "realtime" {
-			return cs
+		if cs.Class == class.String() {
+			return cs.P50Us, cs.P99Us
 		}
 	}
-	return sched.ClassSnapshot{}
+	return 0, 0
 }
 
 // hostOpsPerSec sums a window's scheduler throughput over the host

@@ -22,14 +22,15 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/ispvol"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// ISPContentionConfig sizes the experiment.
-type ISPContentionConfig struct {
+// ispConfig sizes the experiment.
+type ispConfig struct {
 	Nodes        int    `json:"nodes"`
 	HostStreams  int    `json:"host_streams"`  // concurrent host tenant streams
 	QueryStreams int    `json:"query_streams"` // concurrent distributed queries
@@ -44,12 +45,12 @@ type ISPContentionConfig struct {
 	ISP   ispvol.Config `json:"isp"`
 }
 
-// DefaultISPContention returns the standard shape: 32 host streams (a
+// defaultISPContention returns the standard shape: 32 host streams (a
 // quarter of them realtime latency probes) sharing a 2-node volume
 // with 4 concurrent distributed search queries. short cuts request
 // counts and the query range for smoke runs.
-func DefaultISPContention(short bool) ISPContentionConfig {
-	cfg := ISPContentionConfig{
+func defaultISPContention(short bool) ispConfig {
+	cfg := ispConfig{
 		Nodes:        2,
 		HostStreams:  32,
 		QueryStreams: 4,
@@ -61,15 +62,10 @@ func DefaultISPContention(short bool) ISPContentionConfig {
 		Requests:   768,
 		Needle:     "BlueDBM",
 		Seed:       42,
-		Sched:      sched.DefaultConfig(),
+		Sched:      ownedWindow(),
 		FTL:        ftl.DefaultConfig(),
 		ISP:        ispvol.DefaultConfig(),
 	}
-	// Same rationale as the GC experiment: the dispatcher must own the
-	// device window for class priority and the accel token budget to
-	// act; 16 slots per node keeps admission the contention point.
-	cfg.Sched.MaxInflight = 16
-	cfg.Sched.BatchSize = 16
 	// Hungry engines: each keeps 16 reads in flight. Under Accel
 	// admission the token budget (half the 16-slot window) paces them
 	// regardless; under Bypass the same demand hits the chips raw —
@@ -107,33 +103,18 @@ func ispHaystack(seed uint64, needle []byte, ps int) workload.PageFiller {
 	}
 }
 
-// ispArmMode selects one experiment arm.
-type ispArmMode int
-
+// The arms, in run order; ispArms names them.
 const (
-	armBase ispArmMode = iota
+	armBase = iota
 	armBypass
 	armISPF
 	armHostMediated
 )
 
-func (m ispArmMode) String() string {
-	switch m {
-	case armBase:
-		return "base"
-	case armBypass:
-		return "bypass"
-	case armISPF:
-		return "isp-f"
-	case armHostMediated:
-		return "host-mediated"
-	default:
-		return fmt.Sprintf("arm(%d)", int(m))
-	}
-}
+var ispArms = []string{"base", "bypass", "isp-f", "host-mediated"}
 
-// ISPArm is one run's outcome.
-type ISPArm struct {
+// ispArm is one run's outcome.
+type ispArm struct {
 	Loop  workload.LoopResult `json:"loop"`
 	Sched sched.Snapshot      `json:"sched"`
 
@@ -145,13 +126,13 @@ type ISPArm struct {
 	RealtimeP99Us   float64 `json:"realtime_p99_us"`
 }
 
-// ISPContentionResult is the JSON-ready outcome.
-type ISPContentionResult struct {
-	Config       ISPContentionConfig `json:"config"`
-	Base         ISPArm              `json:"base"`
-	Bypass       ISPArm              `json:"bypass"`
-	ISPF         ISPArm              `json:"isp_f"`
-	HostMediated ISPArm              `json:"host_mediated"`
+// ispResult is the JSON-ready outcome.
+type ispResult struct {
+	Config       ispConfig `json:"config"`
+	Base         ispArm    `json:"base"`
+	Bypass       ispArm    `json:"bypass"`
+	ISPF         ispArm    `json:"isp_f"`
+	HostMediated ispArm    `json:"host_mediated"`
 
 	// QuerySpeedupX is isp-f query throughput over host-mediated at
 	// identical offered host load.
@@ -165,8 +146,8 @@ type ISPContentionResult struct {
 // runISPArm builds a fresh cluster+scheduler+volume+ispvol, seeds the
 // haystack, then measures the host mix with the arm's query load
 // co-running for exactly the measurement window.
-func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
-	spec := volumeSpec(cfg.Nodes, cfg.Sched, cfg.FTL)
+func runISPArm(p core.Params, cfg ispConfig, mode int) (ispArm, error) {
+	spec := volumeSpec(p, cfg.Nodes, cfg.Sched, cfg.FTL)
 	icfg := cfg.ISP
 	if mode == armBypass {
 		icfg.Admission = ispvol.Bypass
@@ -174,54 +155,50 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 	spec.ISP = &icfg
 	st, err := workload.Build(spec)
 	if err != nil {
-		return ISPArm{}, err
+		return ispArm{}, err
 	}
 	if cfg.QueryPages > st.V.Pages() {
-		return ISPArm{}, fmt.Errorf("query range %d exceeds the %d-page volume", cfg.QueryPages, st.V.Pages())
+		return ispArm{}, fmt.Errorf("query range %d exceeds the %d-page volume", cfg.QueryPages, st.V.Pages())
 	}
 	needle := []byte(cfg.Needle)
 	if err := st.Seed(ispHaystack(cfg.Seed, needle, st.V.PageSize())); err != nil {
-		return ISPArm{}, err
-	}
-	placement := ispvol.InStore
-	if mode == armHostMediated {
-		placement = ispvol.HostMediated
+		return ispArm{}, err
 	}
 	specs, err := hostMix(st, cfg.HostStreams, cfg.Seed)
 	if err != nil {
-		return ISPArm{}, err
+		return ispArm{}, err
 	}
 	var tally searchTally
 	w, err := measure(st, specs, cfg.Depth, cfg.Requests, func(co *coRunner) {
 		if mode != armBase {
-			searchLoad(co, st.ISP, ispvol.Range(0, cfg.QueryPages), needle, placement, cfg.QueryStreams, &tally)
+			searchLoad(co, st.ISP, ispvol.Range(0, cfg.QueryPages), needle, placement(mode == armHostMediated), cfg.QueryStreams, &tally)
 		}
 	})
 	if err != nil {
-		return ISPArm{}, err
+		return ispArm{}, err
 	}
 	if mode != armBase && tally.queries == 0 {
-		return ISPArm{}, fmt.Errorf("no %v query completed inside the host window; raise Requests or shrink QueryPages", mode)
+		return ispArm{}, fmt.Errorf("no %s query completed inside the host window; raise Requests or shrink QueryPages", ispArms[mode])
 	}
-	rt := realtimeClass(w.Sched)
-	return ISPArm{
+	arm := ispArm{
 		Loop: w.Run.Loop, Sched: w.Sched,
 		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
-		QueryMBps:     tally.mbps(w.Sched.ElapsedMs),
-		RealtimeP50Us: rt.P50Us, RealtimeP99Us: rt.P99Us,
-	}, nil
+		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
+	}
+	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
+	return arm, nil
 }
 
-// ISPContention runs the four arms on identical offered load and
+// ispContention runs the four arms on identical offered load and
 // reports the cross-arm ratios. Query results are cross-validated:
 // every arm's distributed/bypass/host-mediated scans must agree on
 // the per-query match count, or the experiment fails.
-func ISPContention(cfg ISPContentionConfig) (ISPContentionResult, error) {
-	res := ISPContentionResult{Config: cfg}
-	for m, arm := range []*ISPArm{&res.Base, &res.Bypass, &res.ISPF, &res.HostMediated} {
+func ispContention(p core.Params, cfg ispConfig) (ispResult, error) {
+	res := ispResult{Config: cfg}
+	for m, arm := range []*ispArm{&res.Base, &res.Bypass, &res.ISPF, &res.HostMediated} {
 		var err error
-		if *arm, err = runISPArm(cfg, ispArmMode(m)); err != nil {
-			return res, fmt.Errorf("%v arm: %w", ispArmMode(m), err)
+		if *arm, err = runISPArm(p, cfg, m); err != nil {
+			return res, fmt.Errorf("%s arm: %w", ispArms[m], err)
 		}
 	}
 	if res.ISPF.MatchesPerQuery != res.Bypass.MatchesPerQuery ||
@@ -236,31 +213,22 @@ func ISPContention(cfg ISPContentionConfig) (ISPContentionResult, error) {
 	return res, nil
 }
 
-// FormatISPContention renders the comparison.
-func FormatISPContention(r ISPContentionResult) string {
-	var t table
-	t.row("Arm", "rt p50 us", "rt p99 us", "p99 vs base", "queries", "query MB/s", "host Kops/s")
-	rows := []struct {
-		name string
-		a    ISPArm
-		p99x float64
-	}{
-		{"base (no ISP)", r.Base, 1},
-		{"bypass (bug)", r.Bypass, r.P99BypassX},
-		{"isp-f", r.ISPF, r.P99ISPFX},
-		{"host-mediated", r.HostMediated, r.P99HostMedX},
-	}
-	for _, row := range rows {
-		t.row(row.name, f1(row.a.RealtimeP50Us), f1(row.a.RealtimeP99Us),
-			f2(row.p99x), fmt.Sprintf("%d", row.a.Queries), f1(row.a.QueryMBps),
-			f1(hostOpsPerSec(row.a.Sched)/1e3))
-	}
-	head := fmt.Sprintf(
+// formatISPContention renders the comparison.
+func formatISPContention(r ispResult) string {
+	out := Rows{Title: fmt.Sprintf(
 		"ISP contention: %d host streams + %d distributed search queries, %d nodes\n"+
 			"query throughput %.1f MB/s (isp-f) vs %.1f MB/s (host-mediated): %.1fx\n"+
-			"realtime host p99: %.2fx base under isp-f vs %.2fx base when ISP bypasses the scheduler\n",
+			"realtime host p99: %.2fx base under isp-f vs %.2fx base when ISP bypasses the scheduler",
 		r.Config.HostStreams, r.Config.QueryStreams, r.Config.Nodes,
 		r.ISPF.QueryMBps, r.HostMediated.QueryMBps, r.QuerySpeedupX,
-		r.P99ISPFX, r.P99BypassX)
-	return head + t.String()
+		r.P99ISPFX, r.P99BypassX),
+		Key: "Arm", Cols: []Col{{"rt p50 us", "%.1f"}, {"rt p99 us", "%.1f"}, {"p99 vs base", "%.2f"},
+			{"queries", "%.0f"}, {"query MB/s", "%.1f"}, {"host Kops/s", "%.1f"}}}
+	names := []string{"base (no ISP)", "bypass (bug)", "isp-f", "host-mediated"}
+	vsBase := []float64{1, r.P99BypassX, r.P99ISPFX, r.P99HostMedX}
+	for i, a := range []ispArm{r.Base, r.Bypass, r.ISPF, r.HostMediated} {
+		out.add(names[i], a.RealtimeP50Us, a.RealtimeP99Us, vsBase[i],
+			float64(a.Queries), a.QueryMBps, hostOpsPerSec(a.Sched)/1e3)
+	}
+	return out.String()
 }

@@ -2,27 +2,15 @@ package experiments
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
-// ispOnce runs the four-arm contention experiment once; the assertion
-// tests below share the result (each arm is a full cluster run).
-var ispOnce = struct {
-	sync.Once
-	res ISPContentionResult
-	err error
-}{}
-
-func ispResult(t *testing.T) ISPContentionResult {
+// ispRun is the four-arm contention experiment at -short size, run
+// once for every test that reads it (each arm is a full cluster run).
+func ispRun(t *testing.T) ispResult {
 	t.Helper()
-	ispOnce.Do(func() {
-		ispOnce.res, ispOnce.err = ISPContention(DefaultISPContention(true))
-	})
-	if ispOnce.err != nil {
-		t.Fatal(ispOnce.err)
-	}
-	return ispOnce.res
+	_, v := shortRun(t, "isp")
+	return v.(ispResult)
 }
 
 // TestISPSchedulerBypassRegression is the regression test for the
@@ -32,7 +20,7 @@ func ispResult(t *testing.T) ISPContentionResult {
 // Accel class (the isp-f arm) restores the tail to near the no-ISP
 // baseline at comparable query throughput.
 func TestISPSchedulerBypassRegression(t *testing.T) {
-	r := ispResult(t)
+	r := ispRun(t)
 	if r.Base.RealtimeP99Us <= 0 {
 		t.Fatal("no baseline realtime tail measured")
 	}
@@ -57,7 +45,7 @@ func TestISPSchedulerBypassRegression(t *testing.T) {
 // identical offered host load, and every arm agrees on the query
 // answer.
 func TestISPContentionAcceptance(t *testing.T) {
-	r := ispResult(t)
+	r := ispRun(t)
 	if r.QuerySpeedupX <= 1 {
 		t.Fatalf("isp-f only %.2fx host-mediated query throughput", r.QuerySpeedupX)
 	}

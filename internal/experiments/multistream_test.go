@@ -10,13 +10,11 @@ import (
 // internal/sched, every QoS class reports latency percentiles, and
 // the result marshals to JSON.
 func TestMultiStreamShort(t *testing.T) {
-	cfg := DefaultMultiStream(true)
+	_, v := shortRun(t, "sched")
+	r := v.(batchComparison).Batched
+	cfg := r.Config
 	if cfg.Streams < 64 {
 		t.Fatalf("experiment must drive >= 64 streams, has %d", cfg.Streams)
-	}
-	r, err := MultiStream(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if r.Loop.Errors != 0 {
 		t.Fatalf("%d request errors", r.Loop.Errors)
@@ -56,11 +54,8 @@ func TestMultiStreamBatchingWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full runs")
 	}
-	cfg := DefaultMultiStream(true)
-	cmp, err := MultiStreamBatchComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := shortRun(t, "sched")
+	cmp := v.(batchComparison)
 	if cmp.SpeedupVsNoBatch < 1.5 {
 		t.Fatalf("batched only %.2fx vs nobatch", cmp.SpeedupVsNoBatch)
 	}

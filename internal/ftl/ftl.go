@@ -55,7 +55,7 @@ type Config struct {
 	// the logical space and reserved for GC headroom.
 	OverProvision float64
 	// GCLowWater starts garbage collection when the free-block pool
-	// drops to this size.
+	// drops to this size; it must be at least 1.
 	GCLowWater int
 	// WearLevelEvery runs a wear-leveling pass instead of a greedy pass
 	// every N collections (0 disables static wear leveling).
@@ -154,7 +154,7 @@ func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 		return nil, fmt.Errorf("ftl: over-provisioning %.2f out of range [0.02,0.9)", cfg.OverProvision)
 	}
 	if cfg.GCLowWater < 1 {
-		cfg.GCLowWater = 1
+		return nil, fmt.Errorf("ftl: GCLowWater %d: garbage collection needs a low-water mark of at least 1 free block", cfg.GCLowWater)
 	}
 	if cfg.GCPipeline < 1 {
 		cfg.GCPipeline = 1
@@ -216,11 +216,7 @@ func (f *FTL) FreeBlocks() int { return len(f.freePool) }
 // budget, so it measures deficit below the trigger point, not pool
 // fullness: while GC keeps up, relocation deserves no device share.
 func (f *FTL) Urgency() float64 {
-	low := f.cfg.GCLowWater
-	if low < 1 {
-		low = 1
-	}
-	u := 1 - float64(len(f.freePool))/float64(low)
+	u := 1 - float64(len(f.freePool))/float64(f.cfg.GCLowWater)
 	if u < 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -278,6 +279,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewWithBackend(IfaceBackend(nil), nand.Geometry{}, DefaultConfig()); err == nil {
 		t.Fatal("zero geometry accepted")
+	}
+}
+
+// TestGCLowWaterBelowOneRefused: a low-water mark of 0 used to be
+// raised to 1 without a word, so 0 and 1 ran identically. It is
+// refused, and the error names the field.
+func TestGCLowWaterBelowOneRefused(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GCLowWater = 0
+	_, err := NewWithBackend(IfaceBackend(nil), smallGeo(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "GCLowWater") {
+		t.Fatalf("GCLowWater 0 built an FTL or was refused without naming the field: %v", err)
 	}
 }
 

@@ -674,6 +674,9 @@ func mix64(z uint64) uint64 {
 //
 //simlint:hotpath
 func (c *Card) drawFlips(bits, gblk int, eraseCount, serial int64) (flips int, s uint64) {
+	// Each product is converted before it is added to: Go may fuse
+	// x*y±z into one differently rounded op on arm64, and these decide
+	// the flip count.
 	rate := c.rel.BitErrorRate
 	if rate <= 0 {
 		return 0, 0
@@ -682,9 +685,9 @@ func (c *Card) drawFlips(bits, gblk int, eraseCount, serial int64) (flips int, s
 		rate *= 1 + float64(eraseCount)/float64(c.rel.EnduranceCycles)
 	}
 	if c.rel.ReadDisturb > 0 {
-		rate *= 1 + c.rel.ReadDisturb*float64(serial)
+		rate *= 1 + float64(c.rel.ReadDisturb*float64(serial))
 	}
-	mean := rate * float64(bits)
+	mean := float64(rate * float64(bits))
 	// Per-(block, erase, read) stateless splitmix stream.
 	s = c.noiseSeed ^ mix64(uint64(gblk)*0x9e3779b97f4a7c15+1)
 	s ^= mix64(uint64(eraseCount)*0xd1342543de82ef95 + 0x2545f4914f6cdd1d)

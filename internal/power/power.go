@@ -26,7 +26,7 @@ type Budget struct {
 func (b Budget) Total() float64 {
 	var w float64
 	for _, c := range b.Components {
-		w += float64(c.Count) * c.Watts
+		w += float64(float64(c.Count) * c.Watts) // converted: no fused multiply-add on arm64
 	}
 	return w
 }

@@ -48,7 +48,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a pseudo-random float in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53)) // converted: never fused into a caller's x*y±z
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
