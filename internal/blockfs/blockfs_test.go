@@ -9,6 +9,7 @@ import (
 	"repro/internal/flashserver"
 	"repro/internal/ftl"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sim"
 )
 
@@ -145,7 +146,7 @@ func TestVolumeFull(t *testing.T) {
 			t.Fatal("volume never filled")
 		}
 	}
-	if !errors.Is(lastErr, ErrNoSpace) && !errors.Is(lastErr, ftl.ErrNoSpace) {
+	if !errors.Is(lastErr, ErrNoSpace) && !errors.Is(lastErr, reclaim.ErrNoSpace) {
 		t.Fatalf("fill error: %v", lastErr)
 	}
 }

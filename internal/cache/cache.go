@@ -244,6 +244,14 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 		}
 		ca.nodes = append(ca.nodes, nc)
 	}
+	c.OnCheck(func() error {
+		errs := []error{ca.invPool.Drained("cache invalidations")}
+		for _, nc := range ca.nodes {
+			errs = append(errs, nc.hitPool.Drained("cache hits"), nc.wackPool.Drained("cache write acks"),
+				nc.fillPool.Drained("cache fills"), nc.flushPool.Drained("cache flushes"))
+		}
+		return errors.Join(errs...)
+	})
 	if cfg.Tier != nil {
 		t, err := newTier(ca, *cfg.Tier)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -23,6 +24,8 @@ type Cluster struct {
 
 	// remoteOps recycles the records of remote flash operations.
 	remoteOps sim.Pool[remoteOp]
+
+	checks []func() error // the drain checks of the layers built on the cluster
 }
 
 // NewCluster builds and wires the whole appliance.
@@ -194,6 +197,32 @@ func (c *Cluster) CheckImages() error {
 		}
 	}
 	return nil
+}
+
+// OnCheck registers the drain check of a layer built on the cluster:
+// what must hold once the engine has nothing left to run. Layers
+// register where they are built, their pools and their invariants.
+func (c *Cluster) OnCheck(check func() error) { c.checks = append(c.checks, check) }
+
+// Check reports every way in which a drained cluster is not clean: an
+// event still pending, a stored image written to (CheckImages), a
+// fabric invariant, a pooled record of the cluster's own still out,
+// and each registered layer check.
+func (c *Cluster) Check() error {
+	if n := c.Eng.Stats().Pending; n != 0 {
+		return fmt.Errorf("core: %d events pending at drain", n)
+	}
+	errs := []error{c.CheckImages(), c.Net.CheckInvariants(), c.remoteOps.Drained("core remote ops")}
+	for _, n := range c.nodes {
+		errs = append(errs, n.hostOps.Drained("core host ops"), n.hostBatches.Drained("core host batches"))
+		for _, srv := range n.servers {
+			errs = append(errs, srv.Drained())
+		}
+	}
+	for _, check := range c.checks {
+		errs = append(errs, check())
+	}
+	return errors.Join(errs...)
 }
 
 // SeedLinear writes count pages of generated data starting at dense

@@ -754,8 +754,6 @@ func (nd *Node) deliver(seg *segment) {
 // are counted, every link direction holds all LinkTokens+1 credits with
 // no waiter, no pending return and no wake armed, and no segment is
 // out of the pool.
-//
-//simlint:allow unused (checker: every fabric drain test ends in it)
 func (n *Network) CheckInvariants() error {
 	for _, l := range n.links {
 		for _, h := range [...]*halfLink{l.ab, l.ba} {

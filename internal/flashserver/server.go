@@ -78,6 +78,9 @@ type Iface struct {
 	credits int
 }
 
+// Drained reports page ops still out of the server's pool.
+func (s *Server) Drained() error { return s.pool.Drained("flashserver page ops") }
+
 // NewServer attaches a Flash Server to a splitter. queueDepth bounds
 // the per-interface number of requests outstanding at the controller
 // (the "command queue depth" parameter of the paper).

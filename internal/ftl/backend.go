@@ -78,21 +78,3 @@ func (b ifaceBackend) WritePage(a nand.Addr, img []byte, _ IOTag, cb func(error)
 func (b ifaceBackend) EraseBlock(a nand.Addr, _ IOTag, cb func(error)) {
 	b.f.Erase(a, cb)
 }
-
-// Hooks let the layer above observe the GC lifecycle. The volume
-// layer uses them to tell the request scheduler when relocation
-// traffic exists and how urgent it is, so the dispatcher can defer GC
-// while latency-class queues are busy and escalate as free-block
-// headroom shrinks.
-type Hooks struct {
-	// GCStart fires when a collection is triggered (before any
-	// relocation I/O is issued).
-	GCStart func()
-	// GCEnd fires when the collection finishes (victim erased, or the
-	// pass aborted), just before the operations queued behind it
-	// drain.
-	GCEnd func()
-	// Urgency fires whenever the free-block pool changes size, with
-	// Urgency() recomputed.
-	Urgency func(u float64)
-}

@@ -38,7 +38,9 @@ func BenchmarkRelocate(b *testing.B) {
 // relocationRig is a device whose every logical page is written once —
 // the sealed blocks are all valid — and a collect func that forces the
 // collection of one of them, moving a whole block of pages and nothing
-// else. The pools and rings are warm when it returns.
+// else: the collector is handed the coldest sealed block as its victim
+// and told the pool is at its low-water mark. The pools and rings are
+// warm when it returns.
 func relocationRig(tb testing.TB) (*harness, func()) {
 	geo := nand.Geometry{
 		Buses: 2, ChipsPerBus: 2, BlocksPerChip: 8, PagesPerBlock: 16,
@@ -52,15 +54,20 @@ func relocationRig(tb testing.TB) (*harness, func()) {
 			tb.Fatal(err)
 		}
 	}
+	victim := -1
+	pick, wear := func() int { return victim }, f.GC.Pick
 	collect := func() {
-		victim := f.pickVictim(true) // the least-worn sealed block, valid pages or not
-		if victim < 0 {
+		if victim = f.coldest(); victim < 0 {
 			tb.Fatal("no sealed block to collect")
 		}
-		f.beginGC(victim, true)
+		f.GC.Pick, f.GC.Free = pick, 0 // the next free-pool change restores Free
+		if !f.GC.Hold(func() {}) {
+			tb.Fatal("no collection started")
+		}
+		f.GC.Pick = wear
 		h.eng.Run()
-		if f.gcActive {
-			tb.Fatal("collection did not finish")
+		if err := f.Check(); err != nil {
+			tb.Fatalf("collection did not finish: %v", err)
 		}
 	}
 	for i := 0; i < 4; i++ {

@@ -4,11 +4,10 @@ package ftl
 // the wear-leveling quality metric.
 func (f *FTL) MaxEraseSkew() int64 {
 	var min, max int64 = -1, 0
-	for b := range f.blocks {
-		if f.blocks[b].bad {
+	for b, e := range f.erases {
+		if f.GC.Units[b].Bad {
 			continue
 		}
-		e := f.blocks[b].erases
 		if min < 0 || e < min {
 			min = e
 		}

@@ -12,23 +12,10 @@
 // valid pages; periodic wear-leveling passes recycle the coldest block
 // instead so erase wear stays even.
 //
-// Concurrency rules (all in virtual time, single-threaded):
-//   - Writes proceed during an active collection while the free pool
-//     stays above a reserve (their frontiers are disjoint from the
-//     sealed victim); below it they queue in pendingOps and drain when
-//     the victim is erased, so they can never starve the relocation
-//     destination.
-//   - Reads resolve their mapping at issue time and never wait for a
-//     collection: relocation only copies, so a racing read still finds
-//     its data at the old physical page. The one destructive step —
-//     the victim erase — waits until in-flight reads against the
-//     victim drain, and after relocation no mapping points into the
-//     victim, so no new read can resolve there. A read can therefore
-//     never land on a page the collector erases under it.
-//   - A collection that cannot allocate relocation space aborts and
-//     marks the FTL stalled; further allocations fail deterministically
-//     with ErrNoSpace (instead of re-triggering the same doomed pass)
-//     until an invalidation shrinks some victim's relocation demand.
+// Garbage collection is a reclaim.Reclaimer over the blocks (FTL.GC),
+// whose package doc states the concurrency rules. The FTL adds the
+// wear pass, the erase-count heap it allocates from, and bad-block
+// retry of a relocation's program.
 package ftl
 
 import (
@@ -37,6 +24,7 @@ import (
 
 	"repro/internal/flashctl"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sim"
 )
 
@@ -45,7 +33,6 @@ var (
 	ErrUnmapped   = errors.New("ftl: logical page not written")
 	ErrOutOfRange = errors.New("ftl: logical page out of range")
 	ErrDataSize   = errors.New("ftl: data must be exactly one page")
-	ErrNoSpace    = errors.New("ftl: device full (no free blocks and nothing to collect)")
 	ErrBadTag     = errors.New("ftl: TagGC is reserved for internal GC traffic")
 )
 
@@ -80,52 +67,26 @@ const (
 	pageInvalid
 )
 
-type blockInfo struct {
-	valid    int // valid pages
-	written  int // programmed pages (frontier within block)
-	erases   int64
-	bad      bool
-	isActive bool
-	pending  int // programs issued but not yet acknowledged
-	reads    int // host reads in flight against this block
-}
-
-// gcState tracks one in-progress collection.
-type gcState struct {
-	victim      int
-	next        int // next page index of the victim to scan
-	inflight    int // outstanding relocation transfers
-	aborted     bool
-	relocated   bool // all valid pages moved; erase is next
-	eraseIssued bool
-}
-
 // FTL drives one flash card through a Backend.
 type FTL struct {
-	io    Backend
-	geo   nand.Geometry
-	cfg   Config
-	hooks Hooks
+	io  Backend
+	geo nand.Geometry
+	cfg Config
+
+	// GC is the garbage collector; its units are the blocks. The layer
+	// above reads its Urgency and sets its Urgent callback.
+	GC *reclaim.Reclaimer
 
 	lpns      int   // logical space size
 	l2p       []int // lpn -> ppn, -1 if unmapped
 	p2l       []int // ppn -> lpn, -1 if none
 	pageState []pageState
-	blocks    []blockInfo
-	freePool  []int // min-heap of free block indices, keyed on erase count
+	erases    []int64 // per block
+	freePool  []int   // min-heap of free block indices, keyed on erase count
 
-	actives    [256]int32 // per-tag frontier block, dense by IOTag; -1 = none
-	gcActive   bool       // a collection is triggered (ops queue behind it)
-	gcRunning  bool       // relocation I/O has started
-	gcStalled  bool       // last collection made no progress: no room to relocate
-	prevWear   bool       // last collection was a wear pass (forces greedy next)
-	gcst       *gcState   // the collection in progress (points at gcSlot), nil when none
-	gcSlot     gcState    // its storage, reused by every collection
-	gcCount    int64
-	pendingOps []func()        // writes queued behind GC by the reserve gate
-	spareOps   []func()        // pendingOps' other storage, swapped in by finishGC; nil while a drain holds it
-	onErased   func(err error) // the victim erase completed; bound once
-	ops        sim.Pool[flashOp]
+	actives  [256]int32 // per-tag frontier block, dense by IOTag; -1 = none
+	wearPass int64      // the number of the last collection that was a wear pass
+	ops      sim.Pool[flashOp]
 
 	// stats
 	HostWrites    int64
@@ -153,24 +114,24 @@ func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 	if cfg.OverProvision < 0.02 || cfg.OverProvision >= 0.9 {
 		return nil, fmt.Errorf("ftl: over-provisioning %.2f out of range [0.02,0.9)", cfg.OverProvision)
 	}
-	if cfg.GCLowWater < 1 {
-		return nil, fmt.Errorf("ftl: GCLowWater %d: garbage collection needs a low-water mark of at least 1 free block", cfg.GCLowWater)
-	}
-	if cfg.GCPipeline < 1 {
-		cfg.GCPipeline = 1
+	blocks := geo.Buses * geo.ChipsPerBus * geo.BlocksPerChip
+	gc, err := reclaim.New(blocks, geo.PagesPerBlock, cfg.GCLowWater, cfg.GCPipeline)
+	if err != nil {
+		return nil, fmt.Errorf("ftl: GCLowWater: %w", err)
 	}
 	total := geo.TotalPages()
 	f := &FTL{
 		io:        io,
 		geo:       geo,
 		cfg:       cfg,
+		GC:        gc,
 		lpns:      int(float64(total) * (1 - cfg.OverProvision)),
 		l2p:       make([]int, total),
 		p2l:       make([]int, total),
 		pageState: make([]pageState, total),
-		blocks:    make([]blockInfo, geo.Buses*geo.ChipsPerBus*geo.BlocksPerChip),
+		erases:    make([]int64, blocks),
 	}
-	f.onErased = f.victimErased
+	gc.Pick, gc.Move, gc.Erase, gc.Erased, gc.Aborts = f.wearVictim, f.relocate, f.erase, f.erased, &f.GCAborts
 	f.ops.New = f.newFlashOp
 	for i := range f.actives {
 		f.actives[i] = -1
@@ -181,14 +142,12 @@ func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
 	}
 	// All blocks start with zero erases, so ascending index order is
 	// already a valid min-heap.
-	for b := range f.blocks {
+	for b := 0; b < blocks; b++ {
 		f.freePool = append(f.freePool, b)
 	}
+	gc.Free = blocks
 	return f, nil
 }
-
-// SetHooks installs GC lifecycle hooks (see Hooks).
-func (f *FTL) SetHooks(h Hooks) { f.hooks = h }
 
 // LogicalPages returns the size of the logical space.
 func (f *FTL) LogicalPages() int { return f.lpns }
@@ -209,27 +168,19 @@ func (f *FTL) WriteAmplification() float64 {
 // FreeBlocks returns the current free pool size.
 func (f *FTL) FreeBlocks() int { return len(f.freePool) }
 
-// Urgency reports how badly the FTL needs its relocation work to run,
-// from 0 (free pool at or above the GC low-water mark: collection is
-// keeping up and can afford to be deferred) to 1 (pool dry, host
-// writes about to stall). The scheduler uses it to scale the GC token
-// budget, so it measures deficit below the trigger point, not pool
-// fullness: while GC keeps up, relocation deserves no device share.
-func (f *FTL) Urgency() float64 {
-	u := 1 - float64(len(f.freePool))/float64(f.cfg.GCLowWater)
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
+// poolChanged tells the collector the free pool's new size.
+func (f *FTL) poolChanged() {
+	f.GC.Free = len(f.freePool)
+	f.GC.Urgent()
 }
 
-func (f *FTL) notifyUrgency() {
-	if f.hooks.Urgency != nil {
-		f.hooks.Urgency(f.Urgency())
+// Check reports an FTL that has not drained: page ops out of their
+// pool, or a collector with work left.
+func (f *FTL) Check() error {
+	if n := f.ops.Out(); n != 0 {
+		return fmt.Errorf("ftl: %d page ops out of the pool", n)
 	}
+	return f.GC.Check()
 }
 
 // blockOf returns the block index containing a ppn.
@@ -262,7 +213,7 @@ func (f *FTL) Read(lpn int, cb func(data []byte, err error)) {
 // never wait for garbage collection: the mapping is resolved at issue
 // time, and the collector's erase — the only op that could destroy
 // the resolved page — waits for in-flight reads against the victim to
-// drain (see doRead/maybeErase).
+// drain (see doRead).
 func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	if lpn < 0 || lpn >= f.lpns {
 		//simlint:allow hotcall (error path: allocates only on an out-of-range read, which fails the op anyway)
@@ -292,8 +243,7 @@ type flashOp struct {
 	// same image; while a program is in flight the image belongs to the
 	// layers below, and after a successful one to the card.
 	img []byte
-	src int      // relocation: the victim page being moved
-	st  *gcState // relocation: the collection it belongs to
+	src int // relocation: the victim page being moved
 	rcb func(data []byte, err error)
 	wcb func(err error)
 
@@ -321,13 +271,10 @@ func (op *flashOp) reset() {
 	*op = flashOp{run: op.run, onRead: op.onRead, onWrite: op.onWrite}
 }
 
-// doRead resolves the mapping and issues the flash read. Reads never
-// wait for garbage collection: relocation only copies, so a read that
-// races it still finds its data at the old physical page — the one
-// destructive step, the victim erase, is what waits for in-flight
-// reads to drain (see maybeErase). Once a page is relocated the
-// mapping points at the copy, so later reads resolve away from the
-// victim on their own.
+// doRead resolves the mapping and issues the flash read, counted
+// against its block until it completes: the victim erase waits for
+// that count (reclaim). Once a page is relocated the mapping points at
+// the copy, so later reads resolve away from the victim on their own.
 //
 //simlint:hotpath
 func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
@@ -338,7 +285,7 @@ func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
 		return
 	}
 	f.HostReads++
-	f.blocks[f.blockOf(ppn)].reads++
+	f.GC.Units[f.blockOf(ppn)].Reads++
 	op := f.ops.Get()
 	op.lpn, op.tag, op.ppn, op.rcb = lpn, tag, ppn, cb
 	f.read(op)
@@ -361,8 +308,7 @@ func (f *FTL) readDone(op *flashOp, data []byte, err error) {
 		f.relocateRead(op, data, err)
 		return
 	}
-	cb := op.rcb
-	f.blocks[f.blockOf(op.ppn)].reads--
+	cb, blk := op.rcb, f.blockOf(op.ppn)
 	op.reset()
 	f.ops.Put(op)
 	if err != nil {
@@ -371,7 +317,8 @@ func (f *FTL) readDone(op *flashOp, data []byte, err error) {
 			f.UncorrectableReads++
 		}
 	}
-	f.maybeErase()
+	f.GC.Units[blk].Reads--
+	f.GC.Wake()
 	cb(data, err)
 }
 
@@ -414,7 +361,12 @@ func (f *FTL) WriteImage(lpn int, img []byte, tag IOTag, cb func(err error)) {
 	f.HostWrites++
 	op := f.ops.Get()
 	op.lpn, op.tag, op.img, op.wcb = lpn, tag, img, cb
-	f.enqueue(op.run)
+	// Writes proceed during a collection: their own tag's frontier
+	// cannot disturb the victim. A write admitted during GC is not
+	// ordered against writes queued behind it — same-page racers have no
+	// ordering guarantee anywhere in the scheduler stack; callers that
+	// need read-your-write await completions.
+	f.GC.Admit(op.run)
 }
 
 // Trim invalidates a logical page without writing. A trim is a pure
@@ -455,33 +407,9 @@ func (f *FTL) Phys(lpn int) (nand.Addr, error) {
 	return f.addrOf(ppn), nil
 }
 
-// gcReserveBlocks is the free-block floor below which host writes
-// stall behind an active collection: the last blocks are reserved as
-// the relocation destination, because a write racing GC for them can
-// abort the collection and wedge the device.
-const gcReserveBlocks = 1
-
-// enqueue runs a write now, or behind the in-progress GC when the
-// free-block reserve demands it. Writes that proceed during a
-// collection go to their own tag's frontier and cannot disturb the
-// victim (relocation re-validates each page's mapping before
-// installing the copy), so blocking every write for the whole
-// collection would only build a post-GC program storm. Note that a
-// write admitted during GC is not ordered against writes queued
-// behind it — same-page racers have no ordering guarantee anywhere in
-// the scheduler stack; callers that need read-your-write await
-// completions.
-func (f *FTL) enqueue(op func()) {
-	if f.gcActive && len(f.freePool) <= gcReserveBlocks {
-		f.pendingOps = append(f.pendingOps, op)
-		return
-	}
-	op()
-}
-
 // allocAndProgram takes a frontier page for a host write (starting GC
 // first if needed) and programs its image there. It is the op's run
-// continuation: what enqueue and allocPage park behind a collection.
+// continuation: what the collector parks behind a pass.
 //
 //simlint:hotpath
 func (f *FTL) allocAndProgram(op *flashOp) {
@@ -503,7 +431,7 @@ func (f *FTL) allocAndProgram(op *flashOp) {
 func (f *FTL) program(op *flashOp, ppn int) {
 	f.FlashPrograms++
 	op.ppn = ppn
-	f.blocks[f.blockOf(ppn)].pending++
+	f.GC.Units[f.blockOf(ppn)].Programs++
 	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
 	f.io.WritePage(f.addrOf(ppn), op.img, op.tag, op.onWrite)
 }
@@ -513,33 +441,27 @@ func (f *FTL) program(op *flashOp, ppn int) {
 //simlint:hotpath
 func (f *FTL) programDone(op *flashOp, err error) {
 	blk := f.blockOf(op.ppn)
-	f.blocks[blk].pending--
+	f.GC.Units[blk].Programs--
 	if err == nil {
 		// Install the page's mapping and validity BEFORE waking a
-		// collection that may have picked this block as its victim: the
-		// relocation scan keys on pageState, and starting it in the
-		// window between the program's completion and its metadata
-		// update would treat this page as dead — the victim erase would
-		// then destroy it while the mapping (installed moments later)
-		// points at freed flash.
+		// collection that may have picked this block as its victim (see
+		// reclaim).
 		f.finishWrite(op, op.ppn, nil)
-		f.maybeBeginGC()
+		f.GC.Wake()
 		return
 	}
 	if errors.Is(err, nand.ErrBadBlock) {
 		// The failed program kept nothing: the image is the op's again
-		// and goes out once more, to another block.
+		// and goes out once more, to another block. A collection waiting
+		// on this block's programs can proceed now.
 		f.retireBlock(blk)
-		// A collection waiting on this block's pending count can
-		// proceed now (the page never became valid).
-		f.maybeBeginGC()
-		// GC relocation retries must not route through allocPage:
-		// its queue-behind-GC branches would park the retry in
-		// pendingOps behind the very collection waiting on this
-		// callback. Re-allocate on the GC path and let a no-space
-		// failure abort the pass instead.
+		f.GC.Wake()
+		// GC relocation retries must not route through allocPage: its
+		// gate would park the retry behind the very collection waiting
+		// on this callback. Re-allocate on the GC path and let a
+		// no-space failure abort the pass instead.
 		if op.tag == TagGC {
-			dst, aerr := f.gcAllocPage()
+			dst, aerr := f.allocPage(TagGC, nil)
 			if aerr != nil {
 				f.finishWrite(op, -1, aerr)
 				return
@@ -551,7 +473,7 @@ func (f *FTL) programDone(op *flashOp, err error) {
 		return
 	}
 	f.finishWrite(op, -1, err)
-	f.maybeBeginGC()
+	f.GC.Wake()
 }
 
 // finishWrite ends a write op — a host write or a relocation's copy —
@@ -575,24 +497,22 @@ func (f *FTL) finishWrite(op *flashOp, finalPPN int, err error) {
 	if old := f.l2p[lpn]; old >= 0 {
 		f.invalidate(old)
 	}
-	f.l2p[lpn] = finalPPN
-	f.p2l[finalPPN] = lpn
-	f.pageState[finalPPN] = pageValid
-	f.blocks[f.blockOf(finalPPN)].valid++
+	f.install(lpn, finalPPN)
 	cb(nil)
+}
+
+// install maps lpn to its new copy at ppn.
+func (f *FTL) install(lpn, ppn int) {
+	f.l2p[lpn] = ppn
+	f.p2l[ppn] = lpn
+	f.pageState[ppn] = pageValid
+	f.GC.Units[f.blockOf(ppn)].Valid++
 }
 
 // invalidate marks a physical page dead.
 func (f *FTL) invalidate(ppn int) {
 	if f.pageState[ppn] == pageValid {
-		f.blocks[f.blockOf(ppn)].valid--
-		// A stalled FTL aborted its last collection for lack of
-		// relocation space; dropping a valid page shrinks some
-		// victim's relocation demand (a zero-valid victim needs none
-		// at all), so collection is worth retrying. If it still cannot
-		// fit, it re-aborts and re-stalls — progress requires another
-		// invalidation, so this cannot loop.
-		f.gcStalled = false
+		f.GC.Invalidate(f.blockOf(ppn))
 	}
 	f.pageState[ppn] = pageInvalid
 	f.p2l[ppn] = -1
@@ -601,12 +521,12 @@ func (f *FTL) invalidate(ppn int) {
 // retireBlock permanently removes a block from service, clearing any
 // frontier that pointed at it so no stale active state survives.
 func (f *FTL) retireBlock(blk int) {
-	bi := &f.blocks[blk]
-	if bi.bad {
+	bi := &f.GC.Units[blk]
+	if bi.Bad {
 		return
 	}
-	bi.bad = true
-	bi.isActive = false
+	bi.Bad = true
+	bi.Active = false
 	f.BadBlocks++
 	for tag, a := range f.actives {
 		if a == int32(blk) {
@@ -615,62 +535,34 @@ func (f *FTL) retireBlock(blk int) {
 	}
 }
 
-// allocPage returns the next frontier ppn for tag, or (-1, nil) if GC
-// had to start first (retry is the op to requeue behind the GC).
+// allocPage returns the next frontier ppn for tag. A host write
+// (retry set) needing a new frontier block first passes the
+// collector's gate, which may park retry behind a collection and make
+// it return -1. A relocation (retry nil, the GC tag) must not wait
+// behind its own collection: it takes a block or fails, aborting the
+// pass.
 func (f *FTL) allocPage(tag IOTag, retry func()) (int, error) {
 	for {
 		if blk := int(f.actives[tag]); blk >= 0 {
-			b := &f.blocks[blk]
-			if b.bad {
-				f.actives[tag] = -1
-				continue
-			}
-			if b.written < f.geo.PagesPerBlock {
-				ppn := blk*f.geo.PagesPerBlock + b.written
-				b.written++
+			b := &f.GC.Units[blk]
+			if !b.Bad && b.Written < f.geo.PagesPerBlock {
+				ppn := blk*f.geo.PagesPerBlock + b.Written
+				b.Written++
 				return ppn, nil
 			}
-			b.isActive = false
+			b.Active = false
 			f.actives[tag] = -1
 		}
-		// Need a new frontier block. A stalled FTL (last collection
-		// found no room to relocate) must not re-trigger the same
-		// doomed pass: only an erase or an invalidation can change the
-		// outcome, so keep allocating from the pool and fail when it
-		// runs dry.
-		if len(f.freePool) <= f.cfg.GCLowWater && !f.gcActive && !f.gcStalled {
-			wear := f.wearPassDue()
-			if victim := f.pickVictim(wear); victim >= 0 {
-				// Queue the retry before starting: with a synchronous
-				// backend the whole collection (and its pendingOps
-				// drain) can complete inside beginGC.
-				if retry != nil {
-					f.pendingOps = append(f.pendingOps, retry)
-				}
-				f.beginGC(victim, wear)
-				return -1, nil
-			}
-		}
-		// While a collection is in flight, ops that reached this point
-		// past the enqueue reserve gate (bad-block retries, writes
-		// admitted just before the pool dropped) must neither consume
-		// the reserve the collection's relocation needs nor see a
-		// transient "device full": queue them behind the collection.
-		// ErrNoSpace is then only ever returned with no collection in
-		// flight — deterministically.
-		if f.gcActive && len(f.freePool) <= gcReserveBlocks && retry != nil {
-			f.pendingOps = append(f.pendingOps, retry)
+		if retry != nil && f.GC.Hold(retry) {
 			return -1, nil
 		}
 		if len(f.freePool) == 0 {
-			return 0, ErrNoSpace
+			return 0, reclaim.ErrNoSpace
 		}
 		blk := f.popLeastWorn()
 		f.actives[tag] = int32(blk)
-		ab := &f.blocks[blk]
-		ab.isActive = true
-		ab.written = 0
-		ab.valid = 0
+		b := &f.GC.Units[blk]
+		b.Active, b.Written, b.Valid = true, 0, 0
 	}
 }
 
@@ -679,9 +571,9 @@ func (f *FTL) allocPage(tag IOTag, retry func()) (int, error) {
 // freeLess orders the heap by erase count, block index as the
 // deterministic tie-break. Heap invariant: a block's erase count
 // never changes while it sits in freePool — erases increment only in
-// eraseVictim, immediately before pushFree re-inserts the block.
+// erased, immediately before pushFree re-inserts the block.
 func (f *FTL) freeLess(a, b int) bool {
-	ea, eb := f.blocks[a].erases, f.blocks[b].erases
+	ea, eb := f.erases[a], f.erases[b]
 	if ea != eb {
 		return ea < eb
 	}
@@ -700,12 +592,12 @@ func (f *FTL) pushFree(blk int) {
 		f.freePool[i], f.freePool[parent] = f.freePool[parent], f.freePool[i]
 		i = parent
 	}
-	f.notifyUrgency()
+	f.poolChanged()
 }
 
 // popLeastWorn takes the free block with the fewest erases, spreading
 // dynamic wear evenly across the pool (the allocation half of wear
-// leveling; the victim-selection half is in pickVictim). The pool is a
+// leveling; the victim-selection half is wearVictim). The pool is a
 // min-heap, so this is O(log n) instead of the old linear scan that
 // ran on every frontier-block allocation.
 func (f *FTL) popLeastWorn() int {
@@ -729,7 +621,7 @@ func (f *FTL) popLeastWorn() int {
 		f.freePool[i], f.freePool[best] = f.freePool[best], f.freePool[i]
 		i = best
 	}
-	f.notifyUrgency()
+	f.poolChanged()
 	return blk
 }
 
@@ -745,132 +637,56 @@ func (f *FTL) popLeastWorn() int {
 // not 2, so the knob stays live at GCLowWater: 1, where collections
 // only ever trigger with zero or one free block.
 func (f *FTL) wearPassDue() bool {
-	return f.cfg.WearLevelEvery > 0 && f.gcCount > 0 &&
-		f.gcCount%int64(f.cfg.WearLevelEvery) == 0 &&
-		len(f.freePool) >= 1 && !f.prevWear
+	n := f.GC.Passes
+	return f.cfg.WearLevelEvery > 0 && n > 0 && n%int64(f.cfg.WearLevelEvery) == 0 &&
+		len(f.freePool) >= 1 && f.wearPass != n
 }
 
-// pickVictim selects the GC victim: normally the sealed block with the
-// fewest valid pages; on a wear pass, the sealed block with the lowest
-// erase count (static wear leveling), so cold blocks re-enter
-// circulation. A sealed block may still have unacknowledged programs
-// (bursty admission); it is eligible, but relocation waits for them to
-// drain (see maybeBeginGC) so no outstanding flash op is erased under.
-func (f *FTL) pickVictim(wearPass bool) int {
+// wearVictim is the collector's Pick: on a wear pass, the coldest
+// sealed block, so cold blocks re-enter circulation; otherwise -1, the
+// greedy victim.
+func (f *FTL) wearVictim() int {
+	if !f.wearPassDue() {
+		return -1
+	}
+	v := f.coldest()
+	if v >= 0 {
+		f.wearPass = f.GC.Passes + 1 // the pass about to start
+	}
+	return v
+}
+
+// coldest returns the sealed block with the fewest erases, valid pages
+// or not (the lowest index on ties), or -1.
+func (f *FTL) coldest() int {
 	best := -1
-	for b := range f.blocks {
-		bi := &f.blocks[b]
-		if bi.bad || bi.isActive || bi.written < f.geo.PagesPerBlock {
+	for b := range f.GC.Units {
+		u := &f.GC.Units[b]
+		if u.Bad || u.Active || u.Written < f.geo.PagesPerBlock {
 			continue
 		}
-		if bi.valid == f.geo.PagesPerBlock && !wearPass {
-			continue // nothing to gain
-		}
-		if best < 0 {
-			best = b
-			continue
-		}
-		if wearPass {
-			if bi.erases < f.blocks[best].erases {
-				best = b
-			}
-		} else if bi.valid < f.blocks[best].valid {
+		if best < 0 || f.erases[b] < f.erases[best] {
 			best = b
 		}
 	}
 	return best
 }
 
-// beginGC triggers a collection of the chosen victim block (picked by
-// the caller). Relocation I/O begins once in-flight programs against
-// the victim drain.
-func (f *FTL) beginGC(victim int, wear bool) {
-	f.prevWear = wear
-	f.gcActive = true
-	f.gcCount++
-	// Every relocation of the previous collection has completed (it
-	// could not finish otherwise), so nothing still points at the slot.
-	f.gcSlot = gcState{victim: victim}
-	f.gcst = &f.gcSlot
-	if f.hooks.GCStart != nil {
-		f.hooks.GCStart()
-	}
-	f.maybeBeginGC()
-}
-
-// maybeBeginGC starts relocation once no outstanding program is in
-// flight against the victim. The victim is sealed (fully allocated),
-// so no new program can ever target it and the count only drains;
-// once it hits zero the victim's page states are final and its data
-// safe to move. In-flight reads do not block relocation — only the
-// erase (see maybeErase).
-func (f *FTL) maybeBeginGC() {
-	if !f.gcActive || f.gcRunning || f.blocks[f.gcst.victim].pending > 0 {
-		return
-	}
-	f.gcRunning = true
-	f.pumpGC()
-}
-
-// maybeErase issues the victim erase once relocation is complete and
-// no host read is in flight against the victim. After relocation the
-// mapping holds no pointers into the victim, so no new read can
-// resolve into it — the count only drains.
-func (f *FTL) maybeErase() {
-	st := f.gcst
-	if st == nil || !st.relocated || st.eraseIssued {
-		return
-	}
-	if f.blocks[st.victim].reads > 0 {
-		return
-	}
-	st.eraseIssued = true
-	f.eraseVictim(st.victim)
-}
-
-// pumpGC keeps up to GCPipeline relocation transfers in flight, then
-// erases the victim (or aborts the pass).
-func (f *FTL) pumpGC() {
-	st := f.gcst
-	for !st.aborted && st.inflight < f.cfg.GCPipeline && st.next < f.geo.PagesPerBlock {
-		page := st.next
-		st.next++
-		ppn := st.victim*f.geo.PagesPerBlock + page
-		if f.pageState[ppn] != pageValid {
-			continue
-		}
-		st.inflight++
-		f.relocate(ppn)
-	}
-	if st.inflight > 0 {
-		return
-	}
-	if st.aborted {
-		// No room to move the remaining valid pages: the pass made no
-		// net progress and retrying it cannot either (only an erase
-		// creates relocation space). Mark the FTL stalled so the write
-		// that triggered collection fails with ErrNoSpace instead of
-		// looping startGC -> abort forever.
-		f.GCAborts++
-		f.gcStalled = true
-		f.finishGC()
-		return
-	}
-	st.relocated = true
-	f.maybeErase()
-}
-
-// relocate copies one valid victim page to a fresh frontier page on
-// the GC tag. The destination is allocated after the copy's read
-// completes, so concurrent relocations still program the GC frontier
-// block strictly in order.
+// relocate is the collector's Move: it copies one valid victim page to
+// a fresh frontier page on the GC tag. The destination is allocated
+// after the copy's read completes, so concurrent relocations still
+// program the GC frontier block strictly in order.
 //
 //simlint:hotpath
-func (f *FTL) relocate(ppn int) {
+func (f *FTL) relocate(blk, page int) bool {
+	ppn := blk*f.geo.PagesPerBlock + page
+	if f.pageState[ppn] != pageValid {
+		return false
+	}
 	op := f.ops.Get()
-	op.lpn, op.tag = f.p2l[ppn], TagGC
-	op.ppn, op.src, op.st = ppn, ppn, f.gcst
+	op.lpn, op.tag, op.ppn, op.src = f.p2l[ppn], TagGC, ppn, ppn
 	f.read(op)
+	return true
 }
 
 // relocateRead takes a relocation's read and programs what it read.
@@ -881,7 +697,7 @@ func (f *FTL) relocate(ppn int) {
 //
 //simlint:hotpath
 func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
-	st, ppn, lpn := op.st, op.src, op.lpn
+	ppn, lpn := op.src, op.lpn
 	if err != nil {
 		// Unreadable during GC: drop the mapping and count the loss
 		// so the layer above (volume mirroring, scrubbing) can see
@@ -892,20 +708,19 @@ func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
 			f.l2p[lpn] = -1
 			f.LostPages++
 		}
-		f.dropRelocation(op)
+		f.dropRelocation(op, false)
 		return
 	}
 	if lpn < 0 || f.l2p[lpn] != ppn || f.pageState[ppn] != pageValid {
 		// Trimmed or overwritten while the copy was in flight: drop it.
 		f.GCDropped++
-		f.dropRelocation(op)
+		f.dropRelocation(op, false)
 		return
 	}
-	dst, aerr := f.gcAllocPage()
+	dst, aerr := f.allocPage(TagGC, nil)
 	if aerr != nil {
-		st.aborted = true
 		f.GCDropped++
-		f.dropRelocation(op)
+		f.dropRelocation(op, true)
 		return
 	}
 	f.GCMoves++
@@ -913,121 +728,56 @@ func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
 	f.program(op, dst)
 }
 
-// dropRelocation ends a relocation that programs nothing.
+// dropRelocation ends a relocation that programs nothing; abort fails
+// the collection (no destination).
 //
 //simlint:hotpath
-func (f *FTL) dropRelocation(op *flashOp) {
-	op.st.inflight--
+func (f *FTL) dropRelocation(op *flashOp, abort bool) {
 	op.reset()
 	f.ops.Put(op)
-	f.pumpGC()
+	f.GC.Done(abort)
 }
 
 // relocated ends a relocation whose copy is stored at finalPPN, or
-// whose program failed for good.
+// whose program failed for good, which aborts the collection.
 //
 //simlint:hotpath
 func (f *FTL) relocated(op *flashOp, finalPPN int, perr error) {
-	st, ppn, lpn := op.st, op.src, op.lpn
+	ppn, lpn := op.src, op.lpn
 	op.reset()
 	f.ops.Put(op)
-	st.inflight--
-	if perr != nil {
-		st.aborted = true
-		f.pumpGC()
+	if perr == nil {
+		if f.l2p[lpn] == ppn && f.pageState[ppn] == pageValid {
+			f.invalidate(ppn)
+			f.install(lpn, finalPPN)
+		} else {
+			// Trimmed mid-copy: the fresh page holds garbage.
+			f.pageState[finalPPN] = pageInvalid
+		}
+	}
+	f.GC.Done(perr != nil)
+}
+
+// erase is the collector's Erase.
+func (f *FTL) erase(blk int, done func(err error)) {
+	f.FlashErases++
+	f.io.EraseBlock(f.blockAddr(blk), TagGC, done)
+}
+
+// erased is the collector's Erased: an erased block returns to the pool
+// one erase older, a block that failed its erase is retired.
+func (f *FTL) erased(blk int, err error) {
+	if err != nil {
+		f.retireBlock(blk)
 		return
 	}
-	if f.l2p[lpn] == ppn && f.pageState[ppn] == pageValid {
-		f.invalidate(ppn)
-		f.l2p[lpn] = finalPPN
-		f.p2l[finalPPN] = lpn
-		f.pageState[finalPPN] = pageValid
-		f.blocks[f.blockOf(finalPPN)].valid++
-	} else {
-		// Trimmed mid-copy: the fresh page holds garbage.
-		f.pageState[finalPPN] = pageInvalid
+	f.erases[blk]++
+	base := blk * f.geo.PagesPerBlock
+	for p := 0; p < f.geo.PagesPerBlock; p++ {
+		f.pageState[base+p] = pageFree
+		f.p2l[base+p] = -1
 	}
-	f.pumpGC()
-}
-
-// gcAllocPage allocates a relocation target on the GC frontier without
-// recursing into GC.
-func (f *FTL) gcAllocPage() (int, error) {
-	for {
-		if blk := int(f.actives[TagGC]); blk >= 0 {
-			b := &f.blocks[blk]
-			if !b.bad && b.written < f.geo.PagesPerBlock {
-				ppn := blk*f.geo.PagesPerBlock + b.written
-				b.written++
-				return ppn, nil
-			}
-			b.isActive = false
-			f.actives[TagGC] = -1
-		}
-		if len(f.freePool) == 0 {
-			return 0, ErrNoSpace
-		}
-		blk := f.popLeastWorn()
-		f.actives[TagGC] = int32(blk)
-		ab := &f.blocks[blk]
-		ab.isActive = true
-		ab.written = 0
-		ab.valid = 0
-	}
-}
-
-func (f *FTL) eraseVictim(victim int) {
-	f.FlashErases++
-	f.io.EraseBlock(f.blockAddr(victim), TagGC, f.onErased)
-}
-
-// victimErased is the backend's completion of the collection's erase.
-func (f *FTL) victimErased(err error) {
-	victim := f.gcst.victim
-	bi := &f.blocks[victim]
-	if err != nil {
-		f.retireBlock(victim)
-	} else {
-		bi.erases++
-		bi.valid = 0
-		bi.written = 0
-		base := victim * f.geo.PagesPerBlock
-		for p := 0; p < f.geo.PagesPerBlock; p++ {
-			f.pageState[base+p] = pageFree
-			f.p2l[base+p] = -1
-		}
-		// Fresh erased space: a previously stalled FTL can make
-		// progress again.
-		f.gcStalled = false
-		f.pushFree(victim)
-	}
-	f.finishGC()
-}
-
-// finishGC drains operations queued while collecting. The queue swaps
-// between two backing arrays instead of growing a new one per
-// collection; the one being drained is held by this call alone, so a
-// drain nested in it (a drained op whose collection completes
-// synchronously) queues into fresh storage.
-func (f *FTL) finishGC() {
-	f.gcActive = false
-	f.gcRunning = false
-	f.gcst = nil
-	if f.hooks.GCEnd != nil {
-		f.hooks.GCEnd()
-	}
-	ops := f.pendingOps
-	f.pendingOps, f.spareOps = f.spareOps[:0], nil
-	for i, op := range ops {
-		ops[i] = nil
-		if f.gcActive {
-			// A drained op re-triggered GC; requeue the rest.
-			f.pendingOps = append(f.pendingOps, op)
-			continue
-		}
-		op()
-	}
-	f.spareOps = ops[:0]
+	f.pushFree(blk)
 }
 
 // MappingEntries returns the size of the FTL's logical-to-physical

@@ -10,6 +10,7 @@ import (
 	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sim"
 )
 
@@ -266,8 +267,8 @@ func TestDeviceFull(t *testing.T) {
 		}
 	}
 	// With 5% OP on a tiny device this either fits exactly or errors
-	// with ErrNoSpace; anything else (hang, corruption) is a bug.
-	if lastErr != nil && !errors.Is(lastErr, ErrNoSpace) {
+	// with reclaim.ErrNoSpace; anything else (hang, corruption) is a bug.
+	if lastErr != nil && !errors.Is(lastErr, reclaim.ErrNoSpace) {
 		t.Fatalf("unexpected failure: %v", lastErr)
 	}
 }
@@ -442,12 +443,15 @@ func TestReadDuringRelocation(t *testing.T) {
 		}
 	}
 	// Overwrite until a write triggers a collection. The trigger is
-	// synchronous inside the Write call, so gcActive is observable
-	// before any backend op is serviced; the pending write completes
-	// when the test pumps the backend below.
+	// synchronous inside the Write call, and with every earlier program
+	// complete the collection reads its first pages at once, so its
+	// victim is known before any backend op is serviced; the pending
+	// write completes when the test pumps the backend below.
+	victim, move := -1, f.GC.Move
+	f.GC.Move = func(blk, page int) bool { victim = blk; return move(blk, page) }
 	rng := sim.NewRNG(7)
 	var churnErrs []error
-	for i := 0; i < 10*lpns && !f.gcActive; i++ {
+	for i := 0; i < 10*lpns && f.GC.Passes == 0; i++ {
 		lpn := rng.Intn(lpns)
 		data := bytes.Repeat([]byte{byte(0x10 + i)}, geo.PageSize)
 		f.Write(lpn, data, func(err error) {
@@ -456,15 +460,14 @@ func TestReadDuringRelocation(t *testing.T) {
 			}
 		})
 		content[lpn] = data
-		if !f.gcActive {
+		if f.GC.Passes == 0 {
 			be.pump()
 		}
 	}
-	if !f.gcActive {
+	if victim < 0 {
 		t.Fatal("never saw an active collection")
 	}
 	// Pick a logical page that currently lives in the victim block.
-	victim := f.gcst.victim
 	target := -1
 	for lpn := 0; lpn < lpns; lpn++ {
 		if ppn := f.l2p[lpn]; ppn >= 0 && f.blockOf(ppn) == victim {
@@ -497,7 +500,7 @@ func TestReadDuringRelocation(t *testing.T) {
 // TestGCAbortFailsDeterministically is the regression test for the
 // GC-abort livelock: when a collection cannot allocate relocation
 // space and over-provisioning is exhausted, the triggering write must
-// fail with ErrNoSpace instead of re-triggering the same doomed
+// fail with reclaim.ErrNoSpace instead of re-triggering the same doomed
 // collection forever.
 func TestGCAbortFailsDeterministically(t *testing.T) {
 	geo := nand.Geometry{
@@ -527,18 +530,18 @@ func TestGCAbortFailsDeterministically(t *testing.T) {
 		lpn := (i * 4) % lpns
 		lastErr = syncWrite(t, f, lpn, bytes.Repeat([]byte{byte(0x80 + i)}, geo.PageSize))
 	}
-	if !errors.Is(lastErr, ErrNoSpace) {
-		t.Fatalf("exhausted device: got %v, want ErrNoSpace", lastErr)
+	if !errors.Is(lastErr, reclaim.ErrNoSpace) {
+		t.Fatalf("exhausted device: got %v, want reclaim.ErrNoSpace", lastErr)
 	}
 	if f.GCAborts == 0 {
-		t.Fatal("expected at least one aborted collection before ErrNoSpace")
+		t.Fatal("expected at least one aborted collection before reclaim.ErrNoSpace")
 	}
 	// Reads must still work after the failure.
 	var got []byte
 	var rerr error = errors.New("pending")
 	f.Read(1, func(data []byte, err error) { got, rerr = data, err })
 	if rerr != nil || got[0] != 2 {
-		t.Fatalf("read after ErrNoSpace: %v (byte %x)", rerr, got[0])
+		t.Fatalf("read after reclaim.ErrNoSpace: %v (byte %x)", rerr, got[0])
 	}
 	// The stall must not be permanent: trimming pages shrinks victims'
 	// relocation demand, so collection becomes possible again and the
@@ -586,8 +589,8 @@ func TestGCBadFrontierAborts(t *testing.T) {
 	for i := 0; i < 4*lpns && lastErr == nil; i++ {
 		lastErr = syncWrite(t, f, (i*4)%lpns, bytes.Repeat([]byte{byte(0x80 + i)}, geo.PageSize))
 	}
-	if !errors.Is(lastErr, ErrNoSpace) {
-		t.Fatalf("bad GC frontier at exhaustion: got %v, want ErrNoSpace (a hang here is the deadlock)", lastErr)
+	if !errors.Is(lastErr, reclaim.ErrNoSpace) {
+		t.Fatalf("bad GC frontier at exhaustion: got %v, want reclaim.ErrNoSpace (a hang here is the deadlock)", lastErr)
 	}
 	if f.GCAborts == 0 {
 		t.Fatal("expected the collection to abort")
@@ -633,7 +636,7 @@ func TestWearPassHeadroomGate(t *testing.T) {
 	if f.GCAborts != 0 {
 		t.Fatalf("%d aborted collections: wear passes ran the pool dry", f.GCAborts)
 	}
-	if f.gcCount == 0 {
+	if f.GC.Passes == 0 {
 		t.Fatal("no collections happened")
 	}
 }
@@ -656,7 +659,7 @@ func TestRetireBlockClearsActive(t *testing.T) {
 		t.Fatal("no active frontier after a write")
 	}
 	f.retireBlock(blk)
-	if f.blocks[blk].isActive {
+	if f.GC.Units[blk].Active {
 		t.Fatal("retired block still marked active")
 	}
 	if f.actives[0] >= 0 {
@@ -712,7 +715,7 @@ func BenchmarkFreePoolAlloc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := f.popLeastWorn()
-		f.blocks[blk].erases += int64(rng.Intn(3))
+		f.erases[blk] += int64(rng.Intn(3))
 		f.pushFree(blk)
 	}
 }
@@ -734,7 +737,7 @@ func TestFTLOracleProperty(t *testing.T) {
 			case 0, 1: // write
 				data := bytes.Repeat([]byte{byte(i)}, geo.PageSize)
 				if err := h.write(t, lpn, data); err != nil {
-					if errors.Is(err, ErrNoSpace) {
+					if errors.Is(err, reclaim.ErrNoSpace) {
 						continue
 					}
 					return false
@@ -808,19 +811,20 @@ func burstChurner(t testing.TB, h *harness, img []byte, rng *sim.RNG) func(burst
 // image down (WriteImage; one image serves every write, images being
 // immutable) allocates nothing in steady-state GC — not even when it
 // waits behind a collection: the queue it waits in keeps its storage
-// from one collection to the next.
+// from one collection to the next (reclaim's TestNestedDrainsKeepTheQueue
+// pins the two backing arrays).
 func TestOverwriteUnderGCAllocatesNothing(t *testing.T) {
 	geo := smallGeo()
 	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
 	churn(t, h, geo, 2*h.ftl.LogicalPages())
 	f, churn := h.ftl, burstChurner(t, h, geo.PageImage(page(geo, 9)), sim.NewRNG(5))
 	churn(64) // queues at their high-water mark
-	gcs := f.gcCount
+	gcs := f.GC.Passes
 	if allocs := testing.AllocsPerRun(64, func() { churn(1) }); allocs != 0 {
 		t.Fatalf("a burst of eight ops under GC allocates %.2f times, want none", allocs)
 	}
-	if f.gcCount == gcs || cap(f.pendingOps)+cap(f.spareOps) == 0 {
-		t.Fatalf("test premise: %d collections, wait queue capacity %d", f.gcCount-gcs, cap(f.pendingOps)+cap(f.spareOps))
+	if f.GC.Passes == gcs {
+		t.Fatal("test premise: no collection")
 	}
 }
 

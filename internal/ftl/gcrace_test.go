@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/nand"
@@ -129,8 +128,6 @@ func TestGCVictimScanWaitsForProgramMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcStarted := false
-	f.SetHooks(Hooks{GCStart: func() { gcStarted = true }})
 
 	write := func(lpn, version int) error {
 		e := errors.New("write never completed")
@@ -166,7 +163,7 @@ func TestGCVictimScanWaitsForProgramMetadata(t *testing.T) {
 	// programs pending against it, so relocation must wait.
 	var err4 error = errors.New("pending")
 	f.Write(4, lpnPage(geo, 4, 1), func(e error) { err4 = e })
-	if !gcStarted {
+	if f.GC.Passes == 0 {
 		t.Fatal("collection did not trigger; the scenario lost its shape")
 	}
 
@@ -208,47 +205,6 @@ func TestGCVictimScanWaitsForProgramMetadata(t *testing.T) {
 	}
 }
 
-// TestNestedDrainsKeepTheQueue: finishGC keeps the order of ops queued
-// behind a collection — a drained op that triggers the next collection
-// leaves the rest requeued behind whatever that collection queued — and
-// the storage it reuses is never handed to two drains at once, though a
-// synchronous backend nests one drain inside another: here an op
-// drained from inside the outer drain queues two more and triggers
-// another collection before its queue-mate runs.
-func TestNestedDrainsKeepTheQueue(t *testing.T) {
-	geo := nand.Geometry{Buses: 1, ChipsPerBus: 1, BlocksPerChip: 6, PagesPerBlock: 4, PageSize: 32}
-	f, err := NewWithBackend(newScript(geo), geo, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran []string
-	op := func(name string, then func()) func() {
-		return func() {
-			ran = append(ran, name)
-			if then != nil {
-				then()
-			}
-		}
-	}
-	f.pendingOps = []func(){op("w", nil), op("x", nil)}
-	f.finishGC() // leaves two slots of spare storage behind
-	f.pendingOps = []func(){
-		op("a", func() {
-			f.pendingOps = append(f.pendingOps, op("c", func() {
-				f.gcActive = true // the next collection starts and queues two ops
-				f.pendingOps = append(f.pendingOps, op("e", nil), op("f", nil))
-			}), op("d", nil))
-			f.finishGC() // a collection that completed inside a
-		}),
-		op("b", nil),
-	}
-	f.finishGC()
-	f.finishGC()
-	if got, want := strings.Join(ran, ""), "wxacefdb"; got != want {
-		t.Fatalf("ran %q, want %q", got, want)
-	}
-}
-
 // TestSynchronousCollectionsNest: over a backend that completes every
 // op inline, a collection runs whole inside the write that triggers it,
 // and a write drained from behind one collection can trigger the next,
@@ -274,8 +230,8 @@ func TestSynchronousCollectionsNest(t *testing.T) {
 			last[lpn] = v
 		})
 	}
-	if f.gcCount < 10 {
-		t.Fatalf("test premise: %d collections", f.gcCount)
+	if f.GC.Passes < 10 {
+		t.Fatalf("test premise: %d collections", f.GC.Passes)
 	}
 	for lpn, v := range last {
 		f.Read(lpn, func(d []byte, err error) {

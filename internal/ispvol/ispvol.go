@@ -194,6 +194,7 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	}
 	sys := &System{c: c, v: v, cfg: cfg, retry: s.NewRetrier(cfg.RetryDelay), pending: make(map[uint64]queryState)}
 	sys.engines.New = sys.newEngine
+	c.OnCheck(func() error { return sys.engines.Drained("ispvol engines") })
 	chips := c.Params.CardsPerNode * c.Params.Geometry.Buses * c.Params.Geometry.ChipsPerBus
 	sys.iv.next, sys.iv.end = make([]int, chips), make([]int, chips)
 	for i := 0; i < c.Nodes(); i++ {

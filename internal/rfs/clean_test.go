@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sched"
 )
 
@@ -191,8 +192,8 @@ func TestEraseWaitsForInflightReads(t *testing.T) {
 	// One more append seals seg 1 and opens seg 2, dropping the free
 	// pool to the low-water mark.
 	mustAppend(t, f, stubPage(lay, 5))
-	if fs.totalFree() != 1 || fs.cleaning {
-		t.Fatalf("setup: free=%d cleaning=%v", fs.totalFree(), fs.cleaning)
+	if fs.Cleaner.Free != 1 || fs.Cleaner.Passes != 0 {
+		t.Fatalf("setup: free=%d cleans=%d", fs.Cleaner.Free, fs.Cleaner.Passes)
 	}
 
 	// From here every op is held so the interleaving is exact.
@@ -206,7 +207,7 @@ func TestEraseWaitsForInflightReads(t *testing.T) {
 	// The next append finds the pool low and starts cleaning seg 0.
 	appendErr := errors.New("append never completed")
 	f.AppendPage(stubPage(lay, 0x77), func(e error) { appendErr = e })
-	if !fs.cleaning {
+	if fs.Cleaner.Passes != 1 {
 		t.Fatal("cleaner did not start")
 	}
 
@@ -255,8 +256,8 @@ func TestEraseWaitsForInflightReads(t *testing.T) {
 
 // TestNoProgressCleaningFailsDeterministically pins the livelock fix:
 // when cleaning cannot allocate relocation space, the pending write
-// must fail with ErrNoSpace (previously finishClean re-ran the retry,
-// which re-triggered the same doomed pass forever), and an
+// must fail with ErrNoSpace (previously the end of the pass re-ran the
+// retry, which re-triggered the same doomed pass forever), and an
 // invalidation must clear the stall so the FS recovers.
 func TestNoProgressCleaningFailsDeterministically(t *testing.T) {
 	lay := Layout{Chips: 1, SegsPerChip: 2, PagesPerSeg: 2, PageSize: 16, Lanes: 1}
@@ -286,11 +287,14 @@ func TestNoProgressCleaningFailsDeterministically(t *testing.T) {
 	// dry. Pre-fix this looped forever; post-fix the write fails.
 	werr := errors.New("append never completed")
 	fa.AppendPage(stubPage(lay, 5), func(e error) { werr = e })
-	if !errors.Is(werr, ErrNoSpace) {
+	if !errors.Is(werr, reclaim.ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", werr)
 	}
-	if !fs.stalled {
-		t.Fatal("FS not marked stalled after a no-progress clean")
+	// Stalled: the next write does not re-run the doomed pass.
+	cleans := fs.Cleaner.Passes
+	fa.AppendPage(stubPage(lay, 5), func(e error) { werr = e })
+	if !errors.Is(werr, reclaim.ErrNoSpace) || fs.Cleaner.Passes != cleans {
+		t.Fatalf("FS not stalled after a no-progress clean: %v, %d more cleans", werr, fs.Cleaner.Passes-cleans)
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -356,14 +360,14 @@ func TestInvalidateDuringCleanMove(t *testing.T) {
 	b.sync = false
 	owErr := errors.New("overwrite never completed")
 	f.WritePage(3, stubPage(lay, 0x99), func(e error) { owErr = e })
-	if fs.cleaning {
+	if fs.Cleaner.Passes != 0 {
 		t.Fatal("setup: cleaning started too early")
 	}
 
 	// Trigger cleaning of seg 0; the cleaner reads page 3's old copy.
 	appErr := errors.New("append never completed")
 	f.AppendPage(stubPage(lay, 0x55), func(e error) { appErr = e })
-	if !fs.cleaning {
+	if fs.Cleaner.Passes != 1 {
 		t.Fatal("cleaner did not start")
 	}
 	b.pop(t, "read", true) // cleaner's copy read completes; its write is now pending
@@ -425,13 +429,13 @@ func TestRemoveDuringCleanMove(t *testing.T) {
 	}
 	// Seg 0 = {doomed:0 valid, keep:0 dead, keep:1 dead, keep:2 valid};
 	// the pool is at the low-water mark.
-	if fs.totalFree() != 1 || fs.segs[0].valid != 2 {
-		t.Fatalf("setup: free=%d seg0.valid=%d", fs.totalFree(), fs.segs[0].valid)
+	if fs.Cleaner.Free != 1 || fs.Cleaner.Units[0].Valid != 2 {
+		t.Fatalf("setup: free=%d seg0.valid=%d", fs.Cleaner.Free, fs.Cleaner.Units[0].Valid)
 	}
 	b.sync = false
 	appErr := errors.New("append never completed")
 	keep.AppendPage(stubPage(lay, 0x55), func(e error) { appErr = e })
-	if !fs.cleaning {
+	if fs.Cleaner.Passes != 1 {
 		t.Fatal("cleaner did not start")
 	}
 	b.pop(t, "read", true) // cleaner copies doomed's page; write pending
@@ -498,5 +502,61 @@ func TestCleanDeepSegmentIterative(t *testing.T) {
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCleanVictimWaitsForItsPrograms is the twin of the FTL's
+// TestGCVictimScanWaitsForProgramMetadata: a sealed segment whose
+// acknowledged-to-nobody appends are still programming holds no valid
+// page yet, so it is the cheapest victim — and the cleaner must wait
+// for those programs before it scans it. Otherwise it finds the
+// segment empty, erases it, and the programs' mappings land on flash
+// that no longer holds them.
+func TestCleanVictimWaitsForItsPrograms(t *testing.T) {
+	lay := Layout{Chips: 1, SegsPerChip: 4, PagesPerSeg: 4, PageSize: 16, Lanes: 1}
+	b := newStub(lay, true)
+	fs, err := NewWithBackend(b, Config{CleanLowWater: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // seg 0, sealed and all valid
+		mustAppend(t, f, stubPage(lay, byte(i)))
+	}
+	// Six appends held in flight: four seal seg 1 with nothing valid in
+	// it yet, the fifth opens seg 2 and leaves one free segment, and the
+	// sixth finds the pool at the low-water mark and starts a clean.
+	b.sync = false
+	errs := make([]error, 10)
+	for i := 4; i < 10; i++ {
+		errs[i] = errors.New("append never completed")
+		f.AppendPage(stubPage(lay, byte(i)), func(e error) { errs[i] = e })
+	}
+	b.drain()
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("append %d: %v", i, e)
+		}
+	}
+	if fs.SegsCleaned != 1 {
+		t.Fatalf("test premise: %d segments cleaned", fs.SegsCleaned)
+	}
+	if err := fs.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.sync = true
+	for i := 0; i < 10; i++ {
+		var d []byte
+		var e error = errors.New("pending")
+		f.ReadPage(i, func(dd []byte, ee error) { d, e = dd, ee })
+		if e != nil || !bytes.Equal(d, stubPage(lay, byte(i))) {
+			t.Fatalf("page %d lost to the clean: %v", i, e)
+		}
+	}
+	if out := fs.PoolOut(); out != 0 {
+		t.Fatalf("%d page ops out of the pool at drain", out)
 	}
 }

@@ -1,6 +1,7 @@
 package rfs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -17,7 +18,7 @@ import (
 // segment cleaning (relocation copies and victim erases) on the
 // Background class, where the dispatcher's GC token budget defers it
 // behind latency-class tenants and escalates with cleaning urgency
-// (SetUrgency, normally wired from the FS hooks by NewClusterFS).
+// (wired from the FS's cleaner by NewClusterFS).
 //
 // Writes are admission-sequenced per (node, class): NAND programs
 // pages of a block strictly in order, and the FS allocates each
@@ -112,25 +113,20 @@ func NewClusterFS(c *core.Cluster, s *sched.Scheduler, ccfg ClusterConfig, cfg C
 	if err != nil {
 		return nil, nil, err
 	}
-	push := func() { b.SetUrgency(fs.Urgency()) }
-	fs.SetHooks(Hooks{
-		CleanStart: push,
-		CleanEnd:   push,
-		Urgency:    func(float64) { push() },
+	fs.Cleaner.Urgent = func() {
+		u := fs.Cleaner.Urgency()
+		for n := range b.nodes {
+			s.SetGCUrgency(n, u)
+		}
+	}
+	c.OnCheck(func() error {
+		return errors.Join(fs.CheckInvariants(), fs.ops.Drained("rfs page ops"), fs.Cleaner.Check())
 	})
 	return fs, b, nil
 }
 
 // Layout exposes the cluster-wide log shape.
 func (b *ClusterBackend) Layout() Layout { return b.lay }
-
-// SetUrgency reports the FS's cleaning urgency to every node's
-// Background token budget.
-func (b *ClusterBackend) SetUrgency(u float64) {
-	for n := range b.nodes {
-		b.s.SetGCUrgency(n, u)
-	}
-}
 
 // Addr resolves a linear ppn to its cluster-wide location. The chip
 // index decomposes node-major (node, card, bus, chip), so the FS's

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // clusterParams shrinks flash so churn reaches cleaning quickly.
@@ -183,7 +184,7 @@ func TestClusterCleaningOnBackground(t *testing.T) {
 	}
 	if fs.CleanMoves == 0 || fs.SegsCleaned == 0 {
 		t.Fatalf("churn never reached cleaning: moves=%d segs=%d free=%d",
-			fs.CleanMoves, fs.SegsCleaned, fs.totalFree())
+			fs.CleanMoves, fs.SegsCleaned, fs.FreeSegments())
 	}
 	if probeReads == 0 {
 		t.Fatal("realtime probe starved: zero completions under cleaning")
@@ -255,6 +256,99 @@ func TestClusterPhysicalAddrsMatchEngineReads(t *testing.T) {
 		}
 		if !bytes.Equal(host, engine) {
 			t.Fatalf("page %d: engine read %x..., host read %x... at %v", i, engine[:4], host[:4], a)
+		}
+	}
+}
+
+// TestClusterOverwritesUnderCleaning: overwrites at depth 32 on a log
+// of two chips keep sealing segments whose programs are still queued
+// in the scheduler, and those are the cleaner's cheapest victims. The
+// cleaner must wait for a victim's programs before it relocates and
+// erases it: an erase that overtakes a queued program fails that
+// program (pages of a block are programmed in order) or erases what it
+// wrote. Every write succeeds, every page reads its last acknowledged
+// version, and the invariants hold — at two scheduler depths, with the
+// file overwritten in order and at random.
+func TestClusterOverwritesUnderCleaning(t *testing.T) {
+	for _, maxInflight := range []int{4, sched.DefaultConfig().MaxInflight} {
+		for _, random := range []bool{false, true} {
+			t.Run(fmt.Sprintf("inflight%d-random%v", maxInflight, random), func(t *testing.T) {
+				overwriteUnderCleaning(t, maxInflight, random)
+			})
+		}
+	}
+}
+
+func overwriteUnderCleaning(t *testing.T, maxInflight int, random bool) {
+	p := core.DefaultParams(2)
+	p.CardsPerNode = 1
+	p.Geometry.Buses, p.Geometry.ChipsPerBus = 1, 1
+	p.Geometry.BlocksPerChip, p.Geometry.PagesPerBlock = 8, 8
+	c := coretest.NewCluster(t, p)
+	scfg := sched.DefaultConfig()
+	scfg.MaxInflight = maxInflight
+	s, err := sched.New(c, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _, err := NewClusterFS(c, s, ClusterConfig{}, Config{CleanLowWater: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages, rounds, depth = 40, 6, 32
+	clusterAppend(t, c, f, pages, depth, idxPage)
+	rng := sim.NewRNG(1)
+	version := make([]int, pages)
+	next := 0
+	var werr error
+	var issue func()
+	issue = func() {
+		if next >= pages*rounds {
+			return
+		}
+		idx, v := next%pages, next/pages+1
+		if random {
+			idx = rng.Intn(pages)
+		}
+		next++
+		buf := make([]byte, f.PageSize())
+		idxPage(idx+v*pages, buf)
+		f.WritePage(idx, buf, func(err error) {
+			if err != nil && werr == nil {
+				werr = fmt.Errorf("overwrite %d of page %d: %w", v, idx, err)
+			}
+			if err == nil {
+				version[idx] = v // the last acknowledged, in completion order
+			}
+			issue()
+		})
+	}
+	for i := 0; i < depth; i++ {
+		issue()
+	}
+	c.Run()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if fs.SegsCleaned == 0 {
+		t.Fatal("test premise: the overwrites never cleaned a segment")
+	}
+	if err := fs.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, f.PageSize())
+	for idx := 0; idx < pages; idx++ {
+		idxPage(idx+version[idx]*pages, want)
+		var got []byte
+		rerr := errors.New("read never completed")
+		f.ReadPage(idx, func(d []byte, err error) { got, rerr = d, err })
+		c.Run()
+		if rerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("page %d: err %v, not version %d", idx, rerr, version[idx])
 		}
 	}
 }

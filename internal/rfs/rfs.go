@@ -18,25 +18,10 @@
 // class and segment cleaning on the Background class (ClusterBackend
 // — the paper's Figure 8 at appliance scale).
 //
-// Cleaning concurrency rules (all in virtual time, single-threaded):
-//   - Reads resolve their mapping at issue time and never wait for the
-//     cleaner: relocation only copies, so a racing read still finds
-//     its data at the old physical page. The one destructive step —
-//     the victim erase — waits until in-flight reads against the
-//     victim drain, and after relocation no mapping points into the
-//     victim, so no new read can resolve there.
-//   - Writes proceed during an active clean while the free pool stays
-//     above a reserve (their lane frontiers are disjoint from the
-//     sealed victim); below it they queue in pendingOps and drain when
-//     the clean finishes, so they can never starve the relocation
-//     destination. Remove is metadata-only and lands immediately, so
-//     every relocation re-validates its backref before installing the
-//     moved copy — a page invalidated mid-move is dropped, never
-//     resurrected.
-//   - A clean pass that cannot allocate relocation space fails the
-//     pass and marks the FS stalled: further allocations fail
-//     deterministically with ErrNoSpace (instead of re-triggering the
-//     same doomed pass) until an invalidation changes the economics.
+// The segment cleaner is a reclaim.Reclaimer over the segments
+// (FS.Cleaner), whose package doc states the concurrency rules. Remove
+// is metadata-only and lands immediately, so every move re-validates
+// its backref before it installs the copy.
 //
 // Ownership: a write snapshots the caller's page into an image
 // (nand.Geometry.PageImage), the write's one allocation, and hands it
@@ -56,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -65,7 +51,6 @@ var (
 	ErrExists    = errors.New("rfs: file already exists")
 	ErrNotFound  = errors.New("rfs: file not found")
 	ErrDataSize  = errors.New("rfs: data must be exactly one page")
-	ErrNoSpace   = errors.New("rfs: file system full")
 	ErrBadOffset = errors.New("rfs: page offset out of range")
 	ErrSpansCard = errors.New("rfs: file spans multiple cards; ATU export needs a per-card file")
 )
@@ -73,9 +58,9 @@ var (
 // Config tunes the file system.
 type Config struct {
 	// CleanLowWater starts segment cleaning when the free-segment pool
-	// drops this low. Cluster deployments want it scaled with the chip
-	// count (a handful of free segments across hundreds of chips means
-	// the log is effectively full).
+	// drops this low; it must be at least 1. Cluster deployments want
+	// it scaled with the chip count (a handful of free segments across
+	// hundreds of chips means the log is effectively full).
 	CleanLowWater int
 	// StripeExtent is how many consecutive pages a lane writes to one
 	// chip before rotating to the next (default 1: pure page-granular
@@ -94,17 +79,6 @@ func DefaultConfig() Config {
 	return Config{CleanLowWater: 2}
 }
 
-// Hooks observe the cleaner's lifecycle, mirroring the FTL's GC hooks
-// so a scheduler-backed deployment can feed cleaning urgency into the
-// Background token budget.
-type Hooks struct {
-	CleanStart func()
-	CleanEnd   func()
-	// Urgency reports how badly cleaning needs to run, 0..1, whenever
-	// the free pool changes.
-	Urgency func(u float64)
-}
-
 type fileRef struct {
 	ino  int
 	page int
@@ -117,31 +91,16 @@ type inode struct {
 	live   bool
 }
 
-type segInfo struct {
-	valid    int
-	written  int
-	bad      bool
-	isActive bool
-}
-
-// cleanState tracks one in-progress segment clean.
-type cleanState struct {
-	victim      int
-	next        int  // next page offset of the victim to scan
-	busy        bool // an async relocation step is in flight
-	pumping     bool // re-entrancy guard for the iterative pump
-	relocated   bool // all pages scanned; erase is next
-	eraseIssued bool
-	aborted     bool // no room to relocate: the pass failed
-}
-
 // FS is a flash file system over a Backend.
 type FS struct {
-	b     Backend
-	lay   Layout
-	geo   nand.Geometry // the part of the flash geometry that sizes a page image
-	cfg   Config
-	hooks Hooks
+	b   Backend
+	lay Layout
+	geo nand.Geometry // the part of the flash geometry that sizes a page image
+	cfg Config
+
+	// Cleaner is the segment cleaner; its units are the segments. The
+	// layer above reads its Urgency and sets its Urgent callback.
+	Cleaner *reclaim.Reclaimer
 
 	lanes     int // app lanes + 1 cleaning lane
 	cleanLane int
@@ -150,25 +109,15 @@ type FS struct {
 	byName   map[string]int
 	backrefs map[int]fileRef // ppn -> owner
 
-	segs []segInfo
 	// Allocation stripes across chips (one log frontier per chip and
 	// lane) so file data spreads over every bus and chip — "exposing
 	// all degrees of parallelism of the device" (paper §3.1.1) — and,
 	// on a cluster backend, over every card and node.
-	freePool [][]int // per chip
-	freeSegs int     // running total across freePool (every write checks it)
+	freePool [][]int // per chip; Cleaner.Free is their running total
 	active   [][]int // [lane][chip], -1 = none
 	cursor   []int   // per-lane round-robin chip cursor
 
-	cleaning   bool
-	stalled    bool       // last clean made no progress; only invalidation can help
-	clean      cleanState // the clean in progress, while cleaning
-	pendingOps []func()
-	ops        sim.Pool[pageOp]
-
-	// readsInflight counts app reads in flight per segment; the victim
-	// erase waits for its count to drain.
-	readsInflight []int
+	ops sim.Pool[pageOp]
 
 	// stats
 	PagesWritten int64
@@ -197,25 +146,26 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CleanLowWater < 1 {
-		cfg.CleanLowWater = 1
+	cl, err := reclaim.New(lay.TotalSegs(), lay.PagesPerSeg, cfg.CleanLowWater, 1)
+	if err != nil {
+		return nil, fmt.Errorf("rfs: CleanLowWater: %w", err)
 	}
 	lanes := lay.Lanes + 1 // one extra frontier lane for cleaning
 	fs := &FS{
-		b:             b,
-		lay:           lay,
-		geo:           nand.Geometry{PageSize: lay.PageSize},
-		cfg:           cfg,
-		lanes:         lanes,
-		cleanLane:     lay.Lanes,
-		byName:        make(map[string]int),
-		backrefs:      make(map[int]fileRef),
-		segs:          make([]segInfo, lay.TotalSegs()),
-		freePool:      make([][]int, lay.Chips),
-		active:        make([][]int, lanes),
-		cursor:        make([]int, lanes),
-		readsInflight: make([]int, lay.TotalSegs()),
+		b:         b,
+		lay:       lay,
+		geo:       nand.Geometry{PageSize: lay.PageSize},
+		cfg:       cfg,
+		Cleaner:   cl,
+		lanes:     lanes,
+		cleanLane: lay.Lanes,
+		byName:    make(map[string]int),
+		backrefs:  make(map[int]fileRef),
+		freePool:  make([][]int, lay.Chips),
+		active:    make([][]int, lanes),
+		cursor:    make([]int, lanes),
 	}
+	cl.Move, cl.Erase, cl.Erased = fs.move, b.EraseSeg, fs.erased
 	for lane := 0; lane < lanes; lane++ {
 		fs.active[lane] = make([]int, lay.Chips)
 		for ch := range fs.active[lane] {
@@ -227,7 +177,7 @@ func NewWithBackend(b Backend, cfg Config) (*FS, error) {
 			fs.freePool[ch] = append(fs.freePool[ch], ch*lay.SegsPerChip+s)
 		}
 	}
-	fs.freeSegs = lay.TotalSegs()
+	cl.Free = lay.TotalSegs()
 	fs.ops.New = fs.newPageOp
 	return fs, nil
 }
@@ -275,19 +225,11 @@ func (fs *FS) put(op *pageOp) {
 	fs.ops.Put(op)
 }
 
-// SetHooks installs cleaning lifecycle hooks (see Hooks).
-func (fs *FS) SetHooks(h Hooks) { fs.hooks = h }
-
 // Backend returns the storage the file system runs over.
 func (fs *FS) Backend() Backend { return fs.b }
 
 // chipOf returns the chip index owning a segment.
 func (fs *FS) chipOf(seg int) int { return seg / fs.lay.SegsPerChip }
-
-// totalFree returns the free-segment count across all chips (a
-// running counter: the hot write path checks it up to three times per
-// page, so it must not scan the per-chip pools).
-func (fs *FS) totalFree() int { return fs.freeSegs }
 
 // PageSize returns the file system's IO granularity.
 func (fs *FS) PageSize() int { return fs.lay.PageSize }
@@ -299,27 +241,6 @@ func (fs *FS) segOf(ppn int) int { return ppn / fs.lay.PagesPerSeg }
 // NAND block.
 func (fs *FS) laneOf(class sched.Class) int {
 	return int(class) % fs.lay.Lanes
-}
-
-// Urgency reports how badly cleaning needs to run, from 0 (free pool
-// at or above the low-water mark) to 1 (pool dry, writes about to
-// stall) — the deficit below the trigger point, mirroring
-// ftl.Urgency, so the scheduler's Background budget can scale.
-func (fs *FS) Urgency() float64 {
-	u := 1 - float64(fs.totalFree())/float64(fs.cfg.CleanLowWater) // at least 1 (NewWithBackend)
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
-}
-
-func (fs *FS) notifyUrgency() {
-	if fs.hooks.Urgency != nil {
-		fs.hooks.Urgency(fs.Urgency())
-	}
 }
 
 // File is an open file handle. It carries the QoS class its I/O is
@@ -389,7 +310,7 @@ func (fs *FS) List() []string {
 }
 
 // FreeSegments returns the free pool size across all chips.
-func (fs *FS) FreeSegments() int { return fs.totalFree() }
+func (fs *FS) FreeSegments() int { return fs.Cleaner.Free }
 
 // LiveMappings returns the number of page-mapping entries the file
 // system currently holds — only live data is mapped, which is the
@@ -499,7 +420,11 @@ func (f *File) writePage(idx int, data []byte, cb func(err error)) {
 	op := f.fs.ops.Get()
 	op.ino, op.idx, op.class, op.wcb = f.ino, idx, f.class, cb
 	op.img = f.fs.geo.PageImage(data)
-	f.fs.enqueue(op.run)
+	// Writes proceed during a clean on their own lane's frontier, which
+	// cannot disturb the victim; blocking every write for the whole
+	// clean would serialize the appliance's write stream behind
+	// Background-class relocation.
+	f.fs.Cleaner.Admit(op.run)
 }
 
 // ReadPage fetches page idx. Reads resolve the mapping at issue time
@@ -515,7 +440,7 @@ func (f *File) ReadPage(idx int, cb func(data []byte, err error)) {
 	}
 	ppn := nd.pages[idx]
 	fs.PagesRead++
-	fs.readsInflight[fs.segOf(ppn)]++
+	fs.Cleaner.Units[fs.segOf(ppn)].Reads++
 	op := fs.ops.Get()
 	op.ppn, op.rcb = ppn, cb
 	fs.b.ReadPage(ppn, f.class, false, op.onRead)
@@ -527,32 +452,9 @@ func (f *File) ReadPage(idx int, cb func(data []byte, err error)) {
 func (fs *FS) readDone(op *pageOp, data []byte, err error) {
 	seg, cb := fs.segOf(op.ppn), op.rcb
 	fs.put(op)
-	fs.readsInflight[seg]--
-	fs.maybeErase()
+	fs.Cleaner.Units[seg].Reads--
+	fs.Cleaner.Wake()
 	cb(data, err)
-}
-
-// cleanReserveSegs is the free-segment floor below which writes stall
-// behind an active clean: the last segments are reserved as the
-// relocation destination, because a write racing the cleaner for them
-// aborts the pass and wedges the log (the same reserve discipline as
-// the FTL's gcReserveBlocks).
-const cleanReserveSegs = 1
-
-// enqueue runs a write now, or behind the in-progress clean when the
-// free-segment reserve demands it. Writes that proceed during a clean
-// go to their own lane's frontier and cannot disturb the sealed
-// victim — and every relocation re-validates its backref before
-// installing the copy, so a concurrent overwrite of a victim page is
-// dropped, not resurrected. Blocking every write for the whole clean
-// (the old behaviour) would serialize the appliance's entire write
-// stream behind Background-class relocation.
-func (fs *FS) enqueue(op func()) {
-	if fs.cleaning && fs.totalFree() <= cleanReserveSegs {
-		fs.pendingOps = append(fs.pendingOps, op)
-		return
-	}
-	op()
 }
 
 // finishWrite ends an app write whose image is stored at op.dst, or
@@ -577,42 +479,45 @@ func (fs *FS) finishWrite(op *pageOp, err error) {
 	if old := nd.pages[idx]; old >= 0 {
 		fs.invalidate(old)
 	}
-	nd.pages[idx] = ppn
-	fs.segs[fs.segOf(ppn)].valid++
-	fs.backrefs[ppn] = fileRef{ino: ino, page: idx}
+	fs.install(ppn, fileRef{ino: ino, page: idx})
 	fs.PagesWritten++
 	cb(nil)
 }
 
-// invalidate marks a physical page dead. A stalled FS aborted its
-// last clean for lack of relocation room; dropping a valid page
-// shrinks some victim's relocation demand, so cleaning is worth
-// retrying — if it still cannot fit, it re-aborts and re-stalls, so
-// this cannot loop.
+// install maps the file page ref to ppn.
+func (fs *FS) install(ppn int, ref fileRef) {
+	fs.inodes[ref.ino].pages[ref.page] = ppn
+	fs.Cleaner.Units[fs.segOf(ppn)].Valid++
+	fs.backrefs[ppn] = ref
+}
+
+// invalidate marks a physical page dead.
 func (fs *FS) invalidate(ppn int) {
 	if _, ok := fs.backrefs[ppn]; ok {
-		fs.segs[fs.segOf(ppn)].valid--
+		fs.Cleaner.Invalidate(fs.segOf(ppn))
 		delete(fs.backrefs, ppn)
-		fs.stalled = false
 	}
 }
 
 // allocAndProgram finds the next log position on the op's lane and
 // programs its image there, starting the cleaner when space runs low.
-// It is the op's run continuation: what enqueue and allocPage park
-// behind a clean.
+// It is the op's run continuation: what the cleaner parks behind a
+// clean. A stalled FS (the last clean found no room to relocate) does
+// not re-trigger the same doomed pass: it keeps allocating from what
+// remains and fails with reclaim.ErrNoSpace when that runs dry.
 //
 //simlint:hotpath
 func (fs *FS) allocAndProgram(op *pageOp) {
-	ppn, err := fs.allocPage(fs.laneOf(op.class), op.run)
+	if fs.Cleaner.Hold(op.run) {
+		return // queued behind a clean
+	}
+	ppn, err := fs.allocRoundRobin(fs.laneOf(op.class))
 	if err != nil {
 		fs.finishWrite(op, err)
 		return
 	}
-	if ppn < 0 {
-		return // cleaner started; op requeued
-	}
 	op.dst = ppn
+	fs.Cleaner.Units[fs.segOf(ppn)].Programs++
 	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.WritePage(ppn, op.class, false, op.img, op.onWrite)
 }
@@ -623,50 +528,30 @@ func (fs *FS) allocAndProgram(op *pageOp) {
 //
 //simlint:hotpath
 func (fs *FS) programDone(op *pageOp, err error) {
+	seg := fs.segOf(op.dst)
+	fs.Cleaner.Units[seg].Programs--
 	if errors.Is(err, nand.ErrBadBlock) {
-		fs.markBad(fs.segOf(op.dst))
+		fs.markBad(seg)
+		fs.Cleaner.Wake()
 		fs.allocAndProgram(op)
 		return
 	}
-	fs.finishWrite(op, err)
+	fs.finishWrite(op, err) // installs the mapping before the cleaner wakes
+	fs.Cleaner.Wake()
 }
 
 // markBad retires a segment, clearing any frontier (on any lane) that
 // pointed at it so no stale active state survives.
 func (fs *FS) markBad(seg int) {
-	s := &fs.segs[seg]
-	s.bad = true
-	s.isActive = false
+	s := &fs.Cleaner.Units[seg]
+	s.Bad = true
+	s.Active = false
 	ch := fs.chipOf(seg)
 	for lane := range fs.active {
 		if fs.active[lane][ch] == seg {
 			fs.active[lane][ch] = -1
 		}
 	}
-}
-
-// allocPage returns the next frontier ppn for the lane — rotating
-// across chip frontiers for parallelism — or -1 after starting the
-// cleaner (the retry closure is requeued behind it). A stalled FS
-// (the last clean found no room to relocate) must not re-trigger the
-// same doomed pass: it keeps allocating from what remains and fails
-// with ErrNoSpace when that runs dry.
-func (fs *FS) allocPage(lane int, retry func()) (int, error) {
-	if fs.totalFree() <= fs.cfg.CleanLowWater && !fs.cleaning && !fs.stalled && fs.victim() >= 0 {
-		fs.pendingOps = append(fs.pendingOps, retry)
-		fs.startClean()
-		return -1, nil
-	}
-	// Writes that got past the enqueue reserve gate before the pool
-	// dropped must neither consume the reserve the clean's relocation
-	// needs nor see a transient "file system full": queue them behind
-	// the clean. ErrNoSpace is then only returned with no clean in
-	// flight — deterministically.
-	if fs.cleaning && fs.totalFree() <= cleanReserveSegs {
-		fs.pendingOps = append(fs.pendingOps, retry)
-		return -1, nil
-	}
-	return fs.allocRoundRobin(lane)
 }
 
 // allocRoundRobin takes the next page from the lane's current chip,
@@ -689,7 +574,7 @@ func (fs *FS) allocRoundRobin(lane int) (int, error) {
 		}
 		fs.cursor[lane] = (fs.cursor[lane]/ext + 1) * ext
 	}
-	return 0, ErrNoSpace
+	return 0, reclaim.ErrNoSpace
 }
 
 // allocOnChip advances one chip's lane frontier, opening a fresh
@@ -698,17 +583,17 @@ func (fs *FS) allocOnChip(lane, ch int) (int, bool) {
 	for {
 		if fs.active[lane][ch] >= 0 {
 			seg := fs.active[lane][ch]
-			s := &fs.segs[seg]
-			if s.bad {
+			s := &fs.Cleaner.Units[seg]
+			if s.Bad {
 				fs.active[lane][ch] = -1
 				continue
 			}
-			if s.written < fs.lay.PagesPerSeg {
-				ppn := seg*fs.lay.PagesPerSeg + s.written
-				s.written++
+			if s.Written < fs.lay.PagesPerSeg {
+				ppn := seg*fs.lay.PagesPerSeg + s.Written
+				s.Written++
 				return ppn, true
 			}
-			s.isActive = false
+			s.Active = false
 			fs.active[lane][ch] = -1
 		}
 		if len(fs.freePool[ch]) == 0 {
@@ -716,90 +601,33 @@ func (fs *FS) allocOnChip(lane, ch int) (int, bool) {
 		}
 		seg := fs.freePool[ch][0]
 		fs.freePool[ch] = fs.freePool[ch][1:]
-		fs.freeSegs--
 		fs.active[lane][ch] = seg
-		s := &fs.segs[seg]
-		s.isActive = true
-		s.written = 0
-		s.valid = 0
-		fs.notifyUrgency()
+		s := &fs.Cleaner.Units[seg]
+		s.Active, s.Written, s.Valid = true, 0, 0
+		fs.Cleaner.Free--
+		fs.Cleaner.Urgent()
 	}
 }
 
-// victim picks the sealed segment with the fewest valid pages, or -1.
-func (fs *FS) victim() int {
-	best := -1
-	for s := range fs.segs {
-		si := &fs.segs[s]
-		if si.bad || si.isActive || si.written < fs.lay.PagesPerSeg {
-			continue
-		}
-		if si.valid == fs.lay.PagesPerSeg {
-			continue
-		}
-		if best < 0 || si.valid < fs.segs[best].valid {
-			best = s
-		}
-	}
-	return best
-}
-
-func (fs *FS) startClean() {
-	v := fs.victim()
-	if v < 0 {
-		return
-	}
-	fs.cleaning = true
-	fs.clean = cleanState{victim: v}
-	if fs.hooks.CleanStart != nil {
-		fs.hooks.CleanStart()
-	}
-	fs.notifyUrgency()
-	fs.pumpClean()
-}
-
-// pumpClean is the cleaner's iterative driver: it scans the victim's
-// pages in a loop (no recursion, so a segment's page count never
-// costs stack), parking only while an async relocation step is in
-// flight. Completion callbacks clear busy and re-enter; the pumping
-// guard makes synchronous completions unwind into this loop instead
-// of stacking one frame per page.
-func (fs *FS) pumpClean() {
-	st := &fs.clean
-	if !fs.cleaning || st.pumping {
-		return
-	}
-	st.pumping = true
-	for !st.busy && !st.aborted && !st.relocated {
-		if st.next >= fs.lay.PagesPerSeg {
-			st.relocated = true
-			fs.maybeErase()
-			break
-		}
-		ppn := st.victim*fs.lay.PagesPerSeg + st.next
-		st.next++
-		ref, ok := fs.backrefs[ppn]
-		if !ok {
-			continue // dead page: nothing to move
-		}
-		st.busy = true
-		fs.moveOne(ppn, ref)
-	}
-	st.pumping = false
-}
-
-// moveOne relocates one valid victim page: read it, allocate a
-// destination on the cleaning lane, program the copy, and re-point
-// the mapping — re-validating the backref at every completion,
-// because a Remove can land while the copy is in flight and the moved
-// page must then be dropped, not resurrected over dead state.
+// move is the cleaner's Move: it relocates one victim page a file
+// still maps — read it, program the copy on the cleaning lane, and
+// re-point the mapping — re-validating the backref at every
+// completion, because a Remove can land while the copy is in flight
+// and the moved page must then be dropped, not resurrected over dead
+// state.
 //
 //simlint:hotpath
-func (fs *FS) moveOne(ppn int, ref fileRef) {
+func (fs *FS) move(seg, page int) bool {
+	ppn := seg*fs.lay.PagesPerSeg + page
+	ref, ok := fs.backrefs[ppn]
+	if !ok {
+		return false // dead page: nothing to move
+	}
 	op := fs.ops.Get()
 	op.ppn, op.ref = ppn, ref
 	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.ReadPage(ppn, sched.Background, true, op.onMoveRead)
+	return true
 }
 
 // moveRead takes a move's read and programs what it read.
@@ -820,122 +648,71 @@ func (fs *FS) moveRead(op *pageOp, data []byte, err error) {
 				fs.LostPages++
 			}
 		}
-		fs.moved(op)
+		fs.put(op)
+		fs.Cleaner.Done(false)
 		return
 	}
 	if cur, ok := fs.backrefs[ppn]; !ok || cur != ref {
 		// Invalidated while the read was in flight: dead now.
-		fs.moved(op)
+		fs.put(op)
+		fs.Cleaner.Done(false)
 		return
 	}
 	dst, aerr := fs.allocRoundRobin(fs.cleanLane)
 	if aerr != nil {
-		// No room to relocate: the pass failed and retrying it
-		// cannot help (only an invalidation changes the economics).
-		// Mark the FS stalled so queued writes fail with ErrNoSpace
-		// instead of re-triggering this pass forever.
+		// No room to relocate: the pass fails.
 		fs.put(op)
-		fs.clean.aborted = true
-		fs.clean.busy = false
-		fs.stalled = true
-		fs.finishClean()
+		fs.Cleaner.Done(true)
 		return
 	}
 	// The read result is re-programmed as it stands — the image the
 	// victim page stores; images are immutable, so both pages may hold
 	// it until the victim is erased.
 	op.dst = dst
+	fs.Cleaner.Units[fs.segOf(dst)].Programs++
 	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.WritePage(dst, sched.Background, true, data, op.onMoved)
 }
 
-// moveWritten takes a move's program and re-points the mapping.
+// moveWritten takes a move's program and re-points the mapping. A
+// failed program fails the pass.
 //
 //simlint:hotpath
 func (fs *FS) moveWritten(op *pageOp, perr error) {
 	ppn, ref, dst := op.ppn, op.ref, op.dst
+	seg := fs.segOf(dst)
+	fs.put(op)
+	fs.Cleaner.Units[seg].Programs--
 	if perr != nil {
-		fs.put(op)
-		fs.clean.aborted = true
-		fs.clean.busy = false
 		if errors.Is(perr, nand.ErrBadBlock) {
-			fs.markBad(fs.segOf(dst))
+			fs.markBad(seg)
 		}
-		fs.finishClean()
+		fs.Cleaner.Done(true)
 		return
 	}
 	if cur, ok := fs.backrefs[ppn]; ok && cur == ref {
 		fs.CleanMoves++
 		fs.invalidate(ppn)
-		nd := fs.inodes[ref.ino]
-		nd.pages[ref.page] = dst
-		fs.segs[fs.segOf(dst)].valid++
-		fs.backrefs[dst] = ref
+		fs.install(dst, ref)
 	}
 	// else: removed mid-move — the copy at dst stays unmapped
 	// garbage for a later clean; the original was already
 	// invalidated by Remove, so nothing to double-count.
-	fs.moved(op)
+	fs.Cleaner.Done(false)
 }
 
-// moved ends a move that did not abort the clean, and resumes the
-// victim scan.
-//
-//simlint:hotpath
-func (fs *FS) moved(op *pageOp) {
-	fs.put(op)
-	fs.clean.busy = false
-	fs.pumpClean()
-}
-
-// maybeErase issues the victim erase once relocation is complete and
-// no app read is in flight against the victim. After relocation no
-// mapping points into the victim, so no new read can resolve there —
-// the count only drains.
-func (fs *FS) maybeErase() {
-	st := &fs.clean
-	if !fs.cleaning || !st.relocated || st.eraseIssued {
+// erased is the cleaner's Erased: an erased segment returns to its
+// chip's pool, one that failed its erase is retired.
+func (fs *FS) erased(seg int, err error) {
+	if err != nil {
+		fs.markBad(seg)
 		return
 	}
-	if fs.readsInflight[st.victim] > 0 {
-		return
-	}
-	st.eraseIssued = true
-	victim := st.victim
-	//simlint:allow hotcall (one erase per cleaned segment, not per read)
-	fs.b.EraseSeg(victim, func(err error) {
-		if err != nil {
-			fs.markBad(victim)
-		} else {
-			s := &fs.segs[victim]
-			s.valid = 0
-			s.written = 0
-			fs.SegsCleaned++
-			fs.stalled = false
-			ch := fs.chipOf(victim)
-			fs.freePool[ch] = append(fs.freePool[ch], victim)
-			fs.freeSegs++
-			fs.notifyUrgency()
-		}
-		fs.finishClean()
-	})
-}
-
-func (fs *FS) finishClean() {
-	fs.cleaning = false
-	if fs.hooks.CleanEnd != nil {
-		fs.hooks.CleanEnd()
-	}
-	fs.notifyUrgency()
-	ops := fs.pendingOps
-	fs.pendingOps = nil
-	for _, op := range ops {
-		if fs.cleaning {
-			fs.pendingOps = append(fs.pendingOps, op)
-			continue
-		}
-		op()
-	}
+	fs.SegsCleaned++
+	ch := fs.chipOf(seg)
+	fs.freePool[ch] = append(fs.freePool[ch], seg)
+	fs.Cleaner.Free++
+	fs.Cleaner.Urgent()
 }
 
 // CheckInvariants verifies the mapping bookkeeping: every backref
@@ -943,7 +720,7 @@ func (fs *FS) finishClean() {
 // has its backref, and per-segment valid counts match the backref
 // census. Tests call it after adversarial interleavings.
 func (fs *FS) CheckInvariants() error {
-	valid := make([]int, len(fs.segs))
+	valid := make([]int, len(fs.Cleaner.Units))
 	// Walk backrefs in sorted ppn order so that, with several
 	// violations present, the same one is reported on every run.
 	ppns := make([]int, 0, len(fs.backrefs))
@@ -978,17 +755,17 @@ func (fs *FS) CheckInvariants() error {
 			}
 		}
 	}
-	for s := range fs.segs {
-		if fs.segs[s].valid != valid[s] {
-			return fmt.Errorf("rfs: seg %d valid=%d but %d live backrefs", s, fs.segs[s].valid, valid[s])
+	for s, u := range fs.Cleaner.Units {
+		if u.Valid != valid[s] {
+			return fmt.Errorf("rfs: seg %d valid=%d but %d live backrefs", s, u.Valid, valid[s])
 		}
 	}
 	pool := 0
 	for _, p := range fs.freePool {
 		pool += len(p)
 	}
-	if pool != fs.freeSegs {
-		return fmt.Errorf("rfs: free counter %d but pools hold %d", fs.freeSegs, pool)
+	if pool != fs.Cleaner.Free {
+		return fmt.Errorf("rfs: free counter %d but pools hold %d", fs.Cleaner.Free, pool)
 	}
 	return nil
 }

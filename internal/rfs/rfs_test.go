@@ -3,12 +3,14 @@ package rfs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sim"
 )
 
@@ -293,7 +295,7 @@ func TestFillToCapacity(t *testing.T) {
 		}
 		n++
 	}
-	if !errors.Is(lastErr, ErrNoSpace) {
+	if !errors.Is(lastErr, reclaim.ErrNoSpace) {
 		t.Fatalf("expected ErrNoSpace, got %v after %d pages", lastErr, n)
 	}
 	// Everything written before the failure must still read back.
@@ -344,7 +346,7 @@ func TestFSOracleProperty(t *testing.T) {
 				f.AppendPage(data, func(err error) { werr = err })
 				h.eng.Run()
 				if werr != nil {
-					if errors.Is(werr, ErrNoSpace) {
+					if errors.Is(werr, reclaim.ErrNoSpace) {
 						// The failed append left a hole at the end; the
 						// oracle drops it like the FS reports it.
 						oracle[name] = append(pages, nil)
@@ -388,5 +390,16 @@ func TestFSOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCleanLowWaterBelowOneRefused: a low-water mark of 0 used to be
+// raised to 1 without a word, so 0 and 1 ran identically. It is
+// refused, and the error names the field.
+func TestCleanLowWaterBelowOneRefused(t *testing.T) {
+	lay := Layout{Chips: 1, SegsPerChip: 4, PagesPerSeg: 4, PageSize: 16, Lanes: 1}
+	_, err := NewWithBackend(newStub(lay, true), Config{CleanLowWater: 0})
+	if err == nil || !strings.Contains(err.Error(), "CleanLowWater") {
+		t.Fatalf("CleanLowWater 0 built a file system or was refused without naming the field: %v", err)
 	}
 }

@@ -38,6 +38,7 @@ func (s *Scheduler) NewRetrier(delay sim.Time) *Retrier {
 		op.try = func() { rt.admit(op) }
 		return op
 	}
+	s.cluster.OnCheck(func() error { return rt.ops.Drained("sched retry ops") })
 	return rt
 }
 

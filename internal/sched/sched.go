@@ -257,6 +257,7 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{cluster: cluster, eng: cluster.Eng, geo: cluster.Params.Geometry, cfg: cfg}
 	s.reqs.New = newRequest
+	cluster.OnCheck(func() error { return s.reqs.Drained("sched requests") })
 	for i := 0; i < cluster.Nodes(); i++ {
 		s.nodes = append(s.nodes, newNodeQueue(s, cluster.Node(i)))
 	}

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Pool is a LIFO free list of per-request records: the one recycling
 // mechanism under every layer that keeps a record per operation in
 // flight. New builds a record and binds its continuations to it, once;
@@ -43,3 +45,12 @@ func (p *Pool[T]) Put(v *T) { p.free = append(p.free, v) }
 
 // Out returns the number of records taken and not returned.
 func (p *Pool[T]) Out() int { return p.made - len(p.free) }
+
+// Drained reports records still out, naming the pool: the check its
+// layer runs once the engine has drained.
+func (p *Pool[T]) Drained(name string) error {
+	if n := p.Out(); n != 0 {
+		return fmt.Errorf("%s: %d pooled records out at drain", name, n)
+	}
+	return nil
+}

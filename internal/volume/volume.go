@@ -103,6 +103,9 @@ func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
 	v := &Volume{c: c, s: s, rt: s.NewRetrier(cfg.RetryDelay), cfg: cfg}
 	v.failovers.New = v.newFailover
 	v.mirrorWrites.New = v.newMirrorWrite
+	c.OnCheck(func() error {
+		return errors.Join(v.failovers.Drained("volume failovers"), v.mirrorWrites.Drained("volume mirror writes"))
+	})
 	p := c.Params
 	for n := 0; n < c.Nodes(); n++ {
 		for ci := 0; ci < p.CardsPerNode; ci++ {
@@ -432,6 +435,7 @@ func newCard(v *Volume, node, idx int) (*card, error) {
 	if err := cd.mountFTL(cd); err != nil {
 		return nil, err
 	}
+	v.c.OnCheck(func() error { return cd.f.Check() }) // the card's FTL of the moment
 	return cd, nil
 }
 
@@ -444,11 +448,7 @@ func (cd *card) mountFTL(io ftl.Backend) error {
 		return err
 	}
 	cd.f = f
-	f.SetHooks(ftl.Hooks{
-		Urgency: func(float64) { cd.pushUrgency() },
-		GCStart: func() { cd.pushUrgency() },
-		GCEnd:   func() { cd.pushUrgency() },
-	})
+	f.GC.Urgent = cd.pushUrgency
 	return nil
 }
 
@@ -461,7 +461,7 @@ func (cd *card) pushUrgency() {
 	base := cd.node * v.c.Params.CardsPerNode
 	u := 0.0
 	for i := base; i < base+v.c.Params.CardsPerNode && i < len(v.cards); i++ {
-		if cu := v.cards[i].f.Urgency(); cu > u {
+		if cu := v.cards[i].f.GC.Urgency(); cu > u {
 			u = cu
 		}
 	}

@@ -103,6 +103,12 @@ func Build(spec StackSpec) (*Stack, error) {
 	return st, nil
 }
 
+// Check runs every drain check of the stack's layers: each registered
+// its own where it was built (core.Cluster.Check).
+//
+//simlint:allow unused (checker: the workload tests end in it)
+func (st *Stack) Check() error { return st.C.Check() }
+
 // AttachCache puts the cache above the volume after the fact: the step
 // Build takes for StackSpec.Cache, on its own for callers that size
 // the cache from the built volume's page count.

@@ -45,15 +45,16 @@ func seededVolumeStack(t *testing.T) *Stack {
 	if err := st.Seed(RandomPages(3)); err != nil {
 		t.Fatal(err)
 	}
-	checkImagesAtEnd(t, st)
+	checkAtEnd(t, st)
 	return st
 }
 
-// checkImagesAtEnd is the guard's drain check: when the test ends, no
-// image a card still stores may have been written to.
-func checkImagesAtEnd(t *testing.T, st *Stack) {
+// checkAtEnd runs the stack's drain checks when the test ends: no
+// event pending, no image a card stores written to, no pooled record
+// out, every reclaimer drained.
+func checkAtEnd(t *testing.T, st *Stack) {
 	t.Cleanup(func() {
-		if err := st.C.CheckImages(); err != nil {
+		if err := st.Check(); err != nil {
 			t.Error(err)
 		}
 	})
@@ -97,7 +98,7 @@ func TestBuildCompositions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkImagesAtEnd(t, st)
+			checkAtEnd(t, st)
 			if (st.V != nil) != (spec.FTL != nil) || (st.Cache != nil) != (spec.Cache != nil) ||
 				(st.FS != nil) != (spec.RFS != nil) || (st.ISP != nil) != (spec.ISP != nil) {
 				t.Fatalf("built layers do not match the spec: %+v", st)
@@ -247,7 +248,7 @@ func TestIdleCacheCostsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkImagesAtEnd(t, st)
+		checkAtEnd(t, st)
 		if err := st.Seed(RandomPages(5)); err != nil {
 			t.Fatal(err)
 		}
