@@ -2,9 +2,9 @@
 // alloc-free invariants over this repository: order-dependent map
 // iteration (maprange), wall-clock time and global math/rand
 // (walltime), concurrency in the single-threaded core (noconcurrency),
-// allocation sources in //simlint:hotpath functions (hotpath) and in
-// functions transitively reachable from them (hotcall), discarded
-// errors (errdrop), pool get/put pairing (poolleak), exactly-once
+// allocation sources in //simlint:hotpath functions and in functions
+// transitively reachable from them (hotpath), discarded errors
+// (errdrop), pool get/put pairing (poolleak), exactly-once
 // completion callbacks (oncedone), and exported names that no non-test
 // code references, in the module or in bench/ (unused; on ./... only).
 // See internal/lint for the analyzers and the //simlint:allow
@@ -17,10 +17,10 @@
 //	go run ./cmd/simlint -json ./...
 //
 // The default mode runs the AST suite. -escapes instead compiles the
-// packages with -gcflags=-m and cross-checks the compiler's escape
-// analysis against the AST hotpath verdicts (the escapecheck
-// analyzer): heap allocations in hotpath-reachable functions that the
-// AST suite did not see. Both modes share one loaded snapshot per
+// packages with -gcflags=-m and reads the compiler's escape analysis
+// against the hotpath walk (the escapecheck analyzer): heap
+// allocations in hotpath-reachable functions that the walk did not
+// see. Both modes share one loaded snapshot per
 // invocation.
 //
 // Findings print one per line as file:line:col: check: message (or as

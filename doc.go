@@ -77,7 +77,9 @@
 //	internal/lint         simlint: static analyzers enforcing the
 //	                      determinism and alloc-free invariants
 //	                      (maprange, walltime, noconcurrency, hotpath,
-//	                      errdrop); cmd/simlint is the CI driver
+//	                      errdrop, poolleak, oncedone, unused, and
+//	                      escapecheck under -escapes); cmd/simlint is
+//	                      the CI driver
 //
 // Start with examples/quickstart, then see README.md for the system
 // inventory (its package map and one section per subsystem).

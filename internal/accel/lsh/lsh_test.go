@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -323,5 +325,28 @@ func TestSSDRandomVsSequential(t *testing.T) {
 	}
 	if seq < 1.4*rnd {
 		t.Fatalf("sequentializing should help dramatically: %f vs %f", seq, rnd)
+	}
+}
+
+// TestRunFailingReadFailsTheRun: a candidate page that cannot be read
+// fails the run with the read's own error, on both flash paths,
+// instead of returning the best of the candidates that could.
+func TestRunFailingReadFailsTheRun(t *testing.T) {
+	for _, path := range []string{"isp", "host flash"} {
+		c := lshCluster(t)
+		ps := c.Params.PageSize()
+		items := mkItems(100, ps, 3)
+		addrs := append(seedItems(t, c, items), core.LinearPage(c.Params, 0, len(items))) // never written
+		query := make([]byte, ps)
+		var res *Result
+		var err error
+		if path == "isp" {
+			res, err = RunISP(c, 0, addrs, idsUpTo(len(addrs)), query, nil)
+		} else {
+			res, err = RunHostFlash(c, 0, addrs, idsUpTo(len(addrs)), query, 4, nil)
+		}
+		if !errors.Is(err, nand.ErrReadFree) || res != nil {
+			t.Fatalf("%s: result %t, error %v; want no result and an error wrapping nand.ErrReadFree", path, res != nil, err)
+		}
 	}
 }

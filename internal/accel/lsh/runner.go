@@ -32,7 +32,6 @@ const (
 // Result is one backend run.
 type Result struct {
 	Comparisons int64
-	Errors      int64
 	Elapsed     sim.Time
 	PerSec      float64
 	BestID      int
@@ -127,8 +126,7 @@ func RunISP(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids []int,
 			}
 			switch {
 			case err != nil:
-				s.res.Errors++
-				next()
+				s.fail(err)
 			case throttle != nil:
 				throttle.Transfer(len(data), compare)
 			default:
@@ -167,7 +165,7 @@ func RunHostFlash(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids [
 		a := candidates[i]
 		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
 			if err != nil {
-				next()
+				s.fail(err)
 				return
 			}
 			// PCIe DMA to the host, then software compare.

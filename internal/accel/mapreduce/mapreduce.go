@@ -10,6 +10,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -148,6 +149,7 @@ func WordCount(c *core.Cluster, cfg Config) (*Result, error) {
 	// partition partials to the reducers over the integrated network.
 	const engines = 8
 	const window = 4
+	var readErr error
 	for n := 0; n < nodes; n++ {
 		n := n
 		node := c.Node(n)
@@ -158,6 +160,7 @@ func WordCount(c *core.Cluster, cfg Config) (*Result, error) {
 		sim.Lanes(cfg.PagesPerNode, engines*window, func(_, i int, next func()) {
 			a := core.LinearPage(c.Params, n, i)
 			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+				readErr = cmp.Or(readErr, err)
 				if err == nil {
 					// The map engine tokenizes at stream rate.
 					tokenize(data, func(w string) {
@@ -178,7 +181,9 @@ func WordCount(c *core.Cluster, cfg Config) (*Result, error) {
 		})
 	}
 	c.Run()
-
+	if readErr != nil {
+		return nil, fmt.Errorf("mapreduce: map read: %w", readErr)
+	}
 	for n := 0; n < nodes; n++ {
 		if received[n] != expect[n] {
 			return nil, fmt.Errorf("mapreduce: reducer node %d got %d of %d partials",

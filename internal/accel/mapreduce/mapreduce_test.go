@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/coretest"
+	"repro/internal/nand"
 	"repro/internal/workload"
 )
 
@@ -149,5 +150,25 @@ func TestWordCountTimingPinned(t *testing.T) {
 	if res.Elapsed != 229832 || res.BytesShuffled != 3176 || res.PagesMapped != 192 || words != 202163 {
 		t.Errorf("WordCount: elapsed %d ns, %d B shuffled, %d pages, %d words",
 			int64(res.Elapsed), res.BytesShuffled, res.PagesMapped, words)
+	}
+}
+
+// TestWordCountFailingReadFailsTheRun: a shard page that cannot be
+// read fails the job with the read's own error instead of returning
+// the counts of the pages that could. The job seeds its own input, so
+// the failure is planted by its page generator: starting node 1's
+// shard, it blanks node 0's first card, which node 0 has finished
+// writing.
+func TestWordCountFailingReadFailsTheRun(t *testing.T) {
+	c := mrCluster(t, 2)
+	gen := shardGen(77)
+	res, err := WordCount(c, Config{PagesPerNode: 24, Gen: func(node, idx int, page []byte) {
+		if node == 1 && idx == 0 {
+			c.Node(0).Card(0).Replace()
+		}
+		gen(node, idx, page)
+	}})
+	if !errors.Is(err, nand.ErrReadFree) || res != nil {
+		t.Fatalf("result %t, error %v; want no result and an error wrapping nand.ErrReadFree", res != nil, err)
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -93,6 +94,7 @@ func SearchISP(c *core.Cluster, nodeID, card int, f *rfs.File, needle []byte) (*
 	}
 	var all []int64
 	remaining := 0
+	var readErr error
 	start := c.Eng.Now()
 
 	for e := 0; e < engines; e++ {
@@ -118,11 +120,8 @@ func SearchISP(c *core.Cluster, nodeID, card int, f *rfs.File, needle []byte) (*
 		sim.Lanes(overlapEnd-firstPage, readWindow, func(_, i int, next func()) {
 			idx := firstPage + i
 			iface.ReadPhysical(addrs[idx], func(data []byte, err error) {
-				if err != nil {
-					// A failed page is skipped (its matches are lost);
-					// hardware would report it out of band.
-					sc.Reset(int64(idx+1) * int64(pageSize))
-				} else {
+				readErr = cmp.Or(readErr, err)
+				if err == nil {
 					// The MP engine scans at line rate: no extra time.
 					sc.Feed(data, func(pos int64) {
 						if pos >= segStart && pos < segLimit {
@@ -135,6 +134,9 @@ func SearchISP(c *core.Cluster, nodeID, card int, f *rfs.File, needle []byte) (*
 		}, func() { remaining-- })
 	}
 	c.Run()
+	if readErr != nil {
+		return nil, fmt.Errorf("search: ISP read: %w", readErr)
+	}
 	if remaining != 0 {
 		return nil, fmt.Errorf("search: %d engines never finished", remaining)
 	}

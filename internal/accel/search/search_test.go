@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
+	"repro/internal/nand"
 	"repro/internal/rfs"
 	"repro/internal/sim"
 )
@@ -467,5 +469,32 @@ func TestJunctionSingleByteNeedle(t *testing.T) {
 	}
 	if got := pat.JunctionMatches([]byte("q"), []byte("q"), 10); got != nil {
 		t.Fatalf("1-byte junction matches = %v", got)
+	}
+}
+
+// TestSearchISPFailingReadFailsTheRun: a file page that cannot be read
+// fails the search with the read's own error instead of returning the
+// matches of the pages that could.
+func TestSearchISPFailingReadFailsTheRun(t *testing.T) {
+	c, fs := searchCluster(t)
+	f, err := fs.Create("haystack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := haystackGen("BLUEDBM", 4, c.Params.PageSize())
+	buf := make([]byte, c.Params.PageSize())
+	for i := 0; i < 8; i++ {
+		gen(i, buf)
+		f.AppendPage(buf, func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		c.Run()
+	}
+	c.Node(0).Card(0).Replace() // every page of the file is free again
+	res, err := SearchISP(c, 0, 0, f, []byte("BLUEDBM"))
+	if !errors.Is(err, nand.ErrReadFree) || res != nil {
+		t.Fatalf("result %t, error %v; want no result and an error wrapping nand.ErrReadFree", res != nil, err)
 	}
 }

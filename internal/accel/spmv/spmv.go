@@ -13,6 +13,7 @@
 package spmv
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,8 +194,10 @@ func MultiplyISP(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, 
 	const window = 8
 	nnz := int64(0)
 	joined := false
+	var readErr error
 	sim.Lanes(len(addrs), engines*window, func(_, i int, next func()) {
 		node.ISPReadDirect(addrs[i], func(data []byte, err error) {
+			readErr = cmp.Or(readErr, err)
 			if err == nil {
 				if entries, derr := DecodePage(data); derr == nil {
 					// MAC units run at stream rate: no extra time.
@@ -208,6 +211,9 @@ func MultiplyISP(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr, 
 		})
 	}, func() { joined = true })
 	c.Run()
+	if readErr != nil {
+		return nil, fmt.Errorf("spmv: ISP read: %w", readErr)
+	}
 	if !joined {
 		return nil, fmt.Errorf("spmv: engines never finished")
 	}
@@ -247,9 +253,11 @@ func MultiplyHost(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr,
 	start := c.Eng.Now()
 	var nnz, toHost int64
 	joined := false
+	var readErr error
 	sim.Lanes(len(addrs), len(ths), func(lane, i int, next func()) {
 		a := addrs[i]
 		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			readErr = cmp.Or(readErr, err)
 			if err != nil {
 				next()
 				return
@@ -272,6 +280,9 @@ func MultiplyHost(c *core.Cluster, nodeID int, m *Matrix, addrs []core.PageAddr,
 		})
 	}, func() { joined = true })
 	c.Run()
+	if readErr != nil {
+		return nil, fmt.Errorf("spmv: host read: %w", readErr)
+	}
 	if !joined {
 		return nil, fmt.Errorf("spmv: host threads never finished")
 	}

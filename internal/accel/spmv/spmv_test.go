@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -215,5 +216,29 @@ func TestMultiplyTimingPinned(t *testing.T) {
 	if host.Elapsed != 3347192 || host.BytesToHost != 1540096 || vectorDigest(host.Y) != 0x79df1a3e4c512aae {
 		t.Errorf("MultiplyHost: elapsed %d ns, %d B to host, digest %#x",
 			int64(host.Elapsed), host.BytesToHost, vectorDigest(host.Y))
+	}
+}
+
+// TestMultiplyFailingReadFailsTheRun: a matrix page that cannot be
+// read fails the multiply with the read's own error, on both paths,
+// instead of returning a y with the missing rows' products left out.
+func TestMultiplyFailingReadFailsTheRun(t *testing.T) {
+	for _, path := range []string{"isp", "host"} {
+		c := spmvCluster(t)
+		m, addrs, err := BuildRandom(c, 0, 300, 200, 12, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, core.LinearPage(c.Params, 0, len(addrs))) // never written
+		x := denseVector(200, 4)
+		var res *Result
+		if path == "isp" {
+			res, err = MultiplyISP(c, 0, m, addrs, x)
+		} else {
+			res, err = MultiplyHost(c, 0, m, addrs, x, c.Node(0).CPU, 4)
+		}
+		if !errors.Is(err, nand.ErrReadFree) || res != nil {
+			t.Fatalf("%s: result %t, error %v; want no result and an error wrapping nand.ErrReadFree", path, res != nil, err)
+		}
 	}
 }

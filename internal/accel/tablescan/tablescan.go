@@ -15,6 +15,7 @@
 package tablescan
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -234,8 +235,10 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 	const window = 8
 	start := c.Eng.Now()
 	joined := false
+	var readErr error
 	sim.Lanes(len(pages), engines*window, func(_, i int, next func()) {
 		node.ISPReadDirect(pages[i], func(data []byte, err error) {
+			readErr = cmp.Or(readErr, err)
 			if err == nil {
 				had := len(res.Matches)
 				var rows int64
@@ -247,6 +250,9 @@ func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate)
 		})
 	}, func() { joined = true })
 	c.Run()
+	if readErr != nil {
+		return nil, fmt.Errorf("tablescan: ISP read: %w", readErr)
+	}
 	if !joined {
 		return nil, fmt.Errorf("tablescan: ISP engines never finished")
 	}
@@ -275,9 +281,11 @@ func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate
 	rowsPerPage := RecordsPerPage(c.Params.PageSize())
 	pageCost := sim.Time(rowsPerPage) * HostFilterCPUPerRow
 	joined := false
+	var readErr error
 	sim.Lanes(len(pages), len(ths), func(lane, i int, next func()) {
 		a := pages[i]
 		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			readErr = cmp.Or(readErr, err)
 			if err != nil {
 				next()
 				return
@@ -295,6 +303,9 @@ func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate
 		})
 	}, func() { joined = true })
 	c.Run()
+	if readErr != nil {
+		return nil, fmt.Errorf("tablescan: host read: %w", readErr)
+	}
 	if !joined {
 		return nil, fmt.Errorf("tablescan: host threads never finished")
 	}

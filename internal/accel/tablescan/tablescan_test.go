@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/coretest"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -359,5 +360,30 @@ func TestScanTimingPinned(t *testing.T) {
 	if host.Elapsed != 3677950 || host.Rows != 25400 || host.BytesToHost != 1638400 || matchDigest(host.Matches) != 0x924ea259e1979bd4 {
 		t.Errorf("ScanHost: elapsed %d ns, %d rows, %d B to host, digest %#x",
 			int64(host.Elapsed), host.Rows, host.BytesToHost, matchDigest(host.Matches))
+	}
+}
+
+// TestScanFailingReadFailsTheRun: a table page that cannot be read
+// fails the scan with the read's own error, on both paths, instead of
+// returning the rows of the pages that could.
+func TestScanFailingReadFailsTheRun(t *testing.T) {
+	const pages = 24
+	pred := Predicate{Col: ColB, Op: OpLT, Value: 5}
+	for _, path := range []string{"isp", "host"} {
+		c := scanCluster(t)
+		addrs, err := BuildTable(c, 0, pages, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, core.LinearPage(c.Params, 0, pages)) // never written
+		var res *Result
+		if path == "isp" {
+			res, err = ScanISP(c, 0, addrs, pred)
+		} else {
+			res, err = ScanHost(c, 0, addrs, pred, 4)
+		}
+		if !errors.Is(err, nand.ErrReadFree) || res != nil {
+			t.Fatalf("%s: result %t, error %v; want no result and an error wrapping nand.ErrReadFree", path, res != nil, err)
+		}
 	}
 }

@@ -20,9 +20,9 @@
 //     zero steady-state allocations by AllocsPerRun tests.
 //   - Dirty pages flush to the volume on the scheduler's Background
 //     class (ftl.TagFlush), admitted through the same urgency token
-//     budget as GC and rebuild: the cache reports dirty-page pressure
-//     via Volume.SetAuxUrgency, so flushing stays invisible to
-//     foreground latency until the dirty fraction climbs.
+//     budget as GC and rebuild: each node's cache reports dirty-page
+//     pressure through its own Volume.UrgencySource, so flushing stays
+//     invisible to foreground latency until the dirty fraction climbs.
 //   - Cross-node coherence rides invalidation messages on a dedicated
 //     fabric endpoint (InvalidateEP). Invalidations are broadcast when
 //     a write becomes flash-visible — at flush or write-through
@@ -162,7 +162,7 @@ type nodeCache struct {
 	used      int
 	dirty     int
 	flushing  int
-	lastUrg   float64
+	urg       func(u float64) // the node's cache urgency source
 
 	hitPool   sim.Pool[hitCtx]
 	fillPool  sim.Pool[fillCtx]
@@ -221,6 +221,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 			data:    make([]byte, cfg.CapacityPages*ca.ps),
 			index:   make(map[int64]int32, cfg.CapacityPages),
 			free:    make([]int32, 0, cfg.CapacityPages),
+			urg:     v.UrgencySource(n),
 		}
 		nc.hitPool.New = nc.newHitCtx
 		nc.wackPool.New = nc.newWackCtx
@@ -566,7 +567,7 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 	}
 	nc.misses++
 	if c.tier != nil && c.tier.has(lpn) {
-		//simlint:allow hotcall (cold edge: tier hit is the altstore miss path, device-latency bound, not the pinned DRAM hit path)
+		//simlint:allow hotpath (cold edge: tier hit is the altstore miss path, device-latency bound, not the pinned DRAM hit path)
 		c.tier.read(st, lpn, cb)
 		return
 	}
@@ -655,7 +656,7 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 		// Every frame pinned, dirty, or in flight: write through at
 		// the stream's class. Coherence still applies on completion.
 		nc.writeThroughs++
-		//simlint:allow hotcall (cold edge: write-through only runs when every frame is pinned or dirty; documented not alloc-free)
+		//simlint:allow hotpath (cold edge: write-through only runs when every frame is pinned or dirty; documented not alloc-free)
 		nc.writeThrough(st, key, data, cb)
 		return
 	}
@@ -713,7 +714,7 @@ func (nc *nodeCache) pumpFlush() {
 		// WriteBackground snapshots the frame synchronously, so later
 		// overwrites of the frame (which set redirty) cannot corrupt
 		// the in-flight flush payload.
-		//simlint:allow hotcall (cold edge: Background-class write-back rides flash program latency, off the foreground ack path)
+		//simlint:allow hotpath (cold edge: Background-class write-back rides flash program latency, off the foreground ack path)
 		c.v.WriteBackground(int(e.lpn), nc.frame(slot), fx.onDone)
 	}
 }
@@ -736,27 +737,16 @@ func (nc *nodeCache) nextDirty() int32 {
 	return -1
 }
 
-// pushUrgency maps the node's dirty fraction onto the volume's
-// auxiliary Background urgency: 0 at or below low water, 1 at or
-// above high water — flushing stays a trickle until dirty pressure
-// builds, then the scheduler's token budget opens up exactly as it
-// does for GC.
+// pushUrgency maps the node's dirty fraction onto its Background
+// urgency source: 0 at or below low water, 1 at or above high water —
+// flushing stays a trickle until dirty pressure builds, then the
+// scheduler's token budget opens up exactly as it does for GC.
 //
 //simlint:hotpath
 func (nc *nodeCache) pushUrgency() {
 	c := nc.c
-	p := (float64(nc.dirty+nc.flushing)/float64(len(nc.entries)) - c.cfg.FlushLowWater) /
-		(c.cfg.FlushHighWater - c.cfg.FlushLowWater)
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	if p == nc.lastUrg {
-		return
-	}
-	nc.lastUrg = p
-	c.v.SetAuxUrgency(nc.node, p)
+	nc.urg((float64(nc.dirty+nc.flushing)/float64(len(nc.entries)) - c.cfg.FlushLowWater) /
+		(c.cfg.FlushHighWater - c.cfg.FlushLowWater))
 }
 
 // --- invalidation -----------------------------------------------------

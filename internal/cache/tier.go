@@ -129,7 +129,7 @@ func (t *tier) touch(lpn int) {
 	t.seq++
 	t.touchSeq[lpn] = t.seq
 	if t.seq%t.cfg.ScanEvery == 0 {
-		//simlint:allow hotcall (cold edge: one scan batch per ScanEvery accesses; the scan itself is a documented cold path)
+		//simlint:allow hotpath (cold edge: one scan batch per ScanEvery accesses; the scan itself is a documented cold path)
 		t.scanBatch()
 	}
 }

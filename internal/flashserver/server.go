@@ -330,7 +330,7 @@ func (f *Iface) reject(op *pageOp, err error) {
 //simlint:hotpath
 func (f *Iface) issue(op *pageOp) {
 	op.credited = true
-	//simlint:allow hotcall (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
+	//simlint:allow hotpath (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
 	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr}); err != nil {
 		f.srv.complete(op, err)
 	}

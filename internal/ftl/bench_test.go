@@ -83,6 +83,10 @@ func relocationRig(tb testing.TB) (*harness, func()) {
 func TestRelocationAllocatesOnePage(t *testing.T) {
 	h, collect := relocationRig(t)
 	f := h.ftl
+	// One P, as in testing.AllocsPerRun: with more, the runtime may
+	// start an OS thread when ReadMemStats restarts the world, and a
+	// thread's records are mallocs the window would count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)

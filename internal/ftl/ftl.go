@@ -216,7 +216,7 @@ func (f *FTL) Read(lpn int, cb func(data []byte, err error)) {
 // drain (see doRead).
 func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	if lpn < 0 || lpn >= f.lpns {
-		//simlint:allow hotcall (error path: allocates only on an out-of-range read, which fails the op anyway)
+		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
@@ -295,7 +295,7 @@ func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
 //
 //simlint:hotpath
 func (f *FTL) read(op *flashOp) {
-	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
 	f.io.ReadPage(f.addrOf(op.ppn), op.tag, op.onRead)
 }
 
@@ -432,7 +432,7 @@ func (f *FTL) program(op *flashOp, ppn int) {
 	f.FlashPrograms++
 	op.ppn = ppn
 	f.GC.Units[f.blockOf(ppn)].Programs++
-	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
 	f.io.WritePage(f.addrOf(ppn), op.img, op.tag, op.onWrite)
 }
 

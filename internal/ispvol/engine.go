@@ -127,7 +127,7 @@ func (l *lane) reduced() {
 	if e.q == nil {
 		ref = e.refs[l.i]
 	}
-	//simlint:allow hotcall (the kernel's per-page reduction, an interface call)
+	//simlint:allow hotpath (the kernel's per-page reduction, an interface call)
 	if !e.p.scan(ref, l.data) {
 		e.failed++
 	}

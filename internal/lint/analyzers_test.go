@@ -32,12 +32,11 @@ func TestErrdrop(t *testing.T) {
 	linttest.Run(t, "testdata/errdrop", "internal/fixture", lint.Errdrop)
 }
 
-// The interprocedural analyzers. Hotcall runs alongside Hotpath so
-// annotated roots stay that analyzer's responsibility and the fixture
-// pins the division of labor; the CFG-based pair run alone.
+// The interprocedural analyzers: hotpath's walk over the call graph,
+// and the CFG-based pair.
 
 func TestHotcall(t *testing.T) {
-	linttest.Run(t, "testdata/hotcall", "internal/fixture", lint.Hotpath, lint.Hotcall)
+	linttest.Run(t, "testdata/hotcall", "internal/fixture", lint.Hotpath)
 }
 
 func TestPoolleak(t *testing.T) {

@@ -220,13 +220,13 @@ func (hc *hotChain) render() string {
 
 // hotReachable walks the call graph from every //simlint:hotpath
 // function and returns the reached set with its discovery chains
-// (breadth-first, so chains are shortest). allowEdge, when non-nil,
-// prunes audited-cold edges: it is consulted with each call site
-// before the edge propagates.
-func hotReachable(cg *callGraph, allowEdge func(pos token.Pos) bool) map[*cgNode]*hotChain {
+// (breadth-first, so chains are shortest). A call on a line an
+// audited //simlint:allow of m's check covers does not propagate.
+func hotReachable(m *ModulePass) map[*cgNode]*hotChain {
+	cg := m.Snap.CallGraph()
 	reached := map[*cgNode]*hotChain{}
 	var queue []*hotChain
-	// Deterministic root order: findings must not depend on map order.
+	// Deterministic root order: chains must not depend on map order.
 	var roots []*cgNode
 	for _, n := range cg.nodes {
 		if n.hot {
@@ -250,7 +250,7 @@ func hotReachable(cg *callGraph, allowEdge func(pos token.Pos) bool) map[*cgNode
 			if _, ok := reached[callee]; ok {
 				continue
 			}
-			if allowEdge != nil && allowEdge(e.pos) {
+			if m.sink.suppress(m.Analyzer.Name, cur.node.pkg.Fset.Position(e.pos)) {
 				continue // audited cold edge
 			}
 			hc := &hotChain{node: callee, parent: cur}

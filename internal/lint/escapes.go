@@ -3,9 +3,7 @@ package lint
 import (
 	"bytes"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -13,19 +11,17 @@ import (
 	"strings"
 )
 
-// Escapecheck cross-checks the AST-level hotpath/hotcall verdicts
-// against the real compiler's escape analysis. The AST analyzers see
-// syntactic allocation sources (literals, make, closures, boxing); the
-// compiler's `-gcflags=-m` output is ground truth about what actually
-// reaches the heap — including escapes the AST heuristics cannot see,
-// like a local whose address flows into a retained pointer.
+// Escapecheck cross-checks the hotpath walk against the real
+// compiler's escape analysis. The walk sees syntactic allocation
+// sources (literals, make, closures, boxing); the compiler's
+// `-gcflags=-m` output is ground truth about what actually reaches the
+// heap — including escapes the AST cannot see, like a local whose
+// address flows into a retained pointer.
 //
-// A finding is a heap allocation the compiler reports inside a
-// hotpath-reachable function (annotated //simlint:hotpath or reached
-// from one over the call graph) at a site where the AST suite saw
-// nothing: no hotpath/hotcall diagnostic at that file:line, suppressed
-// or not. Sites the AST suite already flags are skipped — one finding
-// per allocation, owned by the analyzer that explains it best.
+// A finding is a heap allocation the compiler reports on a line of a
+// function in hotpath's hot set that the walk did not see: the walk
+// neither flagged it (audited or not) nor exempted it under panic. One
+// finding per allocation, owned by the check that explains it best.
 //
 // Escapecheck is not part of Analyzers(): it needs compiler output, so
 // it runs only through `cmd/simlint -escapes` (the Escapes function
@@ -35,7 +31,7 @@ import (
 // `//simlint:allow escapecheck (reason)` on the allocation line.
 var Escapecheck = &Analyzer{
 	Name: "escapecheck",
-	Doc:  "compiler-reported heap allocation in a hotpath-reachable function the AST analyzers did not see",
+	Doc:  "compiler-reported heap allocation in a hotpath-reachable function the hotpath walk did not see",
 }
 
 // An EscapeSite is one heap-allocation decision parsed from
@@ -87,113 +83,28 @@ func isHeapDecision(msg string) bool {
 		strings.HasPrefix(msg, "moved to heap:")
 }
 
-// EscapeCheck diffs the compiler's escape sites against the AST
-// analyzers' hotpath verdicts over one snapshot, returning the sorted
-// escapecheck findings: compiler-visible heap allocations in
-// hot-reachable functions that no AST-level diagnostic covers.
+// EscapeCheck reads the compiler's escape sites against the hotpath
+// walk over one snapshot, returning the sorted escapecheck findings:
+// compiler-visible heap allocations in hot functions that the walk did
+// not see.
 func EscapeCheck(snap *Snapshot, sites []EscapeSite) []Diagnostic {
 	rs := newRunState([]*Analyzer{Escapecheck})
-	for _, pkg := range snap.Pkgs {
-		for _, f := range pkg.Files {
-			rs.collectDirectives(pkg.Fset, f)
-		}
-	}
-
-	// The AST view: run hotpath+hotcall into a scratch sink with NO
-	// directives collected, so even suppressed findings register. A
-	// site the AST suite flagged — or that a reviewer already audited
-	// with //simlint:allow hotpath — is "seen": escapecheck only
-	// reports what slipped past the AST entirely.
-	scratch := newRunState([]*Analyzer{Hotpath, Hotcall})
-	for _, pkg := range snap.Pkgs {
-		Hotpath.Run(&Pass{Analyzer: Hotpath, Fset: pkg.Fset, Files: pkg.Files,
-			Pkg: pkg.Types, Info: pkg.Info, RelPath: pkg.RelPath, sink: scratch})
-	}
-	Hotcall.RunModule(&ModulePass{Analyzer: Hotcall, Snap: snap, sink: scratch})
-	astSeen := map[string]bool{}
-	for _, d := range scratch.diags {
-		astSeen[lineKey(d.Pos.Filename, d.Pos.Line)] = true
-	}
-
-	// The hot function set: annotated roots plus everything reachable,
-	// pruning the same audited-cold edges hotcall prunes.
-	cg := snap.CallGraph()
-	allowEdge := func(pos token.Pos) bool {
-		n := nodeAt(cg, pos)
-		if n == nil {
-			return false
-		}
-		return rs.suppress(Hotcall.Name, n.pkg.Fset.Position(pos))
-	}
-	reached := hotReachable(cg, allowEdge)
-
-	// Index hot declaration ranges by file for site lookup, and the
-	// lines spanned by panic calls: the AST suite exempts allocations
-	// on dying paths, so the cross-check holds the compiler's view to
-	// the same rule (a panic's fmt.Sprintf argument always escapes,
-	// and the process is gone before it matters).
-	type declRange struct {
-		start, end int
-		name       string
-	}
-	hotRanges := map[string][]declRange{}
-	panicLines := map[string]map[int]bool{}
-	for n := range reached {
-		pos := n.pkg.Fset.Position(n.decl.Pos())
-		end := n.pkg.Fset.Position(n.decl.End())
-		hotRanges[pos.Filename] = append(hotRanges[pos.Filename], declRange{
-			start: pos.Line, end: end.Line, name: n.name(),
-		})
-		ast.Inspect(n.decl, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || id.Name != "panic" {
-				return true
-			}
-			if _, builtin := n.pkg.Info.Uses[id].(*types.Builtin); !builtin {
-				return true
-			}
-			pl := panicLines[pos.Filename]
-			if pl == nil {
-				pl = map[int]bool{}
-				panicLines[pos.Filename] = pl
-			}
-			for l := n.pkg.Fset.Position(call.Pos()).Line; l <= n.pkg.Fset.Position(call.End()).Line; l++ {
-				pl[l] = true
-			}
-			return true
-		})
-	}
-
+	rs.collectAll(snap)
+	hot := walkHot(&ModulePass{Analyzer: Hotpath, Snap: snap, sink: rs}, false)
 	for _, site := range sites {
 		file := site.File
 		if !filepath.IsAbs(file) && snap.Root != "" {
 			file = filepath.Join(snap.Root, file)
 		}
-		var owner string
-		for _, r := range hotRanges[file] {
-			if site.Line >= r.start && site.Line <= r.end {
-				owner = r.name
-				break
-			}
-		}
-		if owner == "" {
-			continue // cold code: the compiler may allocate freely
-		}
-		if panicLines[file][site.Line] {
-			continue // dying path: exempt, like the AST suite
-		}
-		if astSeen[lineKey(file, site.Line)] {
-			continue // the AST suite already owns this site
+		key := lineKey(file, site.Line)
+		owner, hotLine := hot.owner[key]
+		if !hotLine || hot.seen[key] {
+			continue // cold code, or the walk already owns this site
 		}
 		rs.reportAt(Escapecheck.Name,
 			token.Position{Filename: file, Line: site.Line, Column: site.Col},
 			"compiler escape analysis: %s in hotpath-reachable %s, unseen by the AST analyzers", site.Msg, owner)
 	}
-
 	rs.finishUnused()
 	sortDiags(rs.diags)
 	return rs.diags

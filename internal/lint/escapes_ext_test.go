@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 // TestParseEscapes pins the -m diagnostic filter: positive heap
@@ -42,12 +41,15 @@ func TestParseEscapes(t *testing.T) {
 
 // TestEscapeCheck drives the cross-check against the hotcall fixture
 // with synthetic compiler decisions: a heap decision in a
-// hot-reachable function at an AST-unseen line is the one finding; a
-// line the AST suite already flags, a cold function, a panic line and
-// an audited line all stay silent.
+// hot-reachable function at a line the hotpath walk did not see is the
+// one finding; a line the walk flags, a cold function, a panic line
+// and an audited line all stay silent.
 func TestEscapeCheck(t *testing.T) {
-	pkg := linttest.Load(t, "testdata/hotcall", "internal/fixture")
-	snap := &lint.Snapshot{Pkgs: []*lint.Package{pkg}}
+	snap, err := lint.LoadFixture("testdata/hotcall", "repro", "internal/fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := snap.Pkgs[len(snap.Pkgs)-1]
 
 	file := pkg.Fset.Position(pkg.Files[0].Pos()).Filename
 	src, err := os.ReadFile(file)
@@ -67,7 +69,7 @@ func TestEscapeCheck(t *testing.T) {
 	sites := []lint.EscapeSite{
 		// AST-unseen escape in a hot-reachable function: the finding.
 		{File: file, Line: lineOf("// escapes:unseen"), Col: 2, Msg: "moved to heap: s"},
-		// The AST suite already owns this allocation (hotcall flags it).
+		// The walk already owns this allocation (hotpath flags it).
 		{File: file, Line: lineOf("s.buf = make([]byte, 8)"), Col: 8, Msg: "make([]byte, 8) escapes to heap"},
 		// Cold function: the compiler may allocate freely.
 		{File: file, Line: lineOf("return make([]byte, 1<<20)"), Col: 9, Msg: "make([]byte, 1 << 20) escapes to heap"},

@@ -7,12 +7,14 @@ import (
 	"strings"
 )
 
-// Hotpath flags AST-visible allocation sources inside functions
-// annotated with a `//simlint:hotpath` doc-comment line. The sim
-// package's AllocsPerRun tests pin a handful of call sites at zero
-// allocations; the annotation turns that point coverage into surface
-// coverage — every edit to an annotated function is checked against
-// the whole catalogue of things that allocate:
+// Hotpath keeps hot paths allocation-free. The hot set is every
+// function annotated with a `//simlint:hotpath` doc-comment line plus
+// every function reachable from one over the module call graph
+// (callgraph.go): an allocation hidden one helper down is exactly as
+// hot as one written inline. The sim package's AllocsPerRun tests pin
+// a handful of call sites at zero allocations; the walk turns that
+// point coverage into surface coverage, checking every hot function
+// once against the whole catalogue of things that allocate:
 //
 //   - &T{...} and slice/map composite literals
 //   - make and new
@@ -21,6 +23,12 @@ import (
 //   - fmt.* calls (formatting allocates)
 //   - implicit or explicit conversion of a non-pointer value to an
 //     interface (boxing)
+//
+// A finding in an annotated function reports the allocation alone; one
+// in a reached function carries the call chain from its root:
+//
+//	hot call chain sched.Retrier.Read → sched.Retrier.admit:
+//	make allocates in hot path
 //
 // Recycled-buffer appends are recognized and allowed: appending to a
 // resliced buffer (`append(buf[:0], ...)`), growing a persistent
@@ -31,30 +39,20 @@ import (
 // call is exempt — the process is dying, allocation is moot.
 //
 // Genuinely-amortized growth paths that the heuristics cannot see
-// (pool refills, ring doubling) carry an audited
-// `//simlint:allow hotpath (reason)`.
+// (pool refills, ring doubling) and genuinely cold call sites (a
+// slow-path interface used only at setup; interface calls fan out to
+// every in-module implementation) carry an audited
+// `//simlint:allow hotpath (reason)`. It covers its line both ways:
+// the allocation there is audited, and the calls there drop out of hot
+// propagation, so the reason should account for both.
 var Hotpath = &Analyzer{
-	Name: "hotpath",
-	Doc:  "allocation source in a //simlint:hotpath function",
-	Run:  runHotpath,
+	Name:      "hotpath",
+	Doc:       "allocation source in a //simlint:hotpath function or one it reaches",
+	RunModule: func(m *ModulePass) { walkHot(m, true) },
 }
 
 // hotpathMarker is the doc-comment line that opts a function in.
 const hotpathMarker = "simlint:hotpath"
-
-func runHotpath(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpathAnnotated(fd) {
-				continue
-			}
-			h := &hotpathWalk{p: p, fn: fd}
-			h.allowedAppends = recycledAppends(p, fd.Body)
-			h.walk(fd.Body)
-		}
-	}
-}
 
 func isHotpathAnnotated(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
@@ -69,18 +67,59 @@ func isHotpathAnnotated(fd *ast.FuncDecl) bool {
 	return false
 }
 
+// hotSet is what one walk of the hot set saw, by file:line: the hot
+// function each line of a hot body belongs to, and every line the walk
+// flagged (audited or not) or exempted under panic. Escapecheck reads
+// the compiler's heap sites against it.
+type hotSet struct {
+	owner map[string]string
+	seen  map[string]bool
+}
+
+// walkHot walks every function of the hot set once, reporting its
+// findings when emit is set. Audited call lines prune the set.
+func walkHot(m *ModulePass, emit bool) *hotSet {
+	hs := &hotSet{owner: map[string]string{}, seen: map[string]bool{}}
+	for n, hc := range hotReachable(m) {
+		h := &hotpathWalk{p: m.Pass(n.pkg), set: hs, emit: emit}
+		if !n.hot {
+			h.chain = "hot call chain " + hc.render() + ": "
+		}
+		start, end := h.p.Fset.Position(n.decl.Pos()), h.p.Fset.Position(n.decl.End())
+		for l := start.Line; l <= end.Line; l++ {
+			hs.owner[lineKey(start.Filename, l)] = n.name()
+		}
+		h.allowedAppends = recycledAppends(h.p, n.decl.Body)
+		h.walk(n.decl.Body)
+	}
+	return hs
+}
+
 type hotpathWalk struct {
 	p              *Pass
-	fn             *ast.FuncDecl
+	set            *hotSet
+	emit           bool
 	allowedAppends map[*ast.CallExpr]bool
-	// chain prefixes every finding when the walk runs on behalf of
-	// hotcall: the rendered call chain from the annotated root.
+	// chain prefixes every finding in a reached function: the
+	// rendered call chain from the annotated root.
 	chain string
 }
 
-// report prefixes the hotcall chain (when present) onto the finding.
+// see marks the lines from pos to end seen.
+func (h *hotpathWalk) see(pos, end token.Pos) {
+	from, to := h.p.Fset.Position(pos), h.p.Fset.Position(end)
+	for l := from.Line; l <= to.Line; l++ {
+		h.set.seen[lineKey(from.Filename, l)] = true
+	}
+}
+
+// report sees the finding's line and reports it, chain first, when
+// the walk emits.
 func (h *hotpathWalk) report(pos token.Pos, format string, args ...any) {
-	h.p.Reportf(pos, h.chain+format, args...)
+	h.see(pos, pos)
+	if h.emit {
+		h.p.Reportf(pos, h.chain+format, args...)
+	}
 }
 
 // walk inspects the body, skipping panic arguments and the interiors
@@ -119,7 +158,8 @@ func (h *hotpathWalk) call(call *ast.CallExpr) bool {
 	if id, ok := call.Fun.(*ast.Ident); ok && isBuiltin(h.p, id) {
 		switch id.Name {
 		case "panic":
-			return false // dying: allocations on the way out are moot
+			h.see(call.Pos(), call.End()) // dying: allocations on the way out are moot
+			return false
 		case "make":
 			h.report(call.Pos(), "make allocates in hot path")
 		case "new":

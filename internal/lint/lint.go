@@ -7,40 +7,46 @@
 // weakest `for k := range someMap` or stray time.Now(): either one
 // silently breaks identical event order across runs, and the failure
 // shows up weeks later as a golden-digest mismatch nobody can bisect.
-// The analyzers here turn each such class into a build break:
+// The analyzers here turn each such class into a build break. Each
+// entry names the one real bug it has caught, or says none is recorded:
 //
 //	maprange       order-dependent iteration over Go maps in the
 //	               deterministic core (map iteration order is
-//	               randomized per run)
+//	               randomized per run); caught rfs CheckInvariants
+//	               walking backrefs in map order, so its first error
+//	               changed from run to run (PR 7)
 //	walltime       wall-clock time and global math/rand in simulation
 //	               packages (virtual time comes from sim.Engine,
-//	               randomness from sim.RNG)
+//	               randomness from sim.RNG); none recorded
 //	noconcurrency  go statements, channel operations and sync
 //	               primitives inside the single-threaded core, where
-//	               concurrency can only mean nondeterminism
-//	hotpath        AST-visible allocation sources inside functions
-//	               annotated //simlint:hotpath (the alloc-free
-//	               surfaces pinned by the sim AllocsPerRun tests)
-//	errdrop        discarded error results in internal/ (the bug
-//	               class PR 5 fixed by hand in the graph walker)
-//	hotcall        allocation sources in UN-annotated functions that
-//	               are transitively reachable from a //simlint:hotpath
-//	               function over the module call graph — findings
-//	               report the full call chain, and interface calls
-//	               fan out to every in-module implementation
+//	               concurrency can only mean nondeterminism; none
+//	               recorded
+//	hotpath        allocation sources in the hot set: functions
+//	               annotated //simlint:hotpath and every function the
+//	               module call graph reaches from them, whose findings
+//	               carry the call chain; caught volume.mirrorWrite's
+//	               two closures and one struct per mirrored write and
+//	               hostmodel.Thread's closure per work item (PR 10)
+//	errdrop        discarded error results in internal/; caught the
+//	               hostif DeviceWriteChunk and ReleaseReadBuffer errors
+//	               dropped at all 16 production call sites (PR 7)
 //	poolleak       pooled objects (declared //simlint:pool get=F put=G
 //	               on the pool type) acquired but neither released nor
-//	               handed off on some path, including error paths
+//	               handed off on some path, including error paths; none
+//	               recorded (PR 19's planted leaks were all found)
 //	oncedone       completion callbacks declared //simlint:once that
 //	               some path invokes zero times (a hang) or more than
-//	               once (the over-grant/double-completion bug class)
+//	               once (the over-grant/double-completion bug class);
+//	               none recorded
 //	unused         exported names that no non-test code references,
 //	               in the module or in a module nested under it
-//	               (bench/): test-only code belongs in test files
+//	               (bench/); its first run found 41 dead exported
+//	               names, deleted (PR 32)
 //	escapecheck    (driver mode, cmd/simlint -escapes) heap
 //	               allocations the real compiler reports via
-//	               -gcflags=-m inside hotpath-reachable functions
-//	               that the AST-level analyzers did not see
+//	               -gcflags=-m on hot-set lines that the hotpath walk
+//	               did not see; none recorded
 //
 // A true finding is fixed; an intended exception is suppressed with an
 // audited comment on the offending line or the line above — directives
@@ -57,13 +63,15 @@
 // The framework is deliberately self-contained on the standard
 // library's go/ast and go/types (the usual golang.org/x/tools
 // go/analysis machinery is not vendored here); cmd/simlint is the
-// driver, and Lint in this package is the embeddable entry point the
+// driver, and Snapshot.Run in this package is the entry point the
 // repo's own tests use to keep `go test ./...` as strict as CI.
 //
 // The module is loaded and type-checked exactly once per run: a
 // Snapshot carries the loaded packages plus lazily-built shared
 // infrastructure (the call graph), and every analyzer — per-package or
-// module-wide — runs over that one snapshot.
+// module-wide — runs over that one snapshot. Every load of a process
+// shares one file set and one source importer for the standard
+// library, which is type-checked once.
 package lint
 
 import (
@@ -98,7 +106,7 @@ type Analyzer struct {
 // through cmd/simlint -escapes (or Escapes in this package).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{Maprange, Walltime, Noconcurrency, Hotpath, Errdrop,
-		Hotcall, Poolleak, Oncedone, Unused}
+		Poolleak, Oncedone, Unused}
 }
 
 // knownChecks returns every valid //simlint:allow check name,
@@ -151,14 +159,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Check:   p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// Allowed reports whether a //simlint:allow directive for check covers
-// pos (same line or the line above), marking it used. Module analyzers
-// use it to honor audited escape hatches at positions that never reach
-// Reportf — e.g. a cold virtual call edge pruned from hot propagation.
-func (p *Pass) Allowed(check string, pos token.Pos) bool {
-	return p.sink.suppress(check, p.Fset.Position(pos))
 }
 
 // TypeOf is a nil-safe Info.TypeOf.
@@ -275,6 +275,15 @@ func (rs *runState) collectDirectives(fset *token.FileSet, f *ast.File) {
 	}
 }
 
+// collectAll indexes the directives of every file of the snapshot.
+func (rs *runState) collectAll(s *Snapshot) {
+	for _, pkg := range s.Pkgs {
+		for _, f := range pkg.Files {
+			rs.collectDirectives(pkg.Fset, f)
+		}
+	}
+}
+
 // suppress reports whether a directive allows this check at this
 // position — marking it used. A directive covers its own line and, so
 // directives can stack when one line trips several checks, the code
@@ -334,9 +343,9 @@ type Snapshot struct {
 	// Pkgs are the loaded module packages in dependency order.
 	Pkgs []*Package
 
-	cg      *callGraph     // built on first use, shared by hotcall + escapecheck
-	imp     *chainImporter // the loader's; nil for synthetic snapshots
-	partial bool           // loaded from patterns other than ./...
+	cg      *callGraph    // built on first use, shared by hotpath + escapecheck
+	imp     chainImporter // the loader's; nil for fixture snapshots
+	partial bool          // loaded from patterns other than ./...
 }
 
 // LoadSnapshot loads the packages matching patterns under the module
@@ -344,7 +353,7 @@ type Snapshot struct {
 // package filenames are absolute, and the -escapes cross-check joins
 // compiler-relative paths against Root to match them.
 func LoadSnapshot(root string, patterns ...string) (*Snapshot, error) {
-	imp := newChainImporter()
+	imp := chainImporter{}
 	pkgs, err := load(root, patterns, imp)
 	if err != nil {
 		return nil, err
@@ -371,11 +380,7 @@ func (s *Snapshot) CallGraph() *callGraph {
 // are reported at the end.
 func (s *Snapshot) Run(analyzers []*Analyzer) []Diagnostic {
 	rs := newRunState(analyzers)
-	for _, pkg := range s.Pkgs {
-		for _, f := range pkg.Files {
-			rs.collectDirectives(pkg.Fset, f)
-		}
-	}
+	rs.collectAll(s)
 	for _, pkg := range s.Pkgs {
 		for _, a := range analyzers {
 			if a.Run == nil {
@@ -420,10 +425,4 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// Run executes the analyzers over pre-loaded packages (the fixture
-// path used by linttest). Equivalent to wrapping them in a Snapshot.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return (&Snapshot{Pkgs: pkgs}).Run(analyzers)
 }

@@ -10,8 +10,10 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -66,49 +68,39 @@ func goList(root string, patterns []string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
-// chainImporter resolves module-local imports from the load's own
-// type-checked cache and everything else (the standard library) from
-// the source importer, so the whole load needs no compiled export
-// data — it works on a bare checkout with only the go toolchain. The
-// files it parses are positioned in fset.
-type chainImporter struct {
-	fset     *token.FileSet
-	local    map[string]*types.Package
-	fallback types.ImporterFrom
-}
+// stdFset and stdImporter are shared by every load of the process:
+// the standard library is type-checked from source once, and every
+// package any load parses is positioned in the one file set. Loads run
+// one at a time (simlint and its tests load from one goroutine).
+var (
+	stdFset     = token.NewFileSet()
+	stdImporter = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
+)
 
-func newChainImporter() *chainImporter {
-	fset := token.NewFileSet()
-	return &chainImporter{
-		fset:     fset,
-		local:    map[string]*types.Package{},
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
-}
+// chainImporter resolves module-local imports from the packages its
+// loads have type-checked and everything else (the standard library)
+// from stdImporter, so a load needs no compiled export data — it works
+// on a bare checkout with only the go toolchain.
+type chainImporter map[string]*types.Package
 
-func (c *chainImporter) Import(path string) (*types.Package, error) {
+func (c chainImporter) Import(path string) (*types.Package, error) {
 	return c.ImportFrom(path, "", 0)
 }
 
-func (c *chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p, ok := c.local[path]; ok {
+func (c chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := c[path]; ok {
 		return p, nil
 	}
-	return c.fallback.ImportFrom(path, dir, mode)
+	return stdImporter.ImportFrom(path, dir, mode)
 }
 
-// Load lists, parses, and type-checks every package matching patterns
+// load lists, parses and type-checks every package matching patterns
 // in the module rooted at root, in dependency order, and returns the
-// ones inside the module.
-func Load(root string, patterns ...string) ([]*Package, error) {
-	return load(root, patterns, newChainImporter())
-}
-
-// load is Load through imp, which keeps every package it has
+// ones inside the module. imp keeps every package it has
 // type-checked: a module loaded later through the same importer (a
 // nested module that imports this one) refers to the very objects the
-// first load made, and the standard library is checked once.
-func load(root string, patterns []string, imp *chainImporter) ([]*Package, error) {
+// first load made.
+func load(root string, patterns []string, imp chainImporter) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -126,7 +118,7 @@ func load(root string, patterns []string, imp *chainImporter) ([]*Package, error
 		byPath[p.ImportPath] = p
 	}
 	// Topological order over module-local imports, so each package's
-	// dependencies are in the local cache before it type-checks.
+	// dependencies are in the importer before it type-checks.
 	var order []*listedPkg
 	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
 	var visit func(p *listedPkg) error
@@ -157,11 +149,15 @@ func load(root string, patterns []string, imp *chainImporter) ([]*Package, error
 
 	var out []*Package
 	for _, lp := range order {
-		pkg, err := check(imp.fset, imp, lp)
-		if err != nil {
+		pkg := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir}
+		for _, name := range lp.GoFiles {
+			if err := pkg.parse(filepath.Join(lp.Dir, name)); err != nil {
+				return nil, err
+			}
+		}
+		if err := imp.check(pkg); err != nil {
 			return nil, err
 		}
-		imp.local[lp.ImportPath] = pkg.Types
 		if lp.Module != nil {
 			pkg.RelPath = strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, lp.Module.Path), "/")
 			out = append(out, pkg)
@@ -170,19 +166,77 @@ func load(root string, patterns []string, imp *chainImporter) ([]*Package, error
 	return out, nil
 }
 
-// check parses and type-checks one listed package. Only GoFiles are
-// loaded: test files never reach the analyzers, which is what scopes
-// every check to non-test code.
-func check(fset *token.FileSet, imp types.ImporterFrom, lp *listedPkg) (*Package, error) {
-	files := make([]*ast.File, 0, len(lp.GoFiles))
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
+// LoadFixture loads a package tree that go list does not see (a
+// testdata fixture) as if it sat at relPath in the module modPath: dir
+// is the package at relPath, and each subdirectory of dir one more, at
+// relPath plus its name, which dir may import. The module packages the
+// tree imports are loaded through go list and come first in the
+// snapshot, then the subdirectories in name order, then dir.
+func LoadFixture(dir, modPath, relPath string) (*Snapshot, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var fixtures []*Package
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() {
+			fixtures = append(fixtures, &Package{Dir: filepath.Join(dir, e.Name()), RelPath: relPath + "/" + e.Name()})
+		}
+	}
+	fixtures = append(fixtures, &Package{Dir: dir, RelPath: relPath})
+	var deps []string
+	for _, p := range fixtures {
+		p.ImportPath = modPath + "/" + p.RelPath
+		names, _ := filepath.Glob(filepath.Join(p.Dir, "*.go")) // the pattern is well formed
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			if err := p.parse(name); err != nil {
+				return nil, err
+			}
+		}
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if strings.HasPrefix(path, modPath+"/") && !strings.HasPrefix(path+"/", modPath+"/"+relPath+"/") {
+					deps = append(deps, path)
+				}
+			}
+		}
+	}
+	imp := chainImporter{}
+	var pkgs []*Package
+	if len(deps) > 0 {
+		if pkgs, err = load(dir, deps, imp); err != nil {
 			return nil, err
 		}
-		files = append(files, f)
 	}
-	info := &types.Info{
+	for _, p := range fixtures {
+		if err := imp.check(p); err != nil {
+			return nil, err
+		}
+	}
+	return &Snapshot{Pkgs: append(pkgs, fixtures...)}, nil
+}
+
+// parse adds one file to the package. The loaders pass non-test files
+// only: test files never reach the analyzers, which is what scopes
+// every check to non-test code.
+func (p *Package) parse(name string) error {
+	f, err := parser.ParseFile(stdFset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	p.Fset = stdFset
+	p.Files = append(p.Files, f)
+	return nil
+}
+
+// check type-checks one parsed package through imp, which then
+// resolves it for the packages that import it.
+func (imp chainImporter) check(p *Package) error {
+	p.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -190,16 +244,11 @@ func check(fset *token.FileSet, imp types.ImporterFrom, lp *listedPkg) (*Package
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, stdFset, p.Files, p.Info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %v", lp.ImportPath, err)
+		return fmt.Errorf("lint: type-checking %s: %v", p.ImportPath, err)
 	}
-	return &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	p.Types = tpkg
+	imp[p.ImportPath] = tpkg
+	return nil
 }

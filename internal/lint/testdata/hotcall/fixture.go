@@ -1,7 +1,7 @@
-// Fixture for the hotcall analyzer: allocations one or two helpers
-// below a //simlint:hotpath root are findings carrying the full call
-// chain; interface dispatch fans out to every in-module
-// implementation; an audited //simlint:allow hotcall prunes a cold
+// Fixture for hotpath's walk over the call graph: allocations one or
+// two helpers below a //simlint:hotpath root are findings carrying the
+// full call chain; interface dispatch fans out to every in-module
+// implementation; an audited //simlint:allow hotpath prunes a cold
 // edge, and the same directive on an allocation line inside a reached
 // function audits that single site.
 package fixture
@@ -21,11 +21,11 @@ func hotRoot(s *sink) {
 
 func helper(s *sink) {
 	deeper(s)
-	s.buf = make([]byte, 8) // want `hotcall: hot call chain fixture.hotRoot → fixture.helper: make allocates in hot path`
+	s.buf = make([]byte, 8) // want `hotpath: hot call chain fixture.hotRoot → fixture.helper: make allocates in hot path`
 }
 
 func deeper(s *sink) {
-	s.tmp = []int{1} // want `hotcall: hot call chain fixture.hotRoot → fixture.helper → fixture.deeper: slice literal allocates in hot path`
+	s.tmp = []int{1} // want `hotpath: hot call chain fixture.hotRoot → fixture.helper → fixture.deeper: slice literal allocates in hot path`
 }
 
 // --- interface fan-out ------------------------------------------------
@@ -37,13 +37,13 @@ type device interface {
 type devA struct{ log []int }
 
 func (d *devA) put(n int) {
-	d.log = make([]int, n) // want `hotcall: hot call chain fixture.dispatch → fixture.devA.put: make allocates in hot path`
+	d.log = make([]int, n) // want `hotpath: hot call chain fixture.dispatch → fixture.devA.put: make allocates in hot path`
 }
 
 type devB struct{ sum *int }
 
 func (d *devB) put(n int) {
-	d.sum = new(int) // want `hotcall: hot call chain fixture.dispatch → fixture.devB.put: new allocates in hot path`
+	d.sum = new(int) // want `hotpath: hot call chain fixture.dispatch → fixture.devB.put: new allocates in hot path`
 }
 
 //simlint:hotpath
@@ -55,7 +55,7 @@ func dispatch(d device, n int) {
 
 //simlint:hotpath
 func hotWithColdEdge(s *sink) {
-	//simlint:allow hotcall (fixture: setup-only slow path, never on the per-op path)
+	//simlint:allow hotpath (fixture: setup-only slow path, never on the per-op path)
 	coldSetup(s)
 }
 
@@ -74,7 +74,7 @@ func hotGrowth(s *sink) {
 }
 
 func grow(s *sink) {
-	//simlint:allow hotcall (fixture: amortized doubling, demonstrates a single-site audit in a reached function)
+	//simlint:allow hotpath (fixture: amortized doubling, demonstrates a single-site audit in a reached function)
 	s.tmp = make([]int, len(s.tmp)*2)
 }
 

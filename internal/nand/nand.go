@@ -76,7 +76,7 @@ func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 func (g Geometry) PageImage(data []byte) []byte {
 	// make+copy of plain variables compiles to one allocate-and-copy
 	// that zeroes nothing.
-	//simlint:allow hotcall (the page image itself: the one payload allocation of a program, made here and nowhere else)
+	//simlint:allow hotpath (the page image itself: the one payload allocation of a program, made here and nowhere else)
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	return buf
@@ -397,7 +397,7 @@ func (c *Card) check(cs *chipState, cmd *command) error {
 //
 //simlint:hotpath
 func (c *Card) start(cs *chipState, cmd command) {
-	//simlint:allow hotcall (error paths: check allocates only the error of a command that fails anyway)
+	//simlint:allow hotpath (error paths: check allocates only the error of a command that fails anyway)
 	if err := c.check(cs, &cmd); err != nil {
 		c.finish(cs, &cmd, err)
 		return
@@ -451,7 +451,7 @@ func (c *Card) cellDone(cs *chipState) {
 			raw := make([]byte, c.geo.StoredPageSize())
 			copy(raw, stored)
 			if len(stored) == c.geo.PageSize {
-				//simlint:allow hotcall (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
+				//simlint:allow hotpath (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
 				c.fillCheckBytes(idx, raw)
 			}
 			c.applyFlips(raw, flips, s)
@@ -465,7 +465,7 @@ func (c *Card) cellDone(cs *chipState) {
 		if c.sums != nil {
 			c.sums[idx].image = cmd.sum
 			c.verify(idx, "program")
-			//simlint:allow hotcall (the image guard, a test-only debugging aid)
+			//simlint:allow hotpath (the image guard, a test-only debugging aid)
 			c.sums[idx].check = c.encodeEagerly(idx)
 		}
 		cs.nextPage[a.Block]++
@@ -726,8 +726,9 @@ func (c *Card) checkImage(idx int, op string) error {
 	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx].image {
 		return nil
 	}
+	a := c.AddrOf(idx)
 	//simlint:allow hotpath (debug guard tripped: the run ends here)
-	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, c.AddrOf(idx), op)
+	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, a, op)
 }
 
 // verify fails the operation that finds a stored image changed.

@@ -72,8 +72,8 @@ type Reclaimer struct {
 	// Free is the layer's free-unit count. The layer keeps it current
 	// and calls Urgent when it changes.
 	Free int
-	// Urgent fires when Free changes and when a pass starts or ends
-	// (the layer above feeds Urgency into its scheduler). It is never nil.
+	// Urgent fires when Free changes (the layer above feeds Urgency
+	// into its scheduler). It is never nil.
 	Urgent func()
 	// Pick, when set, names the victim of the pass about to start, or
 	// returns -1 to leave it to the greedy rule.
@@ -146,7 +146,6 @@ func (r *Reclaimer) Hold(retry func()) bool {
 			r.queue = append(r.queue, retry)
 			r.Passes++
 			r.p = pass{on: true, victim: v}
-			r.Urgent()
 			r.Wake()
 			return true
 		}
@@ -265,7 +264,6 @@ func (r *Reclaimer) erased(err error) {
 // rest behind it.
 func (r *Reclaimer) finish() {
 	r.p = pass{}
-	r.Urgent()
 	ops := r.queue
 	r.queue, r.spare = r.spare[:0], nil
 	for i, op := range ops {

@@ -93,6 +93,10 @@ func TestPageOpsAllocate(t *testing.T) {
 // TestOverwriteUnderGCAllocatesNothing.
 func TestCleanMoveAllocatesNothing(t *testing.T) {
 	c, fs, f, collect := cleanRig(t)
+	// One P, as in testing.AllocsPerRun: with more, the runtime may
+	// start an OS thread when ReadMemStats restarts the world, and a
+	// thread's records are mallocs the window would count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)

@@ -102,8 +102,7 @@ func NewClusterBackend(c *core.Cluster, s *sched.Scheduler, cfg ClusterConfig) (
 // on a cluster that backs a volume: the backend's Layout claims every
 // chip × BlocksPerChip of every card and the volume's per-card FTLs
 // claim the same blocks, so each would program and erase the other's
-// flash (workload.Build refuses the pair). That the two also push
-// urgency into the scheduler's one per-node slot is the lesser problem.
+// flash (workload.Build refuses the pair).
 func NewClusterFS(c *core.Cluster, s *sched.Scheduler, ccfg ClusterConfig, cfg Config) (*FS, *ClusterBackend, error) {
 	b, err := NewClusterBackend(c, s, ccfg)
 	if err != nil {
@@ -113,10 +112,13 @@ func NewClusterFS(c *core.Cluster, s *sched.Scheduler, ccfg ClusterConfig, cfg C
 	if err != nil {
 		return nil, nil, err
 	}
+	urg := make([]func(float64), len(b.nodes))
+	for n := range urg {
+		urg[n] = s.UrgencySource(n)
+	}
 	fs.Cleaner.Urgent = func() {
-		u := fs.Cleaner.Urgency()
-		for n := range b.nodes {
-			s.SetGCUrgency(n, u)
+		for _, set := range urg {
+			set(fs.Cleaner.Urgency())
 		}
 	}
 	c.OnCheck(func() error {

@@ -518,7 +518,7 @@ func (fs *FS) allocAndProgram(op *pageOp) {
 	}
 	op.dst = ppn
 	fs.Cleaner.Units[fs.segOf(ppn)].Programs++
-	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.WritePage(ppn, op.class, false, op.img, op.onWrite)
 }
 
@@ -625,7 +625,7 @@ func (fs *FS) move(seg, page int) bool {
 	}
 	op := fs.ops.Get()
 	op.ppn, op.ref = ppn, ref
-	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.ReadPage(ppn, sched.Background, true, op.onMoveRead)
 	return true
 }
@@ -670,7 +670,7 @@ func (fs *FS) moveRead(op *pageOp, data []byte, err error) {
 	// it until the victim is erased.
 	op.dst = dst
 	fs.Cleaner.Units[fs.segOf(dst)].Programs++
-	//simlint:allow hotcall (the backend dispatch: its admission path carries its own hotpath annotations)
+	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
 	fs.b.WritePage(dst, sched.Background, true, data, op.onMoved)
 }
 

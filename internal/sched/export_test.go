@@ -8,6 +8,9 @@ func (s *Scheduler) PoolOut() int { return s.reqs.Out() }
 // every read and erase has been admitted or failed.
 func (rt *Retrier) PoolOut() int { return rt.ops.Out() }
 
+// Urgency returns a node's Background urgency: the max of its sources.
+func (s *Scheduler) Urgency(node int) float64 { return s.nodes[node].gcUrgency }
+
 // QueueLen returns the current admission-queue occupancy of a node.
 func (s *Scheduler) QueueLen(node int) int { return s.nodes[node].qlen }
 

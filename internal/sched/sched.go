@@ -29,6 +29,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/nand"
@@ -125,8 +126,8 @@ type Config struct {
 	AccelShare float64
 	// GCDefer enables GC-aware dispatch of the Background class: each
 	// node gets a token budget of device-window slots Background
-	// requests may occupy, scaled by the node's GC urgency (reported
-	// by the FTLs through SetGCUrgency). At zero urgency relocation
+	// requests may occupy, scaled by the node's GC urgency (the max of
+	// its UrgencySource values). At zero urgency relocation
 	// trickles one op at a time; as free-block headroom shrinks the
 	// budget grows, and at critical urgency Background dispatches
 	// unthrottled (host writes are about to stall anyway). False is
@@ -265,26 +266,24 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// SetGCUrgency reports how badly a node's FTLs need their Background
-// relocation work to run, from 0 (plenty of free-block headroom) to 1
-// (writes about to stall). The volume layer calls this from the FTL
-// urgency hooks; the dispatcher scales the node's GC token budget with
-// it. Raising urgency may unblock deferred Background work, so a
-// dispatch round is kicked.
-func (s *Scheduler) SetGCUrgency(node int, u float64) {
-	if node < 0 || node >= len(s.nodes) {
-		return
-	}
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
+// UrgencySource adds one source of Background urgency to a node — a
+// card's reclaimer, a rebuild, a cache's flush pressure — and returns
+// its setter. Each source reports how badly its Background work needs
+// to run, from 0 (plenty of headroom) to 1 (writes about to stall),
+// clamped to that range; the node's urgency is the max over its
+// sources, and the dispatcher scales the node's GC token budget with
+// it. A change of the max may unblock deferred Background work, so it
+// kicks a dispatch round.
+func (s *Scheduler) UrgencySource(node int) func(u float64) {
 	nq := s.nodes[node]
-	if u != nq.gcUrgency {
-		nq.gcUrgency = u
-		nq.kick()
+	i := len(nq.urgency)
+	nq.urgency = append(nq.urgency, 0)
+	return func(u float64) {
+		nq.urgency[i] = min(max(u, 0), 1)
+		if m := slices.Max(nq.urgency); m != nq.gcUrgency {
+			nq.gcUrgency = m
+			nq.kick()
+		}
 	}
 }
 
@@ -305,7 +304,8 @@ type nodeQueue struct {
 	// accelInflight counts Accel-class reads in the device window; the
 	// accel token budget (Config.AccelShare) caps it.
 	accelInflight int
-	gcUrgency     float64
+	urgency       []float64 // one per UrgencySource
+	gcUrgency     float64   // their max
 	kicked        bool
 	// ringing is true while a doorbell's software work occupies the
 	// node's submission thread. The thread is serial, so ringing a
@@ -517,7 +517,7 @@ func (nq *nodeQueue) dispatchHost() {
 	if len(batch) == 0 {
 		// Only Background work is queued and its token budget is spent:
 		// the in-flight relocation ops will kick a new round when they
-		// complete (or SetGCUrgency raises the budget).
+		// complete (or a higher urgency raises the budget).
 		nq.batch = batch
 		return
 	}

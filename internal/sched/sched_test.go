@@ -347,7 +347,7 @@ func runBackgroundDrain(t *testing.T, cfg sched.Config, urgency float64, nBG int
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetGCUrgency(0, urgency)
+	s.UrgencySource(0)(urgency)
 	fg, err := s.NewStream("fg", 0, sched.Interactive)
 	if err != nil {
 		t.Fatal(err)
@@ -454,4 +454,40 @@ func TestBackgroundErase(t *testing.T) {
 			t.Fatalf("background ops = %d, want 1", cs.Ops)
 		}
 	}
+}
+
+// TestUrgencySourcesFoldWithMax: a node's Background urgency is the
+// max of its sources, each clamped to [0, 1]; one source falling
+// leaves the others' value standing, and other nodes never see it.
+func TestUrgencySourcesFoldWithMax(t *testing.T) {
+	c := testCluster(t, 2, 16)
+	s, err := sched.New(c, sched.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := s.UrgencySource(0), s.UrgencySource(0)
+	other := s.UrgencySource(1)
+	steps := []struct {
+		set  func(float64)
+		u    float64
+		want float64
+	}{
+		{a, 0.3, 0.3},
+		{b, 0.6, 0.6},
+		{a, 0.9, 0.9},
+		{a, 0, 0.6},
+		{b, 7, 1},  // clamped to 1
+		{b, -3, 0}, // clamped to 0
+		{other, 1, 0},
+	}
+	for i, st := range steps {
+		st.set(st.u)
+		if got := s.Urgency(0); got != st.want {
+			t.Fatalf("step %d: node 0 urgency %v, want %v", i, got, st.want)
+		}
+	}
+	if got := s.Urgency(1); got != 1 {
+		t.Fatalf("node 1 urgency %v, want 1", got)
+	}
+	c.Run()
 }

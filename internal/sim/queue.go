@@ -38,7 +38,7 @@ func (q *Queue[T]) Push(v T) {
 //
 //go:noinline
 func (q *Queue[T]) grow() {
-	//simlint:allow hotcall (ring doubling on overflow only; amortized O(1) per element, none once the high-water mark is reached)
+	//simlint:allow hotpath (ring doubling on overflow only; amortized O(1) per element, none once the high-water mark is reached)
 	grown := make([]T, max(4, 2*len(q.buf)))
 	for i := 0; i < q.n; i++ {
 		grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]

@@ -9,30 +9,14 @@ import "repro/internal/ftl"
 // rebuild: they must make progress without competing with foreground
 // tenants except through the scheduler's urgency token budget. Both
 // entry points ride ftl.TagFlush, which classOf maps to
-// sched.Background, and the cache reports its dirty-page pressure via
-// SetAuxUrgency — the same feedback loop GC (ftl hooks) and rebuild
-// (rebuildUrg floor) already use.
+// sched.Background, and the cache reports its dirty-page pressure
+// through an UrgencySource of its own — the same feedback loop each
+// card's GC and each node's rebuild already use.
 
-// SetAuxUrgency sets an auxiliary Background-urgency floor for one
-// node, on behalf of a tier above the volume (the cache's dirty-page
-// pressure). The effective urgency pushed to the scheduler is the max
-// of the node's GC urgency, rebuild floor, and this value. Pass 0 to
-// clear. Out-of-range nodes are ignored.
-func (v *Volume) SetAuxUrgency(node int, u float64) {
-	if node < 0 || node >= len(v.auxUrg) {
-		return
-	}
-	if u < 0 {
-		u = 0
-	} else if u > 1 {
-		u = 1
-	}
-	if v.auxUrg[node] == u {
-		return
-	}
-	v.auxUrg[node] = u
-	v.cards[node*v.c.Params.CardsPerNode].pushUrgency()
-}
+// UrgencySource adds one source of Background urgency to a node on
+// behalf of a tier above the volume (the cache's dirty-page pressure):
+// see sched.Scheduler.UrgencySource.
+func (v *Volume) UrgencySource(node int) func(u float64) { return v.s.UrgencySource(node) }
 
 // ReadBackground fetches a logical page on the Background class
 // (TagFlush) — used by the cache's demotion scan, which must not

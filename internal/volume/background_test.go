@@ -15,8 +15,8 @@ func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 	c, _, v := testVolume(t, 2, ftl.DefaultConfig())
 	// Raise the Background budget so the flush traffic drains: this is
 	// exactly what the cache's dirty-pressure feedback does.
-	v.SetAuxUrgency(0, 1)
-	v.SetAuxUrgency(1, 1)
+	v.UrgencySource(0)(1)
+	v.UrgencySource(1)(1)
 	const n = 32
 	werrs := 0
 	for lpn := 0; lpn < n; lpn++ {
@@ -56,10 +56,10 @@ func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 }
 
 // TestBackgroundRangeAndUrgencyClamp: out-of-range background I/O
-// fails typed, and SetAuxUrgency clamps and ignores bad nodes instead
-// of corrupting scheduler state.
+// fails typed. (The urgency clamp is the scheduler's: sched's
+// TestUrgencySourcesFoldWithMax.)
 func TestBackgroundRangeAndUrgencyClamp(t *testing.T) {
-	c, _, v := testVolume(t, 1, ftl.DefaultConfig())
+	_, _, v := testVolume(t, 1, ftl.DefaultConfig())
 	var rerr, werr error
 	v.ReadBackground(-1, func(_ []byte, err error) { rerr = err })
 	v.WriteBackground(v.Pages(), make([]byte, v.PageSize()), func(err error) { werr = err })
@@ -69,12 +69,6 @@ func TestBackgroundRangeAndUrgencyClamp(t *testing.T) {
 	if err := v.TrimBackground(v.Pages()); err == nil {
 		t.Fatal("out-of-range trim accepted")
 	}
-	// These must be no-ops, not panics.
-	v.SetAuxUrgency(-1, 0.5)
-	v.SetAuxUrgency(99, 0.5)
-	v.SetAuxUrgency(0, 7)  // clamped to 1
-	v.SetAuxUrgency(0, -3) // clamped to 0
-	c.Run()
 }
 
 // TestAuxUrgencyUnblocksBackground: with zero urgency the Background
@@ -93,12 +87,13 @@ func TestAuxUrgencyUnblocksBackground(t *testing.T) {
 			done++
 		})
 	}
-	v.SetAuxUrgency(0, 1)
+	aux := v.UrgencySource(0)
+	aux(1)
 	c.Run()
 	if done != n {
 		t.Fatalf("completed %d of %d background writes with aux urgency raised", done, n)
 	}
 	// Clearing the floor must be accepted (back to GC-driven urgency).
-	v.SetAuxUrgency(0, 0)
+	aux(0)
 	c.Run()
 }

@@ -377,26 +377,22 @@ func (v *Volume) Rebuilding() bool {
 	return false
 }
 
-// pushRebuildUrgency recomputes the per-node urgency floors from the
-// set of active rebuilds (each involves the rebuilding card's node and
-// both partner nodes) and pushes them to the scheduler.
+// pushRebuildUrgency sets each node's rebuild urgency from the set of
+// active rebuilds: RebuildUrgency on every node one involves (the
+// rebuilding card's node and both partner nodes), 0 elsewhere. Without
+// it an idle node's Background class gets zero tokens and a rebuild
+// reading from (or writing to) it would stall forever.
 func (v *Volume) pushRebuildUrgency() {
-	for n := range v.rebuildUrg {
-		v.rebuildUrg[n] = 0
-	}
+	urg := make([]float64, len(v.rebuildUrg))
 	for _, cd := range v.cards {
-		if !cd.rebuilding {
-			continue
-		}
-		for _, n := range [3]int{cd.node, v.partner(cd).node, v.replicaSource(cd).node} {
-			if v.rebuildUrg[n] < v.cfg.RebuildUrgency {
-				v.rebuildUrg[n] = v.cfg.RebuildUrgency
+		if cd.rebuilding {
+			for _, n := range [3]int{cd.node, v.partner(cd).node, v.replicaSource(cd).node} {
+				urg[n] = v.cfg.RebuildUrgency
 			}
 		}
 	}
-	// One push per node is enough; use the node's first card.
-	for n := 0; n < v.c.Nodes(); n++ {
-		v.cards[n*v.c.Params.CardsPerNode].pushUrgency()
+	for n, set := range v.rebuildUrg {
+		set(urg[n])
 	}
 }
 

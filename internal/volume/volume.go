@@ -77,8 +77,7 @@ type Volume struct {
 	half    int     // mirrored: primary pages per card (perCard/2)
 
 	// mirroring state (see mirror.go)
-	auxUrg         []float64 // per-node urgency floor set by cache flush pressure
-	rebuildUrg     []float64 // per-node urgency floor while rebuilds run
+	rebuildUrg     []func(u float64) // per node: the rebuild's urgency source
 	failovers      sim.Pool[failover]
 	mirrorWrites   sim.Pool[mirrorWrite]
 	degradedReads  int64
@@ -118,8 +117,10 @@ func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
 	}
 	v.perCard = v.cards[0].f.LogicalPages()
 	v.half = v.perCard / 2
-	v.rebuildUrg = make([]float64, c.Nodes())
-	v.auxUrg = make([]float64, c.Nodes())
+	v.rebuildUrg = make([]func(float64), c.Nodes())
+	for n := range v.rebuildUrg {
+		v.rebuildUrg[n] = s.UrgencySource(n)
+	}
 	return v, nil
 }
 
@@ -286,7 +287,7 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 // tag is all that tells a tenant's read from the cache tier's.
 func (v *Volume) read(lpn int, tag ftl.IOTag, cb func(data []byte, err error)) {
 	if lpn < 0 || lpn >= v.Pages() {
-		//simlint:allow hotcall (error path: allocates only on an out-of-range read, which fails the op anyway)
+		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
@@ -397,6 +398,7 @@ type card struct {
 	idx  int
 	gidx int // global node-major index into v.cards
 	f    *ftl.FTL
+	urg  func(u float64) // the card's urgency source, kept across remounts
 
 	// mirroring fault state (see mirror.go)
 	dead        bool   // card failed; route reads to the partner
@@ -418,7 +420,7 @@ type card struct {
 }
 
 func newCard(v *Volume, node, idx int) (*card, error) {
-	cd := &card{v: v, node: node, idx: idx, wseqs: make(map[ftl.IOTag]*sched.Sequencer)}
+	cd := &card{v: v, node: node, idx: idx, urg: v.s.UrgencySource(node), wseqs: make(map[ftl.IOTag]*sched.Sequencer)}
 	cd.gidx = node*v.c.Params.CardsPerNode + idx
 	for cl := sched.Class(0); cl < sched.NumClasses; cl++ {
 		if cl == sched.Accel {
@@ -448,30 +450,9 @@ func (cd *card) mountFTL(io ftl.Backend) error {
 		return err
 	}
 	cd.f = f
-	f.GC.Urgent = cd.pushUrgency
+	f.GC.Urgent = func() { cd.urg(f.GC.Urgency()) }
+	f.GC.Urgent() // a remount's fresh FTL replaces the dead one's urgency
 	return nil
-}
-
-// pushUrgency reports the node's worst-card urgency to the scheduler,
-// floored by the node's rebuild urgency while a rebuild touches it —
-// without the floor, an idle node's Background class gets zero tokens
-// and a rebuild reading from (or writing to) it would stall forever.
-func (cd *card) pushUrgency() {
-	v := cd.v
-	base := cd.node * v.c.Params.CardsPerNode
-	u := 0.0
-	for i := base; i < base+v.c.Params.CardsPerNode && i < len(v.cards); i++ {
-		if cu := v.cards[i].f.GC.Urgency(); cu > u {
-			u = cu
-		}
-	}
-	if ru := v.rebuildUrg[cd.node]; ru > u {
-		u = ru
-	}
-	if au := v.auxUrg[cd.node]; au > u {
-		u = au
-	}
-	v.s.SetGCUrgency(cd.node, u)
 }
 
 // classOf maps an FTL traffic tag onto a scheduler class. Tags only
