@@ -18,6 +18,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/hostmodel"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/rfs"
 	"repro/internal/sim"
 )
@@ -164,7 +165,7 @@ func ftlWA(b *testing.B, overProvision float64) float64 {
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "wa", 16)
-	f, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("wa")), geo, ftl.Config{
+	f, err := ftl.New(reclaim.Card(srv.NewIface("wa"), geo), geo, ftl.Config{
 		OverProvision: overProvision, GCLowWater: 2, WearLevelEvery: 16,
 	})
 	if err != nil {
@@ -245,7 +246,7 @@ func BenchmarkAblationFTLvsRFS(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
 		// --- conventional FS on FTL ---------------------------------
 		eng, srv := buildStack(b, geo)
-		dev, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("dev")), geo, ftl.DefaultConfig())
+		dev, err := ftl.New(reclaim.Card(srv.NewIface("dev"), geo), geo, ftl.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "bfs", 16)
-	dev, err := ftl.NewWithBackend(ftl.IfaceBackend(srv.NewIface("bfs")), geo, ftl.DefaultConfig())
+	dev, err := ftl.New(reclaim.Card(srv.NewIface("bfs"), geo), geo, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFTLAbsorbsOverwrites(t *testing.T) {
 			t.Fatalf("page %d: stale data after churn", idx)
 		}
 	}
-	if h.dev.FlashErases == 0 {
+	if h.dev.Log.Erases == 0 {
 		t.Fatal("FTL never collected; churn too small")
 	}
 	wa := h.dev.WriteAmplification()

@@ -11,8 +11,10 @@ import (
 // NewCluster is core.NewCluster for a test: the cluster runs under the
 // image guard (nand.Reliability.GuardImages), so an operation that
 // finds a stored page image written to panics there, and when the test
-// ends every image still stored is verified once more. A benchmark gets
-// the cluster without the guard.
+// ends the cluster's drain check runs (core.Cluster.Check): no event
+// pending, every image still stored verified once more, and every check
+// a layer registered — its pools, its page log. A benchmark gets the
+// cluster without the guard.
 //
 //simlint:allow unused (test-support package: the cluster every package test builds under the image guard)
 func NewCluster(t testing.TB, p core.Params) *core.Cluster {
@@ -23,7 +25,7 @@ func NewCluster(t testing.TB, p core.Params) *core.Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := c.CheckImages(); err != nil {
+		if err := c.Check(); err != nil {
 			t.Error(err)
 		}
 	})

@@ -115,7 +115,7 @@ type fileArm struct {
 	WriteAmp float64 `json:"write_amplification"`
 	// MappingEntries is the page-mapping footprint at the end of the
 	// run: FTL l2p entries (whole logical space) for the blockfs arm,
-	// live backrefs for the rfs arms.
+	// live mappings for the rfs arms.
 	MappingEntries int   `json:"mapping_entries"`
 	CleanMoves     int64 `json:"clean_moves"`
 
@@ -276,10 +276,10 @@ func runRFSArm(p core.Params, cfg fsConfig, mode int) (fileArm, error) {
 		return fileArm{}, err
 	}
 	fs := st.FS
-	lay := fs.Backend().Layout()
-	if cfg.ScanPages%(lay.Chips*lay.PagesPerSeg) != 0 {
+	g := p.Geometry
+	if round := p.Nodes * p.CardsPerNode * g.Buses * g.ChipsPerBus * g.PagesPerBlock; cfg.ScanPages%round != 0 {
 		return fileArm{}, fmt.Errorf("scan file (%d pages) must be whole stripe rounds (%d) to stay clean-stable",
-			cfg.ScanPages, lay.Chips*lay.PagesPerSeg)
+			cfg.ScanPages, round)
 	}
 	// Scan file first: it fills exactly ScanPages/(chips*pagesPerSeg)
 	// segments on every chip, all fully valid, so the cleaner never
@@ -302,7 +302,7 @@ func runRFSArm(p core.Params, cfg fsConfig, mode int) (fileArm, error) {
 	if mode != fsArmRFS && tally.queries == 0 {
 		return fileArm{}, fmt.Errorf("no %s query completed inside the churn window; raise Overwrites or shrink ScanPages", fsArms[mode])
 	}
-	if err := fs.CheckInvariants(); err != nil {
+	if err := fs.Log.CheckInvariants(); err != nil {
 		return fileArm{}, err
 	}
 	arm := fileArm{

@@ -5,7 +5,7 @@ package ftl
 func (f *FTL) MaxEraseSkew() int64 {
 	var min, max int64 = -1, 0
 	for b, e := range f.erases {
-		if f.GC.Units[b].Bad {
+		if f.Log.Units[b].Bad {
 			continue
 		}
 		if min < 0 || e < min {

@@ -5,34 +5,31 @@
 // software, where they can be smarter than an in-device controller
 // ("similar to Fusion IO's driver").
 //
-// It is a page-mapped FTL: every logical page number (LPN) maps to a
-// physical page (PPN); writes go to a moving frontier (one frontier
-// per IOTag, so concurrent streams never interleave programs inside a
-// block); greedy garbage collection recycles the block with the fewest
-// valid pages; periodic wear-leveling passes recycle the coldest block
-// instead so erase wear stays even.
-//
-// Garbage collection is a reclaim.Reclaimer over the blocks (FTL.GC),
-// whose package doc states the concurrency rules. The FTL adds the
-// wear pass, the erase-count heap it allocates from, and bad-block
-// retry of a relocation's program.
+// It is a page-mapped FTL: one reclaim.Log per card keyed by logical
+// page number (LPN), whose package doc states the concurrency rules.
+// The log keeps the reverse map, the page ops, the moves, erase and
+// bad-block retirement and the garbage collector. The FTL adds the
+// LPN → PPN table, which covers the whole logical space, and its
+// policies: a write frontier per IOTag (so concurrent streams never
+// interleave programs inside a block), each opened from a min-heap of
+// free blocks keyed on erase count; a pass held only when a frontier
+// needs a fresh block; GCPipeline moves in flight; and a periodic
+// wear-leveling pass that recycles the coldest block instead of the
+// greedy victim, so erase wear stays even.
 package ftl
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/flashctl"
 	"repro/internal/nand"
 	"repro/internal/reclaim"
-	"repro/internal/sim"
 )
 
 // FTL errors.
 var (
 	ErrUnmapped   = errors.New("ftl: logical page not written")
 	ErrOutOfRange = errors.New("ftl: logical page out of range")
-	ErrDataSize   = errors.New("ftl: data must be exactly one page")
 	ErrBadTag     = errors.New("ftl: TagGC is reserved for internal GC traffic")
 )
 
@@ -59,93 +56,79 @@ func DefaultConfig() Config {
 	return Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 16, GCPipeline: 4}
 }
 
-type pageState uint8
-
-const (
-	pageFree pageState = iota
-	pageValid
-	pageInvalid
-)
-
-// FTL drives one flash card through a Backend.
+// FTL drives one flash card through its page log.
 type FTL struct {
-	io  Backend
-	geo nand.Geometry
-	cfg Config
+	// Log is the card's page log: its units are the blocks, its keys the
+	// LPNs. The layer above reads its counters and Urgency and sets its
+	// Urgent callback.
+	Log *reclaim.Log
 
-	// GC is the garbage collector; its units are the blocks. The layer
-	// above reads its Urgency and sets its Urgent callback.
-	GC *reclaim.Reclaimer
+	geo      nand.Geometry
+	cfg      Config
+	lpns     int     // logical space size
+	l2p      l2p     // lpn -> ppn, -1 if unmapped
+	erases   []int64 // per block
+	freePool []int   // min-heap of free block indices, keyed on erase count
+	actives  [256]int32
+	wearPass int64 // the number of the last collection that was a wear pass
 
-	lpns      int   // logical space size
-	l2p       []int // lpn -> ppn, -1 if unmapped
-	p2l       []int // ppn -> lpn, -1 if none
-	pageState []pageState
-	erases    []int64 // per block
-	freePool  []int   // min-heap of free block indices, keyed on erase count
-
-	actives  [256]int32 // per-tag frontier block, dense by IOTag; -1 = none
-	wearPass int64      // the number of the last collection that was a wear pass
-	ops      sim.Pool[flashOp]
-
-	// stats
-	HostWrites    int64
-	HostReads     int64
-	HostTrims     int64
-	FlashPrograms int64
-	FlashErases   int64
-	GCMoves       int64
-	GCDropped     int64 // relocation reads that program nothing: trimmed or overwritten mid-copy, or no destination
-	GCAborts      int64
-	BadBlocks     int64
-
-	// fault stats
-	ReadFaults         int64 // host reads completed with an error (any cause)
-	UncorrectableReads int64 // host reads failed by ECC: data unrecoverable
-	GCReadFaults       int64 // relocation reads that failed mid-collection
-	LostPages          int64 // mappings dropped because their page was unreadable
+	HostTrims int64
 }
 
-// NewWithBackend builds an FTL over an arbitrary Backend.
-func NewWithBackend(io Backend, geo nand.Geometry, cfg Config) (*FTL, error) {
+// l2p is the FTL's forward map, the log's Keying.
+type l2p []int
+
+func (m l2p) Lookup(lpn uint64) int { return m[lpn] }
+
+func (m l2p) Map(lpn uint64, ppn int, _ bool) bool {
+	m[lpn] = ppn
+	return true
+}
+
+func (m l2p) Mapped() int {
+	n := 0
+	for _, ppn := range m {
+		if ppn >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// New builds an FTL over port, a card of geometry geo.
+func New(port reclaim.Port, geo nand.Geometry, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.OverProvision < 0.02 || cfg.OverProvision >= 0.9 {
 		return nil, fmt.Errorf("ftl: over-provisioning %.2f out of range [0.02,0.9)", cfg.OverProvision)
 	}
-	blocks := geo.Buses * geo.ChipsPerBus * geo.BlocksPerChip
-	gc, err := reclaim.New(blocks, geo.PagesPerBlock, cfg.GCLowWater, cfg.GCPipeline)
+	total := geo.TotalPages()
+	f := &FTL{
+		geo:  geo,
+		cfg:  cfg,
+		lpns: int(float64(total) * (1 - cfg.OverProvision)),
+		l2p:  make(l2p, total),
+	}
+	log, err := reclaim.New("ftl", geo, 1, cfg.GCLowWater, cfg.GCPipeline, port, f.l2p)
 	if err != nil {
 		return nil, fmt.Errorf("ftl: GCLowWater: %w", err)
 	}
-	total := geo.TotalPages()
-	f := &FTL{
-		io:        io,
-		geo:       geo,
-		cfg:       cfg,
-		GC:        gc,
-		lpns:      int(float64(total) * (1 - cfg.OverProvision)),
-		l2p:       make([]int, total),
-		p2l:       make([]int, total),
-		pageState: make([]pageState, total),
-		erases:    make([]int64, blocks),
-	}
-	gc.Pick, gc.Move, gc.Erase, gc.Erased, gc.Aborts = f.wearVictim, f.relocate, f.erase, f.erased, &f.GCAborts
-	f.ops.New = f.newFlashOp
+	f.Log = log
+	log.Alloc, log.Pick, log.Erased = f.alloc, f.wearVictim, f.erased
 	for i := range f.actives {
 		f.actives[i] = -1
 	}
 	for i := range f.l2p {
 		f.l2p[i] = -1
-		f.p2l[i] = -1
 	}
 	// All blocks start with zero erases, so ascending index order is
 	// already a valid min-heap.
-	for b := 0; b < blocks; b++ {
+	f.erases = make([]int64, len(log.Units))
+	for b := range log.Units {
 		f.freePool = append(f.freePool, b)
 	}
-	gc.Free = blocks
+	log.Free = len(f.freePool)
 	return f, nil
 }
 
@@ -159,49 +142,19 @@ func (f *FTL) PageSize() int { return f.geo.PageSize }
 //
 //simlint:allow unused (the metric of the FTL ablations, which ablation_test.go and the ftl and blockfs tests measure)
 func (f *FTL) WriteAmplification() float64 {
-	if f.HostWrites == 0 {
+	if f.Log.Writes == 0 {
 		return 0
 	}
-	return float64(f.FlashPrograms) / float64(f.HostWrites)
+	return float64(f.Log.Programs) / float64(f.Log.Writes)
 }
 
 // FreeBlocks returns the current free pool size.
 func (f *FTL) FreeBlocks() int { return len(f.freePool) }
 
-// poolChanged tells the collector the free pool's new size.
+// poolChanged tells the log the free pool's new size.
 func (f *FTL) poolChanged() {
-	f.GC.Free = len(f.freePool)
-	f.GC.Urgent()
-}
-
-// Check reports an FTL that has not drained: page ops out of their
-// pool, or a collector with work left.
-func (f *FTL) Check() error {
-	if n := f.ops.Out(); n != 0 {
-		return fmt.Errorf("ftl: %d page ops out of the pool", n)
-	}
-	return f.GC.Check()
-}
-
-// blockOf returns the block index containing a ppn.
-func (f *FTL) blockOf(ppn int) int { return ppn / f.geo.PagesPerBlock }
-
-// addrOf converts a linear ppn to a card address.
-func (f *FTL) addrOf(ppn int) nand.Addr {
-	p := ppn % f.geo.PagesPerBlock
-	b := ppn / f.geo.PagesPerBlock
-	blk := b % f.geo.BlocksPerChip
-	b /= f.geo.BlocksPerChip
-	chip := b % f.geo.ChipsPerBus
-	bus := b / f.geo.ChipsPerBus
-	return nand.Addr{Bus: bus, Chip: chip, Block: blk, Page: p}
-}
-
-// blockAddr returns the address of a block (page 0).
-func (f *FTL) blockAddr(blk int) nand.Addr {
-	a := f.addrOf(blk * f.geo.PagesPerBlock)
-	a.Page = 0
-	return a
+	f.Log.Free = len(f.freePool)
+	f.Log.Urgent()
 }
 
 // Read fetches a logical page (tag 0).
@@ -213,7 +166,7 @@ func (f *FTL) Read(lpn int, cb func(data []byte, err error)) {
 // never wait for garbage collection: the mapping is resolved at issue
 // time, and the collector's erase — the only op that could destroy
 // the resolved page — waits for in-flight reads against the victim to
-// drain (see doRead).
+// drain (reclaim.Log.Read).
 func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	if lpn < 0 || lpn >= f.lpns {
 		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
@@ -224,102 +177,13 @@ func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 		cb(nil, ErrBadTag)
 		return
 	}
-	f.doRead(lpn, tag, cb)
-}
-
-// flashOp is one page operation in flight below the FTL: a host read,
-// a host write from WriteTagged until its mapping is installed, or a GC
-// relocation from its read until the copy is installed. Ops are pooled
-// (FTL.ops), and the continuations an op hands down — the backend's
-// completions, and itself as the thing to queue behind a collection —
-// are bound when the record is made, so a page operation allocates
-// nothing here but a write's image.
-type flashOp struct {
-	lpn int
-	tag IOTag
-	ppn int // read: the page read (a relocation's source); write: the page the program in flight targets
-	// img is a write's page image. The op holds the reference so that a
-	// program that fails with a bad block can be issued again with the
-	// same image; while a program is in flight the image belongs to the
-	// layers below, and after a successful one to the card.
-	img []byte
-	src int // relocation: the victim page being moved
-	rcb func(data []byte, err error)
-	wcb func(err error)
-
-	// bound once
-	run     func()                       // write: take a frontier page and program it
-	onRead  func(data []byte, err error) // the backend's read completion
-	onWrite func(err error)              // the backend's program completion
-}
-
-// newFlashOp is ops.New.
-func (f *FTL) newFlashOp() *flashOp {
-	op := &flashOp{}
-	op.run = func() { f.allocAndProgram(op) }
-	op.onRead = func(data []byte, err error) { f.readDone(op, data, err) }
-	op.onWrite = func(err error) { f.programDone(op, err) }
-	return op
-}
-
-// reset zeroes an op for its return to the pool, keeping its bound
-// continuations. Its caller has taken the outcome out of it: no backend
-// completion is outstanding on it and no queue holds it.
-//
-//simlint:hotpath
-func (op *flashOp) reset() {
-	*op = flashOp{run: op.run, onRead: op.onRead, onWrite: op.onWrite}
-}
-
-// doRead resolves the mapping and issues the flash read, counted
-// against its block until it completes: the victim erase waits for
-// that count (reclaim). Once a page is relocated the mapping points at
-// the copy, so later reads resolve away from the victim on their own.
-//
-//simlint:hotpath
-func (f *FTL) doRead(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	ppn := f.l2p[lpn]
 	if ppn < 0 {
 		//simlint:allow hotpath (error path: allocates only for an unmapped page, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrUnmapped, lpn))
 		return
 	}
-	f.HostReads++
-	f.GC.Units[f.blockOf(ppn)].Reads++
-	op := f.ops.Get()
-	op.lpn, op.tag, op.ppn, op.rcb = lpn, tag, ppn, cb
-	f.read(op)
-}
-
-// read issues the flash read of op.ppn; readDone hears the outcome.
-//
-//simlint:hotpath
-func (f *FTL) read(op *flashOp) {
-	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
-	f.io.ReadPage(f.addrOf(op.ppn), op.tag, op.onRead)
-}
-
-// readDone is the backend's completion of a host read or of a
-// relocation's read.
-//
-//simlint:hotpath
-func (f *FTL) readDone(op *flashOp, data []byte, err error) {
-	if op.tag == TagGC {
-		f.relocateRead(op, data, err)
-		return
-	}
-	cb, blk := op.rcb, f.blockOf(op.ppn)
-	op.reset()
-	f.ops.Put(op)
-	if err != nil {
-		f.ReadFaults++
-		if errors.Is(err, flashctl.ErrUncorrectable) {
-			f.UncorrectableReads++
-		}
-	}
-	f.GC.Units[blk].Reads--
-	f.GC.Wake()
-	cb(data, err)
+	f.Log.Read(ppn, uint8(tag), cb)
 }
 
 // Write stores a logical page (tag 0), remapping it to a fresh
@@ -336,7 +200,7 @@ func (f *FTL) Write(lpn int, data []byte, cb func(err error)) {
 // Ownership: data is snapshotted into a page image before WriteTagged
 // returns — copied whatever its shape, never adopted — so the caller
 // may reuse its buffer at once. That snapshot is the write's one
-// payload allocation: the image goes down through the backend by
+// payload allocation: the image goes down through the port by
 // reference and is the buffer the card ends up storing.
 func (f *FTL) WriteTagged(lpn int, data []byte, tag IOTag, cb func(err error)) {
 	f.WriteImage(lpn, f.geo.PageImage(data), tag, cb)
@@ -354,19 +218,7 @@ func (f *FTL) WriteImage(lpn int, img []byte, tag IOTag, cb func(err error)) {
 		cb(ErrBadTag)
 		return
 	}
-	if !f.geo.IsPageImage(img) {
-		cb(fmt.Errorf("%w: got %d want %d", ErrDataSize, len(img), f.geo.PageSize))
-		return
-	}
-	f.HostWrites++
-	op := f.ops.Get()
-	op.lpn, op.tag, op.img, op.wcb = lpn, tag, img, cb
-	// Writes proceed during a collection: their own tag's frontier
-	// cannot disturb the victim. A write admitted during GC is not
-	// ordered against writes queued behind it — same-page racers have no
-	// ordering guarantee anywhere in the scheduler stack; callers that
-	// need read-your-write await completions.
-	f.GC.Admit(op.run)
+	f.Log.Write(uint64(lpn), img, uint8(tag), cb)
 }
 
 // Trim invalidates a logical page without writing. A trim is a pure
@@ -382,7 +234,7 @@ func (f *FTL) Trim(lpn int) error {
 	}
 	f.HostTrims++
 	if ppn := f.l2p[lpn]; ppn >= 0 {
-		f.invalidate(ppn)
+		f.Log.Invalidate(ppn)
 		f.l2p[lpn] = -1
 	}
 	return nil
@@ -404,156 +256,22 @@ func (f *FTL) Phys(lpn int) (nand.Addr, error) {
 	if ppn < 0 {
 		return nand.Addr{}, fmt.Errorf("%w: %d", ErrUnmapped, lpn)
 	}
-	return f.addrOf(ppn), nil
+	return f.geo.AddrOf(ppn), nil
 }
 
-// allocAndProgram takes a frontier page for a host write (starting GC
-// first if needed) and programs its image there. It is the op's run
-// continuation: what the collector parks behind a pass.
-//
-//simlint:hotpath
-func (f *FTL) allocAndProgram(op *flashOp) {
-	ppn, err := f.allocPage(op.tag, op.run)
-	if err != nil {
-		f.finishWrite(op, -1, err)
-		return
-	}
-	if ppn < 0 {
-		return // GC started; this op was requeued
-	}
-	f.program(op, ppn)
-}
-
-// program writes the op's image at ppn; programDone transparently
-// retries elsewhere when the block turns out bad.
-//
-//simlint:hotpath
-func (f *FTL) program(op *flashOp, ppn int) {
-	f.FlashPrograms++
-	op.ppn = ppn
-	f.GC.Units[f.blockOf(ppn)].Programs++
-	//simlint:allow hotpath (the backend dispatch: its admission path carries its own hotpath annotations)
-	f.io.WritePage(f.addrOf(ppn), op.img, op.tag, op.onWrite)
-}
-
-// programDone is the backend's completion of a program.
-//
-//simlint:hotpath
-func (f *FTL) programDone(op *flashOp, err error) {
-	blk := f.blockOf(op.ppn)
-	f.GC.Units[blk].Programs--
-	if err == nil {
-		// Install the page's mapping and validity BEFORE waking a
-		// collection that may have picked this block as its victim (see
-		// reclaim).
-		f.finishWrite(op, op.ppn, nil)
-		f.GC.Wake()
-		return
-	}
-	if errors.Is(err, nand.ErrBadBlock) {
-		// The failed program kept nothing: the image is the op's again
-		// and goes out once more, to another block. A collection waiting
-		// on this block's programs can proceed now.
-		f.retireBlock(blk)
-		f.GC.Wake()
-		// GC relocation retries must not route through allocPage: its
-		// gate would park the retry behind the very collection waiting
-		// on this callback. Re-allocate on the GC path and let a
-		// no-space failure abort the pass instead.
-		if op.tag == TagGC {
-			dst, aerr := f.allocPage(TagGC, nil)
-			if aerr != nil {
-				f.finishWrite(op, -1, aerr)
-				return
-			}
-			f.program(op, dst)
-			return
-		}
-		f.allocAndProgram(op)
-		return
-	}
-	f.finishWrite(op, -1, err)
-	f.GC.Wake()
-}
-
-// finishWrite ends a write op — a host write or a relocation's copy —
-// whose image is stored at finalPPN, or that failed for good.
-//
-//simlint:hotpath
-func (f *FTL) finishWrite(op *flashOp, finalPPN int, err error) {
-	if op.tag == TagGC {
-		f.relocated(op, finalPPN, err)
-		return
-	}
-	lpn, cb := op.lpn, op.wcb
-	op.reset()
-	f.ops.Put(op)
-	if err != nil {
-		cb(err)
-		return
-	}
-	// Power-safe ordering: the new copy is durable before the old
-	// mapping is dropped.
-	if old := f.l2p[lpn]; old >= 0 {
-		f.invalidate(old)
-	}
-	f.install(lpn, finalPPN)
-	cb(nil)
-}
-
-// install maps lpn to its new copy at ppn.
-func (f *FTL) install(lpn, ppn int) {
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
-	f.pageState[ppn] = pageValid
-	f.GC.Units[f.blockOf(ppn)].Valid++
-}
-
-// invalidate marks a physical page dead.
-func (f *FTL) invalidate(ppn int) {
-	if f.pageState[ppn] == pageValid {
-		f.GC.Invalidate(f.blockOf(ppn))
-	}
-	f.pageState[ppn] = pageInvalid
-	f.p2l[ppn] = -1
-}
-
-// retireBlock permanently removes a block from service, clearing any
-// frontier that pointed at it so no stale active state survives.
-func (f *FTL) retireBlock(blk int) {
-	bi := &f.GC.Units[blk]
-	if bi.Bad {
-		return
-	}
-	bi.Bad = true
-	bi.Active = false
-	f.BadBlocks++
-	for tag, a := range f.actives {
-		if a == int32(blk) {
-			f.actives[tag] = -1
-		}
-	}
-}
-
-// allocPage returns the next frontier ppn for tag. A host write
-// (retry set) needing a new frontier block first passes the
-// collector's gate, which may park retry behind a collection and make
-// it return -1. A relocation (retry nil, the GC tag) must not wait
-// behind its own collection: it takes a block or fails, aborting the
-// pass.
-func (f *FTL) allocPage(tag IOTag, retry func()) (int, error) {
+// alloc is the log's Alloc: the next page of tag's frontier block. A
+// write (retry set) needing a fresh block first passes the log's gate,
+// which may park retry behind a collection (-1, no error). A relocation
+// (retry nil, the GC tag) takes a block or fails, aborting the pass.
+func (f *FTL) alloc(tag uint8, retry func()) (int, error) {
 	for {
 		if blk := int(f.actives[tag]); blk >= 0 {
-			b := &f.GC.Units[blk]
-			if !b.Bad && b.Written < f.geo.PagesPerBlock {
-				ppn := blk*f.geo.PagesPerBlock + b.Written
-				b.Written++
+			if ppn := f.Log.Take(blk); ppn >= 0 {
 				return ppn, nil
 			}
-			b.Active = false
 			f.actives[tag] = -1
 		}
-		if retry != nil && f.GC.Hold(retry) {
+		if retry != nil && f.Log.Hold(retry) {
 			return -1, nil
 		}
 		if len(f.freePool) == 0 {
@@ -561,8 +279,7 @@ func (f *FTL) allocPage(tag IOTag, retry func()) (int, error) {
 		}
 		blk := f.popLeastWorn()
 		f.actives[tag] = int32(blk)
-		b := &f.GC.Units[blk]
-		b.Active, b.Written, b.Valid = true, 0, 0
+		f.Log.Open(blk)
 	}
 }
 
@@ -597,9 +314,7 @@ func (f *FTL) pushFree(blk int) {
 
 // popLeastWorn takes the free block with the fewest erases, spreading
 // dynamic wear evenly across the pool (the allocation half of wear
-// leveling; the victim-selection half is wearVictim). The pool is a
-// min-heap, so this is O(log n) instead of the old linear scan that
-// ran on every frontier-block allocation.
+// leveling; the victim-selection half is wearVictim).
 func (f *FTL) popLeastWorn() int {
 	blk := f.freePool[0]
 	last := len(f.freePool) - 1
@@ -625,6 +340,13 @@ func (f *FTL) popLeastWorn() int {
 	return blk
 }
 
+// erased is the log's Erased: an erased block returns to the pool one
+// erase older.
+func (f *FTL) erased(blk int) {
+	f.erases[blk]++
+	f.pushFree(blk)
+}
+
 // wearPassDue reports whether the next collection should be a static
 // wear-leveling pass. Wear passes may pick an all-valid victim that
 // reclaims zero net pages, so they are gated: at least one free block
@@ -637,21 +359,21 @@ func (f *FTL) popLeastWorn() int {
 // not 2, so the knob stays live at GCLowWater: 1, where collections
 // only ever trigger with zero or one free block.
 func (f *FTL) wearPassDue() bool {
-	n := f.GC.Passes
+	n := f.Log.Passes
 	return f.cfg.WearLevelEvery > 0 && n > 0 && n%int64(f.cfg.WearLevelEvery) == 0 &&
 		len(f.freePool) >= 1 && f.wearPass != n
 }
 
-// wearVictim is the collector's Pick: on a wear pass, the coldest
-// sealed block, so cold blocks re-enter circulation; otherwise -1, the
-// greedy victim.
+// wearVictim is the log's Pick: on a wear pass, the coldest sealed
+// block, so cold blocks re-enter circulation; otherwise -1, the greedy
+// victim.
 func (f *FTL) wearVictim() int {
 	if !f.wearPassDue() {
 		return -1
 	}
 	v := f.coldest()
 	if v >= 0 {
-		f.wearPass = f.GC.Passes + 1 // the pass about to start
+		f.wearPass = f.Log.Passes + 1 // the pass about to start
 	}
 	return v
 }
@@ -660,8 +382,8 @@ func (f *FTL) wearVictim() int {
 // or not (the lowest index on ties), or -1.
 func (f *FTL) coldest() int {
 	best := -1
-	for b := range f.GC.Units {
-		u := &f.GC.Units[b]
+	for b := range f.Log.Units {
+		u := &f.Log.Units[b]
 		if u.Bad || u.Active || u.Written < f.geo.PagesPerBlock {
 			continue
 		}
@@ -670,114 +392,6 @@ func (f *FTL) coldest() int {
 		}
 	}
 	return best
-}
-
-// relocate is the collector's Move: it copies one valid victim page to
-// a fresh frontier page on the GC tag. The destination is allocated
-// after the copy's read completes, so concurrent relocations still
-// program the GC frontier block strictly in order.
-//
-//simlint:hotpath
-func (f *FTL) relocate(blk, page int) bool {
-	ppn := blk*f.geo.PagesPerBlock + page
-	if f.pageState[ppn] != pageValid {
-		return false
-	}
-	op := f.ops.Get()
-	op.lpn, op.tag, op.ppn, op.src = f.p2l[ppn], TagGC, ppn, ppn
-	f.read(op)
-	return true
-}
-
-// relocateRead takes a relocation's read and programs what it read.
-//
-// Ownership: the read result is re-programmed as it stands — the image
-// the victim page stores; until the victim is erased two flash pages
-// hold the one immutable image — so a move costs no payload byte.
-//
-//simlint:hotpath
-func (f *FTL) relocateRead(op *flashOp, data []byte, err error) {
-	ppn, lpn := op.src, op.lpn
-	if err != nil {
-		// Unreadable during GC: drop the mapping and count the loss
-		// so the layer above (volume mirroring, scrubbing) can see
-		// it — a mirrored volume repairs the page from its replica.
-		f.GCReadFaults++
-		f.invalidate(ppn)
-		if lpn >= 0 && f.l2p[lpn] == ppn {
-			f.l2p[lpn] = -1
-			f.LostPages++
-		}
-		f.dropRelocation(op, false)
-		return
-	}
-	if lpn < 0 || f.l2p[lpn] != ppn || f.pageState[ppn] != pageValid {
-		// Trimmed or overwritten while the copy was in flight: drop it.
-		f.GCDropped++
-		f.dropRelocation(op, false)
-		return
-	}
-	dst, aerr := f.allocPage(TagGC, nil)
-	if aerr != nil {
-		f.GCDropped++
-		f.dropRelocation(op, true)
-		return
-	}
-	f.GCMoves++
-	op.img = data
-	f.program(op, dst)
-}
-
-// dropRelocation ends a relocation that programs nothing; abort fails
-// the collection (no destination).
-//
-//simlint:hotpath
-func (f *FTL) dropRelocation(op *flashOp, abort bool) {
-	op.reset()
-	f.ops.Put(op)
-	f.GC.Done(abort)
-}
-
-// relocated ends a relocation whose copy is stored at finalPPN, or
-// whose program failed for good, which aborts the collection.
-//
-//simlint:hotpath
-func (f *FTL) relocated(op *flashOp, finalPPN int, perr error) {
-	ppn, lpn := op.src, op.lpn
-	op.reset()
-	f.ops.Put(op)
-	if perr == nil {
-		if f.l2p[lpn] == ppn && f.pageState[ppn] == pageValid {
-			f.invalidate(ppn)
-			f.install(lpn, finalPPN)
-		} else {
-			// Trimmed mid-copy: the fresh page holds garbage.
-			f.pageState[finalPPN] = pageInvalid
-		}
-	}
-	f.GC.Done(perr != nil)
-}
-
-// erase is the collector's Erase.
-func (f *FTL) erase(blk int, done func(err error)) {
-	f.FlashErases++
-	f.io.EraseBlock(f.blockAddr(blk), TagGC, done)
-}
-
-// erased is the collector's Erased: an erased block returns to the pool
-// one erase older, a block that failed its erase is retired.
-func (f *FTL) erased(blk int, err error) {
-	if err != nil {
-		f.retireBlock(blk)
-		return
-	}
-	f.erases[blk]++
-	base := blk * f.geo.PagesPerBlock
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		f.pageState[base+p] = pageFree
-		f.p2l[base+p] = -1
-	}
-	f.pushFree(blk)
 }
 
 // MappingEntries returns the size of the FTL's logical-to-physical

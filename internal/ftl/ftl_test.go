@@ -3,7 +3,6 @@ package ftl
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,14 +21,10 @@ type harness struct {
 	ftl  *FTL
 }
 
+// newHarness builds an FTL over a card's flashserver interface. When
+// the test ends, the FTL's log must have drained and its mapping must
+// hold (reclaim.Log.Check).
 func newHarness(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg Config) *harness {
-	t.Helper()
-	return newHarnessOver(t, geo, rel, cfg, func(b Backend) Backend { return b })
-}
-
-// newHarnessOver is newHarness with wrap sitting between the FTL and
-// its flashserver backend.
-func newHarnessOver(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg Config, wrap func(Backend) Backend) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
 	_, rel.GuardImages = t.(*testing.T) // tests run under the image guard, benchmarks without
@@ -55,10 +50,15 @@ func newHarnessOver(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg C
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "ftl", 16)
-	f, err := NewWithBackend(wrap(IfaceBackend(srv.NewIface("ftl"))), geo, cfg)
+	f, err := New(reclaim.Card(srv.NewIface("ftl"), geo), geo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := f.Log.Check(); err != nil {
+			t.Error(err)
+		}
+	})
 	return &harness{eng: eng, card: card, ftl: f}
 }
 
@@ -143,7 +143,7 @@ func TestUnmappedAndRangeErrors(t *testing.T) {
 	if err := h.write(t, 1<<20, page(smallGeo(), 0)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("write out of range: %v", err)
 	}
-	if err := h.write(t, 0, []byte{1}); !errors.Is(err, ErrDataSize) {
+	if err := h.write(t, 0, []byte{1}); !errors.Is(err, reclaim.ErrDataSize) {
 		t.Fatalf("short write: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestGarbageCollectionReclaims(t *testing.T) {
 		}
 		version[lpn] = v
 	}
-	if h.ftl.FlashErases == 0 {
+	if h.ftl.Log.Erases == 0 {
 		t.Fatal("no GC happened despite 4x overwrite of full logical space")
 	}
 	if wa := h.ftl.WriteAmplification(); wa <= 1.0 {
@@ -244,7 +244,7 @@ func TestBadBlockRetirement(t *testing.T) {
 			t.Fatalf("write with bad blocks present: %v", err)
 		}
 	}
-	if h.ftl.BadBlocks == 0 {
+	if h.ftl.Log.BadUnits == 0 {
 		t.Fatal("bad blocks never detected")
 	}
 	for lpn := 0; lpn < h.ftl.LogicalPages()/2; lpn++ {
@@ -275,58 +275,40 @@ func TestDeviceFull(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	geo := smallGeo()
-	if _, err := NewWithBackend(IfaceBackend(nil), geo, Config{OverProvision: 0.001}); err == nil {
+	if _, err := New(nil, geo, Config{OverProvision: 0.001}); err == nil {
 		t.Fatal("tiny over-provisioning accepted")
 	}
-	if _, err := NewWithBackend(IfaceBackend(nil), nand.Geometry{}, DefaultConfig()); err == nil {
+	if _, err := New(nil, nand.Geometry{}, DefaultConfig()); err == nil {
 		t.Fatal("zero geometry accepted")
 	}
 }
 
-// TestGCLowWaterBelowOneRefused: a low-water mark of 0 used to be
-// raised to 1 without a word, so 0 and 1 ran identically. It is
-// refused, and the error names the field.
-func TestGCLowWaterBelowOneRefused(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.GCLowWater = 0
-	_, err := NewWithBackend(IfaceBackend(nil), smallGeo(), cfg)
-	if err == nil || !strings.Contains(err.Error(), "GCLowWater") {
-		t.Fatalf("GCLowWater 0 built an FTL or was refused without naming the field: %v", err)
-	}
-}
-
-// --- fake backend: deterministic, adversarially schedulable ----------
+// --- fake port: deterministic, adversarially schedulable -------------
 
 // fakeOp is one queued flash operation awaiting service.
 type fakeOp struct {
-	gc    bool // carried TagGC
-	erase bool
-	run   func()
+	gc  bool // the log's own: a move's read or program, or an erase
+	run func()
 }
 
-// fakeBackend is an in-memory flash with explicit service control:
+// fakePort is an in-memory flash with explicit service control:
 // operations queue until the test pumps them, so tests can interleave
 // host I/O with GC relocation in adversarial orders. Erased/unwritten
 // pages read as 0xFF, so a read that lands on a page GC erased under
 // it is detectable as corruption.
-type fakeBackend struct {
+type fakePort struct {
 	geo   nand.Geometry
-	pages map[nand.Addr][]byte
-	bad   map[int]bool // linear block index -> programs fail ErrBadBlock
+	pages map[int][]byte
+	bad   map[int]bool // block index -> programs fail ErrBadBlock
 	queue []fakeOp
 	sync  bool // service every op at issue time
 }
 
-func newFakeBackend(geo nand.Geometry, sync bool) *fakeBackend {
-	return &fakeBackend{geo: geo, pages: make(map[nand.Addr][]byte), bad: make(map[int]bool), sync: sync}
+func newFakePort(geo nand.Geometry, sync bool) *fakePort {
+	return &fakePort{geo: geo, pages: make(map[int][]byte), bad: make(map[int]bool), sync: sync}
 }
 
-// linearBlock flattens an address to the FTL's block index.
-func (b *fakeBackend) linearBlock(a nand.Addr) int {
-	return ((a.Bus*b.geo.ChipsPerBus)+a.Chip)*b.geo.BlocksPerChip + a.Block
-}
-
-func (b *fakeBackend) push(op fakeOp) {
+func (b *fakePort) push(op fakeOp) {
 	if b.sync {
 		op.run()
 		return
@@ -335,7 +317,7 @@ func (b *fakeBackend) push(op fakeOp) {
 }
 
 // pump services queued ops FIFO until the queue is empty.
-func (b *fakeBackend) pump() {
+func (b *fakePort) pump() {
 	for len(b.queue) > 0 {
 		op := b.queue[0]
 		b.queue = b.queue[1:]
@@ -343,60 +325,33 @@ func (b *fakeBackend) pump() {
 	}
 }
 
-// pumpGCFirst adversarially services all GC-tagged ops (including new
-// ones they spawn) before any host op: the worst case for a read that
-// resolved its mapping early, because relocation and the erase land
-// before the read is serviced.
-func (b *fakeBackend) pumpGCFirst() {
-	for len(b.queue) > 0 {
-		idx := -1
-		for i, op := range b.queue {
-			if op.gc {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		op := b.queue[idx]
-		b.queue = append(b.queue[:idx], b.queue[idx+1:]...)
-		op.run()
-	}
-}
-
-func (b *fakeBackend) ReadPage(a nand.Addr, tag IOTag, cb func([]byte, error)) {
-	b.push(fakeOp{gc: tag == TagGC, run: func() {
-		data, ok := b.pages[a]
+func (b *fakePort) Read(ppn int, tag uint8, cb func([]byte, error)) {
+	b.push(fakeOp{gc: tag == uint8(TagGC), run: func() {
+		data, ok := b.pages[ppn]
 		if !ok {
 			// Erased page: NAND reads back all-ones.
 			data = bytes.Repeat([]byte{0xFF}, b.geo.PageSize)
 		}
-		out := make([]byte, len(data))
-		copy(out, data)
-		cb(out, nil)
+		cb(append([]byte(nil), data...), nil)
 	}})
 }
 
-func (b *fakeBackend) WritePage(a nand.Addr, data []byte, tag IOTag, cb func(error)) {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	b.push(fakeOp{gc: tag == TagGC, run: func() {
-		if b.bad[b.linearBlock(a)] {
+func (b *fakePort) Program(ppn int, tag uint8, data []byte, cb func(error)) {
+	buf := append([]byte(nil), data...)
+	b.push(fakeOp{gc: tag == uint8(TagGC), run: func() {
+		if b.bad[ppn/b.geo.PagesPerBlock] {
 			cb(nand.ErrBadBlock)
 			return
 		}
-		b.pages[a] = buf
+		b.pages[ppn] = buf
 		cb(nil)
 	}})
 }
 
-func (b *fakeBackend) EraseBlock(a nand.Addr, tag IOTag, cb func(error)) {
-	b.push(fakeOp{gc: tag == TagGC, erase: true, run: func() {
-		for addr := range b.pages {
-			if addr.Bus == a.Bus && addr.Chip == a.Chip && addr.Block == a.Block {
-				delete(b.pages, addr)
-			}
+func (b *fakePort) Erase(ppn int, cb func(error)) {
+	b.push(fakeOp{gc: true, run: func() {
+		for p := ppn; p < ppn+b.geo.PagesPerBlock; p++ {
+			delete(b.pages, p)
 		}
 		cb(nil)
 	}})
@@ -410,157 +365,6 @@ func syncWrite(t *testing.T, f *FTL, lpn int, data []byte) error {
 	return result
 }
 
-// TestReadDuringRelocation is the regression test for the read/GC
-// race: a read admitted while GC is relocating its page must return
-// the page's content — the collector's erase must wait for it to
-// drain even when every relocation op is serviced first — never the
-// 0xFF pattern of the erased victim.
-func TestReadDuringRelocation(t *testing.T) {
-	geo := nand.Geometry{
-		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
-		PageSize: 64, OOBSize: 8,
-	}
-	be := newFakeBackend(geo, false)
-	f, err := NewWithBackend(be, geo, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 0, GCPipeline: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpns := f.LogicalPages()
-	content := make(map[int][]byte)
-	w := func(lpn int, seed byte) error {
-		data := bytes.Repeat([]byte{seed}, geo.PageSize)
-		var res error = errors.New("pending")
-		f.Write(lpn, data, func(err error) { res = err })
-		be.pump()
-		if res == nil {
-			content[lpn] = data
-		}
-		return res
-	}
-	for lpn := 0; lpn < lpns; lpn++ {
-		if err := w(lpn, byte(lpn+1)); err != nil {
-			t.Fatalf("seed %d: %v", lpn, err)
-		}
-	}
-	// Overwrite until a write triggers a collection. The trigger is
-	// synchronous inside the Write call, and with every earlier program
-	// complete the collection reads its first pages at once, so its
-	// victim is known before any backend op is serviced; the pending
-	// write completes when the test pumps the backend below.
-	victim, move := -1, f.GC.Move
-	f.GC.Move = func(blk, page int) bool { victim = blk; return move(blk, page) }
-	rng := sim.NewRNG(7)
-	var churnErrs []error
-	for i := 0; i < 10*lpns && f.GC.Passes == 0; i++ {
-		lpn := rng.Intn(lpns)
-		data := bytes.Repeat([]byte{byte(0x10 + i)}, geo.PageSize)
-		f.Write(lpn, data, func(err error) {
-			if err != nil {
-				churnErrs = append(churnErrs, err)
-			}
-		})
-		content[lpn] = data
-		if f.GC.Passes == 0 {
-			be.pump()
-		}
-	}
-	if victim < 0 {
-		t.Fatal("never saw an active collection")
-	}
-	// Pick a logical page that currently lives in the victim block.
-	target := -1
-	for lpn := 0; lpn < lpns; lpn++ {
-		if ppn := f.l2p[lpn]; ppn >= 0 && f.blockOf(ppn) == victim {
-			target = lpn
-			break
-		}
-	}
-	if target < 0 {
-		t.Fatal("victim holds no mapped pages")
-	}
-	var got []byte
-	var rerr error = errors.New("pending")
-	f.Read(target, func(data []byte, err error) { got, rerr = data, err })
-	// Adversarial service order: relocation and the erase complete
-	// before any host read is serviced.
-	be.pumpGCFirst()
-	be.pump()
-	if len(churnErrs) > 0 {
-		t.Fatalf("churn write failed: %v", churnErrs[0])
-	}
-	if rerr != nil {
-		t.Fatalf("read during relocation: %v", rerr)
-	}
-	if !bytes.Equal(got, content[target]) {
-		t.Fatalf("read during relocation returned wrong data (erased-page garbage?): got %x want %x",
-			got[:4], content[target][:4])
-	}
-}
-
-// TestGCAbortFailsDeterministically is the regression test for the
-// GC-abort livelock: when a collection cannot allocate relocation
-// space and over-provisioning is exhausted, the triggering write must
-// fail with reclaim.ErrNoSpace instead of re-triggering the same doomed
-// collection forever.
-func TestGCAbortFailsDeterministically(t *testing.T) {
-	geo := nand.Geometry{
-		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
-		PageSize: 64, OOBSize: 8,
-	}
-	be := newFakeBackend(geo, true)
-	// 12.5% OP: 28 logical pages over 32 physical.
-	f, err := NewWithBackend(be, geo, Config{OverProvision: 0.125, GCLowWater: 1, WearLevelEvery: 0, GCPipeline: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpns := f.LogicalPages()
-	if lpns != 28 {
-		t.Fatalf("logical pages = %d, want 28", lpns)
-	}
-	for lpn := 0; lpn < lpns; lpn++ {
-		if err := syncWrite(t, f, lpn, bytes.Repeat([]byte{byte(lpn + 1)}, geo.PageSize)); err != nil {
-			t.Fatalf("seed %d: %v", lpn, err)
-		}
-	}
-	// Spread overwrites across blocks so victims exist but reclaim
-	// little; keep writing until the device reports it is full. The
-	// old code looped startGC -> abort -> retry forever here.
-	var lastErr error
-	for i := 0; i < 4*lpns && lastErr == nil; i++ {
-		lpn := (i * 4) % lpns
-		lastErr = syncWrite(t, f, lpn, bytes.Repeat([]byte{byte(0x80 + i)}, geo.PageSize))
-	}
-	if !errors.Is(lastErr, reclaim.ErrNoSpace) {
-		t.Fatalf("exhausted device: got %v, want reclaim.ErrNoSpace", lastErr)
-	}
-	if f.GCAborts == 0 {
-		t.Fatal("expected at least one aborted collection before reclaim.ErrNoSpace")
-	}
-	// Reads must still work after the failure.
-	var got []byte
-	var rerr error = errors.New("pending")
-	f.Read(1, func(data []byte, err error) { got, rerr = data, err })
-	if rerr != nil || got[0] != 2 {
-		t.Fatalf("read after reclaim.ErrNoSpace: %v (byte %x)", rerr, got[0])
-	}
-	// The stall must not be permanent: trimming pages shrinks victims'
-	// relocation demand, so collection becomes possible again and the
-	// device recovers without a rebuild.
-	for lpn := 0; lpn < lpns/2; lpn++ {
-		if err := f.Trim(lpn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := syncWrite(t, f, 0, bytes.Repeat([]byte{0x55}, geo.PageSize)); err != nil {
-		t.Fatalf("write after trim on a stalled device: %v", err)
-	}
-	got, rerr = nil, errors.New("pending")
-	f.Read(0, func(data []byte, err error) { got, rerr = data, err })
-	if rerr != nil || got[0] != 0x55 {
-		t.Fatalf("read after recovery: %v", rerr)
-	}
-}
-
 // TestGCBadFrontierAborts: a GC relocation whose destination block
 // turns out bad must abort the collection (retire, re-allocate, and
 // fail the pass when the pool is dry) — never park its retry behind
@@ -570,8 +374,8 @@ func TestGCBadFrontierAborts(t *testing.T) {
 		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
 		PageSize: 64, OOBSize: 8,
 	}
-	be := newFakeBackend(geo, true)
-	f, err := NewWithBackend(be, geo, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 0, GCPipeline: 1})
+	be := newFakePort(geo, true)
+	f, err := New(be, geo, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 0, GCPipeline: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,10 +396,10 @@ func TestGCBadFrontierAborts(t *testing.T) {
 	if !errors.Is(lastErr, reclaim.ErrNoSpace) {
 		t.Fatalf("bad GC frontier at exhaustion: got %v, want reclaim.ErrNoSpace (a hang here is the deadlock)", lastErr)
 	}
-	if f.GCAborts == 0 {
+	if f.Log.Aborts == 0 {
 		t.Fatal("expected the collection to abort")
 	}
-	if f.BadBlocks == 0 {
+	if f.Log.BadUnits == 0 {
 		t.Fatal("poisoned block never retired")
 	}
 	// Still-mapped pages remain readable.
@@ -616,8 +420,8 @@ func TestWearPassHeadroomGate(t *testing.T) {
 		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
 		PageSize: 64, OOBSize: 8,
 	}
-	be := newFakeBackend(geo, true)
-	f, err := NewWithBackend(be, geo, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 1, GCPipeline: 1})
+	be := newFakePort(geo, true)
+	f, err := New(be, geo, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 1, GCPipeline: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,21 +437,22 @@ func TestWearPassHeadroomGate(t *testing.T) {
 			t.Fatalf("churn write %d failed under all-wear-pass GC: %v", i, err)
 		}
 	}
-	if f.GCAborts != 0 {
-		t.Fatalf("%d aborted collections: wear passes ran the pool dry", f.GCAborts)
+	if f.Log.Aborts != 0 {
+		t.Fatalf("%d aborted collections: wear passes ran the pool dry", f.Log.Aborts)
 	}
-	if f.GC.Passes == 0 {
+	if f.Log.Passes == 0 {
 		t.Fatal("no collections happened")
 	}
 }
 
-// TestRetireBlockClearsActive: a retired block must not keep stale
-// frontier state (isActive), or victim selection skips it forever and
-// allocation may try to resume it.
+// TestRetireBlockClearsActive: a frontier block retired when a
+// program on it fails must not keep stale frontier state (Active), or
+// victim selection skips it forever and allocation may try to resume
+// it: the tag's next write opens a fresh frontier and lands there.
 func TestRetireBlockClearsActive(t *testing.T) {
 	geo := smallGeo()
-	be := newFakeBackend(geo, true)
-	f, err := NewWithBackend(be, geo, DefaultConfig())
+	be := newFakePort(geo, true)
+	f, err := New(be, geo, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,16 +463,15 @@ func TestRetireBlockClearsActive(t *testing.T) {
 	if blk < 0 {
 		t.Fatal("no active frontier after a write")
 	}
-	f.retireBlock(blk)
-	if f.GC.Units[blk].Active {
-		t.Fatal("retired block still marked active")
-	}
-	if f.actives[0] >= 0 {
-		t.Fatal("retired block still installed as a frontier")
-	}
-	// Writes keep working on a fresh frontier.
+	be.bad[blk] = true
 	if err := syncWrite(t, f, 1, page(geo, 2)); err != nil {
-		t.Fatalf("write after retirement: %v", err)
+		t.Fatalf("write onto a block gone bad: %v", err)
+	}
+	if u := f.Log.Units[blk]; u.Active || !u.Bad {
+		t.Fatalf("retired block: active %v, bad %v", u.Active, u.Bad)
+	}
+	if int(f.actives[0]) == blk || f.l2p[1]/geo.PagesPerBlock == blk {
+		t.Fatal("the retired block is still the tag's frontier")
 	}
 }
 
@@ -676,8 +480,8 @@ func TestRetireBlockClearsActive(t *testing.T) {
 // programs inside one NAND block.
 func TestTaggedFrontiersAreDisjoint(t *testing.T) {
 	geo := smallGeo()
-	be := newFakeBackend(geo, true)
-	f, err := NewWithBackend(be, geo, DefaultConfig())
+	be := newFakePort(geo, true)
+	f, err := New(be, geo, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +497,7 @@ func TestTaggedFrontiersAreDisjoint(t *testing.T) {
 	if f.actives[0] == f.actives[1] {
 		t.Fatalf("tags 0 and 1 share frontier block %d", f.actives[0])
 	}
-	if f.blockOf(f.l2p[0]) == f.blockOf(f.l2p[1]) {
+	if f.l2p[0]/geo.PagesPerBlock == f.l2p[1]/geo.PagesPerBlock {
 		t.Fatal("pages from different tags landed in the same block")
 	}
 }
@@ -706,8 +510,8 @@ func BenchmarkFreePoolAlloc(b *testing.B) {
 		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 4096, PagesPerBlock: 4,
 		PageSize: 64, OOBSize: 8,
 	}
-	be := newFakeBackend(geo, true)
-	f, err := NewWithBackend(be, geo, DefaultConfig())
+	be := newFakePort(geo, true)
+	f, err := New(be, geo, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -819,11 +623,11 @@ func TestOverwriteUnderGCAllocatesNothing(t *testing.T) {
 	churn(t, h, geo, 2*h.ftl.LogicalPages())
 	f, churn := h.ftl, burstChurner(t, h, geo.PageImage(page(geo, 9)), sim.NewRNG(5))
 	churn(64) // queues at their high-water mark
-	gcs := f.GC.Passes
+	gcs := f.Log.Passes
 	if allocs := testing.AllocsPerRun(64, func() { churn(1) }); allocs != 0 {
 		t.Fatalf("a burst of eight ops under GC allocates %.2f times, want none", allocs)
 	}
-	if f.GC.Passes == gcs {
+	if f.Log.Passes == gcs {
 		t.Fatal("test premise: no collection")
 	}
 }
@@ -838,12 +642,60 @@ func TestNANDReadsAreNamed(t *testing.T) {
 	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2})
 	churn(t, h, geo, h.ftl.LogicalPages())
 	burstChurner(t, h, geo.PageImage(page(geo, 3)), sim.NewRNG(9))(400)
-	f := h.ftl
-	if f.GCDropped == 0 || f.GCMoves == 0 {
-		t.Fatalf("test premise: %d moves, %d dropped relocations", f.GCMoves, f.GCDropped)
+	l := h.ftl.Log
+	if l.Dropped == 0 || l.Moves == 0 {
+		t.Fatalf("test premise: %d moves, %d dropped relocations", l.Moves, l.Dropped)
 	}
-	if reads, named := h.card.Reads.Value(), f.HostReads+f.GCMoves+f.GCDropped+f.GCReadFaults; reads != named {
+	if reads, named := h.card.Reads.Value(), l.Reads+l.Moves+l.Dropped+l.MoveReadFaults; reads != named {
 		t.Fatalf("NAND reads %d, named %d: host %d + moves %d + dropped %d + GC read faults %d",
-			reads, named, f.HostReads, f.GCMoves, f.GCDropped, f.GCReadFaults)
+			reads, named, l.Reads, l.Moves, l.Dropped, l.MoveReadFaults)
+	}
+}
+
+func lpnPage(geo nand.Geometry, lpn, version int) []byte {
+	p := make([]byte, geo.PageSize)
+	for i := range p {
+		p[i] = byte(lpn*31 + version*7 + i)
+	}
+	return p
+}
+
+// TestSynchronousCollectionsNest: over a port that completes every op
+// inline, a collection runs whole inside the write that triggers it,
+// and a write drained from behind one collection can trigger the next,
+// whose drain then runs inside the first. The queue's two backing
+// arrays must never be handed to both drains: every write lands, and
+// the last version of every page reads back.
+func TestSynchronousCollectionsNest(t *testing.T) {
+	geo := nand.Geometry{
+		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 8, PagesPerBlock: 4,
+		PageSize: 32, OOBSize: 4,
+	}
+	f, err := New(newFakePort(geo, true), geo, Config{OverProvision: 0.3, GCLowWater: 2, GCPipeline: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpns, last := f.LogicalPages(), make(map[int]int)
+	for v := 0; v < 40*lpns; v++ {
+		lpn := v * 7 % lpns
+		f.Write(lpn, lpnPage(geo, lpn, v), func(err error) {
+			if err != nil {
+				t.Fatalf("write of lpn %d version %d: %v", lpn, v, err)
+			}
+			last[lpn] = v
+		})
+	}
+	if f.Log.Passes < 10 {
+		t.Fatalf("test premise: %d collections", f.Log.Passes)
+	}
+	for lpn, v := range last {
+		f.Read(lpn, func(d []byte, err error) {
+			if err != nil || !bytes.Equal(d, lpnPage(geo, lpn, v)) {
+				t.Fatalf("lpn %d: err %v, not version %d", lpn, err, v)
+			}
+		})
+	}
+	if err := f.Log.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -71,9 +71,6 @@ func TestFileQueriesAllocatePerQuery(t *testing.T) {
 				t.Fatalf("%.1f allocations per query over 64 pages, %.1f over 512: %.3f per extra page, want <= 0.05",
 					a64, a512, perPage)
 			}
-			if out := sys.PoolOut(); out != 0 {
-				t.Fatalf("%d engine records out of the pool at drain", out)
-			}
 		})
 	}
 }

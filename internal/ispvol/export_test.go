@@ -24,7 +24,3 @@ func Sync[R any](sys *System, start func(done func(R, error))) (R, error) {
 	}
 	return res, rerr
 }
-
-// PoolOut returns the engine records taken and not returned: zero once
-// every query has completed.
-func (sys *System) PoolOut() int { return sys.engines.Out() }

@@ -27,7 +27,7 @@ func testSystem(t *testing.T, nodes int, icfg ispvol.Config, fill workload.PageF
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := st.C.CheckImages(); err != nil {
+		if err := st.Check(); err != nil {
 			t.Error(err)
 		}
 	})

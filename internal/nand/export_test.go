@@ -24,5 +24,5 @@ func (c *Card) State(a Addr) PageState {
 	if err := c.checkAddr(a, true); err != nil {
 		return PageFree
 	}
-	return c.state[c.PageIndex(a)]
+	return c.state[c.geo.PageIndex(a)]
 }

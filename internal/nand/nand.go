@@ -100,6 +100,25 @@ func (g Geometry) TotalBytes() int64 {
 	return int64(g.TotalPages()) * int64(g.PageSize)
 }
 
+// PageIndex converts an address to the card-linear page index:
+// bus-major, then chip, block and page.
+func (g Geometry) PageIndex(a Addr) int {
+	return ((a.Bus*g.ChipsPerBus+a.Chip)*g.BlocksPerChip+a.Block)*g.PagesPerBlock + a.Page
+}
+
+// AddrOf converts a card-linear page index back to an address: the one
+// decomposition of a linear page number, for the card and for every log
+// laid over cards.
+func (g Geometry) AddrOf(idx int) Addr {
+	p := idx % g.PagesPerBlock
+	idx /= g.PagesPerBlock
+	blk := idx % g.BlocksPerChip
+	idx /= g.BlocksPerChip
+	ch := idx % g.ChipsPerBus
+	bus := idx / g.ChipsPerBus
+	return Addr{Bus: bus, Chip: ch, Block: blk, Page: p}
+}
+
 // Timing holds the card's latency/bandwidth parameters.
 type Timing struct {
 	ReadPage       sim.Time // cell array -> chip register
@@ -296,22 +315,6 @@ func (c *Card) chipAt(a Addr) *chipState {
 	return c.chips[a.Bus*c.geo.ChipsPerBus+a.Chip]
 }
 
-// PageIndex converts an address to the card-linear page index.
-func (c *Card) PageIndex(a Addr) int {
-	return ((a.Bus*c.geo.ChipsPerBus+a.Chip)*c.geo.BlocksPerChip+a.Block)*c.geo.PagesPerBlock + a.Page
-}
-
-// AddrOf converts a card-linear page index back to an address.
-func (c *Card) AddrOf(idx int) Addr {
-	p := idx % c.geo.PagesPerBlock
-	idx /= c.geo.PagesPerBlock
-	blk := idx % c.geo.BlocksPerChip
-	idx /= c.geo.BlocksPerChip
-	ch := idx % c.geo.ChipsPerBus
-	bus := idx / c.geo.ChipsPerBus
-	return Addr{Bus: bus, Chip: ch, Block: blk, Page: p}
-}
-
 // cmdKind selects the flash operation of a queued command.
 type cmdKind uint8
 
@@ -379,7 +382,7 @@ func (c *Card) check(cs *chipState, cmd *command) error {
 	if cmd.kind == cmdErase {
 		return nil // a block address: its page field means nothing
 	}
-	switch state := c.state[c.PageIndex(a)]; {
+	switch state := c.state[c.geo.PageIndex(a)]; {
 	case cmd.kind == cmdRead && state != PageWritten:
 		return fmt.Errorf("%w: %v", ErrReadFree, a)
 	case cmd.kind == cmdProgram && state != PageFree:
@@ -439,7 +442,7 @@ func (c *Card) cellDone(cs *chipState) {
 		// The register drained into the cache register: the chip can
 		// start its next op while the image crosses the shared bus.
 		c.runNext(cs)
-		idx := c.PageIndex(a)
+		idx := c.geo.PageIndex(a)
 		stored := c.data[idx]
 		c.verify(idx, "read")
 		serial := cs.readSerial[a.Block]
@@ -459,7 +462,7 @@ func (c *Card) cellDone(cs *chipState) {
 		}
 		c.transfer(cmd)
 	case cmdProgram:
-		idx := c.PageIndex(a)
+		idx := c.geo.PageIndex(a)
 		c.state[idx] = PageWritten
 		c.data[idx] = cmd.raw
 		if c.sums != nil {
@@ -503,7 +506,7 @@ func (c *Card) erased() {
 		c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, cs.eraseCount[a.Block]))
 		return
 	}
-	base := c.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
+	base := c.geo.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
 	for p := 0; p < c.geo.PagesPerBlock; p++ {
 		c.verify(base+p, "erase")
 		c.state[base+p] = PageFree
@@ -627,7 +630,7 @@ func (c *Card) encodeEagerly(idx int) uint32 {
 // fill runs the encoder on enc, a StoredPageSize copy of the page at idx.
 func (c *Card) fill(idx int, enc []byte) {
 	if err := c.encode(enc); err != nil {
-		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.AddrOf(idx), err))
+		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.geo.AddrOf(idx), err))
 	}
 }
 
@@ -642,7 +645,7 @@ func (c *Card) fillCheckBytes(idx int, raw []byte) {
 	}
 	c.fill(idx, raw)
 	if c.sums != nil && crc32.Checksum(raw[c.geo.PageSize:], castagnoli) != c.sums[idx].check {
-		panic(fmt.Sprintf("nand: %s: the image at %v does not carry the check bytes its page encoded to when it was stored (found by read)", c.name, c.AddrOf(idx)))
+		panic(fmt.Sprintf("nand: %s: the image at %v does not carry the check bytes its page encoded to when it was stored (found by read)", c.name, c.geo.AddrOf(idx)))
 	}
 }
 
@@ -726,7 +729,7 @@ func (c *Card) checkImage(idx int, op string) error {
 	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx].image {
 		return nil
 	}
-	a := c.AddrOf(idx)
+	a := c.geo.AddrOf(idx)
 	//simlint:allow hotpath (debug guard tripped: the run ends here)
 	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, a, op)
 }
@@ -802,5 +805,5 @@ func (c *Card) Peek(a Addr) []byte {
 	if err := c.checkAddr(a, true); err != nil {
 		return nil
 	}
-	return c.data[c.PageIndex(a)]
+	return c.data[c.geo.PageIndex(a)]
 }

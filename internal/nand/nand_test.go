@@ -348,7 +348,7 @@ func TestAddrConversionRoundTrip(t *testing.T) {
 	geo := c.Geometry()
 	prop := func(idx uint32) bool {
 		i := int(idx) % geo.TotalPages()
-		return c.PageIndex(c.AddrOf(i)) == i
+		return c.geo.PageIndex(c.geo.AddrOf(i)) == i
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

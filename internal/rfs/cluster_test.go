@@ -86,12 +86,11 @@ func idxPage(idx int, page []byte) {
 // sequential file data exposes the whole appliance's parallelism.
 func TestClusterStripingSpreadsAppends(t *testing.T) {
 	c, _, fs := newClusterFS(t, 2, 4)
-	lay := fs.Backend().Layout()
 	f, err := fs.Create("stripe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusterAppend(t, c, f, lay.Chips, 16, idxPage)
+	clusterAppend(t, c, f, fs.chips, 16, idxPage)
 	addrs, err := f.PhysicalAddrs()
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +104,8 @@ func TestClusterStripingSpreadsAppends(t *testing.T) {
 		nodes[a.Node] = true
 		cards[a.Card] = true
 	}
-	if len(chips) != lay.Chips {
-		t.Fatalf("%d appends touched %d distinct chips, want %d", lay.Chips, len(chips), lay.Chips)
+	if len(chips) != fs.chips {
+		t.Fatalf("%d appends touched %d distinct chips, want %d", fs.chips, len(chips), fs.chips)
 	}
 	if len(nodes) != 2 || len(cards) != c.Params.CardsPerNode {
 		t.Fatalf("striping covered %d nodes, %d cards", len(nodes), len(cards))
@@ -121,14 +120,13 @@ func TestClusterStripingSpreadsAppends(t *testing.T) {
 // starves it.
 func TestClusterCleaningOnBackground(t *testing.T) {
 	c, s, fs := newClusterFS(t, 2, 16)
-	lay := fs.Backend().Layout()
 	f, err := fs.Create("churn")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fill ~60% of the log, then overwrite it several times over: the
 	// pool has to cross the low-water mark and clean repeatedly.
-	pages := lay.TotalPages() * 6 / 10
+	pages := fs.totalPages() * 6 / 10
 	clusterAppend(t, c, f, pages, 32, idxPage)
 
 	s.ResetStats()
@@ -151,8 +149,8 @@ func TestClusterCleaningOnBackground(t *testing.T) {
 	probeLoop()
 
 	writer := f.At(sched.Batch)
-	buf := make([]byte, lay.PageSize)
-	overwrites := lay.TotalPages()
+	buf := make([]byte, fs.PageSize())
+	overwrites := fs.totalPages()
 	done, werrs := 0, 0
 	next := 0
 	var churn func()
@@ -207,7 +205,7 @@ func TestClusterCleaningOnBackground(t *testing.T) {
 	if rtOps != int64(probeReads) {
 		t.Fatalf("realtime class saw %d ops, probe completed %d", rtOps, probeReads)
 	}
-	if err := fs.CheckInvariants(); err != nil {
+	if err := fs.Log.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -337,7 +335,7 @@ func overwriteUnderCleaning(t *testing.T, maxInflight int, random bool) {
 	if fs.SegsCleaned == 0 {
 		t.Fatal("test premise: the overwrites never cleaned a segment")
 	}
-	if err := fs.CheckInvariants(); err != nil {
+	if err := fs.Log.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, f.PageSize())

@@ -1,12 +1,21 @@
 package rfs
 
-// TotalPages returns the number of flash pages in the log.
-func (l Layout) TotalPages() int { return l.TotalSegs() * l.PagesPerSeg }
+// totalPages returns the number of flash pages in the log.
+func (fs *FS) totalPages() int { return len(fs.Log.Units) * fs.geo.PagesPerBlock }
 
-// PoolOut returns the page ops taken and not returned: zero once the
-// file system has drained.
-func (fs *FS) PoolOut() int { return fs.ops.Out() }
+// LeakPageOp takes a page op from the log's pool and never returns it:
+// a read whose completion the port swallows. It is the leak a drain
+// check must name.
+func (fs *FS) LeakPageOp() {
+	port := fs.Log.Port
+	fs.Log.Port = swallow{}
+	fs.Log.Read(0, 0, func([]byte, error) {})
+	fs.Log.Port = port
+}
 
-// LeakPageOp takes a page op from the pool and never returns it: the
-// leak a drain check must name.
-func (fs *FS) LeakPageOp() { fs.ops.Get() }
+// swallow is a port that never completes anything.
+type swallow struct{}
+
+func (swallow) Read(int, uint8, func([]byte, error))    {}
+func (swallow) Program(int, uint8, []byte, func(error)) {}
+func (swallow) Erase(int, func(error))                  {}

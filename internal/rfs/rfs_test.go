@@ -3,7 +3,6 @@ package rfs
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,17 +27,38 @@ type harness struct {
 	card *nand.Card
 }
 
+// newHarness builds a file system over a card's flashserver interface.
+// When the test ends, the file system's log must have drained and its
+// mapping must hold (reclaim.Log.Check).
 func newHarness(t testing.TB, geo nand.Geometry) *harness {
 	t.Helper()
-	return newHarnessOver(t, geo, func(b Backend) Backend { return b })
+	r := newCardRig(t, geo)
+	fs, err := New(r.srv.NewIface("fs"), geo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := fs.Log.Check(); err != nil {
+			t.Error(err)
+		}
+	})
+	return &harness{eng: r.eng, fs: fs, srv: r.srv, card: r.card}
 }
 
-// newHarnessOver is newHarness with wrap sitting between the file
-// system and its card backend.
-func newHarnessOver(t testing.TB, geo nand.Geometry, wrap func(Backend) Backend) *harness {
+// cardRig is one card behind a flashserver: the engine, the card
+// (under the image guard in a test, not in a benchmark), the server and
+// a port of a log over it.
+type cardRig struct {
+	eng  *sim.Engine
+	card *nand.Card
+	srv  *flashserver.Server
+	port reclaim.Port
+}
+
+func newCardRig(t testing.TB, geo nand.Geometry) *cardRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	_, guard := t.(*testing.T) // tests run under the image guard, benchmarks without
+	_, guard := t.(*testing.T)
 	card, err := nand.NewCard(eng, "card", geo, nand.DefaultTiming(), nand.Reliability{GuardImages: guard}, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -61,15 +81,7 @@ func newHarnessOver(t testing.TB, geo nand.Geometry, wrap func(Backend) Backend)
 	}
 	sp = flashserver.NewSplitter(ctl)
 	srv := flashserver.NewServer(sp, "fs", 16)
-	cb, err := NewCardBackend(srv.NewIface("fs"), geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewWithBackend(wrap(cb), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &harness{eng: eng, fs: fs, srv: srv, card: card}
+	return &cardRig{eng: eng, card: card, srv: srv, port: reclaim.Card(srv.NewIface("log"), geo)}
 }
 
 func (h *harness) appendPage(t testing.TB, f *File, data []byte) error {
@@ -277,7 +289,7 @@ func TestReadErrors(t *testing.T) {
 	var serr error
 	f.AppendPage([]byte{1, 2}, func(err error) { serr = err })
 	h.eng.Run()
-	if !errors.Is(serr, ErrDataSize) {
+	if !errors.Is(serr, reclaim.ErrDataSize) {
 		t.Fatalf("short append: %v", serr)
 	}
 }
@@ -393,13 +405,34 @@ func TestFSOracleProperty(t *testing.T) {
 	}
 }
 
-// TestCleanLowWaterBelowOneRefused: a low-water mark of 0 used to be
-// raised to 1 without a word, so 0 and 1 ran identically. It is
-// refused, and the error names the field.
-func TestCleanLowWaterBelowOneRefused(t *testing.T) {
-	lay := Layout{Chips: 1, SegsPerChip: 4, PagesPerSeg: 4, PageSize: 16, Lanes: 1}
-	_, err := NewWithBackend(newStub(lay, true), Config{CleanLowWater: 0})
-	if err == nil || !strings.Contains(err.Error(), "CleanLowWater") {
-		t.Fatalf("CleanLowWater 0 built a file system or was refused without naming the field: %v", err)
+// TestWriteToRemovedFileFails: a handle on a removed file fails its
+// appends and overwrites with ErrNotFound before anything is
+// programmed; nothing of the file comes back.
+func TestWriteToRemovedFileFails(t *testing.T) {
+	geo := smallGeo()
+	h := newHarness(t, geo)
+	f, err := h.fs.Create("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.appendPage(t, f, pg(geo, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.fs.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	programs := h.fs.Log.Programs
+	if err := h.appendPage(t, f, pg(geo, 2)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("append to a removed file: %v", err)
+	}
+	var werr error = errors.New("overwrite never completed")
+	f.WritePage(0, pg(geo, 3), func(err error) { werr = err })
+	h.eng.Run()
+	if !errors.Is(werr, ErrNotFound) {
+		t.Fatalf("overwrite of a removed file: %v", werr)
+	}
+	if h.fs.Log.Programs != programs || f.Pages() != 0 || h.fs.LiveMappings() != 0 {
+		t.Fatalf("%d programs, %d pages, %d live mappings after writes to a removed file",
+			h.fs.Log.Programs-programs, f.Pages(), h.fs.LiveMappings())
 	}
 }

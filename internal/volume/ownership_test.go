@@ -9,6 +9,7 @@ import (
 	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -145,13 +146,13 @@ type hostReadsBesideGC struct {
 	held    *[][]byte
 }
 
-func (b hostReadsBesideGC) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
-	if tag != ftl.TagGC {
-		b.card.ReadPage(a, tag, cb)
+func (b hostReadsBesideGC) Read(ppn int, tag uint8, cb func([]byte, error)) {
+	if tag != reclaim.TagMove {
+		b.card.Read(ppn, tag, cb)
 		return
 	}
 	host := func() {
-		if err := b.streams[sched.Interactive].Read(b.pageAddr(a), func(d []byte, err error) {
+		if err := b.streams[sched.Interactive].Read(b.pageAddr(ppn), func(d []byte, err error) {
 			if err == nil {
 				*b.held = append(*b.held, d)
 			}
@@ -160,11 +161,11 @@ func (b hostReadsBesideGC) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, 
 		}
 	}
 	if b.gcLeads {
-		b.card.ReadPage(a, tag, cb)
+		b.card.Read(ppn, tag, cb)
 		host()
 	} else {
 		host()
-		b.card.ReadPage(a, tag, cb)
+		b.card.Read(ppn, tag, cb)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestGCReadSharedWithHostReaderMovesTheImage(t *testing.T) {
 			for ci := 0; ci < c.Params.CardsPerNode; ci++ {
 				card := c.Node(0).Card(ci)
 				for idx := 0; idx < geo.TotalPages(); idx++ {
-					if stored := card.Peek(card.AddrOf(idx)); stored != nil && heldBufs[&stored[0]] {
+					if stored := card.Peek(card.Geometry().AddrOf(idx)); stored != nil && heldBufs[&stored[0]] {
 						shared++
 					}
 				}
@@ -284,20 +285,20 @@ type rebuildWrite struct {
 	img []byte
 }
 
-func (b rebuildSpy) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
-	b.card.ReadPage(a, tag, func(d []byte, err error) {
-		if tag == ftl.TagRebuild && err == nil {
+func (b rebuildSpy) Read(ppn int, tag uint8, cb func([]byte, error)) {
+	b.card.Read(ppn, tag, func(d []byte, err error) {
+		if ftl.IOTag(tag) == ftl.TagRebuild && err == nil {
 			b.reads[&d[0]] = true
 		}
 		cb(d, err)
 	})
 }
 
-func (b rebuildSpy) WritePage(a nand.Addr, img []byte, tag ftl.IOTag, cb func(error)) {
-	if tag == ftl.TagRebuild {
-		*b.writes = append(*b.writes, rebuildWrite{b.card, a, img})
+func (b rebuildSpy) Program(ppn int, tag uint8, img []byte, cb func(error)) {
+	if ftl.IOTag(tag) == ftl.TagRebuild {
+		*b.writes = append(*b.writes, rebuildWrite{b.card, b.pageAddr(ppn).Addr, img})
 	}
-	b.card.WritePage(a, img, tag, cb)
+	b.card.Program(ppn, tag, img, cb)
 }
 
 // TestRebuildCopyStoresTheBufferItRead: a rebuild copy is a move

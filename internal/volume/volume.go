@@ -28,7 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftl"
-	"repro/internal/nand"
+	"repro/internal/reclaim"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -207,18 +207,18 @@ func (v *Volume) Stats() Stats {
 	var st Stats
 	st.MinFreeBlocks = -1
 	for _, cd := range v.cards {
-		f := cd.f
-		st.HostReads += f.HostReads
-		st.HostWrites += f.HostWrites
+		f, l := cd.f, cd.f.Log
+		st.HostReads += l.Reads
+		st.HostWrites += l.Writes
 		st.HostTrims += f.HostTrims
-		st.FlashPrograms += f.FlashPrograms
-		st.FlashErases += f.FlashErases
-		st.GCMoves += f.GCMoves
-		st.GCAborts += f.GCAborts
-		st.BadBlocks += f.BadBlocks
-		st.UncorrectableReads += f.UncorrectableReads
-		st.ReadFaults += f.ReadFaults
-		st.LostPages += f.LostPages
+		st.FlashPrograms += l.Programs
+		st.FlashErases += l.Erases
+		st.GCMoves += l.Moves
+		st.GCAborts += l.Aborts
+		st.BadBlocks += l.BadUnits
+		st.UncorrectableReads += l.Uncorrectable
+		st.ReadFaults += l.ReadFaults
+		st.LostPages += l.LostPages
 		if st.MinFreeBlocks < 0 || f.FreeBlocks() < st.MinFreeBlocks {
 			st.MinFreeBlocks = f.FreeBlocks()
 		}
@@ -437,21 +437,21 @@ func newCard(v *Volume, node, idx int) (*card, error) {
 	if err := cd.mountFTL(cd); err != nil {
 		return nil, err
 	}
-	v.c.OnCheck(func() error { return cd.f.Check() }) // the card's FTL of the moment
+	v.c.OnCheck(func() error { return cd.f.Log.Check() }) // the card's FTL of the moment
 	return cd, nil
 }
 
-// mountFTL builds a fresh translation layer for the card over io — the
-// card itself, which admits every flash op through the scheduler — and
-// wires its GC urgency into the node's Background token budget.
-func (cd *card) mountFTL(io ftl.Backend) error {
-	f, err := ftl.NewWithBackend(io, cd.v.c.Params.Geometry, cd.v.cfg.FTL)
+// mountFTL builds a fresh translation layer for the card over port —
+// the card itself, which admits every flash op through the scheduler —
+// and wires its GC urgency into the node's Background token budget.
+func (cd *card) mountFTL(port reclaim.Port) error {
+	f, err := ftl.New(port, cd.v.c.Params.Geometry, cd.v.cfg.FTL)
 	if err != nil {
 		return err
 	}
 	cd.f = f
-	f.GC.Urgent = func() { cd.urg(f.GC.Urgency()) }
-	f.GC.Urgent() // a remount's fresh FTL replaces the dead one's urgency
+	f.Log.Urgent = func() { cd.urg(f.Log.Urgency()) }
+	f.Log.Urgent() // a remount's fresh FTL replaces the dead one's urgency
 	return nil
 }
 
@@ -471,31 +471,32 @@ func classOf(tag ftl.IOTag) sched.Class {
 	return sched.Class(tag)
 }
 
-func (cd *card) pageAddr(a nand.Addr) core.PageAddr {
-	return core.PageAddr{Node: cd.node, Card: cd.idx, Addr: a}
+// pageAddr resolves a ppn of the card's log.
+func (cd *card) pageAddr(ppn int) core.PageAddr {
+	return core.PageAddr{Node: cd.node, Card: cd.idx, Addr: cd.v.c.Params.Geometry.AddrOf(ppn)}
 }
 
-// ReadPage admits a physical read at the tag's QoS class, retrying on
+// Read admits a physical read at the tag's QoS class, retrying on
 // backpressure (reads have no ordering constraint).
-func (cd *card) ReadPage(a nand.Addr, tag ftl.IOTag, cb func([]byte, error)) {
-	cd.v.rt.Read(cd.streams[classOf(tag)], cd.pageAddr(a), cb)
+func (cd *card) Read(ppn int, tag uint8, cb func([]byte, error)) {
+	cd.v.rt.Read(cd.streams[classOf(ftl.IOTag(tag))], cd.pageAddr(ppn), cb)
 }
 
-// WritePage admits a physical program through the tag's FIFO
-// sequencer: strictly in issue order, stalling (not reordering) on
-// backpressure. It adopts img (ftl.Backend).
-func (cd *card) WritePage(a nand.Addr, img []byte, tag ftl.IOTag, cb func(error)) {
-	sq := cd.wseqs[tag]
+// Program admits a physical program through the tag's FIFO sequencer:
+// strictly in issue order, stalling (not reordering) on backpressure.
+// It adopts img (reclaim.Port).
+func (cd *card) Program(ppn int, tag uint8, img []byte, cb func(error)) {
+	sq := cd.wseqs[ftl.IOTag(tag)]
 	if sq == nil {
 		sq = cd.v.rt.NewSequencer()
-		cd.wseqs[tag] = sq
+		cd.wseqs[ftl.IOTag(tag)] = sq
 	}
-	sq.WriteImage(cd.streams[classOf(tag)], cd.pageAddr(a), img, cb)
+	sq.WriteImage(cd.streams[classOf(ftl.IOTag(tag))], cd.pageAddr(ppn), img, cb)
 }
 
-// EraseBlock admits a block erase at the tag's class (GC traffic in
-// practice), retrying on backpressure. The FTL only erases after every
-// relocation write completed, so no ordering hazard exists.
-func (cd *card) EraseBlock(a nand.Addr, tag ftl.IOTag, cb func(error)) {
-	cd.v.rt.Erase(cd.streams[classOf(tag)], cd.pageAddr(a), cb)
+// Erase admits a block erase on the Background class, retrying on
+// backpressure. The FTL only erases after every relocation write
+// completed, so no ordering hazard exists.
+func (cd *card) Erase(ppn int, cb func(error)) {
+	cd.v.rt.Erase(cd.streams[sched.Background], cd.pageAddr(ppn), cb)
 }
