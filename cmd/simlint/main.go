@@ -1,12 +1,12 @@
 // Command simlint statically enforces the simulator's determinism and
 // alloc-free invariants over this repository: order-dependent map
-// iteration (maprange), wall-clock time and global math/rand
-// (walltime), concurrency in the single-threaded core (noconcurrency),
-// allocation sources in //simlint:hotpath functions and in functions
-// transitively reachable from them (hotpath), discarded errors
-// (errdrop), pool get/put pairing (poolleak), exactly-once
-// completion callbacks (oncedone), and exported names that no non-test
-// code references, in the module or in bench/ (unused; on ./... only).
+// iteration (maprange), the host clock, global math/rand and
+// concurrency in the single-threaded core (forbidden), allocation
+// sources in //simlint:hotpath functions and in functions transitively
+// reachable from them (hotpath), discarded errors (errdrop), pooled
+// objects and once-callbacks discharged exactly once on every path
+// (obligation), and exported names that no non-test code references,
+// in the module or in bench/ (unused; on ./... only).
 // See internal/lint for the analyzers and the //simlint:allow
 // suppression grammar.
 //

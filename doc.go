@@ -76,10 +76,9 @@
 //	internal/power        node power model (Table 3)
 //	internal/lint         simlint: static analyzers enforcing the
 //	                      determinism and alloc-free invariants
-//	                      (maprange, walltime, noconcurrency, hotpath,
-//	                      errdrop, poolleak, oncedone, unused, and
-//	                      escapecheck under -escapes); cmd/simlint is
-//	                      the CI driver
+//	                      (maprange, forbidden, hotpath, errdrop,
+//	                      obligation, unused, and escapecheck under
+//	                      -escapes); cmd/simlint is the CI driver
 //
 // Start with examples/quickstart, then see README.md for the system
 // inventory (its package map and one section per subsystem).

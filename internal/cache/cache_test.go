@@ -12,8 +12,9 @@ import (
 )
 
 // testCache builds a small cluster + scheduler + volume + cache stack.
-// When the test ends, whatever it left in flight is drained and every
-// pooled context of the tier must be back in its pool.
+// When the test ends, whatever it left in flight is drained and the
+// cluster's drain check runs (coretest.NewCluster), which holds every
+// pool the cache registered.
 func testCache(t testing.TB, nodes int, cfg Config) (*core.Cluster, *volume.Volume, *Cache) {
 	t.Helper()
 	p := core.DefaultParams(nodes)
@@ -34,16 +35,7 @@ func testCache(t testing.TB, nodes int, cfg Config) (*core.Cluster, *volume.Volu
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		c.Run()
-		out := ca.invPool.Out()
-		for _, nc := range ca.nodes {
-			out += nc.hitPool.Out() + nc.fillPool.Out() + nc.wackPool.Out() + nc.flushPool.Out()
-		}
-		if out != 0 {
-			t.Errorf("%d pooled contexts are out of their pools at drain", out)
-		}
-	})
+	t.Cleanup(c.Run) // runs before the cluster's check: cleanups run last-in first-out
 	return c, v, ca
 }
 
@@ -198,6 +190,46 @@ func TestCacheRangeErrors(t *testing.T) {
 	}
 	if _, err := ca.NewStream("x", 99, sched.Interactive); err == nil {
 		t.Fatal("bad node accepted")
+	}
+}
+
+// TestFillThatDoesNotInstall: a write that lands while the fill of the
+// same page is in flight takes the frame, so the fill delivers its read
+// and returns its context without installing; the next read hits the
+// written data, and the cache passes its drain check.
+func TestFillThatDoesNotInstall(t *testing.T) {
+	c, v, ca := testCache(t, 1, DefaultConfig(16))
+	seedPages(t, c, v, 8)
+	st, err := ca.NewStream("t", 0, sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var read []byte
+	st.Read(3, func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		read = append([]byte(nil), data...)
+	})
+	fresh := pageData(ca.PageSize(), 99)
+	st.Write(3, fresh, func(err error) {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	c.Run()
+	if !bytes.Equal(read, pageData(ca.PageSize(), 3)) {
+		t.Fatal("the racing fill did not deliver the flash copy it read")
+	}
+	base := ca.Stats()
+	if got := readPage(t, c, st, 3); !bytes.Equal(got, fresh) {
+		t.Fatal("the aborted fill installed its stale read over the write")
+	}
+	if d := ca.Stats().Delta(base); d.Hits != 1 {
+		t.Fatalf("hits = %d, want 1: the write owns the frame", d.Hits)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -178,9 +178,14 @@ type queryState interface {
 	part(m *partMsg)
 }
 
-// ErrNoVolume reports a Range query on a System built without a
-// volume.
-var ErrNoVolume = errors.New("ispvol: no volume attached; query a File source")
+var (
+	// ErrNoVolume reports a Range query on a System built without a
+	// volume.
+	ErrNoVolume = errors.New("ispvol: no volume attached; query a File source")
+	// ErrBadOrigin reports a query whose origin is not a node of the
+	// cluster.
+	ErrBadOrigin = errors.New("ispvol: origin out of range")
+)
 
 // New attaches the subsystem to a cluster, scheduler and volume (all
 // three must belong together). It binds MergeEP on every node. v may
@@ -323,7 +328,7 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 // checkOrigin validates a query's origin node.
 func (sys *System) checkOrigin(origin int) error {
 	if origin < 0 || origin >= sys.c.Nodes() {
-		return fmt.Errorf("ispvol: origin %d out of range", origin)
+		return fmt.Errorf("%w: %d", ErrBadOrigin, origin)
 	}
 	return nil
 }

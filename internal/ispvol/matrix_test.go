@@ -11,7 +11,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/accel/graph"
 	"repro/internal/accel/lsh"
+	accelsearch "repro/internal/accel/search"
 	"repro/internal/accel/tablescan"
 	"repro/internal/core"
 	"repro/internal/ispvol"
@@ -301,11 +303,16 @@ func TestQueryMatrix(t *testing.T) {
 // TestBadInputFailsAlikeOnBothPlacements: the source and the kernel
 // arguments are validated once, ahead of the placement, so both arms
 // reject the same input with the same error — neither may degrade it
-// into a "successful" result with FailedPages.
+// into a "successful" result with FailedPages. Every entry point —
+// Search, TableScan, NearestNeighbor, WalkMigrate — is run with an
+// origin outside the cluster and with its own bad input; each failure
+// fires done exactly once, wraps a sentinel, and leaves the cluster
+// passing its drain check (Sync holds the last two).
 func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 	ps := core.DefaultParams(1).Geometry.PageSize
 	_, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), workload.RandomPages(1))
 	c, _, fs, fileSys := newFileSystem(t, 1)
+	_, _, walkSys, g := walkFixture(t, 2, graph.Config{Vertices: 16, AvgDegree: 2, Seed: 1})
 	file := ispvol.File(seedFile(t, c, fs, "f", 8, workload.RandomPages(2)))
 	whole := ispvol.Range(0, v.Pages())
 	item := make([]byte, 64)
@@ -328,6 +335,10 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 			return err
 		}},
 	}
+	walk := func(sys *ispvol.System, origin int, _ ispvol.Source, _ ispvol.Placement) error {
+		_, err := walkMigrate(sys, origin, g, graph.TraverseConfig{Steps: 4})
+		return err
+	}
 	nn := func(item []byte, ids, pages []int) query {
 		return func(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement) error {
 			_, err := nearest(sys, origin, src, item, ids, pages, pl)
@@ -347,9 +358,9 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 	for _, k := range scans {
 		name, run := k.name, k.run
 		rows = append(rows,
-			row{name + "/origin below", run, sys, -1, whole, nil},
-			row{name + "/origin above", run, sys, 2, whole, nil},
-			row{name + "/file origin above", run, fileSys, 1, file, nil},
+			row{name + "/origin below", run, sys, -1, whole, ispvol.ErrBadOrigin},
+			row{name + "/origin above", run, sys, 2, whole, ispvol.ErrBadOrigin},
+			row{name + "/file origin above", run, fileSys, 1, file, ispvol.ErrBadOrigin},
 			row{name + "/range negative", run, sys, 0, ispvol.Range(-1, 4), volume.ErrOutOfRange},
 			row{name + "/range past end", run, sys, 0, ispvol.Range(0, v.Pages()+1), volume.ErrOutOfRange},
 			row{name + "/range inverted", run, sys, 0, ispvol.Range(5, 3), volume.ErrOutOfRange},
@@ -360,7 +371,13 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 		row{"search/empty needle", func(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement) error {
 			_, err := search(sys, origin, src, nil, pl)
 			return err
-		}, sys, 0, whole, nil},
+		}, sys, 0, whole, accelsearch.ErrEmptyPattern},
+		row{"tablescan/unknown column", func(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement) error {
+			_, err := tableScan(sys, origin, src, tablescan.Predicate{Col: 99}, pl)
+			return err
+		}, sys, 0, whole, tablescan.ErrBadColumn},
+		row{"walk/origin below", walk, walkSys, -1, nil, ispvol.ErrBadOrigin},
+		row{"walk/origin above", walk, walkSys, 2, nil, ispvol.ErrBadOrigin},
 		// A candidate page outside the source fails the query; see also
 		// TestNNOutOfRangeCandidate.
 		row{"nn/candidate negative", nn(item, []int{0, 1}, []int{0, -1}), sys, 0, whole, volume.ErrOutOfRange},
@@ -374,9 +391,9 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 		src  ispvol.Source
 	}{{"volume", sys, whole}, {"file", fileSys, file}} {
 		rows = append(rows,
-			row{"nn/" + src.name + "/ids-pages mismatch", nn(item, []int{1, 2}, []int{1}), src.sys, 0, src.src, nil},
-			row{"nn/" + src.name + "/empty item", nn(nil, []int{0}, []int{0}), src.sys, 0, src.src, nil},
-			row{"nn/" + src.name + "/oversized item", nn(make([]byte, ps+1), []int{0}, []int{0}), src.sys, 0, src.src, nil},
+			row{"nn/" + src.name + "/ids-pages mismatch", nn(item, []int{1, 2}, []int{1}), src.sys, 0, src.src, ispvol.ErrBadCandidates},
+			row{"nn/" + src.name + "/empty item", nn(nil, []int{0}, []int{0}), src.sys, 0, src.src, ispvol.ErrBadItem},
+			row{"nn/" + src.name + "/oversized item", nn(make([]byte, ps+1), []int{0}, []int{0}), src.sys, 0, src.src, ispvol.ErrBadItem},
 		)
 	}
 

@@ -12,6 +12,7 @@ package ispvol
 // QoS roof as everything else.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -30,6 +31,15 @@ type NNResult struct {
 	CmpPerSec   float64
 }
 
+var (
+	// ErrBadCandidates reports a candidate list whose ids and pages
+	// differ in length.
+	ErrBadCandidates = errors.New("ispvol: candidate ids and pages differ in length")
+	// ErrBadItem reports a query item that is empty or larger than a
+	// page.
+	ErrBadItem = errors.New("ispvol: query item empty or larger than a page")
+)
+
 // NearestNeighbor finds the candidate closest to item in Hamming
 // distance, ties to the lowest id — the same rule as lsh.NearestBrute.
 // Candidate ids[i] lives in page pages[i] of src (the LSH index
@@ -38,11 +48,11 @@ type NNResult struct {
 //simlint:once done
 func (sys *System) NearestNeighbor(origin int, src Source, item []byte, ids, pages []int, pl Placement, done func(*NNResult, error)) {
 	if len(ids) != len(pages) {
-		done(nil, fmt.Errorf("ispvol: %d ids but %d pages", len(ids), len(pages)))
+		done(nil, fmt.Errorf("%w: %d ids but %d pages", ErrBadCandidates, len(ids), len(pages)))
 		return
 	}
 	if len(item) == 0 || len(item) > sys.c.Params.PageSize() {
-		done(nil, fmt.Errorf("ispvol: query item of %d bytes (page is %d)", len(item), sys.c.Params.PageSize()))
+		done(nil, fmt.Errorf("%w: %d bytes (page is %d)", ErrBadItem, len(item), sys.c.Params.PageSize()))
 		return
 	}
 	if pages == nil {

@@ -8,20 +8,23 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-// The five analyzers, each against its fixture package loaded as if it
-// lived inside the deterministic core. Every want comment pins a
-// finding; every unmarked construct pins the absence of one.
+// The per-package analyzers, each against its fixture package loaded
+// as if it lived inside the deterministic core. Every want comment
+// pins a finding; every unmarked construct pins the absence of one.
 
 func TestMaprange(t *testing.T) {
 	linttest.Run(t, "testdata/maprange", "internal/fixture", lint.Maprange)
 }
 
+// The forbidden check, once over its table of banned package
+// functions and once over its banned syntax kinds.
+
 func TestWalltime(t *testing.T) {
-	linttest.Run(t, "testdata/walltime", "internal/fixture", lint.Walltime)
+	linttest.Run(t, "testdata/forbidden/clock", "internal/fixture", lint.Forbidden)
 }
 
 func TestNoconcurrency(t *testing.T) {
-	linttest.Run(t, "testdata/noconcurrency", "internal/fixture", lint.Noconcurrency)
+	linttest.Run(t, "testdata/forbidden/concurrency", "internal/fixture", lint.Forbidden)
 }
 
 func TestHotpath(t *testing.T) {
@@ -33,25 +36,28 @@ func TestErrdrop(t *testing.T) {
 }
 
 // The interprocedural analyzers: hotpath's walk over the call graph,
-// and the CFG-based pair.
+// and the CFG-based obligation check.
 
 func TestHotcall(t *testing.T) {
 	linttest.Run(t, "testdata/hotcall", "internal/fixture", lint.Hotpath)
 }
 
+// The obligation check: pool objects, the module's sim.Pool, and
+// once-callbacks.
+
 func TestPoolleak(t *testing.T) {
-	linttest.Run(t, "testdata/poolleak", "internal/fixture", lint.Poolleak)
+	linttest.Run(t, "testdata/obligation/pool", "internal/fixture", lint.Obligation)
 }
 
 // TestPoolleakSimPool: the one //simlint:pool marker lives on sim.Pool,
-// so the leak check must follow Get and Put across packages and through
-// the instantiations of a generic method.
+// so the check must follow Get and Put across packages and through the
+// instantiations of a generic method.
 func TestPoolleakSimPool(t *testing.T) {
-	linttest.Run(t, "testdata/poolleak_simpool", "internal/fixture", lint.Poolleak)
+	linttest.Run(t, "testdata/obligation/simpool", "internal/fixture", lint.Obligation)
 }
 
 func TestOncedone(t *testing.T) {
-	linttest.Run(t, "testdata/oncedone", "internal/fixture", lint.Oncedone)
+	linttest.Run(t, "testdata/obligation/once", "internal/fixture", lint.Obligation)
 }
 
 // TestUnused: each kind of unreferenced exported name is flagged; a
@@ -90,10 +96,12 @@ func TestScopeFences(t *testing.T) {
 		name, dir, relPath string
 		analyzer           *lint.Analyzer
 	}{
-		{"walltime-harness", "testdata/walltime", "internal/experiments/fixture", lint.Walltime},
-		{"walltime-cmd", "testdata/walltime", "cmd/fixture", lint.Walltime},
-		{"noconcurrency-report", "testdata/noconcurrency", "internal/report", lint.Noconcurrency},
-		{"noconcurrency-experiments", "testdata/noconcurrency", "internal/experiments", lint.Noconcurrency},
+		{"walltime-harness", "testdata/forbidden/clock", "internal/experiments/fixture", lint.Forbidden},
+		{"walltime-cmd", "testdata/forbidden/clock", "cmd/fixture", lint.Forbidden},
+		{"walltime-report", "testdata/forbidden/clock", "internal/report", lint.Forbidden},
+		{"noconcurrency-report", "testdata/forbidden/concurrency", "internal/report", lint.Forbidden},
+		{"noconcurrency-experiments", "testdata/forbidden/concurrency", "internal/experiments", lint.Forbidden},
+		{"noconcurrency-cmd", "testdata/forbidden/concurrency", "cmd/fixture", lint.Forbidden},
 		{"maprange-outside-internal", "testdata/maprange", "cmd/fixture", lint.Maprange},
 		{"errdrop-outside-internal", "testdata/errdrop", "cmd/fixture", lint.Errdrop},
 	}
@@ -109,14 +117,19 @@ func TestScopeFences(t *testing.T) {
 	}
 }
 
-// Directive hygiene: malformed directives, unknown checks, missing
-// reasons and suppressions that suppress nothing are all findings.
+// Directive hygiene: malformed directives, unknown checks (the old
+// names of folded checks among them), missing reasons and suppressions
+// that suppress nothing are all findings.
 func TestDirectiveAudit(t *testing.T) {
 	diags := linttest.Diags(t, "testdata/directives", "internal/fixture", lint.Maprange)
 	wants := []string{
 		"malformed directive",
 		`suppression of "maprange" needs a reason`,
 		`unknown check "nosuchcheck"`,
+		`unknown check "poolleak"`,
+		`unknown check "oncedone"`,
+		`unknown check "walltime"`,
+		`unknown check "noconcurrency"`,
 		"unused suppression",
 	}
 	if len(diags) != len(wants) {

@@ -121,7 +121,7 @@ func collectEdges(pkg *Package, fd *ast.FuncDecl, namedTypes []*types.Named) []c
 		}
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
-			if isBuiltinName(pkg, fun) {
+			if isBuiltin(pkg.Info, fun) {
 				if fun.Name == "panic" {
 					return false // dying: callees on the way out are moot
 				}
@@ -187,12 +187,6 @@ func implementations(iface *types.Interface, mfn *types.Func, namedTypes []*type
 	}
 	sort.Slice(impls, func(i, j int) bool { return funcChainName(impls[i]) < funcChainName(impls[j]) })
 	return impls
-}
-
-// isBuiltinName reports whether id resolves to a Go builtin in pkg.
-func isBuiltinName(pkg *Package, id *ast.Ident) bool {
-	_, ok := pkg.Info.ObjectOf(id).(*types.Builtin)
-	return ok
 }
 
 // hotChain is the shortest discovered call chain from an annotated

@@ -6,12 +6,11 @@ import (
 )
 
 // A tiny intra-function control-flow graph, built from the AST for the
-// path-sensitive analyzers (poolleak, oncedone). Nodes of a block are
-// the statements and guard expressions evaluated there, in order;
-// successors are the possible continuations. Paths that end in a
-// return reach the virtual exit block; paths that end in panic
-// terminate without reaching it (whatever obligations they hold are
-// moot — the process is dying).
+// path-sensitive obligation check. Nodes of a block are the statements
+// and guard expressions evaluated there, in order; successors are the
+// possible continuations. Paths that end in a return reach the virtual
+// exit block; paths that end in panic terminate without reaching it
+// (whatever obligations they hold are moot — the process is dying).
 //
 // Deliberate simplifications, all conservative for the analyses here:
 //

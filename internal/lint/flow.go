@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Shared machinery for the CFG-based analyzers: event extraction over
+// Shared machinery for the obligation check: event extraction over
 // tracked objects (a pooled pointer, a once-callback parameter) and a
 // forward union-lattice dataflow over the cfgGraph.
 
@@ -15,12 +15,10 @@ import (
 type eventKind int
 
 const (
-	evNone    eventKind = iota
-	evAcquire           // v := get(...): v now holds a pooled object
-	evRelease           // put(v) or v.put(): the object returns to its pool
-	evInvoke            // v(...): the tracked callback is called
-	evHandoff           // v escapes: argument, return, store, capture —
-	// ownership (or the invocation obligation) moves elsewhere
+	evAcquire   eventKind = iota // v := get(...): v now holds a pooled object
+	evDischarge                  // put(v), v.put() or v(...): the obligation is met
+	evHandoff                    // v escapes: argument, return, store, capture —
+	// the obligation moves elsewhere
 )
 
 // flowEvent is one ordered event within a CFG block.
@@ -31,13 +29,13 @@ type flowEvent struct {
 }
 
 // funcUnit is one analyzable body: a declaration or a function
-// literal. Literals are separate units — a capture inside one is a
-// handoff from the enclosing unit's point of view, and obligations
-// created inside the literal are checked against the literal's own
-// paths.
+// literal (decl nil). Literals are separate units — a capture inside
+// one is a handoff from the enclosing unit's point of view, and
+// obligations created inside the literal are checked against the
+// literal's own paths.
 type funcUnit struct {
 	body *ast.BlockStmt
-	pos  token.Pos
+	decl *ast.FuncDecl
 }
 
 // collectUnits gathers the declared body and every nested function
@@ -52,9 +50,9 @@ func collectUnits(f *ast.File) []funcUnit {
 		ast.Inspect(fd, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
-				units = append(units, funcUnit{body: x.Body, pos: x.Pos()})
+				units = append(units, funcUnit{body: x.Body, decl: x})
 			case *ast.FuncLit:
-				units = append(units, funcUnit{body: x.Body, pos: x.Pos()})
+				units = append(units, funcUnit{body: x.Body})
 			}
 			return true
 		})
@@ -62,20 +60,19 @@ func collectUnits(f *ast.File) []funcUnit {
 	return units
 }
 
+// accessors is the event spec: the functions whose results create an
+// obligation (a //simlint:pool get) and those that take one back (its
+// put). A direct call of a tracked object discharges it too.
+type accessors struct{ get, put map[types.Object]bool }
+
 // extractEvents walks one CFG node (a statement or guard expression)
-// in source order and emits the events affecting tracked objects.
-//
-//   - tracked: the objects under analysis in this unit;
-//   - getObjs / putObjs: the pool accessors (nil maps for oncedone);
-//   - trackCalls: when true, a direct call of a tracked object is an
-//     evInvoke (the oncedone case).
+// in source order and emits the events affecting the tracked objects.
 //
 // Nested function literals are opaque: each tracked object referenced
 // anywhere inside one contributes a single evHandoff at the literal
 // (the closure now owns the obligation), and nothing below it is
 // walked here — the literal body is its own funcUnit.
-func extractEvents(p *Pass, node ast.Node, tracked map[types.Object]bool,
-	getObjs, putObjs map[types.Object]bool, trackCalls bool) []flowEvent {
+func extractEvents(p *Pass, node ast.Node, tracked map[types.Object]bool, acc accessors) []flowEvent {
 	var events []flowEvent
 	var walk func(n ast.Node, parent ast.Node)
 	emit := func(kind eventKind, obj types.Object, pos token.Pos) {
@@ -127,7 +124,7 @@ func extractEvents(p *Pass, node ast.Node, tracked map[types.Object]bool,
 			if len(x.Lhs) == len(x.Rhs) {
 				for i, rhs := range x.Rhs {
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok || !isAccessorCall(p, call, getObjs) {
+					if !ok || !isAccessorCall(p, call, acc.get) {
 						continue
 					}
 					if id, ok := x.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
@@ -145,29 +142,29 @@ func extractEvents(p *Pass, node ast.Node, tracked map[types.Object]bool,
 			// harmless to record — the CFG ends the path anyway).
 			fun := ast.Unparen(x.Fun)
 			// Direct invocation of a tracked callback.
-			if id, ok := fun.(*ast.Ident); ok && trackCalls {
+			if id, ok := fun.(*ast.Ident); ok {
 				if obj := p.ObjectOf(id); obj != nil && tracked[obj] {
 					for _, a := range x.Args {
 						walk(a, x)
 					}
-					emit(evInvoke, obj, x.Pos())
+					emit(evDischarge, obj, x.Pos())
 					return
 				}
 			}
-			// put(v) / s.put(v): args that are tracked idents release.
-			if isAccessorCall(p, x, putObjs) {
-				// v.put() form: the receiver itself releases.
+			// put(v) / s.put(v): args that are tracked idents discharge.
+			if isAccessorCall(p, x, acc.put) {
+				// v.put() form: the receiver itself discharges.
 				if sel, ok := fun.(*ast.SelectorExpr); ok {
 					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 						if obj := p.ObjectOf(id); obj != nil && tracked[obj] {
-							emit(evRelease, obj, x.Pos())
+							emit(evDischarge, obj, x.Pos())
 						}
 					}
 				}
 				for _, a := range x.Args {
 					if id, ok := ast.Unparen(a).(*ast.Ident); ok {
 						if obj := p.ObjectOf(id); obj != nil && tracked[obj] {
-							emit(evRelease, obj, a.Pos())
+							emit(evDischarge, obj, a.Pos())
 							continue
 						}
 					}
@@ -329,13 +326,12 @@ type blockEvents map[*cfgBlock][]flowEvent
 
 // extractBlockEvents runs extractEvents over every node of every
 // block.
-func extractBlockEvents(p *Pass, g *cfgGraph, tracked map[types.Object]bool,
-	getObjs, putObjs map[types.Object]bool, trackCalls bool) blockEvents {
+func extractBlockEvents(p *Pass, g *cfgGraph, tracked map[types.Object]bool, acc accessors) blockEvents {
 	be := blockEvents{}
 	for _, blk := range g.blocks {
 		var evs []flowEvent
 		for _, n := range blk.nodes {
-			evs = append(evs, extractEvents(p, n, tracked, getObjs, putObjs, trackCalls)...)
+			evs = append(evs, extractEvents(p, n, tracked, acc)...)
 		}
 		if len(evs) > 0 {
 			be[blk] = evs

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Hotpath keeps hot paths allocation-free. The hot set is every
@@ -59,8 +58,7 @@ func isHotpathAnnotated(fd *ast.FuncDecl) bool {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == hotpathMarker {
+		if markerText(c) == hotpathMarker {
 			return true
 		}
 	}
@@ -155,7 +153,7 @@ func (h *hotpathWalk) walk(n ast.Node) {
 // call checks one call expression; it returns false to prune the walk
 // below panic calls.
 func (h *hotpathWalk) call(call *ast.CallExpr) bool {
-	if id, ok := call.Fun.(*ast.Ident); ok && isBuiltin(h.p, id) {
+	if id, ok := call.Fun.(*ast.Ident); ok && isBuiltin(h.p.Info, id) {
 		switch id.Name {
 		case "panic":
 			h.see(call.Pos(), call.End()) // dying: allocations on the way out are moot
@@ -298,7 +296,7 @@ func recycledAppends(p *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 				continue
 			}
 			fn, ok := call.Fun.(*ast.Ident)
-			if !ok || fn.Name != "append" || !isBuiltin(p, fn) || len(call.Args) == 0 {
+			if !ok || fn.Name != "append" || !isBuiltin(p.Info, fn) || len(call.Args) == 0 {
 				continue
 			}
 			if !sameExpr(p, as.Lhs[i], call.Args[0]) {

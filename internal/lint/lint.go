@@ -7,46 +7,116 @@
 // weakest `for k := range someMap` or stray time.Now(): either one
 // silently breaks identical event order across runs, and the failure
 // shows up weeks later as a golden-digest mismatch nobody can bisect.
-// The analyzers here turn each such class into a build break. Each
-// entry names the one real bug it has caught, or says none is recorded:
+// The analyzers here turn each such class into a build break:
 //
-//	maprange       order-dependent iteration over Go maps in the
-//	               deterministic core (map iteration order is
-//	               randomized per run); caught rfs CheckInvariants
-//	               walking backrefs in map order, so its first error
-//	               changed from run to run (PR 7)
-//	walltime       wall-clock time and global math/rand in simulation
-//	               packages (virtual time comes from sim.Engine,
-//	               randomness from sim.RNG); none recorded
-//	noconcurrency  go statements, channel operations and sync
-//	               primitives inside the single-threaded core, where
-//	               concurrency can only mean nondeterminism; none
-//	               recorded
-//	hotpath        allocation sources in the hot set: functions
-//	               annotated //simlint:hotpath and every function the
-//	               module call graph reaches from them, whose findings
-//	               carry the call chain; caught volume.mirrorWrite's
-//	               two closures and one struct per mirrored write and
-//	               hostmodel.Thread's closure per work item (PR 10)
-//	errdrop        discarded error results in internal/; caught the
-//	               hostif DeviceWriteChunk and ReleaseReadBuffer errors
-//	               dropped at all 16 production call sites (PR 7)
-//	poolleak       pooled objects (declared //simlint:pool get=F put=G
-//	               on the pool type) acquired but neither released nor
-//	               handed off on some path, including error paths; none
-//	               recorded (PR 19's planted leaks were all found)
-//	oncedone       completion callbacks declared //simlint:once that
-//	               some path invokes zero times (a hang) or more than
-//	               once (the over-grant/double-completion bug class);
-//	               none recorded
-//	unused         exported names that no non-test code references,
-//	               in the module or in a module nested under it
-//	               (bench/); its first run found 41 dead exported
-//	               names, deleted (PR 32)
-//	escapecheck    (driver mode, cmd/simlint -escapes) heap
-//	               allocations the real compiler reports via
-//	               -gcflags=-m on hot-set lines that the hotpath walk
-//	               did not see; none recorded
+//	maprange     order-dependent iteration over Go maps in the
+//	             deterministic core (map iteration order is randomized
+//	             per run)
+//	forbidden    one table of banned package functions and syntax kinds
+//	             over the deterministic core: the host clock, the global
+//	             math/rand stream, sync, go statements and channels
+//	hotpath      allocation sources in the hot set: functions annotated
+//	             //simlint:hotpath and every function the module call
+//	             graph reaches from them, whose findings carry the call
+//	             chain
+//	errdrop      discarded error results in internal/
+//	obligation   pooled objects (//simlint:pool) and completion
+//	             callbacks (//simlint:once) not discharged exactly once
+//	             on every path
+//	unused       exported names that no non-test code references, in
+//	             the module or in a module nested under it (bench/)
+//	escapecheck  (driver mode, cmd/simlint -escapes) heap allocations
+//	             the real compiler reports via -gcflags=-m on hot-set
+//	             lines that the hotpath walk did not see
+//
+// Real bugs caught: maprange found the rfs invariant check walking
+// back-references in map order, so its first error changed from run to
+// run; hotpath found volume.mirrorWrite's two closures and one struct
+// per mirrored write and hostmodel.Thread's closure per work item;
+// errdrop found the hostif DeviceWriteChunk and ReleaseReadBuffer
+// errors dropped at all 16 production call sites; unused found 41 dead
+// exported names on its first run.
+//
+// What each check catches is measured by planted bugs: each one
+// below was planted alone in a copy of the tree this package ships
+// with, then `go run ./cmd/simlint ./...`, `go run ./cmd/simlint
+// -escapes ./...` and every tier-1 test outside internal/lint were run.
+// The plant's class is the check meant to catch it (poolleak, oncedone,
+// walltime and noconcurrency are the four checks since folded into
+// obligation and forbidden); "static" names what simlint reported and
+// "tier-1" the packages whose tests failed (artifacts is
+// cmd/bluedbm-bench's regeneration test; TestPackageSizes, which only
+// sees that a line was added, is left out):
+//
+//	plant  class          bug                                       static       tier-1
+//	P1     poolleak       sched backpressure path drops reqs.Put    —            sched, volume
+//	P2     poolleak       fabric non-last local segment drops       —            fabric
+//	                      segs.Put
+//	P3     poolleak       reclaim.Log.Write gets its op before the  obligation   ftl, rfs
+//	                      size check
+//	P4     poolleak       cache fill that does not install drops    —            cache
+//	                      fillPool.Put
+//	P5     poolleak       sched completion puts the request twice   —            sched, cache, rfs,
+//	                      (a parameter: holds no obligation)                     volume, ispvol,
+//	                                                                             workload, artifacts
+//	P6     poolleak       core.remoteReq send-error path drops      —            —
+//	                      remoteOps.Put
+//	P7     poolleak       SubmitHostBatch gets a batch before the   obligation   —
+//	                      empty check
+//	O1     oncedone       ispvol query with a bad origin returns    obligation   ispvol
+//	                      without fin
+//	O2     oncedone       Search with an empty needle returns       obligation   ispvol
+//	                      without done
+//	O3     oncedone       graph.TraverseAsync with Steps<=0 calls   —            —
+//	                      done and falls through (not marked once)
+//	O4     oncedone       ispvol resolve error returns without fin  obligation   ispvol
+//	O5     oncedone       altstore.HDD calls done twice inside its  —            altstore, search,
+//	                      closure (closures are not followed)                    experiments, artifacts
+//	M1     maprange       rfs FS.List returns names in map order    maprange     rfs
+//	M2     maprange       cache eviction takes the first clean      maprange     cache, experiments,
+//	                      frame the lpn map yields                               artifacts
+//	M3     maprange       sched drain check reports the first       maprange     —
+//	                      pending read in map order
+//	M4     maprange       lsh.NearestBrute drops its tie-break      —            —
+//	                      under an audited allow
+//	W1     walltime       nand wear-out draws from global rand      forbidden    —
+//	W2     walltime       workload picker draws its lpn from        forbidden    workload, experiments,
+//	                      global rand                                            artifacts
+//	W3     walltime       host thread cost jittered by time.Now     forbidden    hostmodel, sched,
+//	                                                                             workload, spmv,
+//	                                                                             tablescan, artifacts
+//	N1     noconcurrency  ispvol fans a query out on a goroutine    forbidden    ispvol, artifacts
+//	N2     noconcurrency  engine counts fired events with           forbidden    —
+//	                      sync/atomic
+//	N3     noconcurrency  host thread pushes each work item from a  forbidden,   sched, core, cache,
+//	                      goroutine and waits on a channel          hotpath      rfs
+//	H1     hotpath        reclaim.Log.Write admits a closure per    —            ftl, rfs
+//	                      write (Write is outside the hot set)
+//	H2     hotpath        sched makes a fresh slice per doorbell    hotpath      sched, volume, cache,
+//	                                                                             rfs
+//	H3     hotpath        fabric transmit passes a closure per      hotpath      fabric, core, cache
+//	                      segment
+//	E1     errdrop        flashserver drops WriteImage's error      errdrop      —
+//	E2     errdrop        ispvol deliver drops a send error         errdrop      —
+//	E3     errdrop        cache drops an invalidation send error    errdrop      —
+//	U1     unused         ispvol's test-only Units probe moves      unused       —
+//	                      out of export_test.go
+//	U2     unused         a new engine accessor nothing calls       unused       —
+//	U3     unused         volume.PhysMap's one caller resolves      unused       —
+//	                      page by page instead
+//	X1     escapecheck    sched kick schedules a method value       escapecheck  sched, cache, rfs,
+//	                                                                             ispvol
+//	X2     escapecheck    sched builds each doorbell in a stack     escapecheck  sched, volume, cache,
+//	                      array it then keeps                                    rfs
+//	X3     escapecheck    sched backpressure returns errors.New     escapecheck  sched, volume
+//	                      instead of the sentinel
+//
+// Of the 34 plants, 25 are caught statically and 21 by tier-1 tests:
+// 15 by both, 10 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3), 6
+// only by tests (P1, P2, P4, P5, O5, H1) and 3 by neither (P6, O3,
+// M4). Every check catches a plant no tier-1 test catches except
+// hotpath and escapecheck, whose plants the allocation pins
+// (testing.AllocsPerRun) also catch.
 //
 // A true finding is fixed; an intended exception is suppressed with an
 // audited comment on the offending line or the line above — directives
@@ -105,8 +175,7 @@ type Analyzer struct {
 // Escapecheck is absent: it needs real compiler output and runs only
 // through cmd/simlint -escapes (or Escapes in this package).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Maprange, Walltime, Noconcurrency, Hotpath, Errdrop,
-		Poolleak, Oncedone, Unused}
+	return []*Analyzer{Maprange, Forbidden, Hotpath, Errdrop, Obligation, Unused}
 }
 
 // knownChecks returns every valid //simlint:allow check name,
@@ -150,15 +219,7 @@ type Pass struct {
 // Reportf records a finding at pos unless an applicable
 // //simlint:allow directive suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.sink.suppress(p.Analyzer.Name, position) {
-		return
-	}
-	p.sink.diags = append(p.sink.diags, Diagnostic{
-		Pos:     position,
-		Check:   p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+	p.sink.reportAt(p.Analyzer.Name, p.Fset.Position(pos), format, args...)
 }
 
 // TypeOf is a nil-safe Info.TypeOf.
@@ -170,12 +231,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // ObjectOf resolves an identifier to its object (may be nil).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
+func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Info.ObjectOf(id) }
 
 // A ModulePass carries a module-wide analyzer's view of the whole
 // loaded snapshot.
@@ -246,33 +302,30 @@ func lineKey(file string, line int) string {
 func (rs *runState) collectDirectives(fset *token.FileSet, f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			text := markerText(c)
 			if !strings.HasPrefix(text, "simlint:allow") {
 				continue
 			}
 			pos := fset.Position(c.Pos())
 			m := directiveRe.FindStringSubmatch(text)
-			if m == nil {
-				rs.diags = append(rs.diags, Diagnostic{Pos: pos, Check: "simlint",
-					Message: "malformed directive: want //simlint:allow <check> (reason)"})
-				continue
-			}
-			check, reason := m[1], strings.TrimSpace(m[3])
-			if !rs.checks[check] {
-				rs.diags = append(rs.diags, Diagnostic{Pos: pos, Check: "simlint",
-					Message: fmt.Sprintf("unknown check %q in //simlint:allow directive", check)})
-				continue
-			}
-			if m[2] == "" || reason == "" {
-				rs.diags = append(rs.diags, Diagnostic{Pos: pos, Check: "simlint",
-					Message: fmt.Sprintf("suppression of %q needs a reason: //simlint:allow %s (why)", check, check)})
-				continue
-			}
-			rs.dirs[lineKey(pos.Filename, pos.Line)] = &directive{
-				check: check, reason: reason, pos: pos,
+			switch {
+			case m == nil:
+				rs.reportAt("simlint", pos, "malformed directive: want //simlint:allow <check> (reason)")
+			case !rs.checks[m[1]]:
+				rs.reportAt("simlint", pos, "unknown check %q in //simlint:allow directive", m[1])
+			case m[2] == "" || strings.TrimSpace(m[3]) == "":
+				rs.reportAt("simlint", pos, "suppression of %q needs a reason: //simlint:allow %s (why)", m[1], m[1])
+			default:
+				rs.dirs[lineKey(pos.Filename, pos.Line)] = &directive{check: m[1], reason: strings.TrimSpace(m[3]), pos: pos}
 			}
 		}
 	}
+}
+
+// markerText is a // comment's text after the slashes, trimmed: where
+// a //simlint: marker or directive starts.
+func markerText(c *ast.Comment) string {
+	return strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 }
 
 // collectAll indexes the directives of every file of the snapshot.
@@ -305,9 +358,9 @@ func (rs *runState) suppress(check string, pos token.Position) bool {
 	}
 }
 
-// reportAt records a finding at an externally-produced position (the
-// compiler's, for escapecheck) honoring suppressions exactly like
-// Reportf.
+// reportAt records a finding unless an applicable //simlint:allow
+// directive suppresses it. Reportf, the directive audit and the
+// compiler's positions for escapecheck all report through it.
 func (rs *runState) reportAt(check string, pos token.Position, format string, args ...any) {
 	if rs.suppress(check, pos) {
 		return
@@ -383,18 +436,9 @@ func (s *Snapshot) Run(analyzers []*Analyzer) []Diagnostic {
 	rs.collectAll(s)
 	for _, pkg := range s.Pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
+			if a.Run != nil {
+				a.Run((&ModulePass{Analyzer: a, Snap: s, sink: rs}).Pass(pkg))
 			}
-			a.Run(&Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				RelPath:  pkg.RelPath,
-				sink:     rs,
-			})
 		}
 	}
 	for _, a := range analyzers {

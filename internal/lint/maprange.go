@@ -137,7 +137,7 @@ func commutativeStmt(p *Pass, rs *ast.RangeStmt, st ast.Stmt) bool {
 	case *ast.ExprStmt:
 		// delete(m2, k): set subtraction commutes.
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && isBuiltin(p, id) {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && isBuiltin(p.Info, id) {
 				return true
 			}
 		}
@@ -173,7 +173,7 @@ func isMinMaxFold(p *Pass, s *ast.AssignStmt) bool {
 		return false
 	}
 	fn, ok := call.Fun.(*ast.Ident)
-	if !ok || (fn.Name != "max" && fn.Name != "min") || !isBuiltin(p, fn) {
+	if !ok || (fn.Name != "max" && fn.Name != "min") || !isBuiltin(p.Info, fn) {
 		return false
 	}
 	lo := p.ObjectOf(lhs)
@@ -194,8 +194,9 @@ func isIntegerType(t types.Type) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-func isBuiltin(p *Pass, id *ast.Ident) bool {
-	_, ok := p.ObjectOf(id).(*types.Builtin)
+// isBuiltin reports whether id resolves to a Go builtin.
+func isBuiltin(info *types.Info, id *ast.Ident) bool {
+	_, ok := info.ObjectOf(id).(*types.Builtin)
 	return ok
 }
 
@@ -221,7 +222,7 @@ func collectThenSort(p *Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt) bool {
 			return false
 		}
 		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" || !isBuiltin(p, fn) || len(call.Args) < 1 {
+		if !ok || fn.Name != "append" || !isBuiltin(p.Info, fn) || len(call.Args) < 1 {
 			return false
 		}
 		arg0, ok := call.Args[0].(*ast.Ident)

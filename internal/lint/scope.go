@@ -9,10 +9,10 @@ import "strings"
 //   - The deterministic core is every internal/ package that executes
 //     under the event engine. Concurrency, wall-clock time and map
 //     iteration order there are bugs by definition.
-//   - internal/experiments and cmd/ are the harness side: they measure
-//     host wall-clock around whole runs, so walltime exempts them (the
-//     numbers they compute from *inside* the simulation still go
-//     through sim.Engine).
+//   - internal/experiments is the harness side: it measures host
+//     wall-clock around whole runs (the numbers it computes from
+//     *inside* the simulation still go through sim.Engine), and so do
+//     the cmd/ front ends, outside internal/ altogether.
 //   - internal/report formats human output and internal/lint is this
 //     tool; neither runs under the engine.
 
@@ -24,15 +24,6 @@ func inInternal(rel string) bool {
 
 func inLint(rel string) bool {
 	return rel == "internal/lint" || strings.HasPrefix(rel, "internal/lint/")
-}
-
-// harnessSide marks packages that legitimately touch the host clock:
-// the experiment harness (wall-time speed measurements) and the
-// command-line front ends.
-func harnessSide(rel string) bool {
-	return rel == "internal/experiments" ||
-		strings.HasPrefix(rel, "internal/experiments/") ||
-		rel == "cmd" || strings.HasPrefix(rel, "cmd/")
 }
 
 // inDeterministicCore reports whether the package is part of the

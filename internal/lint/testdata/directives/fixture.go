@@ -1,7 +1,8 @@
 // Fixture for the suppression-directive audit: malformed directives,
 // unknown checks, missing reasons and unused suppressions are all
 // findings of the "simlint" pseudo-check (asserted programmatically —
-// a want comment cannot share a line with a directive).
+// a want comment cannot share a line with a directive). The names of
+// the checks folded into obligation and forbidden are unknown.
 package fixture
 
 //simlint:allow
@@ -15,3 +16,15 @@ var c = 3
 
 //simlint:allow maprange (nothing on the next line ranges a map)
 var d = 4
+
+//simlint:allow poolleak (folded into obligation)
+var e = 5
+
+//simlint:allow oncedone (folded into obligation)
+var f = 6
+
+//simlint:allow walltime (folded into forbidden)
+var g = 7
+
+//simlint:allow noconcurrency (folded into forbidden)
+var h = 8

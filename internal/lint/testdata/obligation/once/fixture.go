@@ -1,9 +1,10 @@
-// Fixture for the oncedone analyzer: functions whose completion
+// The obligation check over completion callbacks: functions whose
 // callback is marked //simlint:once must invoke it exactly once on
 // every path. Pinned here: the silent-hang path (a return the
 // callback never saw), the double completion, the handoff exemptions
 // (argument, struct store, closure capture), marker hygiene, and an
 // audited suppression.
+
 package fixture
 
 import "errors"
@@ -14,7 +15,7 @@ var errBad = errors.New("bad request")
 // forever.
 //
 //simlint:once done
-func hangs(n int, done func(error)) { // want `oncedone: callback done is not invoked on some path to return: the caller waits forever`
+func hangs(n int, done func(error)) { // want `obligation: callback done is not invoked on some path to return: the caller waits forever`
 	if n < 0 {
 		return
 	}
@@ -28,7 +29,7 @@ func doubleFire(fail bool, done func(error)) {
 	if fail {
 		done(errBad)
 	}
-	done(nil) // want `oncedone: callback done may be invoked a second time here`
+	done(nil) // want `obligation: callback done may be invoked a second time here`
 }
 
 // exact completes exactly once on every branch: no finding.
@@ -80,7 +81,7 @@ func panicPath(bad bool, done func(error)) {
 // bareMarker resolves the sole func-typed parameter without naming it.
 //
 //simlint:once
-func bareMarker(n int, done func(error)) { // want `oncedone: callback done is not invoked on some path to return: the caller waits forever`
+func bareMarker(n int, done func(error)) { // want `obligation: callback done is not invoked on some path to return: the caller waits forever`
 	if n > 0 {
 		done(nil)
 	}
@@ -89,7 +90,7 @@ func bareMarker(n int, done func(error)) { // want `oncedone: callback done is n
 // ambiguous has two func-typed parameters: the bare form is a finding.
 //
 //simlint:once
-func ambiguous(a func(), b func()) { // want `oncedone: bare //simlint:once needs exactly one func-typed parameter on ambiguous \(found 2\); name one`
+func ambiguous(a func(), b func()) { // want `obligation: bare //simlint:once needs exactly one func-typed parameter on ambiguous \(found 2\); name one`
 	a()
 	b()
 }
@@ -97,14 +98,14 @@ func ambiguous(a func(), b func()) { // want `oncedone: bare //simlint:once need
 // wrongType names a non-func parameter.
 //
 //simlint:once n
-func wrongType(n int, done func(error)) { // want `oncedone: once parameter n of wrongType is not func-typed`
+func wrongType(n int, done func(error)) { // want `obligation: once parameter n of wrongType is not func-typed`
 	done(nil)
 }
 
 // suppressed keeps one audited fire-and-forget path.
 //
 //simlint:once done
-//simlint:allow oncedone (fixture: demonstrates an audited intentional no-completion suppression)
+//simlint:allow obligation (fixture: demonstrates an audited intentional no-completion suppression)
 func suppressed(drop bool, done func()) {
 	if !drop {
 		done()

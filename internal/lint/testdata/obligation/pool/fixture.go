@@ -1,8 +1,12 @@
-// Fixture for the poolleak analyzer: an annotated pool type whose
-// acquired objects must be released or handed off on every path.
+// The obligation check over an annotated pool type: objects it hands
+// out must be released or handed off on every path. Its siblings hold
+// the module's own sim.Pool (simpool) and completion callbacks marked
+// //simlint:once (once).
+//
 // Pinned here: the early-return leak, the double put, reacquisition
 // while held, the handoff exemptions (argument, field store, closure
-// capture, method-value), and an audited suppression.
+// capture, method-value), an audited suppression, and the double put
+// of an object that arrives as a parameter, which is not seen.
 package fixture
 
 import "errors"
@@ -38,7 +42,7 @@ func (o *owner) putCtx(c *ctx) {
 
 // leakOnError forgets the context on the error path: the classic bug.
 func (o *owner) leakOnError(busy bool) error {
-	c := o.getCtx() // want `poolleak: pooled c acquired here may leak: some path reaches return without put or handoff`
+	c := o.getCtx() // want `obligation: pooled c acquired here may leak: some path reaches return without put or handoff`
 	if busy {
 		return errBusy
 	}
@@ -52,13 +56,13 @@ func (o *owner) doublePut(busy bool) {
 	if busy {
 		o.putCtx(c)
 	}
-	o.putCtx(c) // want `poolleak: pooled c may be released twice on one path`
+	o.putCtx(c) // want `obligation: pooled c may be released twice on one path`
 }
 
 // reacquire overwrites a held context with a fresh one.
 func (o *owner) reacquire() {
 	c := o.getCtx()
-	c = o.getCtx() // want `poolleak: pooled c reacquired while a previous acquisition may still be held`
+	c = o.getCtx() // want `obligation: pooled c reacquired while a previous acquisition may still be held`
 	o.putCtx(c)
 }
 
@@ -106,7 +110,7 @@ func (o *owner) handoffBoundCallback() {
 // neutralUses reads fields, indexes and compares without moving
 // ownership, then leaks: still a finding.
 func (o *owner) neutralUses(xs []int) int {
-	c := o.getCtx() // want `poolleak: pooled c acquired here may leak: some path reaches return without put or handoff`
+	c := o.getCtx() // want `obligation: pooled c acquired here may leak: some path reaches return without put or handoff`
 	if c == o.held {
 		o.putCtx(c)
 		return 0
@@ -125,7 +129,16 @@ func (o *owner) panicPath(bad bool) {
 
 // suppressed keeps one audited intentional leak.
 func (o *owner) suppressed() {
-	//simlint:allow poolleak (fixture: demonstrates an audited intentional-drop suppression)
+	//simlint:allow obligation (fixture: demonstrates an audited intentional-drop suppression)
 	c := o.getCtx()
 	c.n++
+}
+
+// releaseTwice puts an object it did not get, twice: a caller's
+// pooled object arrives as a parameter and holds no obligation here,
+// so the second put is not seen (the completion that puts a request
+// twice, planted as P5 in the package doc's ledger, goes the same way).
+func (o *owner) releaseTwice(c *ctx) {
+	o.putCtx(c)
+	o.putCtx(c)
 }
