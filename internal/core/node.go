@@ -240,9 +240,9 @@ func (n *Node) WriteLocal(card int, addr nand.Addr, data []byte, cb func(err err
 // integrated storage network to the remote flash server — the ISP-F
 // path, with zero host involvement anywhere.
 //
-// The admitted device read is sched.AccelStream: it queues the read at
-// the node that owns the page under the Accel token budget, beside
-// host traffic, and issues it here once granted. The single-node
+// The admitted device read is a sched.Stream at class Accel: it queues
+// the read at the node that owns the page under the Accel token budget,
+// beside host traffic, and issues it here once granted. The single-node
 // runners of Figures 13 and 16–19 call this directly; in-store engines
 // over a volume or a file system reach admission through ispvol.
 func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {

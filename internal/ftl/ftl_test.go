@@ -143,7 +143,7 @@ func TestUnmappedAndRangeErrors(t *testing.T) {
 	if err := h.write(t, 1<<20, page(smallGeo(), 0)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("write out of range: %v", err)
 	}
-	if err := h.write(t, 0, []byte{1}); !errors.Is(err, reclaim.ErrDataSize) {
+	if err := h.write(t, 0, []byte{1}); !errors.Is(err, flashctl.ErrDataSize) {
 		t.Fatalf("short write: %v", err)
 	}
 }

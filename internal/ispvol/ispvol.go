@@ -29,7 +29,7 @@
 //     pages and partitions them by owning node; (2) one engine per
 //     node claims a hardware acceleration unit (the FIFO unit
 //     scheduler of internal/isp) and streams its partition off the
-//     local flash, window-deep, through the node's sched.AccelStream;
+//     local flash, window-deep, through the node's Accel sched.Stream;
 //     (3) each engine reduces its pages next to the flash and ships
 //     only the partial to the origin over the integrated storage
 //     network; (4) the origin merges the partials and DMAs the answer
@@ -79,7 +79,7 @@ type Admission int
 
 const (
 	// Admitted is the production path: reads go through the node's
-	// sched.AccelStream — Accel-class admission, window accounting,
+	// Accel sched.Stream — Accel-class admission, window accounting,
 	// token budget — then issue device-side.
 	Admitted Admission = iota
 	// Bypass is the pre-fix scheduler-bypass bug, kept as an explicit
@@ -169,7 +169,7 @@ type System struct {
 type nodeISP struct {
 	node   *core.Node
 	units  *isp.Scheduler
-	stream *sched.AccelStream
+	stream *sched.Stream // at class Accel
 	ep     *fabric.Endpoint
 }
 
@@ -208,7 +208,7 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 		if err != nil {
 			return nil, err
 		}
-		st, err := s.NewAccelStream(i)
+		st, err := s.NewStream(fmt.Sprintf("isp-n%d", i), i, sched.Accel)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error))
 		sys.nodes[n].node.ISPReadDirect(ref.addr, cb)
 		return
 	}
-	sys.retry.AccelRead(sys.nodes[n].stream, ref.addr, cb)
+	sys.retry.Read(sys.nodes[n].stream, ref.addr, cb)
 }
 
 // checkOrigin validates a query's origin node.

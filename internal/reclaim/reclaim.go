@@ -58,14 +58,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Errors of the log.
-var (
-	// ErrNoSpace is what an allocation fails with when the free pool is
-	// dry and no pass can make room.
-	ErrNoSpace = errors.New("reclaim: no free space and nothing to reclaim")
-	// ErrDataSize is what a write of anything but one page image fails with.
-	ErrDataSize = errors.New("reclaim: data must be exactly one page")
-)
+// ErrNoSpace is what an allocation fails with when the free pool is dry
+// and no pass can make room. A write of anything but one page image
+// fails with flashctl.ErrDataSize, the sentinel every layer that catches
+// it wraps.
+var ErrNoSpace = errors.New("reclaim: no free space and nothing to reclaim")
 
 // TagMove is the traffic tag of the log's own work: a move's read and
 // program. Ports schedule it apart from the layers' tags.
@@ -307,7 +304,7 @@ func (l *Log) readDone(o *op, data []byte, err error) {
 // read-your-write await completions.
 func (l *Log) Write(key uint64, img []byte, tag uint8, cb func(err error)) {
 	if len(img) != l.pageSize {
-		cb(fmt.Errorf("%w: got %d want %d", ErrDataSize, len(img), l.pageSize))
+		cb(fmt.Errorf("%w: got %d want %d", flashctl.ErrDataSize, len(img), l.pageSize))
 		return
 	}
 	l.Writes++

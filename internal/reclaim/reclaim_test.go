@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flashctl"
 	"repro/internal/nand"
 )
 
@@ -279,12 +280,12 @@ func TestNoProgressStallsUntilAnInvalidation(t *testing.T) {
 }
 
 // TestWriteSizeChecked: a write of anything but one page image fails
-// with ErrDataSize before it takes an op or a page.
+// with flashctl.ErrDataSize before it takes an op or a page.
 func TestWriteSizeChecked(t *testing.T) {
 	r := newRig(t, 2, 2, 1, 1)
 	var err error
 	r.l.Write(1, []byte{1, 2}, 0, func(e error) { err = e })
-	if !errors.Is(err, ErrDataSize) || r.l.Writes != 0 || len(r.held) != 0 {
+	if !errors.Is(err, flashctl.ErrDataSize) || r.l.Writes != 0 || len(r.held) != 0 {
 		t.Fatalf("a two-byte page: %v, %d writes, %d ops held", err, r.l.Writes, len(r.held))
 	}
 }

@@ -229,7 +229,7 @@ func TestClusterPhysicalAddrsMatchEngineReads(t *testing.T) {
 	if len(addrs) != pages {
 		t.Fatalf("addrs = %d", len(addrs))
 	}
-	st, err := s.NewAccelStream(0)
+	st, err := s.NewStream("engine", 0, sched.Accel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func TestReadErrors(t *testing.T) {
 	var serr error
 	f.AppendPage([]byte{1, 2}, func(err error) { serr = err })
 	h.eng.Run()
-	if !errors.Is(serr, reclaim.ErrDataSize) {
+	if !errors.Is(serr, flashctl.ErrDataSize) {
 		t.Fatalf("short append: %v", serr)
 	}
 }

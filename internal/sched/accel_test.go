@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -10,16 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAccelStreamReadsComplete: ISP reads admitted through an
-// AccelStream complete with the right data and are accounted under
-// the accel class — the scheduler sees them.
+// TestAccelStreamReadsComplete: ISP reads admitted through an Accel
+// stream complete with the right data and are accounted under the
+// accel class — the scheduler sees them.
 func TestAccelStreamReadsComplete(t *testing.T) {
 	c := testCluster(t, 2, 64)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewAccelStream(0)
+	st, err := s.NewStream("engine", 0, sched.Accel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewAccelStream(0)
+	st, err := s.NewStream("engine", 0, sched.Accel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +108,58 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	}
 }
 
-// TestAccelClassClosedToHostPaths: host streams cannot submit at the
-// Accel class; it belongs to the device-side ISP admission path alone.
-func TestAccelClassClosedToHostPaths(t *testing.T) {
+// TestAccelStreamOnlyReads: an Accel stream is an in-store processor's,
+// and in-store processors only read the flash. A write, an image write
+// or an erase on one fails with ErrAccelReadOnly — directly, through a
+// Retrier and through a Sequencer — admits nothing and takes no pooled
+// request (the cluster's drain check runs when the test ends), and
+// leaves the stream's reads working.
+func TestAccelStreamOnlyReads(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NewStream("bad", 0, sched.Accel); err == nil {
-		t.Fatal("host stream opened at the Accel class")
+	st, err := s.NewStream("engine", 0, sched.Accel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, img := freePage(c, 0), c.Params.Geometry.PageImage(pagePattern(c, 1))
+	never := func(error) { t.Error("a refused op's callback fired") }
+	for name, err := range map[string]error{
+		"Write":      st.Write(a, img, never),
+		"WriteImage": st.WriteImage(a, img, never),
+		"Erase":      st.Erase(a, never),
+	} {
+		if !errors.Is(err, sched.ErrAccelReadOnly) {
+			t.Errorf("%s on an Accel stream: %v, want ErrAccelReadOnly", name, err)
+		}
+	}
+	rt := s.NewRetrier(0)
+	var viaRetrier, viaSequencer error
+	rt.Erase(st, a, func(err error) { viaRetrier = err })
+	rt.NewSequencer().WriteImage(st, a, img, func(err error) { viaSequencer = err })
+	if !errors.Is(viaRetrier, sched.ErrAccelReadOnly) || !errors.Is(viaSequencer, sched.ErrAccelReadOnly) {
+		t.Errorf("through a Retrier: erase %v, write %v; want ErrAccelReadOnly", viaRetrier, viaSequencer)
+	}
+	if st.Submitted != 0 || s.QueueLen(0) != 0 {
+		t.Fatalf("refused ops admitted: %d submitted, queue %d", st.Submitted, s.QueueLen(0))
+	}
+	if got := readBack(t, c, st, core.LinearPage(c.Params, 0, 3)); len(got) == 0 {
+		t.Fatal("the Accel stream's read delivered nothing")
+	}
+	c.Run()
+	for _, cs := range s.Snapshot().Classes {
+		want := int64(0)
+		if cs.Class == "accel" {
+			want = 1
+		}
+		if cs.Ops != want {
+			t.Fatalf("class %s completed %d ops, want the one accel read", cs.Class, cs.Ops)
+		}
+	}
+	if peek(c, a) != nil {
+		t.Fatal("a refused write reached the flash")
 	}
 }
 
@@ -161,8 +204,9 @@ func TestAccelShareValidation(t *testing.T) {
 	}
 }
 
-// TestAccelReadRetriesLikeTheHandWrittenLoop: Retrier.AccelRead — the
-// one retry under ispvol's engines — against the closure it replaced
+// TestAccelReadRetriesLikeTheHandWrittenLoop: Retrier.Read on an Accel
+// stream — the one retry under ispvol's engines — against the closure it
+// replaced
 // (admit; on ErrBackpressure, After delay, admit again). A burst far
 // deeper than the admission queue must complete every read at the same
 // instant either way; the retrier counts the refusals it absorbed and
@@ -192,7 +236,7 @@ func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 		return at
 	}
 	want := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
-		st, err := s.NewAccelStream(0)
+		st, err := s.NewStream("engine", 0, sched.Accel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,16 +254,16 @@ func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 	})
 	var rt *sched.Retrier
 	viaStream := run(func(c *core.Cluster, s *sched.Scheduler) func(core.PageAddr, func([]byte, error)) {
-		st, err := s.NewAccelStream(0)
+		st, err := s.NewStream("engine", 0, sched.Accel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt = s.NewRetrier(delay)
-		return func(a core.PageAddr, cb func([]byte, error)) { rt.AccelRead(st, a, cb) }
+		return func(a core.PageAddr, cb func([]byte, error)) { rt.Read(st, a, cb) }
 	})
 	for i := range want {
 		if want[i] == 0 || viaStream[i] != want[i] {
-			t.Fatalf("read %d: hand-written loop %v, AccelRead %v", i, want[i], viaStream[i])
+			t.Fatalf("read %d: hand-written loop %v, Retrier.Read %v", i, want[i], viaStream[i])
 		}
 	}
 	if rt.Backpressure == 0 {
@@ -231,12 +275,12 @@ func TestAccelReadRetriesLikeTheHandWrittenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewAccelStream(0)
+	st, err := s.NewStream("engine", 0, sched.Accel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got error
-	s.NewRetrier(0).AccelRead(st, core.PageAddr{Node: 7}, func(_ []byte, err error) { got = err })
+	s.NewRetrier(0).Read(st, core.PageAddr{Node: 7}, func(_ []byte, err error) { got = err })
 	if got == nil {
 		t.Fatal("a read of a page on a node that does not exist was admitted")
 	}

@@ -6,18 +6,18 @@ import (
 )
 
 // Retrier admits flash operations for layers that cannot refuse their
-// own callers — the volume's per-card FTL backends, the cluster file
-// system, the closed-loop workload drivers. A Stream reports a full
-// admission queue as ErrBackpressure; a Retrier absorbs it, admitting
-// again after a fixed delay until the node takes the request. Reads and
-// erases have no ordering constraint and retry each on its own; page
-// writes go through a Sequencer, which keeps them in issue order.
+// own callers — the page logs under a Port, ispvol's in-store engines,
+// the closed-loop workload drivers. A Stream reports a full admission
+// queue as ErrBackpressure; a Retrier absorbs it, admitting again after
+// a fixed delay until the node takes the request. Reads and erases have
+// no ordering constraint and retry each on its own; page writes go
+// through a Sequencer, which keeps them in issue order.
 type Retrier struct {
 	s     *Scheduler
 	delay sim.Time
 
 	// Backpressure counts the ErrBackpressure refusals absorbed so far,
-	// by Read, AccelRead, Erase and every Sequencer of this retrier.
+	// by Read, Erase and every Sequencer of this retrier.
 	Backpressure int64
 
 	ops sim.Pool[retryOp]
@@ -46,7 +46,6 @@ func (s *Scheduler) NewRetrier(delay sim.Time) *Retrier {
 // stream admits it (or fails it for good). Ops are pooled per retrier.
 type retryOp struct {
 	st   *Stream
-	ast  *AccelStream // set for an in-store processor's read, st nil
 	addr core.PageAddr
 	rcb  func(data []byte, err error) // a read's callback
 	wcb  func(err error)              // an erase's callback
@@ -61,18 +60,6 @@ type retryOp struct {
 func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err error)) {
 	op := rt.ops.Get()
 	op.st, op.addr, op.rcb = st, a, cb
-	rt.admit(op)
-}
-
-// AccelRead is Read for an in-store processor's stream: the admitted
-// device read for a caller with no error return to refuse through,
-// ispvol's engines among them. It takes what core.Node.ISPReadDirect
-// takes, and cb fires exactly once, the way ISPReadDirect's does.
-//
-//simlint:hotpath
-func (rt *Retrier) AccelRead(st *AccelStream, a core.PageAddr, cb func(data []byte, err error)) {
-	op := rt.ops.Get()
-	op.ast, op.addr, op.rcb = st, a, cb
 	rt.admit(op)
 }
 
@@ -92,12 +79,9 @@ func (rt *Retrier) Erase(st *Stream, a core.PageAddr, cb func(err error)) {
 //simlint:hotpath
 func (rt *Retrier) admit(op *retryOp) {
 	var err error
-	switch {
-	case op.ast != nil:
-		err = op.ast.Read(op.addr, op.rcb)
-	case op.wcb != nil:
+	if op.wcb != nil {
 		err = op.st.Erase(op.addr, op.wcb)
-	default:
+	} else {
 		err = op.st.Read(op.addr, op.rcb)
 	}
 	if err == ErrBackpressure {
@@ -123,8 +107,8 @@ func (rt *Retrier) admit(op *retryOp) {
 // backpressure must stall the writes behind it, never let them
 // overtake: the sequencer retries its head after the retrier's delay
 // and admits nothing else meanwhile. Writes that must stay ordered
-// among themselves share one sequencer (the volume keeps one per FTL
-// traffic tag, the file system one per node and class).
+// among themselves share one sequencer (a Port keeps one per node and
+// traffic tag).
 type Sequencer struct {
 	rt      *Retrier
 	q       sim.Queue[seqWrite]
@@ -181,4 +165,88 @@ func (sq *Sequencer) pump() {
 			w.cb(err)
 		}
 	}
+}
+
+// Port is a page log's way into the scheduler: the reclaim.Port under
+// the volume's card FTLs and the cluster file system alike. It admits
+// each op at the node that owns its page, at the class its tag rides
+// (classOf), and retries on backpressure through its Retrier. Programs
+// of one tag at one node go through one Sequencer, so they are admitted
+// in issue order: the log allocates each tag's frontier pages in issue
+// order and NAND programs a block's pages in order, so a backpressured
+// program must stall its tag's later ones, never let them overtake.
+// Programs of different tags pass each other, Background ones included:
+// a stalled relocation does not hold up a rebuild or a flush.
+type Port struct {
+	rt      *Retrier
+	addr    func(ppn int) core.PageAddr
+	streams [][NumClasses]Stream // per node, per class
+	seqs    map[lane]*Sequencer
+}
+
+// lane names the programs that must stay in issue order: one tag's at
+// one node.
+type lane struct {
+	node int
+	tag  uint8
+}
+
+// NewPort returns a port admitting through rt; addr resolves a ppn of
+// the log to the page it names.
+func (rt *Retrier) NewPort(addr func(ppn int) core.PageAddr) *Port {
+	p := &Port{rt: rt, addr: addr, streams: make([][NumClasses]Stream, len(rt.s.nodes)), seqs: make(map[lane]*Sequencer)}
+	for n := range p.streams {
+		for cl := range p.streams[n] {
+			p.streams[n][cl] = Stream{s: rt.s, node: n, class: Class(cl)}
+		}
+	}
+	return p
+}
+
+// classOf is the one rule from a page log's traffic tag to a class: a
+// tag below Accel is a tenant's class and rides it; every other tag is
+// the log's own work or its layer's housekeeping (reclaim.TagMove, and
+// the FTL's rebuild and flush tags) and rides Background, under the
+// urgency token budget.
+func classOf(tag uint8) Class {
+	if Class(tag) < Accel {
+		return Class(tag)
+	}
+	return Background
+}
+
+// Read admits a page read at the owning node, retrying on backpressure
+// (reads have no ordering constraint).
+//
+//simlint:hotpath
+func (p *Port) Read(ppn int, tag uint8, cb func(data []byte, err error)) {
+	a := p.addr(ppn)
+	p.rt.Read(&p.streams[a.Node][classOf(tag)], a, cb)
+}
+
+// Program admits a page program through its (node, tag) sequencer. It
+// adopts img (reclaim.Port).
+//
+//simlint:hotpath
+func (p *Port) Program(ppn int, tag uint8, img []byte, cb func(err error)) {
+	a := p.addr(ppn)
+	k := lane{a.Node, tag}
+	sq := p.seqs[k]
+	if sq == nil {
+		//simlint:allow hotpath (cold edge: a lane's sequencer is made at its first program, once per node and tag)
+		//simlint:allow escapecheck (the same cold edge, inlined here)
+		sq = p.rt.NewSequencer()
+		p.seqs[k] = sq
+	}
+	sq.WriteImage(&p.streams[a.Node][classOf(tag)], a, img, cb)
+}
+
+// Erase admits a block erase at the owning node on the Background
+// class, retrying on backpressure. A log erases a unit only after its
+// programs and reads drained, so no ordering hazard exists.
+//
+//simlint:hotpath
+func (p *Port) Erase(ppn int, cb func(err error)) {
+	a := p.addr(ppn)
+	p.rt.Erase(&p.streams[a.Node][Background], a, cb)
 }

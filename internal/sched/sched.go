@@ -60,8 +60,9 @@ type Class uint8
 // occupy only an urgency-scaled share of the device window (the GC
 // token budget) so foreground tail latency survives collections.
 //
-// Tenant host streams use the classes below Accel; Accel requests
-// enter only through AccelStream, and Background is reserved for the volume's GC traffic.
+// Tenant host streams use the classes below Accel; an Accel stream
+// only reads, and Background is what a Port sends a page log's own
+// traffic on.
 const (
 	Realtime Class = iota
 	Interactive
@@ -122,7 +123,7 @@ type Config struct {
 	// a zero budget would wedge it in the queue forever. A cluster
 	// with no ISP traffic pays nothing for the reservation (the accel
 	// dispatch pass is a no-op and the host classes use the full
-	// window); to forbid ISP work entirely, don't open AccelStreams.
+	// window); to forbid ISP work entirely, don't open Accel streams.
 	AccelShare float64
 	// GCDefer enables GC-aware dispatch of the Background class: each
 	// node gets a token budget of device-window slots Background

@@ -1,15 +1,28 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 )
 
 // Stream is one client's admission handle: a named, QoS-classed
-// sequence of requests issued from one node's host. Many streams are
-// open concurrently; the scheduler multiplexes them onto the node's
-// admission queue and batches them at the device doorbell.
+// sequence of requests issued from one node. Many streams are open
+// concurrently; the scheduler multiplexes them onto the nodes'
+// admission queues and batches host requests at the device doorbell.
+//
+// A stream at class Accel is an in-store processor's: the admitted
+// device read, where core.Node.ISPReadDirect is the unadmitted one. Its
+// reads are admitted at the node that OWNS the page (that is where the
+// flash contention lives), wait their turn in the Accel class under its
+// token budget, and — once granted a device-window slot — issue through
+// ISPReadDirect from the stream's node: local pages hit the card's ISP
+// interface, remote pages ride the integrated storage network, and no
+// host software, doorbell or DMA is charged anywhere. So the scheduler
+// sees and window-accounts every flash operation the appliance performs
+// — host, housekeeping and ISP alike — while the ISP data path keeps the
+// paper's zero-host-involvement property. An Accel stream only reads.
 type Stream struct {
 	s     *Scheduler
 	node  int
@@ -19,10 +32,20 @@ type Stream struct {
 	Submitted int64
 }
 
-// NewStream opens a stream issuing from node's host at the given QoS
-// class. The stream may address any page in the cluster; remote pages
-// ride the integrated storage network over H-F, the device-side path
-// Node.HostRead shares.
+// ErrAccelReadOnly fails a write or an erase on an Accel stream: in-store
+// processors only read the flash. Nothing was admitted.
+var ErrAccelReadOnly = errors.New("sched: an accel stream only reads")
+
+// errNoOwner fails an Accel read whose page names a node outside the
+// cluster. It is a fixed value because Read sits under the Retrier's
+// hot path.
+var errNoOwner = errors.New("sched: page owner is not a node of the cluster")
+
+// NewStream opens a stream issuing from node at the given QoS class.
+// The stream may address any page in the cluster; a host stream's
+// remote pages ride the integrated storage network over H-F, the
+// device-side path Node.HostRead shares, and an Accel stream's the ISP-F
+// path.
 func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, error) {
 	if node < 0 || node >= len(s.nodes) {
 		return nil, fmt.Errorf("sched: node %d out of range [0,%d)", node, len(s.nodes))
@@ -30,19 +53,25 @@ func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, erro
 	if class >= NumClasses {
 		return nil, fmt.Errorf("sched: class %d out of range", class)
 	}
-	if class == Accel {
-		return nil, fmt.Errorf("sched: %v requests enter through AccelStream, not host streams", class)
-	}
 	return &Stream{s: s, node: node, class: class}, nil
 }
 
 // Read admits a page read. cb fires when the page has landed in host
-// memory (or failed). ErrBackpressure means the request was NOT
+// memory — for an Accel stream, in the stream's node's in-store
+// processor — or failed. ErrBackpressure means the request was NOT
 // admitted and cb will never fire: back off and retry.
 func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
+	at := st.node
+	if st.class == Accel {
+		if a.Node < 0 || a.Node >= len(st.s.nodes) {
+			return errNoOwner
+		}
+		at = a.Node
+	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.enq, r.rcb = st.class, st.class, a, st.s.eng.Now(), cb
-	if err := st.s.nodes[st.node].admit(r); err != nil {
+	r.accel, r.origin = st.class == Accel, st.node
+	if err := st.s.nodes[at].admit(r); err != nil {
 		return err
 	}
 	st.Submitted++
@@ -65,6 +94,9 @@ func (st *Stream) Write(a core.PageAddr, data []byte, cb func(err error)) error 
 // error (ErrBackpressure: not admitted, cb will never fire, submit the
 // same image again later), or cb reports one (nothing below kept it).
 func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) error {
+	if st.class == Accel {
+		return ErrAccelReadOnly
+	}
 	r := st.s.reqs.Get()
 	r.class = st.class
 	r.statClass = st.class
@@ -82,10 +114,13 @@ func (st *Stream) WriteImage(a core.PageAddr, img []byte, cb func(err error)) er
 }
 
 // Erase admits a block erase for the block containing a. It is the
-// admission path for FTL garbage-collection erases (normally on a
-// Background-class stream); like writes it is never coalesced and
-// fences nothing — the FTL guarantees no reads target the block.
+// admission path for a page log's victim erases (on the Background
+// class, through a Port); like writes it is never coalesced and fences
+// nothing — the log guarantees no reads target the block.
 func (st *Stream) Erase(a core.PageAddr, cb func(err error)) error {
+	if st.class == Accel {
+		return ErrAccelReadOnly
+	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.erase, r.enq, r.wcb = st.class, st.class, a, true, st.s.eng.Now(), cb
 	if err := st.s.nodes[st.node].admit(r); err != nil {

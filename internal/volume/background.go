@@ -8,7 +8,7 @@ import "repro/internal/ftl"
 // third kind of housekeeping traffic after GC relocation and replica
 // rebuild: they must make progress without competing with foreground
 // tenants except through the scheduler's urgency token budget. Both
-// entry points ride ftl.TagFlush, which classOf maps to
+// entry points ride ftl.TagFlush, which the card's sched.Port sends on
 // sched.Background, and the cache reports its dirty-page pressure
 // through an UrgencySource of its own — the same feedback loop each
 // card's GC and each node's rebuild already use.

@@ -303,7 +303,7 @@ func (v *Volume) ReplaceCard(i int) error {
 		return ErrCardAlive
 	}
 	v.c.Node(cd.node).Card(cd.idx).Replace()
-	if err := cd.mountFTL(cd); err != nil {
+	if err := cd.mountFTL(); err != nil {
 		return err
 	}
 	cd.dead = false

@@ -3,6 +3,7 @@ package volume_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -257,5 +258,67 @@ func TestFaultAPIsRejectOutOfRangeIndexes(t *testing.T) {
 	}
 	if d := v.Stats(); d.DegradedWrites != 0 {
 		t.Fatalf("%d degraded writes: a rejected call killed a card", d.DegradedWrites)
+	}
+}
+
+// TestStatsSpanAReplace: ReplaceCard mounts a fresh FTL, and the volume
+// keeps counting the ones it retired. Over four overwrite rounds with
+// node 1 killed, replaced and rebuilt after the second, every NAND read
+// the cards did is named by an FTL the volume counts — a host read, a
+// move, a dropped move or a move's read fault — and no counter of a
+// window that spans the replace goes negative.
+func TestStatsSpanAReplace(t *testing.T) {
+	c, _, v := testMirrored(t, 2)
+	st, err := v.NewStream("t", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func(r int) {
+		for lpn := 0; lpn < v.Pages(); lpn++ {
+			st.Write(lpn, pageData(v.PageSize(), lpn^r<<8), func(err error) {
+				if err != nil {
+					t.Errorf("round %d write: %v", r, err)
+				}
+			})
+		}
+		c.Run()
+	}
+	round(0)
+	round(1)
+	before := v.Stats()
+	if err := v.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := false
+	if err := v.RebuildNode(1, func() { rebuilt = true }); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if !rebuilt {
+		t.Fatal("rebuild never completed")
+	}
+	round(2)
+	round(3)
+
+	var reads, named int64
+	for n := 0; n < c.Nodes(); n++ {
+		for ci := 0; ci < c.Params.CardsPerNode; ci++ {
+			reads += c.Node(n).Card(ci).Reads.Value()
+		}
+	}
+	for i := 0; i < v.Cards(); i++ {
+		for _, f := range v.FTLs(i) {
+			l := f.Log
+			named += l.Reads + l.Moves + l.Dropped + l.MoveReadFaults
+		}
+	}
+	if reads != named {
+		t.Errorf("the cards did %d NAND reads, the volume's FTLs name %d", reads, named)
+	}
+	d := reflect.ValueOf(v.Stats().Delta(before))
+	for i := 0; i < d.NumField(); i++ {
+		if f := d.Field(i); f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
+			t.Errorf("Stats.Delta over the replace: %s = %v", d.Type().Field(i).Name, f)
+		}
 	}
 }

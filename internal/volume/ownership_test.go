@@ -135,24 +135,31 @@ func TestStreamWriteSnapshotsUnderBackpressure(t *testing.T) {
 	checkVolume(t, c, st, version)
 }
 
-// hostReadsBesideGC sits between a card's FTL and the card: beside
+// pageAddr resolves a ppn of cd's FTL.
+func (cd *card) pageAddr(ppn int) core.PageAddr {
+	return core.PageAddr{Node: cd.node, Card: cd.idx, Addr: cd.v.c.Params.Geometry.AddrOf(ppn)}
+}
+
+// hostReadsBesideGC sits between a card's FTL and its port: beside
 // every GC read it admits a host read of the same flash page in the
 // same instant, before or after it, so the scheduler coalesces the two
 // — the GC read as the lead or as the follower — and hands both one
 // buffer. It keeps what the host reader received.
 type hostReadsBesideGC struct {
-	*card
+	*sched.Port
+	cd      *card
+	host    *sched.Stream // an Interactive stream at the card's node
 	gcLeads bool
 	held    *[][]byte
 }
 
 func (b hostReadsBesideGC) Read(ppn int, tag uint8, cb func([]byte, error)) {
 	if tag != reclaim.TagMove {
-		b.card.Read(ppn, tag, cb)
+		b.Port.Read(ppn, tag, cb)
 		return
 	}
 	host := func() {
-		if err := b.streams[sched.Interactive].Read(b.pageAddr(ppn), func(d []byte, err error) {
+		if err := b.host.Read(b.cd.pageAddr(ppn), func(d []byte, err error) {
 			if err == nil {
 				*b.held = append(*b.held, d)
 			}
@@ -161,11 +168,11 @@ func (b hostReadsBesideGC) Read(ppn int, tag uint8, cb func([]byte, error)) {
 		}
 	}
 	if b.gcLeads {
-		b.card.Read(ppn, tag, cb)
+		b.Port.Read(ppn, tag, cb)
 		host()
 	} else {
 		host()
-		b.card.Read(ppn, tag, cb)
+		b.Port.Read(ppn, tag, cb)
 	}
 }
 
@@ -184,9 +191,11 @@ func TestGCReadSharedWithHostReaderMovesTheImage(t *testing.T) {
 			c, s, v := ownershipVolume(t, sched.DefaultConfig())
 			var held [][]byte
 			for _, cd := range v.cards {
-				if err := cd.mountFTL(hostReadsBesideGC{cd, gcLeads, &held}); err != nil {
+				host, err := s.NewStream("host", cd.node, sched.Interactive)
+				if err != nil {
 					t.Fatal(err)
 				}
+				cd.f.Log.Port = hostReadsBesideGC{cd.port, cd, host, gcLeads, &held}
 			}
 			st, err := v.NewStream("w", sched.Batch)
 			if err != nil {
@@ -270,11 +279,12 @@ func TestWritesAllocateOnePagePerProgram(t *testing.T) {
 	}
 }
 
-// rebuildSpy sits between a card's FTL and the card and keeps every
+// rebuildSpy sits between a card's FTL and its port and keeps every
 // buffer a rebuild read delivered and every image a rebuild program
 // handed down.
 type rebuildSpy struct {
-	*card
+	*sched.Port
+	cd     *card
 	reads  map[*byte]bool
 	writes *[]rebuildWrite
 }
@@ -286,7 +296,7 @@ type rebuildWrite struct {
 }
 
 func (b rebuildSpy) Read(ppn int, tag uint8, cb func([]byte, error)) {
-	b.card.Read(ppn, tag, func(d []byte, err error) {
+	b.Port.Read(ppn, tag, func(d []byte, err error) {
 		if ftl.IOTag(tag) == ftl.TagRebuild && err == nil {
 			b.reads[&d[0]] = true
 		}
@@ -296,9 +306,9 @@ func (b rebuildSpy) Read(ppn int, tag uint8, cb func([]byte, error)) {
 
 func (b rebuildSpy) Program(ppn int, tag uint8, img []byte, cb func(error)) {
 	if ftl.IOTag(tag) == ftl.TagRebuild {
-		*b.writes = append(*b.writes, rebuildWrite{b.card, b.pageAddr(ppn).Addr, img})
+		*b.writes = append(*b.writes, rebuildWrite{b.cd, b.cd.pageAddr(ppn).Addr, img})
 	}
-	b.card.Program(ppn, tag, img, cb)
+	b.Port.Program(ppn, tag, img, cb)
 }
 
 // TestRebuildCopyStoresTheBufferItRead: a rebuild copy is a move
@@ -324,9 +334,7 @@ func TestRebuildCopyStoresTheBufferItRead(t *testing.T) {
 	reads := make(map[*byte]bool)
 	var writes []rebuildWrite
 	for _, cd := range v.cards {
-		if err := cd.mountFTL(rebuildSpy{cd, reads, &writes}); err != nil {
-			t.Fatal(err)
-		}
+		cd.f.Log.Port = rebuildSpy{cd.port, cd, reads, &writes}
 	}
 	st, err := v.NewStream("w", sched.Interactive)
 	if err != nil {
@@ -348,11 +356,9 @@ func TestRebuildCopyStoresTheBufferItRead(t *testing.T) {
 	if err := v.ReplaceCard(0); err != nil {
 		t.Fatal(err)
 	}
-	// ReplaceCard mounted a fresh FTL straight over the card: put the
-	// spy back under it.
-	if err := v.cards[0].mountFTL(rebuildSpy{v.cards[0], reads, &writes}); err != nil {
-		t.Fatal(err)
-	}
+	// ReplaceCard mounted a fresh FTL straight over the card's port: put
+	// the spy back under it.
+	v.cards[0].f.Log.Port = rebuildSpy{v.cards[0].port, v.cards[0], reads, &writes}
 	rebuilt := false
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -11,8 +11,8 @@
 //
 //	volume.Stream (logical page, QoS class)
 //	  -> ftl.FTL (LPN -> physical page, GC serialization)
-//	    -> schedBackend (flash ops -> sched.Stream at the op's class;
-//	       GC traffic on the Background class)
+//	    -> sched.Port (flash ops admitted at the card's node, at the
+//	       class the op's tag rides; GC traffic on Background)
 //	      -> core.Node.SubmitHostBatch (batched doorbells, DMA, flash)
 //
 // GC awareness: each FTL reports collection start/stop and free-block
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftl"
-	"repro/internal/reclaim"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -40,9 +39,6 @@ var ErrOutOfRange = errors.New("volume: logical page out of range")
 type Config struct {
 	// FTL configures every card's translation layer.
 	FTL ftl.Config
-	// RetryDelay is the backoff before re-admitting an op that hit
-	// scheduler backpressure (default 5 µs).
-	RetryDelay sim.Time
 	// Mirror enables cross-node replication: every logical page keeps
 	// a primary and a replica on cards of different nodes, writes fan
 	// out to both at the stream's class, reads fail over to the
@@ -62,7 +58,7 @@ type Config struct {
 
 // DefaultConfig returns the standard volume configuration.
 func DefaultConfig() Config {
-	return Config{FTL: ftl.DefaultConfig(), RetryDelay: 5 * sim.Microsecond}
+	return Config{FTL: ftl.DefaultConfig()}
 }
 
 // Volume is a logical address space over every card of a cluster.
@@ -99,7 +95,7 @@ func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
 			cfg.RebuildUrgency = 0.5
 		}
 	}
-	v := &Volume{c: c, s: s, rt: s.NewRetrier(cfg.RetryDelay), cfg: cfg}
+	v := &Volume{c: c, s: s, rt: s.NewRetrier(0), cfg: cfg}
 	v.failovers.New = v.newFailover
 	v.mirrorWrites.New = v.newMirrorWrite
 	c.OnCheck(func() error {
@@ -202,25 +198,30 @@ func (s Stats) Delta(since Stats) Stats {
 	return d
 }
 
-// Stats returns the volume-wide FTL counters.
+// Stats returns the volume-wide FTL counters: those of every FTL a
+// card has mounted, the ones ReplaceCard retired included, so a window
+// that spans a replace counts what the dead FTL did before it.
+// MinFreeBlocks reads only the live FTLs.
 func (v *Volume) Stats() Stats {
 	var st Stats
 	st.MinFreeBlocks = -1
 	for _, cd := range v.cards {
-		f, l := cd.f, cd.f.Log
-		st.HostReads += l.Reads
-		st.HostWrites += l.Writes
-		st.HostTrims += f.HostTrims
-		st.FlashPrograms += l.Programs
-		st.FlashErases += l.Erases
-		st.GCMoves += l.Moves
-		st.GCAborts += l.Aborts
-		st.BadBlocks += l.BadUnits
-		st.UncorrectableReads += l.Uncorrectable
-		st.ReadFaults += l.ReadFaults
-		st.LostPages += l.LostPages
-		if st.MinFreeBlocks < 0 || f.FreeBlocks() < st.MinFreeBlocks {
-			st.MinFreeBlocks = f.FreeBlocks()
+		for _, f := range cd.ftls {
+			l := f.Log
+			st.HostReads += l.Reads
+			st.HostWrites += l.Writes
+			st.HostTrims += f.HostTrims
+			st.FlashPrograms += l.Programs
+			st.FlashErases += l.Erases
+			st.GCMoves += l.Moves
+			st.GCAborts += l.Aborts
+			st.BadBlocks += l.BadUnits
+			st.UncorrectableReads += l.Uncorrectable
+			st.ReadFaults += l.ReadFaults
+			st.LostPages += l.LostPages
+		}
+		if st.MinFreeBlocks < 0 || cd.f.FreeBlocks() < st.MinFreeBlocks {
+			st.MinFreeBlocks = cd.f.FreeBlocks()
 		}
 	}
 	for n := 0; n < v.c.Nodes(); n++ {
@@ -256,8 +257,8 @@ type Stream struct {
 }
 
 // NewStream opens a logical stream at the given QoS class. Accel is
-// reserved for device-side ISP reads (sched.AccelStream) and
-// Background for the volume's own GC traffic.
+// reserved for device-side ISP reads (an Accel sched.Stream) and
+// Background for the volume's own housekeeping traffic.
 func (v *Volume) NewStream(name string, class sched.Class) (*Stream, error) {
 	if class >= sched.Accel {
 		return nil, fmt.Errorf("volume: class %v not usable by tenants", class)
@@ -352,7 +353,7 @@ func (v *Volume) trim(lpn int) error {
 // point form of PhysMap for queries over scattered candidate lists
 // (LSH buckets, graph vertices) rather than contiguous ranges. Host
 // software hands the result to an in-store engine, which streams the
-// page directly off the flash (through sched.AccelStream) with no host
+// page directly off the flash (through an Accel sched.Stream) with no host
 // on the data path. The address is a snapshot — an overwrite, trim or
 // GC relocation of the page invalidates it — so engines scan
 // read-stable data or re-query after mutation.
@@ -391,14 +392,20 @@ func (v *Volume) PhysMap(lo, hi int) ([]core.PageAddr, error) {
 
 // --- per-card FTL plumbing -------------------------------------------
 
-// card owns one flash card's FTL and its scheduler plumbing.
+// card owns one flash card's FTL and the port it runs over.
 type card struct {
 	v    *Volume
 	node int
 	idx  int
 	gidx int // global node-major index into v.cards
 	f    *ftl.FTL
-	urg  func(u float64) // the card's urgency source, kept across remounts
+	// ftls is every FTL the card has mounted, f last: Stats counts the
+	// ones ReplaceCard retired too.
+	ftls []*ftl.FTL
+	// port admits the FTL's flash ops through the scheduler; it and urg,
+	// the card's urgency source, are kept across remounts.
+	port *sched.Port
+	urg  func(u float64)
 
 	// mirroring fault state (see mirror.go)
 	dead        bool   // card failed; route reads to the partner
@@ -408,95 +415,32 @@ type card struct {
 	inflight    []int  // clpns with a pump copy in flight
 	deferred    []deferredWrite
 	rebuildDone func()
-
-	// streams holds one admission stream per QoS class; FTL tags map
-	// onto them (TagGC -> Background).
-	streams [sched.NumClasses]*sched.Stream
-	// wseqs keeps per-tag write admission FIFO: the FTL allocates
-	// frontier pages in issue order and NAND programs blocks in order,
-	// so a backpressured write must stall its tag's later writes, never
-	// let them overtake.
-	wseqs map[ftl.IOTag]*sched.Sequencer
 }
 
 func newCard(v *Volume, node, idx int) (*card, error) {
-	cd := &card{v: v, node: node, idx: idx, urg: v.s.UrgencySource(node), wseqs: make(map[ftl.IOTag]*sched.Sequencer)}
+	cd := &card{v: v, node: node, idx: idx, urg: v.s.UrgencySource(node)}
 	cd.gidx = node*v.c.Params.CardsPerNode + idx
-	for cl := sched.Class(0); cl < sched.NumClasses; cl++ {
-		if cl == sched.Accel {
-			// Device-side ISP reads never flow through the FTL's host
-			// path; the Accel slot stays nil and classOf never maps to it.
-			continue
-		}
-		st, err := v.s.NewStream(fmt.Sprintf("vol-n%d-c%d-%s", node, idx, cl), node, cl)
-		if err != nil {
-			return nil, err
-		}
-		cd.streams[cl] = st
-	}
-	if err := cd.mountFTL(cd); err != nil {
+	geo := v.c.Params.Geometry
+	cd.port = v.rt.NewPort(func(ppn int) core.PageAddr {
+		return core.PageAddr{Node: node, Card: idx, Addr: geo.AddrOf(ppn)}
+	})
+	if err := cd.mountFTL(); err != nil {
 		return nil, err
 	}
 	v.c.OnCheck(func() error { return cd.f.Log.Check() }) // the card's FTL of the moment
 	return cd, nil
 }
 
-// mountFTL builds a fresh translation layer for the card over port —
-// the card itself, which admits every flash op through the scheduler —
+// mountFTL builds a fresh translation layer for the card over its port
 // and wires its GC urgency into the node's Background token budget.
-func (cd *card) mountFTL(port reclaim.Port) error {
-	f, err := ftl.New(port, cd.v.c.Params.Geometry, cd.v.cfg.FTL)
+func (cd *card) mountFTL() error {
+	f, err := ftl.New(cd.port, cd.v.c.Params.Geometry, cd.v.cfg.FTL)
 	if err != nil {
 		return err
 	}
 	cd.f = f
+	cd.ftls = append(cd.ftls, f)
 	f.Log.Urgent = func() { cd.urg(f.Log.Urgency()) }
 	f.Log.Urgent() // a remount's fresh FTL replaces the dead one's urgency
 	return nil
-}
-
-// classOf maps an FTL traffic tag onto a scheduler class. Tags only
-// ever carry tenant classes (NewStream rejects Accel and Background),
-// so anything else — including a stray Accel-valued tag — lands on
-// Batch rather than a class the card holds no stream for. GC and
-// replica-rebuild traffic both ride the Background class, gated by
-// the urgency token budget.
-func classOf(tag ftl.IOTag) sched.Class {
-	if tag == ftl.TagGC || tag == ftl.TagRebuild || tag == ftl.TagFlush {
-		return sched.Background
-	}
-	if tag >= ftl.IOTag(sched.Accel) {
-		return sched.Batch
-	}
-	return sched.Class(tag)
-}
-
-// pageAddr resolves a ppn of the card's log.
-func (cd *card) pageAddr(ppn int) core.PageAddr {
-	return core.PageAddr{Node: cd.node, Card: cd.idx, Addr: cd.v.c.Params.Geometry.AddrOf(ppn)}
-}
-
-// Read admits a physical read at the tag's QoS class, retrying on
-// backpressure (reads have no ordering constraint).
-func (cd *card) Read(ppn int, tag uint8, cb func([]byte, error)) {
-	cd.v.rt.Read(cd.streams[classOf(ftl.IOTag(tag))], cd.pageAddr(ppn), cb)
-}
-
-// Program admits a physical program through the tag's FIFO sequencer:
-// strictly in issue order, stalling (not reordering) on backpressure.
-// It adopts img (reclaim.Port).
-func (cd *card) Program(ppn int, tag uint8, img []byte, cb func(error)) {
-	sq := cd.wseqs[ftl.IOTag(tag)]
-	if sq == nil {
-		sq = cd.v.rt.NewSequencer()
-		cd.wseqs[ftl.IOTag(tag)] = sq
-	}
-	sq.WriteImage(cd.streams[classOf(ftl.IOTag(tag))], cd.pageAddr(ppn), img, cb)
-}
-
-// Erase admits a block erase on the Background class, retrying on
-// backpressure. The FTL only erases after every relocation write
-// completed, so no ordering hazard exists.
-func (cd *card) Erase(ppn int, cb func(error)) {
-	cd.v.rt.Erase(cd.streams[sched.Background], cd.pageAddr(ppn), cb)
 }
