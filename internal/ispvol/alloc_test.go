@@ -12,21 +12,23 @@ import (
 )
 
 // fileQueries are the two queries of the Figure 8 path that bench's
-// file-scan workload runs, over one file each.
+// file-scan workload runs, over one file each, and the most allocations
+// one warm query of theirs may make.
 var fileQueries = []struct {
-	name  string
-	fill  func(ps int) workload.PageFiller
-	query func(sys *ispvol.System, f *rfs.File, done func())
+	name   string
+	fill   func(ps int) workload.PageFiller
+	query  func(sys *ispvol.System, f *rfs.File, done func())
+	allocs float64
 }{
 	{"SearchFile", func(int) workload.PageFiller { return workload.RandomPages(9) },
 		func(sys *ispvol.System, f *rfs.File, done func()) {
 			sys.SearchFile(0, f, []byte("BLUEDBM"), func(*ispvol.SearchResult, error) { done() })
-		}},
+		}, 50},
 	{"TableScanFile", recordFiller,
 		func(sys *ispvol.System, f *rfs.File, done func()) {
 			pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 10}
 			sys.TableScanFile(0, f, pred, func(*ispvol.ScanResult, error) { done() })
-		}},
+		}, 55},
 }
 
 // queryCost runs query n times to completion and returns the heap
@@ -50,9 +52,10 @@ func queryCost(c *core.Cluster, n int, query func(done func())) (allocs, events 
 // TestFileQueriesAllocatePerQuery pins that a query on the Figure 8
 // path allocates per query, not per page: over a 512-page file it may
 // cost at most 0.05 allocations per extra page more than over a 64-page
-// one. The engines' lanes carry bound completions, a search partial
-// keeps its edge residues in one arena, and the table scan filters into
-// the partial's match list.
+// one, and a warm query no more than its fileQueries bound in all. The
+// engines bind their loop, their unit claim and their lanes' completions
+// once, a search partial keeps its edge residues in one arena, and the
+// table scan filters into the partial's match list.
 func TestFileQueriesAllocatePerQuery(t *testing.T) {
 	for _, q := range fileQueries {
 		t.Run(q.name, func(t *testing.T) {
@@ -67,6 +70,9 @@ func TestFileQueriesAllocatePerQuery(t *testing.T) {
 				return allocs
 			}
 			a64, a512 := run(small), run(big)
+			if most := max(a64, a512); most > q.allocs {
+				t.Fatalf("a warm query made %.1f allocations, want at most %.0f", most, q.allocs)
+			}
 			if perPage := (a512 - a64) / (512 - 64); perPage > 0.05 {
 				t.Fatalf("%.1f allocations per query over 64 pages, %.1f over 512: %.3f per extra page, want <= 0.05",
 					a64, a512, perPage)

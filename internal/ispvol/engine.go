@@ -5,11 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// engine is one scan loop in flight, the body of one sim.Lanes run: an
+// engine is one scan loop in flight, one run of its sim.LaneLoop: an
 // in-store engine streaming its node's partition (Figure 8 steps 2–3),
 // or, with q set, the host-mediated loop that stands in for the
-// engines. Engines are pooled (System.engines) and every lane carries
-// its page completions bound once, so a page scanned allocates nothing.
+// engines. Engines are pooled (System.engines); the loop, its unit
+// claim and every lane's page completions are bound once, so neither a
+// run nor a page scanned allocates.
 type engine struct {
 	sys          *System
 	p            partial
@@ -25,7 +26,9 @@ type engine struct {
 	workers []*hostmodel.Thread
 	cost    sim.Time
 
-	lanes []lane // Config.UnitsPerNode x Window, what either loop may use
+	lanes []lane                // Config.UnitsPerNode x Window, what either loop may use
+	run   *sim.LaneLoop         // over page and finish, on those lanes
+	claim func(unitDone func()) // claimed, runPart's acceleration-unit request
 }
 
 // lane is one lane of an engine's run: the page it is on, and that
@@ -47,10 +50,14 @@ func (sys *System) runPart(ns *nodeISP, m *startMsg) {
 	e.node, e.origin, e.query = ns.node.ID(), m.origin, m.query
 	e.p = m.k.newPartial(m.ps, len(m.refs))
 	e.refs = sys.chipInterleave(e.refs, m.refs)
-	ns.units.Submit(func(unitDone func()) {
-		e.unitDone = unitDone
-		sim.Lanes(len(e.refs), sys.cfg.Window, e.page, e.finish)
-	})
+	ns.units.Submit(e.claim)
+}
+
+// claimed runs an in-store engine on the acceleration unit it was
+// assigned: Window lanes over its partition.
+func (e *engine) claimed(unitDone func()) {
+	e.unitDone = unitDone
+	e.run.Run(len(e.refs), e.sys.cfg.Window)
 }
 
 // hostScan is the host-mediated placement: a depth-bounded closed loop
@@ -63,12 +70,13 @@ func (sys *System) runPart(ns *nodeISP, m *startMsg) {
 // PCIe and CPU work across each other.
 func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 	sys := q.sys
+	//simlint:allow obligation (the engine's bound loop takes it over: the loop's done, finish, puts it back)
 	e := sys.engines.Get()
 	e.q, e.read, e.idx = q, read, idx
 	e.p = q.k.newPartial(q.st.ps, q.st.pages)
 	e.workers = sys.c.Node(q.origin).CPU.NewThreads(sys.cfg.HostThreads)
 	e.cost = q.k.hostCost(q.st.ps)
-	sim.Lanes(q.st.pages, len(e.lanes), e.page, e.finish)
+	e.run.Run(q.st.pages, len(e.lanes))
 }
 
 // newEngine is engines.New.
@@ -78,6 +86,7 @@ func (sys *System) newEngine() *engine {
 		l := &e.lanes[i]
 		l.e, l.onRead, l.onReduced = e, l.read, l.reduced
 	}
+	e.run, e.claim = sim.NewLaneLoop(len(e.lanes), e.page, e.finish), e.claimed
 	return e
 }
 
@@ -138,11 +147,12 @@ func (l *lane) reduced() {
 // finish ends the run. An in-store engine releases its unit and ships
 // its partial to the origin; the host-mediated loop merges its partial
 // and completes the query. The record goes back to the pool first,
-// keeping its lanes and its partition buffer.
+// keeping its lanes, its bound loop and its partition buffer: a query
+// it completes may take it for its next run from here.
 func (e *engine) finish() {
 	sys, p, failed, q, unitDone := e.sys, e.p, e.failed, e.q, e.unitDone
 	self, origin, query := e.node, e.origin, e.query
-	*e = engine{sys: sys, refs: e.refs[:0], lanes: e.lanes}
+	*e = engine{sys: sys, refs: e.refs[:0], lanes: e.lanes, run: e.run, claim: e.claim}
 	sys.engines.Put(e)
 	if q != nil {
 		q.st.failed += failed

@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ispvol"
+	"repro/internal/rfs"
+	"repro/internal/volume"
+	"repro/internal/workload"
 )
 
 // TestEngineReadFaultsSurface: a dead card under a distributed query
@@ -92,6 +95,51 @@ func TestTableScanRejectsMalformedPredicate(t *testing.T) {
 			c.Run()
 			if c.Eng.Fired() != fired || accelOps(s) != reads {
 				t.Fatalf("%v %+v: the refused query read flash", pl, tc.pred)
+			}
+		}
+	}
+}
+
+// TestSourceErrorsAreTyped: a page a query cannot resolve fails it
+// typed, whatever its source — a Range source's page past the end
+// wraps volume.ErrOutOfRange, a File source's page past the end or
+// still being appended wraps rfs.ErrBadOffset, the sentinel
+// File.ReadPage returns for the same pages — under both placements.
+func TestSourceErrorsAreTyped(t *testing.T) {
+	item := []byte("item")
+	for _, tc := range []struct {
+		name  string
+		query func(t *testing.T, pl ispvol.Placement) error
+		want  error
+	}{
+		{"range: candidate past the end", func(t *testing.T, pl ispvol.Placement) error {
+			_, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), workload.RandomPages(3))
+			_, err := nearest(sys, 0, ispvol.Range(0, v.Pages()), item, []int{7}, []int{v.Pages()}, pl)
+			return err
+		}, volume.ErrOutOfRange},
+		{"file: candidate past the end", func(t *testing.T, pl ispvol.Placement) error {
+			c, _, fs, sys := newFileSystem(t, 2)
+			f := seedFile(t, c, fs, "f", 4, workload.RandomPages(3))
+			_, err := nearest(sys, 0, ispvol.File(f), item, []int{7}, []int{4}, pl)
+			return err
+		}, rfs.ErrBadOffset},
+		{"file: an append in flight", func(t *testing.T, pl ispvol.Placement) error {
+			c, _, fs, sys := newFileSystem(t, 2)
+			f := seedFile(t, c, fs, "f", 4, workload.RandomPages(3))
+			f.AppendPage(make([]byte, f.PageSize()), func(err error) {
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			_, err := ispvol.Sync(sys, func(done func(*ispvol.SearchResult, error)) {
+				sys.Search(0, ispvol.File(f), []byte("BLUEDBM"), pl, done)
+			})
+			return err
+		}, rfs.ErrBadOffset},
+	} {
+		for _, pl := range placements {
+			if err := tc.query(t, pl); !errors.Is(err, tc.want) {
+				t.Errorf("%s, %v: err = %v, want %v", tc.name, pl, err, tc.want)
 			}
 		}
 	}

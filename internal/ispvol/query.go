@@ -114,7 +114,7 @@ func (s fileSource) resolve(_ *System, idx []int) ([]core.PageAddr, int, error) 
 		addrs = make([]core.PageAddr, len(idx))
 		for i, p := range idx {
 			if p < 0 || p >= len(all) {
-				return nil, 0, fmt.Errorf("ispvol: page %d outside the %d-page file", p, len(all))
+				return nil, 0, fmt.Errorf("%w: page %d outside the %d-page file", rfs.ErrBadOffset, p, len(all))
 			}
 			addrs[i] = all[p]
 		}

@@ -89,3 +89,16 @@ func BenchmarkProgramPage(b *testing.B) {
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
 }
+
+// BenchmarkNewCard builds largeGeometry's card, 1 M page slots: B/op is
+// what a card costs before it stores a page, one record per block.
+func BenchmarkNewCard(b *testing.B) {
+	eng := sim.NewEngine()
+	g := largeGeometry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCard(eng, "large", g, DefaultTiming(), Reliability{}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

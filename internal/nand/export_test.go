@@ -8,7 +8,7 @@ func (c *Card) IsBad(a Addr) bool {
 	if err := c.checkAddr(a, false); err != nil {
 		return true
 	}
-	return c.chipAt(a).bad[a.Block]
+	return c.blocks[c.blockIndex(a)].bad
 }
 
 // EraseCount returns a block's accumulated erase cycles.
@@ -16,13 +16,14 @@ func (c *Card) EraseCount(a Addr) int64 {
 	if err := c.checkAddr(a, false); err != nil {
 		return 0
 	}
-	return c.chipAt(a).eraseCount[a.Block]
+	return c.blocks[c.blockIndex(a)].erases
 }
 
-// State returns a page's lifecycle state without timing effects.
-func (c *Card) State(a Addr) PageState {
+// Written reports whether a page holds an image: whether it lies below
+// its block's next programmable page.
+func (c *Card) Written(a Addr) bool {
 	if err := c.checkAddr(a, true); err != nil {
-		return PageFree
+		return false
 	}
-	return c.state[c.geo.PageIndex(a)]
+	return a.Page < c.blocks[c.blockIndex(a)].next
 }

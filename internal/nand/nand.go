@@ -102,6 +102,8 @@ func (g Geometry) TotalBytes() int64 {
 
 // PageIndex converts an address to the card-linear page index:
 // bus-major, then chip, block and page.
+//
+//simlint:allow unused (probe: the inverse of AddrOf, by which the page-log tests of rfs name the physical page a key lands on)
 func (g Geometry) PageIndex(a Addr) int {
 	return ((a.Bus*g.ChipsPerBus+a.Chip)*g.BlocksPerChip+a.Block)*g.PagesPerBlock + a.Page
 }
@@ -183,15 +185,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("b%d.c%d.blk%d.p%d", a.Bus, a.Chip, a.Block, a.Page)
 }
 
-// PageState tracks the lifecycle of one page.
-type PageState uint8
-
-// Page lifecycle states.
-const (
-	PageFree PageState = iota // erased, programmable
-	PageWritten
-)
-
 // Card is one simulated flash card.
 type Card struct {
 	eng  *sim.Engine
@@ -207,11 +200,9 @@ type Card struct {
 	noiseSeed uint64
 	failed    bool // whole-card fault domain; see Fail
 
-	buses []*busState
-	chips []*chipState // bus-major order
-	data  [][]byte     // stored image per linear page index: the page, or the page and its check bytes; nil = free
-	state []PageState  // lifecycle
-	sums  []guardSums  // Reliability.GuardImages: the guard's record of data[i]; nil when off
+	buses  []*busState
+	chips  []*chipState // bus-major order
+	blocks []block      // by card-linear block index: bus-major, then chip and block
 
 	encode  func(raw []byte) error // the controller's check-byte encoder (SetEncoder)
 	scratch []byte                 // Reliability.GuardImages: the StoredPageSize buffer the eager encode runs in
@@ -233,14 +224,24 @@ type busState struct {
 }
 
 type chipState struct {
-	queue      sim.Queue[command]
-	cur        command // the command whose cell operation the chip is timing
-	cellDone   func()  // that operation finished; bound once
-	running    bool
-	eraseCount []int64
-	bad        []bool
-	nextPage   []int   // next programmable page index per block
-	readSerial []int64 // reads since last erase, per block (injector state)
+	queue    sim.Queue[command]
+	cur      command // the command whose cell operation the chip is timing
+	cellDone func()  // that operation finished; bound once
+	running  bool
+}
+
+// block is one erase block. A page is written exactly when it lies
+// below next: pages are programmed in order and only an erase frees
+// them. The page table is allocated by the block's first program and
+// kept across erases, so a card's memory follows the blocks it has
+// programmed, not its capacity.
+type block struct {
+	erases int64 // wear
+	reads  int64 // reads since the last erase (injector state)
+	next   int   // next programmable page
+	bad    bool
+	pages  [][]byte    // stored image per page: the page, or the page and its check bytes; nil = free
+	sums   []guardSums // Reliability.GuardImages: the guard's record of pages[p]; nil when off
 }
 
 // NewCard builds a card. seed drives error injection; identical seeds
@@ -257,13 +258,14 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 		rel:       rel,
 		rng:       sim.NewRNG(seed),
 		noiseSeed: mix64(seed ^ 0xb10eddb4bade5eed),
-		data:      make([][]byte, geo.TotalPages()),
-		state:     make([]PageState, geo.TotalPages()),
+		blocks:    make([]block, geo.Buses*geo.ChipsPerBus*geo.BlocksPerChip),
 	}
 	c.eraseDone = c.erased
 	if rel.GuardImages {
-		c.sums = make([]guardSums, geo.TotalPages())
 		c.scratch = make([]byte, geo.StoredPageSize())
+	}
+	for i := range c.blocks {
+		c.blocks[i].bad = c.rng.Float64() < rel.FactoryBadBlockProb
 	}
 	for b := 0; b < geo.Buses; b++ {
 		bus := &busState{
@@ -272,18 +274,8 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 		bus.busDone = func() { c.busDone(bus) }
 		c.buses = append(c.buses, bus)
 		for ch := 0; ch < geo.ChipsPerBus; ch++ {
-			cs := &chipState{
-				eraseCount: make([]int64, geo.BlocksPerChip),
-				bad:        make([]bool, geo.BlocksPerChip),
-				nextPage:   make([]int, geo.BlocksPerChip),
-				readSerial: make([]int64, geo.BlocksPerChip),
-			}
+			cs := &chipState{}
 			cs.cellDone = func() { c.cellDone(cs) }
-			for blk := 0; blk < geo.BlocksPerChip; blk++ {
-				if c.rng.Float64() < rel.FactoryBadBlockProb {
-					cs.bad[blk] = true
-				}
-			}
 			c.chips = append(c.chips, cs)
 		}
 	}
@@ -313,6 +305,12 @@ func (c *Card) checkAddr(a Addr, needPage bool) error {
 
 func (c *Card) chipAt(a Addr) *chipState {
 	return c.chips[a.Bus*c.geo.ChipsPerBus+a.Chip]
+}
+
+// blockIndex is a's card-linear block index: the block part of
+// Geometry.PageIndex, and the key of the block's bit errors.
+func (c *Card) blockIndex(a Addr) int {
+	return (a.Bus*c.geo.ChipsPerBus+a.Chip)*c.geo.BlocksPerChip + a.Block
 }
 
 // cmdKind selects the flash operation of a queued command.
@@ -370,25 +368,26 @@ func (c *Card) runNext(cs *chipState) {
 }
 
 // check is what a chip verifies as it reaches a command: the card is
-// alive, the block good, and the page in the state the operation needs.
-func (c *Card) check(cs *chipState, cmd *command) error {
+// alive, the block good, and the page in the state the operation needs —
+// written (below next) for a read, the next programmable for a program.
+func (c *Card) check(cmd *command) error {
 	a := cmd.a
+	b := &c.blocks[c.blockIndex(a)]
 	if c.failed {
 		return fmt.Errorf("%w: %s", ErrDead, c.name)
 	}
-	if cs.bad[a.Block] {
+	if b.bad {
 		return fmt.Errorf("%w: %v", ErrBadBlock, a)
 	}
-	if cmd.kind == cmdErase {
+	switch {
+	case cmd.kind == cmdErase:
 		return nil // a block address: its page field means nothing
-	}
-	switch state := c.state[c.geo.PageIndex(a)]; {
-	case cmd.kind == cmdRead && state != PageWritten:
+	case cmd.kind == cmdRead && a.Page >= b.next:
 		return fmt.Errorf("%w: %v", ErrReadFree, a)
-	case cmd.kind == cmdProgram && state != PageFree:
+	case cmd.kind == cmdProgram && a.Page < b.next:
 		return fmt.Errorf("%w: %v", ErrNotErased, a)
-	case cmd.kind == cmdProgram && a.Page != cs.nextPage[a.Block]:
-		return fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block])
+	case cmd.kind == cmdProgram && a.Page > b.next:
+		return fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, b.next)
 	}
 	return nil
 }
@@ -401,7 +400,7 @@ func (c *Card) check(cs *chipState, cmd *command) error {
 //simlint:hotpath
 func (c *Card) start(cs *chipState, cmd command) {
 	//simlint:allow hotpath (error paths: check allocates only the error of a command that fails anyway)
-	if err := c.check(cs, &cmd); err != nil {
+	if err := c.check(&cmd); err != nil {
 		c.finish(cs, &cmd, err)
 		return
 	}
@@ -442,12 +441,13 @@ func (c *Card) cellDone(cs *chipState) {
 		// The register drained into the cache register: the chip can
 		// start its next op while the image crosses the shared bus.
 		c.runNext(cs)
-		idx := c.geo.PageIndex(a)
-		stored := c.data[idx]
-		c.verify(idx, "read")
-		serial := cs.readSerial[a.Block]
-		cs.readSerial[a.Block]++
-		flips, s := c.drawFlips(c.geo.StoredPageSize()*8, idx/c.geo.PagesPerBlock, cs.eraseCount[a.Block], serial)
+		gblk := c.blockIndex(a)
+		b := &c.blocks[gblk]
+		stored := b.pages[a.Page]
+		c.verify(b, a, "read")
+		serial := b.reads
+		b.reads++
+		flips, s := c.drawFlips(c.geo.StoredPageSize()*8, gblk, b.erases, serial)
 		cmd.raw = stored
 		if flips > 0 {
 			//simlint:allow hotpath (the private copy of a read that drew bit errors: at the default error rate one read in 13 000)
@@ -455,23 +455,24 @@ func (c *Card) cellDone(cs *chipState) {
 			copy(raw, stored)
 			if len(stored) == c.geo.PageSize {
 				//simlint:allow hotpath (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
-				c.fillCheckBytes(idx, raw)
+				c.fillCheckBytes(b, a, raw)
 			}
 			c.applyFlips(raw, flips, s)
 			cmd.raw = raw
 		}
 		c.transfer(cmd)
 	case cmdProgram:
-		idx := c.geo.PageIndex(a)
-		c.state[idx] = PageWritten
-		c.data[idx] = cmd.raw
-		if c.sums != nil {
-			c.sums[idx].image = cmd.sum
-			c.verify(idx, "program")
-			//simlint:allow hotpath (the image guard, a test-only debugging aid)
-			c.sums[idx].check = c.encodeEagerly(idx)
+		b := &c.blocks[c.blockIndex(a)]
+		if b.pages == nil {
+			//simlint:allow hotpath (the block's page table: made by its first program and kept across erases, so once per block a card ever programs)
+			b.pages = make([][]byte, c.geo.PagesPerBlock)
 		}
-		cs.nextPage[a.Block]++
+		b.pages[a.Page] = cmd.raw
+		if c.rel.GuardImages {
+			//simlint:allow hotpath (the image guard, a test-only debugging aid)
+			c.guard(b, a, cmd.sum)
+		}
+		b.next++
 		c.Programs.Inc()
 		c.finish(cs, &cmd, nil)
 	}
@@ -499,21 +500,16 @@ func (c *Card) erased() {
 	cmd := c.erasing.Pop()
 	a := cmd.a
 	cs := c.chipAt(a)
-	cs.eraseCount[a.Block]++
+	b := &c.blocks[c.blockIndex(a)]
+	b.erases++
 	c.Erases.Inc()
-	if cs.eraseCount[a.Block] > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
-		cs.bad[a.Block] = true
-		c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, cs.eraseCount[a.Block]))
+	if b.erases > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
+		b.bad = true
+		c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, b.erases))
 		return
 	}
-	base := c.geo.PageIndex(Addr{Bus: a.Bus, Chip: a.Chip, Block: a.Block})
-	for p := 0; p < c.geo.PagesPerBlock; p++ {
-		c.verify(base+p, "erase")
-		c.state[base+p] = PageFree
-		c.data[base+p] = nil
-	}
-	cs.nextPage[a.Block] = 0
-	cs.readSerial[a.Block] = 0
+	c.free(b, a, "erase")
+	b.next, b.reads = 0, 0
 	c.finish(cs, &cmd, nil)
 }
 
@@ -590,7 +586,7 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 		return
 	}
 	cmd := command{kind: cmdProgram, a: a, raw: raw, onDone: cb}
-	if c.sums != nil {
+	if c.rel.GuardImages {
 		cmd.sum = crc32.Checksum(raw, castagnoli)
 	}
 	c.enqueue(cmd)
@@ -598,7 +594,7 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 
 // Guarded reports Reliability.GuardImages: a layer that adopts images
 // for this card checksums them where it adopts them.
-func (c *Card) Guarded() bool { return c.sums != nil }
+func (c *Card) Guarded() bool { return c.rel.GuardImages }
 
 // SetEncoder registers enc, the controller's check-byte encoder: it
 // writes into the tail of a StoredPageSize buffer the check bytes of
@@ -615,37 +611,48 @@ type guardSums struct {
 	check uint32 // page-length image: checksum of the check bytes the encoder computed for it as it was stored
 }
 
-// encodeEagerly encodes the page-length image just stored at idx and
-// returns the checksum of its check bytes (0 for an image that carries
-// its own).
-func (c *Card) encodeEagerly(idx int) uint32 {
-	if c.encode == nil || len(c.data[idx]) != c.geo.PageSize {
+// guard records the image just stored at page a of block b, which
+// ProgramPage checksummed to sum, in the block's side table
+// (Reliability.GuardImages), made at the block's first guarded program.
+func (c *Card) guard(b *block, a Addr, sum uint32) {
+	if b.sums == nil {
+		b.sums = make([]guardSums, c.geo.PagesPerBlock)
+	}
+	b.sums[a.Page].image = sum
+	c.verify(b, a, "program")
+	b.sums[a.Page].check = c.encodeEagerly(b.pages[a.Page], a)
+}
+
+// encodeEagerly encodes stored, the image just stored at a, and returns
+// the checksum of its check bytes (0 for an image that carries its own).
+func (c *Card) encodeEagerly(stored []byte, a Addr) uint32 {
+	if c.encode == nil || len(stored) != c.geo.PageSize {
 		return 0
 	}
-	copy(c.scratch, c.data[idx])
-	c.fill(idx, c.scratch)
+	copy(c.scratch, stored)
+	c.fill(a, c.scratch)
 	return crc32.Checksum(c.scratch[c.geo.PageSize:], castagnoli)
 }
 
-// fill runs the encoder on enc, a StoredPageSize copy of the page at idx.
-func (c *Card) fill(idx int, enc []byte) {
+// fill runs the encoder on enc, a StoredPageSize copy of the page at a.
+func (c *Card) fill(a Addr, enc []byte) {
 	if err := c.encode(enc); err != nil {
-		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, c.geo.AddrOf(idx), err))
+		panic(fmt.Sprintf("nand: %s: filling the check bytes of the image at %v: %v", c.name, a, err))
 	}
 }
 
 // fillCheckBytes writes the check bytes of raw, the private copy a read
-// of the page-length image at idx made, from its page, before the
-// read's flips land on it. Under Reliability.GuardImages the fill must
-// reproduce the eager encode the side table recorded or the read
+// of the page-length image at a in block b made, from its page, before
+// the read's flips land on it. Under Reliability.GuardImages the fill
+// must reproduce the eager encode the side table recorded or the read
 // panics, naming the page.
-func (c *Card) fillCheckBytes(idx int, raw []byte) {
+func (c *Card) fillCheckBytes(b *block, a Addr, raw []byte) {
 	if c.encode == nil {
 		return
 	}
-	c.fill(idx, raw)
-	if c.sums != nil && crc32.Checksum(raw[c.geo.PageSize:], castagnoli) != c.sums[idx].check {
-		panic(fmt.Sprintf("nand: %s: the image at %v does not carry the check bytes its page encoded to when it was stored (found by read)", c.name, c.geo.AddrOf(idx)))
+	c.fill(a, raw)
+	if b.sums != nil && crc32.Checksum(raw[c.geo.PageSize:], castagnoli) != b.sums[a.Page].check {
+		panic(fmt.Sprintf("nand: %s: the image at %v does not carry the check bytes its page encoded to when it was stored (found by read)", c.name, a))
 	}
 }
 
@@ -721,15 +728,14 @@ func (c *Card) applyFlips(out []byte, flips int, s uint64) {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // checkImage is the image guard (Reliability.GuardImages): the image
-// stored at page idx must still be, byte for byte, what ProgramPage
-// adopted.
+// stored at page a of block b must still be, byte for byte, what
+// ProgramPage adopted.
 //
 //simlint:hotpath
-func (c *Card) checkImage(idx int, op string) error {
-	if c.sums == nil || c.data[idx] == nil || crc32.Checksum(c.data[idx], castagnoli) == c.sums[idx].image {
+func (c *Card) checkImage(b *block, a Addr, op string) error {
+	if b.sums == nil || b.pages[a.Page] == nil || crc32.Checksum(b.pages[a.Page], castagnoli) == b.sums[a.Page].image {
 		return nil
 	}
-	a := c.geo.AddrOf(idx)
 	//simlint:allow hotpath (debug guard tripped: the run ends here)
 	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, a, op)
 }
@@ -737,10 +743,19 @@ func (c *Card) checkImage(idx int, op string) error {
 // verify fails the operation that finds a stored image changed.
 //
 //simlint:hotpath
-func (c *Card) verify(idx int, op string) {
-	if err := c.checkImage(idx, op); err != nil {
+func (c *Card) verify(b *block, a Addr, op string) {
+	if err := c.checkImage(b, a, op); err != nil {
 		panic(err)
 	}
+}
+
+// free verifies and drops every image block b (at a) stores, keeping
+// its page table.
+func (c *Card) free(b *block, a Addr, op string) {
+	for a.Page = range b.pages {
+		c.verify(b, a, op)
+	}
+	clear(b.pages)
 }
 
 // CheckImages verifies every stored image against the checksum taken
@@ -749,9 +764,13 @@ func (c *Card) verify(idx int, op string) {
 // Reliability.GuardImages there is nothing to compare and it returns
 // nil.
 func (c *Card) CheckImages() error {
-	for idx := range c.data {
-		if err := c.checkImage(idx, "CheckImages"); err != nil {
-			return err
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		a := c.geo.AddrOf(i * c.geo.PagesPerBlock)
+		for a.Page = range b.pages {
+			if err := c.checkImage(b, a, "CheckImages"); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -773,18 +792,10 @@ func (c *Card) Fail() { c.failed = true }
 // drained (they complete with ErrDead in virtual time).
 func (c *Card) Replace() {
 	c.failed = false
-	for i := range c.data {
-		c.verify(i, "Replace")
-		c.data[i] = nil
-		c.state[i] = PageFree
-	}
-	for _, cs := range c.chips {
-		for b := range cs.eraseCount {
-			cs.eraseCount[b] = 0
-			cs.bad[b] = false
-			cs.nextPage[b] = 0
-			cs.readSerial[b] = 0
-		}
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		c.free(b, c.geo.AddrOf(i*c.geo.PagesPerBlock), "Replace")
+		*b = block{pages: b.pages, sums: b.sums}
 	}
 }
 
@@ -796,7 +807,7 @@ func (c *Card) MarkBad(a Addr) {
 	if err := c.checkAddr(a, false); err != nil {
 		return
 	}
-	c.chipAt(a).bad[a.Block] = true
+	c.blocks[c.blockIndex(a)].bad = true
 }
 
 // Peek returns the stored image without timing or error injection.
@@ -805,5 +816,8 @@ func (c *Card) Peek(a Addr) []byte {
 	if err := c.checkAddr(a, true); err != nil {
 		return nil
 	}
-	return c.data[c.geo.PageIndex(a)]
+	if b := &c.blocks[c.blockIndex(a)]; b.pages != nil {
+		return b.pages[a.Page]
+	}
+	return nil
 }

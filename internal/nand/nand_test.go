@@ -115,7 +115,7 @@ func TestEraseFreesBlock(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if c.State(a) != PageFree {
+	if c.Written(a) {
 		t.Fatal("page not freed by erase")
 	}
 	if c.EraseCount(a) != 1 {
@@ -446,7 +446,7 @@ func TestProgramEraseOracleProperty(t *testing.T) {
 				a := Addr{0, 0, blk, p}
 				want := model[blk].data[p]
 				if want == nil {
-					if c.State(a) != PageFree {
+					if c.Written(a) {
 						return false
 					}
 					continue
@@ -509,7 +509,8 @@ func TestProgramAdoptsReadSnapshots(t *testing.T) {
 // TestImageGuard: with Reliability.GuardImages on, every operation that
 // touches a stored image a holder has written to — a read, the erase or
 // Replace that drops it, CheckImages — fails there, naming the page and
-// itself. Rewriting an image with the bytes it holds is not a change.
+// itself, in a fresh block as in one whose page table outlived an
+// erase. Rewriting an image with the bytes it holds is not a change.
 func TestImageGuard(t *testing.T) {
 	a := Addr{Bus: 1, Chip: 0, Block: 2, Page: 0}
 	ops := map[string]func(*sim.Engine, *Card){
@@ -523,28 +524,34 @@ func TestImageGuard(t *testing.T) {
 		},
 	}
 	for name, op := range ops {
-		eng := sim.NewEngine()
-		c, err := NewCard(eng, "guard", testGeometry(), DefaultTiming(), Reliability{GuardImages: true}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := mkRaw(c, 0x11)
-		c.ProgramPage(a, raw, func(error) {})
-		eng.Run()
-		raw[40] = 0x11
-		if readRaw(t, eng, c, a); c.CheckImages() != nil {
-			t.Fatal("the guard tripped on an image nobody changed")
-		}
-		raw[40] ^= 0x80
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by "+name) {
-					t.Errorf("%s of a scribbled image: %q; want a failure naming %v and %s", name, msg, a, name)
-				}
+		for _, reused := range []bool{false, true} {
+			eng := sim.NewEngine()
+			c, err := NewCard(eng, "guard", testGeometry(), DefaultTiming(), Reliability{GuardImages: true}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused {
+				c.ProgramPage(a, mkRaw(c, 0x10), func(error) {})
+				c.EraseBlock(a, func(error) {})
+			}
+			raw := mkRaw(c, 0x11)
+			c.ProgramPage(a, raw, func(error) {})
+			eng.Run()
+			raw[40] = 0x11
+			if readRaw(t, eng, c, a); c.CheckImages() != nil {
+				t.Fatal("the guard tripped on an image nobody changed")
+			}
+			raw[40] ^= 0x80
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, a.String()) || !strings.Contains(msg, "found by "+name) {
+						t.Errorf("%s of a scribbled image (reused table %v): %q; want a failure naming %v and %s", name, reused, msg, a, name)
+					}
+				}()
+				op(eng, c)
 			}()
-			op(eng, c)
-		}()
+		}
 	}
 }
 
@@ -621,8 +628,8 @@ func TestSealLifecycle(t *testing.T) {
 	a, b := Addr{Block: 1}, Addr{Block: 1, Page: 1}
 	program(a, bytes.Repeat([]byte{5}, g.PageSize))
 	program(b, mkRaw(c, 5))
-	if !filled(a) || c.State(a) != PageWritten {
-		t.Fatalf("page-length image: filled %v, state %v", filled(a), c.State(a))
+	if !filled(a) || !c.Written(a) {
+		t.Fatalf("page-length image: filled %v, written %v", filled(a), c.Written(a))
 	}
 	if filled(b) {
 		t.Fatal("the check bytes a StoredPageSize image carries were overwritten")

@@ -319,13 +319,15 @@ func (f *File) PageSize() int { return f.fs.geo.PageSize }
 // layer partitions them by owning node and fans engines out over the
 // fabric. Every address is a snapshot: an overwrite, Remove, or
 // cleaning relocation of the page invalidates it, so engines scan
-// read-stable data or re-query after mutation.
+// read-stable data or re-query after mutation. A page whose append has
+// not landed has no address yet: it fails the query with ErrBadOffset,
+// as it fails ReadPage.
 func (f *File) PhysicalAddrs() ([]core.PageAddr, error) {
 	nd := f.fs.inodes[f.ino]
 	out := make([]core.PageAddr, 0, len(nd.pages))
 	for i, ppn := range nd.pages {
 		if ppn < 0 {
-			return nil, fmt.Errorf("rfs: file %q has a hole at page %d", nd.name, i)
+			return nil, fmt.Errorf("%w: file %q has a hole at page %d (an append in flight)", ErrBadOffset, nd.name, i)
 		}
 		out = append(out, pageAddr(f.fs.geo, f.fs.cards, ppn))
 	}

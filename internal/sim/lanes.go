@@ -18,22 +18,51 @@ package sim
 // In-store engines of `window` reads each are engines x window lanes:
 // the cursor is shared, so whichever engine a completion belongs to, it
 // issues the same next read.
+//
+// Lanes is a LaneLoop used once; a caller that runs the same loop again
+// and again keeps one instead.
 func Lanes(n, lanes int, body func(lane, i int, next func()), done func()) {
-	lanes = max(min(lanes, n), 1)
-	cursor, live := 0, lanes
-	for l := 0; l < lanes; l++ {
-		var next func()
-		next = func() {
-			if cursor == n {
-				if live--; live == 0 {
-					done()
-				}
-				return
-			}
-			i := cursor
-			cursor++
-			body(l, i, next)
-		}
-		next()
+	NewLaneLoop(max(min(lanes, n), 1), body, done).Run(n, lanes)
+}
+
+// LaneLoop is the state of Lanes kept for reuse: its body, its done and
+// each lane's next are bound once, so a run allocates nothing.
+type LaneLoop struct {
+	body            func(lane, i int, next func())
+	done            func()
+	next            []func() // by lane
+	n, cursor, live int
+}
+
+// NewLaneLoop returns a loop of at most lanes lanes over body and done.
+func NewLaneLoop(lanes int, body func(lane, i int, next func()), done func()) *LaneLoop {
+	s := &LaneLoop{body: body, done: done, next: make([]func(), lanes)}
+	for l := range s.next {
+		s.next[l] = func() { s.step(l) }
 	}
+	return s
+}
+
+// Run is Lanes over [0, n) on at most lanes of the loop's lanes. A run
+// may start the next from inside its done: the old run touches nothing
+// once done fires.
+func (s *LaneLoop) Run(n, lanes int) {
+	lanes = max(min(lanes, n, len(s.next)), 1)
+	s.n, s.cursor, s.live = n, 0, lanes
+	for l := 0; l < lanes; l++ {
+		s.next[l]()
+	}
+}
+
+// step is lane l's next: issue the cursor's index, or find it dry.
+func (s *LaneLoop) step(l int) {
+	if s.cursor == s.n {
+		if s.live--; s.live == 0 {
+			s.done()
+		}
+		return
+	}
+	i := s.cursor
+	s.cursor++
+	s.body(l, i, s.next[l])
 }

@@ -229,3 +229,67 @@ func TestLanesMatchesEnginesTimesWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneLoopRunFromDone: a pooled record is reused as its work
+// completes, so a LaneLoop's next run may start from inside the old
+// run's done. Each such run hands out its own [0, n) from index 0 — it
+// never sees the old run's cursor — on its own lane count, and joins
+// exactly once, whether its bodies finish later or on the spot.
+func TestLaneLoopRunFromDone(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", sync), func(t *testing.T) {
+			eng := NewEngine()
+			counts := []int{5, 2, 0, 4, 1}
+			lanes := []int{3, 1, 2, 8, 2}
+			run := 0
+			var issued [][]int
+			var loop *LaneLoop
+			loop = NewLaneLoop(3, func(_, i int, next func()) {
+				if i >= counts[run] {
+					t.Errorf("run %d issued index %d of %d", run, i, counts[run])
+					return // retire the lane: the run never joins
+				}
+				issued[run] = append(issued[run], i)
+				if sync {
+					next()
+				} else {
+					eng.After(Time(1+i%2), next)
+				}
+			}, func() {
+				if run++; run < len(counts) {
+					issued = append(issued, nil)
+					loop.Run(counts[run], lanes[run])
+				}
+			})
+			issued = append(issued, nil)
+			loop.Run(counts[0], lanes[0])
+			eng.Run()
+			if run != len(counts) {
+				t.Fatalf("%d of %d runs joined", run, len(counts))
+			}
+			for r, got := range issued {
+				if len(got) != counts[r] {
+					t.Fatalf("run %d issued %v, want every index below %d once", r, got, counts[r])
+				}
+				for k, i := range got {
+					if i != k {
+						t.Fatalf("run %d issued %v: not [0, %d) in order", r, got, counts[r])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLaneLoopRunAllocatesNothing: a run of a LaneLoop allocates
+// nothing; Lanes, which makes its loop, is the one-shot form.
+func TestLaneLoopRunAllocatesNothing(t *testing.T) {
+	issued := 0
+	loop := NewLaneLoop(4, func(_, _ int, next func()) { issued++; next() }, func() {})
+	if allocs := testing.AllocsPerRun(100, func() { loop.Run(10, 4) }); allocs != 0 {
+		t.Fatalf("a run allocated %.1f times, want 0", allocs)
+	}
+	if issued != 1010 {
+		t.Fatalf("%d indexes issued over 101 runs of 10", issued)
+	}
+}

@@ -164,10 +164,7 @@ func TestMirroredCrashDegradedRebuild(t *testing.T) {
 	if err := v.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	readAll(t, c, st, n, want)
-	if out := v.PoolsOut(); out != 0 {
-		t.Fatalf("%d mirrored-read and -write contexts out of their pools at drain", out)
-	}
+	readAll(t, c, st, n, want) // and coretest's drain check finds every mirrored context back in its pool
 }
 
 // TestMirroredCardKillAndReplace exercises the single-card fault path
