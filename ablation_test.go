@@ -6,9 +6,9 @@ package repro_test
 // -bench=Ablation` answers "what did this mechanism buy?".
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/accel/spmv"
 	"repro/internal/accel/tablescan"
 	"repro/internal/blockfs"
 	"repro/internal/core"
@@ -16,11 +16,13 @@ import (
 	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/ftl"
-	"repro/internal/hostmodel"
+	"repro/internal/ispvol"
 	"repro/internal/nand"
 	"repro/internal/reclaim"
 	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // streamGbps pushes msgs 2KB messages from node 0 to node 1 of a
@@ -314,36 +316,55 @@ func BenchmarkAblationFTLvsRFS(b *testing.B) {
 
 // BenchmarkExtensionTableScan: the §8 future-work SQL offload — rows
 // per second and bytes over PCIe for in-store filtering versus host
-// filtering at ~1% selectivity.
+// filtering at ~1% selectivity, both placements of one ispvol.TableScan
+// over one cluster-RFS file.
 func BenchmarkExtensionTableScan(b *testing.B) {
+	const pages = 96
 	var ispRows, hostRows, dataRatio float64
 	for i := 0; i < b.N; i++ {
 		p := core.DefaultParams(1)
 		p.Geometry.BlocksPerChip = 16
-		c, err := core.NewCluster(p)
+		icfg := ispvol.DefaultConfig()
+		icfg.Window = 32 // a query runs one engine per node: its window is the scan's whole read depth
+		rcfg := rfs.DefaultConfig()
+		st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig(), RFS: &rcfg, ISP: &icfg})
 		if err != nil {
 			b.Fatal(err)
 		}
-		addrs, err := tablescan.BuildTable(c, 0, 96, 13)
+		f, err := st.FS.Create("table")
 		if err != nil {
+			b.Fatal(err)
+		}
+		ps := p.PageSize()
+		rng := sim.NewRNG(13)
+		nextID := uint64(0)
+		recs := make([]tablescan.Record, tablescan.RecordsPerPage(ps))
+		if err := st.SeedFile(f.AppendPage, pages, func(_ int, page []byte) {
+			for j := range recs {
+				recs[j] = tablescan.Record{ID: nextID, ColA: int64(rng.Intn(1_000_000)), ColB: int64(rng.Intn(100))}
+				nextID++
+			}
+			enc, err := tablescan.EncodeRecords(recs, ps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			copy(page, enc)
+		}); err != nil {
 			b.Fatal(err)
 		}
 		pred := tablescan.Predicate{Col: tablescan.ColB, Op: tablescan.OpEQ, Value: 3}
-		isp, err := tablescan.ScanISP(c, 0, addrs, pred)
-		if err != nil {
-			b.Fatal(err)
+		var res [2]*ispvol.ScanResult
+		for k, pl := range []ispvol.Placement{ispvol.InStore, ispvol.HostMediated} {
+			var qerr error
+			st.ISP.TableScan(0, ispvol.File(f), pred, pl, func(r *ispvol.ScanResult, err error) { res[k], qerr = r, err })
+			st.C.Run()
+			if qerr != nil || res[k] == nil {
+				b.Fatalf("%v: result %v, error %v", pl, res[k], qerr)
+			}
 		}
-		c2, err := core.NewCluster(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		addrs2, err := tablescan.BuildTable(c2, 0, 96, 13)
-		if err != nil {
-			b.Fatal(err)
-		}
-		host, err := tablescan.ScanHost(c2, 0, addrs2, pred, 8)
-		if err != nil {
-			b.Fatal(err)
+		isp, host := res[0], res[1]
+		if !slices.Equal(isp.Matches, host.Matches) {
+			b.Fatalf("placements disagree: %d vs %d rows", len(isp.Matches), len(host.Matches))
 		}
 		ispRows = isp.RowsPerSec
 		hostRows = host.RowsPerSec
@@ -352,54 +373,4 @@ func BenchmarkExtensionTableScan(b *testing.B) {
 	b.ReportMetric(ispRows/1e6, "ISP-Mrows/s")
 	b.ReportMetric(hostRows/1e6, "host-Mrows/s")
 	b.ReportMetric(dataRatio, "PCIe-data-saved-x")
-}
-
-// BenchmarkExtensionSpMV: the §8 sparse-linear-algebra extension —
-// non-zeros per second for in-store multiply-accumulate versus host
-// software, and the PCIe data reduction from returning only the dense
-// result vector.
-func BenchmarkExtensionSpMV(b *testing.B) {
-	var ispRate, hostRate, saved float64
-	for i := 0; i < b.N; i++ {
-		p := core.DefaultParams(1)
-		p.Geometry.BlocksPerChip = 16
-		c, err := core.NewCluster(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, addrs, err := spmv.BuildRandom(c, 0, 5000, 200, 12, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := make([]int64, 200)
-		for j := range x {
-			x[j] = int64(j%7 - 3)
-		}
-		isp, err := spmv.MultiplyISP(c, 0, m, addrs, x)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c2, err := core.NewCluster(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m2, addrs2, err := spmv.BuildRandom(c2, 0, 5000, 200, 12, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cpu, err := hostmodel.New(c2.Eng, "h", hostmodel.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		host, err := spmv.MultiplyHost(c2, 0, m2, addrs2, x, cpu, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ispRate = isp.NNZPerSec / 1e6
-		hostRate = host.NNZPerSec / 1e6
-		saved = float64(host.BytesToHost) / float64(isp.BytesToHost)
-	}
-	b.ReportMetric(ispRate, "ISP-Mnnz/s")
-	b.ReportMetric(hostRate, "host-Mnnz/s")
-	b.ReportMetric(saved, "PCIe-data-saved-x")
 }

@@ -55,8 +55,8 @@
 //	                      (per-card FTL or a volume stream)
 //	internal/altstore     comparator devices (SSD/HDD models)
 //	internal/isp          in-store processor framework + FIFO unit scheduler
-//	internal/accel/...    the accelerators: lsh, graph, search, tablescan,
-//	                      mapreduce, spmv
+//	internal/accel/...    the accelerators: lsh, graph, search, and the
+//	                      tablescan kernel that ispvol.TableScan runs
 //	internal/ispvol       distributed in-store processing over
 //	                      volume+sched+fabric: per-node engines admitted at
 //	                      the Accel class, one query executor over source

@@ -19,6 +19,7 @@ import (
 var (
 	ErrTooManyEdges = errors.New("graph: adjacency list exceeds one page")
 	ErrBadPage      = errors.New("graph: malformed adjacency page")
+	ErrBadSteps     = errors.New("graph: steps must be positive")
 )
 
 // Config describes a synthetic graph.
@@ -180,6 +181,3 @@ func (g *Graph) OwnerOf(v int) int { return g.PageOf(v).Node }
 
 // Vertices returns the vertex count.
 func (g *Graph) Vertices() int { return g.cfg.Vertices }
-
-// RefNeighbors returns the in-memory adjacency list (oracle for tests).
-func (g *Graph) RefNeighbors(v int) []uint32 { return g.adj[v] }

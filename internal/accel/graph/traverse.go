@@ -144,7 +144,7 @@ func Traverse(c *core.Cluster, home int, g *Graph, cfg TraverseConfig) (*Result,
 //simlint:once done
 func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done func(*Result, error)) {
 	if cfg.Steps <= 0 {
-		done(nil, fmt.Errorf("graph: steps must be positive"))
+		done(nil, fmt.Errorf("%w: %d", ErrBadSteps, cfg.Steps))
 		return
 	}
 	if cfg.Walkers <= 0 {
@@ -249,7 +249,7 @@ func ReferenceWalkWalker(g *Graph, cfg TraverseConfig, w int) uint64 {
 	current := cfg.WalkerStart(w, g.Vertices())
 	var sum uint64
 	for s := 0; s < cfg.Steps; s++ {
-		sum, current = AdvanceStep(sum, current, g.RefNeighbors(current), g.Vertices(), rng)
+		sum, current = AdvanceStep(sum, current, g.adj[current], g.Vertices(), rng)
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -161,5 +162,32 @@ func TestStoredGraphWalksLikeBuilt(t *testing.T) {
 	}
 	if g.OwnerOf(3) != 1 {
 		t.Fatalf("OwnerOf(3) = %d, want 1", g.OwnerOf(3))
+	}
+}
+
+// TestTraverseRejectsNoSteps: a walk of zero or negative steps fails
+// with ErrBadSteps: done fires once, before TraverseAsync returns, and
+// no walker schedules an event. The engine runs at most 1000 events
+// after it, so a refusal that falls through into the walk fails here
+// instead of hanging.
+func TestTraverseRejectsNoSteps(t *testing.T) {
+	c := graphCluster(t, 2)
+	g, err := Build(c, Config{Vertices: 40, AvgDegree: 4, Seed: 3, HomeNode: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, steps := range []int{0, -1} {
+		fired, calls := c.Eng.Fired(), 0
+		var got error
+		TraverseAsync(c, 0, g, TraverseConfig{Steps: steps, Mode: ModeISPF}, func(_ *Result, err error) {
+			got, calls = err, calls+1
+		})
+		if calls != 1 || !errors.Is(got, ErrBadSteps) {
+			t.Fatalf("%d steps: done called %d times with %v, want once with ErrBadSteps", steps, calls, got)
+		}
+		c.Eng.RunWhile(func() bool { return c.Eng.Fired()-fired < 1000 })
+		if n := c.Eng.Fired() - fired; n != 0 || calls != 1 {
+			t.Fatalf("%d steps: the refused walk fired %d events and done %d times", steps, n, calls)
+		}
 	}
 }

@@ -1,26 +1,22 @@
-// Package tablescan implements the SQL database acceleration that the
-// paper lists as planned work (§8: "SQL Database Acceleration by
-// offloading query processing and filtering to in-store processors"),
-// in the style the related-work section attributes to Ibex and
-// IBM/Netezza: selection and projection pushed down into the storage
-// device, so only qualifying records cross PCIe to the host.
+// Package tablescan is the kernel of the SQL database acceleration
+// that the paper lists as planned work (§8: "SQL Database Acceleration
+// by offloading query processing and filtering to in-store
+// processors"), in the style the related-work section attributes to
+// Ibex and IBM/Netezza: selection and projection pushed down into the
+// storage device, so only qualifying records cross PCIe to the host.
 //
 // Records are fixed-size rows packed into flash pages; predicates are
 // simple column comparisons the FPGA could evaluate at line rate. The
-// in-store scan reads the table at flash bandwidth and returns matches
-// only; the host baseline hauls every page over PCIe and filters in
-// software. Both scans are a body over sim.Lanes — engines x window
-// lanes in-store, one lane per host thread — around the one FilterPage
-// kernel.
+// package holds the record format, the predicate, the FilterPage
+// kernel and the host's CPU cost per row; the query that runs the
+// kernel in store or on the host is ispvol.TableScan.
 package tablescan
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -123,7 +119,7 @@ type Predicate struct {
 }
 
 // Validate reports a predicate no engine can evaluate: an unknown
-// column (ErrBadColumn) or operator (ErrBadOp). Every scan entry point
+// column (ErrBadColumn) or operator (ErrBadOp). ispvol.TableScan
 // checks it before it reads a page, so a malformed predicate fails the
 // query instead of answering it with no matches.
 func (p Predicate) Validate() error {
@@ -161,33 +157,22 @@ func (p Predicate) compare(v int64) (bool, error) {
 	}
 }
 
-// Result reports one scan.
-type Result struct {
-	Rows        int64 // rows scanned
-	Matches     []Record
-	Elapsed     sim.Time
-	RowsPerSec  float64
-	BytesToHost int64 // data that crossed PCIe
-	CPUUtil     float64
-}
-
 // HostFilterCPUPerRow is the software predicate-evaluation cost per
-// record, charged by the host-mediated scan paths (ScanHost here and
-// the distributed host-mediated arm in internal/ispvol).
+// record, charged by ispvol.TableScan's host-mediated placement.
 const HostFilterCPUPerRow = 60 * sim.Nanosecond
 
 // FilterPage applies pred to one record page: the kernel an in-store
-// filter engine evaluates at line rate, shared by the single-node
-// ScanISP engines and the distributed ispvol engines. Like the engine,
-// it reads only the predicate's column of each row, in place, and
-// unpacks a row only when it matches. It appends the matching records
+// filter engine evaluates at line rate, run by ispvol's engines in
+// store and by its host-mediated loop. Like the engine, it reads only
+// the predicate's column of each row, in place, and unpacks a row only
+// when it matches. It appends the matching records
 // to dst and returns the extended slice and the number of rows
 // scanned, so a caller that keeps one match list allocates only when
 // that list grows. An undecodable page is an error and leaves dst as
 // it was; a row the predicate cannot evaluate (malformed Op/Col) is
 // skipped but still counted as scanned, like a hardware filter dropping
 // a row it cannot parse — one bad row must not discard the rest of the
-// page. (The scan entry points refuse such a predicate up front; see
+// page. (ispvol.TableScan refuses such a predicate up front; see
 // Validate.)
 func FilterPage(dst []Record, page []byte, pred Predicate) ([]Record, int64, error) {
 	n, err := recordCount(page)
@@ -210,137 +195,4 @@ func FilterPage(dst []Record, page []byte, pred Predicate) ([]Record, int64, err
 		}
 	}
 	return dst, int64(n), nil
-}
-
-// finish stamps a completed scan's timing.
-func (res *Result) finish(node *core.Node, start sim.Time) *Result {
-	res.Elapsed = node.Eng().Now() - start
-	if res.Elapsed > 0 {
-		res.RowsPerSec = float64(res.Rows) / res.Elapsed.Seconds()
-	}
-	res.CPUUtil = node.CPU.Utilization()
-	return res
-}
-
-// ScanISP pushes the predicate into the storage device: in-store
-// engines stream the table's pages from flash, filter at line rate,
-// and DMA only matching records to the host.
-func ScanISP(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate) (*Result, error) {
-	if err := pred.Validate(); err != nil {
-		return nil, err
-	}
-	node := c.Node(nodeID)
-	res := &Result{}
-	const engines = 16
-	const window = 8
-	start := c.Eng.Now()
-	joined := false
-	var readErr error
-	sim.Lanes(len(pages), engines*window, func(_, i int, next func()) {
-		node.ISPReadDirect(pages[i], func(data []byte, err error) {
-			readErr = cmp.Or(readErr, err)
-			if err == nil {
-				had := len(res.Matches)
-				var rows int64
-				res.Matches, rows, _ = FilterPage(res.Matches, data, pred)
-				res.Rows += rows
-				res.BytesToHost += int64(len(res.Matches)-had) * RecordSize
-			}
-			next()
-		})
-	}, func() { joined = true })
-	c.Run()
-	if readErr != nil {
-		return nil, fmt.Errorf("tablescan: ISP read: %w", readErr)
-	}
-	if !joined {
-		return nil, fmt.Errorf("tablescan: ISP engines never finished")
-	}
-	// Matches DMA to the host as one stream (usually tiny).
-	if res.BytesToHost > 0 {
-		landed := false
-		node.Host.PageUp(int(res.BytesToHost), func() { landed = true })
-		c.Run()
-		if !landed {
-			return nil, fmt.Errorf("tablescan: match DMA never completed")
-		}
-	}
-	return res.finish(node, start), nil
-}
-
-// ScanHost is the conventional path: every table page crosses PCIe and
-// the host filters in software with `threads` worker threads.
-func ScanHost(c *core.Cluster, nodeID int, pages []core.PageAddr, pred Predicate, threads int) (*Result, error) {
-	if err := pred.Validate(); err != nil {
-		return nil, err
-	}
-	node := c.Node(nodeID)
-	res := &Result{}
-	ths := node.CPU.NewThreads(threads)
-	start := c.Eng.Now()
-	rowsPerPage := RecordsPerPage(c.Params.PageSize())
-	pageCost := sim.Time(rowsPerPage) * HostFilterCPUPerRow
-	joined := false
-	var readErr error
-	sim.Lanes(len(pages), len(ths), func(lane, i int, next func()) {
-		a := pages[i]
-		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
-			readErr = cmp.Or(readErr, err)
-			if err != nil {
-				next()
-				return
-			}
-			// Page DMA to host, then software filtering.
-			node.Host.PageUp(len(data), func() {
-				res.BytesToHost += int64(len(data))
-				ths[lane].Do(pageCost, func() {
-					var rows int64
-					res.Matches, rows, _ = FilterPage(res.Matches, data, pred)
-					res.Rows += rows
-					next()
-				})
-			})
-		})
-	}, func() { joined = true })
-	c.Run()
-	if readErr != nil {
-		return nil, fmt.Errorf("tablescan: host read: %w", readErr)
-	}
-	if !joined {
-		return nil, fmt.Errorf("tablescan: host threads never finished")
-	}
-	return res.finish(node, start), nil
-}
-
-// BuildTable seeds `pages` pages of synthetic rows on a node and
-// returns their addresses. Column values are deterministic: ColA is
-// uniform in [0, 1e6), ColB in [0, 100).
-func BuildTable(c *core.Cluster, nodeID, pages int, seed uint64) ([]core.PageAddr, error) {
-	ps := c.Params.PageSize()
-	perPage := RecordsPerPage(ps)
-	rng := sim.NewRNG(seed)
-	nextID := uint64(0)
-	if err := c.SeedLinear(nodeID, pages, func(idx int, page []byte) {
-		recs := make([]Record, perPage)
-		for i := range recs {
-			recs[i] = Record{
-				ID:   nextID,
-				ColA: int64(rng.Intn(1_000_000)),
-				ColB: int64(rng.Intn(100)),
-			}
-			nextID++
-		}
-		enc, err := EncodeRecords(recs, ps)
-		if err != nil {
-			panic(err)
-		}
-		copy(page, enc)
-	}); err != nil {
-		return nil, err
-	}
-	addrs := make([]core.PageAddr, pages)
-	for i := range addrs {
-		addrs[i] = core.LinearPage(c.Params, nodeID, i)
-	}
-	return addrs, nil
 }

@@ -5,9 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/core/coretest"
-	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -170,14 +167,9 @@ func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
 	}
 }
 
-// A predicate no engine can evaluate fails the scan before any page is
-// read, on both paths; it is not an empty answer.
-func TestScanRejectsMalformedPredicate(t *testing.T) {
-	c := scanCluster(t)
-	addrs, err := BuildTable(c, 0, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+// Validate refuses a predicate no engine can evaluate, with the
+// sentinel of what is wrong, and passes a well-formed one.
+func TestPredicateValidate(t *testing.T) {
 	for _, tc := range []struct {
 		pred Predicate
 		want error
@@ -188,202 +180,8 @@ func TestScanRejectsMalformedPredicate(t *testing.T) {
 		if err := tc.pred.Validate(); !errors.Is(err, tc.want) {
 			t.Fatalf("%+v: Validate = %v, want %v", tc.pred, err, tc.want)
 		}
-		before := c.Eng.Fired()
-		if res, err := ScanISP(c, 0, addrs, tc.pred); !errors.Is(err, tc.want) || res != nil {
-			t.Fatalf("ScanISP %+v: %v, %v; want %v", tc.pred, res, err, tc.want)
-		}
-		if res, err := ScanHost(c, 0, addrs, tc.pred, 2); !errors.Is(err, tc.want) || res != nil {
-			t.Fatalf("ScanHost %+v: %v, %v; want %v", tc.pred, res, err, tc.want)
-		}
-		if fired := c.Eng.Fired() - before; fired != 0 {
-			t.Fatalf("%+v: the refused scans fired %d events", tc.pred, fired)
-		}
 	}
 	if err := (Predicate{Col: ColB, Op: OpGT}).Validate(); err != nil {
 		t.Fatalf("a well-formed predicate: %v", err)
-	}
-}
-
-func scanCluster(t *testing.T) *core.Cluster {
-	t.Helper()
-	p := core.DefaultParams(1)
-	p.Geometry.BlocksPerChip = 16
-	c := coretest.NewCluster(t, p)
-	return c
-}
-
-func TestScanISPAndHostAgree(t *testing.T) {
-	c := scanCluster(t)
-	const pages = 96
-	addrs, err := BuildTable(c, 0, pages, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := Predicate{Col: ColB, Op: OpLT, Value: 5} // ~5% selectivity
-
-	isp, err := ScanISP(c, 0, addrs, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := scanCluster(t)
-	addrs2, err := BuildTable(c2, 0, pages, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := ScanHost(c2, 0, addrs2, pred, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if isp.Rows != host.Rows {
-		t.Fatalf("rows scanned differ: %d vs %d", isp.Rows, host.Rows)
-	}
-	if len(isp.Matches) != len(host.Matches) {
-		t.Fatalf("match counts differ: %d vs %d", len(isp.Matches), len(host.Matches))
-	}
-	// Selectivity sanity: ~5% of rows.
-	frac := float64(len(isp.Matches)) / float64(isp.Rows)
-	if frac < 0.02 || frac > 0.09 {
-		t.Fatalf("selectivity %.3f, want ~0.05", frac)
-	}
-	// Matches are genuinely filtered.
-	for _, m := range isp.Matches {
-		if m.ColB >= 5 {
-			t.Fatalf("non-matching record returned: %+v", m)
-		}
-	}
-}
-
-func TestScanISPMovesLessData(t *testing.T) {
-	c := scanCluster(t)
-	const pages = 96
-	addrs, err := BuildTable(c, 0, pages, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := Predicate{Col: ColB, Op: OpEQ, Value: 7} // ~1% selectivity
-	isp, err := ScanISP(c, 0, addrs, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := scanCluster(t)
-	addrs2, _ := BuildTable(c2, 0, pages, 19)
-	host, err := ScanHost(c2, 0, addrs2, pred, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The pushed-down scan ships only matches over PCIe.
-	if isp.BytesToHost >= host.BytesToHost/20 {
-		t.Fatalf("ISP moved %d bytes to host vs %d for the host scan; want ~50x less",
-			isp.BytesToHost, host.BytesToHost)
-	}
-	// And scans faster than rows can cross PCIe.
-	if isp.RowsPerSec <= host.RowsPerSec {
-		t.Fatalf("ISP scan (%.0f rows/s) should beat host scan (%.0f rows/s)",
-			isp.RowsPerSec, host.RowsPerSec)
-	}
-	if isp.CPUUtil > 0.02 {
-		t.Fatalf("in-store scan used %.1f%% CPU", isp.CPUUtil*100)
-	}
-}
-
-func TestBuildTableDeterministic(t *testing.T) {
-	c := scanCluster(t)
-	addrs, err := BuildTable(c, 0, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 4 {
-		t.Fatalf("addrs = %d", len(addrs))
-	}
-	var first []Record
-	c.Node(0).ReadLocal(addrs[0].Card, addrs[0].Addr, func(data []byte, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, err = DecodeRecords(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	c.Run()
-	if len(first) != RecordsPerPage(c.Params.PageSize()) {
-		t.Fatalf("page holds %d records, want %d", len(first), RecordsPerPage(c.Params.PageSize()))
-	}
-	// IDs are dense from zero.
-	if first[0].ID != 0 || first[1].ID != 1 {
-		t.Fatalf("ids not dense: %d %d", first[0].ID, first[1].ID)
-	}
-	_ = sim.Microsecond
-}
-
-// matchDigest folds the matches' ids in the order the scan produced
-// them, so a change in page completion order shows.
-func matchDigest(ms []Record) uint64 {
-	h := uint64(14695981039346656037)
-	for _, m := range ms {
-		h = (h ^ m.ID) * 1099511628211
-	}
-	return h
-}
-
-// The two runners' schedules, pinned: no figure or artifact runs them.
-// More pages than engines x window (128), so the ISP scan refills its
-// lanes, and more than the host threads can take at once. The values
-// were recorded before the runners moved onto sim.Lanes.
-func TestScanTimingPinned(t *testing.T) {
-	pred := Predicate{Col: ColB, Op: OpLT, Value: 5}
-	const pages = 200
-
-	c := scanCluster(t)
-	addrs, err := BuildTable(c, 0, pages, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isp, err := ScanISP(c, 0, addrs, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isp.Elapsed != 883435 || isp.Rows != 25400 || isp.BytesToHost != 84032 || matchDigest(isp.Matches) != 0xa5d6aebd08a5f1ea {
-		t.Errorf("ScanISP: elapsed %d ns, %d rows, %d B to host, digest %#x",
-			int64(isp.Elapsed), isp.Rows, isp.BytesToHost, matchDigest(isp.Matches))
-	}
-
-	c = scanCluster(t)
-	if addrs, err = BuildTable(c, 0, pages, 23); err != nil {
-		t.Fatal(err)
-	}
-	host, err := ScanHost(c, 0, addrs, pred, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if host.Elapsed != 3677950 || host.Rows != 25400 || host.BytesToHost != 1638400 || matchDigest(host.Matches) != 0x924ea259e1979bd4 {
-		t.Errorf("ScanHost: elapsed %d ns, %d rows, %d B to host, digest %#x",
-			int64(host.Elapsed), host.Rows, host.BytesToHost, matchDigest(host.Matches))
-	}
-}
-
-// TestScanFailingReadFailsTheRun: a table page that cannot be read
-// fails the scan with the read's own error, on both paths, instead of
-// returning the rows of the pages that could.
-func TestScanFailingReadFailsTheRun(t *testing.T) {
-	const pages = 24
-	pred := Predicate{Col: ColB, Op: OpLT, Value: 5}
-	for _, path := range []string{"isp", "host"} {
-		c := scanCluster(t)
-		addrs, err := BuildTable(c, 0, pages, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, core.LinearPage(c.Params, 0, pages)) // never written
-		var res *Result
-		if path == "isp" {
-			res, err = ScanISP(c, 0, addrs, pred)
-		} else {
-			res, err = ScanHost(c, 0, addrs, pred, 4)
-		}
-		if !errors.Is(err, nand.ErrReadFree) || res != nil {
-			t.Fatalf("%s: result %t, error %v; want no result and an error wrapping nand.ErrReadFree", path, res != nil, err)
-		}
 	}
 }

@@ -51,8 +51,8 @@ import (
 )
 
 // InvalidateEP is the fabric endpoint the cache binds on every node
-// for coherence traffic. core.EPUser is used by mapreduce shuffle and
-// EPUser+1 by ispvol merge; +2 is reserved here.
+// for coherence traffic. core.EPUser is left free for an application,
+// EPUser+1 is ispvol's merge endpoint; +2 is reserved here.
 const InvalidateEP = core.EPUser + 2
 
 // invBytes is the wire size of one invalidation message: an 8-byte

@@ -203,9 +203,6 @@ func (n *Node) NewIface(c int, name string) *flashserver.Iface {
 // bind their own endpoints (>= EPUser).
 func (n *Node) NetNode() *fabric.Node { return n.netNode }
 
-// Eng returns the cluster's event engine.
-func (n *Node) Eng() *sim.Engine { return n.cluster.Eng }
-
 // --- local flash access (device side / ISP path) ---------------------
 
 // ReadLocal reads a page on this node's own flash through the in-store

@@ -2,6 +2,7 @@ package ispvol_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/accel/tablescan"
@@ -18,51 +19,150 @@ import (
 // report the lost pages through FailedPages and every match they do
 // return is real. This is the ispvol link of the stack-wide error
 // contract: engine flash reads fail typed and counted, like host reads.
+// Each kernel's matches are keyed for the check: a search match by its
+// offset, a table-scan match by its record ID.
 func TestEngineReadFaultsSurface(t *testing.T) {
 	needle := []byte("needle!")
 	ps := core.DefaultParams(1).Geometry.PageSize
-	fill := plantedFiller(needle, ps)
-	c, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), fill)
-	lo, hi := 0, v.Pages()
-	want := referenceMatches(fill, lo, hi, ps, needle)
+	pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 120}
+	planted, records := plantedFiller(needle, ps), recordFiller(ps)
+	for _, tc := range []struct {
+		name string
+		fill workload.PageFiller
+		// query runs the kernel under pl and returns its failed pages
+		// and match keys; want is the match keys of pages [lo, hi).
+		query func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error)
+		want  func(t *testing.T, lo, hi int) []int64
+	}{{
+		name: "search",
+		fill: planted,
+		query: func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error) {
+			res, err := search(sys, 0, src, needle, pl)
+			if err != nil {
+				return 0, nil, err
+			}
+			return res.FailedPages, res.Matches, nil
+		},
+		want: func(_ *testing.T, lo, hi int) []int64 { return referenceMatches(planted, lo, hi, ps, needle) },
+	}, {
+		name: "tablescan",
+		fill: records,
+		query: func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error) {
+			res, err := tableScan(sys, 0, src, pred, pl)
+			if err != nil {
+				return 0, nil, err
+			}
+			return res.FailedPages, recordIDs(res.Matches), nil
+		},
+		want: func(t *testing.T, lo, hi int) []int64 {
+			var recs []tablescan.Record
+			page := make([]byte, ps)
+			for idx := lo; idx < hi; idx++ {
+				records(idx, page)
+				var err error
+				if recs, _, err = tablescan.FilterPage(recs, page, pred); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return recordIDs(recs)
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), tc.fill)
+			lo, hi := 0, v.Pages()
+			want := tc.want(t, lo, hi)
 
-	c.Node(1).Card(0).Fail()
-	res, err := search(sys, 0, ispvol.Range(lo, hi), needle, ispvol.InStore)
-	if err != nil {
-		t.Fatal(err)
+			c.Node(1).Card(0).Fail()
+			failed, got, err := tc.query(sys, ispvol.Range(lo, hi), ispvol.InStore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failed == 0 {
+				t.Fatal("dead card under the scan, but FailedPages == 0")
+			}
+			if failed >= hi-lo {
+				t.Fatalf("all %d pages failed; only one card of four is dead", failed)
+			}
+			// Matches from surviving pages must be a subset of the
+			// reference set: faults may lose matches, never invent or
+			// corrupt them.
+			ref := make(map[int64]bool, len(want))
+			for _, m := range want {
+				ref[m] = true
+			}
+			if len(got) == 0 {
+				t.Fatal("no matches survived; three of four cards are alive")
+			}
+			for _, m := range got {
+				if !ref[m] {
+					t.Fatalf("match %d not in the reference set", m)
+				}
+			}
+			if len(got) >= len(want) {
+				t.Fatalf("%d matches with a dead card, reference has %d; expected losses", len(got), len(want))
+			}
+			// The host-mediated loop over the same dead card counts its
+			// failed reads the same way, and neither placement leaves an
+			// engine record out of the pool.
+			hostFailed, _, err := tc.query(sys, ispvol.Range(lo, hi), ispvol.HostMediated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hostFailed != failed {
+				t.Fatalf("host-mediated FailedPages = %d, in-store %d", hostFailed, failed)
+			}
+		})
 	}
-	if res.FailedPages == 0 {
-		t.Fatal("dead card under the scan, but FailedPages == 0")
+}
+
+// recordIDs keys table-scan matches by record ID.
+func recordIDs(recs []tablescan.Record) []int64 {
+	ids := make([]int64, len(recs))
+	for i, r := range recs {
+		ids[i] = int64(r.ID)
 	}
-	if res.FailedPages >= hi-lo {
-		t.Fatalf("all %d pages failed; only one card of four is dead", res.FailedPages)
-	}
-	// Matches from surviving pages must be a subset of the reference
-	// set: faults may lose matches, never invent or corrupt them.
-	ref := make(map[int64]bool, len(want))
-	for _, m := range want {
-		ref[m] = true
-	}
-	if len(res.Matches) == 0 {
-		t.Fatal("no matches survived; three of four cards are alive")
-	}
-	for _, m := range res.Matches {
-		if !ref[m] {
-			t.Fatalf("match at %d not in the reference set", m)
+	return ids
+}
+
+// TestTableScanCountsUndecodablePage: a page of a table file that is
+// not a record page fails that page, not the query, and is not dropped
+// unseen. Both placements answer err == nil with FailedPages == 1 and
+// exactly the reference matches and rows of the other pages.
+func TestTableScanCountsUndecodablePage(t *testing.T) {
+	ps := core.DefaultParams(1).Geometry.PageSize
+	const bad = 5
+	records := recordFiller(ps)
+	fill := func(idx int, page []byte) {
+		if idx == bad {
+			for i := range page {
+				page[i] = 0xff // a record count no page can hold
+			}
+			return
 		}
+		records(idx, page)
 	}
-	if len(res.Matches) >= len(want) {
-		t.Fatalf("%d matches with a dead card, reference has %d; expected losses", len(res.Matches), len(want))
+	fx := fileFixture(t, fill)
+	pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 120}
+	var want []tablescan.Record
+	var wantRows int64
+	for i := 0; i < fx.pages; i++ {
+		got, rows, err := tablescan.FilterPage(want, fx.page(i), pred)
+		if (err != nil) != (i == bad) {
+			t.Fatalf("page %d: FilterPage error %v", i, err)
+		}
+		want, wantRows = got, wantRows+rows
 	}
-	// The host-mediated loop over the same dead card counts its failed
-	// reads the same way, and neither placement leaves an engine record
-	// out of the pool.
-	host, err := search(sys, 0, ispvol.Range(lo, hi), needle, ispvol.HostMediated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if host.FailedPages != res.FailedPages {
-		t.Fatalf("host-mediated FailedPages = %d, in-store %d", host.FailedPages, res.FailedPages)
+	for _, pl := range placements {
+		res, err := tableScan(fx.sys, fx.origin, fx.src, pred, pl)
+		if err != nil {
+			t.Fatalf("%v: %v", pl, err)
+		}
+		if res.FailedPages != 1 || res.Pages != fx.pages {
+			t.Fatalf("%v: %d of %d pages failed, want 1 of %d", pl, res.FailedPages, res.Pages, fx.pages)
+		}
+		if res.Rows != wantRows || !reflect.DeepEqual(res.Matches, want) {
+			t.Fatalf("%v: %d rows, %d records; want %d rows, %d records", pl, res.Rows, len(res.Matches), wantRows, len(want))
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func (sys *System) WalkMigrate(origin int, g *graph.Graph, cfg graph.TraverseCon
 		return
 	}
 	if cfg.Steps <= 0 {
-		done(nil, fmt.Errorf("ispvol: steps must be positive"))
+		done(nil, fmt.Errorf("ispvol: %w: %d", graph.ErrBadSteps, cfg.Steps))
 		return
 	}
 	if cfg.Walkers <= 0 {

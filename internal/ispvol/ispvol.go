@@ -70,8 +70,8 @@ import (
 )
 
 // MergeEP is the fabric endpoint the subsystem binds on every node
-// for query fan-out and result merge traffic (mapreduce shuffles on
-// core.EPUser; this stays clear of it).
+// for query fan-out and result merge traffic (core.EPUser is left free
+// for an application's own endpoint; this stays clear of it).
 const MergeEP = core.EPUser + 1
 
 // Admission selects the flash data path engines read through.

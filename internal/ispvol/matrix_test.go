@@ -378,6 +378,10 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 		}, sys, 0, whole, tablescan.ErrBadColumn},
 		row{"walk/origin below", walk, walkSys, -1, nil, ispvol.ErrBadOrigin},
 		row{"walk/origin above", walk, walkSys, 2, nil, ispvol.ErrBadOrigin},
+		row{"walk/zero steps", func(sys *ispvol.System, origin int, _ ispvol.Source, _ ispvol.Placement) error {
+			_, err := walkMigrate(sys, origin, g, graph.TraverseConfig{})
+			return err
+		}, walkSys, 0, nil, graph.ErrBadSteps},
 		// A candidate page outside the source fails the query; see also
 		// TestNNOutOfRangeCandidate.
 		row{"nn/candidate negative", nn(item, []int{0, 1}, []int{0, -1}), sys, 0, whole, volume.ErrOutOfRange},

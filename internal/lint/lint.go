@@ -67,7 +67,7 @@
 //	                      without fin
 //	O2     oncedone       Search with an empty needle returns       obligation   ispvol
 //	                      without done
-//	O3     oncedone       graph.TraverseAsync with Steps<=0 calls   —            —
+//	O3     oncedone       graph.TraverseAsync with Steps<=0 calls   —            graph
 //	                      done and falls through (not marked once)
 //	O4     oncedone       ispvol resolve error returns without fin  obligation   ispvol
 //	O5     oncedone       altstore.HDD calls done twice inside its  —            altstore, search,
@@ -83,8 +83,9 @@
 //	W2     walltime       workload picker draws its lpn from        forbidden    workload, experiments,
 //	                      global rand                                            artifacts
 //	W3     walltime       host thread cost jittered by time.Now     forbidden    hostmodel, sched,
-//	                                                                             workload, spmv,
-//	                                                                             tablescan, artifacts
+//	                                                                             workload, volume,
+//	                                                                             experiments,
+//	                                                                             artifacts
 //	N1     noconcurrency  ispvol fans a query out on a goroutine    forbidden    ispvol, artifacts
 //	N2     noconcurrency  engine counts fired events with           forbidden    —
 //	                      sync/atomic
@@ -111,9 +112,9 @@
 //	X3     escapecheck    sched backpressure returns errors.New     escapecheck  sched, volume
 //	                      instead of the sentinel
 //
-// Of the 34 plants, 25 are caught statically and 21 by tier-1 tests:
-// 15 by both, 10 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3), 6
-// only by tests (P1, P2, P4, P5, O5, H1) and 3 by neither (P6, O3,
+// Of the 34 plants, 25 are caught statically and 22 by tier-1 tests:
+// 15 by both, 10 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3), 7
+// only by tests (P1, P2, P4, P5, O3, O5, H1) and 2 by neither (P6,
 // M4). Every check catches a plant no tier-1 test catches except
 // hotpath and escapecheck, whose plants the allocation pins
 // (testing.AllocsPerRun) also catch.

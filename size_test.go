@@ -76,10 +76,28 @@ func TestPackageSizes(t *testing.T) {
 	t.Logf("%d code lines, %d exported identifiers", total.lines, total.exported)
 }
 
-// measureSizes walks the roots and sizes every directory that holds
-// non-test Go files. testdata directories are not packages.
+// measureSizes sizes every directory under the roots that holds
+// non-test Go files.
 func measureSizes(roots ...string) (map[string]pkgSize, error) {
 	sizes := map[string]pkgSize{}
+	err := walkGoFiles(roots, func(path string, src []byte) error {
+		exported, err := exportedNames(path, src)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		s := sizes[pkg]
+		s.lines += codeLines(src)
+		s.exported += exported
+		sizes[pkg] = s
+		return nil
+	})
+	return sizes, err
+}
+
+// walkGoFiles calls fn with the path and contents of every non-test Go
+// file under the roots. testdata directories are not packages.
+func walkGoFiles(roots []string, fn func(path string, src []byte) error) error {
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -98,22 +116,13 @@ func measureSizes(roots ...string) (map[string]pkgSize, error) {
 			if err != nil {
 				return err
 			}
-			exported, err := exportedNames(path, src)
-			if err != nil {
-				return err
-			}
-			pkg := filepath.ToSlash(filepath.Dir(path))
-			s := sizes[pkg]
-			s.lines += codeLines(src)
-			s.exported += exported
-			sizes[pkg] = s
-			return nil
+			return fn(path, src)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return sizes, nil
+	return nil
 }
 
 // codeLines counts the lines of src that hold at least part of a token
