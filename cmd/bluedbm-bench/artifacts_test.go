@@ -86,20 +86,3 @@ func TestPaperFiguresUnchanged(t *testing.T) {
 	}
 	requireSame(t, "testdata/paper_figures.txt", got.Bytes(), want)
 }
-
-// requireSame fails the test, naming the first line that differs,
-// unless a fresh regeneration equals the committed file.
-func requireSame(t *testing.T, committed string, got, want []byte) {
-	t.Helper()
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s drifted from a fresh regeneration at line %d:\n  committed:   %s\n  regenerated: %s",
-				committed, i+1, wl[i], gl[i])
-		}
-	}
-	t.Fatalf("%s drifted from a fresh regeneration: %d lines committed, %d regenerated", committed, len(wl), len(gl))
-}

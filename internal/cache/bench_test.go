@@ -14,7 +14,7 @@ import (
 // events/op the engine events. A hit is expected at 0 B/op. A fill keeps
 // the image flash delivered, so a miss-fill is expected at 0 allocs/op
 // and no page of B/op: the few bytes it shows are the scheduler's
-// latency tally growing (it keeps every sample). Run with -benchmem.
+// sim.Hist growing (it keeps every sample). Run with -benchmem.
 func BenchmarkCacheRead(b *testing.B) {
 	const frames = 8
 	b.Run("hit", func(b *testing.B) { benchCacheRead(b, frames, frames/2) })

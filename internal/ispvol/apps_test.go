@@ -4,6 +4,7 @@ package ispvol_test
 // against the in-memory reference and the host-centric traversal.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/ispvol"
+	"repro/internal/nand"
 	"repro/internal/sched"
 	"repro/internal/volume"
 	"repro/internal/workload"
@@ -105,7 +107,8 @@ func TestWalkMigrateMatchesHostTraversal(t *testing.T) {
 }
 
 // TestWalkMigrateFailingRead: a walker whose adjacency read fails
-// must fail the traversal with walker context, not truncate it. The
+// must fail the traversal with walker context, not truncate it, and
+// the device's sentinel must survive the trip back to the origin. The
 // stack is left unseeded, so every adjacency read hits unwritten
 // flash and fails at the device.
 func TestWalkMigrateFailingRead(t *testing.T) {
@@ -141,5 +144,8 @@ func TestWalkMigrateFailingRead(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "walker") {
 		t.Fatalf("error lost walker context: %v", err)
+	}
+	if !errors.Is(err, nand.ErrReadFree) {
+		t.Fatalf("error lost its sentinel across the fabric: %v", err)
 	}
 }

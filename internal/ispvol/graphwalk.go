@@ -24,7 +24,6 @@ package ispvol
 // cross-validation that makes the speedup claim checkable.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/accel/graph"
@@ -76,7 +75,7 @@ type walkDone struct {
 	steps      int64
 	sum        uint64
 	migrations int64
-	err        string
+	err        error
 }
 
 // walkQuery is the origin-side completion state.
@@ -162,7 +161,7 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 	report := func(err error) {
 		d := &walkDone{walker: m.walker, steps: m.steps, sum: m.sum, migrations: m.migrations}
 		if err != nil {
-			d.err = fmt.Sprintf("walker %d at vertex %d: %v", m.walker, m.current, err)
+			d.err = fmt.Errorf("ispvol: walker %d at vertex %d: %w", m.walker, m.current, err)
 		}
 		sys.deliver(self, m.origin, 48, &partMsg{query: m.query, body: d})
 	}
@@ -210,8 +209,8 @@ func (q *walkQuery) part(pm *partMsg) {
 	q.res.Steps += m.steps
 	q.res.Migrations += m.migrations
 	q.res.VisitSums[m.walker] = m.sum
-	if m.err != "" && q.firstErr == nil {
-		q.firstErr = errors.New("ispvol: " + m.err)
+	if m.err != nil && q.firstErr == nil {
+		q.firstErr = m.err
 	}
 	q.remaining--
 	if q.remaining > 0 {

@@ -165,7 +165,7 @@ func TestAccelStreamOnlyReads(t *testing.T) {
 
 // TestSnapshotZeroCompletionsMarshalsClean: a scheduler whose streams
 // never completed anything must export an all-zero, JSON-safe
-// snapshot — no NaN/Inf from empty tallies.
+// snapshot — no NaN/Inf from empty latency recorders.
 func TestSnapshotZeroCompletionsMarshalsClean(t *testing.T) {
 	c := testCluster(t, 1, 1)
 	s, err := sched.New(c, sched.DefaultConfig())

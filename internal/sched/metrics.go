@@ -4,8 +4,7 @@ import "repro/internal/sim"
 
 // classAgg accumulates one QoS class's metrics.
 type classAgg struct {
-	lat       *sim.Tally
-	ops       int64
+	lat       sim.Hist // one sample per completion
 	errors    int64
 	rejected  int64
 	coalesced int64
@@ -21,11 +20,14 @@ type stats struct {
 	batchedReqs int64
 }
 
-func (st *stats) init(eng *sim.Engine) {
-	st.eng = eng
-	st.start = eng.Now()
-	for cl := 0; cl < NumClasses; cl++ {
-		st.classes[cl].lat = sim.NewTally(Class(cl).String())
+// reset zeroes every metric and starts the window at eng's current
+// time; the latency recorders keep their buffers.
+func (st *stats) reset(eng *sim.Engine) {
+	*st = stats{eng: eng, start: eng.Now(), classes: st.classes}
+	for cl := range st.classes {
+		agg := &st.classes[cl]
+		*agg = classAgg{lat: agg.lat}
+		agg.lat.Reset()
 	}
 }
 
@@ -34,15 +36,12 @@ func (st *stats) class(cl Class) *classAgg { return &st.classes[cl] }
 // ClassSnapshot is one QoS class's slice of a Snapshot. Latencies are
 // virtual microseconds; throughput is over the snapshot window.
 type ClassSnapshot struct {
-	Class     string  `json:"class"`
-	Ops       int64   `json:"ops"`
-	Errors    int64   `json:"errors"`
-	Rejected  int64   `json:"rejected"`
-	Coalesced int64   `json:"coalesced"`
-	MeanUs    float64 `json:"mean_us"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-	MaxUs     float64 `json:"max_us"`
+	Class     string `json:"class"`
+	Ops       int64  `json:"ops"`
+	Errors    int64  `json:"errors"`
+	Rejected  int64  `json:"rejected"`
+	Coalesced int64  `json:"coalesced"`
+	sim.Latency
 	OpsPerSec float64 `json:"ops_per_sec"`
 	MBps      float64 `json:"mbps"`
 }
@@ -76,20 +75,17 @@ func (s *Scheduler) Snapshot() Snapshot {
 		agg := &s.stats.classes[cl]
 		cs := ClassSnapshot{
 			Class:     Class(cl).String(),
-			Ops:       agg.ops,
+			Ops:       int64(agg.lat.Count()),
 			Errors:    agg.errors,
 			Rejected:  agg.rejected,
 			Coalesced: agg.coalesced,
-			MeanUs:    sim.Finite(agg.lat.Mean()),
-			P50Us:     sim.Finite(agg.lat.Percentile(50)),
-			P99Us:     sim.Finite(agg.lat.Percentile(99)),
-			MaxUs:     sim.Finite(agg.lat.Max()),
+			Latency:   agg.lat.Summary(),
 		}
 		if secs > 0 {
-			cs.OpsPerSec = sim.Finite(float64(agg.ops) / secs)
+			cs.OpsPerSec = sim.Finite(float64(cs.Ops) / secs)
 			cs.MBps = sim.Finite(float64(agg.bytes) / secs / 1e6)
 		}
-		out.TotalOps += agg.ops
+		out.TotalOps += cs.Ops
 		out.Rejected += agg.rejected
 		out.Coalesced += agg.coalesced
 		bytes += agg.bytes
@@ -113,8 +109,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 // ResetStats zeroes all metrics and restarts the rate window at the
 // current virtual time. Use it to exclude warmup or seeding phases.
 func (s *Scheduler) ResetStats() {
-	s.stats = stats{}
-	s.stats.init(s.eng)
+	s.stats.reset(s.eng)
 	for _, nq := range s.nodes {
 		nq.peak = nq.qlen
 	}

@@ -293,7 +293,7 @@ func TestFlashOpsAllocateOnePage(t *testing.T) {
 		i++
 		c.Run()
 	}
-	for k := 0; k < 8; k++ { // pools, rings and the latency tallies reach their size
+	for k := 0; k < 8; k++ { // pools, rings and sim.Hist's buffers reach their size
 		write()
 		read()
 	}

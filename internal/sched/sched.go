@@ -263,7 +263,7 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	for i := 0; i < cluster.Nodes(); i++ {
 		s.nodes = append(s.nodes, newNodeQueue(s, cluster.Node(i)))
 	}
-	s.stats.init(cluster.Eng)
+	s.stats.reset(cluster.Eng)
 	return s, nil
 }
 
@@ -671,8 +671,7 @@ func (nq *nodeQueue) complete(r *request, data []byte, err error) {
 // finish records per-class metrics and fires the caller's callback.
 func (s *Scheduler) finish(r *request, data []byte, err error) {
 	agg := s.stats.class(r.statClass)
-	agg.ops++
-	agg.lat.AddTime(s.eng.Now() - r.enq)
+	agg.lat.Add(s.eng.Now() - r.enq)
 	switch {
 	case err != nil:
 		agg.errors++

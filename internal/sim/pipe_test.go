@@ -259,27 +259,6 @@ func TestRNGBytes(t *testing.T) {
 	}
 }
 
-func TestTallyStats(t *testing.T) {
-	ta := NewTally("lat")
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		ta.Add(v)
-	}
-	if ta.Count() != 5 || ta.Mean() != 3 || ta.Min() != 1 || ta.Max() != 5 {
-		t.Fatalf("tally stats wrong: %v", ta)
-	}
-	if p := ta.Percentile(50); p != 3 {
-		t.Fatalf("p50 = %f, want 3", p)
-	}
-	if p := ta.Percentile(100); p != 5 {
-		t.Fatalf("p100 = %f, want 5", p)
-	}
-	// Adding after a percentile query must still work.
-	ta.Add(10)
-	if ta.Max() != 10 || ta.Percentile(100) != 10 {
-		t.Fatal("tally broken after post-sort insert")
-	}
-}
-
 // Property: TransferBursts leaves a pipe in exactly the state the
 // burst-by-burst Transfer calls leave it in — same busy horizon, same
 // delivery time, same byte and transfer counts — for any bandwidth,

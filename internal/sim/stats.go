@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Finite clamps NaN and ±Inf to 0. Every float a layer exports into a
@@ -18,102 +17,79 @@ func Finite(v float64) float64 {
 	return v
 }
 
-// Tally accumulates scalar samples (latencies, sizes) and reports
-// count/mean/min/max and percentiles. It keeps all samples; BlueDBM
-// experiments record at most a few million. Non-finite samples are
-// rejected at Add (and counted via Dropped): one NaN would poison the
-// mean and make the percentile sort order undefined, and those values
-// flow straight into committed BENCH_*.json artifacts.
-type Tally struct {
-	name    string
-	samples []float64
-	sum     float64
-	min     float64
-	max     float64
+// Latency summarises recorded latencies in virtual microseconds: the
+// shape every artifact reports them in.
+type Latency struct {
+	MeanUs float64 `json:"mean_us"`
+	P50Us  float64 `json:"p50_us"`
+	P99Us  float64 `json:"p99_us"`
+	MaxUs  float64 `json:"max_us"`
+}
+
+// Hist records virtual-time latencies and reports them by nearest
+// rank. It keeps every sample; Reset keeps the buffer, so a recorder
+// that has seen a window once records the next one without
+// allocating. The zero value is empty and ready.
+type Hist struct {
+	samples []Time
+	sumUs   float64 // float sum of each sample's µs, in Add order
 	sorted  bool
 }
 
-// NewTally creates an empty tally.
-func NewTally(name string) *Tally {
-	return &Tally{name: name, min: math.Inf(1), max: math.Inf(-1)}
+// Add records one latency.
+func (h *Hist) Add(d Time) {
+	h.samples = append(h.samples, d)
+	h.sumUs += d.Micros()
+	h.sorted = false
 }
 
-// Add records one sample. NaN and ±Inf are dropped.
-func (t *Tally) Add(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	t.samples = append(t.samples, v)
-	t.sum += v
-	if v < t.min {
-		t.min = v
-	}
-	if v > t.max {
-		t.max = v
-	}
-	t.sorted = false
+// Merge records every sample of o. The mean takes o's running sum, so
+// it does not depend on whether either recorder was queried first.
+func (h *Hist) Merge(o *Hist) {
+	h.samples = append(h.samples, o.samples...)
+	h.sumUs += o.sumUs
+	h.sorted = false
 }
 
-// AddTime records a virtual duration in microseconds.
-func (t *Tally) AddTime(d Time) { t.Add(d.Micros()) }
+// Reset empties the recorder and keeps its buffer.
+func (h *Hist) Reset() { *h = Hist{samples: h.samples[:0]} }
 
 // Count returns the number of samples.
-func (t *Tally) Count() int { return len(t.samples) }
+func (h *Hist) Count() int { return len(h.samples) }
 
-// Mean returns the sample mean, or 0 with no samples.
-func (t *Tally) Mean() float64 {
-	if len(t.samples) == 0 {
+// Mean returns the mean latency in µs, or 0 with no samples.
+func (h *Hist) Mean() float64 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return t.sum / float64(len(t.samples))
+	return h.sumUs / float64(len(h.samples))
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (t *Tally) Min() float64 {
-	if len(t.samples) == 0 {
+// Quantile returns the q-quantile by nearest rank: the smallest sample
+// with at least a fraction q of the samples at or below it. q is
+// clamped to [0,1], a NaN q yields 0 (int(NaN) is platform-defined
+// garbage), and so does an empty recorder.
+func (h *Hist) Quantile(q float64) Time {
+	n := len(h.samples)
+	if n == 0 || math.IsNaN(q) {
 		return 0
 	}
-	return t.min
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
+	}
+	rank := int(math.Ceil(min(max(q, 0), 1) * float64(n)))
+	return h.samples[max(rank, 1)-1]
 }
 
-// Max returns the largest sample, or 0 with no samples.
-func (t *Tally) Max() float64 {
-	if len(t.samples) == 0 {
-		return 0
+// Summary reports the mean, median, 99th percentile and maximum.
+func (h *Hist) Summary() Latency {
+	return Latency{
+		MeanUs: h.Mean(),
+		P50Us:  h.Quantile(0.50).Micros(),
+		P99Us:  h.Quantile(0.99).Micros(),
+		MaxUs:  h.Quantile(1).Micros(),
 	}
-	return t.max
-}
-
-// Percentile returns the p-th percentile by nearest-rank, or 0 with
-// no samples. p is clamped to [0,100]; a NaN p yields 0 rather than
-// an arbitrary rank (int(NaN) is platform-defined garbage).
-func (t *Tally) Percentile(p float64) float64 {
-	if len(t.samples) == 0 || math.IsNaN(p) {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	if !t.sorted {
-		sort.Float64s(t.samples)
-		t.sorted = true
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(t.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(t.samples) {
-		rank = len(t.samples)
-	}
-	return t.samples[rank-1]
-}
-
-func (t *Tally) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.2f min=%.2f p50=%.2f p99=%.2f max=%.2f",
-		t.name, t.Count(), t.Mean(), t.Min(), t.Percentile(50), t.Percentile(99), t.Max())
 }
 
 // Counter is a simple monotonically increasing event counter.

@@ -14,7 +14,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -109,11 +108,8 @@ type ClientSpec struct {
 
 // LatencyStats summarises client-observed read latency.
 type LatencyStats struct {
-	Reads  int64   `json:"reads"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
+	Reads int64 `json:"reads"`
+	sim.Latency
 }
 
 // StreamLatency pairs one recorded stream with its stats, in spec
@@ -135,28 +131,9 @@ type RunResult struct {
 	ElapsedUs float64 `json:"elapsed_us"`
 }
 
-// summarize folds raw samples (virtual-time durations) into stats.
-func summarize(samples []sim.Time) LatencyStats {
-	if len(samples) == 0 {
-		return LatencyStats{}
-	}
-	sorted := append([]sim.Time(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum float64
-	for _, s := range sorted {
-		sum += s.Micros()
-	}
-	q := func(p float64) float64 {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i].Micros()
-	}
-	return LatencyStats{
-		Reads:  int64(len(sorted)),
-		MeanUs: sum / float64(len(sorted)),
-		P50Us:  q(0.50),
-		P99Us:  q(0.99),
-		MaxUs:  sorted[len(sorted)-1].Micros(),
-	}
+// latencyOf summarises one recorder.
+func latencyOf(h *sim.Hist) LatencyStats {
+	return LatencyStats{Reads: int64(h.Count()), Latency: h.Summary()}
 }
 
 // Run drives every spec as a closed-loop client holding `depth`
@@ -213,14 +190,14 @@ func (st *Stack) Run(specs []ClientSpec, depth, requests int, concurrent func(li
 	st.C.Run()
 	res := l.res
 	res.ElapsedUs = (l.eng.Now() - start).Micros()
-	var all []sim.Time
+	var all sim.Hist
 	for i := range l.streams {
 		if s := &l.streams[i]; s.sp.Record {
-			res.Recorded = append(res.Recorded, StreamLatency{Name: s.sp.Name, Latency: summarize(s.samples)})
-			all = append(all, s.samples...)
+			res.Recorded = append(res.Recorded, StreamLatency{Name: s.sp.Name, Latency: latencyOf(&s.lat)})
+			all.Merge(&s.lat)
 		}
 	}
-	res.Combined = summarize(all)
+	res.Combined = latencyOf(&all)
 	return res, nil
 }
 
@@ -241,7 +218,7 @@ type runStream struct {
 	pick                     func() (lpn int, payload []byte)
 	toIssue, depth, inflight int
 	finished                 bool
-	samples                  []sim.Time          // recorded read latencies
+	lat                      sim.Hist            // recorded read latencies
 	issue                    func()              // issueOne, bound for think timers
 	done                     func(err error)     // complete
 	readDone                 func([]byte, error) // completeRead
@@ -298,7 +275,7 @@ func (s *runStream) issueOne() {
 			if s.sp.Record {
 				t0 := s.l.eng.Now()
 				cb = func(_ []byte, err error) {
-					s.samples = append(s.samples, s.l.eng.Now()-t0)
+					s.lat.Add(s.l.eng.Now() - t0)
 					s.complete(err)
 				}
 			}
