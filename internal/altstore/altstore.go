@@ -113,8 +113,7 @@ type HDD struct {
 	actuator *sim.TokenPool
 	stream   *sim.Pipe
 
-	Reads  sim.Counter
-	Writes sim.Counter
+	Reads sim.Counter
 }
 
 // NewHDD builds the device.
@@ -135,15 +134,6 @@ func NewHDD(eng *sim.Engine, name string, cfg HDDConfig) (*HDD, error) {
 //simlint:once done
 func (h *HDD) Read(size int, sequential bool, done func(error)) {
 	h.Reads.Inc()
-	h.access(size, sequential, done)
-}
-
-// Write stores size bytes; non-sequential writes pay the seek. Media
-// rate is symmetric for a disk.
-//
-//simlint:once done
-func (h *HDD) Write(size int, sequential bool, done func(error)) {
-	h.Writes.Inc()
 	h.access(size, sequential, done)
 }
 

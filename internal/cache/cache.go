@@ -66,30 +66,27 @@ var ErrOutOfRange = errors.New("cache: page out of range")
 type Config struct {
 	// CapacityPages is the per-node DRAM cache capacity in pages.
 	CapacityPages int
-	// FlushDepth bounds concurrent Background flush writes per node
-	// (default 8).
-	FlushDepth int
-	// FlushLowWater / FlushHighWater map the dirty-page fraction onto
-	// the Background urgency reported to the scheduler: urgency 0 at
-	// or below low water, 1 at or above high water (defaults 0.25 and
-	// 0.75) — the same feedback shape the FTL's GC urgency uses.
-	FlushLowWater  float64
-	FlushHighWater float64
-	// Tier, when non-nil, enables cold-page demotion to altstore
-	// devices (see tier.go).
-	Tier *TierConfig
+	// Tier enables cold-page demotion to one altstore SSD per node
+	// (see tier.go).
+	Tier bool
 }
 
-// DefaultConfig returns a cache of capacityPages per node with
-// standard flush behaviour and no demotion tier.
+// DefaultConfig returns a cache of capacityPages per node with no
+// demotion tier.
 func DefaultConfig(capacityPages int) Config {
-	return Config{
-		CapacityPages:  capacityPages,
-		FlushDepth:     8,
-		FlushLowWater:  0.25,
-		FlushHighWater: 0.75,
-	}
+	return Config{CapacityPages: capacityPages}
 }
+
+const (
+	// flushDepth bounds concurrent Background flush writes per node.
+	flushDepth = 8
+	// flushLowWater / flushHighWater map the dirty-page fraction onto
+	// the Background urgency reported to the scheduler: urgency 0 at
+	// or below low water, 1 at or above high water — the same feedback
+	// shape the FTL's GC urgency uses.
+	flushLowWater  = 0.25
+	flushHighWater = 0.75
+)
 
 // entry states.
 const (
@@ -118,7 +115,6 @@ type entry struct {
 type Cache struct {
 	cluster *core.Cluster
 	v       *volume.Volume
-	cfg     Config
 	ps      int // page size
 	pages   int // volume logical pages
 
@@ -190,19 +186,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 	if cfg.CapacityPages <= 0 {
 		return nil, fmt.Errorf("cache: invalid capacity %d", cfg.CapacityPages)
 	}
-	if cfg.FlushDepth <= 0 {
-		cfg.FlushDepth = 8
-	}
-	if cfg.FlushLowWater <= 0 {
-		cfg.FlushLowWater = 0.25
-	}
-	if cfg.FlushHighWater <= cfg.FlushLowWater {
-		cfg.FlushHighWater = 0.75
-	}
-	if cfg.FlushHighWater <= cfg.FlushLowWater {
-		return nil, fmt.Errorf("cache: flush watermarks %v/%v", cfg.FlushLowWater, cfg.FlushHighWater)
-	}
-	ca := &Cache{cluster: c, v: v, cfg: cfg, ps: v.PageSize(), pages: v.Pages()}
+	ca := &Cache{cluster: c, v: v, ps: v.PageSize(), pages: v.Pages()}
 	ca.invPool.New = func() *invMsg { return &invMsg{} }
 	for _, cl := range []sched.Class{sched.Realtime, sched.Interactive, sched.Batch} {
 		vs, err := v.NewStream(fmt.Sprintf("cache/fill%d", cl), cl)
@@ -253,8 +237,8 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 		}
 		return errors.Join(errs...)
 	})
-	if cfg.Tier != nil {
-		t, err := newTier(ca, *cfg.Tier)
+	if cfg.Tier {
+		t, err := newTier(ca)
 		if err != nil {
 			return nil, err
 		}
@@ -692,14 +676,14 @@ func (nc *nodeCache) writeThrough(st *Stream, key int64, data []byte, cb func(er
 
 // --- flush pump -------------------------------------------------------
 
-// pumpFlush keeps up to FlushDepth Background flush writes in flight
+// pumpFlush keeps up to flushDepth Background flush writes in flight
 // per node whenever dirty pages exist. Admission rides ftl.TagFlush →
 // sched.Background, throttled by the urgency tokens pushUrgency sets.
 //
 //simlint:hotpath
 func (nc *nodeCache) pumpFlush() {
 	c := nc.c
-	for nc.flushing < c.cfg.FlushDepth && nc.dirty > 0 {
+	for nc.flushing < flushDepth && nc.dirty > 0 {
 		slot := nc.nextDirty()
 		if slot < 0 {
 			return
@@ -744,9 +728,8 @@ func (nc *nodeCache) nextDirty() int32 {
 //
 //simlint:hotpath
 func (nc *nodeCache) pushUrgency() {
-	c := nc.c
-	nc.urg((float64(nc.dirty+nc.flushing)/float64(len(nc.entries)) - c.cfg.FlushLowWater) /
-		(c.cfg.FlushHighWater - c.cfg.FlushLowWater))
+	nc.urg((float64(nc.dirty+nc.flushing)/float64(len(nc.entries)) - flushLowWater) /
+		(flushHighWater - flushLowWater))
 }
 
 // --- invalidation -----------------------------------------------------

@@ -372,7 +372,7 @@ func TestWriteThroughWhenSaturated(t *testing.T) {
 // to flash and releases the tier copy).
 func TestTierDemoteAndPromote(t *testing.T) {
 	cfg := DefaultConfig(8)
-	cfg.Tier = &TierConfig{Kind: "ssd", ColdGap: 300, ScanEvery: 32, ScanBatch: 64, MaxInflight: 4}
+	cfg.Tier = true
 	c, _, ca := testCache(t, 1, cfg)
 	st, err := ca.NewStream("t", 0, sched.Interactive)
 	if err != nil {
@@ -390,13 +390,17 @@ func TestTierDemoteAndPromote(t *testing.T) {
 	}
 	// Hammer the upper half as the hot set until the lower half goes
 	// cold enough to demote (every access advances the coldness clock
-	// and periodically runs a scan batch).
-	for i := 0; i < 500; i++ {
+	// and periodically runs a scan batch). Scan k looks at pages
+	// [(k-1)·scanPages, k·scanPages) at access k·scanEvery, so the
+	// hand is back at page 0 after one sweep of the volume, by when
+	// the lower half has gone untouched for more than coldGap accesses.
+	hot := (ca.pages/scanPages + 1) * scanEvery
+	for i := 0; i < hot; i++ {
 		readPage(t, c, st, 8+(i%8))
 	}
 	s := ca.Stats()
 	if s.Demotions == 0 {
-		t.Fatalf("no demotions after 500 hot-set accesses (stats %+v)", s)
+		t.Fatalf("no demotions after %d hot-set accesses (stats %+v)", hot, s)
 	}
 	// Read a demoted page back: served by the tier, promoted to DRAM.
 	if got := readPage(t, c, st, 0); !bytes.Equal(got, pageData(ca.PageSize(), 0)) {

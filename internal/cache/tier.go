@@ -1,13 +1,13 @@
 // Cold-data demotion below the flash volume: pages that go cold in
 // the access stream migrate out of flash onto the paper's comparator
-// devices (M.2 SSD or disk envelopes from internal/altstore), and
-// promote back through the DRAM cache on re-reference. This gives the
-// cache tier the full DRAM → flash → alt-store gradient the BlueDBM
-// cost argument (§7, Figure 21) reasons about.
+// M.2 SSD (internal/altstore's envelope), and promote back through the
+// DRAM cache on re-reference. This gives the cache tier the full
+// DRAM → flash → alt-store gradient the BlueDBM cost argument (§7,
+// Figure 21) reasons about.
 //
 // The scan is access-driven, never timer-driven: the engine's Run()
 // drains every event, so a self-rearming sweep timer would keep the
-// simulation alive forever. Instead every Nth cache access (ScanEvery)
+// simulation alive forever. Instead every scanEvery-th cache access
 // examines a small batch of pages for coldness.
 package cache
 
@@ -18,45 +18,26 @@ import (
 	"repro/internal/sim"
 )
 
-// TierConfig enables and sizes the demotion tier.
-type TierConfig struct {
-	// Kind selects the backing device: "ssd" or "hdd".
-	Kind string
-	// SSD / HDD size the device envelope (zero value → package default).
-	SSD altstore.SSDConfig
-	HDD altstore.HDDConfig
-	// ColdGap is how many cache accesses a page must go untouched
-	// before it is demotion-eligible (default 4096).
-	ColdGap int64
-	// ScanEvery runs one coldness scan batch per this many cache
-	// accesses (default 256).
-	ScanEvery int64
-	// ScanBatch is how many pages one scan examines (default 32).
-	ScanBatch int
-	// MaxInflight bounds concurrent demotion migrations (default 4).
-	MaxInflight int
-}
-
-// DefaultTier returns an SSD-backed demotion tier configuration.
-func DefaultTier() *TierConfig {
-	return &TierConfig{Kind: "ssd", ColdGap: 4096, ScanEvery: 256, ScanBatch: 32, MaxInflight: 4}
-}
-
-// altDev is the device surface the tier drives; satisfied by both
-// *altstore.SSD and *altstore.HDD.
-type altDev interface {
-	Read(size int, sequential bool, done func(error))
-	Write(size int, sequential bool, done func(error))
-}
+const (
+	// coldGap is how many cache accesses a page must go untouched
+	// before it is demotion-eligible.
+	coldGap = 4096
+	// scanEvery runs one coldness scan batch per this many cache
+	// accesses.
+	scanEvery = 256
+	// scanPages is how many pages one scan examines.
+	scanPages = 32
+	// tierInflight bounds concurrent demotion migrations.
+	tierInflight = 4
+)
 
 // tier is the demotion layer. Cold paths (scan, demote, promote) may
 // allocate; only touch and has sit on the cache hot path.
 type tier struct {
-	c   *Cache
-	cfg TierConfig
+	c *Cache
 
-	devs  []altDev       // one device per node, holding that node's pages
-	store map[int][]byte // demoted page contents (never ranged over)
+	devs  []*altstore.SSD // one device per node, holding that node's pages
+	store map[int][]byte  // demoted page contents (never ranged over)
 
 	touchSeq []int64 // touchSeq[lpn]: seq of the last access, 0 = never
 	seq      int64
@@ -69,57 +50,23 @@ type tier struct {
 	tierReads  int64
 }
 
-func newTier(c *Cache, cfg TierConfig) (*tier, error) {
-	if cfg.ColdGap <= 0 {
-		cfg.ColdGap = 4096
-	}
-	if cfg.ScanEvery <= 0 {
-		cfg.ScanEvery = 256
-	}
-	if cfg.ScanBatch <= 0 {
-		cfg.ScanBatch = 32
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4
-	}
+func newTier(c *Cache) (*tier, error) {
 	t := &tier{
 		c:        c,
-		cfg:      cfg,
 		store:    make(map[int][]byte),
 		touchSeq: make([]int64, c.pages),
 	}
-	eng := c.cluster.Eng
 	for n := 0; n < c.cluster.Nodes(); n++ {
-		name := fmt.Sprintf("alt%d", n)
-		switch cfg.Kind {
-		case "ssd":
-			sc := cfg.SSD
-			if sc.Channels == 0 {
-				sc = altstore.DefaultSSD()
-			}
-			dev, err := altstore.NewSSD(eng, name, sc)
-			if err != nil {
-				return nil, err
-			}
-			t.devs = append(t.devs, dev)
-		case "hdd":
-			hc := cfg.HDD
-			if hc.Seek == 0 {
-				hc = altstore.DefaultHDD()
-			}
-			dev, err := altstore.NewHDD(eng, name, hc)
-			if err != nil {
-				return nil, err
-			}
-			t.devs = append(t.devs, dev)
-		default:
-			return nil, fmt.Errorf("cache: unknown tier kind %q", cfg.Kind)
+		dev, err := altstore.NewSSD(c.cluster.Eng, fmt.Sprintf("alt%d", n), altstore.DefaultSSD())
+		if err != nil {
+			return nil, err
 		}
+		t.devs = append(t.devs, dev)
 	}
 	return t, nil
 }
 
-// touch records an access and, every ScanEvery accesses, runs one
+// touch records an access and, every scanEvery accesses, runs one
 // coldness scan batch. Called at the top of every cache read/write,
 // so it must stay allocation-free itself (the scan it occasionally
 // triggers is a cold path).
@@ -128,8 +75,8 @@ func newTier(c *Cache, cfg TierConfig) (*tier, error) {
 func (t *tier) touch(lpn int) {
 	t.seq++
 	t.touchSeq[lpn] = t.seq
-	if t.seq%t.cfg.ScanEvery == 0 {
-		//simlint:allow hotpath (cold edge: one scan batch per ScanEvery accesses; the scan itself is a documented cold path)
+	if t.seq%scanEvery == 0 {
+		//simlint:allow hotpath (cold edge: one scan batch per scanEvery accesses; the scan itself is a documented cold path)
 		t.scanBatch()
 	}
 }
@@ -150,22 +97,22 @@ func (t *tier) release(lpn int) {
 	delete(t.store, lpn)
 }
 
-// scanBatch examines the next ScanBatch pages for demotion
-// candidates: touched at least once, cold for ColdGap accesses, not
+// scanBatch examines the next scanPages pages for demotion
+// candidates: touched at least once, cold for coldGap accesses, not
 // already demoted, and not resident in any node's DRAM cache.
 func (t *tier) scanBatch() {
 	c := t.c
-	for i := 0; i < t.cfg.ScanBatch; i++ {
+	for i := 0; i < scanPages; i++ {
 		lpn := t.scanHand
 		t.scanHand++
 		if t.scanHand == c.pages {
 			t.scanHand = 0
 		}
-		if t.inflight >= t.cfg.MaxInflight {
+		if t.inflight >= tierInflight {
 			return
 		}
 		last := t.touchSeq[lpn]
-		if last == 0 || t.seq-last < t.cfg.ColdGap {
+		if last == 0 || t.seq-last < coldGap {
 			continue
 		}
 		if _, demoted := t.store[lpn]; demoted {

@@ -176,7 +176,7 @@ func runCacheRegime(p core.Params, cfg cacheConfig, name string, frac float64) (
 	if frac != 0 {
 		arm.CapacityPages = cacheCapacity(frac, hot, st.V.Pages())
 		ccfg := cache.DefaultConfig(arm.CapacityPages)
-		ccfg.Tier = cache.DefaultTier()
+		ccfg.Tier = true
 		if err := st.AttachCache(ccfg); err != nil {
 			return arm, err
 		}

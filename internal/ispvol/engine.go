@@ -74,7 +74,7 @@ func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 	e := sys.engines.Get()
 	e.q, e.read, e.idx = q, read, idx
 	e.p = q.k.newPartial(q.st.ps, q.st.pages)
-	e.workers = sys.c.Node(q.origin).CPU.NewThreads(sys.cfg.HostThreads)
+	e.workers = sys.c.Node(q.origin).CPU.NewThreads(hostThreads)
 	e.cost = q.k.hostCost(q.st.ps)
 	e.run.Run(q.st.pages, len(e.lanes))
 }

@@ -108,17 +108,8 @@ type Config struct {
 	UnitsPerNode int
 	// Window is each engine's in-flight flash read depth. Default 8.
 	Window int
-	// RetryDelay is the backoff before re-admitting a read that hit
-	// scheduler backpressure. Default 5 µs (sched.NewRetrier's).
-	RetryDelay sim.Time
 	// Admission selects the engine data path (see Admission).
 	Admission Admission
-	// HostClass is the QoS class host-mediated queries read at.
-	// Default Batch.
-	HostClass sched.Class
-	// HostThreads is the host worker-thread count that host-mediated
-	// queries reduce pages on. Default 8.
-	HostThreads int
 }
 
 // DefaultConfig returns the production configuration.
@@ -126,10 +117,7 @@ func DefaultConfig() Config {
 	return Config{
 		UnitsPerNode: 4,
 		Window:       8,
-		RetryDelay:   5 * sim.Microsecond,
 		Admission:    Admitted,
-		HostClass:    sched.Batch,
-		HostThreads:  8,
 	}
 }
 
@@ -139,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 8
-	}
-	if c.HostThreads <= 0 {
-		c.HostThreads = 8
 	}
 	return c
 }
@@ -185,6 +170,9 @@ var (
 	// ErrBadOrigin reports a query whose origin is not a node of the
 	// cluster.
 	ErrBadOrigin = errors.New("ispvol: origin out of range")
+	// ErrBadPlacement reports a query whose Placement is neither
+	// InStore nor HostMediated.
+	ErrBadPlacement = errors.New("ispvol: unknown placement")
 )
 
 // New attaches the subsystem to a cluster, scheduler and volume (all
@@ -194,10 +182,7 @@ var (
 // with ErrNoVolume.
 func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	if cfg.HostClass >= sched.Accel {
-		return nil, fmt.Errorf("ispvol: host-mediated class %v not usable by tenants", cfg.HostClass)
-	}
-	sys := &System{c: c, v: v, cfg: cfg, retry: s.NewRetrier(cfg.RetryDelay), pending: make(map[uint64]queryState)}
+	sys := &System{c: c, v: v, cfg: cfg, retry: s.NewRetrier(0), pending: make(map[uint64]queryState)}
 	sys.engines.New = sys.newEngine
 	c.OnCheck(func() error { return sys.engines.Drained("ispvol engines") })
 	chips := c.Params.CardsPerNode * c.Params.Geometry.Buses * c.Params.Geometry.ChipsPerBus

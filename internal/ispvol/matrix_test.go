@@ -376,6 +376,12 @@ func TestBadInputFailsAlikeOnBothPlacements(t *testing.T) {
 			_, err := tableScan(sys, origin, src, tablescan.Predicate{Col: 99}, pl)
 			return err
 		}, sys, 0, whole, tablescan.ErrBadColumn},
+		// A placement that is neither arm: the row overrides the
+		// placement it is handed, so both runs ask for the same one.
+		row{"search/unknown placement", func(sys *ispvol.System, origin int, src ispvol.Source, _ ispvol.Placement) error {
+			_, err := search(sys, origin, src, []byte("x"), ispvol.HostMediated+1)
+			return err
+		}, sys, 0, whole, ispvol.ErrBadPlacement},
 		row{"walk/origin below", walk, walkSys, -1, nil, ispvol.ErrBadOrigin},
 		row{"walk/origin above", walk, walkSys, 2, nil, ispvol.ErrBadOrigin},
 		row{"walk/zero steps", func(sys *ispvol.System, origin int, _ ispvol.Source, _ ispvol.Placement) error {

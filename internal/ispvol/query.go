@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/volume"
 )
@@ -26,11 +27,19 @@ const (
 	// host.
 	InStore Placement = iota
 	// HostMediated is the comparison arm: the origin host reads every
-	// page through the source's host path at Config.HostClass (batched
+	// page through the source's host path at hostClass (batched
 	// doorbells, PCIe DMA, read buffers) and runs the same kernel in
-	// software on Config.HostThreads worker threads. The pages are
-	// already in host memory, so there is no final DMA.
+	// software on hostThreads worker threads. The pages are already in
+	// host memory, so there is no final DMA.
 	HostMediated
+)
+
+const (
+	// hostClass is the QoS class host-mediated queries read at.
+	hostClass = sched.Batch
+	// hostThreads is the host worker-thread count that host-mediated
+	// queries reduce pages on.
+	hostThreads = 8
 )
 
 func (p Placement) String() string {
@@ -54,7 +63,7 @@ type Source interface {
 	// bounds checking happens here, for both placements.
 	resolve(sys *System, idx []int) ([]core.PageAddr, int, error)
 	// reader returns the host-path read of source page i at
-	// Config.HostClass.
+	// hostClass.
 	reader(sys *System, origin int) (func(i int, cb func([]byte, error)), error)
 }
 
@@ -91,7 +100,7 @@ func (r volumeRange) resolve(sys *System, idx []int) ([]core.PageAddr, int, erro
 }
 
 func (r volumeRange) reader(sys *System, origin int) (func(int, func([]byte, error)), error) {
-	st, err := sys.v.NewStream(fmt.Sprintf("isp-hostmed-n%d", origin), sys.cfg.HostClass)
+	st, err := sys.v.NewStream(fmt.Sprintf("isp-hostmed-n%d", origin), hostClass)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +132,7 @@ func (s fileSource) resolve(_ *System, idx []int) ([]core.PageAddr, int, error) 
 }
 
 func (s fileSource) reader(sys *System, _ int) (func(int, func([]byte, error)), error) {
-	return s.f.At(sys.cfg.HostClass).ReadPage, nil
+	return s.f.At(hostClass).ReadPage, nil
 }
 
 // kernel is the per-query-type code: search, table scan or nearest
@@ -214,6 +223,10 @@ func (sys *System) run(origin int, src Source, idx []int, k kernel, pl Placement
 		fin(queryStats{}, err)
 		return
 	}
+	if pl != InStore && pl != HostMediated {
+		fin(queryStats{}, fmt.Errorf("%w: %v", ErrBadPlacement, pl))
+		return
+	}
 	// Figure 8 step 1: host software resolves the physical address
 	// list. HostMediated needs only the count, but resolving on both
 	// arms is what makes them fail identically on bad input.
@@ -224,19 +237,16 @@ func (sys *System) run(origin int, src Source, idx []int, k kernel, pl Placement
 	}
 	q := &query{sys: sys, origin: origin, k: k, start: sys.c.Eng.Now(), fin: fin,
 		st: queryStats{pages: len(addrs), ps: ps}}
-	switch pl {
-	case InStore:
+	if pl == InStore {
 		q.fanOut(addrs)
-	case HostMediated:
-		read, err := src.reader(sys, origin)
-		if err != nil {
-			fin(queryStats{}, err)
-			return
-		}
-		q.hostScan(read, idx)
-	default:
-		fin(queryStats{}, fmt.Errorf("ispvol: unknown %v", pl))
+		return
 	}
+	read, err := src.reader(sys, origin)
+	if err != nil {
+		fin(queryStats{}, err)
+		return
+	}
+	q.hostScan(read, idx)
 }
 
 // fanOut partitions the address list by owning node and ships each

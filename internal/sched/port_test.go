@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -133,7 +134,7 @@ func TestPortAdmitsByPageAndTag(t *testing.T) {
 // port resolves the page, picks the class and the lane, and hands the
 // op to the retrier's pooled records and the lane's sequencer.
 func TestPortAllocatesNothing(t *testing.T) {
-	c, _, port, ppn := portRig(t, sched.DefaultConfig())
+	c, s, port, ppn := portRig(t, sched.DefaultConfig())
 	img := c.Params.Geometry.PageImage(pagePattern(c, 5))
 	ack := func(err error) {
 		if err != nil {
@@ -143,6 +144,7 @@ func TestPortAllocatesNothing(t *testing.T) {
 	got := func(_ []byte, err error) { ack(err) }
 	pg := ppn(1, 7, 0)
 	cycle := func() {
+		s.ResetStats()
 		port.Program(pg, 1, img, ack)
 		c.Run()
 		port.Read(pg, reclaim.TagMove, got)
@@ -150,16 +152,31 @@ func TestPortAllocatesNothing(t *testing.T) {
 		port.Erase(pg, ack)
 		c.Run()
 	}
-	// Pools and rings reach their size. The window's sim.Hist keeps
-	// every sample, so its buffer still doubles now and then, too
-	// rarely to show in the average; TestWarmWindowAllocatesNothing
-	// resets it and pins 0.
+	// Pools and rings reach their size.
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Fatalf("a program, a read and an erase through a port make %.1f allocations, want 0", n)
+	if n := mallocs(100, cycle); n != 0 {
+		t.Fatalf("100 programs, reads and erases through a port make %d allocations, want 0", n)
 	}
+}
+
+// mallocs runs f runs times and returns the heap allocations the runs
+// made, all of them: a count over one runtime.ReadMemStats window, not
+// testing.AllocsPerRun's average, which truncates to an integer and so
+// hides an allocation made once every few runs. The window runs on one
+// P, as AllocsPerRun does: with more, the runtime may start an OS
+// thread when ReadMemStats restarts the world, and that thread's
+// records would count as the code's.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
 }
 
 // TestWarmWindowAllocatesNothing: a measured window costs the
@@ -200,11 +217,11 @@ func TestWarmWindowAllocatesNothing(t *testing.T) {
 		}
 	}
 	window()
-	if n := testing.AllocsPerRun(20, func() {
+	if n := mallocs(20, func() {
 		s.ResetStats()
 		window()
 	}); n != 0 {
-		t.Fatalf("ResetStats and a warm window of 64 reads make %.1f allocations, want 0", n)
+		t.Fatalf("20 runs of ResetStats and a warm window of 64 reads make %d allocations, want 0", n)
 	}
 	for _, cs := range s.Snapshot().Classes {
 		if cs.Ops == 0 {

@@ -102,14 +102,6 @@ type Config struct {
 	// doorbell (one software + RPC charge per batch). 1 disables
 	// batching and reproduces the naive one-op-per-doorbell host path.
 	BatchSize int
-	// AgingRounds is how many consecutive dispatch rounds a non-empty
-	// class may be passed over before it is guaranteed one slot in the
-	// next batch. It is the anti-starvation bound of the strict
-	// priority policy.
-	AgingRounds int
-	// Coalesce merges queued duplicate reads to the same page into a
-	// single flash operation.
-	Coalesce bool
 	// AccelShare is the fraction of the device window (MaxInflight)
 	// that the Accel class — in-store processor flash reads — may
 	// occupy per node: its token budget, mirroring the GC budget. ISP
@@ -144,8 +136,6 @@ func DefaultConfig() Config {
 		QueueDepth:  1024,
 		MaxInflight: 128,
 		BatchSize:   16,
-		AgingRounds: 8,
-		Coalesce:    true,
 		AccelShare:  0.5,
 		GCDefer:     true,
 	}
@@ -153,6 +143,11 @@ func DefaultConfig() Config {
 
 // defaultAccelShare applies when Config.AccelShare is left zero.
 const defaultAccelShare = 0.5
+
+// agingRounds is how many consecutive dispatch rounds a non-empty
+// class may be passed over before it is guaranteed one slot in the
+// next batch: the anti-starvation bound of the strict priority policy.
+const agingRounds = 8
 
 // gcCriticalUrgency is the urgency at which Background dispatch stops
 // being throttled entirely: the free pool is nearly dry and deferring
@@ -169,9 +164,6 @@ func (c Config) validate() error {
 	}
 	if c.BatchSize <= 0 {
 		return fmt.Errorf("sched: batch size %d", c.BatchSize)
-	}
-	if c.AgingRounds <= 0 {
-		return fmt.Errorf("sched: aging rounds %d", c.AgingRounds)
 	}
 	if c.AccelShare < 0 || c.AccelShare > 1 {
 		return fmt.Errorf("sched: accel share %.2f out of [0,1]", c.AccelShare)
@@ -356,7 +348,7 @@ func newNodeQueue(s *Scheduler, node *core.Node) *nodeQueue {
 // DMA), so sharing one flash op would skip real work for one of them.
 func (nq *nodeQueue) admit(r *request) error {
 	r.nq = nq
-	if !r.write && !r.erase && !r.accel && nq.s.cfg.Coalesce {
+	if !r.write && !r.erase && !r.accel {
 		if lead := nq.pendingReads[r.addr]; lead != nil {
 			lead.followers = append(lead.followers, r)
 			nq.s.stats.class(r.statClass).coalesced++
@@ -376,7 +368,7 @@ func (nq *nodeQueue) admit(r *request) error {
 		nq.s.reqs.Put(r)
 		return ErrBackpressure
 	}
-	if r.write && nq.s.cfg.Coalesce {
+	if r.write {
 		// A write to this page fences coalescing: a read admitted
 		// after it must not ride a read queued before it, which would
 		// GUARANTEE it pre-write data. Note this is all the fence
@@ -392,7 +384,7 @@ func (nq *nodeQueue) admit(r *request) error {
 	if nq.qlen > nq.peak {
 		nq.peak = nq.qlen
 	}
-	if !r.write && !r.erase && !r.accel && nq.s.cfg.Coalesce {
+	if !r.write && !r.erase && !r.accel {
 		nq.pendingReads[r.addr] = r
 	}
 	nq.kick()
@@ -465,7 +457,7 @@ func (nq *nodeQueue) dispatchHost() {
 	batch := nq.batch[:0]
 	var took [NumClasses]int
 	bgTaken := 0
-	// Aging pass: any class starved for AgingRounds consecutive
+	// Aging pass: any class starved for agingRounds consecutive
 	// rounds gets one guaranteed slot, lowest priority first so the
 	// most starved traffic is served before the escape hatch fills.
 	// Background's escape slot still honours the GC token budget: a
@@ -475,7 +467,7 @@ func (nq *nodeQueue) dispatchHost() {
 		if Class(cl) == Accel {
 			continue // never rides a doorbell; see dispatchAccel
 		}
-		if nq.starve[cl] >= nq.s.cfg.AgingRounds && nq.q[cl].Len() > 0 {
+		if nq.starve[cl] >= agingRounds && nq.q[cl].Len() > 0 {
 			if Class(cl) == Background && nq.gcTokens(bgTaken) == 0 {
 				continue
 			}
@@ -610,7 +602,7 @@ func (nq *nodeQueue) pop(cl Class) *request {
 	nq.qlen--
 	// A read leaves the index only while it is still its address's
 	// lead: a write may have fenced it off and a later read taken over.
-	if !r.write && nq.s.cfg.Coalesce && nq.pendingReads[r.addr] == r {
+	if !r.write && nq.pendingReads[r.addr] == r {
 		delete(nq.pendingReads, r.addr)
 	}
 	return r

@@ -81,7 +81,7 @@ func TestDeterminism(t *testing.T) {
 // exceed its configured depth, and admitted requests must complete.
 func TestBackpressureSaturation(t *testing.T) {
 	c := testCluster(t, 1, 64)
-	cfg := sched.Config{QueueDepth: 8, MaxInflight: 2, BatchSize: 2, AgingRounds: 4, Coalesce: false}
+	cfg := sched.Config{QueueDepth: 8, MaxInflight: 2, BatchSize: 2}
 	s, err := sched.New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,9 @@ func TestBackpressureSaturation(t *testing.T) {
 	completed := 0
 	rejected := 0
 	// Submit synchronously, without running the engine: nothing can
-	// drain, so exactly QueueDepth admissions succeed.
+	// drain, so exactly QueueDepth admissions succeed. Every read names
+	// a page of its own, so none coalesces onto a queued one and each
+	// needs a queue slot.
 	for i := 0; i < 50; i++ {
 		a := core.LinearPage(c.Params, 0, i)
 		err := st.Read(a, func(_ []byte, err error) {
@@ -124,6 +126,9 @@ func TestBackpressureSaturation(t *testing.T) {
 	}
 	if snap.Rejected != int64(rejected) {
 		t.Fatalf("snapshot rejected %d, want %d", snap.Rejected, rejected)
+	}
+	if snap.Coalesced != 0 {
+		t.Fatalf("coalesced %d reads of distinct pages", snap.Coalesced)
 	}
 	// The queue drained: the next submission is admitted again.
 	if err := st.Read(core.LinearPage(c.Params, 0, 0), func(_ []byte, _ error) {}); err != nil {
@@ -187,7 +192,7 @@ func TestPriorityInversionRegression(t *testing.T) {
 func TestAgingPreventsStarvation(t *testing.T) {
 	c := testCluster(t, 1, 64)
 	s, err := sched.New(c, sched.Config{
-		QueueDepth: 256, MaxInflight: 8, BatchSize: 4, AgingRounds: 4, Coalesce: false,
+		QueueDepth: 256, MaxInflight: 8, BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +201,9 @@ func TestAgingPreventsStarvation(t *testing.T) {
 	bulk, _ := s.NewStream("bulk", 0, sched.Batch)
 
 	// Realtime flood: every completion immediately resubmits, so the
-	// realtime queue is never empty.
+	// realtime queue is never empty. It reads pages 5..63 and the batch
+	// reads pages 0..4, so no batch read can coalesce onto a queued
+	// realtime one and be served without its own slot.
 	rng := sim.NewRNG(3)
 	deadline := 50 * sim.Millisecond
 	var pump func()
@@ -204,7 +211,7 @@ func TestAgingPreventsStarvation(t *testing.T) {
 		if c.Eng.Now() >= deadline {
 			return
 		}
-		a := core.LinearPage(c.Params, 0, rng.Intn(64))
+		a := core.LinearPage(c.Params, 0, 5+rng.Intn(59))
 		if err := rt.Read(a, func(_ []byte, _ error) { pump() }); err != nil {
 			c.Eng.After(10*sim.Microsecond, pump)
 		}

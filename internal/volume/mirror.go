@@ -323,7 +323,7 @@ func (v *Volume) ReplaceCard(i int) error {
 
 // StartRebuild refills a replaced card from the surviving copies: its
 // own primaries from the partner's replica half, and the replicas it
-// hosts from their primaries. The pump keeps RebuildDepth copies in
+// hosts from their primaries. The pump keeps rebuildDepth copies in
 // flight on the Background class (TagRebuild) and calls done when the
 // whole card is current. Pages never written are skipped; pages whose
 // only surviving copy is unreadable are lost and counted.
@@ -378,7 +378,7 @@ func (v *Volume) Rebuilding() bool {
 }
 
 // pushRebuildUrgency sets each node's rebuild urgency from the set of
-// active rebuilds: RebuildUrgency on every node one involves (the
+// active rebuilds: rebuildUrgency on every node one involves (the
 // rebuilding card's node and both partner nodes), 0 elsewhere. Without
 // it an idle node's Background class gets zero tokens and a rebuild
 // reading from (or writing to) it would stall forever.
@@ -387,7 +387,7 @@ func (v *Volume) pushRebuildUrgency() {
 	for _, cd := range v.cards {
 		if cd.rebuilding {
 			for _, n := range [3]int{cd.node, v.partner(cd).node, v.replicaSource(cd).node} {
-				urg[n] = v.cfg.RebuildUrgency
+				urg[n] = rebuildUrgency
 			}
 		}
 	}
@@ -406,13 +406,23 @@ func (v *Volume) rebuildSource(cd *card, clpn int) (*card, int) {
 	return v.replicaSource(cd), clpn - v.half
 }
 
-// pumpRebuild tops the rebuild window back up to RebuildDepth
+const (
+	// rebuildDepth bounds the rebuild pump's in-flight page copies.
+	rebuildDepth = 8
+	// rebuildUrgency is the GC-urgency floor pushed at the nodes a
+	// rebuild touches while it runs, so the scheduler grants the
+	// Background class enough tokens to make progress without letting
+	// reconstruction starve latency classes.
+	rebuildUrgency = 0.5
+)
+
+// pumpRebuild tops the rebuild window back up to rebuildDepth
 // in-flight copies and detects completion.
 func (v *Volume) pumpRebuild(cd *card) {
 	if !cd.rebuilding {
 		return
 	}
-	for len(cd.inflight) < v.cfg.RebuildDepth && cd.rebuildNext < v.perCard {
+	for len(cd.inflight) < rebuildDepth && cd.rebuildNext < v.perCard {
 		clpn := cd.rebuildNext
 		cd.rebuildNext++
 		if cd.rebuilt[clpn] {

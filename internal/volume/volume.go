@@ -46,14 +46,6 @@ type Config struct {
 	// replaced card is rebuilt from its partners on the Background
 	// class. Requires at least two nodes and halves the logical space.
 	Mirror bool
-	// RebuildDepth bounds the rebuild pump's in-flight page copies
-	// (default 8).
-	RebuildDepth int
-	// RebuildUrgency is the GC-urgency floor pushed at the nodes a
-	// rebuild touches while it runs, so the scheduler grants the
-	// Background class enough tokens to make progress without letting
-	// reconstruction starve latency classes (default 0.5).
-	RebuildUrgency float64
 }
 
 // DefaultConfig returns the standard volume configuration.
@@ -84,16 +76,8 @@ type Volume struct {
 // New builds a volume over cluster c, admitting all flash traffic
 // through scheduler s. The scheduler must belong to the same cluster.
 func New(c *core.Cluster, s *sched.Scheduler, cfg Config) (*Volume, error) {
-	if cfg.Mirror {
-		if c.Nodes() < 2 {
-			return nil, errors.New("volume: mirroring needs at least two nodes")
-		}
-		if cfg.RebuildDepth <= 0 {
-			cfg.RebuildDepth = 8
-		}
-		if cfg.RebuildUrgency <= 0 {
-			cfg.RebuildUrgency = 0.5
-		}
+	if cfg.Mirror && c.Nodes() < 2 {
+		return nil, errors.New("volume: mirroring needs at least two nodes")
 	}
 	v := &Volume{c: c, s: s, rt: s.NewRetrier(0), cfg: cfg}
 	v.failovers.New = v.newFailover

@@ -67,9 +67,7 @@ func checkAtEnd(t *testing.T, st *Stack) {
 func TestBuildCompositions(t *testing.T) {
 	cached := func(tier bool) *cache.Config {
 		ccfg := cache.DefaultConfig(64)
-		if tier {
-			ccfg.Tier = cache.DefaultTier()
-		}
+		ccfg.Tier = tier
 		return &ccfg
 	}
 	rcfg, icfg := rfs.DefaultConfig(), ispvol.DefaultConfig()
