@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"repro/internal/core/coretest"
 	"repro/internal/sched"
 )
 
@@ -142,8 +143,8 @@ func TestMissFillAllocFree(t *testing.T) {
 		cycle()
 	}
 	base := ca.Stats()
-	if n := testing.AllocsPerRun(200, cycle); n != 0 {
-		t.Fatalf("miss-fill cycle allocates %.1f objects, want 0", n)
+	if n := coretest.Mallocs(200, cycle); n != 0 {
+		t.Fatalf("200 miss-fill cycles make %d allocations, want 0", n)
 	}
 	if d := ca.Stats().Delta(base); d.Hits != 0 || d.Evictions != d.Misses {
 		t.Fatalf("hits %d, misses %d, evictions %d: not measuring miss → fill → evict", d.Hits, d.Misses, d.Evictions)

@@ -12,9 +12,8 @@ import (
 // of the delivered image as the frame's view). ns/op is host time, B/op
 // and allocs/op the heap traffic, misses/op which path ran and
 // events/op the engine events. A hit is expected at 0 B/op. A fill keeps
-// the image flash delivered, so a miss-fill is expected at 0 allocs/op
-// and no page of B/op: the few bytes it shows are the scheduler's
-// sim.Hist growing (it keeps every sample). Run with -benchmem.
+// the image flash delivered, so a miss-fill is expected at 0 B/op too.
+// Run with -benchmem.
 func BenchmarkCacheRead(b *testing.B) {
 	const frames = 8
 	b.Run("hit", func(b *testing.B) { benchCacheRead(b, frames, frames/2) })

@@ -35,6 +35,7 @@ var (
 	ErrUncorrectable = errors.New("flashctl: uncorrectable ECC error")
 	ErrWrongState    = errors.New("flashctl: command in wrong state")
 	ErrDataSize      = errors.New("flashctl: write data must be exactly one page")
+	ErrUnknownOp     = errors.New("flashctl: unknown op")
 )
 
 // Op selects the flash operation of a command.
@@ -245,14 +246,17 @@ func (c *Controller) FreeTags() int {
 }
 
 // Issue submits a command. It returns an error synchronously for
-// malformed commands (bad tag, tag in use); operation outcomes arrive
-// via the handlers.
+// malformed commands (bad tag, tag in use, unknown op) before it
+// records anything; operation outcomes arrive via the handlers.
 func (c *Controller) Issue(cmd Command) error {
 	if cmd.Tag < 0 || cmd.Tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, cmd.Tag)
 	}
 	if c.tags[cmd.Tag] != tagIdle {
 		return fmt.Errorf("%w: %d", ErrTagInUse, cmd.Tag)
+	}
+	if cmd.Op > OpErase {
+		return fmt.Errorf("%w: %v", ErrUnknownOp, cmd.Op)
 	}
 	c.addrs[cmd.Tag] = cmd.Addr
 	switch cmd.Op {
@@ -271,8 +275,6 @@ func (c *Controller) Issue(cmd Command) error {
 		c.tags[cmd.Tag] = tagErasing
 		c.ErasesIssued.Inc()
 		c.card.EraseBlock(cmd.Addr, c.onCard[cmd.Tag])
-	default:
-		return fmt.Errorf("flashctl: unknown op %v", cmd.Op)
 	}
 	return nil
 }

@@ -236,6 +236,22 @@ func TestBadTagRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownOpRejected: a command whose op is none of read, write and
+// erase fails with ErrUnknownOp, and the controller records nothing of
+// it: the tag stays idle with the address it had, so the tag serves
+// the next command.
+func TestUnknownOpRejected(t *testing.T) {
+	r := newRig(t, nand.Reliability{})
+	addr := nand.Addr{Bus: 1, Chip: 2, Block: 3}
+	if err := r.ctl.Issue(Command{Op: OpErase + 1, Tag: 4, Addr: addr}); !errors.Is(err, ErrUnknownOp) {
+		t.Fatalf("op %v: err = %v, want ErrUnknownOp", OpErase+1, err)
+	}
+	if r.ctl.addrs[4] != (nand.Addr{}) || r.ctl.tags[4] != tagIdle {
+		t.Fatalf("a rejected command left tag 4 %v at %v", r.ctl.tags[4], r.ctl.addrs[4])
+	}
+	r.writePage(t, 4, nand.Addr{}, pattern(8192, 7))
+}
+
 func TestWriteImageSizeValidated(t *testing.T) {
 	r := newRig(t, nand.Reliability{})
 	addr := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}

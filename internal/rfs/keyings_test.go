@@ -877,8 +877,8 @@ func TestCleanMoveAllocatesNothing(t *testing.T) {
 // BenchmarkMove is the cost of one move, the erase of each emptied
 // victim shared among its pages: a read whose result, the image the
 // victim page stores, is programmed back as it stands, so a move
-// allocates nothing (0 allocs/op on both keyings; 0 B/op on the FTL's
-// card, while the file system's B/op is the scheduler's sim.Hist).
+// allocates nothing (0 allocs/op and, once the run is long enough to
+// amortize its first pass, 0 B/op on both keyings).
 // Passes run whole, so the figures are computed per page actually moved
 // (b.N rounded up to a unit) and reported in place of the built-in
 // per-b.N ones. Run with -benchmem.

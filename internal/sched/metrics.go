@@ -21,14 +21,10 @@ type stats struct {
 }
 
 // reset zeroes every metric and starts the window at eng's current
-// time; the latency recorders keep their buffers.
+// time.
 func (st *stats) reset(eng *sim.Engine) {
-	*st = stats{eng: eng, start: eng.Now(), classes: st.classes}
-	for cl := range st.classes {
-		agg := &st.classes[cl]
-		*agg = classAgg{lat: agg.lat}
-		agg.lat.Reset()
-	}
+	*st = stats{}
+	st.eng, st.start = eng, eng.Now()
 }
 
 func (st *stats) class(cl Class) *classAgg { return &st.classes[cl] }

@@ -1,7 +1,6 @@
 package sched_test
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -134,7 +133,7 @@ func TestPortAdmitsByPageAndTag(t *testing.T) {
 // port resolves the page, picks the class and the lane, and hands the
 // op to the retrier's pooled records and the lane's sequencer.
 func TestPortAllocatesNothing(t *testing.T) {
-	c, s, port, ppn := portRig(t, sched.DefaultConfig())
+	c, _, port, ppn := portRig(t, sched.DefaultConfig())
 	img := c.Params.Geometry.PageImage(pagePattern(c, 5))
 	ack := func(err error) {
 		if err != nil {
@@ -144,7 +143,6 @@ func TestPortAllocatesNothing(t *testing.T) {
 	got := func(_ []byte, err error) { ack(err) }
 	pg := ppn(1, 7, 0)
 	cycle := func() {
-		s.ResetStats()
 		port.Program(pg, 1, img, ack)
 		c.Run()
 		port.Read(pg, reclaim.TagMove, got)
@@ -156,33 +154,15 @@ func TestPortAllocatesNothing(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if n := mallocs(100, cycle); n != 0 {
+	if n := coretest.Mallocs(100, cycle); n != 0 {
 		t.Fatalf("100 programs, reads and erases through a port make %d allocations, want 0", n)
 	}
 }
 
-// mallocs runs f runs times and returns the heap allocations the runs
-// made, all of them: a count over one runtime.ReadMemStats window, not
-// testing.AllocsPerRun's average, which truncates to an integer and so
-// hides an allocation made once every few runs. The window runs on one
-// P, as AllocsPerRun does: with more, the runtime may start an OS
-// thread when ReadMemStats restarts the world, and that thread's
-// records would count as the code's.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
-}
-
 // TestWarmWindowAllocatesNothing: a measured window costs the
-// scheduler nothing once warm. ResetStats keeps every class's latency
-// recorder and its buffer, so a window of reads in every class after
-// it allocates nothing.
+// scheduler nothing once warm. Every class's latency recorder is a
+// fixed array of buckets that ResetStats zeroes, so a window of reads
+// in every class after it allocates nothing.
 func TestWarmWindowAllocatesNothing(t *testing.T) {
 	c, s, port, ppn := portRig(t, sched.DefaultConfig())
 	pg := ppn(1, 7, 0)
@@ -217,7 +197,7 @@ func TestWarmWindowAllocatesNothing(t *testing.T) {
 		}
 	}
 	window()
-	if n := mallocs(20, func() {
+	if n := coretest.Mallocs(20, func() {
 		s.ResetStats()
 		window()
 	}); n != 0 {
@@ -244,16 +224,22 @@ func BenchmarkPort(b *testing.B) {
 	}
 	got := func(_ []byte, err error) { ack(err) }
 	pg := ppn(1, 7, 0)
-	b.ReportAllocs()
-	fired := c.Eng.Fired()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cycle := func() {
 		port.Program(pg, 1, img, ack)
 		c.Run()
 		port.Read(pg, 1, got)
 		c.Run()
 		port.Erase(pg, ack)
 		c.Run()
+	}
+	for i := 0; i < 8; i++ { // pools and rings reach their size
+		cycle()
+	}
+	b.ReportAllocs()
+	fired := c.Eng.Fired()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(c.Eng.Fired()-fired)/float64(b.N), "events/op")

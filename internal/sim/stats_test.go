@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -38,29 +39,44 @@ func refSum(xs []Time) float64 {
 	return sum
 }
 
+// nearRank reports whether got is a reported quantile of the
+// nearest-rank sample want: want itself below 2^(histM+1) ns, and
+// above that at most want and below it by less than 2^−histM of want.
+func nearRank(got, want Time) bool {
+	return got == want || got < want && want-got < want>>histM
+}
+
 // histSamples draws n seeded latencies, every third a repeat of the
-// one before it, so every n past two holds duplicates.
+// one before it, so every n past two holds duplicates, every fifth
+// below 2^(histM+1) ns, where a bucket holds one value, and every
+// seventh anywhere in the range of Time.
 func histSamples(n int, seed uint64) []Time {
 	rng := NewRNG(seed)
 	xs := make([]Time, n)
 	for i := range xs {
-		if i%3 == 2 {
+		switch {
+		case i%3 == 2:
 			xs[i] = xs[i-1]
-			continue
+		case i%5 == 4:
+			xs[i] = Time(rng.Intn(2 << histM))
+		case i%7 == 6:
+			xs[i] = Time(rng.Uint64() >> (1 + rng.Intn(63)))
+		default:
+			xs[i] = Time(rng.Intn(4*n))*37*Nanosecond + Microsecond
 		}
-		xs[i] = Time(rng.Intn(4*n))*37*Nanosecond + Microsecond
 	}
 	return xs
 }
 
 // TestHistMatchesNearestRank: Hist is the one latency recorder, and
-// every quantile it reports is nearest rank, checked against a brute
-// force over seeded samples with duplicates, out-of-range and NaN q
-// included; an empty recorder reports zeros, never NaN (which would
-// poison a JSON artifact). Merging a recorder that was already queried
-// (so its buffer is sorted) gives what sequential adds give, and a
-// recorder that has seen a window once records the next one after
-// Reset without allocating.
+// every quantile it reports is nearest rank within its buckets' bound
+// (nearRank), checked against a brute force over seeded samples with
+// duplicates, out-of-range and NaN q included; the count, the mean and
+// the maximum are exact. An empty recorder reports zeros, never NaN
+// (which would poison a JSON artifact). Merging two recorders gives
+// the buckets and quantiles that adding every sample to one gives.
+// Add and Merge allocate nothing, and neither does emptying a
+// recorder (assigning the zero value) or a fresh recorder's first Add.
 func TestHistMatchesNearestRank(t *testing.T) {
 	qs := []float64{0, 0.1, 0.25, 0.5, 0.99, 0.999, 1, -1, 2, math.Inf(-1), math.Inf(1), math.NaN()}
 	for _, n := range []int{0, 1, 2, 7, 1001} {
@@ -74,25 +90,31 @@ func TestHistMatchesNearestRank(t *testing.T) {
 				t.Fatalf("count %d, want %d", h.Count(), n)
 			}
 			for _, q := range qs {
-				if got, want := h.Quantile(q), refQuantile(xs, q); got != want {
-					t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+				if got, want := h.Quantile(q), refQuantile(xs, q); !nearRank(got, want) {
+					t.Errorf("Quantile(%v) = %v, want %v within 2^-%d", q, got, want, histM)
 				}
+			}
+			if got, want := h.Quantile(1), refQuantile(xs, 1); got != want {
+				t.Errorf("Quantile(1) = %v, want the maximum %v exactly", got, want)
 			}
 			want := Latency{
 				MeanUs: refSum(xs) / float64(max(n, 1)),
-				P50Us:  refQuantile(xs, 0.5).Micros(),
-				P99Us:  refQuantile(xs, 0.99).Micros(),
+				P50Us:  h.Quantile(0.5).Micros(),
+				P99Us:  h.Quantile(0.99).Micros(),
 				MaxUs:  refQuantile(xs, 1).Micros(),
 			}
 			if got := h.Summary(); got != want {
 				t.Errorf("Summary() = %+v, want %+v", got, want)
 			}
 
-			// Merge: the mean takes the other recorder's running sum,
-			// so it is the first half's sum plus the second's, each in
-			// Add order, whether or not the second was queried (and so
-			// sorted) before the merge.
-			merge := func(query bool) Latency {
+			// Merge: the buckets, count and maximum are those of one
+			// recorder fed every sample, and the mean takes the other
+			// recorder's running sum, so it is the first half's sum
+			// plus the second's, each in Add order, whether or not the
+			// second was queried before the merge.
+			mergedWant := want
+			mergedWant.MeanUs = (refSum(xs[:n/2]) + refSum(xs[n/2:])) / float64(max(n, 1))
+			for _, query := range []bool{false, true} {
 				var a, b Hist
 				for i, x := range xs {
 					if i < n/2 {
@@ -105,38 +127,94 @@ func TestHistMatchesNearestRank(t *testing.T) {
 					b.Quantile(0.5)
 				}
 				a.Merge(&b)
-				return a.Summary()
-			}
-			mergedWant := want
-			mergedWant.MeanUs = (refSum(xs[:n/2]) + refSum(xs[n/2:])) / float64(max(n, 1))
-			for _, query := range []bool{false, true} {
-				if got := merge(query); got != mergedWant {
+				if a.counts != h.counts || a.Count() != n || a.max != h.max {
+					t.Errorf("Merge (other recorder queried first: %v): buckets, count or maximum differ from adding every sample", query)
+				}
+				if got := a.Summary(); got != mergedWant {
 					t.Errorf("Merge (other recorder queried first: %v): Summary() = %+v, want %+v", query, got, mergedWant)
 				}
 			}
 
-			h.Reset()
+			h = Hist{}
 			if h.Count() != 0 || h.Summary() != (Latency{}) {
-				t.Fatalf("after Reset: count %d, summary %+v", h.Count(), h.Summary())
+				t.Fatalf("emptied: count %d, summary %+v", h.Count(), h.Summary())
+			}
+			var other Hist
+			for _, x := range xs {
+				other.Add(x)
 			}
 			if allocs := testing.AllocsPerRun(10, func() {
-				h.Reset()
+				h = Hist{}
 				for _, x := range xs {
 					h.Add(x)
 				}
-				if h.Summary() != want {
-					t.Error("a window after Reset summarises differently")
+				h.Merge(&other)
+				if h.Count() != 2*n {
+					t.Error("an emptied recorder counts differently")
 				}
 			}); allocs != 0 {
-				t.Errorf("a window after Reset makes %.1f allocations, want 0", allocs)
+				t.Errorf("emptying, Add and Merge make %.1f allocations, want 0", allocs)
+			}
+			// AllocsPerRun calls f once more than runs, before it counts.
+			fresh, i := make([]Hist, 11), 0
+			if allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+				fresh[i].Add(Microsecond)
+				i++
+			}); allocs != 0 {
+				t.Errorf("a fresh recorder's first Add makes %.1f allocations, want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestTallyStats: the latency tally reports count, mean, median and
-// maximum, and adding after a quantile query (which sorts the buffer)
-// still works.
+// TestHistBucketsCoverEveryTime: every non-negative Time, from 0 to
+// MaxInt64, falls in a bucket whose low edge is within the bound of
+// it, and the bucket index never falls as the latency grows, so
+// walking the buckets in order walks the samples in order.
+func TestHistBucketsCoverEveryTime(t *testing.T) {
+	prev := -1
+	for e := 0; e < 63; e++ {
+		for _, v := range []Time{1<<e - 1, 1 << e, 1<<e + 1<<e/3, 1<<e + 1<<e - 1} {
+			i := histBucket(v)
+			if i < prev || i >= histBuckets {
+				t.Fatalf("%d ns: bucket %d after %d, of %d", v, i, prev, histBuckets)
+			}
+			if low := histLow(i); !nearRank(low, v) || histBucket(low) != i {
+				t.Fatalf("%d ns: bucket %d reports %d ns", v, i, low)
+			}
+			prev = i
+		}
+	}
+	if i := histBucket(math.MaxInt64); i != histBuckets-1 {
+		t.Fatalf("MaxInt64 falls in bucket %d, want the last, %d", i, histBuckets-1)
+	}
+}
+
+// TestHistHeapIsBounded: a recorder's storage does not depend on how
+// many samples it holds. A million Adds, spread over every power of
+// two a Time can take, allocate nothing (a recorder that kept every
+// sample would take at least 8 MB).
+func TestHistHeapIsBounded(t *testing.T) {
+	h := new(Hist)
+	rng := NewRNG(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 1_000_000; i++ {
+		h.Add(Time(rng.Uint64() >> (1 + i%63)))
+	}
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew != 0 {
+		t.Fatalf("a million Adds allocate %d B, want 0", grew)
+	}
+	if h.Count() != 1_000_000 {
+		t.Fatalf("count %d", h.Count())
+	}
+}
+
+// TestTallyStats: the recorder reports count, mean, median and
+// maximum, and adding after a quantile query still works. The median
+// is within the buckets' bound (nearRank); the rest is exact.
 func TestTallyStats(t *testing.T) {
 	var h Hist
 	for _, v := range []Time{5, 1, 3, 2, 4} {
@@ -145,13 +223,13 @@ func TestTallyStats(t *testing.T) {
 	if h.Count() != 5 || h.Mean() != 3 || h.Quantile(0) != Microsecond || h.Quantile(1) != 5*Microsecond {
 		t.Fatalf("tally stats wrong: count %d, summary %+v", h.Count(), h.Summary())
 	}
-	if p := h.Quantile(0.5); p != 3*Microsecond {
-		t.Fatalf("p50 = %v, want 3µs", p)
+	if p := h.Quantile(0.5); !nearRank(p, 3*Microsecond) {
+		t.Fatalf("p50 = %v, want 3µs within 2^-%d", p, histM)
 	}
 	// Adding after a quantile query must still work.
 	h.Add(10 * Microsecond)
 	if h.Count() != 6 || h.Quantile(1) != 10*Microsecond || h.Summary().MaxUs != 10 {
-		t.Fatal("tally broken after post-sort insert")
+		t.Fatal("tally broken by an Add after a query")
 	}
 }
 
@@ -188,7 +266,7 @@ func TestTallyPercentileDegenerateP(t *testing.T) {
 	if got := h.Quantile(math.NaN()); got != 0 {
 		t.Fatalf("Quantile(NaN) = %v, want 0", got)
 	}
-	if got := h.Quantile(-0.05); got != Microsecond {
+	if got := h.Quantile(-0.05); !nearRank(got, Microsecond) {
 		t.Fatalf("Quantile(-0.05) = %v, want clamp to min sample 1µs", got)
 	}
 	if got := h.Quantile(2.5); got != 10*Microsecond {
