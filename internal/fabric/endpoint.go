@@ -106,7 +106,7 @@ func (ep *Endpoint) Send(dst NodeID, size int, payload any, onAccepted func()) e
 	}
 	if size < 0 {
 		//simlint:allow hotpath (caller-bug error path, not steady state)
-		return fmt.Errorf("fabric: negative size %d", size)
+		return fmt.Errorf("%w: %d", ErrBadSize, size)
 	}
 	if ep.e2eWindow > 0 {
 		if ep.credits[dst] == 0 {

@@ -44,6 +44,7 @@ var (
 	ErrPortsFull    = errors.New("fabric: node has no free ports")
 	ErrBadEndpoint  = errors.New("fabric: endpoint index already in use")
 	ErrNotConnected = errors.New("fabric: topology is not connected")
+	ErrBadSize      = errors.New("fabric: negative message size")
 )
 
 // NodeID numbers a storage node in the cluster.

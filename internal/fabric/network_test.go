@@ -274,6 +274,14 @@ func TestUnroutableDestination(t *testing.T) {
 	_ = eng
 }
 
+func TestNegativeSizeRejected(t *testing.T) {
+	_, net := buildNet(t, Line(2, 1), 0)
+	src, _ := net.Node(0).BindEndpoint(0)
+	if err := src.Send(1, -1, nil, nil); !errors.Is(err, ErrBadSize) {
+		t.Fatalf("err = %v, want ErrBadSize", err)
+	}
+}
+
 func TestDisconnectedTopologyRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	topo := Topology{Name: "split", Nodes: 4, Edges: [][2]int{{0, 1}, {2, 3}}}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -641,79 +640,5 @@ func TestRejectedOpTakesNoCredit(t *testing.T) {
 	}
 	if out := f.srv.pool.Out(); out != 0 {
 		t.Fatalf("%d rejected page ops never went back to the pool", out)
-	}
-}
-
-// allocBytesPerOp runs op n times on a warm stack and returns the mean
-// bytes allocated per call (runtime.MemStats.TotalAlloc).
-func allocBytesPerOp(n int, op func(i int)) float64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		op(i)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-}
-
-// TestPageOpsAllocateOnePage pins the budget of the whole flash path,
-// NAND to callback: one page-sized allocation per program (the
-// WritePhysical snapshot the card ends up storing), none at all per
-// clean read (it delivers the stored image), and nothing else — every
-// continuation on the way is bound once. Three page-sized allocations
-// per op used to hide here; one cannot come back unnoticed. (The layers
-// above pin the same budget per physical program: ftl's and volume's
-// TestWritesAllocateOnePagePerProgram, sched's TestFlashOpsAllocateOnePage.)
-func TestPageOpsAllocateOnePage(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
-	geo := card.Geometry()
-	budget := 1.02 * float64(geo.PageSize) // an 8 KiB image, no tail rounding it up
-	addr := func(i int) nand.Addr {
-		return nand.Addr{Bus: i % geo.Buses, Chip: i / geo.Buses % geo.ChipsPerBus,
-			Block: i / (geo.Buses * geo.ChipsPerBus * geo.PagesPerBlock),
-			Page:  i / (geo.Buses * geo.ChipsPerBus) % geo.PagesPerBlock}
-	}
-	page := pattern(geo.PageSize, 3)
-	ack := func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-	}
-	const warm, n = 64, 256
-	write := func(i int) {
-		f.WritePhysical(addr(i), page, ack)
-		eng.Run()
-	}
-	for i := 0; i < warm; i++ {
-		write(i)
-	}
-	if got := allocBytesPerOp(n, func(i int) { write(warm + i) }); got >= budget {
-		t.Errorf("WritePhysical allocates %.0f B per page, budget %.0f", got, budget)
-	}
-	next := warm + n
-	if got := testing.AllocsPerRun(64, func() { write(next); next++ }); got != 1 {
-		t.Errorf("WritePhysical makes %.0f allocations per page, want 1 (the image)", got)
-	}
-
-	got := func(d []byte, err error) {
-		if err != nil || len(d) != geo.PageSize {
-			t.Errorf("read: %d bytes, err %v", len(d), err)
-		}
-	}
-	read := func(i int) {
-		f.ReadPhysical(addr(i%(warm+n)), got)
-		eng.Run()
-	}
-	for i := 0; i < warm; i++ {
-		read(i)
-	}
-	// No byte budget for reads: zero allocations is zero bytes, and
-	// TotalAlloc is process-wide, so over a few hundred reads one stray
-	// runtime allocation would read as bytes per page.
-	i := 0
-	if got := testing.AllocsPerRun(64, func() { read(i); i++ }); got != 0 {
-		t.Errorf("ReadPhysical makes %.0f allocations per page, want 0 (a clean read delivers the stored image)", got)
 	}
 }

@@ -12,10 +12,11 @@
 // LPN → PPN table, which covers the whole logical space, and its
 // policies: a write frontier per IOTag (so concurrent streams never
 // interleave programs inside a block), each opened from a min-heap of
-// free blocks keyed on erase count; a pass held only when a frontier
-// needs a fresh block; GCPipeline moves in flight; and a periodic
-// wear-leveling pass that recycles the coldest block instead of the
-// greedy victim, so erase wear stays even.
+// free blocks keyed on erase count, whose ties rotate over the chips so
+// successive blocks land on different buses; a pass held only when a
+// frontier needs a fresh block; GCPipeline moves in flight; and a
+// periodic wear-leveling pass that recycles the coldest block instead
+// of the greedy victim, so erase wear stays even.
 package ftl
 
 import (
@@ -69,6 +70,7 @@ type FTL struct {
 	l2p      l2p     // lpn -> ppn, -1 if unmapped
 	erases   []int64 // per block
 	freePool []int   // min-heap of free block indices, keyed on erase count
+	rank     []int32 // per block: its place in the rotation over chips, freeLess's tie-break
 	actives  [256]int32
 	wearPass int64 // the number of the last collection that was a wear pass
 
@@ -122,11 +124,19 @@ func New(port reclaim.Port, geo nand.Geometry, cfg Config) (*FTL, error) {
 	for i := range f.l2p {
 		f.l2p[i] = -1
 	}
-	// All blocks start with zero erases, so ascending index order is
-	// already a valid min-heap.
+	// The rotation: block 0 of every chip, then block 1 of every chip,
+	// and so on. All blocks start with zero erases, so the pool laid out
+	// in that order is sorted, and a sorted array is already a valid
+	// min-heap.
 	f.erases = make([]int64, len(log.Units))
-	for b := range log.Units {
-		f.freePool = append(f.freePool, b)
+	chips := len(log.Units) / geo.BlocksPerChip
+	f.rank = make([]int32, len(log.Units))
+	for blk := range geo.BlocksPerChip {
+		for chip := range chips {
+			b := chip*geo.BlocksPerChip + blk
+			f.rank[b] = int32(len(f.freePool))
+			f.freePool = append(f.freePool, b)
+		}
 	}
 	log.Free = len(f.freePool)
 	return f, nil
@@ -285,16 +295,20 @@ func (f *FTL) alloc(tag uint8, retry func()) (int, error) {
 
 // --- free pool: min-heap keyed on erase count ------------------------
 
-// freeLess orders the heap by erase count, block index as the
-// deterministic tie-break. Heap invariant: a block's erase count
-// never changes while it sits in freePool — erases increment only in
-// erased, immediately before pushFree re-inserts the block.
+// freeLess orders the heap by erase count, then by rank — block within
+// chip, then chip: blocks of equal wear rotate over the chips (and so
+// over the buses) instead of filling the bus-major block index in
+// order, so consecutive frontiers land on different chips and a run of
+// logical pages spreads over every bus (Agrawal et al., "Design
+// Tradeoffs for SSD Performance", USENIX ATC'08). Heap invariant: a
+// block's erase count never changes while it sits in freePool — erases
+// increment only in erased, immediately before pushFree re-inserts it.
 func (f *FTL) freeLess(a, b int) bool {
 	ea, eb := f.erases[a], f.erases[b]
 	if ea != eb {
 		return ea < eb
 	}
-	return a < b
+	return f.rank[a] < f.rank[b]
 }
 
 // pushFree returns a block to the free pool.

@@ -504,10 +504,11 @@ func TestTaggedFrontiersAreDisjoint(t *testing.T) {
 
 // BenchmarkFreePoolAlloc measures the frontier-block allocate/free
 // cycle that runs on every active-block allocation: a min-heap pop
-// plus push over a large pool (formerly an O(n) scan per allocation).
+// plus push over a large pool (formerly an O(n) scan per allocation),
+// on a card of 8 buses so ties rotate over chips. 0 B/op.
 func BenchmarkFreePoolAlloc(b *testing.B) {
 	geo := nand.Geometry{
-		Buses: 1, ChipsPerBus: 1, BlocksPerChip: 4096, PagesPerBlock: 4,
+		Buses: 8, ChipsPerBus: 1, BlocksPerChip: 512, PagesPerBlock: 4,
 		PageSize: 64, OOBSize: 8,
 	}
 	be := newFakePort(geo, true)
@@ -697,5 +698,93 @@ func TestSynchronousCollectionsNest(t *testing.T) {
 	}
 	if err := f.Log.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkFreeHeap fails the test unless the free pool is a valid min-heap
+// under freeLess: no block orders before its parent.
+func checkFreeHeap(t *testing.T, f *FTL, when string) {
+	t.Helper()
+	for i := 1; i < len(f.freePool); i++ {
+		if p := (i - 1) / 2; f.freeLess(f.freePool[i], f.freePool[p]) {
+			t.Fatalf("%s: free pool slot %d (block %d) orders before its parent slot %d (block %d)",
+				when, i, f.freePool[i], p, f.freePool[p])
+		}
+	}
+}
+
+// TestFreePoolRotatesOverChips: New lays the pool out sorted under
+// freeLess (so no heapify), the first pops take block 0 of every chip
+// before any chip's block 1, and the pool stays a valid heap through a
+// churn that runs greedy and wear-leveling passes.
+func TestFreePoolRotatesOverChips(t *testing.T) {
+	geo := nand.Geometry{
+		Buses: 4, ChipsPerBus: 2, BlocksPerChip: 8, PagesPerBlock: 8,
+		PageSize: 512, OOBSize: 64,
+	}
+	f, err := New(newFakePort(geo, true), geo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFreeHeap(t, f, "after New")
+	chips := geo.Buses * geo.ChipsPerBus
+	for i := range chips {
+		if blk := f.popLeastWorn(); blk%geo.BlocksPerChip != 0 || blk/geo.BlocksPerChip != i {
+			t.Fatalf("pop %d: block %d (chip %d, block %d), want block 0 of chip %d",
+				i, blk, blk/geo.BlocksPerChip, blk%geo.BlocksPerChip, i)
+		}
+	}
+
+	h := newHarness(t, geo, nand.Reliability{}, Config{OverProvision: 0.25, GCLowWater: 2, WearLevelEvery: 2})
+	f = h.ftl
+	checkFreeHeap(t, f, "after New")
+	rng := sim.NewRNG(3)
+	for i := 0; i < 4*f.LogicalPages(); i++ {
+		if err := h.write(t, rng.Intn(f.LogicalPages()), page(geo, byte(i))); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		checkFreeHeap(t, f, "during the churn")
+	}
+	if f.wearPass == 0 {
+		t.Fatal("test premise: no wear pass ran")
+	}
+}
+
+// TestEraseSkewUnderRotation: rotating equal-wear blocks over chips
+// keeps wear as even as the block-index tie-break did. An 8-bus card of
+// 32-page blocks, filled and then overwritten at random 40× its logical
+// space, ends with a max − min erase count (the worst of three seeds)
+// within one of what that order read: 2, 3 and 6 at 2, 8 and 32 blocks
+// per chip (rotation reads 3, 4 and 6).
+func TestEraseSkewUnderRotation(t *testing.T) {
+	for _, c := range []struct{ blocksPerChip, maxSkew int }{{2, 3}, {8, 4}, {32, 7}} {
+		geo := nand.Geometry{
+			Buses: 8, ChipsPerBus: 1, BlocksPerChip: c.blocksPerChip, PagesPerBlock: 32,
+			PageSize: 16, OOBSize: 2,
+		}
+		var worst int64
+		for seed := uint64(1); seed <= 3; seed++ {
+			f, err := New(newFakePort(geo, true), geo, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			lpns := f.LogicalPages()
+			img := page(geo, 1)
+			for lpn := 0; lpn < lpns; lpn++ {
+				if err := syncWrite(t, f, lpn, img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := sim.NewRNG(seed)
+			for i := 0; i < 40*lpns; i++ {
+				if err := syncWrite(t, f, rng.Intn(lpns), img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			worst = max(worst, f.MaxEraseSkew())
+		}
+		if worst > int64(c.maxSkew) {
+			t.Errorf("BlocksPerChip %d: erase skew %d, want at most %d", c.blocksPerChip, worst, c.maxSkew)
+		}
 	}
 }
