@@ -325,7 +325,6 @@ func BenchmarkExtensionTableScan(b *testing.B) {
 		p := core.DefaultParams(1)
 		p.Geometry.BlocksPerChip = 16
 		icfg := ispvol.DefaultConfig()
-		icfg.Window = 32 // a query runs one engine per node: its window is the scan's whole read depth
 		rcfg := rfs.DefaultConfig()
 		st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig(), RFS: &rcfg, ISP: &icfg})
 		if err != nil {

@@ -1,13 +1,15 @@
 package repro_test
 
 // Who reads flash unadmitted: core.Node.ISPReadDirect issues a
-// device-side read around the scheduler. The admitted paths (the Accel
-// class dispatcher, ispvol's engines) reach it through sched; every
-// other caller is a runner that has not moved onto ispvol's engine
-// yet, or a tool that times the raw path. TestDirectReadCallers holds
-// that list to a table, so a new unadmitted reader is a decision
-// somebody made, and a runner that moves onto the engine deletes its
-// row.
+// device-side read around the scheduler. The admitted paths (ispvol's
+// engines) reach the Accel class dispatcher through sched, which issues
+// through core.Node.ISPReadAdmitted, the read that yields at the chip;
+// every other caller of ISPReadDirect is a runner that has not moved
+// onto ispvol's engine yet, or a tool that times the raw path.
+// TestDirectReadCallers holds both lists to a table, so a new
+// unadmitted reader — or a read that yields without admission — is a
+// decision somebody made, and a runner that moves onto the engine
+// deletes its row.
 
 import (
 	"go/ast"
@@ -22,7 +24,6 @@ import (
 // with why it may.
 var directReaders = map[string]string{
 	"internal/core/node.go":            "the definition",
-	"internal/sched/sched.go":          "the Accel dispatcher issues an admitted read here once granted",
 	"internal/ispvol/ispvol.go":        "the Bypass arm, the scheduler-bypass bug kept as an experiment",
 	"internal/experiments/fig12.go":    "Figure 12 times the raw ISP-F path",
 	"internal/experiments/fig13.go":    "Figure 13's local engines read the card directly",
@@ -32,43 +33,54 @@ var directReaders = map[string]string{
 	"examples/quickstart/main.go":      "the quickstart shows every access path",
 }
 
+// admittedReaders names every non-test file that names
+// ISPReadAdmitted, with why it may.
+var admittedReaders = map[string]string{
+	"internal/core/node.go":   "the definition",
+	"internal/sched/sched.go": "the Accel dispatcher issues an admitted read here once granted",
+}
+
 func TestDirectReadCallers(t *testing.T) {
-	var got []string
+	got := map[string][]string{}
 	err := walkGoFiles([]string{"internal", "cmd", "examples"}, func(path string, src []byte) error {
 		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		if namesDirectRead(f) {
-			got = append(got, filepath.ToSlash(path))
+		for _, name := range []string{"ISPReadDirect", "ISPReadAdmitted"} {
+			if namesMethod(f, name) {
+				got[name] = append(got[name], filepath.ToSlash(path))
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range got {
-		if _, ok := directReaders[path]; !ok {
-			t.Errorf("%s reads flash through ISPReadDirect, around the scheduler; run in-store work on ispvol's engine, or add a row to directReaders", path)
+	for name, table := range map[string]map[string]string{"ISPReadDirect": directReaders, "ISPReadAdmitted": admittedReaders} {
+		for _, path := range got[name] {
+			if _, ok := table[path]; !ok {
+				t.Errorf("%s reads flash through %s; run in-store work on ispvol's engine, or add a row to the table", path, name)
+			}
 		}
-	}
-	for path := range directReaders {
-		if !slices.Contains(got, path) {
-			t.Errorf("%s no longer names ISPReadDirect; delete its row from directReaders", path)
+		for path := range table {
+			if !slices.Contains(got[name], path) {
+				t.Errorf("%s no longer names %s; delete its row from the table", path, name)
+			}
 		}
 	}
 }
 
-// namesDirectRead reports whether a file declares ISPReadDirect or
-// selects it (a call or a method value).
-func namesDirectRead(f *ast.File) bool {
+// namesMethod reports whether a file declares a function or method
+// called name or selects it (a call or a method value).
+func namesMethod(f *ast.File, name string) bool {
 	found := false
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncDecl:
-			found = found || x.Name.Name == "ISPReadDirect"
+			found = found || x.Name.Name == name
 		case *ast.SelectorExpr:
-			found = found || x.Sel.Name == "ISPReadDirect"
+			found = found || x.Sel.Name == name
 		}
 		return !found
 	})

@@ -28,8 +28,6 @@ func main() {
 	pred := tablescan.Predicate{Col: tablescan.ColB, Op: tablescan.OpEQ, Value: 42} // ~1% selectivity
 
 	icfg := ispvol.DefaultConfig()
-	// A query runs one engine per node: its window is the scan's whole read depth.
-	icfg.Window = 32
 	rcfg := rfs.DefaultConfig()
 	st, err := workload.Build(workload.StackSpec{Params: core.DefaultParams(1), Sched: sched.DefaultConfig(),
 		RFS: &rcfg, ISP: &icfg})

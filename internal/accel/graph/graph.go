@@ -20,6 +20,7 @@ var (
 	ErrTooManyEdges = errors.New("graph: adjacency list exceeds one page")
 	ErrBadPage      = errors.New("graph: malformed adjacency page")
 	ErrBadSteps     = errors.New("graph: steps must be positive")
+	ErrBadMode      = errors.New("graph: unknown traversal mode")
 )
 
 // Config describes a synthetic graph.

@@ -147,6 +147,10 @@ func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done
 		done(nil, fmt.Errorf("%w: %d", ErrBadSteps, cfg.Steps))
 		return
 	}
+	if cfg.Mode < ModeISPF || cfg.Mode > ModeMixed {
+		done(nil, fmt.Errorf("%w: %v", ErrBadMode, cfg.Mode))
+		return
+	}
 	if cfg.Walkers <= 0 {
 		cfg.Walkers = 1
 	}
@@ -154,7 +158,7 @@ func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done
 	res := &Result{VisitSums: make([]uint64, cfg.Walkers)}
 	start := c.Eng.Now()
 	// All walkers are accounted for BEFORE any of them starts: a
-	// walker that fails synchronously (bad mode, immediate send error)
+	// walker that fails synchronously (an immediate send error)
 	// must not zero the count while later walkers are still unspawned,
 	// or done would fire more than once.
 	remaining := cfg.Walkers
@@ -226,9 +230,6 @@ func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done
 				} else {
 					node.HostRead(addr, core.PathHD, nil, handle)
 				}
-			default:
-				fail(fmt.Errorf("unknown mode %v", cfg.Mode))
-				return
 			}
 		}
 		step()

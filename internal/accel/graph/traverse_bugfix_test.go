@@ -104,9 +104,9 @@ func TestTraverseFailingReadPropagates(t *testing.T) {
 	}
 }
 
-// TestTraverseDoneFiresOnce: a walker that fails synchronously at
-// spawn time (unknown mode) must not fire the completion callback
-// once per walker.
+// TestTraverseDoneFiresOnce: a traversal of several walkers that fails
+// before any walk (unknown mode) fires the completion callback once,
+// not once per walker.
 func TestTraverseDoneFiresOnce(t *testing.T) {
 	c := graphCluster(t, 2)
 	g, err := Build(c, Config{Vertices: 40, AvgDegree: 4, Seed: 3, HomeNode: 0})
@@ -166,28 +166,42 @@ func TestStoredGraphWalksLikeBuilt(t *testing.T) {
 }
 
 // TestTraverseRejectsNoSteps: a walk of zero or negative steps fails
-// with ErrBadSteps: done fires once, before TraverseAsync returns, and
-// no walker schedules an event. The engine runs at most 1000 events
-// after it, so a refusal that falls through into the walk fails here
-// instead of hanging.
+// with ErrBadSteps (requireRefused).
 func TestTraverseRejectsNoSteps(t *testing.T) {
+	for _, steps := range []int{0, -1} {
+		requireRefused(t, TraverseConfig{Steps: steps, Mode: ModeISPF}, ErrBadSteps)
+	}
+}
+
+// requireRefused: TraverseAsync refuses cfg with want: done fires once,
+// before TraverseAsync returns, and no walker schedules an event. The
+// engine runs at most 1000 events after it, so a refusal that falls
+// through into the walk fails here instead of hanging.
+func requireRefused(t *testing.T, cfg TraverseConfig, want error) {
+	t.Helper()
 	c := graphCluster(t, 2)
 	g, err := Build(c, Config{Vertices: 40, AvgDegree: 4, Seed: 3, HomeNode: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, steps := range []int{0, -1} {
-		fired, calls := c.Eng.Fired(), 0
-		var got error
-		TraverseAsync(c, 0, g, TraverseConfig{Steps: steps, Mode: ModeISPF}, func(_ *Result, err error) {
-			got, calls = err, calls+1
-		})
-		if calls != 1 || !errors.Is(got, ErrBadSteps) {
-			t.Fatalf("%d steps: done called %d times with %v, want once with ErrBadSteps", steps, calls, got)
-		}
-		c.Eng.RunWhile(func() bool { return c.Eng.Fired()-fired < 1000 })
-		if n := c.Eng.Fired() - fired; n != 0 || calls != 1 {
-			t.Fatalf("%d steps: the refused walk fired %d events and done %d times", steps, n, calls)
-		}
+	fired, calls := c.Eng.Fired(), 0
+	var got error
+	TraverseAsync(c, 0, g, cfg, func(_ *Result, err error) {
+		got, calls = err, calls+1
+	})
+	if calls != 1 || !errors.Is(got, want) {
+		t.Fatalf("%+v: done called %d times with %v, want once with %v", cfg, calls, got, want)
+	}
+	c.Eng.RunWhile(func() bool { return c.Eng.Fired()-fired < 1000 })
+	if n := c.Eng.Fired() - fired; n != 0 || calls != 1 {
+		t.Fatalf("%+v: the refused walk fired %d events and done %d times", cfg, n, calls)
+	}
+}
+
+// TestTraverseRejectsBadMode: a walk whose Mode is none of the five
+// fails with ErrBadMode before any read is issued (requireRefused).
+func TestTraverseRejectsBadMode(t *testing.T) {
+	for _, mode := range []Mode{-1, ModeMixed + 1, 99} {
+		requireRefused(t, TraverseConfig{Start: 1, Steps: 10, Mode: mode, Walkers: 3}, ErrBadMode)
 	}
 }

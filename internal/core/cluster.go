@@ -108,12 +108,12 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 		n.splitters = append(n.splitters, sp)
 		n.servers = append(n.servers, srv)
 		n.ispIfaces = append(n.ispIfaces, srv.NewIface(name+"/isp"))
-		lanes := make([]*flashserver.Iface, ISPReadLanes)
-		for l := range lanes {
-			lanes[l] = srv.NewIface(fmt.Sprintf("%s/isp-rd%d", name, l))
+		var reads, bulk readLanes
+		for l := range ISPReadLanes {
+			reads.ifaces = append(reads.ifaces, srv.NewIface(fmt.Sprintf("%s/isp-rd%d", name, l)))
+			bulk.ifaces = append(bulk.ifaces, srv.NewBulkIface(fmt.Sprintf("%s/isp-bulk%d", name, l)))
 		}
-		n.ispReadIfaces = append(n.ispReadIfaces, lanes)
-		n.ispReadRR = append(n.ispReadRR, 0)
+		n.ispReads, n.bulkReads = append(n.ispReads, reads), append(n.bulkReads, bulk)
 		n.hostIfaces = append(n.hostIfaces, srv.NewIface(name+"/host"))
 		n.bgIfaces = append(n.bgIfaces, srv.NewIface(name+"/host-bg"))
 	}

@@ -80,6 +80,7 @@ type reqMsg struct {
 	write   bool
 	erase   bool
 	bg      bool   // background (GC) traffic: keep off the latency FIFOs
+	bulk    bool   // an admitted in-store read: the bulk lanes (ISPReadAdmitted)
 	data    []byte // payload for writes
 }
 
@@ -149,14 +150,14 @@ type Node struct {
 	// collection): an interface delivers responses in FIFO request
 	// order, so a 3 ms block erase sharing the latency path's
 	// interface would head-of-line-block every read behind it.
-	// ispReadIfaces stripe ISP reads over ISPReadLanes channels per
-	// card (ispIfaces keep the single in-order channel for ISP writes
-	// and erases).
-	ispIfaces     []*flashserver.Iface
-	ispReadIfaces [][]*flashserver.Iface
-	ispReadRR     []int
-	hostIfaces    []*flashserver.Iface
-	bgIfaces      []*flashserver.Iface
+	// ispReads stripe ISP reads over ISPReadLanes channels per card
+	// (ispIfaces keep the single in-order channel for ISP writes and
+	// erases); bulkReads are a second set per card, on bulk interfaces,
+	// for the reads the scheduler admits at class Accel.
+	ispIfaces           []*flashserver.Iface
+	ispReads, bulkReads []readLanes
+	hostIfaces          []*flashserver.Iface
+	bgIfaces            []*flashserver.Iface
 
 	Host *hostif.HostIf
 	CPU  *hostmodel.CPU
@@ -211,17 +212,27 @@ func (n *Node) NetNode() *fabric.Node { return n.netNode }
 // complete out of order instead of convoying behind one busy chip;
 // callers needing a private FIFO channel use NewIface.
 func (n *Node) ReadLocal(card int, addr nand.Addr, cb func(data []byte, err error)) {
-	n.ispReadIface(card).ReadPhysical(addr, cb)
+	n.ispReadIface(card, false).ReadPhysical(addr, cb)
 }
 
-// ispReadIface picks the next of card's ISP read lanes, round-robin.
+// readLanes is one card's set of ISP read channels, taken round-robin.
+type readLanes struct {
+	ifaces []*flashserver.Iface
+	next   int
+}
+
+// ispReadIface picks the next of card's ISP read lanes, round-robin:
+// of its bulk lanes for an admitted read.
 //
 //simlint:hotpath
-func (n *Node) ispReadIface(card int) *flashserver.Iface {
-	lanes := n.ispReadIfaces[card]
-	lane := n.ispReadRR[card] % len(lanes)
-	n.ispReadRR[card]++
-	return lanes[lane]
+func (n *Node) ispReadIface(card int, bulk bool) *flashserver.Iface {
+	l := &n.ispReads[card]
+	if bulk {
+		l = &n.bulkReads[card]
+	}
+	f := l.ifaces[l.next%len(l.ifaces)]
+	l.next++
+	return f
 }
 
 // WriteLocal programs a page on this node's own flash (ISP interface).
@@ -235,19 +246,36 @@ func (n *Node) WriteLocal(card int, addr nand.Addr, data []byte, cb func(err err
 // in-store processor, issuing at once: the unadmitted device read.
 // Local pages use the local flash interface; remote pages go over the
 // integrated storage network to the remote flash server — the ISP-F
-// path, with zero host involvement anywhere.
+// path, with zero host involvement anywhere. It runs at ordinary
+// priority at the chip, like a host read.
 //
 // The admitted device read is a sched.Stream at class Accel: it queues
 // the read at the node that owns the page under the Accel token budget,
-// beside host traffic, and issues it here once granted. The single-node
-// runners of Figures 13 and 16–19 call this directly; in-store engines
-// over a volume or a file system reach admission through ispvol.
+// beside host traffic, and issues it through ISPReadAdmitted once
+// granted, where it yields to ordinary commands at the chip. The
+// single-node runners of Figures 13 and 16–19 call this directly;
+// in-store engines over a volume or a file system reach admission
+// through ispvol.
 func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
+	n.ispRead(a, false, cb)
+}
+
+// ISPReadAdmitted is ISPReadDirect for a read the scheduler has
+// admitted at class Accel: it issues on the card's bulk lanes, local or
+// remote, so at its chip it waits behind ordinary commands up to the
+// card's starvation bound (nand.Card.ReadPageBulk). Only the Accel
+// dispatcher calls it.
+func (n *Node) ISPReadAdmitted(a PageAddr, cb func(data []byte, err error)) {
+	n.ispRead(a, true, cb)
+}
+
+// ispRead is ISPReadDirect, on the bulk lanes when bulk.
+func (n *Node) ispRead(a PageAddr, bulk bool, cb func(data []byte, err error)) {
 	if a.Node == n.id {
-		n.ReadLocal(a.Card, a.Addr, cb)
+		n.ispReadIface(a.Card, bulk).ReadPhysical(a.Addr, cb)
 		return
 	}
-	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr}, a.Node, cb)
+	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, bulk: bulk}, a.Node, cb)
 }
 
 // remoteReq sends a request on the next lane (round-robin); cb fires
@@ -314,9 +342,9 @@ func (n *Node) serveRemote(op *remoteOp) {
 	default:
 		iface := n.serveIface(op)
 		if !op.bg {
-			// Remote latency-path reads stripe over the card's ISP
-			// read lanes like local ISP reads do.
-			iface = n.ispReadIface(op.card)
+			// Remote reads stripe over the card's ISP read lanes like
+			// local ISP reads do; an admitted one over its bulk lanes.
+			iface = n.ispReadIface(op.card, op.bulk)
 		}
 		iface.ReadPhysical(op.addr, op.onRead)
 	}

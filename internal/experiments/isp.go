@@ -66,11 +66,10 @@ func defaultISPContention(short bool) ispConfig {
 		FTL:        ftl.DefaultConfig(),
 		ISP:        ispvol.DefaultConfig(),
 	}
-	// Hungry engines: each keeps 16 reads in flight. Under Accel
-	// admission the token budget (half the 16-slot window) paces them
-	// regardless; under Bypass the same demand hits the chips raw —
-	// the full blast radius of the bug the scheduler fix contains.
-	cfg.ISP.Window = 16
+	// Engines keep the hardware's read depth in flight. Under Accel
+	// admission the token budget (half the 16-slot window) caps them;
+	// under Bypass the whole depth hits the chips raw — the full blast
+	// radius of the bug the scheduler fix contains.
 	if short {
 		cfg.Requests = 192
 		cfg.QueryPages = 1024

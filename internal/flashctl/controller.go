@@ -66,6 +66,9 @@ type Command struct {
 	Op   Op
 	Tag  int
 	Addr nand.Addr
+	// Bulk marks a read that may wait: the card runs it at bulk
+	// priority (nand.Card.ReadPageBulk). Other ops ignore it.
+	Bulk bool
 }
 
 // Handlers are the user-side callback surface of the controller. Any
@@ -263,7 +266,11 @@ func (c *Controller) Issue(cmd Command) error {
 	case OpRead:
 		c.tags[cmd.Tag] = tagReading
 		c.ReadsIssued.Inc()
-		c.card.ReadPage(cmd.Addr, c.onPage[cmd.Tag])
+		if cmd.Bulk {
+			c.card.ReadPageBulk(cmd.Addr, c.onPage[cmd.Tag])
+		} else {
+			c.card.ReadPage(cmd.Addr, c.onPage[cmd.Tag])
+		}
 	case OpWrite:
 		c.tags[cmd.Tag] = tagAwaitingData
 		c.WritesIssued.Inc()

@@ -42,8 +42,6 @@ type Server struct {
 	// outstanding at once and is then reused forever.
 	ops  []*pageOp
 	pool sim.Pool[pageOp]
-
-	ifaces []*Iface
 }
 
 // pageOp is one request from the moment an interface accepts it until
@@ -72,6 +70,7 @@ type pageOp struct {
 type Iface struct {
 	srv  *Server
 	name string
+	bulk bool // reads issue at bulk priority (NewBulkIface)
 
 	fifo    sim.Queue[*pageOp] // every undelivered op, in request order
 	waiting sim.Queue[*pageOp] // the tail of fifo still waiting for a credit
@@ -119,8 +118,16 @@ func (s *Server) ATU() *ATU { return s.atu }
 // of interfaces a design-time parameter; here it is just a
 // constructor call.
 func (s *Server) NewIface(name string) *Iface {
-	f := &Iface{srv: s, name: name, credits: s.queueDepth}
-	s.ifaces = append(s.ifaces, f)
+	return &Iface{srv: s, name: name, credits: s.queueDepth}
+}
+
+// NewBulkIface creates an in-order interface whose reads may wait: the
+// card runs them at bulk priority, behind the ordinary commands at
+// their chip up to a bound (nand.Card.ReadPageBulk). Writes and erases
+// on it are ordinary.
+func (s *Server) NewBulkIface(name string) *Iface {
+	f := s.NewIface(name)
+	f.bulk = true
 	return f
 }
 
@@ -331,7 +338,7 @@ func (f *Iface) reject(op *pageOp, err error) {
 func (f *Iface) issue(op *pageOp) {
 	op.credited = true
 	//simlint:allow hotpath (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
-	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr}); err != nil {
+	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr, Bulk: f.bulk}); err != nil {
 		f.srv.complete(op, err)
 	}
 }

@@ -26,7 +26,7 @@ type engine struct {
 	workers []*hostmodel.Thread
 	cost    sim.Time
 
-	lanes []lane                // Config.UnitsPerNode x Window, what either loop may use
+	lanes []lane                // System.depth of them, what either loop may use
 	run   *sim.LaneLoop         // over page and finish, on those lanes
 	claim func(unitDone func()) // claimed, runPart's acceleration-unit request
 }
@@ -54,10 +54,10 @@ func (sys *System) runPart(ns *nodeISP, m *startMsg) {
 }
 
 // claimed runs an in-store engine on the acceleration unit it was
-// assigned: Window lanes over its partition.
+// assigned: System.window lanes over its partition.
 func (e *engine) claimed(unitDone func()) {
 	e.unitDone = unitDone
-	e.run.Run(len(e.refs), e.sys.cfg.Window)
+	e.run.Run(len(e.refs), e.sys.window)
 }
 
 // hostScan is the host-mediated placement: a depth-bounded closed loop
@@ -65,9 +65,9 @@ func (e *engine) claimed(unitDone func()) {
 // worker thread into one partial, merged through the same kernel code
 // as the engines' partials — so the two placements can only diverge on
 // the data path, which is what the experiments cross-validate. The
-// loop gets the I/O concurrency budget the engines have (units x
-// window); each slot is read-then-process, so slots overlap flash,
-// PCIe and CPU work across each other.
+// loop keeps the hardware's read depth (System.depth) in flight; each
+// slot is read-then-process, so slots overlap flash, PCIe and CPU work
+// across each other.
 func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 	sys := q.sys
 	//simlint:allow obligation (the engine's bound loop takes it over: the loop's done, finish, puts it back)
@@ -81,7 +81,7 @@ func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 
 // newEngine is engines.New.
 func (sys *System) newEngine() *engine {
-	e := &engine{sys: sys, lanes: make([]lane, sys.cfg.UnitsPerNode*sys.cfg.Window)}
+	e := &engine{sys: sys, lanes: make([]lane, sys.depth)}
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		l.e, l.onRead, l.onReduced = e, l.read, l.reduced

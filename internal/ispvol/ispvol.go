@@ -29,7 +29,8 @@
 //     pages and partitions them by owning node; (2) one engine per
 //     node claims a hardware acceleration unit (the FIFO unit
 //     scheduler of internal/isp) and streams its partition off the
-//     local flash, window-deep, through the node's Accel sched.Stream;
+//     local flash, four reads per chip deep, through the node's Accel
+//     sched.Stream, its reads yielding to host reads at the chips;
 //     (3) each engine reduces its pages next to the flash and ships
 //     only the partial to the origin over the integrated storage
 //     network; (4) the origin merges the partials and DMAs the answer
@@ -106,8 +107,6 @@ type Config struct {
 	// node's FIFO unit scheduler arbitrates (paper §4): one engine
 	// holds one unit for the duration of its partition. Default 4.
 	UnitsPerNode int
-	// Window is each engine's in-flight flash read depth. Default 8.
-	Window int
 	// Admission selects the engine data path (see Admission).
 	Admission Admission
 }
@@ -116,7 +115,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		UnitsPerNode: 4,
-		Window:       8,
 		Admission:    Admitted,
 	}
 }
@@ -125,11 +123,12 @@ func (c Config) withDefaults() Config {
 	if c.UnitsPerNode <= 0 {
 		c.UnitsPerNode = 4
 	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
 	return c
 }
+
+// readsPerChip is the flash read depth a scan loop keeps per chip of
+// its node: "4 read commands saturate a flash bus" (paper §7.3).
+const readsPerChip = 4
 
 // System is the distributed ISP runtime over one cluster + volume.
 type System struct {
@@ -137,6 +136,11 @@ type System struct {
 	v     *volume.Volume
 	cfg   Config
 	retry *sched.Retrier // absorbs Accel admission backpressure for every engine
+	// depth is a scan loop's read depth, readsPerChip per chip of a
+	// node: the host-mediated loop's and a Bypass engine's. window is
+	// an admitted engine's, which never asks for more than the node's
+	// accel token budget.
+	depth, window int
 
 	nodes     []*nodeISP
 	pending   map[uint64]queryState
@@ -186,6 +190,10 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	sys.engines.New = sys.newEngine
 	c.OnCheck(func() error { return sys.engines.Drained("ispvol engines") })
 	chips := c.Params.CardsPerNode * c.Params.Geometry.Buses * c.Params.Geometry.ChipsPerBus
+	sys.depth, sys.window = readsPerChip*chips, min(readsPerChip*chips, s.AccelBudget())
+	if cfg.Admission == Bypass {
+		sys.window = sys.depth
+	}
 	sys.iv.next, sys.iv.end = make([]int, chips), make([]int, chips)
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)

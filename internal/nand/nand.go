@@ -8,6 +8,14 @@
 // Timing is modelled on the paper's custom flash board: ~50 µs cell
 // reads, 8 buses per card at 150 MB/s each for an aggregate 1.2 GB/s
 // per card (paper §5.1, §6.5).
+//
+// Each chip keeps two FIFO queues: ordinary commands, and bulk reads
+// (ReadPageBulk), the throughput traffic of admitted in-store engines.
+// A chip starts a bulk read only when no ordinary command waits, or
+// once bulkPassLimit ordinary commands have passed the bulk read at the
+// head of its queue: latency-critical reads go first at the chip,
+// and a bulk read still cannot starve. A chip that sees only one kind
+// of traffic is a single FIFO.
 package nand
 
 import (
@@ -224,11 +232,18 @@ type busState struct {
 }
 
 type chipState struct {
-	queue    sim.Queue[command]
-	cur      command // the command whose cell operation the chip is timing
-	cellDone func()  // that operation finished; bound once
+	queue    sim.Queue[command] // ordinary commands, oldest first
+	bulk     sim.Queue[command] // bulk reads, oldest first
+	passed   int                // ordinary commands started past waiting bulk reads since one last started
+	cur      command            // the command whose cell operation the chip is timing
+	cellDone func()             // that operation finished; bound once
 	running  bool
 }
+
+// bulkPassLimit is the starvation bound of a bulk read: how many
+// ordinary commands may start ahead of the bulk read at the head of
+// its chip's queue before it starts itself.
+const bulkPassLimit = 8
 
 // block is one erase block. A page is written exactly when it lies
 // below next: pages are programmed in order and only an erase frees
@@ -335,6 +350,7 @@ const (
 // read that drew bit errors.
 type command struct {
 	kind   cmdKind
+	bulk   bool   // read: waits in the chip's bulk queue (ReadPageBulk)
 	sum    uint32 // program, Reliability.GuardImages: checksum of raw as ProgramPage adopted it
 	a      Addr
 	raw    []byte // read: the stored image, or a corrupted copy; program: the image to store
@@ -342,29 +358,45 @@ type command struct {
 	onDone func(err error)
 }
 
-// enqueue adds a command to its chip's FIFO queue and starts it when
-// the chip is free. Each command releases the chip (runNext) when the
-// chip can accept the next operation, which may be before the
-// command's own data finishes moving: NAND cache registers let a bus
-// transfer overlap the next cell read.
+// enqueue adds a command to one of its chip's two FIFO queues — bulk
+// reads to the bulk queue, everything else to the ordinary one — and
+// starts it when the chip is free. Each command releases the chip
+// (runNext) when the chip can accept the next operation, which may be
+// before the command's own data finishes moving: NAND cache registers
+// let a bus transfer overlap the next cell read.
 //
 //simlint:hotpath
 func (c *Card) enqueue(cmd command) {
 	cs := c.chipAt(cmd.a)
-	cs.queue.Push(cmd)
+	if cmd.bulk {
+		cs.bulk.Push(cmd)
+	} else {
+		cs.queue.Push(cmd)
+	}
 	if !cs.running {
 		cs.running = true
 		c.runNext(cs)
 	}
 }
 
+// runNext starts the chip's next command: the oldest ordinary one,
+// unless none waits or bulkPassLimit of them have already passed the
+// oldest bulk read.
+//
 //simlint:hotpath
 func (c *Card) runNext(cs *chipState) {
-	if cs.queue.Len() == 0 {
+	switch {
+	case cs.bulk.Len() > 0 && (cs.queue.Len() == 0 || cs.passed >= bulkPassLimit):
+		cs.passed = 0
+		c.start(cs, cs.bulk.Pop())
+	case cs.queue.Len() > 0:
+		if cs.bulk.Len() > 0 {
+			cs.passed++
+		}
+		c.start(cs, cs.queue.Pop())
+	default:
 		cs.running = false
-		return
 	}
-	c.start(cs, cs.queue.Pop())
 }
 
 // check is what a chip verifies as it reaches a command: the card is
@@ -551,12 +583,22 @@ func (c *Card) finish(cs *chipState, cmd *command, err error) {
 // eager encode would have stored. An image of StoredPageSize bytes —
 // one programmed around the controller — is decoded from the check
 // bytes it carries.
-func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
+func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) { c.read(a, false, cb) }
+
+// ReadPageBulk is ReadPage at bulk priority, for throughput reads that
+// may wait: its chip starts it only when no ordinary command waits
+// there, or once bulkPassLimit ordinary commands have passed it at the
+// head of the chip's bulk queue (see the package doc). Bulk reads keep
+// their order among themselves.
+func (c *Card) ReadPageBulk(a Addr, cb func(raw []byte, err error)) { c.read(a, true, cb) }
+
+// read queues a read of page a, in its chip's bulk queue when bulk.
+func (c *Card) read(a Addr, bulk bool, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
 		return
 	}
-	c.enqueue(command{kind: cmdRead, a: a, onRead: cb})
+	c.enqueue(command{kind: cmdRead, bulk: bulk, a: a, onRead: cb})
 }
 
 // ProgramPage writes an image to a page: PageSize bytes, the page alone

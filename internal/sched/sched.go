@@ -542,9 +542,10 @@ func (nq *nodeQueue) dispatchHost() {
 
 // dispatchAccel grants queued Accel-class reads device-window slots —
 // up to the accel token budget — and issues each on the device-side
-// ISP path from its origin node: the FPGA arbiter hands flash access
-// to the in-store processor directly, with no doorbell, no submission
-// thread, and no host DMA. The grant still occupies a window slot, so
+// ISP path from its origin node (core.Node.ISPReadAdmitted, which
+// yields to ordinary commands at the chip): the FPGA arbiter hands
+// flash access to the in-store processor directly, with no doorbell,
+// no submission thread, and no host DMA. The grant still occupies a window slot, so
 // the dispatcher's picture of device occupancy includes ISP traffic —
 // the whole point of admitting it here.
 //
@@ -554,27 +555,25 @@ func (nq *nodeQueue) dispatchAccel() {
 		r := nq.pop(Accel)
 		nq.inflight++
 		nq.accelInflight++
-		nq.s.cluster.Node(r.origin).ISPReadDirect(r.addr, r.done)
+		nq.s.cluster.Node(r.origin).ISPReadAdmitted(r.addr, r.done)
 	}
 }
 
-// accelTokens returns how many more Accel reads may be granted window
-// slots right now: the accel token budget, a fixed share of the
+// AccelBudget returns the accel token budget: how many Accel reads one
+// node may have granted window slots at once, a fixed share of the
 // device window (Config.AccelShare), never below one slot.
-func (nq *nodeQueue) accelTokens() int {
-	share := nq.s.cfg.AccelShare
+func (s *Scheduler) AccelBudget() int {
+	share := s.cfg.AccelShare
 	if share == 0 {
 		share = defaultAccelShare
 	}
-	budget := int(share * float64(nq.s.cfg.MaxInflight))
-	if budget < 1 {
-		budget = 1
-	}
-	t := budget - nq.accelInflight
-	if t < 0 {
-		return 0
-	}
-	return t
+	return max(1, int(share*float64(s.cfg.MaxInflight)))
+}
+
+// accelTokens returns how many more Accel reads may be granted window
+// slots right now: what the accel token budget leaves.
+func (nq *nodeQueue) accelTokens() int {
+	return max(0, nq.s.AccelBudget()-nq.accelInflight)
 }
 
 // promote moves a queued read to a higher-priority class queue (its
