@@ -1,6 +1,6 @@
 package repro_test
 
-// Ablation benchmarks for the design decisions the README's subsystem
+// Ablation benchmarks for the design decisions the README's layer
 // sections call out.
 // Each reports the metric a designer would compare, so `go test
 // -bench=Ablation` answers "what did this mechanism buy?".

@@ -43,6 +43,7 @@ import (
 	"repro/internal/nand"
 	"repro/internal/reclaim"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // File system errors.
@@ -105,9 +106,9 @@ type FS struct {
 	// lane) so file data spreads over every bus and chip — "exposing
 	// all degrees of parallelism of the device" (paper §3.1.1) — and,
 	// across a cluster, over every card and node.
-	freePool [][]int // per chip; Log.Free is their running total
-	active   [][]int // [lane][chip], -1 = none
-	cursor   []int   // per-lane round-robin chip cursor
+	freePool []sim.Queue[int] // per chip, FIFO; Log.Free is their running total
+	active   [][]int          // [lane][chip], -1 = none
+	cursor   []int            // per-lane round-robin chip cursor
 
 	PagesWritten int64 // file pages written
 	CleanMoves   int64 // pages the cleaner moved
@@ -141,7 +142,7 @@ func newFS(port reclaim.Port, geo nand.Geometry, nodes, cards, lanes int, cfg Co
 	}
 	fs.Log = log
 	log.Alloc, log.Erased = fs.alloc, fs.erased
-	fs.freePool = make([][]int, fs.chips)
+	fs.freePool = make([]sim.Queue[int], fs.chips)
 	fs.active = make([][]int, lanes+1) // the app lanes and the cleaning lane
 	fs.cursor = make([]int, lanes+1)
 	for lane := range fs.active {
@@ -152,7 +153,7 @@ func newFS(port reclaim.Port, geo nand.Geometry, nodes, cards, lanes int, cfg Co
 	}
 	for ch := range fs.freePool {
 		for s := 0; s < geo.BlocksPerChip; s++ {
-			fs.freePool[ch] = append(fs.freePool[ch], ch*geo.BlocksPerChip+s)
+			fs.freePool[ch].Push(ch*geo.BlocksPerChip + s)
 		}
 	}
 	log.Free = len(log.Units)
@@ -463,11 +464,10 @@ func (fs *FS) allocOnChip(lane, ch int) (int, bool) {
 			}
 			fs.active[lane][ch] = -1
 		}
-		if len(fs.freePool[ch]) == 0 {
+		if fs.freePool[ch].Len() == 0 {
 			return 0, false
 		}
-		seg := fs.freePool[ch][0]
-		fs.freePool[ch] = fs.freePool[ch][1:]
+		seg := fs.freePool[ch].Pop()
 		fs.active[lane][ch] = seg
 		fs.Log.Open(seg)
 		fs.Log.Free--
@@ -480,7 +480,7 @@ func (fs *FS) allocOnChip(lane, ch int) (int, bool) {
 func (fs *FS) erased(seg int) {
 	fs.SegsCleaned++
 	ch := seg / fs.geo.BlocksPerChip
-	fs.freePool[ch] = append(fs.freePool[ch], seg)
+	fs.freePool[ch].Push(seg)
 	fs.Log.Free++
 	fs.Log.Urgent()
 }

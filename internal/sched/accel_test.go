@@ -192,10 +192,11 @@ func TestSnapshotZeroCompletionsMarshalsClean(t *testing.T) {
 	}
 }
 
-// TestAccelShareValidation: out-of-range budgets are rejected.
+// TestAccelShareValidation: out-of-range budgets are rejected. A share
+// of 1 is out of range too: the Accel class would take the whole window.
 func TestAccelShareValidation(t *testing.T) {
 	c := testCluster(t, 1, 1)
-	for _, share := range []float64{-0.1, 1.5} {
+	for _, share := range []float64{-0.1, 1, 1.5} {
 		cfg := sched.DefaultConfig()
 		cfg.AccelShare = share
 		if _, err := sched.New(c, cfg); err == nil {

@@ -116,6 +116,9 @@ type Config struct {
 	// with no ISP traffic pays nothing for the reservation (the accel
 	// dispatch pass is a no-op and the host classes use the full
 	// window); to forbid ISP work entirely, don't open Accel streams.
+	// A share must be below 1: at 1 the Accel class could take every
+	// window slot before the host classes run, and a host stream
+	// sharing the node with a busy engine would never finish.
 	AccelShare float64
 	// GCDefer enables GC-aware dispatch of the Background class: each
 	// node gets a token budget of device-window slots Background
@@ -165,8 +168,8 @@ func (c Config) validate() error {
 	if c.BatchSize <= 0 {
 		return fmt.Errorf("sched: batch size %d", c.BatchSize)
 	}
-	if c.AccelShare < 0 || c.AccelShare > 1 {
-		return fmt.Errorf("sched: accel share %.2f out of [0,1]", c.AccelShare)
+	if c.AccelShare < 0 || c.AccelShare >= 1 {
+		return fmt.Errorf("sched: accel share %.2f out of [0,1)", c.AccelShare)
 	}
 	return nil
 }
