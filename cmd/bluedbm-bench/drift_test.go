@@ -14,23 +14,43 @@ const driftShown = 30
 
 // requireSame fails the test unless a fresh regeneration equals the
 // committed file. A JSON artifact's failure lists every moved field
-// (jsonDrift); any other file's names the first line that differs.
+// (jsonDrift); any other file's, every moved line (textDrift).
 func requireSame(t *testing.T, committed string, got, want []byte) {
 	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
-	if report, ok := jsonDrift(want, got, driftShown); ok {
-		t.Fatalf("%s drifted from a fresh regeneration (committed → regenerated):\n%s", committed, report)
+	report, ok := jsonDrift(want, got, driftShown)
+	if !ok {
+		report = textDrift(want, got, driftShown)
 	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s drifted from a fresh regeneration at line %d:\n  committed:   %s\n  regenerated: %s",
-				committed, i+1, wl[i], gl[i])
+	t.Fatalf("%s drifted from a fresh regeneration (committed → regenerated):\n%s", committed, report)
+}
+
+// textDrift lists each line whose text moved as "line N: old → new",
+// a line only one side has as "(absent)", at most limit of them, then
+// the total count.
+func textDrift(old, new []byte, limit int) string {
+	ol, nl := strings.Split(string(old), "\n"), strings.Split(string(new), "\n")
+	line := func(l []string, i int) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "(absent)"
+	}
+	var lines []string
+	total := 0
+	for i := range max(len(ol), len(nl)) {
+		a, b := line(ol, i), line(nl, i)
+		if a == b {
+			continue
+		}
+		total++
+		if total <= limit {
+			lines = append(lines, fmt.Sprintf("  line %d: %s → %s", i+1, a, b))
 		}
 	}
-	t.Fatalf("%s drifted from a fresh regeneration: %d lines committed, %d regenerated", committed, len(wl), len(gl))
+	return fmt.Sprintf("%s\n  %d lines moved (%d shown)", strings.Join(lines, "\n"), total, len(lines))
 }
 
 // jsonDrift decodes two JSON documents and lists each field whose
@@ -159,5 +179,26 @@ func TestJSONDriftNamesEveryMovedField(t *testing.T) {
 	}
 	if _, ok := jsonDrift([]byte(`{"a": [1, 2]}`), []byte("{\n  \"a\": [\n    1,\n    2\n  ]\n}\n"), 30); ok {
 		t.Fatal("a layout-only change got a JSON drift report")
+	}
+}
+
+// TestTextDriftNamesEveryMovedLine: a text golden's drift report names
+// each moved line by number, old and new text, including lines only
+// one side has, caps the list and counts them all.
+func TestTextDriftNamesEveryMovedLine(t *testing.T) {
+	old := []byte("fig 16\n1 Node 263\nThrottled 73\nfig 21\nFlash/ISP 1041\n")
+	new := []byte("fig 16\n1 Node 259\nThrottled 73\nfig 21\nFlash/ISP 1070\nextra\n")
+	want := strings.Join([]string{
+		`  line 2: 1 Node 263 → 1 Node 259`,
+		`  line 5: Flash/ISP 1041 → Flash/ISP 1070`,
+		`  line 6:  → extra`,
+		`  line 7: (absent) → `,
+		`  4 lines moved (4 shown)`,
+	}, "\n")
+	if report := textDrift(old, new, 30); report != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", report, want)
+	}
+	if lines := strings.Split(textDrift(old, new, 1), "\n"); len(lines) != 2 || lines[1] != "  4 lines moved (1 shown)" {
+		t.Fatalf("capped report:\n%s", strings.Join(lines, "\n"))
 	}
 }

@@ -10,6 +10,11 @@ package repro_test
 // unadmitted reader — or a read that yields without admission — is a
 // decision somebody made, and a runner that moves onto the engine
 // deletes its row.
+//
+// Who opens a flash-server interface: a private in-order channel to a
+// card (core.Node.NewIface, flashserver.Server.NewIface and
+// NewBulkIface) reads and writes around the scheduler too.
+// TestIfaceOpeners holds the files that open one to a table.
 
 import (
 	"go/ast"
@@ -27,10 +32,21 @@ var directReaders = map[string]string{
 	"internal/ispvol/ispvol.go":        "the Bypass arm, the scheduler-bypass bug kept as an experiment",
 	"internal/experiments/fig12.go":    "Figure 12 times the raw ISP-F path",
 	"internal/experiments/fig13.go":    "Figure 13's local engines read the card directly",
-	"internal/accel/lsh/runner.go":     "Figures 16-19's single-node nearest-neighbour runner",
 	"internal/accel/graph/traverse.go": "Figure 20's ISP-F graph walk",
 	"cmd/bluedbm-sim/main.go":          "the snapshot tool's mixed read load",
 	"examples/quickstart/main.go":      "the quickstart shows every access path",
+}
+
+// ifaceOpeners names every non-test file that opens a flash-server
+// interface, with why it may.
+var ifaceOpeners = map[string]string{
+	"internal/flashserver/server.go": "the definitions",
+	"internal/core/node.go":          "Node.NewIface, the definition on a node",
+	"internal/core/cluster.go":       "each card's host, background and in-store interfaces, opened once when the node is built",
+	"internal/experiments/fig13.go":  "Figure 13's local engines read the card's raw bandwidth",
+	"internal/experiments/fig21.go":  "Figure 21's haystack lives on a single-card file system",
+	"cmd/bluedbm-fs/main.go":         "the file system shell mounts a single-card file system",
+	"examples/stringsearch/main.go":  "the example's genome lives on a single-card file system",
 }
 
 // admittedReaders names every non-test file that names
@@ -67,6 +83,33 @@ func TestDirectReadCallers(t *testing.T) {
 			if !slices.Contains(got[name], path) {
 				t.Errorf("%s no longer names %s; delete its row from the table", path, name)
 			}
+		}
+	}
+}
+
+func TestIfaceOpeners(t *testing.T) {
+	var got []string
+	err := walkGoFiles([]string{"internal", "cmd", "examples"}, func(path string, src []byte) error {
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if namesMethod(f, "NewIface") || namesMethod(f, "NewBulkIface") {
+			got = append(got, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range got {
+		if _, ok := ifaceOpeners[path]; !ok {
+			t.Errorf("%s opens a flash-server interface; read through sched or ispvol's engine, or add a row to the table", path)
+		}
+	}
+	for path := range ifaceOpeners {
+		if !slices.Contains(got, path) {
+			t.Errorf("%s no longer opens a flash-server interface; delete its row from the table", path)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Nearest-neighbor image search (paper §7.1): an LSH index over 8 KB
 // binary items stored in BlueDBM flash. The host hashes the query,
-// looks up candidate buckets, and streams the candidates' physical
-// addresses to the in-store processor, which Hamming-compares each
-// item next to the flash and returns only the best match.
+// looks up candidate buckets, and sends the candidates to the in-store
+// engine (ispvol), which reads each item's page of a cluster-RFS file,
+// Hamming-compares it next to the flash and returns only the best
+// match.
 //
 // The example plants a near-duplicate of the query in the dataset and
 // shows the ISP finding it, then compares the in-store rate against
@@ -16,6 +17,9 @@ import (
 	"repro/internal/accel/lsh"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/ispvol"
+	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -29,11 +33,13 @@ const (
 )
 
 func main() {
-	cluster, err := core.NewCluster(core.DefaultParams(1))
+	icfg, rcfg := ispvol.DefaultConfig(), rfs.DefaultConfig()
+	st, err := workload.Build(workload.StackSpec{Params: core.DefaultParams(1), Sched: sched.DefaultConfig(),
+		RFS: &rcfg, ISP: &icfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pageSize := cluster.Params.PageSize()
+	pageSize := st.C.Params.PageSize()
 
 	// Dataset with ground truth: item `target` is the query with a few
 	// bits flipped.
@@ -52,8 +58,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// ...and the dataset lives in flash.
-	if err := cluster.SeedLinear(0, items, func(idx int, page []byte) {
+	// ...and the dataset lives in flash: item i is page i of one file.
+	f, err := st.FS.Create("items")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := st.SeedFile(f.AppendPage, items, func(idx int, page []byte) {
 		copy(page, data[idx])
 	}); err != nil {
 		log.Fatal(err)
@@ -61,23 +71,26 @@ func main() {
 	fmt.Printf("indexed %d items (%d tables x %d bits), dataset on flash\n",
 		index.Items(), numTables, hashBits)
 
-	// Query: hash -> candidate addresses -> in-store processor.
+	// Query: hash -> candidate ids (each the page holding the item) ->
+	// in-store engine.
 	candIDs, err := index.Candidates(query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	addrs := make([]core.PageAddr, len(candIDs))
-	for i, id := range candIDs {
-		addrs[i] = core.LinearPage(cluster.Params, 0, id)
-	}
 	fmt.Printf("LSH shortlisted %d of %d items\n", len(candIDs), items)
 
-	res, err := lsh.RunISP(cluster, 0, addrs, candIDs, query, nil)
+	var res *ispvol.NNResult
+	st.ISP.NearestNeighbor(0, ispvol.File(f), query, candIDs, candIDs, ispvol.InStore,
+		func(r *ispvol.NNResult, e error) { res, err = r, e })
+	st.C.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	if res == nil || res.FailedPages != 0 {
+		log.Fatalf("in-store query did not compare every candidate: %+v", res)
+	}
 	fmt.Printf("ISP best match: item %d at Hamming distance %d (%.0fK comparisons/s)\n",
-		res.BestID, res.BestDist, res.PerSec/1000)
+		res.BestID, res.BestDist, res.CmpPerSec/1000)
 	if res.BestID != target {
 		log.Fatalf("expected planted item %d", target)
 	}

@@ -1,21 +1,25 @@
 // String search offload (paper §7.3): a DNA-motif scan over a file in
-// the BlueDBM file system. The host compiles the Morris-Pratt pattern,
-// DMAs it to the in-store engines (4 per flash bus), streams the
-// file's physical addresses from the file system, and receives only
-// match positions — the scan itself runs at full flash bandwidth with
-// essentially zero host CPU. The same scan through software grep on a
-// modeled SSD and HDD shows the contrast of Figure 21.
+// the BlueDBM file system. The host compiles the Morris-Pratt pattern
+// and sends it with the file's physical addresses to the in-store
+// engine (ispvol), which reads the file through the scheduler's Accel
+// class and returns only match positions — the scan itself runs at
+// full flash bandwidth with essentially zero host CPU. The same scan
+// through software grep on a modeled SSD and HDD shows the contrast of
+// Figure 21.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/accel/search"
 	"repro/internal/altstore"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/ispvol"
 	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -27,6 +31,14 @@ const (
 
 func main() {
 	cluster, err := core.NewCluster(core.DefaultParams(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	scheduler, err := sched.New(cluster, sched.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine, err := ispvol.New(cluster, scheduler, nil, ispvol.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,12 +67,18 @@ func main() {
 	fmt.Printf("wrote %s: %d MB across %d flash pages\n", f.Name(), total>>20, f.Pages())
 
 	// In-store scan.
-	isp, err := search.SearchISP(cluster, 0, 0, f, []byte(motif))
+	var isp *ispvol.SearchResult
+	engine.Search(0, ispvol.File(f), []byte(motif), ispvol.InStore,
+		func(r *ispvol.SearchResult, e error) { isp, err = r, e })
+	cluster.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	if isp == nil || isp.FailedPages != 0 {
+		log.Fatalf("in-store scan did not read every page: %+v", isp)
+	}
 	fmt.Printf("\n%-14s %8.0f MB/s   %5.1f%% CPU   %d matches\n",
-		"Flash/ISP", isp.Throughput/1e6, isp.CPUUtil*100, len(isp.Matches))
+		"Flash/ISP", isp.Throughput/1e6, cluster.Node(0).CPU.Utilization()*100, len(isp.Matches))
 
 	// Software grep over comparator devices.
 	for _, dev := range []string{"SSD", "HDD"} {
@@ -85,7 +103,7 @@ func main() {
 		}
 		fmt.Printf("%-14s %8.0f MB/s   %5.1f%% CPU   %d matches\n",
 			dev+"/SW grep", res.Throughput/1e6, res.CPUUtil*100, len(res.Matches))
-		if len(res.Matches) != len(isp.Matches) {
+		if !slices.Equal(res.Matches, isp.Matches) {
 			log.Fatal("software scan found a different match set")
 		}
 	}

@@ -9,11 +9,12 @@
 // against the query, return the best match — is what the evaluation's
 // Figures 16-19 measure under different storage backends.
 //
-// The five backends (runner.go) are one run — workers sharing the
-// candidate list over sim.Lanes, one best-match compare, one software
-// compare stage, one join — and differ only in their fetch stage: how a
-// candidate reaches the comparator (in-store read, host DRAM, flash
-// over PCIe, DRAM with spill, SSD).
+// The in-store arm runs HammingDistance on ispvol's engine
+// (ispvol.NearestNeighbor). The four host backends (runner.go) are one
+// run — workers sharing the candidate list over sim.Lanes, one
+// best-match compare, one software compare stage, one join — and differ
+// only in their fetch stage: how a candidate reaches the host
+// comparator (DRAM, flash over PCIe, DRAM with spill, SSD).
 package lsh
 
 import (

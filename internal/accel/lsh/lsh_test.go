@@ -155,49 +155,6 @@ func idsUpTo(n int) []int {
 	return ids
 }
 
-func TestRunISPCorrectAndFast(t *testing.T) {
-	c := lshCluster(t)
-	ps := c.Params.PageSize()
-	items := mkItems(400, ps, 3)
-	addrs := seedItems(t, c, items)
-	query := make([]byte, ps)
-	sim.NewRNG(9).Bytes(query)
-
-	res, err := RunISP(c, 0, addrs, idsUpTo(400), query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantID, wantDist := NearestBrute(query, items)
-	if res.BestID != wantID || res.BestDist != wantDist {
-		t.Fatalf("ISP best (%d,%d) != brute force (%d,%d)", res.BestID, res.BestDist, wantID, wantDist)
-	}
-	// 2 cards x 1.07 GB/s logical -> ~260K cmp/s; paper reports 320K on
-	// its hardware. Anything in the 200-300K band is the right shape.
-	k := res.PerSec / 1000
-	if k < 180 || k > 330 {
-		t.Fatalf("ISP rate %.0fK cmp/s, want ~200-300K", k)
-	}
-}
-
-func TestThrottledISPMatchesCap(t *testing.T) {
-	c := lshCluster(t)
-	ps := c.Params.PageSize()
-	items := mkItems(300, ps, 4)
-	addrs := seedItems(t, c, items)
-	query := make([]byte, ps)
-	throttle := sim.NewPipe(c.Eng, "throttle", 600_000_000, 0)
-
-	res, err := RunISP(c, 0, addrs, idsUpTo(300), query, throttle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 600 MB/s over 8 KB items = 73.2K cmp/s ceiling.
-	k := res.PerSec / 1000
-	if k < 55 || k > 74 {
-		t.Fatalf("throttled ISP rate %.0fK cmp/s, want ~60-73K", k)
-	}
-}
-
 func TestHostDRAMScalesWithThreads(t *testing.T) {
 	ps := 8192
 	items := mkItems(64, ps, 5)
@@ -222,35 +179,6 @@ func TestHostDRAMScalesWithThreads(t *testing.T) {
 	// 22us per compare per thread: 4 threads ~180K/s.
 	if r4 < 140e3 || r4 > 200e3 {
 		t.Fatalf("4-thread DRAM rate %.0f, want ~180K", r4)
-	}
-}
-
-func TestISPBeatsHostOnSameDevice(t *testing.T) {
-	// Figure 19: with the same throttled device, in-store processing
-	// wins by >= 20%.
-	mk := func() (*core.Cluster, []core.PageAddr, []byte, map[int][]byte) {
-		c := lshCluster(t)
-		ps := c.Params.PageSize()
-		items := mkItems(300, ps, 6)
-		addrs := seedItems(t, c, items)
-		query := make([]byte, ps)
-		return c, addrs, query, items
-	}
-	c1, addrs1, query, _ := mk()
-	thr1 := sim.NewPipe(c1.Eng, "thr", 600_000_000, 0)
-	isp, err := RunISP(c1, 0, addrs1, idsUpTo(300), query, thr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, addrs2, query2, _ := mk()
-	thr2 := sim.NewPipe(c2.Eng, "thr", 600_000_000, 0)
-	sw, err := RunHostFlash(c2, 0, addrs2, idsUpTo(300), query2, 8, thr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv := isp.PerSec / sw.PerSec
-	if adv < 1.15 || adv > 1.6 {
-		t.Fatalf("ISP advantage %.2fx, want ~1.2x (ISP %.0f vs SW %.0f)", adv, isp.PerSec, sw.PerSec)
 	}
 }
 
@@ -329,24 +257,17 @@ func TestSSDRandomVsSequential(t *testing.T) {
 }
 
 // TestRunFailingReadFailsTheRun: a candidate page that cannot be read
-// fails the run with the read's own error, on both flash paths,
-// instead of returning the best of the candidates that could.
+// fails the host-flash run with the read's own error, instead of
+// returning the best of the candidates that could. (The in-store arm
+// counts such a page instead: ispvol's TestEngineReadFaultsSurface,
+// and the figures refuse a query that reports one.)
 func TestRunFailingReadFailsTheRun(t *testing.T) {
-	for _, path := range []string{"isp", "host flash"} {
-		c := lshCluster(t)
-		ps := c.Params.PageSize()
-		items := mkItems(100, ps, 3)
-		addrs := append(seedItems(t, c, items), core.LinearPage(c.Params, 0, len(items))) // never written
-		query := make([]byte, ps)
-		var res *Result
-		var err error
-		if path == "isp" {
-			res, err = RunISP(c, 0, addrs, idsUpTo(len(addrs)), query, nil)
-		} else {
-			res, err = RunHostFlash(c, 0, addrs, idsUpTo(len(addrs)), query, 4, nil)
-		}
-		if !errors.Is(err, nand.ErrReadFree) || res != nil {
-			t.Fatalf("%s: result %t, error %v; want no result and an error wrapping nand.ErrReadFree", path, res != nil, err)
-		}
+	c := lshCluster(t)
+	ps := c.Params.PageSize()
+	items := mkItems(100, ps, 3)
+	addrs := append(seedItems(t, c, items), core.LinearPage(c.Params, 0, len(items))) // never written
+	res, err := RunHostFlash(c, 0, addrs, idsUpTo(len(addrs)), make([]byte, ps), 4, nil)
+	if !errors.Is(err, nand.ErrReadFree) || res != nil {
+		t.Fatalf("result %t, error %v; want no result and an error wrapping nand.ErrReadFree", res != nil, err)
 	}
 }

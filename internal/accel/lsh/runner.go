@@ -50,22 +50,16 @@ func newScan(query []byte) *scan {
 	return &scan{query: query, res: Result{BestID: -1, BestDist: int(^uint(0) >> 1)}}
 }
 
-// best compares one candidate with the query and keeps the closer, the
-// lower id on a tie, so the order workers finish in cannot change the
-// answer.
-func (s *scan) best(id int, item []byte) {
-	d := HammingDistance(s.query, item)
-	if d < s.res.BestDist || (d == s.res.BestDist && id < s.res.BestID) {
-		s.res.BestID, s.res.BestDist = id, d
-	}
-	s.res.Comparisons++
-}
-
 // onThread is the software compare stage: one core's Hamming compare of
-// item on th, then next.
+// item on th, then next. It keeps the closer, the lower id on a tie, so
+// the order workers finish in cannot change the answer.
 func (s *scan) onThread(th *hostmodel.Thread, id int, item []byte, next func()) {
 	th.Do(HammingCPUPerPage, func() {
-		s.best(id, item)
+		d := HammingDistance(s.query, item)
+		if d < s.res.BestDist || (d == s.res.BestDist && id < s.res.BestID) {
+			s.res.BestID, s.res.BestDist = id, d
+		}
+		s.res.Comparisons++
 		next()
 	})
 }
@@ -98,42 +92,6 @@ func (s *scan) run(eng *sim.Engine, backend string, n, lanes int, fetch func(lan
 		s.res.PerSec = float64(s.res.Comparisons) / s.res.Elapsed.Seconds()
 	}
 	return &s.res, nil
-}
-
-// RunISP streams candidate addresses to the node's in-store processor,
-// which reads each item at flash bandwidth and Hamming-compares it
-// against the query in-line (paper baseline; Figures 16 and 19). A
-// non-nil throttle pipe caps device bandwidth (the "Baseline-T"
-// configuration that matches the off-the-shelf SSD's 600 MB/s).
-func RunISP(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids []int,
-	query []byte, throttle *sim.Pipe) (*Result, error) {
-
-	if len(candidates) != len(ids) {
-		return nil, fmt.Errorf("lsh: %d candidates but %d ids", len(candidates), len(ids))
-	}
-	node := c.Node(nodeID)
-	s := newScan(query)
-	// Engine sizing: enough request streams to saturate both cards.
-	const engines = 16
-	const window = 8
-	return s.run(c.Eng, "ISP", len(candidates), engines*window, func(_, i int, next func()) {
-		node.ISPReadDirect(candidates[i], func(data []byte, err error) {
-			// The ISP compares at stream rate: no time beyond the
-			// throttle stage's.
-			compare := func() {
-				s.best(ids[i], data)
-				next()
-			}
-			switch {
-			case err != nil:
-				s.fail(err)
-			case throttle != nil:
-				throttle.Transfer(len(data), compare)
-			default:
-				compare()
-			}
-		})
-	})
 }
 
 // RunHostDRAM is the ram-cloud configuration: the whole dataset in

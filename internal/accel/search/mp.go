@@ -1,15 +1,15 @@
-// Package search implements BlueDBM's string search accelerator (paper
-// §7.3): Morris-Pratt pattern-matching engines integrated with the
-// file system, the flash controller and application software. The host
-// transfers the pattern and precomputed MP constants, streams physical
-// addresses from the file system, and receives only match locations —
-// the scan itself runs next to the flash at full device bandwidth with
+// Package search implements BlueDBM's string search kernel (paper
+// §7.3): the Morris-Pratt pattern matcher, the page-edge residues a
+// striped scan stitches at its origin (dist.go), and the software grep
+// baseline of Figure 21 (runner.go). The in-store arm runs the kernel
+// on ispvol's engine (ispvol.Search): the host transfers the pattern
+// and precomputed MP constants and receives only match locations,
+// while the scan runs next to the flash at full device bandwidth with
 // near-zero host CPU.
 //
-// A scanner carries state from page to page, so the runners
-// (runner.go) give every engine, and every software shard, a private
-// contiguous page range and run one sim.Lanes over each: readWindow
-// lanes for an engine, one for a shard's thread.
+// A scanner carries state from page to page, so the grep baseline
+// gives every software shard a private contiguous page range and runs
+// one sim.Lanes lane over each.
 package search
 
 import (

@@ -2,16 +2,11 @@ package search
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/altstore"
-	"repro/internal/core"
-	"repro/internal/core/coretest"
 	"repro/internal/hostmodel"
-	"repro/internal/nand"
-	"repro/internal/rfs"
 	"repro/internal/sim"
 )
 
@@ -263,98 +258,6 @@ func haystackGen(needle string, everyPages int, pageSize int) func(idx int, page
 	}
 }
 
-func searchCluster(t *testing.T) (*core.Cluster, *rfs.FS) {
-	t.Helper()
-	p := core.DefaultParams(1)
-	p.Geometry.BlocksPerChip = 8
-	p.Geometry.PagesPerBlock = 16
-	c := coretest.NewCluster(t, p)
-	fs, err := rfs.New(c.Node(0).NewIface(0, "fs"), c.Params.Geometry, rfs.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, fs
-}
-
-func TestSearchISPFindsPlantedNeedles(t *testing.T) {
-	c, fs := searchCluster(t)
-	needle := "BLUEDBM"
-	const pages = 64
-	gen := haystackGen(needle, 4, c.Params.PageSize())
-
-	f, err := fs.Create("haystack")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, c.Params.PageSize())
-	for i := 0; i < pages; i++ {
-		for j := range buf {
-			buf[j] = 0
-		}
-		gen(i, buf)
-		var werr error
-		f.AppendPage(buf, func(err error) { werr = err })
-		c.Run()
-		if werr != nil {
-			t.Fatalf("page %d: %v", i, werr)
-		}
-	}
-
-	res, err := SearchISP(c, 0, 0, f, []byte(needle))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: scan the generated haystack in memory.
-	hay := make([]byte, pages*c.Params.PageSize())
-	for i := 0; i < pages; i++ {
-		gen(i, hay[i*c.Params.PageSize():(i+1)*c.Params.PageSize()])
-	}
-	pat, _ := Compile([]byte(needle))
-	want := pat.FindAll(hay)
-
-	if len(res.Matches) != len(want) {
-		t.Fatalf("ISP found %d matches, reference %d", len(res.Matches), len(want))
-	}
-	for i := range want {
-		if res.Matches[i] != want[i] {
-			t.Fatalf("match %d: %d vs reference %d", i, res.Matches[i], want[i])
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("test is vacuous: no needles planted")
-	}
-}
-
-func TestSearchISPThroughputNearFlashBandwidth(t *testing.T) {
-	c, fs := searchCluster(t)
-	// Large enough that the scan is steady-state, not ramp-dominated.
-	const pages = 1024
-	f, _ := fs.Create("big")
-	buf := make([]byte, c.Params.PageSize())
-	for i := 0; i < pages; i++ {
-		var werr error
-		f.AppendPage(buf, func(err error) { werr = err })
-		c.Run()
-		if werr != nil {
-			t.Fatal(werr)
-		}
-	}
-	res, err := SearchISP(c, 0, 0, f, []byte("zzz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One card: 8 buses x 150 MB/s raw = 1.2 GB/s; minus ECC overhead
-	// the logical ceiling is ~1.07 GB/s. Paper reports 1.1 GB/s (92%).
-	gb := res.Throughput / 1e9
-	if gb < 0.85 || gb > 1.1 {
-		t.Fatalf("ISP search throughput %.2f GB/s, want ~0.9-1.07", gb)
-	}
-	if res.CPUUtil > 0.01 {
-		t.Fatalf("ISP search used %.1f%% host CPU, want ~0", res.CPUUtil*100)
-	}
-}
-
 func TestSearchSoftwareMatchesReference(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu, _ := hostmodel.New(eng, "h", hostmodel.DefaultConfig())
@@ -469,32 +372,5 @@ func TestJunctionSingleByteNeedle(t *testing.T) {
 	}
 	if got := pat.JunctionMatches([]byte("q"), []byte("q"), 10); got != nil {
 		t.Fatalf("1-byte junction matches = %v", got)
-	}
-}
-
-// TestSearchISPFailingReadFailsTheRun: a file page that cannot be read
-// fails the search with the read's own error instead of returning the
-// matches of the pages that could.
-func TestSearchISPFailingReadFailsTheRun(t *testing.T) {
-	c, fs := searchCluster(t)
-	f, err := fs.Create("haystack")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := haystackGen("BLUEDBM", 4, c.Params.PageSize())
-	buf := make([]byte, c.Params.PageSize())
-	for i := 0; i < 8; i++ {
-		gen(i, buf)
-		f.AppendPage(buf, func(err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		c.Run()
-	}
-	c.Node(0).Card(0).Replace() // every page of the file is free again
-	res, err := SearchISP(c, 0, 0, f, []byte("BLUEDBM"))
-	if !errors.Is(err, nand.ErrReadFree) || res != nil {
-		t.Fatalf("result %t, error %v; want no result and an error wrapping nand.ErrReadFree", res != nil, err)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fpga"
 	"repro/internal/power"
+	"repro/internal/workload"
 )
 
 func TestFig11Shape(t *testing.T) {
@@ -146,6 +148,22 @@ func TestFig19Shape(t *testing.T) {
 	// Paper: "the accelerator advantage is at least 20%".
 	if adv < 1.15 || adv > 1.6 {
 		t.Fatalf("ISP advantage %.2fx (ISP %.0fK vs SW %.0fK), want ~1.2x", adv, isp, sw)
+	}
+}
+
+// TestInStoreFiguresRefuseFailedPages: ispvol counts a page its engine
+// could not read and carries on, so a figure built on an in-store query
+// must refuse one that reports any: its rate would count pages never
+// compared. A bit error rate far past what ECC corrects fails every
+// read.
+func TestInStoreFiguresRefuseFailedPages(t *testing.T) {
+	p := core.DefaultParams(1)
+	p.Reliability.BitErrorRate = 0.01
+	if _, err := ispRate(p); err == nil || !strings.Contains(err.Error(), "pages failed") {
+		t.Errorf("nearest neighbour: error %v, want the failed pages named", err)
+	}
+	if _, err := fig21ISP(p, 16, workload.TextPages(51, "BLUEDBM", 4), []byte("BLUEDBM")); err == nil || !strings.Contains(err.Error(), "pages failed") {
+		t.Errorf("string search: error %v, want the failed pages named", err)
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"repro/internal/altstore"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/ispvol"
+	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -22,8 +25,8 @@ const (
 )
 
 // nnCluster builds a single-node appliance on p with the dataset
-// seeded, and the candidate stream: round-robin over the dataset,
-// nnComparisons long.
+// seeded at linear pages, and the candidate stream: round-robin over
+// the dataset, nnComparisons long. Figure 19's host arm reads it.
 func nnCluster(p core.Params) (*core.Cluster, []core.PageAddr, []int, []byte, error) {
 	p.Nodes = 1
 	c, err := newCluster(p)
@@ -75,22 +78,53 @@ func nnHost(p core.Params, run func(eng *sim.Engine, cpu *hostmodel.CPU, items m
 	return res.PerSec / 1000, nil
 }
 
-// ispRate is the in-store engine's rate, throttled to throttleBps when
-// it is positive.
-func ispRate(p core.Params, throttleBps int64) (float64, error) {
-	c, addrs, ids, query, err := nnCluster(p)
+// ispRate is the in-store engine's rate on p: ispvol's nearest-neighbour
+// query over the dataset in one cluster-RFS file, which stripes the
+// items over every chip of the node. A candidate page the engine could
+// not read fails the figure.
+func ispRate(p core.Params) (float64, error) {
+	p.Nodes = 1
+	icfg, rcfg := ispvol.DefaultConfig(), rfs.DefaultConfig()
+	st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig(), RFS: &rcfg, ISP: &icfg})
 	if err != nil {
 		return 0, err
 	}
-	var throttle *sim.Pipe
-	if throttleBps > 0 {
-		throttle = sim.NewPipe(c.Eng, "throttle", throttleBps, 0)
-	}
-	res, err := lsh.RunISP(c, 0, addrs, ids, query, throttle)
+	items, query, err := workload.NearDuplicateSet(nnItems, p.PageSize(), 7, 40, nnSeed)
 	if err != nil {
 		return 0, err
 	}
-	return res.PerSec / 1000, nil
+	f, err := st.FS.Create("items")
+	if err != nil {
+		return 0, err
+	}
+	if err := st.SeedFile(f.AppendPage, nnItems, func(idx int, page []byte) { copy(page, items[idx]) }); err != nil {
+		return 0, err
+	}
+	ids := nnCandidates()
+	var res *ispvol.NNResult
+	st.ISP.NearestNeighbor(0, ispvol.File(f), query, ids, ids, ispvol.InStore, func(r *ispvol.NNResult, e error) { res, err = r, e })
+	st.C.Run()
+	switch {
+	case err != nil:
+		return 0, err
+	case res == nil:
+		return 0, fmt.Errorf("nearest-neighbour query never finished")
+	case res.FailedPages != 0:
+		return 0, fmt.Errorf("nearest-neighbour query: %d of %d candidate pages failed", res.FailedPages, res.Pages)
+	}
+	return res.CmpPerSec / 1000, nil
+}
+
+// throttled is p as Baseline-T, the device held to the off-the-shelf
+// SSD's 600 MB/s: one card whose controller link runs at that rate, a
+// single stream like the SSD's and like the pipe Figure 19's host arm
+// reads through. Two cards at half the rate each would cap the node
+// only while both are busy; the candidate stream puts 704 pages on one
+// card and 696 on the other, and the last 8 would cross one link alone.
+func throttled(p core.Params) core.Params {
+	p.CardsPerNode = 1
+	p.Controller.LinkBytesPerSec = nnThrottle
+	return p
 }
 
 func dramRate(p core.Params, threads int) (float64, error) {
@@ -118,11 +152,11 @@ func nnFigure(title string, series []string, threads []int, row func(th int) ([]
 // (throttled to the off-the-shelf SSD's 600 MB/s) and H-DRAM
 // (multithreaded software on DRAM-resident data) across thread counts.
 func fig16(p core.Params) (Rows, error) {
-	base, err := ispRate(p, 0)
+	base, err := ispRate(p)
 	if err != nil {
 		return Rows{}, err
 	}
-	thr, err := ispRate(p, nnThrottle)
+	thr, err := ispRate(throttled(p))
 	if err != nil {
 		return Rows{}, err
 	}
@@ -137,7 +171,7 @@ func fig16(p core.Params) (Rows, error) {
 // series is the throttled baseline; the mixed series fault 10% of
 // accesses to an SSD or 5% to a disk.
 func fig17(p core.Params) (Rows, error) {
-	thr, err := ispRate(p, nnThrottle)
+	thr, err := ispRate(throttled(p))
 	if err != nil {
 		return Rows{}, err
 	}
@@ -173,7 +207,7 @@ func fig17(p core.Params) (Rows, error) {
 // (H-RFlash) and artificially sequential (H-SFlash) access, against
 // the throttled ISP baseline.
 func fig18(p core.Params) (Rows, error) {
-	thr, err := ispRate(p, nnThrottle)
+	thr, err := ispRate(throttled(p))
 	if err != nil {
 		return Rows{}, err
 	}
@@ -200,7 +234,7 @@ func fig18(p core.Params) (Rows, error) {
 // fig19 reproduces Figure 19: in-store processing versus host software
 // on the same throttled device (the accelerator advantage, >= 20%).
 func fig19(p core.Params) (Rows, error) {
-	thr, err := ispRate(p, nnThrottle)
+	thr, err := ispRate(throttled(p))
 	if err != nil {
 		return Rows{}, err
 	}

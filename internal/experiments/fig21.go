@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel/search"
 	"repro/internal/altstore"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/ispvol"
 	"repro/internal/rfs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -23,32 +26,7 @@ func fig21(p core.Params) (Rows, error) {
 	gen := workload.TextPages(51, needle, 16)
 
 	// --- Flash/ISP: file system + in-store MP engines ----------------
-	p.Nodes = 1
-	// core.NewCluster, not workload.Build: the haystack lives on a
-	// single-card RFS, not the cluster RFS the stack mounts.
-	c, err := core.NewCluster(p)
-	if err != nil {
-		return Rows{}, err
-	}
-	fs, err := rfs.New(c.Node(0).NewIface(0, "fs"), c.Params.Geometry, rfs.DefaultConfig())
-	if err != nil {
-		return Rows{}, err
-	}
-	f, err := fs.Create("haystack")
-	if err != nil {
-		return Rows{}, err
-	}
-	buf := make([]byte, c.Params.PageSize())
-	for i := 0; i < pages; i++ {
-		gen(i, buf)
-		var werr error
-		f.AppendPage(buf, func(err error) { werr = err })
-		c.Run()
-		if werr != nil {
-			return Rows{}, fmt.Errorf("fig21 seeding page %d: %w", i, werr)
-		}
-	}
-	isp, err := search.SearchISP(c, 0, 0, f, []byte(needle))
+	isp, err := fig21ISP(p, pages, gen, []byte(needle))
 	if err != nil {
 		return Rows{}, err
 	}
@@ -80,8 +58,8 @@ func fig21(p core.Params) (Rows, error) {
 	}
 
 	// All three methods must find the identical match set.
-	if len(sw.Matches) != len(isp.Matches) || len(hw.Matches) != len(isp.Matches) {
-		return Rows{}, fmt.Errorf("fig21: match counts diverge: isp=%d ssd=%d hdd=%d",
+	if !slices.Equal(sw.Matches, isp.Matches) || !slices.Equal(hw.Matches, isp.Matches) {
+		return Rows{}, fmt.Errorf("fig21: match sets diverge: isp=%d ssd=%d hdd=%d matches",
 			len(isp.Matches), len(sw.Matches), len(hw.Matches))
 	}
 	out := Rows{Title: "Figure 21: string search bandwidth and CPU utilization", Key: "Method",
@@ -93,4 +71,47 @@ func fig21(p core.Params) (Rows, error) {
 		out.add(m.name, m.r.Throughput/1e6, m.r.CPUUtil*100, float64(len(m.r.Matches)))
 	}
 	return out, nil
+}
+
+// fig21ISP scans the haystack in store: a single-card RFS file (the
+// paper's 1.1 GB/s is one card's), searched by ispvol's engine through
+// the scheduler's Accel class. A page the engine could not read fails
+// the figure.
+func fig21ISP(p core.Params, pages int, gen workload.PageFiller, needle []byte) (*search.Result, error) {
+	p.Nodes = 1
+	// No RFS in the spec: the haystack lives on a single-card RFS, not
+	// the cluster RFS the stack would mount.
+	st, err := workload.Build(workload.StackSpec{Params: p, Sched: sched.DefaultConfig()})
+	if err != nil {
+		return nil, err
+	}
+	sys, err := ispvol.New(st.C, st.S, nil, ispvol.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	fs, err := rfs.New(st.C.Node(0).NewIface(0, "fs"), p.Geometry, rfs.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	f, err := fs.Create("haystack")
+	if err != nil {
+		return nil, err
+	}
+	if err := st.SeedFile(f.AppendPage, pages, gen); err != nil {
+		return nil, err
+	}
+	var res *ispvol.SearchResult
+	sys.Search(0, ispvol.File(f), needle, ispvol.InStore, func(r *ispvol.SearchResult, e error) { res, err = r, e })
+	st.C.Run()
+	switch {
+	case err != nil:
+		return nil, err
+	case res == nil:
+		return nil, fmt.Errorf("in-store search never finished")
+	case res.FailedPages != 0:
+		return nil, fmt.Errorf("in-store search: %d of %d pages failed", res.FailedPages, res.Pages)
+	}
+	// Only match positions reach the host: its CPU stays idle.
+	return &search.Result{Matches: res.Matches, Bytes: res.Bytes, Elapsed: res.Elapsed,
+		Throughput: res.Throughput, CPUUtil: st.C.Node(0).CPU.Utilization()}, nil
 }

@@ -1,10 +1,10 @@
 // Package isp is the unit scheduler of the in-store processor
 // framework (paper §3, §4). Engines themselves are not a type here:
 // an engine is a worker loop (sim.Lanes) over a node's flash reads,
-// written where its kernel lives — internal/accel/* for the
-// single-node runners, internal/ispvol for the distributed executor —
-// and given the node's services (flash, network, host interface, DRAM
-// buffer; Figure 2) through core.Node.
+// written in internal/ispvol, the executor the in-store kernels of
+// internal/accel/* run on (Figure 20's ISP-F walk in accel/graph still
+// keeps its own), and given the node's services (flash, network, host
+// interface, DRAM buffer; Figure 2) through core.Node.
 //
 // Because multiple application instances compete for a finite number
 // of hardware acceleration units, this package provides the FIFO

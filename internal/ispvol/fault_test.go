@@ -2,9 +2,11 @@ package ispvol_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/accel/lsh"
 	"repro/internal/accel/tablescan"
 
 	"repro/internal/core"
@@ -20,23 +22,26 @@ import (
 // return is real. This is the ispvol link of the stack-wide error
 // contract: engine flash reads fail typed and counted, like host reads.
 // Each kernel's matches are keyed for the check: a search match by its
-// offset, a table-scan match by its record ID.
+// offset, a table-scan match by its record ID, a nearest-neighbour
+// answer by its candidate ID (every page is a candidate, ID = page).
 func TestEngineReadFaultsSurface(t *testing.T) {
 	needle := []byte("needle!")
 	ps := core.DefaultParams(1).Geometry.PageSize
 	pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 120}
 	planted, records := plantedFiller(needle, ps), recordFiller(ps)
+	nnFill, nnQuery := nnFiller(t, ps)
 	for _, tc := range []struct {
 		name string
 		fill workload.PageFiller
-		// query runs the kernel under pl and returns its failed pages
-		// and match keys; want is the match keys of pages [lo, hi).
-		query func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error)
+		// query runs the kernel over the n pages of src under pl and
+		// returns its failed pages and match keys; want is the match
+		// keys of pages [lo, hi).
+		query func(sys *ispvol.System, src ispvol.Source, n int, pl ispvol.Placement) (int, []int64, error)
 		want  func(t *testing.T, lo, hi int) []int64
 	}{{
 		name: "search",
 		fill: planted,
-		query: func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error) {
+		query: func(sys *ispvol.System, src ispvol.Source, _ int, pl ispvol.Placement) (int, []int64, error) {
 			res, err := search(sys, 0, src, needle, pl)
 			if err != nil {
 				return 0, nil, err
@@ -47,7 +52,7 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 	}, {
 		name: "tablescan",
 		fill: records,
-		query: func(sys *ispvol.System, src ispvol.Source, pl ispvol.Placement) (int, []int64, error) {
+		query: func(sys *ispvol.System, src ispvol.Source, _ int, pl ispvol.Placement) (int, []int64, error) {
 			res, err := tableScan(sys, 0, src, pred, pl)
 			if err != nil {
 				return 0, nil, err
@@ -66,6 +71,35 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 			}
 			return recordIDs(recs)
 		},
+	}, {
+		name: "nn",
+		fill: nnFill,
+		query: func(sys *ispvol.System, src ispvol.Source, n int, pl ispvol.Placement) (int, []int64, error) {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = i
+			}
+			res, err := nearest(sys, 0, src, nnQuery, ids, ids, pl)
+			if err != nil {
+				return 0, nil, err
+			}
+			// The answer must be a page that was read, at its true
+			// distance.
+			page := make([]byte, ps)
+			nnFill(res.BestID, page)
+			if d := lsh.HammingDistance(nnQuery, page); res.BestDist != d || res.Comparisons != int64(n-res.FailedPages) {
+				return 0, nil, fmt.Errorf("best %d at distance %d (true %d) after %d comparisons of %d pages, %d failed",
+					res.BestID, res.BestDist, d, res.Comparisons, n, res.FailedPages)
+			}
+			return res.FailedPages, []int64{int64(res.BestID)}, nil
+		},
+		want: func(_ *testing.T, lo, hi int) []int64 {
+			ids := make([]int64, hi-lo)
+			for i := range ids {
+				ids[i] = int64(i)
+			}
+			return ids
+		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), tc.fill)
@@ -73,7 +107,7 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 			want := tc.want(t, lo, hi)
 
 			c.Node(1).Card(0).Fail()
-			failed, got, err := tc.query(sys, ispvol.Range(lo, hi), ispvol.InStore)
+			failed, got, err := tc.query(sys, ispvol.Range(lo, hi), hi-lo, ispvol.InStore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +138,7 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 			// The host-mediated loop over the same dead card counts its
 			// failed reads the same way, and neither placement leaves an
 			// engine record out of the pool.
-			hostFailed, _, err := tc.query(sys, ispvol.Range(lo, hi), ispvol.HostMediated)
+			hostFailed, _, err := tc.query(sys, ispvol.Range(lo, hi), hi-lo, ispvol.HostMediated)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,10 @@ package ispvol
 // Nearest-neighbor kernel (paper §7.1 at cluster scale): the
 // host-resident LSH index produces a candidate list — item ids and
 // the source pages holding them — and a Hamming engine compares every
-// candidate against the query inline the way the single-node
-// accelerator (accel/lsh.RunISP) does. Only each node's best
-// candidate crosses the network back to the origin, which keeps the
-// final merge. The host-mediated placement hauls every candidate page
+// candidate against the query inline, next to the flash; Figures
+// 16-19's in-store arm is this query on one node. Only each node's
+// best candidate crosses the network back to the origin, which keeps
+// the final merge. The host-mediated placement hauls every candidate page
 // over PCIe and compares in software at accel/lsh's calibrated
 // per-page CPU cost — Figures 16/19's software arm, under the same
 // QoS roof as everything else.

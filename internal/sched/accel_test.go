@@ -56,6 +56,29 @@ func TestAccelStreamReadsComplete(t *testing.T) {
 	}
 }
 
+// TestAccelStreamNeedsTwoSlots: at a device window of one, the accel
+// budget's one-slot floor is the whole window, so an Accel stream is
+// refused there; at two it opens.
+func TestAccelStreamNeedsTwoSlots(t *testing.T) {
+	for _, tc := range []struct {
+		inflight int
+		want     error
+	}{{1, sched.ErrAccelWindow}, {2, nil}} {
+		cfg := sched.DefaultConfig()
+		cfg.MaxInflight = tc.inflight
+		s, err := sched.New(testCluster(t, 1, 64), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.NewStream("engine", 0, sched.Accel); !errors.Is(err, tc.want) {
+			t.Errorf("MaxInflight %d: error %v, want %v", tc.inflight, err, tc.want)
+		}
+		if _, err := s.NewStream("host", 0, sched.Realtime); err != nil {
+			t.Errorf("MaxInflight %d: realtime stream: %v", tc.inflight, err)
+		}
+	}
+}
+
 // TestAccelTokenBudgetBound: the accel class may never hold more
 // device-window slots than its token budget, no matter how much ISP
 // work is queued.

@@ -36,6 +36,12 @@ type Stream struct {
 // processors only read the flash. Nothing was admitted.
 var ErrAccelReadOnly = errors.New("sched: an accel stream only reads")
 
+// ErrAccelWindow refuses an Accel stream on a scheduler whose device
+// window (Config.MaxInflight) is below 2. The accel budget never falls
+// below one slot, so at a window of one that slot is the whole window,
+// and a realtime read would wait behind every Accel read queued.
+var ErrAccelWindow = errors.New("sched: an accel stream needs a device window of at least 2")
+
 // errNoOwner fails an Accel read whose page names a node outside the
 // cluster. It is a fixed value because Read sits under the Retrier's
 // hot path.
@@ -52,6 +58,9 @@ func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, erro
 	}
 	if class >= NumClasses {
 		return nil, fmt.Errorf("sched: class %d out of range", class)
+	}
+	if class == Accel && s.cfg.MaxInflight < 2 {
+		return nil, fmt.Errorf("%w: max inflight %d", ErrAccelWindow, s.cfg.MaxInflight)
 	}
 	return &Stream{s: s, node: node, class: class}, nil
 }

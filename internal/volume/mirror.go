@@ -29,6 +29,9 @@ import (
 var (
 	ErrNotMirrored = errors.New("volume: not a mirrored volume")
 	ErrCardAlive   = errors.New("volume: card has not been killed")
+	// ErrNotRebuilding refuses StartRebuild on a card ReplaceCard has
+	// not put into rebuild.
+	ErrNotRebuilding = errors.New("volume: card is not rebuilding")
 )
 
 // partner returns the card holding replicas of cd's primary pages.
@@ -333,7 +336,7 @@ func (v *Volume) StartRebuild(i int, done func()) error {
 		return err
 	}
 	if !cd.rebuilding {
-		return fmt.Errorf("volume: card %d is not rebuilding (call ReplaceCard first)", i)
+		return fmt.Errorf("%w: card %d (call ReplaceCard first)", ErrNotRebuilding, i)
 	}
 	cd.rebuildDone = done
 	v.pushRebuildUrgency()

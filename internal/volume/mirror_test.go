@@ -168,7 +168,8 @@ func TestMirroredCrashDegradedRebuild(t *testing.T) {
 }
 
 // TestMirroredCardKillAndReplace exercises the single-card fault path
-// (kill one card, not a node) including the not-killed guard.
+// (kill one card, not a node) including the not-killed guard and the
+// guard on a rebuild started before the replace.
 func TestMirroredCardKillAndReplace(t *testing.T) {
 	c, _, v := testMirrored(t, 2)
 	st, _ := v.NewStream("t", sched.Interactive)
@@ -191,6 +192,9 @@ func TestMirroredCardKillAndReplace(t *testing.T) {
 	readAll(t, c, st, n, func(lpn int) []byte { return pageData(v.PageSize(), lpn) })
 	if v.Stats().DegradedReads == 0 {
 		t.Fatal("no degraded reads after card kill")
+	}
+	if err := v.StartRebuild(0, func() {}); !errors.Is(err, volume.ErrNotRebuilding) {
+		t.Fatalf("StartRebuild before ReplaceCard: err = %v, want ErrNotRebuilding", err)
 	}
 	if err := v.ReplaceCard(0); err != nil {
 		t.Fatal(err)
