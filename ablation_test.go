@@ -154,19 +154,10 @@ func ftlWA(b *testing.B, overProvision float64) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sp *flashserver.Splitter
-	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
-		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
-		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
-		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
-		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
-	})
+	_, srv, err := flashserver.New(eng, card, flashctl.DefaultConfig(), 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp = flashserver.NewSplitter(ctl)
-	srv := flashserver.NewServer(sp, "wa", 16)
 	f, err := ftl.New(reclaim.Card(srv.NewIface("wa"), geo), geo, ftl.Config{
 		OverProvision: overProvision, GCLowWater: 2, WearLevelEvery: 16,
 	})
@@ -207,7 +198,7 @@ func BenchmarkAblationOverprovisioning(b *testing.B) {
 	b.ReportMetric(roomy, "WA-at-40pct-OP")
 }
 
-// buildStack wires engine -> card -> controller -> splitter -> server
+// buildStack wires engine -> card -> controller -> server
 // for the file system ablations.
 func buildStack(b *testing.B, geo nand.Geometry) (*sim.Engine, *flashserver.Server) {
 	b.Helper()
@@ -216,19 +207,11 @@ func buildStack(b *testing.B, geo nand.Geometry) (*sim.Engine, *flashserver.Serv
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sp *flashserver.Splitter
-	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
-		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
-		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
-		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
-		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
-	})
+	_, srv, err := flashserver.New(eng, card, flashctl.DefaultConfig(), 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp = flashserver.NewSplitter(ctl)
-	return eng, flashserver.NewServer(sp, "fsab", 16)
+	return eng, srv
 }
 
 // BenchmarkAblationFTLvsRFS quantifies §4's architectural argument:

@@ -131,7 +131,7 @@ func Traverse(c *core.Cluster, home int, g *Graph, cfg TraverseConfig) (*Result,
 	})
 	c.Run()
 	if !fired {
-		return nil, fmt.Errorf("graph: traversal never completed")
+		return nil, fmt.Errorf("graph: traversal: %w", sim.ErrUnfinished)
 	}
 	return res, rerr
 }

@@ -271,3 +271,25 @@ func TestRunFailingReadFailsTheRun(t *testing.T) {
 		t.Fatalf("result %t, error %v; want no result and an error wrapping nand.ErrReadFree", res != nil, err)
 	}
 }
+
+// lostDev is a secondary device whose reads never call back.
+type lostDev struct{}
+
+func (lostDev) Read(int, bool, func(error)) {}
+
+// TestLostReadLeavesTheRunUnfinished: a secondary device that loses a
+// read leaves its worker waiting with nothing scheduled, so the engine
+// drains before the run joins. The run reports sim.ErrUnfinished, never
+// the comparisons it did make as a result.
+func TestLostReadLeavesTheRunUnfinished(t *testing.T) {
+	eng := sim.NewEngine()
+	cpu, err := hostmodel.New(eng, "h", hostmodel.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := mkItems(8, 512, 5)
+	res, err := RunMixedDRAM(eng, cpu, lostDev{}, items, idsUpTo(len(items)), make([]byte, 512), 2, 100, 1)
+	if !errors.Is(err, sim.ErrUnfinished) || res != nil {
+		t.Fatalf("result %t, error %v; want no result and an error wrapping sim.ErrUnfinished", res != nil, err)
+	}
+}

@@ -85,7 +85,7 @@ func (s *scan) run(eng *sim.Engine, backend string, n, lanes int, fetch func(lan
 		return nil, fmt.Errorf("lsh: %s: %w", backend, s.devErr)
 	}
 	if !joined {
-		return nil, fmt.Errorf("lsh: %s workers never finished", backend)
+		return nil, fmt.Errorf("lsh: %s workers: %w", backend, sim.ErrUnfinished)
 	}
 	s.res.Elapsed = eng.Now() - start
 	if s.res.Elapsed > 0 {

@@ -98,7 +98,7 @@ func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev DeviceReader,
 		return nil, fmt.Errorf("search: device: %w", devErr)
 	}
 	if remaining != 0 {
-		return nil, fmt.Errorf("search: %d software shards never finished", remaining)
+		return nil, fmt.Errorf("search: %d software shards: %w", remaining, sim.ErrUnfinished)
 	}
 	elapsed := eng.Now() - start
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })

@@ -84,9 +84,9 @@ func (s *SSD) access(size int, sequential bool, done func(error)) {
 	if sequential {
 		lat = s.cfg.SeqLatency
 	}
-	s.channels.Acquire(1, func() {
+	s.channels.Acquire(func() {
 		s.eng.After(lat, func() {
-			s.channels.Release(1)
+			s.channels.Release()
 			s.stream.Transfer(size, func() { done(nil) })
 		})
 	})
@@ -139,14 +139,14 @@ func (h *HDD) Read(size int, sequential bool, done func(error)) {
 
 //simlint:once done
 func (h *HDD) access(size int, sequential bool, done func(error)) {
-	h.actuator.Acquire(1, func() {
+	h.actuator.Acquire(func() {
 		seek := h.cfg.Seek
 		if sequential {
 			seek = 0
 		}
 		h.eng.After(seek, func() {
 			h.stream.Transfer(size, func() {
-				h.actuator.Release(1)
+				h.actuator.Release()
 				done(nil)
 			})
 		})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/hostif"
 	"repro/internal/hostmodel"
@@ -90,22 +89,12 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sp *flashserver.Splitter
-		ctl, err := flashctl.New(c.Eng, cd, p.Controller, flashctl.Handlers{
-			ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-			ReadDone:     func(tag, corr int, err error) { sp.Handlers().ReadDone(tag, corr, err) },
-			WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
-			WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
-			EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
-		})
+		ctl, srv, err := flashserver.New(c.Eng, cd, p.Controller, p.QueueDepth)
 		if err != nil {
 			return nil, err
 		}
-		sp = flashserver.NewSplitter(ctl)
-		srv := flashserver.NewServer(sp, name, p.QueueDepth)
 		n.cards = append(n.cards, cd)
 		n.ctls = append(n.ctls, ctl)
-		n.splitters = append(n.splitters, sp)
 		n.servers = append(n.servers, srv)
 		n.ispIfaces = append(n.ispIfaces, srv.NewIface(name+"/isp"))
 		var reads, bulk readLanes

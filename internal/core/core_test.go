@@ -327,12 +327,7 @@ func TestHopsMatrix(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	p := testParams(2)
-	p.Host.PageBytes = 4096
-	if _, err := NewCluster(p); err == nil {
-		t.Fatal("page size mismatch accepted")
-	}
-	p = testParams(0)
+	p := testParams(0)
 	if _, err := NewCluster(p); err == nil {
 		t.Fatal("zero nodes accepted")
 	}

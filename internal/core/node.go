@@ -139,10 +139,9 @@ type Node struct {
 	cluster *Cluster
 	id      int
 
-	cards     []*nand.Card
-	ctls      []*flashctl.Controller
-	splitters []*flashserver.Splitter
-	servers   []*flashserver.Server
+	cards   []*nand.Card
+	ctls    []*flashctl.Controller
+	servers []*flashserver.Server
 
 	// ispIfaces and hostIfaces are per-card in-order flash interfaces
 	// dedicated to in-store processors and to the host DMA path.
@@ -513,9 +512,8 @@ func (n *Node) hostIface(card int, bg bool) *flashserver.Iface {
 // hostOp is one request of a doorbell batch from the moment the device
 // starts on it until its Done fires. Ops are pooled per node
 // (Node.hostOps), and every continuation of the device-side path —
-// flash or network completion, buffer grant, DMA landing, ack — is
-// bound when the record is made, so a batched request allocates nothing
-// here.
+// flash or network completion, DMA landing, ack — is bound when the
+// record is made, so a batched request allocates nothing here.
 type hostOp struct {
 	req  HostReq
 	data []byte // read: the page on its way up to host memory
@@ -523,8 +521,7 @@ type hostOp struct {
 	// bound once
 	onFlash  func(data []byte, err error) // the flash read, or any remote op, completed
 	onAck    func(err error)              // the local program or erase completed
-	onBuf    func(buf int)                // a host buffer was granted: start the DMA
-	onLanded func(buf int)                // the page reached host memory
+	onLanded func()                       // the read's page reached host memory
 	onDown   func()                       // the write's page crossed PCIe
 }
 
@@ -533,11 +530,7 @@ func (n *Node) newHostOp() *hostOp {
 	op := &hostOp{}
 	op.onFlash = func(data []byte, err error) { n.hostFlashDone(op, data, err) }
 	op.onAck = func(err error) { n.hostAck(op, err) }
-	op.onBuf = func(buf int) { n.hostBufGranted(op, buf) }
-	op.onLanded = func(buf int) {
-		n.Host.ReleaseReadBuffer(buf)
-		n.finishHostOp(op, op.data, nil)
-	}
+	op.onLanded = func() { n.finishHostOp(op, op.data, nil) }
 	op.onDown = func() { n.hostWriteDown(op) }
 	return op
 }
@@ -563,7 +556,7 @@ func (n *Node) issueHostOp(op *hostOp) {
 	r := &op.req
 	switch {
 	case r.Write:
-		n.Host.AcquireWriteBuffer(op.onBuf)
+		n.Host.PageDown(len(r.Data), op.onDown)
 	case r.Addr.Node != n.id:
 		// §6.4: H-RH-F and H-D are served by the far host, not its ISP.
 		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, viaHost: r.Path != PathHF, dram: r.Path == PathHD,
@@ -573,18 +566,6 @@ func (n *Node) issueHostOp(op *hostOp) {
 	default:
 		n.hostIface(r.Addr.Card, r.Background).ReadPhysical(r.Addr.Addr, op.onFlash)
 	}
-}
-
-// hostBufGranted starts the DMA a granted host buffer was wanted for:
-// a write's page down to the device, a read's page up into the buffer.
-//
-//simlint:hotpath
-func (n *Node) hostBufGranted(op *hostOp, buf int) {
-	if op.req.Write {
-		n.Host.DeviceReadBuffer(len(op.req.Data), op.onDown)
-		return
-	}
-	n.Host.DeviceWriteChunk(buf, len(op.data), true)
 }
 
 // hostWriteDown sends a write whose page has crossed PCIe on to the
@@ -615,7 +596,7 @@ func (n *Node) hostFlashDone(op *hostOp, data []byte, err error) {
 		n.finishHostOp(op, nil, err)
 	default:
 		op.data = data
-		n.Host.AcquireReadBuffer(len(data), op.onLanded, op.onBuf)
+		n.Host.PageUp(len(data), op.onLanded)
 	}
 }
 

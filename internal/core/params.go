@@ -93,10 +93,6 @@ func (p Params) Validate() error {
 	if err := p.Geometry.Validate(); err != nil {
 		return err
 	}
-	if p.Host.PageBytes != p.Geometry.PageSize {
-		return fmt.Errorf("core: host page buffers (%d B) must match flash pages (%d B)",
-			p.Host.PageBytes, p.Geometry.PageSize)
-	}
 	if p.QueueDepth <= 0 {
 		return fmt.Errorf("core: queue depth %d", p.QueueDepth)
 	}

@@ -156,7 +156,7 @@ func fault(p core.Params, cfg faultConfig) (faultResult, error) {
 		return res, err
 	}
 	if rebuildEnd == 0 {
-		return res, fmt.Errorf("rebuild window: rebuild never completed")
+		return res, fmt.Errorf("rebuild window: rebuild: %w", sim.ErrUnfinished)
 	}
 	if st.V.Rebuilding() {
 		return res, fmt.Errorf("rebuild window: volume still rebuilding after drain")

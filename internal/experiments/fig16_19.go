@@ -108,7 +108,7 @@ func ispRate(p core.Params) (float64, error) {
 	case err != nil:
 		return 0, err
 	case res == nil:
-		return 0, fmt.Errorf("nearest-neighbour query never finished")
+		return 0, fmt.Errorf("nearest-neighbour query: %w", sim.ErrUnfinished)
 	case res.FailedPages != 0:
 		return 0, fmt.Errorf("nearest-neighbour query: %d of %d candidate pages failed", res.FailedPages, res.Pages)
 	}

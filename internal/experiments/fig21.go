@@ -107,7 +107,7 @@ func fig21ISP(p core.Params, pages int, gen workload.PageFiller, needle []byte) 
 	case err != nil:
 		return nil, err
 	case res == nil:
-		return nil, fmt.Errorf("in-store search never finished")
+		return nil, fmt.Errorf("in-store search: %w", sim.ErrUnfinished)
 	case res.FailedPages != 0:
 		return nil, fmt.Errorf("in-store search: %d of %d pages failed", res.FailedPages, res.Pages)
 	}

@@ -226,9 +226,6 @@ func New(eng *sim.Engine, card *nand.Card, cfg Config, h Handlers) (*Controller,
 	return c, nil
 }
 
-// Card returns the underlying nand card (for stats and geometry).
-func (c *Controller) Card() *nand.Card { return c.card }
-
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 

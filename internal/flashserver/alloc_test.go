@@ -39,8 +39,8 @@ func allocBytesPerOp(n int, op func(i int)) float64 {
 // This test sits outside the package because coretest imports core,
 // which imports flashserver.
 func TestPageOpsAllocateOnePage(t *testing.T) {
-	eng, card, sp := flashserver.Stack(t)
-	f := flashserver.NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := flashserver.Stack(t, 8)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	budget := 1.02 * float64(geo.PageSize) // an 8 KiB image, no tail rounding it up
 	chips := geo.Buses * geo.ChipsPerBus

@@ -34,8 +34,8 @@ func BenchmarkReadPhysical(b *testing.B) {
 }
 
 func benchReadPhysical(b *testing.B, ber float64) {
-	eng, card, sp := stackWith(b, ber, nil)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stackWith(b, ber, 8, nil)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	const pages = 64
 	ack := func(err error) {
@@ -67,8 +67,8 @@ func benchReadPhysical(b *testing.B, ber float64) {
 // takes, the link and the card. Nothing encodes the check bytes; a
 // sealed page's are computed only where a read draws flips.
 func BenchmarkWritePhysical(b *testing.B) {
-	eng, card, sp := stack(b)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(b, 8)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	chips := geo.Buses * geo.ChipsPerBus
 	ack := func(err error) {

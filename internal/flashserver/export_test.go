@@ -11,9 +11,3 @@ var (
 func (a *ATU) Pages(h FileHandle) int {
 	return len(a.maps[h])
 }
-
-// Renames returns how many commands have been tag-renamed.
-func (sp *Splitter) Renames() int64 { return sp.renames }
-
-// Waits returns how many commands had to queue for a controller tag.
-func (sp *Splitter) Waits() int64 { return sp.waits }

@@ -1,3 +1,17 @@
+// Package flashserver is the Flash Server of paper §3.1.2, Figure 3:
+// the layer that lets many users share one flash controller.
+//
+//   - Server gives each request a controller tag from the controller's
+//     tag space (128 tags on the paper's board), queueing FIFO while
+//     every tag is in flight — the splitter function, here in the
+//     server itself since one server is the card's only agent — and
+//     turns the controller's out-of-order, interleaved bursts back into
+//     whole pages;
+//   - Iface is one in-order request/response interface of the server:
+//     local in-store processors, host DMA and remote nodes each use
+//     their own, and each delivers in request order;
+//   - ATU is the Address Translation Unit that maps (file handle,
+//     offset) streams from the host onto physical flash addresses.
 package flashserver
 
 import (
@@ -25,22 +39,27 @@ var (
 // PageSize bytes.
 var errNotImage = fmt.Errorf("%w: not a page image (nand.Geometry.PageImage)", flashctl.ErrDataSize)
 
-// Server is the optional Flash Server module (paper §3.1.2): it turns
-// the controller's out-of-order interleaved interface into simple
-// in-order request/response interfaces using page buffers, and hosts
-// the Address Translation Unit for file-handle based requests.
+// Server is the Flash Server module (paper §3.1.2) of one card: it
+// shares the card's controller among in-order request/response
+// interfaces, renaming their requests onto the controller's tags and
+// reassembling each read's bursts into a page, and hosts the Address
+// Translation Unit for file-handle based requests.
 type Server struct {
-	port *Port
-	atu  *ATU
+	ctl *flashctl.Controller
+	atu *ATU
 
 	queueDepth int
 	geo        nand.Geometry
 	guard      bool // nand.Reliability.GuardImages: checksum each image WriteImage adopts
 
-	// ops holds every pageOp the server has made, indexed by its tag;
-	// pool recycles those not in use. It grows to the most requests ever
-	// outstanding at once and is then reused forever.
-	ops  []*pageOp
+	// freeTags is the stack of idle controller tags, handed out from 0
+	// and reused last in, first out; inflight holds the op issued under
+	// each busy tag; tagWait queues credited ops, FIFO, while every tag
+	// is busy.
+	freeTags []int
+	inflight []*pageOp
+	tagWait  sim.Queue[*pageOp]
+
 	pool sim.Pool[pageOp]
 }
 
@@ -49,7 +68,6 @@ type Server struct {
 // completion status, and the place in its interface's FIFO.
 type pageOp struct {
 	iface *Iface
-	tag   int // index in Server.ops, and the op's agent tag at the splitter
 	kind  flashctl.Op
 	addr  nand.Addr
 	// buf is, for a read, the page reassembled so far — a growing view
@@ -57,7 +75,7 @@ type pageOp struct {
 	// page image.
 	buf      []byte
 	sum      uint32 // write, under the guard: checksum of buf as WriteImage adopted it
-	credited bool   // issued to the controller on one of the interface's queue-depth credits
+	credited bool   // holds one of the interface's queue-depth credits
 	done     bool
 	err      error
 	onRead   func(data []byte, err error)
@@ -80,33 +98,49 @@ type Iface struct {
 // Drained reports page ops still out of the server's pool.
 func (s *Server) Drained() error { return s.pool.Drained("flashserver page ops") }
 
-// NewServer attaches a Flash Server to a splitter. queueDepth bounds
-// the per-interface number of requests outstanding at the controller
-// (the "command queue depth" parameter of the paper).
-func NewServer(sp *Splitter, name string, queueDepth int) *Server {
-	if queueDepth <= 0 {
-		queueDepth = 8
+// New builds a card's flash controller with cfg and the Flash Server
+// in front of it. queueDepth bounds each interface's requests
+// outstanding at the controller (the paper's "command queue depth").
+func New(eng *sim.Engine, card *nand.Card, cfg flashctl.Config, queueDepth int) (*flashctl.Controller, *Server, error) {
+	s := newServer(card, queueDepth)
+	ctl, err := flashctl.New(eng, card, cfg, s.handlers())
+	if err != nil {
+		return nil, nil, err
 	}
-	srv := &Server{
+	s.attach(ctl)
+	return ctl, s, nil
+}
+
+// newServer is a server for card, not yet attached to its controller.
+func newServer(card *nand.Card, queueDepth int) *Server {
+	return &Server{
 		atu:        NewATU(),
 		queueDepth: queueDepth,
-		geo:        sp.ctl.Card().Geometry(),
-		guard:      sp.ctl.Card().Guarded(),
+		geo:        card.Geometry(),
+		guard:      card.Guarded(),
+		pool:       sim.Pool[pageOp]{New: func() *pageOp { return &pageOp{} }},
 	}
-	// A new op's tag is its index in ops for life.
-	srv.pool.New = func() *pageOp {
-		op := &pageOp{tag: len(srv.ops)}
-		srv.ops = append(srv.ops, op)
-		return op
+}
+
+// handlers are the server's controller handlers, each bound once.
+func (s *Server) handlers() flashctl.Handlers {
+	return flashctl.Handlers{
+		ReadChunk:    s.readChunk,
+		ReadDone:     s.readDone,
+		WriteDataReq: s.writeDataReq,
+		WriteDone:    s.finish,
+		EraseDone:    s.finish,
 	}
-	srv.port = sp.NewPort(name, flashctl.Handlers{
-		ReadChunk:    func(tag, offset int, chunk []byte, _ bool) { srv.readChunk(tag, offset, chunk) },
-		ReadDone:     func(tag, _ int, err error) { srv.readDone(tag, err) },
-		WriteDataReq: srv.writeDataReq,
-		WriteDone:    srv.finish,
-		EraseDone:    srv.finish,
-	})
-	return srv
+}
+
+// attach gives the server the controller built with its handlers.
+func (s *Server) attach(ctl *flashctl.Controller) {
+	s.ctl = ctl
+	n := ctl.Config().Tags
+	s.inflight = make([]*pageOp, n)
+	for tag := n - 1; tag >= 0; tag-- {
+		s.freeTags = append(s.freeTags, tag)
+	}
 }
 
 // ATU returns the server's address translation unit.
@@ -131,19 +165,20 @@ func (s *Server) NewBulkIface(name string) *Iface {
 	return f
 }
 
-// inflight returns the op at the controller under tag — issued and not
-// yet completed — or nil when the event is for a tag this server has
-// nothing outstanding on.
+// release frees the controller tag of a command the controller has
+// finished and returns the op it was issued for, nil when none was.
+// The freed tag goes to the oldest op waiting for one, which is issued
+// before the caller delivers the finished op's outcome.
 //
 //simlint:hotpath
-func (s *Server) inflight(tag int) *pageOp {
-	if tag < 0 || tag >= len(s.ops) {
-		return nil
+func (s *Server) release(tag int) *pageOp {
+	op := s.inflight[tag]
+	s.inflight[tag] = nil
+	s.freeTags = append(s.freeTags, tag)
+	if s.tagWait.Len() > 0 {
+		s.send(s.tagWait.Pop())
 	}
-	if op := s.ops[tag]; op.credited && !op.done {
-		return op
-	}
-	return nil
+	return op
 }
 
 // readChunk reassembles a read by view: the controller's bursts for
@@ -154,8 +189,8 @@ func (s *Server) inflight(tag int) *pageOp {
 // op, which then completes with ErrShortRead.
 //
 //simlint:hotpath
-func (s *Server) readChunk(tag, offset int, chunk []byte) {
-	op := s.inflight(tag)
+func (s *Server) readChunk(tag, offset int, chunk []byte, _ bool) {
+	op := s.inflight[tag]
 	if op == nil || op.err != nil || len(chunk) == 0 {
 		return
 	}
@@ -176,8 +211,8 @@ func (s *Server) readChunk(tag, offset int, chunk []byte) {
 // have assembled into exactly one page.
 //
 //simlint:hotpath
-func (s *Server) readDone(tag int, err error) {
-	op := s.inflight(tag)
+func (s *Server) readDone(tag, _ int, err error) {
+	op := s.release(tag)
 	if op == nil {
 		return
 	}
@@ -196,8 +231,8 @@ func (s *Server) readDone(tag int, err error) {
 // its scheduler asks for it. The op keeps its reference for the guard
 // only; the controller owns the image from here.
 func (s *Server) writeDataReq(tag int) {
-	if op := s.inflight(tag); op != nil && op.kind == flashctl.OpWrite {
-		if err := s.port.WriteImage(tag, op.buf); err != nil {
+	if op := s.inflight[tag]; op != nil {
+		if err := s.ctl.WriteImage(tag, op.buf); err != nil {
 			s.complete(op, err)
 		}
 	}
@@ -208,7 +243,7 @@ func (s *Server) writeDataReq(tag int) {
 //
 //simlint:hotpath
 func (s *Server) finish(tag int, err error) {
-	op := s.inflight(tag)
+	op := s.release(tag)
 	if op == nil {
 		return
 	}
@@ -332,14 +367,31 @@ func (f *Iface) reject(op *pageOp, err error) {
 	f.srv.complete(op, err)
 }
 
-// issue sends a credited op to the controller through the splitter.
+// issue sends a credited op to the controller, or queues it FIFO while
+// every controller tag is busy.
 //
 //simlint:hotpath
 func (f *Iface) issue(op *pageOp) {
 	op.credited = true
+	if len(f.srv.freeTags) == 0 {
+		f.srv.tagWait.Push(op)
+		return
+	}
+	f.srv.send(op)
+}
+
+// send issues op under the most recently freed controller tag.
+//
+//simlint:hotpath
+func (s *Server) send(op *pageOp) {
+	tag := s.freeTags[len(s.freeTags)-1]
+	s.freeTags = s.freeTags[:len(s.freeTags)-1]
+	s.inflight[tag] = op
 	//simlint:allow hotpath (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
-	if err := f.srv.port.Issue(flashctl.Command{Op: op.kind, Tag: op.tag, Addr: op.addr, Bulk: f.bulk}); err != nil {
-		f.srv.complete(op, err)
+	if err := s.ctl.Issue(flashctl.Command{Op: op.kind, Tag: tag, Addr: op.addr, Bulk: op.iface.bulk}); err != nil {
+		// The server owns the tags and makes only reads, writes and
+		// erases, so this is a bug in the model, not a runtime condition.
+		panic(fmt.Sprintf("flashserver: controller rejected a command: %v", err))
 	}
 }
 
@@ -362,7 +414,7 @@ func (f *Iface) drainInOrder() {
 	for f.fifo.Len() > 0 && f.fifo.Front().done {
 		op := f.fifo.Pop()
 		credited, onRead, onAck, buf, err := op.credited, op.onRead, op.onAck, op.buf, op.err
-		*op = pageOp{tag: op.tag} // delivered: nothing is in flight under its tag
+		*op = pageOp{}
 		f.srv.pool.Put(op)
 		if credited {
 			f.releaseCredit()

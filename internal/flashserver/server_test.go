@@ -3,6 +3,7 @@ package flashserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/flashctl"
@@ -17,10 +18,11 @@ func testGeometry() nand.Geometry {
 	}
 }
 
-// stack builds engine -> card -> controller -> splitter.
-func stack(t testing.TB) (*sim.Engine, *nand.Card, *Splitter) {
+// stack builds engine -> card -> controller -> server of queue depth
+// depth.
+func stack(t testing.TB, depth int) (*sim.Engine, *nand.Card, *Server) {
 	t.Helper()
-	return stackWith(t, 0, nil)
+	return stackWith(t, 0, depth, nil)
 }
 
 // readChunkFn is the signature of flashctl.Handlers.ReadChunk.
@@ -28,9 +30,60 @@ type readChunkFn func(tag, off int, chunk []byte, last bool)
 
 // stackWith is stack on a card that flips bits at rate ber, with tamper
 // (when not nil) sitting on the link between the controller and the
-// splitter: it sees every read burst and decides what, if anything, to
+// server: it sees every read burst and decides what, if anything, to
 // pass on through deliver.
-func stackWith(t testing.TB, ber float64, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Splitter) {
+func stackWith(t testing.TB, ber float64, depth int, tamper func(deliver readChunkFn, tag, off int, chunk []byte, last bool)) (*sim.Engine, *nand.Card, *Server) {
+	t.Helper()
+	eng, card, _, srv := build(t, ber, depth, func(h flashctl.Handlers) flashctl.Handlers {
+		if tamper != nil {
+			deliver := h.ReadChunk
+			h.ReadChunk = func(tag, off int, chunk []byte, last bool) { tamper(deliver, tag, off, chunk, last) }
+		}
+		return h
+	})
+	return eng, card, srv
+}
+
+// observed is a server of queue depth depth over a fresh stack, with
+// observe seeing every event the controller sends up (ReadChunk only
+// for a read's first burst), named, with its controller tag, before
+// the server handles it.
+func observed(t testing.TB, depth int, observe func(ev string, tag int)) (*sim.Engine, *flashctl.Controller, *Server) {
+	t.Helper()
+	var eng *sim.Engine
+	ev := func(name string, err error) string { return fmt.Sprintf("%s@%d err=%v", name, eng.Now(), err) }
+	eng, _, ctl, srv := build(t, 0, depth, func(h flashctl.Handlers) flashctl.Handlers {
+		return flashctl.Handlers{
+			ReadChunk: func(tag, off int, chunk []byte, last bool) {
+				if off == 0 {
+					observe(fmt.Sprintf("chunk@%d", eng.Now()), tag)
+				}
+				h.ReadChunk(tag, off, chunk, last)
+			},
+			ReadDone: func(tag, corrected int, err error) {
+				observe(ev("read-done", err), tag)
+				h.ReadDone(tag, corrected, err)
+			},
+			WriteDataReq: func(tag int) {
+				observe(fmt.Sprintf("data-req@%d", eng.Now()), tag)
+				h.WriteDataReq(tag)
+			},
+			WriteDone: func(tag int, err error) {
+				observe(ev("write-done", err), tag)
+				h.WriteDone(tag, err)
+			},
+			EraseDone: func(tag int, err error) {
+				observe(ev("erase-done", err), tag)
+				h.EraseDone(tag, err)
+			},
+		}
+	})
+	return eng, ctl, srv
+}
+
+// build is New on a card that flips bits at rate ber, with the
+// server's controller handlers passed through wrap.
+func build(t testing.TB, ber float64, depth int, wrap func(flashctl.Handlers) flashctl.Handlers) (*sim.Engine, *nand.Card, *flashctl.Controller, *Server) {
 	t.Helper()
 	eng := sim.NewEngine()
 	_, guard := t.(*testing.T) // tests run under the image guard, benchmarks without
@@ -38,25 +91,13 @@ func stackWith(t testing.TB, ber float64, tamper func(deliver readChunkFn, tag, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sp *Splitter
-	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
-		ReadChunk: func(tag, off int, chunk []byte, last bool) {
-			if tamper != nil {
-				tamper(sp.Handlers().ReadChunk, tag, off, chunk, last)
-				return
-			}
-			sp.Handlers().ReadChunk(tag, off, chunk, last)
-		},
-		ReadDone:     func(tag, corrected int, err error) { sp.Handlers().ReadDone(tag, corrected, err) },
-		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
-		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
-		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
-	})
+	srv := newServer(card, depth)
+	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), wrap(srv.handlers()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp = NewSplitter(ctl)
-	return eng, card, sp
+	srv.attach(ctl)
+	return eng, card, ctl, srv
 }
 
 func pattern(n int, seed byte) []byte {
@@ -68,8 +109,7 @@ func pattern(n int, seed byte) []byte {
 }
 
 func TestServerWriteReadInOrder(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	iface := srv.NewIface("if0")
 
 	// Write 8 pages, then read them back; completions must arrive in
@@ -119,8 +159,7 @@ func TestServerWriteReadInOrder(t *testing.T) {
 func TestServerReordersAcrossBuses(t *testing.T) {
 	// A slow-bus page requested first must still complete first at the
 	// interface, even when a fast page finishes earlier at the flash.
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	iface := srv.NewIface("if0")
 
 	// Write one page on each bus; then queue 3 reads to bus 0 (making
@@ -148,8 +187,7 @@ func TestServerReordersAcrossBuses(t *testing.T) {
 }
 
 func TestTwoIfacesIndependentOrder(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	a := srv.NewIface("a")
 	b := srv.NewIface("b")
 	for bus := 0; bus < 2; bus++ {
@@ -187,8 +225,7 @@ func TestTwoIfacesIndependentOrder(t *testing.T) {
 }
 
 func TestATUFileReads(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	iface := srv.NewIface("if0")
 
 	// "File": 4 pages scattered across buses/chips, deliberately not in
@@ -230,8 +267,7 @@ func TestATUFileReads(t *testing.T) {
 }
 
 func TestATUErrors(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	iface := srv.NewIface("if0")
 
 	var gotErr error
@@ -250,8 +286,7 @@ func TestATUErrors(t *testing.T) {
 }
 
 func TestQueueDepthBackpressure(t *testing.T) {
-	eng, card, sp := stack(t)
-	srv := NewServer(sp, "srv", 2) // shallow queue
+	eng, card, srv := stack(t, 2) // shallow queue
 	iface := srv.NewIface("if0")
 	for p := 0; p < 16; p++ {
 		iface.WritePhysical(nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: p}, pattern(8192, byte(p)), func(err error) {
@@ -278,92 +313,8 @@ func TestQueueDepthBackpressure(t *testing.T) {
 	_ = card
 }
 
-func TestSplitterTagExhaustionQueues(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 1000) // effectively unbounded iface credit
-	iface := srv.NewIface("if0")
-	geo := testGeometry()
-	// Write every page of block 0 on all chips: 2*2*16 = 64 pages.
-	total := 0
-	for bus := 0; bus < geo.Buses; bus++ {
-		for chip := 0; chip < geo.ChipsPerBus; chip++ {
-			for p := 0; p < geo.PagesPerBlock; p++ {
-				iface.WritePhysical(nand.Addr{Bus: bus, Chip: chip, Block: 0, Page: p}, pattern(8192, byte(p)), func(err error) {
-					if err != nil {
-						t.Error(err)
-					}
-				})
-				total++
-			}
-		}
-	}
-	eng.Run()
-	// Read each page 3 times: 192 requests > 128 controller tags.
-	want := 0
-	got := 0
-	for rep := 0; rep < 3; rep++ {
-		for bus := 0; bus < geo.Buses; bus++ {
-			for chip := 0; chip < geo.ChipsPerBus; chip++ {
-				for p := 0; p < geo.PagesPerBlock; p++ {
-					want++
-					iface.ReadPhysical(nand.Addr{Bus: bus, Chip: chip, Block: 0, Page: p}, func(_ []byte, err error) {
-						if err != nil {
-							t.Errorf("read: %v", err)
-						}
-						got++
-					})
-				}
-			}
-		}
-	}
-	eng.Run()
-	if got != want {
-		t.Fatalf("completed %d of %d reads under tag exhaustion", got, want)
-	}
-	if sp.Waits() == 0 {
-		t.Fatal("expected some commands to wait for controller tags")
-	}
-}
-
-func TestMultipleAgentsShareController(t *testing.T) {
-	// Two servers (agents) with distinct ports on one splitter: tag
-	// renaming must keep their completions separated.
-	eng, _, sp := stack(t)
-	srvA := NewServer(sp, "agentA", 8)
-	srvB := NewServer(sp, "agentB", 8)
-	ia := srvA.NewIface("a")
-	ib := srvB.NewIface("b")
-
-	ia.WritePhysical(nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}, pattern(8192, 0xaa), func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	ib.WritePhysical(nand.Addr{Bus: 1, Chip: 0, Block: 0, Page: 0}, pattern(8192, 0xbb), func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-
-	var gotA, gotB []byte
-	ia.ReadPhysical(nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}, func(d []byte, err error) { gotA = d })
-	ib.ReadPhysical(nand.Addr{Bus: 1, Chip: 0, Block: 0, Page: 0}, func(d []byte, err error) { gotB = d })
-	eng.Run()
-	if !bytes.Equal(gotA, pattern(8192, 0xaa)) {
-		t.Fatal("agent A got wrong data")
-	}
-	if !bytes.Equal(gotB, pattern(8192, 0xbb)) {
-		t.Fatal("agent B got wrong data")
-	}
-	if sp.Renames() < 4 {
-		t.Fatalf("renames = %d, want >= 4", sp.Renames())
-	}
-}
-
 func TestServerEraseAndRewrite(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 8)
+	eng, _, srv := stack(t, 8)
 	iface := srv.NewIface("if0")
 	a := nand.Addr{Bus: 0, Chip: 0, Block: 1, Page: 0}
 	iface.WritePhysical(a, pattern(8192, 1), func(err error) {

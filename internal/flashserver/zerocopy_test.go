@@ -50,8 +50,8 @@ func readPage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr) []byte {
 // check bytes behind it as spare capacity, and every other clean read
 // of the page, concurrent or later, delivers that same image.
 func TestCleanReadDeliversTheStoredImage(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	a := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	want := pattern(8192, 0x5a)
 	writePage(t, eng, f, a, want)
@@ -84,8 +84,8 @@ func TestCleanReadDeliversTheStoredImage(t *testing.T) {
 // the wrong bit; one with two wrong bits in a word fails with
 // ErrUncorrectable and is left as it was.
 func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	codec, err := ecc.NewPageCodec(8192)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
 	if stored := card.Peek(one); &got[0] == &stored[0] || !bytes.Equal(stored, asStored) {
 		t.Fatal("the correction was made in the stored image")
 	}
-	if n := sp.ctl.CorrectedBits.Value(); n != 1 {
+	if n := srv.ctl.CorrectedBits.Value(); n != 1 {
 		t.Fatalf("CorrectedBits %d, want 1", n)
 	}
 
@@ -146,8 +146,8 @@ func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
 func TestSealDoesNotOutliveTheImage(t *testing.T) {
 	for _, drop := range []string{"erase", "Replace"} {
 		t.Run(drop, func(t *testing.T) {
-			eng, card, sp := stack(t)
-			f := NewServer(sp, "srv", 8).NewIface("if0")
+			eng, card, srv := stack(t, 8)
+			f := srv.NewIface("if0")
 			a := nand.Addr{Bus: 1, Block: 4}
 			want := pattern(8192, 0x6c)
 			writePage(t, eng, f, a, want)
@@ -182,8 +182,8 @@ func TestSealDoesNotOutliveTheImage(t *testing.T) {
 				}
 			})
 			eng.Run()
-			if got := readPage(t, eng, f, a); !bytes.Equal(got, want) || sp.ctl.CorrectedBits.Value() != 1 {
-				t.Fatalf("after %s and a hand-made image: page as written %v, %d bits corrected; want it corrected", drop, bytes.Equal(got, want), sp.ctl.CorrectedBits.Value())
+			if got := readPage(t, eng, f, a); !bytes.Equal(got, want) || srv.ctl.CorrectedBits.Value() != 1 {
+				t.Fatalf("after %s and a hand-made image: page as written %v, %d bits corrected; want it corrected", drop, bytes.Equal(got, want), srv.ctl.CorrectedBits.Value())
 			}
 		})
 	}
@@ -202,19 +202,19 @@ func TestFlippedReadsAcrossTheLifecycle(t *testing.T) {
 	for _, src := range []string{"stored image", "corrected copy"} {
 		for _, drop := range []string{"erase", "Replace"} {
 			t.Run(src+"/"+drop, func(t *testing.T) {
-				eng, card, sp := stackWith(t, 1e-4, nil)
-				f := NewServer(sp, "srv", 8).NewIface("if0")
+				eng, card, srv := stackWith(t, 1e-4, 8, nil)
+				f := srv.NewIface("if0")
 				geo := card.Geometry()
 				want := pattern(geo.PageSize, 0x2d)
 				from, to := nand.Addr{Block: 1}, nand.Addr{Bus: 1, Block: 2}
 				flippedRead := func(a nand.Addr) ([]byte, int64) {
 					t.Helper()
-					flips, corrected := card.InjectedFlips.Value(), sp.ctl.CorrectedBits.Value()
+					flips, corrected := card.InjectedFlips.Value(), srv.ctl.CorrectedBits.Value()
 					got := readPage(t, eng, f, a)
 					if flips == card.InjectedFlips.Value() {
 						t.Fatalf("the read of %v drew no flip", a)
 					}
-					return got, sp.ctl.CorrectedBits.Value() - corrected - (card.InjectedFlips.Value() - flips)
+					return got, srv.ctl.CorrectedBits.Value() - corrected - (card.InjectedFlips.Value() - flips)
 				}
 
 				writePage(t, eng, f, from, want)
@@ -280,8 +280,8 @@ func TestFlippedReadsAcrossTheLifecycle(t *testing.T) {
 func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
 	for _, when := range []string{"while the card programs it", "before the controller takes it"} {
 		t.Run(when, func(t *testing.T) {
-			eng, card, sp := stack(t)
-			f := NewServer(sp, "srv", 1).NewIface("if0")
+			eng, card, srv := stack(t, 1)
+			f := srv.NewIface("if0")
 			geo := card.Geometry()
 			a := nand.Addr{Bus: 1, Chip: 1, Block: 5}
 			img := geo.PageImage(pattern(geo.PageSize, 0x17))
@@ -310,8 +310,8 @@ func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
 // and the next read of it fails on the spot, naming the page and the
 // operation, instead of surfacing layers up as wrong bytes.
 func TestScribbledReadResultTripsTheGuard(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	a, other := nand.Addr{Bus: 1, Chip: 1, Block: 2, Page: 0}, nand.Addr{}
 	writePage(t, eng, f, a, pattern(8192, 1))
 	writePage(t, eng, f, other, pattern(8192, 2))
@@ -337,8 +337,7 @@ func TestScribbledReadResultTripsTheGuard(t *testing.T) {
 // buffer as soon as WritePhysical returns — also when the op has to
 // wait for a queue-depth credit and is issued much later.
 func TestWritePhysicalSnapshotsBeforeReturning(t *testing.T) {
-	eng, _, sp := stack(t)
-	srv := NewServer(sp, "srv", 1) // one credit: the later writes wait
+	eng, _, srv := stack(t, 1) // one credit: the later writes wait
 	f := srv.NewIface("if0")
 	buf := make([]byte, 8192)
 	for p := 0; p < 4; p++ {
@@ -365,8 +364,8 @@ func TestWritePhysicalSnapshotsBeforeReturning(t *testing.T) {
 // image, or to run on into the caller's next page, is still the
 // caller's: it may scribble on all of it the moment the call returns.
 func TestWritePhysicalNeverAdopts(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	// One big buffer cut into pages: every page but the last has the
 	// capacity of an image.
@@ -409,8 +408,8 @@ func TestWritePhysicalNeverAdopts(t *testing.T) {
 // caller built is the buffer the card stores — nothing on the way
 // copies it, and nothing adds check bytes to it.
 func TestWriteImageStoresTheBuffer(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	want := pattern(geo.PageSize, 0x21)
 	img := geo.PageImage(want)
@@ -434,8 +433,8 @@ func TestWriteImageStoresTheBuffer(t *testing.T) {
 // so the issuer may send the very same image to another block — the
 // FTL's and the file system's bad-block retry.
 func TestFailedWriteReturnsTheImage(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, card, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	want := pattern(geo.PageSize, 0x42)
 	img := geo.PageImage(want)
@@ -470,8 +469,8 @@ func TestFailedWriteReturnsTheImage(t *testing.T) {
 // buffer is an image by its shape; a holder that writes to it after
 // handing it down fails its program: TestScribbleAfterHandOffTripsTheProgram.)
 func TestWriteImageRejectsNonImages(t *testing.T) {
-	eng, card, sp := stack(t)
-	f := NewServer(sp, "srv", 2).NewIface("if0")
+	eng, card, srv := stack(t, 2)
+	f := srv.NewIface("if0")
 	geo := card.Geometry()
 	var order []string
 	ok := func(name string) func(error) {
@@ -501,8 +500,8 @@ func TestWriteImageRejectsNonImages(t *testing.T) {
 	if f.credits != 2 {
 		t.Fatalf("credits = %d after rejected images, want the queue depth 2", f.credits)
 	}
-	if free := sp.ctl.FreeTags(); free != sp.ctl.Config().Tags {
-		t.Fatalf("%d of %d controller tags free after rejected images", free, sp.ctl.Config().Tags)
+	if free := srv.ctl.FreeTags(); free != srv.ctl.Config().Tags {
+		t.Fatalf("%d of %d controller tags free after rejected images", free, srv.ctl.Config().Tags)
 	}
 	if got := readPage(t, eng, f, nand.Addr{Page: 1}); !bytes.Equal(got, pattern(geo.PageSize, 3)) {
 		t.Fatal("page 1 does not hold the one valid image written to it")
@@ -510,8 +509,8 @@ func TestWriteImageRejectsNonImages(t *testing.T) {
 }
 
 func TestWritePhysicalRejectsWrongSize(t *testing.T) {
-	eng, _, sp := stack(t)
-	f := NewServer(sp, "srv", 8).NewIface("if0")
+	eng, _, srv := stack(t, 8)
+	f := srv.NewIface("if0")
 	var got error
 	f.WritePhysical(nand.Addr{}, make([]byte, 100), func(err error) { got = err })
 	eng.Run()
@@ -578,14 +577,14 @@ func TestMisassembledReadFails(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tampering := false
-			eng, _, sp := stackWith(t, 0, func(deliver readChunkFn, tag, off int, chunk []byte, last bool) {
+			eng, _, srv := stackWith(t, 0, 8, func(deliver readChunkFn, tag, off int, chunk []byte, last bool) {
 				if tampering {
 					tc.tamper(deliver, tag, off, chunk, last)
 					return
 				}
 				deliver(tag, off, chunk, last)
 			})
-			f := NewServer(sp, "srv", 8).NewIface("if0")
+			f := srv.NewIface("if0")
 			a := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 			b := nand.Addr{Bus: 1, Chip: 0, Block: 0, Page: 0}
 			writePage(t, eng, f, a, pattern(8192, 7))
@@ -625,8 +624,8 @@ func TestMisassembledReadFails(t *testing.T) {
 // controller (here an unmapped file handle) never held a queue-depth
 // credit, so completing it must not mint one.
 func TestRejectedOpTakesNoCredit(t *testing.T) {
-	eng, _, sp := stack(t)
-	f := NewServer(sp, "srv", 2).NewIface("if0")
+	eng, _, srv := stack(t, 2)
+	f := srv.NewIface("if0")
 	for i := 0; i < 5; i++ {
 		f.ReadFile(99, 0, func(_ []byte, err error) {
 			if !errors.Is(err, ErrNoMapping) {

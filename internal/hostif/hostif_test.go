@@ -1,7 +1,9 @@
 package hostif
 
 import (
-	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,23 +22,15 @@ func newIf(t *testing.T) (*sim.Engine, *HostIf) {
 func TestSinglePageReadPath(t *testing.T) {
 	eng, h := newIf(t)
 	var doneAt sim.Time = -1
-	var gotBuf = -1
-	h.AcquireReadBuffer(8192, func(buf int) {
+	h.PageUp(8192, func() {
 		doneAt = eng.Now()
-		gotBuf = buf
-		h.ReleaseReadBuffer(buf)
-	}, func(buf int) {
-		// Device fills the buffer in 4 interleaved 2KB chunks.
-		for i := 0; i < 4; i++ {
-			h.DeviceWriteChunk(buf, 2048, i == 3)
+		if free := h.FreeReadBuffers(); free != h.Config().ReadBuffers {
+			t.Errorf("%d read buffers free in the completion, want all %d", free, h.Config().ReadBuffers)
 		}
 	})
 	eng.Run()
 	if doneAt < 0 {
 		t.Fatal("completion never fired")
-	}
-	if gotBuf < 0 || gotBuf >= 128 {
-		t.Fatalf("buffer index %d", gotBuf)
 	}
 	// 8192B at 1.6GB/s = 5.12us + PCIe latency + interrupt latency.
 	min := sim.Time(8192 * 1000 / 1600)
@@ -48,81 +42,23 @@ func TestSinglePageReadPath(t *testing.T) {
 	}
 }
 
-func TestDMABurstGating(t *testing.T) {
-	// Chunks smaller than the burst threshold must not reach PCIe until
-	// enough accumulate.
-	eng, h := newIf(t)
-	h.AcquireReadBuffer(1024, nil, func(buf int) {
-		h.DeviceWriteChunk(buf, 100, false)
-	})
-	eng.Run()
-	if h.ToHostBytes() != 0 {
-		t.Fatalf("%d bytes crossed PCIe with only 100 in the FIFO (burst=512)", h.ToHostBytes())
-	}
-	// Completing the page flushes the partial burst.
-	h.DeviceWriteChunk(0, 100, true)
-	eng.Run()
-	if h.ToHostBytes() != 200 {
-		t.Fatalf("flush moved %d bytes, want 200", h.ToHostBytes())
-	}
-}
-
-func TestInterleavedBuffersIndependent(t *testing.T) {
-	// Data landing interleaved across two buffers must complete each
-	// page independently (the vector-of-FIFOs property).
-	eng, h := newIf(t)
-	complete := map[int]bool{}
-	fill := func(buf int) {}
-	_ = fill
-	var bufs []int
-	for i := 0; i < 2; i++ {
-		h.AcquireReadBuffer(4096, func(buf int) {
-			complete[buf] = true
-		}, func(buf int) {
-			bufs = append(bufs, buf)
-		})
-	}
-	eng.Run()
-	if len(bufs) != 2 {
-		t.Fatalf("acquired %d buffers", len(bufs))
-	}
-	// Interleave chunks; buffer B finishes first.
-	a, b := bufs[0], bufs[1]
-	h.DeviceWriteChunk(a, 2048, false)
-	h.DeviceWriteChunk(b, 2048, false)
-	h.DeviceWriteChunk(b, 2048, true)
-	eng.Run()
-	if !complete[b] || complete[a] {
-		t.Fatalf("completion state a=%v b=%v, want only b", complete[a], complete[b])
-	}
-	h.DeviceWriteChunk(a, 2048, true)
-	eng.Run()
-	if !complete[a] {
-		t.Fatal("buffer a never completed")
-	}
-}
-
 func TestBufferPoolExhaustion(t *testing.T) {
 	eng, h := newIf(t)
-	// Take all 128 buffers.
-	taken := 0
-	for i := 0; i < 128; i++ {
-		h.AcquireReadBuffer(8192, nil, func(buf int) { taken++ })
+	// 129 pages at once: the last one waits for the first buffer to
+	// come back, so it lands a whole page time after the 128th.
+	var at []sim.Time
+	for i := 0; i < 129; i++ {
+		h.PageUp(8192, func() { at = append(at, eng.Now()) })
+	}
+	if h.FreeReadBuffers() != 0 {
+		t.Fatalf("%d buffers free with 129 pages asked for", h.FreeReadBuffers())
 	}
 	eng.Run()
-	if taken != 128 {
-		t.Fatalf("took %d of 128", taken)
+	if len(at) != 129 {
+		t.Fatalf("%d of 129 pages completed", len(at))
 	}
-	queued := false
-	h.AcquireReadBuffer(8192, nil, func(buf int) { queued = true })
-	eng.Run()
-	if queued {
-		t.Fatal("129th acquire should wait")
-	}
-	h.ReleaseReadBuffer(5)
-	eng.Run()
-	if !queued {
-		t.Fatal("released buffer not granted to waiter")
+	if at[128] <= at[127] || at[128] < at[0]+h.Config().InterruptLatency {
+		t.Fatalf("the waiting page completed at %v, the first at %v and the 128th at %v", at[128], at[0], at[127])
 	}
 }
 
@@ -131,19 +67,8 @@ func TestReadBandwidthCap(t *testing.T) {
 	eng, h := newIf(t)
 	const pages = 200
 	done := 0
-	var feed func()
-	feed = func() {
-		h.AcquireReadBuffer(8192, func(buf int) {
-			done++
-			h.ReleaseReadBuffer(buf)
-		}, func(buf int) {
-			for c := 0; c < 4; c++ {
-				h.DeviceWriteChunk(buf, 2048, c == 3)
-			}
-		})
-	}
 	for i := 0; i < pages; i++ {
-		feed()
+		h.PageUp(8192, func() { done++ })
 	}
 	eng.Run()
 	if done != pages {
@@ -161,13 +86,10 @@ func TestReadBandwidthCap(t *testing.T) {
 func TestWritePath(t *testing.T) {
 	eng, h := newIf(t)
 	var deviceGot sim.Time = -1
-	h.AcquireWriteBuffer(func(buf int) {
-		// Host fills buffer (charged elsewhere), rings RPC, device pulls.
-		h.RPC(func() {
-			h.DeviceReadBuffer(8192, func() {
-				deviceGot = eng.Now()
-				h.ReleaseWriteBuffer()
-			})
+	h.RPC(func() {
+		h.PageDown(8192, func() {
+			deviceGot = eng.Now()
+			h.ReleaseWriteBuffer()
 		})
 	})
 	eng.Run()
@@ -175,7 +97,7 @@ func TestWritePath(t *testing.T) {
 		t.Fatal("device never received data")
 	}
 	// 8192B at 1.0GB/s = 8.192us minimum.
-	if deviceGot < sim.Time(8192) {
+	if deviceGot < h.Config().RPCLatency+sim.Time(8192) {
 		t.Fatalf("write landed at %v, faster than 1GB/s PCIe", deviceGot)
 	}
 	if h.PagesDown.Value() != 1 {
@@ -198,26 +120,6 @@ func TestRPCAndSoftwareLatencies(t *testing.T) {
 	}
 }
 
-func TestBadBufferIndex(t *testing.T) {
-	_, h := newIf(t)
-	mustPanicBadBuffer := func(name string, fn func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: bad buffer index accepted", name)
-			}
-			err, ok := r.(error)
-			if !ok || !errors.Is(err, ErrBadBuffer) {
-				t.Fatalf("%s: panic %v, want ErrBadBuffer", name, r)
-			}
-		}()
-		fn()
-	}
-	mustPanicBadBuffer("DeviceWriteChunk(-1)", func() { h.DeviceWriteChunk(-1, 10, false) })
-	mustPanicBadBuffer("DeviceWriteChunk(999)", func() { h.DeviceWriteChunk(999, 10, false) })
-	mustPanicBadBuffer("ReleaseReadBuffer(999)", func() { h.ReleaseReadBuffer(999) })
-}
-
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := New(eng, "x", Config{}); err == nil {
@@ -226,7 +128,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestPumpIsOneEventTimedAsBursts: a page handed to the DMA engine in
-// one DeviceWriteChunk goes out as one pipe reservation with one
+// one PageUp goes out as one pipe reservation with one
 // landing event — not one per DMABurst — yet the completion interrupt
 // fires at exactly the virtual time the burst-by-burst transfers would
 // have produced: each burst's serialization is rounded down on its own,
@@ -247,7 +149,7 @@ func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.PageBytes, cfg.DMABurst, cfg.ToHostBytesPerSec = tc.page, tc.burst, tc.bytesPerSec
+			cfg.DMABurst, cfg.ToHostBytesPerSec = tc.burst, tc.bytesPerSec
 
 			// Reference: the same page as separate burst transfers, all
 			// queued at time zero on an identical pipe.
@@ -270,12 +172,7 @@ func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
 				t.Fatal(err)
 			}
 			var doneAt sim.Time = -1
-			h.AcquireReadBuffer(tc.page, func(buf int) {
-				doneAt = eng.Now()
-				h.ReleaseReadBuffer(buf)
-			}, func(buf int) {
-				h.DeviceWriteChunk(buf, tc.page, true)
-			})
+			h.PageUp(tc.page, func() { doneAt = eng.Now() })
 			fired := eng.Fired()
 			eng.Run()
 			if want := landed + cfg.InterruptLatency; doneAt != want {
@@ -293,11 +190,11 @@ func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
 }
 
 // TestWaitersMatchTheirGrants: the host interface remembers who waits
-// for a buffer, a downward DMA or an interrupt in FIFOs served by one
+// for a buffer, a DMA either way or an interrupt in FIFOs served by one
 // continuation each. With more callers than buffers, pages of different
 // sizes and buffers recycled mid-run, every caller must still get its
-// own grant, its own landing and its own completion, in request order,
-// and none of it may allocate.
+// own landing and its own completion, in request order, and none of it
+// may allocate.
 func TestWaitersMatchTheirGrants(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
@@ -307,47 +204,27 @@ func TestWaitersMatchTheirGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 7
-	var granted, completed, wgranted, landed []int
-	bufOf := make(map[int]int)
-	reads := make([]struct{ onDone, fn func(buf int) }, n)
-	writes := make([]struct {
-		fn   func(buf int)
-		done func()
-	}, n)
+	var completed, landed []int
+	sizes := make([]int, n)
+	ups := make([]func(), n)
+	downs := make([]func(), n)
 	for i := 0; i < n; i++ {
-		i := i
-		size := 512 * (1 + (n-i)%3) // later callers are not always slower
-		reads[i].fn = func(buf int) {
-			granted = append(granted, i)
-			bufOf[i] = buf
-			h.DeviceWriteChunk(buf, size, true)
-		}
-		reads[i].onDone = func(buf int) {
-			if buf != bufOf[i] {
-				t.Errorf("read %d completed on buffer %d, was granted %d", i, buf, bufOf[i])
-			}
-			completed = append(completed, i)
-			h.ReleaseReadBuffer(buf)
-		}
-		writes[i].done = func() {
+		sizes[i] = 512 * (1 + (n-i)%3) // later callers are not always slower
+		ups[i] = func() { completed = append(completed, i) }
+		downs[i] = func() {
 			landed = append(landed, i)
 			h.ReleaseWriteBuffer()
-		}
-		writes[i].fn = func(int) {
-			wgranted = append(wgranted, i)
-			h.DeviceReadBuffer(size, writes[i].done)
 		}
 	}
 	run := func() {
 		for i := 0; i < n; i++ {
-			h.AcquireReadBuffer(8192, reads[i].onDone, reads[i].fn)
-			h.AcquireWriteBuffer(writes[i].fn)
+			h.PageUp(sizes[i], ups[i])
+			h.PageDown(sizes[i], downs[i])
 		}
 		eng.Run()
 	}
 	run()
-	for name, got := range map[string][]int{"read grants": granted, "read completions": completed,
-		"write grants": wgranted, "write landings": landed} {
+	for name, got := range map[string][]int{"read completions": completed, "write landings": landed} {
 		if len(got) != n {
 			t.Fatalf("%s: %v, want every caller once", name, got)
 		}
@@ -361,60 +238,63 @@ func TestWaitersMatchTheirGrants(t *testing.T) {
 		t.Fatalf("pages up %d, down %d, want %d each", h.PagesUp.Value(), h.PagesDown.Value(), n)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		granted, completed, wgranted, landed = granted[:0], completed[:0], wgranted[:0], landed[:0]
+		completed, landed = completed[:0], landed[:0]
 		run()
 	}); allocs != 0 {
 		t.Fatalf("a round of waits allocates %.0f times, want 0", allocs)
 	}
 }
 
-// TestPageUpIsTheHandWrittenTriple: a burst of page and result DMAs —
-// more than there are read buffers, so some wait for a grant — issued
-// through PageUp and through the AcquireReadBuffer / DeviceWriteChunk /
-// ReleaseReadBuffer triple its callers used to write out must land at
-// the same instants, see the same number of free buffers in every
-// completion, and leave every buffer free.
-func TestPageUpIsTheHandWrittenTriple(t *testing.T) {
-	type landing struct {
-		at   sim.Time
-		free int
+// TestExhaustedBuffersKeepTheirOrder pins the instants and the order of
+// everything the host interface does with more pages than buffers each
+// way: grants, landings, interrupts and completions. Every completion
+// records the instant, the read buffers free and the pages that have
+// landed up, raised an interrupt and crossed down. A read buffer a
+// completion releases goes to the oldest waiter, its DMA reserved,
+// before that completion's done runs: done sees no buffer free, and the
+// page it sends up lands behind the waiter's. A write buffer is held
+// until the caller releases it, a while after its page crossed.
+func TestExhaustedBuffersKeepTheirOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.ReadBuffers, cfg.WriteBuffers = 2, 2
+	h, err := New(eng, "n0", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sizes := make([]int, 300)
-	for i := range sizes {
-		sizes[i] = []int{8192, 16, 700, 8192, 24576}[i%5]
+	var got []string
+	note := func(what string, i int) {
+		got = append(got, fmt.Sprintf("%s%d @%d free=%d up=%d intr=%d down=%d",
+			what, i, eng.Now(), h.FreeReadBuffers(), h.PagesUp.Value(), h.Interrupts.Value(), h.PagesDown.Value()))
 	}
-	run := func(up func(h *HostIf, size int, done func())) ([]landing, *HostIf) {
-		eng, h := newIf(t)
-		got := make([]landing, len(sizes))
-		for i, size := range sizes {
-			eng.After(sim.Time(i/50)*sim.Microsecond, func() {
-				up(h, size, func() { got[i] = landing{eng.Now(), h.FreeReadBuffers()} })
-			})
-		}
-		eng.Run()
-		return got, h
-	}
-	want, hw := run(func(h *HostIf, size int, done func()) {
-		h.AcquireReadBuffer(size, func(buf int) {
-			h.ReleaseReadBuffer(buf)
-			done()
-		}, func(buf int) {
-			h.DeviceWriteChunk(buf, size, true)
+	sizes := []int{8192, 512, 4096, 8192, 100}
+	for i, size := range sizes {
+		h.PageUp(size, func() {
+			note("up", i)
+			if i == 0 {
+				h.PageUp(2048, func() { note("up", 10) })
+			}
 		})
-	})
-	got, hg := run(func(h *HostIf, size int, done func()) { h.PageUp(size, done) })
-	for i := range want {
-		if want[i].at == 0 {
-			t.Fatalf("transfer %d never landed through the triple", i)
-		}
-		if got[i] != want[i] {
-			t.Fatalf("transfer %d: PageUp landed at %v with %d buffers free, the triple at %v with %d",
-				i, got[i].at, got[i].free, want[i].at, want[i].free)
-		}
+		h.PageDown(size, func() {
+			note("down", i)
+			eng.After(3*sim.Microsecond, h.ReleaseWriteBuffer)
+		})
 	}
-	for _, h := range []*HostIf{hw, hg} {
-		if h.FreeReadBuffers() != h.Config().ReadBuffers || h.PagesUp.Value() != int64(len(sizes)) {
-			t.Fatalf("%d of %d buffers free after %d pages up", h.FreeReadBuffers(), h.Config().ReadBuffers, h.PagesUp.Value())
-		}
+	eng.Run()
+	want := []string{
+		"up0 @7820 free=0 up=2 intr=2 down=0",
+		"up1 @8140 free=0 up=2 intr=2 down=0",
+		"down0 @8892 free=0 up=2 intr=2 down=1",
+		"down1 @9404 free=0 up=2 intr=2 down=2",
+		"up2 @13080 free=0 up=3 intr=3 down=2",
+		"down2 @16688 free=0 up=5 intr=5 down=3",
+		"up3 @18200 free=0 up=5 intr=5 down=3",
+		"up4 @18262 free=1 up=5 intr=5 down=3",
+		"up10 @22180 free=2 up=6 intr=6 down=3",
+		"down3 @24880 free=2 up=6 intr=6 down=4",
+		"down4 @24980 free=2 up=6 intr=6 down=5",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("completions:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -7,81 +7,65 @@ import (
 	"repro/internal/sim"
 )
 
-// Property: for any sequence of chunk sizes summing to a page, exactly
-// the page's bytes cross PCIe and exactly one completion interrupt
-// fires.
+// Property: whatever the page sizes and however many wait for a
+// buffer, exactly their bytes cross PCIe, one completion interrupt
+// fires per page, completions come in request order and every buffer
+// comes home.
 func TestDMAConservationProperty(t *testing.T) {
 	prop := func(sizesRaw []uint16) bool {
 		eng := sim.NewEngine()
-		h, err := New(eng, "p", DefaultConfig())
+		cfg := DefaultConfig()
+		cfg.ReadBuffers = 3
+		h, err := New(eng, "p", cfg)
 		if err != nil {
 			return false
 		}
-		// Normalize chunk sizes to a positive total <= page size.
-		var sizes []int
-		total := 0
-		for _, s := range sizesRaw {
-			n := int(s%1500) + 1
-			if total+n > 8192 {
-				break
-			}
-			sizes = append(sizes, n)
-			total += n
+		var total int64
+		var order []int
+		for i, s := range sizesRaw {
+			size := int(s % 9000)
+			total += int64(size)
+			h.PageUp(size, func() { order = append(order, i) })
 		}
-		if len(sizes) == 0 {
-			sizes = []int{100}
-			total = 100
-		}
-		completions := 0
-		h.AcquireReadBuffer(total, func(buf int) {
-			completions++
-			h.ReleaseReadBuffer(buf)
-		}, func(buf int) {
-			for i, n := range sizes {
-				h.DeviceWriteChunk(buf, n, i == len(sizes)-1)
-			}
-		})
 		eng.Run()
-		return completions == 1 &&
-			h.ToHostBytes() == int64(total) &&
-			h.Interrupts.Value() == 1 &&
-			h.FreeReadBuffers() == h.Config().ReadBuffers
+		for i, who := range order {
+			if who != i {
+				return false
+			}
+		}
+		return len(order) == len(sizesRaw) &&
+			h.ToHostBytes() == total &&
+			h.Interrupts.Value() == int64(len(sizesRaw)) &&
+			h.FreeReadBuffers() == cfg.ReadBuffers
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: buffer churn never loses or duplicates buffers.
+// Property: buffer churn never loses or mints a buffer: with any
+// number of pages asked for at any instants, the free count is the
+// configured count less the pages between their grant and their
+// completion.
 func TestBufferPoolConservationProperty(t *testing.T) {
-	prop := func(ops []bool) bool {
+	prop := func(ops []uint8) bool {
 		eng := sim.NewEngine()
 		h, err := New(eng, "q", DefaultConfig())
 		if err != nil {
 			return false
 		}
-		var held []int
-		for _, acquire := range ops {
-			if acquire {
-				h.AcquireReadBuffer(64, nil, func(buf int) {
-					held = append(held, buf)
-				})
-				eng.Run()
-			} else if len(held) > 0 {
-				buf := held[len(held)-1]
-				held = held[:len(held)-1]
-				h.ReleaseReadBuffer(buf)
-			}
+		asked, done := 0, 0
+		ok := true
+		for _, op := range ops {
+			eng.After(sim.Time(op)*sim.Microsecond, func() {
+				asked++
+				h.PageUp(64*int(op), func() { done++ })
+				inFlight := min(asked-done, h.Config().ReadBuffers)
+				ok = ok && h.FreeReadBuffers() == h.Config().ReadBuffers-inFlight
+			})
 		}
-		// No duplicates among held buffers.
-		seen := map[int]bool{}
-		for _, b := range held {
-			if seen[b] {
-				return false
-			}
-			seen[b] = true
-		}
-		return h.FreeReadBuffers() == h.Config().ReadBuffers-len(held)
+		eng.Run()
+		return ok && done == len(ops) && h.FreeReadBuffers() == h.Config().ReadBuffers
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -68,19 +68,10 @@ func newCardRig(t testing.TB, geo nand.Geometry) *cardRig {
 			t.Error(err)
 		}
 	})
-	var sp *flashserver.Splitter
-	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
-		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
-		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
-		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
-		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
-	})
+	_, srv, err := flashserver.New(eng, card, flashctl.DefaultConfig(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp = flashserver.NewSplitter(ctl)
-	srv := flashserver.NewServer(sp, "fs", 16)
 	return &cardRig{eng: eng, card: card, srv: srv, port: reclaim.Card(srv.NewIface("log"), geo)}
 }
 

@@ -73,16 +73,19 @@ func TestTokenPoolAcquireAllocFree(t *testing.T) {
 
 	// Warm the waiter ring past the depth the steady-state loop uses.
 	for i := 0; i < 8; i++ {
-		tp.Acquire(1, fn)
+		tp.Acquire(fn)
 	}
-	tp.Release(4) // drain the queued waiters
+	for i := 0; i < 8; i++ {
+		tp.Release() // serve the queued waiters, then refill the pool
+	}
 
 	if n := testing.AllocsPerRun(1000, func() {
-		tp.Acquire(4, fn) // grant
-		tp.Acquire(2, fn) // queue
-		tp.Acquire(2, fn) // queue
-		tp.Release(4)     // serve both
-		tp.Release(4)
+		for i := 0; i < 6; i++ {
+			tp.Acquire(fn) // four grants, two queued
+		}
+		for i := 0; i < 6; i++ {
+			tp.Release() // serve both, then refill
+		}
 	}); n != 0 {
 		t.Fatalf("TokenPool cycle allocates %.1f objects, want 0", n)
 	}

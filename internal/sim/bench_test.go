@@ -69,14 +69,14 @@ func BenchmarkPipeTransfer(b *testing.B) {
 // BenchmarkTokenPoolBlocked measures the acquire→block→release→serve
 // cycle on the waiter ring.
 func BenchmarkTokenPoolBlocked(b *testing.B) {
-	tp := NewTokenPool("credits", 4)
+	tp := NewTokenPool("credits", 1)
 	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp.Acquire(4, fn)
-		tp.Acquire(2, fn)
-		tp.Release(4)
-		tp.Release(2)
+		tp.Acquire(fn)
+		tp.Acquire(fn)
+		tp.Release()
+		tp.Release()
 	}
 }

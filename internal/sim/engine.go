@@ -17,9 +17,14 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
+
+// ErrUnfinished reports a run whose engine drained — no event left to
+// fire — before the run's completion fired: a callback was lost below.
+var ErrUnfinished = errors.New("sim: the engine drained before the run finished")
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64

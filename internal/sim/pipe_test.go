@@ -136,25 +136,28 @@ func TestPipeDeliveryOrderProperty(t *testing.T) {
 func TestTokenPoolFIFO(t *testing.T) {
 	tp := NewTokenPool("link", 2)
 	var order []int
-	tp.Acquire(1, func() { order = append(order, 1) })
-	tp.Acquire(1, func() { order = append(order, 2) })
-	tp.Acquire(2, func() { order = append(order, 3) }) // must wait for both
-	tp.Acquire(1, func() { order = append(order, 4) }) // queued behind 3: no overtake
-	if len(order) != 2 {
-		t.Fatalf("grants = %v, want first two immediate", order)
+	for i := 1; i <= 4; i++ {
+		tp.Acquire(func() { order = append(order, i) })
 	}
-	tp.Release(1)
 	if len(order) != 2 {
-		t.Fatalf("grant 3 fired early with 1 token: %v", order)
+		t.Fatalf("grants = %v, want the first two immediate", order)
 	}
-	tp.Release(1)
+	tp.Release()
 	if len(order) != 3 || order[2] != 3 {
-		t.Fatalf("grant 3 should fire after 2 releases: %v", order)
+		t.Fatalf("grant 3 should fire on the first release: %v", order)
 	}
-	tp.Release(2)
-	if len(order) != 4 || order[3] != 4 {
-		t.Fatalf("grant 4 missing: %v", order)
+	// A token released while nobody waits goes back to the pool, and a
+	// new acquirer queues behind the waiter it would otherwise overtake.
+	tp.Acquire(func() { order = append(order, 5) })
+	tp.Release()
+	tp.Release()
+	if len(order) != 5 || order[3] != 4 || order[4] != 5 {
+		t.Fatalf("grants 4 and 5 out of order: %v", order)
 	}
+	if tp.Available() != 0 {
+		t.Fatalf("available = %d, want 0", tp.Available())
+	}
+	tp.Release()
 	if tp.Available() != 1 {
 		t.Fatalf("available = %d, want 1", tp.Available())
 	}
@@ -167,28 +170,29 @@ func TestTokenPoolOverRelease(t *testing.T) {
 			t.Fatal("releasing above capacity did not panic")
 		}
 	}()
-	tp.Release(1)
+	tp.Release()
 }
 
-// Property: tokens are conserved under any acquire/release interleaving.
+// Property: tokens are conserved under any acquire/release interleaving:
+// every acquirer is granted once a token for it comes back, and the pool
+// holds what is neither granted nor returned.
 func TestTokenPoolConservationProperty(t *testing.T) {
-	prop := func(ops []uint8) bool {
+	prop := func(ops []bool) bool {
 		tp := NewTokenPool("p", 8)
-		outstanding := 0
-		granted := 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				tp.Acquire(int(op%3)+1, func() { granted++ })
-			} else if outstanding < granted {
-				// Return one previously granted token batch of size 1..3:
-				// track only count-1 releases for simplicity.
-				tp.Release(1)
-				outstanding++
+		acquired, granted, released := 0, 0, 0
+		for _, acquire := range ops {
+			if acquire {
+				tp.Acquire(func() { granted++ })
+				acquired++
+			} else if released < granted {
+				tp.Release()
+				released++
 			}
 		}
-		// Invariant: available never exceeds capacity (Release panics
-		// otherwise), and never negative.
-		return tp.Available() >= 0 && tp.Available() <= tp.cap
+		waiting := acquired - granted
+		return granted == min(acquired, released+tp.cap) &&
+			tp.Available() == tp.cap-(granted-released) &&
+			(waiting == 0 || tp.Available() == 0)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

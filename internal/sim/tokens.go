@@ -14,12 +14,7 @@ type TokenPool struct {
 	// FIFO of blocked acquirers. The ring's backing array is reused
 	// across block/unblock cycles so steady-state Acquire does not
 	// allocate.
-	waiters Queue[waiter]
-}
-
-type waiter struct {
-	n  int
-	fn func()
+	waiters Queue[func()]
 }
 
 // NewTokenPool creates a pool holding n tokens.
@@ -35,41 +30,31 @@ func NewTokenPool(name string, n int) *TokenPool {
 //simlint:allow unused (probe: the hostif tests check that every read buffer comes home)
 func (t *TokenPool) Available() int { return t.avail }
 
-// Acquire requests n tokens and invokes fn once they are granted.
-// Grants are strictly FIFO: a small request queued behind a large one
-// waits (no overtaking), which models in-order link-level credit flow.
-// fn runs synchronously if tokens are available and nobody is queued.
+// Acquire requests a token and invokes fn once it is granted, at once
+// if one is free and nobody is queued. Grants are strictly FIFO, which
+// models in-order link-level credit flow.
 //
 //simlint:hotpath
-func (t *TokenPool) Acquire(n int, fn func()) {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: token pool %q: negative acquire %d", t.name, n))
-	}
-	if n > t.cap {
-		panic(fmt.Sprintf("sim: token pool %q: acquire %d exceeds capacity %d", t.name, n, t.cap))
-	}
-	if t.waiters.Len() == 0 && t.avail >= n {
-		t.avail -= n
+func (t *TokenPool) Acquire(fn func()) {
+	if t.waiters.Len() == 0 && t.avail > 0 {
+		t.avail--
 		fn()
 		return
 	}
-	t.waiters.Push(waiter{n: n, fn: fn})
+	t.waiters.Push(fn)
 }
 
-// Release returns n tokens and serves queued waiters in order.
+// Release returns a token, granting it to the oldest waiter if there
+// is one.
 //
 //simlint:hotpath
-func (t *TokenPool) Release(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: token pool %q: negative release %d", t.name, n))
+func (t *TokenPool) Release() {
+	if t.avail == t.cap {
+		panic(fmt.Sprintf("sim: token pool %q: released above capacity %d", t.name, t.cap))
 	}
-	t.avail += n
-	if t.avail > t.cap {
-		panic(fmt.Sprintf("sim: token pool %q: released above capacity (%d > %d)", t.name, t.avail, t.cap))
+	if t.waiters.Len() > 0 {
+		t.waiters.Pop()()
+		return
 	}
-	for t.waiters.Len() > 0 && t.avail >= t.waiters.Front().n {
-		w := t.waiters.Pop()
-		t.avail -= w.n
-		w.fn()
-	}
+	t.avail++
 }
