@@ -158,7 +158,7 @@ func ftlWA(b *testing.B, overProvision float64) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := ftl.New(reclaim.Card(srv.NewIface("wa"), geo), geo, ftl.Config{
+	f, err := ftl.New(reclaim.Card(srv.NewIface(), geo), geo, ftl.Config{
 		OverProvision: overProvision, GCLowWater: 2, WearLevelEvery: 16,
 	})
 	if err != nil {
@@ -231,7 +231,7 @@ func BenchmarkAblationFTLvsRFS(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
 		// --- conventional FS on FTL ---------------------------------
 		eng, srv := buildStack(b, geo)
-		dev, err := ftl.New(reclaim.Card(srv.NewIface("dev"), geo), geo, ftl.DefaultConfig())
+		dev, err := ftl.New(reclaim.Card(srv.NewIface(), geo), geo, ftl.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func BenchmarkAblationFTLvsRFS(b *testing.B) {
 
 		// --- flash-aware RFS -----------------------------------------
 		eng2, srv2 := buildStack(b, geo)
-		rf, err := rfs.New(srv2.NewIface("rfs"), geo, rfs.DefaultConfig())
+		rf, err := rfs.New(srv2.NewIface(), geo, rfs.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -237,21 +238,26 @@ func run() int {
 		return 2
 	}
 
-	failed := false
+	return runExperiments(selected, *short, *jsonPath, os.Stdout, os.Stderr)
+}
+
+// runExperiments runs each experiment in turn, printing its output to
+// stdout, or its error to stderr under its id — the one place the id
+// is printed — and writing a JSON experiment's metrics to jsonPath when
+// one is given. It returns the exit code: 1 if an experiment failed.
+func runExperiments(selected []experiments.Experiment, short bool, jsonPath string, stdout, stderr io.Writer) int {
+	code := 0
 	for _, e := range selected {
-		out, v, err := e.Run(e.Params, *short)
-		if err == nil && e.JSON && *jsonPath != "" {
-			err = writeMetrics(*jsonPath, v)
+		out, v, err := e.Run(e.Params, short)
+		if err == nil && e.JSON && jsonPath != "" {
+			err = writeMetrics(jsonPath, v)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bluedbm-bench: %s: %v\n", e.ID, err)
-			failed = true
+			fmt.Fprintf(stderr, "bluedbm-bench: %s: %v\n", e.ID, err)
+			code = 1
 			continue
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
-	if failed {
-		return 1
-	}
-	return 0
+	return code
 }

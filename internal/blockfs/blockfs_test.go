@@ -34,7 +34,7 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := ftl.New(reclaim.Card(srv.NewIface("bfs"), geo), geo, ftl.DefaultConfig())
+	dev, err := ftl.New(reclaim.Card(srv.NewIface(), geo), geo, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

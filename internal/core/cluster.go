@@ -96,15 +96,18 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 		n.cards = append(n.cards, cd)
 		n.ctls = append(n.ctls, ctl)
 		n.servers = append(n.servers, srv)
-		n.ispIfaces = append(n.ispIfaces, srv.NewIface(name+"/isp"))
-		var reads, bulk readLanes
-		for l := range ISPReadLanes {
-			reads.ifaces = append(reads.ifaces, srv.NewIface(fmt.Sprintf("%s/isp-rd%d", name, l)))
-			bulk.ifaces = append(bulk.ifaces, srv.NewBulkIface(fmt.Sprintf("%s/isp-bulk%d", name, l)))
+		n.ispIfaces = append(n.ispIfaces, srv.NewIface())
+		var reads readLanes
+		for range ISPReadLanes {
+			reads.ifaces = append(reads.ifaces, srv.NewIface())
+		}
+		bulk := make([]*flashserver.Iface, p.Geometry.Buses*p.Geometry.ChipsPerBus)
+		for c := range bulk {
+			bulk[c] = srv.NewBulkIface()
 		}
 		n.ispReads, n.bulkReads = append(n.ispReads, reads), append(n.bulkReads, bulk)
-		n.hostIfaces = append(n.hostIfaces, srv.NewIface(name+"/host"))
-		n.bgIfaces = append(n.bgIfaces, srv.NewIface(name+"/host-bg"))
+		n.hostIfaces = append(n.hostIfaces, srv.NewIface())
+		n.bgIfaces = append(n.bgIfaces, srv.NewIface())
 	}
 
 	host, err := hostif.New(c.Eng, fmt.Sprintf("n%d", i), p.Host)

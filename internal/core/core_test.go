@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/flashctl"
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -514,6 +515,69 @@ func TestCheckNamesALeakedRecord(t *testing.T) {
 		tc.leak(c)
 		if err := c.Check(); err == nil || !strings.Contains(err.Error(), tc.pool+": 1 pooled records out") {
 			t.Errorf("one %s record leaked: Check = %v, want an error naming the pool", tc.pool, err)
+		}
+	}
+}
+
+// TestAdmittedReadsPassAnEraseOnAnotherChip: an admitted read waits at
+// its own chip only. With one chip of card 0 held by a 3 ms erase and
+// admitted reads of that chip queued first, admitted reads of every
+// other chip of the card — local, and served for a remote node — finish
+// in a read's time, not behind the erase; the held chip's reads finish
+// after it.
+func TestAdmittedReadsPassAnEraseOnAnotherChip(t *testing.T) {
+	c := mkCluster(t, 2)
+	g := c.Params.Geometry
+	for node := range 2 {
+		if err := c.SeedLinear(node, g.Buses*g.ChipsPerBus*c.Params.CardsPerNode*g.PagesPerBlock, func(idx int, page []byte) { copy(page, fill(byte(idx), len(page))) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run()
+	n0, n1 := c.Node(0), c.Node(1)
+	held := PageAddr{Node: 0, Card: 0}
+	erase := c.Params.FlashTiming.Erase
+	start := c.Eng.Now()
+	var eraseErr error
+	n0.NewIface(0, "gc").Erase(nand.Addr{Block: g.BlocksPerChip - 1}, func(err error) { eraseErr = err })
+	type result struct {
+		a   PageAddr
+		lat sim.Time
+		err error
+	}
+	var got []result
+	read := func(from *Node, a PageAddr) {
+		from.ISPReadAdmitted(a, func(_ []byte, err error) { got = append(got, result{a, c.Eng.Now() - start, err}) })
+	}
+	// The held chip's reads first, one for each lane of the old
+	// round-robin, then one read of every other chip, local and remote.
+	for p := range 2 * ISPReadLanes {
+		a := held
+		a.Addr.Page = p
+		read(n0, a)
+	}
+	for bus := 1; bus < g.Buses; bus++ {
+		a := held
+		a.Addr.Bus = bus
+		read(n0, a)
+		a.Addr.Page = 1
+		read(n1, a)
+	}
+	c.Run()
+	if eraseErr != nil {
+		t.Fatal(eraseErr)
+	}
+	if want := 2*ISPReadLanes + 2*(g.Buses-1); len(got) != want {
+		t.Fatalf("%d of %d reads completed", len(got), want)
+	}
+	for _, r := range got {
+		switch {
+		case r.err != nil:
+			t.Errorf("read %v: %v", r.a, r.err)
+		case r.a.Addr.Bus == 0 && r.lat < erase:
+			t.Errorf("read %v of the erasing chip finished after %v, before the %v erase", r.a, r.lat, erase)
+		case r.a.Addr.Bus != 0 && r.lat > erase/10:
+			t.Errorf("read %v of an idle chip finished after %v: it waited behind the erase of another chip", r.a, r.lat)
 		}
 	}
 }

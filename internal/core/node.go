@@ -26,14 +26,15 @@ const (
 )
 
 // ISPReadLanes is the number of parallel read channels each card
-// offers its in-store processors. A flashserver interface delivers
-// responses in FIFO request order, so one shared channel would
-// head-of-line-block every ISP read behind whichever chip happens to
-// be busiest; striping reads over independent channels models the
-// tag-based flash controller completing reads out of order — the
-// paper's "4 read commands can saturate a single flash bus" sizing
-// (§7.3). Writes and erases keep the single in-order channel: NAND
-// programs blocks strictly in page order.
+// offers its ordinary in-store reads (ReadLocal, ISPReadDirect and the
+// host reads a node serves for a remote one). A flashserver interface
+// delivers responses in FIFO request order, so one shared channel
+// would head-of-line-block every ISP read behind whichever chip happens
+// to be busiest; striping reads round-robin over independent channels
+// models the tag-based flash controller completing reads out of order.
+// Admitted reads (ISPReadAdmitted) do not use them: each chip has a
+// bulk lane of its own. Writes and erases keep the single in-order
+// channel: NAND programs blocks strictly in page order.
 const ISPReadLanes = 4
 
 // AccessPath selects how a host read fetches a remote page (paper
@@ -151,12 +152,15 @@ type Node struct {
 	// interface would head-of-line-block every read behind it.
 	// ispReads stripe ISP reads over ISPReadLanes channels per card
 	// (ispIfaces keep the single in-order channel for ISP writes and
-	// erases); bulkReads are a second set per card, on bulk interfaces,
-	// for the reads the scheduler admits at class Accel.
-	ispIfaces           []*flashserver.Iface
-	ispReads, bulkReads []readLanes
-	hostIfaces          []*flashserver.Iface
-	bgIfaces            []*flashserver.Iface
+	// erases); bulkReads hold one bulk interface per chip of each card
+	// (bus-major), for the reads the scheduler admits at class Accel:
+	// an admitted read that waits at its chip holds back only reads of
+	// that chip, which the chip's FIFO bulk queue holds back anyway.
+	ispIfaces  []*flashserver.Iface
+	ispReads   []readLanes
+	bulkReads  [][]*flashserver.Iface
+	hostIfaces []*flashserver.Iface
+	bgIfaces   []*flashserver.Iface
 
 	Host *hostif.HostIf
 	CPU  *hostmodel.CPU
@@ -194,9 +198,10 @@ func (n *Node) Controller(c int) *flashctl.Controller { return n.ctls[c] }
 func (n *Node) Server(c int) *flashserver.Server { return n.servers[c] }
 
 // NewIface creates a fresh in-order flash interface on card c, for
-// in-store processors that want private FIFO channels.
-func (n *Node) NewIface(c int, name string) *flashserver.Iface {
-	return n.servers[c].NewIface(name)
+// in-store processors that want private FIFO channels. The name is the
+// caller's label; the interface does not keep it.
+func (n *Node) NewIface(c int, _ string) *flashserver.Iface {
+	return n.servers[c].NewIface()
 }
 
 // NetNode exposes the node's fabric personality so applications can
@@ -211,7 +216,7 @@ func (n *Node) NetNode() *fabric.Node { return n.netNode }
 // complete out of order instead of convoying behind one busy chip;
 // callers needing a private FIFO channel use NewIface.
 func (n *Node) ReadLocal(card int, addr nand.Addr, cb func(data []byte, err error)) {
-	n.ispReadIface(card, false).ReadPhysical(addr, cb)
+	n.readIface(card, addr, false).ReadPhysical(addr, cb)
 }
 
 // readLanes is one card's set of ISP read channels, taken round-robin.
@@ -220,15 +225,18 @@ type readLanes struct {
 	next   int
 }
 
-// ispReadIface picks the next of card's ISP read lanes, round-robin:
-// of its bulk lanes for an admitted read.
+// readIface picks the interface an ISP read of addr on card issues on:
+// for an admitted read, the bulk lane of addr's chip; else the next of
+// the card's ISP read lanes, round-robin. An address off the card's
+// chips takes the nearest bulk lane, and the card refuses it there.
 //
 //simlint:hotpath
-func (n *Node) ispReadIface(card int, bulk bool) *flashserver.Iface {
-	l := &n.ispReads[card]
+func (n *Node) readIface(card int, addr nand.Addr, bulk bool) *flashserver.Iface {
 	if bulk {
-		l = &n.bulkReads[card]
+		lanes := n.bulkReads[card]
+		return lanes[max(0, min(addr.Bus*n.cluster.Params.Geometry.ChipsPerBus+addr.Chip, len(lanes)-1))]
 	}
+	l := &n.ispReads[card]
 	f := l.ifaces[l.next%len(l.ifaces)]
 	l.next++
 	return f
@@ -260,18 +268,19 @@ func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
 }
 
 // ISPReadAdmitted is ISPReadDirect for a read the scheduler has
-// admitted at class Accel: it issues on the card's bulk lanes, local or
-// remote, so at its chip it waits behind ordinary commands up to the
-// card's starvation bound (nand.Card.ReadPageBulk). Only the Accel
-// dispatcher calls it.
+// admitted at class Accel: it issues on the bulk lane of its page's
+// chip, local or remote, so at its chip it waits behind ordinary
+// commands up to the card's starvation bound (nand.Card.ReadPageBulk)
+// and holds back no read of another chip. Only the Accel dispatcher
+// calls it.
 func (n *Node) ISPReadAdmitted(a PageAddr, cb func(data []byte, err error)) {
 	n.ispRead(a, true, cb)
 }
 
-// ispRead is ISPReadDirect, on the bulk lanes when bulk.
+// ispRead is ISPReadDirect, on the chip's bulk lane when bulk.
 func (n *Node) ispRead(a PageAddr, bulk bool, cb func(data []byte, err error)) {
 	if a.Node == n.id {
-		n.ispReadIface(a.Card, bulk).ReadPhysical(a.Addr, cb)
+		n.readIface(a.Card, a.Addr, bulk).ReadPhysical(a.Addr, cb)
 		return
 	}
 	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, bulk: bulk}, a.Node, cb)
@@ -342,8 +351,8 @@ func (n *Node) serveRemote(op *remoteOp) {
 		iface := n.serveIface(op)
 		if !op.bg {
 			// Remote reads stripe over the card's ISP read lanes like
-			// local ISP reads do; an admitted one over its bulk lanes.
-			iface = n.ispReadIface(op.card, op.bulk)
+			// local ISP reads do; an admitted one takes its chip's bulk lane.
+			iface = n.readIface(op.card, op.addr, op.bulk)
 		}
 		iface.ReadPhysical(op.addr, op.onRead)
 	}

@@ -102,6 +102,18 @@ func (p Params) Validate() error {
 // PageSize returns the cluster's page size.
 func (p Params) PageSize() int { return p.Geometry.PageSize }
 
+// readsPerChip is the flash read depth a scan keeps per chip: "4 read
+// commands saturate a flash bus" (paper §7.3).
+const readsPerChip = 4
+
+// ReadDepth returns one node's flash read depth, readsPerChip per chip
+// of its cards: the reads an in-store engine or a host-mediated scan
+// keeps in flight (ispvol), and the scheduler's Accel token budget
+// (sched), which holds that many admitted reads per node.
+func (p Params) ReadDepth() int {
+	return readsPerChip * p.CardsPerNode * p.Geometry.Buses * p.Geometry.ChipsPerBus
+}
+
 // NodeCapacity returns bytes of flash per node.
 func (p Params) NodeCapacity() int64 {
 	return int64(p.CardsPerNode) * p.Geometry.TotalBytes()

@@ -91,15 +91,6 @@ func defaultApps(short bool) appsConfig {
 		FTL:         ftl.DefaultConfig(),
 		ISP:         ispvol.DefaultConfig(),
 	}
-	// The app engines refire continuously (short queries, instant
-	// relaunch), so at the default half-window accel budget they would
-	// hold 8 of 16 device slots at full duty cycle and realtime tail
-	// latency pays ~1.2x base. A 6-slot budget keeps the foreground
-	// p99 within ~10% of the app-free baseline — tighter than the
-	// host-mediated arm manages — while the distributed arms still
-	// clearly outrun their twins: the accel-share knob doing exactly
-	// the tenant-isolation job it exists for.
-	cfg.Sched.AccelShare = 0.375
 	if short {
 		cfg.Requests = 192
 	}

@@ -61,7 +61,7 @@ func fig11(p core.Params) (Rows, error) {
 		}
 		eng.Run()
 		if received != msgs {
-			return Rows{}, fmt.Errorf("fig11: delivered %d of %d at %d hops", received, msgs, hops)
+			return Rows{}, fmt.Errorf("delivered %d of %d at %d hops", received, msgs, hops)
 		}
 		elapsed := (eng.Now() - bwStart).Seconds()
 		out.add(fmt.Sprint(hops), float64(msgs*size*8)/elapsed/1e9, lat.Micros())

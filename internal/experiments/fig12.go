@@ -60,7 +60,7 @@ func fig12(p core.Params) (Rows, error) {
 		c.Node(0).HostRead(a, pc.path, &tr, func(_ []byte, err error) { rerr = err })
 		c.Run()
 		if rerr != nil {
-			return Rows{}, fmt.Errorf("fig12 %s: %w", pc.name, rerr)
+			return Rows{}, fmt.Errorf("%s: %w", pc.name, rerr)
 		}
 		out.add(pc.name, tr.Software.Micros(), tr.Storage.Micros(), tr.Transfer.Micros(), tr.Network.Micros(), tr.Total.Micros())
 	}

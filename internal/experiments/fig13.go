@@ -35,7 +35,7 @@ func fig13(p core.Params) (Rows, error) {
 	} {
 		bw, err := fig13ISP(p, sc.remotes, sc.links)
 		if err != nil {
-			return Rows{}, fmt.Errorf("fig13 %s: %w", sc.name, err)
+			return Rows{}, fmt.Errorf("%s: %w", sc.name, err)
 		}
 		out.add(sc.name, bw)
 	}

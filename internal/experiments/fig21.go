@@ -59,7 +59,7 @@ func fig21(p core.Params) (Rows, error) {
 
 	// All three methods must find the identical match set.
 	if !slices.Equal(sw.Matches, isp.Matches) || !slices.Equal(hw.Matches, isp.Matches) {
-		return Rows{}, fmt.Errorf("fig21: match sets diverge: isp=%d ssd=%d hdd=%d matches",
+		return Rows{}, fmt.Errorf("match sets diverge: isp=%d ssd=%d hdd=%d matches",
 			len(isp.Matches), len(sw.Matches), len(hw.Matches))
 	}
 	out := Rows{Title: "Figure 21: string search bandwidth and CPU utilization", Key: "Method",

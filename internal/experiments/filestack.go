@@ -125,6 +125,7 @@ type fileArm struct {
 	Queries         int     `json:"queries"`
 	QueryBytes      int64   `json:"query_bytes"`
 	QueryMBps       float64 `json:"query_mbps"`
+	FlashMBps       float64 `json:"flash_mbps,omitempty"` // what the chips read; see chipBytes
 	MatchesPerQuery int64   `json:"matches_per_query"`
 }
 
@@ -289,6 +290,7 @@ func runRFSArm(p core.Params, cfg fsConfig, mode int) (fileArm, error) {
 		return fileArm{}, err
 	}
 	var tally searchTally
+	flash := chipBytes(st.C)
 	w, err := measure(st, fileChurn(cfg, pageFuncs{write: churnF.At(sched.Batch).WritePage},
 		pageFuncs{read: churnF.At(sched.Realtime).ReadPage}),
 		cfg.Depth, cfg.Overwrites, func(co *coRunner) {
@@ -308,7 +310,8 @@ func runRFSArm(p core.Params, cfg fsConfig, mode int) (fileArm, error) {
 	arm := fileArm{
 		Sched: w.Sched, CleanMoves: w.FSCleanMoves, MappingEntries: fs.LiveMappings(),
 		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
-		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
+		QueryMBps: mbps(tally.bytes, w.Sched.ElapsedMs),
+		FlashMBps: mbps(chipBytes(st.C)-flash, w.Sched.ElapsedMs),
 	}
 	arm.WriteAmp = ratio(float64(w.FSWritten+w.FSCleanMoves), float64(w.FSWritten))
 	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
@@ -353,11 +356,11 @@ func formatFileStack(r fsResult) string {
 		r.Blockfs.WriteAmp, r.RFS.WriteAmp, r.WriteAmpRatioX, r.MappingRatioX,
 		r.RFSISP.QueryMBps, r.RFSHostMed.QueryMBps, r.ScanSpeedupX, r.P99ISPX),
 		Key: "Arm", Cols: []Col{{"WA", "%.2f"}, {"map entries", "%.0f"}, {"rt p50 us", "%.1f"}, {"rt p99 us", "%.1f"},
-			{"queries", "%.0f"}, {"scan MB/s", "%.1f"}}}
+			{"queries", "%.0f"}, {"scan MB/s", "%.1f"}, {"flash MB/s", "%.1f"}}}
 	names := []string{"blockfs on FTL", "cluster rfs", "rfs + isp scan", "rfs + host scan"}
 	for i, a := range []fileArm{r.Blockfs, r.RFS, r.RFSISP, r.RFSHostMed} {
 		out.add(names[i], a.WriteAmp, float64(a.MappingEntries), a.RealtimeP50Us, a.RealtimeP99Us,
-			float64(a.Queries), a.QueryMBps)
+			float64(a.Queries), a.QueryMBps, a.FlashMBps)
 	}
 	return out.String()
 }

@@ -47,10 +47,10 @@ func volumeSpec(p core.Params, nodes int, scfg sched.Config, fcfg ftl.Config) wo
 
 // ownedWindow is the scheduler of the volume harnesses (gc, isp, fs,
 // apps, fault, cache). The dispatcher must own the device window for
-// class priority and the token budgets (GC, accel, rebuild) to act:
-// with a window wider than the offered load, contention moves into the
-// per-card FIFOs where class is invisible. 16 slots per node keep the
-// admission queue the contention point.
+// class priority and the GC token budget to act (Accel reads take no
+// slot of it): with a window wider than the offered load, contention
+// moves into the per-card FIFOs where class is invisible. 16 slots per
+// node keep the admission queue the contention point.
 func ownedWindow() sched.Config {
 	cfg := sched.DefaultConfig()
 	cfg.MaxInflight = 16
@@ -263,9 +263,23 @@ type searchTally struct {
 	bytes, matches int64 // bytes scanned in total; matches per query
 }
 
-// mbps is scan throughput over a window of elapsedMs.
-func (t searchTally) mbps(elapsedMs float64) float64 {
-	return ratio(float64(t.bytes), elapsedMs/1e3) / 1e6
+// mbps is the throughput of bytes moved over a window of elapsedMs.
+func mbps(bytes int64, elapsedMs float64) float64 {
+	return ratio(float64(bytes), elapsedMs/1e3) / 1e6
+}
+
+// chipBytes is the page bytes every card of c has read so far. Its
+// difference over a query arm's window is the arm's flash traffic —
+// host, query and relocation reads together — and flash_mbps, the
+// denominator of its query_mbps, is that over the window.
+func chipBytes(c *core.Cluster) int64 {
+	var n int64
+	for i := range c.Nodes() {
+		for card := range c.Params.CardsPerNode {
+			n += c.Node(i).Card(card).Reads.Value()
+		}
+	}
+	return n * int64(c.Params.PageSize())
 }
 
 // searchLoad co-runs `streams` chains of string-search queries over

@@ -67,9 +67,9 @@ func defaultISPContention(short bool) ispConfig {
 		ISP:        ispvol.DefaultConfig(),
 	}
 	// Engines keep the hardware's read depth in flight. Under Accel
-	// admission the token budget (half the 16-slot window) caps them;
-	// under Bypass the whole depth hits the chips raw — the full blast
-	// radius of the bug the scheduler fix contains.
+	// admission it waits at the chips behind host reads; under Bypass
+	// it hits the chips at ordinary priority — the full blast radius of
+	// the bug the scheduler fix contains.
 	if short {
 		cfg.Requests = 192
 		cfg.QueryPages = 1024
@@ -120,6 +120,7 @@ type ispArm struct {
 	Queries         int     `json:"queries"`
 	QueryBytes      int64   `json:"query_bytes"`
 	QueryMBps       float64 `json:"query_mbps"`
+	FlashMBps       float64 `json:"flash_mbps,omitempty"` // what the chips read; see chipBytes
 	MatchesPerQuery int64   `json:"matches_per_query"`
 	RealtimeP50Us   float64 `json:"realtime_p50_us"`
 	RealtimeP99Us   float64 `json:"realtime_p99_us"`
@@ -168,6 +169,7 @@ func runISPArm(p core.Params, cfg ispConfig, mode int) (ispArm, error) {
 		return ispArm{}, err
 	}
 	var tally searchTally
+	flash := chipBytes(st.C)
 	w, err := measure(st, specs, cfg.Depth, cfg.Requests, func(co *coRunner) {
 		if mode != armBase {
 			searchLoad(co, st.ISP, ispvol.Range(0, cfg.QueryPages), needle, placement(mode == armHostMediated), cfg.QueryStreams, &tally)
@@ -182,7 +184,8 @@ func runISPArm(p core.Params, cfg ispConfig, mode int) (ispArm, error) {
 	arm := ispArm{
 		Loop: w.Run.Loop, Sched: w.Sched,
 		Queries: tally.queries, QueryBytes: tally.bytes, MatchesPerQuery: tally.matches,
-		QueryMBps: tally.mbps(w.Sched.ElapsedMs),
+		QueryMBps: mbps(tally.bytes, w.Sched.ElapsedMs),
+		FlashMBps: mbps(chipBytes(st.C)-flash, w.Sched.ElapsedMs),
 	}
 	arm.RealtimeP50Us, arm.RealtimeP99Us = classLatency(w.Sched, sched.Realtime)
 	return arm, nil
@@ -222,12 +225,12 @@ func formatISPContention(r ispResult) string {
 		r.ISPF.QueryMBps, r.HostMediated.QueryMBps, r.QuerySpeedupX,
 		r.P99ISPFX, r.P99BypassX),
 		Key: "Arm", Cols: []Col{{"rt p50 us", "%.1f"}, {"rt p99 us", "%.1f"}, {"p99 vs base", "%.2f"},
-			{"queries", "%.0f"}, {"query MB/s", "%.1f"}, {"host Kops/s", "%.1f"}}}
+			{"queries", "%.0f"}, {"query MB/s", "%.1f"}, {"flash MB/s", "%.1f"}, {"host Kops/s", "%.1f"}}}
 	names := []string{"base (no ISP)", "bypass (bug)", "isp-f", "host-mediated"}
 	vsBase := []float64{1, r.P99BypassX, r.P99ISPFX, r.P99HostMedX}
 	for i, a := range []ispArm{r.Base, r.Bypass, r.ISPF, r.HostMediated} {
 		out.add(names[i], a.RealtimeP50Us, a.RealtimeP99Us, vsBase[i],
-			float64(a.Queries), a.QueryMBps, hostOpsPerSec(a.Sched)/1e3)
+			float64(a.Queries), a.QueryMBps, a.FlashMBps, hostOpsPerSec(a.Sched)/1e3)
 	}
 	return out.String()
 }

@@ -40,7 +40,7 @@ func allocBytesPerOp(n int, op func(i int)) float64 {
 // which imports flashserver.
 func TestPageOpsAllocateOnePage(t *testing.T) {
 	eng, card, srv := flashserver.Stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	budget := 1.02 * float64(geo.PageSize) // an 8 KiB image, no tail rounding it up
 	chips := geo.Buses * geo.ChipsPerBus

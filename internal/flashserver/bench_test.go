@@ -35,7 +35,7 @@ func BenchmarkReadPhysical(b *testing.B) {
 
 func benchReadPhysical(b *testing.B, ber float64) {
 	eng, card, srv := stackWith(b, ber, 8, nil)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	const pages = 64
 	ack := func(err error) {
@@ -68,7 +68,7 @@ func benchReadPhysical(b *testing.B, ber float64) {
 // sealed page's are computed only where a read draws flips.
 func BenchmarkWritePhysical(b *testing.B) {
 	eng, card, srv := stack(b, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	chips := geo.Buses * geo.ChipsPerBus
 	ack := func(err error) {

@@ -87,12 +87,16 @@ type pageOp struct {
 // regardless of how the flash reorders them internally.
 type Iface struct {
 	srv  *Server
-	name string
 	bulk bool // reads issue at bulk priority (NewBulkIface)
 
 	fifo    sim.Queue[*pageOp] // every undelivered op, in request order
 	waiting sim.Queue[*pageOp] // the tail of fifo still waiting for a credit
 	credits int
+	// draining is set while drainInOrder delivers: a completion that
+	// re-enters it (a passed-on credit issued a read the card refused
+	// at once, or a callback submitted one) only marks its op done, and
+	// the outer loop delivers it in request order.
+	draining bool
 }
 
 // Drained reports page ops still out of the server's pool.
@@ -151,18 +155,16 @@ func (s *Server) ATU() *ATU { return s.atu }
 // NewIface creates an in-order interface. The paper makes the number
 // of interfaces a design-time parameter; here it is just a
 // constructor call.
-func (s *Server) NewIface(name string) *Iface {
-	return &Iface{srv: s, name: name, credits: s.queueDepth}
+func (s *Server) NewIface() *Iface {
+	return &Iface{srv: s, credits: s.queueDepth}
 }
 
 // NewBulkIface creates an in-order interface whose reads may wait: the
 // card runs them at bulk priority, behind the ordinary commands at
 // their chip up to a bound (nand.Card.ReadPageBulk). Writes and erases
 // on it are ordinary.
-func (s *Server) NewBulkIface(name string) *Iface {
-	f := s.NewIface(name)
-	f.bulk = true
-	return f
+func (s *Server) NewBulkIface() *Iface {
+	return &Iface{srv: s, bulk: true, credits: s.queueDepth}
 }
 
 // release frees the controller tag of a command the controller has
@@ -407,10 +409,15 @@ func (f *Iface) releaseCredit() {
 	f.credits++
 }
 
-// drainInOrder delivers completed ops from the FIFO head.
+// drainInOrder delivers completed ops from the FIFO head. It does not
+// re-enter itself (see draining).
 //
 //simlint:hotpath
 func (f *Iface) drainInOrder() {
+	if f.draining {
+		return
+	}
+	f.draining = true
 	for f.fifo.Len() > 0 && f.fifo.Front().done {
 		op := f.fifo.Pop()
 		credited, onRead, onAck, buf, err := op.credited, op.onRead, op.onAck, op.buf, op.err
@@ -425,4 +432,5 @@ func (f *Iface) drainInOrder() {
 			onAck(err)
 		}
 	}
+	f.draining = false
 }

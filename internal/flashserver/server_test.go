@@ -110,7 +110,7 @@ func pattern(n int, seed byte) []byte {
 
 func TestServerWriteReadInOrder(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 
 	// Write 8 pages, then read them back; completions must arrive in
 	// request order even though buses reorder internally.
@@ -160,7 +160,7 @@ func TestServerReordersAcrossBuses(t *testing.T) {
 	// A slow-bus page requested first must still complete first at the
 	// interface, even when a fast page finishes earlier at the flash.
 	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 
 	// Write one page on each bus; then queue 3 reads to bus 0 (making
 	// it busy) followed by the probe pattern.
@@ -188,8 +188,8 @@ func TestServerReordersAcrossBuses(t *testing.T) {
 
 func TestTwoIfacesIndependentOrder(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	a := srv.NewIface("a")
-	b := srv.NewIface("b")
+	a := srv.NewIface()
+	b := srv.NewIface()
 	for bus := 0; bus < 2; bus++ {
 		a.WritePhysical(nand.Addr{Bus: bus, Chip: 0, Block: 0, Page: 0}, pattern(8192, byte(bus)), func(err error) {
 			if err != nil {
@@ -226,7 +226,7 @@ func TestTwoIfacesIndependentOrder(t *testing.T) {
 
 func TestATUFileReads(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 
 	// "File": 4 pages scattered across buses/chips, deliberately not in
 	// layout order.
@@ -268,7 +268,7 @@ func TestATUFileReads(t *testing.T) {
 
 func TestATUErrors(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 
 	var gotErr error
 	iface.ReadFile(7, 0, func(_ []byte, err error) { gotErr = err })
@@ -287,7 +287,7 @@ func TestATUErrors(t *testing.T) {
 
 func TestQueueDepthBackpressure(t *testing.T) {
 	eng, card, srv := stack(t, 2) // shallow queue
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 	for p := 0; p < 16; p++ {
 		iface.WritePhysical(nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: p}, pattern(8192, byte(p)), func(err error) {
 			if err != nil {
@@ -315,7 +315,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 
 func TestServerEraseAndRewrite(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface("if0")
+	iface := srv.NewIface()
 	a := nand.Addr{Bus: 0, Chip: 0, Block: 1, Page: 0}
 	iface.WritePhysical(a, pattern(8192, 1), func(err error) {
 		if err != nil {

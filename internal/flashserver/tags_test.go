@@ -19,6 +19,28 @@ import (
 // freed tag goes to the oldest waiting op before the completion that
 // freed it is delivered, and each interface delivers in request order.
 func TestTagsUnderExhaustion(t *testing.T) {
+	events, digest := exhaustTags(t, false)
+	const wantEvents, wantDigest = 704, uint64(0x99a863d0613ba0c9)
+	if events != wantEvents || digest != wantDigest {
+		t.Fatalf("%d controller events, digest %#x; want %d, %#x", events, digest, wantEvents, wantDigest)
+	}
+}
+
+// TestRefusedReadsKeepRequestOrder is the same traffic with reads of a
+// never-programmed block mixed into interface c. The card refuses each
+// at once when its chip is idle, so its completion arrives while the
+// interface is delivering the op whose credit issued it; c must still
+// deliver in request order.
+func TestRefusedReadsKeepRequestOrder(t *testing.T) {
+	exhaustTags(t, true)
+}
+
+// exhaustTags runs TestTagsUnderExhaustion's traffic, with reads of an
+// unwritten block on c when refused, checks request order, tag
+// exhaustion and the drain, and returns the number of controller events
+// and the trace's digest.
+func exhaustTags(t *testing.T, refused bool) (int, uint64) {
+	t.Helper()
 	h := fnv.New64a()
 	events, maxTag := 0, -1
 	eng, ctl, srv := observed(t, 48, func(ev string, tag int) {
@@ -32,7 +54,7 @@ func TestTagsUnderExhaustion(t *testing.T) {
 	chip := func(i int) (int, int) { return i % geo.Buses, i / geo.Buses % geo.ChipsPerBus }
 
 	// Block 0 of every chip holds data to read back.
-	setup := srv.NewIface("setup")
+	setup := srv.NewIface()
 	for p := 0; p < geo.PagesPerBlock; p++ {
 		for c := 0; c < chips; c++ {
 			bus, ch := chip(c)
@@ -47,7 +69,7 @@ func TestTagsUnderExhaustion(t *testing.T) {
 	h.Reset()
 	events, maxTag = 0, -1
 
-	ifs := []*Iface{srv.NewIface("a"), srv.NewIface("b"), srv.NewIface("c")}
+	ifs := []*Iface{srv.NewIface(), srv.NewIface(), srv.NewIface()}
 	issued := make([]int, len(ifs))
 	var delivered [3][]int
 	var deliver func(f, seq int, failed bool)
@@ -84,6 +106,9 @@ func TestTagsUnderExhaustion(t *testing.T) {
 		if i%3 == 0 {
 			read(ifs, issued, 2, nand.Addr{Bus: bus, Chip: ch, Page: geo.PagesPerBlock - 1 - i/chips%geo.PagesPerBlock}, deliver)
 		}
+		if refused && i%3 == 1 {
+			read(ifs, issued, 2, nand.Addr{Bus: bus, Chip: ch, Block: 2, Page: i / chips % geo.PagesPerBlock}, deliver)
+		}
 	}
 	eng.Run()
 
@@ -108,10 +133,7 @@ func TestTagsUnderExhaustion(t *testing.T) {
 	if out := srv.pool.Out(); out != 0 {
 		t.Fatalf("%d page ops out of the pool at the end", out)
 	}
-	const wantEvents, wantDigest = 704, uint64(0x99a863d0613ba0c9)
-	if events != wantEvents || h.Sum64() != wantDigest {
-		t.Fatalf("%d requests: %d controller events, digest %#x; want %d, %#x", total, events, h.Sum64(), wantEvents, wantDigest)
-	}
+	return events, h.Sum64()
 }
 
 // read issues a read on ifs[f] whose delivery is recorded under the

@@ -51,7 +51,7 @@ func readPage(t *testing.T, eng *sim.Engine, f *Iface, a nand.Addr) []byte {
 // of the page, concurrent or later, delivers that same image.
 func TestCleanReadDeliversTheStoredImage(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	a := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	want := pattern(8192, 0x5a)
 	writePage(t, eng, f, a, want)
@@ -85,7 +85,7 @@ func TestCleanReadDeliversTheStoredImage(t *testing.T) {
 // ErrUncorrectable and is left as it was.
 func TestBadStoredImageIsCorrectedInACopy(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	codec, err := ecc.NewPageCodec(8192)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSealDoesNotOutliveTheImage(t *testing.T) {
 	for _, drop := range []string{"erase", "Replace"} {
 		t.Run(drop, func(t *testing.T) {
 			eng, card, srv := stack(t, 8)
-			f := srv.NewIface("if0")
+			f := srv.NewIface()
 			a := nand.Addr{Bus: 1, Block: 4}
 			want := pattern(8192, 0x6c)
 			writePage(t, eng, f, a, want)
@@ -203,7 +203,7 @@ func TestFlippedReadsAcrossTheLifecycle(t *testing.T) {
 		for _, drop := range []string{"erase", "Replace"} {
 			t.Run(src+"/"+drop, func(t *testing.T) {
 				eng, card, srv := stackWith(t, 1e-4, 8, nil)
-				f := srv.NewIface("if0")
+				f := srv.NewIface()
 				geo := card.Geometry()
 				want := pattern(geo.PageSize, 0x2d)
 				from, to := nand.Addr{Block: 1}, nand.Addr{Bus: 1, Block: 2}
@@ -281,7 +281,7 @@ func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
 	for _, when := range []string{"while the card programs it", "before the controller takes it"} {
 		t.Run(when, func(t *testing.T) {
 			eng, card, srv := stack(t, 1)
-			f := srv.NewIface("if0")
+			f := srv.NewIface()
 			geo := card.Geometry()
 			a := nand.Addr{Bus: 1, Chip: 1, Block: 5}
 			img := geo.PageImage(pattern(geo.PageSize, 0x17))
@@ -311,7 +311,7 @@ func TestScribbleAfterHandOffTripsTheProgram(t *testing.T) {
 // operation, instead of surfacing layers up as wrong bytes.
 func TestScribbledReadResultTripsTheGuard(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	a, other := nand.Addr{Bus: 1, Chip: 1, Block: 2, Page: 0}, nand.Addr{}
 	writePage(t, eng, f, a, pattern(8192, 1))
 	writePage(t, eng, f, other, pattern(8192, 2))
@@ -338,7 +338,7 @@ func TestScribbledReadResultTripsTheGuard(t *testing.T) {
 // wait for a queue-depth credit and is issued much later.
 func TestWritePhysicalSnapshotsBeforeReturning(t *testing.T) {
 	eng, _, srv := stack(t, 1) // one credit: the later writes wait
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	buf := make([]byte, 8192)
 	for p := 0; p < 4; p++ {
 		copy(buf, pattern(8192, byte(p)))
@@ -365,7 +365,7 @@ func TestWritePhysicalSnapshotsBeforeReturning(t *testing.T) {
 // caller's: it may scribble on all of it the moment the call returns.
 func TestWritePhysicalNeverAdopts(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	// One big buffer cut into pages: every page but the last has the
 	// capacity of an image.
@@ -409,7 +409,7 @@ func TestWritePhysicalNeverAdopts(t *testing.T) {
 // copies it, and nothing adds check bytes to it.
 func TestWriteImageStoresTheBuffer(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	want := pattern(geo.PageSize, 0x21)
 	img := geo.PageImage(want)
@@ -434,7 +434,7 @@ func TestWriteImageStoresTheBuffer(t *testing.T) {
 // FTL's and the file system's bad-block retry.
 func TestFailedWriteReturnsTheImage(t *testing.T) {
 	eng, card, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	want := pattern(geo.PageSize, 0x42)
 	img := geo.PageImage(want)
@@ -470,7 +470,7 @@ func TestFailedWriteReturnsTheImage(t *testing.T) {
 // handing it down fails its program: TestScribbleAfterHandOffTripsTheProgram.)
 func TestWriteImageRejectsNonImages(t *testing.T) {
 	eng, card, srv := stack(t, 2)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	geo := card.Geometry()
 	var order []string
 	ok := func(name string) func(error) {
@@ -510,7 +510,7 @@ func TestWriteImageRejectsNonImages(t *testing.T) {
 
 func TestWritePhysicalRejectsWrongSize(t *testing.T) {
 	eng, _, srv := stack(t, 8)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	var got error
 	f.WritePhysical(nand.Addr{}, make([]byte, 100), func(err error) { got = err })
 	eng.Run()
@@ -584,7 +584,7 @@ func TestMisassembledReadFails(t *testing.T) {
 				}
 				deliver(tag, off, chunk, last)
 			})
-			f := srv.NewIface("if0")
+			f := srv.NewIface()
 			a := nand.Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 			b := nand.Addr{Bus: 1, Chip: 0, Block: 0, Page: 0}
 			writePage(t, eng, f, a, pattern(8192, 7))
@@ -625,7 +625,7 @@ func TestMisassembledReadFails(t *testing.T) {
 // credit, so completing it must not mint one.
 func TestRejectedOpTakesNoCredit(t *testing.T) {
 	eng, _, srv := stack(t, 2)
-	f := srv.NewIface("if0")
+	f := srv.NewIface()
 	for i := 0; i < 5; i++ {
 		f.ReadFile(99, 0, func(_ []byte, err error) {
 			if !errors.Is(err, ErrNoMapping) {

@@ -41,7 +41,7 @@ func newHarness(t testing.TB, geo nand.Geometry, rel nand.Reliability, cfg Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(reclaim.Card(srv.NewIface("ftl"), geo), geo, cfg)
+	f, err := New(reclaim.Card(srv.NewIface(), geo), geo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

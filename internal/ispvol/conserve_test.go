@@ -17,8 +17,11 @@ import (
 // so bulk reads and ordinary ones meet at the chips. Every page a query
 // counts, scanned or failed, is exactly one completed Accel-class read
 // at the scheduler, a failed page exactly one failed read, and the
-// engine pool drains (the cluster's drain check). A bulk read lost or
-// starved at a chip breaks one or the other.
+// engine pool drains (the cluster's drain check). Accel reads take no
+// slot of the host's device window, so the scheduler's count is held to
+// the cards' too: every completed Accel read is exactly one bulk read
+// some card was issued. A bulk read lost or starved at a chip, or one
+// issued outside the Accel class, breaks one or the other.
 func TestAccelReadsConserved(t *testing.T) {
 	c := coretest.NewCluster(t, fileParams(2))
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -42,6 +45,15 @@ func TestAccelReadsConserved(t *testing.T) {
 	churn = churn.At(sched.Batch)
 	rt := text.At(sched.Realtime)
 	s.ResetStats()
+	bulkReads := func() (n int64) {
+		for i := range c.Nodes() {
+			for card := range c.Params.CardsPerNode {
+				n += c.Node(i).Card(card).BulkReads.Value()
+			}
+		}
+		return n
+	}
+	bulk0 := bulkReads()
 
 	const chains, perChain = 2, 4
 	var scanned, failed, live, rtReads, writes int
@@ -130,6 +142,9 @@ func TestAccelReadsConserved(t *testing.T) {
 	if accel.Ops != int64(scanned+failed) || accel.Errors != int64(failed) {
 		t.Errorf("%d Accel reads completed (%d failed); the queries scanned %d pages and failed %d",
 			accel.Ops, accel.Errors, scanned, failed)
+	}
+	if bulk := bulkReads() - bulk0; bulk != accel.Ops {
+		t.Errorf("the cards were issued %d bulk reads; %d Accel reads completed", bulk, accel.Ops)
 	}
 	if rtReads == 0 || writes == 0 {
 		t.Errorf("%d realtime reads and %d churn writes ran beside the queries, want some of each", rtReads, writes)

@@ -54,10 +54,10 @@ func (sys *System) runPart(ns *nodeISP, m *startMsg) {
 }
 
 // claimed runs an in-store engine on the acceleration unit it was
-// assigned: System.window lanes over its partition.
+// assigned: System.depth lanes over its partition.
 func (e *engine) claimed(unitDone func()) {
 	e.unitDone = unitDone
-	e.run.Run(len(e.refs), e.sys.window)
+	e.run.Run(len(e.refs), len(e.lanes))
 }
 
 // hostScan is the host-mediated placement: a depth-bounded closed loop

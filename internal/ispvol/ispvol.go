@@ -5,10 +5,11 @@
 // The paper's headline capability (§4, §6) is in-store processors
 // that read flash directly — no host software on the data path —
 // while SHARING the flash controller with host traffic. Here every
-// engine flash read is admitted through sched's Accel class
-// (window-accounted, capped by the accel token budget) and then issues
-// on the device-side ISP path, so an ISP-heavy tenant cannot starve
-// realtime host streams.
+// engine flash read is admitted through sched's Accel class (capped by
+// the accel token budget, the chips' read depth) and then issues on the
+// device-side ISP path at bulk priority, where it yields to host
+// commands at its chip, so an ISP-heavy tenant cannot starve realtime
+// host streams.
 //
 // A scan query is three orthogonal choices, executed by one mechanism
 // (query.go):
@@ -80,13 +81,13 @@ type Admission int
 
 const (
 	// Admitted is the production path: reads go through the node's
-	// Accel sched.Stream — Accel-class admission, window accounting,
-	// token budget — then issue device-side.
+	// Accel sched.Stream — Accel-class admission under its token
+	// budget — then issue device-side at bulk priority.
 	Admitted Admission = iota
 	// Bypass is the pre-fix scheduler-bypass bug, kept as an explicit
 	// experiment arm: reads hit the raw device interfaces directly,
-	// invisible to the scheduler's device window, so ISP load inflates
-	// realtime host tail latency without bound.
+	// invisible to the scheduler and at ordinary priority at the chip,
+	// so ISP load inflates realtime host tail latency without bound.
 	Bypass
 )
 
@@ -126,21 +127,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// readsPerChip is the flash read depth a scan loop keeps per chip of
-// its node: "4 read commands saturate a flash bus" (paper §7.3).
-const readsPerChip = 4
-
 // System is the distributed ISP runtime over one cluster + volume.
 type System struct {
 	c     *core.Cluster
 	v     *volume.Volume
 	cfg   Config
 	retry *sched.Retrier // absorbs Accel admission backpressure for every engine
-	// depth is a scan loop's read depth, readsPerChip per chip of a
-	// node: the host-mediated loop's and a Bypass engine's. window is
-	// an admitted engine's, which never asks for more than the node's
-	// accel token budget.
-	depth, window int
+	// depth is a scan loop's read depth, the node's
+	// (core.Params.ReadDepth): an engine's, admitted or Bypass, and the
+	// host-mediated loop's. An admitted engine's reads are the
+	// scheduler's Accel token budget, the same depth.
+	depth int
 
 	nodes     []*nodeISP
 	pending   map[uint64]queryState
@@ -190,10 +187,7 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	sys.engines.New = sys.newEngine
 	c.OnCheck(func() error { return sys.engines.Drained("ispvol engines") })
 	chips := c.Params.CardsPerNode * c.Params.Geometry.Buses * c.Params.Geometry.ChipsPerBus
-	sys.depth, sys.window = readsPerChip*chips, min(readsPerChip*chips, s.AccelBudget())
-	if cfg.Admission == Bypass {
-		sys.window = sys.depth
-	}
+	sys.depth = c.Params.ReadDepth()
 	sys.iv.next, sys.iv.end = make([]int, chips), make([]int, chips)
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)

@@ -35,6 +35,13 @@ func TestErrdrop(t *testing.T) {
 	linttest.Run(t, "testdata/errdrop", "internal/fixture", lint.Errdrop)
 }
 
+// TestFloatfuse: the check holds outside internal/ too (cmd, examples),
+// where code runs whether or not the arm64 disassembly step links it.
+func TestFloatfuse(t *testing.T) {
+	linttest.Run(t, "testdata/floatfuse", "internal/fixture", lint.Floatfuse)
+	linttest.Run(t, "testdata/floatfuse", "cmd/fixture", lint.Floatfuse)
+}
+
 // The interprocedural analyzers: hotpath's walk over the call graph,
 // and the CFG-based obligation check.
 
@@ -104,6 +111,7 @@ func TestScopeFences(t *testing.T) {
 		{"noconcurrency-cmd", "testdata/forbidden/concurrency", "cmd/fixture", lint.Forbidden},
 		{"maprange-outside-internal", "testdata/maprange", "cmd/fixture", lint.Maprange},
 		{"errdrop-outside-internal", "testdata/errdrop", "cmd/fixture", lint.Errdrop},
+		{"floatfuse-lint", "testdata/floatfuse", "internal/lint/fixture", lint.Floatfuse},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,6 +25,9 @@
 //	             on every path
 //	unused       exported names that no non-test code references, in
 //	             the module or in a module nested under it (bench/)
+//	floatfuse    a float product added or subtracted without a
+//	             rounding conversion, which arm64 may fuse into one
+//	             multiply-add, in every package, linked or not
 //	escapecheck  (driver mode, cmd/simlint -escapes) heap allocations
 //	             the real compiler reports via -gcflags=-m on hot-set
 //	             lines that the hotpath walk did not see
@@ -111,9 +114,11 @@
 //	                      array it then keeps                                    rfs
 //	X3     escapecheck    sched backpressure returns errors.New     escapecheck  sched, volume
 //	                      instead of the sentinel
+//	F1     floatfuse      power.AddedFraction adds an unconverted   floatfuse    —
+//	                      product (no command or example links it)
 //
-// Of the 34 plants, 25 are caught statically and 22 by tier-1 tests:
-// 15 by both, 10 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3), 7
+// Of the 35 plants, 26 are caught statically and 22 by tier-1 tests:
+// 15 by both, 11 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3, F1), 7
 // only by tests (P1, P2, P4, P5, O3, O5, H1) and 2 by neither (P6,
 // M4). Every check catches a plant no tier-1 test catches except
 // hotpath and escapecheck, whose plants the allocation pins
@@ -176,7 +181,7 @@ type Analyzer struct {
 // Escapecheck is absent: it needs real compiler output and runs only
 // through cmd/simlint -escapes (or Escapes in this package).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Maprange, Forbidden, Hotpath, Errdrop, Obligation, Unused}
+	return []*Analyzer{Maprange, Forbidden, Hotpath, Errdrop, Obligation, Unused, Floatfuse}
 }
 
 // knownChecks returns every valid //simlint:allow check name,

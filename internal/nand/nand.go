@@ -218,8 +218,11 @@ type Card struct {
 	erasing   sim.Queue[command] // erases in progress, oldest first
 	eraseDone func()             // the oldest erase finished; bound once
 
-	// stats
+	// stats. BulkReads counts the reads issued at bulk priority
+	// (ReadPageBulk), refused ones included: the in-store reads the
+	// scheduler admitted.
 	Reads         sim.Counter
+	BulkReads     sim.Counter
 	Programs      sim.Counter
 	Erases        sim.Counter
 	InjectedFlips sim.Counter
@@ -594,6 +597,9 @@ func (c *Card) ReadPageBulk(a Addr, cb func(raw []byte, err error)) { c.read(a, 
 
 // read queues a read of page a, in its chip's bulk queue when bulk.
 func (c *Card) read(a Addr, bulk bool, cb func(raw []byte, err error)) {
+	if bulk {
+		c.BulkReads.Inc()
+	}
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
 		return

@@ -83,7 +83,7 @@ func AddedFraction(flashCards int) float64 {
 	var added float64
 	for _, c := range b.Components {
 		if c.Name != "Xeon Server" {
-			added += float64(c.Count) * c.Watts
+			added += float64(float64(c.Count) * c.Watts)
 		}
 	}
 	total := b.Total()

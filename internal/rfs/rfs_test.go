@@ -33,7 +33,7 @@ type harness struct {
 func newHarness(t testing.TB, geo nand.Geometry) *harness {
 	t.Helper()
 	r := newCardRig(t, geo)
-	fs, err := New(r.srv.NewIface("fs"), geo, DefaultConfig())
+	fs, err := New(r.srv.NewIface(), geo, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func newCardRig(t testing.TB, geo nand.Geometry) *cardRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cardRig{eng: eng, card: card, srv: srv, port: reclaim.Card(srv.NewIface("log"), geo)}
+	return &cardRig{eng: eng, card: card, srv: srv, port: reclaim.Card(srv.NewIface(), geo)}
 }
 
 func (h *harness) appendPage(t testing.TB, f *File, data []byte) error {
@@ -216,7 +216,7 @@ func TestPhysicalAddrsAndATU(t *testing.T) {
 	if err := f.ExportATU(h.srv.ATU()); err != nil {
 		t.Fatal(err)
 	}
-	iface := h.srv.NewIface("isp")
+	iface := h.srv.NewIface()
 	var got []byte
 	iface.ReadFile(f.Handle(), 3, func(d []byte, err error) {
 		if err != nil {

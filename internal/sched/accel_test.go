@@ -56,37 +56,96 @@ func TestAccelStreamReadsComplete(t *testing.T) {
 	}
 }
 
-// TestAccelStreamNeedsTwoSlots: at a device window of one, the accel
-// budget's one-slot floor is the whole window, so an Accel stream is
-// refused there; at two it opens.
-func TestAccelStreamNeedsTwoSlots(t *testing.T) {
-	for _, tc := range []struct {
-		inflight int
-		want     error
-	}{{1, sched.ErrAccelWindow}, {2, nil}} {
-		cfg := sched.DefaultConfig()
-		cfg.MaxInflight = tc.inflight
-		s, err := sched.New(testCluster(t, 1, 64), cfg)
-		if err != nil {
+// TestAccelReadsTakeNoHostWindowSlot: Accel grants live outside the
+// host's device window. At MaxInflight 1 an Accel stream opens, the
+// full Accel budget goes in flight at once, and realtime host reads
+// issued one after another complete while it is still all in flight,
+// long before the Accel backlog drains; the window count never
+// includes an Accel read.
+func TestAccelReadsTakeNoHostWindowSlot(t *testing.T) {
+	c := testCluster(t, 1, 256)
+	cfg := sched.DefaultConfig()
+	cfg.MaxInflight = 1
+	s, err := sched.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.NewStream("engine", 0, sched.Accel)
+	if err != nil {
+		t.Fatalf("Accel stream at MaxInflight 1: %v", err)
+	}
+	rt, err := s.NewStream("probe", 0, sched.Realtime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, accelDone, hostOut := c.Params.ReadDepth(), 0, 0
+	const accelReads, rtReads = 1024, 4
+	for i := range accelReads {
+		if err := st.Read(core.LinearPage(c.Params, 0, i%256), func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("accel read: %v", err)
+			}
+			accelDone++
+		}); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	var rtAt []int // Accel completions when each realtime read finished
+	var next func()
+	next = func() {
+		if got := s.AccelInflight(0); got != budget {
+			t.Errorf("realtime read %d issued with %d Accel reads in flight, want the full budget %d", len(rtAt), got, budget)
+		}
+		hostOut++
+		if err := rt.Read(core.LinearPage(c.Params, 0, 7*len(rtAt)), func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("realtime read: %v", err)
+			}
+			hostOut--
+			if got := s.AccelInflight(0); got != budget {
+				t.Errorf("realtime read %d finished with %d Accel reads in flight, want the full budget %d", len(rtAt), got, budget)
+			}
+			rtAt = append(rtAt, accelDone)
+			if len(rtAt) < rtReads {
+				next()
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.NewStream("engine", 0, sched.Accel); !errors.Is(err, tc.want) {
-			t.Errorf("MaxInflight %d: error %v, want %v", tc.inflight, err, tc.want)
+	}
+	c.Eng.After(5*sim.Microsecond, next)
+	var probe func()
+	probe = func() {
+		if got := s.Inflight(0); got > hostOut {
+			t.Fatalf("window holds %d requests with %d host reads outstanding: it counts Accel reads", got, hostOut)
 		}
-		if _, err := s.NewStream("host", 0, sched.Realtime); err != nil {
-			t.Errorf("MaxInflight %d: realtime stream: %v", tc.inflight, err)
+		if accelDone < accelReads {
+			c.Eng.After(sim.Microsecond, probe)
 		}
+	}
+	probe()
+	c.Run()
+	if accelDone != accelReads || len(rtAt) != rtReads {
+		t.Fatalf("completed %d of %d accel reads and %d of %d realtime reads", accelDone, accelReads, len(rtAt), rtReads)
+	}
+	if last := rtAt[rtReads-1]; last > accelReads/2 {
+		t.Fatalf("the realtime reads finished after %d of %d Accel completions: they waited behind the Accel backlog", last, accelReads)
 	}
 }
 
-// TestAccelTokenBudgetBound: the accel class may never hold more
-// device-window slots than its token budget, no matter how much ISP
-// work is queued.
+// TestAccelTokenBudgetBound: the accel class holds at most its token
+// budget — 4 reads per chip of the node, the chips' read depth — in
+// flight, however much ISP work is queued and however narrow the host
+// window, and a deep enough backlog reaches it.
 func TestAccelTokenBudgetBound(t *testing.T) {
-	c := testCluster(t, 1, 64)
+	c := testCluster(t, 1, 256)
+	g := c.Params.Geometry
+	budget := 4 * c.Params.CardsPerNode * g.Buses * g.ChipsPerBus
+	if c.Params.ReadDepth() != budget {
+		t.Fatalf("ReadDepth %d, want 4 reads per chip = %d", c.Params.ReadDepth(), budget)
+	}
 	cfg := sched.DefaultConfig()
-	cfg.MaxInflight = 8
-	cfg.AccelShare = 0.5 // budget: 4 slots
+	cfg.MaxInflight = 8 // far below the budget: it must not bound Accel
 	s, err := sched.New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +154,10 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := 3 * budget
 	done := 0
-	for i := 0; i < 48; i++ {
-		a := core.LinearPage(c.Params, 0, i%64)
+	for i := 0; i < reads; i++ {
+		a := core.LinearPage(c.Params, 0, i%256)
 		if err := st.Read(a, func(_ []byte, err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
@@ -111,23 +171,18 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	maxSeen := 0
 	var probe func()
 	probe = func() {
-		if got := s.AccelInflight(0); got > maxSeen {
-			maxSeen = got
-		}
-		if done < 48 {
+		maxSeen = max(maxSeen, s.AccelInflight(0))
+		if done < reads {
 			c.Eng.After(2*sim.Microsecond, probe)
 		}
 	}
 	probe()
 	c.Run()
-	if done != 48 {
-		t.Fatalf("completed %d of 48", done)
+	if done != reads {
+		t.Fatalf("completed %d of %d", done, reads)
 	}
-	if maxSeen > 4 {
-		t.Fatalf("accel held %d window slots, budget is 4", maxSeen)
-	}
-	if maxSeen == 0 {
-		t.Fatal("probe never saw accel work in flight")
+	if maxSeen != budget {
+		t.Fatalf("accel held at most %d reads in flight, budget is %d", maxSeen, budget)
 	}
 }
 
@@ -211,19 +266,6 @@ func TestSnapshotZeroCompletionsMarshalsClean(t *testing.T) {
 			if v != 0 || math.IsNaN(v) {
 				t.Fatalf("class %s %s = %v, want 0", cs.Class, name, v)
 			}
-		}
-	}
-}
-
-// TestAccelShareValidation: out-of-range budgets are rejected. A share
-// of 1 is out of range too: the Accel class would take the whole window.
-func TestAccelShareValidation(t *testing.T) {
-	c := testCluster(t, 1, 1)
-	for _, share := range []float64{-0.1, 1, 1.5} {
-		cfg := sched.DefaultConfig()
-		cfg.AccelShare = share
-		if _, err := sched.New(c, cfg); err == nil {
-			t.Fatalf("accel share %v accepted", share)
 		}
 	}
 }

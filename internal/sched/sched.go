@@ -50,11 +50,12 @@ type Class uint8
 // The five QoS classes. Realtime is for latency-critical point
 // lookups, Interactive for ordinary user queries, Batch for scans and
 // bulk loads that only care about throughput. Accel is in-store
-// processor flash traffic: admitted and window-accounted like host
-// traffic (so accelerators cannot bypass QoS arbitration and starve
-// host streams), but issued on the device-side flash interfaces with
-// no host software, doorbell or DMA charges, and capped by its own
-// token budget (Config.AccelShare). Background is device housekeeping
+// processor flash traffic: admitted at the node that owns the page like
+// host traffic (so accelerators cannot bypass QoS arbitration), but
+// issued on the device-side flash interfaces with no host software,
+// doorbell or DMA charges, outside the host's device window, and capped
+// by its own token budget, the chips' read depth
+// (core.Params.ReadDepth). Background is device housekeeping
 // — FTL garbage-collection relocation and erase traffic from
 // internal/volume — and is subject to GC-aware deferral: it may
 // occupy only an urgency-scaled share of the device window (the GC
@@ -94,32 +95,16 @@ type Config struct {
 	// QueueDepth bounds each node's admission queue (all classes
 	// together). Submissions beyond it fail with ErrBackpressure.
 	QueueDepth int
-	// MaxInflight caps requests outstanding at one node's device. It
-	// should not exceed the host interface's read buffer count; beyond
-	// that requests just queue inside the device.
+	// MaxInflight caps host requests outstanding at one node's device:
+	// the host's device window, a latency setting for host traffic.
+	// It should not exceed the host interface's read buffer count;
+	// beyond that requests just queue inside the device. Accel reads
+	// take no slot of it.
 	MaxInflight int
 	// BatchSize is the maximum number of requests submitted per
 	// doorbell (one software + RPC charge per batch). 1 disables
 	// batching and reproduces the naive one-op-per-doorbell host path.
 	BatchSize int
-	// AccelShare is the fraction of the device window (MaxInflight)
-	// that the Accel class — in-store processor flash reads — may
-	// occupy per node: its token budget, mirroring the GC budget. ISP
-	// reads are granted window slots by the dispatcher but issue on
-	// the device-side flash interfaces (no host software, doorbell or
-	// DMA), so this budget is the only thing bounding how hard
-	// accelerators can hit a card while host streams share it. Zero
-	// defaults to 0.5, and the budget never rounds below one slot:
-	// there is deliberately no zero-budget setting, because an
-	// admitted Accel read can ONLY ever issue through these tokens —
-	// a zero budget would wedge it in the queue forever. A cluster
-	// with no ISP traffic pays nothing for the reservation (the accel
-	// dispatch pass is a no-op and the host classes use the full
-	// window); to forbid ISP work entirely, don't open Accel streams.
-	// A share must be below 1: at 1 the Accel class could take every
-	// window slot before the host classes run, and a host stream
-	// sharing the node with a busy engine would never finish.
-	AccelShare float64
 	// GCDefer enables GC-aware dispatch of the Background class: each
 	// node gets a token budget of device-window slots Background
 	// requests may occupy, scaled by the node's GC urgency (the max of
@@ -139,13 +124,9 @@ func DefaultConfig() Config {
 		QueueDepth:  1024,
 		MaxInflight: 128,
 		BatchSize:   16,
-		AccelShare:  0.5,
 		GCDefer:     true,
 	}
 }
-
-// defaultAccelShare applies when Config.AccelShare is left zero.
-const defaultAccelShare = 0.5
 
 // agingRounds is how many consecutive dispatch rounds a non-empty
 // class may be passed over before it is guaranteed one slot in the
@@ -168,9 +149,6 @@ func (c Config) validate() error {
 	if c.BatchSize <= 0 {
 		return fmt.Errorf("sched: batch size %d", c.BatchSize)
 	}
-	if c.AccelShare < 0 || c.AccelShare >= 1 {
-		return fmt.Errorf("sched: accel share %.2f out of [0,1)", c.AccelShare)
-	}
 	return nil
 }
 
@@ -183,12 +161,11 @@ type request struct {
 	addr      core.PageAddr
 	write     bool
 	erase     bool
-	// accel marks a device-side ISP read: admitted at the node that
-	// owns the flash page, granted a window slot under the Accel token
-	// budget, and issued from the origin node's ISP path instead of
-	// riding a host doorbell batch.
-	accel  bool
-	origin int // issuing node of an accel read
+	// origin is the issuing node of an Accel read, a device-side ISP
+	// read: admitted at the node that owns the flash page, granted
+	// under the Accel token budget, and issued from the origin node's
+	// ISP path instead of riding a host doorbell batch.
+	origin int
 	// data is a write's page image (nand.Geometry.PageImage), adopted at
 	// admission and handed to the node at dispatch; size remembers its
 	// length for the byte counters once the request no longer holds it.
@@ -239,8 +216,11 @@ type Scheduler struct {
 	eng     *sim.Engine
 	geo     nand.Geometry
 	cfg     Config
-	nodes   []*nodeQueue
-	stats   stats
+	// accelBudget is how many Accel reads one node may have granted at
+	// once: the chips' read depth, the depth an in-store engine asks for.
+	accelBudget int
+	nodes       []*nodeQueue
+	stats       stats
 
 	reqs sim.Pool[request]
 }
@@ -252,7 +232,8 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{cluster: cluster, eng: cluster.Eng, geo: cluster.Params.Geometry, cfg: cfg}
+	s := &Scheduler{cluster: cluster, eng: cluster.Eng, geo: cluster.Params.Geometry, cfg: cfg,
+		accelBudget: cluster.Params.ReadDepth()}
 	s.reqs.New = newRequest
 	cluster.OnCheck(func() error { return s.reqs.Drained("sched requests") })
 	for i := 0; i < cluster.Nodes(); i++ {
@@ -288,17 +269,20 @@ type nodeQueue struct {
 	s    *Scheduler
 	node *core.Node
 
+	// q holds the queued host requests by class, accel the Accel
+	// reads, which never ride a doorbell; qlen counts both.
 	q      [NumClasses]sim.Queue[*request]
+	accel  sim.Queue[*request]
 	qlen   int
 	peak   int
 	starve [NumClasses]int
 
-	inflight int
-	// bgInflight counts Background-class requests in the device
-	// window; the GC token budget caps it.
-	bgInflight int
-	// accelInflight counts Accel-class reads in the device window; the
-	// accel token budget (Config.AccelShare) caps it.
+	// inflight counts host requests in the device window (MaxInflight
+	// caps it); bgInflight the Background ones among them, which the GC
+	// token budget caps.
+	inflight, bgInflight int
+	// accelInflight counts granted Accel reads, outside the window; the
+	// accel token budget caps it.
 	accelInflight int
 	urgency       []float64 // one per UrgencySource
 	gcUrgency     float64   // their max
@@ -351,7 +335,7 @@ func newNodeQueue(s *Scheduler, node *core.Node) *nodeQueue {
 // DMA), so sharing one flash op would skip real work for one of them.
 func (nq *nodeQueue) admit(r *request) error {
 	r.nq = nq
-	if !r.write && !r.erase && !r.accel {
+	if !r.write && !r.erase && r.class != Accel {
 		if lead := nq.pendingReads[r.addr]; lead != nil {
 			lead.followers = append(lead.followers, r)
 			nq.s.stats.class(r.statClass).coalesced++
@@ -382,12 +366,16 @@ func (nq *nodeQueue) admit(r *request) error {
 		// workload drivers' disjoint read/log regions do by design.
 		delete(nq.pendingReads, r.addr)
 	}
-	nq.q[r.class].Push(r)
+	q := &nq.q[r.class]
+	if r.class == Accel {
+		q = &nq.accel
+	}
+	q.Push(r)
 	nq.qlen++
 	if nq.qlen > nq.peak {
 		nq.peak = nq.qlen
 	}
-	if !r.write && !r.erase && !r.accel {
+	if !r.write && !r.erase && r.class != Accel {
 		nq.pendingReads[r.addr] = r
 	}
 	nq.kick()
@@ -397,37 +385,33 @@ func (nq *nodeQueue) admit(r *request) error {
 // kick schedules a dispatch round if one is useful and not already
 // scheduled. Dispatch runs as a zero-delay event so that a burst of
 // submissions in the same instant forms one batch instead of many.
-// While a doorbell's software occupies the submission thread, only
-// Accel work can dispatch — the ISP path needs no host thread.
+// Host work dispatches while the submission thread is free and the
+// window has room; Accel work whenever its budget has a token — the
+// ISP path needs neither.
 //
 //simlint:hotpath
 func (nq *nodeQueue) kick() {
-	if nq.kicked || nq.qlen == 0 || nq.inflight >= nq.s.cfg.MaxInflight {
+	if nq.kicked || nq.qlen == 0 {
 		return
 	}
-	if nq.ringing && !nq.accelReady() {
+	if (nq.ringing || nq.inflight >= nq.s.cfg.MaxInflight) && !nq.accelReady() {
 		return
 	}
 	nq.kicked = true
 	nq.s.eng.After(0, nq.kickFn)
 }
 
-// accelReady reports whether a queued Accel read could be granted a
-// slot right now under the accel token budget.
+// accelReady reports whether a queued Accel read could be granted
+// right now under the accel token budget.
 func (nq *nodeQueue) accelReady() bool {
-	return nq.q[Accel].Len() > 0 && nq.accelTokens() > 0
+	return nq.accel.Len() > 0 && nq.accelInflight < nq.s.accelBudget
 }
 
 // dispatch runs one round: device-side Accel grants up to the accel
 // token budget, then a host doorbell batch (when the submission
-// thread is free) over the remaining window. Granting Accel first
-// makes the token budget a RESERVATION, not just a cap: under
-// saturating host load the window would otherwise always be full
-// when accel's turn came, and in-store processing would starve on
-// leftovers — the inverse of the bug this class exists to fix. The
-// budget is small (AccelShare of the window), and host latency
-// classes take the rest strict-priority first, so realtime tail
-// latency stays protected.
+// thread is free) over the host window. The two draw on separate
+// budgets, so neither waits for the other's slots; at the chip, an
+// Accel read yields to host commands (nand.Card.ReadPageBulk).
 //
 //simlint:hotpath
 func (nq *nodeQueue) dispatch() {
@@ -440,19 +424,13 @@ func (nq *nodeQueue) dispatch() {
 // dispatchHost forms one batch and rings one doorbell. At most one
 // doorbell occupies the submission thread at a time (see ringing);
 // while its software runs, arrivals and freed inflight slots
-// accumulate so the next doorbell carries a bigger batch. The Accel
-// class never joins a doorbell batch: its requests issue device-side
-// (see dispatchAccel).
+// accumulate so the next doorbell carries a bigger batch. Accel reads
+// wait in a queue of their own and never join a doorbell batch: they
+// issue device-side (see dispatchAccel), so q[Accel] stays empty.
 //
 //simlint:hotpath
 func (nq *nodeQueue) dispatchHost() {
-	budget := nq.s.cfg.BatchSize
-	if room := nq.s.cfg.MaxInflight - nq.inflight; room < budget {
-		budget = room
-	}
-	if budget > nq.qlen {
-		budget = nq.qlen
-	}
+	budget := min(nq.s.cfg.BatchSize, nq.s.cfg.MaxInflight-nq.inflight, nq.qlen)
 	if budget <= 0 {
 		return
 	}
@@ -467,9 +445,6 @@ func (nq *nodeQueue) dispatchHost() {
 	// zero budget means relocation work is already in flight, so the
 	// class is making progress, not starving.
 	for cl := NumClasses - 1; cl >= 0 && len(batch) < budget; cl-- {
-		if Class(cl) == Accel {
-			continue // never rides a doorbell; see dispatchAccel
-		}
 		if nq.starve[cl] >= agingRounds && nq.q[cl].Len() > 0 {
 			if Class(cl) == Background && nq.gcTokens(bgTaken) == 0 {
 				continue
@@ -484,9 +459,6 @@ func (nq *nodeQueue) dispatchHost() {
 	// Strict priority for the remaining slots. Background fills last
 	// and only up to the node's GC token budget.
 	for cl := Class(0); cl < NumClasses && len(batch) < budget; cl++ {
-		if cl == Accel {
-			continue
-		}
 		for nq.q[cl].Len() > 0 && len(batch) < budget {
 			if cl == Background && nq.gcTokens(bgTaken) == 0 {
 				break
@@ -499,9 +471,6 @@ func (nq *nodeQueue) dispatchHost() {
 		}
 	}
 	for cl := 0; cl < NumClasses; cl++ {
-		if Class(cl) == Accel {
-			continue // token-paced, not starving; never age-boosted
-		}
 		switch {
 		case took[cl] > 0 || nq.q[cl].Len() == 0:
 			nq.starve[cl] = 0
@@ -543,40 +512,21 @@ func (nq *nodeQueue) dispatchHost() {
 	nq.reqs = reqs
 }
 
-// dispatchAccel grants queued Accel-class reads device-window slots —
-// up to the accel token budget — and issues each on the device-side
-// ISP path from its origin node (core.Node.ISPReadAdmitted, which
-// yields to ordinary commands at the chip): the FPGA arbiter hands
-// flash access to the in-store processor directly, with no doorbell,
-// no submission thread, and no host DMA. The grant still occupies a window slot, so
-// the dispatcher's picture of device occupancy includes ISP traffic —
-// the whole point of admitting it here.
+// dispatchAccel grants queued Accel-class reads up to the accel token
+// budget and issues each on the device-side ISP path from its origin
+// node (core.Node.ISPReadAdmitted, which yields to ordinary commands
+// at the chip): the FPGA arbiter hands flash access to the in-store
+// processor directly, with no doorbell, no submission thread, no host
+// DMA and no slot of the host's device window (paper §3.1).
 //
 //simlint:hotpath
 func (nq *nodeQueue) dispatchAccel() {
-	for nq.q[Accel].Len() > 0 && nq.inflight < nq.s.cfg.MaxInflight && nq.accelTokens() > 0 {
-		r := nq.pop(Accel)
-		nq.inflight++
+	for nq.accelReady() {
+		r := nq.accel.Pop()
+		nq.qlen--
 		nq.accelInflight++
 		nq.s.cluster.Node(r.origin).ISPReadAdmitted(r.addr, r.done)
 	}
-}
-
-// AccelBudget returns the accel token budget: how many Accel reads one
-// node may have granted window slots at once, a fixed share of the
-// device window (Config.AccelShare), never below one slot.
-func (s *Scheduler) AccelBudget() int {
-	share := s.cfg.AccelShare
-	if share == 0 {
-		share = defaultAccelShare
-	}
-	return max(1, int(share*float64(s.cfg.MaxInflight)))
-}
-
-// accelTokens returns how many more Accel reads may be granted window
-// slots right now: what the accel token budget leaves.
-func (nq *nodeQueue) accelTokens() int {
-	return max(0, nq.s.AccelBudget()-nq.accelInflight)
 }
 
 // promote moves a queued read to a higher-priority class queue (its
@@ -624,11 +574,7 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 		// headroom pressure opens the window up.
 		cap = 1 + int(float64(mi-1)*nq.gcUrgency*nq.gcUrgency)
 	}
-	t := cap - nq.bgInflight - taken
-	if t < 0 {
-		return 0
-	}
-	return t
+	return max(0, cap-nq.bgInflight-taken)
 }
 
 // complete finishes a dispatched request and every coalesced follower.
@@ -643,12 +589,14 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 //
 //simlint:hotpath
 func (nq *nodeQueue) complete(r *request, data []byte, err error) {
-	nq.inflight--
-	if r.class == Background {
-		nq.bgInflight--
-	}
-	if r.accel {
+	switch {
+	case r.class == Accel:
 		nq.accelInflight--
+	case r.class == Background:
+		nq.inflight--
+		nq.bgInflight--
+	default:
+		nq.inflight--
 	}
 	nq.s.finish(r, data, err)
 	for i, f := range r.followers {

@@ -16,13 +16,13 @@ import (
 // device read, where core.Node.ISPReadDirect is the unadmitted one. Its
 // reads are admitted at the node that OWNS the page (that is where the
 // flash contention lives), wait their turn in the Accel class under its
-// token budget, and — once granted a device-window slot — issue through
-// ISPReadDirect from the stream's node: local pages hit the card's ISP
-// interface, remote pages ride the integrated storage network, and no
-// host software, doorbell or DMA is charged anywhere. So the scheduler
-// sees and window-accounts every flash operation the appliance performs
-// — host, housekeeping and ISP alike — while the ISP data path keeps the
-// paper's zero-host-involvement property. An Accel stream only reads.
+// token budget, and — once granted — issue through ISPReadAdmitted from
+// the stream's node: local pages hit the card's bulk lanes, remote pages
+// ride the integrated storage network, and no host software, doorbell,
+// DMA or host window slot is charged anywhere. So the scheduler sees
+// every flash operation the appliance performs — host, housekeeping and
+// ISP alike — while the ISP data path keeps the paper's
+// zero-host-involvement property. An Accel stream only reads.
 type Stream struct {
 	s     *Scheduler
 	node  int
@@ -35,12 +35,6 @@ type Stream struct {
 // ErrAccelReadOnly fails a write or an erase on an Accel stream: in-store
 // processors only read the flash. Nothing was admitted.
 var ErrAccelReadOnly = errors.New("sched: an accel stream only reads")
-
-// ErrAccelWindow refuses an Accel stream on a scheduler whose device
-// window (Config.MaxInflight) is below 2. The accel budget never falls
-// below one slot, so at a window of one that slot is the whole window,
-// and a realtime read would wait behind every Accel read queued.
-var ErrAccelWindow = errors.New("sched: an accel stream needs a device window of at least 2")
 
 // errNoOwner fails an Accel read whose page names a node outside the
 // cluster. It is a fixed value because Read sits under the Retrier's
@@ -59,9 +53,6 @@ func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, erro
 	if class >= NumClasses {
 		return nil, fmt.Errorf("sched: class %d out of range", class)
 	}
-	if class == Accel && s.cfg.MaxInflight < 2 {
-		return nil, fmt.Errorf("%w: max inflight %d", ErrAccelWindow, s.cfg.MaxInflight)
-	}
 	return &Stream{s: s, node: node, class: class}, nil
 }
 
@@ -79,7 +70,7 @@ func (st *Stream) Read(a core.PageAddr, cb func(data []byte, err error)) error {
 	}
 	r := st.s.reqs.Get()
 	r.class, r.statClass, r.addr, r.enq, r.rcb = st.class, st.class, a, st.s.eng.Now(), cb
-	r.accel, r.origin = st.class == Accel, st.node
+	r.origin = st.node
 	if err := st.s.nodes[at].admit(r); err != nil {
 		return err
 	}
