@@ -54,7 +54,7 @@ func main() {
 	}
 
 	measure("local ISP read (node 2)", func(cb func([]byte, error)) {
-		cluster.Node(2).ReadLocal(addr.Card, addr.Addr, cb)
+		cluster.Node(2).ISPReadDirect(addr, cb)
 	})
 	measure("remote ISP-F read (node 0)", func(cb func([]byte, error)) {
 		cluster.Node(0).ISPReadDirect(addr, cb)

@@ -121,7 +121,7 @@ func RunHostFlash(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids [
 	ths := node.CPU.NewThreads(threads)
 	return s.run(c.Eng, "host flash", len(candidates), len(ths), func(lane, i int, next func()) {
 		a := candidates[i]
-		node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+		node.ISPReadDirect(a, func(data []byte, err error) {
 			if err != nil {
 				s.fail(err)
 				return

@@ -42,8 +42,7 @@ type SSD struct {
 	channels *sim.TokenPool
 	stream   *sim.Pipe
 
-	Reads  sim.Counter
-	Writes sim.Counter
+	Reads sim.Counter
 }
 
 // NewSSD builds the device.
@@ -65,21 +64,6 @@ func NewSSD(eng *sim.Engine, name string, cfg SSDConfig) (*SSD, error) {
 //simlint:once done
 func (s *SSD) Read(size int, sequential bool, done func(error)) {
 	s.Reads.Inc()
-	s.access(size, sequential, done)
-}
-
-// Write stores size bytes. The envelope model charges writes the same
-// command latency and interface bandwidth as reads — the published
-// numbers for the paper's M.2 drive are symmetric at this granularity.
-//
-//simlint:once done
-func (s *SSD) Write(size int, sequential bool, done func(error)) {
-	s.Writes.Inc()
-	s.access(size, sequential, done)
-}
-
-//simlint:once done
-func (s *SSD) access(size int, sequential bool, done func(error)) {
 	lat := s.cfg.RandomLatency
 	if sequential {
 		lat = s.cfg.SeqLatency

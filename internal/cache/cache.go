@@ -1,8 +1,7 @@
 // Package cache is the per-node host-DRAM tier above internal/volume:
 // a page-granular read/write-back cache whose capacity and hit
-// bandwidth are bounded by the node's hostmodel envelope, plus a
-// cold-data demotion tier onto the paper's altstore comparator
-// devices (tier.go).
+// bandwidth are bounded by the node's hostmodel envelope. A miss has
+// one path: a fill through the volume.
 //
 // Shape of the tier (paper §6.2, Figures 17/21):
 //
@@ -12,12 +11,12 @@
 //   - Eviction is CLOCK over dense, allocation-free state: one entry
 //     array, an lpn index, pooled completion contexts (sim.Pool), and
 //     per slot a frame that is either a view or a slab frame. A view is
-//     the immutable page image a fill (or a tier promotion) delivered,
-//     shared as it stands, so a miss copies no payload; a slab frame is
-//     the slot's stretch of one backing page slab and holds bytes the
-//     cache wrote itself. The lookup/hit/fill/evict path and the
-//     invalidation send path are simlint hotpath-clean and pinned at
-//     zero steady-state allocations by AllocsPerRun tests.
+//     the immutable page image a fill delivered, shared as it stands,
+//     so a miss copies no payload; a slab frame is the slot's stretch
+//     of one backing page slab and holds bytes the cache wrote itself.
+//     The lookup/hit/fill/evict path and the invalidation send path are
+//     simlint hotpath-clean and pinned at zero steady-state allocations
+//     by AllocsPerRun tests.
 //   - Dirty pages flush to the volume on the scheduler's Background
 //     class (ftl.TagFlush), admitted through the same urgency token
 //     budget as GC and rebuild: each node's cache reports dirty-page
@@ -66,13 +65,9 @@ var ErrOutOfRange = errors.New("cache: page out of range")
 type Config struct {
 	// CapacityPages is the per-node DRAM cache capacity in pages.
 	CapacityPages int
-	// Tier enables cold-page demotion to one altstore SSD per node
-	// (see tier.go).
-	Tier bool
 }
 
-// DefaultConfig returns a cache of capacityPages per node with no
-// demotion tier.
+// DefaultConfig returns a cache of capacityPages per node.
 func DefaultConfig(capacityPages int) Config {
 	return Config{CapacityPages: capacityPages}
 }
@@ -106,21 +101,18 @@ type entry struct {
 	ref      bool  // CLOCK reference bit
 	poisoned bool  // invalidated while filling: do not install
 	redirty  bool  // written while the flush was in flight
-	tiered   bool  // the demotion tier holds a copy of this lpn
 	pins     int32 // in-flight DRAM hit transfers against the frame
 }
 
 // Cache is the cluster-wide cache tier: one nodeCache per node plus
-// the shared volume streams and the optional demotion tier.
+// the shared volume streams.
 type Cache struct {
-	cluster *core.Cluster
-	v       *volume.Volume
-	ps      int // page size
-	pages   int // volume logical pages
+	v     *volume.Volume
+	ps    int // page size
+	pages int // volume logical pages
 
 	nodes    []*nodeCache
 	vstreams [sched.NumClasses]*volume.Stream
-	tier     *tier
 
 	invPool sim.Pool[invMsg]
 	invSent int64
@@ -142,9 +134,9 @@ type nodeCache struct {
 	inv  *fabric.Endpoint
 
 	entries []entry
-	// view[slot] is the page image the slot's fill or promotion
-	// delivered, nil once the cache writes the frame or frees the slot.
-	// Images are immutable, so the cache never writes through a view.
+	// view[slot] is the page image the slot's fill delivered, nil once
+	// the cache writes the frame or frees the slot. Images are
+	// immutable, so the cache never writes through a view.
 	view [][]byte
 	data []byte // CapacityPages * pageSize slab: the frames the cache wrote
 	// index maps a resident lpn to its slot. It is only ever looked up,
@@ -186,7 +178,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 	if cfg.CapacityPages <= 0 {
 		return nil, fmt.Errorf("cache: invalid capacity %d", cfg.CapacityPages)
 	}
-	ca := &Cache{cluster: c, v: v, ps: v.PageSize(), pages: v.Pages()}
+	ca := &Cache{v: v, ps: v.PageSize(), pages: v.Pages()}
 	ca.invPool.New = func() *invMsg { return &invMsg{} }
 	for _, cl := range []sched.Class{sched.Realtime, sched.Interactive, sched.Batch} {
 		vs, err := v.NewStream(fmt.Sprintf("cache/fill%d", cl), cl)
@@ -237,20 +229,7 @@ func New(c *core.Cluster, v *volume.Volume, cfg Config) (*Cache, error) {
 		}
 		return errors.Join(errs...)
 	})
-	if cfg.Tier {
-		t, err := newTier(ca)
-		if err != nil {
-			return nil, err
-		}
-		ca.tier = t
-	}
 	return ca, nil
-}
-
-// ownerNode maps an lpn to the node whose flash card holds it (the
-// volume stripes round-robin over node-major cards).
-func (c *Cache) ownerNode(lpn int) int {
-	return (lpn % c.v.Cards()) / c.cluster.Params.CardsPerNode
 }
 
 // Stream is a QoS-classed cache handle for clients on one node: hits
@@ -265,7 +244,7 @@ type Stream struct {
 // node. As with volume streams, Accel and Background are reserved.
 func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, error) {
 	if class >= sched.Accel {
-		return nil, fmt.Errorf("cache: class %v not usable by tenants", class)
+		return nil, fmt.Errorf("cache: %w: %v", volume.ErrReservedClass, class)
 	}
 	if node < 0 || node >= len(c.nodes) {
 		return nil, fmt.Errorf("cache: no node %d", node)
@@ -340,7 +319,7 @@ func (nc *nodeCache) takeSlot() int32 {
 func (nc *nodeCache) releaseSlot(slot int32) {
 	e := &nc.entries[slot]
 	e.state = stEmpty
-	e.ref, e.poisoned, e.redirty, e.tiered = false, false, false, false
+	e.ref, e.poisoned, e.redirty = false, false, false
 	nc.view[slot] = nil
 	nc.free = append(nc.free, slot)
 }
@@ -487,10 +466,6 @@ func (nc *nodeCache) newFlushCtx() *flushCtx {
 			nc.dirty++
 		} else {
 			nc.flushes++
-			if e.tiered {
-				e.tiered = false
-				nc.c.tierRelease(fx.lpn)
-			}
 			if e.redirty {
 				e.redirty = false
 				e.state = stDirty
@@ -511,8 +486,8 @@ func (nc *nodeCache) newFlushCtx() *flushCtx {
 
 // --- read / write -----------------------------------------------------
 
-// Read fetches a logical page: DRAM hit, tier hit, or volume fill at
-// the stream's class. The callback's data slice is read-only, whatever
+// Read fetches a logical page: DRAM hit or volume fill at the
+// stream's class. The callback's data slice is read-only, whatever
 // it aliases: a fill's flash image, shared with the card and the view
 // it leaves behind, or a frame. It is only valid inside the callback (a
 // hit on a slab frame sees later writes to it).
@@ -525,9 +500,6 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 		//simlint:allow hotpath (caller-bug error path, not steady state)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
-	}
-	if c.tier != nil {
-		c.tier.touch(lpn)
 	}
 	key := int64(lpn)
 	if slot, ok := nc.index[key]; ok {
@@ -542,19 +514,12 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 			return
 		}
 		// A fill for this page is already in flight: read through the
-		// volume rather than stacking a second fill. (A filling entry
-		// implies the page was not demoted when the fill started, and
-		// demotion skips resident pages, so flash still has it.)
+		// volume rather than stacking a second fill.
 		nc.misses++
 		st.vs.Read(lpn, cb)
 		return
 	}
 	nc.misses++
-	if c.tier != nil && c.tier.has(lpn) {
-		//simlint:allow hotpath (cold edge: tier hit is the altstore miss path, device-latency bound, not the pinned DRAM hit path)
-		c.tier.read(st, lpn, cb)
-		return
-	}
 	nc.fill(st, key, cb)
 }
 
@@ -571,7 +536,7 @@ func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
 		e := &nc.entries[fx.slot]
 		e.lpn = key
 		e.state = stFilling
-		e.ref, e.poisoned, e.redirty, e.tiered = false, false, false, false
+		e.ref, e.poisoned, e.redirty = false, false, false
 		e.pins = 0
 		nc.index[key] = fx.slot
 		nc.used++
@@ -593,9 +558,6 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 		//simlint:allow hotpath (caller-bug error path, not steady state)
 		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
-	}
-	if c.tier != nil {
-		c.tier.touch(lpn)
 	}
 	key := int64(lpn)
 	// An indexed slot is never stEmpty or stDead: applyInv unindexes a
@@ -650,7 +612,6 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 	e.ref = true
 	e.poisoned, e.redirty = false, false
 	e.pins = 0
-	e.tiered = nc.c.tierHas(int(key))
 	copy(nc.slab(slot), data)
 	nc.index[key] = slot
 	nc.used++
@@ -667,7 +628,6 @@ func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error
 func (nc *nodeCache) writeThrough(st *Stream, key int64, data []byte, cb func(error)) {
 	st.vs.Write(int(key), data, func(err error) {
 		if err == nil {
-			nc.c.tierRelease(key)
 			nc.c.broadcastInv(nc.node, key)
 		}
 		cb(err)
@@ -790,19 +750,5 @@ func (nc *nodeCache) applyInv(lpn int64) {
 		// Local data is concurrent with the remote write; keep ours
 		// (last flusher wins).
 		nc.invIgnoredDirt++
-	}
-}
-
-// tierHas/tierRelease are nil-safe tier accessors for the hot paths.
-//
-//simlint:hotpath
-func (c *Cache) tierHas(lpn int) bool {
-	return c.tier != nil && c.tier.has(lpn)
-}
-
-//simlint:hotpath
-func (c *Cache) tierRelease(lpn int64) {
-	if c.tier != nil {
-		c.tier.release(int(lpn))
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -185,11 +186,23 @@ func TestCacheRangeErrors(t *testing.T) {
 	if rerr == nil || werr == nil {
 		t.Fatalf("out-of-range accepted: read %v write %v", rerr, werr)
 	}
-	if _, err := ca.NewStream("bg", 0, sched.Background); err == nil {
-		t.Fatal("Background-class cache stream accepted")
-	}
 	if _, err := ca.NewStream("x", 99, sched.Interactive); err == nil {
 		t.Fatal("bad node accepted")
+	}
+}
+
+// TestReservedClassesRefused: both tenant surfaces, the volume's and
+// the cache's, refuse an Accel or Background stream with
+// volume.ErrReservedClass.
+func TestReservedClassesRefused(t *testing.T) {
+	_, v, ca := testCache(t, 1, DefaultConfig(8))
+	for _, class := range []sched.Class{sched.Accel, sched.Background} {
+		if _, err := v.NewStream("t", class); !errors.Is(err, volume.ErrReservedClass) {
+			t.Errorf("volume stream at %v: %v, want ErrReservedClass", class, err)
+		}
+		if _, err := ca.NewStream("t", 0, class); !errors.Is(err, volume.ErrReservedClass) {
+			t.Errorf("cache stream at %v: %v, want ErrReservedClass", class, err)
+		}
 	}
 }
 
@@ -363,62 +376,5 @@ func TestWriteThroughWhenSaturated(t *testing.T) {
 		if got := readPage(t, c, st, lpn); !bytes.Equal(got, pageData(ca.PageSize(), lpn)) {
 			t.Fatalf("lpn %d: wrong data back", lpn)
 		}
-	}
-}
-
-// TestTierDemoteAndPromote: cold pages migrate out of flash onto the
-// alt-store device, a later read is served from the tier, and the page
-// promotes back through the DRAM cache (dirty, so a flush restores it
-// to flash and releases the tier copy).
-func TestTierDemoteAndPromote(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Tier = true
-	c, _, ca := testCache(t, 1, cfg)
-	st, err := ca.NewStream("t", 0, sched.Interactive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed pages 0..15 through the cache (8 frames: the older half is
-	// evicted or written through, but all land on flash).
-	for lpn := 0; lpn < 16; lpn++ {
-		st.Write(lpn, pageData(ca.PageSize(), lpn), func(err error) {
-			if err != nil {
-				t.Errorf("write: %v", err)
-			}
-		})
-		c.Run()
-	}
-	// Hammer the upper half as the hot set until the lower half goes
-	// cold enough to demote (every access advances the coldness clock
-	// and periodically runs a scan batch). Scan k looks at pages
-	// [(k-1)·scanPages, k·scanPages) at access k·scanEvery, so the
-	// hand is back at page 0 after one sweep of the volume, by when
-	// the lower half has gone untouched for more than coldGap accesses.
-	hot := (ca.pages/scanPages + 1) * scanEvery
-	for i := 0; i < hot; i++ {
-		readPage(t, c, st, 8+(i%8))
-	}
-	s := ca.Stats()
-	if s.Demotions == 0 {
-		t.Fatalf("no demotions after %d hot-set accesses (stats %+v)", hot, s)
-	}
-	// Read a demoted page back: served by the tier, promoted to DRAM.
-	if got := readPage(t, c, st, 0); !bytes.Equal(got, pageData(ca.PageSize(), 0)) {
-		t.Fatal("tier read returned wrong data")
-	}
-	d := ca.Stats().Delta(s)
-	if d.TierReads == 0 {
-		t.Fatal("read of a demoted page did not hit the tier")
-	}
-	if d.Promotions == 0 {
-		t.Fatal("tier read did not promote the page back to DRAM")
-	}
-	// The promoted page flushed back to flash, so the tier copy is
-	// gone and the next read is a DRAM hit.
-	if got := readPage(t, c, st, 0); !bytes.Equal(got, pageData(ca.PageSize(), 0)) {
-		t.Fatal("promoted page corrupt")
-	}
-	if d2 := ca.Stats().Delta(s); d2.Hits == 0 {
-		t.Fatal("promoted page did not serve a DRAM hit")
 	}
 }

@@ -24,11 +24,6 @@ type Stats struct {
 	InvalidationsApplied      int64 // clean drops + fill poisonings
 	InvalidationsIgnoredDirty int64 // kept: local copy dirty/in-flush
 	FillsPoisoned             int64
-
-	Demotions    int64 // pages migrated flash -> alt store
-	DemoteAborts int64 // migrations cancelled by a racing access
-	Promotions   int64 // tier pages re-installed into DRAM
-	TierReads    int64 // misses served from the alt store
 }
 
 // Stats snapshots the current cluster-wide counters.
@@ -50,12 +45,6 @@ func (c *Cache) Stats() Stats {
 		s.FillsPoisoned += nc.fillsPoisoned
 	}
 	s.InvalidationsSent = c.invSent
-	if t := c.tier; t != nil {
-		s.Demotions = t.demotions
-		s.DemoteAborts = t.aborts
-		s.Promotions = t.promotions
-		s.TierReads = t.tierReads
-	}
 	s.fillRate()
 	return s
 }
@@ -78,10 +67,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		InvalidationsApplied:      s.InvalidationsApplied - prev.InvalidationsApplied,
 		InvalidationsIgnoredDirty: s.InvalidationsIgnoredDirty - prev.InvalidationsIgnoredDirty,
 		FillsPoisoned:             s.FillsPoisoned - prev.FillsPoisoned,
-		Demotions:                 s.Demotions - prev.Demotions,
-		DemoteAborts:              s.DemoteAborts - prev.DemoteAborts,
-		Promotions:                s.Promotions - prev.Promotions,
-		TierReads:                 s.TierReads - prev.TierReads,
 	}
 	d.fillRate()
 	return d

@@ -66,7 +66,7 @@ func TestLocalWriteRead(t *testing.T) {
 		t.Fatal(werr)
 	}
 	var got []byte
-	n0.ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
+	n0.ISPReadDirect(a, func(d []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -232,7 +232,7 @@ func TestHostWriteRoundTrip(t *testing.T) {
 			t.Fatalf("host write %v: %v", a, werr)
 		}
 		var got []byte
-		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) { got = d })
+		c.Node(a.Node).ISPReadDirect(a, func(d []byte, err error) { got = d })
 		c.Run()
 		if !bytes.Equal(got, data) {
 			t.Fatalf("host write %v: data mismatch", a)
@@ -378,7 +378,7 @@ func TestWriteBufferOwnership(t *testing.T) {
 	}
 	readBack := func(a PageAddr) []byte {
 		var got []byte
-		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
+		c.Node(a.Node).ISPReadDirect(a, func(d []byte, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -443,7 +443,7 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 		t.Fatalf("the failed write's records must have gone back too: %v", err)
 	}
 	var got []byte
-	n0.ReadLocal(good.Card, good.Addr, func(d []byte, err error) {
+	n0.ISPReadDirect(good, func(d []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}

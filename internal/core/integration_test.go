@@ -141,7 +141,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	// Verify all written pages.
 	for a, want := range wrote {
 		var got []byte
-		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
+		c.Node(a.Node).ISPReadDirect(a, func(d []byte, err error) {
 			if err != nil {
 				t.Errorf("verify %v: %v", a, err)
 			}

@@ -26,8 +26,8 @@ const (
 )
 
 // ISPReadLanes is the number of parallel read channels each card
-// offers its ordinary in-store reads (ReadLocal, ISPReadDirect and the
-// host reads a node serves for a remote one). A flashserver interface
+// offers its ordinary in-store reads (ISPReadDirect of a local page and
+// the host reads a node serves for a remote one). A flashserver interface
 // delivers responses in FIFO request order, so one shared channel
 // would head-of-line-block every ISP read behind whichever chip happens
 // to be busiest; striping reads round-robin over independent channels
@@ -210,15 +210,6 @@ func (n *Node) NetNode() *fabric.Node { return n.netNode }
 
 // --- local flash access (device side / ISP path) ---------------------
 
-// ReadLocal reads a page on this node's own flash through the in-store
-// processor interface: no host, no network. Reads stripe round-robin
-// over the card's ISPReadLanes channels so concurrent ISP reads
-// complete out of order instead of convoying behind one busy chip;
-// callers needing a private FIFO channel use NewIface.
-func (n *Node) ReadLocal(card int, addr nand.Addr, cb func(data []byte, err error)) {
-	n.readIface(card, addr, false).ReadPhysical(addr, cb)
-}
-
 // readLanes is one card's set of ISP read channels, taken round-robin.
 type readLanes struct {
 	ifaces []*flashserver.Iface
@@ -251,10 +242,14 @@ func (n *Node) WriteLocal(card int, addr nand.Addr, data []byte, cb func(err err
 
 // ISPReadDirect reads any page in the cluster from this node's
 // in-store processor, issuing at once: the unadmitted device read.
-// Local pages use the local flash interface; remote pages go over the
-// integrated storage network to the remote flash server — the ISP-F
-// path, with zero host involvement anywhere. It runs at ordinary
-// priority at the chip, like a host read.
+// A local page is read through the in-store processor interface, no
+// host and no network: reads stripe round-robin over the card's
+// ISPReadLanes channels, so concurrent reads complete out of order
+// instead of convoying behind one busy chip (a caller needing a private
+// FIFO channel uses NewIface). A remote page goes over the integrated
+// storage network to the remote flash server — the ISP-F path, with
+// zero host involvement anywhere. It runs at ordinary priority at the
+// chip, like a host read.
 //
 // The admitted device read is a sched.Stream at class Accel: it queues
 // the read at the node that owns the page under the Accel token budget,

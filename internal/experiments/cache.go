@@ -175,9 +175,7 @@ func runCacheRegime(p core.Params, cfg cacheConfig, name string, frac float64) (
 	}
 	if frac != 0 {
 		arm.CapacityPages = cacheCapacity(frac, hot, st.V.Pages())
-		ccfg := cache.DefaultConfig(arm.CapacityPages)
-		ccfg.Tier = true
-		if err := st.AttachCache(ccfg); err != nil {
+		if err := st.AttachCache(cache.DefaultConfig(arm.CapacityPages)); err != nil {
 			return arm, err
 		}
 	}
@@ -190,6 +188,11 @@ func runCacheRegime(p core.Params, cfg cacheConfig, name string, frac float64) (
 		return arm, err
 	}
 	arm.Result, arm.Volume, arm.Host, arm.Cache = w.Run, w.Volume, w.Host, w.Cache
+	// The readers only read, so every volume read of a cached arm is
+	// one miss's fill: any other read is traffic nothing accounts for.
+	if frac != 0 && w.Volume.HostReads != w.Cache.Misses {
+		return arm, fmt.Errorf("%d volume reads against %d cache misses", w.Volume.HostReads, w.Cache.Misses)
+	}
 	if frac < 0 {
 		// DRAM strawman: a RAM cloud holding the appliance's modeled
 		// dataset (per-node flash capacity x nodes).
@@ -283,7 +286,7 @@ func cacheTier(p core.Params, cfg cacheConfig) (cacheResult, error) {
 // formatCacheTier renders the comparison.
 func formatCacheTier(r cacheResult) string {
 	var t table
-	t.row("Regime", "cap/hot", "hit rate", "mean us", "p99 us", "Kops/s", "W", "ops/s/W", "demoted")
+	t.row("Regime", "cap/hot", "hit rate", "mean us", "p99 us", "Kops/s", "W", "ops/s/W")
 	for _, a := range r.Regimes {
 		frac := "-"
 		if a.CapacityFrac > 0 {
@@ -293,8 +296,7 @@ func formatCacheTier(r cacheResult) string {
 		}
 		t.row(a.Name, frac, f2(a.Cache.HitRate),
 			f1(a.Result.Combined.MeanUs), f1(a.Result.Combined.P99Us),
-			f1(a.KopsPerSec), f1(a.Watts), f2(a.OpsPerSecW),
-			fmt.Sprintf("%d", a.Cache.Demotions))
+			f1(a.KopsPerSec), f1(a.Watts), f2(a.OpsPerSecW))
 	}
 	head := fmt.Sprintf(
 		"Cache tier: %d hot/cold readers, %d nodes, host-DRAM write-back cache above the volume\n"+

@@ -68,7 +68,7 @@ func fig13HostLocal(p core.Params) (float64, error) {
 	node := c.Node(0)
 	return fig13Bandwidth(c, []int{0}, 77, func(int, int) fig13Read {
 		return func(a core.PageAddr, done func([]byte, error)) {
-			node.ReadLocal(a.Card, a.Addr, func(data []byte, err error) {
+			node.ISPReadDirect(a, func(data []byte, err error) {
 				if err != nil {
 					done(nil, err)
 					return

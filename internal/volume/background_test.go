@@ -2,15 +2,18 @@ package volume_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
-// TestBackgroundReadWriteRoundTrip: WriteBackground/ReadBackground
-// move pages through the scheduler's Background class (TagFlush) and
-// round-trip data intact even while the Background token budget is
-// throttled, and TrimBackground releases the mapping.
+// TestBackgroundReadWriteRoundTrip: WriteBackground moves pages
+// through the scheduler's Background class (TagFlush) intact even
+// while the Background token budget is throttled: a tenant stream
+// reads them back, and its trim releases the mapping.
 func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 	c, _, v := testVolume(t, 2, ftl.DefaultConfig())
 	// Raise the Background budget so the flush traffic drains: this is
@@ -31,10 +34,14 @@ func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 	if werrs > 0 {
 		t.Fatalf("%d background write errors", werrs)
 	}
+	st, err := v.NewStream("rd", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([][]byte, n)
 	for lpn := 0; lpn < n; lpn++ {
 		lpn := lpn
-		v.ReadBackground(lpn, func(data []byte, err error) {
+		st.Read(lpn, func(data []byte, err error) {
 			if err != nil {
 				t.Errorf("read %d: %v", lpn, err)
 			}
@@ -47,7 +54,7 @@ func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 			t.Fatalf("lpn %d: wrong data back", lpn)
 		}
 	}
-	if err := v.TrimBackground(0); err != nil {
+	if err := st.Trim(0); err != nil {
 		t.Fatalf("trim: %v", err)
 	}
 	if d := v.Stats(); d.HostTrims != 1 {
@@ -55,19 +62,24 @@ func TestBackgroundReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackgroundRangeAndUrgencyClamp: out-of-range background I/O
-// fails typed. (The urgency clamp is the scheduler's: sched's
+// TestBackgroundRangeAndUrgencyClamp: an out-of-range background
+// write fails typed, as do a stream's out-of-range read and trim.
+// (The urgency clamp is the scheduler's: sched's
 // TestUrgencySourcesFoldWithMax.)
 func TestBackgroundRangeAndUrgencyClamp(t *testing.T) {
 	_, _, v := testVolume(t, 1, ftl.DefaultConfig())
-	var rerr, werr error
-	v.ReadBackground(-1, func(_ []byte, err error) { rerr = err })
-	v.WriteBackground(v.Pages(), make([]byte, v.PageSize()), func(err error) { werr = err })
-	if rerr == nil || werr == nil {
-		t.Fatalf("out-of-range background I/O accepted: read %v write %v", rerr, werr)
+	st, err := v.NewStream("rd", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := v.TrimBackground(v.Pages()); err == nil {
-		t.Fatal("out-of-range trim accepted")
+	var rerr, werr error
+	st.Read(-1, func(_ []byte, err error) { rerr = err })
+	v.WriteBackground(v.Pages(), make([]byte, v.PageSize()), func(err error) { werr = err })
+	if !errors.Is(rerr, volume.ErrOutOfRange) || !errors.Is(werr, volume.ErrOutOfRange) {
+		t.Fatalf("out-of-range I/O accepted: read %v write %v", rerr, werr)
+	}
+	if err := st.Trim(v.Pages()); !errors.Is(err, volume.ErrOutOfRange) {
+		t.Fatalf("out-of-range trim: %v", err)
 	}
 }
 

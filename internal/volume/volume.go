@@ -35,6 +35,11 @@ import (
 // ErrOutOfRange reports a logical page beyond the volume.
 var ErrOutOfRange = errors.New("volume: logical page out of range")
 
+// ErrReservedClass refuses a tenant stream on a class the stack keeps
+// for itself: Accel (device-side reads) or Background (housekeeping).
+// The cache's streams refuse them with it too.
+var ErrReservedClass = errors.New("volume: class not usable by tenants")
+
 // Config tunes the volume.
 type Config struct {
 	// FTL configures every card's translation layer.
@@ -245,7 +250,7 @@ type Stream struct {
 // Background for the volume's own housekeeping traffic.
 func (v *Volume) NewStream(name string, class sched.Class) (*Stream, error) {
 	if class >= sched.Accel {
-		return nil, fmt.Errorf("volume: class %v not usable by tenants", class)
+		return nil, fmt.Errorf("%w: %v", ErrReservedClass, class)
 	}
 	return &Stream{v: v, class: class}, nil
 }
@@ -265,23 +270,18 @@ func (st *Stream) PageSize() int { return st.v.PageSize() }
 // On a mirrored volume a read whose primary copy is dead, rebuilding,
 // or uncorrectable fails over to the replica (see mirror.go).
 func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
-	st.v.read(lpn, ftl.IOTag(st.class), cb)
-}
-
-// read is the one body of Stream.Read and ReadBackground: the traffic
-// tag is all that tells a tenant's read from the cache tier's.
-func (v *Volume) read(lpn int, tag ftl.IOTag, cb func(data []byte, err error)) {
+	v := st.v
 	if lpn < 0 || lpn >= v.Pages() {
 		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
 	if v.cfg.Mirror {
-		v.readMirrored(lpn, tag, cb)
+		v.readMirrored(lpn, ftl.IOTag(st.class), cb)
 		return
 	}
 	cd, clpn := v.locate(lpn)
-	cd.f.ReadTagged(clpn, tag, cb)
+	cd.f.ReadTagged(clpn, ftl.IOTag(st.class), cb)
 }
 
 // Write stores a logical page. The payload is snapshotted before the
@@ -312,11 +312,8 @@ func (v *Volume) write(lpn int, data []byte, tag ftl.IOTag, cb func(err error)) 
 // issued), so there is no operation for the scheduler to admit — but
 // it is counted (Stats.HostTrims, per-window in Stats.Delta) so trims
 // are no longer invisible to the volume's accounting.
-func (st *Stream) Trim(lpn int) error { return st.v.trim(lpn) }
-
-// trim is the one body of Stream.Trim and TrimBackground: a trim
-// admits nothing, so it has no class to differ in.
-func (v *Volume) trim(lpn int) error {
+func (st *Stream) Trim(lpn int) error {
+	v := st.v
 	if lpn < 0 || lpn >= v.Pages() {
 		return fmt.Errorf("%w: %d", ErrOutOfRange, lpn)
 	}

@@ -301,7 +301,7 @@ func TestLocateAndPhysMap(t *testing.T) {
 			t.Fatalf("lpn %d: Phys %v != PhysMap %v", lpn, a, addrs[lpn])
 		}
 		var raw []byte
-		c.Node(a.Node).ReadLocal(a.Card, a.Addr, func(d []byte, err error) {
+		c.Node(a.Node).ISPReadDirect(a, func(d []byte, err error) {
 			if err != nil {
 				t.Errorf("raw read: %v", err)
 			}

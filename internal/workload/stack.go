@@ -33,8 +33,8 @@ type StackSpec struct {
 	// with this configuration; Mirror adds its cross-node replicas.
 	FTL    *ftl.Config
 	Mirror bool
-	// Cache, when non-nil, puts the host-DRAM write-back cache (and,
-	// through its Tier field, the cold tier) above the volume.
+	// Cache, when non-nil, puts the host-DRAM write-back cache above
+	// the volume.
 	Cache *cache.Config
 	// RFS, when non-nil, mounts the cluster-wide log-structured file
 	// system on a backend configured by RFSCluster. It cannot stand

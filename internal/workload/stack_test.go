@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"strings"
 	"testing"
@@ -65,11 +66,7 @@ func checkAtEnd(t *testing.T, st *Stack) {
 // top surface — the stack's stream for page surfaces, the file for the
 // file system.
 func TestBuildCompositions(t *testing.T) {
-	cached := func(tier bool) *cache.Config {
-		ccfg := cache.DefaultConfig(64)
-		ccfg.Tier = tier
-		return &ccfg
-	}
+	ccfg := cache.DefaultConfig(64)
 	rcfg, icfg := rfs.DefaultConfig(), ispvol.DefaultConfig()
 	cases := []struct {
 		name string
@@ -77,9 +74,8 @@ func TestBuildCompositions(t *testing.T) {
 	}{
 		{"volume", func(s *StackSpec) {}},
 		{"volume+mirror", func(s *StackSpec) { s.Mirror = true }},
-		{"volume+cache", func(s *StackSpec) { s.Cache = cached(false) }},
-		{"volume+cache+tier", func(s *StackSpec) { s.Cache = cached(true) }},
-		{"volume+mirror+cache", func(s *StackSpec) { s.Mirror, s.Cache = true, cached(false) }},
+		{"volume+cache", func(s *StackSpec) { s.Cache = &ccfg }},
+		{"volume+mirror+cache", func(s *StackSpec) { s.Mirror, s.Cache = true, &ccfg }},
 		{"volume+isp", func(s *StackSpec) { s.ISP = &icfg }},
 		{"rfs", func(s *StackSpec) { s.FTL, s.RFS = nil, &rcfg }},
 		{"rfs+isp", func(s *StackSpec) { s.FTL, s.RFS, s.ISP = nil, &rcfg, &icfg }},
@@ -313,5 +309,67 @@ func TestMeasureWindowsExcludeSetup(t *testing.T) {
 			return func() (int, []byte) { return pages + 5, nil }
 		}}}, 1, 4, nil); err == nil {
 		t.Fatal("a window with failed requests was accepted")
+	}
+}
+
+// TestCacheCountersConserve: on a cached stack every volume read of a
+// window is one cache miss's fill, and every volume write is a flush or
+// a write-through, once per copy on a mirrored volume. Each window
+// follows a warm-up and ends drained, no frame dirty or in flush, so no
+// write-back straddles its edges.
+func TestCacheCountersConserve(t *testing.T) {
+	for _, mirror := range []bool{false, true} {
+		for _, capacity := range []int{4, 16, 64} {
+			for _, overwrite := range []float64{0, 0.3, 0.9} {
+				name := fmt.Sprintf("cap%d/ovw%.1f", capacity, overwrite)
+				if mirror {
+					name = "mirror/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					spec := withVolume(testSpec())
+					ccfg := cache.DefaultConfig(capacity)
+					spec.Mirror, spec.Cache = mirror, &ccfg
+					st, err := Build(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAtEnd(t, st)
+					if err := st.Seed(RandomPages(9)); err != nil {
+						t.Fatal(err)
+					}
+					pages := st.V.Pages()
+					var specs []ClientSpec
+					for node := 0; node < st.C.Nodes(); node++ {
+						rw, err := st.Stream(fmt.Sprintf("n%d", node), node, sched.Interactive)
+						if err != nil {
+							t.Fatal(err)
+						}
+						specs = append(specs, ClientSpec{Name: fmt.Sprintf("n%d", node), RW: rw,
+							Pick: PickHotCold(pages, pages/4, 0, overwrite), Seed: uint64(node + 1)})
+					}
+					var w Window
+					for _, requests := range []int{128, 256} { // warm-up, then the window
+						if w, err = st.Measure(specs, 4, requests, nil); err != nil {
+							t.Fatal(err)
+						}
+						if w.Cache.DirtyPages != 0 {
+							t.Fatalf("window ended with %d frames dirty or in flush", w.Cache.DirtyPages)
+						}
+					}
+					copies := int64(1)
+					if mirror {
+						copies = 2
+					}
+					v, c := w.Volume, w.Cache
+					if v.HostReads != c.Misses {
+						t.Errorf("%d volume reads against %d cache misses", v.HostReads, c.Misses)
+					}
+					if want := copies * (c.Flushes + c.WriteThroughs); v.HostWrites != want {
+						t.Errorf("%d volume writes, want %d × (%d flushes + %d write-throughs) = %d",
+							v.HostWrites, copies, c.Flushes, c.WriteThroughs, want)
+					}
+				})
+			}
+		}
 	}
 }
