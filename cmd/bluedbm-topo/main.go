@@ -99,32 +99,11 @@ func printDistances(net *fabric.Network) {
 	fmt.Println()
 	for i := 0; i < n; i++ {
 		fmt.Printf("%4d", i)
-		dist := bfs(net, i)
 		for j := 0; j < n; j++ {
-			fmt.Printf("%4d", dist[j])
+			fmt.Printf("%4d", net.Hops(fabric.NodeID(i), fabric.NodeID(j)))
 		}
 		fmt.Println()
 	}
-}
-
-func bfs(net *fabric.Network, from int) []int {
-	dist := make([]int, net.Nodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[from] = 0
-	queue := []int{from}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, peer := range net.Node(fabric.NodeID(v)).Neighbors() {
-			if dist[peer] < 0 {
-				dist[peer] = dist[v] + 1
-				queue = append(queue, int(peer))
-			}
-		}
-	}
-	return dist
 }
 
 func fatal(err error) {

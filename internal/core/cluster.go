@@ -19,8 +19,6 @@ type Cluster struct {
 	Net    *fabric.Network
 	nodes  []*Node
 
-	hops [][]int // precomputed hop distances
-
 	// remoteOps recycles the records of remote flash operations.
 	remoteOps sim.Pool[remoteOp]
 
@@ -45,15 +43,9 @@ func NewCluster(p Params) (*Cluster, error) {
 	if topo.Nodes != p.Nodes {
 		return nil, fmt.Errorf("core: topology has %d nodes, cluster has %d", topo.Nodes, p.Nodes)
 	}
-	var net *fabric.Network
-	var err error
-	if p.Nodes == 1 {
-		net = fabric.New(eng, p.Net, 1)
-	} else {
-		net, err = topo.Build(eng, p.Net, EPUser+8)
-		if err != nil {
-			return nil, err
-		}
+	net, err := topo.Build(eng, p.Net, EPUser+8)
+	if err != nil {
+		return nil, err
 	}
 
 	c := &Cluster{Eng: eng, Params: p, Net: net}
@@ -64,15 +56,6 @@ func NewCluster(p Params) (*Cluster, error) {
 			return nil, fmt.Errorf("core: node %d: %w", i, err)
 		}
 		c.nodes = append(c.nodes, node)
-	}
-
-	// Precompute hop distances for latency accounting.
-	c.hops = make([][]int, p.Nodes)
-	for i := range c.hops {
-		c.hops[i] = make([]int, p.Nodes)
-		for j := range c.hops[i] {
-			c.hops[i][j] = c.bfsDist(i, j)
-		}
 	}
 	return c, nil
 }
@@ -147,31 +130,9 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Nodes returns the cluster size.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
-// Hops returns the network distance between two nodes.
-func (c *Cluster) Hops(a, b int) int { return c.hops[a][b] }
-
-func (c *Cluster) bfsDist(a, b int) int {
-	if a == b {
-		return 0
-	}
-	dist := map[int]int{a: 0}
-	queue := []int{a}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, peer := range c.Net.Node(fabric.NodeID(v)).Neighbors() {
-			pv := int(peer)
-			if _, seen := dist[pv]; !seen {
-				dist[pv] = dist[v] + 1
-				if pv == b {
-					return dist[pv]
-				}
-				queue = append(queue, pv)
-			}
-		}
-	}
-	return -1
-}
+// Hops returns the network distance between two nodes, in links
+// (fabric.Network.Hops).
+func (c *Cluster) Hops(a, b int) int { return c.Net.Hops(fabric.NodeID(a), fabric.NodeID(b)) }
 
 // Run drains all pending simulation events.
 func (c *Cluster) Run() { c.Eng.Run() }

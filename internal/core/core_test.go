@@ -491,6 +491,56 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 	c.Run()
 }
 
+// TestRemoteRequestIsReadOrWrite: only reads and writes cross the
+// fabric. An erase or a Background request for another node's card
+// fails with ErrNotLocal before it moves anything, and the far page it
+// named is still there; the same erase of a local card goes through.
+func TestRemoteRequestIsReadOrWrite(t *testing.T) {
+	c := mkCluster(t, 2)
+	n0, n1 := c.Node(0), c.Node(1)
+	geo := c.Params.Geometry
+	far, near := LinearPage(c.Params, 1, 0), LinearPage(c.Params, 0, 0)
+	want := fill(3, geo.PageSize)
+	for _, a := range []PageAddr{far, near} {
+		hostWrite(n0, a, want, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	c.Run()
+
+	errs := make([]error, 4)
+	done := func(i int) func([]byte, error) {
+		errs[i] = errors.New("never completed")
+		return func(_ []byte, err error) { errs[i] = err }
+	}
+	n0.SubmitHostBatch([]HostReq{
+		{Addr: far, Erase: true, Done: done(0)},
+		{Addr: far, Background: true, Done: done(1)},
+		{Addr: far, Write: true, Background: true, Data: geo.PageImage(want), Done: done(2)},
+		{Addr: near, Erase: true, Background: true, Done: done(3)},
+	}, nil)
+	c.Run()
+	for i, what := range []string{"erase", "background read", "background write"} {
+		if !errors.Is(errs[i], ErrNotLocal) {
+			t.Errorf("a remote %s: err = %v, want ErrNotLocal", what, errs[i])
+		}
+	}
+	if errs[3] != nil {
+		t.Errorf("a local background erase: %v", errs[3])
+	}
+	if stored := n1.Card(far.Card).Peek(far.Addr); !bytes.Equal(stored, want) {
+		t.Error("the far page is gone after its refused erase")
+	}
+	if n0.Card(near.Card).Peek(near.Addr) != nil {
+		t.Error("the local erase did not erase")
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckNamesALeakedRecord: a pooled record taken and not returned
 // fails the drain check, and the error names the pool it belongs to —
 // the cluster's own pools and a layer's registered check alike.

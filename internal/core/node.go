@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -72,15 +73,14 @@ type Trace struct {
 	Total    sim.Time
 }
 
-// reqMsg describes a remote flash request.
+// reqMsg describes a remote flash request: a read or a write. Erases
+// and background traffic stay on the node that owns the card.
 type reqMsg struct {
 	card    int
 	addr    nand.Addr
 	viaHost bool // remote host processes the request (H-RH-F)
 	dram    bool // serve from the on-device DRAM buffer (H-D)
 	write   bool
-	erase   bool
-	bg      bool   // background (GC) traffic: keep off the latency FIFOs
 	bulk    bool   // an admitted in-store read: the bulk lanes (ISPReadAdmitted)
 	data    []byte // payload for writes
 }
@@ -106,7 +106,7 @@ type remoteOp struct {
 
 	// bound once, for the serving node
 	onRead     func(data []byte, err error) // the flash read completed
-	onAck      func(err error)              // the program or erase completed
+	onAck      func(err error)              // the program completed
 	onIntr     func()                       // viaHost: the request interrupted the host
 	onSoftware func()                       // viaHost: the host's software has run
 	serve      func()                       // viaHost: the host's RPC reached the device
@@ -191,11 +191,6 @@ func (n *Node) Card(c int) *nand.Card { return n.cards[c] }
 
 // Controller returns the flash controller of card c.
 func (n *Node) Controller(c int) *flashctl.Controller { return n.ctls[c] }
-
-// Server returns the flash server of card c.
-//
-//simlint:allow unused (the ATU path of the paper's Figure 8: rfs_test and ablation_test.go reach a card's flash server through it)
-func (n *Node) Server(c int) *flashserver.Server { return n.servers[c] }
 
 // NewIface creates a fresh in-order flash interface on card c, for
 // in-store processors that want private FIFO channels. The name is the
@@ -339,17 +334,11 @@ func (n *Node) serveRemote(op *remoteOp) {
 		// latency, just the buffer access.
 		n.dram.Transfer(n.cluster.Params.PageSize(), op.onDRAM)
 	case op.write:
-		n.serveIface(op).WritePhysical(op.addr, op.data, op.onAck)
-	case op.erase:
-		n.serveIface(op).Erase(op.addr, op.onAck)
+		n.ispIfaces[op.card].WritePhysical(op.addr, op.data, op.onAck)
 	default:
-		iface := n.serveIface(op)
-		if !op.bg {
-			// Remote reads stripe over the card's ISP read lanes like
-			// local ISP reads do; an admitted one takes its chip's bulk lane.
-			iface = n.readIface(op.card, op.addr, op.bulk)
-		}
-		iface.ReadPhysical(op.addr, op.onRead)
+		// Remote reads stripe over the card's ISP read lanes like local
+		// ISP reads do; an admitted one takes its chip's bulk lane.
+		n.readIface(op.card, op.addr, op.bulk).ReadPhysical(op.addr, op.onRead)
 	}
 }
 
@@ -364,17 +353,6 @@ func (n *Node) dramDone(op *remoteOp) {
 		data = make([]byte, ps)
 	}
 	n.respond(op, data[:ps], nil)
-}
-
-// serveIface picks the device-side interface for a remote request:
-// background (GC) traffic stays off the in-store processors' FIFO.
-//
-//simlint:hotpath
-func (n *Node) serveIface(op *remoteOp) *flashserver.Iface {
-	if op.bg {
-		return n.bgIfaces[op.card]
-	}
-	return n.ispIfaces[op.card]
 }
 
 // respond ships the result back over the integrated network on the
@@ -401,12 +379,20 @@ func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 
 // --- host-mediated access paths (Figure 12) --------------------------
 
+// ErrNotLocal fails a host erase or Background request for another
+// node's card: only reads and writes cross the fabric.
+var ErrNotLocal = errors.New("core: erase or background request for a remote card")
+
 // HostReq is one host-side flash request in the batched submission
 // path: the unit the request scheduler (internal/sched) admits, queues
 // and coalesces. For writes Data carries the payload and Done's data
 // argument is nil. Erase requests (issued by the host-resident FTL's
 // garbage collector) erase the whole block containing Addr; for them
 // too Done's data argument is nil. Done fires exactly once.
+//
+// A request for another node's card is a read or a write: an erase or
+// a Background request for one fails with ErrNotLocal, since the FTL
+// and the cleaner that issue those run on the node that owns the card.
 //
 // A write's Data is a page image (nand.Geometry.PageImage) that
 // SubmitHostBatch adopts: it is the buffer the flash ends up storing,
@@ -553,18 +539,22 @@ func (n *Node) finishHostOp(op *hostOp, data []byte, err error) {
 // issueHostOp starts the device-side path of one batched request. A
 // read goes to the flash (local) or the network (remote) and then up
 // through a host read buffer; a write takes a write buffer and crosses
-// PCIe first; an erase moves no data at all.
+// PCIe first; an erase moves no data at all. An erase or a Background
+// request for a remote card is refused (ErrNotLocal).
 //
 //simlint:hotpath
 func (n *Node) issueHostOp(op *hostOp) {
 	r := &op.req
+	remote := r.Addr.Node != n.id
 	switch {
+	case remote && (r.Erase || r.Background):
+		n.finishHostOp(op, nil, ErrNotLocal)
 	case r.Write:
 		n.Host.PageDown(len(r.Data), op.onDown)
-	case r.Addr.Node != n.id:
+	case remote:
 		// §6.4: H-RH-F and H-D are served by the far host, not its ISP.
-		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, viaHost: r.Path != PathHF, dram: r.Path == PathHD,
-			erase: r.Erase, bg: r.Background}, r.Addr.Node, op.onFlash)
+		n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, viaHost: r.Path != PathHF, dram: r.Path == PathHD},
+			r.Addr.Node, op.onFlash)
 	case r.Erase:
 		n.hostIface(r.Addr.Card, r.Background).Erase(r.Addr.Addr, op.onAck)
 	default:
@@ -584,17 +574,17 @@ func (n *Node) hostWriteDown(op *hostOp) {
 		n.hostIface(r.Addr.Card, r.Background).WriteImage(r.Addr.Addr, img, op.onAck)
 		return
 	}
-	n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, write: true, data: img, bg: r.Background}, r.Addr.Node, op.onFlash)
+	n.remoteReq(reqMsg{card: r.Addr.Card, addr: r.Addr.Addr, write: true, data: img}, r.Addr.Node, op.onFlash)
 }
 
 // hostFlashDone takes a read's page from the flash or the network and
 // DMAs it into a host read buffer, the completion interrupt following;
-// for a remote write or erase it is the ack.
+// for a remote write it is the ack.
 //
 //simlint:hotpath
 func (n *Node) hostFlashDone(op *hostOp, data []byte, err error) {
 	switch {
-	case op.req.Write || op.req.Erase:
+	case op.req.Write:
 		n.hostAck(op, err)
 	case err != nil:
 		n.finishHostOp(op, nil, err)

@@ -1,69 +1,67 @@
 package fabric
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestDefaultRouteTableConsulted: SetRoute(DefaultEP, ...) must steer
-// endpoints that have no private routing table. Regression: routePort
-// documented the -1 default table but only ever consulted endpoint
-// 0's, so software-configured default routes were dead state.
-func TestDefaultRouteTableConsulted(t *testing.T) {
-	// Ring 0-1-2-3; route endpoint 9 (beyond the precomputed range)
-	// from node 0 to node 1 the long way via the default table.
-	eng, net := buildNet(t, Ring(4, 1), 3)
-	src, err := net.Node(0).BindEndpoint(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := net.Node(1).BindEndpoint(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Default-route the long way around the ring: 0 -> 3 -> 2 -> 1.
-	portTo := func(at NodeID, peer NodeID) int {
-		for p, pp := range net.Node(at).portPeer {
-			if pp == peer {
-				return p
-			}
-		}
-		t.Fatalf("ring wiring missing %d-%d cable", at, peer)
-		return -1
-	}
-	for _, hop := range [][2]NodeID{{0, 3}, {3, 2}, {2, 1}} {
-		if err := net.Node(hop[0]).SetRoute(DefaultEP, 1, portTo(hop[0], hop[1])); err != nil {
-			t.Fatal(err)
+// TestEndpointPastTableRoutesAsZero: an endpoint above the highest one
+// Build gave a routing table of its own takes endpoint 0's port at
+// every hop, so its message arrives at the instant endpoint 0's does.
+// On a network Build never routed there is no table at all, and the
+// refusal names the endpoint the caller sent on.
+func TestEndpointPastTableRoutesAsZero(t *testing.T) {
+	const maxEP, past = 3, 9
+	topo := Mesh2D(3, 3)
+	_, net := buildNet(t, topo, maxEP)
+	const src, dst NodeID = 0, 8
+	spread := false
+	for ep := 1; ep <= maxEP; ep++ {
+		p0, _ := net.Node(src).routePort(0, dst)
+		if p, _ := net.Node(src).routePort(ep, dst); p != p0 {
+			spread = true
 		}
 	}
-	var arrival sim.Time = -1
-	dst.OnReceive = func(NodeID, int, any) { arrival = eng.Now() }
-	if err := src.Send(1, 16, nil, nil); err != nil {
-		t.Fatal(err)
+	if !spread {
+		t.Fatal("every endpoint leaves node 0 on one port: the test shows nothing")
 	}
-	eng.Run()
-	if arrival < 0 {
-		t.Fatal("message never arrived")
-	}
-	// 3+ hops instead of the direct 1: > 1.2us means the default table
-	// was consulted.
-	if arrival < 1200 {
-		t.Fatalf("default route ignored: arrival %v implies the direct path", arrival)
+	for at := src; at != dst; {
+		p0, err0 := net.Node(at).routePort(0, dst)
+		p, err := net.Node(at).routePort(past, dst)
+		if err0 != nil || err != nil || p != p0 {
+			t.Fatalf("at node %d: endpoint %d takes port %d (%v), endpoint 0 port %d (%v)", at, past, p, err, p0, err0)
+		}
+		at = net.Node(at).portPeer[p]
 	}
 
-	// An endpoint's private entry still wins over the default table.
-	srcP, _ := net.Node(0).BindEndpoint(2)
-	dstP, _ := net.Node(1).BindEndpoint(2)
-	var arrivalP sim.Time = -1
-	start := eng.Now()
-	dstP.OnReceive = func(NodeID, int, any) { arrivalP = eng.Now() - start }
-	if err := srcP.Send(1, 16, nil, nil); err != nil {
-		t.Fatal(err)
+	arrival := func(ep int) sim.Time {
+		eng, net := buildNet(t, topo, maxEP)
+		s, err := net.Node(src).BindEndpoint(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := net.Node(dst).BindEndpoint(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at sim.Time = -1
+		d.OnReceive = func(NodeID, int, any) { at = eng.Now() }
+		if err := s.Send(dst, 3000, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		return at
 	}
-	eng.Run()
-	if arrivalP < 0 || arrivalP > 1200 {
-		t.Fatalf("private route lost to the default table: latency %v", arrivalP)
+	if a0, a := arrival(0), arrival(past); a0 < 0 || a != a0 {
+		t.Fatalf("endpoint %d arrives at %v, endpoint 0 at %v", past, a, a0)
+	}
+
+	_, err := New(sim.NewEngine(), DefaultConfig(), 2).Node(0).routePort(past, 1)
+	if !errors.Is(err, ErrNoRoute) || !strings.Contains(err.Error(), "ep 9 ") {
+		t.Fatalf("unrouted network: err = %v, want ErrNoRoute naming ep 9", err)
 	}
 }
 

@@ -7,10 +7,14 @@
 //   - external switches that forward packets hop by hop without a
 //     separate router box, and internal switches that deliver traffic
 //     to local components (§3.2, Figure 4);
-//   - deterministic per-endpoint routing: all packets from one logical
-//     endpoint to one destination take the same path, preserving FIFO
-//     order without completion buffers, while different endpoints may
-//     spread over different paths (§3.2.3, Figure 6);
+//   - deterministic per-endpoint routing computed from the network
+//     configuration (§3.2.3, Figure 6): Topology.Build gives every node
+//     one table of shortest-path routes, indexed by endpoint, so all
+//     packets from one logical endpoint to one destination take the
+//     same path, preserving FIFO order without completion buffers,
+//     while different endpoints spread over equal-cost ports; an
+//     endpoint past the table routes as endpoint 0, and Network.Hops
+//     is the length of the paths the routes follow;
 //   - logical endpoints with virtual-channel semantics and optional
 //     end-to-end flow control (§3.2.1, §3.2.3).
 //
@@ -34,6 +38,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -393,6 +398,10 @@ type Network struct {
 	// (CheckInvariants).
 	segs sim.Pool[segment]
 
+	// hops[b][a] is the length of a shortest path from a to b
+	// (computeRoutes).
+	hops [][]int
+
 	// stats
 	Delivered  sim.Counter
 	SegsMoved  sim.Counter
@@ -407,21 +416,11 @@ type Node struct {
 	ports     []*halfLink // outgoing half-links by port index; nil = free
 	portPeer  []NodeID    // neighbor on each port, -1 = free
 	endpoints []*Endpoint // by endpoint index; nil = unbound
-	// routes[ep][dst] = output port, as configured. Endpoint key
-	// DefaultEP (-1) holds default routes used by endpoints with no
-	// specific entry.
-	routes map[int][]int
-	// fwd[ep+1][dst] is routes resolved through the fallback chain
-	// (resolveRoutes), rebuilt whenever routes changes, so forwarding a
-	// segment is two slice indexes. Row 0 — the DefaultEP row — also
-	// serves every endpoint index past the end.
-	fwd [][]int
+	// routes[ep][dst] is the output port toward dst for endpoint ep's
+	// traffic, -1 for none; Topology.Build writes it. An endpoint past
+	// the last row routes as endpoint 0.
+	routes [][]int
 }
-
-// DefaultEP is the routes-table key holding a node's default routes:
-// SetRoute(DefaultEP, dst, port) configures the route every endpoint
-// without a private entry for dst will use.
-const DefaultEP = -1
 
 // New creates a network with n nodes and no links.
 func New(eng *sim.Engine, cfg Config, n int) *Network {
@@ -433,15 +432,11 @@ func New(eng *sim.Engine, cfg Config, n int) *Network {
 			id:       NodeID(i),
 			ports:    make([]*halfLink, cfg.PortsPerNode),
 			portPeer: make([]NodeID, cfg.PortsPerNode),
-			routes:   make(map[int][]int),
 		}
 		for p := range node.portPeer {
 			node.portPeer[p] = -1
 		}
 		net.nodes = append(net.nodes, node)
-	}
-	for _, node := range net.nodes {
-		node.resolveRoutes()
 	}
 	return net
 }
@@ -504,30 +499,25 @@ func (nd *Node) freePort() int {
 // ID returns the node's identity.
 func (nd *Node) ID() NodeID { return nd.id }
 
-// Neighbors returns the distinct node IDs wired to this node.
-func (nd *Node) Neighbors() []NodeID {
-	var out []NodeID
-	seen := map[NodeID]bool{}
-	for _, peer := range nd.portPeer {
-		if peer >= 0 && !seen[peer] {
-			seen[peer] = true
-			out = append(out, peer)
+// computeRoutes fills every node's routing table with deterministic
+// shortest-path routes, and Hops with the distances they follow. For
+// each (endpoint, destination) the next hop is fixed, but different
+// endpoints rotate across equal-cost ports, so traffic from different
+// endpoints spreads over parallel links while each endpoint's stream
+// stays FIFO (paper §3.2.3). maxEndpoint is the highest endpoint index
+// with a row of its own.
+func (n *Network) computeRoutes(maxEndpoint int) error {
+	nn := len(n.nodes)
+	for _, node := range n.nodes {
+		node.routes = make([][]int, max(maxEndpoint, 0)+1)
+		for ep := range node.routes {
+			node.routes[ep] = slices.Repeat([]int{-1}, nn)
 		}
 	}
-	return out
-}
-
-// ComputeRoutes fills every node's routing tables with deterministic
-// shortest-path routes. For each (endpoint, destination) the next hop
-// is fixed, but different endpoints rotate across equal-cost ports, so
-// traffic from different endpoints spreads over parallel links while
-// each endpoint's stream stays FIFO (paper §3.2.3). maxEndpoint is the
-// highest endpoint index routes are precomputed for.
-func (n *Network) ComputeRoutes(maxEndpoint int) error {
-	nn := len(n.nodes)
-	// dist[d][v]: hop count from v to d.
+	n.hops = make([][]int, nn)
 	for d := 0; d < nn; d++ {
 		dist := n.bfs(NodeID(d))
+		n.hops[d] = dist
 		for v := 0; v < nn; v++ {
 			if v == d {
 				continue
@@ -543,34 +533,17 @@ func (n *Network) ComputeRoutes(maxEndpoint int) error {
 					cands = append(cands, p)
 				}
 			}
-			if len(cands) == 0 {
-				return fmt.Errorf("%w: node %d has no next hop to %d", ErrNotConnected, v, d)
-			}
-			for ep := 0; ep <= maxEndpoint; ep++ {
-				tbl, ok := node.routes[ep]
-				if !ok {
-					tbl = make([]int, nn)
-					for i := range tbl {
-						tbl[i] = -1
-					}
-					node.routes[ep] = tbl
-				}
+			for ep, tbl := range node.routes {
 				tbl[d] = cands[(ep+d)%len(cands)]
 			}
 		}
-	}
-	for _, node := range n.nodes {
-		node.resolveRoutes()
 	}
 	return nil
 }
 
 // bfs returns hop distances from every node to dst (-1 = unreachable).
 func (n *Network) bfs(dst NodeID) []int {
-	dist := make([]int, len(n.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
+	dist := slices.Repeat([]int{-1}, len(n.nodes))
 	dist[dst] = 0
 	queue := []NodeID{dst}
 	for len(queue) > 0 {
@@ -586,64 +559,24 @@ func (n *Network) bfs(dst NodeID) []int {
 	return dist
 }
 
-// SetRoute overrides the route for one (endpoint, destination) pair on
-// a node — the "routing configured dynamically by the software" hook.
-//
-//simlint:allow unused (the software-configured routing of the paper's §3.2.3, which the fabric tests run)
-func (nd *Node) SetRoute(ep int, dst NodeID, port int) error {
-	if port < 0 || port >= len(nd.ports) || nd.ports[port] == nil {
-		return fmt.Errorf("fabric: node %d port %d is not cabled", nd.id, port)
-	}
-	tbl, ok := nd.routes[ep]
-	if !ok {
-		tbl = make([]int, len(nd.net.nodes))
-		for i := range tbl {
-			tbl[i] = -1
-		}
-		nd.routes[ep] = tbl
-	}
-	tbl[dst] = port
-	nd.resolveRoutes()
-	return nil
-}
+// Hops returns the number of links on a shortest path between nodes a
+// and b, the path the routes follow: 0 for a == b. It is defined on a
+// network Topology.Build made.
+func (n *Network) Hops(a, b NodeID) int { return n.hops[b][a] }
 
-// resolveRoutes rebuilds fwd from routes. An endpoint with no private
-// entry for a destination falls back to the default table (endpoint
-// key -1, the software-configured catch-all of SetRoute), and then —
-// for compatibility with deployments that predate the default table —
-// to endpoint 0's table.
-func (nd *Node) resolveRoutes() {
-	rows := 1
-	for ep := range nd.routes {
-		rows = max(rows, ep+2)
-	}
-	nd.fwd = make([][]int, rows)
-	for row := range nd.fwd {
-		out := make([]int, len(nd.net.nodes))
-		for dst := range out {
-			out[dst] = -1
-			for _, ep := range [...]int{row - 1, DefaultEP, 0} {
-				if tbl, ok := nd.routes[ep]; ok && tbl[dst] >= 0 {
-					out[dst] = tbl[dst]
-					break
-				}
-			}
-		}
-		nd.fwd[row] = out
-	}
-}
-
-// routePort returns the output port for (ep, dst) from the resolved
-// table.
+// routePort returns the output port for (ep, dst). An endpoint past
+// the last row of the table routes as endpoint 0.
 //
 //simlint:hotpath
 func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
 	row := 0
-	if ep+1 < len(nd.fwd) {
-		row = ep + 1
+	if uint(ep) < uint(len(nd.routes)) {
+		row = ep
 	}
-	if port := nd.fwd[row][dst]; port >= 0 {
-		return port, nil
+	if row < len(nd.routes) {
+		if port := nd.routes[row][dst]; port >= 0 {
+			return port, nil
+		}
 	}
 	//simlint:allow hotpath (error path: allocates only when no route exists, which fails the injection anyway)
 	return 0, fmt.Errorf("%w: node %d ep %d -> node %d", ErrNoRoute, nd.id, ep, dst)

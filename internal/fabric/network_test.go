@@ -337,34 +337,40 @@ func TestDuplicateEndpointRejected(t *testing.T) {
 	}
 }
 
-func TestSetRouteOverride(t *testing.T) {
-	// Force endpoint 5's traffic around the long way of a ring and
-	// check it still arrives (and in order).
-	eng, net := buildNet(t, Ring(4, 1), 5)
-	src, _ := net.Node(0).BindEndpoint(5)
-	dst, _ := net.Node(1).BindEndpoint(5)
-	// Node 0's port toward node 3 (the long way to node 1).
-	var portTo3 = -1
-	for p, peer := range net.Node(0).portPeer {
-		if peer == 3 {
-			portTo3 = p
+// TestHopsMatchBFS holds Network.Hops, the distances route
+// computation keeps, to a breadth-first search over the topology's
+// edge list on every shape the package generates and on one node.
+func TestHopsMatchBFS(t *testing.T) {
+	for _, topo := range []Topology{
+		Ring(16, 4), Line(7, 2), Mesh2D(4, 4), DistributedStar(16, 4), FullMesh(6),
+		{Name: "single", Nodes: 1},
+	} {
+		_, net := buildNet(t, topo, 3)
+		adj := make([][]int, topo.Nodes)
+		for _, e := range topo.Edges {
+			adj[e[0]] = append(adj[e[0]], e[1])
+			adj[e[1]] = append(adj[e[1]], e[0])
 		}
-	}
-	if portTo3 < 0 {
-		t.Fatal("ring wiring missing 0-3 cable")
-	}
-	if err := net.Node(0).SetRoute(5, 1, portTo3); err != nil {
-		t.Fatal(err)
-	}
-	var arrival sim.Time
-	dst.OnReceive = func(NodeID, int, any) { arrival = eng.Now() }
-	if err := src.Send(1, 16, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	// 3 hops instead of 1: > 1.2us.
-	if arrival < 1200 {
-		t.Fatalf("override ignored: arrival %v implies short path", arrival)
+		for a := 0; a < topo.Nodes; a++ {
+			dist := make([]int, topo.Nodes)
+			for i := range dist {
+				dist[i] = -1
+			}
+			dist[a] = 0
+			for queue := []int{a}; len(queue) > 0; queue = queue[1:] {
+				for _, w := range adj[queue[0]] {
+					if dist[w] < 0 {
+						dist[w] = dist[queue[0]] + 1
+						queue = append(queue, w)
+					}
+				}
+			}
+			for b, want := range dist {
+				if got := net.Hops(NodeID(a), NodeID(b)); got != want {
+					t.Errorf("%s: Hops(%d, %d) = %d, BFS says %d", topo.Name, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -55,8 +55,10 @@ func DecodeTopology(b []byte) (Topology, error) {
 	return t, nil
 }
 
-// Build instantiates the topology on a fresh network and computes
-// routes for endpoints 0..maxEndpoint.
+// Build instantiates the topology on a fresh network and computes its
+// routes, each endpoint 0..maxEndpoint with a table of its own and
+// every higher one routing as endpoint 0, and the hop counts
+// (Network.Hops).
 func (t Topology) Build(eng *sim.Engine, cfg Config, maxEndpoint int) (*Network, error) {
 	if err := t.Validate(cfg.PortsPerNode); err != nil {
 		return nil, err
@@ -67,7 +69,7 @@ func (t Topology) Build(eng *sim.Engine, cfg Config, maxEndpoint int) (*Network,
 			return nil, err
 		}
 	}
-	if err := net.ComputeRoutes(maxEndpoint); err != nil {
+	if err := net.computeRoutes(maxEndpoint); err != nil {
 		return nil, err
 	}
 	return net, nil

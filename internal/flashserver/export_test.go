@@ -6,8 +6,3 @@ var (
 	Stack   = stack
 	Pattern = pattern
 )
-
-// Pages returns the number of mapped pages for a handle (0 if absent).
-func (a *ATU) Pages(h FileHandle) int {
-	return len(a.maps[h])
-}

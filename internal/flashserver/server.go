@@ -9,9 +9,12 @@
 //     whole pages;
 //   - Iface is one in-order request/response interface of the server:
 //     local in-store processors, host DMA and remote nodes each use
-//     their own, and each delivers in request order;
-//   - ATU is the Address Translation Unit that maps (file handle,
-//     offset) streams from the host onto physical flash addresses.
+//     their own, and each delivers in request order.
+//
+// Requests name physical pages only. An in-store engine that scans a
+// file is handed the file's physical pages by the file system
+// (rfs.File.PhysicalAddrs, the paper's Figure 8) and reads them through
+// an interface like any other reader.
 package flashserver
 
 import (
@@ -24,16 +27,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Server errors.
-var (
-	ErrNoMapping   = errors.New("flashserver: file handle not mapped")
-	ErrOutOfBounds = errors.New("flashserver: offset beyond file mapping")
-	// ErrShortRead fails a read whose bursts did not assemble into one
-	// whole page: a burst went missing, arrived out of order or was not
-	// a view of the tag's page buffer, or the controller reported the
-	// read done before a page's worth had arrived.
-	ErrShortRead = errors.New("flashserver: read bursts did not assemble into a whole page")
-)
+// ErrShortRead fails a read whose bursts did not assemble into one
+// whole page: a burst went missing, arrived out of order or was not a
+// view of the tag's page buffer, or the controller reported the read
+// done before a page's worth had arrived.
+var ErrShortRead = errors.New("flashserver: read bursts did not assemble into a whole page")
 
 // errNotImage fails a write whose buffer is not a page image: not
 // PageSize bytes.
@@ -42,11 +40,9 @@ var errNotImage = fmt.Errorf("%w: not a page image (nand.Geometry.PageImage)", f
 // Server is the Flash Server module (paper §3.1.2) of one card: it
 // shares the card's controller among in-order request/response
 // interfaces, renaming their requests onto the controller's tags and
-// reassembling each read's bursts into a page, and hosts the Address
-// Translation Unit for file-handle based requests.
+// reassembling each read's bursts into a page.
 type Server struct {
 	ctl *flashctl.Controller
-	atu *ATU
 
 	queueDepth int
 	geo        nand.Geometry
@@ -118,7 +114,6 @@ func New(eng *sim.Engine, card *nand.Card, cfg flashctl.Config, queueDepth int) 
 // newServer is a server for card, not yet attached to its controller.
 func newServer(card *nand.Card, queueDepth int) *Server {
 	return &Server{
-		atu:        NewATU(),
 		queueDepth: queueDepth,
 		geo:        card.Geometry(),
 		guard:      card.Guarded(),
@@ -146,11 +141,6 @@ func (s *Server) attach(ctl *flashctl.Controller) {
 		s.freeTags = append(s.freeTags, tag)
 	}
 }
-
-// ATU returns the server's address translation unit.
-//
-//simlint:allow unused (the ATU path of the paper's Figure 8, which the flash-server and rfs tests run)
-func (s *Server) ATU() *ATU { return s.atu }
 
 // NewIface creates an in-order interface. The paper makes the number
 // of interfaces a design-time parameter; here it is just a
@@ -285,21 +275,6 @@ func (s *Server) complete(op *pageOp, err error) {
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
 	op := f.srv.pool.Get()
 	op.iface, op.kind, op.addr, op.onRead = f, flashctl.OpRead, addr, cb
-	f.submit(op)
-}
-
-// ReadFile reads page number pageOff of the file mapped under handle,
-// using the ATU (the in-store processor path of paper Figure 8).
-//
-//simlint:allow unused (the ATU path of the paper's Figure 8, which the flash-server and rfs tests run)
-func (f *Iface) ReadFile(handle FileHandle, pageOff int, cb func(data []byte, err error)) {
-	addr, err := f.srv.atu.Translate(handle, pageOff)
-	op := f.srv.pool.Get()
-	op.iface, op.kind, op.addr, op.onRead = f, flashctl.OpRead, addr, cb
-	if err != nil {
-		f.reject(op, err)
-		return
-	}
 	f.submit(op)
 }
 

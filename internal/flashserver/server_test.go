@@ -2,7 +2,6 @@ package flashserver
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -221,67 +220,6 @@ func TestTwoIfacesIndependentOrder(t *testing.T) {
 	}
 	if posB > posA2 {
 		t.Fatalf("independent iface was blocked: %v", events)
-	}
-}
-
-func TestATUFileReads(t *testing.T) {
-	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface()
-
-	// "File": 4 pages scattered across buses/chips, deliberately not in
-	// layout order.
-	layout := []nand.Addr{
-		{Bus: 1, Chip: 1, Block: 0, Page: 0},
-		{Bus: 0, Chip: 0, Block: 0, Page: 0},
-		{Bus: 1, Chip: 0, Block: 0, Page: 0},
-		{Bus: 0, Chip: 1, Block: 0, Page: 0},
-	}
-	for i, a := range layout {
-		iface.WritePhysical(a, pattern(8192, byte(0x10+i)), func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	eng.Run()
-
-	srv.ATU().Load(FileHandle(42), layout)
-	if srv.ATU().Pages(42) != 4 {
-		t.Fatalf("ATU pages = %d", srv.ATU().Pages(42))
-	}
-	var pagesRead [][]byte
-	for i := 0; i < 4; i++ {
-		iface.ReadFile(42, i, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("file read: %v", err)
-			}
-			pagesRead = append(pagesRead, data)
-		})
-	}
-	eng.Run()
-	for i, data := range pagesRead {
-		if !bytes.Equal(data, pattern(8192, byte(0x10+i))) {
-			t.Fatalf("file page %d wrong content", i)
-		}
-	}
-}
-
-func TestATUErrors(t *testing.T) {
-	eng, _, srv := stack(t, 8)
-	iface := srv.NewIface()
-
-	var gotErr error
-	iface.ReadFile(7, 0, func(_ []byte, err error) { gotErr = err })
-	eng.Run()
-	if !errors.Is(gotErr, ErrNoMapping) {
-		t.Fatalf("unmapped handle: %v", gotErr)
-	}
-
-	srv.ATU().Load(7, []nand.Addr{{Bus: 0}})
-	iface.ReadFile(7, 5, func(_ []byte, err error) { gotErr = err })
-	eng.Run()
-	if !errors.Is(gotErr, ErrOutOfBounds) {
-		t.Fatalf("out-of-range page: %v", gotErr)
 	}
 }
 

@@ -621,14 +621,14 @@ func TestMisassembledReadFails(t *testing.T) {
 }
 
 // TestRejectedOpTakesNoCredit: an op that fails before it reaches the
-// controller (here an unmapped file handle) never held a queue-depth
-// credit, so completing it must not mint one.
+// controller (here a write of a buffer that is not a page image) never
+// held a queue-depth credit, so completing it must not mint one.
 func TestRejectedOpTakesNoCredit(t *testing.T) {
 	eng, _, srv := stack(t, 2)
 	f := srv.NewIface()
 	for i := 0; i < 5; i++ {
-		f.ReadFile(99, 0, func(_ []byte, err error) {
-			if !errors.Is(err, ErrNoMapping) {
+		f.WriteImage(nand.Addr{Page: i}, pattern(100, byte(i)), func(err error) {
+			if !errors.Is(err, flashctl.ErrDataSize) {
 				t.Errorf("err = %v", err)
 			}
 		})

@@ -51,7 +51,6 @@ var (
 	ErrExists    = errors.New("rfs: file already exists")
 	ErrNotFound  = errors.New("rfs: file not found")
 	ErrBadOffset = errors.New("rfs: page offset out of range")
-	ErrSpansCard = errors.New("rfs: file spans multiple cards; ATU export needs a per-card file")
 )
 
 // Config tunes the file system.
@@ -79,10 +78,9 @@ func DefaultConfig() Config {
 }
 
 type inode struct {
-	name   string
-	handle flashserver.FileHandle
-	pages  []int // page index -> ppn, -1 for holes
-	live   bool
+	name  string
+	pages []int // page index -> ppn, -1 for holes
+	live  bool
 }
 
 // FS is a flash file system over a page log.
@@ -229,11 +227,7 @@ func (fs *FS) Create(name string) (*File, error) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	ino := len(fs.inodes)
-	fs.inodes = append(fs.inodes, &inode{
-		name:   name,
-		handle: flashserver.FileHandle(ino + 1),
-		live:   true,
-	})
+	fs.inodes = append(fs.inodes, &inode{name: name, live: true})
 	fs.byName[name] = ino
 	return &File{fs: fs, ino: ino, class: sched.Batch}, nil
 }
@@ -304,8 +298,10 @@ func (f *File) At(class sched.Class) *File {
 // Name returns the file's name.
 func (f *File) Name() string { return f.fs.inodes[f.ino].name }
 
-// Handle returns the file's stable handle for ATU export.
-func (f *File) Handle() flashserver.FileHandle { return f.fs.inodes[f.ino].handle }
+// Handle returns the file's number: 1 for the first file created, 2
+// for the next, never reused. It names the file in listings; an
+// in-store engine addresses a file by its PhysicalAddrs.
+func (f *File) Handle() int { return f.ino + 1 }
 
 // Pages returns the file's length in pages.
 func (f *File) Pages() int { return len(f.fs.inodes[f.ino].pages) }
@@ -333,31 +329,6 @@ func (f *File) PhysicalAddrs() ([]core.PageAddr, error) {
 		out = append(out, pageAddr(f.fs.geo, f.fs.cards, ppn))
 	}
 	return out, nil
-}
-
-// ExportATU loads the file's physical layout into a Flash Server ATU
-// so in-store processors can address it by (handle, offset). An ATU
-// belongs to one card's flash server, so the file must live entirely
-// on one card (always true per card); cluster files that stripe
-// across cards use PhysicalAddrs with the distributed ISP layer
-// instead.
-//
-//simlint:allow unused (the ATU path of the paper's Figure 8, which the rfs tests run)
-func (f *File) ExportATU(atu *flashserver.ATU) error {
-	addrs, err := f.PhysicalAddrs()
-	if err != nil {
-		return err
-	}
-	nas := make([]nand.Addr, len(addrs))
-	for i, a := range addrs {
-		if a.Node != addrs[0].Node || a.Card != addrs[0].Card {
-			return fmt.Errorf("%w: %q touches n%d.card%d and n%d.card%d",
-				ErrSpansCard, f.Name(), addrs[0].Node, addrs[0].Card, a.Node, a.Card)
-		}
-		nas[i] = a.Addr
-	}
-	atu.Load(f.Handle(), nas)
-	return nil
 }
 
 // live returns the file's inode, or calls cb with ErrNotFound when the

@@ -188,7 +188,7 @@ func TestRemoveInvalidatesAndReclaims(t *testing.T) {
 	}
 }
 
-func TestPhysicalAddrsAndATU(t *testing.T) {
+func TestPhysicalAddrs(t *testing.T) {
 	geo := smallGeo()
 	h := newHarness(t, geo)
 	f, _ := h.fs.Create("scan.dat")
@@ -212,13 +212,10 @@ func TestPhysicalAddrsAndATU(t *testing.T) {
 	if len(buses) < 1 {
 		t.Fatal("no addresses at all")
 	}
-	// Export to an ATU and read through the flash server path.
-	if err := f.ExportATU(h.srv.ATU()); err != nil {
-		t.Fatal(err)
-	}
-	iface := h.srv.NewIface()
+	// An address is where the page is: reading it through the flash
+	// server, as an in-store engine does, returns the page.
 	var got []byte
-	iface.ReadFile(f.Handle(), 3, func(d []byte, err error) {
+	h.srv.NewIface().ReadPhysical(addrs[3].Addr, func(d []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -226,7 +223,7 @@ func TestPhysicalAddrsAndATU(t *testing.T) {
 	})
 	h.eng.Run()
 	if !bytes.Equal(got, pg(geo, 0x33)) {
-		t.Fatal("ATU read returned wrong page")
+		t.Fatal("page 3's physical address holds another page")
 	}
 }
 
