@@ -89,6 +89,7 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 			bulk[c] = srv.NewBulkIface()
 		}
 		n.ispReads, n.bulkReads = append(n.ispReads, reads), append(n.bulkReads, bulk)
+		n.hostReads = append(n.hostReads, srv.NewIface())
 		n.hostIfaces = append(n.hostIfaces, srv.NewIface())
 		n.bgIfaces = append(n.bgIfaces, srv.NewIface())
 	}

@@ -631,3 +631,89 @@ func TestAdmittedReadsPassAnEraseOnAnotherChip(t *testing.T) {
 		}
 	}
 }
+
+// TestHostReadsPassAProgramOnAnotherChip: host reads have their own
+// in-order interface per card, apart from host programs and erases. A
+// read of one chip issued after a program of another finishes in a
+// read's time, not behind the program; a read of the page being
+// programmed still waits for it at the chip, and returns the new bytes;
+// and the host's programs and erases still ack in request order (NAND
+// programs a block in page order).
+func TestHostReadsPassAProgramOnAnotherChip(t *testing.T) {
+	c := mkCluster(t, 1)
+	g, ft := c.Params.Geometry, c.Params.FlashTiming
+	if err := c.SeedLinear(0, g.Buses*g.ChipsPerBus*c.Params.CardsPerNode*g.PagesPerBlock, func(idx int, page []byte) { copy(page, fill(byte(idx), len(page))) }); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	n := c.Node(0)
+	at := func(bus, block, page int) PageAddr {
+		return PageAddr{Addr: nand.Addr{Bus: bus, Block: block, Page: page}}
+	}
+	want := fill(0xa5, c.Params.PageSize())
+	var writeDone sim.Time
+	n.SubmitHostBatch([]HostReq{{Addr: at(0, 1, 0), Write: true, Data: g.PageImage(want), Done: func(_ []byte, err error) {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+		writeDone = c.Eng.Now()
+	}}}, nil)
+	// The second doorbell rings after the first on the node's serial
+	// submission thread, so its reads reach the device after the write.
+	// The read of the programmed page goes last: it waits at its chip,
+	// and the reads behind it on the in-order interface would too.
+	var readsDone []sim.Time
+	var programmed []byte
+	var reads []HostReq
+	for bus := 1; bus <= 4; bus++ {
+		reads = append(reads, HostReq{Addr: at(bus, 0, 0), Done: func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("read of bus %d: %v", bus, err)
+			}
+			readsDone = append(readsDone, c.Eng.Now())
+		}})
+	}
+	reads = append(reads, HostReq{Addr: at(0, 1, 0), Done: func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read of the programmed page: %v", err)
+		}
+		programmed = data
+	}})
+	n.SubmitHostBatch(reads, nil)
+	c.Run()
+	if len(readsDone) != 4 || writeDone == 0 {
+		t.Fatalf("%d of 4 reads and write done at %v", len(readsDone), writeDone)
+	}
+	for i, done := range readsDone {
+		if done > writeDone-ft.Program/2 {
+			t.Errorf("read %d of another chip finished at %v, the write at %v: it waited behind the %v program", i, done, writeDone, ft.Program)
+		}
+	}
+	if !bytes.Equal(programmed, want) {
+		t.Error("a read issued after a program of its page did not return the programmed bytes")
+	}
+
+	// An erase, then two programs of other chips: in request order,
+	// although the erase takes longest.
+	var acks []int
+	var order []HostReq
+	for i, a := range []PageAddr{at(2, 1, 0), at(3, 1, 0), at(4, 1, 0)} {
+		r := HostReq{Addr: a, Done: func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+			acks = append(acks, i)
+		}}
+		if i == 0 {
+			r.Erase = true
+		} else {
+			r.Write, r.Data = true, g.PageImage(fill(byte(i), c.Params.PageSize()))
+		}
+		order = append(order, r)
+	}
+	n.SubmitHostBatch(order, nil)
+	c.Run()
+	if fmt.Sprint(acks) != "[0 1 2]" {
+		t.Errorf("an erase and two programs acked in order %v, want [0 1 2]", acks)
+	}
+}

@@ -144,21 +144,23 @@ type Node struct {
 	ctls    []*flashctl.Controller
 	servers []*flashserver.Server
 
-	// ispIfaces and hostIfaces are per-card in-order flash interfaces
-	// dedicated to in-store processors and to the host DMA path.
-	// bgIfaces carry host-side background traffic (FTL garbage
-	// collection): an interface delivers responses in FIFO request
-	// order, so a 3 ms block erase sharing the latency path's
-	// interface would head-of-line-block every read behind it.
-	// ispReads stripe ISP reads over ISPReadLanes channels per card
-	// (ispIfaces keep the single in-order channel for ISP writes and
-	// erases); bulkReads hold one bulk interface per chip of each card
-	// (bus-major), for the reads the scheduler admits at class Accel:
-	// an admitted read that waits at its chip holds back only reads of
-	// that chip, which the chip's FIFO bulk queue holds back anyway.
+	// Per-card in-order flash interfaces, one per user of the card. An
+	// interface delivers responses in FIFO request order, so an op
+	// waits for every slower op issued before it on its interface:
+	// hostReads carry the host's foreground reads, hostIfaces its
+	// programs and erases (NAND programs a block in page order), and
+	// bgIfaces its background traffic (FTL garbage collection), so no
+	// 350 µs program or 3 ms erase holds back a host read of another
+	// chip. ispIfaces keep ISP writes and erases in order; ispReads
+	// stripe ISP reads over ISPReadLanes channels per card; bulkReads
+	// hold one bulk interface per chip of each card (bus-major), for
+	// the reads the scheduler admits at class Accel: an admitted read
+	// that waits at its chip holds back only reads of that chip, which
+	// the chip's FIFO bulk queue holds back anyway.
 	ispIfaces  []*flashserver.Iface
 	ispReads   []readLanes
 	bulkReads  [][]*flashserver.Iface
+	hostReads  []*flashserver.Iface
 	hostIfaces []*flashserver.Iface
 	bgIfaces   []*flashserver.Iface
 
@@ -404,11 +406,12 @@ type HostReq struct {
 	Write bool
 	Erase bool
 	// Background routes the request over the card's background flash
-	// interface instead of the latency path's. Interfaces deliver
-	// responses in FIFO request order, so slow housekeeping ops (GC
-	// relocation, 3 ms erases) sharing the foreground interface would
-	// head-of-line-block every read behind them; a separate interface
-	// confines the wait to real chip-level contention.
+	// interface instead of the foreground ones (host reads on one,
+	// programs and erases on another). Interfaces deliver responses in
+	// FIFO request order, so slow housekeeping ops (GC relocation, 3 ms
+	// erases) sharing a foreground interface would head-of-line-block
+	// every op behind them; a separate interface confines the wait to
+	// real chip-level contention.
 	Background bool
 	// Path is how a read of a remote page reaches it: H-F, the zero
 	// value, over the integrated network to the far flash, or through
@@ -490,8 +493,8 @@ func (n *Node) newHostBatch() *hostBatch {
 	return b
 }
 
-// hostIface picks the foreground or background flash interface of a
-// local card.
+// hostIface picks the interface a program or erase of a local card
+// issues on: the host's foreground one or the background one.
 func (n *Node) hostIface(card int, bg bool) *flashserver.Iface {
 	if bg {
 		return n.bgIfaces[card]
@@ -557,8 +560,10 @@ func (n *Node) issueHostOp(op *hostOp) {
 			r.Addr.Node, op.onFlash)
 	case r.Erase:
 		n.hostIface(r.Addr.Card, r.Background).Erase(r.Addr.Addr, op.onAck)
+	case r.Background:
+		n.bgIfaces[r.Addr.Card].ReadPhysical(r.Addr.Addr, op.onFlash)
 	default:
-		n.hostIface(r.Addr.Card, r.Background).ReadPhysical(r.Addr.Addr, op.onFlash)
+		n.hostReads[r.Addr.Card].ReadPhysical(r.Addr.Addr, op.onFlash)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"strings"
@@ -309,6 +310,75 @@ func TestMeasureWindowsExcludeSetup(t *testing.T) {
 			return func() (int, []byte) { return pages + 5, nil }
 		}}}, 1, 4, nil); err == nil {
 		t.Fatal("a window with failed requests was accepted")
+	}
+}
+
+// TestHostReadsReachFlashConserve: every page a host interface carries
+// up is a flash read that a volume read or a relocation issued, on a
+// drained two-node volume stack (no cache, no mirror) churned into
+// garbage collection: Σ hostif PagesUp = Σ log (Reads − ReadFaults +
+// Moves + Dropped) − the scheduler's coalesced reads. A read that
+// fails at the flash lands nothing in host memory, and a coalesced
+// read rides the flash read of the one it joined. A read of an
+// unmapped page fails with ftl.ErrUnmapped before the log and moves no
+// term; no layer counts such reads, so the test counts the ones it
+// makes (of trimmed pages) itself.
+func TestHostReadsReachFlashConserve(t *testing.T) {
+	st := seededVolumeStack(t)
+	pages := st.V.Pages()
+	// delivered is Σ log (Reads − ReadFaults + Moves + Dropped) and up
+	// Σ hostif PagesUp, both since the stack was built.
+	counts := func() (delivered, up int64) {
+		for i := 0; i < st.V.Cards(); i++ {
+			l := st.V.FTL(i).Log
+			delivered += l.Reads - l.ReadFaults + l.Moves + l.Dropped
+		}
+		for n := 0; n < st.C.Nodes(); n++ {
+			up += st.C.Node(n).Host.PagesUp.Value()
+		}
+		return delivered, up
+	}
+	delivered0, up0 := counts()
+	var specs []ClientSpec
+	for node := 0; node < st.C.Nodes(); node++ {
+		rw, err := st.Stream(fmt.Sprintf("n%d", node), node, sched.Interactive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, ClientSpec{Name: fmt.Sprintf("n%d", node), RW: rw,
+			Pick: PickHotCold(pages, pages/8, 0.9, 0.7), Seed: uint64(node + 1)})
+	}
+	w, err := st.Measure(specs, 16, 512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trimmer, err := st.V.NewStream("trim", sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmapped := 0
+	for lpn := range 8 {
+		if err := trimmer.Trim(lpn); err != nil {
+			t.Fatal(err)
+		}
+		trimmer.Read(lpn, func(_ []byte, err error) {
+			if !errors.Is(err, ftl.ErrUnmapped) {
+				t.Errorf("read of trimmed page %d: %v, want ftl.ErrUnmapped", lpn, err)
+			}
+			unmapped++
+		})
+	}
+	st.C.Run()
+	if unmapped != 8 {
+		t.Fatalf("%d of 8 reads of trimmed pages completed", unmapped)
+	}
+	coalesced := st.S.Snapshot().Coalesced // since Measure reset the scheduler's stats
+	if w.Volume.HostReads == 0 || w.Volume.GCMoves == 0 || coalesced == 0 {
+		t.Fatalf("test premise: %d volume reads, %d GC moves, %d coalesced reads", w.Volume.HostReads, w.Volume.GCMoves, coalesced)
+	}
+	delivered, up := counts()
+	if delivered, up := delivered-delivered0-coalesced, up-up0; up != delivered {
+		t.Errorf("hostif carried %d pages up; the logs' delivered reads less %d coalesced ones are %d", up, coalesced, delivered)
 	}
 }
 
