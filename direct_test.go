@@ -34,7 +34,6 @@ var directReaders = map[string]string{
 	"internal/experiments/fig13.go":    "Figure 13's remote engines read over the network, and Host-Local reads the card before its PCIe transfer",
 	"internal/accel/lsh/runner.go":     "Figure 19's BlueDBM+SW reads candidate pages before its PCIe transfer and software compare",
 	"internal/accel/graph/traverse.go": "Figure 20's ISP-F graph walk",
-	"cmd/bluedbm-sim/main.go":          "the snapshot tool's mixed read load",
 	"examples/quickstart/main.go":      "the quickstart shows every access path",
 }
 

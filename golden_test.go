@@ -14,9 +14,9 @@ import (
 
 // TestOutputGoldens builds every example and command with one go build,
 // runs the five examples in order and compares what they print with
-// examples/testdata/output.txt, then runs bluedbm-sim, bluedbm-topo
-// (a generated ring piped into its own checker) and bluedbm-fs and
-// compares theirs with cmd/testdata/output.txt.
+// examples/testdata/output.txt, then runs bluedbm-topo (a generated
+// ring piped into its own checker) and bluedbm-fs and compares theirs
+// with cmd/testdata/output.txt.
 func TestOutputGoldens(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -47,7 +47,6 @@ func TestOutputGoldens(t *testing.T) {
 	requireGolden(t, "examples/testdata/output.txt", examples.Bytes())
 
 	var tools bytes.Buffer
-	tools.Write(run(nil, "bluedbm-sim"))
 	ring := run(nil, "bluedbm-topo", "-gen", "ring", "-nodes", "8", "-lanes", "2")
 	tools.Write(run(ring, "bluedbm-topo", "-check", "/dev/stdin", "-routes"))
 	tools.Write(run(nil, "bluedbm-fs"))

@@ -91,32 +91,35 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		}
 	}
 	rng := sim.NewRNG(55)
-	reads, writes := 0, 0
+	reads, hostReads, writes := 0, 0, 0
 	wrote := map[PageAddr][]byte{}
 	// Each node's write region: dense indices 32..47 land on page 2 of
 	// 16 distinct (bus,chip,card) groups, so concurrent writes (whose
 	// network lanes may reorder them) never violate NAND's in-order
 	// programming inside one block.
 	perDst := map[int]int{}
+	// checkRead checks the bytes of a seeded page and counts the read.
+	checkRead := func(kind string, a PageAddr, idx int, count *int) func([]byte, error) {
+		return func(d []byte, err error) {
+			if err != nil {
+				t.Errorf("%s %v: %v", kind, a, err)
+				return
+			}
+			if d[0] != byte(a.Node) || d[1] != byte(idx) {
+				t.Errorf("%s %v: got (%d,%d) want (%d,%d)", kind, a, d[0], d[1], a.Node, idx)
+			}
+			*count++
+		}
+	}
 	// Launch 200 mixed operations without draining between them.
 	for i := 0; i < 200; i++ {
 		src := rng.Intn(4)
 		dst := rng.Intn(4)
-		switch rng.Intn(3) {
-		case 0, 1: // read a seeded page
+		switch rng.Intn(4) {
+		case 0, 1: // read a seeded page in store
 			idx := rng.Intn(32)
 			a := LinearPage(c.Params, dst, idx)
-			wantNode, wantIdx := byte(dst), byte(idx)
-			c.Node(src).ISPReadDirect(a, func(d []byte, err error) {
-				if err != nil {
-					t.Errorf("read %v: %v", a, err)
-					return
-				}
-				if d[0] != wantNode || d[1] != wantIdx {
-					t.Errorf("read %v: got (%d,%d) want (%d,%d)", a, d[0], d[1], wantNode, wantIdx)
-				}
-				reads++
-			})
+			c.Node(src).ISPReadDirect(a, checkRead("read", a, idx, &reads))
 		case 2: // write a fresh page, one per chip group
 			if perDst[dst] >= 16 {
 				continue
@@ -132,11 +135,15 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 				}
 			})
 			writes++
+		case 3: // read a seeded page into host memory
+			idx := rng.Intn(32)
+			a := LinearPage(c.Params, dst, idx)
+			c.Node(src).HostRead(a, PathHF, nil, checkRead("host read", a, idx, &hostReads))
 		}
 	}
 	c.Run()
-	if reads == 0 || writes == 0 {
-		t.Fatalf("vacuous: reads=%d writes=%d", reads, writes)
+	if reads == 0 || hostReads == 0 || writes == 0 {
+		t.Fatalf("vacuous: reads=%d hostReads=%d writes=%d", reads, hostReads, writes)
 	}
 	// Verify all written pages.
 	for a, want := range wrote {

@@ -36,7 +36,7 @@ type Endpoint struct {
 	Received int64
 	// CtrlSent / CtrlReceived count end-to-end credit-return control
 	// messages (sent by the receiver of a wantAck message, consumed by
-	// its sender). They never appear in Sent/Received/Delivered.
+	// its sender). They never appear in Sent/Received.
 	CtrlSent     int64
 	CtrlReceived int64
 }

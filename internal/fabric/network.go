@@ -403,7 +403,6 @@ type Network struct {
 	hops [][]int
 
 	// stats
-	Delivered  sim.Counter
 	SegsMoved  sim.Counter
 	BytesMoved sim.Counter
 }
@@ -672,11 +671,7 @@ func (nd *Node) deliver(seg *segment) {
 	// Delivery to an unbound endpoint is silently dropped, like
 	// hardware writing to an unselected channel.
 	if ep := nd.Endpoint(seg.ep); ep != nil {
-		ctrl := seg.ctrl
 		ep.receive(seg)
-		if !ctrl {
-			nd.net.Delivered.Inc()
-		}
 	}
 	seg.reset()
 	nd.net.segs.Put(seg)

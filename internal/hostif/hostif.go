@@ -203,6 +203,3 @@ func (h *HostIf) ReleaseWriteBuffer() {
 
 // ToHostUtilization reports PCIe device-to-host utilization.
 func (h *HostIf) ToHostUtilization() float64 { return h.toHost.Utilization() }
-
-// ToHostBytes reports total bytes DMAed into host memory.
-func (h *HostIf) ToHostBytes() int64 { return h.toHost.Transferred() }

@@ -182,8 +182,8 @@ func TestPumpIsOneEventTimedAsBursts(t *testing.T) {
 			if got := eng.Fired() - fired; got != 2 {
 				t.Fatalf("%d events for one page (%d bursts), want 2: one pipe event, one interrupt", got, bursts)
 			}
-			if h.ToHostBytes() != int64(tc.page) {
-				t.Fatalf("%d bytes crossed PCIe, want %d", h.ToHostBytes(), tc.page)
+			if h.toHost.Transferred() != int64(tc.page) {
+				t.Fatalf("%d bytes crossed PCIe, want %d", h.toHost.Transferred(), tc.page)
 			}
 		})
 	}

@@ -34,7 +34,7 @@ func TestDMAConservationProperty(t *testing.T) {
 			}
 		}
 		return len(order) == len(sizesRaw) &&
-			h.ToHostBytes() == total &&
+			h.toHost.Transferred() == total &&
 			h.Interrupts.Value() == int64(len(sizesRaw)) &&
 			h.FreeReadBuffers() == cfg.ReadBuffers
 	}

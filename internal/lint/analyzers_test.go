@@ -105,8 +105,6 @@ func TestScopeFences(t *testing.T) {
 	}{
 		{"walltime-harness", "testdata/forbidden/clock", "internal/experiments/fixture", lint.Forbidden},
 		{"walltime-cmd", "testdata/forbidden/clock", "cmd/fixture", lint.Forbidden},
-		{"walltime-report", "testdata/forbidden/clock", "internal/report", lint.Forbidden},
-		{"noconcurrency-report", "testdata/forbidden/concurrency", "internal/report", lint.Forbidden},
 		{"noconcurrency-experiments", "testdata/forbidden/concurrency", "internal/experiments", lint.Forbidden},
 		{"noconcurrency-cmd", "testdata/forbidden/concurrency", "cmd/fixture", lint.Forbidden},
 		{"maprange-outside-internal", "testdata/maprange", "cmd/fixture", lint.Maprange},

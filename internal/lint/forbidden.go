@@ -16,8 +16,7 @@ import (
 // simulation is one event loop in virtual time, where "concurrency"
 // cannot buy parallelism, only a host-scheduler dependence that breaks
 // replay. The harness side (internal/experiments, cmd/) measures host
-// wall-clock around whole runs and is outside the core, and so is
-// internal/report, which formats output.
+// wall-clock around whole runs and is outside the core.
 //
 // Building a locally-seeded generator (rand.New(rand.NewSource(seed)))
 // is always allowed, and so is a method of a simulation type that

@@ -114,8 +114,10 @@
 //	                      array it then keeps                                    rfs
 //	X3     escapecheck    sched backpressure returns errors.New     escapecheck  sched, volume
 //	                      instead of the sentinel
-//	F1     floatfuse      power.AddedFraction adds an unconverted   floatfuse    —
-//	                      product (no command or example links it)
+//	F1     floatfuse      power.Budget.Total adds an unconverted    floatfuse    —
+//	                      product (amd64 never fuses it; CI's arm64
+//	                      disassembly step sees it where Total is
+//	                      inlined)
 //
 // Of the 35 plants, 26 are caught statically and 22 by tier-1 tests:
 // 15 by both, 11 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3, F1), 7

@@ -13,8 +13,7 @@ import "strings"
 //     wall-clock around whole runs (the numbers it computes from
 //     *inside* the simulation still go through sim.Engine), and so do
 //     the cmd/ front ends, outside internal/ altogether.
-//   - internal/report formats human output and internal/lint is this
-//     tool; neither runs under the engine.
+//   - internal/lint is this tool; it does not run under the engine.
 
 // inInternal reports whether the package is repo-internal simulation
 // or stack code (any internal/ package except the lint tool itself).
@@ -28,16 +27,9 @@ func inLint(rel string) bool {
 
 // inDeterministicCore reports whether the package is part of the
 // single-threaded simulation core, where every run must replay the
-// exact same event sequence.
+// exact same event sequence: every internal/ package but lint and the
+// harness, internal/experiments, which drives runs and measures wall
+// time.
 func inDeterministicCore(rel string) bool {
-	if !inInternal(rel) {
-		return false
-	}
-	switch {
-	case rel == "internal/experiments", strings.HasPrefix(rel, "internal/experiments/"):
-		return false // harness: drives runs, measures wall time
-	case rel == "internal/report", strings.HasPrefix(rel, "internal/report/"):
-		return false // human-facing output formatting
-	}
-	return true
+	return inInternal(rel) && rel != "internal/experiments" && !strings.HasPrefix(rel, "internal/experiments/")
 }

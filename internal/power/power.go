@@ -73,26 +73,6 @@ func RAMCloudBudget(datasetGB, serverDRAMGB int) Budget {
 	}
 }
 
-// AddedFraction returns the share of a node's total power that the
-// storage device (FPGA board + flash cards) contributes — the paper
-// claims it "adds less than 20% of power consumption to the system".
-//
-//simlint:allow unused (checker: the paper's claim that the device adds under 20% of a node's power, which power_test checks)
-func AddedFraction(flashCards int) float64 {
-	b := NodeBudget(flashCards)
-	var added float64
-	for _, c := range b.Components {
-		if c.Name != "Xeon Server" {
-			added += float64(float64(c.Count) * c.Watts)
-		}
-	}
-	total := b.Total()
-	if total == 0 {
-		return 0
-	}
-	return added / total
-}
-
 // FormatTable renders a budget like the paper's Table 3.
 func FormatTable(b Budget) string {
 	var sb strings.Builder

@@ -14,8 +14,16 @@ func TestNodeBudgetMatchesTable3(t *testing.T) {
 }
 
 func TestAddedFractionUnder20Pct(t *testing.T) {
-	// §6.2: "BlueDBM adds less than 20% of power consumption".
-	if f := AddedFraction(2); f >= 0.20 {
+	// §6.2: "BlueDBM adds less than 20% of power consumption": the
+	// storage device is every component of a node but its server.
+	b := NodeBudget(2)
+	var added float64
+	for _, c := range b.Components {
+		if c.Name != "Xeon Server" {
+			added += float64(c.Count) * c.Watts
+		}
+	}
+	if f := added / b.Total(); f >= 0.20 {
 		t.Fatalf("storage adds %.0f%%, paper claims < 20%%", f*100)
 	}
 }
