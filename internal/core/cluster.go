@@ -138,14 +138,14 @@ func (c *Cluster) Hops(a, b int) int { return c.Net.Hops(fabric.NodeID(a), fabri
 // Run drains all pending simulation events.
 func (c *Cluster) Run() { c.Eng.Run() }
 
-// CheckImages is nand.Card.CheckImages over every card of the cluster:
-// with Params.Reliability.GuardImages on, the first stored page image
-// that a holder has written to since it was programmed; nil otherwise.
-// Tests call it at drain.
-func (c *Cluster) CheckImages() error {
+// checkCards is each card's part of the drain check: with
+// Params.Reliability.GuardImages on, the first stored page image that a
+// holder has written to since it was programmed (nand.Card.CheckImages),
+// and any command a chip or a bus still holds (nand.Card.CheckDrained).
+func (c *Cluster) checkCards() error {
 	for _, n := range c.nodes {
 		for _, cd := range n.cards {
-			if err := cd.CheckImages(); err != nil {
+			if err := errors.Join(cd.CheckImages(), cd.CheckDrained()); err != nil {
 				return err
 			}
 		}
@@ -159,14 +159,15 @@ func (c *Cluster) CheckImages() error {
 func (c *Cluster) OnCheck(check func() error) { c.checks = append(c.checks, check) }
 
 // Check reports every way in which a drained cluster is not clean: an
-// event still pending, a stored image written to (CheckImages), a
-// fabric invariant, a pooled record of the cluster's own still out,
-// and each registered layer check.
+// event still pending, a stored image written to or a command left at a
+// card (checkCards), a fabric invariant, a pooled record of the
+// cluster's own still out, and each registered layer check.
 func (c *Cluster) Check() error {
+	var pending error
 	if n := c.Eng.Stats().Pending; n != 0 {
-		return fmt.Errorf("core: %d events pending at drain", n)
+		pending = fmt.Errorf("core: %d events pending at drain", n)
 	}
-	errs := []error{c.CheckImages(), c.Net.CheckInvariants(), c.remoteOps.Drained("core remote ops")}
+	errs := []error{pending, c.checkCards(), c.Net.CheckInvariants(), c.remoteOps.Drained("core remote ops")}
 	for _, n := range c.nodes {
 		errs = append(errs, n.hostOps.Drained("core host ops"), n.hostBatches.Drained("core host batches"))
 		for _, srv := range n.servers {

@@ -32,8 +32,12 @@ func mkCluster(t *testing.T, nodes int) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := c.CheckImages(); err != nil {
-			t.Error(err)
+		for i := range c.Nodes() {
+			for j := range c.Params.CardsPerNode {
+				if err := c.Node(i).Card(j).CheckImages(); err != nil {
+					t.Error(err)
+				}
+			}
 		}
 	})
 	return c
@@ -489,6 +493,28 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 		late[100] ^= 0x10 // as adopted again, for the drain's CheckImages
 	}()
 	c.Run()
+}
+
+// TestCheckNamesABusyChip: the drain check walks every card's chips,
+// so a cluster stopped with a program on a chip fails Check naming the
+// card and the chip, beside the events still pending, and passes once
+// the program has run.
+func TestCheckNamesABusyChip(t *testing.T) {
+	c := mkCluster(t, 2)
+	geo := c.Params.Geometry
+	c.Node(1).Card(0).ProgramPage(nand.Addr{Bus: 2}, geo.PageImage(fill(3, geo.PageSize)), func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	err := c.Check()
+	if err == nil || !strings.Contains(err.Error(), "events pending") || !strings.Contains(err.Error(), "n1/card0: chip b2.c0") {
+		t.Fatalf("Check with a chip programming: %v, want the pending events and the chip named", err)
+	}
+	c.Run()
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRemoteRequestIsReadOrWrite: only reads and writes cross the

@@ -27,3 +27,9 @@ func (c *Card) Written(a Addr) bool {
 	}
 	return a.Page < c.blocks[c.blockIndex(a)].next
 }
+
+// Strand queues a read of a at its chip without starting it: a command
+// no event will ever run, for the drain check to find.
+func (c *Card) Strand(a Addr) {
+	c.chipAt(a).queue.Push(command{kind: cmdRead, a: a})
+}

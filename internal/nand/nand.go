@@ -9,13 +9,23 @@
 // reads, 8 buses per card at 150 MB/s each for an aggregate 1.2 GB/s
 // per card (paper §5.1, §6.5).
 //
-// Each chip keeps two FIFO queues: ordinary commands, and bulk reads
-// (ReadPageBulk), the throughput traffic of admitted in-store engines.
-// A chip starts a bulk read only when no ordinary command waits, or
-// once bulkPassLimit ordinary commands have passed the bulk read at the
-// head of its queue: latency-critical reads go first at the chip,
-// and a bulk read still cannot starve. A chip that sees only one kind
-// of traffic is a single FIFO.
+// Each chip keeps two queues: its ordinary commands in arrival order,
+// and bulk reads (ReadPageBulk), the throughput traffic of admitted
+// in-store engines. The ordinary queue holds two FIFOs in one ring,
+// which a run's seeding grows for both: reads, and passable commands —
+// programs, erases, and a read that came while a program or erase of
+// its own block was queued. The chip alternates between them: it starts
+// the oldest read when that read is older than the oldest passable
+// command, or when no read has passed that command yet; otherwise that
+// command. So at most one read passes each program or erase, a program
+// or erase never passes an older ordinary command, no command passes an
+// older one on its own block, and neither kind starves. (Letting more
+// reads pass each program was no better for read tails and cost
+// closed-loop mixes more events.) A chip starts a bulk read only when
+// no ordinary command waits, or once bulkPassLimit ordinary commands
+// have passed the bulk read at the head of its queue: latency-critical
+// commands go first at the chip, and a bulk read still cannot starve. A
+// chip that sees only one kind of traffic is a single FIFO.
 package nand
 
 import (
@@ -95,12 +105,9 @@ func (g Geometry) PageImage(data []byte) []byte {
 // the result of its read back as it stands.
 func (g Geometry) IsPageImage(b []byte) bool { return len(b) == g.PageSize }
 
-// PagesPerChip returns pages in one chip.
-func (g Geometry) PagesPerChip() int { return g.BlocksPerChip * g.PagesPerBlock }
-
 // TotalPages returns pages in the whole card.
 func (g Geometry) TotalPages() int {
-	return g.Buses * g.ChipsPerBus * g.PagesPerChip()
+	return g.Buses * g.ChipsPerBus * g.BlocksPerChip * g.PagesPerBlock
 }
 
 // TotalBytes returns the card's data capacity in bytes.
@@ -215,9 +222,6 @@ type Card struct {
 	encode  func(raw []byte) error // the controller's check-byte encoder (SetEncoder)
 	scratch []byte                 // Reliability.GuardImages: the StoredPageSize buffer the eager encode runs in
 
-	erasing   sim.Queue[command] // erases in progress, oldest first
-	eraseDone func()             // the oldest erase finished; bound once
-
 	// stats. BulkReads counts the reads issued at bulk priority
 	// (ReadPageBulk), refused ones included: the in-store reads the
 	// scheduler admitted.
@@ -237,6 +241,8 @@ type busState struct {
 type chipState struct {
 	queue    sim.Queue[command] // ordinary commands, oldest first
 	bulk     sim.Queue[command] // bulk reads, oldest first
+	passable int                // passable commands in queue
+	overtook bool               // a read has started ahead of the oldest passable command
 	passed   int                // ordinary commands started past waiting bulk reads since one last started
 	cur      command            // the command whose cell operation the chip is timing
 	cellDone func()             // that operation finished; bound once
@@ -278,7 +284,6 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 		noiseSeed: mix64(seed ^ 0xb10eddb4bade5eed),
 		blocks:    make([]block, geo.Buses*geo.ChipsPerBus*geo.BlocksPerChip),
 	}
-	c.eraseDone = c.erased
 	if rel.GuardImages {
 		c.scratch = make([]byte, geo.StoredPageSize())
 	}
@@ -343,30 +348,30 @@ const (
 // command is one operation from the moment its chip's queue accepts it
 // until its callback fires. It moves by value — chip queue, the chip's
 // cell-array slot, its bus's transfer queue — and schedules no closure
-// of its own: the only continuations are one per chip (cellDone), one
-// per bus (busDone) and one for erases (eraseDone), bound at
-// construction. That works because a chip times one read or program at
-// a time, a bus, being a FIFO pipe, finishes transfers in the order
-// they were started, and so do erases, which all take the same time:
-// the continuation always knows which command it is for. A flash
+// of its own: the only continuations are one per chip (cellDone) and
+// one per bus (busDone), bound at construction. That works because a
+// chip times one read, program or erase at a time, and a bus, being a
+// FIFO pipe, finishes transfers in the order they were started: the
+// continuation always knows which command it is for. A flash
 // operation therefore allocates nothing, but for the private copy of a
 // read that drew bit errors.
 type command struct {
-	kind   cmdKind
-	bulk   bool   // read: waits in the chip's bulk queue (ReadPageBulk)
-	sum    uint32 // program, Reliability.GuardImages: checksum of raw as ProgramPage adopted it
-	a      Addr
-	raw    []byte // read: the stored image, or a corrupted copy; program: the image to store
-	onRead func(raw []byte, err error)
-	onDone func(err error)
+	kind     cmdKind
+	bulk     bool   // read: waits in the chip's bulk queue (ReadPageBulk)
+	passable bool   // ordinary: a program or erase, or a read that came while one of its block was queued
+	sum      uint32 // program, Reliability.GuardImages: checksum of raw as ProgramPage adopted it
+	a        Addr
+	raw      []byte // read: the stored image, or a corrupted copy; program: the image to store
+	onRead   func(raw []byte, err error)
+	onDone   func(err error)
 }
 
-// enqueue adds a command to one of its chip's two FIFO queues — bulk
-// reads to the bulk queue, everything else to the ordinary one — and
-// starts it when the chip is free. Each command releases the chip
-// (runNext) when the chip can accept the next operation, which may be
-// before the command's own data finishes moving: NAND cache registers
-// let a bus transfer overlap the next cell read.
+// enqueue adds a command to one of its chip's two queues (see the
+// package doc) and starts it when the chip is free. Each command
+// releases the chip (runNext) when the chip can accept the next
+// operation, which may be before the command's own data finishes
+// moving: NAND cache registers let a bus transfer overlap the next cell
+// read.
 //
 //simlint:hotpath
 func (c *Card) enqueue(cmd command) {
@@ -374,6 +379,10 @@ func (c *Card) enqueue(cmd command) {
 	if cmd.bulk {
 		cs.bulk.Push(cmd)
 	} else {
+		cmd.passable = cmd.kind != cmdRead || cs.passable > 0 && cs.writing(cmd.a.Block)
+		if cmd.passable {
+			cs.passable++
+		}
 		cs.queue.Push(cmd)
 	}
 	if !cs.running {
@@ -382,7 +391,19 @@ func (c *Card) enqueue(cmd command) {
 	}
 }
 
-// runNext starts the chip's next command: the oldest ordinary one,
+// writing reports whether a program or erase of block blk is queued.
+//
+//simlint:hotpath
+func (cs *chipState) writing(blk int) bool {
+	for i := range cs.queue.Len() {
+		if w := cs.queue.At(i); w.kind != cmdRead && w.a.Block == blk {
+			return true
+		}
+	}
+	return false
+}
+
+// runNext starts the chip's next command: the next ordinary one,
 // unless none waits or bulkPassLimit of them have already passed the
 // oldest bulk read.
 //
@@ -396,10 +417,43 @@ func (c *Card) runNext(cs *chipState) {
 		if cs.bulk.Len() > 0 {
 			cs.passed++
 		}
-		c.start(cs, cs.queue.Pop())
+		c.start(cs, cs.nextOrdinary())
 	default:
 		cs.running = false
 	}
+}
+
+// nextOrdinary removes the chip's next ordinary command from queue:
+// the oldest read that is not passable when it is older than the oldest
+// passable command or when no read has passed that command yet, and
+// otherwise that command. When a read has passed it, every read that is
+// not passable is younger than it.
+//
+//simlint:hotpath
+func (cs *chipState) nextOrdinary() command {
+	if cs.passable == 0 {
+		return cs.queue.Pop()
+	}
+	r, p := -1, -1 // the oldest read that is not passable, the oldest passable command
+	for i := 0; i < cs.queue.Len() && (r < 0 || p < 0); i++ {
+		if passable := cs.queue.At(i).passable; passable && p < 0 {
+			p = i
+		} else if !passable && r < 0 {
+			r = i
+		}
+	}
+	i := r
+	if r < 0 || r > p && cs.overtook {
+		i = p
+		cs.passable--
+	}
+	cs.overtook = i == r && r > p // the read passed the oldest passable command
+	if i == 0 {
+		return cs.queue.Pop()
+	}
+	cmd := cs.queue.At(i)
+	cs.queue.RemoveAt(i)
+	return cmd
 }
 
 // check is what a chip verifies as it reaches a command: the card is
@@ -414,9 +468,7 @@ func (c *Card) check(cmd *command) error {
 	if b.bad {
 		return fmt.Errorf("%w: %v", ErrBadBlock, a)
 	}
-	switch {
-	case cmd.kind == cmdErase:
-		return nil // a block address: its page field means nothing
+	switch { // an erase names a block, and no page rule applies to it
 	case cmd.kind == cmdRead && a.Page >= b.next:
 		return fmt.Errorf("%w: %v", ErrReadFree, a)
 	case cmd.kind == cmdProgram && a.Page < b.next:
@@ -447,10 +499,8 @@ func (c *Card) start(cs *chipState, cmd command) {
 	case cmdProgram:
 		c.transfer(cmd)
 	case cmdErase:
-		// Every erase takes the same time, so erases end in the order
-		// they began, card-wide.
-		c.erasing.Push(cmd)
-		c.eng.After(c.tim.Erase, c.eraseDone)
+		cs.cur = cmd
+		c.eng.After(c.tim.Erase, cs.cellDone)
 	}
 }
 
@@ -471,13 +521,13 @@ func (c *Card) cellDone(cs *chipState) {
 	cmd := cs.cur
 	cs.cur = command{}
 	a := cmd.a
+	gblk := c.blockIndex(a)
+	b := &c.blocks[gblk]
 	switch cmd.kind {
 	case cmdRead:
 		// The register drained into the cache register: the chip can
 		// start its next op while the image crosses the shared bus.
 		c.runNext(cs)
-		gblk := c.blockIndex(a)
-		b := &c.blocks[gblk]
 		stored := b.pages[a.Page]
 		c.verify(b, a, "read")
 		serial := b.reads
@@ -497,7 +547,6 @@ func (c *Card) cellDone(cs *chipState) {
 		}
 		c.transfer(cmd)
 	case cmdProgram:
-		b := &c.blocks[c.blockIndex(a)]
 		if b.pages == nil {
 			//simlint:allow hotpath (the block's page table: made by its first program and kept across erases, so once per block a card ever programs)
 			b.pages = make([][]byte, c.geo.PagesPerBlock)
@@ -509,6 +558,20 @@ func (c *Card) cellDone(cs *chipState) {
 		}
 		b.next++
 		c.Programs.Inc()
+		c.finish(cs, &cmd, nil)
+	case cmdErase:
+		// The block's wear accumulates, and past the endurance limit it
+		// may fail and become bad.
+		b.erases++
+		c.Erases.Inc()
+		if b.erases > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
+			b.bad = true
+			//simlint:allow hotpath (a block wearing out: once per block that goes bad)
+			c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, b.erases))
+			return
+		}
+		c.free(b, a, "erase")
+		b.next, b.reads = 0, 0
 		c.finish(cs, &cmd, nil)
 	}
 }
@@ -527,25 +590,6 @@ func (c *Card) busDone(bus *busState) {
 	cs := c.chipAt(cmd.a)
 	cs.cur = cmd
 	c.eng.After(c.tim.Program, cs.cellDone)
-}
-
-// erased ends the oldest erase in progress: the block's wear
-// accumulates, and past the endurance limit it may fail and become bad.
-func (c *Card) erased() {
-	cmd := c.erasing.Pop()
-	a := cmd.a
-	cs := c.chipAt(a)
-	b := &c.blocks[c.blockIndex(a)]
-	b.erases++
-	c.Erases.Inc()
-	if b.erases > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
-		b.bad = true
-		c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, b.erases))
-		return
-	}
-	c.free(b, a, "erase")
-	b.next, b.reads = 0, 0
-	c.finish(cs, &cmd, nil)
 }
 
 // finish ends a command that still holds its chip: the chip moves on
@@ -661,25 +705,20 @@ type guardSums struct {
 
 // guard records the image just stored at page a of block b, which
 // ProgramPage checksummed to sum, in the block's side table
-// (Reliability.GuardImages), made at the block's first guarded program.
+// (Reliability.GuardImages), made at the block's first guarded program,
+// and for a page-length image, encodes it eagerly and records the
+// checksum of its check bytes too.
 func (c *Card) guard(b *block, a Addr, sum uint32) {
 	if b.sums == nil {
 		b.sums = make([]guardSums, c.geo.PagesPerBlock)
 	}
-	b.sums[a.Page].image = sum
+	b.sums[a.Page] = guardSums{image: sum}
 	c.verify(b, a, "program")
-	b.sums[a.Page].check = c.encodeEagerly(b.pages[a.Page], a)
-}
-
-// encodeEagerly encodes stored, the image just stored at a, and returns
-// the checksum of its check bytes (0 for an image that carries its own).
-func (c *Card) encodeEagerly(stored []byte, a Addr) uint32 {
-	if c.encode == nil || len(stored) != c.geo.PageSize {
-		return 0
+	if stored := b.pages[a.Page]; c.encode != nil && len(stored) == c.geo.PageSize {
+		copy(c.scratch, stored)
+		c.fill(a, c.scratch)
+		b.sums[a.Page].check = crc32.Checksum(c.scratch[c.geo.PageSize:], castagnoli)
 	}
-	copy(c.scratch, stored)
-	c.fill(a, c.scratch)
-	return crc32.Checksum(c.scratch[c.geo.PageSize:], castagnoli)
 }
 
 // fill runs the encoder on enc, a StoredPageSize copy of the page at a.
@@ -819,6 +858,22 @@ func (c *Card) CheckImages() error {
 			if err := c.checkImage(b, a, "CheckImages"); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// CheckDrained reports what a drained card must not hold: a chip with
+// a queued command or marked running (an erase in progress runs its
+// chip), or an image crossing the chip's bus. It names the card and the
+// chip, and is for a test's drain, once the engine has nothing left to
+// run.
+func (c *Card) CheckDrained() error {
+	for i, cs := range c.chips {
+		moving := c.buses[i/c.geo.ChipsPerBus].moving.Len()
+		if n := cs.queue.Len() + cs.bulk.Len(); n > 0 || cs.running || moving > 0 {
+			return fmt.Errorf("nand: %s: chip b%d.c%d holds %d queued commands (running: %t), its bus %d transfers at drain",
+				c.name, i/c.geo.ChipsPerBus, i%c.geo.ChipsPerBus, n, cs.running, moving)
 		}
 	}
 	return nil

@@ -1,15 +1,19 @@
 package nand
 
 import (
+	"bytes"
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// The chip's two queues: ordinary commands first, bulk reads in their
-// own FIFO behind them, and no bulk read passed more than bulkPassLimit
-// times.
+// The chip's queues: ordinary reads alternating with programs and
+// erases, no command passing an older one on its own block, bulk reads
+// in their own FIFO behind both, and no bulk read passed more than
+// bulkPassLimit times.
 
 // queuedCard is a perfect card with the first 16 pages of block 0 on
 // chip (0, 0) and on chip (1, 0) programmed.
@@ -39,6 +43,159 @@ func (l *completionLog) read(t *testing.T, name string) func([]byte, error) {
 			t.Errorf("%s: %v", name, err)
 		}
 		l.names = append(l.names, name)
+	}
+}
+
+func (l *completionLog) done(t *testing.T, name string) func(error) {
+	return func(err error) {
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		l.names = append(l.names, name)
+	}
+}
+
+// On one chip every command below completes in the order it started: a
+// read ends one bus transfer after its cell read, before the next cell
+// operation can, and a program or an erase holds the chip to its end.
+
+// TestReadsPassQueuedWritesOfOtherBlocks: reads queued behind programs
+// and erases of other blocks pass them, one read per waiting command.
+func TestReadsPassQueuedWritesOfOtherBlocks(t *testing.T) {
+	eng, c := queuedCard(t)
+	var log completionLog
+	c.ReadPage(Addr{Page: 0}, log.read(t, "r0")) // the chip is busy from here
+	c.ProgramPage(Addr{Block: 1}, mkRaw(c, 1), log.done(t, "p1"))
+	c.EraseBlock(Addr{Block: 2}, log.done(t, "e2"))
+	c.ProgramPage(Addr{Block: 1, Page: 1}, mkRaw(c, 2), log.done(t, "p1'"))
+	for i, name := range []string{"r1", "r2", "r3", "r4"} {
+		c.ReadPage(Addr{Page: 1 + i}, log.read(t, name))
+	}
+	eng.Run()
+	if want := []string{"r0", "r1", "p1", "r2", "e2", "r3", "p1'", "r4"}; !slices.Equal(log.names, want) {
+		t.Errorf("completion order %v, want %v", log.names, want)
+	}
+}
+
+// TestReadNeverPassesItsOwnBlock: a read issued while a program of its
+// block is queued waits for it and returns the new bytes, while a read
+// of another block passes the program; a read issued while an erase of
+// its block is queued waits for the erase and finds the page free.
+func TestReadNeverPassesItsOwnBlock(t *testing.T) {
+	eng, c := queuedCard(t)
+	var log completionLog
+	c.ReadPage(Addr{Page: 0}, log.read(t, "r0"))
+	fresh := mkRaw(c, 0x5a)
+	c.ProgramPage(Addr{Block: 1}, fresh, log.done(t, "p1"))
+	var got []byte
+	c.ReadPage(Addr{Block: 1}, func(raw []byte, err error) {
+		log.read(t, "same")(raw, err)
+		got = raw
+	})
+	c.ReadPage(Addr{Page: 1}, log.read(t, "other"))
+	eng.Run()
+	if want := []string{"r0", "other", "p1", "same"}; !slices.Equal(log.names, want) {
+		t.Errorf("completion order %v, want %v", log.names, want)
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Error("the read of the page being programmed did not return the programmed image")
+	}
+
+	c.ReadPage(Addr{Page: 2}, log.read(t, "r0"))
+	c.EraseBlock(Addr{}, log.done(t, "e0"))
+	var readErr error
+	c.ReadPage(Addr{Page: 3}, func(_ []byte, err error) { readErr = err })
+	eng.Run()
+	if !errors.Is(readErr, ErrReadFree) {
+		t.Errorf("a read issued behind the erase of its block: %v, want ErrReadFree", readErr)
+	}
+}
+
+// TestWritesNeverPassAnOlderRead: a program or an erase starts after
+// every read queued before it, the read of the block it erases
+// included.
+func TestWritesNeverPassAnOlderRead(t *testing.T) {
+	eng, c := queuedCard(t)
+	var log completionLog
+	c.ReadPage(Addr{Page: 0}, log.read(t, "r0"))
+	c.ReadPage(Addr{Page: 1}, log.read(t, "r1"))
+	c.ReadPage(Addr{Page: 5}, log.read(t, "r2"))
+	c.ProgramPage(Addr{Block: 1}, mkRaw(c, 1), log.done(t, "p1"))
+	c.EraseBlock(Addr{}, log.done(t, "e0"))
+	c.ReadPage(Addr{Block: 1, Page: 0}, log.read(t, "r3"))
+	eng.Run()
+	if want := []string{"r0", "r1", "r2", "p1", "e0", "r3"}; !slices.Equal(log.names, want) {
+		t.Errorf("completion order %v, want %v", log.names, want)
+	}
+}
+
+// TestProgramIsNotStarvedByReads: under a nonstop stream of reads at
+// one chip, at most one read issued after a program starts before it.
+func TestProgramIsNotStarvedByReads(t *testing.T) {
+	eng, c := queuedCard(t)
+	const total, backlog = 64, 8
+	issued, passes := 0, 0
+	programIssued, programDone := false, false
+	var read func(after bool) func([]byte, error)
+	read = func(after bool) func([]byte, error) {
+		return func(_ []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			if after && !programDone {
+				passes++
+			}
+			if issued < total {
+				issued++
+				c.ReadPage(Addr{Page: issued % 16}, read(programIssued))
+			}
+		}
+	}
+	for range backlog {
+		issued++
+		c.ReadPage(Addr{Page: issued % 16}, read(false))
+	}
+	programIssued = true
+	c.ProgramPage(Addr{Block: 1}, mkRaw(c, 1), func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		programDone = true
+	})
+	eng.Run()
+	if !programDone {
+		t.Fatal("the program never completed")
+	}
+	if passes > 1 {
+		t.Errorf("%d reads issued after the program started before it, want at most 1", passes)
+	}
+	if issued != total {
+		t.Errorf("%d reads issued, want %d", issued, total)
+	}
+}
+
+// TestCheckDrainedNamesTheChip: a command left in a chip's queue, a
+// chip still running an erase, or a read still crossing the chip's bus
+// fails the card's drain check by card and chip.
+func TestCheckDrainedNamesTheChip(t *testing.T) {
+	eng, c := queuedCard(t)
+	if err := c.CheckDrained(); err != nil {
+		t.Fatalf("a drained card: %v", err)
+	}
+	c.EraseBlock(Addr{Bus: 1, Block: 3}, func(error) {})
+	if err := c.CheckDrained(); err == nil || !strings.Contains(err.Error(), "t: chip b1.c0 holds 0 queued commands (running: true)") {
+		t.Errorf("a chip erasing: %v, want it named", err)
+	}
+	eng.Run()
+	c.ReadPage(Addr{Bus: 1}, func([]byte, error) {})
+	eng.RunUntil(eng.Now() + DefaultTiming().ReadPage + 1)
+	if err := c.CheckDrained(); err == nil || !strings.Contains(err.Error(), "t: chip b1.c0 holds 0 queued commands (running: false), its bus 1 transfers") {
+		t.Errorf("a read crossing the bus: %v, want its chip named", err)
+	}
+	eng.Run()
+	c.Strand(Addr{Bus: 1, Page: 2})
+	if err := c.CheckDrained(); err == nil || !strings.Contains(err.Error(), "t: chip b1.c0 holds 1 queued commands") {
+		t.Errorf("a stranded command: %v, want its chip named", err)
 	}
 }
 

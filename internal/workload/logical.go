@@ -129,6 +129,9 @@ type RunResult struct {
 	Combined LatencyStats `json:"combined"`
 	// ElapsedUs is the virtual time the run took (drain included).
 	ElapsedUs float64 `json:"elapsed_us"`
+	// FirstErr is the error of the first request that failed, nil when
+	// none did. It is not serialized: Loop.Errors counts them.
+	FirstErr error `json:"-"`
 }
 
 // latencyOf summarises one recorder.
@@ -241,6 +244,9 @@ func (s *runStream) complete(err error) {
 	s.inflight--
 	l.res.Loop.Completed++
 	if err != nil {
+		if l.res.Loop.Errors == 0 {
+			l.res.FirstErr = err
+		}
 		l.res.Loop.Errors++
 	}
 	if s.sp.Requests >= 0 && !s.finished && s.toIssue == 0 && s.inflight == 0 {

@@ -214,8 +214,8 @@ type Window struct {
 
 // Measure is Run inside a measured window: reset the scheduler's
 // statistics, take every attached layer's baseline, run, refuse a run
-// with failed requests, then snapshot the scheduler and subtract the
-// baselines.
+// with failed requests (wrapping the first one's error), then snapshot
+// the scheduler and subtract the baselines.
 func (st *Stack) Measure(specs []ClientSpec, depth, requests int, concurrent func(live func() bool)) (Window, error) {
 	st.S.ResetStats()
 	var vol0 volume.Stats
@@ -239,7 +239,7 @@ func (st *Stack) Measure(specs []ClientSpec, depth, requests int, concurrent fun
 		return Window{}, err
 	}
 	if run.Loop.Errors > 0 {
-		return Window{}, fmt.Errorf("%d request errors", run.Loop.Errors)
+		return Window{}, fmt.Errorf("%d request errors, the first: %w", run.Loop.Errors, run.FirstErr)
 	}
 	w := Window{Run: run, Sched: st.S.Snapshot()}
 	if st.V != nil {

@@ -313,6 +313,25 @@ func TestMeasureWindowsExcludeSetup(t *testing.T) {
 	}
 }
 
+// TestMeasureWrapsTheFirstError: a refused window carries the first
+// failed request's error, so a read of a page never written surfaces
+// as ftl.ErrUnmapped, not only as a count.
+func TestMeasureWrapsTheFirstError(t *testing.T) {
+	st, err := Build(withVolume(testSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAtEnd(t, st)
+	rw, err := st.Stream("rd", 0, sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Measure([]ClientSpec{{Name: "unmapped", RW: rw, Pick: PickRead(st.V.Pages())}}, 2, 8, nil)
+	if !errors.Is(err, ftl.ErrUnmapped) || !strings.HasPrefix(err.Error(), "8 request errors") {
+		t.Fatalf("a window of reads of unwritten pages: %v, want 8 request errors wrapping ftl.ErrUnmapped", err)
+	}
+}
+
 // TestHostReadsReachFlashConserve: every page a host interface carries
 // up is a flash read that a volume read or a relocation issued, on a
 // drained two-node volume stack (no cache, no mirror) churned into
