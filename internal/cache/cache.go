@@ -58,7 +58,8 @@ const InvalidateEP = core.EPUser + 2
 // lpn plus the usual header's worth of framing.
 const invBytes = 16
 
-// ErrOutOfRange marks page numbers outside the volume.
+// ErrOutOfRange marks page numbers outside the volume and node indices
+// outside the cluster.
 var ErrOutOfRange = errors.New("cache: page out of range")
 
 // Config sizes the cache tier.
@@ -247,7 +248,7 @@ func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, er
 		return nil, fmt.Errorf("cache: %w: %v", volume.ErrReservedClass, class)
 	}
 	if node < 0 || node >= len(c.nodes) {
-		return nil, fmt.Errorf("cache: no node %d", node)
+		return nil, fmt.Errorf("%w: node %d of %d", ErrOutOfRange, node, len(c.nodes))
 	}
 	return &Stream{nc: c.nodes[node], vs: c.vstreams[class]}, nil
 }

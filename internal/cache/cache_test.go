@@ -172,7 +172,8 @@ func TestCacheMissFillsAndHits(t *testing.T) {
 	}
 }
 
-// TestCacheRangeErrors: out-of-range pages fail typed on both paths.
+// TestCacheRangeErrors: out-of-range pages fail typed on both paths,
+// and so does a stream for a node outside the cluster.
 func TestCacheRangeErrors(t *testing.T) {
 	c, _, ca := testCache(t, 1, DefaultConfig(8))
 	st, err := ca.NewStream("t", 0, sched.Interactive)
@@ -183,11 +184,11 @@ func TestCacheRangeErrors(t *testing.T) {
 	st.Read(-1, func(_ []byte, err error) { rerr = err })
 	st.Write(ca.Pages(), make([]byte, ca.PageSize()), func(err error) { werr = err })
 	c.Run()
-	if rerr == nil || werr == nil {
-		t.Fatalf("out-of-range accepted: read %v write %v", rerr, werr)
+	if !errors.Is(rerr, ErrOutOfRange) || !errors.Is(werr, ErrOutOfRange) {
+		t.Fatalf("out-of-range pages: read %v write %v, want ErrOutOfRange", rerr, werr)
 	}
-	if _, err := ca.NewStream("x", 99, sched.Interactive); err == nil {
-		t.Fatal("bad node accepted")
+	if _, err := ca.NewStream("x", 99, sched.Interactive); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("bad node: %v, want ErrOutOfRange", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // TestFaultShort is the acceptance check for the fault scenario: the
@@ -33,7 +35,7 @@ func TestFaultShort(t *testing.T) {
 	if r.PagesRebuilt == 0 || r.RebuildMs <= 0 {
 		t.Fatalf("rebuild did not run (pages=%d ms=%.2f)", r.PagesRebuilt, r.RebuildMs)
 	}
-	if r.BaselineP99Us <= 0 || r.DegradedP99Us <= 0 || r.RebuildP99Us <= 0 {
+	if r.BaselineP99Us <= 0 || r.DegradedP99Us <= 0 || r.RebuildP99Us <= 0 || r.PostRebuildP99Us <= 0 {
 		t.Fatalf("missing realtime percentiles: %+v", r)
 	}
 	out, err := json.Marshal(r)
@@ -45,5 +47,19 @@ func TestFaultShort(t *testing.T) {
 	}
 	if !strings.Contains(text, "rebuild") {
 		t.Fatalf("format output missing rebuild row:\n%s", text)
+	}
+}
+
+// TestFaultRebuildHeadlineEndsAtRebuild: the rebuild headline's realtime
+// samples are those of the replace to the last page restored, not of
+// the drain after it, which the post-rebuild tail reports.
+func TestFaultRebuildHeadlineEndsAtRebuild(t *testing.T) {
+	_, v := shortRun(t, "fault")
+	r := v.(faultResult)
+	if got := r.Rebuild.Sched.ElapsedMs; got != r.RebuildMs {
+		t.Errorf("the rebuild headline's samples span %.3f ms, the rebuild %.3f ms", got, r.RebuildMs)
+	}
+	if _, p99 := classLatency(r.Rebuild.Sched, sched.Realtime); p99 != r.RebuildP99Us {
+		t.Errorf("realtime_p99_rebuild_us %.3f is not the rebuild span's realtime p99 %.3f", r.RebuildP99Us, p99)
 	}
 }

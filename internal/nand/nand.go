@@ -13,13 +13,16 @@
 // and bulk reads (ReadPageBulk), the throughput traffic of admitted
 // in-store engines. The ordinary queue holds two FIFOs in one ring,
 // which a run's seeding grows for both: reads, and passable commands —
-// programs, erases, and a read that came while a program or erase of
-// its own block was queued. The chip alternates between them: it starts
-// the oldest read when that read is older than the oldest passable
-// command, or when no read has passed that command yet; otherwise that
-// command. So at most one read passes each program or erase, a program
-// or erase never passes an older ordinary command, no command passes an
-// older one on its own block, and neither kind starves. (Letting more
+// programs, erases, and a read that came while a program of its own page
+// or an erase of its block was queued. The chip alternates between them:
+// it starts the oldest read when that read is older than the oldest
+// passable command, or when no read has passed that command yet;
+// otherwise that command. So at most one read passes each program or
+// erase, a program or erase never passes an older ordinary command, no
+// read passes a program of its page or an erase of its block, and
+// neither kind starves. A read may pass a program of another page of its
+// block: what it returns depends only on its own page, which only a
+// program of that page or an erase of its block changes. (Letting more
 // reads pass each program was no better for read tails and cost
 // closed-loop mixes more events.) A chip starts a bulk read only when
 // no ordinary command waits, or once bulkPassLimit ordinary commands
@@ -358,7 +361,7 @@ const (
 type command struct {
 	kind     cmdKind
 	bulk     bool   // read: waits in the chip's bulk queue (ReadPageBulk)
-	passable bool   // ordinary: a program or erase, or a read that came while one of its block was queued
+	passable bool   // ordinary: a program or erase, or a read that came while a program of its page or an erase of its block was queued
 	sum      uint32 // program, Reliability.GuardImages: checksum of raw as ProgramPage adopted it
 	a        Addr
 	raw      []byte // read: the stored image, or a corrupted copy; program: the image to store
@@ -379,7 +382,7 @@ func (c *Card) enqueue(cmd command) {
 	if cmd.bulk {
 		cs.bulk.Push(cmd)
 	} else {
-		cmd.passable = cmd.kind != cmdRead || cs.passable > 0 && cs.writing(cmd.a.Block)
+		cmd.passable = cmd.kind != cmdRead || cs.passable > 0 && cs.writing(cmd.a)
 		if cmd.passable {
 			cs.passable++
 		}
@@ -391,12 +394,13 @@ func (c *Card) enqueue(cmd command) {
 	}
 }
 
-// writing reports whether a program or erase of block blk is queued.
+// writing reports whether a program of page a or an erase of its block
+// is queued: the commands that change what a read of a returns.
 //
 //simlint:hotpath
-func (cs *chipState) writing(blk int) bool {
+func (cs *chipState) writing(a Addr) bool {
 	for i := range cs.queue.Len() {
-		if w := cs.queue.At(i); w.kind != cmdRead && w.a.Block == blk {
+		if w := cs.queue.At(i); w.a.Block == a.Block && (w.kind == cmdErase || w.kind == cmdProgram && w.a.Page == a.Page) {
 			return true
 		}
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // The chip's queues: ordinary reads alternating with programs and
-// erases, no command passing an older one on its own block, bulk reads
-// in their own FIFO behind both, and no bulk read passed more than
-// bulkPassLimit times.
+// erases, no read passing a program of its page or an erase of its
+// block, bulk reads in their own FIFO behind both, and no bulk read
+// passed more than bulkPassLimit times.
 
 // queuedCard is a perfect card with the first 16 pages of block 0 on
 // chip (0, 0) and on chip (1, 0) programmed.
@@ -77,11 +77,46 @@ func TestReadsPassQueuedWritesOfOtherBlocks(t *testing.T) {
 	}
 }
 
-// TestReadNeverPassesItsOwnBlock: a read issued while a program of its
-// block is queued waits for it and returns the new bytes, while a read
+// TestReadPassesLaterProgramsOfItsBlock: reads of programmed pages pass
+// queued programs of later pages of their block, one read per program,
+// and return the pages' old bytes.
+func TestReadPassesLaterProgramsOfItsBlock(t *testing.T) {
+	eng, c := queuedCard(t)
+	for p := range 2 {
+		c.ProgramPage(Addr{Block: 1, Page: p}, mkRaw(c, byte(0x10+p)), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	eng.Run()
+	var log completionLog
+	c.ReadPage(Addr{Page: 0}, log.read(t, "r0")) // the chip is busy from here
+	c.ProgramPage(Addr{Block: 1, Page: 2}, mkRaw(c, 0x5a), log.done(t, "p2"))
+	c.ProgramPage(Addr{Block: 1, Page: 3}, mkRaw(c, 0x5b), log.done(t, "p3"))
+	got := make([][]byte, 3)
+	for i, name := range []string{"r1", "r2", "r3"} {
+		c.ReadPage(Addr{Block: 1, Page: i % 2}, func(raw []byte, err error) {
+			log.read(t, name)(raw, err)
+			got[i] = raw
+		})
+	}
+	eng.Run()
+	if want := []string{"r0", "r1", "p2", "r2", "p3", "r3"}; !slices.Equal(log.names, want) {
+		t.Errorf("completion order %v, want %v", log.names, want)
+	}
+	for i, raw := range got {
+		if !bytes.Equal(raw, mkRaw(c, byte(0x10+i%2))) {
+			t.Errorf("read %d of page %d did not return the page's bytes", i+1, i%2)
+		}
+	}
+}
+
+// TestReadNeverPassesItsOwnPage: a read issued while a program of its
+// page is queued waits for it and returns the new bytes, while a read
 // of another block passes the program; a read issued while an erase of
 // its block is queued waits for the erase and finds the page free.
-func TestReadNeverPassesItsOwnBlock(t *testing.T) {
+func TestReadNeverPassesItsOwnPage(t *testing.T) {
 	eng, c := queuedCard(t)
 	var log completionLog
 	c.ReadPage(Addr{Page: 0}, log.read(t, "r0"))
