@@ -1,27 +1,20 @@
-// Command simlint statically enforces the simulator's determinism and
-// alloc-free invariants over this repository: order-dependent map
-// iteration (maprange), the host clock, global math/rand and
-// concurrency in the single-threaded core (forbidden), allocation
-// sources in //simlint:hotpath functions and in functions transitively
-// reachable from them (hotpath), discarded errors (errdrop), pooled
-// objects and once-callbacks discharged exactly once on every path
-// (obligation), and exported names that no non-test code references,
-// in the module or in bench/ (unused; on ./... only).
+// Command simlint statically enforces the simulator's determinism
+// invariant and the rules around it over this repository:
+// order-dependent map iteration (maprange), the host clock, global
+// math/rand and concurrency in the single-threaded core (forbidden),
+// discarded errors (errdrop), pooled objects and once-callbacks
+// discharged exactly once on every path (obligation), exported names
+// that no non-test code references, in the module or in bench/
+// (unused; on ./... only), and float products arm64 may fuse
+// (floatfuse). Allocation-free hot paths are held by the exact
+// allocation pins in the packages' tests, not here.
 // See internal/lint for the analyzers and the //simlint:allow
 // suppression grammar.
 //
 // Usage, from the module root:
 //
 //	go run ./cmd/simlint ./...
-//	go run ./cmd/simlint -escapes ./...
 //	go run ./cmd/simlint -json ./...
-//
-// The default mode runs the AST suite. -escapes instead compiles the
-// packages with -gcflags=-m and reads the compiler's escape analysis
-// against the hotpath walk (the escapecheck analyzer): heap
-// allocations in hotpath-reachable functions that the walk did not
-// see. Both modes share one loaded snapshot per
-// invocation.
 //
 // Findings print one per line as file:line:col: check: message (or as
 // a JSON array with -json), and a non-empty finding set exits 1 — CI
@@ -42,10 +35,9 @@ import (
 
 func main() {
 	root := flag.String("C", ".", "module root directory to lint from")
-	escapes := flag.Bool("escapes", false, "cross-check compiler escape analysis (-gcflags=-m) against hotpath verdicts")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-C dir] [-escapes] [-json] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-C dir] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,16 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)
 	}
-	var diags []lint.Diagnostic
-	if *escapes {
-		diags, err = lint.Escapes(snap, patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		diags = snap.Run(lint.Analyzers())
-	}
+	diags := snap.Run(lint.Analyzers())
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -83,8 +83,6 @@ func (s *Scanner) Reset(offset int64) {
 // next needle[0] with bytes.IndexByte instead of stepping the failure
 // function over every byte in between; from there on it is plain
 // Morris-Pratt, and the state carried across chunks is the same.
-//
-//simlint:hotpath
 func (s *Scanner) Feed(chunk []byte, emit func(pos int64)) {
 	needle, fail := s.p.needle, s.p.fail
 	k := s.state

@@ -168,6 +168,46 @@ func TestMissFillAllocFree(t *testing.T) {
 	}
 }
 
+// TestAbortedFillAllocFree: a miss whose fill an invalidation poisons
+// in flight — the volume read, the refused install, abortFill's release
+// of the reserved frame — allocates nothing in steady state.
+func TestAbortedFillAllocFree(t *testing.T) {
+	c, v, ca := testCache(t, 1, DefaultConfig(4))
+	const pages = 8
+	seedPages(t, c, v, pages)
+	st, err := ca.NewStream("t", 0, sched.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := ca.nodes[0]
+	var sink byte
+	cb := func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		sink ^= data[0]
+	}
+	cycle := func() {
+		for lpn := 0; lpn < pages; lpn++ {
+			st.Read(lpn, cb)
+			nc.applyInv(int64(lpn)) // a remote flush lands while the fill is in flight
+			c.Run()
+		}
+	}
+	for range indexChurn / pages {
+		cycle()
+	}
+	base := ca.Stats()
+	if n := coretest.Mallocs(200, cycle); n != 0 {
+		t.Fatalf("200 cycles of aborted fills make %d allocations, want 0", n)
+	}
+	d := ca.Stats().Delta(base)
+	if d.Misses == 0 || d.FillsPoisoned != d.Misses || len(nc.free) != len(nc.entries) {
+		t.Fatalf("misses %d, fills poisoned %d, %d frames free: not measuring fills that abort",
+			d.Misses, d.FillsPoisoned, len(nc.free))
+	}
+}
+
 // TestInvalidationSendAllocFree: a cross-node invalidation broadcast —
 // pooled message, fabric send, delivery, applyInv on the remote
 // nodes — allocates nothing once warm.

@@ -14,9 +14,9 @@
 //     the immutable page image a fill delivered, shared as it stands,
 //     so a miss copies no payload; a slab frame is the slot's stretch
 //     of one backing page slab and holds bytes the cache wrote itself.
-//     The lookup/hit/fill/evict path and the invalidation send path are
-//     simlint hotpath-clean and pinned at zero steady-state allocations
-//     by AllocsPerRun tests.
+//     The lookup/hit/fill/evict path, a fill an invalidation aborts and
+//     the invalidation send path are pinned at zero steady-state
+//     allocations by this package's allocation tests.
 //   - Dirty pages flush to the volume on the scheduler's Background
 //     class (ftl.TagFlush), admitted through the same urgency token
 //     budget as GC and rebuild: each node's cache reports dirty-page
@@ -255,8 +255,6 @@ func (c *Cache) NewStream(name string, node int, class sched.Class) (*Stream, er
 
 // frame returns the page bytes of one slot, to be read only: its view
 // when it holds one, else its slab frame.
-//
-//simlint:hotpath
 func (nc *nodeCache) frame(slot int32) []byte {
 	if v := nc.view[slot]; v != nil {
 		return v
@@ -267,8 +265,6 @@ func (nc *nodeCache) frame(slot int32) []byte {
 
 // slab drops the slot's view and returns its slab frame: the one place
 // the cache writes page bytes. Every caller overwrites the whole page.
-//
-//simlint:hotpath
 func (nc *nodeCache) slab(slot int32) []byte {
 	nc.view[slot] = nil
 	return nc.frame(slot)
@@ -281,8 +277,6 @@ func (nc *nodeCache) slab(slot int32) []byte {
 // entries clearing reference bits; evict the first unreferenced one.
 // The evicted entry is removed from the index; the caller installs the
 // new page.
-//
-//simlint:hotpath
 func (nc *nodeCache) takeSlot() int32 {
 	if n := len(nc.free); n > 0 {
 		s := nc.free[n-1]
@@ -315,8 +309,6 @@ func (nc *nodeCache) takeSlot() int32 {
 }
 
 // release returns a slot to the free stack.
-//
-//simlint:hotpath
 func (nc *nodeCache) releaseSlot(slot int32) {
 	e := &nc.entries[slot]
 	e.state = stEmpty
@@ -375,8 +367,6 @@ func (nc *nodeCache) newWackCtx() *wackCtx {
 
 // ackDRAM acks a buffered write after charging one page of DRAM
 // bandwidth.
-//
-//simlint:hotpath
 func (nc *nodeCache) ackDRAM(cb func(error)) {
 	wx := nc.wackPool.Get()
 	wx.cb = cb
@@ -436,8 +426,6 @@ func (nc *nodeCache) newFillCtx() *fillCtx {
 
 // abortFill releases a reserved fill slot if it still belongs to the
 // aborted fill (a racing overwrite may have claimed the entry).
-//
-//simlint:hotpath
 func (nc *nodeCache) abortFill(slot int32, lpn int64) {
 	e := &nc.entries[slot]
 	if e.state != stFilling || e.lpn != lpn {
@@ -492,13 +480,10 @@ func (nc *nodeCache) newFlushCtx() *flushCtx {
 // it aliases: a fill's flash image, shared with the card and the view
 // it leaves behind, or a frame. It is only valid inside the callback (a
 // hit on a slab frame sees later writes to it).
-//
-//simlint:hotpath
 func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 	nc := st.nc
 	c := nc.c
 	if lpn < 0 || lpn >= c.pages {
-		//simlint:allow hotpath (caller-bug error path, not steady state)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
@@ -527,8 +512,6 @@ func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 // fill reserves a frame (when one is available) and reads the page
 // through the volume at the stream's class; with no frame available
 // the read passes through uncached.
-//
-//simlint:hotpath
 func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
 	fx := nc.fillPool.Get()
 	fx.lpn, fx.cb = key, cb
@@ -550,13 +533,10 @@ func (nc *nodeCache) fill(st *Stream, key int64, cb func([]byte, error)) {
 // is updated by a Background flush), write-through when the node's
 // frames are all busy. The payload, one page, is copied before the
 // callback path begins, matching the volume's snapshot semantics.
-//
-//simlint:hotpath
 func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 	nc := st.nc
 	c := nc.c
 	if lpn < 0 || lpn >= c.pages {
-		//simlint:allow hotpath (caller-bug error path, not steady state)
 		cb(fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
@@ -596,14 +576,12 @@ func (st *Stream) Write(lpn int, data []byte, cb func(err error)) {
 	nc.writeMiss(st, key, data, cb)
 }
 
-//simlint:hotpath
 func (nc *nodeCache) writeMiss(st *Stream, key int64, data []byte, cb func(error)) {
 	slot := nc.takeSlot()
 	if slot < 0 {
 		// Every frame pinned, dirty, or in flight: write through at
 		// the stream's class. Coherence still applies on completion.
 		nc.writeThroughs++
-		//simlint:allow hotpath (cold edge: write-through only runs when every frame is pinned or dirty; documented not alloc-free)
 		nc.writeThrough(st, key, data, cb)
 		return
 	}
@@ -640,8 +618,6 @@ func (nc *nodeCache) writeThrough(st *Stream, key int64, data []byte, cb func(er
 // pumpFlush keeps up to flushDepth Background flush writes in flight
 // per node whenever dirty pages exist. Admission rides ftl.TagFlush →
 // sched.Background, throttled by the urgency tokens pushUrgency sets.
-//
-//simlint:hotpath
 func (nc *nodeCache) pumpFlush() {
 	c := nc.c
 	for nc.flushing < flushDepth && nc.dirty > 0 {
@@ -659,14 +635,11 @@ func (nc *nodeCache) pumpFlush() {
 		// WriteBackground snapshots the frame synchronously, so later
 		// overwrites of the frame (which set redirty) cannot corrupt
 		// the in-flight flush payload.
-		//simlint:allow hotpath (cold edge: Background-class write-back rides flash program latency, off the foreground ack path)
 		c.v.WriteBackground(int(e.lpn), nc.frame(slot), fx.onDone)
 	}
 }
 
 // nextDirty sweeps for a dirty frame. Only called with nc.dirty > 0.
-//
-//simlint:hotpath
 func (nc *nodeCache) nextDirty() int32 {
 	n := len(nc.entries)
 	for i := 0; i < n; i++ {
@@ -686,8 +659,6 @@ func (nc *nodeCache) nextDirty() int32 {
 // urgency source: 0 at or below low water, 1 at or above high water —
 // flushing stays a trickle until dirty pressure builds, then the
 // scheduler's token budget opens up exactly as it does for GC.
-//
-//simlint:hotpath
 func (nc *nodeCache) pushUrgency() {
 	nc.urg((float64(nc.dirty+nc.flushing)/float64(len(nc.entries)) - flushLowWater) /
 		(flushHighWater - flushLowWater))
@@ -699,8 +670,6 @@ func (nc *nodeCache) pushUrgency() {
 // Fired at flush / write-through completion (flash-visibility), not
 // at write admission — see the package comment for the coherence
 // contract.
-//
-//simlint:hotpath
 func (c *Cache) broadcastInv(from int, lpn int64) {
 	n := len(c.nodes)
 	if n <= 1 {
@@ -723,8 +692,6 @@ func (c *Cache) broadcastInv(from int, lpn int64) {
 }
 
 // applyInv handles one inbound invalidation on this node.
-//
-//simlint:hotpath
 func (nc *nodeCache) applyInv(lpn int64) {
 	slot, ok := nc.index[lpn]
 	if !ok {

@@ -127,8 +127,6 @@ func newRemoteOp() *remoteOp {
 
 // reset drops what an op referenced, for its return to the pool once
 // its completion callback has returned (or its request was never sent).
-//
-//simlint:hotpath
 func (op *remoteOp) reset() {
 	op.reqMsg = reqMsg{}
 	op.server, op.cb = nil, nil
@@ -217,8 +215,6 @@ type readLanes struct {
 // for an admitted read, the bulk lane of addr's chip; else the next of
 // the card's ISP read lanes, round-robin. An address off the card's
 // chips takes the nearest bulk lane, and the card refuses it there.
-//
-//simlint:hotpath
 func (n *Node) readIface(card int, addr nand.Addr, bulk bool) *flashserver.Iface {
 	if bulk {
 		lanes := n.bulkReads[card]
@@ -280,8 +276,6 @@ func (n *Node) ispRead(a PageAddr, bulk bool, cb func(data []byte, err error)) {
 
 // remoteReq sends a request on the next lane (round-robin); cb fires
 // when the response is back.
-//
-//simlint:hotpath
 func (n *Node) remoteReq(msg reqMsg, dst int, cb func(data []byte, err error)) {
 	op := n.cluster.remoteOps.Get()
 	op.reqMsg = msg
@@ -301,8 +295,6 @@ func (n *Node) remoteReq(msg reqMsg, dst int, cb func(data []byte, err error)) {
 }
 
 // handleFlashReq is the device-side service for remote requests.
-//
-//simlint:hotpath
 func (n *Node) handleFlashReq(_ fabric.NodeID, _ int, payload any) {
 	op := payload.(*remoteOp)
 	op.server = n
@@ -327,8 +319,6 @@ func (n *Node) hostSoftware(op *remoteOp) {
 }
 
 // serveRemote hands a remote request to this node's flash.
-//
-//simlint:hotpath
 func (n *Node) serveRemote(op *remoteOp) {
 	switch {
 	case op.dram:
@@ -359,8 +349,6 @@ func (n *Node) dramDone(op *remoteOp) {
 
 // respond ships the result back over the integrated network on the
 // response lane paired with the request's lane.
-//
-//simlint:hotpath
 func (n *Node) respond(op *remoteOp, page []byte, err error) {
 	op.data = nil // a write's payload is the flash's now
 	op.page, op.err = page, err
@@ -370,8 +358,6 @@ func (n *Node) respond(op *remoteOp, page []byte, err error) {
 }
 
 // handleFlashResp completes a remote request at the node that sent it.
-//
-//simlint:hotpath
 func (n *Node) handleFlashResp(_ fabric.NodeID, _ int, payload any) {
 	op := payload.(*remoteOp)
 	op.cb(op.page, op.err)
@@ -445,8 +431,6 @@ type HostReq struct {
 // returns: the slice stays the caller's, which may refill it for the
 // next doorbell at once. (The Data of a write is an adopted image, as
 // HostReq says; that is the request's business, not the slice's.)
-//
-//simlint:hotpath
 func (n *Node) SubmitHostBatch(reqs []HostReq, issued func()) {
 	if len(reqs) == 0 {
 		return
@@ -530,8 +514,6 @@ func (n *Node) newHostOp() *hostOp {
 
 // finishHostOp recycles op — nothing is in flight on any of its
 // continuations — and fires its request's Done.
-//
-//simlint:hotpath
 func (n *Node) finishHostOp(op *hostOp, data []byte, err error) {
 	done := op.req.Done
 	op.req, op.data = HostReq{}, nil
@@ -544,8 +526,6 @@ func (n *Node) finishHostOp(op *hostOp, data []byte, err error) {
 // through a host read buffer; a write takes a write buffer and crosses
 // PCIe first; an erase moves no data at all. An erase or a Background
 // request for a remote card is refused (ErrNotLocal).
-//
-//simlint:hotpath
 func (n *Node) issueHostOp(op *hostOp) {
 	r := &op.req
 	remote := r.Addr.Node != n.id
@@ -569,8 +549,6 @@ func (n *Node) issueHostOp(op *hostOp) {
 
 // hostWriteDown sends a write whose page has crossed PCIe on to the
 // flash (local, which adopts the image) or the network (remote).
-//
-//simlint:hotpath
 func (n *Node) hostWriteDown(op *hostOp) {
 	r := &op.req
 	img := r.Data
@@ -585,8 +563,6 @@ func (n *Node) hostWriteDown(op *hostOp) {
 // hostFlashDone takes a read's page from the flash or the network and
 // DMAs it into a host read buffer, the completion interrupt following;
 // for a remote write it is the ack.
-//
-//simlint:hotpath
 func (n *Node) hostFlashDone(op *hostOp, data []byte, err error) {
 	switch {
 	case op.req.Write:
@@ -600,8 +576,6 @@ func (n *Node) hostFlashDone(op *hostOp, data []byte, err error) {
 }
 
 // hostAck completes a write (returning its write buffer) or an erase.
-//
-//simlint:hotpath
 func (n *Node) hostAck(op *hostOp, err error) {
 	if op.req.Write {
 		n.Host.ReleaseWriteBuffer()

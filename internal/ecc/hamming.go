@@ -101,8 +101,6 @@ func buildEncTab() [chunks][1 << chunkBits]byte {
 // Encode computes the 8 check bits for a 64-bit data word. The returned
 // byte has the 7 Hamming syndrome bits in bits 0..6 and the overall
 // parity in bit 7.
-//
-//simlint:hotpath
 func Encode(data uint64) byte {
 	return encTab[0][data&chunkMask] ^
 		encTab[1][data>>(1*chunkBits)&chunkMask] ^
@@ -116,8 +114,6 @@ func Encode(data uint64) byte {
 // flipped bit anywhere in the 72-bit code word (data, check, or parity
 // bit). It returns the corrected data and the number of corrected bits
 // (0 or 1). A double-bit error returns ErrUncorrectable.
-//
-//simlint:hotpath
 func Decode(data uint64, check byte) (corrected uint64, fixed int, err error) {
 	// d is the recomputed check byte XOR the received one. Its low
 	// seven bits are the syndrome. Its eight bits together have the

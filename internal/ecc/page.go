@@ -53,8 +53,6 @@ func (c *PageCodec) EncodePage(data []byte) ([]byte, error) {
 // pure function of the page, so the flash controller computes them only
 // where a decode reads them: the card fills them into the private copy
 // a read of a page image makes when it draws flips (nand.Card.ReadPage).
-//
-//simlint:hotpath
 func (c *PageCodec) EncodeInPlace(raw []byte) error {
 	if len(raw) != c.StoredSize() {
 		return ErrRawSize
@@ -75,8 +73,6 @@ func (c *PageCodec) EncodeInPlace(raw []byte) error {
 // word k's check byte in byte k of the little-endian result. A clean
 // 64-byte group therefore costs the read path one compare and the
 // program path one store.
-//
-//simlint:hotpath
 func encode8(data []byte) uint64 {
 	_ = data[63]
 	// Written out: the compiler does not unroll a loop over the eight
@@ -111,8 +107,6 @@ type DecodeResult struct {
 // view of it, and raw still reads as it did, wrong bits included. An
 // uncorrectable word before any correctable one costs no copy. Errors
 // are DecodePageInPlace's.
-//
-//simlint:hotpath
 func (c *PageCodec) DecodePage(raw []byte) (DecodeResult, error) { return c.decode(raw, false) }
 
 // DecodePageInPlace verifies and corrects a raw stored image, writing
@@ -129,16 +123,11 @@ func (c *PageCodec) DecodePage(raw []byte) (DecodeResult, error) { return c.deco
 // that differs — or the tail of a page that is not a multiple of 64
 // bytes — goes word by word through Decode, which alone corrects,
 // counts and reports.
-//
-//simlint:hotpath
 func (c *PageCodec) DecodePageInPlace(raw []byte) (DecodeResult, error) { return c.decode(raw, true) }
 
 // decode is both decoders: own says whether raw may be written to.
-//
-//simlint:hotpath
 func (c *PageCodec) decode(raw []byte, own bool) (DecodeResult, error) {
 	if len(raw) != c.StoredSize() {
-		//simlint:allow hotpath (size-mismatch error path, never taken steady-state)
 		return DecodeResult{}, fmt.Errorf("ecc: decode: raw is %d bytes, want %d: %w", len(raw), c.StoredSize(), ErrRawSize)
 	}
 	data, oob := raw[:c.pageSize], raw[c.pageSize:]
@@ -152,14 +141,12 @@ func (c *PageCodec) decode(raw []byte, own bool) (DecodeResult, error) {
 			word := binary.LittleEndian.Uint64(data[8*w:])
 			cw, n, err := Decode(word, oob[w])
 			if err != nil {
-				//simlint:allow hotpath (uncorrectable-read error path, off the steady-state path)
 				return DecodeResult{}, fmt.Errorf("word at byte %d: %w", 8*w, err)
 			}
 			if n > 0 && !own {
 				// The first wrong bit, in the word or in its check byte:
 				// everything before it verified, so nothing is lost by
 				// starting over in a copy.
-				//simlint:allow hotpath (the private copy of a read that has a bit to correct: at the default error rate one read in 13 000)
 				return c.decode(append([]byte(nil), raw...), true)
 			}
 			if cw != word {

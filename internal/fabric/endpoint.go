@@ -73,8 +73,6 @@ func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
 }
 
 // Endpoint returns the bound endpoint idx, or nil.
-//
-//simlint:hotpath
 func (nd *Node) Endpoint(idx int) *Endpoint {
 	if idx < 0 || idx >= len(nd.endpoints) {
 		return nil
@@ -97,15 +95,11 @@ func (ep *Endpoint) SetEndToEnd(window int) {
 // the same index on node dst. onAccepted (optional) fires when the
 // local send buffer is free — the sender-side backpressure signal.
 // Messages to the same destination arrive in send order.
-//
-//simlint:hotpath
 func (ep *Endpoint) Send(dst NodeID, size int, payload any, onAccepted func()) error {
 	if int(dst) < 0 || int(dst) >= len(ep.node.net.nodes) {
-		//simlint:allow hotpath (caller-bug error path, not steady state)
 		return fmt.Errorf("%w: destination %d", ErrNoRoute, dst)
 	}
 	if size < 0 {
-		//simlint:allow hotpath (caller-bug error path, not steady state)
 		return fmt.Errorf("%w: %d", ErrBadSize, size)
 	}
 	if ep.e2eWindow > 0 {
@@ -127,8 +121,6 @@ func (ep *Endpoint) Send(dst NodeID, size int, payload any, onAccepted func()) e
 // made Sent != Received even when every user message arrived.
 // Segments come from the network's recycle pool, so the steady-state
 // send path allocates nothing.
-//
-//simlint:hotpath
 func (ep *Endpoint) transmitMsg(dst NodeID, size int, payload any, onAccepted func(), ctrl, wantAck bool) {
 	mtu := ep.node.net.cfg.MTU
 	if ctrl {
@@ -167,8 +159,6 @@ func (ep *Endpoint) transmitMsg(dst NodeID, size int, payload any, onAccepted fu
 // and in order (routing is deterministic and links are FIFO), so when
 // the last one is in, all are, and the earlier ones are never seen here
 // (Node.transmit).
-//
-//simlint:hotpath
 func (ep *Endpoint) receive(seg *segment) {
 	if seg.ctrl {
 		// Credit return: unblock one queued send toward seg.src.

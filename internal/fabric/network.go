@@ -175,8 +175,6 @@ func (n *Network) newSegment() *segment {
 // return to the pool. The caller must guarantee no outstanding
 // reference — every continuation of the segment's current flight has
 // fired or will never fire.
-//
-//simlint:hotpath
 func (seg *segment) reset() {
 	seg.body = nil
 	seg.onAcc = nil
@@ -259,16 +257,12 @@ func newLinkCredits(eng *sim.Engine, capacity int) *linkCredits {
 	return lc
 }
 
-//simlint:hotpath
 func (lc *linkCredits) acquireFwd(fn func()) { lc.acquire(linkWaiter{fwd: true, fn: fn}) }
 
-//simlint:hotpath
 func (lc *linkCredits) acquireInj(fn func()) { lc.acquire(linkWaiter{fwd: false, fn: fn}) }
 
 // acquire grants w on the spot when nobody is queued ahead of it and
 // the credit is there, and queues it behind the others otherwise.
-//
-//simlint:hotpath
 func (lc *linkCredits) acquire(w linkWaiter) {
 	lc.mature()
 	if lc.head == len(lc.q) && lc.free >= w.need() {
@@ -286,8 +280,6 @@ func (lc *linkCredits) acquire(w linkWaiter) {
 }
 
 // release returns one credit and serves waiters.
-//
-//simlint:hotpath
 func (lc *linkCredits) release() {
 	lc.free++
 	lc.serve()
@@ -295,8 +287,6 @@ func (lc *linkCredits) release() {
 
 // returnAt books a credit that comes back by itself at t (see the type
 // comment); whoever next touches the store at or after t finds it free.
-//
-//simlint:hotpath
 func (lc *linkCredits) returnAt(t sim.Time) {
 	if n := lc.returns.Len(); n > 0 && lc.returns.At(n-1) > t {
 		panic(fmt.Sprintf("fabric: credit return at %v booked behind one at %v", t, lc.returns.At(n-1)))
@@ -305,8 +295,6 @@ func (lc *linkCredits) returnAt(t sim.Time) {
 }
 
 // mature moves every pending return that has fallen due into free.
-//
-//simlint:hotpath
 func (lc *linkCredits) mature() {
 	now := lc.eng.Now()
 	for lc.returns.Len() > 0 && lc.returns.Front() <= now {
@@ -323,7 +311,6 @@ func (w linkWaiter) need() int {
 	return 2
 }
 
-//simlint:hotpath
 func (lc *linkCredits) serve() {
 	lc.mature()
 	for lc.head < len(lc.q) {
@@ -367,8 +354,6 @@ func (lc *linkCredits) serve() {
 
 // armWake schedules the store's one wake event at the earliest pending
 // return.
-//
-//simlint:hotpath
 func (lc *linkCredits) armWake() {
 	if lc.armed {
 		panic("fabric: a second wake armed on one link direction")
@@ -565,8 +550,6 @@ func (n *Network) Hops(a, b NodeID) int { return n.hops[b][a] }
 
 // routePort returns the output port for (ep, dst). An endpoint past
 // the last row of the table routes as endpoint 0.
-//
-//simlint:hotpath
 func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
 	row := 0
 	if uint(ep) < uint(len(nd.routes)) {
@@ -577,7 +560,6 @@ func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
 			return port, nil
 		}
 	}
-	//simlint:allow hotpath (error path: allocates only when no route exists, which fails the injection anyway)
 	return 0, fmt.Errorf("%w: node %d ep %d -> node %d", ErrNoRoute, nd.id, ep, dst)
 }
 
@@ -585,8 +567,6 @@ func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
 // acquire, wire transfer. The segment's onAcc fires once the segment
 // is on the wire (source-side buffer freed), which is the sender's
 // backpressure.
-//
-//simlint:hotpath
 func (nd *Node) inject(seg *segment) error {
 	seg.curNode = nd
 	if seg.dst == nd.id {
@@ -622,8 +602,6 @@ func (nd *Node) inject(seg *segment) error {
 // switch to do: the segment occupies the wire like any other, the
 // receive buffer it fills is booked to come free InternalLatency after
 // it lands (linkCredits.returnAt), and it is recycled here.
-//
-//simlint:hotpath
 func (nd *Node) transmit(seg *segment) {
 	wire := seg.payload + nd.net.cfg.HeaderBytes
 	nd.net.SegsMoved.Inc()
@@ -642,8 +620,6 @@ func (nd *Node) transmit(seg *segment) {
 // or forward toward the destination. The inbound token (seg.in, the
 // link just traversed) is held until the segment leaves this node, so
 // congestion backpressures upstream.
-//
-//simlint:hotpath
 func (nd *Node) arrive(seg *segment) {
 	seg.in = seg.out
 	seg.curNode = nd
@@ -665,8 +641,6 @@ func (nd *Node) arrive(seg *segment) {
 // recycles it. OnReceive handlers that send from inside the callback
 // draw fresh segments from the pool (this one is recycled only after
 // receive returns).
-//
-//simlint:hotpath
 func (nd *Node) deliver(seg *segment) {
 	// Delivery to an unbound endpoint is silently dropped, like
 	// hardware writing to an unselected channel.

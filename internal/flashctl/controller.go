@@ -370,8 +370,6 @@ func (c *Controller) pageRead(tag int, raw []byte, err error) {
 // sendBurst puts the tag's next BurstBytes on the shared serial link.
 // Bursts of concurrent reads interleave in link-FIFO order — exactly
 // the out-of-order behaviour §3.1.1 warns users about.
-//
-//simlint:hotpath
 func (c *Controller) sendBurst(tag int) {
 	c.bursting.Push(tag)
 	c.toUser.Transfer(c.burstLen(tag), c.onBurst)
@@ -379,8 +377,6 @@ func (c *Controller) sendBurst(tag int) {
 
 // burstLen is the size of the tag's next burst: BurstBytes, or what is
 // left of the page.
-//
-//simlint:hotpath
 func (c *Controller) burstLen(tag int) int {
 	r := &c.pages[tag]
 	return min(c.cfg.BurstBytes, len(r.data)-r.sent)
@@ -389,8 +385,6 @@ func (c *Controller) burstLen(tag int) int {
 // burstDelivered hands the burst that just crossed the link to the
 // user as a view of the page buffer, then sends the next one or, after
 // the last, drops the buffer and completes the read.
-//
-//simlint:hotpath
 func (c *Controller) burstDelivered(tag int) {
 	r := &c.pages[tag]
 	offset := r.sent

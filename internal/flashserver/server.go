@@ -161,8 +161,6 @@ func (s *Server) NewBulkIface() *Iface {
 // finished and returns the op it was issued for, nil when none was.
 // The freed tag goes to the oldest op waiting for one, which is issued
 // before the caller delivers the finished op's outcome.
-//
-//simlint:hotpath
 func (s *Server) release(tag int) *pageOp {
 	op := s.inflight[tag]
 	s.inflight[tag] = nil
@@ -179,8 +177,6 @@ func (s *Server) release(tag int) *pageOp {
 // that does not continue the page — a gap, a repeat, a reordering, or
 // memory that is not the next bytes of the same buffer — poisons the
 // op, which then completes with ErrShortRead.
-//
-//simlint:hotpath
 func (s *Server) readChunk(tag, offset int, chunk []byte, _ bool) {
 	op := s.inflight[tag]
 	if op == nil || op.err != nil || len(chunk) == 0 {
@@ -201,8 +197,6 @@ func (s *Server) readChunk(tag, offset int, chunk []byte, _ bool) {
 
 // readDone completes a read. A read the controller calls good must
 // have assembled into exactly one page.
-//
-//simlint:hotpath
 func (s *Server) readDone(tag, _ int, err error) {
 	op := s.release(tag)
 	if op == nil {
@@ -232,8 +226,6 @@ func (s *Server) writeDataReq(tag int) {
 
 // finish completes the write or erase issued under tag. Under the guard
 // a program's image must still be what WriteImage adopted.
-//
-//simlint:hotpath
 func (s *Server) finish(tag int, err error) {
 	op := s.release(tag)
 	if op == nil {
@@ -250,8 +242,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // complete records an op's outcome and delivers whatever that
 // unblocks at the head of its interface's FIFO.
-//
-//simlint:hotpath
 func (s *Server) complete(op *pageOp, err error) {
 	op.done = true
 	op.err = err
@@ -270,8 +260,6 @@ func (s *Server) complete(op *pageOp, err error) {
 // too; a read with bits to correct delivers a private corrected copy,
 // and the receiver cannot tell which it got. Either way data is a page
 // image: a relocation hands it straight back to WriteImage.
-//
-//simlint:hotpath
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
 	op := f.srv.pool.Get()
 	op.iface, op.kind, op.addr, op.onRead = f, flashctl.OpRead, addr, cb
@@ -324,8 +312,6 @@ func (f *Iface) Erase(addr nand.Addr, cb func(err error)) {
 
 // submit queues op behind the interface's earlier requests and issues
 // it now if a queue-depth credit is free.
-//
-//simlint:hotpath
 func (f *Iface) submit(op *pageOp) {
 	f.fifo.Push(op)
 	if f.credits == 0 {
@@ -346,8 +332,6 @@ func (f *Iface) reject(op *pageOp, err error) {
 
 // issue sends a credited op to the controller, or queues it FIFO while
 // every controller tag is busy.
-//
-//simlint:hotpath
 func (f *Iface) issue(op *pageOp) {
 	op.credited = true
 	if len(f.srv.freeTags) == 0 {
@@ -358,13 +342,10 @@ func (f *Iface) issue(op *pageOp) {
 }
 
 // send issues op under the most recently freed controller tag.
-//
-//simlint:hotpath
 func (s *Server) send(op *pageOp) {
 	tag := s.freeTags[len(s.freeTags)-1]
 	s.freeTags = s.freeTags[:len(s.freeTags)-1]
 	s.inflight[tag] = op
-	//simlint:allow hotpath (the flash command itself: the private copy of a read that drew bit errors and a bounded handful of continuations per command, hidden under NAND latency; the allocation pins in this package's tests hold the budget)
 	if err := s.ctl.Issue(flashctl.Command{Op: op.kind, Tag: tag, Addr: op.addr, Bulk: op.iface.bulk}); err != nil {
 		// The server owns the tags and makes only reads, writes and
 		// erases, so this is a bug in the model, not a runtime condition.
@@ -374,8 +355,6 @@ func (s *Server) send(op *pageOp) {
 
 // releaseCredit passes a delivered op's credit to the oldest waiting
 // op, or back to the interface.
-//
-//simlint:hotpath
 func (f *Iface) releaseCredit() {
 	if f.waiting.Len() > 0 {
 		f.issue(f.waiting.Pop())
@@ -386,8 +365,6 @@ func (f *Iface) releaseCredit() {
 
 // drainInOrder delivers completed ops from the FIFO head. It does not
 // re-enter itself (see draining).
-//
-//simlint:hotpath
 func (f *Iface) drainInOrder() {
 	if f.draining {
 		return

@@ -179,7 +179,6 @@ func (f *FTL) Read(lpn int, cb func(data []byte, err error)) {
 // drain (reclaim.Log.Read).
 func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	if lpn < 0 || lpn >= f.lpns {
-		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
@@ -189,7 +188,6 @@ func (f *FTL) ReadTagged(lpn int, tag IOTag, cb func(data []byte, err error)) {
 	}
 	ppn := f.l2p[lpn]
 	if ppn < 0 {
-		//simlint:allow hotpath (error path: allocates only for an unmapped page, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrUnmapped, lpn))
 		return
 	}

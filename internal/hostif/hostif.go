@@ -177,8 +177,6 @@ func (h *HostIf) ChargeLightSoftware(fn func()) {
 // buffer — granting it to the next waiter, whose DMA is reserved at
 // once — and runs done. Transfers complete in the order they were
 // asked for.
-//
-//simlint:hotpath
 func (h *HostIf) PageUp(size int, done func()) {
 	h.readWaiting.Push(transfer{size, done})
 	h.readFree.Acquire(h.grantRead)
@@ -189,8 +187,6 @@ func (h *HostIf) PageUp(size int, done func()) {
 // caller charges to its own CPU model), and done runs device-side when
 // the bytes have crossed PCIe. The buffer stays held until
 // ReleaseWriteBuffer.
-//
-//simlint:hotpath
 func (h *HostIf) PageDown(size int, done func()) {
 	h.writeWaiting.Push(transfer{size, done})
 	h.writeFree.Acquire(h.grantWrite)

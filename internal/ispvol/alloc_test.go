@@ -1,11 +1,13 @@
 package ispvol_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/accel/tablescan"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ispvol"
 	"repro/internal/rfs"
 	"repro/internal/workload"
@@ -78,6 +80,55 @@ func TestFileQueriesAllocatePerQuery(t *testing.T) {
 					a64, a512, perPage)
 			}
 		})
+	}
+}
+
+// TestInStoreSearchAllocationsDoNotGrowWithPages pins the in-store
+// engine's page loop (engine.page, lane.read, lane.reduced) exactly: a
+// warm SearchFile over a 512-page file makes as many allocations as one
+// over a 256-page file, all of them per-query records. The flash is
+// error-free, because a read that draws a bit flip makes its private
+// copy (nand's and ecc's pins count it), and the needle never matches,
+// so the result does not grow with the file either.
+func TestInStoreSearchAllocationsDoNotGrowWithPages(t *testing.T) {
+	q := fileQueries[0]
+	p := fileParams(2)
+	p.Reliability.BitErrorRate = 0
+	c, _, fs, sys := newFileSystemOn(t, p)
+	ps := fs.PageSize()
+	count := func(f *rfs.File) uint64 {
+		queries, pages := 0, 0
+		query := func() {
+			sys.SearchFile(0, f, []byte("BLUEDBM"), func(r *ispvol.SearchResult, err error) {
+				if err != nil || len(r.Matches) != 0 || r.FailedPages != 0 {
+					t.Fatalf("search: %v, %d matches, %d failed pages", err, len(r.Matches), r.FailedPages)
+				}
+				queries++
+				pages += r.Pages
+			})
+			c.Run()
+		}
+		for range 3 { // pools, rings and lanes reach their size
+			query()
+		}
+		// The least of three windows: Go's runtime builds the cache of a
+		// type assertion to an interface (query.part's m.body.(partial))
+		// at a random miss, one allocation once per process, which one
+		// window may hold; an allocation per page is in every window.
+		queries, pages = 0, 0
+		n := uint64(math.MaxUint64)
+		for range 3 {
+			n = min(n, coretest.Mallocs(10, query))
+		}
+		if queries == 0 || pages != queries*f.Pages() {
+			t.Fatalf("%d queries scanned %d pages, want %d", queries, pages, queries*f.Pages())
+		}
+		return n
+	}
+	small := seedFile(t, c, fs, "small", 256, q.fill(ps))
+	big := seedFile(t, c, fs, "big", 512, q.fill(ps))
+	if a256, a512 := count(small), count(big); a256 != a512 {
+		t.Fatalf("10 searches make %d allocations over 256 pages and %d over 512: the page loop allocates", a256, a512)
 	}
 }
 

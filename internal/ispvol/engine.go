@@ -91,8 +91,6 @@ func (sys *System) newEngine() *engine {
 }
 
 // page is the Lanes body: issue page i's read on the lane.
-//
-//simlint:hotpath
 func (e *engine) page(lane, i int, next func()) {
 	l := &e.lanes[lane]
 	l.i, l.next = i, next
@@ -110,8 +108,6 @@ func (e *engine) page(lane, i int, next func()) {
 // the page next to the flash; the host-mediated loop counts it into host
 // memory and reduces it on the lane's worker thread. A failed read skips
 // the page; it is counted, not fatal.
-//
-//simlint:hotpath
 func (l *lane) read(data []byte, err error) {
 	e := l.e
 	switch {
@@ -129,14 +125,11 @@ func (l *lane) read(data []byte, err error) {
 }
 
 // reduced reduces the lane's page into the engine's partial.
-//
-//simlint:hotpath
 func (l *lane) reduced() {
 	e, ref := l.e, pageRef{qidx: l.i}
 	if e.q == nil {
 		ref = e.refs[l.i]
 	}
-	//simlint:allow hotpath (the kernel's per-page reduction, an interface call)
 	if !e.p.scan(ref, l.data) {
 		e.failed++
 	}

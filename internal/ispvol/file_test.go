@@ -26,7 +26,12 @@ func fileParams(nodes int) core.Params {
 
 func newFileSystem(t testing.TB, nodes int) (*core.Cluster, *sched.Scheduler, *rfs.FS, *ispvol.System) {
 	t.Helper()
-	c := coretest.NewCluster(t, fileParams(nodes))
+	return newFileSystemOn(t, fileParams(nodes))
+}
+
+func newFileSystemOn(t testing.TB, p core.Params) (*core.Cluster, *sched.Scheduler, *rfs.FS, *ispvol.System) {
+	t.Helper()
+	c := coretest.NewCluster(t, p)
 	scfg := sched.DefaultConfig()
 	scfg.MaxInflight = 16
 	s, err := sched.New(c, scfg)

@@ -27,10 +27,6 @@ func TestNoconcurrency(t *testing.T) {
 	linttest.Run(t, "testdata/forbidden/concurrency", "internal/fixture", lint.Forbidden)
 }
 
-func TestHotpath(t *testing.T) {
-	linttest.Run(t, "testdata/hotpath", "internal/fixture", lint.Hotpath)
-}
-
 func TestErrdrop(t *testing.T) {
 	linttest.Run(t, "testdata/errdrop", "internal/fixture", lint.Errdrop)
 }
@@ -42,15 +38,8 @@ func TestFloatfuse(t *testing.T) {
 	linttest.Run(t, "testdata/floatfuse", "cmd/fixture", lint.Floatfuse)
 }
 
-// The interprocedural analyzers: hotpath's walk over the call graph,
-// and the CFG-based obligation check.
-
-func TestHotcall(t *testing.T) {
-	linttest.Run(t, "testdata/hotcall", "internal/fixture", lint.Hotpath)
-}
-
-// The obligation check: pool objects, the module's sim.Pool, and
-// once-callbacks.
+// The obligation check, over each function's control-flow graph: pool
+// objects, the module's sim.Pool, and once-callbacks.
 
 func TestPoolleak(t *testing.T) {
 	linttest.Run(t, "testdata/obligation/pool", "internal/fixture", lint.Obligation)
@@ -124,8 +113,9 @@ func TestScopeFences(t *testing.T) {
 }
 
 // Directive hygiene: malformed directives, unknown checks (the old
-// names of folded checks among them), missing reasons and suppressions
-// that suppress nothing are all findings.
+// names of folded and deleted checks among them), unknown markers,
+// missing reasons and suppressions that suppress nothing are all
+// findings.
 func TestDirectiveAudit(t *testing.T) {
 	diags := linttest.Diags(t, "testdata/directives", "internal/fixture", lint.Maprange)
 	wants := []string{
@@ -136,6 +126,10 @@ func TestDirectiveAudit(t *testing.T) {
 		`unknown check "oncedone"`,
 		`unknown check "walltime"`,
 		`unknown check "noconcurrency"`,
+		`unknown check "hotpath"`,
+		`unknown check "escapecheck"`,
+		"unknown directive //simlint:hotpath",
+		"unknown directive //simlint:nosuchmarker",
 		"unused suppression",
 	}
 	if len(diags) != len(wants) {

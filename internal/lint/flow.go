@@ -295,6 +295,14 @@ func isAccessorCall(p *Pass, call *ast.CallExpr, objs map[types.Object]bool) boo
 	return false
 }
 
+// origin normalizes generic instantiations back to their declaration.
+func origin(fn *types.Func) *types.Func {
+	if o := fn.Origin(); o != nil {
+		return o
+	}
+	return fn
+}
+
 // --- dataflow ---------------------------------------------------------
 
 // flowState is a union lattice over small per-object state sets,

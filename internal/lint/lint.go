@@ -1,7 +1,9 @@
-// Package lint is simlint: a static-analysis suite that enforces the
-// two invariants every committed BENCH artifact rests on — bit-exact
-// determinism and allocation-free hot paths — at build time instead of
-// debugging time.
+// Package lint is simlint: a static-analysis suite that enforces
+// bit-exact determinism, one of the two invariants every committed
+// BENCH artifact rests on, and the ownership and hygiene rules around
+// it, at build time instead of debugging time. The other invariant,
+// allocation-free hot paths, is held by the exact allocation pins in
+// the packages' tests (coretest.Mallocs), not here.
 //
 // The simulator's reproducibility argument is only as strong as its
 // weakest `for k := range someMap` or stray time.Now(): either one
@@ -15,10 +17,6 @@
 //	forbidden    one table of banned package functions and syntax kinds
 //	             over the deterministic core: the host clock, the global
 //	             math/rand stream, sync, go statements and channels
-//	hotpath      allocation sources in the hot set: functions annotated
-//	             //simlint:hotpath and every function the module call
-//	             graph reaches from them, whose findings carry the call
-//	             chain
 //	errdrop      discarded error results in internal/
 //	obligation   pooled objects (//simlint:pool) and completion
 //	             callbacks (//simlint:once) not discharged exactly once
@@ -28,28 +26,29 @@
 //	floatfuse    a float product added or subtracted without a
 //	             rounding conversion, which arm64 may fuse into one
 //	             multiply-add, in every package, linked or not
-//	escapecheck  (driver mode, cmd/simlint -escapes) heap allocations
-//	             the real compiler reports via -gcflags=-m on hot-set
-//	             lines that the hotpath walk did not see
 //
 // Real bugs caught: maprange found the rfs invariant check walking
 // back-references in map order, so its first error changed from run to
-// run; hotpath found volume.mirrorWrite's two closures and one struct
-// per mirrored write and hostmodel.Thread's closure per work item;
-// errdrop found the hostif DeviceWriteChunk and ReleaseReadBuffer
-// errors dropped at all 16 production call sites; unused found 41 dead
-// exported names on its first run.
+// run; hotpath, a static allocation walk over the hot call graph since
+// replaced by the exact allocation pins, found volume.mirrorWrite's two
+// closures and one struct per mirrored write and hostmodel.Thread's
+// closure per work item; errdrop found the hostif DeviceWriteChunk and
+// ReleaseReadBuffer errors dropped at all 16 production call sites;
+// unused found 41 dead exported names on its first run.
 //
 // What each check catches is measured by planted bugs: each one
-// below was planted alone in a copy of the tree this package ships
-// with, then `go run ./cmd/simlint ./...`, `go run ./cmd/simlint
-// -escapes ./...` and every tier-1 test outside internal/lint were run.
-// The plant's class is the check meant to catch it (poolleak, oncedone,
-// walltime and noconcurrency are the four checks since folded into
-// obligation and forbidden); "static" names what simlint reported and
-// "tier-1" the packages whose tests failed (artifacts is
-// cmd/bluedbm-bench's regeneration test; TestPackageSizes, which only
-// sees that a line was added, is left out):
+// below was planted alone in a copy of the tree, then `go run
+// ./cmd/simlint ./...` and every tier-1 test outside internal/lint were
+// run. The plant's class is the check meant to catch it (poolleak,
+// oncedone, walltime and noconcurrency are the four checks since folded
+// into obligation and forbidden; hotpath and escapecheck the two since
+// deleted, whose invariant the exact allocation pins hold); "static"
+// names what simlint reported and "tier-1" the packages whose tests
+// failed (artifacts is cmd/bluedbm-bench's regeneration test;
+// TestPackageSizes, which only sees that a line was added, is left
+// out). The seven allocation plants, H1–H3, N3 and X1–X3, were planted
+// again in the tree without hotpath and escapecheck, so their rows are
+// what that tree catches:
 //
 //	plant  class          bug                                       static       tier-1
 //	P1     poolleak       sched backpressure path drops reqs.Put    —            sched, volume
@@ -92,13 +91,13 @@
 //	N1     noconcurrency  ispvol fans a query out on a goroutine    forbidden    ispvol, artifacts
 //	N2     noconcurrency  engine counts fired events with           forbidden    —
 //	                      sync/atomic
-//	N3     noconcurrency  host thread pushes each work item from a  forbidden,   sched, core, cache,
-//	                      goroutine and waits on a channel          hotpath      rfs
+//	N3     noconcurrency  host thread pushes each work item from a  forbidden    sched, core, cache,
+//	                      goroutine and waits on a channel                       rfs, volume
 //	H1     hotpath        reclaim.Log.Write admits a closure per    —            ftl, rfs
-//	                      write (Write is outside the hot set)
-//	H2     hotpath        sched makes a fresh slice per doorbell    hotpath      sched, volume, cache,
+//	                      write
+//	H2     hotpath        sched makes a fresh slice per doorbell    —            sched, volume, cache,
 //	                                                                             rfs
-//	H3     hotpath        fabric transmit passes a closure per      hotpath      fabric, core, cache
+//	H3     hotpath        fabric transmit passes a closure per      —            fabric, core, cache
 //	                      segment
 //	E1     errdrop        flashserver drops WriteImage's error      errdrop      —
 //	E2     errdrop        ispvol deliver drops a send error         errdrop      —
@@ -108,23 +107,26 @@
 //	U2     unused         a new engine accessor nothing calls       unused       —
 //	U3     unused         volume.PhysMap's one caller resolves      unused       —
 //	                      page by page instead
-//	X1     escapecheck    sched kick schedules a method value       escapecheck  sched, cache, rfs,
-//	                                                                             ispvol
-//	X2     escapecheck    sched builds each doorbell in a stack     escapecheck  sched, volume, cache,
+//	X1     escapecheck    sched kick schedules a method value       —            sched, cache, rfs,
+//	                                                                             ispvol, volume
+//	X2     escapecheck    sched builds each doorbell in a stack     —            sched, volume, cache,
 //	                      array it then keeps                                    rfs
-//	X3     escapecheck    sched backpressure returns errors.New     escapecheck  sched, volume
+//	X3     escapecheck    sched backpressure returns errors.New     —            sched, volume
 //	                      instead of the sentinel
 //	F1     floatfuse      power.Budget.Total adds an unconverted    floatfuse    —
 //	                      product (amd64 never fuses it; CI's arm64
 //	                      disassembly step sees it where Total is
 //	                      inlined)
 //
-// Of the 35 plants, 26 are caught statically and 22 by tier-1 tests:
-// 15 by both, 11 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3, F1), 7
-// only by tests (P1, P2, P4, P5, O3, O5, H1) and 2 by neither (P6,
-// M4). Every check catches a plant no tier-1 test catches except
-// hotpath and escapecheck, whose plants the allocation pins
-// (testing.AllocsPerRun) also catch.
+// Of the 35 plants, 21 are caught statically and 22 by tier-1 tests:
+// 10 by both, 11 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3, F1), 12
+// only by tests (P1, P2, P4, P5, O3, O5, H1–H3, X1–X3) and 2 by neither
+// (P6, M4). Every check here catches a plant no tier-1 test catches.
+// hotpath and escapecheck caught none the tests missed: every one of
+// their plants fails tier-1 tests (allocation pins, except for X3,
+// whose fresh error the Retrier no longer takes for backpressure), and
+// H1 was only ever caught by them. So the allocation pins are the one
+// guard of allocation-free hot paths.
 //
 // A true finding is fixed; an intended exception is suppressed with an
 // audited comment on the offending line or the line above — directives
@@ -136,7 +138,8 @@
 // The reason is mandatory, unknown check names are errors, and a
 // suppression that suppresses nothing is itself a finding — so the
 // committed suppression set stays an honest list of reviewed
-// exceptions, never a graveyard.
+// exceptions, never a graveyard. So is a //simlint: marker other than
+// allow and the obligation check's pool and once.
 //
 // The framework is deliberately self-contained on the standard
 // library's go/ast and go/types (the usual golang.org/x/tools
@@ -145,11 +148,10 @@
 // repo's own tests use to keep `go test ./...` as strict as CI.
 //
 // The module is loaded and type-checked exactly once per run: a
-// Snapshot carries the loaded packages plus lazily-built shared
-// infrastructure (the call graph), and every analyzer — per-package or
-// module-wide — runs over that one snapshot. Every load of a process
-// shares one file set and one source importer for the standard
-// library, which is type-checked once.
+// Snapshot carries the loaded packages, and every analyzer —
+// per-package or module-wide — runs over that one snapshot. Every load
+// of a process shares one file set and one source importer for the
+// standard library, which is type-checked once.
 package lint
 
 import (
@@ -161,12 +163,13 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // An Analyzer is one named check. Exactly one of Run and RunModule is
 // set: Run inspects a single type-checked package via its Pass, while
 // RunModule sees the whole loaded snapshot at once (for analyses that
-// need the cross-package call graph).
+// need every package's references, such as unused).
 type Analyzer struct {
 	// Name identifies the check in output and in //simlint:allow
 	// directives.
@@ -180,22 +183,8 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full simlint suite in reporting order.
-// Escapecheck is absent: it needs real compiler output and runs only
-// through cmd/simlint -escapes (or Escapes in this package).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Maprange, Forbidden, Hotpath, Errdrop, Obligation, Unused, Floatfuse}
-}
-
-// knownChecks returns every valid //simlint:allow check name,
-// including escapecheck, which is driver-run rather than part of
-// Analyzers. Directive validation keys on this set so an escapecheck
-// suppression is never misreported as an unknown check by the AST run.
-func knownChecks() map[string]bool {
-	m := map[string]bool{Escapecheck.Name: true}
-	for _, a := range Analyzers() {
-		m[a.Name] = true
-	}
-	return m
+	return []*Analyzer{Maprange, Forbidden, Errdrop, Obligation, Unused, Floatfuse}
 }
 
 // A Diagnostic is one finding, located and attributed to its check.
@@ -287,14 +276,18 @@ type runState struct {
 	dirs   map[string]*directive
 	checks map[string]bool // every valid check name
 	// audited names whose unused suppressions are findings in this
-	// run. A run that executes only part of the suite (the AST run
-	// vs the -escapes run) must not flag the other part's
-	// suppressions as stale.
+	// run: the checks that ran. A run of part of the suite (a fixture
+	// test runs one analyzer) must not flag the other checks'
+	// suppressions as stale, and unused, which reports nothing on a
+	// package subset, takes its name out.
 	audit map[string]bool
 }
 
 func newRunState(analyzers []*Analyzer) *runState {
-	rs := &runState{dirs: map[string]*directive{}, checks: knownChecks(), audit: map[string]bool{}}
+	rs := &runState{dirs: map[string]*directive{}, checks: map[string]bool{}, audit: map[string]bool{}}
+	for _, a := range Analyzers() {
+		rs.checks[a.Name] = true
+	}
 	for _, a := range analyzers {
 		rs.audit[a.Name] = true
 	}
@@ -305,16 +298,29 @@ func lineKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// collectDirectives indexes every //simlint:allow comment of a file,
-// reporting malformed ones as findings of the "simlint" pseudo-check.
+// collectDirectives indexes every //simlint:allow comment of a file.
+// A malformed one is a finding of the "simlint" pseudo-check, and so is
+// a //simlint: marker other than allow and the obligation check's pool
+// and once: a marker nothing reads must not look like one that works.
 func (rs *runState) collectDirectives(fset *token.FileSet, f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := markerText(c)
-			if !strings.HasPrefix(text, "simlint:allow") {
+			name, ok := strings.CutPrefix(text, "simlint:")
+			if !ok {
 				continue
 			}
+			if i := strings.IndexFunc(name, unicode.IsSpace); i >= 0 {
+				name = name[:i]
+			}
 			pos := fset.Position(c.Pos())
+			if name == "pool" || name == "once" {
+				continue
+			}
+			if name != "allow" {
+				rs.reportAt("simlint", pos, "unknown directive //simlint:%s", name)
+				continue
+			}
 			m := directiveRe.FindStringSubmatch(text)
 			switch {
 			case m == nil:
@@ -367,8 +373,8 @@ func (rs *runState) suppress(check string, pos token.Position) bool {
 }
 
 // reportAt records a finding unless an applicable //simlint:allow
-// directive suppresses it. Reportf, the directive audit and the
-// compiler's positions for escapecheck all report through it.
+// directive suppresses it. Reportf and the directive audit report
+// through it.
 func (rs *runState) reportAt(check string, pos token.Position, format string, args ...any) {
 	if rs.suppress(check, pos) {
 		return
@@ -379,9 +385,7 @@ func (rs *runState) reportAt(check string, pos token.Position, format string, ar
 
 // finishUnused reports every audited directive that suppressed
 // nothing: a stale allow is a finding, so suppressions cannot outlive
-// their reason. Only checks that actually ran are audited — the AST
-// run must not flag escapecheck suppressions (used only by the
-// -escapes mode) as stale, and vice versa.
+// their reason. Only checks that actually ran are audited.
 func (rs *runState) finishUnused() {
 	for _, d := range rs.dirs {
 		if !d.used && rs.audit[d.check] {
@@ -394,9 +398,8 @@ func (rs *runState) finishUnused() {
 // --- driver ----------------------------------------------------------
 
 // A Snapshot is one loaded, type-checked view of the module, shared by
-// every analyzer of a run (and by the -escapes cross-check): the
-// loader's O(module) parse+type-check work happens once, never once
-// per analyzer or once per mode.
+// every analyzer of a run: the loader's O(module) parse+type-check work
+// happens once, never once per analyzer.
 type Snapshot struct {
 	// Root is the module root directory the packages were loaded from
 	// (empty for synthetic snapshots built directly from packages).
@@ -404,15 +407,13 @@ type Snapshot struct {
 	// Pkgs are the loaded module packages in dependency order.
 	Pkgs []*Package
 
-	cg      *callGraph    // built on first use, shared by hotpath + escapecheck
 	imp     chainImporter // the loader's; nil for fixture snapshots
 	partial bool          // loaded from patterns other than ./...
 }
 
 // LoadSnapshot loads the packages matching patterns under the module
-// rooted at root into one reusable snapshot. Root is stored absolute:
-// package filenames are absolute, and the -escapes cross-check joins
-// compiler-relative paths against Root to match them.
+// rooted at root into one reusable snapshot. Root is stored absolute,
+// as package filenames are.
 func LoadSnapshot(root string, patterns ...string) (*Snapshot, error) {
 	imp := chainImporter{}
 	pkgs, err := load(root, patterns, imp)
@@ -425,14 +426,6 @@ func LoadSnapshot(root string, patterns ...string) (*Snapshot, error) {
 	}
 	partial := !(len(patterns) == 0 || len(patterns) == 1 && patterns[0] == "./...")
 	return &Snapshot{Root: absRoot, Pkgs: pkgs, imp: imp, partial: partial}, nil
-}
-
-// CallGraph returns the module call graph, building it on first use.
-func (s *Snapshot) CallGraph() *callGraph {
-	if s.cg == nil {
-		s.cg = buildCallGraph(s.Pkgs)
-	}
-	return s.cg
 }
 
 // Run executes the analyzers over the snapshot and returns all

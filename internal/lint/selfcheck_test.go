@@ -7,9 +7,7 @@ import (
 	"testing"
 )
 
-// The repo gates load the module once and share the snapshot — the
-// same economy cmd/simlint applies between the AST suite and the
-// -escapes cross-check.
+// The repo gates load the module once and share the snapshot.
 var (
 	repoSnapOnce sync.Once
 	repoSnap     *Snapshot
@@ -35,7 +33,7 @@ func repoSnapshot(t *testing.T) *Snapshot {
 // TestRepoIsLintClean runs the full simlint suite over the whole
 // module and requires zero findings — the same gate CI applies via
 // cmd/simlint, enforced here so a plain `go test ./...` catches new
-// determinism or allocation regressions without a separate step.
+// determinism regressions without a separate step.
 func TestRepoIsLintClean(t *testing.T) {
 	diags := repoSnapshot(t).Run(Analyzers())
 	for _, d := range diags {
@@ -43,26 +41,6 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("%d finding(s); fix them or add an audited //simlint:allow <check> (reason)", len(diags))
-	}
-}
-
-// TestRepoEscapesClean holds the compiler's escape analysis to the
-// same standard: no heap decision in a hotpath-reachable function the
-// AST suite did not already see or a reviewer did not audit.
-func TestRepoEscapesClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles the module with -gcflags=-m")
-	}
-	snap := repoSnapshot(t)
-	diags, err := Escapes(snap, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
-	if len(diags) > 0 {
-		t.Errorf("%d escapecheck finding(s); fix them or add an audited //simlint:allow escapecheck (reason)", len(diags))
 	}
 }
 

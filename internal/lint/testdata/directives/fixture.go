@@ -1,8 +1,10 @@
 // Fixture for the suppression-directive audit: malformed directives,
-// unknown checks, missing reasons and unused suppressions are all
-// findings of the "simlint" pseudo-check (asserted programmatically —
-// a want comment cannot share a line with a directive). The names of
-// the checks folded into obligation and forbidden are unknown.
+// unknown checks, unknown markers, missing reasons and unused
+// suppressions are all findings of the "simlint" pseudo-check (asserted
+// programmatically — a want comment cannot share a line with a
+// directive). The names of the checks folded into obligation and
+// forbidden are unknown, and so are those of the deleted allocation
+// checks, hotpath and escapecheck, and their marker.
 package fixture
 
 //simlint:allow
@@ -28,3 +30,17 @@ var g = 7
 
 //simlint:allow noconcurrency (folded into forbidden)
 var h = 8
+
+//simlint:allow hotpath (deleted: the allocation pins hold hot paths)
+var i = 9
+
+//simlint:allow escapecheck (deleted with hotpath)
+var j = 10
+
+// k carries the deleted check's marker, which nothing reads any more.
+//
+//simlint:hotpath
+func k() {}
+
+//simlint:nosuchmarker
+var l = 11

@@ -97,7 +97,8 @@ func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 func (g Geometry) PageImage(data []byte) []byte {
 	// make+copy of plain variables compiles to one allocate-and-copy
 	// that zeroes nothing.
-	//simlint:allow hotpath (the page image itself: the one payload allocation of a program, made here and nowhere else)
+	// The page image itself: the one payload allocation of a program,
+	// made here and nowhere else.
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	return buf
@@ -375,8 +376,6 @@ type command struct {
 // operation, which may be before the command's own data finishes
 // moving: NAND cache registers let a bus transfer overlap the next cell
 // read.
-//
-//simlint:hotpath
 func (c *Card) enqueue(cmd command) {
 	cs := c.chipAt(cmd.a)
 	if cmd.bulk {
@@ -396,8 +395,6 @@ func (c *Card) enqueue(cmd command) {
 
 // writing reports whether a program of page a or an erase of its block
 // is queued: the commands that change what a read of a returns.
-//
-//simlint:hotpath
 func (cs *chipState) writing(a Addr) bool {
 	for i := range cs.queue.Len() {
 		if w := cs.queue.At(i); w.a.Block == a.Block && (w.kind == cmdErase || w.kind == cmdProgram && w.a.Page == a.Page) {
@@ -410,8 +407,6 @@ func (cs *chipState) writing(a Addr) bool {
 // runNext starts the chip's next command: the next ordinary one,
 // unless none waits or bulkPassLimit of them have already passed the
 // oldest bulk read.
-//
-//simlint:hotpath
 func (c *Card) runNext(cs *chipState) {
 	switch {
 	case cs.bulk.Len() > 0 && (cs.queue.Len() == 0 || cs.passed >= bulkPassLimit):
@@ -432,8 +427,6 @@ func (c *Card) runNext(cs *chipState) {
 // passable command or when no read has passed that command yet, and
 // otherwise that command. When a read has passed it, every read that is
 // not passable is younger than it.
-//
-//simlint:hotpath
 func (cs *chipState) nextOrdinary() command {
 	if cs.passable == 0 {
 		return cs.queue.Pop()
@@ -487,10 +480,7 @@ func (c *Card) check(cmd *command) error {
 // the chip's checks releases the chip at once, any other begins its
 // first timed stage — the cell operation, or for a program the bus
 // transfer that precedes it.
-//
-//simlint:hotpath
 func (c *Card) start(cs *chipState, cmd command) {
-	//simlint:allow hotpath (error paths: check allocates only the error of a command that fails anyway)
 	if err := c.check(&cmd); err != nil {
 		c.finish(cs, &cmd, err)
 		return
@@ -510,8 +500,6 @@ func (c *Card) start(cs *chipState, cmd command) {
 
 // transfer moves a command's image across its bus: the page and its
 // check bytes, whether or not the image in memory carries them.
-//
-//simlint:hotpath
 func (c *Card) transfer(cmd command) {
 	bus := c.buses[cmd.a.Bus]
 	bus.moving.Push(cmd)
@@ -519,8 +507,6 @@ func (c *Card) transfer(cmd command) {
 }
 
 // cellDone ends the cell operation a chip was timing.
-//
-//simlint:hotpath
 func (c *Card) cellDone(cs *chipState) {
 	cmd := cs.cur
 	cs.cur = command{}
@@ -539,11 +525,11 @@ func (c *Card) cellDone(cs *chipState) {
 		flips, s := c.drawFlips(c.geo.StoredPageSize()*8, gblk, b.erases, serial)
 		cmd.raw = stored
 		if flips > 0 {
-			//simlint:allow hotpath (the private copy of a read that drew bit errors: at the default error rate one read in 13 000)
+			// A read that drew bit errors gets a private copy: at the default
+			// error rate one read in 13 000.
 			raw := make([]byte, c.geo.StoredPageSize())
 			copy(raw, stored)
 			if len(stored) == c.geo.PageSize {
-				//simlint:allow hotpath (one read in 13 000: the panics on a broken encoder or a guard mismatch allocate as the run ends)
 				c.fillCheckBytes(b, a, raw)
 			}
 			c.applyFlips(raw, flips, s)
@@ -552,12 +538,12 @@ func (c *Card) cellDone(cs *chipState) {
 		c.transfer(cmd)
 	case cmdProgram:
 		if b.pages == nil {
-			//simlint:allow hotpath (the block's page table: made by its first program and kept across erases, so once per block a card ever programs)
+			// The block's page table: made by its first program and kept
+			// across erases, so once per block a card ever programs.
 			b.pages = make([][]byte, c.geo.PagesPerBlock)
 		}
 		b.pages[a.Page] = cmd.raw
 		if c.rel.GuardImages {
-			//simlint:allow hotpath (the image guard, a test-only debugging aid)
 			c.guard(b, a, cmd.sum)
 		}
 		b.next++
@@ -570,7 +556,6 @@ func (c *Card) cellDone(cs *chipState) {
 		c.Erases.Inc()
 		if b.erases > c.rel.EnduranceCycles && c.rng.Float64() < c.rel.WearOutProb {
 			b.bad = true
-			//simlint:allow hotpath (a block wearing out: once per block that goes bad)
 			c.finish(cs, &cmd, fmt.Errorf("%w: %v (wore out after %d cycles)", ErrBadBlock, a, b.erases))
 			return
 		}
@@ -583,8 +568,6 @@ func (c *Card) cellDone(cs *chipState) {
 // busDone ends the oldest transfer on a bus: a read's image has
 // reached the controller, or a program's image the chip, which now
 // programs it.
-//
-//simlint:hotpath
 func (c *Card) busDone(bus *busState) {
 	cmd := bus.moving.Pop()
 	if cmd.kind == cmdRead {
@@ -598,8 +581,6 @@ func (c *Card) busDone(bus *busState) {
 
 // finish ends a command that still holds its chip: the chip moves on
 // to its next queued command, and then the callback hears the outcome.
-//
-//simlint:hotpath
 func (c *Card) finish(cs *chipState, cmd *command, err error) {
 	c.runNext(cs)
 	if cmd.kind == cmdRead {
@@ -772,8 +753,6 @@ func mix64(z uint64) uint64 {
 // erase count, read serial): each block carries its own error state, so a block's noise
 // history depends only on its own wear and read count — never on how
 // reads to other blocks, chips or cards interleave with it.
-//
-//simlint:hotpath
 func (c *Card) drawFlips(bits, gblk int, eraseCount, serial int64) (flips int, s uint64) {
 	// Each product is converted before it is added to: Go may fuse
 	// x*y±z into one differently rounded op on arm64, and these decide
@@ -821,19 +800,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // checkImage is the image guard (Reliability.GuardImages): the image
 // stored at page a of block b must still be, byte for byte, what
 // ProgramPage adopted.
-//
-//simlint:hotpath
 func (c *Card) checkImage(b *block, a Addr, op string) error {
 	if b.sums == nil || b.pages[a.Page] == nil || crc32.Checksum(b.pages[a.Page], castagnoli) == b.sums[a.Page].image {
 		return nil
 	}
-	//simlint:allow hotpath (debug guard tripped: the run ends here)
 	return fmt.Errorf("nand: %s: the image at %v was written to after it was handed to the card (found by %s): page images are immutable", c.name, a, op)
 }
 
 // verify fails the operation that finds a stored image changed.
-//
-//simlint:hotpath
 func (c *Card) verify(b *block, a Addr, op string) {
 	if err := c.checkImage(b, a, op); err != nil {
 		panic(err)

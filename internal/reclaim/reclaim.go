@@ -236,8 +236,6 @@ func (l *Log) newOp() *op {
 // put zeroes an op, keeping its bound continuations, and returns it to
 // the pool. Its caller has taken the outcome out of it: no port
 // completion is outstanding on it and no queue holds it.
-//
-//simlint:hotpath
 func (l *Log) put(o *op) {
 	*o = op{run: o.run, onRead: o.onRead, onProgram: o.onProgram}
 	l.ops.Put(o)
@@ -257,8 +255,6 @@ func (l *Log) Urgency() float64 {
 // Read reads page ppn on tag, counted against its unit until it
 // completes: the victim erase waits for that count. The layer resolved
 // ppn from its forward map at issue time.
-//
-//simlint:hotpath
 func (l *Log) Read(ppn int, tag uint8, cb func(data []byte, err error)) {
 	l.Reads++
 	l.Units[ppn/l.pages].Reads++
@@ -268,16 +264,11 @@ func (l *Log) Read(ppn int, tag uint8, cb func(data []byte, err error)) {
 }
 
 // read issues the flash read of o.ppn; readDone hears the outcome.
-//
-//simlint:hotpath
 func (l *Log) read(o *op) {
-	//simlint:allow hotpath (the port dispatch: each port's admission path carries its own hotpath annotations)
 	l.Port.Read(o.ppn, o.tag, o.onRead)
 }
 
 // readDone is the port's completion of a read or of a move's read.
-//
-//simlint:hotpath
 func (l *Log) readDone(o *op, data []byte, err error) {
 	if o.tag == TagMove {
 		l.moveRead(o, data, err)
@@ -317,8 +308,6 @@ func (l *Log) Write(key uint64, img []byte, tag uint8, cb func(err error)) {
 // write's run continuation, what a pass parks behind it. A move's
 // allocation must not wait behind its own pass: it takes a page or
 // fails the pass.
-//
-//simlint:hotpath
 func (l *Log) place(o *op) {
 	retry := o.run
 	if o.tag == TagMove {
@@ -334,21 +323,16 @@ func (l *Log) place(o *op) {
 }
 
 // program writes o's image at ppn; programmed hears the outcome.
-//
-//simlint:hotpath
 func (l *Log) program(o *op, ppn int) {
 	l.Programs++
 	o.ppn = ppn
 	l.Units[ppn/l.pages].Programs++
-	//simlint:allow hotpath (the port dispatch: each port's admission path carries its own hotpath annotations)
 	l.Port.Program(ppn, o.tag, o.img, o.onProgram)
 }
 
 // programmed is the port's completion of a program. A program that
 // failed on a bad block kept nothing: its unit is retired, and the
 // image is the op's again and goes out once more, elsewhere.
-//
-//simlint:hotpath
 func (l *Log) programmed(o *op, err error) {
 	unit := o.ppn / l.pages
 	l.Units[unit].Programs--
@@ -364,8 +348,6 @@ func (l *Log) programmed(o *op, err error) {
 
 // landed ends a program — a write's or a move's — whose image is stored
 // at o.ppn, or that failed for good.
-//
-//simlint:hotpath
 func (l *Log) landed(o *op, err error) {
 	if o.tag == TagMove {
 		l.moved(o, err)
@@ -382,8 +364,6 @@ func (l *Log) landed(o *op, err error) {
 // install maps key to its new copy at ppn and only then drops the old
 // one: the new copy is durable first. A key gone from the namespace
 // maps nothing, and the page stays dead for a pass to collect.
-//
-//simlint:hotpath
 func (l *Log) install(key uint64, ppn int, moved bool) {
 	old := l.keys.Lookup(key)
 	if !l.keys.Map(key, ppn, moved) {
@@ -401,8 +381,6 @@ func (l *Log) install(key uint64, ppn int, moved bool) {
 // does; the layer drops its forward mapping itself. It shrinks some
 // victim's relocation demand, so it clears a stall; a pass that still
 // cannot fit aborts and stalls again, so this cannot loop.
-//
-//simlint:hotpath
 func (l *Log) Invalidate(ppn int) {
 	if l.rev[ppn] == noKey {
 		return
@@ -445,8 +423,6 @@ func (l *Log) Open(unit int) {
 // move is a pass's step over one victim page: if the page is live, read
 // it, program the copy on TagMove, and re-point its key. It reports
 // whether it started.
-//
-//simlint:hotpath
 func (l *Log) move(unit, page int) bool {
 	ppn := unit*l.pages + page
 	key := l.rev[ppn]
@@ -466,8 +442,6 @@ func (l *Log) move(unit, page int) bool {
 // Ownership: the read result is re-programmed as it stands — the image
 // the victim page stores; until the victim is erased two flash pages
 // hold the one immutable image — so a move costs no payload byte.
-//
-//simlint:hotpath
 func (l *Log) moveRead(o *op, data []byte, err error) {
 	src, key := o.src, o.key
 	if err != nil {
@@ -502,8 +476,6 @@ func (l *Log) moveRead(o *op, data []byte, err error) {
 }
 
 // endMove ends a move that programs nothing; abort fails the pass.
-//
-//simlint:hotpath
 func (l *Log) endMove(o *op, abort bool) {
 	l.put(o)
 	l.done(abort)
@@ -512,8 +484,6 @@ func (l *Log) endMove(o *op, abort bool) {
 // moved ends a move whose copy is stored at o.ppn, or whose program
 // failed for good, which fails the pass. A page invalidated while the
 // copy was in flight keeps its new mapping: the copy stays dead.
-//
-//simlint:hotpath
 func (l *Log) moved(o *op, err error) {
 	src, dst, key := o.src, o.ppn, o.key
 	l.put(o)
@@ -584,8 +554,6 @@ func (l *Log) greedy() int {
 // no program is in flight against the victim, the erase once no read
 // is. It runs after each program or read counted out, a program only
 // once it has installed its page's mapping.
-//
-//simlint:hotpath
 func (l *Log) wake() {
 	p := &l.p
 	switch {
@@ -604,8 +572,6 @@ func (l *Log) wake() {
 
 // done ends a move the pump started. abort fails the pass: there was no
 // room for the copy, or its program failed.
-//
-//simlint:hotpath
 func (l *Log) done(abort bool) {
 	l.p.inflight--
 	l.p.aborted = l.p.aborted || abort
@@ -616,8 +582,6 @@ func (l *Log) done(abort bool) {
 // erases the victim or ends the aborted pass. It is iterative: a move
 // that completes inside move re-enters through done and returns at
 // once, so a unit's page count never costs stack.
-//
-//simlint:hotpath
 func (l *Log) pump() {
 	p := &l.p
 	if l.pumping || !p.running {

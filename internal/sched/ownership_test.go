@@ -310,3 +310,45 @@ func TestFlashOpsAllocateOnePage(t *testing.T) {
 		t.Errorf("64 reads through sched make %d allocations, want 0", n)
 	}
 }
+
+// TestPromotedLeadAllocatesNothing: a realtime read that coalesces onto
+// a queued batch read of its page promotes the lead into its own class
+// (nodeQueue.promote) and rides it, and the pair allocates nothing:
+// the follower joins the lead's recycled follower list, the lead moves
+// between class rings in place.
+func TestPromotedLeadAllocatesNothing(t *testing.T) {
+	c := testCluster(t, 1, 64)
+	s, err := sched.New(c, sched.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _ := s.NewStream("batch", 0, sched.Batch)
+	rt, _ := s.NewStream("rt", 0, sched.Realtime)
+	got := func(d []byte, err error) {
+		if err != nil || len(d) != c.Params.Geometry.PageSize {
+			t.Errorf("read: %d bytes, err %v", len(d), err)
+		}
+	}
+	i := 0
+	pair := func() {
+		a := core.LinearPage(c.Params, 0, i%64)
+		i++
+		if err := batch.Read(a, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Read(a, got); err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+	}
+	for k := 0; k < 64; k++ {
+		pair()
+	}
+	base, i0 := s.Snapshot(), i
+	if n := coretest.Mallocs(64, pair); n != 0 {
+		t.Errorf("64 coalesced pairs that promote their lead make %d allocations, want 0", n)
+	}
+	if d, n := s.Snapshot().Coalesced-base.Coalesced, i-i0; d != int64(n) {
+		t.Fatalf("%d of %d realtime reads coalesced: the window does not promote", d, n)
+	}
+}

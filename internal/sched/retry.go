@@ -55,8 +55,6 @@ type retryOp struct {
 // Read admits a page read on st, retrying on backpressure. cb fires
 // exactly once: with the stream's result, or with the admission error
 // when the stream refuses the read for any other reason.
-//
-//simlint:hotpath
 func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err error)) {
 	op := rt.ops.Get()
 	op.st, op.addr, op.rcb = st, a, cb
@@ -65,8 +63,6 @@ func (rt *Retrier) Read(st *Stream, a core.PageAddr, cb func(data []byte, err er
 
 // Erase admits a block erase on st, retrying on backpressure; cb fires
 // exactly once, like Read's.
-//
-//simlint:hotpath
 func (rt *Retrier) Erase(st *Stream, a core.PageAddr, cb func(err error)) {
 	op := rt.ops.Get()
 	op.st, op.addr, op.wcb = st, a, cb
@@ -75,8 +71,6 @@ func (rt *Retrier) Erase(st *Stream, a core.PageAddr, cb func(err error)) {
 
 // admit offers op to its stream once, and schedules the next offer if
 // the node's queue is full.
-//
-//simlint:hotpath
 func (rt *Retrier) admit(op *retryOp) {
 	var err error
 	if op.wcb != nil {
@@ -139,8 +133,6 @@ func (rt *Retrier) NewSequencer() *Sequencer {
 // as Stream.WriteImage does; while the write waits here, and again
 // whenever the stream refuses it, the image is the sequencer's, and the
 // same one is offered again. cb fires exactly once.
-//
-//simlint:hotpath
 func (sq *Sequencer) WriteImage(st *Stream, a core.PageAddr, img []byte, cb func(err error)) {
 	sq.q.Push(seqWrite{st: st, addr: a, img: img, cb: cb})
 	sq.pump()
@@ -148,8 +140,6 @@ func (sq *Sequencer) WriteImage(st *Stream, a core.PageAddr, img []byte, cb func
 
 // pump admits queued writes from the head until the queue is empty or
 // the node pushes back.
-//
-//simlint:hotpath
 func (sq *Sequencer) pump() {
 	for !sq.stalled && sq.q.Len() > 0 {
 		w := sq.q.Front()
@@ -217,8 +207,6 @@ func classOf(tag uint8) Class {
 
 // Read admits a page read at the owning node, retrying on backpressure
 // (reads have no ordering constraint).
-//
-//simlint:hotpath
 func (p *Port) Read(ppn int, tag uint8, cb func(data []byte, err error)) {
 	a := p.addr(ppn)
 	p.rt.Read(&p.streams[a.Node][classOf(tag)], a, cb)
@@ -226,15 +214,13 @@ func (p *Port) Read(ppn int, tag uint8, cb func(data []byte, err error)) {
 
 // Program admits a page program through its (node, tag) sequencer. It
 // adopts img (reclaim.Port).
-//
-//simlint:hotpath
 func (p *Port) Program(ppn int, tag uint8, img []byte, cb func(err error)) {
 	a := p.addr(ppn)
 	k := lane{a.Node, tag}
 	sq := p.seqs[k]
 	if sq == nil {
-		//simlint:allow hotpath (cold edge: a lane's sequencer is made at its first program, once per node and tag)
-		//simlint:allow escapecheck (the same cold edge, inlined here)
+		// A lane's sequencer is made at its first program: once per node
+		// and tag.
 		sq = p.rt.NewSequencer()
 		p.seqs[k] = sq
 	}
@@ -244,8 +230,6 @@ func (p *Port) Program(ppn int, tag uint8, img []byte, cb func(err error)) {
 // Erase admits a block erase at the owning node on the Background
 // class, retrying on backpressure. A log erases a unit only after its
 // programs and reads drained, so no ordering hazard exists.
-//
-//simlint:hotpath
 func (p *Port) Erase(ppn int, cb func(err error)) {
 	a := p.addr(ppn)
 	p.rt.Erase(&p.streams[a.Node][Background], a, cb)

@@ -42,6 +42,8 @@ var (
 	// The request was not admitted; the caller should back off and
 	// retry (closed-loop clients) or drop (open-loop clients).
 	ErrBackpressure = errors.New("sched: node admission queue full")
+	// ErrOutOfRange marks a node index outside the cluster.
+	ErrOutOfRange = errors.New("sched: node out of range")
 )
 
 // Class is a stream's QoS class. Lower values dispatch first.
@@ -201,8 +203,6 @@ func newRequest() *request {
 // fired and the request is in no queue, table or follower list. A
 // write's image is dropped, not kept: it went down at dispatch, or —
 // the admission was refused — it is its submitter's again.
-//
-//simlint:hotpath
 func (r *request) reset() {
 	*r = request{
 		followers: r.followers[:0],
@@ -388,8 +388,6 @@ func (nq *nodeQueue) admit(r *request) error {
 // Host work dispatches while the submission thread is free and the
 // window has room; Accel work whenever its budget has a token — the
 // ISP path needs neither.
-//
-//simlint:hotpath
 func (nq *nodeQueue) kick() {
 	if nq.kicked || nq.qlen == 0 {
 		return
@@ -412,8 +410,6 @@ func (nq *nodeQueue) accelReady() bool {
 // thread is free) over the host window. The two draw on separate
 // budgets, so neither waits for the other's slots; at the chip, an
 // Accel read yields to host commands (nand.Card.ReadPageBulk).
-//
-//simlint:hotpath
 func (nq *nodeQueue) dispatch() {
 	nq.dispatchAccel()
 	if !nq.ringing {
@@ -427,8 +423,6 @@ func (nq *nodeQueue) dispatch() {
 // accumulate so the next doorbell carries a bigger batch. Accel reads
 // wait in a queue of their own and never join a doorbell batch: they
 // issue device-side (see dispatchAccel), so q[Accel] stays empty.
-//
-//simlint:hotpath
 func (nq *nodeQueue) dispatchHost() {
 	budget := min(nq.s.cfg.BatchSize, nq.s.cfg.MaxInflight-nq.inflight, nq.qlen)
 	if budget <= 0 {
@@ -518,8 +512,6 @@ func (nq *nodeQueue) dispatchHost() {
 // at the chip): the FPGA arbiter hands flash access to the in-store
 // processor directly, with no doorbell, no submission thread, no host
 // DMA and no slot of the host's device window (paper §3.1).
-//
-//simlint:hotpath
 func (nq *nodeQueue) dispatchAccel() {
 	for nq.accelReady() {
 		r := nq.accel.Pop()
@@ -532,8 +524,6 @@ func (nq *nodeQueue) dispatchAccel() {
 // promote moves a queued read to a higher-priority class queue (its
 // accounting moves with it). Only reads are ever promoted, so NAND
 // write ordering is unaffected.
-//
-//simlint:hotpath
 func (nq *nodeQueue) promote(lead *request, to Class) {
 	q := &nq.q[lead.class]
 	for i := 0; i < q.Len(); i++ {
@@ -547,8 +537,6 @@ func (nq *nodeQueue) promote(lead *request, to Class) {
 }
 
 // pop removes the FIFO head of one class queue.
-//
-//simlint:hotpath
 func (nq *nodeQueue) pop(cl Class) *request {
 	r := nq.q[cl].Pop()
 	nq.qlen--
@@ -586,8 +574,6 @@ func (nq *nodeQueue) gcTokens(taken int) int {
 // requesters needs no signal and no copy: each may keep it, and a
 // relocation among them may program that very buffer back; none may
 // write to it.
-//
-//simlint:hotpath
 func (nq *nodeQueue) complete(r *request, data []byte, err error) {
 	switch {
 	case r.class == Accel:

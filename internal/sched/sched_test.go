@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -326,15 +327,18 @@ func TestBatchingAmortization(t *testing.T) {
 	}
 }
 
-// TestStreamErrors: invalid arguments are rejected.
+// TestStreamErrors: invalid arguments are rejected, a node outside
+// the cluster with ErrOutOfRange.
 func TestStreamErrors(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NewStream("x", 5, sched.Batch); err == nil {
-		t.Error("out-of-range node accepted")
+	for _, node := range []int{-1, 1, 5} {
+		if _, err := s.NewStream("x", node, sched.Batch); !errors.Is(err, sched.ErrOutOfRange) {
+			t.Errorf("node %d of 1: got %v, want ErrOutOfRange", node, err)
+		}
 	}
 	if _, err := s.NewStream("x", 0, sched.Class(9)); err == nil {
 		t.Error("out-of-range class accepted")

@@ -48,7 +48,7 @@ var errNoOwner = errors.New("sched: page owner is not a node of the cluster")
 // path.
 func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, error) {
 	if node < 0 || node >= len(s.nodes) {
-		return nil, fmt.Errorf("sched: node %d out of range [0,%d)", node, len(s.nodes))
+		return nil, fmt.Errorf("%w: node %d of %d", ErrOutOfRange, node, len(s.nodes))
 	}
 	if class >= NumClasses {
 		return nil, fmt.Errorf("sched: class %d out of range", class)

@@ -196,8 +196,6 @@ func (e *Engine) Stats() EngineStats {
 
 // alloc takes a slot from the free list (or grows the pool) and
 // stamps it with the event's key.
-//
-//simlint:hotpath
 func (e *Engine) alloc(at Time, fn func()) int32 {
 	var idx int32
 	if e.free != 0 {
@@ -217,8 +215,6 @@ func (e *Engine) alloc(at Time, fn func()) int32 {
 }
 
 // release recycles a slot.
-//
-//simlint:hotpath
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.fn = nil
@@ -228,8 +224,6 @@ func (e *Engine) release(idx int32) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a modelling bug.
-//
-//simlint:hotpath
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -258,8 +252,6 @@ func (e *Engine) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d after the current time.
-//
-//simlint:hotpath
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -274,8 +266,6 @@ func (e *Engine) After(d Time, fn func()) {
 // the later instants of its 16 ns tick; a drained bucket's events
 // mostly arrive in seq order, so each passes only the few later
 // instants already in.
-//
-//simlint:hotpath
 func (e *Engine) runPush(x entry) {
 	if len(e.run) == cap(e.run) && 2*e.head >= len(e.run) {
 		// Reclaim the consumed front before growing, so a chain of
@@ -292,7 +282,6 @@ func (e *Engine) runPush(x entry) {
 	e.run[i] = x
 }
 
-//simlint:hotpath
 func (e *Engine) runPop() entry {
 	x := e.run[e.head]
 	e.head++
@@ -304,7 +293,6 @@ func (e *Engine) runPop() entry {
 
 // --- far heap --------------------------------------------------------
 
-//simlint:hotpath
 func (e *Engine) farPush(x entry) {
 	e.far = append(e.far, x)
 	i := len(e.far) - 1
@@ -318,7 +306,6 @@ func (e *Engine) farPush(x entry) {
 	}
 }
 
-//simlint:hotpath
 func (e *Engine) farPop() entry {
 	h := e.far
 	top := h[0]
@@ -348,8 +335,6 @@ func (e *Engine) farPop() entry {
 
 // push appends idx to the chain of the lane at pos (a tick or a span:
 // the lane is pos&wheelMask).
-//
-//simlint:hotpath
 func (w *wheel) push(slots []eventSlot, pos int, idx int32) {
 	l := pos & wheelMask
 	b := &w.lanes[l]
@@ -366,8 +351,6 @@ func (w *wheel) push(slots []eventSlot, pos int, idx int32) {
 // lane, or -1 if the wheel is empty. It reads the occupancy word of
 // pos from pos on, the other words whole, then — unless pos began its
 // word — the word of pos again, for the lanes below pos.
-//
-//simlint:hotpath
 func (w *wheel) dist(pos int) int {
 	for d := 0; d < wheelSlots; {
 		l := (pos + d) & wheelMask
@@ -380,8 +363,6 @@ func (w *wheel) dist(pos int) int {
 }
 
 // take empties the lane at pos and returns its chain.
-//
-//simlint:hotpath
 func (w *wheel) take(pos int) bucket {
 	l := pos & wheelMask
 	b := w.lanes[l]
@@ -395,8 +376,6 @@ func (w *wheel) take(pos int) bucket {
 // so later arrivals for it follow it there. A near lane — one span —
 // goes into the fine wheel, unless it holds one event: that goes into
 // the run, as draining its tick would send it.
-//
-//simlint:hotpath
 func (e *Engine) spill(w *wheel, pos int) {
 	b := w.take(pos)
 	for idx := b.head; idx != 0; {
@@ -415,8 +394,6 @@ func (e *Engine) spill(w *wheel, pos int) {
 
 // cascade moves far-heap events whose span is now inside the horizon
 // into the near wheel.
-//
-//simlint:hotpath
 func (e *Engine) cascade() {
 	horizon := e.base + wheelSlots
 	for len(e.far) > 0 && int64(e.far[0].at)>>spanBits < horizon {
@@ -430,8 +407,6 @@ func (e *Engine) cascade() {
 // reports whether one exists. It advances fbase and base (draining
 // ticks, opening spans and cascading far timers) but never moves the
 // clock or fires anything.
-//
-//simlint:hotpath
 func (e *Engine) ensureNext() bool {
 	for {
 		if e.head < len(e.run) {
@@ -467,8 +442,6 @@ func (e *Engine) ensureNext() bool {
 }
 
 // Step fires the next event, if any, and reports whether one fired.
-//
-//simlint:hotpath
 func (e *Engine) Step() bool {
 	if !e.ensureNext() {
 		return false

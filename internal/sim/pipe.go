@@ -35,16 +35,12 @@ func NewPipe(eng *Engine, name string, bytesPerSec int64, latency Time) *Pipe {
 func (p *Pipe) Name() string { return p.name }
 
 // serialization returns the wire occupancy of a transfer of n bytes.
-//
-//simlint:hotpath
 func (p *Pipe) serialization(n int) Time {
 	return Time(int64(n) * int64(Second) / p.bytesPerSec)
 }
 
 // Transfer enqueues a transfer of size bytes and schedules done at the
 // delivery time. It returns the delivery time.
-//
-//simlint:hotpath
 func (p *Pipe) Transfer(size int, done func()) Time {
 	if size < 0 {
 		panic(fmt.Sprintf("sim: pipe %q: negative transfer size %d", p.name, size))
@@ -60,8 +56,6 @@ func (p *Pipe) Transfer(size int, done func()) Time {
 // down on its own), not the serialization of total, so the delivery
 // time is bit-identical to the per-burst form at one event instead of
 // ceil(total/burst).
-//
-//simlint:hotpath
 func (p *Pipe) TransferBursts(total, burst int, done func()) Time {
 	if total < 0 || burst <= 0 {
 		panic(fmt.Sprintf("sim: pipe %q: bad burst transfer: %d bytes in bursts of %d", p.name, total, burst))
@@ -78,8 +72,6 @@ func (p *Pipe) TransferBursts(total, burst int, done func()) Time {
 
 // reserve occupies the pipe for ser starting when it next falls free,
 // accounts bytes moved in n transfers, and schedules done at delivery.
-//
-//simlint:hotpath
 func (p *Pipe) reserve(ser Time, bytes, n int64, done func()) Time {
 	start := p.eng.Now()
 	if p.busyUntil > start {

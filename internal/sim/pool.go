@@ -26,8 +26,6 @@ type Pool[T any] struct {
 }
 
 // Get takes the most recently returned record, or a new one.
-//
-//simlint:hotpath
 func (p *Pool[T]) Get() *T {
 	if n := len(p.free); n > 0 {
 		v := p.free[n-1]
@@ -39,8 +37,6 @@ func (p *Pool[T]) Get() *T {
 }
 
 // Put returns a record nothing references any more.
-//
-//simlint:hotpath
 func (p *Pool[T]) Put(v *T) { p.free = append(p.free, v) }
 
 // Out returns the number of records taken and not returned.

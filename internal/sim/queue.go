@@ -22,8 +22,6 @@ type Queue[T any] struct {
 func (q *Queue[T]) Len() int { return q.n }
 
 // Push appends v at the tail, doubling the ring only when it is full.
-//
-//simlint:hotpath
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
@@ -33,12 +31,12 @@ func (q *Queue[T]) Push(v T) {
 }
 
 // grow doubles the ring, unwrapping the live elements into the new
-// array. It is kept out of line so that Push inlines into hot callers
-// as index arithmetic alone.
+// array. It runs only on overflow, so a ring that has reached its
+// high-water mark never allocates. It is kept out of line so that Push
+// inlines into hot callers as index arithmetic alone.
 //
 //go:noinline
 func (q *Queue[T]) grow() {
-	//simlint:allow hotpath (ring doubling on overflow only; amortized O(1) per element, none once the high-water mark is reached)
 	grown := make([]T, max(4, 2*len(q.buf)))
 	for i := 0; i < q.n; i++ {
 		grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
@@ -48,14 +46,10 @@ func (q *Queue[T]) grow() {
 
 // Front returns the oldest element without removing it. The queue must
 // not be empty.
-//
-//simlint:hotpath
 func (q *Queue[T]) Front() T { return q.buf[q.head] }
 
 // Pop removes and returns the oldest element, zeroing its slot so the
 // ring holds no reference to it. The queue must not be empty.
-//
-//simlint:hotpath
 func (q *Queue[T]) Pop() T {
 	if q.n == 0 {
 		panic(errEmptyQueue)
@@ -69,8 +63,6 @@ func (q *Queue[T]) Pop() T {
 }
 
 // At returns the i-th oldest element, 0 <= i < Len, without removing it.
-//
-//simlint:hotpath
 func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 // RemoveAt removes the i-th oldest element, 0 <= i < Len, closing the

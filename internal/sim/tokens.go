@@ -33,8 +33,6 @@ func (t *TokenPool) Available() int { return t.avail }
 // Acquire requests a token and invokes fn once it is granted, at once
 // if one is free and nobody is queued. Grants are strictly FIFO, which
 // models in-order link-level credit flow.
-//
-//simlint:hotpath
 func (t *TokenPool) Acquire(fn func()) {
 	if t.waiters.Len() == 0 && t.avail > 0 {
 		t.avail--
@@ -46,8 +44,6 @@ func (t *TokenPool) Acquire(fn func()) {
 
 // Release returns a token, granting it to the oldest waiter if there
 // is one.
-//
-//simlint:hotpath
 func (t *TokenPool) Release() {
 	if t.avail == t.cap {
 		panic(fmt.Sprintf("sim: token pool %q: released above capacity %d", t.name, t.cap))

@@ -105,8 +105,6 @@ func (v *Volume) newFailover() *failover {
 
 // finish recycles the context — no completion is outstanding on it —
 // and hands the read's outcome to its caller.
-//
-//simlint:hotpath
 func (fo *failover) finish(data []byte, err error) {
 	cb := fo.cb
 	fo.rep, fo.cb, fo.useRep = nil, nil, false
@@ -117,8 +115,6 @@ func (fo *failover) finish(data []byte, err error) {
 // readMirrored serves a logical read on a mirrored volume: primary
 // first, replica on failure, straight to the replica when the primary
 // copy is known-unavailable.
-//
-//simlint:hotpath
 func (v *Volume) readMirrored(lpn int, tag ftl.IOTag, cb func(data []byte, err error)) {
 	pri, clpn := v.locate(lpn)
 	rep, rclpn := v.replicaOf(pri, clpn)

@@ -272,7 +272,6 @@ func (st *Stream) PageSize() int { return st.v.PageSize() }
 func (st *Stream) Read(lpn int, cb func(data []byte, err error)) {
 	v := st.v
 	if lpn < 0 || lpn >= v.Pages() {
-		//simlint:allow hotpath (error path: allocates only on an out-of-range read, which fails the op anyway)
 		cb(nil, fmt.Errorf("%w: %d", ErrOutOfRange, lpn))
 		return
 	}
