@@ -87,7 +87,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var reader search.DeviceReader
+		var reader altstore.Device
 		if dev == "SSD" {
 			reader, err = altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
 		} else {

@@ -195,7 +195,7 @@ func TestMixedDRAMCollapses(t *testing.T) {
 	run := func(pct int, disk bool) float64 {
 		eng := sim.NewEngine()
 		cpu, _ := hostmodel.New(eng, "h", hostmodel.DefaultConfig())
-		var dev SecondaryDev
+		var dev altstore.Device
 		if disk {
 			dev, _ = altstore.NewHDD(eng, "hdd", altstore.DefaultHDD())
 		} else {

@@ -141,15 +141,10 @@ func RunHostFlash(c *core.Cluster, nodeID int, candidates []core.PageAddr, ids [
 	})
 }
 
-// SecondaryDev abstracts the slow tier of a mixed DRAM working set.
-type SecondaryDev interface {
-	Read(size int, sequential bool, done func(error))
-}
-
 // RunMixedDRAM is Figure 17's ram-cloud-with-spill configuration: a
 // fraction (pctSecondary %) of accesses miss DRAM and fault in from a
 // secondary device (SSD or disk), paying the kernel fault penalty.
-func RunMixedDRAM(eng *sim.Engine, cpu *hostmodel.CPU, dev SecondaryDev,
+func RunMixedDRAM(eng *sim.Engine, cpu *hostmodel.CPU, dev altstore.Device,
 	items map[int][]byte, candidates []int, query []byte, threads, pctSecondary int,
 	seed uint64) (*Result, error) {
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/altstore"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
@@ -17,11 +18,6 @@ type Result struct {
 	CPUUtil    float64  // host CPU utilization during the scan
 }
 
-// DeviceReader abstracts the comparator devices (altstore SSD / HDD).
-type DeviceReader interface {
-	Read(size int, sequential bool, done func(error))
-}
-
 // GrepCPUPerByte is the software scan cost in nanoseconds per byte:
 // calibrated so that grep-at-600MB/s consumes ~65% of a 24-core host
 // and grep-on-HDD ~13-16% (paper Figure 21).
@@ -31,7 +27,7 @@ const GrepCPUPerByte = 26
 // sequentially from dev and scans it in software with `threads` worker
 // threads. gen supplies page contents (the same bytes the in-store scan
 // reads) so results are comparable.
-func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev DeviceReader,
+func SearchSoftware(eng *sim.Engine, cpu *hostmodel.CPU, dev altstore.Device,
 	pages, pageSize int, gen func(idx int, page []byte), needle []byte, threads int) (*Result, error) {
 
 	pat, err := Compile(needle)

@@ -22,9 +22,10 @@ import (
 
 // Table-scan errors.
 var (
-	ErrBadRecord = errors.New("tablescan: malformed record page")
-	ErrBadOp     = errors.New("tablescan: unknown comparison operator")
-	ErrBadColumn = errors.New("tablescan: unknown column")
+	ErrBadRecord    = errors.New("tablescan: malformed record page")
+	ErrBadOp        = errors.New("tablescan: unknown comparison operator")
+	ErrBadColumn    = errors.New("tablescan: unknown column")
+	ErrPageOverflow = errors.New("tablescan: records exceed a page")
 )
 
 // Record is one fixed-size row: an id, two filterable integer columns,
@@ -43,7 +44,7 @@ const RecordSize = 8 + 8 + 8 + 40
 // hold the record count.
 func EncodeRecords(recs []Record, pageSize int) ([]byte, error) {
 	if 4+len(recs)*RecordSize > pageSize {
-		return nil, fmt.Errorf("tablescan: %d records exceed a %d-byte page", len(recs), pageSize)
+		return nil, fmt.Errorf("%w: %d records in a %d-byte page", ErrPageOverflow, len(recs), pageSize)
 	}
 	page := make([]byte, pageSize)
 	binary.LittleEndian.PutUint32(page, uint32(len(recs)))

@@ -29,8 +29,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeErrors(t *testing.T) {
-	if _, err := EncodeRecords(make([]Record, 1000), 4096); err == nil {
-		t.Fatal("oversized page accepted")
+	if _, err := EncodeRecords(make([]Record, 1000), 4096); !errors.Is(err, ErrPageOverflow) {
+		t.Fatalf("oversized page: %v, want ErrPageOverflow", err)
 	}
 	if _, err := DecodeRecords([]byte{1}); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("short page: %v", err)

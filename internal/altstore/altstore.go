@@ -16,6 +16,20 @@ import (
 	"repro/internal/sim"
 )
 
+// Device is the one reader interface of the comparator drives: the host
+// reads size bytes, sequential selecting the prefetch-friendly path
+// where the drive has one, and done runs when the data is in host
+// memory. The software baselines of Figures 17 and 21 stream from a
+// Device (lsh.RunMixedDRAM, search.SearchSoftware).
+type Device interface {
+	Read(size int, sequential bool, done func(error))
+}
+
+var (
+	_ Device = (*SSD)(nil)
+	_ Device = (*HDD)(nil)
+)
+
 // SSDConfig describes an off-the-shelf NVMe/M.2 SSD.
 type SSDConfig struct {
 	Channels          int      // internal parallelism

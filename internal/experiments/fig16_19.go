@@ -175,7 +175,7 @@ func fig17(p core.Params) (Rows, error) {
 	if err != nil {
 		return Rows{}, err
 	}
-	mixed := func(th, pct int, dev func(*sim.Engine) (lsh.SecondaryDev, error)) (float64, error) {
+	mixed := func(th, pct int, dev func(*sim.Engine) (altstore.Device, error)) (float64, error) {
 		return nnHost(p, func(eng *sim.Engine, cpu *hostmodel.CPU, items map[int][]byte, query []byte) (*lsh.Result, error) {
 			d, err := dev(eng)
 			if err != nil {
@@ -190,13 +190,13 @@ func fig17(p core.Params) (Rows, error) {
 			if err != nil {
 				return nil, err
 			}
-			fl, err := mixed(th, 10, func(eng *sim.Engine) (lsh.SecondaryDev, error) {
+			fl, err := mixed(th, 10, func(eng *sim.Engine) (altstore.Device, error) {
 				return altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
 			})
 			if err != nil {
 				return nil, err
 			}
-			dk, err := mixed(th, 5, func(eng *sim.Engine) (lsh.SecondaryDev, error) {
+			dk, err := mixed(th, 5, func(eng *sim.Engine) (altstore.Device, error) {
 				return altstore.NewHDD(eng, "disk", altstore.DefaultHDD())
 			})
 			return []float64{d, thr, fl, dk}, err

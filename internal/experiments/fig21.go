@@ -32,7 +32,7 @@ func fig21(p core.Params) (Rows, error) {
 	}
 
 	// --- SW grep: a p.CPU host scanning what it streams off a device --
-	grep := func(dev func(*sim.Engine) (search.DeviceReader, error)) (*search.Result, error) {
+	grep := func(dev func(*sim.Engine) (altstore.Device, error)) (*search.Result, error) {
 		eng := sim.NewEngine()
 		cpu, err := hostmodel.New(eng, "host", p.CPU)
 		if err != nil {
@@ -44,13 +44,13 @@ func fig21(p core.Params) (Rows, error) {
 		}
 		return search.SearchSoftware(eng, cpu, d, pages, p.PageSize(), gen, []byte(needle), 16)
 	}
-	sw, err := grep(func(eng *sim.Engine) (search.DeviceReader, error) {
+	sw, err := grep(func(eng *sim.Engine) (altstore.Device, error) {
 		return altstore.NewSSD(eng, "m2", altstore.DefaultSSD())
 	})
 	if err != nil {
 		return Rows{}, err
 	}
-	hw, err := grep(func(eng *sim.Engine) (search.DeviceReader, error) {
+	hw, err := grep(func(eng *sim.Engine) (altstore.Device, error) {
 		return altstore.NewHDD(eng, "disk", altstore.DefaultHDD())
 	})
 	if err != nil {

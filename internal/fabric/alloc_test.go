@@ -1,28 +1,33 @@
-package fabric
+package fabric_test
 
 import (
 	"testing"
 
+	"repro/internal/core/coretest"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
+// These pins count every allocation of their window exactly
+// (coretest.Mallocs), not testing.AllocsPerRun's truncated average.
+
 // buildRing wires a 4-node ring with endpoint 0 bound everywhere.
-func buildRing(t *testing.T) (*sim.Engine, *Network, []*Endpoint) {
+func buildRing(t *testing.T) (*sim.Engine, []*fabric.Endpoint) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net, err := Ring(4, 1).Build(eng, DefaultConfig(), 2)
+	net, err := fabric.Ring(4, 1).Build(eng, fabric.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*Endpoint, net.Nodes())
+	eps := make([]*fabric.Endpoint, net.Nodes())
 	for i := range eps {
-		ep, err := net.Node(NodeID(i)).BindEndpoint(0)
+		ep, err := net.Node(fabric.NodeID(i)).BindEndpoint(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eps[i] = ep
 	}
-	return eng, net, eps
+	return eng, eps
 }
 
 // The fabric send path — segmentation, injection, credit waits,
@@ -31,10 +36,10 @@ func buildRing(t *testing.T) (*sim.Engine, *Network, []*Endpoint) {
 // an allocation here is a GC-pressure regression for every
 // cross-node write.
 func TestSendPathAllocFree(t *testing.T) {
-	eng, _, eps := buildRing(t)
+	eng, eps := buildRing(t)
 	var delivered int
 	for _, ep := range eps {
-		ep.OnReceive = func(src NodeID, size int, payload any) { delivered++ }
+		ep.OnReceive = func(src fabric.NodeID, size int, payload any) { delivered++ }
 	}
 	// Warm: segments pooled, credit rings and pipe pools grown, every
 	// (endpoint, dst) route exercised — including multi-segment (MTU
@@ -42,7 +47,7 @@ func TestSendPathAllocFree(t *testing.T) {
 	for rep := 0; rep < 4; rep++ {
 		for i, ep := range eps {
 			for d := 0; d < len(eps); d++ {
-				if err := ep.Send(NodeID(d), 4096, nil, nil); err != nil {
+				if err := ep.Send(fabric.NodeID(d), 4096, nil, nil); err != nil {
 					t.Fatalf("send %d->%d: %v", i, d, err)
 				}
 			}
@@ -50,15 +55,15 @@ func TestSendPathAllocFree(t *testing.T) {
 		eng.Run()
 	}
 
-	if n := testing.AllocsPerRun(500, func() {
+	if n := coretest.Mallocs(500, func() {
 		for _, ep := range eps {
 			for d := 0; d < len(eps); d++ {
-				_ = ep.Send(NodeID(d), 4096, nil, nil)
+				_ = ep.Send(fabric.NodeID(d), 4096, nil, nil)
 			}
 		}
 		eng.Run()
 	}); n != 0 {
-		t.Fatalf("fabric send cycle allocates %.1f objects, want 0", n)
+		t.Fatalf("500 fabric send cycles allocate %d objects, want 0", n)
 	}
 	if delivered == 0 {
 		t.Fatal("no messages delivered")
@@ -69,12 +74,12 @@ func TestSendPathAllocFree(t *testing.T) {
 // with a pooled payload pointer, broadcast from one node to every
 // other. Zero allocations once warm.
 func TestBroadcastSmallMessageAllocFree(t *testing.T) {
-	eng, _, eps := buildRing(t)
+	eng, eps := buildRing(t)
 	type inv struct{ lpn int }
 	msg := &inv{}
 	got := 0
 	for _, ep := range eps {
-		ep.OnReceive = func(src NodeID, size int, payload any) {
+		ep.OnReceive = func(src fabric.NodeID, size int, payload any) {
 			if payload.(*inv) != msg {
 				t.Error("payload pointer mangled")
 			}
@@ -82,30 +87,30 @@ func TestBroadcastSmallMessageAllocFree(t *testing.T) {
 		}
 	}
 	for d := 1; d < len(eps); d++ {
-		_ = eps[0].Send(NodeID(d), 16, msg, nil)
+		_ = eps[0].Send(fabric.NodeID(d), 16, msg, nil)
 	}
 	eng.Run()
 
-	if n := testing.AllocsPerRun(500, func() {
+	if n := coretest.Mallocs(500, func() {
 		for d := 1; d < len(eps); d++ {
-			_ = eps[0].Send(NodeID(d), 16, msg, nil)
+			_ = eps[0].Send(fabric.NodeID(d), 16, msg, nil)
 		}
 		eng.Run()
 	}); n != 0 {
-		t.Fatalf("invalidation broadcast allocates %.1f objects, want 0", n)
+		t.Fatalf("500 invalidation broadcasts allocate %d objects, want 0", n)
 	}
 	if got == 0 {
 		t.Fatal("no invalidations delivered")
 	}
 }
 
-// Saturating a link past its credit depth exercises the waiter ring's
-// head-index recycling: a drained ring must rewind, not creep forward
-// until append reallocates.
+// Saturating a link past its credit depth queues credit waiters: once
+// the waiter ring has reached its high-water mark, a burst that fills
+// and drains it again allocates nothing.
 func TestCreditWaiterRingAllocFree(t *testing.T) {
-	eng, _, eps := buildRing(t)
+	eng, eps := buildRing(t)
 	for _, ep := range eps {
-		ep.OnReceive = func(NodeID, int, any) {}
+		ep.OnReceive = func(fabric.NodeID, int, any) {}
 	}
 	burst := func() {
 		// 64 MTU-sized segments into a 16-credit link direction.
@@ -117,7 +122,7 @@ func TestCreditWaiterRingAllocFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		burst()
 	}
-	if n := testing.AllocsPerRun(200, burst); n != 0 {
-		t.Fatalf("credit-saturated burst allocates %.1f objects, want 0", n)
+	if n := coretest.Mallocs(200, burst); n != 0 {
+		t.Fatalf("200 credit-saturated bursts allocate %d objects, want 0", n)
 	}
 }

@@ -196,16 +196,17 @@ type halfLink struct {
 // is reserved for forwarded (in-transit) segments. A source injection
 // must see two free credits and takes one, so it can never consume
 // the last slot; a forwarder may take it. Waiters are served from ONE
-// FIFO queue — the fairness property of plain credit flow control —
-// with exactly one exception: when only the reserved credit remains
-// and the queue head is an injection (which may not touch it), the
-// first waiting forwarder overtakes it. A waiting forwarder holds a
-// credit on its inbound link (hold-and-wait), so letting a stuck
-// injection block it would reintroduce the cyclic-dependency deadlock
-// the reserve exists to break; everywhere above the reserve, strict
-// FIFO keeps injections live under sustained transit load (at the
-// degenerate LinkTokens=1 there is no headroom above the reserve, so
-// saturating transit lawfully monopolizes the link until it idles).
+// FIFO queue, a sim.Queue — the fairness property of plain credit flow
+// control — with exactly one exception: when only the reserved credit
+// remains and the queue head is an injection (which may not touch it),
+// the first waiting forwarder overtakes it (Queue.RemoveAt). A waiting
+// forwarder holds a credit on its inbound link (hold-and-wait), so
+// letting a stuck injection block it would reintroduce the
+// cyclic-dependency deadlock the reserve exists to break; everywhere
+// above the reserve, strict FIFO keeps injections live under sustained
+// transit load (at the degenerate LinkTokens=1 there is no headroom
+// above the reserve, so saturating transit lawfully monopolizes the
+// link until it idles).
 // Grants within each class stay in order, so per-flow segment
 // ordering is unaffected (a flow only ever injects at its source and
 // only ever forwards at transit nodes).
@@ -226,16 +227,9 @@ type halfLink struct {
 // return, which serves and re-arms while still blocked — so a blocked
 // waiter is granted at the instant its credit falls due, and an
 // uncontended link fires no credit event at all.
-//
-// The waiter queue is a head-indexed ring over one backing slice:
-// popping advances head instead of reslicing, so the slice's capacity
-// is reused forever and steady-state enqueue/serve never allocates
-// (reslicing `q = q[1:]` would walk the backing array forward until
-// every append reallocates).
 type linkCredits struct {
 	free int
-	q    []linkWaiter
-	head int // index of the queue front within q
+	q    sim.Queue[linkWaiter]
 
 	eng     *sim.Engine
 	returns sim.Queue[sim.Time] // instants at which lazily returned credits fall due
@@ -265,17 +259,12 @@ func (lc *linkCredits) acquireInj(fn func()) { lc.acquire(linkWaiter{fwd: false,
 // the credit is there, and queues it behind the others otherwise.
 func (lc *linkCredits) acquire(w linkWaiter) {
 	lc.mature()
-	if lc.head == len(lc.q) && lc.free >= w.need() {
+	if lc.q.Len() == 0 && lc.free >= w.need() {
 		lc.free--
 		w.fn()
 		return
 	}
-	if lc.head > 0 && lc.head == len(lc.q) {
-		// Drained ring: rewind to the front of the backing array.
-		lc.q = lc.q[:0]
-		lc.head = 0
-	}
-	lc.q = append(lc.q, w)
+	lc.q.Push(w)
 	lc.serve()
 }
 
@@ -313,11 +302,10 @@ func (w linkWaiter) need() int {
 
 func (lc *linkCredits) serve() {
 	lc.mature()
-	for lc.head < len(lc.q) {
-		head := lc.q[lc.head]
+	for lc.q.Len() > 0 {
+		head := lc.q.Front()
 		if lc.free >= head.need() {
-			lc.q[lc.head] = linkWaiter{}
-			lc.head++
+			lc.q.Pop()
 			lc.free--
 			head.fn()
 			continue
@@ -325,12 +313,9 @@ func (lc *linkCredits) serve() {
 		// Head is an injection and only the reserved credit remains:
 		// the first waiting forwarder may take it past the head.
 		if !head.fwd && lc.free == 1 {
-			for i := lc.head + 1; i < len(lc.q); i++ {
-				if lc.q[i].fwd {
-					w := lc.q[i]
-					copy(lc.q[i:], lc.q[i+1:])
-					lc.q[len(lc.q)-1] = linkWaiter{}
-					lc.q = lc.q[:len(lc.q)-1]
+			for i := 1; i < lc.q.Len(); i++ {
+				if w := lc.q.At(i); w.fwd {
+					lc.q.RemoveAt(i)
 					lc.free--
 					w.fn()
 					break
@@ -339,16 +324,9 @@ func (lc *linkCredits) serve() {
 		}
 		break
 	}
-	if lc.head < len(lc.q) {
-		// Still blocked: come back when the next credit falls due.
-		if !lc.armed && lc.returns.Len() > 0 {
-			lc.armWake()
-		}
-		return
-	}
-	if lc.head > 0 {
-		lc.q = lc.q[:0]
-		lc.head = 0
+	// Still blocked: come back when the next credit falls due.
+	if lc.q.Len() > 0 && !lc.armed && lc.returns.Len() > 0 {
+		lc.armWake()
 	}
 }
 
@@ -665,8 +643,8 @@ func (n *Network) CheckInvariants() error {
 			switch {
 			case lc.free != n.cfg.LinkTokens+1:
 				return fmt.Errorf("fabric: %s holds %d credits, want %d", h.pipe.Name(), lc.free, n.cfg.LinkTokens+1)
-			case lc.head < len(lc.q):
-				return fmt.Errorf("fabric: %s has %d waiters queued", h.pipe.Name(), len(lc.q)-lc.head)
+			case lc.q.Len() > 0:
+				return fmt.Errorf("fabric: %s has %d waiters queued", h.pipe.Name(), lc.q.Len())
 			case lc.returns.Len() > 0:
 				return fmt.Errorf("fabric: %s has %d credit returns pending", h.pipe.Name(), lc.returns.Len())
 			case lc.armed:

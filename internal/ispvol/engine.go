@@ -18,7 +18,6 @@ type engine struct {
 	node, origin int
 	query        uint64
 	refs         []pageRef // in-store: the partition, chip-interleaved
-	unitDone     func()
 
 	q       *query // host-mediated: its pages' host-path reader and worker threads
 	read    func(i int, cb func([]byte, error))
@@ -26,9 +25,9 @@ type engine struct {
 	workers []*hostmodel.Thread
 	cost    sim.Time
 
-	lanes []lane                // System.depth of them, what either loop may use
-	run   *sim.LaneLoop         // over page and finish, on those lanes
-	claim func(unitDone func()) // claimed, runPart's acceleration-unit request
+	lanes []lane        // System.depth of them, what either loop may use
+	run   *sim.LaneLoop // over page and finish, on those lanes
+	claim func()        // claimed, runPart's acceleration-unit request
 }
 
 // lane is one lane of an engine's run: the page it is on, and that
@@ -50,15 +49,12 @@ func (sys *System) runPart(ns *nodeISP, m *startMsg) {
 	e.node, e.origin, e.query = ns.node.ID(), m.origin, m.query
 	e.p = m.k.newPartial(m.ps, len(m.refs))
 	e.refs = sys.chipInterleave(e.refs, m.refs)
-	ns.units.Submit(e.claim)
+	ns.units.Acquire(e.claim)
 }
 
 // claimed runs an in-store engine on the acceleration unit it was
-// assigned: System.depth lanes over its partition.
-func (e *engine) claimed(unitDone func()) {
-	e.unitDone = unitDone
-	e.run.Run(len(e.refs), len(e.lanes))
-}
+// granted: System.depth lanes over its partition.
+func (e *engine) claimed() { e.run.Run(len(e.refs), len(e.lanes)) }
 
 // hostScan is the host-mediated placement: a depth-bounded closed loop
 // that reads each page through the host path and reduces it on a
@@ -143,7 +139,7 @@ func (l *lane) reduced() {
 // keeping its lanes, its bound loop and its partition buffer: a query
 // it completes may take it for its next run from here.
 func (e *engine) finish() {
-	sys, p, failed, q, unitDone := e.sys, e.p, e.failed, e.q, e.unitDone
+	sys, p, failed, q := e.sys, e.p, e.failed, e.q
 	self, origin, query := e.node, e.origin, e.query
 	*e = engine{sys: sys, refs: e.refs[:0], lanes: e.lanes, run: e.run, claim: e.claim}
 	sys.engines.Put(e)
@@ -154,6 +150,6 @@ func (e *engine) finish() {
 		q.complete()
 		return
 	}
-	unitDone()
-	sys.deliver(self, origin, p.wireBytes(), &partMsg{query: query, failed: failed, body: p})
+	sys.nodes[self].units.Release()
+	sys.deliver(self, origin, p.wireBytes(), &partMsg{query: query, failed: failed, p: p})
 }

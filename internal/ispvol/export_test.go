@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/isp"
+	"repro/internal/sim"
 )
 
-// Units exposes a node's acceleration-unit scheduler.
-func (sys *System) Units(node int) *isp.Scheduler { return sys.nodes[node].units }
+// Units exposes a node's acceleration-unit pool.
+func (sys *System) Units(node int) *sim.TokenPool { return sys.nodes[node].units }
 
 // Sync starts one asynchronous query (a closure over Search,
 // TableScan, NearestNeighbor or WalkMigrate), drains the engine and

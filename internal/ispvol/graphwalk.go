@@ -68,8 +68,8 @@ type walkerMsg struct {
 	migrations int64
 }
 
-// walkDone reports a finished (or failed) walker to the origin, as
-// the body of a partMsg.
+// walkDone reports a finished (or failed) walker to the origin, in a
+// partMsg.
 type walkDone struct {
 	walker     int
 	steps      int64
@@ -163,16 +163,16 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 		if err != nil {
 			d.err = fmt.Errorf("ispvol: walker %d at vertex %d: %w", m.walker, m.current, err)
 		}
-		sys.deliver(self, m.origin, 48, &partMsg{query: m.query, body: d})
+		sys.deliver(self, m.origin, 48, &partMsg{query: m.query, walk: d})
 	}
 	// The lookup holds an acceleration unit for the flash read, and
 	// the read itself is admitted through the node's Accel stream —
 	// walker traffic is a scheduled tenant like every other engine.
 	// (The decode runs after the unit frees: parsing an adjacency
 	// list is free in the model, like the engines' inline compares.)
-	ns.units.Submit(func(unitDone func()) {
+	ns.units.Acquire(func() {
 		sys.readPage(self, pageRef{addr: addr}, func(data []byte, err error) {
-			unitDone()
+			ns.units.Release()
 			if err != nil {
 				report(err)
 				return
@@ -205,7 +205,7 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 
 // part merges one walker's completion into the origin state.
 func (q *walkQuery) part(pm *partMsg) {
-	m := pm.body.(*walkDone)
+	m := pm.walk
 	q.res.Steps += m.steps
 	q.res.Migrations += m.migrations
 	q.res.VisitSums[m.walker] = m.sum

@@ -28,14 +28,14 @@
 //   - a Placement — who computes. InStore runs the way Figure 8
 //     describes: (1) the origin host resolves the source to physical
 //     pages and partitions them by owning node; (2) one engine per
-//     node claims a hardware acceleration unit (the FIFO unit
-//     scheduler of internal/isp) and streams its partition off the
-//     local flash, four reads per chip deep, through the node's Accel
-//     sched.Stream, its reads yielding to host reads at the chips;
-//     (3) each engine reduces its pages next to the flash and ships
-//     only the partial to the origin over the integrated storage
-//     network; (4) the origin merges the partials and DMAs the answer
-//     into host memory. HostMediated is the comparison arm: every
+//     node claims a hardware acceleration unit (the §4 FIFO unit
+//     arbitration, a sim.TokenPool of Config.UnitsPerNode tokens per
+//     node) and streams its partition off the local flash, four reads
+//     per chip deep, through the node's Accel sched.Stream, its reads
+//     yielding to host reads at the chips; (3) each engine reduces its
+//     pages next to the flash and ships only the partial to the origin
+//     over the integrated storage network; (4) the origin merges the
+//     partials and DMAs the answer into host memory. HostMediated is the comparison arm: every
 //     page crosses PCIe and the same kernel runs in host software.
 //
 // Beside the scan queries sits in-store graph traversal with walker
@@ -65,7 +65,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/volume"
@@ -104,9 +103,11 @@ func (a Admission) String() string {
 
 // Config tunes the subsystem.
 type Config struct {
-	// UnitsPerNode is the number of hardware acceleration units each
-	// node's FIFO unit scheduler arbitrates (paper §4): one engine
-	// holds one unit for the duration of its partition. Default 4.
+	// UnitsPerNode is the number of hardware acceleration units on
+	// each node, the tokens of the node's sim.TokenPool: its FIFO
+	// grants are the paper's §4 "simple FIFO request scheduler". One
+	// engine holds one unit for the duration of its partition, a graph
+	// walk step for its flash read. Default 4.
 	UnitsPerNode int
 	// Admission selects the engine data path (see Admission).
 	Admission Admission
@@ -154,7 +155,7 @@ type System struct {
 // nodeISP is one node's slice of the subsystem.
 type nodeISP struct {
 	node   *core.Node
-	units  *isp.Scheduler
+	units  *sim.TokenPool
 	stream *sched.Stream // at class Accel
 	ep     *fabric.Endpoint
 }
@@ -191,10 +192,8 @@ func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*Sy
 	sys.iv.next, sys.iv.end = make([]int, chips), make([]int, chips)
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)
-		units, err := isp.NewScheduler(fmt.Sprintf("isp-n%d", i), cfg.UnitsPerNode)
-		if err != nil {
-			return nil, err
-		}
+		units := sim.NewTokenPool(fmt.Sprintf("isp-n%d", i), cfg.UnitsPerNode)
+		c.OnCheck(units.Drained)
 		st, err := s.NewStream(fmt.Sprintf("isp-n%d", i), i, sched.Accel)
 		if err != nil {
 			return nil, err

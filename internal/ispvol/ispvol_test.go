@@ -2,6 +2,7 @@ package ispvol_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/accel/tablescan"
@@ -124,8 +125,10 @@ func recordFiller(ps int) workload.PageFiller {
 }
 
 // TestUnitArbitration: more concurrent queries than acceleration
-// units — the FIFO unit scheduler must queue the excess (Waits > 0)
-// and every query must still complete.
+// units — the FIFO unit pool must queue the excess and every query must
+// still complete. The test holds node 0's one unit itself, so every
+// query's node-0 engine queues: none completes while it is held, and all
+// do once it comes back.
 func TestUnitArbitration(t *testing.T) {
 	ps := core.DefaultParams(1).Geometry.PageSize
 	fill := recordFiller(ps)
@@ -135,6 +138,7 @@ func TestUnitArbitration(t *testing.T) {
 	pred := tablescan.Predicate{Col: tablescan.ColB, Op: tablescan.OpEQ, Value: 7}
 	const queries = 3
 	completed := 0
+	sys.Units(0).Acquire(func() {})
 	for i := 0; i < queries; i++ {
 		sys.TableScan(i%2, ispvol.Range(0, v.Pages()), pred, ispvol.InStore, func(res *ispvol.ScanResult, err error) {
 			if err != nil {
@@ -144,18 +148,28 @@ func TestUnitArbitration(t *testing.T) {
 		})
 	}
 	c.Run()
+	if completed != 0 {
+		t.Fatalf("%d queries completed while node 0's one unit was held", completed)
+	}
+	if err := sys.Units(0).Drained(); err == nil || !strings.Contains(err.Error(), "3 waiters") {
+		t.Fatalf("node 0's unit pool with 3 engines queued: %v", err)
+	}
+	sys.Units(0).Release()
+	c.Run()
 	if completed != queries {
 		t.Fatalf("completed %d of %d queries", completed, queries)
 	}
-	waits := int64(0)
-	for n := 0; n < 2; n++ {
-		waits += sys.Units(n).Waits
-		if busy := sys.Units(n).Busy(); busy != 0 {
-			t.Fatalf("node %d still holds %d units", n, busy)
-		}
-	}
-	if waits == 0 {
-		t.Fatal("3 queries on 1 unit per node never queued")
+}
+
+// TestUnitHeldPastDrainFailsCheck: the cluster's drain check names a
+// node whose acceleration unit is still out.
+func TestUnitHeldPastDrainFailsCheck(t *testing.T) {
+	c, _, _, sys := testSystem(t, 2, ispvol.DefaultConfig(), recordFiller(core.DefaultParams(1).Geometry.PageSize))
+	sys.Units(1).Acquire(func() {})
+	err := c.Check()
+	sys.Units(1).Release()
+	if err == nil || !strings.Contains(err.Error(), "isp-n1: 1 of 4 tokens out") {
+		t.Fatalf("Check with a unit of node 1 held: %v", err)
 	}
 }
 

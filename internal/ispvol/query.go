@@ -174,12 +174,13 @@ type startMsg struct {
 	refs   []pageRef
 }
 
-// partMsg returns a reduction to the origin: a kernel partial, or a
-// finished walker.
+// partMsg returns a reduction to the origin: an engine's kernel
+// partial, or a finished walker.
 type partMsg struct {
 	query  uint64
 	failed int // pages whose read or reduction failed
-	body   any
+	p      partial
+	walk   *walkDone
 }
 
 // queryStats is what the executor reports about a completed query;
@@ -297,7 +298,7 @@ func (q *query) fanOut(addrs []core.PageAddr) {
 // part merges one engine's partial into the origin state.
 func (q *query) part(m *partMsg) {
 	q.st.failed += m.failed
-	q.k.merge(m.body.(partial))
+	q.k.merge(m.p)
 	q.pendingParts--
 	if q.pendingParts == 0 {
 		q.finish()

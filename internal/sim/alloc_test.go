@@ -66,27 +66,3 @@ func TestPipeTransferAllocFree(t *testing.T) {
 		t.Fatalf("Pipe.Transfer allocates %.1f objects per transfer, want 0", n)
 	}
 }
-
-func TestTokenPoolAcquireAllocFree(t *testing.T) {
-	tp := NewTokenPool("credits", 4)
-	fn := func() {}
-
-	// Warm the waiter ring past the depth the steady-state loop uses.
-	for i := 0; i < 8; i++ {
-		tp.Acquire(fn)
-	}
-	for i := 0; i < 8; i++ {
-		tp.Release() // serve the queued waiters, then refill the pool
-	}
-
-	if n := testing.AllocsPerRun(1000, func() {
-		for i := 0; i < 6; i++ {
-			tp.Acquire(fn) // four grants, two queued
-		}
-		for i := 0; i < 6; i++ {
-			tp.Release() // serve both, then refill
-		}
-	}); n != 0 {
-		t.Fatalf("TokenPool cycle allocates %.1f objects, want 0", n)
-	}
-}
