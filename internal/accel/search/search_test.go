@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloctest"
 	"repro/internal/altstore"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
@@ -178,8 +179,8 @@ func TestFeedDoesNotAllocate(t *testing.T) {
 		sc := p.NewScanner()
 		matches := 0
 		emit := func(int64) { matches++ }
-		if n := testing.AllocsPerRun(100, func() { sc.Feed(hay, emit) }); n != 0 {
-			t.Fatalf("Feed(%q) allocates %.1f times per page", needle, n)
+		if n := alloctest.Mallocs(100, func() { sc.Feed(hay, emit) }); n != 0 {
+			t.Fatalf("Feed(%q) allocates %d times over 100 pages", needle, n)
 		}
 		if matches == 0 {
 			t.Fatalf("needle %q never matched", needle)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
@@ -152,18 +153,18 @@ func TestFilterPageMatchesDecodeAndEval(t *testing.T) {
 		}
 	}
 	none := Predicate{Col: ColA, Op: OpGT, Value: 100}
-	if n := testing.AllocsPerRun(20, func() { FilterPage(nil, page, none) }); n != 0 {
-		t.Fatalf("a page with no match costs %.0f allocations", n)
+	if n := alloctest.Mallocs(20, func() { FilterPage(nil, page, none) }); n != 0 {
+		t.Fatalf("20 pages with no match cost %d allocations", n)
 	}
 	// A page with matches, into a dst with room for them, costs nothing.
 	some := Predicate{Col: ColA, Op: OpGE, Value: 0}
 	dst := make([]Record, 0, len(recs))
 	var hits int
-	if n := testing.AllocsPerRun(20, func() {
+	if n := alloctest.Mallocs(20, func() {
 		m, _, _ := FilterPage(dst[:0], page, some)
 		hits = len(m)
 	}); n != 0 || hits == 0 {
-		t.Fatalf("a page with %d matches into a roomy dst costs %.0f allocations", hits, n)
+		t.Fatalf("20 pages with %d matches into a roomy dst cost %d allocations", hits, n)
 	}
 }
 

@@ -1,6 +1,6 @@
 //go:build !race
 
-package coretest
+package alloctest
 
 // raceDetector reports a build under the race detector.
 const raceDetector = false

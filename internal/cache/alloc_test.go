@@ -3,7 +3,7 @@ package cache
 import (
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/sched"
 )
 
@@ -53,7 +53,7 @@ func TestIndexOpsAllocFree(t *testing.T) {
 	for range indexChurn {
 		cycle()
 	}
-	if n := coretest.Mallocs(1000, cycle); n != 0 {
+	if n := alloctest.Mallocs(1000, cycle); n != 0 {
 		t.Fatalf("1000 index insert/lookup/delete cycles make %d allocations, want 0", n)
 	}
 }
@@ -86,7 +86,7 @@ func TestEvictionAllocFree(t *testing.T) {
 	for range indexChurn {
 		cycle()
 	}
-	if n := coretest.Mallocs(1000, cycle); n != 0 {
+	if n := alloctest.Mallocs(1000, cycle); n != 0 {
 		t.Fatalf("1000 CLOCK evictions make %d allocations, want 0", n)
 	}
 }
@@ -118,13 +118,13 @@ func TestReadHitAllocFree(t *testing.T) {
 		}
 		c.Run()
 	}
-	if n := testing.AllocsPerRun(500, func() {
+	if n := alloctest.Mallocs(500, func() {
 		for lpn := 0; lpn < 4; lpn++ {
 			st.Read(lpn, cb)
 		}
 		c.Run()
 	}); n != 0 {
-		t.Fatalf("read hit cycle allocates %.1f objects, want 0", n)
+		t.Fatalf("500 read hit cycles allocate %d objects, want 0", n)
 	}
 	if s := ca.Stats(); s.Misses > 4 {
 		t.Fatalf("hit loop missed (%d misses) — not measuring the hit path", s.Misses)
@@ -160,7 +160,7 @@ func TestMissFillAllocFree(t *testing.T) {
 		cycle()
 	}
 	base := ca.Stats()
-	if n := coretest.Mallocs(200, cycle); n != 0 {
+	if n := alloctest.Mallocs(200, cycle); n != 0 {
 		t.Fatalf("200 miss-fill cycles make %d allocations, want 0", n)
 	}
 	if d := ca.Stats().Delta(base); d.Hits != 0 || d.Evictions != d.Misses {
@@ -198,7 +198,7 @@ func TestAbortedFillAllocFree(t *testing.T) {
 		cycle()
 	}
 	base := ca.Stats()
-	if n := coretest.Mallocs(200, cycle); n != 0 {
+	if n := alloctest.Mallocs(200, cycle); n != 0 {
 		t.Fatalf("200 cycles of aborted fills make %d allocations, want 0", n)
 	}
 	d := ca.Stats().Delta(base)
@@ -217,11 +217,11 @@ func TestInvalidationSendAllocFree(t *testing.T) {
 		ca.broadcastInv(0, 7)
 		c.Run()
 	}
-	if n := testing.AllocsPerRun(500, func() {
+	if n := alloctest.Mallocs(500, func() {
 		ca.broadcastInv(0, 7)
 		c.Run()
 	}); n != 0 {
-		t.Fatalf("invalidation broadcast allocates %.1f objects, want 0", n)
+		t.Fatalf("500 invalidation broadcasts allocate %d objects, want 0", n)
 	}
 	if ca.Stats().InvalidationsSent == 0 {
 		t.Fatal("no invalidations sent")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/fabric"
 	"repro/internal/flashctl"
 	"repro/internal/nand"
@@ -142,8 +143,8 @@ func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		read() // warm the pools along the path
 	}
-	if n := testing.AllocsPerRun(200, read); n != 0 {
-		t.Fatalf("a warm remote read allocates %.1f objects, want 0", n)
+	if n := alloctest.Mallocs(200, read); n != 0 {
+		t.Fatalf("200 warm remote reads allocate %d objects, want 0", n)
 	}
 	if reads == 0 {
 		t.Fatal("no read completed")
@@ -472,8 +473,8 @@ func TestSubmitHostBatchAdoptsImages(t *testing.T) {
 		c.Run()
 	}
 	ring()
-	if n := testing.AllocsPerRun(50, ring); n != 0 {
-		t.Fatalf("a warm doorbell of two reads allocates %.1f objects, want 0", n)
+	if n := alloctest.Mallocs(50, ring); n != 0 {
+		t.Fatalf("50 warm doorbells of two reads allocate %d objects, want 0", n)
 	}
 	if err := c.Check(); err != nil {
 		t.Fatal(err)

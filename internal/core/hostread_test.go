@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
@@ -289,8 +290,8 @@ func TestHostReadAllocatesNothing(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			read() // warm the pools along the path
 		}
-		if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
-			t.Errorf("%v %s: a warm host read allocates %.1f objects, want 0", tc.path, placement(tc.node), allocs)
+		if allocs := alloctest.Mallocs(50, read); allocs != 0 {
+			t.Errorf("%v %s: 50 warm host reads allocate %d objects, want 0", tc.path, placement(tc.node), allocs)
 		}
 	}
 	if reads == 0 {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/ecc"
 	"repro/internal/sim"
 )
@@ -34,12 +34,12 @@ func TestDecodePageCopiesOnlyAFlippedPage(t *testing.T) {
 			}
 		}
 	}
-	if n := coretest.Mallocs(200, decode(0)); n != 0 {
+	if n := alloctest.Mallocs(200, decode(0)); n != 0 {
 		t.Errorf("200 decodes of a clean page make %d allocations, want 0", n)
 	}
 	ecc.FlipBit(raw, 77)
 	flipped := append([]byte(nil), raw...)
-	if n := coretest.Mallocs(200, decode(1)); n != 200 {
+	if n := alloctest.Mallocs(200, decode(1)); n != 200 {
 		t.Errorf("200 decodes of a flipped page make %d allocations, want 200 (one private copy each)", n)
 	}
 	if !bytes.Equal(raw, flipped) {

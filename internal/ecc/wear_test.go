@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
@@ -111,11 +112,11 @@ func TestDecodeAllocFree(t *testing.T) {
 		"uncorrectable": {w ^ 3, c},
 	}
 	for name, tc := range cases {
-		avg := testing.AllocsPerRun(200, func() {
+		n := alloctest.Mallocs(200, func() {
 			Decode(tc.data, tc.check)
 		})
-		if avg != 0 {
-			t.Errorf("%s decode allocates %.1f per call, want 0", name, avg)
+		if n != 0 {
+			t.Errorf("200 %s decodes allocate %d objects, want 0", name, n)
 		}
 	}
 }
@@ -128,25 +129,25 @@ func TestPageKernelsAllocFree(t *testing.T) {
 	codec, _ := NewPageCodec(520) // eight groups and a one-word tail
 	clean := make([]byte, codec.StoredSize())
 	sim.NewRNG(21).Bytes(clean[:codec.PageSize()])
-	avg := testing.AllocsPerRun(200, func() {
+	n := alloctest.Mallocs(200, func() {
 		if err := codec.EncodeInPlace(clean); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("page encode allocates %.1f per call, want 0", avg)
+	if n != 0 {
+		t.Errorf("200 page encodes allocate %d objects, want 0", n)
 	}
-	avg = testing.AllocsPerRun(200, func() {
+	n = alloctest.Mallocs(200, func() {
 		if _, err := codec.DecodePageInPlace(clean); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("clean page decode allocates %.1f per call, want 0", avg)
+	if n != 0 {
+		t.Errorf("200 clean page decodes allocate %d objects, want 0", n)
 	}
 	// Corrected: flip a bit fresh each run (the decoder repairs raw in
 	// place, so the flip must be reinjected).
-	avg = testing.AllocsPerRun(200, func() {
+	n = alloctest.Mallocs(200, func() {
 		FlipBit(clean, 77)
 		res, err := codec.DecodePageInPlace(clean)
 		if err != nil {
@@ -156,7 +157,7 @@ func TestPageKernelsAllocFree(t *testing.T) {
 			t.Fatalf("corrected = %d, want 1", res.Corrected)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("corrected page decode allocates %.1f per call, want 0", avg)
+	if n != 0 {
+		t.Errorf("200 corrected page decodes allocate %d objects, want 0", n)
 	}
 }

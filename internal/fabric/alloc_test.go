@@ -3,13 +3,13 @@ package fabric_test
 import (
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
 // These pins count every allocation of their window exactly
-// (coretest.Mallocs), not testing.AllocsPerRun's truncated average.
+// (alloctest.Mallocs).
 
 // buildRing wires a 4-node ring with endpoint 0 bound everywhere.
 func buildRing(t *testing.T) (*sim.Engine, []*fabric.Endpoint) {
@@ -55,7 +55,7 @@ func TestSendPathAllocFree(t *testing.T) {
 		eng.Run()
 	}
 
-	if n := coretest.Mallocs(500, func() {
+	if n := alloctest.Mallocs(500, func() {
 		for _, ep := range eps {
 			for d := 0; d < len(eps); d++ {
 				_ = ep.Send(fabric.NodeID(d), 4096, nil, nil)
@@ -91,7 +91,7 @@ func TestBroadcastSmallMessageAllocFree(t *testing.T) {
 	}
 	eng.Run()
 
-	if n := coretest.Mallocs(500, func() {
+	if n := alloctest.Mallocs(500, func() {
 		for d := 1; d < len(eps); d++ {
 			_ = eps[0].Send(fabric.NodeID(d), 16, msg, nil)
 		}
@@ -122,7 +122,7 @@ func TestCreditWaiterRingAllocFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		burst()
 	}
-	if n := coretest.Mallocs(200, burst); n != 0 {
+	if n := alloctest.Mallocs(200, burst); n != 0 {
 		t.Fatalf("200 credit-saturated bursts allocate %d objects, want 0", n)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
 )
@@ -31,7 +31,7 @@ func allocBytesPerOp(n int, op func(i int)) float64 {
 // above pin the same budget per physical program: ftl's and volume's
 // TestWritesAllocateOnePagePerProgram, sched's TestFlashOpsAllocateOnePage.)
 //
-// The counts are exact (coretest.Mallocs), so they also hold the card's
+// The counts are exact (alloctest.Mallocs), so they also hold the card's
 // per-block tables to the blocks it first programs: the page table, and
 // under the image guard the checksum table, each made once per block.
 // The writes visit the chips round-robin, page by page, so a round of
@@ -72,7 +72,7 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 		tables++ // and its checksum table
 	}
 	next := warm + n
-	if got, want := coretest.Mallocs(round, func() { write(next); next++ }), uint64(round+tables*chips); got != want {
+	if got, want := alloctest.Mallocs(round, func() { write(next); next++ }), uint64(round+tables*chips); got != want {
 		t.Errorf("WritePhysical makes %d allocations in %d pages over %d new blocks, want %d (one image per page, %d tables per block)",
 			got, round, chips, want, tables)
 	}
@@ -91,7 +91,7 @@ func TestPageOpsAllocateOnePage(t *testing.T) {
 		read(i)
 	}
 	i := 0
-	if a := coretest.Mallocs(64, func() { read(i); i++ }); a != 0 {
+	if a := alloctest.Mallocs(64, func() { read(i); i++ }); a != 0 {
 		t.Errorf("ReadPhysical makes %d allocations in 64 pages, want 0 (a clean read delivers the stored image)", a)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloctest"
 	"repro/internal/flashctl"
 	"repro/internal/flashserver"
 	"repro/internal/nand"
@@ -616,8 +617,8 @@ func TestOverwriteUnderGCAllocatesNothing(t *testing.T) {
 	f, churn := h.ftl, burstChurner(t, h, geo.PageImage(page(geo, 9)), sim.NewRNG(5))
 	churn(64) // queues at their high-water mark
 	gcs := f.Log.Passes
-	if allocs := testing.AllocsPerRun(64, func() { churn(1) }); allocs != 0 {
-		t.Fatalf("a burst of eight ops under GC allocates %.2f times, want none", allocs)
+	if allocs := alloctest.Mallocs(64, func() { churn(1) }); allocs != 0 {
+		t.Fatalf("64 bursts of eight ops under GC allocate %d times, want none", allocs)
 	}
 	if f.Log.Passes == gcs {
 		t.Fatal("test premise: no collection")

@@ -3,7 +3,7 @@ package hostif_test
 import (
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/hostif"
 	"repro/internal/sim"
 )
@@ -37,7 +37,7 @@ func TestPageUpAllocatesNothing(t *testing.T) {
 		eng.Run()
 	}
 	round()
-	if a := coretest.Mallocs(4, round); a != 0 {
+	if a := alloctest.Mallocs(4, round); a != 0 {
 		t.Fatalf("4 rounds of %d PageUps make %d allocations, want 0", burst, a)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
@@ -237,11 +238,11 @@ func TestWaitersMatchTheirGrants(t *testing.T) {
 	if h.PagesUp.Value() != n || h.PagesDown.Value() != n {
 		t.Fatalf("pages up %d, down %d, want %d each", h.PagesUp.Value(), h.PagesDown.Value(), n)
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
+	if allocs := alloctest.Mallocs(10, func() {
 		completed, landed = completed[:0], landed[:0]
 		run()
 	}); allocs != 0 {
-		t.Fatalf("a round of waits allocates %.0f times, want 0", allocs)
+		t.Fatalf("10 rounds of waits allocate %d times, want 0", allocs)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/accel/tablescan"
+	"repro/internal/alloctest"
 	"repro/internal/core"
-	"repro/internal/core/coretest"
 	"repro/internal/ispvol"
 	"repro/internal/rfs"
 	"repro/internal/workload"
@@ -111,7 +111,7 @@ func TestInStoreSearchAllocationsDoNotGrowWithPages(t *testing.T) {
 			query()
 		}
 		queries, pages = 0, 0
-		n := coretest.Mallocs(10, query)
+		n := alloctest.Mallocs(10, query)
 		if queries == 0 || pages != queries*f.Pages() {
 			t.Fatalf("%d queries scanned %d pages, want %d", queries, pages, queries*f.Pages())
 		}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/nand"
 	"repro/internal/sched"
@@ -89,7 +90,7 @@ func TestChipInterleaveMatchesReference(t *testing.T) {
 		}
 	}
 	refs := append([]pageRef(nil), dst...)
-	if a := testing.AllocsPerRun(20, func() { dst = sys.chipInterleave(dst, refs) }); a != 0 {
-		t.Fatalf("a run into grown buffers costs %v allocations", a)
+	if a := alloctest.Mallocs(20, func() { dst = sys.chipInterleave(dst, refs) }); a != 0 {
+		t.Fatalf("20 runs into grown buffers cost %d allocations", a)
 	}
 }

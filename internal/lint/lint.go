@@ -3,7 +3,7 @@
 // BENCH artifact rests on, and the ownership and hygiene rules around
 // it, at build time instead of debugging time. The other invariant,
 // allocation-free hot paths, is held by the exact allocation pins in
-// the packages' tests (coretest.Mallocs), not here.
+// the packages' tests (alloctest.Mallocs), not here.
 //
 // The simulator's reproducibility argument is only as strong as its
 // weakest `for k := range someMap` or stray time.Now(): either one

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
@@ -160,12 +161,12 @@ func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
 	for i := 0; i < cap(fresh); i++ {
 		fresh = append(fresh, mkRaw(c, 0xce))
 	}
-	if allocs := testing.AllocsPerRun(4, func() {
+	if allocs := alloctest.Mallocs(4, func() {
 		copy(raws, fresh[:len(chips)])
 		fresh = fresh[len(chips):]
 		round(false)
 	}); allocs != 0 {
-		t.Fatalf("a round of %d reads, %d programs and %d erases allocates %.0f times, want none",
+		t.Fatalf("4 rounds of %d reads, %d programs and %d erases allocate %d times, want none",
 			pages*len(chips), len(chips), len(chips), allocs)
 	}
 }
@@ -195,7 +196,7 @@ func TestOnlyFlipDrawingReadsAllocate(t *testing.T) {
 		}
 	}
 	var flipsBefore int64
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs := alloctest.Mallocs(1, func() {
 		flipsBefore, shared = c.InjectedFlips.Value(), 0
 		for i := 0; i < reads; i++ {
 			c.ReadPage(a, cb)
@@ -206,8 +207,8 @@ func TestOnlyFlipDrawingReadsAllocate(t *testing.T) {
 	if drew < reads/4 || drew > 3*reads/4 {
 		t.Fatalf("test premise: %d of %d reads drew a flip, want about half", drew, reads)
 	}
-	if allocs != float64(drew) || shared != reads-int(drew) {
-		t.Fatalf("%d reads, %d of which drew a flip, made %.0f allocations and delivered the stored image %d times",
+	if allocs != uint64(drew) || shared != reads-int(drew) {
+		t.Fatalf("%d reads, %d of which drew a flip, made %d allocations and delivered the stored image %d times",
 			reads, drew, allocs, shared)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
@@ -234,12 +235,12 @@ func TestCorruptAllocFree(t *testing.T) {
 	}
 	buf := make([]byte, c.Geometry().StoredPageSize())
 	serial := int64(0)
-	avg := testing.AllocsPerRun(200, func() {
+	n := alloctest.Mallocs(200, func() {
 		flips, s := c.drawFlips(len(buf)*8, 5, 7, serial)
 		c.applyFlips(buf, flips, s)
 		serial++
 	})
-	if avg != 0 {
-		t.Fatalf("drawing and applying a read's flips allocates %.1f per call, want 0", avg)
+	if n != 0 {
+		t.Fatalf("drawing and applying 200 reads' flips allocates %d objects, want 0", n)
 	}
 }

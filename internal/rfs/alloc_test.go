@@ -3,8 +3,8 @@ package rfs
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
-	"repro/internal/core/coretest"
 	"repro/internal/sched"
 )
 
@@ -45,41 +45,40 @@ func TestPageOpsAllocate(t *testing.T) {
 		c.Run()
 	}
 	i := 0
-	// WritePage and ReadPage are counted exactly, over one window after
-	// a warm-up: the first reads grow the read path's pools once (13
-	// allocations over the first 50), none after. AppendPage also grows
-	// the file's page list now and then, so it is an average that
-	// truncates (testing.AllocsPerRun).
+	// Each op is counted exactly, over one window after a warm-up: the
+	// first reads grow the read path's pools once (13 allocations over
+	// the first 50), none after. An append also grows the file's page
+	// list now and then, one allocation each time its capacity moves.
 	pins := []struct {
-		name  string
-		want  float64
-		exact bool
-		op    func()
+		name string
+		per  uint64
+		op   func()
 	}{
-		{"AppendPage", 1, false, func() { f.AppendPage(page, ack) }},
-		{"WritePage", 1, true, func() { f.WritePage(i%f.Pages(), page, ack) }},
-		{"ReadPage", 0, true, func() { f.ReadPage(i%f.Pages(), read) }},
+		{"AppendPage", 1, func() { f.AppendPage(page, ack) }},
+		{"WritePage", 1, func() { f.WritePage(i%f.Pages(), page, ack) }},
+		{"ReadPage", 0, func() { f.ReadPage(i%f.Pages(), read) }},
 	}
 	for _, p := range pins {
+		growths := uint64(0)
 		run := func() {
+			before := cap(fs.inodes[f.ino].pages)
 			p.op()
 			i++
 			c.Run()
-		}
-		var n float64
-		if p.exact {
-			for range 50 { // the op's pools, and the cleaning overwrites start, reach their size
-				run()
+			if cap(fs.inodes[f.ino].pages) != before {
+				growths++
 			}
-			n = float64(coretest.Mallocs(50, run)) / 50
-		} else {
-			n = testing.AllocsPerRun(50, run)
 		}
+		for range 50 { // the op's pools, and the cleaning overwrites start, reach their size
+			run()
+		}
+		growths = 0
+		n := alloctest.Mallocs(50, run)
 		if opErr != nil {
 			t.Fatalf("%s: %v", p.name, opErr)
 		}
-		if n != p.want {
-			t.Errorf("%s costs %v allocations, want %v", p.name, n, p.want)
+		if want := 50*p.per + growths; n != want {
+			t.Errorf("50 %s calls make %d allocations, want %d (%d each and %d page-list growths)", p.name, n, want, p.per, growths)
 		}
 	}
 	if err := fs.Log.Check(); err != nil {

@@ -16,8 +16,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
-	"repro/internal/core/coretest"
 	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/reclaim"
@@ -818,30 +818,15 @@ func TestCleanMoveAllocatesNothing(t *testing.T) {
 	for _, name := range []string{"ftl", "rfs"} {
 		t.Run(name, func(t *testing.T) {
 			k, geo, _, collect := moveRig(t, name)
-			// One P, as in testing.AllocsPerRun: with more, the runtime
-			// may start an OS thread when ReadMemStats restarts the
-			// world, and a thread's records are mallocs the window would
-			// count.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			moves := k.log.Moves
-			for i := 0; i < 8; i++ {
+			for range k.log.Units { // every block programmed once: the card makes its page table then
 				collect()
 			}
-			runtime.ReadMemStats(&m1)
-			n := float64(k.log.Moves - moves)
-			if n < 8*float64(geo.PagesPerBlock) {
-				t.Fatalf("%.0f moves in 8 passes over all-valid units", n)
+			moves := k.log.Moves
+			if n := alloctest.Mallocs(8, collect); n != 0 {
+				t.Errorf("8 passes of moves make %d allocations, want 0", n)
 			}
-			// A quarter of a page, not zero: the race detector's runtime
-			// allocates some tens of bytes per move on its own.
-			if got := float64(m1.TotalAlloc-m0.TotalAlloc) / n; got >= float64(geo.PageSize)/4 {
-				t.Errorf("a move allocates %.0f B: it pays for a page", got)
-			}
-			if got := float64(m1.Mallocs-m0.Mallocs) / n; got >= 0.1 {
-				t.Errorf("a move makes %.2f allocations, want 0", got)
+			if n := k.log.Moves - moves; n < 8*int64(geo.PagesPerBlock) {
+				t.Fatalf("%d moves in 8 passes over all-valid units", n)
 			}
 
 			page := make([]byte, geo.PageSize)
@@ -862,10 +847,7 @@ func TestCleanMoveAllocatesNothing(t *testing.T) {
 				burst()
 			}
 			passes := k.log.Passes
-			// Counted exactly: testing.AllocsPerRun's truncated average
-			// hides an allocation made once every few erases, such as a
-			// free list regrowing its array.
-			if n := coretest.Mallocs(64, burst); n != 64*8 {
+			if n := alloctest.Mallocs(64, burst); n != 64*8 {
 				t.Errorf("64 bursts of eight overwrites under reclaim make %d allocations, want %d (their images)", n, 64*8)
 			}
 			// The file system's gate starts a pass at every write that

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
-	"repro/internal/core/coretest"
 	"repro/internal/sched"
 )
 
@@ -303,10 +303,10 @@ func TestFlashOpsAllocateOnePage(t *testing.T) {
 	for k := 0; k < 64; k++ {
 		read()
 	}
-	if n := coretest.Mallocs(20, write); n != 20 {
+	if n := alloctest.Mallocs(20, write); n != 20 {
 		t.Errorf("20 programs through sched make %d allocations, want 20 (their images)", n)
 	}
-	if n := coretest.Mallocs(64, read); n != 0 {
+	if n := alloctest.Mallocs(64, read); n != 0 {
 		t.Errorf("64 reads through sched make %d allocations, want 0", n)
 	}
 }
@@ -345,7 +345,7 @@ func TestPromotedLeadAllocatesNothing(t *testing.T) {
 		pair()
 	}
 	base, i0 := s.Snapshot(), i
-	if n := coretest.Mallocs(64, pair); n != 0 {
+	if n := alloctest.Mallocs(64, pair); n != 0 {
 		t.Errorf("64 coalesced pairs that promote their lead make %d allocations, want 0", n)
 	}
 	if d, n := s.Snapshot().Coalesced-base.Coalesced, i-i0; d != int64(n) {

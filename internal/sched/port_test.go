@@ -3,6 +3,7 @@ package sched_test
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/nand"
@@ -154,7 +155,7 @@ func TestPortAllocatesNothing(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if n := coretest.Mallocs(100, cycle); n != 0 {
+	if n := alloctest.Mallocs(100, cycle); n != 0 {
 		t.Fatalf("100 programs, reads and erases through a port make %d allocations, want 0", n)
 	}
 }
@@ -197,7 +198,7 @@ func TestWarmWindowAllocatesNothing(t *testing.T) {
 		}
 	}
 	window()
-	if n := coretest.Mallocs(20, func() {
+	if n := alloctest.Mallocs(20, func() {
 		s.ResetStats()
 		window()
 	}); n != 0 {

@@ -42,8 +42,9 @@ var (
 	// The request was not admitted; the caller should back off and
 	// retry (closed-loop clients) or drop (open-loop clients).
 	ErrBackpressure = errors.New("sched: node admission queue full")
-	// ErrOutOfRange marks a node index outside the cluster.
-	ErrOutOfRange = errors.New("sched: node out of range")
+	// ErrOutOfRange marks a node index outside the cluster or a class
+	// past the last.
+	ErrOutOfRange = errors.New("sched: node or class out of range")
 )
 
 // Class is a stream's QoS class. Lower values dispatch first.

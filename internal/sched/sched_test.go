@@ -328,7 +328,7 @@ func TestBatchingAmortization(t *testing.T) {
 }
 
 // TestStreamErrors: invalid arguments are rejected, a node outside
-// the cluster with ErrOutOfRange.
+// the cluster or a class past the last with ErrOutOfRange.
 func TestStreamErrors(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -340,8 +340,8 @@ func TestStreamErrors(t *testing.T) {
 			t.Errorf("node %d of 1: got %v, want ErrOutOfRange", node, err)
 		}
 	}
-	if _, err := s.NewStream("x", 0, sched.Class(9)); err == nil {
-		t.Error("out-of-range class accepted")
+	if _, err := s.NewStream("x", 0, sched.Class(9)); !errors.Is(err, sched.ErrOutOfRange) {
+		t.Errorf("class 9: got %v, want ErrOutOfRange", err)
 	}
 	if _, err := sched.New(c, sched.Config{}); err == nil {
 		t.Error("zero config accepted")

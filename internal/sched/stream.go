@@ -51,7 +51,7 @@ func (s *Scheduler) NewStream(name string, node int, class Class) (*Stream, erro
 		return nil, fmt.Errorf("%w: node %d of %d", ErrOutOfRange, node, len(s.nodes))
 	}
 	if class >= NumClasses {
-		return nil, fmt.Errorf("sched: class %d out of range", class)
+		return nil, fmt.Errorf("%w: class %d of %d", ErrOutOfRange, class, NumClasses)
 	}
 	return &Stream{s: s, node: node, class: class}, nil
 }

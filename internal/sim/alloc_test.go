@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/alloctest"
+)
 
 // These tests pin the allocation budget of the simulation hot path at
 // zero: once the event pool, wheel lanes and waiter rings have grown
@@ -20,13 +24,13 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 	e.After(Time(wheelSlots<<spanBits)*4, fn) // far heap
 	e.Run()
 
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := alloctest.Mallocs(1000, func() {
 		e.After(0, fn)                            // current tick
 		e.After(3*Microsecond, fn)                // wheel lane
 		e.After(Time(wheelSlots<<spanBits)*4, fn) // far heap
 		e.Run()
 	}); n != 0 {
-		t.Fatalf("schedule/fire allocates %.1f objects per cycle, want 0", n)
+		t.Fatalf("1000 schedule/fire cycles allocate %d objects, want 0", n)
 	}
 }
 
@@ -41,8 +45,9 @@ func TestEngineZeroDelayChainBounded(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.After(0, fn)
 	}
-	if n := testing.AllocsPerRun(100000, func() { e.Step() }); n != 0 {
-		t.Fatalf("a zero-delay firing allocates %.1f objects, want 0", n)
+	e.Step() // the first firing sizes the run
+	if n := alloctest.Mallocs(100000, func() { e.Step() }); n != 0 {
+		t.Fatalf("100000 zero-delay firings allocate %d objects, want 0", n)
 	}
 	if e.Now() != 0 || e.pending != 3 {
 		t.Fatalf("now %v, pending %d; want 0 and 3", e.Now(), e.pending)
@@ -59,10 +64,10 @@ func TestPipeTransferAllocFree(t *testing.T) {
 	p.Transfer(4096, fn)
 	e.Run()
 
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := alloctest.Mallocs(1000, func() {
 		p.Transfer(4096, fn)
 		e.Run()
 	}); n != 0 {
-		t.Fatalf("Pipe.Transfer allocates %.1f objects per transfer, want 0", n)
+		t.Fatalf("1000 Pipe.Transfers allocate %d objects, want 0", n)
 	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/alloctest"
+)
 
 type poolRec struct {
 	id    int
@@ -105,8 +109,8 @@ func TestPoolSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 	cycle()
-	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
-		t.Fatalf("steady-state Get/Put allocates %.1f objects per cycle, want 0", n)
+	if n := alloctest.Mallocs(1000, cycle); n != 0 {
+		t.Fatalf("1000 steady-state Get/Put cycles allocate %d objects, want 0", n)
 	}
 	if made != len(held) || p.Out() != 0 {
 		t.Fatalf("made %d records, %d out; want %d and 0", made, p.Out(), len(held))

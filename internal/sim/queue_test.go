@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alloctest"
 )
 
 // Property: against a plain slice as the model, any interleaving of
@@ -60,13 +62,13 @@ func TestQueueSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(v)
 	}
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := alloctest.Mallocs(1000, func() {
 		q.Push(v)
 		q.Push(v)
 		q.Pop()
 		q.Pop()
 	}); n != 0 {
-		t.Fatalf("steady-state push/pop allocates %.1f objects per cycle, want 0", n)
+		t.Fatalf("1000 steady-state push/pop cycles allocate %d objects, want 0", n)
 	}
 	if q.Len() != 5 {
 		t.Fatalf("len = %d, want 5", q.Len())

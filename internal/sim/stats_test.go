@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // refQuantile is nearest rank by brute force: the smallest sample x
@@ -143,7 +145,7 @@ func TestHistMatchesNearestRank(t *testing.T) {
 			for _, x := range xs {
 				other.Add(x)
 			}
-			if allocs := testing.AllocsPerRun(10, func() {
+			if allocs := alloctest.Mallocs(10, func() {
 				h = Hist{}
 				for _, x := range xs {
 					h.Add(x)
@@ -153,15 +155,14 @@ func TestHistMatchesNearestRank(t *testing.T) {
 					t.Error("an emptied recorder counts differently")
 				}
 			}); allocs != 0 {
-				t.Errorf("emptying, Add and Merge make %.1f allocations, want 0", allocs)
+				t.Errorf("emptying, Add and Merge 10 times make %d allocations, want 0", allocs)
 			}
-			// AllocsPerRun calls f once more than runs, before it counts.
-			fresh, i := make([]Hist, 11), 0
-			if allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+			fresh, i := make([]Hist, 10), 0
+			if allocs := alloctest.Mallocs(len(fresh), func() {
 				fresh[i].Add(Microsecond)
 				i++
 			}); allocs != 0 {
-				t.Errorf("a fresh recorder's first Add makes %.1f allocations, want 0", allocs)
+				t.Errorf("10 fresh recorders' first Adds make %d allocations, want 0", allocs)
 			}
 		})
 	}

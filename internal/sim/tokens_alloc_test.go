@@ -3,12 +3,12 @@ package sim_test
 import (
 	"testing"
 
-	"repro/internal/core/coretest"
+	"repro/internal/alloctest"
 	"repro/internal/sim"
 )
 
 // The token pool's pins count every allocation of their window exactly
-// (coretest.Mallocs), not testing.AllocsPerRun's truncated average.
+// (alloctest.Mallocs).
 
 func TestTokenPoolAcquireAllocFree(t *testing.T) {
 	tp := sim.NewTokenPool("credits", 4)
@@ -22,7 +22,7 @@ func TestTokenPoolAcquireAllocFree(t *testing.T) {
 		tp.Release() // serve the queued waiters, then refill the pool
 	}
 
-	if n := coretest.Mallocs(1000, func() {
+	if n := alloctest.Mallocs(1000, func() {
 		for i := 0; i < 6; i++ {
 			tp.Acquire(fn) // four grants, two queued
 		}
@@ -47,7 +47,7 @@ func TestTokenPoolHandOffAllocFree(t *testing.T) {
 		tp.Release()       // handed to atOnce, whose release refills the pool
 	}
 	cycle()
-	if n := coretest.Mallocs(1000, cycle); n != 0 {
+	if n := alloctest.Mallocs(1000, cycle); n != 0 {
 		t.Fatalf("1000 hand-offs allocate %d objects, want 0", n)
 	}
 	if err := tp.Drained(); err != nil {

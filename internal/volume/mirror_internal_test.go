@@ -3,6 +3,7 @@ package volume
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/sched"
@@ -16,14 +17,14 @@ func TestFailoverPoolAllocFree(t *testing.T) {
 	v.failovers.New = v.newFailover
 	// Prime the pool (the first Get binds the reusable callbacks).
 	v.failovers.Put(v.failovers.Get())
-	avg := testing.AllocsPerRun(200, func() {
+	n := alloctest.Mallocs(200, func() {
 		fo := v.failovers.Get()
 		fo.useRep = true
 		fo.rclpn = 7
 		v.failovers.Put(fo)
 	})
-	if avg != 0 {
-		t.Fatalf("failover pool allocates %.1f per read, want 0", avg)
+	if n != 0 {
+		t.Fatalf("200 fail-over contexts allocate %d objects, want 0", n)
 	}
 	if out := v.failovers.Out(); out != 0 {
 		t.Fatalf("%d fail-over contexts out of the pool, want 0", out)
@@ -81,7 +82,7 @@ func TestMirroredReadsAllocateNothing(t *testing.T) {
 	for range 4 {
 		read()
 	}
-	if n := coretest.Mallocs(20, read); n != 0 || failed != 0 {
+	if n := alloctest.Mallocs(20, read); n != 0 || failed != 0 {
 		t.Errorf("20 rounds of mirrored reads make %d allocations (%d failed), want 0", n, failed)
 	}
 
@@ -91,7 +92,7 @@ func TestMirroredReadsAllocateNothing(t *testing.T) {
 	}
 	read()
 	base, reads0 := v.degradedReads, reads
-	if n := coretest.Mallocs(20, read); n != 0 || failed != 0 {
+	if n := alloctest.Mallocs(20, read); n != 0 || failed != 0 {
 		t.Errorf("20 rounds of degraded reads make %d allocations (%d failed), want 0", n, failed)
 	}
 	if d, n := v.degradedReads-base, reads-reads0; d != int64(n) {

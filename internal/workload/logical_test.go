@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -212,17 +213,19 @@ func TestRunAllocatesNothingPerRequest(t *testing.T) {
 		name string
 		pick Picker
 	}{{"read", PickRead(64)}, {"write", PickWrite(64)}} {
-		allocs := func(requests int) float64 {
-			return testing.AllocsPerRun(10, func() {
+		allocs := func(requests int) uint64 {
+			run := func() {
 				res, err := st.Run([]ClientSpec{{Name: tc.name, RW: rw, Pick: tc.pick, Seed: 1}}, 4, requests, nil)
 				if err != nil || res.Loop.Completed != int64(requests) {
 					t.Fatalf("%s: %+v, %v", tc.name, res.Loop, err)
 				}
-			})
+			}
+			run() // each window starts as warm as the other
+			return alloctest.Mallocs(10, run)
 		}
 		if few, many := allocs(64), allocs(512); many != few {
-			t.Errorf("%s: %.0f allocations for 512 requests, %.0f for 64: %.3f per request",
-				tc.name, many, few, (many-few)/448)
+			t.Errorf("%s: %d allocations over 10 runs of 512 requests, %d over 10 of 64",
+				tc.name, many, few)
 		}
 	}
 }

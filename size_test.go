@@ -80,7 +80,7 @@ func TestPackageSizes(t *testing.T) {
 // non-test Go files.
 func measureSizes(roots ...string) (map[string]pkgSize, error) {
 	sizes := map[string]pkgSize{}
-	err := walkGoFiles(roots, func(path string, src []byte) error {
+	err := walkGoFiles(roots, false, func(path string, src []byte) error {
 		exported, err := exportedNames(path, src)
 		if err != nil {
 			return err
@@ -95,21 +95,23 @@ func measureSizes(roots ...string) (map[string]pkgSize, error) {
 	return sizes, err
 }
 
-// walkGoFiles calls fn with the path and contents of every non-test Go
-// file under the roots. testdata directories are not packages.
-func walkGoFiles(roots []string, fn func(path string, src []byte) error) error {
+// walkGoFiles calls fn with the path and contents of every Go file
+// under the roots that is a test file if tests is set and a non-test
+// file if not. testdata directories are not packages, and a directory
+// below a root that holds a go.mod is another module.
+func walkGoFiles(roots []string, tests bool, fn func(path string, src []byte) error) error {
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if d.IsDir() {
-				if d.Name() == "testdata" {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); d.Name() == "testdata" || path != root && err == nil {
 					return filepath.SkipDir
 				}
 				return nil
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 				return nil
 			}
 			src, err := os.ReadFile(path)
