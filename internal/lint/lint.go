@@ -126,7 +126,11 @@
 // their plants fails tier-1 tests (allocation pins, except for X3,
 // whose fresh error the Retrier no longer takes for backpressure), and
 // H1 was only ever caught by them. So the allocation pins are the one
-// guard of allocation-free hot paths.
+// guard of allocation-free hot paths. With every pin an exact
+// alloctest.Mallocs window, H1–H3 were planted once more, each alone,
+// and only the pins run: each row's tier-1 column is exactly the
+// packages whose exact pins fail (H3: fabric's three, core's remote
+// and host reads, cache's invalidation broadcast).
 //
 // A true finding is fixed; an intended exception is suppressed with an
 // audited comment on the offending line or the line above — directives

@@ -161,12 +161,15 @@ func TestInterleavedCommandsMatchTheirCallbacks(t *testing.T) {
 	for i := 0; i < cap(fresh); i++ {
 		fresh = append(fresh, mkRaw(c, 0xce))
 	}
-	if allocs := alloctest.Mallocs(4, func() {
+	// Two rounds a window: under the race detector, which counts the
+	// least of three windows, they program six more pages of each
+	// block, and twelve would not fit in it.
+	if allocs := alloctest.Mallocs(2, func() {
 		copy(raws, fresh[:len(chips)])
 		fresh = fresh[len(chips):]
 		round(false)
 	}); allocs != 0 {
-		t.Fatalf("4 rounds of %d reads, %d programs and %d erases allocate %d times, want none",
+		t.Fatalf("2 rounds of %d reads, %d programs and %d erases allocate %d times, want none",
 			pages*len(chips), len(chips), len(chips), allocs)
 	}
 }
@@ -196,7 +199,11 @@ func TestOnlyFlipDrawingReadsAllocate(t *testing.T) {
 		}
 	}
 	var flipsBefore int64
+	b := &c.blocks[c.blockIndex(a)]
+	serial := b.reads
 	allocs := alloctest.Mallocs(1, func() {
+		// The read serials restart, so every window draws the same flips.
+		b.reads = serial
 		flipsBefore, shared = c.InjectedFlips.Value(), 0
 		for i := 0; i < reads; i++ {
 			c.ReadPage(a, cb)

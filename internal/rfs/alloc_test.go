@@ -1,6 +1,7 @@
 package rfs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -48,7 +49,12 @@ func TestPageOpsAllocate(t *testing.T) {
 	// Each op is counted exactly, over one window after a warm-up: the
 	// first reads grow the read path's pools once (13 allocations over
 	// the first 50), none after. An append also grows the file's page
-	// list now and then, one allocation each time its capacity moves.
+	// list now and then, one allocation each time its capacity moves;
+	// the list is grown first, so that no window holds a growth, as
+	// every window must count alike (the race detector's least of
+	// three).
+	nd := fs.inodes[f.ino]
+	nd.pages = slices.Grow(nd.pages, 1000)
 	pins := []struct {
 		name string
 		per  uint64
@@ -59,26 +65,20 @@ func TestPageOpsAllocate(t *testing.T) {
 		{"ReadPage", 0, func() { f.ReadPage(i%f.Pages(), read) }},
 	}
 	for _, p := range pins {
-		growths := uint64(0)
 		run := func() {
-			before := cap(fs.inodes[f.ino].pages)
 			p.op()
 			i++
 			c.Run()
-			if cap(fs.inodes[f.ino].pages) != before {
-				growths++
-			}
 		}
 		for range 50 { // the op's pools, and the cleaning overwrites start, reach their size
 			run()
 		}
-		growths = 0
 		n := alloctest.Mallocs(50, run)
 		if opErr != nil {
 			t.Fatalf("%s: %v", p.name, opErr)
 		}
-		if want := 50*p.per + growths; n != want {
-			t.Errorf("50 %s calls make %d allocations, want %d (%d each and %d page-list growths)", p.name, n, want, p.per, growths)
+		if n != 50*p.per {
+			t.Errorf("50 %s calls make %d allocations, want %d", p.name, n, 50*p.per)
 		}
 	}
 	if err := fs.Log.Check(); err != nil {

@@ -159,7 +159,8 @@ func TestHistMatchesNearestRank(t *testing.T) {
 			}
 			fresh, i := make([]Hist, 10), 0
 			if allocs := alloctest.Mallocs(len(fresh), func() {
-				fresh[i].Add(Microsecond)
+				fresh[i%len(fresh)] = Hist{}
+				fresh[i%len(fresh)].Add(Microsecond)
 				i++
 			}); allocs != 0 {
 				t.Errorf("10 fresh recorders' first Adds make %d allocations, want 0", allocs)
