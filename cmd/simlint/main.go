@@ -2,12 +2,12 @@
 // invariant and the rules around it over this repository:
 // order-dependent map iteration (maprange), the host clock, global
 // math/rand and concurrency in the single-threaded core (forbidden),
-// discarded errors (errdrop), pooled objects and once-callbacks
-// discharged exactly once on every path (obligation), exported names
-// that no non-test code references, in the module or in bench/
-// (unused; on ./... only), and float products arm64 may fuse
-// (floatfuse). Allocation-free hot paths are held by the exact
-// allocation pins in the packages' tests, not here.
+// discarded errors (errdrop), exported names that no non-test code
+// references, in the module or in bench/ (unused; on ./... only), and
+// float products arm64 may fuse (floatfuse). Allocation-free hot paths
+// are held by the exact allocation pins in the packages' tests, and
+// pooled records and completion callbacks discharged exactly once by
+// the pools' drain checks and the tests, not here.
 // See internal/lint for the analyzers and the //simlint:allow
 // suppression grammar.
 //

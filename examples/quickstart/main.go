@@ -28,11 +28,8 @@ func main() {
 	// Write one page on node 2.
 	addr := core.LinearPage(params, 2, 0)
 	payload := bytes.Repeat([]byte("bluedbm!"), params.PageSize()/8)
-	var werr error
-	cluster.Node(2).WriteLocal(addr.Card, addr.Addr, payload, func(err error) { werr = err })
-	cluster.Run()
-	if werr != nil {
-		log.Fatalf("write: %v", werr)
+	if err := cluster.SeedLinear(2, 1, func(_ int, page []byte) { copy(page, payload) }); err != nil {
+		log.Fatalf("write: %v", err)
 	}
 	fmt.Printf("wrote page %v\n", addr)
 

@@ -140,8 +140,6 @@ func Traverse(c *core.Cluster, home int, g *Graph, cfg TraverseConfig) (*Result,
 // when every walker has finished (or the first failure is known); the
 // caller drives the engine. It is the composable form used by
 // experiments that co-run traversals with foreground load.
-//
-//simlint:once done
 func TraverseAsync(c *core.Cluster, home int, g *Graph, cfg TraverseConfig, done func(*Result, error)) {
 	if cfg.Steps <= 0 {
 		done(nil, fmt.Errorf("%w: %d", ErrBadSteps, cfg.Steps))

@@ -74,8 +74,6 @@ func NewSSD(eng *sim.Engine, name string, cfg SSDConfig) (*SSD, error) {
 
 // Read fetches size bytes; sequential selects the prefetch-friendly
 // path. done runs when the data is in host memory.
-//
-//simlint:once done
 func (s *SSD) Read(size int, sequential bool, done func(error)) {
 	s.Reads.Inc()
 	lat := s.cfg.RandomLatency
@@ -128,14 +126,11 @@ func NewHDD(eng *sim.Engine, name string, cfg HDDConfig) (*HDD, error) {
 }
 
 // Read fetches size bytes; non-sequential reads pay the seek.
-//
-//simlint:once done
 func (h *HDD) Read(size int, sequential bool, done func(error)) {
 	h.Reads.Inc()
 	h.access(size, sequential, done)
 }
 
-//simlint:once done
 func (h *HDD) access(size int, sequential bool, done func(error)) {
 	h.actuator.Acquire(func() {
 		seek := h.cfg.Seek

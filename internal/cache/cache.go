@@ -675,7 +675,6 @@ func (c *Cache) broadcastInv(from int, lpn int64) {
 	if n <= 1 {
 		return
 	}
-	//simlint:allow obligation (the n>1 guard above guarantees the fan-out loop hands the message to at least one Send)
 	m := c.invPool.Get()
 	m.lpn = lpn
 	m.refs = int32(n - 1)

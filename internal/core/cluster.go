@@ -199,7 +199,7 @@ func (c *Cluster) SeedLinear(node, count int, gen func(idx int, page []byte)) er
 		if gen != nil {
 			gen(idx, buf)
 		}
-		c.nodes[node].WriteLocal(a.Card, a.Addr, buf, func(err error) {
+		c.nodes[node].writeLocal(a.Card, a.Addr, buf, func(err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}

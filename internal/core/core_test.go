@@ -65,7 +65,7 @@ func TestLocalWriteRead(t *testing.T) {
 	a := LinearPage(c.Params, 0, 0)
 	data := fill(1, c.Params.PageSize())
 	var werr error
-	n0.WriteLocal(a.Card, a.Addr, data, func(err error) { werr = err })
+	n0.writeLocal(a.Card, a.Addr, data, func(err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -89,7 +89,7 @@ func TestISPRemoteRead(t *testing.T) {
 	a := LinearPage(c.Params, 2, 5)
 	data := fill(7, c.Params.PageSize())
 	var werr error
-	c.Node(2).WriteLocal(a.Card, a.Addr, data, func(err error) { werr = err })
+	c.Node(2).writeLocal(a.Card, a.Addr, data, func(err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -123,7 +123,7 @@ func TestRemoteReadAllocatesOnlyItsPage(t *testing.T) {
 	c := mkCluster(t, 4)
 	a := LinearPage(c.Params, 2, 5)
 	data := fill(3, c.Params.PageSize())
-	c.Node(2).WriteLocal(a.Card, a.Addr, data, func(err error) {
+	c.Node(2).writeLocal(a.Card, a.Addr, data, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -160,7 +160,7 @@ func TestAccessPathLatencyOrdering(t *testing.T) {
 	c := mkCluster(t, 4)
 	a := LinearPage(c.Params, 1, 0)
 	var werr error
-	c.Node(1).WriteLocal(a.Card, a.Addr, fill(3, c.Params.PageSize()), func(err error) { werr = err })
+	c.Node(1).writeLocal(a.Card, a.Addr, fill(3, c.Params.PageSize()), func(err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -203,7 +203,7 @@ func TestDRAMReadDeliversTheStoredPage(t *testing.T) {
 	c := mkCluster(t, 2)
 	ps := c.Params.PageSize()
 	written, blank := LinearPage(c.Params, 1, 0), LinearPage(c.Params, 1, 1)
-	c.Node(1).WriteLocal(written.Card, written.Addr, fill(9, ps), func(error) {})
+	c.Node(1).writeLocal(written.Card, written.Addr, fill(9, ps), func(error) {})
 	c.Run()
 	read := func(a PageAddr) (got []byte) {
 		c.Node(0).HostRead(a, PathHD, nil, func(d []byte, err error) {
@@ -368,7 +368,7 @@ func TestSingleNodeCluster(t *testing.T) {
 }
 
 // TestWriteBufferOwnership pins who owns a write's page buffer, and
-// until when. The device-side write (WriteLocal, SeedLinear's loop)
+// until when. The device-side write (writeLocal, SeedLinear's loop)
 // snapshots inside the flash server before
 // returning, so the caller may overwrite its buffer at once. A host
 // write adopts a page image instead (TestSubmitHostBatchAdoptsImages).
@@ -403,11 +403,11 @@ func TestWriteBufferOwnership(t *testing.T) {
 	buf := make([]byte, ps, 2*ps)
 	dev := LinearPage(c.Params, 0, 0)
 	copy(buf, fill(1, ps))
-	n0.WriteLocal(dev.Card, dev.Addr, buf, ack)
+	n0.writeLocal(dev.Card, dev.Addr, buf, ack)
 	scribble(buf) // immediately after the call returns
 	c.Run()
 	if !bytes.Equal(readBack(dev), fill(1, ps)) {
-		t.Fatal("WriteLocal: bytes written to the caller's buffer after the call reached flash")
+		t.Fatal("writeLocal: bytes written to the caller's buffer after the call reached flash")
 	}
 }
 
@@ -593,6 +593,52 @@ func TestCheckNamesALeakedRecord(t *testing.T) {
 		if err := c.Check(); err == nil || !strings.Contains(err.Error(), tc.pool+": 1 pooled records out") {
 			t.Errorf("one %s record leaked: Check = %v, want an error naming the pool", tc.pool, err)
 		}
+	}
+}
+
+// TestReadOfANodeOutsideTheCluster: a device read and a host read of a
+// page on node Nodes() fail with fabric.ErrNoRoute when the request is
+// sent, and the refused send returns its remote-op record: the drain
+// check holds after each read.
+func TestReadOfANodeOutsideTheCluster(t *testing.T) {
+	c := mkCluster(t, 2)
+	a := LinearPage(c.Params, 0, 0)
+	a.Node = c.Nodes()
+	expect := func(what string, read func(cb func([]byte, error))) {
+		t.Helper()
+		err := errors.New("never completed")
+		read(func(_ []byte, e error) { err = e })
+		c.Run()
+		if !errors.Is(err, fabric.ErrNoRoute) {
+			t.Errorf("%s of a page on node %d of %d: err = %v, want ErrNoRoute", what, a.Node, c.Nodes(), err)
+		}
+		if err := c.Check(); err != nil {
+			t.Errorf("after a refused %s: %v", what, err)
+		}
+	}
+	expect("ISPReadDirect", func(cb func([]byte, error)) { c.Node(0).ISPReadDirect(a, cb) })
+	for _, path := range []AccessPath{PathHF, PathHRHF, PathHD} {
+		expect(fmt.Sprintf("HostRead over %v", path), func(cb func([]byte, error)) { c.Node(0).HostRead(a, path, nil, cb) })
+	}
+}
+
+// TestEmptyHostBatch: a doorbell of no requests is no doorbell. It
+// takes no batch record, so the drain check holds, and it charges the
+// submission thread nothing.
+func TestEmptyHostBatch(t *testing.T) {
+	c := mkCluster(t, 2)
+	issued := false
+	c.Node(0).SubmitHostBatch(nil, func() { issued = true })
+	c.Node(0).SubmitHostBatch([]HostReq{}, func() { issued = true })
+	c.Run()
+	if issued {
+		t.Error("an empty batch reached the submission thread")
+	}
+	if now := c.Eng.Now(); now != 0 {
+		t.Errorf("an empty batch took %v of virtual time", now)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestGlobalAddressSpaceAllPairs(t *testing.T) {
 	for n := 0; n < 20; n++ {
 		a := LinearPage(c.Params, n, 0)
 		var werr error
-		c.Node(n).WriteLocal(a.Card, a.Addr, fill(byte(n), c.Params.PageSize()), func(err error) { werr = err })
+		c.Node(n).writeLocal(a.Card, a.Addr, fill(byte(n), c.Params.PageSize()), func(err error) { werr = err })
 		c.Run()
 		if werr != nil {
 			t.Fatalf("node %d write: %v", n, werr)
@@ -68,7 +68,7 @@ func TestGlobalAddressSpaceAllPairs(t *testing.T) {
 // another node owns.
 func ispWrite(n *Node, a PageAddr, data []byte, cb func(err error)) {
 	if a.Node == n.id {
-		n.WriteLocal(a.Card, a.Addr, data, cb)
+		n.writeLocal(a.Card, a.Addr, data, cb)
 		return
 	}
 	n.remoteReq(reqMsg{card: a.Card, addr: a.Addr, write: true, data: data}, a.Node,

@@ -226,8 +226,8 @@ func (n *Node) readIface(card int, addr nand.Addr, bulk bool) *flashserver.Iface
 	return f
 }
 
-// WriteLocal programs a page on this node's own flash (ISP interface).
-func (n *Node) WriteLocal(card int, addr nand.Addr, data []byte, cb func(err error)) {
+// writeLocal programs a page on this node's own flash (ISP interface).
+func (n *Node) writeLocal(card int, addr nand.Addr, data []byte, cb func(err error)) {
 	n.ispIfaces[card].WritePhysical(addr, data, cb)
 }
 

@@ -18,13 +18,10 @@ func fig12(p core.Params) (Rows, error) {
 		return Rows{}, err
 	}
 	// One page on node 1, read from node 0.
-	a := core.LinearPage(c.Params, 1, 0)
-	var werr error
-	c.Node(1).WriteLocal(a.Card, a.Addr, make([]byte, c.Params.PageSize()), func(err error) { werr = err })
-	c.Run()
-	if werr != nil {
-		return Rows{}, werr
+	if err := c.SeedLinear(1, 1, nil); err != nil {
+		return Rows{}, err
 	}
+	a := core.LinearPage(c.Params, 1, 0)
 
 	out := Rows{Title: "Figure 12: remote access latency breakdown", Key: "Path",
 		Cols: cols("%.1f", "Software", "Storage", "Transfer", "Network", "Total(us)")}

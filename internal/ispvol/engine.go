@@ -66,7 +66,6 @@ func (e *engine) claimed() { e.run.Run(len(e.refs), len(e.lanes)) }
 // across each other.
 func (q *query) hostScan(read func(i int, cb func([]byte, error)), idx []int) {
 	sys := q.sys
-	//simlint:allow obligation (the engine's bound loop takes it over: the loop's done, finish, puts it back)
 	e := sys.engines.Get()
 	e.q, e.read, e.idx = q, read, idx
 	e.p = q.k.newPartial(q.st.ps, q.st.pages)

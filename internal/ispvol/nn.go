@@ -44,8 +44,6 @@ var (
 // distance, ties to the lowest id — the same rule as lsh.NearestBrute.
 // Candidate ids[i] lives in page pages[i] of src (the LSH index
 // output). Asynchronous like Search.
-//
-//simlint:once done
 func (sys *System) NearestNeighbor(origin int, src Source, item []byte, ids, pages []int, pl Placement, done func(*NNResult, error)) {
 	if len(ids) != len(pages) {
 		done(nil, fmt.Errorf("%w: %d ids but %d pages", ErrBadCandidates, len(ids), len(pages)))

@@ -217,8 +217,6 @@ type query struct {
 // when the result is in the origin host's memory; the caller drives
 // the engine. A zero-page query with nothing to DMA completes
 // synchronously.
-//
-//simlint:once fin
 func (sys *System) run(origin int, src Source, idx []int, k kernel, pl Placement, fin func(queryStats, error)) {
 	if err := sys.checkOrigin(origin); err != nil {
 		fin(queryStats{}, err)

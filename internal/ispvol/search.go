@@ -34,8 +34,6 @@ type SearchResult struct {
 // enclosing workload window, or Sync). The result shape is the same
 // under both placements, so they cross-validate match-for-match; what
 // differs is who moves and touches the bytes.
-//
-//simlint:once done
 func (sys *System) Search(origin int, src Source, needle []byte, pl Placement, done func(*SearchResult, error)) {
 	pat, err := search.Compile(needle)
 	if err != nil {

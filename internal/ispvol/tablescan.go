@@ -29,8 +29,6 @@ type ScanResult struct {
 // TableScan returns the records of src that satisfy pred, ordered by
 // ID. Asynchronous like Search; a predicate that fails Validate fails
 // the query before any flash read.
-//
-//simlint:once done
 func (sys *System) TableScan(origin int, src Source, pred tablescan.Predicate, pl Placement, done func(*ScanResult, error)) {
 	if err := pred.Validate(); err != nil {
 		done(nil, err)

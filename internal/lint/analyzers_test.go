@@ -38,24 +38,6 @@ func TestFloatfuse(t *testing.T) {
 	linttest.Run(t, "testdata/floatfuse", "cmd/fixture", lint.Floatfuse)
 }
 
-// The obligation check, over each function's control-flow graph: pool
-// objects, the module's sim.Pool, and once-callbacks.
-
-func TestPoolleak(t *testing.T) {
-	linttest.Run(t, "testdata/obligation/pool", "internal/fixture", lint.Obligation)
-}
-
-// TestPoolleakSimPool: the one //simlint:pool marker lives on sim.Pool,
-// so the check must follow Get and Put across packages and through the
-// instantiations of a generic method.
-func TestPoolleakSimPool(t *testing.T) {
-	linttest.Run(t, "testdata/obligation/simpool", "internal/fixture", lint.Obligation)
-}
-
-func TestOncedone(t *testing.T) {
-	linttest.Run(t, "testdata/obligation/once", "internal/fixture", lint.Obligation)
-}
-
 // TestUnused: each kind of unreferenced exported name is flagged; a
 // reference from another package counts, one from a _test.go file
 // does not, and an interface-satisfying method and an audited allow
@@ -128,8 +110,11 @@ func TestDirectiveAudit(t *testing.T) {
 		`unknown check "noconcurrency"`,
 		`unknown check "hotpath"`,
 		`unknown check "escapecheck"`,
+		`unknown check "obligation"`,
 		"unknown directive //simlint:hotpath",
 		"unknown directive //simlint:nosuchmarker",
+		"unknown directive //simlint:pool",
+		"unknown directive //simlint:once",
 		"unused suppression",
 	}
 	if len(diags) != len(wants) {

@@ -18,9 +18,6 @@
 //	             over the deterministic core: the host clock, the global
 //	             math/rand stream, sync, go statements and channels
 //	errdrop      discarded error results in internal/
-//	obligation   pooled objects (//simlint:pool) and completion
-//	             callbacks (//simlint:once) not discharged exactly once
-//	             on every path
 //	unused       exported names that no non-test code references, in
 //	             the module or in a module nested under it (bench/)
 //	floatfuse    a float product added or subtracted without a
@@ -39,41 +36,48 @@
 // What each check catches is measured by planted bugs: each one
 // below was planted alone in a copy of the tree, then `go run
 // ./cmd/simlint ./...` and every tier-1 test outside internal/lint were
-// run. The plant's class is the check meant to catch it (poolleak,
-// oncedone, walltime and noconcurrency are the four checks since folded
-// into obligation and forbidden; hotpath and escapecheck the two since
-// deleted, whose invariant the exact allocation pins hold); "static"
-// names what simlint reported and "tier-1" the packages whose tests
-// failed (artifacts is cmd/bluedbm-bench's regeneration test;
-// TestPackageSizes, which only sees that a line was added, is left
-// out). The seven allocation plants, H1–H3, N3 and X1–X3, were planted
-// again in the tree without hotpath and escapecheck, so their rows are
-// what that tree catches:
+// run. The plant's class is the check meant to catch it (walltime and
+// noconcurrency are the two checks since folded into forbidden;
+// poolleak and oncedone, folded into obligation, and hotpath and
+// escapecheck are since deleted: the pools' drain checks and the tests
+// hold the first two's invariant, the exact allocation pins the last
+// two's); "static" names what simlint reported and "tier-1" the
+// packages whose tests failed (artifacts and figures are
+// cmd/bluedbm-bench's artifact regeneration and paper-figure tests,
+// goldens the root's TestOutputGoldens; TestPackageSizes, which only
+// sees that a line was added, is left out). The seven allocation
+// plants, H1–H3, N3 and X1–X3, were planted again in the tree without
+// hotpath and escapecheck, and the twelve pool and callback plants,
+// P1–P7 and O1–O5, in the tree without obligation, so their rows are
+// what those trees catch:
 //
 //	plant  class          bug                                       static       tier-1
 //	P1     poolleak       sched backpressure path drops reqs.Put    —            sched, volume
-//	P2     poolleak       fabric non-last local segment drops       —            fabric
+//	P2     poolleak       fabric non-last local segment drops       —            fabric, ispvol
 //	                      segs.Put
-//	P3     poolleak       reclaim.Log.Write gets its op before the  obligation   ftl, rfs
+//	P3     poolleak       reclaim.Log.Write gets its op before the  —            ftl, rfs
 //	                      size check
-//	P4     poolleak       cache fill that does not install drops    —            cache
+//	P4     poolleak       cache fill that does not install drops    —            cache, workload
 //	                      fillPool.Put
 //	P5     poolleak       sched completion puts the request twice   —            sched, cache, rfs,
-//	                      (a parameter: holds no obligation)                     volume, ispvol,
-//	                                                                             workload, artifacts
-//	P6     poolleak       core.remoteReq send-error path drops      —            —
+//	                      (it arrives as a parameter)                            volume, ispvol,
+//	                                                                             workload, lsh,
+//	                                                                             search, experiments,
+//	                                                                             artifacts, goldens
+//	P6     poolleak       core.remoteReq send-error path drops      —            core
 //	                      remoteOps.Put
-//	P7     poolleak       SubmitHostBatch gets a batch before the   obligation   —
+//	P7     poolleak       SubmitHostBatch gets a batch before the   —            core
 //	                      empty check
-//	O1     oncedone       ispvol query with a bad origin returns    obligation   ispvol
+//	O1     oncedone       ispvol query with a bad origin returns    —            ispvol
 //	                      without fin
-//	O2     oncedone       Search with an empty needle returns       obligation   ispvol
+//	O2     oncedone       Search with an empty needle returns       —            ispvol
 //	                      without done
 //	O3     oncedone       graph.TraverseAsync with Steps<=0 calls   —            graph
-//	                      done and falls through (not marked once)
-//	O4     oncedone       ispvol resolve error returns without fin  obligation   ispvol
+//	                      done and falls through
+//	O4     oncedone       ispvol resolve error returns without fin  —            ispvol
 //	O5     oncedone       altstore.HDD calls done twice inside its  —            altstore, search,
-//	                      closure (closures are not followed)                    experiments, artifacts
+//	                      closure                                                experiments, figures,
+//	                                                                             goldens
 //	M1     maprange       rfs FS.List returns names in map order    maprange     rfs
 //	M2     maprange       cache eviction takes the first clean      maprange     cache, experiments,
 //	                      frame the lpn map yields                               artifacts
@@ -118,10 +122,16 @@
 //	                      disassembly step sees it where Total is
 //	                      inlined)
 //
-// Of the 35 plants, 21 are caught statically and 22 by tier-1 tests:
-// 10 by both, 11 only by simlint (P7, M3, W1, N2, E1–E3, U1–U3, F1), 12
-// only by tests (P1, P2, P4, P5, O3, O5, H1–H3, X1–X3) and 2 by neither
-// (P6, M4). Every check here catches a plant no tier-1 test catches.
+// Of the 35 plants, 16 are caught statically and 24 by tier-1 tests:
+// 6 by both, 10 only by simlint (M3, W1, N2, E1–E3, U1–U3, F1), 18
+// only by tests (P1–P7, O1–O5, H1–H3, X1–X3) and 1 by neither (M4).
+// Every check here catches a plant no tier-1 test catches. obligation
+// did not: of its five, P3, O1, O2 and O4 fail tier-1 tests too, and
+// P7, the one only it caught, fails core's TestEmptyHostBatch, as P6,
+// which it missed, fails TestReadOfANodeOutsideTheCluster (both end in
+// the drain check). So every pooled record and completion callback is
+// held dynamically: each sim.Pool's Drained check, which
+// core.Cluster.Check runs, and a test per refusal branch.
 // hotpath and escapecheck caught none the tests missed: every one of
 // their plants fails tier-1 tests (allocation pins, except for X3,
 // whose fresh error the Retrier no longer takes for backpressure), and
@@ -143,7 +153,7 @@
 // suppression that suppresses nothing is itself a finding — so the
 // committed suppression set stays an honest list of reviewed
 // exceptions, never a graveyard. So is a //simlint: marker other than
-// allow and the obligation check's pool and once.
+// allow.
 //
 // The framework is deliberately self-contained on the standard
 // library's go/ast and go/types (the usual golang.org/x/tools
@@ -188,7 +198,7 @@ type Analyzer struct {
 
 // Analyzers returns the full simlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Maprange, Forbidden, Errdrop, Obligation, Unused, Floatfuse}
+	return []*Analyzer{Maprange, Forbidden, Errdrop, Unused, Floatfuse}
 }
 
 // A Diagnostic is one finding, located and attributed to its check.
@@ -304,8 +314,8 @@ func lineKey(file string, line int) string {
 
 // collectDirectives indexes every //simlint:allow comment of a file.
 // A malformed one is a finding of the "simlint" pseudo-check, and so is
-// a //simlint: marker other than allow and the obligation check's pool
-// and once: a marker nothing reads must not look like one that works.
+// a //simlint: marker other than allow: a marker nothing reads must not
+// look like one that works.
 func (rs *runState) collectDirectives(fset *token.FileSet, f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -318,9 +328,6 @@ func (rs *runState) collectDirectives(fset *token.FileSet, f *ast.File) {
 				name = name[:i]
 			}
 			pos := fset.Position(c.Pos())
-			if name == "pool" || name == "once" {
-				continue
-			}
 			if name != "allow" {
 				rs.reportAt("simlint", pos, "unknown directive //simlint:%s", name)
 				continue

@@ -250,3 +250,11 @@ func (s *Snapshot) nestedModules() ([]*Package, error) {
 	})
 	return pkgs, err
 }
+
+// origin normalizes generic instantiations back to their declaration.
+func origin(fn *types.Func) *types.Func {
+	if o := fn.Origin(); o != nil {
+		return o
+	}
+	return fn
+}

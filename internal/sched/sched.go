@@ -42,8 +42,8 @@ var (
 	// The request was not admitted; the caller should back off and
 	// retry (closed-loop clients) or drop (open-loop clients).
 	ErrBackpressure = errors.New("sched: node admission queue full")
-	// ErrOutOfRange marks a node index outside the cluster or a class
-	// past the last.
+	// ErrOutOfRange marks a node index outside the cluster, a class
+	// past the last, or an Accel read's page owner that is not a node.
 	ErrOutOfRange = errors.New("sched: node or class out of range")
 )
 

@@ -328,7 +328,8 @@ func TestBatchingAmortization(t *testing.T) {
 }
 
 // TestStreamErrors: invalid arguments are rejected, a node outside
-// the cluster or a class past the last with ErrOutOfRange.
+// the cluster, a class past the last or an Accel read of a page whose
+// owner is not a node with ErrOutOfRange.
 func TestStreamErrors(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -342,6 +343,16 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if _, err := s.NewStream("x", 0, sched.Class(9)); !errors.Is(err, sched.ErrOutOfRange) {
 		t.Errorf("class 9: got %v, want ErrOutOfRange", err)
+	}
+	accel, err := s.NewStream("isp", 0, sched.Accel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, owner := range []int{-1, c.Nodes()} {
+		err := accel.Read(core.PageAddr{Node: owner}, func([]byte, error) { t.Error("a refused read called back") })
+		if !errors.Is(err, sched.ErrOutOfRange) {
+			t.Errorf("accel read of a page on node %d of %d: got %v, want ErrOutOfRange", owner, c.Nodes(), err)
+		}
 	}
 	if _, err := sched.New(c, sched.Config{}); err == nil {
 		t.Error("zero config accepted")

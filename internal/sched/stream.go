@@ -37,9 +37,9 @@ type Stream struct {
 var ErrAccelReadOnly = errors.New("sched: an accel stream only reads")
 
 // errNoOwner fails an Accel read whose page names a node outside the
-// cluster. It is a fixed value because Read sits under the Retrier's
-// hot path.
-var errNoOwner = errors.New("sched: page owner is not a node of the cluster")
+// cluster; it wraps ErrOutOfRange. It is a fixed value because Read
+// sits under the Retrier's hot path.
+var errNoOwner = fmt.Errorf("%w: page owner is not a node of the cluster", ErrOutOfRange)
 
 // NewStream opens a stream issuing from node at the given QoS class.
 // The stream may address any page in the cluster; a host stream's

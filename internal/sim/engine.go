@@ -79,9 +79,7 @@ const (
 
 // eventSlot is pooled per-event storage. Slots are reused once their
 // event has fired. The pool trades in int32 slot indexes rather than
-// pointers; simlint's obligation check tracks the handle the same way.
-//
-//simlint:pool get=alloc put=release
+// pointers.
 type eventSlot struct {
 	at   Time
 	seq  uint64

@@ -13,10 +13,8 @@ import "fmt"
 // Out is the number of records taken and not yet returned: those New
 // has built less those on the free list, so counting costs the hot path
 // nothing. A layer that has drained holds none, so Out() == 0 at drain
-// is the dynamic twin of simlint's obligation check, which follows Get
-// and Put through every instantiation of this type.
-//
-//simlint:pool get=Get put=Put
+// is the check that every Get met exactly one Put on every path a test
+// ran.
 type Pool[T any] struct {
 	// New makes one record. It runs only when the free list is empty.
 	New func() *T
